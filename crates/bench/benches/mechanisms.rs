@@ -53,20 +53,21 @@ fn bench_grant_copy(c: &mut Criterion) {
         let dst = hv.alloc_page(dd).unwrap();
         let gref = hv.grant_access(gu, dd, src, true).unwrap();
         b.iter(|| {
-            hv.grant_copy(
+            hv.grant_copy_batch(
                 dd,
-                kite_xen::CopySide::Grant {
-                    granter: gu,
-                    gref,
-                    offset: 0,
-                },
-                kite_xen::CopySide::Local {
-                    page: dst,
-                    offset: 0,
-                },
-                black_box(4096),
+                &[kite_xen::GrantCopyOp {
+                    src: kite_xen::CopySide::Grant {
+                        granter: gu,
+                        gref,
+                        offset: 0,
+                    },
+                    dst: kite_xen::CopySide::Local {
+                        page: dst,
+                        offset: 0,
+                    },
+                    len: black_box(4096),
+                }],
             )
-            .unwrap()
         });
     });
 }

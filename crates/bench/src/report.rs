@@ -87,10 +87,11 @@ pub fn recovery_cycle(os: BackendOs, seed: u64) -> NetSystem {
 /// `detect_latency` row reports a real (positive) detection cost; oracle
 /// runs report zero by construction.
 pub fn recovery_cycle_with(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSystem {
-    let mut sys = NetSystem::new(os, seed);
+    let mut cfg = SystemConfig::new(os, seed);
     if mode == DetectionMode::Watchdog {
-        sys.enable_watchdog(MonitorConfig::default());
+        cfg = cfg.watchdog(MonitorConfig::default());
     }
+    let mut sys = cfg.build_net();
     for i in 0..120u64 {
         // 30 s of traffic at 4 msg/s: spans the kite (~7 s) outage; the
         // queued tail drains after the Linux (~75 s) reboot too.
@@ -768,11 +769,12 @@ pub fn standard_snapshots() -> Vec<MetricsSnapshot> {
 /// byte-identical output on every run; `scripts/verify.sh` diffs two
 /// runs to prove it.
 pub fn kitetop_report() -> String {
-    let mut sys = NetSystem::new(BackendOs::Kite, 11);
-    sys.enable_watchdog(MonitorConfig::default());
     // Trace every echo so the P99_US column has per-domain data by the
     // first snapshot; the pings all complete before the 2 s kill.
-    sys.enable_req_tracing(1);
+    let mut sys = SystemConfig::new(BackendOs::Kite, 11)
+        .watchdog(MonitorConfig::default())
+        .req_tracing(1)
+        .build_net();
     for i in 0..16u16 {
         sys.ping_at(Nanos::from_millis(50 * (u64::from(i) + 1)), i);
     }

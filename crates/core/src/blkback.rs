@@ -1190,4 +1190,28 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         BlkbackInstance::close(self, hv)
     }
+
+    fn queue_count(&self) -> usize {
+        BlkbackInstance::ring_count(self)
+    }
+
+    fn port_of(&self, q: usize) -> Port {
+        BlkbackInstance::port_of(self, q)
+    }
+
+    fn irq_handler_cost(&self) -> Nanos {
+        BlkbackInstance::irq_handler_cost(self)
+    }
+
+    fn set_copy_mode(&mut self, mode: CopyMode) {
+        BlkbackInstance::set_copy_mode(self, mode)
+    }
+
+    fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
+        BlkbackInstance::set_queue_wedged(self, q, wedged)
+    }
+
+    fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
+        BlkbackInstance::queue_progress(self, hv)
+    }
 }

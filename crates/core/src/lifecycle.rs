@@ -6,7 +6,8 @@
 //! module gives every backend driver one shape:
 //!
 //! * [`BackendDevice`] — the hooks a driver implements: `connect`, `run`,
-//!   `suspend`, `close`, and a provided `reconnect`;
+//!   `suspend`, `close`, a provided `reconnect`, and the per-queue
+//!   surface (ports, wedging, progress) the hosting system drives;
 //! * [`DeviceLifecycle`] — the state driver that owns one device slot and
 //!   performs the legal transitions (connect when the frontend published,
 //!   orderly close, crash abandonment, reconnect after a driver-domain
@@ -17,7 +18,9 @@
 use kite_sim::Nanos;
 use kite_trace::EventKind;
 use kite_xen::xenbus::read_state;
-use kite_xen::{DeviceKind, DevicePaths, Hypervisor, Result, XenError, XenbusState};
+use kite_xen::{
+    CopyMode, DeviceKind, DevicePaths, Hypervisor, Port, Result, XenError, XenbusState,
+};
 
 /// Trace identity of a device slot: `<kind>/<frontend-domain>/<index>`.
 fn device_label(kind: DeviceKind, paths: &DevicePaths) -> String {
@@ -76,6 +79,25 @@ pub trait BackendDevice: Sized {
     /// Full teardown: releases every resource, walks the backend state to
     /// `Closed`.
     fn close(self, hv: &mut Hypervisor) -> Result<()>;
+
+    /// Number of negotiated queues (netback ring pairs, blkback rings).
+    fn queue_count(&self) -> usize;
+
+    /// Queue `q`'s backend-local event-channel port.
+    fn port_of(&self, q: usize) -> Port;
+
+    /// Cost of the event-channel interrupt handler (ack + wake the thread).
+    fn irq_handler_cost(&self) -> Nanos;
+
+    /// Switches between batched and single-op grant copies (ablation).
+    fn set_copy_mode(&mut self, mode: CopyMode);
+
+    /// Wedges (or unwedges) queue `q`'s thread (fault injection).
+    fn set_queue_wedged(&mut self, q: usize, wedged: bool);
+
+    /// Per-queue `(consumed, pending)` ring-progress watermarks, the
+    /// health monitor's stall-detection input.
+    fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)>;
 
     /// Orderly teardown followed by a fresh connect — the non-crash
     /// reconfiguration path.
@@ -225,8 +247,12 @@ pub struct RecoveryStats {
     /// Frames dropped while the backend was away (world -> guest traffic
     /// has nowhere to go during the outage).
     pub dropped_frames: u64,
-    /// Virtual time of the most recent crash.
+    /// Virtual time the most recent outage began (kill, hang or wedge).
     pub last_crash_at: Option<Nanos>,
+    /// Start of the outage still in progress; cleared by
+    /// [`RecoveryStats::record_reconnect`], so a later recovery can never
+    /// bill the healthy interval since an older fault as downtime.
+    pub outage_since: Option<Nanos>,
     /// Virtual time the most recent fault was *detected* — when the
     /// toolstack learned the backend was gone and started recovery. The
     /// oracle detector sets this at the fault timestamp; the watchdog
@@ -251,13 +277,18 @@ impl RecoveryStats {
         Some(self.detect_at? - self.last_crash_at?)
     }
 
+    fn start_outage(&mut self, now: Nanos) {
+        self.last_crash_at = Some(now);
+        self.outage_since = Some(now);
+        self.detect_at = None;
+        self.first_byte_at = None;
+    }
+
     /// Marks a crash at `now`, resetting the detection and first-byte
     /// markers.
     pub fn record_crash(&mut self, now: Nanos) {
         self.crashes += 1;
-        self.last_crash_at = Some(now);
-        self.detect_at = None;
-        self.first_byte_at = None;
+        self.start_outage(now);
     }
 
     /// Marks a livelock at `now`. The hung domain still runs (and beats),
@@ -265,9 +296,23 @@ impl RecoveryStats {
     /// and first-byte markers reset just like [`RecoveryStats::record_crash`].
     pub fn record_hang(&mut self, now: Nanos) {
         self.hangs += 1;
-        self.last_crash_at = Some(now);
-        self.detect_at = None;
-        self.first_byte_at = None;
+        self.start_outage(now);
+    }
+
+    /// Marks a single-queue wedge at `now`. The domain neither died nor
+    /// livelocked, so no counter moves — but the outage the watchdog will
+    /// end by failing the domain starts here.
+    pub fn record_wedge(&mut self, now: Nanos) {
+        self.start_outage(now);
+    }
+
+    /// Marks the frontend's reconnect at `now`, closing the outage in
+    /// progress and booking its extent as downtime.
+    pub fn record_reconnect(&mut self, now: Nanos) {
+        self.reconnects += 1;
+        if let Some(t0) = self.outage_since.take() {
+            self.downtime += now - t0;
+        }
     }
 
     /// Marks the moment the most recent fault was detected.
@@ -277,12 +322,16 @@ impl RecoveryStats {
         }
     }
 
-    /// Marks the first end-to-end payload after the most recent crash.
+    /// Marks the first end-to-end payload after the most recent outage
+    /// ended. Payloads that still move while it is in progress — frames
+    /// already on the wire, or the healthy queues of a partial wedge —
+    /// do not count.
     ///
     /// Returns whether this call set the marker — the system layer emits
     /// its `first_byte` trace milestone exactly when it did.
     pub fn record_first_byte(&mut self, now: Nanos) -> bool {
-        if self.last_crash_at.is_some() && self.first_byte_at.is_none() {
+        let recovered = self.last_crash_at.is_some() && self.outage_since.is_none();
+        if recovered && self.first_byte_at.is_none() {
             self.first_byte_at = Some(now);
             return true;
         }
@@ -404,13 +453,35 @@ mod tests {
         assert!(!rs.record_first_byte(Nanos::from_millis(1)));
         assert_eq!(rs.first_byte_at, None, "no crash yet: nothing to mark");
         rs.record_crash(Nanos::from_millis(10));
+        assert!(!rs.record_first_byte(Nanos::from_millis(11)));
+        assert_eq!(rs.first_byte_at, None, "outage still in progress");
+        rs.record_reconnect(Nanos::from_millis(15));
         assert!(rs.record_first_byte(Nanos::from_millis(17)));
         assert!(!rs.record_first_byte(Nanos::from_millis(25)));
         assert_eq!(rs.crash_to_first_byte(), Some(Nanos::from_millis(7)));
+        assert_eq!(rs.downtime, Nanos::from_millis(5));
         // A second crash resets the marker.
         rs.record_crash(Nanos::from_millis(40));
         assert_eq!(rs.crash_to_first_byte(), None);
         assert_eq!(rs.crashes, 2);
+    }
+
+    #[test]
+    fn recovery_stats_wedge_is_an_outage_without_a_counter() {
+        let mut rs = RecoveryStats::default();
+        rs.record_crash(Nanos::from_millis(10));
+        rs.record_reconnect(Nanos::from_millis(30));
+        // A later wedge restarts the clock: the healthy 30..100 ms
+        // interval is not downtime.
+        rs.record_wedge(Nanos::from_millis(100));
+        rs.record_detect(Nanos::from_millis(102));
+        rs.record_reconnect(Nanos::from_millis(110));
+        assert_eq!((rs.crashes, rs.hangs, rs.reconnects), (1, 0, 2));
+        assert_eq!(rs.detect_latency(), Some(Nanos::from_millis(2)));
+        assert_eq!(rs.downtime, Nanos::from_millis(20 + 10));
+        // A reconnect with no outage open books nothing.
+        rs.record_reconnect(Nanos::from_millis(500));
+        assert_eq!(rs.downtime, Nanos::from_millis(30));
     }
 
     #[test]

@@ -1055,6 +1055,30 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         NetbackInstance::close(self, hv)
     }
+
+    fn queue_count(&self) -> usize {
+        NetbackInstance::queue_count(self)
+    }
+
+    fn port_of(&self, q: usize) -> Port {
+        NetbackInstance::port_of(self, q)
+    }
+
+    fn irq_handler_cost(&self) -> Nanos {
+        NetbackInstance::irq_handler_cost(self)
+    }
+
+    fn set_copy_mode(&mut self, mode: CopyMode) {
+        NetbackInstance::set_copy_mode(self, mode)
+    }
+
+    fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
+        NetbackInstance::set_queue_wedged(self, q, wedged)
+    }
+
+    fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
+        NetbackInstance::queue_progress(self, hv)
+    }
 }
 
 #[cfg(test)]

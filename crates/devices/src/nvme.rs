@@ -24,10 +24,6 @@
 //! Data: written sectors are stored sparsely at 4 KiB granularity so
 //! read-back verification in tests uses *real bytes* without reserving
 //! 500 GB of RAM. Unwritten regions read as zeros, like a fresh drive.
-//!
-//! The legacy synchronous [`NvmeController::submit`] survives as a one-deep
-//! shim over a single implicit queue pair and is banned for new code via
-//! clippy.toml `disallowed-methods`.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -259,7 +255,6 @@ pub struct NvmeController {
     // Slot i holds QueueId(i + 1); freed slots are reused lowest-first so
     // queue ids stay deterministic across delete/create cycles.
     queues: Vec<Option<IoQueue>>,
-    legacy: Option<QueueId>,
     next_cid: u64,
     posted: Vec<CqEntry>,
     blocks: HashMap<u64, Box<[u8]>>,
@@ -295,7 +290,6 @@ impl NvmeController {
             max_io_queues: MAX_IO_QUEUES,
             rr: 0,
             queues: Vec::new(),
-            legacy: None,
             next_cid: 0,
             posted: Vec::new(),
             blocks: HashMap::new(),
@@ -371,9 +365,6 @@ impl NvmeController {
         let Some(slot) = self.queues.get_mut(Self::slot(qid)) else {
             return false;
         };
-        if self.legacy == Some(qid) {
-            self.legacy = None;
-        }
         slot.take().is_some()
     }
 
@@ -383,7 +374,6 @@ impl NvmeController {
     /// channel busy times, lifetime counters — survives.
     pub fn reset_io_queues(&mut self) {
         self.queues.clear();
-        self.legacy = None;
         self.posted.clear();
     }
 
@@ -538,52 +528,6 @@ impl NvmeController {
         best
     }
 
-    /// Submits a command at `now`; returns its completion time.
-    ///
-    /// **Legacy compatibility shim**, banned for new code via clippy.toml
-    /// `disallowed-methods`: use the queue-pair interface
-    /// ([`NvmeController::create_io_queues`] / [`NvmeController::sq_push`] /
-    /// [`NvmeController::ring_doorbell`] / [`NvmeController::cq_pop`]).
-    /// The shim lazily creates one implicit queue pair (vector steered to
-    /// vCPU 0) and performs push → doorbell → pop in a single call, so its
-    /// timing is *exactly* a one-queue controller.
-    ///
-    /// `sector`/`len_bytes` are ignored for [`NvmeOp::Flush`]. Commands
-    /// that do not continue the previous command's LBA range pay
-    /// [`NvmeProfile::random_penalty`].
-    pub fn submit(&mut self, now: Nanos, op: NvmeOp, sector: u64, len_bytes: usize) -> Nanos {
-        let qid = match self.legacy {
-            Some(qid) => qid,
-            None => {
-                let qid = self
-                    .create_io_queues(0)
-                    .expect("legacy submit shim: controller out of I/O queue pairs");
-                self.legacy = Some(qid);
-                qid
-            }
-        };
-        self.sq_push(
-            qid,
-            NvmeCmd {
-                op,
-                sector,
-                len_bytes,
-            },
-        );
-        let entry = self.posted_one(qid, now);
-        // Reap synchronously: the shim owns this queue pair, so its CQ
-        // holds exactly the one entry we just posted.
-        let reaped = self.cq_pop(qid, entry.completes_at).expect("own CQ entry");
-        debug_assert_eq!(reaped, entry);
-        entry.completes_at
-    }
-
-    fn posted_one(&mut self, qid: QueueId, now: Nanos) -> CqEntry {
-        let posted = self.ring_doorbell(qid, now);
-        debug_assert_eq!(posted.len(), 1);
-        posted[0]
-    }
-
     /// Writes real bytes at a sector offset (data plane; timing via the
     /// queue-pair interface).
     ///
@@ -674,7 +618,13 @@ impl Device for NvmeController {
 mod tests {
     use super::*;
 
-    // The shim tests below exercise the banned legacy `submit` on purpose.
+    /// One synchronous command on queue pair `q`: push → doorbell → pop.
+    fn submit(d: &mut NvmeController, q: QueueId, now: Nanos, cmd: NvmeCmd) -> Nanos {
+        d.sq_push(q, cmd);
+        let done = d.ring_doorbell(q, now)[0].completes_at;
+        d.cq_pop(q, done).expect("own CQ entry");
+        done
+    }
 
     #[test]
     fn data_roundtrip_across_blocks() {
@@ -728,21 +678,21 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)]
     fn small_random_reads_latency_bound() {
         let mut d = NvmeController::new(4);
-        let t = d.submit(Nanos::ZERO, NvmeOp::Read, 0, 4096);
+        let q = d.create_io_queues(0).unwrap();
+        let t = submit(&mut d, q, Nanos::ZERO, NvmeCmd::read(0, 4096));
         // One 4K read ≈ base latency + ~4.7µs transfer.
         assert!(t >= d.profile().read_latency + d.profile().random_penalty);
         assert!(t < d.profile().read_latency + d.profile().random_penalty + Nanos::from_micros(10));
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)]
     fn flush_waits_for_outstanding_writes() {
         let mut d = NvmeController::new(4);
-        let w = d.submit(Nanos::ZERO, NvmeOp::Write, 0, 8 << 20);
-        let f = d.submit(Nanos::ZERO, NvmeOp::Flush, 0, 0);
+        let q = d.create_io_queues(0).unwrap();
+        let w = submit(&mut d, q, Nanos::ZERO, NvmeCmd::write(0, 8 << 20));
+        let f = submit(&mut d, q, Nanos::ZERO, NvmeCmd::flush());
         assert!(
             f + d.profile().write_latency >= w,
             "flush must drain writes"
@@ -751,11 +701,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)]
     fn counters_accumulate() {
         let mut d = NvmeController::new(1);
-        d.submit(Nanos::ZERO, NvmeOp::Read, 0, 4096);
-        d.submit(Nanos::ZERO, NvmeOp::Write, 8, 512);
+        let q = d.create_io_queues(0).unwrap();
+        submit(&mut d, q, Nanos::ZERO, NvmeCmd::read(0, 4096));
+        submit(&mut d, q, Nanos::ZERO, NvmeCmd::write(8, 512));
         assert_eq!(d.reads(), 1);
         assert_eq!(d.writes(), 1);
         assert_eq!(d.read_bytes(), 4096);
@@ -881,35 +831,5 @@ mod tests {
         // Throughput must reflect all 8 channels, not a stale default 4.
         let aggregate = (8 * NvmeProfile::default().read_bps_per_channel) as f64;
         assert!(bps > 0.9 * aggregate, "bps={bps:.0} vs {aggregate:.0}");
-    }
-
-    #[test]
-    #[allow(clippy::disallowed_methods)]
-    fn legacy_shim_is_a_one_queue_controller() {
-        // Identical command streams through the shim and through an
-        // explicit single queue pair must produce identical completion
-        // times — the shim is one-deep, not a parallel implementation.
-        let mut shim = NvmeController::new(4);
-        let mut qp = NvmeController::new(4);
-        let q = qp.create_io_queues(0).unwrap();
-        let mut now = Nanos::ZERO;
-        let cmds = [
-            NvmeCmd::write(0, 128 * 1024),
-            NvmeCmd::write(256, 128 * 1024),
-            NvmeCmd::read(10_000, 4096),
-            NvmeCmd::flush(),
-            NvmeCmd::write(512, 64 * 1024),
-        ];
-        for cmd in cmds {
-            let a = shim.submit(now, cmd.op, cmd.sector, cmd.len_bytes);
-            qp.sq_push(q, cmd);
-            let b = qp.ring_doorbell(q, now)[0].completes_at;
-            qp.cq_pop(q, b).unwrap();
-            assert_eq!(a, b);
-            now += Nanos::from_micros(3);
-        }
-        assert_eq!(shim.reads(), qp.reads());
-        assert_eq!(shim.writes(), qp.writes());
-        assert_eq!(shim.random_penalties(), qp.random_penalties());
     }
 }

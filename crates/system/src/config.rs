@@ -1,13 +1,11 @@
 //! One builder for both systems: [`SystemConfig`].
 //!
-//! The constructor proliferation it replaces (`new`, `new_with_queues`,
-//! `with_tuning`, `with_tuning_queues`, then `set_copy_mode` /
-//! `enable_watchdog` / `enable_tracing` calls sprinkled after) collapses
-//! into a single fluent description of a scenario that either
+//! A single fluent description of a scenario — queue layout, copy mode,
+//! watchdog, SLO, tracing, sampling, scheduler — that either
 //! [`build_net`](SystemConfig::build_net) or
-//! [`build_stor`](SystemConfig::build_stor) consumes. The old
-//! constructors survive as thin wrappers, but new code should not use
-//! them (clippy's `disallowed-methods` steers it here).
+//! [`build_stor`](SystemConfig::build_stor) consumes. It is the only way
+//! to configure a system: the host applies every knob once, inside its
+//! constructor, and exposes no post-construction setters.
 
 use kite_core::BlkbackTuning;
 use kite_devices::{LineRate, NvmeProfile};
@@ -15,7 +13,8 @@ use kite_health::{MonitorConfig, SloConfig};
 use kite_sim::{Nanos, SchedulerKind};
 use kite_xen::{CopyMode, QueueMode};
 
-use crate::netsys::{BackendOs, NetSystem};
+use crate::host::{BackendOs, Datapath, Host};
+use crate::netsys::NetSystem;
 use crate::storsys::StorSystem;
 
 /// How the PV network path handles segmentation (network systems only).
@@ -96,7 +95,7 @@ impl SystemConfig {
         }
     }
 
-    /// Number of device queues: `1` is the legacy single-queue layout,
+    /// Number of device queues: `1` is the flat single-queue layout,
     /// `n > 1` negotiates `n` ring pairs on an `n`-vCPU driver domain.
     pub fn queues(mut self, n: u32) -> SystemConfig {
         self.queue_mode = if n <= 1 {
@@ -221,67 +220,22 @@ impl SystemConfig {
         self
     }
 
+    /// Builds the scenario for datapath `D` with this configuration
+    /// applied; [`build_net`](Self::build_net) and
+    /// [`build_stor`](Self::build_stor) name the two instances.
+    pub fn build<D: Datapath>(self) -> Host<D> {
+        Host::from_config(&self)
+    }
+
     /// Builds the network scenario (client ⇄ NIC ⇄ driver domain ⇄
-    /// guest) with this configuration applied.
+    /// guest).
     pub fn build_net(self) -> NetSystem {
-        let mut sys = NetSystem::from_config(&self);
-        self.finish_net(&mut sys);
-        sys
+        self.build()
     }
 
     /// Builds the storage scenario (guest ⇄ blkfront ⇄ driver domain ⇄
-    /// NVMe) with this configuration applied.
+    /// NVMe).
     pub fn build_stor(self) -> StorSystem {
-        let mut sys = StorSystem::from_config(&self);
-        self.finish_stor(&mut sys);
-        sys
-    }
-
-    fn finish_net(&self, sys: &mut NetSystem) {
-        if let Some(cap) = self.tracing {
-            sys.enable_tracing(cap);
-        }
-        if let Some(n) = self.req_tracing {
-            sys.enable_req_tracing(n);
-        }
-        if self.copy_mode != CopyMode::default() {
-            sys.set_copy_mode(self.copy_mode);
-        }
-        if let Some(slo) = self.slo {
-            sys.set_slo(slo);
-        }
-        if let Some(cfg) = self.watchdog {
-            sys.enable_watchdog(cfg);
-        }
-        if self.profiling {
-            kite_prof::enable();
-        }
-        if let Some((every, cap)) = self.sampling {
-            sys.enable_sampling(every, cap);
-        }
-    }
-
-    fn finish_stor(&self, sys: &mut StorSystem) {
-        if let Some(cap) = self.tracing {
-            sys.enable_tracing(cap);
-        }
-        if let Some(n) = self.req_tracing {
-            sys.enable_req_tracing(n);
-        }
-        if self.copy_mode != CopyMode::default() {
-            sys.set_copy_mode(self.copy_mode);
-        }
-        if let Some(slo) = self.slo {
-            sys.set_slo(slo);
-        }
-        if let Some(cfg) = self.watchdog {
-            sys.enable_watchdog(cfg);
-        }
-        if self.profiling {
-            kite_prof::enable();
-        }
-        if let Some((every, cap)) = self.sampling {
-            sys.enable_sampling(every, cap);
-        }
+        self.build()
     }
 }

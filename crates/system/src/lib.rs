@@ -1,17 +1,21 @@
 //! Full-system composition: the paper's testbed as a discrete-event
 //! simulation.
 //!
-//! [`netsys::NetSystem`] wires client ⇄ wire ⇄ NIC ⇄ driver domain
-//! (bridge + netback) ⇄ netfront ⇄ guest; [`storsys::StorSystem`] wires
+//! One [`host::Host`] owns the machine and the driver-domain lifecycle;
+//! a [`host::Datapath`] supplies the device class. [`NetSystem`]
+//! (`Host<NetPath>`) wires client ⇄ wire ⇄ NIC ⇄ driver domain (bridge +
+//! netback) ⇄ netfront ⇄ guest; [`StorSystem`] (`Host<BlkPath>`) wires
 //! guest ⇄ blkfront ⇄ driver domain (blkback) ⇄ NVMe. Both run under
-//! either the Kite or the Linux [`netsys::BackendOs`] profile, which is
-//! how every Kite-vs-Linux figure is produced.
+//! either the Kite or the Linux [`BackendOs`] profile, which is how
+//! every Kite-vs-Linux figure is produced.
 
 pub mod config;
+pub mod host;
 pub mod netsys;
 pub mod storsys;
 
 pub use config::{GsoMode, SystemConfig};
+pub use host::{BackendOs, Datapath, Host};
 pub use kite_devices::LineRate;
 pub use kite_sim::SchedulerKind;
 
@@ -20,6 +24,6 @@ pub use kite_health::{
     SloConfig, TopRow, TopSnapshot,
 };
 pub use netsys::{
-    addrs, BackendOs, NetMetrics, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP, MAX_UDP,
+    addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP, MAX_UDP,
 };
-pub use storsys::{IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorSystem};
+pub use storsys::{BlkPath, IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorSystem};

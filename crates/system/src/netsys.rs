@@ -1,12 +1,13 @@
-//! The full network-domain scenario: client ⇄ wire ⇄ NIC ⇄ Kite/Linux
-//! driver domain (bridge + netback) ⇄ netfront ⇄ guest application.
+//! The network datapath: client ⇄ wire ⇄ NIC ⇄ Kite/Linux driver domain
+//! (bridge + netback) ⇄ netfront ⇄ guest application.
 //!
 //! This is the paper's Figure 2 as an executable discrete-event system.
 //! Real frames (Ethernet/IPv4/UDP/ICMP bytes with valid checksums) cross
 //! every hop; virtual time advances through the cost models: NIC
 //! serialization and interrupt moderation, event-channel delivery, the
-//! driver domain's single vCPU running the cooperative pusher/soft_start
-//! threads, and the guest's frontend work.
+//! driver domain's vCPUs running the cooperative pusher/soft_start
+//! threads, and the guest's frontend work. The driver-domain lifecycle
+//! (faults, detection, reboot, reconnect) lives in [`crate::host`].
 //!
 //! Applications attach as message handlers: the system auto-handles ICMP
 //! in each endpoint's host stack and hands UDP payloads (macro workloads
@@ -16,76 +17,23 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use kite_core::{
-    provision_device, BackendManager, DeviceLifecycle, NetbackInstance, NetbackStats, NetworkApp,
-    RecoveryStats,
-};
+use kite_core::{NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
 use kite_devices::{LineRate, Nic, NicProfile, RxIrq};
 use kite_frontends::Netfront;
-use kite_health::{
-    slo, BreachAttribution, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher,
-    MonitorConfig, ProgressSample, SloConfig, TopRow, TopSnapshot,
-};
-use kite_linux::{linux_profile, ubuntu_boot};
 use kite_net::ether::{tso_wire_cost, TSO_MSS};
 use kite_net::{
     BridgePort, EtherType, EthernetFrame, Forward, IcmpMessage, IpProto, Ipv4Packet, MacAddr,
     UdpDatagram,
 };
-use kite_rumprun::{kite_boot, kite_profile, BootSequence, OsProfile};
-use kite_sim::{
-    Cpu, CpuPool, EventSched, Histogram, Link, Nanos, OnlineStats, Pcg, Scheduler, SchedulerKind,
-    TxOutcome,
-};
-use kite_trace::{EventKind, MetricsSnapshot, SampleKind, TimeSeriesSampler, DEFAULT_REQ_CAPACITY};
-use kite_xen::xenbus::{FEATURE_GSO_KEY, MQ_MAX_QUEUES_KEY};
-use kite_xen::{
-    Bdf, CopyMode, DeviceKind, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan,
-    Hypervisor, Notification, Port, QueueMode, ReqStage, SlotClass, XenbusState,
-};
+use kite_prof::Phase;
+use kite_rumprun::OsProfile;
+use kite_sim::{Link, Nanos, OnlineStats, Pcg, TxOutcome};
+use kite_trace::{MetricsSnapshot, SampleKind, TimeSeriesSampler};
+use kite_xen::xenbus::FEATURE_GSO_KEY;
+use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, ReqStage, SlotClass};
 
 use crate::config::{GsoMode, SystemConfig};
-
-/// Which OS runs the driver domain.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum BackendOs {
-    /// Kite (rumprun unikernel).
-    Kite,
-    /// Ubuntu/Linux baseline.
-    Linux,
-}
-
-impl BackendOs {
-    /// The OS overhead profile.
-    pub fn profile(self) -> OsProfile {
-        match self {
-            BackendOs::Kite => kite_profile(),
-            BackendOs::Linux => linux_profile(),
-        }
-    }
-
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendOs::Kite => "Kite",
-            BackendOs::Linux => "Linux",
-        }
-    }
-
-    /// The boot sequence a restarted driver domain goes through
-    /// (Figure 4c: ≈7 s for Kite, ≈75 s for Ubuntu).
-    pub fn boot(self) -> BootSequence {
-        match self {
-            BackendOs::Kite => kite_boot(),
-            BackendOs::Linux => ubuntu_boot(),
-        }
-    }
-
-    /// Both systems, for comparison sweeps.
-    pub fn both() -> [BackendOs; 2] {
-        [BackendOs::Linux, BackendOs::Kite]
-    }
-}
+use crate::host::{Datapath, DriverTop, Event, Host};
 
 /// A UDP message delivered to an application handler.
 #[derive(Clone, Debug)]
@@ -127,9 +75,8 @@ pub enum Side {
     Client,
 }
 
-enum Event {
-    /// Event-channel notification arrives at a domain.
-    Irq { dom: DomainId, port: Port },
+/// The network datapath's scheduled events.
+pub enum NetEvent {
     /// The server NIC's moderated receive interrupt.
     NicIrq,
     /// A frame lands on the server NIC from the wire.
@@ -138,48 +85,23 @@ enum Event {
     WireToClient(Vec<u8>),
     /// A pre-scheduled application send.
     AppSend {
+        /// Sending endpoint.
         side: Side,
+        /// Destination address.
         dst_ip: Ipv4Addr,
+        /// Destination port.
         dst_port: u16,
+        /// Source port.
         src_port: u16,
+        /// One PV-transfer-sized chunk of the message.
         payload: Vec<u8>,
     },
     /// The client transmits a pre-built frame (ping).
     ClientTxFrame(Vec<u8>),
-    /// The driver domain dies (fault injection / `xl destroy`).
-    DriverCrash,
-    /// The driver domain livelocks: its data path stops making progress
-    /// while the domain (and its heartbeat task) keeps running.
-    DriverHang,
-    /// One netback queue's threads wedge (stuck kthread): the domain and
-    /// its other queues keep working, only this queue stops.
-    QueueWedge(usize),
-    /// The replacement driver domain finished booting.
-    DriverRestarted,
-    /// The driver domain's heartbeat task publishes its next beat.
-    BeatTick,
-    /// Dom0's health monitor runs its next probe.
-    ProbeTick,
-    /// The time-series sampler takes its next snapshot.
-    SampleTick,
 }
 
-/// Profiling phase for an event dispatch, by event kind.
-fn phase_of(ev: &Event) -> kite_prof::Phase {
-    use kite_prof::Phase;
-    match ev {
-        Event::AppSend { .. } => Phase::DispatchAppSend,
-        Event::WireToServer(_) | Event::WireToClient(_) | Event::ClientTxFrame(_) => {
-            Phase::DispatchWire
-        }
-        Event::NicIrq => Phase::DispatchNicIrq,
-        Event::Irq { .. } => Phase::DispatchIrq,
-        Event::DriverCrash | Event::DriverHang | Event::QueueWedge(_) => Phase::DispatchFault,
-        Event::DriverRestarted => Phase::DispatchRecovery,
-        Event::BeatTick | Event::ProbeTick => Phase::DispatchHealthTick,
-        Event::SampleTick => Phase::DispatchSample,
-    }
-}
+// The scheduler stores events inline; growing them grows every slab slot.
+const _: () = assert!(std::mem::size_of::<Event<NetEvent>>() <= 40);
 
 /// Largest message chunk crossing the PV path at once in
 /// [`GsoMode::Legacy`].
@@ -265,38 +187,22 @@ pub mod addrs {
     pub const NETMASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 }
 
-/// The network scenario system.
-pub struct NetSystem {
-    /// The simulated Xen machine.
-    pub hv: Hypervisor,
-    /// Which OS the driver domain runs.
-    pub os: BackendOs,
-    queue: EventSched<Event>,
-    profile: OsProfile,
-    driver: DomainId,
-    guest: DomainId,
-    queue_mode: QueueMode,
+/// Network-datapath state: the client machine and its link, the NIC and
+/// the driver domain's network application, netfront and the guest's
+/// stack.
+pub struct NetPath {
     gso_mode: GsoMode,
     wire: Option<LineRate>,
     /// Largest UDP chunk the guest/client stacks hand to one PV transfer
     /// (one ring slot, or one descriptor chain with GSO on).
     max_tx_unit: usize,
-    driver_cpus: CpuPool,
     nic: Nic,
-    nic_bdf: Bdf,
     phys_mac: MacAddr,
     /// The driver domain's network application (bridge + interfaces).
     pub netapp: NetworkApp,
-    mgr: BackendManager,
-    paths: DevicePaths,
-    netback: DeviceLifecycle<NetbackInstance>,
     nb_stats_base: NetbackStats,
-    copy_mode: CopyMode,
     vif_port: BridgePort,
     if_port: BridgePort,
-    guest_cpus: Vec<Cpu>,
-    guest_rr: usize,
-    guest_last_end: Nanos,
     netfront: Option<Netfront>,
     nf_dropped_base: u64,
     guest_mac: MacAddr,
@@ -306,117 +212,99 @@ pub struct NetSystem {
     client_link: Link,
     client_app: Option<UdpHandler>,
     icmp_sent: HashMap<u16, Nanos>,
-    boot: BootSequence,
-    /// Crash/restart recovery accounting.
-    pub recovery: RecoveryStats,
     /// Measurement taps.
     pub metrics: NetMetrics,
-    /// Deterministic RNG stream for jitter.
-    pub rng: Pcg,
-    events_processed: u64,
-    mode: DetectionMode,
-    monitor: Option<HealthMonitor>,
-    heartbeat: Option<HeartbeatPublisher>,
-    /// The driver domain is livelocked: alive and beating, data path dead.
-    hung: bool,
-    /// At least one netback queue is wedged (partial failure injected).
-    queue_wedged: bool,
-    /// A detected outage is being recovered (detect → reconnect window).
-    recovering: bool,
-    /// Injected fault events still scheduled; keeps the watchdog ticking.
-    pending_faults: u32,
-    slo_cfg: SloConfig,
-    latency_hist: Histogram,
-    sampler: Option<TimeSeriesSampler>,
-    /// Stage attribution of the most recent SLO p99 breach the watchdog
-    /// observed (request tracing on), for `kitetop`/health reporting.
-    last_breach: Option<BreachAttribution>,
 }
 
-impl NetSystem {
-    /// Builds the full scenario with the paper's domain layout and runs
-    /// the xenbus connection handshake to `Connected` on both ends
-    /// (single-queue legacy layout). Shorthand for
-    /// `SystemConfig::new(os, seed).build_net()`.
-    pub fn new(os: BackendOs, seed: u64) -> NetSystem {
-        SystemConfig::new(os, seed).build_net()
+/// The network scenario system: a [`Host`] running the network
+/// datapath.
+pub type NetSystem = Host<NetPath>;
+
+impl Datapath for NetPath {
+    type Backend = NetbackInstance;
+    type Event = NetEvent;
+    const KITE_DOMAIN: &'static str = "netbackend";
+
+    fn phase_of(ev: &NetEvent) -> Phase {
+        match ev {
+            NetEvent::AppSend { .. } => Phase::DispatchAppSend,
+            NetEvent::WireToServer(_) | NetEvent::WireToClient(_) | NetEvent::ClientTxFrame(_) => {
+                Phase::DispatchWire
+            }
+            NetEvent::NicIrq => Phase::DispatchNicIrq,
+        }
     }
 
-    /// Like [`NetSystem::new`], but with `queues` device queues.
-    ///
-    /// Thin compatibility wrapper over [`SystemConfig`]; new code should
-    /// use the builder (`SystemConfig::new(..).queue_mode(..)`), which
-    /// also exposes copy mode, watchdog, tracing and scheduler choice.
-    pub fn new_with_queues(os: BackendOs, seed: u64, queues: QueueMode) -> NetSystem {
-        SystemConfig::new(os, seed).queue_mode(queues).build_net()
+    fn pci_device() -> PciDevice {
+        PciDevice {
+            bdf: "03:00.0".parse().expect("static BDF"),
+            class: PciClass::Network,
+            name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
+        }
     }
 
-    /// Builds the scenario from a [`SystemConfig`]: the driver domain
-    /// gets one vCPU per queue, the toolstack advertises
-    /// `multi-queue-max-queues` on the backend, and the frontend
-    /// negotiates that many ring pairs. `QueueMode::Multi(1)` takes the
-    /// identical code path as `Single` (no multi-queue keys are ever
-    /// written), so the two are behaviorally indistinguishable.
-    pub(crate) fn from_config(cfg: &SystemConfig) -> NetSystem {
-        let (os, seed, queues) = (cfg.os, cfg.seed, cfg.queue_mode);
-        let nqueues = queues.queues();
-        let mut profile = os.profile();
+    fn build(
+        cfg: &SystemConfig,
+        _hv: &mut Hypervisor,
+        _driver: DomainId,
+    ) -> (NetPath, OsProfile, OsProfile) {
+        let mut profile = cfg.os.profile();
         // Run-to-run noise: real machines vary a little between runs
         // (cache/NUMA placement, interrupt alignment). Perturb the OS
         // costs by a seed-derived ±0.4% so repeated runs with different
         // seeds report realistic relative standard deviations (Table 4).
-        let mut jrng = Pcg::new(seed, 0x6a69747465725f31);
+        let mut jrng = Pcg::new(cfg.seed, 0x6a69747465725f31);
         profile.per_packet = jrng.jitter(profile.per_packet, 0.004);
         profile.wakeup_latency = jrng.jitter(profile.wakeup_latency, 0.004);
         profile.idle_wake_cap = jrng.jitter(profile.idle_wake_cap, 0.004);
-        let mut hv = Hypervisor::new();
-        hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
-        let driver = hv.create_domain(
-            match os {
-                BackendOs::Kite => "netbackend",
-                BackendOs::Linux => "ubuntu-dd",
-            },
-            DomainKind::Driver,
-            if os == BackendOs::Kite { 1024 } else { 2048 },
-            nqueues,
-        );
-        let guest = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
-
-        // PCI passthrough of the NIC to the driver domain.
-        let bdf: kite_xen::Bdf = "03:00.0".parse().expect("static BDF");
-        hv.pci.add_device(kite_xen::PciDevice {
-            bdf,
-            class: kite_xen::PciClass::Network,
-            name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
-        });
-        hv.pci.make_assignable(bdf).expect("fresh device");
-        hv.pci.assign(bdf, driver).expect("assignable");
 
         let phys_mac = MacAddr::local(0xee01);
-        let guest_mac = MacAddr::local(0xaa01);
-        let client_mac = MacAddr::local(0xcc01);
-
-        let mut netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY, addrs::NETMASK);
+        let netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY, addrs::NETMASK);
         let if_port = netapp.port_of("ixg0").expect("attached at start");
-
-        let mut mgr = BackendManager::new(driver, DeviceKind::Vif);
-        mgr.start(&mut hv).expect("watch");
-        let paths = DevicePaths::new(guest, driver, DeviceKind::Vif, 0);
-        provision_device(&mut hv, &paths).expect("provision");
-        if nqueues > 1 {
-            // The toolstack advertises how many queues this backend
-            // accepts; the frontend reads it and negotiates.
-            let be = paths.backend();
-            hv.store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{MQ_MAX_QUEUES_KEY}"),
-                    &nqueues.to_string(),
-                )
-                .expect("advertise queues");
+        let mut client_link = Link::ten_gbe();
+        if let Some(rate) = cfg.wire {
+            client_link.rate_bps = rate.bps();
         }
-        if cfg.gso_mode == GsoMode::On {
+        let dp = NetPath {
+            gso_mode: cfg.gso_mode,
+            wire: cfg.wire,
+            max_tx_unit: match cfg.gso_mode {
+                GsoMode::Legacy => MAX_UDP,
+                GsoMode::Off => TSO_MSS,
+                GsoMode::On => GSO_UDP,
+            },
+            nic: match cfg.wire {
+                None => Nic::ten_gbe(),
+                Some(rate) => Nic::with_profile(NicProfile::default().with_line_rate(rate)),
+            },
+            phys_mac,
+            netapp,
+            nb_stats_base: NetbackStats::default(),
+            // Re-aimed when the backend connects and the VIF is added.
+            vif_port: if_port,
+            if_port,
+            netfront: None,
+            nf_dropped_base: 0,
+            guest_mac: MacAddr::local(0xaa01),
+            client_mac: MacAddr::local(0xcc01),
+            guest_txq: VecDeque::new(),
+            guest_app: None,
+            client_link,
+            client_app: None,
+            icmp_sent: HashMap::new(),
+            metrics: NetMetrics::default(),
+        };
+        (dp, profile.clone(), profile)
+    }
+
+    fn driver_booted(&mut self, _hv: &mut Hypervisor, _driver: DomainId) {
+        // The bridge and its learned table died with the old domain.
+        self.netapp = NetworkApp::start("ixg0", self.phys_mac, addrs::GATEWAY, addrs::NETMASK);
+        self.if_port = self.netapp.port_of("ixg0").expect("attached at start");
+    }
+
+    fn advertise(&self, hv: &mut Hypervisor, paths: &DevicePaths) {
+        if self.gso_mode == GsoMode::On {
             // The toolstack advertises segmentation offload under the
             // backend path; the frontend echoes it when willing.
             let be = paths.backend();
@@ -429,108 +317,137 @@ impl NetSystem {
                 )
                 .expect("advertise gso");
         }
-        mgr.drain_events(&mut hv).expect("scan");
-        let netfront =
-            Netfront::connect_with_queues(&mut hv, &paths, guest_mac, nqueues).expect("netfront");
-        let ready = mgr.drain_events(&mut hv).expect("events");
-        assert_eq!(ready.len(), 1, "frontend discovered via watch event");
-        let mut netback: DeviceLifecycle<NetbackInstance> =
-            DeviceLifecycle::new(ready[0].clone(), profile.clone());
-        netback.connect(&mut hv).expect("netback");
-        let vif_port = netapp.add_vif(&netback.device().expect("connected").vif, guest_mac);
-        hv.switch_state(guest, &paths.frontend_state(), XenbusState::Connected)
-            .expect("frontend connect");
+    }
 
-        NetSystem {
-            hv,
-            os,
-            queue: EventSched::new(cfg.scheduler),
-            profile,
-            driver,
-            guest,
-            queue_mode: queues,
-            gso_mode: cfg.gso_mode,
-            wire: cfg.wire,
-            max_tx_unit: match cfg.gso_mode {
-                GsoMode::Legacy => MAX_UDP,
-                GsoMode::Off => TSO_MSS,
-                GsoMode::On => GSO_UDP,
-            },
-            driver_cpus: CpuPool::new(nqueues as usize),
-            nic: match cfg.wire {
-                None => Nic::ten_gbe(),
-                Some(rate) => Nic::with_profile(NicProfile::default().with_line_rate(rate)),
-            },
-            nic_bdf: bdf,
-            phys_mac,
-            netapp,
-            mgr,
-            paths,
-            netback,
-            nb_stats_base: NetbackStats::default(),
-            copy_mode: CopyMode::default(),
-            vif_port,
-            if_port,
-            guest_cpus: (0..22).map(|_| Cpu::new()).collect(),
-            guest_rr: 0,
-            guest_last_end: Nanos::ZERO,
-            netfront: Some(netfront),
-            nf_dropped_base: 0,
-            guest_mac,
-            client_mac,
-            guest_txq: VecDeque::new(),
-            guest_app: None,
-            client_link: match cfg.wire {
-                None => Link::ten_gbe(),
-                Some(rate) => {
-                    let mut l = Link::ten_gbe();
-                    l.rate_bps = rate.bps();
-                    l
-                }
-            },
-            client_app: None,
-            icmp_sent: HashMap::new(),
-            boot: os.boot(),
-            recovery: RecoveryStats::default(),
-            metrics: NetMetrics::default(),
-            rng: Pcg::seeded(seed),
-            events_processed: 0,
-            mode: DetectionMode::Oracle,
-            monitor: None,
-            heartbeat: None,
-            hung: false,
-            queue_wedged: false,
-            recovering: false,
-            pending_faults: 0,
-            slo_cfg: SloConfig::default(),
-            latency_hist: Histogram::default(),
-            sampler: None,
-            last_breach: None,
+    fn connect_frontend(&mut self, hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32) {
+        let nf =
+            Netfront::connect_with_queues(hv, paths, self.guest_mac, nqueues).expect("netfront");
+        self.netfront = Some(nf);
+    }
+
+    fn backend_connected(
+        &mut self,
+        _hv: &mut Hypervisor,
+        _paths: &DevicePaths,
+        nb: &NetbackInstance,
+    ) {
+        self.vif_port = self.netapp.add_vif(&nb.vif, self.guest_mac);
+    }
+
+    fn handle(host: &mut NetSystem, now: Nanos, ev: NetEvent) {
+        host.handle_net(now, ev);
+    }
+
+    fn run_backend(host: &mut NetSystem, now: Nanos) {
+        host.run_netback(now);
+    }
+
+    fn guest_irq(host: &mut NetSystem, now: Nanos) {
+        host.netfront_irq(now);
+    }
+
+    fn backend_lost(&mut self, nb: &NetbackInstance, recovery: &mut RecoveryStats) {
+        // World->guest frames parked in the dead backend are gone.
+        recovery.dropped_frames += nb.rx_backlog() as u64;
+        self.metrics.drops += nb.rx_backlog() as u64;
+        self.nb_stats_base.merge(&nb.stats());
+        self.netapp.remove_vif(&nb.vif);
+    }
+
+    fn salvage(&mut self, hv: &Hypervisor, recovery: &mut RecoveryStats) {
+        // The frontend salvages its unacknowledged Tx frames for replay
+        // and retires the device.
+        if let Some(mut nf) = self.netfront.take() {
+            let unacked = nf.take_unacked(hv);
+            recovery.retried_ops += unacked.len() as u64;
+            self.nf_dropped_base += nf.tx_dropped();
+            for f in unacked.into_iter().rev() {
+                self.guest_txq.push_front(f);
+            }
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.queue.now()
+    fn replay(host: &mut NetSystem, now: Nanos) {
+        host.drain_guest_txq(now);
     }
 
+    fn sampler_columns(sampler: TimeSeriesSampler, nqueues: u32) -> TimeSeriesSampler {
+        let mut sampler = sampler
+            .with_column("client_rx_bytes", SampleKind::Counter)
+            .with_column("guest_rx_bytes", SampleKind::Counter)
+            .with_column("drops", SampleKind::Counter)
+            .with_column("tx_packets", SampleKind::Counter)
+            .with_column("rx_dropped", SampleKind::Counter)
+            .with_column("health", SampleKind::Gauge);
+        for q in 0..nqueues {
+            sampler = sampler.with_column(&format!("rx_qdepth_q{q}"), SampleKind::Gauge);
+        }
+        sampler
+    }
+
+    fn sample_row(host: &NetSystem, health: u64) -> Vec<u64> {
+        let stats = host.netback_stats();
+        let mut raw = vec![
+            host.dp.metrics.client_rx_bytes,
+            host.dp.metrics.guest_rx_bytes,
+            host.dp.metrics.drops,
+            stats.tx_packets,
+            stats.rx_dropped,
+            health,
+        ];
+        // Depths come back empty while the backend is down; pad so the
+        // sample width stays fixed.
+        let depths = host.rx_queue_depths();
+        for q in 0..host.queue_mode().queues() {
+            raw.push(depths.get(q as usize).copied().unwrap_or(0) as u64);
+        }
+        raw
+    }
+
+    fn driver_top(host: &NetSystem) -> DriverTop {
+        let stats = host.netback_stats();
+        DriverTop {
+            requests: stats.tx_packets + stats.rx_packets,
+            bytes: stats.tx_bytes + stats.rx_bytes,
+            rx_dropped: stats.rx_dropped,
+            gso_frames: stats.gso_tx_frames + stats.lro_rx_frames,
+            qdepth: host.rx_queue_depths().iter().map(|&d| d as u64).collect(),
+        }
+    }
+
+    fn append_metrics(host: &NetSystem, snap: &mut MetricsSnapshot) {
+        let m = &host.dp.metrics;
+        snap.push_int("client_rx_bytes", "bytes", m.client_rx_bytes);
+        snap.push_int("client_rx_msgs", "count", m.client_rx_msgs);
+        snap.push_int("guest_rx_bytes", "bytes", m.guest_rx_bytes);
+        snap.push_int("guest_rx_msgs", "count", m.guest_rx_msgs);
+        snap.push_int("drops", "count", m.drops);
+        for (q, depth) in host.rx_queue_depths().into_iter().enumerate() {
+            snap.push_int(format!("rx_queue_depth_q{q}"), "count", depth as u64);
+        }
+        host.netback_stats().append_metrics(snap);
+    }
+}
+
+impl Host<NetPath> {
     /// Switches the driver domain's network application to NAT linking
     /// (the paper's §3.1 alternative to bridging). Call before traffic.
     pub fn use_nat(&mut self) {
-        self.netapp.use_nat();
+        self.dp.netapp.use_nat();
     }
 
     /// Installs the guest-side application handler.
     pub fn set_guest_app(&mut self, h: UdpHandler) {
-        self.guest_app = Some(h);
+        self.dp.guest_app = Some(h);
     }
 
     /// Installs the client-side application handler.
     pub fn set_client_app(&mut self, h: UdpHandler) {
-        self.client_app = Some(h);
+        self.dp.client_app = Some(h);
     }
 
-    /// Schedules a UDP send at `t`; payloads above one MTU are chunked.
+    /// Schedules a UDP send at `t`; payloads above one PV transfer unit
+    /// are chunked.
     pub fn send_udp_at(
         &mut self,
         t: Nanos,
@@ -540,16 +457,16 @@ impl NetSystem {
         src_port: u16,
         payload: Vec<u8>,
     ) {
-        let unit = self.max_tx_unit;
-        let mut chunks: Vec<Vec<u8>> = if payload.len() <= unit {
+        let unit = self.dp.max_tx_unit;
+        let chunks: Vec<Vec<u8>> = if payload.len() <= unit {
             vec![payload]
         } else {
             payload.chunks(unit).map(|c| c.to_vec()).collect()
         };
-        for chunk in chunks.drain(..) {
-            self.queue.schedule_at(
+        for chunk in chunks {
+            self.schedule_at(
                 t,
-                Event::AppSend {
+                NetEvent::AppSend {
                     side,
                     dst_ip,
                     dst_port,
@@ -569,12 +486,12 @@ impl NetSystem {
         };
         let ip = Ipv4Packet::new(addrs::CLIENT, addrs::GUEST, IpProto::Icmp, req.encode());
         let frame = EthernetFrame::new(
-            self.guest_mac,
-            self.client_mac,
+            self.dp.guest_mac,
+            self.dp.client_mac,
             EtherType::Ipv4,
             ip.encode(),
         );
-        self.icmp_sent.insert(seq, t);
+        self.dp.icmp_sent.insert(seq, t);
         // Injection point for request tracing: the sampler decides here
         // whether this ping's round trip is followed stage by stage. The
         // client machine is outside any domain; its stamps book to dom 0.
@@ -582,428 +499,59 @@ impl NetSystem {
         if let Some(r) = self.hv.req.admit(0) {
             self.hv.req.map(SlotClass::NetIcmp, seq as u64, r);
         }
-        self.queue
-            .schedule_at(t, Event::ClientTxFrame(frame.encode()));
-    }
-
-    /// Schedules a driver-domain crash at `t` (kill injection).
-    pub fn crash_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverCrash);
-    }
-
-    /// Schedules a driver-domain livelock at `t` (hang injection).
-    pub fn hang_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverHang);
-    }
-
-    /// Schedules a single-queue wedge at `t`: queue `q`'s netback
-    /// threads stop running while the domain, its heartbeat, and every
-    /// other queue stay healthy. Only per-queue stall detection catches
-    /// this partial failure.
-    pub fn wedge_queue_at(&mut self, t: Nanos, q: usize) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::QueueWedge(q));
-    }
-
-    /// The negotiated queue layout.
-    pub fn queue_mode(&self) -> QueueMode {
-        self.queue_mode
+        self.schedule_at(t, NetEvent::ClientTxFrame(frame.encode()));
     }
 
     /// The configured segmentation mode.
     pub fn gso_mode(&self) -> GsoMode {
-        self.gso_mode
+        self.dp.gso_mode
     }
 
     /// The configured wire profile (`None` = the stock 10GbE device).
     pub fn wire(&self) -> Option<LineRate> {
-        self.wire
+        self.dp.wire
     }
 
     /// Whether the *connected* backend/frontend pair negotiated GSO
     /// chains (false while the backend is down).
     pub fn gso_negotiated(&self) -> bool {
-        self.netback.device().is_some_and(|nb| nb.gso())
-            && self.netfront.as_ref().is_some_and(|nf| nf.gso())
-    }
-
-    /// Queues on the currently connected netback (0 when down).
-    pub fn queue_count(&self) -> usize {
-        self.netback.device().map_or(0, |nb| nb.queue_count())
+        self.backend.device().is_some_and(|nb| nb.gso())
+            && self.dp.netfront.as_ref().is_some_and(|nf| nf.gso())
     }
 
     /// Per-queue world→guest backlog depths on the connected netback.
     pub fn rx_queue_depths(&self) -> Vec<usize> {
-        self.netback
+        self.backend
             .device()
             .map_or_else(Vec::new, |nb| nb.rx_backlogs())
     }
 
-    /// Arms a fault plan: per-op fault rates go live on the hypervisor,
-    /// and `kill_at` / `hang_at` times (if set) schedule the
-    /// driver-domain crash or livelock.
-    pub fn inject_faults(&mut self, mut plan: FaultPlan) {
-        if let Some(t) = plan.take_kill() {
-            self.crash_driver_at(t);
+    /// Netback statistics, summed across backend incarnations.
+    pub fn netback_stats(&self) -> NetbackStats {
+        let mut s = self.dp.nb_stats_base;
+        if let Some(nb) = self.backend.device() {
+            s.merge(&nb.stats());
         }
-        if let Some(t) = plan.take_hang() {
-            self.hang_driver_at(t);
-        }
-        self.hv.faults = plan;
+        s
     }
 
-    /// Switches failure detection from the oracle to the active watchdog:
-    /// the driver domain starts publishing heartbeats and Dom0 starts
-    /// probing them (plus ring progress and the SLO). Call before
-    /// injecting faults so the first probe precedes the first fault.
-    pub fn enable_watchdog(&mut self, cfg: MonitorConfig) {
-        let now = self.queue.now();
-        self.mode = DetectionMode::Watchdog;
-        self.monitor = Some(HealthMonitor::new(DomainId::DOM0, self.driver, cfg, now));
-        self.heartbeat = Some(HeartbeatPublisher::new(self.driver));
-        self.queue
-            .schedule_at(now + cfg.heartbeat_interval, Event::BeatTick);
-        self.queue
-            .schedule_at(now + cfg.probe_interval, Event::ProbeTick);
-    }
-
-    /// Starts the time-series sampler: every `every` of virtual time a
-    /// `SampleTick` snapshots throughput counters (as deltas),
-    /// drop counters, per-queue RX depths, and the watchdog health state
-    /// into a bounded ring of `capacity` samples (oldest evicted first).
-    ///
-    /// The tick re-arms only while other events are still pending, so
-    /// [`run_to_quiescence`](Self::run_to_quiescence) terminates: the
-    /// sampler rides along with the workload instead of keeping the
-    /// clock alive on its own.
-    pub fn enable_sampling(&mut self, every: Nanos, capacity: usize) {
-        let mut sampler = TimeSeriesSampler::new(every, capacity)
-            .with_column("client_rx_bytes", SampleKind::Counter)
-            .with_column("guest_rx_bytes", SampleKind::Counter)
-            .with_column("drops", SampleKind::Counter)
-            .with_column("tx_packets", SampleKind::Counter)
-            .with_column("rx_dropped", SampleKind::Counter)
-            .with_column("health", SampleKind::Gauge);
-        for q in 0..self.queue_mode.queues() {
-            sampler = sampler.with_column(&format!("rx_qdepth_q{q}"), SampleKind::Gauge);
-        }
-        self.sampler = Some(sampler);
-        let now = self.queue.now();
-        self.queue.schedule_at(now + every, Event::SampleTick);
-    }
-
-    /// The time series recorded by [`enable_sampling`](Self::enable_sampling).
-    pub fn sampler(&self) -> Option<&TimeSeriesSampler> {
-        self.sampler.as_ref()
-    }
-
-    fn sample_now(&mut self, at: Nanos) {
-        let Some(mut sampler) = self.sampler.take() else {
-            return;
-        };
-        let stats = self.netback_stats();
-        let health = match self.health() {
-            None | Some(HealthState::Healthy) => 0u64,
-            Some(HealthState::Suspect { .. }) => 1,
-            _ => 2,
-        };
-        let mut raw = vec![
-            self.metrics.client_rx_bytes,
-            self.metrics.guest_rx_bytes,
-            self.metrics.drops,
-            stats.tx_packets,
-            stats.rx_dropped,
-            health,
-        ];
-        // Depths come back empty while the backend is down; pad so the
-        // sample width stays fixed.
-        let depths = self.rx_queue_depths();
-        for q in 0..self.queue_mode.queues() {
-            raw.push(depths.get(q as usize).copied().unwrap_or(0) as u64);
-        }
-        sampler.record(at, &raw);
-        self.sampler = Some(sampler);
-    }
-
-    /// Sets the request-latency SLO the watchdog folds into its verdict.
-    pub fn set_slo(&mut self, cfg: SloConfig) {
-        self.slo_cfg = cfg;
-    }
-
-    /// The active failure-detection mode.
-    pub fn detection_mode(&self) -> DetectionMode {
-        self.mode
-    }
-
-    /// The health monitor's current verdict, when the watchdog is on.
-    pub fn health(&self) -> Option<HealthState> {
-        self.monitor.as_ref().map(|m| m.state())
-    }
-
-    /// Whether the backend is currently up and serving.
-    pub fn backend_alive(&self) -> bool {
-        self.netback.is_connected() && !self.hung
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: Nanos) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked");
-            self.events_processed += 1;
-            self.handle(now, ev);
-        }
-    }
-
-    /// Runs until no events remain.
-    pub fn run_to_quiescence(&mut self) {
-        while let Some((now, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            self.handle(now, ev);
-        }
+    /// Frames the frontend dropped for ring exhaustion, summed across
+    /// device incarnations.
+    pub fn guest_tx_dropped(&self) -> u64 {
+        self.dp.nf_dropped_base + self.dp.netfront.as_ref().map_or(0, |nf| nf.tx_dropped())
     }
 
     // ---- internals -----------------------------------------------------
 
-    /// Schedules delivery of an event-channel notification raised at
-    /// `done`: the one pattern every evtchn kick funnels through.
-    fn sched_irq(&mut self, done: Nanos, n: Option<Notification>) {
-        if let Some(n) = n {
-            let delay = self.hv.irq_delay();
-            self.queue.schedule_at(
-                done + delay,
-                Event::Irq {
-                    dom: n.domain,
-                    port: n.port,
-                },
-            );
-        }
-    }
-
-    fn guest_cpu_run(&mut self, now: Nanos, cost: Nanos) -> Nanos {
-        // Least-loaded dispatch over the DomU's 22 vCPUs.
-        let mut best = self.guest_rr % self.guest_cpus.len();
-        let mut best_free = Nanos::MAX;
-        for (i, c) in self.guest_cpus.iter().enumerate() {
-            if c.free_at() < best_free {
-                best_free = c.free_at();
-                best = i;
-            }
-        }
-        self.guest_rr += 1;
-        let done = self.guest_cpus[best].run(now, cost);
-        self.guest_last_end = self.guest_last_end.max(done);
-        done
-    }
-
-    /// The driver domain dies mid-flight. No teardown code runs in it —
-    /// Xen reclaims its grant mappings, ports and PCI devices, and the
-    /// domain's heartbeat stops with it. Under the oracle, detection is
-    /// immediate; under the watchdog, the frontend keeps talking to the
-    /// dead backend until Dom0's monitor notices the silence.
-    fn kill_driver(&mut self, now: Nanos) {
-        if !self.netback.is_connected() || self.recovering {
-            return; // already down
-        }
-        self.hung = false; // a dead domain no longer livelocks
-        self.recovery.record_crash(now);
-        let dead = self.driver.0;
-        self.hv
-            .trace
-            .emit_with(dead, || EventKind::Milestone { what: "kill" });
-        if let Some(nb) = self.netback.abandon(&mut self.hv) {
-            // World->guest frames parked in the dead backend are gone.
-            self.recovery.dropped_frames += nb.rx_backlog() as u64;
-            self.metrics.drops += nb.rx_backlog() as u64;
-            self.nb_stats_base.merge(&nb.stats());
-            self.netapp.remove_vif(&nb.vif);
-        }
-        self.hv
-            .destroy_domain(self.driver)
-            .expect("driver was alive");
-        if self.mode == DetectionMode::Oracle {
-            self.detect_failure(now);
-        }
-    }
-
-    /// The driver domain livelocks (e.g. an interrupt storm or a spinning
-    /// thread): the domain stays alive — and keeps publishing heartbeats
-    /// — but netback stops consuming requests. Only the watchdog's
-    /// ring-progress detector can catch this; the oracle variant detects
-    /// it immediately, for ablation.
-    fn hang_driver(&mut self, now: Nanos) {
-        if !self.netback.is_connected() || self.hung || self.recovering {
-            return;
-        }
-        self.hung = true;
-        self.recovery.record_hang(now);
-        let dom = self.driver.0;
-        self.hv
-            .trace
-            .emit_with(dom, || EventKind::Milestone { what: "hang" });
-        if self.mode == DetectionMode::Oracle {
-            self.detect_failure(now);
-        }
-    }
-
-    /// Dom0's toolstack learns the backend failed (oracle: at the fault;
-    /// watchdog: when the monitor's verdict turns `Failed`): it destroys
-    /// the domain if it still runs (livelock), walks the xenbus states so
-    /// the frontend sees the device disappear, harvests what the dead
-    /// backend never acknowledged, and schedules the replacement boot.
-    fn detect_failure(&mut self, now: Nanos) {
-        if self.recovering {
-            return; // recovery already underway
-        }
-        self.recovering = true;
-        if let Some(nb) = self.netback.abandon(&mut self.hv) {
-            // Livelocked backend: its parked world->guest frames die with it.
-            self.recovery.dropped_frames += nb.rx_backlog() as u64;
-            self.metrics.drops += nb.rx_backlog() as u64;
-            self.nb_stats_base.merge(&nb.stats());
-            self.netapp.remove_vif(&nb.vif);
-        }
-        if self.hv.domains.alive(self.driver) {
-            let _ = self.hv.destroy_domain(self.driver);
-        }
-        self.hung = false;
-        self.queue_wedged = false;
-        let d0 = DomainId::DOM0;
-        let bs = self.paths.backend_state();
-        let _ = self.hv.switch_state(d0, &bs, XenbusState::Closing);
-        let _ = self.hv.switch_state(d0, &bs, XenbusState::Closed);
-        self.recovery.record_detect(now);
-        self.hv
-            .trace
-            .emit_with(d0.0, || EventKind::Milestone { what: "detect" });
-        // The frontend observes `Closed`, salvages its unacknowledged Tx
-        // frames for replay and retires the device; `Closed` is what lets
-        // the toolstack re-provision the pair back to `Initialising`.
-        if let Some(mut nf) = self.netfront.take() {
-            let unacked = nf.take_unacked(&self.hv);
-            self.recovery.retried_ops += unacked.len() as u64;
-            self.nf_dropped_base += nf.tx_dropped();
-            for f in unacked.into_iter().rev() {
-                self.guest_txq.push_front(f);
-            }
-        }
-        let fs = self.paths.frontend_state();
-        let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closing);
-        let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closed);
-        let boot = self.boot.sample(&mut self.rng);
-        self.queue.schedule_at(now + boot, Event::DriverRestarted);
-    }
-
-    /// The replacement driver domain finished booting: fresh domain id
-    /// (Xen never reuses them), NIC re-assigned, bridge rebuilt, device
-    /// pair re-provisioned, and both ends reconnected through the same
-    /// lifecycle slot. Everything queued during the outage drains.
-    fn driver_restarted(&mut self, now: Nanos) {
-        let (name, mem) = match self.os {
-            BackendOs::Kite => ("netbackend", 1024),
-            BackendOs::Linux => ("ubuntu-dd", 2048),
-        };
-        let nqueues = self.queue_mode.queues();
-        let driver = self
-            .hv
-            .create_domain(name, DomainKind::Driver, mem, nqueues);
-        self.driver = driver;
-        self.hv
-            .trace
-            .emit_with(driver.0, || EventKind::Milestone { what: "reboot" });
-        self.driver_cpus = CpuPool::new(nqueues as usize);
-        self.hv
-            .pci
-            .assign(self.nic_bdf, driver)
-            .expect("nic back in pool");
-        self.netapp = NetworkApp::start("ixg0", self.phys_mac, addrs::GATEWAY, addrs::NETMASK);
-        self.if_port = self.netapp.port_of("ixg0").expect("attached at start");
-        self.mgr = BackendManager::new(driver, DeviceKind::Vif);
-        self.mgr.start(&mut self.hv).expect("watch");
-        self.paths = DevicePaths::new(self.guest, driver, DeviceKind::Vif, 0);
-        provision_device(&mut self.hv, &self.paths).expect("re-provision");
-        if nqueues > 1 {
-            let be = self.paths.backend();
-            self.hv
-                .store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{MQ_MAX_QUEUES_KEY}"),
-                    &nqueues.to_string(),
-                )
-                .expect("re-advertise queues");
-        }
-        if self.gso_mode == GsoMode::On {
-            // The replacement backend re-advertises offloads; the
-            // frontend renegotiates from scratch, exactly as at first
-            // connect — offloads survive crash recovery.
-            let be = self.paths.backend();
-            self.hv
-                .store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{FEATURE_GSO_KEY}"),
-                    "1",
-                )
-                .expect("re-advertise gso");
-        }
-        self.mgr.drain_events(&mut self.hv).expect("scan");
-        let nf = Netfront::connect_with_queues(&mut self.hv, &self.paths, self.guest_mac, nqueues)
-            .expect("netfront");
-        self.netfront = Some(nf);
-        let ready = self.mgr.drain_events(&mut self.hv).expect("events");
-        assert_eq!(ready.len(), 1, "frontend rediscovered after restart");
-        self.netback
-            .retarget(&mut self.hv, ready[0].clone())
-            .expect("slot empty");
-        self.netback.connect(&mut self.hv).expect("reconnect");
-        if let Some(nb) = self.netback.device_mut() {
-            nb.set_copy_mode(self.copy_mode);
-            self.vif_port = self.netapp.add_vif(&nb.vif, self.guest_mac);
-        }
-        self.hv
-            .switch_state(
-                self.guest,
-                &self.paths.frontend_state(),
-                XenbusState::Connected,
-            )
-            .expect("frontend reconnect");
-        self.recovery.reconnects += 1;
-        self.hv
-            .trace
-            .emit_with(driver.0, || EventKind::Milestone { what: "reconnect" });
-        if let Some(t0) = self.recovery.last_crash_at {
-            self.recovery.downtime += now - t0;
-        }
-        self.recovering = false;
-        if self.mode == DetectionMode::Watchdog {
-            // The replacement domain's heartbeat task beats as soon as it
-            // boots, and the monitor re-aims at the new domain id.
-            let mut hb = HeartbeatPublisher::new(driver);
-            let _ = hb.beat(&mut self.hv);
-            self.heartbeat = Some(hb);
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.retarget(&mut self.hv, driver, now);
-            }
-        }
-        // Replay harvested frames plus everything queued while down.
-        self.drain_guest_txq(now);
-    }
-
     fn mac_of(&self, ip: Ipv4Addr) -> MacAddr {
         if ip == addrs::GUEST {
-            self.guest_mac
+            self.dp.guest_mac
         } else if ip == addrs::CLIENT {
-            self.client_mac
+            self.dp.client_mac
         } else {
             // Gateway / unknown: the physical IF answers.
-            self.netapp
+            self.dp
+                .netapp
                 .ifs
                 .get("ixg0")
                 .map(|i| i.mac)
@@ -1034,7 +582,7 @@ impl NetSystem {
     /// honest TSO cost: a super-frame is segmented to MTU with
     /// replicated headers and per-segment framing.
     fn wire_cost(&self, frame_len: usize) -> (u64, u32) {
-        match self.gso_mode {
+        match self.dp.gso_mode {
             GsoMode::Legacy => (frame_len as u64 + 24, 1),
             GsoMode::Off | GsoMode::On => tso_wire_cost(frame_len),
         }
@@ -1048,28 +596,29 @@ impl NetSystem {
     fn client_transmit(&mut self, now: Nanos, frame: Vec<u8>) {
         let (wire_len, _segs) = self.wire_cost(frame.len());
         let sent = self
+            .dp
             .client_link
             .transmit_then(&mut self.queue, now, wire_len, |_| {
-                Event::WireToServer(frame)
+                Event::Path(NetEvent::WireToServer(frame))
             });
         if sent == TxOutcome::Dropped {
-            self.metrics.drops += 1;
+            self.dp.metrics.drops += 1;
         }
     }
 
     /// Queues a frame in the guest stack and pushes as much as fits into
     /// the Tx ring, notifying the backend when the protocol asks.
     fn guest_send_frame(&mut self, now: Nanos, frame: Vec<u8>) {
-        if self.guest_txq.len() >= GUEST_TXQ_CAP {
-            self.metrics.drops += 1;
+        if self.dp.guest_txq.len() >= GUEST_TXQ_CAP {
+            self.dp.metrics.drops += 1;
             return;
         }
-        self.guest_txq.push_back(frame);
+        self.dp.guest_txq.push_back(frame);
         self.drain_guest_txq(now);
     }
 
     fn drain_guest_txq(&mut self, now: Nanos) {
-        if self.netfront.is_none() {
+        if self.dp.netfront.is_none() {
             return; // backend down: frames wait for the replacement device
         }
         // `now` includes the guest's idle-wake latency, which the
@@ -1078,7 +627,7 @@ impl NetSystem {
         self.hv.req.set_now(now);
         let mut notify: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         let mut cost = Nanos::ZERO;
-        while let Some(frame) = self.guest_txq.front() {
+        while let Some(frame) = self.dp.guest_txq.front() {
             let req = if self.hv.req.is_enabled() {
                 icmp_echo_seq(frame)
                     .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
@@ -1086,13 +635,14 @@ impl NetSystem {
                 None
             };
             let res = self
+                .dp
                 .netfront
                 .as_mut()
                 .expect("checked")
                 .send(&mut self.hv, frame, req);
             match res {
                 Ok((q, op)) => {
-                    self.guest_txq.pop_front();
+                    self.dp.guest_txq.pop_front();
                     if op.notify {
                         notify.insert(q);
                     }
@@ -1105,7 +655,7 @@ impl NetSystem {
             self.guest_cpu_run(now, cost);
         }
         for q in notify {
-            let port = self.netfront.as_ref().expect("checked").port_of(q);
+            let port = self.dp.netfront.as_ref().expect("checked").port_of(q);
             // The channel dies with the backend domain: a notify raised
             // during an undetected-outage window is simply lost.
             if let Ok((n, send_cost)) = self.hv.evtchn_send(self.guest, port) {
@@ -1119,14 +669,14 @@ impl NetSystem {
     /// outage (or on queue overflow) the frame is dropped, as real
     /// traffic is while a driver domain reboots.
     fn deliver_to_guest(&mut self, frame: Vec<u8>) {
-        match self.netback.device_mut() {
+        match self.backend.device_mut() {
             Some(nb) => {
                 if !nb.enqueue_to_guest(frame) {
-                    self.metrics.drops += 1;
+                    self.dp.metrics.drops += 1;
                 }
             }
             None => {
-                self.metrics.drops += 1;
+                self.dp.metrics.drops += 1;
                 self.recovery.dropped_frames += 1;
             }
         }
@@ -1139,15 +689,15 @@ impl NetSystem {
     /// bridge; in NAT mode the app routes at L3, rewriting addresses
     /// (with checksums re-encoded) in each direction.
     fn bridge_forward(&mut self, now: Nanos, ingress: BridgePort, frame: Vec<u8>) -> Vec<Vec<u8>> {
-        if self.netapp.mode == kite_core::netapp::LinkMode::Nat {
-            if ingress == self.vif_port {
+        if self.dp.netapp.mode == kite_core::netapp::LinkMode::Nat {
+            if ingress == self.dp.vif_port {
                 // Guest → world: SNAT to the gateway; non-NATable frames
                 // (ICMP in this model) pass through unchanged.
-                let out = self.netapp.nat_outbound(&frame).unwrap_or(frame);
+                let out = self.dp.netapp.nat_outbound(&frame).unwrap_or(frame);
                 return vec![out];
             }
             // World → gateway: reverse-translate or drop (unsolicited).
-            match self.netapp.nat_inbound(&frame, self.guest_mac) {
+            match self.dp.netapp.nat_inbound(&frame, self.dp.guest_mac) {
                 Some(inframe) => {
                     self.deliver_to_guest(inframe);
                 }
@@ -1163,7 +713,7 @@ impl NetSystem {
                     if !is_udp {
                         self.deliver_to_guest(frame);
                     } else {
-                        self.metrics.drops += 1;
+                        self.dp.metrics.drops += 1;
                     }
                 }
             }
@@ -1172,7 +722,7 @@ impl NetSystem {
         let Some(eth) = EthernetFrame::decode(&frame) else {
             return Vec::new();
         };
-        let decision = self.netapp.bridge.input(ingress, eth.src, eth.dst, now);
+        let decision = self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now);
         let mut to_wire = Vec::new();
         let ports: Vec<BridgePort> = match decision {
             Forward::Unicast(p) => vec![p],
@@ -1180,9 +730,9 @@ impl NetSystem {
             Forward::Drop => Vec::new(),
         };
         for p in ports {
-            if p == self.if_port {
+            if p == self.dp.if_port {
                 to_wire.push(frame.clone());
-            } else if p == self.vif_port {
+            } else if p == self.dp.vif_port {
                 self.deliver_to_guest(frame.clone());
             }
         }
@@ -1197,11 +747,11 @@ impl NetSystem {
     fn nic_transmit(&mut self, t: Nanos, frames: Vec<Vec<u8>>) {
         for frame in frames {
             let (wire_len, segs) = self.wire_cost(frame.len());
-            match self.nic.transmit_segs(t, wire_len, segs) {
+            match self.dp.nic.transmit_segs(t, wire_len, segs) {
                 TxOutcome::Sent { arrives, .. } => {
-                    self.queue.schedule_at(arrives, Event::WireToClient(frame));
+                    self.schedule_at(arrives, NetEvent::WireToClient(frame));
                 }
-                TxOutcome::Dropped => self.metrics.drops += 1,
+                TxOutcome::Dropped => self.dp.metrics.drops += 1,
             }
         }
     }
@@ -1214,18 +764,17 @@ impl NetSystem {
     /// drain concurrently: wall-clock elapsed is the slowest queue, not
     /// the sum of all of them.
     fn run_netback(&mut self, now: Nanos) {
-        if !self.netback.is_connected() || self.hung {
+        if !self.backend.is_connected() || self.hung {
             return; // driver domain down (or livelocked: threads never run)
         }
-        let nqueues = self.netback.device().expect("checked").queue_count();
+        let nqueues = self.backend.device().expect("checked").queue_count();
         for q in 0..nqueues {
             // Pusher: guest -> bridge/world.
             let mut guest_frames = Vec::new();
             loop {
-                let nb = self.netback.device_mut().expect("checked");
+                let nb = self.backend.device_mut().expect("checked");
                 let batch = nb.pusher_run(&mut self.hv, q, 128).expect("pusher");
                 let evtchn = nb.port_of(q);
-                let had = !batch.frames.is_empty();
                 guest_frames.extend(batch.frames);
                 let done = self.driver_cpus.run_on(
                     q,
@@ -1237,9 +786,6 @@ impl NetSystem {
                     let done = self.driver_cpus.run_on(q, done, c);
                     self.sched_irq(done, n);
                 }
-                if !batch.more && !had {
-                    break;
-                }
                 if !batch.more {
                     break;
                 }
@@ -1248,7 +794,7 @@ impl NetSystem {
             // bridge, then onto the wire once this queue's vCPU is free.
             let mut to_wire = Vec::new();
             for f in guest_frames {
-                to_wire.extend(self.bridge_forward(now, self.vif_port, f));
+                to_wire.extend(self.bridge_forward(now, self.dp.vif_port, f));
             }
             let t = self.driver_cpus.free_at(q).max(now);
             if self.hv.req.is_enabled() {
@@ -1272,7 +818,7 @@ impl NetSystem {
         // soft_start: queued world -> guest frames into the Rx rings.
         for q in 0..nqueues {
             loop {
-                let nb = self.netback.device_mut().expect("checked");
+                let nb = self.backend.device_mut().expect("checked");
                 let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
                 let evtchn = nb.port_of(q);
                 let done = self.driver_cpus.run_on(q, now, batch.cost);
@@ -1316,7 +862,7 @@ impl NetSystem {
                             Ipv4Packet::new(addrs::GUEST, ip.src, IpProto::Icmp, reply.encode());
                         let rframe = EthernetFrame::new(
                             eth.src,
-                            self.guest_mac,
+                            self.dp.guest_mac,
                             EtherType::Ipv4,
                             rip.encode(),
                         );
@@ -1328,26 +874,21 @@ impl NetSystem {
             }
             IpProto::Udp => {
                 let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
-                    self.metrics.drops += 1;
+                    self.dp.metrics.drops += 1;
                     return;
                 };
-                self.metrics.guest_rx_bytes += udp.payload.len() as u64;
-                self.metrics.guest_rx_msgs += 1;
-                if self.recovery.record_first_byte(now) {
-                    let guest = self.guest.0;
-                    self.hv
-                        .trace
-                        .emit_with(guest, || EventKind::Milestone { what: "first_byte" });
-                }
+                self.dp.metrics.guest_rx_bytes += udp.payload.len() as u64;
+                self.dp.metrics.guest_rx_msgs += 1;
+                self.mark_first_byte(now);
                 let msg = UdpMsg {
                     src_ip: ip.src,
                     src_port: udp.src_port,
                     dst_port: udp.dst_port,
                     payload: udp.payload,
                 };
-                if let Some(mut app) = self.guest_app.take() {
+                if let Some(mut app) = self.dp.guest_app.take() {
                     let replies = app(now, &msg);
-                    self.guest_app = Some(app);
+                    self.dp.guest_app = Some(app);
                     self.emit_replies(now, Side::Guest, replies);
                 }
             }
@@ -1361,24 +902,7 @@ impl NetSystem {
                 Side::Guest => self.guest_cpu_run(now, r.cost),
                 Side::Client => now + r.cost,
             };
-            let unit = self.max_tx_unit;
-            let chunks: Vec<Vec<u8>> = if r.payload.len() <= unit {
-                vec![r.payload]
-            } else {
-                r.payload.chunks(unit).map(|c| c.to_vec()).collect()
-            };
-            for chunk in chunks {
-                self.queue.schedule_at(
-                    ready,
-                    Event::AppSend {
-                        side,
-                        dst_ip: r.dst_ip,
-                        dst_port: r.dst_port,
-                        src_port: r.src_port,
-                        payload: chunk,
-                    },
-                );
-            }
+            self.send_udp_at(ready, side, r.dst_ip, r.dst_port, r.src_port, r.payload);
         }
     }
 
@@ -1396,8 +920,8 @@ impl NetSystem {
         match ip.proto {
             IpProto::Icmp => {
                 if let Some(IcmpMessage::EchoReply { seq, .. }) = IcmpMessage::decode(&ip.payload) {
-                    if let Some(t0) = self.icmp_sent.remove(&seq) {
-                        self.metrics.ping_rtts.push_nanos(now - t0);
+                    if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
+                        self.dp.metrics.ping_rtts.push_nanos(now - t0);
                         self.latency_hist.record(now - t0);
                     }
                     if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
@@ -1407,43 +931,31 @@ impl NetSystem {
             }
             IpProto::Udp => {
                 let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
-                    self.metrics.drops += 1;
+                    self.dp.metrics.drops += 1;
                     return;
                 };
-                self.metrics.client_rx_bytes += udp.payload.len() as u64;
-                self.metrics.client_rx_msgs += 1;
-                if self.recovery.record_first_byte(now) {
-                    let guest = self.guest.0;
-                    self.hv
-                        .trace
-                        .emit_with(guest, || EventKind::Milestone { what: "first_byte" });
-                }
+                self.dp.metrics.client_rx_bytes += udp.payload.len() as u64;
+                self.dp.metrics.client_rx_msgs += 1;
+                self.mark_first_byte(now);
                 let msg = UdpMsg {
                     src_ip: ip.src,
                     src_port: udp.src_port,
                     dst_port: udp.dst_port,
                     payload: udp.payload,
                 };
-                if let Some(mut app) = self.client_app.take() {
+                if let Some(mut app) = self.dp.client_app.take() {
                     let replies = app(now, &msg);
-                    self.client_app = Some(app);
-                    self.emit_client_replies(now, replies);
+                    self.dp.client_app = Some(app);
+                    self.emit_replies(now, Side::Client, replies);
                 }
             }
             _ => {}
         }
     }
 
-    fn emit_client_replies(&mut self, now: Nanos, replies: Vec<Reply>) {
-        self.emit_replies(now, Side::Client, replies);
-    }
-
-    fn handle(&mut self, now: Nanos, ev: Event) {
-        let _prof = kite_prof::span(phase_of(&ev));
-        self.hv.trace.set_now(now);
-        self.hv.req.set_now(now);
+    fn handle_net(&mut self, now: Nanos, ev: NetEvent) {
         match ev {
-            Event::AppSend {
+            NetEvent::AppSend {
                 side,
                 dst_ip,
                 dst_port,
@@ -1453,7 +965,7 @@ impl NetSystem {
                 Side::Client => {
                     let frame = self.build_udp_frame(
                         addrs::CLIENT,
-                        self.client_mac,
+                        self.dp.client_mac,
                         dst_ip,
                         dst_port,
                         src_port,
@@ -1464,7 +976,7 @@ impl NetSystem {
                 Side::Guest => {
                     let frame = self.build_udp_frame(
                         addrs::GUEST,
-                        self.guest_mac,
+                        self.dp.guest_mac,
                         dst_ip,
                         dst_port,
                         src_port,
@@ -1473,24 +985,24 @@ impl NetSystem {
                     self.guest_send_frame(now, frame);
                 }
             },
-            Event::ClientTxFrame(frame) => self.client_transmit(now, frame),
-            Event::WireToServer(frame) => match self.nic.rx_enqueue(now, frame) {
+            NetEvent::ClientTxFrame(frame) => self.client_transmit(now, frame),
+            NetEvent::WireToServer(frame) => match self.dp.nic.rx_enqueue(now, frame) {
                 RxIrq::FireAt(t) => {
-                    self.queue.schedule_at(t, Event::NicIrq);
+                    self.schedule_at(t, NetEvent::NicIrq);
                 }
                 RxIrq::AlreadyPending => {}
-                RxIrq::Dropped => self.metrics.drops += 1,
+                RxIrq::Dropped => self.dp.metrics.drops += 1,
             },
-            Event::NicIrq => {
+            NetEvent::NicIrq => {
                 if self.hung {
                     // The livelocked driver never services the interrupt;
                     // the NIC's receive ring overflows and the frames are
                     // lost on the floor, exactly like hardware would.
-                    let lost = self.nic.drain_rx(now, usize::MAX).len() as u64;
-                    self.metrics.drops += lost;
+                    let lost = self.dp.nic.drain_rx(now, usize::MAX).len() as u64;
+                    self.dp.metrics.drops += lost;
                     self.recovery.dropped_frames += lost;
-                    if let Some(fire) = self.nic.rearm_irq(now) {
-                        self.queue.schedule_at(fire, Event::NicIrq);
+                    if let Some(fire) = self.dp.nic.rearm_irq(now) {
+                        self.schedule_at(fire, NetEvent::NicIrq);
                     }
                     return;
                 }
@@ -1502,7 +1014,7 @@ impl NetSystem {
                 let handler_done =
                     self.driver_cpus
                         .run_on(0, now, wake + self.profile.irq_overhead);
-                let frames = self.nic.drain_rx(now, 64);
+                let frames = self.dp.nic.drain_rx(now, 64);
                 let mut per_frame = Nanos::ZERO;
                 for f in &frames {
                     per_frame += self.profile.per_packet + Nanos(f.len() as u64 / 16);
@@ -1518,338 +1030,51 @@ impl NetSystem {
                             self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
                         }
                     }
-                    to_wire.extend(self.bridge_forward(now, self.if_port, f));
+                    to_wire.extend(self.bridge_forward(now, self.dp.if_port, f));
                 }
                 self.nic_transmit(t, to_wire);
                 // The VIF callback woke soft_start (and pusher work may be
                 // pending): run the netback threads.
                 self.run_netback(t);
-                if let Some(fire) = self.nic.rearm_irq(now) {
-                    self.queue.schedule_at(fire, Event::NicIrq);
+                if let Some(fire) = self.dp.nic.rearm_irq(now) {
+                    self.schedule_at(fire, NetEvent::NicIrq);
                 }
             }
-            Event::Irq { dom, port } => {
-                let _ = self.hv.evtchn.clear_pending(dom, port);
-                if dom == self.driver {
-                    if !self.netback.is_connected() || self.hung {
-                        return; // stale interrupt, or a livelocked handler
-                    }
-                    // Netback's event channel: the handler runs on the
-                    // vCPU the owning queue is pinned to, then wakes the
-                    // threads.
-                    let nb = self.netback.device().expect("checked");
-                    let q = (0..nb.queue_count())
-                        .find(|&q| nb.port_of(q) == port)
-                        .unwrap_or(0);
-                    let cost = nb.irq_handler_cost();
-                    let idle = now.saturating_sub(self.driver_cpus.free_at(q));
-                    let wake = self.profile.idle_wake(idle);
-                    let t = self.driver_cpus.run_on(q, now, wake + cost);
-                    self.run_netback(t);
-                } else if dom == self.guest {
-                    if self.netfront.is_none() {
-                        return; // stale interrupt for a retired device
-                    }
-                    let earliest = self.guest_last_end;
-                    let wake = guest_idle_wake(now.saturating_sub(earliest));
-                    // The guest vCPU wakes from halt first; everything the
-                    // interrupt triggers happens after that latency.
-                    let t = now + wake;
-                    let (op, notifyq) = self
-                        .netfront
-                        .as_mut()
-                        .expect("checked")
-                        .on_irq(&mut self.hv)
-                        .expect("netfront irq");
-                    let mut done =
-                        self.guest_cpu_run(now, wake + op.cost + self.profile.irq_overhead);
-                    for q in notifyq {
-                        let evtchn = self.netfront.as_ref().expect("checked").port_of(q);
-                        // Tolerate a torn-down channel: the backend may
-                        // have died without the frontend knowing yet.
-                        if let Ok((n, c)) = self.hv.evtchn_send(self.guest, evtchn) {
-                            done = self.guest_cpu_run(done, c);
-                            self.sched_irq(done, n);
-                        }
-                    }
-                    while let Some(frame) = self.netfront.as_mut().expect("checked").recv() {
-                        self.guest_stack_rx(t, frame);
-                    }
-                    // Tx completions may have freed ring slots.
-                    self.drain_guest_txq(t);
-                }
-            }
-            Event::WireToClient(frame) => self.client_stack_rx(now, frame),
-            Event::DriverCrash => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.kill_driver(now);
-            }
-            Event::DriverHang => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.hang_driver(now);
-            }
-            Event::QueueWedge(q) => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                if let Some(nb) = self.netback.device_mut() {
-                    if q < nb.queue_count() {
-                        nb.set_queue_wedged(q, true);
-                        self.queue_wedged = true;
-                        self.hv
-                            .trace
-                            .emit_with(self.driver.0, || EventKind::Milestone { what: "wedge" });
-                    }
-                }
-            }
-            Event::DriverRestarted => self.driver_restarted(now),
-            Event::BeatTick => {
-                // The heartbeat task runs inside the driver domain, so it
-                // survives a livelock — but dies with the domain.
-                if let Some(hb) = self.heartbeat.as_mut() {
-                    let _ = hb.beat(&mut self.hv);
-                }
-                if self.watch_live() {
-                    if let Some(mon) = self.monitor.as_ref() {
-                        self.queue
-                            .schedule_at(now + mon.config().heartbeat_interval, Event::BeatTick);
-                    }
-                }
-            }
-            Event::ProbeTick => {
-                let Some(mut mon) = self.monitor.take() else {
-                    return;
-                };
-                let samples: Vec<ProgressSample> = self
-                    .netback
-                    .device()
-                    .map(|nb| {
-                        nb.queue_progress(&self.hv)
-                            .into_iter()
-                            .map(|(consumed, pending)| ProgressSample { consumed, pending })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let slo_report = slo::evaluate(&self.latency_hist, &self.slo_cfg);
-                let slo_ok = !slo_report.breached;
-                if slo_report.breached {
-                    // Name the stage dominating the tail while it breaches
-                    // (needs request tracing; None otherwise).
-                    self.last_breach = slo::attribute(&self.hv.req);
-                }
-                let verdict = mon.probe_queues(&mut self.hv, now, &samples, slo_ok);
-                let interval = mon.config().probe_interval;
-                self.monitor = Some(mon);
-                if verdict.is_failed() {
-                    self.detect_failure(now);
-                }
-                if self.watch_live() {
-                    self.queue.schedule_at(now + interval, Event::ProbeTick);
-                }
-            }
-            Event::SampleTick => {
-                self.sample_now(now);
-                // Re-arm only while the workload is still producing
-                // events, so quiescence is reachable.
-                if let Some(every) = self.sampler.as_ref().map(|s| s.interval()) {
-                    if !self.queue.is_empty() {
-                        self.queue.schedule_at(now + every, Event::SampleTick);
-                    }
-                }
-            }
+            NetEvent::WireToClient(frame) => self.client_stack_rx(now, frame),
         }
     }
 
-    /// Whether the watchdog's ticks should keep rescheduling themselves.
-    ///
-    /// A real watchdog polls forever; here the ticks stay armed only
-    /// while a fault can still need detecting (one is scheduled, the
-    /// backend is hung/down, or recovery is in flight) so that
-    /// [`NetSystem::run_to_quiescence`] terminates once the system
-    /// settles into a healthy steady state.
-    fn watch_live(&self) -> bool {
-        self.mode == DetectionMode::Watchdog
-            && (self.pending_faults > 0
-                || self.hung
-                || self.queue_wedged
-                || self.recovering
-                || !self.netback.is_connected())
-    }
-
-    // ---- measurement accessors ------------------------------------------
-
-    /// Events processed (diagnostics).
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// The scheduler backend this system's event loop runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
-    /// Turns on structured tracing with an event-ring capacity of `cap`.
-    pub fn enable_tracing(&mut self, cap: usize) {
-        self.hv.trace.enable(cap);
-    }
-
-    /// Turns on per-request stage tracing: every `sample_every`-th
-    /// injected request is tagged with a [`kite_xen::ReqId`] and followed
-    /// through the stack, feeding per-stage latency histograms, the
-    /// `repro lat` waterfalls and Perfetto flow arrows.
-    pub fn enable_req_tracing(&mut self, sample_every: u64) {
-        self.hv.req.enable(sample_every, DEFAULT_REQ_CAPACITY);
-    }
-
-    /// Stage attribution of the most recent SLO breach the watchdog saw,
-    /// when request tracing was on to supply per-stage histograms.
-    pub fn last_breach(&self) -> Option<&BreachAttribution> {
-        self.last_breach.as_ref()
-    }
-
-    /// The histogram of client-observed echo RTTs (the same samples the
-    /// SLO monitor evaluates; mirrors `metrics.ping_rtts`).
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_hist
-    }
-
-    /// Collects the scenario's measurement taps, lifetime netback stats
-    /// and recovery accounting into one named snapshot.
-    pub fn metrics_snapshot(&self, scenario: impl Into<String>) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new(scenario);
-        snap.push_int("client_rx_bytes", "bytes", self.metrics.client_rx_bytes);
-        snap.push_int("client_rx_msgs", "count", self.metrics.client_rx_msgs);
-        snap.push_int("guest_rx_bytes", "bytes", self.metrics.guest_rx_bytes);
-        snap.push_int("guest_rx_msgs", "count", self.metrics.guest_rx_msgs);
-        snap.push_int("drops", "count", self.metrics.drops);
-        for (q, depth) in self.rx_queue_depths().into_iter().enumerate() {
-            snap.push_int(format!("rx_queue_depth_q{q}"), "count", depth as u64);
+    /// Netfront's interrupt handler in the guest.
+    fn netfront_irq(&mut self, now: Nanos) {
+        if self.dp.netfront.is_none() {
+            return; // stale interrupt for a retired device
         }
-        self.netback_stats().append_metrics(&mut snap);
-        self.recovery.append_metrics(&mut snap);
-        snap
-    }
-
-    /// Driver-domain mean vCPU utilization over a window.
-    pub fn driver_cpu_percent(&self, window: Nanos) -> f64 {
-        self.driver_cpus.utilization_percent(window)
-    }
-
-    /// Guest mean vCPU utilization over a window (sysstat style).
-    pub fn guest_cpu_percent(&self, window: Nanos) -> f64 {
-        let sum: f64 = self
-            .guest_cpus
-            .iter()
-            .map(|c| c.utilization_percent(window))
-            .sum();
-        sum / self.guest_cpus.len() as f64
-    }
-
-    /// Netback statistics, summed across backend incarnations.
-    pub fn netback_stats(&self) -> kite_core::NetbackStats {
-        let mut s = self.nb_stats_base;
-        if let Some(nb) = self.netback.device() {
-            s.merge(&nb.stats());
+        let earliest = self.guest_last_end;
+        let wake = guest_idle_wake(now.saturating_sub(earliest));
+        // The guest vCPU wakes from halt first; everything the
+        // interrupt triggers happens after that latency.
+        let t = now + wake;
+        let (op, notifyq) = self
+            .dp
+            .netfront
+            .as_mut()
+            .expect("checked")
+            .on_irq(&mut self.hv)
+            .expect("netfront irq");
+        let mut done = self.guest_cpu_run(now, wake + op.cost + self.profile.irq_overhead);
+        for q in notifyq {
+            let evtchn = self.dp.netfront.as_ref().expect("checked").port_of(q);
+            // Tolerate a torn-down channel: the backend may
+            // have died without the frontend knowing yet.
+            if let Ok((n, c)) = self.hv.evtchn_send(self.guest, evtchn) {
+                done = self.guest_cpu_run(done, c);
+                self.sched_irq(done, n);
+            }
         }
-        s
-    }
-
-    /// Switches netback between batched and single-op grant copies; the
-    /// choice survives backend restarts.
-    pub fn set_copy_mode(&mut self, mode: kite_xen::CopyMode) {
-        self.copy_mode = mode;
-        if let Some(nb) = self.netback.device_mut() {
-            nb.set_copy_mode(mode);
+        while let Some(frame) = self.dp.netfront.as_mut().expect("checked").recv() {
+            self.guest_stack_rx(t, frame);
         }
-    }
-
-    /// Frames the frontend dropped for ring exhaustion, summed across
-    /// device incarnations.
-    pub fn guest_tx_dropped(&self) -> u64 {
-        self.nf_dropped_base + self.netfront.as_ref().map_or(0, |nf| nf.tx_dropped())
-    }
-
-    /// The driver domain id.
-    pub fn driver_domain(&self) -> DomainId {
-        self.driver
-    }
-
-    /// The guest domain id.
-    pub fn guest_domain(&self) -> DomainId {
-        self.guest
-    }
-
-    /// Freezes a `kitetop` view of every domain (dead incarnations
-    /// included) at the current virtual time.
-    pub fn top_snapshot(&self) -> TopSnapshot {
-        let at = self.queue.now();
-        let secs = at.as_secs_f64();
-        let stats = self.netback_stats();
-        let mut rows: Vec<TopRow> = self
-            .hv
-            .domains
-            .iter_all()
-            .map(|d| {
-                let is_driver = d.id == self.driver;
-                let (health, beat_age) = match &self.monitor {
-                    Some(m) if m.target() == d.id => {
-                        let h = match m.state() {
-                            HealthState::Suspect { missed } => format!("suspect({missed})"),
-                            s => s.name().to_string(),
-                        };
-                        (h, Some(m.heartbeat_age(at)))
-                    }
-                    _ => ("-".to_string(), None),
-                };
-                let (ring_consumed, ring_pending) = match self.netback.device() {
-                    Some(nb) if is_driver => nb.progress(&self.hv),
-                    _ => (0, 0),
-                };
-                let (req_per_sec, mbytes_per_sec) = if is_driver && secs > 0.0 {
-                    (
-                        (stats.tx_packets + stats.rx_packets) as f64 / secs,
-                        (stats.tx_bytes + stats.rx_bytes) as f64 / 1e6 / secs,
-                    )
-                } else {
-                    (0.0, 0.0)
-                };
-                TopRow {
-                    dom: d.id.0,
-                    name: d.name.clone(),
-                    kind: match d.kind {
-                        DomainKind::Dom0 => "dom0",
-                        DomainKind::Driver => "driver",
-                        DomainKind::Guest => "guest",
-                    },
-                    alive: d.state != DomainState::Dead,
-                    health,
-                    beat_age,
-                    ring_pending,
-                    ring_consumed,
-                    grants: self.hv.grants.live_grants(d.id),
-                    maps: self.hv.grants.active_maps(d.id),
-                    evtchns: self.hv.evtchn.open_ports(d.id),
-                    req_per_sec,
-                    mbytes_per_sec,
-                    rx_dropped: if is_driver { stats.rx_dropped } else { 0 },
-                    gso_frames: if is_driver {
-                        stats.gso_tx_frames + stats.lro_rx_frames
-                    } else {
-                        0
-                    },
-                    rx_qdepth: if is_driver {
-                        self.rx_queue_depths().iter().map(|&d| d as u64).collect()
-                    } else {
-                        Vec::new()
-                    },
-                    p99_us: self
-                        .hv
-                        .req
-                        .dom_hist(d.id.0)
-                        .filter(|h| h.count() > 0)
-                        .map(|h| h.quantile(0.99).as_nanos() as f64 / 1000.0),
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.dom);
-        TopSnapshot { at, rows }
+        // Tx completions may have freed ring slots.
+        self.drain_guest_txq(t);
     }
 }

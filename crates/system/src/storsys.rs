@@ -1,35 +1,31 @@
-//! The full storage-domain scenario: guest application ⇄ blkfront ⇄
-//! Kite/Linux driver domain (blkback) ⇄ NVMe device.
+//! The storage datapath: guest application ⇄ blkfront ⇄ Kite/Linux
+//! driver domain (blkback) ⇄ NVMe device.
 //!
 //! Workloads submit logical I/Os (any size); the system splits them into
 //! ring requests bounded by the negotiated features (44 KiB direct or
 //! 128 KiB with 32 indirect segments), applies ring backpressure, and
 //! reports completions to a workload-installed handler that can keep each
-//! simulated worker thread's loop going (closed-loop benchmarks).
+//! simulated worker thread's loop going (closed-loop benchmarks). The
+//! driver-domain lifecycle (faults, detection, reboot, reconnect) lives
+//! in [`crate::host`].
 
 use std::collections::{HashMap, VecDeque};
 
 use kite_core::{
-    provision_device, BackendManager, BlkbackConfig, BlkbackInstance, BlkbackStats, BlkbackTuning,
-    BlockApp, DeviceLifecycle, RecoveryStats,
+    BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats, BlockApp, RecoveryStats,
 };
 use kite_devices::{Device, Nvme};
 use kite_frontends::Blkfront;
-use kite_health::{
-    slo, BreachAttribution, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher,
-    MonitorConfig, ProgressSample, SloConfig, TopRow, TopSnapshot,
-};
-use kite_rumprun::BootSequence;
-use kite_sim::{Cpu, CpuPool, EventSched, Histogram, Nanos, Pcg, Scheduler, SchedulerKind};
-use kite_trace::{EventKind, MetricsSnapshot, SampleKind, TimeSeriesSampler, DEFAULT_REQ_CAPACITY};
-use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
+use kite_prof::Phase;
+use kite_rumprun::OsProfile;
+use kite_sim::{Nanos, OnlineStats, Pcg};
+use kite_trace::{MetricsSnapshot, SampleKind, TimeSeriesSampler};
 use kite_xen::{
-    Bdf, CopyMode, DeviceKind, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan,
-    Hypervisor, Notification, Port, QueueMode, ReqId, ReqStage, SlotClass, XenbusState,
+    DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, ReqId, ReqStage, SlotClass, XenError,
 };
 
 use crate::config::SystemConfig;
-pub use crate::netsys::BackendOs;
+use crate::host::{Datapath, DriverTop, Event, Host};
 
 /// A logical I/O a workload submits.
 #[derive(Clone, Debug)]
@@ -78,51 +74,34 @@ pub struct IoDone {
 /// (the closed-loop worker pattern).
 pub type IoHandler = Box<dyn FnMut(Nanos, &IoDone) -> Vec<IoOp>>;
 
-enum Event {
-    Irq {
-        dom: DomainId,
-        port: Port,
-    },
-    // `epoch` guards against completions of a crashed backend incarnation
-    // hitting a replacement that happens to reuse the same request id.
+/// The storage datapath's scheduled events. `epoch` guards against
+/// completions of a crashed backend incarnation hitting a replacement
+/// that happens to reuse the same request id.
+pub enum BlkEvent {
     /// Error response for a request that failed validation and never
     /// reached the device.
     BlkError {
+        /// Backend request id.
         req_id: u64,
+        /// The ring the request arrived on.
         ring: usize,
+        /// Backend incarnation that scheduled the response.
         epoch: u64,
     },
     /// NVMe completion interrupt: a CQ entry on `ring`'s queue pair came
     /// due; the reap runs on the vCPU its MSI-X vector is steered to.
     NvmeCq {
+        /// The ring whose queue pair completed.
         ring: usize,
+        /// Backend incarnation that submitted the command.
         epoch: u64,
     },
+    /// A workload submits a logical I/O.
     Submit(IoOp),
-    DriverCrash,
-    DriverHang,
-    /// Wedge one blkback ring (its request thread stops running).
-    QueueWedge(usize),
-    DriverRestarted,
-    BeatTick,
-    ProbeTick,
-    /// The time-series sampler takes its next snapshot.
-    SampleTick,
 }
 
-/// Profiling phase for an event dispatch, by event kind.
-fn phase_of(ev: &Event) -> kite_prof::Phase {
-    use kite_prof::Phase;
-    match ev {
-        Event::Submit(_) => Phase::DispatchBlkSubmit,
-        Event::NvmeCq { .. } | Event::BlkError { .. } => Phase::DispatchBlkComplete,
-        Event::Irq { .. } => Phase::DispatchIrq,
-        Event::DriverCrash | Event::DriverHang | Event::QueueWedge(_) => Phase::DispatchFault,
-        Event::DriverRestarted => Phase::DispatchRecovery,
-        Event::BeatTick | Event::ProbeTick => Phase::DispatchHealthTick,
-        Event::SampleTick => Phase::DispatchSample,
-    }
-}
+// The scheduler stores events inline; growing them grows every slab slot.
+const _: () = assert!(std::mem::size_of::<Event<BlkEvent>>() <= 40);
 
 #[derive(Debug)]
 enum ChunkKind {
@@ -158,143 +137,67 @@ pub struct StorMetrics {
     /// Bytes written (logical).
     pub write_bytes: u64,
     /// Latency stats over logical I/Os.
-    pub latency: kite_sim::OnlineStats,
+    pub latency: OnlineStats,
 }
 
-/// The storage scenario system.
-pub struct StorSystem {
-    /// The simulated Xen machine.
-    pub hv: Hypervisor,
-    /// Which OS the driver domain runs.
-    pub os: BackendOs,
-    queue: EventSched<Event>,
-    driver: DomainId,
-    guest: DomainId,
-    queue_mode: QueueMode,
-    driver_cpus: CpuPool,
-    guest_cpus: Vec<Cpu>,
-    guest_rr: usize,
-    guest_last_end: Nanos,
+/// Storage-datapath state: the NVMe device and the driver domain's
+/// status application, blkfront, and the guest's logical-I/O chunking.
+pub struct BlkPath {
     /// The NVMe device (sparse real contents).
     pub nvme: Nvme,
-    nvme_bdf: Bdf,
-    blkback: DeviceLifecycle<BlkbackInstance>,
     bb_epoch: u64,
     bb_stats_base: BlkbackStats,
-    copy_mode: CopyMode,
     blkfront: Option<Blkfront>,
     // Negotiated per-request ceiling, kept so logical ops submitted
     // during an outage still chunk correctly.
     max_req_bytes: usize,
     /// The storage domain's status application.
     pub blockapp: BlockApp,
-    mgr: BackendManager,
-    paths: DevicePaths,
     // req_id -> in-flight chunk (kept whole so a crash can replay it)
     req_map: HashMap<u64, Chunk>,
     tags: HashMap<u64, TagState>,
     pendq: VecDeque<Chunk>,
     handler: Option<IoHandler>,
-    boot: BootSequence,
-    /// Crash/restart recovery accounting.
-    pub recovery: RecoveryStats,
     /// Measurement taps.
     pub metrics: StorMetrics,
-    /// Deterministic RNG stream.
-    pub rng: Pcg,
-    events_processed: u64,
-    mode: DetectionMode,
-    monitor: Option<HealthMonitor>,
-    heartbeat: Option<HeartbeatPublisher>,
-    /// The driver domain is livelocked: alive and beating, data path dead.
-    hung: bool,
-    /// One ring's request thread is wedged (fault injection); keeps the
-    /// watchdog ticking after the fault fires.
-    queue_wedged: bool,
-    /// A detected outage is being recovered (detect → reconnect window).
-    recovering: bool,
-    /// Injected fault events still scheduled; keeps the watchdog ticking.
-    pending_faults: u32,
-    slo_cfg: SloConfig,
-    latency_hist: Histogram,
-    sampler: Option<TimeSeriesSampler>,
-    /// Stage attribution of the most recent SLO p99 breach the watchdog
-    /// observed (request tracing on), for `kitetop`/health reporting.
-    last_breach: Option<BreachAttribution>,
 }
 
-impl StorSystem {
-    /// Builds the scenario: a 500 GB-class NVMe passed through to the
-    /// driver domain, blkfront in the guest, handshake to `Connected`.
-    /// Shorthand for `SystemConfig::new(os, seed).build_stor()`.
-    pub fn new(os: BackendOs, seed: u64) -> StorSystem {
-        SystemConfig::new(os, seed).build_stor()
+/// The storage scenario system: a [`Host`] running the storage
+/// datapath.
+pub type StorSystem = Host<BlkPath>;
+
+impl Datapath for BlkPath {
+    type Backend = BlkbackInstance;
+    type Event = BlkEvent;
+    const KITE_DOMAIN: &'static str = "blkbackend";
+
+    fn phase_of(ev: &BlkEvent) -> Phase {
+        match ev {
+            BlkEvent::Submit(_) => Phase::DispatchBlkSubmit,
+            BlkEvent::NvmeCq { .. } | BlkEvent::BlkError { .. } => Phase::DispatchBlkComplete,
+        }
     }
 
-    /// Builds the scenario with `queues` blkback rings.
-    ///
-    /// Thin compatibility wrapper over [`SystemConfig`]; new code should
-    /// use the builder.
-    pub fn new_with_queues(os: BackendOs, seed: u64, queues: QueueMode) -> StorSystem {
-        SystemConfig::new(os, seed).queue_mode(queues).build_stor()
+    fn pci_device() -> PciDevice {
+        PciDevice {
+            bdf: "04:00.0".parse().expect("static BDF"),
+            class: PciClass::Nvme,
+            name: "Samsung 970 EVO Plus 500GB".into(),
+        }
     }
 
-    /// Builds the scenario with explicit blkback tuning (ablations).
-    ///
-    /// Thin compatibility wrapper over [`SystemConfig`]; new code should
-    /// use the builder.
-    pub fn with_tuning(os: BackendOs, seed: u64, tuning: BlkbackTuning) -> StorSystem {
-        SystemConfig::new(os, seed).tuning(tuning).build_stor()
-    }
-
-    /// Builds the scenario with explicit tuning and ring count.
-    ///
-    /// Thin compatibility wrapper over [`SystemConfig`]; new code should
-    /// use the builder.
-    pub fn with_tuning_queues(
-        os: BackendOs,
-        seed: u64,
-        tuning: BlkbackTuning,
-        queues: QueueMode,
-    ) -> StorSystem {
-        SystemConfig::new(os, seed)
-            .tuning(tuning)
-            .queue_mode(queues)
-            .build_stor()
-    }
-
-    /// Builds the scenario from a [`SystemConfig`]: blkback rings on a
-    /// driver domain with one vCPU per ring (multi-queue ablations).
-    pub(crate) fn from_config(cfg: &SystemConfig) -> StorSystem {
-        let (os, seed, queues, tuning) = (cfg.os, cfg.seed, cfg.queue_mode, cfg.tuning);
-        let nrings = queues.queues();
-        let mut profile = os.profile();
-        // Seed-derived run-to-run noise (see NetSystem::new).
-        let mut jrng = Pcg::new(seed, 0x6a69747465725f32);
+    fn build(
+        cfg: &SystemConfig,
+        hv: &mut Hypervisor,
+        driver: DomainId,
+    ) -> (BlkPath, BlkbackConfig, OsProfile) {
+        let mut profile = cfg.os.profile();
+        // Seed-derived run-to-run noise (see `NetPath::build`). The
+        // jittered copy parameterizes blkback only; the host charges
+        // interrupt wakeups with the stock profile.
+        let mut jrng = Pcg::new(cfg.seed, 0x6a69747465725f32);
         profile.per_block_request = jrng.jitter(profile.per_block_request, 0.004);
         profile.idle_wake_cap = jrng.jitter(profile.idle_wake_cap, 0.004);
-        // `profile` parameterizes blkback; StorSystem itself needs no copy.
-        let mut hv = Hypervisor::new();
-        hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
-        let driver = hv.create_domain(
-            match os {
-                BackendOs::Kite => "blkbackend",
-                BackendOs::Linux => "ubuntu-dd",
-            },
-            DomainKind::Driver,
-            if os == BackendOs::Kite { 1024 } else { 2048 },
-            nrings,
-        );
-        let guest = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
-
-        let bdf: kite_xen::Bdf = "04:00.0".parse().expect("static BDF");
-        hv.pci.add_device(kite_xen::PciDevice {
-            bdf,
-            class: kite_xen::PciClass::Nvme,
-            name: "Samsung 970 EVO Plus 500GB".into(),
-        });
-        hv.pci.make_assignable(bdf).expect("fresh device");
-        hv.pci.assign(bdf, driver).expect("assignable");
 
         // Scaled capacity: the data plane is sparse-real; 16 GiB of
         // addressable space is ample for the scaled workloads.
@@ -305,338 +208,169 @@ impl StorSystem {
         if let Some(max) = cfg.nvme_max_io_queues {
             nvme = nvme.with_max_io_queues(max as usize);
         }
-        let blockapp = BlockApp::start(&mut hv, driver, nvme.sectors).expect("blockapp");
-
-        let mut mgr = BackendManager::new(driver, DeviceKind::Vbd);
-        mgr.start(&mut hv).expect("watch");
-        let paths = DevicePaths::new(guest, driver, DeviceKind::Vbd, 0);
-        provision_device(&mut hv, &paths).expect("provision");
-        if nrings > 1 {
-            // The toolstack advertises the backend's ring budget before
-            // the frontend negotiates.
-            let be = paths.backend();
-            hv.store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{MQ_MAX_QUEUES_KEY}"),
-                    &nrings.to_string(),
-                )
-                .expect("advertise rings");
-        }
-        mgr.drain_events(&mut hv).expect("scan");
-        let mut blkfront =
-            Blkfront::connect_with_queues(&mut hv, &paths, nrings).expect("blkfront");
-        let ready = mgr.drain_events(&mut hv).expect("events");
-        assert_eq!(ready.len(), 1, "frontend discovered");
+        let blockapp = BlockApp::start(hv, driver, nvme.sectors).expect("blockapp");
         let bb_cfg = BlkbackConfig {
-            profile: profile.clone(),
-            tuning,
+            profile,
+            tuning: cfg.tuning,
             device_sectors: nvme.sectors,
         };
-        let mut blkback: DeviceLifecycle<BlkbackInstance> =
-            DeviceLifecycle::new(ready[0].clone(), bb_cfg);
-        blkback.connect(&mut hv).expect("blkback");
-        blkfront.read_features(&mut hv, &paths).expect("features");
-        let max_req_bytes = blkfront.max_request_bytes();
-        hv.switch_state(guest, &paths.frontend_state(), XenbusState::Connected)
-            .expect("frontend connect");
-
-        StorSystem {
-            hv,
-            os,
-            queue: EventSched::new(cfg.scheduler),
-            driver,
-            guest,
-            queue_mode: queues,
-            driver_cpus: CpuPool::new(nrings as usize),
-            guest_cpus: (0..22).map(|_| Cpu::new()).collect(),
-            guest_rr: 0,
-            guest_last_end: Nanos::ZERO,
+        let dp = BlkPath {
             nvme,
-            nvme_bdf: bdf,
-            blkback,
             bb_epoch: 0,
             bb_stats_base: BlkbackStats::default(),
-            copy_mode: CopyMode::default(),
-            blkfront: Some(blkfront),
-            max_req_bytes,
+            blkfront: None,
+            max_req_bytes: 0,
             blockapp,
-            mgr,
-            paths,
             req_map: HashMap::new(),
             tags: HashMap::new(),
             pendq: VecDeque::new(),
             handler: None,
-            boot: os.boot(),
-            recovery: RecoveryStats::default(),
             metrics: StorMetrics::default(),
-            rng: Pcg::seeded(seed),
-            events_processed: 0,
-            mode: DetectionMode::Oracle,
-            monitor: None,
-            heartbeat: None,
-            hung: false,
-            queue_wedged: false,
-            recovering: false,
-            pending_faults: 0,
-            slo_cfg: SloConfig::default(),
-            latency_hist: Histogram::default(),
-            last_breach: None,
-            sampler: None,
+        };
+        (dp, bb_cfg, cfg.os.profile())
+    }
+
+    fn driver_booted(&mut self, hv: &mut Hypervisor, driver: DomainId) {
+        self.blockapp = BlockApp::start(hv, driver, self.nvme.sectors).expect("blockapp");
+    }
+
+    fn connect_frontend(&mut self, hv: &mut Hypervisor, paths: &DevicePaths, nrings: u32) {
+        let bf = Blkfront::connect_with_queues(hv, paths, nrings).expect("blkfront");
+        self.blkfront = Some(bf);
+    }
+
+    fn backend_connected(
+        &mut self,
+        hv: &mut Hypervisor,
+        paths: &DevicePaths,
+        _bb: &BlkbackInstance,
+    ) {
+        let bf = self.blkfront.as_mut().expect("just connected");
+        bf.read_features(hv, paths).expect("features");
+        self.max_req_bytes = bf.max_request_bytes();
+    }
+
+    fn handle(host: &mut StorSystem, now: Nanos, ev: BlkEvent) {
+        host.handle_blk(now, ev);
+    }
+
+    fn run_backend(host: &mut StorSystem, now: Nanos) {
+        host.run_blkback(now);
+    }
+
+    fn guest_irq(host: &mut StorSystem, now: Nanos) {
+        host.blkfront_irq(now);
+    }
+
+    fn backend_lost(&mut self, bb: &BlkbackInstance, _recovery: &mut RecoveryStats) {
+        // Retire the incarnation so stale completions can't touch the
+        // successor.
+        self.bb_epoch += 1;
+        self.bb_stats_base.merge(&bb.stats());
+    }
+
+    /// Retires the dead device in the frontend and parks every
+    /// unacknowledged chunk for replay. Reads are side-effect free and
+    /// writes re-execute the same sectors, so the at-least-once replay
+    /// loses no acknowledged request.
+    fn salvage(&mut self, _hv: &Hypervisor, recovery: &mut RecoveryStats) {
+        // Function-level reset before the NVMe is re-assigned to the
+        // replacement domain: the dead incarnation's queue pairs, cursors
+        // and unreaped CQ entries vanish; media contents survive. The
+        // new blkback recreates its queues lazily on first drain.
+        self.nvme.reset();
+        self.blkfront = None;
+        let mut inflight: Vec<Chunk> = self.req_map.drain().map(|(_, c)| c).collect();
+        inflight.sort_by_key(|c| (c.tag, c.order));
+        recovery.retried_ops += inflight.len() as u64;
+        for c in inflight.into_iter().rev() {
+            self.pendq.push_front(c);
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> Nanos {
-        self.queue.now()
+    fn replay(host: &mut StorSystem, now: Nanos) {
+        host.drain_pendq(now);
     }
 
-    /// Installs the completion handler.
-    pub fn set_handler(&mut self, h: IoHandler) {
-        self.handler = Some(h);
-    }
-
-    /// Schedules a logical I/O submission at `t`.
-    pub fn submit_at(&mut self, t: Nanos, op: IoOp) {
-        self.queue.schedule_at(t, Event::Submit(op));
-    }
-
-    /// Schedules a driver-domain crash at `t` (kill injection).
-    pub fn crash_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverCrash);
-    }
-
-    /// Schedules a driver-domain livelock at `t` (hang injection).
-    pub fn hang_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverHang);
-    }
-
-    /// Schedules wedging ring `q` at `t`: that ring's request thread
-    /// stops running while the rest of the backend stays healthy. Only
-    /// per-queue ring-progress probing can catch it.
-    pub fn wedge_queue_at(&mut self, t: Nanos, q: usize) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::QueueWedge(q));
-    }
-
-    /// The configured ring mode.
-    pub fn queue_mode(&self) -> QueueMode {
-        self.queue_mode
-    }
-
-    /// Rings on the live backend (0 while the driver domain is down).
-    pub fn queue_count(&self) -> usize {
-        self.blkback.device().map_or(0, |bb| bb.ring_count())
-    }
-
-    /// Arms a fault plan: per-op fault rates go live on the hypervisor,
-    /// and `kill_at` / `hang_at` times (if set) schedule the
-    /// driver-domain crash or livelock.
-    pub fn inject_faults(&mut self, mut plan: FaultPlan) {
-        if let Some(t) = plan.take_kill() {
-            self.crash_driver_at(t);
-        }
-        if let Some(t) = plan.take_hang() {
-            self.hang_driver_at(t);
-        }
-        self.hv.faults = plan;
-    }
-
-    /// Switches failure detection from the oracle to the active watchdog:
-    /// the driver domain starts publishing heartbeats and Dom0 starts
-    /// probing them (plus ring progress and the SLO). Call before
-    /// injecting faults so the first probe precedes the first fault.
-    pub fn enable_watchdog(&mut self, cfg: MonitorConfig) {
-        let now = self.queue.now();
-        self.mode = DetectionMode::Watchdog;
-        self.monitor = Some(HealthMonitor::new(DomainId::DOM0, self.driver, cfg, now));
-        self.heartbeat = Some(HeartbeatPublisher::new(self.driver));
-        self.queue
-            .schedule_at(now + cfg.heartbeat_interval, Event::BeatTick);
-        self.queue
-            .schedule_at(now + cfg.probe_interval, Event::ProbeTick);
-    }
-
-    /// Sets the request-latency SLO the watchdog folds into its verdict.
-    pub fn set_slo(&mut self, cfg: SloConfig) {
-        self.slo_cfg = cfg;
-    }
-
-    /// Starts the time-series sampler: every `every` of virtual time a
-    /// `SampleTick` snapshots I/O counters (as deltas), queue
-    /// occupancy gauges, and the watchdog health state into a bounded
-    /// ring of `capacity` samples (oldest evicted first). The tick
-    /// re-arms only while other events are still pending so
-    /// [`run_to_quiescence`](Self::run_to_quiescence) terminates.
-    pub fn enable_sampling(&mut self, every: Nanos, capacity: usize) {
-        let sampler = TimeSeriesSampler::new(every, capacity)
+    fn sampler_columns(sampler: TimeSeriesSampler, _nrings: u32) -> TimeSeriesSampler {
+        sampler
             .with_column("ios", SampleKind::Counter)
             .with_column("read_bytes", SampleKind::Counter)
             .with_column("write_bytes", SampleKind::Counter)
             .with_column("requests", SampleKind::Counter)
             .with_column("in_flight", SampleKind::Gauge)
             .with_column("pendq", SampleKind::Gauge)
-            .with_column("health", SampleKind::Gauge);
-        self.sampler = Some(sampler);
-        let now = self.queue.now();
-        self.queue.schedule_at(now + every, Event::SampleTick);
+            .with_column("health", SampleKind::Gauge)
     }
 
-    /// The time series recorded by [`enable_sampling`](Self::enable_sampling).
-    pub fn sampler(&self) -> Option<&TimeSeriesSampler> {
-        self.sampler.as_ref()
-    }
-
-    fn sample_now(&mut self, at: Nanos) {
-        let Some(mut sampler) = self.sampler.take() else {
-            return;
-        };
-        let stats = self.blkback_stats();
-        let health = match self.health() {
-            None | Some(HealthState::Healthy) => 0u64,
-            Some(HealthState::Suspect { .. }) => 1,
-            _ => 2,
-        };
-        let raw = [
-            self.metrics.ios,
-            self.metrics.read_bytes,
-            self.metrics.write_bytes,
-            stats.requests,
-            self.req_map.len() as u64,
-            self.pendq.len() as u64,
+    fn sample_row(host: &StorSystem, health: u64) -> Vec<u64> {
+        let dp = &host.dp;
+        vec![
+            dp.metrics.ios,
+            dp.metrics.read_bytes,
+            dp.metrics.write_bytes,
+            host.blkback_stats().requests,
+            dp.req_map.len() as u64,
+            dp.pendq.len() as u64,
             health,
-        ];
-        sampler.record(at, &raw);
-        self.sampler = Some(sampler);
+        ]
     }
 
-    /// The active failure-detection mode.
-    pub fn detection_mode(&self) -> DetectionMode {
-        self.mode
-    }
-
-    /// The health monitor's current verdict, when the watchdog is on.
-    pub fn health(&self) -> Option<HealthState> {
-        self.monitor.as_ref().map(|m| m.state())
-    }
-
-    /// Whether the backend is currently up and serving.
-    pub fn backend_alive(&self) -> bool {
-        self.blkback.is_connected() && !self.hung
-    }
-
-    /// Runs the event loop until `deadline`.
-    pub fn run_until(&mut self, deadline: Nanos) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked");
-            self.events_processed += 1;
-            self.handle(now, ev);
+    fn driver_top(host: &StorSystem) -> DriverTop {
+        let stats = host.blkback_stats();
+        DriverTop {
+            requests: stats.requests,
+            bytes: stats.read_bytes + stats.write_bytes,
+            rx_dropped: 0,
+            gso_frames: 0,
+            qdepth: host.backend.device().map_or_else(Vec::new, |bb| {
+                bb.queue_progress(&host.hv)
+                    .into_iter()
+                    .map(|(_, pending)| pending)
+                    .collect()
+            }),
         }
     }
 
-    /// Runs until all events drain.
-    pub fn run_to_quiescence(&mut self) {
-        while let Some((now, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            self.handle(now, ev);
-        }
+    fn append_metrics(host: &StorSystem, snap: &mut MetricsSnapshot) {
+        let m = &host.dp.metrics;
+        snap.push_int("ios", "count", m.ios);
+        snap.push_int("logical_read_bytes", "bytes", m.read_bytes);
+        snap.push_int("logical_write_bytes", "bytes", m.write_bytes);
+        snap.push_float("mean_latency", "ns", m.latency.mean());
+        host.blkback_stats().append_metrics(snap);
+    }
+}
+
+impl Host<BlkPath> {
+    /// Installs the completion handler.
+    pub fn set_handler(&mut self, h: IoHandler) {
+        self.dp.handler = Some(h);
+    }
+
+    /// Schedules a logical I/O submission at `t`.
+    pub fn submit_at(&mut self, t: Nanos, op: IoOp) {
+        self.schedule_at(t, BlkEvent::Submit(op));
     }
 
     /// Outstanding logical I/Os.
     pub fn outstanding(&self) -> usize {
-        self.tags.len()
+        self.dp.tags.len()
     }
 
     /// Blkback statistics, summed across backend incarnations.
-    pub fn blkback_stats(&self) -> kite_core::BlkbackStats {
-        let mut s = self.bb_stats_base;
-        if let Some(bb) = self.blkback.device() {
+    pub fn blkback_stats(&self) -> BlkbackStats {
+        let mut s = self.dp.bb_stats_base;
+        if let Some(bb) = self.backend.device() {
             s.merge(&bb.stats());
         }
         s
     }
 
-    /// Switches blkback between batched and single-op grant copies; the
-    /// choice survives backend restarts.
-    pub fn set_copy_mode(&mut self, mode: kite_xen::CopyMode) {
-        self.copy_mode = mode;
-        if let Some(bb) = self.blkback.device_mut() {
-            bb.set_copy_mode(mode);
-        }
-    }
-
-    /// Driver-domain mean vCPU utilization over a window.
-    pub fn driver_cpu_percent(&self, window: Nanos) -> f64 {
-        self.driver_cpus.utilization_percent(window)
-    }
-
-    /// Events processed.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// The scheduler backend this system's event loop runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
-    /// Turns on structured tracing with an event-ring capacity of `cap`.
-    pub fn enable_tracing(&mut self, cap: usize) {
-        self.hv.trace.enable(cap);
-    }
-
-    /// Turns on per-request stage tracing: every `sample_every`-th
-    /// submitted logical I/O is tagged with a [`kite_xen::ReqId`] and
-    /// followed through the stack, feeding per-stage latency histograms,
-    /// the `repro lat` waterfalls and Perfetto flow arrows.
-    pub fn enable_req_tracing(&mut self, sample_every: u64) {
-        self.hv.req.enable(sample_every, DEFAULT_REQ_CAPACITY);
-    }
-
-    /// Stage attribution of the most recent SLO breach the watchdog saw,
-    /// when request tracing was on to supply per-stage histograms.
-    pub fn last_breach(&self) -> Option<&BreachAttribution> {
-        self.last_breach.as_ref()
-    }
-
-    /// Collects the scenario's measurement taps, lifetime blkback stats
-    /// and recovery accounting into one named snapshot.
-    pub fn metrics_snapshot(&self, scenario: impl Into<String>) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::new(scenario);
-        snap.push_int("ios", "count", self.metrics.ios);
-        snap.push_int("logical_read_bytes", "bytes", self.metrics.read_bytes);
-        snap.push_int("logical_write_bytes", "bytes", self.metrics.write_bytes);
-        snap.push_float("mean_latency", "ns", self.metrics.latency.mean());
-        self.blkback_stats().append_metrics(&mut snap);
-        self.recovery.append_metrics(&mut snap);
-        snap
-    }
-
     // ---- internals -----------------------------------------------------
 
-    fn guest_cpu_run(&mut self, now: Nanos, cost: Nanos) -> Nanos {
-        let mut best = self.guest_rr % self.guest_cpus.len();
-        let mut best_free = Nanos::MAX;
-        for (i, c) in self.guest_cpus.iter().enumerate() {
-            if c.free_at() < best_free {
-                best_free = c.free_at();
-                best = i;
-            }
-        }
-        self.guest_rr += 1;
-        let done = self.guest_cpus[best].run(now, cost);
-        self.guest_last_end = self.guest_last_end.max(done);
-        done
-    }
-
     fn notify_backend(&mut self, done: Nanos, q: usize) {
-        let Some(port) = self.blkfront.as_ref().map(|f| f.port_of(q)) else {
+        let Some(port) = self.dp.blkfront.as_ref().map(|f| f.port_of(q)) else {
             return;
         };
         // The channel dies with the backend domain: a notify raised
@@ -648,24 +382,9 @@ impl StorSystem {
         self.sched_irq(done, n);
     }
 
-    /// Schedules delivery of an event-channel notification raised at
-    /// `done`: the one pattern every evtchn kick funnels through.
-    fn sched_irq(&mut self, done: Nanos, n: Option<Notification>) {
-        if let Some(n) = n {
-            let delay = self.hv.irq_delay();
-            self.queue.schedule_at(
-                done + delay,
-                Event::Irq {
-                    dom: n.domain,
-                    port: n.port,
-                },
-            );
-        }
-    }
-
     /// Splits a logical op into ring-sized chunks.
     fn chunks_of(&self, op: &IoOp) -> Vec<Chunk> {
-        let max = self.max_req_bytes;
+        let max = self.dp.max_req_bytes;
         match &op.kind {
             IoKind::Read { sector, len } => {
                 let len = len.div_ceil(512) * 512;
@@ -719,45 +438,44 @@ impl StorSystem {
 
     /// Registers a logical op (creating its completion state) and queues
     /// its chunks; as many as fit go straight into the ring.
-    fn try_submit(&mut self, now: Nanos, op: IoOp, submitted: Nanos) -> bool {
+    fn try_submit(&mut self, now: Nanos, op: IoOp) {
         let want_data = matches!(op.kind, IoKind::Read { .. });
         if let IoKind::Write { data, .. } = &op.kind {
-            self.metrics.write_bytes += data.len() as u64;
+            self.dp.metrics.write_bytes += data.len() as u64;
         }
         let chunks = self.chunks_of(&op);
         // Injection point for request tracing: the sampler decides here
         // whether this logical I/O is followed stage by stage. The guest
         // application issues it, so the Inject stamp books to the guest.
-        self.hv.req.set_now(submitted);
+        self.hv.req.set_now(now);
         let req = self.hv.req.admit(self.guest.0);
-        self.tags.insert(
+        self.dp.tags.insert(
             op.tag,
             TagState {
                 remaining: chunks.len(),
                 ok: true,
                 chunks: Vec::new(),
                 want_data,
-                submitted,
+                submitted: now,
                 req,
             },
         );
         for c in chunks {
-            self.pendq.push_back(c);
+            self.dp.pendq.push_back(c);
         }
         self.drain_pendq(now);
-        true
     }
 
     /// Pushes parked chunks into the ring while space allows. During an
     /// outage the queue just accumulates; the reconnect drains it.
     fn drain_pendq(&mut self, now: Nanos) {
-        if self.blkfront.is_none() {
+        if self.dp.blkfront.is_none() {
             return;
         }
         let mut notify: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
         let mut cost = Nanos::ZERO;
-        while let Some(c) = self.pendq.front() {
-            let bf = self.blkfront.as_mut().expect("checked");
+        while let Some(c) = self.dp.pendq.front() {
+            let bf = self.dp.blkfront.as_mut().expect("checked");
             let res = match &c.kind {
                 ChunkKind::Read { sector, len } => bf.submit_read(&mut self.hv, *sector, *len),
                 ChunkKind::Write { sector, data } => bf.submit_write(&mut self.hv, *sector, data),
@@ -765,13 +483,13 @@ impl StorSystem {
             };
             match res {
                 Ok((id, fo)) => {
-                    let c = self.pendq.pop_front().expect("peeked");
-                    if let Some(r) = self.tags.get(&c.tag).and_then(|ts| ts.req) {
+                    let c = self.dp.pendq.pop_front().expect("peeked");
+                    if let Some(r) = self.dp.tags.get(&c.tag).and_then(|ts| ts.req) {
                         // First chunk's ring entry defines the submit leg;
                         // later chunks only map so the backend can find
                         // the sample (first-touch keeps one stamp).
                         self.hv.req.map(SlotClass::BlkReq, id, r);
-                        let bf = self.blkfront.as_ref().expect("checked");
+                        let bf = self.dp.blkfront.as_ref().expect("checked");
                         let qid =
                             (bf.queue_count() > 1).then(|| bf.ring_of(id).unwrap_or(0) as u16);
                         let dom = self.guest.0;
@@ -779,6 +497,7 @@ impl StorSystem {
                     }
                     if fo.notify {
                         let q = self
+                            .dp
                             .blkfront
                             .as_ref()
                             .expect("checked")
@@ -786,10 +505,10 @@ impl StorSystem {
                             .unwrap_or(0);
                         notify.insert(q);
                     }
-                    self.req_map.insert(id, c);
+                    self.dp.req_map.insert(id, c);
                     cost += fo.cost;
                 }
-                Err(kite_xen::XenError::RingFull) => break,
+                Err(XenError::RingFull) => break,
                 Err(e) => panic!("unexpected submit error: {e}"),
             }
         }
@@ -802,35 +521,35 @@ impl StorSystem {
     }
 
     fn run_blkback(&mut self, now: Nanos) {
-        if !self.blkback.is_connected() || self.hung {
+        if !self.backend.is_connected() || self.hung {
             return; // driver domain down (or livelocked: thread never runs)
         }
         // Each ring's request thread is pinned to its own driver vCPU, so
         // the rings drain concurrently.
-        let nrings = self.blkback.device().expect("checked").ring_count();
+        let nrings = self.backend.device().expect("checked").ring_count();
         for q in 0..nrings {
             loop {
-                let bb = self.blkback.device_mut().expect("checked");
+                let bb = self.backend.device_mut().expect("checked");
                 let batch = bb
-                    .request_thread_run(&mut self.hv, &mut self.nvme, q, now, 32)
+                    .request_thread_run(&mut self.hv, &mut self.dp.nvme, q, now, 32)
                     .expect("request thread");
                 self.driver_cpus.run_on(q, now, batch.cost);
                 for f in batch.failures {
-                    self.queue.schedule_at(
+                    self.schedule_at(
                         f.respond_at,
-                        Event::BlkError {
+                        BlkEvent::BlkError {
                             req_id: f.req_id,
                             ring: q,
-                            epoch: self.bb_epoch,
+                            epoch: self.dp.bb_epoch,
                         },
                     );
                 }
                 for (ring, fire_at) in batch.cq_irqs {
-                    self.queue.schedule_at(
+                    self.schedule_at(
                         fire_at,
-                        Event::NvmeCq {
+                        BlkEvent::NvmeCq {
                             ring,
-                            epoch: self.bb_epoch,
+                            epoch: self.dp.bb_epoch,
                         },
                     );
                 }
@@ -843,334 +562,45 @@ impl StorSystem {
 
     /// Charges a completion callback's cost to `vcpu` and sends the
     /// frontend notification for every ring the callback flagged.
-    fn finish_blk_completion(&mut self, now: Nanos, vcpu: usize, res: kite_core::BlkComplete) {
+    fn finish_blk_completion(&mut self, now: Nanos, vcpu: usize, res: BlkComplete) {
         let mut done = self.driver_cpus.run_on(vcpu, now, res.cost);
         let mut mask = res.notify_rings;
         while mask != 0 {
             let q = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let evtchn = self.blkback.device().expect("connected").port_of(q);
+            let evtchn = self.backend.device().expect("connected").port_of(q);
             let (n, c) = self.hv.evtchn_send(self.driver, evtchn).expect("channel");
             done = self.driver_cpus.run_on(vcpu, done, c);
             self.sched_irq(done, n);
         }
     }
 
-    /// The driver domain dies mid-flight: Xen reclaims its resources and
-    /// the domain's heartbeat stops with it. Under the oracle, detection
-    /// is immediate; under the watchdog, the frontend keeps submitting to
-    /// the dead backend until Dom0's monitor notices the silence.
-    fn kill_driver(&mut self, now: Nanos) {
-        if !self.blkback.is_connected() || self.recovering {
-            return; // already down
-        }
-        self.hung = false; // a dead domain no longer livelocks
-        self.recovery.record_crash(now);
-        let dead = self.driver.0;
-        self.hv
-            .trace
-            .emit_with(dead, || EventKind::Milestone { what: "kill" });
-        self.bb_epoch += 1;
-        if let Some(bb) = self.blkback.abandon(&mut self.hv) {
-            self.bb_stats_base.merge(&bb.stats());
-        }
-        self.hv
-            .destroy_domain(self.driver)
-            .expect("driver was alive");
-        if self.mode == DetectionMode::Oracle {
-            self.detect_failure(now);
-        }
-    }
-
-    /// The driver domain livelocks: the domain stays alive — and keeps
-    /// publishing heartbeats — but blkback stops consuming requests and
-    /// device completions never get serviced. Only the watchdog's
-    /// ring-progress detector can catch this; the oracle variant detects
-    /// it immediately, for ablation.
-    fn hang_driver(&mut self, now: Nanos) {
-        if !self.blkback.is_connected() || self.hung || self.recovering {
-            return;
-        }
-        self.hung = true;
-        self.recovery.record_hang(now);
-        let dom = self.driver.0;
-        self.hv
-            .trace
-            .emit_with(dom, || EventKind::Milestone { what: "hang" });
-        if self.mode == DetectionMode::Oracle {
-            self.detect_failure(now);
-        }
-    }
-
-    /// Dom0's toolstack learns the backend failed: it destroys the domain
-    /// if it still runs (livelock), walks the xenbus states, retires the
-    /// dead device in the frontend and parks every unacknowledged chunk
-    /// for replay. Reads are side-effect free and writes re-execute the
-    /// same sectors, so the at-least-once replay loses no acknowledged
-    /// request.
-    fn detect_failure(&mut self, now: Nanos) {
-        if self.recovering {
-            return; // recovery already underway
-        }
-        self.recovering = true;
-        if let Some(bb) = self.blkback.abandon(&mut self.hv) {
-            // Livelocked backend torn down at detection time: retire its
-            // incarnation so stale completions can't touch the successor.
-            self.bb_epoch += 1;
-            self.bb_stats_base.merge(&bb.stats());
-        }
-        if self.hv.domains.alive(self.driver) {
-            let _ = self.hv.destroy_domain(self.driver);
-        }
-        self.hung = false;
-        self.queue_wedged = false;
-        // Function-level reset before the NVMe is re-assigned to the
-        // replacement domain: the dead incarnation's queue pairs, cursors
-        // and unreaped CQ entries vanish; media contents survive. The
-        // new blkback recreates its queues lazily on first drain.
-        self.nvme.reset();
-        let d0 = DomainId::DOM0;
-        let bs = self.paths.backend_state();
-        let _ = self.hv.switch_state(d0, &bs, XenbusState::Closing);
-        let _ = self.hv.switch_state(d0, &bs, XenbusState::Closed);
-        self.recovery.record_detect(now);
-        self.hv
-            .trace
-            .emit_with(d0.0, || EventKind::Milestone { what: "detect" });
-        self.blkfront = None;
-        let mut inflight: Vec<Chunk> = self.req_map.drain().map(|(_, c)| c).collect();
-        inflight.sort_by_key(|c| (c.tag, c.order));
-        self.recovery.retried_ops += inflight.len() as u64;
-        for c in inflight.into_iter().rev() {
-            self.pendq.push_front(c);
-        }
-        let fs = self.paths.frontend_state();
-        let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closing);
-        let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closed);
-        let boot = self.boot.sample(&mut self.rng);
-        self.queue.schedule_at(now + boot, Event::DriverRestarted);
-    }
-
-    /// The replacement driver domain booted: NVMe re-assigned, device
-    /// pair re-provisioned, both ends reconnected, parked I/O replayed.
-    fn driver_restarted(&mut self, now: Nanos) {
-        let (name, mem) = match self.os {
-            BackendOs::Kite => ("blkbackend", 1024),
-            BackendOs::Linux => ("ubuntu-dd", 2048),
-        };
-        let nrings = self.queue_mode.queues();
-        let driver = self.hv.create_domain(name, DomainKind::Driver, mem, nrings);
-        self.driver = driver;
-        self.hv
-            .trace
-            .emit_with(driver.0, || EventKind::Milestone { what: "reboot" });
-        self.driver_cpus = CpuPool::new(nrings as usize);
-        self.hv
-            .pci
-            .assign(self.nvme_bdf, driver)
-            .expect("nvme back in pool");
-        self.blockapp = BlockApp::start(&mut self.hv, driver, self.nvme.sectors).expect("blockapp");
-        self.mgr = BackendManager::new(driver, DeviceKind::Vbd);
-        self.mgr.start(&mut self.hv).expect("watch");
-        self.paths = DevicePaths::new(self.guest, driver, DeviceKind::Vbd, 0);
-        provision_device(&mut self.hv, &self.paths).expect("re-provision");
-        if nrings > 1 {
-            let be = self.paths.backend();
-            self.hv
-                .store
-                .write(
-                    DomainId::DOM0,
-                    None,
-                    &format!("{be}/{MQ_MAX_QUEUES_KEY}"),
-                    &nrings.to_string(),
-                )
-                .expect("re-advertise rings");
-        }
-        self.mgr.drain_events(&mut self.hv).expect("scan");
-        let mut bf =
-            Blkfront::connect_with_queues(&mut self.hv, &self.paths, nrings).expect("blkfront");
-        let ready = self.mgr.drain_events(&mut self.hv).expect("events");
-        assert_eq!(ready.len(), 1, "frontend rediscovered after restart");
-        self.blkback
-            .retarget(&mut self.hv, ready[0].clone())
-            .expect("slot empty");
-        self.blkback.connect(&mut self.hv).expect("reconnect");
-        if let Some(bb) = self.blkback.device_mut() {
-            bb.set_copy_mode(self.copy_mode);
-        }
-        bf.read_features(&mut self.hv, &self.paths)
-            .expect("features");
-        self.max_req_bytes = bf.max_request_bytes();
-        self.blkfront = Some(bf);
-        self.hv
-            .switch_state(
-                self.guest,
-                &self.paths.frontend_state(),
-                XenbusState::Connected,
-            )
-            .expect("frontend reconnect");
-        self.recovery.reconnects += 1;
-        self.hv
-            .trace
-            .emit_with(driver.0, || EventKind::Milestone { what: "reconnect" });
-        if let Some(t0) = self.recovery.last_crash_at {
-            self.recovery.downtime += now - t0;
-        }
-        self.recovering = false;
-        if self.mode == DetectionMode::Watchdog {
-            // The replacement domain's heartbeat task beats as soon as it
-            // boots, and the monitor re-aims at the new domain id.
-            let mut hb = HeartbeatPublisher::new(driver);
-            let _ = hb.beat(&mut self.hv);
-            self.heartbeat = Some(hb);
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.retarget(&mut self.hv, driver, now);
-            }
-        }
-        self.drain_pendq(now);
-    }
-
-    fn handle(&mut self, now: Nanos, ev: Event) {
-        let _prof = kite_prof::span(phase_of(&ev));
-        self.hv.trace.set_now(now);
-        self.hv.req.set_now(now);
+    fn handle_blk(&mut self, now: Nanos, ev: BlkEvent) {
         match ev {
-            Event::Submit(op) => {
-                let ok = self.try_submit(now, op, now);
-                let _ = ok;
-            }
-            Event::Irq { dom, port } => {
-                let _ = self.hv.evtchn.clear_pending(dom, port);
-                if dom == self.driver {
-                    if !self.blkback.is_connected() || self.hung {
-                        return; // stale interrupt, or a livelocked handler
-                    }
-                    // The handler runs on the vCPU the owning ring is
-                    // pinned to.
-                    let bb = self.blkback.device().expect("checked");
-                    let q = (0..bb.ring_count())
-                        .find(|&q| bb.port_of(q) == port)
-                        .unwrap_or(0);
-                    let cost = bb.irq_handler_cost();
-                    let idle = now.saturating_sub(self.driver_cpus.free_at(q));
-                    let wake = self.os.profile().idle_wake(idle);
-                    let t = self.driver_cpus.run_on(q, now, wake + cost);
-                    self.run_blkback(t);
-                } else if dom == self.guest {
-                    if self.blkfront.is_none() {
-                        return; // stale interrupt for a retired device
-                    }
-                    let earliest = self.guest_last_end;
-                    // Guest wake-from-halt before completions are seen
-                    // (same model as the network guest; worker latency).
-                    let wake =
-                        Nanos(now.saturating_sub(earliest).as_nanos() / 10).min(Nanos(170_000));
-                    let now = now + wake;
-                    let op = self
-                        .blkfront
-                        .as_mut()
-                        .expect("checked")
-                        .on_irq(&mut self.hv)
-                        .expect("blkfront irq");
-                    self.guest_cpu_run(now, wake + op.cost);
-                    let completions = self.blkfront.as_mut().expect("checked").take_completions();
-                    let mut finished: Vec<IoDone> = Vec::new();
-                    for c in completions {
-                        let Some(chunk) = self.req_map.remove(&c.id) else {
-                            continue;
-                        };
-                        let (tag, order) = (chunk.tag, chunk.order);
-                        let Some(ts) = self.tags.get_mut(&tag) else {
-                            continue;
-                        };
-                        if let Some(r) = ts.req {
-                            // Guest sees the completion after wake-from-halt.
-                            let dom = self.guest.0;
-                            self.hv
-                                .req
-                                .stamp_at(r, ReqStage::IrqDeliver, dom, None, now);
-                        }
-                        ts.ok &= c.ok;
-                        if let Some(d) = c.data {
-                            if ts.want_data {
-                                ts.chunks.push((order, d));
-                            }
-                        }
-                        ts.remaining -= 1;
-                        if ts.remaining == 0 {
-                            let mut ts = self.tags.remove(&tag).expect("present");
-                            ts.chunks.sort_by_key(|&(o, _)| o);
-                            let data = if ts.want_data && ts.ok {
-                                let mut buf = Vec::new();
-                                for (_, d) in ts.chunks {
-                                    buf.extend_from_slice(&d);
-                                }
-                                Some(buf)
-                            } else {
-                                None
-                            };
-                            if let Some(r) = ts.req {
-                                self.hv.req.finish_at(r, self.guest.0, now);
-                            }
-                            let lat = now - ts.submitted;
-                            self.metrics.ios += 1;
-                            self.metrics.latency.push_nanos(lat);
-                            self.latency_hist.record(lat);
-                            if self.recovery.record_first_byte(now) {
-                                let guest = self.guest.0;
-                                self.hv.trace.emit_with(guest, || EventKind::Milestone {
-                                    what: "first_byte",
-                                });
-                            }
-                            if let Some(d) = &data {
-                                self.metrics.read_bytes += d.len() as u64;
-                            }
-                            finished.push(IoDone {
-                                tag,
-                                ok: ts.ok,
-                                data,
-                                submitted: ts.submitted,
-                            });
-                        }
-                    }
-                    // Ring slots freed: drain parked ops first.
-                    self.drain_pendq(now);
-                    if let Some(mut h) = self.handler.take() {
-                        for d in &finished {
-                            let next = h(now, d);
-                            for op in next {
-                                if !self.try_submit(now, op, now) {
-                                    // Parked; drained on future completions.
-                                }
-                            }
-                        }
-                        self.handler = Some(h);
-                    }
-                }
-            }
-            Event::BlkError {
+            BlkEvent::Submit(op) => self.try_submit(now, op),
+            BlkEvent::BlkError {
                 req_id,
                 ring,
                 epoch,
             } => {
-                if epoch != self.bb_epoch || self.hung {
+                if epoch != self.dp.bb_epoch || self.hung {
                     // Response of a crashed backend incarnation, or a
                     // livelocked completion callback that never runs.
                     return;
                 }
-                let Some(bb) = self.blkback.device_mut() else {
+                let Some(bb) = self.backend.device_mut() else {
                     return; // the request died with the driver domain
                 };
                 let res = bb.complete(&mut self.hv, req_id).expect("complete");
                 self.finish_blk_completion(now, ring, res);
             }
-            Event::NvmeCq { ring, epoch } => {
-                if epoch != self.bb_epoch || self.hung {
+            BlkEvent::NvmeCq { ring, epoch } => {
+                if epoch != self.dp.bb_epoch || self.hung {
                     // A CQ entry of a crashed/reset controller incarnation,
                     // or a livelocked interrupt handler that never runs.
                     return;
                 }
-                let Some(bb) = self.blkback.device_mut() else {
+                let Some(bb) = self.backend.device_mut() else {
                     return; // the submission died with the driver domain
                 };
                 // MSI-X steering: the completion interrupt lands on the
@@ -1178,182 +608,107 @@ impl StorSystem {
                 // ring's own vCPU, unless rings share a pair).
                 let vcpu = bb
                     .qid_of(ring)
-                    .and_then(|qid| self.nvme.vector_of(qid))
+                    .and_then(|qid| self.dp.nvme.vector_of(qid))
                     .map_or(ring, |v| v.vcpu);
                 let res = bb
-                    .reap_completions(&mut self.hv, &mut self.nvme, ring, now)
+                    .reap_completions(&mut self.hv, &mut self.dp.nvme, ring, now)
                     .expect("reap");
                 if res.completed == 0 {
                     return; // an earlier interrupt already reaped the entry
                 }
                 self.finish_blk_completion(now, vcpu, res);
             }
-            Event::DriverCrash => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.kill_driver(now);
-            }
-            Event::DriverHang => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.hang_driver(now);
-            }
-            Event::QueueWedge(q) => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                if let Some(bb) = self.blkback.device_mut() {
-                    if q < bb.ring_count() {
-                        bb.set_queue_wedged(q, true);
-                        self.queue_wedged = true;
-                        self.hv
-                            .trace
-                            .emit_with(self.driver.0, || EventKind::Milestone { what: "wedge" });
-                    }
-                }
-            }
-            Event::DriverRestarted => self.driver_restarted(now),
-            Event::BeatTick => {
-                // The heartbeat task runs inside the driver domain, so it
-                // survives a livelock — but dies with the domain.
-                if let Some(hb) = self.heartbeat.as_mut() {
-                    let _ = hb.beat(&mut self.hv);
-                }
-                if self.watch_live() {
-                    if let Some(mon) = self.monitor.as_ref() {
-                        self.queue
-                            .schedule_at(now + mon.config().heartbeat_interval, Event::BeatTick);
-                    }
-                }
-            }
-            Event::ProbeTick => {
-                let Some(mut mon) = self.monitor.take() else {
-                    return;
-                };
-                let samples: Vec<ProgressSample> = self
-                    .blkback
-                    .device()
-                    .map(|bb| {
-                        bb.queue_progress(&self.hv)
-                            .into_iter()
-                            .map(|(consumed, pending)| ProgressSample { consumed, pending })
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                let slo_report = slo::evaluate(&self.latency_hist, &self.slo_cfg);
-                let slo_ok = !slo_report.breached;
-                if slo_report.breached {
-                    // Name the stage dominating the tail while it breaches
-                    // (needs request tracing; None otherwise).
-                    self.last_breach = slo::attribute(&self.hv.req);
-                }
-                let verdict = mon.probe_queues(&mut self.hv, now, &samples, slo_ok);
-                let interval = mon.config().probe_interval;
-                self.monitor = Some(mon);
-                if verdict.is_failed() {
-                    self.detect_failure(now);
-                }
-                if self.watch_live() {
-                    self.queue.schedule_at(now + interval, Event::ProbeTick);
-                }
-            }
-            Event::SampleTick => {
-                self.sample_now(now);
-                // Re-arm only while the workload is still producing
-                // events, so quiescence is reachable.
-                if let Some(every) = self.sampler.as_ref().map(|s| s.interval()) {
-                    if !self.queue.is_empty() {
-                        self.queue.schedule_at(now + every, Event::SampleTick);
-                    }
-                }
-            }
         }
     }
 
-    /// Whether the watchdog's ticks should keep rescheduling themselves.
-    ///
-    /// A real watchdog polls forever; here the ticks stay armed only
-    /// while a fault can still need detecting (one is scheduled, the
-    /// backend is hung/down, or recovery is in flight) so that
-    /// [`StorSystem::run_to_quiescence`] terminates once the system
-    /// settles into a healthy steady state.
-    fn watch_live(&self) -> bool {
-        self.mode == DetectionMode::Watchdog
-            && (self.pending_faults > 0
-                || self.hung
-                || self.queue_wedged
-                || self.recovering
-                || !self.blkback.is_connected())
-    }
-
-    /// Freezes a `kitetop` view of every domain (dead incarnations
-    /// included) at the current virtual time.
-    pub fn top_snapshot(&self) -> TopSnapshot {
-        let at = self.queue.now();
-        let secs = at.as_secs_f64();
-        let stats = self.blkback_stats();
-        let mut rows: Vec<TopRow> = self
-            .hv
-            .domains
-            .iter_all()
-            .map(|d| {
-                let is_driver = d.id == self.driver;
-                let (health, beat_age) = match &self.monitor {
-                    Some(m) if m.target() == d.id => {
-                        let h = match m.state() {
-                            HealthState::Suspect { missed } => format!("suspect({missed})"),
-                            s => s.name().to_string(),
-                        };
-                        (h, Some(m.heartbeat_age(at)))
-                    }
-                    _ => ("-".to_string(), None),
-                };
-                let (ring_consumed, ring_pending) = match self.blkback.device() {
-                    Some(bb) if is_driver => bb.progress(&self.hv),
-                    _ => (0, 0),
-                };
-                let (req_per_sec, mbytes_per_sec) = if is_driver && secs > 0.0 {
-                    (
-                        stats.requests as f64 / secs,
-                        (stats.read_bytes + stats.write_bytes) as f64 / 1e6 / secs,
-                    )
-                } else {
-                    (0.0, 0.0)
-                };
-                TopRow {
-                    dom: d.id.0,
-                    name: d.name.clone(),
-                    kind: match d.kind {
-                        DomainKind::Dom0 => "dom0",
-                        DomainKind::Driver => "driver",
-                        DomainKind::Guest => "guest",
-                    },
-                    alive: d.state != DomainState::Dead,
-                    health,
-                    beat_age,
-                    ring_pending,
-                    ring_consumed,
-                    grants: self.hv.grants.live_grants(d.id),
-                    maps: self.hv.grants.active_maps(d.id),
-                    evtchns: self.hv.evtchn.open_ports(d.id),
-                    req_per_sec,
-                    mbytes_per_sec,
-                    rx_dropped: 0,
-                    gso_frames: 0,
-                    rx_qdepth: match self.blkback.device() {
-                        Some(bb) if is_driver => bb
-                            .queue_progress(&self.hv)
-                            .into_iter()
-                            .map(|(_, pending)| pending)
-                            .collect(),
-                        _ => Vec::new(),
-                    },
-                    p99_us: self
-                        .hv
-                        .req
-                        .dom_hist(d.id.0)
-                        .filter(|h| h.count() > 0)
-                        .map(|h| h.quantile(0.99).as_nanos() as f64 / 1000.0),
+    /// Blkfront's interrupt handler in the guest.
+    fn blkfront_irq(&mut self, now: Nanos) {
+        if self.dp.blkfront.is_none() {
+            return; // stale interrupt for a retired device
+        }
+        let earliest = self.guest_last_end;
+        // Guest wake-from-halt before completions are seen
+        // (same model as the network guest; worker latency).
+        let wake = Nanos(now.saturating_sub(earliest).as_nanos() / 10).min(Nanos(170_000));
+        let now = now + wake;
+        let op = self
+            .dp
+            .blkfront
+            .as_mut()
+            .expect("checked")
+            .on_irq(&mut self.hv)
+            .expect("blkfront irq");
+        self.guest_cpu_run(now, wake + op.cost);
+        let completions = self
+            .dp
+            .blkfront
+            .as_mut()
+            .expect("checked")
+            .take_completions();
+        let mut finished: Vec<IoDone> = Vec::new();
+        for c in completions {
+            let Some(chunk) = self.dp.req_map.remove(&c.id) else {
+                continue;
+            };
+            let (tag, order) = (chunk.tag, chunk.order);
+            let Some(ts) = self.dp.tags.get_mut(&tag) else {
+                continue;
+            };
+            if let Some(r) = ts.req {
+                // Guest sees the completion after wake-from-halt.
+                let dom = self.guest.0;
+                self.hv
+                    .req
+                    .stamp_at(r, ReqStage::IrqDeliver, dom, None, now);
+            }
+            ts.ok &= c.ok;
+            if let Some(d) = c.data {
+                if ts.want_data {
+                    ts.chunks.push((order, d));
                 }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.dom);
-        TopSnapshot { at, rows }
+            }
+            ts.remaining -= 1;
+            if ts.remaining == 0 {
+                let mut ts = self.dp.tags.remove(&tag).expect("present");
+                ts.chunks.sort_by_key(|&(o, _)| o);
+                let data = if ts.want_data && ts.ok {
+                    let mut buf = Vec::new();
+                    for (_, d) in ts.chunks {
+                        buf.extend_from_slice(&d);
+                    }
+                    Some(buf)
+                } else {
+                    None
+                };
+                if let Some(r) = ts.req {
+                    self.hv.req.finish_at(r, self.guest.0, now);
+                }
+                let lat = now - ts.submitted;
+                self.dp.metrics.ios += 1;
+                self.dp.metrics.latency.push_nanos(lat);
+                self.latency_hist.record(lat);
+                self.mark_first_byte(now);
+                if let Some(d) = &data {
+                    self.dp.metrics.read_bytes += d.len() as u64;
+                }
+                finished.push(IoDone {
+                    tag,
+                    ok: ts.ok,
+                    data,
+                    submitted: ts.submitted,
+                });
+            }
+        }
+        // Ring slots freed: drain parked ops first.
+        self.drain_pendq(now);
+        if let Some(mut h) = self.dp.handler.take() {
+            for d in &finished {
+                let next = h(now, d);
+                for op in next {
+                    self.try_submit(now, op);
+                }
+            }
+            self.dp.handler = Some(h);
+        }
     }
 }

@@ -15,7 +15,7 @@ use crate::domain::{DomainId, DomainKind, DomainTable};
 use crate::error::Result;
 use crate::evtchn::{EventChannels, Notification, Port};
 use crate::fault::FaultPlan;
-use crate::grant::{CopySide, CopyStatus, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
+use crate::grant::{CopyStatus, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
 use crate::hypercall::{CostModel, HypercallKind, HypercallMeter};
 use crate::iommu::Iommu;
 use crate::mem::{MachineMemory, PageId};
@@ -285,23 +285,6 @@ impl Hypervisor {
         }
     }
 
-    /// Charged single-op `GNTTABOP_copy` — a thin one-element wrapper over
-    /// [`Hypervisor::grant_copy_batch`], kept for setup paths and as the
-    /// migration-era comparison shape for the drivers' batched fast paths.
-    pub fn grant_copy(
-        &mut self,
-        caller: DomainId,
-        src: CopySide,
-        dst: CopySide,
-        len: usize,
-    ) -> Result<Nanos> {
-        let batch = self.grant_copy_batch(caller, &[GrantCopyOp { src, dst, len }]);
-        match batch.statuses[0] {
-            CopyStatus::Okay => Ok(batch.cost),
-            CopyStatus::Error(e) => Err(e),
-        }
-    }
-
     /// Charged `EVTCHNOP_send`.
     ///
     /// Returns the notification (if the peer transitioned to pending) plus
@@ -485,22 +468,23 @@ mod tests {
         let dpage = hv.alloc_page(dd).unwrap();
         hv.mem.page_mut(gpage).unwrap()[0..4].copy_from_slice(b"ping");
         let gref = hv.grant_access(gu, dd, gpage, true).unwrap();
-        let cost = hv
-            .grant_copy(
-                dd,
-                CopySide::Grant {
+        let batch = hv.grant_copy_batch(
+            dd,
+            &[GrantCopyOp {
+                src: CopySide::Grant {
                     granter: gu,
                     gref,
                     offset: 0,
                 },
-                CopySide::Local {
+                dst: CopySide::Local {
                     page: dpage,
                     offset: 0,
                 },
-                4,
-            )
-            .unwrap();
-        assert!(cost > Nanos::ZERO);
+                len: 4,
+            }],
+        );
+        assert_eq!(batch.statuses, [CopyStatus::Okay]);
+        assert!(batch.cost > Nanos::ZERO);
         assert_eq!(&hv.mem.page(dpage).unwrap()[0..4], b"ping");
         assert_eq!(hv.meter(dd).count(HypercallKind::GntCopy), 1);
         assert_eq!(hv.meter(gu).total_count(), 0, "guest issued no hypercall");
@@ -611,20 +595,22 @@ mod tests {
     }
 
     #[test]
-    fn single_op_wrapper_costs_exactly_a_one_op_batch() {
+    fn one_op_batch_costs_exactly_a_single_copy_hypercall() {
         let mut hv = Hypervisor::new();
         hv.create_domain("Domain-0", DomainKind::Dom0, 1024, 4);
         let dd = hv.create_domain("dd", DomainKind::Driver, 256, 1);
         let a = hv.alloc_page(dd).unwrap();
         let b = hv.alloc_page(dd).unwrap();
         let cost = hv
-            .grant_copy(
+            .grant_copy_batch(
                 dd,
-                CopySide::Local { page: a, offset: 0 },
-                CopySide::Local { page: b, offset: 0 },
-                512,
+                &[GrantCopyOp {
+                    src: CopySide::Local { page: a, offset: 0 },
+                    dst: CopySide::Local { page: b, offset: 0 },
+                    len: 512,
+                }],
             )
-            .unwrap();
+            .cost;
         assert_eq!(cost, hv.costs.gnt_copy_batch(1, 512));
         assert_eq!(cost, hv.costs.cost(HypercallKind::GntCopy, 512));
     }

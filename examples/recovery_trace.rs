@@ -13,7 +13,7 @@
 //! Open the file at <https://ui.perfetto.dev>.
 
 use kite::sim::Nanos;
-use kite::system::{addrs, BackendOs, NetSystem, Side};
+use kite::system::{addrs, BackendOs, Side, SystemConfig};
 use kite::trace::DEFAULT_CAPACITY;
 use kite::xen::FaultPlan;
 
@@ -25,8 +25,9 @@ fn main() {
             .into_owned()
     });
 
-    let mut sys = NetSystem::new(BackendOs::Kite, 11);
-    sys.enable_tracing(DEFAULT_CAPACITY);
+    let mut sys = SystemConfig::new(BackendOs::Kite, 11)
+        .tracing(DEFAULT_CAPACITY)
+        .build_net();
     // 30 s of guest→client traffic at 4 msg/s, driver killed at 2 s.
     for i in 0..120u64 {
         sys.send_udp_at(

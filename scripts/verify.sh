@@ -3,7 +3,8 @@
 # workspace has no registry dependencies — `criterion` resolves to the
 # local shim at crates/criterion — so --offline must always succeed.
 #
-#   build (release)  ->  tests  ->  clippy -D warnings  ->  fmt --check
+#   build (release)  ->  tests  ->  determinism cmps  ->  benchmark/ smoke
+#   ->  doc  ->  clippy -D warnings  ->  fmt --check
 #
 # Any failure fails the gate.
 set -euo pipefail
@@ -278,6 +279,16 @@ need = {f"{w}_{q}_ms" for w in ("ping", "netperf", "memtier")
         for q in ("mean", "p50", "p99", "p999")}
 assert need <= lat, f"latency rows missing: {sorted(need - lat)}"
 EOF
+
+echo "==> benchmark/: lint gate, then the four workloads end to end"
+# benchmark/ is its own workspace, so nothing above compiles it: a
+# public-API slip in kite_system would otherwise only surface when the
+# pipeline rejects the PR. Each run's own payload/order/conservation/
+# digest-stability checks are the assertion (non-zero exit fails the gate).
+bash benchmark/check.sh
+for w in rr_open gso_stream bidir_mtu stor_mixed; do
+    bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1 > /dev/null
+done
 
 echo "==> cargo doc --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet

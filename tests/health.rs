@@ -16,9 +16,7 @@ use std::rc::Rc;
 
 use kite_health::{render_top, HealthState, MonitorConfig, SloConfig};
 use kite_sim::Nanos;
-use kite_system::{
-    addrs, BackendOs, DetectionMode, IoKind, IoOp, NetSystem, Side, StorSystem, SystemConfig,
-};
+use kite_system::{addrs, BackendOs, DetectionMode, IoKind, IoOp, NetSystem, Side, SystemConfig};
 use kite_xen::FaultPlan;
 
 const MSGS: u64 = 120;
@@ -27,9 +25,10 @@ const MSGS: u64 = 120;
 /// traffic at 4 msg/s — fast enough that the tx ring always has pending
 /// requests between two 500 ms probes, which the stall detector needs.
 fn net_watchdog(os: BackendOs, seed: u64) -> (NetSystem, Rc<RefCell<u64>>) {
-    let mut sys = NetSystem::new(os, seed);
-    sys.enable_tracing(1 << 16);
-    sys.enable_watchdog(MonitorConfig::default());
+    let mut sys = SystemConfig::new(os, seed)
+        .tracing(1 << 16)
+        .watchdog(MonitorConfig::default())
+        .build_net();
     let received: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     let r2 = received.clone();
     sys.set_client_app(Box::new(move |_, _| {
@@ -139,9 +138,10 @@ fn net_watchdog_detects_hang_via_ring_stall() {
 fn stor_watchdog_detects_kill_and_hang() {
     for os in BackendOs::both() {
         for hang in [false, true] {
-            let mut sys = StorSystem::new(os, 42);
-            sys.enable_tracing(1 << 16);
-            sys.enable_watchdog(MonitorConfig::default());
+            let mut sys = SystemConfig::new(os, 42)
+                .tracing(1 << 16)
+                .watchdog(MonitorConfig::default())
+                .build_stor();
             const WRITES: u64 = 50;
             sys.set_handler(Box::new(|_, done| {
                 assert!(done.ok, "write {} failed", done.tag);
@@ -215,9 +215,9 @@ fn oracle_detects_instantly_watchdog_never_does() {
         if mode == DetectionMode::Oracle {
             // `net_watchdog` enabled the watchdog; build the oracle run
             // from scratch instead so both modes share the workload.
-            let fresh = NetSystem::new(BackendOs::Kite, 42);
-            sys = fresh;
-            sys.enable_tracing(1 << 16);
+            sys = SystemConfig::new(BackendOs::Kite, 42)
+                .tracing(1 << 16)
+                .build_net();
             for i in 0..MSGS {
                 sys.send_udp_at(
                     Nanos::from_millis(1 + 250 * i),
@@ -304,15 +304,16 @@ fn kitetop_output_is_byte_identical_same_seed() {
 /// without triggering recovery (the backend is slow, not dead).
 #[test]
 fn slo_breach_marks_backend_suspect() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 42);
-    sys.enable_tracing(1 << 16);
-    sys.enable_watchdog(MonitorConfig::default());
-    // Any measured RTT busts a 1 ns p99 budget.
-    sys.set_slo(SloConfig {
-        p99: Some(Nanos(1)),
-        min_samples: 1,
-        ..SloConfig::default()
-    });
+    let mut sys = SystemConfig::new(BackendOs::Kite, 42)
+        .tracing(1 << 16)
+        .watchdog(MonitorConfig::default())
+        // Any measured RTT busts a 1 ns p99 budget.
+        .slo(SloConfig {
+            p99: Some(Nanos(1)),
+            min_samples: 1,
+            ..SloConfig::default()
+        })
+        .build_net();
     for i in 0..8u64 {
         sys.ping_at(Nanos::from_millis(1 + 10 * i), i as u16);
     }

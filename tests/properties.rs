@@ -307,20 +307,22 @@ fn grant_copy_exact() {
             *b = (i % 251) as u8;
         }
         let gref = hv.grant_access(gu, dd, sp, true).unwrap();
-        hv.grant_copy(
+        let batch = hv.grant_copy_batch(
             dd,
-            kite::xen::CopySide::Grant {
-                granter: gu,
-                gref,
-                offset: src_off,
-            },
-            kite::xen::CopySide::Local {
-                page: dp,
-                offset: dst_off,
-            },
-            len,
-        )
-        .unwrap();
+            &[kite::xen::GrantCopyOp {
+                src: kite::xen::CopySide::Grant {
+                    granter: gu,
+                    gref,
+                    offset: src_off,
+                },
+                dst: kite::xen::CopySide::Local {
+                    page: dp,
+                    offset: dst_off,
+                },
+                len,
+            }],
+        );
+        assert_eq!(batch.statuses, [kite::xen::CopyStatus::Okay]);
         let dst = hv.mem.page(dp).unwrap();
         for i in 0..len {
             assert_eq!(dst[dst_off + i], ((src_off + i) % 251) as u8);

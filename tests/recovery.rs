@@ -11,7 +11,10 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use kite_sim::Nanos;
-use kite_system::{addrs, BackendOs, IoKind, IoOp, NetSystem, Side, StorSystem};
+use kite_system::{
+    addrs, BackendOs, BlkPath, Datapath, Host, IoKind, IoOp, MonitorConfig, NetPath, NetSystem,
+    Side, StorSystem, SystemConfig,
+};
 use kite_xen::FaultPlan;
 
 /// Kill the driver domain mid-UDP-stream. Every frame the guest's send
@@ -22,8 +25,7 @@ use kite_xen::FaultPlan;
 fn net_driver_crash_mid_udp_stream_recovers_without_acked_loss() {
     let mut downtimes = Vec::new();
     for os in BackendOs::both() {
-        let mut sys = NetSystem::new(os, 42);
-        sys.enable_tracing(1 << 16);
+        let mut sys = SystemConfig::new(os, 42).tracing(1 << 16).build_net();
         let received: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
         let r2 = received.clone();
         sys.set_client_app(Box::new(move |_, msg| {
@@ -265,8 +267,9 @@ fn recovery_is_deterministic_same_seed() {
 #[test]
 fn trace_export_is_byte_identical_across_same_seed_runs() {
     let run = |seed: u64| {
-        let mut sys = NetSystem::new(BackendOs::Kite, seed);
-        sys.enable_tracing(1 << 16);
+        let mut sys = SystemConfig::new(BackendOs::Kite, seed)
+            .tracing(1 << 16)
+            .build_net();
         for i in 0..50u64 {
             sys.send_udp_at(
                 Nanos::from_millis(1 + 200 * i),
@@ -361,4 +364,178 @@ fn multi_queue_driver_recovers_all_queues_without_acked_loss() {
             );
         }
     }
+}
+
+/// A fault [`outage`] injects.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    Kill,
+    Hang,
+    Wedge,
+}
+
+impl Fault {
+    /// The trace milestone the fault emits when it fires.
+    fn milestone(self) -> &'static str {
+        match self {
+            Fault::Kill => "kill",
+            Fault::Hang => "hang",
+            Fault::Wedge => "wedge",
+        }
+    }
+
+    fn arm<D: Datapath>(self, sys: &mut Host<D>, at: Nanos) {
+        match self {
+            Fault::Kill => sys.crash_driver_at(at),
+            Fault::Hang => sys.hang_driver_at(at),
+            Fault::Wedge => sys.wedge_queue_at(at, 0),
+        }
+    }
+}
+
+/// Virtual times of every `what` milestone, oldest first.
+fn milestone_times<D: Datapath>(sys: &Host<D>, what: &str) -> Vec<Nanos> {
+    let q =
+        sys.hv.trace.query().filter(
+            |e| matches!(e.kind, kite_trace::EventKind::Milestone { what: w } if w == what),
+        );
+    q.iter().map(|e| e.at).collect()
+}
+
+/// 40 s of guest→client UDP at 4 msg/s: the Tx ring always has pending
+/// requests between two probes, which the stall detector needs.
+fn net_load(sys: &mut NetSystem) {
+    for i in 0..160u64 {
+        sys.send_udp_at(
+            Nanos::from_millis(1 + 250 * i),
+            Side::Guest,
+            addrs::CLIENT,
+            9999,
+            1234,
+            vec![i as u8; 1400],
+        );
+    }
+}
+
+/// 39 s of 16 KiB writes, one every 300 ms.
+fn stor_load(sys: &mut StorSystem) {
+    for i in 0..130u64 {
+        sys.submit_at(
+            Nanos::from_millis(1 + 300 * i),
+            IoOp {
+                tag: i,
+                kind: IoKind::Write {
+                    sector: 128 * i,
+                    data: vec![(i + 1) as u8; 16 * 1024],
+                },
+            },
+        );
+    }
+}
+
+/// One watchdog-detected outage on either datapath: whatever the fault,
+/// the host walks `fault → detect → reboot → reconnect → first_byte`,
+/// detects within the probe-schedule bound, and books exactly
+/// `reconnect − fault` as downtime.
+fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut Host<D>)) {
+    let label = format!("{fault:?}/{}/q{queues}", os.name());
+    let mut sys: Host<D> = SystemConfig::new(os, 42)
+        .queues(queues)
+        .tracing(1 << 16)
+        .watchdog(MonitorConfig::default())
+        .build();
+    load(&mut sys);
+    let at = Nanos::from_secs(2);
+    fault.arm(&mut sys, at);
+    sys.run_to_quiescence();
+    assert!(sys.backend_alive(), "{label}: backend back up");
+    assert_eq!(sys.recovery.reconnects, 1, "{label}");
+    assert_eq!(
+        sys.queue_count(),
+        queues as usize,
+        "{label}: every queue back"
+    );
+    assert_eq!(sys.hv.trace.dropped(), 0, "{label}: trace ring overflow");
+
+    let order = [
+        fault.milestone(),
+        "detect",
+        "reboot",
+        "reconnect",
+        "first_byte",
+    ];
+    let seqs: Vec<u64> = order
+        .iter()
+        .map(|what| {
+            let q = sys.hv.trace.query();
+            q.milestone(what)
+                .unwrap_or_else(|| panic!("{label}: milestone {what:?} missing"))
+                .seq
+        })
+        .collect();
+    assert!(
+        seqs.windows(2).all(|w| w[0] < w[1]),
+        "{label}: milestones out of order: {order:?} at seqs {seqs:?}"
+    );
+
+    assert_eq!(milestone_times(&sys, fault.milestone()), [at], "{label}");
+    let detect = milestone_times(&sys, "detect")[0];
+    let reconnect = milestone_times(&sys, "reconnect")[0];
+    let lat = sys.recovery.detect_latency();
+    assert_eq!(lat, Some(detect - at), "{label}: stats and trace agree");
+    assert!(lat.unwrap() > Nanos::ZERO, "{label}: detection takes time");
+    assert!(
+        lat.unwrap() <= MonitorConfig::default().detect_bound(),
+        "{label}: detection latency {lat:?} exceeds the probe-schedule bound"
+    );
+    assert_eq!(sys.recovery.downtime, reconnect - at, "{label}: downtime");
+}
+
+/// The recovery policy lives in the host, so the same contract holds for
+/// every fault on both datapaths.
+#[test]
+fn every_fault_recovers_the_same_way_on_both_datapaths() {
+    for fault in [Fault::Kill, Fault::Hang, Fault::Wedge] {
+        for os in BackendOs::both() {
+            outage::<NetPath>(fault, os, 1, net_load);
+            outage::<BlkPath>(fault, os, 1, stor_load);
+        }
+    }
+    // Blkfront round-robins over rings, so a wedged ring 0 of 2 keeps
+    // collecting requests it never consumes while ring 1 makes progress.
+    outage::<BlkPath>(Fault::Wedge, BackendOs::Kite, 2, stor_load);
+}
+
+/// A kill that was already recovered must not leak into a later
+/// wedge-only outage: downtime is the sum of the two outages, not
+/// `now − <the old kill>`.
+#[test]
+fn wedge_after_recovered_kill_books_only_its_own_downtime() {
+    let mut sys = SystemConfig::new(BackendOs::Kite, 42)
+        .tracing(1 << 16)
+        .watchdog(MonitorConfig::default())
+        .build_net();
+    net_load(&mut sys);
+    let (kill, wedge) = (Nanos::from_secs(2), Nanos::from_secs(20));
+    sys.crash_driver_at(kill);
+    sys.wedge_queue_at(wedge, 0);
+    sys.run_to_quiescence();
+    assert!(sys.backend_alive());
+    assert_eq!(sys.recovery.reconnects, 2);
+    assert_eq!((sys.recovery.crashes, sys.recovery.hangs), (1, 0));
+    let reconnects = milestone_times(&sys, "reconnect");
+    assert_eq!(reconnects.len(), 2);
+    assert!(reconnects[0] < wedge, "kill recovered before the wedge");
+    assert_eq!(
+        sys.recovery.downtime,
+        (reconnects[0] - kill) + (reconnects[1] - wedge),
+        "downtime is the sum of the two outages"
+    );
+    let detects = milestone_times(&sys, "detect");
+    assert_eq!(sys.recovery.detect_latency(), Some(detects[1] - wedge));
+    assert_eq!(
+        milestone_times(&sys, "first_byte").len(),
+        2,
+        "each outage ends with its own first byte"
+    );
 }

@@ -5,12 +5,9 @@
 //! foundational invariant, so swapping the hot-path data structure is
 //! only admissible with this proof.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use kite::sim::{EventQueue, Nanos, Pcg, SchedulerKind, TimerWheel};
 use kite::system::{addrs, BackendOs, MonitorConfig, Reply, Side, SystemConfig};
-use kite::xen::{FaultPlan, QueueMode};
+use kite::xen::FaultPlan;
 
 /// Full observable state of a finished net run: virtual end time, event
 /// count, the Chrome trace bytes and the rendered metrics JSON.
@@ -171,71 +168,4 @@ fn random_ops_pop_identically_on_both_backends() {
             }
         }
     }
-}
-
-/// The deprecated constructors remain byte-for-byte equivalent to the
-/// builder they wrap — the one place they are still exercised.
-#[test]
-#[allow(clippy::disallowed_methods)]
-fn legacy_constructors_match_builder() {
-    use kite::system::{NetSystem, StorSystem};
-    let run_net = |mut sys: kite::system::NetSystem| {
-        sys.send_udp_at(
-            Nanos::from_millis(1),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![7u8; 900],
-        );
-        sys.run_to_quiescence();
-        (sys.now().as_nanos(), sys.events_processed())
-    };
-    let wrapped = run_net(NetSystem::new_with_queues(
-        BackendOs::Kite,
-        9,
-        QueueMode::Multi(2),
-    ));
-    let built = run_net(
-        SystemConfig::new(BackendOs::Kite, 9)
-            .queue_mode(QueueMode::Multi(2))
-            .build_net(),
-    );
-    assert_eq!(wrapped, built, "NetSystem wrapper drifted from builder");
-
-    let tuning = kite::core::BlkbackTuning::default();
-    let run_stor = |mut sys: kite::system::StorSystem| {
-        let done: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
-        let d2 = done.clone();
-        sys.set_handler(Box::new(move |_, _| {
-            *d2.borrow_mut() += 1;
-            Vec::new()
-        }));
-        sys.submit_at(
-            Nanos::from_millis(1),
-            kite::system::IoOp {
-                tag: 1,
-                kind: kite::system::IoKind::Write {
-                    sector: 0,
-                    data: vec![0xa5; 4096],
-                },
-            },
-        );
-        sys.run_to_quiescence();
-        let completions = *done.borrow();
-        (sys.now().as_nanos(), sys.events_processed(), completions)
-    };
-    let wrapped = run_stor(StorSystem::with_tuning_queues(
-        BackendOs::Kite,
-        9,
-        tuning,
-        QueueMode::Multi(2),
-    ));
-    let built = run_stor(
-        SystemConfig::new(BackendOs::Kite, 9)
-            .tuning(tuning)
-            .queue_mode(QueueMode::Multi(2))
-            .build_stor(),
-    );
-    assert_eq!(wrapped, built, "StorSystem wrapper drifted from builder");
 }
