@@ -1,7 +1,7 @@
 //! The experiment registry: one entry per paper table/figure.
 
 use kite_security as sec;
-use kite_sim::{Nanos, OnlineStats, Pcg};
+use kite_sim::{Nanos, OnlineStats};
 use kite_system::BackendOs;
 use kite_workloads as wl;
 
@@ -572,17 +572,4 @@ fn human(bytes: usize) -> String {
     } else {
         format!("{bytes}B")
     }
-}
-
-/// Smoke helper used by bench targets: a short deterministic run.
-pub fn quick_seed() -> Pcg {
-    Pcg::seeded(0x4b697465)
-}
-
-/// Quick sanity value used by the boot bench.
-pub fn boot_times() -> (Nanos, Nanos) {
-    (
-        kite_rumprun::kite_boot().total(),
-        kite_linux::ubuntu_boot().total(),
-    )
 }

@@ -1,6 +1,6 @@
 //! Benchmark harness: the `repro` binary regenerates every paper table and
-//! figure (see [`experiments`]); the Criterion benches in `benches/` time
-//! the hot mechanisms and run scaled versions of each figure.
+//! figure (see [`experiments`]) and the virtual-time result rows shipped
+//! as `BENCH_mechanisms.json` (see [`report`]).
 
 pub mod experiments;
 pub mod report;

@@ -1,16 +1,20 @@
-//! Shared reporting for benches, examples and the `repro` binary.
+//! Reporting for the `repro` binary.
 //!
 //! Every scenario result funnels through [`MetricsSnapshot`], so the
-//! text a bench prints and the machine-readable JSON `repro --json`
-//! writes come from the same values and cannot drift apart.
+//! text `repro` prints and the machine-readable JSON `repro --json`
+//! writes come from the same values and cannot drift apart. Every row
+//! is virtual-time derived: `repro --json` reproduces the shipped
+//! `BENCH_mechanisms.json` byte for byte, and each invariant over those
+//! rows is asserted here, once, by the builder of the rows it relates
+//! (DESIGN.md §18). Host-clock measurement lives in `benchmark/`.
 
 use std::io::Write as _;
 
 use kite_net::ether::ETH_FRAME_MAX;
-use kite_sim::{Nanos, SchedulerKind};
+use kite_sim::Nanos;
 use kite_system::{
     addrs, render_top, BackendOs, DetectionMode, IoKind, IoOp, LineRate, MonitorConfig, NetSystem,
-    Reply, Side, SystemConfig,
+    Side, SystemConfig,
 };
 use kite_trace::metrics::{render_json, validate_json};
 use kite_trace::MetricsSnapshot;
@@ -64,6 +68,10 @@ pub fn grant_copy_snapshot() -> MetricsSnapshot {
     }
     let batched = hv.grant_copy_ops(dd, &ops, CopyMode::Batched).cost;
     let single = hv.grant_copy_ops(dd, &ops, CopyMode::SingleOp).cost;
+    assert!(
+        batched < single,
+        "batched ({batched:?}) must undercut single-op ({single:?})"
+    );
     let mut snap = MetricsSnapshot::new("mechanisms/grant_copy");
     snap.push_int("ops", "count", NOPS as u64);
     snap.push_int("op_bytes", "bytes", LEN as u64);
@@ -78,15 +86,10 @@ pub fn grant_copy_snapshot() -> MetricsSnapshot {
 /// One full crash/restart cycle: steady UDP stream, driver domain killed
 /// at 2 s, service restored through the OS boot model. Returns the
 /// system after quiescence (stats, trace and metrics still attached).
-pub fn recovery_cycle(os: BackendOs, seed: u64) -> NetSystem {
-    recovery_cycle_with(os, seed, DetectionMode::Oracle)
-}
-
-/// [`recovery_cycle`] with an explicit failure-detection mode. Watchdog
-/// runs detect the kill through the heartbeat monitor, so their
+/// Watchdog runs detect the kill through the heartbeat monitor, so their
 /// `detect_latency` row reports a real (positive) detection cost; oracle
 /// runs report zero by construction.
-pub fn recovery_cycle_with(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSystem {
+pub fn recovery_cycle(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSystem {
     let mut cfg = SystemConfig::new(os, seed);
     if mode == DetectionMode::Watchdog {
         cfg = cfg.watchdog(MonitorConfig::default());
@@ -124,9 +127,31 @@ pub fn recovery_snapshot_of(sys: &NetSystem) -> MetricsSnapshot {
     ))
 }
 
-/// Runs a recovery cycle and snapshots it.
-pub fn recovery_snapshot(os: BackendOs, seed: u64) -> MetricsSnapshot {
-    recovery_snapshot_of(&recovery_cycle(os, seed))
+/// The four `mechanisms/recovery_*` rows (Kite and Linux, oracle and
+/// watchdog detection). Asserts the paper's Fig 10 headline — a rumprun
+/// driver domain is back strictly sooner than a Linux one — and that
+/// the oracle detects for free while the heartbeat watchdog pays a
+/// real detection latency on top of the same reboot.
+pub fn recovery_snapshots() -> Vec<MetricsSnapshot> {
+    use DetectionMode::{Oracle, Watchdog};
+    let cycles = [
+        (BackendOs::Kite, Oracle),
+        (BackendOs::Linux, Oracle),
+        (BackendOs::Kite, Watchdog),
+        (BackendOs::Linux, Watchdog),
+    ]
+    .map(|(os, mode)| recovery_cycle(os, 11, mode));
+    let [back_kite, back_linux, ..] = cycles
+        .each_ref()
+        .map(|sys| sys.recovery.crash_to_first_byte().expect("service resumed"));
+    assert!(
+        back_kite < back_linux,
+        "a rumprun driver domain must recover strictly faster than Linux"
+    );
+    let [kite, _, kite_wd, _] = &cycles;
+    assert_eq!(kite.recovery.detect_latency(), Some(Nanos::ZERO));
+    assert!(kite_wd.recovery.detect_latency().expect("detected") > Nanos::ZERO);
+    cycles.iter().map(recovery_snapshot_of).collect()
 }
 
 /// Virtual elapsed time of the blkback data-path ablation (8 MiB of
@@ -307,71 +332,6 @@ pub fn blkback_ring_snapshot(rings: u32, seed: u64) -> MetricsSnapshot {
     snap
 }
 
-/// Wall-clock scheduler throughput on the fleet-drain microbench:
-/// 128 Ki concurrent retransmit timers; each fired timer re-arms its
-/// flow, and eight acked flows get their timers cancelled and re-armed
-/// — the cancel-heavy churn a fleet of protocol state machines puts on
-/// the scheduler (retransmit timers are overwhelmingly cancelled, not
-/// fired). Delays spread 1 µs – 1 s so the wheel exercises several
-/// levels. The event *counts* are deterministic (seeded Pcg); only the
-/// `events_per_sec` rate is wall-clock and varies run to run, which is
-/// why `scripts/verify.sh` filters these rows from its byte-determinism
-/// diff and instead asserts wheel ≥ heap.
-pub fn scheduler_throughput_snapshot(kind: SchedulerKind) -> MetricsSnapshot {
-    use kite_sim::{EventId, EventSched, Pcg, Scheduler};
-    const FLOWS: usize = 1 << 17;
-    const WARMUP: u64 = 1 << 17;
-    const POPS: u64 = 1 << 18;
-    const ACKS_PER_EVENT: u32 = 8;
-    let mut sched: EventSched<u32> = EventSched::new(kind);
-    let mut rng = Pcg::seeded(0xf1ee7);
-    let mut jitter = move || Nanos::from_nanos(1_000 + rng.index(999_999_001) as u64);
-    let mut pending: Vec<Option<EventId>> = vec![None; FLOWS];
-    for f in 0..FLOWS as u32 {
-        let at = sched.now() + jitter();
-        pending[f as usize] = Some(sched.schedule_at(at, f));
-    }
-    let mut vic_rng = Pcg::seeded(0xaced);
-    let mut cancels = 0u64;
-    let mut churn = |sched: &mut EventSched<u32>, pops: u64, cancels: &mut u64| {
-        for _ in 0..pops {
-            let (now, flow) = sched.pop().expect("fleet timers never drain dry");
-            pending[flow as usize] = None;
-            let id = sched.schedule_at(now + jitter(), flow);
-            pending[flow as usize] = Some(id);
-            for _ in 0..ACKS_PER_EVENT {
-                let victim = vic_rng.index(FLOWS) as u32;
-                if let Some(vid) = pending[victim as usize].take() {
-                    if sched.cancel(vid) {
-                        *cancels += 1;
-                    }
-                }
-                let vid = sched.schedule_at(now + jitter(), victim);
-                pending[victim as usize] = Some(vid);
-            }
-        }
-    };
-    // Warmup lets slab, bucket and heap capacities reach steady state so
-    // the timed window measures scheduling, not allocator growth.
-    churn(&mut sched, WARMUP, &mut cancels);
-    cancels = 0;
-    let start = std::time::Instant::now();
-    churn(&mut sched, POPS, &mut cancels);
-    let wall = start.elapsed();
-    let name = match kind {
-        SchedulerKind::Heap => "heap",
-        SchedulerKind::Wheel => "wheel",
-    };
-    let mut snap = MetricsSnapshot::new(format!("mechanisms/sim_events_per_sec_{name}"));
-    snap.push_int("flows", "count", FLOWS as u64);
-    snap.push_int("events", "count", POPS);
-    snap.push_int("cancels", "count", cancels);
-    snap.push_int("pending_after", "count", sched.len() as u64);
-    snap.push_float("events_per_sec", "rate", POPS as f64 / wall.as_secs_f64());
-    snap.mark_wall();
-    snap
-}
-
 /// Everything `repro prof` prints and exports: the per-phase self-time
 /// table and collapsed stacks from a profiled 4-queue netback drain,
 /// plus the deterministic time series the run's sampler recorded.
@@ -424,99 +384,6 @@ pub fn prof_run() -> ProfRun {
         series_csv: sampler.to_csv(),
         series_json: sampler.to_json(),
     }
-}
-
-/// The `mechanisms/prof_netback_queues_4` rows: per-phase self time and
-/// call counts from a profiled [`netback_queue_cycle`] run. Self times
-/// are wall clock, so the snapshot is marked `wall` and excluded from
-/// byte-determinism diffs.
-pub fn prof_phase_snapshot() -> MetricsSnapshot {
-    kite_prof::reset();
-    kite_prof::enable();
-    let _sys = netback_queue_cycle(4, 7);
-    let report = kite_prof::report();
-    kite_prof::disable();
-    kite_prof::reset();
-    let mut snap = MetricsSnapshot::new("mechanisms/prof_netback_queues_4");
-    for row in &report.rows {
-        snap.push_int(format!("{}_self", row.phase.name()), "ns", row.self_ns);
-        snap.push_int(format!("{}_calls", row.phase.name()), "count", row.calls);
-    }
-    snap.mark_wall();
-    snap
-}
-
-/// One echo cycle for the overhead gate: the client fires 512 messages
-/// at the guest, the guest application echoes each one back. Returns
-/// the wall time of the event loop only (system construction excluded).
-fn echo_cycle(profiled: bool) -> std::time::Duration {
-    if profiled {
-        kite_prof::enable();
-    } else {
-        kite_prof::disable();
-    }
-    kite_prof::reset();
-    let mut sys = SystemConfig::new(BackendOs::Kite, 7).queues(4).build_net();
-    sys.set_guest_app(Box::new(|_, msg| {
-        vec![Reply {
-            dst_ip: msg.src_ip,
-            dst_port: msg.src_port,
-            src_port: msg.dst_port,
-            payload: msg.payload.clone(),
-            cost: Nanos::from_micros(1),
-        }]
-    }));
-    // Enough traffic that one cycle (~15 ms wall) spans several OS
-    // scheduler quanta: per-cycle noise then averages out instead of
-    // landing entirely on one side of a disabled/enabled pair.
-    for i in 0..4096u64 {
-        sys.send_udp_at(
-            Nanos::from_micros(10 + 20 * (i / 64)),
-            Side::Client,
-            addrs::GUEST,
-            7777,
-            1200 + (i % 64) as u16,
-            vec![i as u8; 1400],
-        );
-    }
-    let start = std::time::Instant::now();
-    sys.run_to_quiescence();
-    let wall = start.elapsed();
-    kite_prof::disable();
-    kite_prof::reset();
-    wall
-}
-
-/// The `mechanisms/prof_overhead` row: wall time of the echo scenario
-/// with the profiler disabled vs enabled. Runs back-to-back
-/// disabled/enabled pairs and reports the *median* paired overhead:
-/// scheduling noise on a shared VM comes in multi-millisecond bursts
-/// that can swallow several iterations, and the median discards those
-/// outlier pairs without the systematic low bias a min would have.
-/// `scripts/verify.sh` gates `overhead_percent < 10`.
-pub fn prof_overhead_snapshot() -> MetricsSnapshot {
-    let _warmup = echo_cycle(false);
-    let _warmup = echo_cycle(true);
-    let mut disabled = u64::MAX;
-    let mut enabled = u64::MAX;
-    let mut ratios = Vec::new();
-    for _ in 0..15 {
-        let d = echo_cycle(false).as_nanos() as u64;
-        let e = echo_cycle(true).as_nanos() as u64;
-        disabled = disabled.min(d);
-        enabled = enabled.min(e);
-        ratios.push(100.0 * (e as f64 - d as f64) / d as f64);
-    }
-    ratios.sort_by(|a, b| a.total_cmp(b));
-    // A noisy disabled half can drive a pair's ratio negative; clamp —
-    // the profiler cannot have negative cost.
-    let overhead = ratios[ratios.len() / 2].max(0.0);
-    let mut snap = MetricsSnapshot::new("mechanisms/prof_overhead");
-    snap.push_int("disabled_ns", "ns", disabled);
-    snap.push_int("enabled_ns", "ns", enabled);
-    snap.push_float("overhead_percent", "percent", overhead);
-    snap.mark_wall();
-    snap
 }
 
 /// The queue-scaling ablation rows (`netback_queues_{1,2,4,8}` and
@@ -639,11 +506,11 @@ fn tput_of(s: &MetricsSnapshot) -> f64 {
 
 /// The segmentation-offload and wire-profile ablation rows
 /// (`netback_gso_{off,on}`, `netback_wire_{10,25,100}g`,
-/// `netback_wire_25g_queues_{4,8}`). Asserts the two headline claims in
-/// the report layer — `verify.sh` re-checks both from the shipped JSON:
+/// `netback_wire_25g_queues_{4,8}`). Asserts the three headline claims:
 ///
 /// * GSO at a single queue at least doubles goodput (per-packet costs
 ///   amortize over ~42-segment super-frames);
+/// * bulk goodput climbs with the line rate, 10 < 25 < 100GbE;
 /// * 8 netback queues on the 25GbE profile clear the 10GbE ceiling,
 ///   and beat 4 queues while doing it.
 pub fn offload_snapshots() -> Vec<MetricsSnapshot> {
@@ -667,16 +534,23 @@ pub fn offload_snapshots() -> Vec<MetricsSnapshot> {
 
     // Wire profiles: 8 queues, offload on, bulk — goodput rises with
     // the line rate because nothing else is the bottleneck.
-    for (rate, label) in [
+    let wire = [
         (LineRate::Gbe10, "10g"),
         (LineRate::Gbe25, "25g"),
         (LineRate::Gbe100, "100g"),
-    ] {
-        snaps.push(offload_snapshot(
+    ]
+    .map(|(rate, label)| {
+        offload_snapshot(
             format!("mechanisms/netback_wire_{label}"),
             &netback_offload_cycle(true, rate, 8, 48 * 1024, 256, false, 7),
-        ));
-    }
+        )
+    });
+    let [w10, w25, w100] = wire.each_ref().map(tput_of);
+    assert!(
+        w100 > w25 && w25 > w10,
+        "goodput must climb with the line rate: 10g={w10:.0} 25g={w25:.0} 100g={w100:.0} mbps"
+    );
+    snaps.extend(wire);
 
     // 25GbE queue scaling: bidirectional MTU-sized frames with offload
     // off keep every queue vCPU busy on both the pusher and soft_start
@@ -734,29 +608,12 @@ pub fn latency_snapshots() -> Vec<MetricsSnapshot> {
 /// The `repro --json` result set: mechanisms + recovery (oracle and
 /// watchdog detection) + queue scaling + ablation.
 pub fn standard_snapshots() -> Vec<MetricsSnapshot> {
-    let mut snaps = vec![
-        grant_copy_snapshot(),
-        recovery_snapshot(BackendOs::Kite, 11),
-        recovery_snapshot(BackendOs::Linux, 11),
-        recovery_snapshot_of(&recovery_cycle_with(
-            BackendOs::Kite,
-            11,
-            DetectionMode::Watchdog,
-        )),
-        recovery_snapshot_of(&recovery_cycle_with(
-            BackendOs::Linux,
-            11,
-            DetectionMode::Watchdog,
-        )),
-    ];
+    let mut snaps = vec![grant_copy_snapshot()];
+    snaps.extend(recovery_snapshots());
     snaps.extend(queue_scaling_snapshots());
     snaps.extend(offload_snapshots());
     snaps.extend(latency_snapshots());
     snaps.push(ablation_snapshot());
-    snaps.push(scheduler_throughput_snapshot(SchedulerKind::Heap));
-    snaps.push(scheduler_throughput_snapshot(SchedulerKind::Wheel));
-    snaps.push(prof_phase_snapshot());
-    snaps.push(prof_overhead_snapshot());
     snaps
 }
 

@@ -18,8 +18,8 @@ pub mod nvme;
 
 pub use nic::{LineRate, Nic, NicProfile, RxIrq};
 pub use nvme::{
-    Cid, CqEntry, MsixVector, Nvme, NvmeCmd, NvmeController, NvmeOp, NvmeProfile, QueueId,
-    MAX_IO_QUEUES, SECTOR_SIZE, SQ_DEPTH,
+    Cid, CqEntry, MsixVector, NvmeCmd, NvmeController, NvmeOp, NvmeProfile, QueueId, MAX_IO_QUEUES,
+    SECTOR_SIZE, SQ_DEPTH,
 };
 
 /// The minimal surface every passthrough device model shares.

@@ -266,10 +266,6 @@ pub struct NvmeController {
     random_penalties: u64,
 }
 
-/// Historical name for [`NvmeController`]; the model grew a queue-pair
-/// interface without changing what it models.
-pub type Nvme = NvmeController;
-
 impl NvmeController {
     /// Creates a drive of `capacity_gib` gibibytes with the default profile.
     pub fn new(capacity_gib: u64) -> NvmeController {
@@ -809,7 +805,7 @@ mod tests {
 
     #[test]
     fn profile_channels_cannot_desync_from_channel_vec() {
-        // Regression: `Nvme::new` used to snapshot `profile.channels` into
+        // Regression: `NvmeController::new` used to snapshot `profile.channels` into
         // the channel vector while leaving `profile` public — mutating it
         // afterwards silently desynced the two. The profile is now fixed
         // at construction, so the only way to choose a channel count is

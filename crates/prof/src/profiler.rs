@@ -21,9 +21,9 @@
 //! call counts are exact. The first call at every node is always timed,
 //! so rare phases are never invisible.
 //!
-//! Wall-clock measurements are inherently nondeterministic; anything
-//! derived from them must stay quarantined to bench rows marked `wall`
-//! (see DESIGN.md §14) and never feed back into virtual-time state.
+//! Wall-clock measurements are inherently nondeterministic; they are
+//! for humans (`repro prof`) and for `benchmark/`, never become bench
+//! rows (see DESIGN.md §14) and never feed back into virtual-time state.
 
 use crate::phase::Phase;
 use std::cell::{Cell, RefCell};

@@ -198,8 +198,7 @@ fn percentile(hist: &[u64; HIST_BUCKETS], q: u32) -> u64 {
 
 impl ProfReport {
     /// Render the top-down self-time table. Wall-clock numbers are
-    /// nondeterministic by nature; this output is for humans and for
-    /// `wall`-marked bench rows only.
+    /// nondeterministic by nature; this output is for humans only.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(

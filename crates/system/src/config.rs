@@ -188,12 +188,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the segmentation mode explicitly (see [`GsoMode`]).
-    pub fn gso_mode(mut self, mode: GsoMode) -> SystemConfig {
-        self.gso_mode = mode;
-        self
-    }
-
     /// Wire speed for the NIC and the client link (network systems
     /// only): 10/25/100GbE profiles that also scale interrupt moderation.
     /// Unset keeps the paper's stock 82599 10GbE device model.

@@ -20,7 +20,7 @@ use std::net::Ipv4Addr;
 use kite_core::{NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
 use kite_devices::{LineRate, Nic, NicProfile, RxIrq};
 use kite_frontends::Netfront;
-use kite_net::ether::{tso_wire_cost, TSO_MSS};
+use kite_net::ether::{tso_wire_cost, ETH_HEADER_LEN, TSO_MSS};
 use kite_net::{
     BridgePort, EtherType, EthernetFrame, Forward, IcmpMessage, IpProto, Ipv4Packet, MacAddr,
     UdpDatagram,
@@ -719,22 +719,30 @@ impl Host<NetPath> {
             }
             return Vec::new();
         }
-        let Some(eth) = EthernetFrame::decode(&frame) else {
+        // The bridge reads only the MACs: decode the header, not the payload.
+        let Some(eth) = frame.get(..ETH_HEADER_LEN).and_then(EthernetFrame::decode) else {
             return Vec::new();
         };
         let decision = self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now);
-        let mut to_wire = Vec::new();
-        let ports: Vec<BridgePort> = match decision {
-            Forward::Unicast(p) => vec![p],
-            Forward::Flood(ps) => ps,
-            Forward::Drop => Vec::new(),
+        let ports = match &decision {
+            Forward::Unicast(p) => std::slice::from_ref(p),
+            Forward::Flood(ps) => ps.as_slice(),
+            Forward::Drop => &[],
         };
-        for p in ports {
+        let mut to_wire = Vec::new();
+        let mut egress = |p: BridgePort, f: Vec<u8>| {
             if p == self.dp.if_port {
-                to_wire.push(frame.clone());
+                to_wire.push(f);
             } else if p == self.dp.vif_port {
-                self.deliver_to_guest(frame.clone());
+                self.deliver_to_guest(f);
             }
+        };
+        // Only a flood copies: the last (or only) port takes the frame.
+        if let Some((&last, rest)) = ports.split_last() {
+            for &p in rest {
+                egress(p, frame.clone());
+            }
+            egress(last, frame);
         }
         to_wire
     }

@@ -14,7 +14,7 @@ use std::collections::{HashMap, VecDeque};
 use kite_core::{
     BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats, BlockApp, RecoveryStats,
 };
-use kite_devices::{Device, Nvme};
+use kite_devices::{Device, NvmeController};
 use kite_frontends::Blkfront;
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
@@ -144,7 +144,7 @@ pub struct StorMetrics {
 /// status application, blkfront, and the guest's logical-I/O chunking.
 pub struct BlkPath {
     /// The NVMe device (sparse real contents).
-    pub nvme: Nvme,
+    pub nvme: NvmeController,
     bb_epoch: u64,
     bb_stats_base: BlkbackStats,
     blkfront: Option<Blkfront>,
@@ -202,8 +202,8 @@ impl Datapath for BlkPath {
         // Scaled capacity: the data plane is sparse-real; 16 GiB of
         // addressable space is ample for the scaled workloads.
         let mut nvme = match &cfg.nvme_profile {
-            Some(profile) => Nvme::with_profile(16, profile.clone()),
-            None => Nvme::new(16),
+            Some(profile) => NvmeController::with_profile(16, profile.clone()),
+            None => NvmeController::new(16),
         };
         if let Some(max) = cfg.nvme_max_io_queues {
             nvme = nvme.with_max_io_queues(max as usize);

@@ -1,7 +1,7 @@
 //! Named metric snapshots with one stable text and JSON rendering.
 //!
-//! Every reporter in the workspace — benches, examples, `repro --json` —
-//! goes through [`MetricsSnapshot`], so what a bench prints and what the
+//! Every reporter in the workspace — examples, tests, `repro --json` —
+//! goes through [`MetricsSnapshot`], so what a run prints and what the
 //! machine-readable results file holds cannot drift apart. Renderings
 //! are deterministic: metrics appear in insertion order and floats are
 //! formatted with a fixed number of decimals.
@@ -35,11 +35,6 @@ pub struct MetricsSnapshot {
     pub scenario: String,
     /// Metrics in insertion order (renderings preserve it).
     pub metrics: Vec<Metric>,
-    /// Whether this snapshot's values are wall-clock-derived and thus
-    /// nondeterministic. Marked rows carry `"wall":true` in the JSON
-    /// rendering so determinism diffs (`scripts/verify.sh`) can strip
-    /// them by the marker instead of by name patterns.
-    pub wall: bool,
 }
 
 impl MetricsSnapshot {
@@ -48,14 +43,7 @@ impl MetricsSnapshot {
         MetricsSnapshot {
             scenario: scenario.into(),
             metrics: Vec::new(),
-            wall: false,
         }
-    }
-
-    /// Marks every row of this snapshot as wall-clock-derived (excluded
-    /// from byte-determinism comparisons).
-    pub fn mark_wall(&mut self) {
-        self.wall = true;
     }
 
     /// Appends an integer-valued metric.
@@ -126,13 +114,11 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Renders snapshots as the machine-readable results format: a JSON
-/// array of `{"scenario", "metric", "unit", "value"}` rows. Rows from
-/// wall-clock-marked snapshots carry an extra `"wall":true` key.
+/// array of `{"scenario", "metric", "unit", "value"}` rows.
 pub fn render_json(snapshots: &[MetricsSnapshot]) -> String {
     let mut out = String::from("[\n");
     let mut first = true;
     for snap in snapshots {
-        let wall = if snap.wall { ",\"wall\":true" } else { "" };
         for m in &snap.metrics {
             if !first {
                 out.push_str(",\n");
@@ -140,12 +126,11 @@ pub fn render_json(snapshots: &[MetricsSnapshot]) -> String {
             first = false;
             let _ = write!(
                 out,
-                "  {{\"scenario\":\"{}\",\"metric\":\"{}\",\"unit\":\"{}\",\"value\":{}{}}}",
+                "  {{\"scenario\":\"{}\",\"metric\":\"{}\",\"unit\":\"{}\",\"value\":{}}}",
                 json_escape(&snap.scenario),
                 json_escape(&m.name),
                 json_escape(m.unit),
                 render_value(m.value),
-                wall,
             );
         }
     }
@@ -207,19 +192,6 @@ mod tests {
         let doc = render_json(&[sample()]);
         assert_eq!(doc, expected);
         assert_eq!(validate_json(&doc), Ok(3));
-    }
-
-    #[test]
-    fn wall_marker_tags_every_row() {
-        let mut s = sample();
-        s.mark_wall();
-        let doc = render_json(&[s]);
-        assert_eq!(doc.matches("\"wall\":true").count(), 3);
-        // Marked rows still validate: the marker is additive.
-        assert_eq!(validate_json(&doc), Ok(3));
-        // Unmarked snapshots never carry the key (golden test above
-        // pins the exact bytes).
-        assert!(!render_json(&[sample()]).contains("wall"));
     }
 
     #[test]

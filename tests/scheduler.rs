@@ -169,3 +169,62 @@ fn random_ops_pop_identically_on_both_backends() {
         }
     }
 }
+
+/// Wall-clock events/sec on the fleet-drain churn: 128 Ki concurrent
+/// retransmit timers; each fired timer re-arms its flow, and eight
+/// acked flows get their timers cancelled and re-armed — the
+/// cancel-heavy load a fleet of protocol state machines puts on the
+/// scheduler. Delays spread 1 µs – 1 s so the wheel exercises several
+/// levels. The wheel measures ~5x the heap; the gate only requires
+/// wheel ≥ heap so it stays robust on noisy machines. Wall clock, so
+/// release only (`benchmark/` reports both rates as
+/// `sim.{wheel,heap}_churn_ns_per_event`).
+#[test]
+#[cfg_attr(debug_assertions, ignore)]
+fn wheel_outruns_heap_on_fleet_churn() {
+    use kite::sim::{EventId, EventSched, Scheduler};
+    const FLOWS: usize = 1 << 17;
+    const WARMUP: u64 = 1 << 17;
+    const POPS: u64 = 1 << 18;
+    const ACKS_PER_EVENT: u32 = 8;
+    // Returns (events/sec, cancels, pending): the counts are seeded and
+    // must agree across backends; only the rate is wall clock.
+    let run = |kind: SchedulerKind| {
+        let mut sched: EventSched<u32> = EventSched::new(kind);
+        let mut rng = Pcg::seeded(0xf1ee7);
+        let mut jitter = move || Nanos::from_nanos(1_000 + rng.index(999_999_001) as u64);
+        let mut pending: Vec<Option<EventId>> = (0..FLOWS as u32)
+            .map(|f| Some(sched.schedule_at(sched.now() + jitter(), f)))
+            .collect();
+        let mut vic_rng = Pcg::seeded(0xaced);
+        let mut churn = |sched: &mut EventSched<u32>, pops: u64| {
+            let mut cancels = 0u64;
+            for _ in 0..pops {
+                let (now, flow) = sched.pop().expect("fleet timers never drain dry");
+                pending[flow as usize] = Some(sched.schedule_at(now + jitter(), flow));
+                for _ in 0..ACKS_PER_EVENT {
+                    let victim = vic_rng.index(FLOWS);
+                    if let Some(id) = pending[victim].take() {
+                        cancels += u64::from(sched.cancel(id));
+                    }
+                    pending[victim] = Some(sched.schedule_at(now + jitter(), victim as u32));
+                }
+            }
+            cancels
+        };
+        // Warmup lets slab, bucket and heap capacities reach steady
+        // state so the timed window measures scheduling, not growth.
+        churn(&mut sched, WARMUP);
+        let start = std::time::Instant::now();
+        let cancels = churn(&mut sched, POPS);
+        let rate = POPS as f64 / start.elapsed().as_secs_f64();
+        (rate, cancels, sched.len())
+    };
+    let (heap, heap_cancels, heap_pending) = run(SchedulerKind::Heap);
+    let (wheel, wheel_cancels, wheel_pending) = run(SchedulerKind::Wheel);
+    assert_eq!((heap_cancels, heap_pending), (wheel_cancels, wheel_pending));
+    assert!(
+        wheel >= heap,
+        "timer wheel ({wheel:.0} ev/s) lost to heap ({heap:.0} ev/s)"
+    );
+}
