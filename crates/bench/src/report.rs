@@ -18,7 +18,7 @@ use kite_system::{
 };
 use kite_trace::metrics::{render_json, validate_json};
 use kite_trace::MetricsSnapshot;
-use kite_xen::{CopyMode, FaultPlan, QueueMode};
+use kite_xen::{CopyMode, FaultPlan};
 
 /// Prints snapshots in the shared text rendering.
 pub fn print_snapshots(snaps: &[MetricsSnapshot]) {
@@ -208,13 +208,8 @@ pub fn ablation_snapshot() -> MetricsSnapshot {
 /// (Toeplitz-steered across the queues) bursting guest->client through
 /// a driver domain with one vCPU per queue. Returns the finished system.
 pub fn netback_queue_cycle(queues: u32, seed: u64) -> NetSystem {
-    let mode = if queues <= 1 {
-        QueueMode::Single
-    } else {
-        QueueMode::Multi(queues)
-    };
     let mut sys = SystemConfig::new(BackendOs::Kite, seed)
-        .queue_mode(mode)
+        .queues(queues)
         .build_net();
     for i in 0..512u64 {
         // 64 flows, distinguished by source port, 8 messages each; the
@@ -277,13 +272,8 @@ pub fn netback_queue_snapshot(queues: u32, seed: u64) -> MetricsSnapshot {
 /// default consumer-drive profile: with a multi-millisecond penalty the
 /// device swamps every CPU effect and one ring looks as good as two.
 pub fn blkback_ring_snapshot(rings: u32, seed: u64) -> MetricsSnapshot {
-    let mode = if rings <= 1 {
-        QueueMode::Single
-    } else {
-        QueueMode::Multi(rings)
-    };
     let mut sys = SystemConfig::new(BackendOs::Kite, seed)
-        .queue_mode(mode)
+        .queues(rings)
         .nvme_profile(
             kite_devices::NvmeProfile::default().with_random_penalty(Nanos::from_micros(2)),
         )
@@ -769,7 +759,7 @@ pub fn lat_report() -> String {
     // 3rd I/O sampled — 3 is coprime to the 4-way ring round-robin, so
     // the samples visit every ring instead of aliasing onto one.
     let mut stor = SystemConfig::new(BackendOs::Kite, 7)
-        .queue_mode(QueueMode::Multi(4))
+        .queues(4)
         .nvme_profile(
             kite_devices::NvmeProfile::default().with_random_penalty(Nanos::from_micros(2)),
         )

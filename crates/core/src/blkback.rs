@@ -43,14 +43,13 @@ use kite_xen::blkif::{
     unpack_indirect_segments, BlkifRequest, BlkifResponse, BlkifSegment, BLKIF_OP_FLUSH_DISKCACHE,
     BLKIF_OP_READ, BLKIF_OP_WRITE, BLKIF_RSP_ERROR, BLKIF_RSP_OKAY, SECTOR_SIZE,
 };
-use kite_xen::ring::BackRing;
-use kite_xen::xenbus::{MQ_MAX_QUEUES_KEY, MQ_NUM_QUEUES_KEY};
+use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey};
 use kite_xen::{
     CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, GrantRef, Hypervisor, MapHandle,
     PageId, Port, ReqId, ReqStage, Result, SlotClass, XenError, XenbusState, PAGE_SIZE,
 };
 
-use crate::netback::DEFAULT_MAX_QUEUES;
+use crate::lifecycle::QueueState;
 use crate::stats::CopyStats;
 
 /// The indirect-segment cap Kite advertises (Linux-compatible, §3.3).
@@ -170,9 +169,9 @@ pub struct BlkBatch {
 #[derive(Debug, Default)]
 pub struct BlkComplete {
     /// Bitmask of rings whose frontend must be notified (bit `q` →
-    /// notify on [`BlkbackInstance::port_of`]`(q)`). A reap normally
-    /// touches only its own ring; rings sharing a queue pair (controller
-    /// cap exhausted) can fan out.
+    /// notify on `port_of(q)`). A reap normally touches only its own
+    /// ring; rings sharing a queue pair (controller cap exhausted) can
+    /// fan out.
     pub notify_rings: u64,
     /// Requests completed by this call.
     pub completed: u32,
@@ -227,22 +226,16 @@ impl PersistentCache {
 }
 
 /// One ring of a blkback instance: the shared ring mapped from the
-/// frontend, its event channel, and the ring-private persistent-grant
-/// cache and bounce pool its request thread works through.
+/// frontend, its event channel and bounce pool, and the ring-private
+/// persistent-grant cache its request thread works through.
 struct BbRing {
-    evtchn: Port,
-    ring: BackRing<BlkifRequest, BlkifResponse>,
-    ring_page: PageId,
-    _ring_map: MapHandle,
+    state: QueueState,
+    shared: BackEndpoint<BlkifRequest, BlkifResponse>,
     persistent: PersistentCache,
-    /// Lazily grown bounce pages staging grant-copy payloads.
-    bounce: Vec<PageId>,
     /// The NVMe I/O queue pair this ring submits through, created on the
     /// first drain (connect has no device access). The completion vector
     /// is steered to this ring's vCPU.
     qid: Option<QueueId>,
-    /// Fault-injection: a wedged ring's request thread never runs.
-    wedged: bool,
 }
 
 /// One blkback instance.
@@ -288,12 +281,9 @@ struct Run {
 
 impl BlkbackInstance {
     /// Connects to a frontend: advertises device properties and features
-    /// in xenstore, maps every negotiated ring, binds its event channels,
-    /// switches the backend state to `Connected`.
-    ///
-    /// The ring count is the frontend's `multi-queue-num-queues` (1 when
-    /// absent — the legacy flat layout), validated against this backend's
-    /// own `multi-queue-max-queues` advertisement.
+    /// in xenstore, attaches every negotiated ring and its event channel
+    /// ([`attach_back`] owns the negotiation and the undo-on-error
+    /// contract), switches the backend state to `Connected`.
     pub fn connect(
         hv: &mut Hypervisor,
         paths: &DevicePaths,
@@ -302,7 +292,6 @@ impl BlkbackInstance {
         device_sectors: u64,
     ) -> Result<Self> {
         let back = paths.back;
-        let front = paths.front;
         let be = paths.backend();
         // Advertise properties first (§4.4 initialization order).
         hv.store.write(
@@ -335,55 +324,23 @@ impl BlkbackInstance {
                 "0".to_string()
             },
         )?;
-        let fe = paths.frontend();
-        let nrings = hv
-            .store
-            .read(back, None, &format!("{fe}/{MQ_NUM_QUEUES_KEY}"))
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(1)
-            .max(1);
-        let max = hv
-            .store
-            .read(back, None, &format!("{be}/{MQ_MAX_QUEUES_KEY}"))
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(DEFAULT_MAX_QUEUES);
-        if nrings > max {
-            return Err(XenError::Inval);
-        }
-        let mut rings = Vec::with_capacity(nrings as usize);
-        for k in 0..nrings {
-            let root = paths.frontend_queue_root(nrings, k);
-            let ring_ref = GrantRef(
-                hv.store
-                    .read(back, None, &format!("{root}/ring-ref"))?
-                    .parse()
-                    .map_err(|_| XenError::Inval)?,
-            );
-            let remote_port = Port(
-                hv.store
-                    .read(back, None, &format!("{root}/event-channel"))?
-                    .parse()
-                    .map_err(|_| XenError::Inval)?,
-            );
-            let (ring_map, _) = hv.map_grant(back, front, ring_ref)?;
-            let (evtchn, _) = hv.evtchn_bind(back, front, remote_port)?;
-            rings.push(BbRing {
-                evtchn,
-                ring: BackRing::attach(),
-                ring_page: ring_map.page,
-                _ring_map: ring_map.handle,
-                persistent: PersistentCache::new(tuning.persistent_cap),
-                bounce: Vec::new(),
-                qid: None,
-                wedged: false,
-            });
-        }
-        hv.switch_state(back, &paths.backend_state(), XenbusState::Connected)?;
+        let rings = attach_back(hv, paths, |hv, at| {
+            let mut rings = Vec::with_capacity(at.queues() as usize);
+            for k in 0..at.queues() {
+                let shared = at.ring(hv, k, RingKey::Blk)?;
+                rings.push(BbRing {
+                    state: QueueState::new(at.event_channel(hv, k)?),
+                    shared,
+                    persistent: PersistentCache::new(tuning.persistent_cap),
+                    qid: None,
+                });
+            }
+            hv.switch_state(back, &paths.backend_state(), XenbusState::Connected)?;
+            Ok(rings)
+        })?;
         Ok(BlkbackInstance {
             back,
-            front,
+            front: paths.front,
             index: paths.index,
             rings,
             tuning,
@@ -404,16 +361,6 @@ impl BlkbackInstance {
     /// Instance statistics.
     pub fn stats(&self) -> BlkbackStats {
         self.stats
-    }
-
-    /// Number of negotiated rings.
-    pub fn ring_count(&self) -> usize {
-        self.rings.len()
-    }
-
-    /// Ring `q`'s backend-local event-channel port.
-    pub fn port_of(&self, q: usize) -> Port {
-        self.rings[q].evtchn
     }
 
     /// The NVMe queue pair ring `q` submits through, once its first
@@ -444,43 +391,10 @@ impl BlkbackInstance {
         qid
     }
 
-    /// True if `port` belongs to any of this instance's rings.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.rings.iter().any(|r| r.evtchn == port)
-    }
-
-    /// How grant copies are issued (batched vs. one hypercall per op).
-    pub fn copy_mode(&self) -> CopyMode {
-        self.copy_mode
-    }
-
-    /// Switches between batched and single-op grant copies (ablation).
-    pub fn set_copy_mode(&mut self, mode: CopyMode) {
-        self.copy_mode = mode;
-    }
-
-    /// Wedges (or unwedges) one ring's request thread (fault injection).
-    pub fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
-        self.rings[q].wedged = wedged;
-    }
-
     /// Whether the grant-copy data path is active (copies are only used
     /// when persistent grants are not negotiated).
     fn use_copy(&self) -> bool {
         self.tuning.grant_copy && !self.tuning.persistent_grants
-    }
-
-    fn ensure_bounce(&mut self, hv: &mut Hypervisor, q: usize, n: usize) -> Result<()> {
-        while self.rings[q].bounce.len() < n {
-            let page = hv.alloc_page(self.back)?;
-            self.rings[q].bounce.push(page);
-        }
-        Ok(())
-    }
-
-    /// The event handler's cost (ack + wake the request thread).
-    pub fn irq_handler_cost(&self) -> Nanos {
-        self.profile.irq_overhead
     }
 
     /// The trace label for ring-drain events (`None` keeps single-ring
@@ -556,7 +470,7 @@ impl BlkbackInstance {
                     // instead of a map/unmap pair per page.
                     let per_frame = kite_xen::blkif::SEGS_PER_INDIRECT_FRAME;
                     let frames = n.div_ceil(per_frame).min(indirect_grefs.len());
-                    self.ensure_bounce(hv, q, frames)?;
+                    self.rings[q].state.ensure_bounce(hv, self.back, frames)?;
                     let ops: Vec<GrantCopyOp> = indirect_grefs[..frames]
                         .iter()
                         .enumerate()
@@ -567,7 +481,7 @@ impl BlkbackInstance {
                                 offset: 0,
                             },
                             dst: CopySide::Local {
-                                page: self.rings[q].bounce[i],
+                                page: self.rings[q].state.bounce[i],
                                 offset: 0,
                             },
                             len: PAGE_SIZE,
@@ -583,7 +497,7 @@ impl BlkbackInstance {
                     let mut remaining = n;
                     for i in 0..frames {
                         let take = remaining.min(per_frame);
-                        let bytes = hv.mem.page(self.rings[q].bounce[i])?;
+                        let bytes = hv.mem.page(self.rings[q].state.bounce[i])?;
                         segs.extend(unpack_indirect_segments(bytes, take));
                         remaining -= take;
                     }
@@ -622,7 +536,7 @@ impl BlkbackInstance {
     ) -> Result<BlkBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::BlkbackSubmit);
         let mut batch = BlkBatch::default();
-        if self.rings[q].wedged {
+        if self.rings[q].state.wedged {
             return Ok(batch);
         }
         let mut runs = std::mem::take(&mut self.scratch_runs);
@@ -632,8 +546,8 @@ impl BlkbackInstance {
         for _ in 0..budget {
             let req = {
                 let rq = &mut self.rings[q];
-                let page = hv.mem.page(rq.ring_page)?;
-                match rq.ring.consume_request(page)? {
+                let page = hv.mem.page(rq.shared.page)?;
+                match rq.shared.ring.consume_request(page)? {
                     Some(r) => r,
                     None => break,
                 }
@@ -813,8 +727,8 @@ impl BlkbackInstance {
         }
         let consumed = (batch.failures.len() + run_reqs.len() + flushes.len()) as u32;
         let rq = &mut self.rings[q];
-        let page = hv.mem.page_mut(rq.ring_page)?;
-        batch.more = rq.ring.final_check_for_requests(page);
+        let page = hv.mem.page_mut(rq.shared.page)?;
+        batch.more = rq.shared.ring.final_check_for_requests(page);
         if consumed > 0 {
             let delivered = runs.len() as u32;
             let qid = self.qid(q);
@@ -895,7 +809,9 @@ impl BlkbackInstance {
         op: u8,
         cost: &mut Nanos,
     ) -> Result<bool> {
-        self.ensure_bounce(hv, q, segs.len())?;
+        self.rings[q]
+            .state
+            .ensure_bounce(hv, self.back, segs.len())?;
         let ops: Vec<GrantCopyOp> = segs
             .iter()
             .enumerate()
@@ -906,7 +822,7 @@ impl BlkbackInstance {
                     offset: seg.first_sect as usize * SECTOR_SIZE,
                 };
                 let local = CopySide::Local {
-                    page: self.rings[q].bounce[i],
+                    page: self.rings[q].state.bounce[i],
                     offset: 0,
                 };
                 let (src, dst) = if op == BLKIF_OP_WRITE {
@@ -931,7 +847,7 @@ impl BlkbackInstance {
             let mut dev_sector = start_sector;
             for (i, seg) in segs.iter().enumerate() {
                 let len = seg.len();
-                let bytes = hv.mem.page(self.rings[q].bounce[i])?[..len].to_vec();
+                let bytes = hv.mem.page(self.rings[q].state.bounce[i])?[..len].to_vec();
                 device.write_data(dev_sector, &bytes);
                 self.stats.write_bytes += len as u64;
                 dev_sector += seg.sectors();
@@ -942,7 +858,7 @@ impl BlkbackInstance {
                 let len = seg.len();
                 let mut buf = vec![0u8; len];
                 device.read_data(dev_sector, &mut buf);
-                hv.mem.page_mut(self.rings[q].bounce[i])?[..len].copy_from_slice(&buf);
+                hv.mem.page_mut(self.rings[q].state.bounce[i])?[..len].copy_from_slice(&buf);
                 dev_sector += seg.sectors();
             }
             let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
@@ -994,8 +910,8 @@ impl BlkbackInstance {
             out.cost += hv.unmap_grant(self.back, h)?;
         }
         let rq = &mut self.rings[fl.ring];
-        let page = hv.mem.page_mut(rq.ring_page)?;
-        rq.ring.push_response(
+        let page = hv.mem.page_mut(rq.shared.page)?;
+        rq.shared.ring.push_response(
             page,
             &BlkifResponse {
                 id: req_id,
@@ -1020,8 +936,8 @@ impl BlkbackInstance {
                 continue;
             }
             let rq = &mut self.rings[q];
-            let page = hv.mem.page_mut(rq.ring_page)?;
-            if rq.ring.push_responses(page) {
+            let page = hv.mem.page_mut(rq.shared.page)?;
+            if rq.shared.ring.push_responses(page) {
                 out.notify_rings |= 1u64 << q;
             }
         }
@@ -1069,67 +985,6 @@ impl BlkbackInstance {
     /// Requests currently on the device.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
-    }
-
-    /// Ring-progress sample for health monitoring, aggregated across
-    /// rings: `(consumed, pending)`.
-    pub fn progress(&self, hv: &Hypervisor) -> (u64, u64) {
-        self.queue_progress(hv)
-            .into_iter()
-            .fold((0, 0), |(c, p), (qc, qp)| (c + qc, p + qp))
-    }
-
-    /// Per-ring progress watermarks: `(consumed, pending)` for each ring.
-    ///
-    /// `consumed` is the ring's lifetime consumer watermark — it only
-    /// advances when that ring's request thread runs, so successive
-    /// samples distinguish one livelocked ring from its idle or busy
-    /// siblings. `pending` counts submitted requests not yet consumed.
-    pub fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
-        self.rings
-            .iter()
-            .map(|rq| {
-                let pending = match hv.mem.page(rq.ring_page) {
-                    Ok(page) => rq.ring.unconsumed_requests(page) as u64,
-                    Err(_) => 0,
-                };
-                (rq.ring.req_cons() as u64, pending)
-            })
-            .collect()
-    }
-
-    /// Quiesces the instance ahead of teardown: announces `Closing` so the
-    /// frontend stops submitting. Mappings stay live until
-    /// [`BlkbackInstance::close`] so in-flight completions can finish.
-    pub fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        let paths = DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vbd, self.index);
-        hv.switch_state(self.back, &paths.backend_state(), XenbusState::Closing)
-    }
-
-    /// Tears the instance down: closes every ring's channel, releases
-    /// every grant mapping (rings, persistent caches, any in-flight
-    /// request pages), frees the bounce pools, and walks the backend
-    /// state to `Closed`.
-    pub fn close(self, hv: &mut Hypervisor) -> Result<()> {
-        let paths = DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vbd, self.index);
-        for (_, fl) in self.in_flight {
-            for h in fl.unmap {
-                hv.unmap_grant(self.back, h)?;
-            }
-        }
-        for rq in self.rings {
-            let _ = hv.evtchn.close(self.back, rq.evtchn);
-            for (_, (h, _, _)) in rq.persistent.map {
-                hv.unmap_grant(self.back, h)?;
-            }
-            hv.unmap_grant(self.back, rq._ring_map)?;
-            for page in rq.bounce {
-                hv.free_page(self.back, page)?;
-            }
-        }
-        hv.switch_state(self.back, &paths.backend_state(), XenbusState::Closing)?;
-        hv.switch_state(self.back, &paths.backend_state(), XenbusState::Closed)?;
-        Ok(())
     }
 }
 
@@ -1183,35 +1038,56 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
         Ok(out)
     }
 
+    /// Announces `Closing` so the frontend stops submitting. Mappings
+    /// stay live until `close` so in-flight completions can finish.
     fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        BlkbackInstance::suspend(self, hv)
+        let state = self.device_paths().backend_state();
+        hv.switch_state(self.back, &state, XenbusState::Closing)
     }
 
+    /// Closes every ring's channel, releases every grant mapping (rings,
+    /// persistent caches, any in-flight request pages), frees the bounce
+    /// pools, and walks the backend state to `Closed`.
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
-        BlkbackInstance::close(self, hv)
+        let state = self.device_paths().backend_state();
+        for (_, fl) in self.in_flight {
+            for h in fl.unmap {
+                hv.unmap_grant(self.back, h)?;
+            }
+        }
+        for rq in self.rings {
+            rq.state.release(hv, self.back)?;
+            for (_, (h, _, _)) in rq.persistent.map {
+                hv.unmap_grant(self.back, h)?;
+            }
+            rq.shared.detach(hv, self.back)?;
+        }
+        hv.switch_state(self.back, &state, XenbusState::Closing)?;
+        hv.switch_state(self.back, &state, XenbusState::Closed)
     }
 
     fn queue_count(&self) -> usize {
-        BlkbackInstance::ring_count(self)
+        self.rings.len()
     }
 
     fn port_of(&self, q: usize) -> Port {
-        BlkbackInstance::port_of(self, q)
+        self.rings[q].state.evtchn
     }
 
+    /// Ack the port and wake the request thread.
     fn irq_handler_cost(&self) -> Nanos {
-        BlkbackInstance::irq_handler_cost(self)
+        self.profile.irq_overhead
     }
 
     fn set_copy_mode(&mut self, mode: CopyMode) {
-        BlkbackInstance::set_copy_mode(self, mode)
+        self.copy_mode = mode;
     }
 
     fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
-        BlkbackInstance::set_queue_wedged(self, q, wedged)
+        self.rings[q].state.wedged = wedged;
     }
 
     fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
-        BlkbackInstance::queue_progress(self, hv)
+        self.rings.iter().map(|rq| rq.shared.progress(hv)).collect()
     }
 }

@@ -6,11 +6,13 @@
 //! module gives every backend driver one shape:
 //!
 //! * [`BackendDevice`] — the hooks a driver implements: `connect`, `run`,
-//!   `suspend`, `close`, a provided `reconnect`, and the per-queue
-//!   surface (ports, wedging, progress) the hosting system drives;
+//!   `suspend`, `close`, and the per-queue surface (ports, wedging,
+//!   progress) the hosting system drives;
+//! * `QueueState` — the per-queue state every backend keeps besides its
+//!   rings: event channel, wedge flag, bounce-page pool;
 //! * [`DeviceLifecycle`] — the state driver that owns one device slot and
 //!   performs the legal transitions (connect when the frontend published,
-//!   orderly close, crash abandonment, reconnect after a driver-domain
+//!   orderly close, crash abandonment, connect again after a driver-domain
 //!   restart — possibly to a *different* backend domain);
 //! * [`RecoveryStats`] — what a system scenario reports about outages:
 //!   reconnects, downtime, retried and dropped work.
@@ -19,7 +21,8 @@ use kite_sim::Nanos;
 use kite_trace::EventKind;
 use kite_xen::xenbus::read_state;
 use kite_xen::{
-    CopyMode, DeviceKind, DevicePaths, Hypervisor, Port, Result, XenError, XenbusState,
+    CopyMode, DeviceKind, DevicePaths, DomainId, Hypervisor, PageId, Port, Result, XenError,
+    XenbusState,
 };
 
 /// Trace identity of a device slot: `<kind>/<frontend-domain>/<index>`.
@@ -98,17 +101,46 @@ pub trait BackendDevice: Sized {
     /// Per-queue `(consumed, pending)` ring-progress watermarks, the
     /// health monitor's stall-detection input.
     fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)>;
+}
 
-    /// Orderly teardown followed by a fresh connect — the non-crash
-    /// reconfiguration path.
-    fn reconnect(
-        self,
-        hv: &mut Hypervisor,
-        paths: &DevicePaths,
-        cfg: &Self::Config,
-    ) -> Result<Self> {
-        self.close(hv)?;
-        Self::connect(hv, paths, cfg)
+/// What one backend queue holds besides its rings.
+pub(crate) struct QueueState {
+    /// The queue's backend-local event-channel port.
+    pub evtchn: Port,
+    /// Fault injection: a wedged queue's threads never run (a stuck
+    /// kthread) while the rest of the domain — heartbeats included —
+    /// carries on. What per-queue stall detection must catch.
+    pub wedged: bool,
+    /// Pages the queue's drains stage grant-copy payloads through, one
+    /// per op of a batch, so a whole drain moves in one `GNTTABOP_copy`.
+    pub bounce: Vec<PageId>,
+}
+
+impl QueueState {
+    pub fn new(evtchn: Port) -> QueueState {
+        QueueState {
+            evtchn,
+            wedged: false,
+            bounce: Vec::new(),
+        }
+    }
+
+    /// Grows the bounce pool to at least `n` pages.
+    pub fn ensure_bounce(&mut self, hv: &mut Hypervisor, back: DomainId, n: usize) -> Result<()> {
+        while self.bounce.len() < n {
+            self.bounce.push(hv.alloc_page(back)?);
+        }
+        Ok(())
+    }
+
+    /// Closes the event channel and frees the bounce pool.
+    pub fn release(self, hv: &mut Hypervisor, back: DomainId) -> Result<()> {
+        // The port may already be closed from the guest's end.
+        let _ = hv.evtchn.close(back, self.evtchn);
+        for page in self.bounce {
+            hv.free_page(back, page)?;
+        }
+        Ok(())
     }
 }
 
@@ -219,14 +251,6 @@ impl<D: BackendDevice> DeviceLifecycle<D> {
             trace_transition(hv, D::KIND, &self.paths, "abandon");
         }
         d
-    }
-
-    /// Orderly close (if connected) followed by a fresh connect against
-    /// the current paths — [`BackendDevice::reconnect`] driven from the
-    /// slot.
-    pub fn reconnect(&mut self, hv: &mut Hypervisor) -> Result<&mut D> {
-        self.close(hv)?;
-        self.connect(hv)
     }
 }
 

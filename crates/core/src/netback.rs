@@ -33,20 +33,14 @@ use kite_xen::netif::{
     NETRXF_DATA_VALIDATED, NETRXF_MORE_DATA, NETTXF_EXTRA_INFO, NETTXF_MORE_DATA,
     XEN_NETIF_EXTRA_TYPE_GSO,
 };
-use kite_xen::ring::BackRing;
-use kite_xen::xenbus::{
-    FEATURE_GSO_KEY, FEATURE_NO_CSUM_KEY, MQ_MAX_QUEUES_KEY, MQ_NUM_QUEUES_KEY,
-};
+use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey, FEATURE_GSO_KEY, FEATURE_NO_CSUM_KEY};
 use kite_xen::{
-    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, GrantRef, Hypervisor, MapHandle,
-    PageId, Port, ReqId, ReqStage, Result, SlotClass, XenError, XenbusState, PAGE_SIZE,
+    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, Hypervisor, Port, ReqId, ReqStage,
+    Result, SlotClass, XenbusState, PAGE_SIZE,
 };
 
+use crate::lifecycle::QueueState;
 use crate::stats::CopyStats;
-
-/// Queues a backend accepts when the toolstack wrote no
-/// `multi-queue-max-queues` advertisement for it.
-pub const DEFAULT_MAX_QUEUES: u32 = 8;
 
 /// Result of one pusher (Tx-drain) batch.
 #[derive(Debug, Default)]
@@ -164,26 +158,13 @@ impl NetbackStats {
 }
 
 /// One queue of a netback instance: a Tx/Rx ring pair mapped from the
-/// frontend, its event channel, the bounce-page pool its drains copy
-/// through, and the world → guest frame queue awaiting Rx slots.
+/// frontend, its event channel and bounce pool, and the world → guest
+/// frame queue awaiting Rx slots.
 struct NbQueue {
-    evtchn: Port,
-    tx_ring: BackRing<NetifTxRequest, NetifTxResponse>,
-    rx_ring: BackRing<NetifRxRequest, NetifRxResponse>,
-    tx_page: PageId,
-    rx_page: PageId,
-    _tx_map: MapHandle,
-    _rx_map: MapHandle,
-    /// Per-queue frame buffers: one page per in-flight descriptor of a
-    /// drain, so a whole ring batch moves in a single `GNTTABOP_copy`
-    /// (the old design serialized every packet through one scratch page,
-    /// forcing a hypercall per packet). Grown lazily to the drain budget.
-    bounce: Vec<PageId>,
+    state: QueueState,
+    tx: BackEndpoint<NetifTxRequest, NetifTxResponse>,
+    rx: BackEndpoint<NetifRxRequest, NetifRxResponse>,
     to_guest: VecDeque<Vec<u8>>,
-    /// Fault-injection: a wedged queue's pusher/soft_start threads never
-    /// run (a stuck kthread), while the rest of the domain — heartbeats
-    /// included — carries on. What per-queue stall detection must catch.
-    wedged: bool,
 }
 
 /// What became of one consumed Tx ring slot (drives its response).
@@ -244,77 +225,17 @@ pub struct NetbackInstance {
     scratch_req: Vec<ReqId>,
 }
 
-fn connect_queue(hv: &mut Hypervisor, paths: &DevicePaths, root: &str) -> Result<NbQueue> {
-    let back = paths.back;
-    let front = paths.front;
-    let tx_ref = GrantRef(
-        hv.store
-            .read(back, None, &format!("{root}/tx-ring-ref"))?
-            .parse()
-            .map_err(|_| XenError::Inval)?,
-    );
-    let rx_ref = GrantRef(
-        hv.store
-            .read(back, None, &format!("{root}/rx-ring-ref"))?
-            .parse()
-            .map_err(|_| XenError::Inval)?,
-    );
-    let remote_port = Port(
-        hv.store
-            .read(back, None, &format!("{root}/event-channel"))?
-            .parse()
-            .map_err(|_| XenError::Inval)?,
-    );
-    let (tx_map, _) = hv.map_grant(back, front, tx_ref)?;
-    let (rx_map, _) = hv.map_grant(back, front, rx_ref)?;
-    let (evtchn, _) = hv.evtchn_bind(back, front, remote_port)?;
-    Ok(NbQueue {
-        evtchn,
-        tx_ring: BackRing::attach(),
-        rx_ring: BackRing::attach(),
-        tx_page: tx_map.page,
-        rx_page: rx_map.page,
-        _tx_map: tx_map.handle,
-        _rx_map: rx_map.handle,
-        bounce: Vec::new(),
-        to_guest: VecDeque::new(),
-        wedged: false,
-    })
-}
-
 impl NetbackInstance {
-    /// Connects to a frontend that has published its details: reads the
-    /// negotiated queue count, maps every queue's rings, binds its event
-    /// channels, writes `feature-rx-copy` and flips the backend state to
+    /// Connects to a frontend that has published its details: attaches
+    /// every negotiated queue's ring pair and event channel
+    /// ([`attach_back`] owns the negotiation and the undo-on-error
+    /// contract), writes `feature-rx-copy` and flips the backend state to
     /// `Connected`.
-    ///
-    /// The queue count is whatever the frontend wrote to
-    /// `multi-queue-num-queues` (1 when absent — the legacy layout),
-    /// validated against this backend's own `multi-queue-max-queues`
-    /// advertisement (the toolstack writes it; absent means
-    /// [`DEFAULT_MAX_QUEUES`]). A frontend asking for more than the
-    /// backend advertised is refused with [`XenError::Inval`].
     pub fn connect(hv: &mut Hypervisor, paths: &DevicePaths, profile: OsProfile) -> Result<Self> {
         let back = paths.back;
         let front = paths.front;
         let fe = paths.frontend();
         let be = paths.backend();
-        let nqueues = hv
-            .store
-            .read(back, None, &format!("{fe}/{MQ_NUM_QUEUES_KEY}"))
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(1)
-            .max(1);
-        let max = hv
-            .store
-            .read(back, None, &format!("{be}/{MQ_MAX_QUEUES_KEY}"))
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(DEFAULT_MAX_QUEUES);
-        if nqueues > max {
-            return Err(XenError::Inval);
-        }
         // Offload negotiation: chains are legal only when the toolstack
         // advertised GSO under the backend path AND the frontend echoed
         // it. Checksum offload rides along unless the frontend vetoed
@@ -329,14 +250,23 @@ impl NetbackInstance {
         let gso = key_is_1(hv, &format!("{be}/{FEATURE_GSO_KEY}"))
             && key_is_1(hv, &format!("{fe}/{FEATURE_GSO_KEY}"));
         let csum_offload = gso && !key_is_1(hv, &format!("{fe}/{FEATURE_NO_CSUM_KEY}"));
-        let mut queues = Vec::with_capacity(nqueues as usize);
-        for k in 0..nqueues {
-            let root = paths.frontend_queue_root(nqueues, k);
-            queues.push(connect_queue(hv, paths, &root)?);
-        }
-        hv.store
-            .write(back, None, &format!("{be}/feature-rx-copy"), "1")?;
-        hv.switch_state(back, &paths.backend_state(), XenbusState::Connected)?;
+        let queues = attach_back(hv, paths, |hv, at| {
+            let mut queues = Vec::with_capacity(at.queues() as usize);
+            for k in 0..at.queues() {
+                let tx = at.ring(hv, k, RingKey::Tx)?;
+                let rx = at.ring(hv, k, RingKey::Rx)?;
+                queues.push(NbQueue {
+                    state: QueueState::new(at.event_channel(hv, k)?),
+                    tx,
+                    rx,
+                    to_guest: VecDeque::new(),
+                });
+            }
+            hv.store
+                .write(back, None, &format!("{be}/feature-rx-copy"), "1")?;
+            hv.switch_state(back, &paths.backend_state(), XenbusState::Connected)?;
+            Ok(queues)
+        })?;
         Ok(NetbackInstance {
             back,
             front,
@@ -373,48 +303,9 @@ impl NetbackInstance {
         self.stats
     }
 
-    /// Number of negotiated queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
-    /// Queue `q`'s backend-local event-channel port.
-    pub fn port_of(&self, q: usize) -> Port {
-        self.queues[q].evtchn
-    }
-
-    /// True if `port` belongs to any of this instance's queues.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.queues.iter().any(|qu| qu.evtchn == port)
-    }
-
     /// How this instance issues its grant copies (batched by default).
     pub fn copy_mode(&self) -> CopyMode {
         self.copy_mode
-    }
-
-    /// Switches between the batched fast path and the legacy one-hypercall
-    /// -per-packet shape (ablation benches, equivalence tests).
-    pub fn set_copy_mode(&mut self, mode: CopyMode) {
-        self.copy_mode = mode;
-    }
-
-    /// Wedges (or unwedges) one queue's threads — the fault-injection
-    /// hook behind the "one queue stuck, domain still beating" scenario.
-    pub fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
-        self.queues[q].wedged = wedged;
-    }
-
-    /// Whether queue `q` is wedged.
-    pub fn queue_wedged(&self, q: usize) -> bool {
-        self.queues[q].wedged
-    }
-
-    /// The cost of the event-channel interrupt handler itself: ack the
-    /// port and wake the pusher. Nothing else happens in IRQ context —
-    /// the paper's central latency argument.
-    pub fn irq_handler_cost(&self) -> Nanos {
-        self.profile.irq_overhead
     }
 
     /// The trace label for ring-drain events: per-queue tracks only make
@@ -431,8 +322,8 @@ impl NetbackInstance {
     /// Pops the next published Tx request of queue `q`, if any.
     fn consume_tx(&mut self, hv: &Hypervisor, q: usize) -> Result<Option<NetifTxRequest>> {
         let qu = &mut self.queues[q];
-        let page = hv.mem.page(qu.tx_page)?;
-        qu.tx_ring.consume_request(page)
+        let page = hv.mem.page(qu.tx.page)?;
+        qu.tx.ring.consume_request(page)
     }
 
     /// Validates one data slot and, if sound, appends its grant-copy op
@@ -453,11 +344,10 @@ impl NetbackInstance {
         if size == 0 || offset >= PAGE_SIZE || size > PAGE_SIZE - offset {
             return Ok(false);
         }
-        while self.queues[q].bounce.len() < ops.len() + 1 {
-            let page = hv.alloc_page(self.back)?;
-            self.queues[q].bounce.push(page);
-        }
-        let dst = self.queues[q].bounce[ops.len()];
+        self.queues[q]
+            .state
+            .ensure_bounce(hv, self.back, ops.len() + 1)?;
+        let dst = self.queues[q].state.bounce[ops.len()];
         ops.push(GrantCopyOp {
             src: CopySide::Grant {
                 granter: self.front,
@@ -494,7 +384,7 @@ impl NetbackInstance {
     pub fn pusher_run(&mut self, hv: &mut Hypervisor, q: usize, budget: usize) -> Result<TxBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::NetbackTxDrain);
         let mut batch = TxBatch::default();
-        if self.queues[q].wedged {
+        if self.queues[q].state.wedged {
             return Ok(batch);
         }
         // Consumed slots in ring order (each owes one response) and the
@@ -692,7 +582,7 @@ impl NetbackInstance {
             let status = match disp {
                 TxDisp::Single(i) if result.statuses[i].is_okay() => {
                     let size = ops[i].len;
-                    let frame = hv.mem.page(self.queues[q].bounce[i])?[..size].to_vec();
+                    let frame = hv.mem.page(self.queues[q].state.bounce[i])?[..size].to_vec();
                     self.stats.tx_packets += 1;
                     self.stats.tx_bytes += size as u64;
                     batch.frames.push(frame);
@@ -710,7 +600,7 @@ impl NetbackInstance {
                         let mut frame = Vec::with_capacity(c.total);
                         for (op, &bounce) in ops[c.op_start..c.op_end]
                             .iter()
-                            .zip(&self.queues[q].bounce[c.op_start..c.op_end])
+                            .zip(&self.queues[q].state.bounce[c.op_start..c.op_end])
                         {
                             frame.extend_from_slice(&hv.mem.page(bounce)?[..op.len]);
                         }
@@ -728,14 +618,15 @@ impl NetbackInstance {
                 TxDisp::Null => NETIF_RSP_NULL,
             };
             let qu = &mut self.queues[q];
-            let page = hv.mem.page_mut(qu.tx_page)?;
-            qu.tx_ring
+            let page = hv.mem.page_mut(qu.tx.page)?;
+            qu.tx
+                .ring
                 .push_response(page, &NetifTxResponse { id, status })?;
         }
         let qu = &mut self.queues[q];
-        let page = hv.mem.page_mut(qu.tx_page)?;
-        batch.notify = qu.tx_ring.push_responses(page);
-        batch.more = qu.tx_ring.final_check_for_requests(page);
+        let page = hv.mem.page_mut(qu.tx.page)?;
+        batch.notify = qu.tx.ring.push_responses(page);
+        batch.more = qu.tx.ring.final_check_for_requests(page);
         if !pending.is_empty() {
             let (consumed, delivered, notify) = (
                 pending.len() as u32,
@@ -786,40 +677,6 @@ impl NetbackInstance {
         self.queues.iter().map(|qu| qu.to_guest.len()).collect()
     }
 
-    /// Ring-progress sample for health monitoring, aggregated across
-    /// queues: `(consumed, pending)`. See
-    /// [`NetbackInstance::queue_progress`] for the per-queue watermarks a
-    /// stall detector should prefer — an aggregate hides one wedged
-    /// queue behind its siblings' progress.
-    pub fn progress(&self, hv: &Hypervisor) -> (u64, u64) {
-        self.queue_progress(hv)
-            .into_iter()
-            .fold((0, 0), |(c, p), (qc, qp)| (c + qc, p + qp))
-    }
-
-    /// Per-queue ring-progress watermarks: `(consumed, pending)` for
-    /// each queue.
-    ///
-    /// `consumed` is the queue's lifetime consumer watermark across both
-    /// rings — it only moves when the queue's threads actually run, so a
-    /// health monitor comparing successive samples can tell a livelocked
-    /// queue from an idle one. `pending` counts work the queue has not
-    /// picked up yet: unconsumed Tx requests plus queued world → guest
-    /// frames.
-    pub fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
-        self.queues
-            .iter()
-            .map(|qu| {
-                let consumed = qu.tx_ring.req_cons() as u64 + qu.rx_ring.req_cons() as u64;
-                let tx_pending = match hv.mem.page(qu.tx_page) {
-                    Ok(page) => qu.tx_ring.unconsumed_requests(page) as u64,
-                    Err(_) => 0,
-                };
-                (consumed, tx_pending + qu.to_guest.len() as u64)
-            })
-            .collect()
-    }
-
     /// The **soft_start** thread body for queue `q`: pairs the queue's
     /// waiting frames with posted Rx requests, staging each frame in its
     /// own buffer page and hypervisor-copying the whole fill into guest
@@ -836,7 +693,7 @@ impl NetbackInstance {
     ) -> Result<RxBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::NetbackRxDrain);
         let mut batch = RxBatch::default();
-        if self.queues[q].wedged {
+        if self.queues[q].state.wedged {
             batch.more = !self.queues[q].to_guest.is_empty();
             return Ok(batch);
         }
@@ -858,8 +715,8 @@ impl NetbackInstance {
             };
             let avail = {
                 let qu = &self.queues[q];
-                let page = hv.mem.page(qu.rx_page)?;
-                qu.rx_ring.unconsumed_requests(page) as usize
+                let page = hv.mem.page(qu.rx.page)?;
+                qu.rx.ring.unconsumed_requests(page) as usize
             };
             if avail < nfrags {
                 break; // never start a chain we cannot finish
@@ -878,18 +735,17 @@ impl NetbackInstance {
             for f in 0..nfrags {
                 let req = {
                     let qu = &mut self.queues[q];
-                    let page = hv.mem.page(qu.rx_page)?;
-                    match qu.rx_ring.consume_request(page)? {
+                    let page = hv.mem.page(qu.rx.page)?;
+                    match qu.rx.ring.consume_request(page)? {
                         Some(r) => r,
                         None => break, // unreachable: avail checked
                     }
                 };
                 let len = (total - off).min(PAGE_SIZE);
-                while self.queues[q].bounce.len() < ops.len() + 1 {
-                    let page = hv.alloc_page(self.back)?;
-                    self.queues[q].bounce.push(page);
-                }
-                let src = self.queues[q].bounce[ops.len()];
+                self.queues[q]
+                    .state
+                    .ensure_bounce(hv, self.back, ops.len() + 1)?;
+                let src = self.queues[q].state.bounce[ops.len()];
                 hv.mem.page_mut(src)?[..len].copy_from_slice(&frame[off..off + len]);
                 ops.push(GrantCopyOp {
                     src: CopySide::Local {
@@ -949,8 +805,8 @@ impl NetbackInstance {
                 NETIF_RSP_ERROR
             };
             let qu = &mut self.queues[q];
-            let page = hv.mem.page_mut(qu.rx_page)?;
-            qu.rx_ring.push_response(
+            let page = hv.mem.page_mut(qu.rx.page)?;
+            qu.rx.ring.push_response(
                 page,
                 &NetifRxResponse {
                     id,
@@ -961,8 +817,8 @@ impl NetbackInstance {
             )?;
         }
         let qu = &mut self.queues[q];
-        let page = hv.mem.page_mut(qu.rx_page)?;
-        batch.notify = qu.rx_ring.push_responses(page);
+        let page = hv.mem.page_mut(qu.rx.page)?;
+        batch.notify = qu.rx.ring.push_responses(page);
         batch.more = !qu.to_guest.is_empty();
         if !posted.is_empty() {
             let (consumed, delivered, notify) =
@@ -981,32 +837,6 @@ impl NetbackInstance {
         self.scratch_rx = posted;
         self.scratch_ops = ops;
         Ok(batch)
-    }
-
-    /// Quiesces the instance ahead of teardown: stops accepting new Rx
-    /// frames and announces `Closing` so the frontend can unwind.
-    /// Resources stay mapped until [`NetbackInstance::close`].
-    pub fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        self.rx_queue_cap = 0;
-        let paths = DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vif, self.index);
-        hv.switch_state(self.back, &paths.backend_state(), XenbusState::Closing)
-    }
-
-    /// Tears the instance down: closes every queue's channel, unmaps its
-    /// rings, frees the frame-buffer pools, marks the backend `Closed`.
-    pub fn close(self, hv: &mut Hypervisor) -> Result<()> {
-        let paths = DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vif, self.index);
-        for qu in self.queues {
-            let _ = hv.evtchn.close(self.back, qu.evtchn);
-            hv.unmap_grant(self.back, qu._tx_map)?;
-            hv.unmap_grant(self.back, qu._rx_map)?;
-            for page in qu.bounce {
-                hv.free_page(self.back, page)?;
-            }
-        }
-        hv.switch_state(self.back, &paths.backend_state(), XenbusState::Closing)?;
-        hv.switch_state(self.back, &paths.backend_state(), XenbusState::Closed)?;
-        Ok(())
     }
 }
 
@@ -1048,36 +878,62 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
         Ok((tx, rx))
     }
 
+    /// Stops accepting new Rx frames and announces `Closing` so the
+    /// frontend can unwind; resources stay mapped until `close`.
     fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        NetbackInstance::suspend(self, hv)
+        self.rx_queue_cap = 0;
+        let state = self.device_paths().backend_state();
+        hv.switch_state(self.back, &state, XenbusState::Closing)
     }
 
+    /// Closes every queue's channel, unmaps its rings, frees the
+    /// frame-buffer pools, marks the backend `Closed`.
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
-        NetbackInstance::close(self, hv)
+        let state = self.device_paths().backend_state();
+        for qu in self.queues {
+            qu.state.release(hv, self.back)?;
+            qu.tx.detach(hv, self.back)?;
+            qu.rx.detach(hv, self.back)?;
+        }
+        hv.switch_state(self.back, &state, XenbusState::Closing)?;
+        hv.switch_state(self.back, &state, XenbusState::Closed)
     }
 
     fn queue_count(&self) -> usize {
-        NetbackInstance::queue_count(self)
+        self.queues.len()
     }
 
     fn port_of(&self, q: usize) -> Port {
-        NetbackInstance::port_of(self, q)
+        self.queues[q].state.evtchn
     }
 
+    /// Ack the port and wake the pusher. Nothing else happens in IRQ
+    /// context — the paper's central latency argument.
     fn irq_handler_cost(&self) -> Nanos {
-        NetbackInstance::irq_handler_cost(self)
+        self.profile.irq_overhead
     }
 
     fn set_copy_mode(&mut self, mode: CopyMode) {
-        NetbackInstance::set_copy_mode(self, mode)
+        self.copy_mode = mode;
     }
 
     fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
-        NetbackInstance::set_queue_wedged(self, q, wedged)
+        self.queues[q].state.wedged = wedged;
     }
 
+    /// `consumed` sums both rings' consumer watermarks; `pending` counts
+    /// unconsumed Tx requests plus queued world → guest frames.
     fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
-        NetbackInstance::queue_progress(self, hv)
+        self.queues
+            .iter()
+            .map(|qu| {
+                let (tx_consumed, tx_pending) = qu.tx.progress(hv);
+                (
+                    tx_consumed + qu.rx.ring.req_cons() as u64,
+                    tx_pending + qu.to_guest.len() as u64,
+                )
+            })
+            .collect()
     }
 }
 
@@ -1085,20 +941,25 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
 mod tests {
     use super::*;
     use crate::backend::{provision_device, BackendManager};
+    use crate::lifecycle::BackendDevice;
     use kite_frontends::Netfront;
     use kite_net::MacAddr;
     use kite_rumprun::kite_profile;
     use kite_xen::ring::FrontRing;
-    use kite_xen::{DeviceKind, DomainKind};
+    use kite_xen::{DeviceKind, DomainKind, GrantRef, PageId, XenError};
 
     fn machine() -> (Hypervisor, DevicePaths) {
+        machine_for(DeviceKind::Vif)
+    }
+
+    fn machine_for(kind: DeviceKind) -> (Hypervisor, DevicePaths) {
         let mut hv = Hypervisor::new();
         hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
-        let dd = hv.create_domain("netbackend", DomainKind::Driver, 1024, 1);
+        let dd = hv.create_domain("backend", DomainKind::Driver, 1024, 1);
         let gu = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
-        let paths = DevicePaths::new(gu, dd, DeviceKind::Vif, 0);
+        let paths = DevicePaths::new(gu, dd, kind, 0);
         provision_device(&mut hv, &paths).unwrap();
-        let mut mgr = BackendManager::new(dd, DeviceKind::Vif);
+        let mut mgr = BackendManager::new(dd, kind);
         mgr.start(&mut hv).unwrap();
         mgr.drain_events(&mut hv).unwrap();
         (hv, paths)
@@ -1251,7 +1112,7 @@ mod tests {
         let tx_ref = hv.grant_access(gu, dd, tx_page, false).unwrap();
         let rx_ref = hv.grant_access(gu, dd, rx_page, false).unwrap();
         let (port, _) = hv.evtchn_alloc_unbound(gu, dd);
-        let root = paths.frontend_queue_root(1, 0);
+        let root = paths.frontend();
         for (key, val) in [
             ("tx-ring-ref", tx_ref.0.to_string()),
             ("rx-ring-ref", rx_ref.0.to_string()),
@@ -1414,5 +1275,171 @@ mod tests {
         assert_eq!(hv.grants.active_maps(paths.back), 0);
         hv.destroy_domain(paths.front).unwrap();
         assert_eq!(hv.grants.live_grants(paths.front), 0);
+    }
+
+    // ---- hostile negotiation keys: one attach path, both backends ------
+
+    /// One hostile-frontend case: `(front_queues, key, value, want)`. A
+    /// well-formed `front_queues`-queue frontend connects against a
+    /// backend advertising 4 queues, then `key` (relative to the
+    /// frontend's xenstore area) is overwritten with `value` (`None`
+    /// removes it). The backend's connect must end as `want`: a queue
+    /// count, or an error that leaves the driver domain holding nothing
+    /// it did not hold before.
+    type Case = (u32, &'static str, Option<&'static str>, Result<usize>);
+
+    const NUM_QUEUES: &str = "multi-queue-num-queues";
+
+    /// Guest-written `multi-queue-num-queues` values, shared by both
+    /// backends (the count is parsed once, in `xenbus::attach_back`).
+    const NUM_QUEUES_CASES: [Case; 9] = [
+        (1, NUM_QUEUES, None, Ok(1)), // absent: the flat layout
+        (1, NUM_QUEUES, Some("0"), Ok(1)),
+        (4, NUM_QUEUES, Some(""), Err(XenError::Inval)),
+        (4, NUM_QUEUES, Some("abc"), Err(XenError::Inval)),
+        (4, NUM_QUEUES, Some("-1"), Err(XenError::Inval)),
+        (4, NUM_QUEUES, Some("5"), Err(XenError::Inval)), // advertised + 1
+        (4, NUM_QUEUES, Some("4294967295"), Err(XenError::Inval)),
+        (4, NUM_QUEUES, Some("4294967296"), Err(XenError::Inval)),
+        (4, NUM_QUEUES, Some("4"), Ok(4)),
+    ];
+
+    fn run_case<D: BackendDevice>(
+        cfg: &D::Config,
+        connect_front: fn(&mut Hypervisor, &DevicePaths, u32),
+        &(front_queues, key, value, want): &Case,
+    ) {
+        let (mut hv, paths) = machine_for(D::KIND);
+        let what = format!("{:?} {key} = {value:?}", D::KIND);
+        let max = format!("{}/multi-queue-max-queues", paths.backend());
+        hv.store.write(DomainId::DOM0, None, &max, "4").unwrap();
+        connect_front(&mut hv, &paths, front_queues);
+        let path = format!("{}/{key}", paths.frontend());
+        match value {
+            Some(v) => hv.store.write(paths.front, None, &path, v).unwrap(),
+            None => match hv.store.rm(paths.front, None, &path) {
+                Ok(()) | Err(XenError::NoEnt) => {}
+                Err(e) => panic!("{what}: {e}"),
+            },
+        }
+        let held = |hv: &Hypervisor| {
+            (
+                hv.grants.active_maps(paths.back),
+                hv.evtchn.open_ports(paths.back),
+            )
+        };
+        let before = held(&hv);
+        match (D::connect(&mut hv, &paths, cfg), want) {
+            (Ok(dev), Ok(n)) => {
+                assert_eq!(dev.queue_count(), n, "{what}");
+                dev.close(&mut hv).unwrap();
+            }
+            (Err(e), Err(want)) => assert_eq!(e, want, "{what}"),
+            (got, want) => panic!("{what}: got {:?}, want {want:?}", got.map(|_| ())),
+        }
+        assert_eq!(held(&hv), before, "{what}: driver domain leaked");
+        if want.is_err() {
+            // A corrected frontend connects on the same machine.
+            connect_front(&mut hv, &paths, front_queues);
+            let dev = D::connect(&mut hv, &paths, cfg).expect("corrected frontend");
+            assert_eq!(dev.queue_count(), front_queues as usize, "{what}");
+        }
+    }
+
+    fn netfront(hv: &mut Hypervisor, paths: &DevicePaths, queues: u32) {
+        Netfront::connect_with_features(hv, paths, MacAddr::local(1), queues, true, false).unwrap();
+    }
+
+    fn blkfront(hv: &mut Hypervisor, paths: &DevicePaths, queues: u32) {
+        kite_frontends::Blkfront::connect_with_queues(hv, paths, queues).unwrap();
+    }
+
+    fn blk_cfg() -> crate::blkback::BlkbackConfig {
+        crate::blkback::BlkbackConfig {
+            profile: kite_profile(),
+            tuning: Default::default(),
+            device_sectors: 1 << 20,
+        }
+    }
+
+    #[test]
+    fn netback_refuses_garbage_negotiation_keys_without_leaking() {
+        let ring_cases = [
+            (4, "queue-1/tx-ring-ref", None, Err(XenError::Inval)),
+            (4, "queue-3/rx-ring-ref", Some("abc"), Err(XenError::Inval)),
+            (
+                4,
+                "queue-0/rx-ring-ref",
+                Some("999999"),
+                Err(XenError::BadGrant),
+            ),
+            (4, "queue-2/event-channel", None, Err(XenError::Inval)),
+            (4, "queue-1/event-channel", Some("-7"), Err(XenError::Inval)),
+            (
+                4,
+                "queue-3/event-channel",
+                Some("999999"),
+                Err(XenError::BadPort),
+            ),
+        ];
+        for c in NUM_QUEUES_CASES.iter().chain(&ring_cases) {
+            run_case::<NetbackInstance>(&kite_profile(), netfront, c);
+        }
+    }
+
+    #[test]
+    fn blkback_refuses_garbage_negotiation_keys_without_leaking() {
+        let ring_cases = [
+            (4, "queue-1/ring-ref", None, Err(XenError::Inval)),
+            (4, "queue-3/ring-ref", Some("abc"), Err(XenError::Inval)),
+            (
+                4,
+                "queue-0/ring-ref",
+                Some("999999"),
+                Err(XenError::BadGrant),
+            ),
+            (4, "queue-2/event-channel", None, Err(XenError::Inval)),
+            (4, "queue-1/event-channel", Some("-7"), Err(XenError::Inval)),
+            (
+                4,
+                "queue-3/event-channel",
+                Some("999999"),
+                Err(XenError::BadPort),
+            ),
+        ];
+        for c in NUM_QUEUES_CASES.iter().chain(&ring_cases) {
+            run_case::<crate::blkback::BlkbackInstance>(&blk_cfg(), blkfront, c);
+        }
+    }
+
+    // Partial-connect regressions: each used to return `Err` with the
+    // earlier rings still mapped and the earlier queues' ports still bound.
+
+    #[test]
+    fn netback_bad_rx_ring_ref_unmaps_the_tx_ring() {
+        let c = (1, "rx-ring-ref", Some("999999"), Err(XenError::BadGrant));
+        run_case::<NetbackInstance>(&kite_profile(), netfront, &c);
+    }
+
+    #[test]
+    fn netback_bad_event_channel_on_queue_2_of_4_releases_queues_0_and_1() {
+        let c = (
+            4,
+            "queue-2/event-channel",
+            Some("999999"),
+            Err(XenError::BadPort),
+        );
+        run_case::<NetbackInstance>(&kite_profile(), netfront, &c);
+    }
+
+    #[test]
+    fn blkback_bad_ring_ref_on_ring_2_of_4_releases_rings_0_and_1() {
+        let c = (
+            4,
+            "queue-2/ring-ref",
+            Some("999999"),
+            Err(XenError::BadGrant),
+        );
+        run_case::<crate::blkback::BlkbackInstance>(&blk_cfg(), blkfront, &c);
     }
 }

@@ -191,36 +191,6 @@ impl NvmeProfile {
         self.channels = channels;
         self
     }
-
-    /// Sets the per-channel read rate in bytes/sec.
-    pub fn with_read_bps_per_channel(mut self, bps: u64) -> NvmeProfile {
-        self.read_bps_per_channel = bps;
-        self
-    }
-
-    /// Sets the per-channel write rate in bytes/sec.
-    pub fn with_write_bps_per_channel(mut self, bps: u64) -> NvmeProfile {
-        self.write_bps_per_channel = bps;
-        self
-    }
-
-    /// Sets the fixed read command latency.
-    pub fn with_read_latency(mut self, latency: Nanos) -> NvmeProfile {
-        self.read_latency = latency;
-        self
-    }
-
-    /// Sets the fixed write command latency.
-    pub fn with_write_latency(mut self, latency: Nanos) -> NvmeProfile {
-        self.write_latency = latency;
-        self
-    }
-
-    /// Sets the flush completion overhead.
-    pub fn with_flush_latency(mut self, latency: Nanos) -> NvmeProfile {
-        self.flush_latency = latency;
-        self
-    }
 }
 
 /// One I/O SQ/CQ pair. The CQ is kept ordered by completion time

@@ -17,8 +17,9 @@ use kite_xen::blkif::{
     BLKIF_MAX_SEGMENTS_PER_REQUEST, BLKIF_OP_FLUSH_DISKCACHE, BLKIF_OP_READ, BLKIF_OP_WRITE,
     BLKIF_RSP_OKAY, SECTOR_SIZE,
 };
-use kite_xen::ring::FrontRing;
-use kite_xen::xenbus::{negotiate_queues, switch_state, MQ_MAX_QUEUES_KEY, MQ_NUM_QUEUES_KEY};
+use kite_xen::xenbus::{
+    negotiate_front, publish_queue, read_key, switch_state, FrontEndpoint, RingKey,
+};
 use kite_xen::{
     DevicePaths, DomainId, GrantRef, Hypervisor, PageId, Port, Result, XenError, XenbusState,
 };
@@ -45,11 +46,10 @@ struct Pending {
     indirect_idx: Option<usize>, // indirect descriptor page to recycle
 }
 
-/// One ring of the frontend: the shared ring page and its event channel.
+/// One ring of the frontend: the shared ring and its event channel.
 struct BfRing {
     evtchn: Port,
-    ring: FrontRing<BlkifRequest, BlkifResponse>,
-    ring_page: PageId,
+    shared: FrontEndpoint<BlkifRequest, BlkifResponse>,
 }
 
 /// The blkfront driver instance.
@@ -80,7 +80,7 @@ pub struct Blkfront {
 const POOL_PAGES: usize = 1024;
 
 impl Blkfront {
-    /// Connects with the legacy single-ring layout.
+    /// Connects with the flat single-ring layout.
     pub fn connect(hv: &mut Hypervisor, paths: &DevicePaths) -> Result<Blkfront> {
         Blkfront::connect_with_queues(hv, paths, 1)
     }
@@ -89,10 +89,9 @@ impl Blkfront {
     /// negotiated ring and the shared pools, publishes details, flips to
     /// `Initialised`.
     ///
-    /// Queue negotiation reads the backend's `multi-queue-max-queues`
-    /// advertisement (absent → 1) and clamps `max_queues` against it;
-    /// with a single ring the flat legacy key layout is kept, so a
-    /// `max_queues = 1` connect is indistinguishable from [`connect`].
+    /// [`negotiate_front`] clamps `max_queues` against the backend's
+    /// advertisement; with a single ring the flat key layout is kept, so
+    /// a `max_queues = 1` connect is indistinguishable from [`connect`].
     ///
     /// The backend writes its property keys when it connects; the system
     /// layer re-reads them via [`Blkfront::read_features`] once the
@@ -107,57 +106,12 @@ impl Blkfront {
         let guest = paths.front;
         let backend = paths.back;
         let fe = paths.frontend();
-        let be = paths.backend();
-        let back_max = hv
-            .store
-            .read(guest, None, &format!("{be}/{MQ_MAX_QUEUES_KEY}"))
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(1);
-        let nrings = negotiate_queues(max_queues, back_max);
-        if max_queues > 1 {
-            hv.store.write(
-                guest,
-                None,
-                &format!("{fe}/{MQ_MAX_QUEUES_KEY}"),
-                &max_queues.to_string(),
-            )?;
-        }
-        if nrings > 1 {
-            hv.store.write(
-                guest,
-                None,
-                &format!("{fe}/{MQ_NUM_QUEUES_KEY}"),
-                &nrings.to_string(),
-            )?;
-        }
+        let nrings = negotiate_front(hv, paths, max_queues)?;
         let mut rings = Vec::with_capacity(nrings as usize);
         for k in 0..nrings {
-            let root = paths.frontend_queue_root(nrings, k);
-            let ring_page = hv.alloc_page(guest)?;
-            let ring = {
-                let p = hv.mem.page_mut(ring_page)?;
-                FrontRing::init(p)
-            };
-            let ring_ref = hv.grant_access(guest, backend, ring_page, false)?;
-            let (port, _) = hv.evtchn_alloc_unbound(guest, backend);
-            hv.store.write(
-                guest,
-                None,
-                &format!("{root}/ring-ref"),
-                &ring_ref.0.to_string(),
-            )?;
-            hv.store.write(
-                guest,
-                None,
-                &format!("{root}/event-channel"),
-                &port.0.to_string(),
-            )?;
-            rings.push(BfRing {
-                evtchn: port,
-                ring,
-                ring_page,
-            });
+            let shared = FrontEndpoint::alloc(hv, paths, RingKey::Blk)?;
+            let evtchn = publish_queue(hv, paths, nrings, k, &[shared.ring_ref()])?;
+            rings.push(BfRing { evtchn, shared });
         }
         let mut pool_pages = Vec::with_capacity(POOL_PAGES);
         let mut pool_grefs = Vec::with_capacity(POOL_PAGES);
@@ -213,11 +167,6 @@ impl Blkfront {
         self.rings[q].evtchn
     }
 
-    /// True if `port` belongs to any of this frontend's rings.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.rings.iter().any(|r| r.evtchn == port)
-    }
-
     /// The ring a still-outstanding request went out on.
     pub fn ring_of(&self, id: u64) -> Option<usize> {
         self.pending.get(&id).map(|p| p.ring)
@@ -226,20 +175,9 @@ impl Blkfront {
     /// Reads the backend's advertised properties (sectors, indirect cap).
     pub fn read_features(&mut self, hv: &mut Hypervisor, paths: &DevicePaths) -> Result<()> {
         let be = paths.backend();
-        self.sectors = hv
-            .store
-            .read(self.guest, None, &format!("{be}/sectors"))?
-            .parse()
-            .map_err(|_| XenError::Inval)?;
-        self.max_indirect = hv
-            .store
-            .read(
-                self.guest,
-                None,
-                &format!("{be}/feature-max-indirect-segments"),
-            )?
-            .parse()
-            .map_err(|_| XenError::Inval)?;
+        self.sectors = read_key(hv, self.guest, &format!("{be}/sectors"))?;
+        let cap = format!("{be}/feature-max-indirect-segments");
+        self.max_indirect = read_key(hv, self.guest, &cap)?;
         Ok(())
     }
 
@@ -253,17 +191,12 @@ impl Blkfront {
         segs * kite_xen::PAGE_SIZE
     }
 
-    /// Free request slots across all rings.
-    pub fn free_slots(&self) -> u32 {
-        self.rings.iter().map(|r| r.ring.free_requests()).sum()
-    }
-
     /// Picks the next ring round-robin, skipping full rings.
     fn pick_ring(&mut self) -> Result<usize> {
         let n = self.rings.len();
         for i in 0..n {
             let q = (self.rr + i) % n;
-            if !self.rings[q].ring.full() {
+            if !self.rings[q].shared.ring.full() {
                 self.rr = (q + 1) % n;
                 return Ok(q);
             }
@@ -334,9 +267,9 @@ impl Blkfront {
             segments: Vec::new(),
         };
         let rq = &mut self.rings[q];
-        let page = hv.mem.page_mut(rq.ring_page)?;
-        rq.ring.push_request(page, &req)?;
-        let notify = rq.ring.push_requests(page);
+        let page = hv.mem.page_mut(rq.shared.page)?;
+        rq.shared.ring.push_request(page, &req)?;
+        let notify = rq.shared.ring.push_requests(page);
         self.pending.insert(
             id,
             Pending {
@@ -418,9 +351,9 @@ impl Blkfront {
             }
         };
         let rq = &mut self.rings[q];
-        let page = hv.mem.page_mut(rq.ring_page)?;
-        rq.ring.push_request(page, &req)?;
-        let notify = rq.ring.push_requests(page);
+        let page = hv.mem.page_mut(rq.shared.page)?;
+        rq.shared.ring.push_request(page, &req)?;
+        let notify = rq.shared.ring.push_requests(page);
         self.pending.insert(
             id,
             Pending {
@@ -448,8 +381,8 @@ impl Blkfront {
             loop {
                 let rsp = {
                     let rq = &mut self.rings[q];
-                    let page = hv.mem.page(rq.ring_page)?;
-                    rq.ring.consume_response(page)?
+                    let page = hv.mem.page(rq.shared.page)?;
+                    rq.shared.ring.consume_response(page)?
                 };
                 let Some(rsp) = rsp else { break };
                 let Some(p) = self.pending.remove(&rsp.id) else {
@@ -487,8 +420,8 @@ impl Blkfront {
                 cost += Nanos::from_nanos(200);
             }
             let rq = &mut self.rings[q];
-            let page = hv.mem.page_mut(rq.ring_page)?;
-            rq.ring.final_check_for_responses(page);
+            let page = hv.mem.page_mut(rq.shared.page)?;
+            rq.shared.ring.final_check_for_responses(page);
         }
         Ok(FrontOp {
             notify: false,

@@ -24,10 +24,9 @@ use kite_xen::netif::{
     NETIF_MAX_GSO_FRAME, NETIF_RSP_NULL, NETRXF_DATA_VALIDATED, NETRXF_MORE_DATA,
     NETTXF_EXTRA_INFO, NETTXF_MORE_DATA, XEN_NETIF_EXTRA_TYPE_GSO,
 };
-use kite_xen::ring::FrontRing;
 use kite_xen::xenbus::{
-    negotiate_queues, switch_state, FEATURE_GSO_KEY, FEATURE_NO_CSUM_KEY, MQ_MAX_QUEUES_KEY,
-    MQ_NUM_QUEUES_KEY,
+    negotiate_front, publish_queue, switch_state, FrontEndpoint, RingKey, FEATURE_GSO_KEY,
+    FEATURE_NO_CSUM_KEY,
 };
 use kite_xen::{
     DevicePaths, DomainId, GrantRef, Hypervisor, PageId, Port, ReqId, ReqStage, Result, SlotClass,
@@ -66,10 +65,8 @@ pub struct FrontOp {
 /// channel, and the buffer pools feeding it.
 struct NfQueue {
     evtchn: Port,
-    tx: FrontRing<NetifTxRequest, NetifTxResponse>,
-    rx: FrontRing<NetifRxRequest, NetifRxResponse>,
-    tx_page: PageId,
-    rx_page: PageId,
+    tx: FrontEndpoint<NetifTxRequest, NetifTxResponse>,
+    rx: FrontEndpoint<NetifRxRequest, NetifRxResponse>,
     tx_pool: BufPool,
     rx_pool: BufPool,
     // Tx requests pushed but not yet acknowledged: (buffer id, length,
@@ -121,50 +118,18 @@ fn make_pool(
     })
 }
 
-fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, root: &str) -> Result<NfQueue> {
-    let guest = paths.front;
-    let backend = paths.back;
-    let tx_page = hv.alloc_page(guest)?;
-    let rx_page = hv.alloc_page(guest)?;
-    let tx = {
-        let p = hv.mem.page_mut(tx_page)?;
-        FrontRing::init(p)
-    };
-    let rx = {
-        let p = hv.mem.page_mut(rx_page)?;
-        FrontRing::init(p)
-    };
-    let tx_ref = hv.grant_access(guest, backend, tx_page, false)?;
-    let rx_ref = hv.grant_access(guest, backend, rx_page, false)?;
+fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32, k: u32) -> Result<NfQueue> {
+    let tx = FrontEndpoint::alloc(hv, paths, RingKey::Tx)?;
+    let rx = FrontEndpoint::alloc(hv, paths, RingKey::Rx)?;
     // Tx payload pages are read-only to the backend; Rx pages must be
     // writable (the backend copies into them).
-    let tx_pool = make_pool(hv, guest, backend, true)?;
-    let rx_pool = make_pool(hv, guest, backend, false)?;
-    let (port, _) = hv.evtchn_alloc_unbound(guest, backend);
-    hv.store.write(
-        guest,
-        None,
-        &format!("{root}/tx-ring-ref"),
-        &tx_ref.0.to_string(),
-    )?;
-    hv.store.write(
-        guest,
-        None,
-        &format!("{root}/rx-ring-ref"),
-        &rx_ref.0.to_string(),
-    )?;
-    hv.store.write(
-        guest,
-        None,
-        &format!("{root}/event-channel"),
-        &port.0.to_string(),
-    )?;
+    let tx_pool = make_pool(hv, paths.front, paths.back, true)?;
+    let rx_pool = make_pool(hv, paths.front, paths.back, false)?;
+    let evtchn = publish_queue(hv, paths, nqueues, k, &[tx.ring_ref(), rx.ring_ref()])?;
     Ok(NfQueue {
-        evtchn: port,
+        evtchn,
         tx,
         rx,
-        tx_page,
-        rx_page,
         tx_pool,
         rx_pool,
         in_flight_tx: VecDeque::new(),
@@ -174,29 +139,21 @@ fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, root: &str) -> Result<Nf
 }
 
 impl Netfront {
-    /// Creates a legacy single-queue device: allocates rings and pools,
-    /// grants them, binds the event channel, publishes frontend details
-    /// and flips the state to `Initialised`. Also pre-posts the entire
-    /// Rx buffer pool.
+    /// Creates a single-queue device: allocates rings and pools, grants
+    /// them, binds the event channel, publishes frontend details and
+    /// flips the state to `Initialised`. Also pre-posts the entire Rx
+    /// buffer pool.
     pub fn connect(hv: &mut Hypervisor, paths: &DevicePaths, mac: MacAddr) -> Result<Netfront> {
-        Netfront::connect_with_queues(hv, paths, mac, 1)
+        Netfront::connect_with_features(hv, paths, mac, 1, true, false)
     }
 
-    /// [`Netfront::connect`] with multi-queue negotiation: the frontend
-    /// offers up to `max_queues`, clamps against the backend's
-    /// `multi-queue-max-queues` advertisement, and builds one ring set
-    /// per negotiated queue. A result of 1 (either side offering 1)
-    /// falls back to the legacy flat single-ring layout.
-    pub fn connect_with_queues(
-        hv: &mut Hypervisor,
-        paths: &DevicePaths,
-        mac: MacAddr,
-        max_queues: u32,
-    ) -> Result<Netfront> {
-        Netfront::connect_with_features(hv, paths, mac, max_queues, true, false)
-    }
-
-    /// [`Netfront::connect_with_queues`] with explicit offload choices.
+    /// [`Netfront::connect`] with multi-queue negotiation and explicit
+    /// offload choices.
+    ///
+    /// The frontend offers up to `max_queues`, clamps against the
+    /// backend's advertisement ([`negotiate_front`]) and builds one ring
+    /// set per negotiated queue; a result of 1 (either side offering 1)
+    /// keeps the flat single-ring layout.
     ///
     /// `want_gso` declines segmentation offload even when the backend
     /// advertises `feature-gso-tcpv4` (the frontend simply never echoes
@@ -213,33 +170,7 @@ impl Netfront {
     ) -> Result<Netfront> {
         let guest = paths.front;
         let fe = paths.frontend();
-        let back_max = hv
-            .store
-            .read(
-                guest,
-                None,
-                &format!("{}/{}", paths.backend(), MQ_MAX_QUEUES_KEY),
-            )
-            .ok()
-            .and_then(|v| v.parse::<u32>().ok())
-            .unwrap_or(1);
-        let nqueues = negotiate_queues(max_queues, back_max);
-        if max_queues > 1 {
-            hv.store.write(
-                guest,
-                None,
-                &format!("{fe}/{MQ_MAX_QUEUES_KEY}"),
-                &max_queues.to_string(),
-            )?;
-        }
-        if nqueues > 1 {
-            hv.store.write(
-                guest,
-                None,
-                &format!("{fe}/{MQ_NUM_QUEUES_KEY}"),
-                &nqueues.to_string(),
-            )?;
-        }
+        let nqueues = negotiate_front(hv, paths, max_queues)?;
         // Offload negotiation: echo the backend's GSO advertisement only
         // if this frontend wants it. A backend that never advertised the
         // key (or a frontend that declines) leaves both sides in the
@@ -264,8 +195,7 @@ impl Netfront {
         }
         let mut queues = Vec::with_capacity(nqueues as usize);
         for k in 0..nqueues {
-            let root = paths.frontend_queue_root(nqueues, k);
-            queues.push(make_queue(hv, paths, &root)?);
+            queues.push(make_queue(hv, paths, nqueues, k)?);
         }
         hv.store
             .write(guest, None, &format!("{fe}/mac"), &mac.to_string())?;
@@ -315,30 +245,27 @@ impl Netfront {
         self.queues[q].evtchn
     }
 
-    /// True if `port` belongs to any of this device's queues.
-    pub fn owns_port(&self, port: Port) -> bool {
-        self.queues.iter().any(|qu| qu.evtchn == port)
-    }
-
     /// Posts every free Rx buffer on every queue. Returns the queues
     /// whose backend end should be notified.
     pub fn post_rx_buffers(&mut self, hv: &mut Hypervisor) -> Result<Vec<usize>> {
         let mut notify = Vec::new();
         for (q, qu) in self.queues.iter_mut().enumerate() {
             let mut posted = false;
-            while !qu.rx.full() {
+            while !qu.rx.ring.full() {
                 let id = match qu.rx_pool.alloc_id() {
                     Some(i) => i,
                     None => break,
                 };
                 let gref = qu.rx_pool.grefs[id as usize];
-                let page = hv.mem.page_mut(qu.rx_page)?;
-                qu.rx.push_request(page, &NetifRxRequest { id, gref })?;
+                let page = hv.mem.page_mut(qu.rx.page)?;
+                qu.rx
+                    .ring
+                    .push_request(page, &NetifRxRequest { id, gref })?;
                 posted = true;
             }
             if posted {
-                let page = hv.mem.page_mut(qu.rx_page)?;
-                if qu.rx.push_requests(page) {
+                let page = hv.mem.page_mut(qu.rx.page)?;
+                if qu.rx.ring.push_requests(page) {
                     notify.push(q);
                 }
             }
@@ -380,7 +307,7 @@ impl Netfront {
         // Data slots plus, for a chain, the extra-info slot.
         let slots = if chained { nfrags + 1 } else { nfrags };
         let qu = &mut self.queues[q];
-        if (qu.tx.free_requests() as usize) < slots || qu.tx_pool.free.len() < nfrags {
+        if (qu.tx.ring.free_requests() as usize) < slots || qu.tx_pool.free.len() < nfrags {
             self.tx_dropped += 1;
             return Err(XenError::RingFull);
         }
@@ -407,8 +334,8 @@ impl Netfront {
                 id,
                 size: len as u16,
             };
-            let page = hv.mem.page_mut(qu.tx_page)?;
-            qu.tx.push_request(page, &req_tx)?;
+            let page = hv.mem.page_mut(qu.tx.page)?;
+            qu.tx.ring.push_request(page, &req_tx)?;
             qu.in_flight_tx.push_back((id, len as u16, f == 0));
             if f == 0 {
                 head_id = id;
@@ -421,14 +348,14 @@ impl Netfront {
                         gso_segs: frame.len().div_ceil(mss) as u16,
                         total_len: frame.len() as u32,
                     };
-                    let page = hv.mem.page_mut(qu.tx_page)?;
-                    qu.tx.push_request(page, &extra.to_tx_slot())?;
+                    let page = hv.mem.page_mut(qu.tx.page)?;
+                    qu.tx.ring.push_request(page, &extra.to_tx_slot())?;
                 }
             }
             off += len;
         }
-        let page = hv.mem.page_mut(qu.tx_page)?;
-        let notify = qu.tx.push_requests(page);
+        let page = hv.mem.page_mut(qu.tx.page)?;
+        let notify = qu.tx.ring.push_requests(page);
         if let Some(r) = req {
             let key = (q as u64) << 32 | head_id as u64;
             hv.req.map(SlotClass::NetTx, key, r);
@@ -458,8 +385,8 @@ impl Netfront {
             // Tx completions.
             loop {
                 let rsp = {
-                    let page = hv.mem.page(qu.tx_page)?;
-                    qu.tx.consume_response(page)?
+                    let page = hv.mem.page(qu.tx.page)?;
+                    qu.tx.ring.consume_response(page)?
                 };
                 let Some(rsp) = rsp else { break };
                 if rsp.status == NETIF_RSP_NULL {
@@ -473,14 +400,14 @@ impl Netfront {
                 cost += Nanos::from_nanos(80);
             }
             {
-                let page = hv.mem.page_mut(qu.tx_page)?;
-                qu.tx.final_check_for_responses(page);
+                let page = hv.mem.page_mut(qu.tx.page)?;
+                qu.tx.ring.final_check_for_responses(page);
             }
             // Rx deliveries.
             loop {
                 let rsp = {
-                    let page = hv.mem.page(qu.rx_page)?;
-                    qu.rx.consume_response(page)?
+                    let page = hv.mem.page(qu.rx.page)?;
+                    qu.rx.ring.consume_response(page)?
                 };
                 let Some(rsp) = rsp else { break };
                 let more = rsp.flags & NETRXF_MORE_DATA != 0;
@@ -514,8 +441,8 @@ impl Netfront {
                 qu.rx_pool.release_id(rsp.id);
             }
             {
-                let page = hv.mem.page_mut(qu.rx_page)?;
-                qu.rx.final_check_for_responses(page);
+                let page = hv.mem.page_mut(qu.rx.page)?;
+                qu.rx.ring.final_check_for_responses(page);
             }
         }
         let notify = self.post_rx_buffers(hv)?;
@@ -531,11 +458,6 @@ impl Netfront {
     /// Takes the next received frame, if any.
     pub fn recv(&mut self) -> Option<Vec<u8>> {
         self.received.pop_front()
-    }
-
-    /// Frames received and not yet taken.
-    pub fn pending_rx(&self) -> usize {
-        self.received.len()
     }
 
     /// Frames dropped at send time for want of ring space.

@@ -43,7 +43,6 @@ pub struct Bridge {
     /// FDB entry lifetime (NetBSD default: 240 s).
     pub aging: Nanos,
     frames_forwarded: u64,
-    frames_flooded: u64,
 }
 
 impl Bridge {
@@ -56,7 +55,6 @@ impl Bridge {
             fdb: HashMap::new(),
             aging: Nanos::from_secs(240),
             frames_forwarded: 0,
-            frames_flooded: 0,
         }
     }
 
@@ -104,7 +102,6 @@ impl Bridge {
             );
         }
         if dst.is_multicast() {
-            self.frames_flooded += 1;
             return Forward::Flood(self.flood_ports(ingress));
         }
         match self.fdb.get(&dst) {
@@ -116,10 +113,7 @@ impl Bridge {
                     Forward::Unicast(e.port)
                 }
             }
-            _ => {
-                self.frames_flooded += 1;
-                Forward::Flood(self.flood_ports(ingress))
-            }
+            _ => Forward::Flood(self.flood_ports(ingress)),
         }
     }
 
@@ -142,11 +136,6 @@ impl Bridge {
     /// Unicast-forwarded frame count.
     pub fn forwarded(&self) -> u64 {
         self.frames_forwarded
-    }
-
-    /// Flooded frame count.
-    pub fn flooded(&self) -> u64 {
-        self.frames_flooded
     }
 }
 

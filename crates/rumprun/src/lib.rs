@@ -4,21 +4,22 @@
 //! extended for Xen HVM + SMP by LibrettOS). This crate models the parts of
 //! that runtime the paper's design depends on:
 //!
-//! * [`sched`] — the **non-preemptive** BMK scheduler whose limitations
-//!   drive Kite's dedicated-thread design;
-//! * [`interrupts`] — IRQ lines bound to wake-a-thread handlers;
 //! * [`syscalls`] — the linked-in syscall surface (14 network / 18 storage,
 //!   Figure 4a) with set algebra for the CVE analysis;
 //! * [`image`] — component-based image composition (≈21 MiB, Figure 4b);
 //! * [`boot`] — the ≈7 s boot sequence (Figure 4c);
 //! * [`profile`] — the OS overhead profile that parameterizes the shared
 //!   backend mechanism in `kite-core`.
+//!
+//! The non-preemptive scheduler itself has no data structure here: a
+//! handler that only wakes a dedicated thread, which then runs bounded
+//! batches to completion, is modelled where interrupts are dispatched —
+//! `kite_system::Host` charges the handler and the woken thread's work
+//! back to back on the vCPU (`kite_sim::CpuPool`) its queue is pinned to.
 
 pub mod boot;
 pub mod image;
-pub mod interrupts;
 pub mod profile;
-pub mod sched;
 pub mod syscalls;
 
 pub use boot::{kite_boot, BootSequence, BootStage};
@@ -26,7 +27,5 @@ pub use image::{
     kite_dhcpd_image, kite_network_image, kite_storage_image, Component, ComponentKind, Image,
     ImageBuilder,
 };
-pub use interrupts::{IrqBinding, IrqLine, IrqTable};
 pub use profile::{kite_profile, OsProfile, WorkModel};
-pub use sched::{Scheduler, ThreadId, ThreadState};
 pub use syscalls::{kite_dhcpd_syscalls, kite_network_syscalls, kite_storage_syscalls, SyscallSet};

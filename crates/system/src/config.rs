@@ -11,7 +11,7 @@ use kite_core::BlkbackTuning;
 use kite_devices::{LineRate, NvmeProfile};
 use kite_health::{MonitorConfig, SloConfig};
 use kite_sim::{Nanos, SchedulerKind};
-use kite_xen::{CopyMode, QueueMode};
+use kite_xen::CopyMode;
 
 use crate::host::{BackendOs, Datapath, Host};
 use crate::netsys::NetSystem;
@@ -54,7 +54,7 @@ pub enum GsoMode {
 pub struct SystemConfig {
     pub(crate) os: BackendOs,
     pub(crate) seed: u64,
-    pub(crate) queue_mode: QueueMode,
+    pub(crate) queues: u32,
     pub(crate) copy_mode: CopyMode,
     pub(crate) watchdog: Option<MonitorConfig>,
     pub(crate) slo: Option<SloConfig>,
@@ -78,7 +78,7 @@ impl SystemConfig {
         SystemConfig {
             os,
             seed,
-            queue_mode: QueueMode::Single,
+            queues: 1,
             copy_mode: CopyMode::default(),
             watchdog: None,
             slo: None,
@@ -98,19 +98,7 @@ impl SystemConfig {
     /// Number of device queues: `1` is the flat single-queue layout,
     /// `n > 1` negotiates `n` ring pairs on an `n`-vCPU driver domain.
     pub fn queues(mut self, n: u32) -> SystemConfig {
-        self.queue_mode = if n <= 1 {
-            QueueMode::Single
-        } else {
-            QueueMode::Multi(n)
-        };
-        self
-    }
-
-    /// Sets the queue layout explicitly (e.g. `QueueMode::Multi(1)`,
-    /// which is behaviorally identical to `Single` but exercises the
-    /// negotiation path).
-    pub fn queue_mode(mut self, mode: QueueMode) -> SystemConfig {
-        self.queue_mode = mode;
+        self.queues = n.max(1);
         self
     }
 

@@ -27,7 +27,7 @@ use kite_trace::{EventKind, MetricsSnapshot, TimeSeriesSampler, DEFAULT_REQ_CAPA
 use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
 use kite_xen::{
     Bdf, CopyMode, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan, Hypervisor,
-    Notification, PciDevice, Port, QueueMode, XenbusState,
+    Notification, PciDevice, Port, XenbusState,
 };
 
 use crate::config::SystemConfig;
@@ -209,7 +209,9 @@ pub struct Host<D: Datapath> {
     pub(crate) profile: OsProfile,
     pub(crate) driver: DomainId,
     pub(crate) guest: DomainId,
-    queue_mode: QueueMode,
+    /// Configured queue count: what the toolstack advertises and the
+    /// frontend asks for at every (re)connect.
+    pub(crate) nqueues: u32,
     pub(crate) driver_cpus: CpuPool,
     guest_cpus: Vec<Cpu>,
     guest_rr: usize,
@@ -260,12 +262,9 @@ impl<D: Datapath> Host<D> {
     /// gets one vCPU per queue, the device is passed through to it, the
     /// pair is provisioned and both ends handshake to `Connected`; then
     /// every instrument the config asks for is switched on.
-    /// `QueueMode::Multi(1)` takes the identical code path as `Single`
-    /// (no multi-queue keys are ever written), so the two are
-    /// behaviorally indistinguishable.
     pub(crate) fn from_config(cfg: &SystemConfig) -> Host<D> {
         let os = cfg.os;
-        let nqueues = cfg.queue_mode.queues();
+        let nqueues = cfg.queues;
         let mut hv = Hypervisor::new();
         hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
         let driver = Self::create_driver(&mut hv, os, nqueues);
@@ -291,7 +290,7 @@ impl<D: Datapath> Host<D> {
             profile,
             driver,
             guest,
-            queue_mode: cfg.queue_mode,
+            nqueues,
             driver_cpus: CpuPool::new(nqueues as usize),
             guest_cpus: (0..22).map(|_| Cpu::new()).collect(),
             guest_rr: 0,
@@ -347,7 +346,7 @@ impl<D: Datapath> Host<D> {
     /// walks both ends to `Connected` through the lifecycle slot: at
     /// construction, and again for every replacement domain.
     fn plug_device(&mut self) {
-        let nqueues = self.queue_mode.queues();
+        let nqueues = self.nqueues;
         let kind = D::Backend::KIND;
         self.mgr = BackendManager::new(self.driver, kind);
         self.mgr.start(&mut self.hv).expect("watch");
@@ -452,7 +451,7 @@ impl<D: Datapath> Host<D> {
     fn enable_sampling(&mut self, every: Nanos, capacity: usize) {
         self.sampler = Some(D::sampler_columns(
             TimeSeriesSampler::new(every, capacity),
-            self.queue_mode.queues(),
+            self.nqueues,
         ));
         let now = self.queue.now();
         self.queue.schedule_at(now + every, Event::SampleTick);
@@ -474,11 +473,6 @@ impl<D: Datapath> Host<D> {
         };
         sampler.record(at, &D::sample_row(self, health));
         self.sampler = Some(sampler);
-    }
-
-    /// The configured queue layout.
-    pub fn queue_mode(&self) -> QueueMode {
-        self.queue_mode
     }
 
     /// Queues on the currently connected backend (0 when down).
@@ -530,7 +524,7 @@ impl<D: Datapath> Host<D> {
 
     /// Schedules delivery of an event-channel notification raised at
     /// `done`: the one pattern every evtchn kick funnels through.
-    pub(crate) fn sched_irq(&mut self, done: Nanos, n: Option<Notification>) {
+    fn sched_irq(&mut self, done: Nanos, n: Option<Notification>) {
         if let Some(n) = n {
             let delay = self.hv.irq_delay();
             self.queue.schedule_at(
@@ -541,6 +535,31 @@ impl<D: Datapath> Host<D> {
                 },
             );
         }
+    }
+
+    /// The backend kicks queue `q`'s frontend: sends on the queue's
+    /// event channel, charges the send to driver vCPU `vcpu` once it is
+    /// free after `after`, and schedules the guest's interrupt. Returns
+    /// when the vCPU is done.
+    pub(crate) fn kick_frontend(&mut self, vcpu: usize, q: usize, after: Nanos) -> Nanos {
+        let port = self.backend.device().expect("connected").port_of(q);
+        let (n, c) = self.hv.evtchn_send(self.driver, port).expect("channel");
+        let done = self.driver_cpus.run_on(vcpu, after, c);
+        self.sched_irq(done, n);
+        done
+    }
+
+    /// The guest kicks the backend on its local `port`: charges the send
+    /// to a guest vCPU after `after` and schedules the driver's
+    /// interrupt. The channel dies with the backend domain, so a kick
+    /// raised during an undetected-outage window is simply lost.
+    pub(crate) fn kick_backend(&mut self, port: Port, after: Nanos) -> Nanos {
+        let Ok((n, c)) = self.hv.evtchn_send(self.guest, port) else {
+            return after;
+        };
+        let done = self.guest_cpu_run(after, c);
+        self.sched_irq(done, n);
+        done
     }
 
     /// Least-loaded dispatch over the DomU's 22 vCPUs.
@@ -678,7 +697,7 @@ impl<D: Datapath> Host<D> {
     /// renegotiated from scratch, exactly as at first connect).
     /// Everything queued during the outage drains.
     fn driver_restarted(&mut self, now: Nanos) {
-        let nqueues = self.queue_mode.queues();
+        let nqueues = self.nqueues;
         let driver = Self::create_driver(&mut self.hv, self.os, nqueues);
         self.driver = driver;
         self.milestone(driver, "reboot");

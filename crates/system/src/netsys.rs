@@ -17,7 +17,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use kite_core::{NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
+use kite_core::{BackendDevice, NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
 use kite_devices::{LineRate, Nic, NicProfile, RxIrq};
 use kite_frontends::Netfront;
 use kite_net::ether::{tso_wire_cost, ETH_HEADER_LEN, TSO_MSS};
@@ -216,6 +216,16 @@ pub struct NetPath {
     pub metrics: NetMetrics,
 }
 
+impl NetPath {
+    /// The application handler installed on `side`.
+    fn app(&mut self, side: Side) -> &mut Option<UdpHandler> {
+        match side {
+            Side::Guest => &mut self.guest_app,
+            Side::Client => &mut self.client_app,
+        }
+    }
+}
+
 /// The network scenario system: a [`Host`] running the network
 /// datapath.
 pub type NetSystem = Host<NetPath>;
@@ -320,8 +330,8 @@ impl Datapath for NetPath {
     }
 
     fn connect_frontend(&mut self, hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32) {
-        let nf =
-            Netfront::connect_with_queues(hv, paths, self.guest_mac, nqueues).expect("netfront");
+        let nf = Netfront::connect_with_features(hv, paths, self.guest_mac, nqueues, true, false)
+            .expect("netfront");
         self.netfront = Some(nf);
     }
 
@@ -398,7 +408,7 @@ impl Datapath for NetPath {
         // Depths come back empty while the backend is down; pad so the
         // sample width stays fixed.
         let depths = host.rx_queue_depths();
-        for q in 0..host.queue_mode().queues() {
+        for q in 0..host.nqueues {
             raw.push(depths.get(q as usize).copied().unwrap_or(0) as u64);
         }
         raw
@@ -656,12 +666,7 @@ impl Host<NetPath> {
         }
         for q in notify {
             let port = self.dp.netfront.as_ref().expect("checked").port_of(q);
-            // The channel dies with the backend domain: a notify raised
-            // during an undetected-outage window is simply lost.
-            if let Ok((n, send_cost)) = self.hv.evtchn_send(self.guest, port) {
-                let done = self.guest_cpu_run(now, send_cost);
-                self.sched_irq(done, n);
-            }
+            self.kick_backend(port, now);
         }
     }
 
@@ -768,8 +773,8 @@ impl Host<NetPath> {
     /// starting at `now`; schedules all effects.
     ///
     /// Each queue's thread pair is pinned to its own driver vCPU, so
-    /// with `QueueMode::Multi(n)` on an n-vCPU driver domain the queues
-    /// drain concurrently: wall-clock elapsed is the slowest queue, not
+    /// with `n` queues on an n-vCPU driver domain the queues drain
+    /// concurrently: wall-clock elapsed is the slowest queue, not
     /// the sum of all of them.
     fn run_netback(&mut self, now: Nanos) {
         if !self.backend.is_connected() || self.hung {
@@ -782,7 +787,6 @@ impl Host<NetPath> {
             loop {
                 let nb = self.backend.device_mut().expect("checked");
                 let batch = nb.pusher_run(&mut self.hv, q, 128).expect("pusher");
-                let evtchn = nb.port_of(q);
                 guest_frames.extend(batch.frames);
                 let done = self.driver_cpus.run_on(
                     q,
@@ -790,9 +794,7 @@ impl Host<NetPath> {
                     batch.cost + self.profile.wakeup_latency.min(Nanos::from_nanos(200)),
                 );
                 if batch.notify {
-                    let (n, c) = self.hv.evtchn_send(self.driver, evtchn).expect("channel");
-                    let done = self.driver_cpus.run_on(q, done, c);
-                    self.sched_irq(done, n);
+                    self.kick_frontend(q, q, done);
                 }
                 if !batch.more {
                     break;
@@ -828,12 +830,9 @@ impl Host<NetPath> {
             loop {
                 let nb = self.backend.device_mut().expect("checked");
                 let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
-                let evtchn = nb.port_of(q);
                 let done = self.driver_cpus.run_on(q, now, batch.cost);
                 if batch.notify {
-                    let (n, c) = self.hv.evtchn_send(self.driver, evtchn).expect("channel");
-                    let done = self.driver_cpus.run_on(q, done, c);
-                    self.sched_irq(done, n);
+                    self.kick_frontend(q, q, done);
                 }
                 if batch.delivered == 0 {
                     break; // either no frames queued or no Rx buffers posted
@@ -845,8 +844,10 @@ impl Host<NetPath> {
         }
     }
 
-    /// The guest endpoint's host stack: handles one delivered frame.
-    fn guest_stack_rx(&mut self, now: Nanos, frame: Vec<u8>) {
+    /// One endpoint's host stack: handles a frame delivered to `side`.
+    /// ICMP is answered (guest) or matched to its ping (client) in-stack;
+    /// UDP payloads go to the side's application handler.
+    fn stack_rx(&mut self, side: Side, now: Nanos, frame: Vec<u8>) {
         let Some(eth) = EthernetFrame::decode(&frame) else {
             return;
         };
@@ -857,8 +858,8 @@ impl Host<NetPath> {
             return;
         };
         match ip.proto {
-            IpProto::Icmp => {
-                if let Some(msg) = IcmpMessage::decode(&ip.payload) {
+            IpProto::Icmp => match (side, IcmpMessage::decode(&ip.payload)) {
+                (Side::Guest, Some(msg)) => {
                     if let IcmpMessage::EchoRequest { seq, .. } = msg {
                         if let Some(r) = self.hv.req.lookup(SlotClass::NetIcmp, seq as u64) {
                             let dom = self.guest.0;
@@ -879,14 +880,29 @@ impl Host<NetPath> {
                         self.guest_send_frame(now, rframe.encode());
                     }
                 }
-            }
+                (Side::Client, Some(IcmpMessage::EchoReply { seq, .. })) => {
+                    if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
+                        self.dp.metrics.ping_rtts.push_nanos(now - t0);
+                        self.latency_hist.record(now - t0);
+                    }
+                    if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
+                        self.hv.req.finish_at(r, 0, now);
+                    }
+                }
+                _ => {}
+            },
             IpProto::Udp => {
                 let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
                     self.dp.metrics.drops += 1;
                     return;
                 };
-                self.dp.metrics.guest_rx_bytes += udp.payload.len() as u64;
-                self.dp.metrics.guest_rx_msgs += 1;
+                let m = &mut self.dp.metrics;
+                let (bytes, msgs) = match side {
+                    Side::Guest => (&mut m.guest_rx_bytes, &mut m.guest_rx_msgs),
+                    Side::Client => (&mut m.client_rx_bytes, &mut m.client_rx_msgs),
+                };
+                *bytes += udp.payload.len() as u64;
+                *msgs += 1;
                 self.mark_first_byte(now);
                 let msg = UdpMsg {
                     src_ip: ip.src,
@@ -894,10 +910,10 @@ impl Host<NetPath> {
                     dst_port: udp.dst_port,
                     payload: udp.payload,
                 };
-                if let Some(mut app) = self.dp.guest_app.take() {
+                if let Some(mut app) = self.dp.app(side).take() {
                     let replies = app(now, &msg);
-                    self.dp.guest_app = Some(app);
-                    self.emit_replies(now, Side::Guest, replies);
+                    *self.dp.app(side) = Some(app);
+                    self.emit_replies(now, side, replies);
                 }
             }
             _ => {}
@@ -914,53 +930,6 @@ impl Host<NetPath> {
         }
     }
 
-    /// The client machine's host stack.
-    fn client_stack_rx(&mut self, now: Nanos, frame: Vec<u8>) {
-        let Some(eth) = EthernetFrame::decode(&frame) else {
-            return;
-        };
-        if eth.ethertype != EtherType::Ipv4 {
-            return;
-        }
-        let Some(ip) = Ipv4Packet::decode(&eth.payload) else {
-            return;
-        };
-        match ip.proto {
-            IpProto::Icmp => {
-                if let Some(IcmpMessage::EchoReply { seq, .. }) = IcmpMessage::decode(&ip.payload) {
-                    if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
-                        self.dp.metrics.ping_rtts.push_nanos(now - t0);
-                        self.latency_hist.record(now - t0);
-                    }
-                    if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
-                        self.hv.req.finish_at(r, 0, now);
-                    }
-                }
-            }
-            IpProto::Udp => {
-                let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
-                    self.dp.metrics.drops += 1;
-                    return;
-                };
-                self.dp.metrics.client_rx_bytes += udp.payload.len() as u64;
-                self.dp.metrics.client_rx_msgs += 1;
-                self.mark_first_byte(now);
-                let msg = UdpMsg {
-                    src_ip: ip.src,
-                    src_port: udp.src_port,
-                    dst_port: udp.dst_port,
-                    payload: udp.payload,
-                };
-                if let Some(mut app) = self.dp.client_app.take() {
-                    let replies = app(now, &msg);
-                    self.dp.client_app = Some(app);
-                    self.emit_replies(now, Side::Client, replies);
-                }
-            }
-            _ => {}
-        }
-    }
-
     fn handle_net(&mut self, now: Nanos, ev: NetEvent) {
         match ev {
             NetEvent::AppSend {
@@ -969,30 +938,18 @@ impl Host<NetPath> {
                 dst_port,
                 src_port,
                 payload,
-            } => match side {
-                Side::Client => {
-                    let frame = self.build_udp_frame(
-                        addrs::CLIENT,
-                        self.dp.client_mac,
-                        dst_ip,
-                        dst_port,
-                        src_port,
-                        payload,
-                    );
-                    self.client_transmit(now, frame);
+            } => {
+                let (src_ip, src_mac) = match side {
+                    Side::Client => (addrs::CLIENT, self.dp.client_mac),
+                    Side::Guest => (addrs::GUEST, self.dp.guest_mac),
+                };
+                let frame =
+                    self.build_udp_frame(src_ip, src_mac, dst_ip, dst_port, src_port, payload);
+                match side {
+                    Side::Client => self.client_transmit(now, frame),
+                    Side::Guest => self.guest_send_frame(now, frame),
                 }
-                Side::Guest => {
-                    let frame = self.build_udp_frame(
-                        addrs::GUEST,
-                        self.dp.guest_mac,
-                        dst_ip,
-                        dst_port,
-                        src_port,
-                        payload,
-                    );
-                    self.guest_send_frame(now, frame);
-                }
-            },
+            }
             NetEvent::ClientTxFrame(frame) => self.client_transmit(now, frame),
             NetEvent::WireToServer(frame) => match self.dp.nic.rx_enqueue(now, frame) {
                 RxIrq::FireAt(t) => {
@@ -1048,7 +1005,7 @@ impl Host<NetPath> {
                     self.schedule_at(fire, NetEvent::NicIrq);
                 }
             }
-            NetEvent::WireToClient(frame) => self.client_stack_rx(now, frame),
+            NetEvent::WireToClient(frame) => self.stack_rx(Side::Client, now, frame),
         }
     }
 
@@ -1072,15 +1029,10 @@ impl Host<NetPath> {
         let mut done = self.guest_cpu_run(now, wake + op.cost + self.profile.irq_overhead);
         for q in notifyq {
             let evtchn = self.dp.netfront.as_ref().expect("checked").port_of(q);
-            // Tolerate a torn-down channel: the backend may
-            // have died without the frontend knowing yet.
-            if let Ok((n, c)) = self.hv.evtchn_send(self.guest, evtchn) {
-                done = self.guest_cpu_run(done, c);
-                self.sched_irq(done, n);
-            }
+            done = self.kick_backend(evtchn, done);
         }
         while let Some(frame) = self.dp.netfront.as_mut().expect("checked").recv() {
-            self.guest_stack_rx(t, frame);
+            self.stack_rx(Side::Guest, t, frame);
         }
         // Tx completions may have freed ring slots.
         self.drain_guest_txq(t);

@@ -12,7 +12,8 @@
 use std::collections::{HashMap, VecDeque};
 
 use kite_core::{
-    BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats, BlockApp, RecoveryStats,
+    BackendDevice, BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats, BlockApp,
+    RecoveryStats,
 };
 use kite_devices::{Device, NvmeController};
 use kite_frontends::Blkfront;
@@ -369,19 +370,6 @@ impl Host<BlkPath> {
 
     // ---- internals -----------------------------------------------------
 
-    fn notify_backend(&mut self, done: Nanos, q: usize) {
-        let Some(port) = self.dp.blkfront.as_ref().map(|f| f.port_of(q)) else {
-            return;
-        };
-        // The channel dies with the backend domain: a notify raised
-        // during an undetected-outage window is simply lost.
-        let Ok((n, c)) = self.hv.evtchn_send(self.guest, port) else {
-            return;
-        };
-        let done = self.guest_cpu_run(done, c);
-        self.sched_irq(done, n);
-    }
-
     /// Splits a logical op into ring-sized chunks.
     fn chunks_of(&self, op: &IoOp) -> Vec<Chunk> {
         let max = self.dp.max_req_bytes;
@@ -516,7 +504,8 @@ impl Host<BlkPath> {
             self.guest_cpu_run(now, cost);
         }
         for q in notify {
-            self.notify_backend(now, q);
+            let port = self.dp.blkfront.as_ref().expect("checked").port_of(q);
+            self.kick_backend(port, now);
         }
     }
 
@@ -526,7 +515,7 @@ impl Host<BlkPath> {
         }
         // Each ring's request thread is pinned to its own driver vCPU, so
         // the rings drain concurrently.
-        let nrings = self.backend.device().expect("checked").ring_count();
+        let nrings = self.backend.device().expect("checked").queue_count();
         for q in 0..nrings {
             loop {
                 let bb = self.backend.device_mut().expect("checked");
@@ -568,10 +557,7 @@ impl Host<BlkPath> {
         while mask != 0 {
             let q = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let evtchn = self.backend.device().expect("connected").port_of(q);
-            let (n, c) = self.hv.evtchn_send(self.driver, evtchn).expect("channel");
-            done = self.driver_cpus.run_on(vcpu, done, c);
-            self.sched_irq(done, n);
+            done = self.kick_frontend(vcpu, q, done);
         }
     }
 

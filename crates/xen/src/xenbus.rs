@@ -4,9 +4,22 @@
 //! a *backend area* under the driver domain's home. Both sides publish a
 //! `state` node and watch the other side's; connection is a lock-step walk
 //! through [`XenbusState`].
+//!
+//! This module also owns the PV queue endpoint every split driver shares:
+//! queue-count negotiation ([`negotiate_front`], [`attach_back`]), and
+//! publishing ([`FrontEndpoint`], [`publish_queue`]) or attaching
+//! ([`BackAttach`], [`BackEndpoint`]) a queue's granted rings and event
+//! channel. No other code formats or parses those xenstore keys.
+
+use std::str::FromStr;
 
 use crate::domain::DomainId;
 use crate::error::{Result, XenError};
+use crate::evtchn::Port;
+use crate::grant::{GrantRef, MapHandle};
+use crate::hypervisor::Hypervisor;
+use crate::mem::PageId;
+use crate::ring::{BackRing, FrontRing, RingEntry};
 use crate::xenstore::Xenstore;
 
 /// PV device connection states (`xenbus_state` ABI values).
@@ -105,51 +118,20 @@ impl DeviceKind {
     }
 }
 
-/// How many shared rings a backend device pair runs.
-///
-/// The multi-queue ablation knob threaded through the system layers:
-/// [`QueueMode::Single`] is the legacy one-ring layout; `Multi(n)`
-/// negotiates `n` queues through xenstore. `Multi(1)` normalizes to the
-/// same single-ring layout — both sides fall back to the legacy flat
-/// key scheme whenever the negotiated count is 1, so `Multi(1)` is
-/// behaviorally identical to `Single` by construction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueMode {
-    /// Legacy single shared ring (pre-multi-queue layout).
-    #[default]
-    Single,
-    /// `n` negotiated queues, each with its own ring(s) and event
-    /// channel under `queue-<k>/` subpaths.
-    Multi(u32),
-}
-
-impl QueueMode {
-    /// The queue count this mode asks for (at least 1).
-    pub fn queues(self) -> u32 {
-        match self {
-            QueueMode::Single => 1,
-            QueueMode::Multi(n) => n.max(1),
-        }
-    }
-
-    /// Stable label for scenario names, e.g. `"queues_4"`.
-    pub fn label(self) -> String {
-        format!("queues_{}", self.queues())
-    }
-}
-
-/// Frontend advertisement key: the most queues the frontend can drive.
+/// Backend advertisement key, written by the toolstack under the
+/// backend path: the most queues the backend accepts.
 pub const MQ_MAX_QUEUES_KEY: &str = "multi-queue-max-queues";
 
-/// Negotiated queue-count key, written by the backend once it has
-/// clamped the frontend's advertisement to its own capacity.
-pub const MQ_NUM_QUEUES_KEY: &str = "multi-queue-num-queues";
+/// Negotiated queue-count key, written by the frontend once it has
+/// clamped its own capacity to the backend's advertisement.
+const MQ_NUM_QUEUES_KEY: &str = "multi-queue-num-queues";
 
-/// The negotiated queue count: the smaller of the two sides' maxima,
-/// never below 1. Either side offering 1 forces the legacy layout.
-pub fn negotiate_queues(front_max: u32, back_max: u32) -> u32 {
-    front_max.max(1).min(back_max.max(1))
-}
+/// Per-queue key holding the frontend's unbound event-channel port.
+const EVENT_CHANNEL_KEY: &str = "event-channel";
+
+/// Queues a backend accepts when the toolstack wrote no
+/// `multi-queue-max-queues` advertisement for it.
+const DEFAULT_MAX_QUEUES: u32 = 8;
 
 /// Segmentation-offload advertisement key (`feature-gso-tcpv4`). The
 /// toolstack writes `1` under the backend path when the backend can
@@ -216,31 +198,6 @@ impl DevicePaths {
         format!("/local/domain/{}/backend/{}", back.0, kind.as_str())
     }
 
-    /// Per-queue frontend subdirectory:
-    /// `<frontend>/queue-<k>` (multi-queue layouts only).
-    pub fn queue_frontend(&self, k: u32) -> String {
-        format!("{}/queue-{}", self.frontend(), k)
-    }
-
-    /// Per-queue backend subdirectory:
-    /// `<backend>/queue-<k>` (multi-queue layouts only).
-    pub fn queue_backend(&self, k: u32) -> String {
-        format!("{}/queue-{}", self.backend(), k)
-    }
-
-    /// The frontend directory holding queue `k`'s ring keys under an
-    /// `nqueues`-queue layout: the flat legacy frontend area when the
-    /// negotiated count is 1, the `queue-<k>/` subdirectory otherwise.
-    /// Keeping the count-of-one case on the flat layout is what makes
-    /// [`QueueMode::Multi`]`(1)` byte-identical to the legacy protocol.
-    pub fn frontend_queue_root(&self, nqueues: u32, k: u32) -> String {
-        if nqueues <= 1 {
-            self.frontend()
-        } else {
-            self.queue_frontend(k)
-        }
-    }
-
     /// Frontend `state` node path.
     pub fn frontend_state(&self) -> String {
         format!("{}/state", self.frontend())
@@ -271,6 +228,268 @@ impl DevicePaths {
         let index = segs[6].parse().ok()?;
         Some(DevicePaths::new(front, back, kind, index))
     }
+}
+
+/// Reads a numeric key the peer wrote. A key that is absent or does not
+/// parse as a `T` is a malformed publication: [`XenError::Inval`], never
+/// a panic and never a silent default.
+pub fn read_key<T: FromStr>(hv: &mut Hypervisor, caller: DomainId, path: &str) -> Result<T> {
+    read_optional_key(hv, caller, path)?.ok_or(XenError::Inval)
+}
+
+/// [`read_key`] for keys with a documented default: absence is `None`.
+fn read_optional_key<T: FromStr>(
+    hv: &mut Hypervisor,
+    caller: DomainId,
+    path: &str,
+) -> Result<Option<T>> {
+    match hv.store.read(caller, None, path) {
+        Ok(v) => v.parse().map(Some).map_err(|_| XenError::Inval),
+        Err(XenError::NoEnt) => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Path of queue `k`'s `key` under frontend area `fe` in an
+/// `nqueues`-queue layout: `<fe>/<key>` when the negotiated count is 1,
+/// `<fe>/queue-<k>/<key>` otherwise. The one place the fallback-to-flat
+/// rule lives: a count of one never writes or reads a multi-queue key.
+fn queue_key(fe: &str, nqueues: u32, k: u32, key: &str) -> String {
+    if nqueues <= 1 {
+        format!("{fe}/{key}")
+    } else {
+        format!("{fe}/queue-{k}/{key}")
+    }
+}
+
+/// Which shared ring of a queue a `*ring-ref` key names.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RingKey {
+    /// Netif guest → world ring (`tx-ring-ref`).
+    Tx,
+    /// Netif world → guest ring (`rx-ring-ref`).
+    Rx,
+    /// The blkif request ring (`ring-ref`).
+    Blk,
+}
+
+impl RingKey {
+    fn as_str(self) -> &'static str {
+        match self {
+            RingKey::Tx => "tx-ring-ref",
+            RingKey::Rx => "rx-ring-ref",
+            RingKey::Blk => "ring-ref",
+        }
+    }
+}
+
+/// Frontend half of queue negotiation: reads the backend's
+/// `multi-queue-max-queues` advertisement (absent means 1), clamps
+/// `max_queues` against it (never below 1) and publishes the result —
+/// `multi-queue-max-queues` when the frontend can drive more than one
+/// queue, `multi-queue-num-queues` when more than one was negotiated.
+/// A count of 1 writes neither key and keeps the flat layout.
+pub fn negotiate_front(hv: &mut Hypervisor, paths: &DevicePaths, max_queues: u32) -> Result<u32> {
+    let guest = paths.front;
+    let advertised = format!("{}/{MQ_MAX_QUEUES_KEY}", paths.backend());
+    let back_max: u32 = read_optional_key(hv, guest, &advertised)?.unwrap_or(1);
+    let nqueues = max_queues.max(1).min(back_max.max(1));
+    if max_queues > 1 {
+        let key = format!("{}/{MQ_MAX_QUEUES_KEY}", paths.frontend());
+        hv.store.write(guest, None, &key, &max_queues.to_string())?;
+    }
+    if nqueues > 1 {
+        let key = format!("{}/{MQ_NUM_QUEUES_KEY}", paths.frontend());
+        hv.store.write(guest, None, &key, &nqueues.to_string())?;
+    }
+    Ok(nqueues)
+}
+
+/// Frontend side of one shared ring: the guest-owned page, the producer
+/// state over it, and the grant the backend maps it through.
+pub struct FrontEndpoint<Req, Rsp> {
+    /// Request-producer / response-consumer state.
+    pub ring: FrontRing<Req, Rsp>,
+    /// The shared ring page.
+    pub page: PageId,
+    key: RingKey,
+    gref: GrantRef,
+}
+
+impl<Req: RingEntry, Rsp: RingEntry> FrontEndpoint<Req, Rsp> {
+    /// Allocates the ring page in the guest, initialises the shared ring
+    /// in it and grants it (read-write) to the backend domain.
+    pub fn alloc(hv: &mut Hypervisor, paths: &DevicePaths, key: RingKey) -> Result<Self> {
+        let page = hv.alloc_page(paths.front)?;
+        let ring = FrontRing::init(hv.mem.page_mut(page)?);
+        let gref = hv.grant_access(paths.front, paths.back, page, false)?;
+        Ok(FrontEndpoint {
+            ring,
+            page,
+            key,
+            gref,
+        })
+    }
+
+    /// The key/grant pair [`publish_queue`] writes for this ring.
+    pub fn ring_ref(&self) -> (RingKey, GrantRef) {
+        (self.key, self.gref)
+    }
+}
+
+/// Publishes queue `k` of an `nqueues`-queue frontend: allocates the
+/// queue's unbound event channel, then writes each ring's `*ring-ref`
+/// (in the order given) followed by `event-channel` under the queue's
+/// key directory. Returns the guest-local port.
+pub fn publish_queue(
+    hv: &mut Hypervisor,
+    paths: &DevicePaths,
+    nqueues: u32,
+    k: u32,
+    rings: &[(RingKey, GrantRef)],
+) -> Result<Port> {
+    let guest = paths.front;
+    let fe = paths.frontend();
+    let (port, _) = hv.evtchn_alloc_unbound(guest, paths.back);
+    for (key, gref) in rings {
+        let path = queue_key(&fe, nqueues, k, key.as_str());
+        hv.store.write(guest, None, &path, &gref.0.to_string())?;
+    }
+    let path = queue_key(&fe, nqueues, k, EVENT_CHANNEL_KEY);
+    hv.store.write(guest, None, &path, &port.0.to_string())?;
+    Ok(port)
+}
+
+/// Backend side of one shared ring: the mapped page, the consumer state
+/// over it, and the mapping to release at teardown.
+pub struct BackEndpoint<Req, Rsp> {
+    /// Request-consumer / response-producer state.
+    pub ring: BackRing<Req, Rsp>,
+    /// The shared ring page, mapped from the frontend.
+    pub page: PageId,
+    handle: MapHandle,
+}
+
+impl<Req: RingEntry, Rsp: RingEntry> BackEndpoint<Req, Rsp> {
+    /// Ring-progress watermarks `(consumed, pending)`: the lifetime
+    /// request-consumer index, which moves only when the queue's thread
+    /// runs, and the published requests it has not picked up yet.
+    pub fn progress(&self, hv: &Hypervisor) -> (u64, u64) {
+        let pending = match hv.mem.page(self.page) {
+            Ok(page) => self.ring.unconsumed_requests(page) as u64,
+            Err(_) => 0,
+        };
+        (self.ring.req_cons() as u64, pending)
+    }
+
+    /// Unmaps the ring page (orderly `close`).
+    pub fn detach(self, hv: &mut Hypervisor, back: DomainId) -> Result<()> {
+        hv.unmap_grant(back, self.handle).map(|_| ())
+    }
+}
+
+/// The backend half of one device's `connect`: the negotiated queue count
+/// plus a log of every ring mapped and port bound so far, so that a later
+/// failing step can leave the driver domain exactly as it found it.
+pub struct BackAttach {
+    back: DomainId,
+    front: DomainId,
+    fe: String,
+    nqueues: u32,
+    log: Vec<Attached>,
+}
+
+/// One thing a [`BackAttach`] acquired, in acquisition order.
+enum Attached {
+    Map(MapHandle),
+    Port(Port),
+}
+
+impl BackAttach {
+    /// Number of queues the frontend negotiated.
+    pub fn queues(&self) -> u32 {
+        self.nqueues
+    }
+
+    /// Reads queue `k`'s `*ring-ref`, maps the granted page and attaches
+    /// a consumer to it.
+    pub fn ring<Req: RingEntry, Rsp: RingEntry>(
+        &mut self,
+        hv: &mut Hypervisor,
+        k: u32,
+        key: RingKey,
+    ) -> Result<BackEndpoint<Req, Rsp>> {
+        let path = queue_key(&self.fe, self.nqueues, k, key.as_str());
+        let gref = GrantRef(read_key(hv, self.back, &path)?);
+        let (mapping, _) = hv.map_grant(self.back, self.front, gref)?;
+        self.log.push(Attached::Map(mapping.handle));
+        Ok(BackEndpoint {
+            ring: BackRing::attach(),
+            page: mapping.page,
+            handle: mapping.handle,
+        })
+    }
+
+    /// Reads queue `k`'s `event-channel` and binds to the frontend's
+    /// unbound port. Returns the backend-local port.
+    pub fn event_channel(&mut self, hv: &mut Hypervisor, k: u32) -> Result<Port> {
+        let path = queue_key(&self.fe, self.nqueues, k, EVENT_CHANNEL_KEY);
+        let remote = Port(read_key(hv, self.back, &path)?);
+        let (port, _) = hv.evtchn_bind(self.back, self.front, remote)?;
+        self.log.push(Attached::Port(port));
+        Ok(port)
+    }
+
+    fn undo(self, hv: &mut Hypervisor) {
+        // Best effort: each handle and port was created by this attach, so
+        // a release can only fail if the driver domain itself is gone.
+        for attached in self.log.into_iter().rev() {
+            let _ = match attached {
+                Attached::Map(handle) => hv.unmap_grant(self.back, handle).map(drop),
+                Attached::Port(port) => hv.evtchn.close(self.back, port),
+            };
+        }
+    }
+}
+
+/// Runs the backend half of a device `connect`.
+///
+/// Negotiation first: the queue count is whatever the frontend wrote to
+/// `multi-queue-num-queues` (absent or `0` means 1 — the flat layout),
+/// validated against the backend's own `multi-queue-max-queues`
+/// advertisement (absent means `DEFAULT_MAX_QUEUES`); a frontend asking
+/// for more than was advertised is refused with [`XenError::Inval`].
+/// `build` then attaches rings and binds event channels through the
+/// [`BackAttach`] it is handed. If `build` fails at any step — a bad key
+/// on a later queue, a failed feature write, a refused state switch —
+/// everything attached so far is unmapped and closed before the error
+/// returns.
+pub fn attach_back<T>(
+    hv: &mut Hypervisor,
+    paths: &DevicePaths,
+    build: impl FnOnce(&mut Hypervisor, &mut BackAttach) -> Result<T>,
+) -> Result<T> {
+    let back = paths.back;
+    let fe = paths.frontend();
+    let requested = format!("{fe}/{MQ_NUM_QUEUES_KEY}");
+    let nqueues: u32 = read_optional_key(hv, back, &requested)?.unwrap_or(1).max(1);
+    let advertised = format!("{}/{MQ_MAX_QUEUES_KEY}", paths.backend());
+    let max = read_optional_key(hv, back, &advertised)?.unwrap_or(DEFAULT_MAX_QUEUES);
+    if nqueues > max {
+        return Err(XenError::Inval);
+    }
+    let mut attach = BackAttach {
+        back,
+        front: paths.front,
+        fe,
+        nqueues,
+        log: Vec::new(),
+    };
+    let built = build(hv, &mut attach);
+    if built.is_err() {
+        attach.undo(hv);
+    }
+    built
 }
 
 /// Reads a device `state` node, treating absence as `Unknown`.
@@ -341,22 +560,54 @@ mod tests {
     }
 
     #[test]
-    fn queue_paths_and_negotiation() {
+    fn queue_paths_fall_back_to_flat() {
         let p = DevicePaths::new(DomainId(2), DomainId(1), DeviceKind::Vif, 0);
-        assert_eq!(p.queue_frontend(3), "/local/domain/2/device/vif/0/queue-3");
+        // Negotiated count of 1 keeps the flat layout.
+        let fe = p.frontend();
+        assert_eq!(queue_key(&fe, 1, 0, "ring-ref"), format!("{fe}/ring-ref"));
         assert_eq!(
-            p.queue_backend(0),
-            "/local/domain/1/backend/vif/2/0/queue-0"
+            queue_key(&fe, 4, 2, "ring-ref"),
+            format!("{fe}/queue-2/ring-ref")
         );
-        // Negotiated count of 1 keeps the legacy flat layout.
-        assert_eq!(p.frontend_queue_root(1, 0), p.frontend());
-        assert_eq!(p.frontend_queue_root(4, 2), p.queue_frontend(2));
-        assert_eq!(negotiate_queues(8, 4), 4);
-        assert_eq!(negotiate_queues(2, 8), 2);
-        assert_eq!(negotiate_queues(0, 4), 1, "zero offers clamp to one");
-        assert_eq!(QueueMode::Single.queues(), 1);
-        assert_eq!(QueueMode::Multi(0).queues(), 1);
-        assert_eq!(QueueMode::Multi(4).label(), "queues_4");
+    }
+
+    #[test]
+    fn front_negotiation_clamps_and_publishes() {
+        use crate::domain::DomainKind;
+        // (backend advertises, frontend offers) -> negotiated.
+        for (back, front, want) in [
+            (Some(4), 8, 4),
+            (Some(8), 2, 2),
+            (Some(4), 0, 1),
+            (None, 8, 1),
+        ] {
+            let mut hv = Hypervisor::new();
+            let d0 = hv.create_domain("Domain-0", DomainKind::Dom0, 1024, 1);
+            let dd = hv.create_domain("dd", DomainKind::Driver, 256, 1);
+            let gu = hv.create_domain("guest", DomainKind::Guest, 256, 1);
+            let p = DevicePaths::new(gu, dd, DeviceKind::Vif, 0);
+            // The toolstack provisions the backend area guest-readable.
+            let be = p.backend();
+            hv.store
+                .write(d0, None, &format!("{be}/frontend"), &p.frontend())
+                .unwrap();
+            hv.store
+                .set_perm(d0, &be, gu, crate::xenstore::Perm::Read)
+                .unwrap();
+            if let Some(n) = back {
+                let key = format!("{be}/{MQ_MAX_QUEUES_KEY}");
+                hv.store.write(d0, None, &key, &n.to_string()).unwrap();
+            }
+            assert_eq!(negotiate_front(&mut hv, &p, front), Ok(want));
+            // A count of one publishes no negotiated-count key.
+            let num: Option<u32> = read_optional_key(
+                &mut hv,
+                d0,
+                &format!("{}/{MQ_NUM_QUEUES_KEY}", p.frontend()),
+            )
+            .unwrap();
+            assert_eq!(num, (want > 1).then_some(want));
+        }
     }
 
     #[test]

@@ -19,17 +19,11 @@ use std::rc::Rc;
 use kite::core::BlkbackTuning;
 use kite::sim::Nanos;
 use kite::system::{BackendOs, IoKind, IoOp, SystemConfig};
-use kite::xen::QueueMode;
 
 fn sequential_write_read(tuning: BlkbackTuning, label: &str, rings: u32, trace: Option<&str>) {
-    let mode = if rings <= 1 {
-        QueueMode::Single
-    } else {
-        QueueMode::Multi(rings)
-    };
     let mut cfg = SystemConfig::new(BackendOs::Kite, 7)
         .tuning(tuning)
-        .queue_mode(mode);
+        .queues(rings);
     if trace.is_some() {
         cfg = cfg.tracing(1 << 18);
     }

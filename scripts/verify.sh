@@ -5,7 +5,8 @@
 #
 #   build (release)  ->  tests  ->  determinism cmps (traces, bench rows
 #   vs the shipped BENCH_mechanisms.json, repro prof/top/lat)
-#   ->  benchmark/ smoke  ->  doc  ->  clippy -D warnings  ->  fmt --check
+#   ->  benchmark/ smoke + sim_digest cmp  ->  doc  ->  clippy -D warnings
+#   ->  fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
 # while `repro --json` builds them (DESIGN.md §18); nothing here
@@ -142,11 +143,19 @@ echo "==> benchmark/: lint gate, then the four workloads end to end"
 # benchmark/ is its own workspace, so nothing above compiles it: a
 # public-API slip in kite_system would otherwise only surface when the
 # pipeline rejects the PR. Each run's own payload/order/conservation/
-# digest-stability checks are the assertion (non-zero exit fails the gate).
+# digest-stability checks are one assertion (non-zero exit fails the
+# gate); the other is its `sim_digest` (FNV-1a over every latency, the
+# event count and the counters), which must equal the seed-7 value kept
+# in scripts/sim_digests.txt. A change that moves virtual time on
+# purpose regenerates that file from this loop's `got` values and
+# reviews the diff, like BENCH_mechanisms.json.
 bash benchmark/check.sh
-for w in rr_open gso_stream bidir_mtu stor_mixed; do
-    bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1 > /dev/null
-done
+while read -r w want; do
+    got="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1 \
+        | grep -o 'sim_digest [0-9a-f]*')"
+    [ "$got" = "sim_digest $want" ] \
+        || { echo "verify: $w: got '$got', scripts/sim_digests.txt has $want" >&2; exit 1; }
+done < scripts/sim_digests.txt
 
 echo "==> cargo doc --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet

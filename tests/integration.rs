@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kite::core::{provision_device, BackendManager, BlkbackTuning, NetbackInstance};
+use kite::core::{provision_device, BackendDevice, BackendManager, BlkbackTuning, NetbackInstance};
 use kite::frontends::Netfront;
 use kite::net::MacAddr;
 use kite::rumprun::kite_profile;
