@@ -773,13 +773,10 @@ impl BlkbackInstance {
                     let off = seg.first_sect as usize * SECTOR_SIZE;
                     let len = seg.len();
                     if op == BLKIF_OP_WRITE {
-                        let bytes = hv.mem.page(page)?[off..off + len].to_vec();
-                        device.write_data(dev_sector, &bytes);
+                        device.write_data(dev_sector, &hv.mem.page(page)?[off..off + len]);
                         self.stats.write_bytes += len as u64;
                     } else {
-                        let mut buf = vec![0u8; len];
-                        device.read_data(dev_sector, &mut buf);
-                        hv.mem.page_mut(page)?[off..off + len].copy_from_slice(&buf);
+                        device.read_data(dev_sector, &mut hv.mem.page_mut(page)?[off..off + len]);
                         self.stats.read_bytes += len as u64;
                     }
                     if let Some(h) = h {
@@ -847,8 +844,8 @@ impl BlkbackInstance {
             let mut dev_sector = start_sector;
             for (i, seg) in segs.iter().enumerate() {
                 let len = seg.len();
-                let bytes = hv.mem.page(self.rings[q].state.bounce[i])?[..len].to_vec();
-                device.write_data(dev_sector, &bytes);
+                let bounce = hv.mem.page(self.rings[q].state.bounce[i])?;
+                device.write_data(dev_sector, &bounce[..len]);
                 self.stats.write_bytes += len as u64;
                 dev_sector += seg.sectors();
             }
@@ -856,9 +853,8 @@ impl BlkbackInstance {
             let mut dev_sector = start_sector;
             for (i, seg) in segs.iter().enumerate() {
                 let len = seg.len();
-                let mut buf = vec![0u8; len];
-                device.read_data(dev_sector, &mut buf);
-                hv.mem.page_mut(self.rings[q].state.bounce[i])?[..len].copy_from_slice(&buf);
+                let bounce = hv.mem.page_mut(self.rings[q].state.bounce[i])?;
+                device.read_data(dev_sector, &mut bounce[..len]);
                 dev_sector += seg.sectors();
             }
             let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);

@@ -95,8 +95,7 @@ impl NetworkApp {
             },
         );
         let new_udp = UdpDatagram::new(ext.port, udp.dst_port, udp.payload);
-        let new_ip = Ipv4Packet::new(ext.ip, ip.dst, IpProto::Udp, new_udp.encode(ext.ip, ip.dst));
-        Some(EthernetFrame::new(eth.dst, eth.src, EtherType::Ipv4, new_ip.encode()).encode())
+        Some(new_udp.encode_frame(eth.dst, eth.src, ext.ip, ip.dst))
     }
 
     /// NAT translation for a world→gateway frame: rewrites the
@@ -114,13 +113,7 @@ impl NetworkApp {
         };
         let inside = self.nat.translate_in(IpProto::Udp, udp.dst_port)?;
         let new_udp = UdpDatagram::new(udp.src_port, inside.port, udp.payload);
-        let new_ip = Ipv4Packet::new(
-            ip.src,
-            inside.ip,
-            IpProto::Udp,
-            new_udp.encode(ip.src, inside.ip),
-        );
-        Some(EthernetFrame::new(guest_mac, eth.src, EtherType::Ipv4, new_ip.encode()).encode())
+        Some(new_udp.encode_frame(guest_mac, eth.src, ip.src, inside.ip))
     }
 
     /// Hotplug: a new netback VIF appeared — register it and add it to the

@@ -42,7 +42,8 @@ pub struct BlkCompletion {
 struct Pending {
     op: u8,
     ring: usize,                 // ring the request went out on
-    pages: Vec<(PageId, usize)>, // page + byte length used
+    pages: Vec<usize>,           // buffer pages, as pool indices
+    len: usize,                  // bytes of I/O spread over `pages`
     indirect_idx: Option<usize>, // indirect descriptor page to recycle
 }
 
@@ -276,6 +277,7 @@ impl Blkfront {
                 op: BLKIF_OP_FLUSH_DISKCACHE,
                 ring: q,
                 pages: Vec::new(),
+                len: 0,
                 indirect_idx: None,
             },
         );
@@ -359,18 +361,11 @@ impl Blkfront {
             Pending {
                 op,
                 ring: q,
-                pages: idxs.iter().map(|&i| (self.pool_pages[i], 0)).collect(),
+                pages: idxs,
+                len,
                 indirect_idx,
             },
         );
-        // Remember lengths for read extraction.
-        if let Some(p) = self.pending.get_mut(&id) {
-            let mut remaining = len;
-            for entry in &mut p.pages {
-                entry.1 = remaining.min(kite_xen::PAGE_SIZE);
-                remaining -= entry.1;
-            }
-        }
         Ok((id, FrontOp { notify, cost }))
     }
 
@@ -390,9 +385,10 @@ impl Blkfront {
                 };
                 let ok = rsp.status == BLKIF_RSP_OKAY;
                 let data = if ok && p.op == BLKIF_OP_READ {
-                    let mut buf = Vec::new();
-                    for (page_id, n) in &p.pages {
-                        buf.extend_from_slice(&hv.mem.page(*page_id)?[..*n]);
+                    let mut buf = Vec::with_capacity(p.len);
+                    for &i in &p.pages {
+                        let n = (p.len - buf.len()).min(kite_xen::PAGE_SIZE);
+                        buf.extend_from_slice(&hv.mem.page(self.pool_pages[i])?[..n]);
                     }
                     cost += Nanos::from_nanos(buf.len() as u64 / 16);
                     Some(buf)
@@ -403,14 +399,7 @@ impl Blkfront {
                     self.indirect_free.push(ind);
                 }
                 // Return buffer pages to the pool.
-                for (page_id, _) in &p.pages {
-                    let i = self
-                        .pool_pages
-                        .iter()
-                        .position(|&pp| pp == *page_id)
-                        .expect("pool page");
-                    self.pool_free.push(i);
-                }
+                self.pool_free.extend_from_slice(&p.pages);
                 self.completions.push(BlkCompletion {
                     id: rsp.id,
                     op: p.op,

@@ -111,9 +111,17 @@ pub fn tso_wire_cost(frame_len: usize) -> (u64, u32) {
     (bytes as u64, segs as u32)
 }
 
-/// A parsed Ethernet frame (borrowing nothing; payload owned).
+/// Appends the 14-byte Ethernet II header to `out`.
+pub fn write_header(out: &mut Vec<u8>, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
+    out.extend_from_slice(&dst.0);
+    out.extend_from_slice(&src.0);
+    out.extend_from_slice(&ethertype.value().to_be_bytes());
+}
+
+/// An Ethernet frame over its payload bytes `P`: an owned `Vec<u8>` when
+/// built for sending, a `&[u8]` into the wire buffer when parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct EthernetFrame {
+pub struct EthernetFrame<P = Vec<u8>> {
     /// Destination MAC.
     pub dst: MacAddr,
     /// Source MAC.
@@ -121,12 +129,28 @@ pub struct EthernetFrame {
     /// Payload protocol.
     pub ethertype: EtherType,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl EthernetFrame {
+impl<'a> EthernetFrame<&'a [u8]> {
+    /// Parses wire bytes; the payload borrows from `bytes` (a buffer, a
+    /// slice of one, or an outer view's `payload`). The codecs' `decode`s
+    /// are generic over the buffer so that `decode(&vec)`, `decode(slice)`
+    /// and `decode(&view.payload)` all type-check without a needless `&`.
+    pub fn decode<B: AsRef<[u8]> + ?Sized>(bytes: &'a B) -> Option<Self> {
+        let (header, payload) = bytes.as_ref().split_at_checked(ETH_HEADER_LEN)?;
+        Some(EthernetFrame {
+            dst: MacAddr(header[0..6].try_into().ok()?),
+            src: MacAddr(header[6..12].try_into().ok()?),
+            ethertype: EtherType::from_value(u16::from_be_bytes([header[12], header[13]])),
+            payload,
+        })
+    }
+}
+
+impl<P: AsRef<[u8]>> EthernetFrame<P> {
     /// Builds a frame.
-    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: Vec<u8>) -> Self {
+    pub fn new(dst: MacAddr, src: MacAddr, ethertype: EtherType, payload: P) -> Self {
         EthernetFrame {
             dst,
             src,
@@ -137,31 +161,17 @@ impl EthernetFrame {
 
     /// Serializes into wire bytes (header + payload, no FCS).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(ETH_HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&self.dst.0);
-        out.extend_from_slice(&self.src.0);
-        out.extend_from_slice(&self.ethertype.value().to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        let payload = self.payload.as_ref();
+        let mut out = Vec::with_capacity(ETH_HEADER_LEN + payload.len());
+        write_header(&mut out, self.dst, self.src, self.ethertype);
+        out.extend_from_slice(payload);
         out
-    }
-
-    /// Parses wire bytes.
-    pub fn decode(bytes: &[u8]) -> Option<EthernetFrame> {
-        if bytes.len() < ETH_HEADER_LEN {
-            return None;
-        }
-        Some(EthernetFrame {
-            dst: MacAddr(bytes[0..6].try_into().ok()?),
-            src: MacAddr(bytes[6..12].try_into().ok()?),
-            ethertype: EtherType::from_value(u16::from_be_bytes([bytes[12], bytes[13]])),
-            payload: bytes[ETH_HEADER_LEN..].to_vec(),
-        })
     }
 
     /// Total bytes this frame occupies on the wire, including preamble,
     /// FCS, inter-frame gap and minimum-frame padding.
     pub fn wire_len(&self) -> usize {
-        let body = (ETH_HEADER_LEN + self.payload.len()).max(60);
+        let body = (ETH_HEADER_LEN + self.payload.as_ref().len()).max(60);
         body + ETH_WIRE_OVERHEAD
     }
 }
@@ -218,7 +228,7 @@ mod tests {
             MacAddr::local(1),
             MacAddr::local(2),
             EtherType::Ipv4,
-            b"hello world".to_vec(),
+            &b"hello world"[..],
         );
         let bytes = f.encode();
         assert_eq!(EthernetFrame::decode(&bytes), Some(f));

@@ -2,9 +2,11 @@
 
 use crate::checksum;
 
-/// ICMP message subset used by the latency experiments.
+/// ICMP message subset used by the latency experiments, over its
+/// payload bytes `P`: an owned `Vec<u8>` when built for sending, a
+/// `&[u8]` into the wire buffer when parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum IcmpMessage {
+pub enum IcmpMessage<P = Vec<u8>> {
     /// Echo request (type 8).
     EchoRequest {
         /// Identifier (ping process id).
@@ -12,7 +14,7 @@ pub enum IcmpMessage {
         /// Sequence number.
         seq: u16,
         /// Payload (timestamp etc.).
-        payload: Vec<u8>,
+        payload: P,
     },
     /// Echo reply (type 0).
     EchoReply {
@@ -21,15 +23,45 @@ pub enum IcmpMessage {
         /// Sequence echoed from the request.
         seq: u16,
         /// Payload echoed from the request.
-        payload: Vec<u8>,
+        payload: P,
     },
 }
 
-impl IcmpMessage {
+impl<'a> IcmpMessage<&'a [u8]> {
+    /// Parses and verifies; the payload borrows from `bytes` (a buffer,
+    /// a slice of one, or an outer view's `payload`).
+    pub fn decode<B: AsRef<[u8]> + ?Sized>(bytes: &'a B) -> Option<Self> {
+        let bytes = bytes.as_ref();
+        if bytes.len() < 8 || !checksum::verify(bytes) {
+            return None;
+        }
+        let ident = u16::from_be_bytes([bytes[4], bytes[5]]);
+        let seq = u16::from_be_bytes([bytes[6], bytes[7]]);
+        let payload = &bytes[8..];
+        match (bytes[0], bytes[1]) {
+            (8, 0) => Some(IcmpMessage::EchoRequest {
+                ident,
+                seq,
+                payload,
+            }),
+            (0, 0) => Some(IcmpMessage::EchoReply {
+                ident,
+                seq,
+                payload,
+            }),
+            _ => None,
+        }
+    }
+}
+
+impl<P: AsRef<[u8]>> IcmpMessage<P> {
     /// The reply matching this request.
     ///
     /// Returns `None` for non-request messages.
-    pub fn reply(&self) -> Option<IcmpMessage> {
+    pub fn reply(&self) -> Option<IcmpMessage<P>>
+    where
+        P: Clone,
+    {
         match self {
             IcmpMessage::EchoRequest {
                 ident,
@@ -51,12 +83,12 @@ impl IcmpMessage {
                 ident,
                 seq,
                 payload,
-            } => (8u8, *ident, *seq, payload),
+            } => (8u8, *ident, *seq, payload.as_ref()),
             IcmpMessage::EchoReply {
                 ident,
                 seq,
                 payload,
-            } => (0u8, *ident, *seq, payload),
+            } => (0u8, *ident, *seq, payload.as_ref()),
         };
         let mut out = Vec::with_capacity(8 + payload.len());
         out.push(ty);
@@ -69,29 +101,6 @@ impl IcmpMessage {
         out[2..4].copy_from_slice(&c.to_be_bytes());
         out
     }
-
-    /// Parses and verifies.
-    pub fn decode(bytes: &[u8]) -> Option<IcmpMessage> {
-        if bytes.len() < 8 || !checksum::verify(bytes) {
-            return None;
-        }
-        let ident = u16::from_be_bytes([bytes[4], bytes[5]]);
-        let seq = u16::from_be_bytes([bytes[6], bytes[7]]);
-        let payload = bytes[8..].to_vec();
-        match (bytes[0], bytes[1]) {
-            (8, 0) => Some(IcmpMessage::EchoRequest {
-                ident,
-                seq,
-                payload,
-            }),
-            (0, 0) => Some(IcmpMessage::EchoReply {
-                ident,
-                seq,
-                payload,
-            }),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -103,7 +112,7 @@ mod tests {
         let req = IcmpMessage::EchoRequest {
             ident: 0x1234,
             seq: 7,
-            payload: vec![0xab; 56],
+            payload: &[0xab; 56][..],
         };
         let bytes = req.encode();
         assert_eq!(IcmpMessage::decode(&bytes), Some(req.clone()));

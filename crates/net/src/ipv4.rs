@@ -41,10 +41,39 @@ impl IpProto {
 
 /// Length of the option-less IPv4 header.
 pub const IPV4_HEADER_LEN: usize = 20;
+/// The TTL [`Ipv4Packet::new`] stamps.
+pub const DEFAULT_TTL: u8 = 64;
 
-/// A parsed IPv4 packet.
+/// Appends the 20-byte option-less header, with a correct checksum, of a
+/// packet carrying `payload_len` bytes.
+pub fn write_header(
+    out: &mut Vec<u8>,
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+    proto: IpProto,
+    ttl: u8,
+    ident: u16,
+    payload_len: usize,
+) {
+    let total = IPV4_HEADER_LEN + payload_len;
+    let mut h = [0u8; IPV4_HEADER_LEN];
+    h[0] = 0x45; // version 4, IHL 5
+    h[2..4].copy_from_slice(&(total as u16).to_be_bytes());
+    h[4..6].copy_from_slice(&ident.to_be_bytes());
+    h[6] = 0x40; // DF
+    h[8] = ttl;
+    h[9] = proto.value();
+    h[12..16].copy_from_slice(&src.octets());
+    h[16..20].copy_from_slice(&dst.octets());
+    let c = checksum::checksum(&h);
+    h[10..12].copy_from_slice(&c.to_be_bytes());
+    out.extend_from_slice(&h);
+}
+
+/// An IPv4 packet over its payload bytes `P`: an owned `Vec<u8>` when
+/// built for sending, a `&[u8]` into the wire buffer when parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Ipv4Packet {
+pub struct Ipv4Packet<P = Vec<u8>> {
     /// Source address.
     pub src: Ipv4Addr,
     /// Destination address.
@@ -56,44 +85,15 @@ pub struct Ipv4Packet {
     /// Identification field (used by fragmentation; we never fragment).
     pub ident: u16,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl Ipv4Packet {
-    /// Builds a packet with a default TTL of 64.
-    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload: Vec<u8>) -> Ipv4Packet {
-        Ipv4Packet {
-            src,
-            dst,
-            proto,
-            ttl: 64,
-            ident: 0,
-            payload,
-        }
-    }
-
-    /// Serializes with a correct header checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let total = IPV4_HEADER_LEN + self.payload.len();
-        let mut h = [0u8; IPV4_HEADER_LEN];
-        h[0] = 0x45; // version 4, IHL 5
-        h[2..4].copy_from_slice(&(total as u16).to_be_bytes());
-        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
-        h[6] = 0x40; // DF
-        h[8] = self.ttl;
-        h[9] = self.proto.value();
-        h[12..16].copy_from_slice(&self.src.octets());
-        h[16..20].copy_from_slice(&self.dst.octets());
-        let c = checksum::checksum(&h);
-        h[10..12].copy_from_slice(&c.to_be_bytes());
-        let mut out = Vec::with_capacity(total);
-        out.extend_from_slice(&h);
-        out.extend_from_slice(&self.payload);
-        out
-    }
-
-    /// Parses and validates header length + checksum.
-    pub fn decode(bytes: &[u8]) -> Option<Ipv4Packet> {
+impl<'a> Ipv4Packet<&'a [u8]> {
+    /// Parses and validates header length + checksum; the payload
+    /// borrows from `bytes` (a buffer, a slice of one, or an outer
+    /// view's `payload`), cut at the header's total length.
+    pub fn decode<B: AsRef<[u8]> + ?Sized>(bytes: &'a B) -> Option<Self> {
+        let bytes = bytes.as_ref();
         if bytes.len() < IPV4_HEADER_LEN || bytes[0] != 0x45 {
             return None;
         }
@@ -110,8 +110,39 @@ impl Ipv4Packet {
             proto: IpProto::from_value(bytes[9]),
             ttl: bytes[8],
             ident: u16::from_be_bytes([bytes[4], bytes[5]]),
-            payload: bytes[IPV4_HEADER_LEN..total].to_vec(),
+            payload: &bytes[IPV4_HEADER_LEN..total],
         })
+    }
+}
+
+impl<P: AsRef<[u8]>> Ipv4Packet<P> {
+    /// Builds a packet with a default TTL of 64.
+    pub fn new(src: Ipv4Addr, dst: Ipv4Addr, proto: IpProto, payload: P) -> Self {
+        Ipv4Packet {
+            src,
+            dst,
+            proto,
+            ttl: DEFAULT_TTL,
+            ident: 0,
+            payload,
+        }
+    }
+
+    /// Serializes with a correct header checksum.
+    pub fn encode(&self) -> Vec<u8> {
+        let payload = self.payload.as_ref();
+        let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+        write_header(
+            &mut out,
+            self.src,
+            self.dst,
+            self.proto,
+            self.ttl,
+            self.ident,
+            payload.len(),
+        );
+        out.extend_from_slice(payload);
+        out
     }
 }
 
@@ -129,7 +160,7 @@ mod tests {
             ip("192.168.0.10"),
             ip("192.168.0.1"),
             IpProto::Udp,
-            vec![1, 2, 3],
+            &[1u8, 2, 3][..],
         );
         let bytes = p.encode();
         assert_eq!(Ipv4Packet::decode(&bytes), Some(p));

@@ -8,7 +8,10 @@
 //! * [`ether`] — Ethernet II framing, MAC addresses, wire-length model;
 //! * [`arp`] — ARP codec + per-host cache with timeout;
 //! * [`ipv4`] / [`icmp`] / [`udp`] / [`tcp`] — protocol codecs with RFC 1071
-//!   checksums ([`checksum`]);
+//!   checksums ([`checksum`]); the Ethernet/IPv4/ICMP/UDP types are generic
+//!   over their payload bytes — owned when built for sending, a validated
+//!   borrowed view of the wire buffer when parsed — and
+//!   [`UdpDatagram::encode_frame`] builds all three layers in one buffer;
 //! * [`flow`] — deterministic Toeplitz/RSS flow hashing for multi-queue
 //!   steering;
 //! * [`bridge`] — the learning bridge Kite's network application manages;

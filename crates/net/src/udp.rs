@@ -3,52 +3,59 @@
 use std::net::Ipv4Addr;
 
 use crate::checksum;
+use crate::ether::{self, EtherType, MacAddr, ETH_HEADER_LEN};
+use crate::ipv4::{self, IpProto, DEFAULT_TTL, IPV4_HEADER_LEN};
 
 /// Length of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
 
-/// A parsed UDP datagram.
+/// Appends a UDP header and `payload` to `out`, then patches in the
+/// checksum over the IPv4 pseudo-header and the datagram just written.
+fn write_datagram(
+    out: &mut Vec<u8>,
+    src_port: u16,
+    dst_port: u16,
+    payload: &[u8],
+    src: Ipv4Addr,
+    dst: Ipv4Addr,
+) {
+    let start = out.len();
+    let len = (UDP_HEADER_LEN + payload.len()) as u16;
+    out.extend_from_slice(&src_port.to_be_bytes());
+    out.extend_from_slice(&dst_port.to_be_bytes());
+    out.extend_from_slice(&len.to_be_bytes());
+    out.extend_from_slice(&[0, 0]);
+    out.extend_from_slice(payload);
+    let acc = checksum::pseudo_header_sum(src, dst, 17, len);
+    let mut c = checksum::finish(checksum::sum(&out[start..], acc));
+    if c == 0 {
+        c = 0xffff; // RFC 768: transmitted-zero means "no checksum"
+    }
+    out[start + 6..start + 8].copy_from_slice(&c.to_be_bytes());
+}
+
+/// A UDP datagram over its payload bytes `P`: an owned `Vec<u8>` when
+/// built for sending, a `&[u8]` into the wire buffer when parsed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UdpDatagram {
+pub struct UdpDatagram<P = Vec<u8>> {
     /// Source port.
     pub src_port: u16,
     /// Destination port.
     pub dst_port: u16,
     /// Payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
-impl UdpDatagram {
-    /// Builds a datagram.
-    pub fn new(src_port: u16, dst_port: u16, payload: Vec<u8>) -> UdpDatagram {
-        UdpDatagram {
-            src_port,
-            dst_port,
-            payload,
-        }
-    }
-
-    /// Serializes with a checksum over the IPv4 pseudo-header.
-    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
-        let len = (UDP_HEADER_LEN + self.payload.len()) as u16;
-        let mut out = Vec::with_capacity(len as usize);
-        out.extend_from_slice(&self.src_port.to_be_bytes());
-        out.extend_from_slice(&self.dst_port.to_be_bytes());
-        out.extend_from_slice(&len.to_be_bytes());
-        out.extend_from_slice(&[0, 0]);
-        out.extend_from_slice(&self.payload);
-        let mut acc = checksum::pseudo_header_sum(src, dst, 17, len);
-        acc = checksum::sum(&out, acc);
-        let mut c = checksum::finish(acc);
-        if c == 0 {
-            c = 0xffff; // RFC 768: transmitted-zero means "no checksum"
-        }
-        out[6..8].copy_from_slice(&c.to_be_bytes());
-        out
-    }
-
-    /// Parses and verifies (when a checksum is present).
-    pub fn decode(bytes: &[u8], src: Ipv4Addr, dst: Ipv4Addr) -> Option<UdpDatagram> {
+impl<'a> UdpDatagram<&'a [u8]> {
+    /// Parses and verifies (when a checksum is present); the payload
+    /// borrows from `bytes` (a buffer, a slice of one, or an outer
+    /// view's `payload`), cut at the header's length field.
+    pub fn decode<B: AsRef<[u8]> + ?Sized>(
+        bytes: &'a B,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Option<Self> {
+        let bytes = bytes.as_ref();
         if bytes.len() < UDP_HEADER_LEN {
             return None;
         }
@@ -66,8 +73,46 @@ impl UdpDatagram {
         Some(UdpDatagram {
             src_port: u16::from_be_bytes([bytes[0], bytes[1]]),
             dst_port: u16::from_be_bytes([bytes[2], bytes[3]]),
-            payload: bytes[UDP_HEADER_LEN..len].to_vec(),
+            payload: &bytes[UDP_HEADER_LEN..len],
         })
+    }
+}
+
+impl<P: AsRef<[u8]>> UdpDatagram<P> {
+    /// Builds a datagram.
+    pub fn new(src_port: u16, dst_port: u16, payload: P) -> Self {
+        UdpDatagram {
+            src_port,
+            dst_port,
+            payload,
+        }
+    }
+
+    /// Serializes with a checksum over the IPv4 pseudo-header.
+    pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
+        let payload = self.payload.as_ref();
+        let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
+        write_datagram(&mut out, self.src_port, self.dst_port, payload, src, dst);
+        out
+    }
+
+    /// The whole Ethernet + IPv4 + UDP frame carrying this datagram,
+    /// built in one buffer: byte-identical to nesting the three
+    /// `new(..).encode()` calls, without their intermediate copies.
+    pub fn encode_frame(
+        &self,
+        eth_dst: MacAddr,
+        eth_src: MacAddr,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> Vec<u8> {
+        let payload = self.payload.as_ref();
+        let udp_len = UDP_HEADER_LEN + payload.len();
+        let mut out = Vec::with_capacity(ETH_HEADER_LEN + IPV4_HEADER_LEN + udp_len);
+        ether::write_header(&mut out, eth_dst, eth_src, EtherType::Ipv4);
+        ipv4::write_header(&mut out, src, dst, IpProto::Udp, DEFAULT_TTL, 0, udp_len);
+        write_datagram(&mut out, self.src_port, self.dst_port, payload, src, dst);
+        out
     }
 }
 
@@ -81,7 +126,7 @@ mod tests {
 
     #[test]
     fn roundtrip_with_checksum() {
-        let d = UdpDatagram::new(5001, 5201, b"nuttcp payload".to_vec());
+        let d = UdpDatagram::new(5001, 5201, &b"nuttcp payload"[..]);
         let bytes = d.encode(ip("10.0.0.5"), ip("10.0.0.9"));
         assert_eq!(
             UdpDatagram::decode(&bytes, ip("10.0.0.5"), ip("10.0.0.9")),
@@ -122,7 +167,7 @@ mod tests {
 
     #[test]
     fn empty_payload_ok() {
-        let d = UdpDatagram::new(68, 67, Vec::new());
+        let d = UdpDatagram::new(68, 67, &[][..]);
         let bytes = d.encode(ip("0.0.0.0"), ip("255.255.255.255"));
         assert_eq!(
             UdpDatagram::decode(&bytes, ip("0.0.0.0"), ip("255.255.255.255")),

@@ -20,7 +20,7 @@ use std::net::Ipv4Addr;
 use kite_core::{BackendDevice, NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
 use kite_devices::{LineRate, Nic, NicProfile, RxIrq};
 use kite_frontends::Netfront;
-use kite_net::ether::{tso_wire_cost, ETH_HEADER_LEN, TSO_MSS};
+use kite_net::ether::{tso_wire_cost, TSO_HEADERS_LEN, TSO_MSS};
 use kite_net::{
     BridgePort, EtherType, EthernetFrame, Forward, IcmpMessage, IpProto, Ipv4Packet, MacAddr,
     UdpDatagram,
@@ -140,18 +140,19 @@ fn guest_idle_wake(idle: Nanos) -> Nanos {
 /// The ICMP echo sequence number carried by a raw frame, when it is one.
 /// Request tracing keys ping requests on this: the request and its reply
 /// share the sequence, so one `SlotClass::NetIcmp` entry follows the
-/// whole round trip. Only called while tracing is enabled — decoding
-/// allocates, and the disabled path must not.
+/// whole round trip. Parses in place (borrowed views, no allocation),
+/// but verifies two checksums, so callers still skip it while tracing is
+/// disabled.
 fn icmp_echo_seq(frame: &[u8]) -> Option<u16> {
     let eth = EthernetFrame::decode(frame)?;
     if eth.ethertype != EtherType::Ipv4 {
         return None;
     }
-    let ip = Ipv4Packet::decode(&eth.payload)?;
+    let ip = Ipv4Packet::decode(eth.payload)?;
     if ip.proto != IpProto::Icmp {
         return None;
     }
-    match IcmpMessage::decode(&ip.payload)? {
+    match IcmpMessage::decode(ip.payload)? {
         IcmpMessage::EchoRequest { seq, .. } | IcmpMessage::EchoReply { seq, .. } => Some(seq),
     }
 }
@@ -569,20 +570,6 @@ impl Host<NetPath> {
         }
     }
 
-    fn build_udp_frame(
-        &mut self,
-        src_ip: Ipv4Addr,
-        src_mac: MacAddr,
-        dst_ip: Ipv4Addr,
-        dst_port: u16,
-        src_port: u16,
-        payload: Vec<u8>,
-    ) -> Vec<u8> {
-        let udp = UdpDatagram::new(src_port, dst_port, payload).encode(src_ip, dst_ip);
-        let ip = Ipv4Packet::new(src_ip, dst_ip, IpProto::Udp, udp);
-        EthernetFrame::new(self.mac_of(dst_ip), src_mac, EtherType::Ipv4, ip.encode()).encode()
-    }
-
     /// Wire footprint of one frame: byte count to serialize and the
     /// number of MTU segments it becomes.
     ///
@@ -688,18 +675,25 @@ impl Host<NetPath> {
     }
 
     /// Forwarding inside the driver domain for one frame arriving on
-    /// `ingress`. Returns frames destined to the NIC wire.
+    /// `ingress`. Frames destined to the NIC wire are appended to
+    /// `to_wire`.
     ///
     /// In [`kite_core::netapp::LinkMode::Bridge`] this is the learning
     /// bridge; in NAT mode the app routes at L3, rewriting addresses
     /// (with checksums re-encoded) in each direction.
-    fn bridge_forward(&mut self, now: Nanos, ingress: BridgePort, frame: Vec<u8>) -> Vec<Vec<u8>> {
+    fn bridge_forward(
+        &mut self,
+        now: Nanos,
+        ingress: BridgePort,
+        frame: Vec<u8>,
+        to_wire: &mut Vec<Vec<u8>>,
+    ) {
         if self.dp.netapp.mode == kite_core::netapp::LinkMode::Nat {
             if ingress == self.dp.vif_port {
                 // Guest → world: SNAT to the gateway; non-NATable frames
                 // (ICMP in this model) pass through unchanged.
-                let out = self.dp.netapp.nat_outbound(&frame).unwrap_or(frame);
-                return vec![out];
+                to_wire.push(self.dp.netapp.nat_outbound(&frame).unwrap_or(frame));
+                return;
             }
             // World → gateway: reverse-translate or drop (unsolicited).
             match self.dp.netapp.nat_inbound(&frame, self.dp.guest_mac) {
@@ -710,11 +704,10 @@ impl Host<NetPath> {
                     // ICMP and ARP still reach the guest (the gateway
                     // proxies them); unsolicited UDP is dropped.
                     let Some(eth) = EthernetFrame::decode(&frame) else {
-                        return Vec::new();
+                        return;
                     };
-                    let is_udp = Ipv4Packet::decode(&eth.payload)
-                        .map(|ip| ip.proto == IpProto::Udp)
-                        .unwrap_or(false);
+                    let is_udp =
+                        Ipv4Packet::decode(eth.payload).is_some_and(|ip| ip.proto == IpProto::Udp);
                     if !is_udp {
                         self.deliver_to_guest(frame);
                     } else {
@@ -722,11 +715,10 @@ impl Host<NetPath> {
                     }
                 }
             }
-            return Vec::new();
+            return;
         }
-        // The bridge reads only the MACs: decode the header, not the payload.
-        let Some(eth) = frame.get(..ETH_HEADER_LEN).and_then(EthernetFrame::decode) else {
-            return Vec::new();
+        let Some(eth) = EthernetFrame::decode(&frame) else {
+            return;
         };
         let decision = self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now);
         let ports = match &decision {
@@ -734,7 +726,6 @@ impl Host<NetPath> {
             Forward::Flood(ps) => ps.as_slice(),
             Forward::Drop => &[],
         };
-        let mut to_wire = Vec::new();
         let mut egress = |p: BridgePort, f: Vec<u8>| {
             if p == self.dp.if_port {
                 to_wire.push(f);
@@ -749,7 +740,6 @@ impl Host<NetPath> {
             }
             egress(last, frame);
         }
-        to_wire
     }
 
     /// Transmits frames out the physical NIC starting at `t`. A frame
@@ -804,7 +794,7 @@ impl Host<NetPath> {
             // bridge, then onto the wire once this queue's vCPU is free.
             let mut to_wire = Vec::new();
             for f in guest_frames {
-                to_wire.extend(self.bridge_forward(now, self.dp.vif_port, f));
+                self.bridge_forward(now, self.dp.vif_port, f, &mut to_wire);
             }
             let t = self.driver_cpus.free_at(q).max(now);
             if self.hv.req.is_enabled() {
@@ -846,19 +836,23 @@ impl Host<NetPath> {
 
     /// One endpoint's host stack: handles a frame delivered to `side`.
     /// ICMP is answered (guest) or matched to its ping (client) in-stack;
-    /// UDP payloads go to the side's application handler.
-    fn stack_rx(&mut self, side: Side, now: Nanos, frame: Vec<u8>) {
+    /// UDP payloads go to the side's application handler. The frame is
+    /// parsed in place; a frame that fails any layer's validation counts
+    /// as a drop.
+    fn stack_rx(&mut self, side: Side, now: Nanos, mut frame: Vec<u8>) {
         let Some(eth) = EthernetFrame::decode(&frame) else {
+            self.dp.metrics.drops += 1;
             return;
         };
         if eth.ethertype != EtherType::Ipv4 {
             return;
         }
-        let Some(ip) = Ipv4Packet::decode(&eth.payload) else {
+        let Some(ip) = Ipv4Packet::decode(eth.payload) else {
+            self.dp.metrics.drops += 1;
             return;
         };
         match ip.proto {
-            IpProto::Icmp => match (side, IcmpMessage::decode(&ip.payload)) {
+            IpProto::Icmp => match (side, IcmpMessage::decode(ip.payload)) {
                 (Side::Guest, Some(msg)) => {
                     if let IcmpMessage::EchoRequest { seq, .. } = msg {
                         if let Some(r) = self.hv.req.lookup(SlotClass::NetIcmp, seq as u64) {
@@ -892,23 +886,30 @@ impl Host<NetPath> {
                 _ => {}
             },
             IpProto::Udp => {
-                let Some(udp) = UdpDatagram::decode(&ip.payload, ip.src, ip.dst) else {
+                let Some(udp) = UdpDatagram::decode(ip.payload, ip.src, ip.dst) else {
                     self.dp.metrics.drops += 1;
                     return;
                 };
+                let (src_ip, src_port, dst_port) = (ip.src, udp.src_port, udp.dst_port);
+                // The validated payload sits in `frame` right after the
+                // three fixed-size headers: cut the padding and the
+                // headers off and the application gets that same buffer.
+                let end = TSO_HEADERS_LEN + udp.payload.len();
+                frame.truncate(end);
+                frame.drain(..TSO_HEADERS_LEN);
                 let m = &mut self.dp.metrics;
                 let (bytes, msgs) = match side {
                     Side::Guest => (&mut m.guest_rx_bytes, &mut m.guest_rx_msgs),
                     Side::Client => (&mut m.client_rx_bytes, &mut m.client_rx_msgs),
                 };
-                *bytes += udp.payload.len() as u64;
+                *bytes += frame.len() as u64;
                 *msgs += 1;
                 self.mark_first_byte(now);
                 let msg = UdpMsg {
-                    src_ip: ip.src,
-                    src_port: udp.src_port,
-                    dst_port: udp.dst_port,
-                    payload: udp.payload,
+                    src_ip,
+                    src_port,
+                    dst_port,
+                    payload: frame,
                 };
                 if let Some(mut app) = self.dp.app(side).take() {
                     let replies = app(now, &msg);
@@ -943,8 +944,12 @@ impl Host<NetPath> {
                     Side::Client => (addrs::CLIENT, self.dp.client_mac),
                     Side::Guest => (addrs::GUEST, self.dp.guest_mac),
                 };
-                let frame =
-                    self.build_udp_frame(src_ip, src_mac, dst_ip, dst_port, src_port, payload);
+                let frame = UdpDatagram::new(src_port, dst_port, payload).encode_frame(
+                    self.mac_of(dst_ip),
+                    src_mac,
+                    src_ip,
+                    dst_ip,
+                );
                 match side {
                     Side::Client => self.client_transmit(now, frame),
                     Side::Guest => self.guest_send_frame(now, frame),
@@ -995,7 +1000,7 @@ impl Host<NetPath> {
                             self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
                         }
                     }
-                    to_wire.extend(self.bridge_forward(now, self.dp.if_port, f));
+                    self.bridge_forward(now, self.dp.if_port, f, &mut to_wire);
                 }
                 self.nic_transmit(t, to_wire);
                 // The VIF callback woke soft_start (and pusher work may be
@@ -1036,5 +1041,55 @@ impl Host<NetPath> {
         }
         // Tx completions may have freed ring slots.
         self.drain_guest_txq(t);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::BackendOs;
+    use kite_net::ether::ETH_HEADER_LEN;
+
+    /// Every frame an endpoint's stack rejects is a booked drop, whichever
+    /// layer rejected it, so "sent = delivered + drops" holds for any
+    /// malformed input.
+    #[test]
+    fn stack_rx_books_every_undecodable_frame_as_a_drop() {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 1).build_net();
+        let good = UdpDatagram::new(1200, 9999, [7u8; 64]).encode_frame(
+            MacAddr::local(0xaa01),
+            MacAddr::local(0xcc01),
+            addrs::CLIENT,
+            addrs::GUEST,
+        );
+        let mut flipped = good.clone();
+        flipped[ETH_HEADER_LEN + 8] ^= 0x10; // TTL bit: IPv4 header checksum fails
+        let mut bad_udp = good.clone();
+        *bad_udp.last_mut().expect("payload") ^= 1;
+        let malformed = [
+            good[..ETH_HEADER_LEN - 1].to_vec(),  // no Ethernet header
+            good[..ETH_HEADER_LEN + 10].to_vec(), // cut inside the IPv4 header
+            good[..good.len() - 1].to_vec(),      // shorter than its IPv4 total length
+            flipped,
+            bad_udp,
+        ];
+        for side in [Side::Guest, Side::Client] {
+            for frame in &malformed {
+                let before = sys.dp.metrics.drops;
+                sys.stack_rx(side, Nanos::ZERO, frame.clone());
+                assert_eq!(
+                    sys.dp.metrics.drops,
+                    before + 1,
+                    "{side:?}: {} bytes",
+                    frame.len()
+                );
+            }
+            let before = sys.dp.metrics.drops;
+            sys.stack_rx(side, Nanos::ZERO, good.clone());
+            assert_eq!(sys.dp.metrics.drops, before, "{side:?}: valid frame");
+        }
+        let m = &sys.dp.metrics;
+        assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (1, 1));
+        assert_eq!((m.guest_rx_bytes, m.client_rx_bytes), (64, 64));
     }
 }

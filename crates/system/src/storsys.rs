@@ -371,9 +371,9 @@ impl Host<BlkPath> {
     // ---- internals -----------------------------------------------------
 
     /// Splits a logical op into ring-sized chunks.
-    fn chunks_of(&self, op: &IoOp) -> Vec<Chunk> {
+    fn chunks_of(&self, op: IoOp) -> Vec<Chunk> {
         let max = self.dp.max_req_bytes;
-        match &op.kind {
+        match op.kind {
             IoKind::Read { sector, len } => {
                 let len = len.div_ceil(512) * 512;
                 let mut out = Vec::new();
@@ -394,10 +394,17 @@ impl Host<BlkPath> {
                 }
                 out
             }
-            IoKind::Write { sector, data } => {
-                let mut data = data.clone();
+            IoKind::Write { sector, mut data } => {
                 let padded = data.len().div_ceil(512) * 512;
                 data.resize(padded, 0);
+                if (1..=max).contains(&padded) {
+                    // Fits one ring request: the buffer moves into it.
+                    return vec![Chunk {
+                        tag: op.tag,
+                        order: 0,
+                        kind: ChunkKind::Write { sector, data },
+                    }];
+                }
                 let mut out = Vec::new();
                 let mut off = 0usize;
                 let mut order = 0usize;
@@ -431,14 +438,15 @@ impl Host<BlkPath> {
         if let IoKind::Write { data, .. } = &op.kind {
             self.dp.metrics.write_bytes += data.len() as u64;
         }
-        let chunks = self.chunks_of(&op);
+        let tag = op.tag;
+        let chunks = self.chunks_of(op);
         // Injection point for request tracing: the sampler decides here
         // whether this logical I/O is followed stage by stage. The guest
         // application issues it, so the Inject stamp books to the guest.
         self.hv.req.set_now(now);
         let req = self.hv.req.admit(self.guest.0);
         self.dp.tags.insert(
-            op.tag,
+            tag,
             TagState {
                 remaining: chunks.len(),
                 ok: true,
@@ -657,15 +665,19 @@ impl Host<BlkPath> {
             if ts.remaining == 0 {
                 let mut ts = self.dp.tags.remove(&tag).expect("present");
                 ts.chunks.sort_by_key(|&(o, _)| o);
-                let data = if ts.want_data && ts.ok {
-                    let mut buf = Vec::new();
-                    for (_, d) in ts.chunks {
-                        buf.extend_from_slice(&d);
+                let data = (ts.want_data && ts.ok).then(|| {
+                    // A single-chunk read hands its buffer over; several
+                    // chunks are joined into one buffer sized up front.
+                    if ts.chunks.len() == 1 {
+                        return ts.chunks.pop().expect("one chunk").1;
                     }
-                    Some(buf)
-                } else {
-                    None
-                };
+                    let total = ts.chunks.iter().map(|(_, d)| d.len()).sum();
+                    let mut buf = Vec::with_capacity(total);
+                    for (_, d) in &ts.chunks {
+                        buf.extend_from_slice(d);
+                    }
+                    buf
+                });
                 if let Some(r) = ts.req {
                     self.hv.req.finish_at(r, self.guest.0, now);
                 }

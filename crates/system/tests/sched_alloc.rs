@@ -17,21 +17,37 @@
 //!    API: admit/stamp/map/lookup/take/finish ride the ring-submit,
 //!    drain and completion paths, so request tracing off must cost one
 //!    branch per call and nothing else.
+//! 5. The copy budget (DESIGN.md §19): a payload is copied once per
+//!    hop the model charges for and moved or borrowed everywhere else.
+//!    Counting allocations of 32 KiB and up, a 48 KiB GSO message
+//!    guest→client costs the system exactly two (frame build, netback
+//!    chain assembly), and a 128 KiB block write or read at most one
+//!    beyond the caller's own buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use kite_sim::{EventSched, Nanos, Scheduler, SchedulerKind};
-use kite_system::{addrs, BackendOs, Side, SystemConfig};
+use kite_system::{addrs, BackendOs, IoKind, IoOp, Side, SystemConfig};
 use kite_xen::{ReqId, ReqStage, ReqTracer, SlotClass};
 
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Allocations big enough to hold a payload-sized copy.
+static LARGE: AtomicU64 = AtomicU64::new(0);
+const LARGE_BYTES: usize = 32 * 1024;
 
+// `realloc` and `alloc_zeroed` keep their defaults, which go through
+// `alloc`, so every heap request is counted exactly once here.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        if layout.size() >= LARGE_BYTES {
+            LARGE.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -44,6 +60,16 @@ static ALLOCATOR: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Runs `f`; returns (large allocations, bytes allocated) it made.
+fn large_allocs_and_bytes(f: impl FnOnce()) -> (u64, u64) {
+    let (l0, b0) = (LARGE.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+    f();
+    (
+        LARGE.load(Ordering::Relaxed) - l0,
+        BYTES.load(Ordering::Relaxed) - b0,
+    )
 }
 
 /// Deterministic steady-state churn: every iteration pops one timer and
@@ -163,9 +189,12 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     };
     let w: Vec<u64> = (0..8).map(|_| window(&mut sys)).collect();
     assert!(sys.netback_stats().gso_tx_frames > 0, "chains exercised");
+    // Three warm-up windows here: the third still makes ~16 first-touch
+    // allocations, which is over 1 % now that a window's payload copies
+    // are down to two per message.
     let (lo, hi) = (
-        *w[2..].iter().min().expect("nonempty"),
-        *w[2..].iter().max().expect("nonempty"),
+        *w[3..].iter().min().expect("nonempty"),
+        *w[3..].iter().max().expect("nonempty"),
     );
     assert!(
         hi - lo <= lo / 100,
@@ -207,5 +236,87 @@ fn drain_paths_do_not_allocate_in_steady_state() {
         allocs() - before,
         0,
         "disabled ReqTracer calls must not allocate"
+    );
+
+    // Phase 5: the copy budget. Net: after a warm-up message, one
+    // 48 KiB message from the guest application to the client
+    // application. The payload buffer is the caller's; inside the
+    // system it is copied into the frame (one buffer, headers included)
+    // and netback assembles the granted chain into the frame it hands
+    // the bridge. Every later hop — bridge, NIC, wire, the client stack
+    // — moves that buffer, and the client application receives it with
+    // the headers cut off.
+    const MSG: usize = 48 * 1024;
+    let mut sys = SystemConfig::new(BackendOs::Kite, 44).gso(true).build_net();
+    assert!(sys.gso_negotiated());
+    sys.set_client_app(Box::new(|_, msg| {
+        assert_eq!(msg.payload.len(), MSG);
+        Vec::new()
+    }));
+    let send = |sys: &mut kite_system::NetSystem| {
+        let payload = vec![0x5au8; MSG];
+        let at = sys.now() + Nanos::from_micros(10);
+        large_allocs_and_bytes(|| {
+            sys.send_udp_at(at, Side::Guest, addrs::CLIENT, 9999, 1200, payload);
+            sys.run_to_quiescence();
+        })
+    };
+    send(&mut sys);
+    let delivered = sys.metrics.client_rx_msgs;
+    let (large, bytes) = send(&mut sys);
+    assert_eq!(sys.metrics.client_rx_msgs, delivered + 1, "delivered");
+    assert_eq!(
+        large, 2,
+        "a 48 KiB guest->client message is copied at frame build and netback assembly only"
+    );
+    assert!(
+        bytes < 2 * (MSG as u64 + 42) + 16 * 1024,
+        "48 KiB message allocated {bytes} bytes in the system"
+    );
+
+    // Block: one 128 KiB write, then one 128 KiB read of it. The write's
+    // buffer moves into its single ring request and is copied into the
+    // granted pool pages; the read is gathered from them once, into the
+    // buffer the completion handler receives.
+    const IO: usize = 128 * 1024;
+    let mut sys = SystemConfig::new(BackendOs::Kite, 45).build_stor();
+    let got = std::rc::Rc::new(std::cell::Cell::new(0usize));
+    let seen = got.clone();
+    sys.set_handler(Box::new(move |_, done| {
+        assert!(done.ok);
+        seen.set(seen.get() + done.data.as_ref().map_or(0, Vec::len));
+        Vec::new()
+    }));
+    let io = |sys: &mut kite_system::StorSystem, kind: IoKind| {
+        let at = sys.now() + Nanos::from_micros(10);
+        large_allocs_and_bytes(|| {
+            sys.submit_at(at, IoOp { tag: 1, kind });
+            sys.run_to_quiescence();
+        })
+    };
+    // Warm-up touches the sectors, so the device's sparse blocks exist.
+    io(
+        &mut sys,
+        IoKind::Write {
+            sector: 0,
+            data: vec![1u8; IO],
+        },
+    );
+    let (large_w, _) = io(
+        &mut sys,
+        IoKind::Write {
+            sector: 0,
+            data: vec![2u8; IO],
+        },
+    );
+    assert!(
+        large_w <= 1,
+        "128 KiB write made {large_w} payload-sized allocations"
+    );
+    let (large_r, _) = io(&mut sys, IoKind::Read { sector: 0, len: IO });
+    assert_eq!(got.get(), IO, "read returned its data");
+    assert!(
+        large_r <= 1,
+        "128 KiB read made {large_r} payload-sized allocations"
     );
 }

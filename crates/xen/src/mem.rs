@@ -101,12 +101,14 @@ impl MachineMemory {
         self.frame_mut(page).map(|f| &mut *f.data)
     }
 
-    /// Copies bytes between two pages with bounds checks.
+    /// Copies `len` bytes from one page to another, slice to slice: no
+    /// intermediate buffer on either path.
     ///
-    /// `src` and `dst` may be the same page (copy within a page); ranges
-    /// must not overlap in that case or the result is the same as
-    /// `copy_within` (we forbid overlap for simplicity and return
-    /// [`XenError::OutOfBounds`]).
+    /// A range reaching past the end of either page is
+    /// [`XenError::OutOfBounds`]; a freed or never-allocated page on
+    /// either side is [`XenError::BadPage`]. `src` and `dst` may be the
+    /// same page as long as the two ranges do not overlap (an overlapping
+    /// copy is also `OutOfBounds`).
     pub fn copy(
         &mut self,
         src: PageId,
@@ -131,18 +133,19 @@ impl MachineMemory {
                 let (l, r) = f.data.split_at_mut(src_off);
                 (&r[..len], &mut l[dst_off..dst_off + len])
             };
-            // Clippy: manual copy is fine; slices proven disjoint above.
             b.copy_from_slice(a);
             return Ok(());
         }
-        // Distinct pages: read then write (two lookups keeps borrowck happy
-        // without unsafe).
-        let tmp: Vec<u8> = {
-            let f = self.frame(src)?;
-            f.data[src_off..src_off + len].to_vec()
+        // Distinct pages: borrow both frames at once so the bytes move
+        // slice to slice. The indices differ, so the lookup only fails for
+        // a page past the end of the table; a freed one is a `None` slot.
+        let Ok([Some(s), Some(d)]) = self
+            .frames
+            .get_disjoint_mut([src.0 as usize, dst.0 as usize])
+        else {
+            return Err(XenError::BadPage);
         };
-        let g = self.frame_mut(dst)?;
-        g.data[dst_off..dst_off + len].copy_from_slice(&tmp);
+        d.data[dst_off..dst_off + len].copy_from_slice(&s.data[src_off..src_off + len]);
         Ok(())
     }
 

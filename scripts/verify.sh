@@ -5,8 +5,8 @@
 #
 #   build (release)  ->  tests  ->  determinism cmps (traces, bench rows
 #   vs the shipped BENCH_mechanisms.json, repro prof/top/lat)
-#   ->  benchmark/ smoke + sim_digest cmp  ->  doc  ->  clippy -D warnings
-#   ->  fmt --check
+#   ->  benchmark/ smoke + sim_digest cmp + allocation pins  ->  doc
+#   ->  clippy -D warnings  ->  fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
 # while `repro --json` builds them (DESIGN.md §18); nothing here
@@ -149,12 +149,30 @@ echo "==> benchmark/: lint gate, then the four workloads end to end"
 # in scripts/sim_digests.txt. A change that moves virtual time on
 # purpose regenerates that file from this loop's `got` values and
 # reviews the diff, like BENCH_mechanisms.json.
+#
+# The file's last two columns pin the copy budget (DESIGN.md §19): the
+# `host_allocs_per_op` and `host_alloc_bytes_per_op` the counted
+# repetition prints at seed 7. Both are exact per seed and build, so a
+# run more than 0.5 % above its pin (BENCHMARK.json's bound) is a copy
+# that crept back in; a change that lowers them re-pins deliberately.
 bash benchmark/check.sh
-while read -r w want; do
-    got="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1 \
-        | grep -o 'sim_digest [0-9a-f]*')"
+while read -r w want allocs bytes; do
+    out="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1)"
+    got="$(grep -o 'sim_digest [0-9a-f]*' <<< "$out")"
     [ "$got" = "sim_digest $want" ] \
         || { echo "verify: $w: got '$got', scripts/sim_digests.txt has $want" >&2; exit 1; }
+    awk -v w="$w" -v allocs="$allocs" -v bytes="$bytes" '
+        function over(name, got, pin) {
+            if (got > pin * 1.005) {
+                printf "verify: %s: %s %s exceeds the pinned %s by more than 0.5 %%\n", \
+                    w, name, got, pin > "/dev/stderr"
+                bad = 1
+            }
+        }
+        $1 == "host_allocs_per_op" { over($1, $2, allocs); seen++ }
+        $1 == "host_alloc_bytes_per_op" { over($1, $2, bytes); seen++ }
+        END { exit (bad || seen != 2) }' <<< "$out" \
+        || { echo "verify: $w: allocation budget check failed" >&2; exit 1; }
 done < scripts/sim_digests.txt
 
 echo "==> cargo doc --offline (rustdoc warnings are errors)"

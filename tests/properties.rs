@@ -10,19 +10,20 @@ use kite::core::{provision_device, BackendDevice, BackendManager, NetbackInstanc
 use kite::frontends::Netfront;
 use kite::fs::{ExtentAllocator, Fs};
 use kite::net::{
-    ArpPacket, DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IcmpMessage, IpProto,
-    Ipv4Packet, MacAddr, TcpSegment, UdpDatagram,
+    checksum, ArpPacket, DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IcmpMessage,
+    IpProto, Ipv4Packet, MacAddr, TcpSegment, UdpDatagram,
 };
 use kite::rumprun::kite_profile;
 use kite::sim::{Nanos, Pcg};
-use kite::system::{BackendOs, IoKind, IoOp};
+use kite::system::{BackendOs, IoKind, IoOp, GSO_UDP};
 use kite::xen::netif::{NetifRxRequest, NetifTxRequest, NetifTxResponse};
 use kite::xen::ring::{BackRing, FrontRing, RingEntry};
 use kite::xen::{
     CopyMode, DeviceKind, DevicePaths, DomainId, DomainKind, GrantRef, HypercallKind, Hypervisor,
-    PageId, XenbusState, PAGE_SIZE,
+    PageId, XenError, XenbusState, PAGE_SIZE,
 };
 use std::cell::RefCell;
+use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 /// Toy ring entry.
@@ -143,6 +144,235 @@ fn ipv4_header_bitflip_detected() {
     }
 }
 
+/// What a UDP-in-IPv4-in-Ethernet frame parses to.
+#[derive(Debug, PartialEq, Eq)]
+struct ParsedUdp {
+    macs: (MacAddr, MacAddr),
+    ips: (Ipv4Addr, Ipv4Addr),
+    ports: (u16, u16),
+    payload: Vec<u8>,
+}
+
+/// The oracle for [`view_udp_parse`]: the receive-side validation the
+/// owned-payload decoders performed before the codec became borrowed
+/// views, written out flat over the raw bytes.
+fn reference_udp_parse(b: &[u8]) -> Option<ParsedUdp> {
+    let be16 = |at: &[u8]| u16::from_be_bytes([at[0], at[1]]);
+    if b.len() < 14 || be16(&b[12..]) != 0x0800 {
+        return None;
+    }
+    let ip = &b[14..];
+    if ip.len() < 20 || ip[0] != 0x45 || !checksum::verify(&ip[..20]) {
+        return None;
+    }
+    let total = be16(&ip[2..]) as usize;
+    if total < 20 || total > ip.len() || ip[9] != 17 {
+        return None;
+    }
+    let src = Ipv4Addr::new(ip[12], ip[13], ip[14], ip[15]);
+    let dst = Ipv4Addr::new(ip[16], ip[17], ip[18], ip[19]);
+    let udp = &ip[20..total];
+    if udp.len() < 8 {
+        return None;
+    }
+    let len = be16(&udp[4..]) as usize;
+    if len < 8 || len > udp.len() {
+        return None;
+    }
+    if be16(&udp[6..]) != 0 {
+        let acc = checksum::pseudo_header_sum(src, dst, 17, len as u16);
+        if checksum::finish(checksum::sum(&udp[..len], acc)) != 0 {
+            return None;
+        }
+    }
+    Some(ParsedUdp {
+        macs: (
+            MacAddr(b[0..6].try_into().unwrap()),
+            MacAddr(b[6..12].try_into().unwrap()),
+        ),
+        ips: (src, dst),
+        ports: (be16(udp), be16(&udp[2..])),
+        payload: udp[8..len].to_vec(),
+    })
+}
+
+/// The same parse through the borrowed views, as the endpoint stacks do it.
+fn view_udp_parse(b: &[u8]) -> Option<ParsedUdp> {
+    let eth = EthernetFrame::decode(b)?;
+    if eth.ethertype != EtherType::Ipv4 {
+        return None;
+    }
+    let ip = Ipv4Packet::decode(eth.payload)?;
+    if ip.proto != IpProto::Udp {
+        return None;
+    }
+    let udp = UdpDatagram::decode(ip.payload, ip.src, ip.dst)?;
+    Some(ParsedUdp {
+        macs: (eth.dst, eth.src),
+        ips: (ip.src, ip.dst),
+        ports: (udp.src_port, udp.dst_port),
+        payload: udp.payload.to_vec(),
+    })
+}
+
+/// The single-buffer frame builder emits the nested encoders' bytes for
+/// every payload length up to a GSO super-frame, and the borrowed parsers
+/// accept and reject exactly what the flat reference does: every
+/// single-bit flip in the 42 header bytes, every truncation, Ethernet
+/// padding to the 60-byte minimum, and a zero (absent) UDP checksum.
+#[test]
+fn single_buffer_builder_and_views_match_the_nested_codec() {
+    let mut rng = Pcg::seeded(0xc0dec);
+    let (dmac, smac) = (MacAddr::local(0xcc01), MacAddr::local(0xaa01));
+    let src: Ipv4Addr = "192.168.1.100".parse().unwrap();
+    let dst: Ipv4Addr = "192.168.1.10".parse().unwrap();
+    let build = |sp: u16, dp: u16, payload: &[u8]| {
+        let nested = EthernetFrame::new(
+            dmac,
+            smac,
+            EtherType::Ipv4,
+            Ipv4Packet::new(
+                src,
+                dst,
+                IpProto::Udp,
+                UdpDatagram::new(sp, dp, payload.to_vec()).encode(src, dst),
+            )
+            .encode(),
+        )
+        .encode();
+        let single = UdpDatagram::new(sp, dp, payload).encode_frame(dmac, smac, src, dst);
+        assert_eq!(single, nested, "payload of {} bytes", payload.len());
+        assert_eq!(single.capacity(), single.len(), "sized once, up front");
+        single
+    };
+
+    // Lengths around the padding, MTU and chunking edges, then seeded ones.
+    let mut lens = vec![
+        0,
+        1,
+        17,
+        18,
+        19,
+        1471,
+        1472,
+        1473,
+        4000,
+        GSO_UDP - 1,
+        GSO_UDP,
+    ];
+    lens.extend((0..24).map(|_| rng.index(GSO_UDP + 1)));
+    for len in lens {
+        let payload = random_bytes(&mut rng, len);
+        let (sp, dp) = (rng.next_u32() as u16, rng.next_u32() as u16);
+        let frame = build(sp, dp, &payload);
+        let parsed = view_udp_parse(&frame).expect("own frame parses");
+        assert_eq!(Some(&parsed), reference_udp_parse(&frame).as_ref());
+        assert_eq!(parsed.macs, (dmac, smac));
+        assert_eq!(parsed.ips, (src, dst));
+        assert_eq!(parsed.ports, (sp, dp));
+        assert_eq!(parsed.payload, payload);
+    }
+
+    let payload = random_bytes(&mut rng, 32);
+    let frame = build(1200, 9999, &payload);
+    // Every single-bit flip in the Ethernet + IPv4 + UDP headers.
+    let mut rejected = 0;
+    for bit in 0..42 * 8 {
+        let mut f = frame.clone();
+        f[bit / 8] ^= 1 << (bit % 8);
+        let got = view_udp_parse(&f);
+        assert_eq!(got, reference_udp_parse(&f), "bit {bit}");
+        if (14 * 8..42 * 8).contains(&bit) {
+            assert_eq!(got, None, "IPv4/UDP header flip at bit {bit} accepted");
+        }
+        rejected += got.is_none() as usize;
+    }
+    // The MAC flips (96 bits) are the only ones a parser may accept.
+    assert_eq!(rejected, 42 * 8 - 96);
+    // A flipped payload bit fails the UDP checksum.
+    let mut f = frame.clone();
+    *f.last_mut().unwrap() ^= 0x40;
+    assert_eq!(view_udp_parse(&f), None);
+    assert_eq!(reference_udp_parse(&f), None);
+    // Truncation at every length, which covers every header boundary.
+    for cut in 0..frame.len() {
+        assert_eq!(view_udp_parse(&frame[..cut]), None, "cut at {cut}");
+        assert_eq!(reference_udp_parse(&frame[..cut]), None, "cut at {cut}");
+    }
+    // Short frames padded to the Ethernet minimum parse to the unpadded
+    // payload: the length fields, not the buffer, bound each layer.
+    for len in 0..=18 {
+        let payload = random_bytes(&mut rng, len);
+        let mut f = build(7, 9, &payload);
+        f.resize(60, 0);
+        let parsed = view_udp_parse(&f).expect("padded frame parses");
+        assert_eq!(Some(&parsed), reference_udp_parse(&f).as_ref());
+        assert_eq!(parsed.payload, payload);
+    }
+    // A zero UDP checksum means "not computed": the payload is accepted
+    // unverified, flipped bit and all.
+    let mut f = frame.clone();
+    f[40..42].fill(0);
+    *f.last_mut().unwrap() ^= 0x40;
+    let parsed = view_udp_parse(&f).expect("checksum-less datagram parses");
+    assert_eq!(Some(&parsed), reference_udp_parse(&f).as_ref());
+    assert_eq!(parsed.payload, f[42..]);
+}
+
+/// `MachineMemory::copy` between distinct pages moves exactly the
+/// requested bytes whichever page has the lower frame number, reports a
+/// freed page on either side as `BadPage`, and bounds both ranges at the
+/// 4096-byte page end.
+#[test]
+fn machine_memory_copy_between_distinct_pages() {
+    let mut rng = Pcg::seeded(0x3e3);
+    let mut hv = Hypervisor::new();
+    let d0 = hv.create_domain("Domain-0", DomainKind::Dom0, 64, 1);
+    let lo = hv.alloc_page(d0).unwrap();
+    let hi = hv.alloc_page(d0).unwrap();
+    assert!(lo < hi);
+    for (src, dst) in [(lo, hi), (hi, lo)] {
+        for _ in 0..64 {
+            let src_off = rng.index(PAGE_SIZE);
+            let dst_off = rng.index(PAGE_SIZE);
+            let len = rng.index(PAGE_SIZE - src_off.max(dst_off) + 1);
+            let pattern = random_bytes(&mut rng, PAGE_SIZE);
+            hv.mem.page_mut(src).unwrap().copy_from_slice(&pattern);
+            hv.mem.page_mut(dst).unwrap().fill(0);
+            hv.mem.copy(src, src_off, dst, dst_off, len).unwrap();
+            let got = hv.mem.page(dst).unwrap();
+            assert_eq!(got[dst_off..dst_off + len], pattern[src_off..src_off + len]);
+            assert!(got[..dst_off].iter().all(|&b| b == 0));
+            assert!(got[dst_off + len..].iter().all(|&b| b == 0));
+            assert_eq!(hv.mem.page(src).unwrap()[..], pattern[..], "source intact");
+        }
+        // The last byte of a page is reachable; one past it is not.
+        hv.mem.copy(src, 0, dst, 0, PAGE_SIZE).unwrap();
+        hv.mem
+            .copy(src, PAGE_SIZE - 1, dst, PAGE_SIZE - 1, 1)
+            .unwrap();
+        hv.mem.copy(src, PAGE_SIZE, dst, PAGE_SIZE, 0).unwrap();
+        for (so, dof, len) in [(1, 0, PAGE_SIZE), (0, 1, PAGE_SIZE), (PAGE_SIZE, 0, 1)] {
+            assert_eq!(
+                hv.mem.copy(src, so, dst, dof, len),
+                Err(XenError::OutOfBounds)
+            );
+        }
+    }
+    // A freed page, or one never allocated, is BadPage on either side —
+    // and the surviving page is left untouched.
+    let mid = hv.alloc_page(d0).unwrap();
+    hv.free_page(d0, hi).unwrap();
+    hv.mem.page_mut(lo).unwrap().fill(0x5a);
+    let never = PageId(1 << 40);
+    for gone in [hi, never] {
+        for (src, dst) in [(lo, gone), (gone, lo), (mid, gone), (gone, mid)] {
+            assert_eq!(hv.mem.copy(src, 0, dst, 0, 16), Err(XenError::BadPage));
+        }
+    }
+    assert!(hv.mem.page(lo).unwrap().iter().all(|&b| b == 0x5a));
+}
+
 /// TCP segments round-trip.
 #[test]
 fn tcp_roundtrip() {
@@ -171,13 +401,12 @@ fn tcp_roundtrip() {
 fn icmp_roundtrip() {
     let mut rng = Pcg::seeded(0x1c3);
     for _ in 0..64 {
+        let plen = rng.index(256);
+        let payload = random_bytes(&mut rng, plen);
         let m = IcmpMessage::EchoRequest {
             ident: rng.next_u32() as u16,
             seq: rng.next_u32() as u16,
-            payload: {
-                let plen = rng.index(256);
-                random_bytes(&mut rng, plen)
-            },
+            payload: &payload[..],
         };
         assert_eq!(IcmpMessage::decode(&m.encode()), Some(m));
     }
