@@ -165,9 +165,9 @@ fn table1() {
     println!("Blkback                     1904   kite-core::blkback");
     println!("Netback                     2791   kite-core::netback");
     println!("HVM extension               1100   kite-xen::xenstore/xenbus + kite-core::backend");
-    println!("Configuration                450   kite-core::netapp/blockapp/config");
+    println!("Configuration                450   kite-core::{{netapp, blockapp}}");
     println!(
-        "Utilities                    222   kite-core::utils (ifconfig/brconfig interpreters)"
+        "Utilities                    222   kite-net::{{iface, bridge}} as called by kite-core::netapp"
     );
     println!("Daemon VM                     16   kite-core::dhcpd (full server here)");
 }

@@ -7,9 +7,8 @@
 //! | Blkback (1904 LoC) | [`blkback`] — batching, persistent grants, indirect segments |
 //! | Netback (2791 LoC) | [`netback`] — Tx/Rx rings, hypervisor copy, pusher/soft_start threads |
 //! | HVM extension (xenbus/xenstore use) | [`backend`] — watch-driven backend invocation |
-//! | Configuration apps (450 LoC) | [`netapp`] (bridge + ifconfig/brconfig), [`blockapp`] |
+//! | Configuration apps (450 LoC) | [`netapp`] (drives `kite_net`'s `IfTable` and `Bridge` directly), [`blockapp`] |
 //! | Daemon VM (OpenDHCP) | [`dhcpd`] |
-//! | Domain configs (`kite_dd.cfg`) | [`config`] |
 //!
 //! The drivers are written once and parameterized by an
 //! [`kite_rumprun::OsProfile`], so the identical mechanism runs under the
@@ -19,14 +18,11 @@
 pub mod backend;
 pub mod blkback;
 pub mod blockapp;
-pub mod config;
 pub mod dhcpd;
 pub mod lifecycle;
 pub mod netapp;
 pub mod netback;
 pub mod stats;
-pub mod utils;
-pub mod xl;
 
 pub use backend::{provision_device, BackendManager};
 pub use blkback::{
@@ -34,11 +30,8 @@ pub use blkback::{
     MAX_INDIRECT_SEGMENTS,
 };
 pub use blockapp::{BlockApp, VbdStatus};
-pub use config::{DomainConfig, DriverDomainKind};
 pub use dhcpd::{DhcpConfig, DhcpServer, DhcpStats, Lease};
 pub use lifecycle::{BackendDevice, DeviceLifecycle, RecoveryStats};
 pub use netapp::NetworkApp;
 pub use netback::{NetbackInstance, NetbackStats, RxBatch, TxBatch};
 pub use stats::CopyStats;
-pub use utils::{brconfig, ifconfig, BridgeTable, UtilError};
-pub use xl::{Xl, XlDomain, XlError};

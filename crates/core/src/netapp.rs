@@ -2,11 +2,12 @@
 //! for Linux's xen driver-domain scripts.
 //!
 //! On launch it creates a bridge, assigns the gateway IP to the physical
-//! interface with the ported `ifconfig(8)`, adds the IF to the bridge with
-//! the ported `brconfig(8)`, then loops: watch for new VIFs and hotplug
-//! them into the bridge — yielding the CPU explicitly between iterations so
-//! netback, the NIC driver and the network stack make progress on the
-//! non-preemptive scheduler.
+//! interface and adds the IF to the bridge (the paper's ported
+//! `ifconfig(8)` and `brconfig(8)`; here direct calls on [`IfTable`] and
+//! [`Bridge`]), then loops: watch for new VIFs and hotplug them into the
+//! bridge — yielding the CPU explicitly between iterations so netback, the
+//! NIC driver and the network stack make progress on the non-preemptive
+//! scheduler.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;

@@ -2,12 +2,11 @@
 //! forwarding machinery a network driver domain is made of.
 //!
 //! Everything on the simulated wire is real bytes — Ethernet frames carry
-//! IPv4/ARP payloads with valid checksums, verified end-to-end by the
+//! IPv4 payloads with valid checksums, verified end-to-end by the
 //! integration tests. Modules:
 //!
 //! * [`ether`] — Ethernet II framing, MAC addresses, wire-length model;
-//! * [`arp`] — ARP codec + per-host cache with timeout;
-//! * [`ipv4`] / [`icmp`] / [`udp`] / [`tcp`] — protocol codecs with RFC 1071
+//! * [`ipv4`] / [`icmp`] / [`udp`] — protocol codecs with RFC 1071
 //!   checksums ([`checksum`]); the Ethernet/IPv4/ICMP/UDP types are generic
 //!   over their payload bytes — owned when built for sending, a validated
 //!   borrowed view of the wire buffer when parsed — and
@@ -17,9 +16,8 @@
 //! * [`bridge`] — the learning bridge Kite's network application manages;
 //! * [`nat`] — source NAT, the alternative VIF-to-NIC linking technique;
 //! * [`dhcp`] — RFC 2131 wire format for the daemon-VM experiment;
-//! * [`iface`] — the interface table `ifconfig`/`brconfig` operate on.
+//! * [`iface`] — the interface table the network application configures.
 
-pub mod arp;
 pub mod bridge;
 pub mod checksum;
 pub mod dhcp;
@@ -29,10 +27,8 @@ pub mod icmp;
 pub mod iface;
 pub mod ipv4;
 pub mod nat;
-pub mod tcp;
 pub mod udp;
 
-pub use arp::{ArpCache, ArpOp, ArpPacket};
 pub use bridge::{Bridge, BridgePort, Forward};
 pub use dhcp::{DhcpMessage, DhcpMessageType};
 pub use ether::{EtherType, EthernetFrame, MacAddr, ETH_MTU};
@@ -41,5 +37,4 @@ pub use icmp::IcmpMessage;
 pub use iface::{IfKind, IfTable, Interface};
 pub use ipv4::{IpProto, Ipv4Packet};
 pub use nat::{Endpoint, Nat};
-pub use tcp::{SlidingWindow, TcpSegment};
 pub use udp::UdpDatagram;

@@ -27,6 +27,6 @@ pub use queue::EventQueue;
 pub use resource::{Cpu, CpuPool, Link, TxOutcome};
 pub use rng::Pcg;
 pub use sched::{EventId, EventSched, Scheduler, SchedulerKind};
-pub use stats::{BatchHistogram, Histogram, OnlineStats, RateMeter};
+pub use stats::{BatchHistogram, Histogram, OnlineStats};
 pub use time::Nanos;
 pub use wheel::TimerWheel;

@@ -3,8 +3,7 @@
 //! The paper reports means, throughputs, latencies, percentile-ish maxima
 //! and relative standard deviations (Table 4). [`OnlineStats`] implements
 //! Welford's numerically stable single-pass algorithm; [`Histogram`] is a
-//! log-bucketed latency histogram good to ~2% relative error; [`RateMeter`]
-//! converts counted events/bytes over virtual time into rates.
+//! log-bucketed latency histogram good to ~2% relative error.
 
 use crate::time::Nanos;
 
@@ -325,80 +324,6 @@ impl BatchHistogram {
     }
 }
 
-/// Converts counted events and bytes over a virtual-time window into rates.
-#[derive(Clone, Debug, Default)]
-pub struct RateMeter {
-    events: u64,
-    bytes: u64,
-    started: Option<Nanos>,
-    last: Nanos,
-}
-
-impl RateMeter {
-    /// Creates an idle meter.
-    pub fn new() -> RateMeter {
-        RateMeter::default()
-    }
-
-    /// Records an event carrying `bytes` payload at virtual time `now`.
-    pub fn record(&mut self, now: Nanos, bytes: u64) {
-        if self.started.is_none() {
-            self.started = Some(now);
-        }
-        self.events += 1;
-        self.bytes += bytes;
-        self.last = self.last.max(now);
-    }
-
-    /// Number of recorded events.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Total bytes recorded.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Elapsed window between first and last event (plus caller-supplied end).
-    pub fn window(&self, end: Nanos) -> Nanos {
-        match self.started {
-            None => Nanos::ZERO,
-            Some(s) => end.max(self.last).saturating_sub(s),
-        }
-    }
-
-    /// Events per second over the window ending at `end`.
-    pub fn events_per_sec(&self, end: Nanos) -> f64 {
-        let w = self.window(end).as_secs_f64();
-        if w <= 0.0 {
-            0.0
-        } else {
-            self.events as f64 / w
-        }
-    }
-
-    /// Payload throughput in bits per second over the window ending at `end`.
-    pub fn bits_per_sec(&self, end: Nanos) -> f64 {
-        let w = self.window(end).as_secs_f64();
-        if w <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 * 8.0 / w
-        }
-    }
-
-    /// Payload throughput in megabytes per second over the window.
-    pub fn mbytes_per_sec(&self, end: Nanos) -> f64 {
-        let w = self.window(end).as_secs_f64();
-        if w <= 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / 1e6 / w
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,24 +437,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.batches(), 2);
         assert_eq!(a.ops(), 10);
-    }
-
-    #[test]
-    fn rate_meter_computes_rates() {
-        let mut m = RateMeter::new();
-        m.record(Nanos::ZERO, 1000);
-        m.record(Nanos::from_secs(1), 1000);
-        // 2000 bytes over 1 second window -> 16 kbit/s.
-        assert!((m.bits_per_sec(Nanos::from_secs(1)) - 16_000.0).abs() < 1e-6);
-        assert!((m.events_per_sec(Nanos::from_secs(1)) - 2.0).abs() < 1e-9);
-        assert!((m.mbytes_per_sec(Nanos::from_secs(1)) - 0.002).abs() < 1e-9);
-    }
-
-    #[test]
-    fn rate_meter_empty_is_zero() {
-        let m = RateMeter::new();
-        assert_eq!(m.bits_per_sec(Nanos::from_secs(1)), 0.0);
-        assert_eq!(m.events_per_sec(Nanos::from_secs(1)), 0.0);
     }
 
     fn histogram_of(samples: &[u64]) -> Histogram {

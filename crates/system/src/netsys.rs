@@ -883,7 +883,9 @@ impl Host<NetPath> {
                         self.hv.req.finish_at(r, 0, now);
                     }
                 }
-                _ => {}
+                (_, None) => self.dp.metrics.drops += 1,
+                // A valid message this side does not act on.
+                (Side::Client, Some(_)) => {}
             },
             IpProto::Udp => {
                 let Some(udp) = UdpDatagram::decode(ip.payload, ip.src, ip.dst) else {
@@ -1066,12 +1068,27 @@ mod tests {
         flipped[ETH_HEADER_LEN + 8] ^= 0x10; // TTL bit: IPv4 header checksum fails
         let mut bad_udp = good.clone();
         *bad_udp.last_mut().expect("payload") ^= 1;
+        let echo = IcmpMessage::EchoRequest {
+            ident: 1,
+            seq: 1,
+            payload: [7u8; 64],
+        };
+        let ping = EthernetFrame::new(
+            MacAddr::local(0xaa01),
+            MacAddr::local(0xcc01),
+            EtherType::Ipv4,
+            Ipv4Packet::new(addrs::CLIENT, addrs::GUEST, IpProto::Icmp, echo.encode()).encode(),
+        )
+        .encode();
+        let mut bad_icmp = ping.clone();
+        *bad_icmp.last_mut().expect("payload") ^= 1; // ICMP checksum fails
         let malformed = [
             good[..ETH_HEADER_LEN - 1].to_vec(),  // no Ethernet header
             good[..ETH_HEADER_LEN + 10].to_vec(), // cut inside the IPv4 header
             good[..good.len() - 1].to_vec(),      // shorter than its IPv4 total length
             flipped,
             bad_udp,
+            bad_icmp,
         ];
         for side in [Side::Guest, Side::Client] {
             for frame in &malformed {
@@ -1087,6 +1104,10 @@ mod tests {
             let before = sys.dp.metrics.drops;
             sys.stack_rx(side, Nanos::ZERO, good.clone());
             assert_eq!(sys.dp.metrics.drops, before, "{side:?}: valid frame");
+            // The guest answers a valid echo request, the client ignores
+            // it; neither is a drop.
+            sys.stack_rx(side, Nanos::ZERO, ping.clone());
+            assert_eq!(sys.dp.metrics.drops, before, "{side:?}: valid ping");
         }
         let m = &sys.dp.metrics;
         assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (1, 1));

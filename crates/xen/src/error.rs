@@ -39,8 +39,6 @@ pub enum XenError {
     RingCorrupt,
     /// PCI device is not assignable or already assigned.
     PciUnavailable,
-    /// DMA attempted to a machine page not mapped in the domain's IOMMU.
-    IommuFault,
     /// Domain memory allocation failed (over its reservation).
     OutOfMemory,
     /// Xenstore: per-domain node quota exhausted.
@@ -66,7 +64,6 @@ impl fmt::Display for XenError {
             XenError::RingFull => write!(f, "ring full"),
             XenError::RingCorrupt => write!(f, "ring indices corrupt"),
             XenError::PciUnavailable => write!(f, "pci device unavailable"),
-            XenError::IommuFault => write!(f, "iommu fault"),
             XenError::OutOfMemory => write!(f, "domain out of memory"),
             XenError::Quota => write!(f, "xenstore: node quota exhausted"),
         }

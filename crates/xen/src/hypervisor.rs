@@ -17,7 +17,6 @@ use crate::evtchn::{EventChannels, Notification, Port};
 use crate::fault::FaultPlan;
 use crate::grant::{CopyStatus, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
 use crate::hypercall::{CostModel, HypercallKind, HypercallMeter};
-use crate::iommu::Iommu;
 use crate::mem::{MachineMemory, PageId};
 use crate::pci::PciBus;
 use crate::xenstore::Xenstore;
@@ -59,8 +58,6 @@ pub struct Hypervisor {
     pub store: Xenstore,
     /// PCI passthrough state.
     pub pci: PciBus,
-    /// IOMMU (DMA remapping).
-    pub iommu: Iommu,
     /// Hypercall cost model.
     pub costs: CostModel,
     /// Fault-injection plan (inert by default).
@@ -90,7 +87,6 @@ impl Hypervisor {
             evtchn: EventChannels::new(),
             store: Xenstore::new(),
             pci: PciBus::new(),
-            iommu: Iommu::new(),
             costs: CostModel::default(),
             faults: FaultPlan::none(),
             trace: Tracer::disabled(),

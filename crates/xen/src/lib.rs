@@ -15,7 +15,7 @@
 //!   suppression, byte-exact with `xen/include/public/io/ring.h`;
 //! * [`netif`] / [`blkif`] — network and block PV ABIs;
 //! * [`hypercall`] — the cost model and per-domain accounting;
-//! * [`pci`] / [`iommu`] — passthrough and DMA confinement;
+//! * [`pci`] — passthrough: device assignment at domain create and restart;
 //! * [`hypervisor`] — the composed machine with charged operation wrappers.
 //!
 //! Data movement is real (bytes flow between real pages); only *time* is
@@ -29,7 +29,6 @@ pub mod fault;
 pub mod grant;
 pub mod hypercall;
 pub mod hypervisor;
-pub mod iommu;
 pub mod mem;
 pub mod netif;
 pub mod pci;
@@ -46,7 +45,6 @@ pub use grant::{
 };
 pub use hypercall::{CostModel, HypercallKind, HypercallMeter};
 pub use hypervisor::{BatchResult, Hypervisor};
-pub use iommu::{Iommu, IommuFault};
 pub use kite_trace::reqtrace::{ReqId, ReqTracer, SlotClass, Stage as ReqStage};
 pub use mem::{MachineMemory, PageId, PAGE_SIZE};
 pub use pci::{Bdf, PciBus, PciClass, PciDevice};

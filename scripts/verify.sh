@@ -3,8 +3,9 @@
 # workspace has no registry dependencies, so --offline must always
 # succeed.
 #
-#   build (release)  ->  tests  ->  determinism cmps (traces, bench rows
-#   vs the shipped BENCH_mechanisms.json, repro prof/top/lat)
+#   build (release)  ->  tests  ->  examples + repro smoke  ->
+#   determinism cmps (traces, bench rows vs the shipped
+#   BENCH_mechanisms.json, repro prof/top/lat)
 #   ->  benchmark/ smoke + sim_digest cmp + allocation pins  ->  doc
 #   ->  clippy -D warnings  ->  fmt --check
 #
@@ -28,6 +29,9 @@ for ex in examples/*.rs; do
     name="$(basename "${ex%.rs}")"
     "./target/release/examples/${name}" > /dev/null
 done
+# The table-style experiments (boot, LoC map, CVEs, gadgets, DHCP DORA,
+# memory): no other step of the gate executes a `repro <id>`.
+./target/release/repro fig4 table1 table3 fig5 dhcp mem > /dev/null
 
 echo "==> tracing: exports validate and are deterministic"
 # Each traced run validates its own Chrome-trace export before writing
@@ -155,6 +159,13 @@ echo "==> benchmark/: lint gate, then the four workloads end to end"
 # repetition prints at seed 7. Both are exact per seed and build, so a
 # run more than 0.5 % above its pin (BENCHMARK.json's bound) is a copy
 # that crept back in; a change that lowers them re-pins deliberately.
+#
+# benchmark/Cargo.lock records the workspace's crate set and every
+# inter-crate edge and may not be edited, so a workspace change that
+# would make cargo rewrite it (--locked refuses) or that touches
+# anything else under the benchmark's path fails here.
+cargo metadata --locked --offline --format-version 1 \
+    --manifest-path benchmark/Cargo.toml > /dev/null
 bash benchmark/check.sh
 while read -r w want allocs bytes; do
     out="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1)"
@@ -174,6 +185,12 @@ while read -r w want allocs bytes; do
         END { exit (bad || seen != 2) }' <<< "$out" \
         || { echo "verify: $w: allocation budget check failed" >&2; exit 1; }
 done < scripts/sim_digests.txt
+# (Outside a git checkout, e.g. an exported tree, there is no index to
+# compare with.)
+if git rev-parse --git-dir > /dev/null 2>&1; then
+    git diff --quiet -- benchmark BENCHMARK.json \
+        || { echo "verify: the gate modified benchmark/ or BENCHMARK.json" >&2; exit 1; }
+fi
 
 echo "==> cargo doc --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet

@@ -10,8 +10,8 @@ use kite::core::{provision_device, BackendDevice, BackendManager, NetbackInstanc
 use kite::frontends::Netfront;
 use kite::fs::{ExtentAllocator, Fs};
 use kite::net::{
-    checksum, ArpPacket, DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IcmpMessage,
-    IpProto, Ipv4Packet, MacAddr, TcpSegment, UdpDatagram,
+    checksum, DhcpMessage, DhcpMessageType, EtherType, EthernetFrame, IcmpMessage, IpProto,
+    Ipv4Packet, MacAddr, UdpDatagram,
 };
 use kite::rumprun::kite_profile;
 use kite::sim::{Nanos, Pcg};
@@ -373,29 +373,6 @@ fn machine_memory_copy_between_distinct_pages() {
     assert!(hv.mem.page(lo).unwrap().iter().all(|&b| b == 0x5a));
 }
 
-/// TCP segments round-trip.
-#[test]
-fn tcp_roundtrip() {
-    let mut rng = Pcg::seeded(0x7c9);
-    for _ in 0..64 {
-        let plen = rng.index(1000);
-        let payload = random_bytes(&mut rng, plen);
-        let src = "10.0.0.1".parse().unwrap();
-        let dst = "10.0.0.2".parse().unwrap();
-        let s = TcpSegment {
-            src_port: 80,
-            dst_port: 12345,
-            seq: rng.next_u32(),
-            ack: rng.next_u32(),
-            flags: kite::net::tcp::flags::ACK,
-            window: rng.next_u32() as u16,
-            payload,
-        };
-        let bytes = s.encode(src, dst);
-        assert_eq!(TcpSegment::decode(&bytes, src, dst), Some(s));
-    }
-}
-
 /// ICMP echo round-trips.
 #[test]
 fn icmp_roundtrip() {
@@ -409,22 +386,6 @@ fn icmp_roundtrip() {
             payload: &payload[..],
         };
         assert_eq!(IcmpMessage::decode(&m.encode()), Some(m));
-    }
-}
-
-/// ARP round-trips.
-#[test]
-fn arp_roundtrip() {
-    let mut rng = Pcg::seeded(0xa59);
-    for _ in 0..64 {
-        let a = rng.next_u32();
-        let b = rng.next_u32();
-        let p = ArpPacket::request(
-            MacAddr::local(a),
-            std::net::Ipv4Addr::from(a),
-            std::net::Ipv4Addr::from(b),
-        );
-        assert_eq!(ArpPacket::decode(&p.encode()), Some(p));
     }
 }
 
