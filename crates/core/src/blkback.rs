@@ -50,7 +50,7 @@ use kite_xen::{
 };
 
 use crate::lifecycle::QueueState;
-use crate::stats::CopyStats;
+use crate::stats::{counters, CopyStats};
 
 /// The indirect-segment cap Kite advertises (Linux-compatible, §3.3).
 pub const MAX_INDIRECT_SEGMENTS: usize = 32;
@@ -85,56 +85,27 @@ impl Default for BlkbackTuning {
     }
 }
 
-/// Statistics of one blkback instance (summed across its rings).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BlkbackStats {
-    /// Requests processed.
-    pub requests: u64,
-    /// Device operations issued (affected by batching).
-    pub device_ops: u64,
-    /// Bytes read from the device for the guest.
-    pub read_bytes: u64,
-    /// Bytes written to the device for the guest.
-    pub write_bytes: u64,
-    /// Persistent-grant cache hits.
-    pub persistent_hits: u64,
-    /// Grant map hypercalls issued.
-    pub grant_maps: u64,
-    /// Malformed or out-of-range requests rejected.
-    pub errors: u64,
-    /// Grant-copy hypercall accounting for the segment data paths.
-    pub copy: CopyStats,
-}
-
-impl BlkbackStats {
-    /// Mean bytes moved per grant-copy hypercall.
-    pub fn bytes_per_hypercall(&self) -> f64 {
-        self.copy.bytes_per_hypercall()
+counters! {
+    /// Statistics of one blkback instance (summed across its rings).
+    pub struct BlkbackStats {
+        /// Requests processed.
+        requests: "count",
+        /// Device operations issued (affected by batching).
+        device_ops: "count",
+        /// Bytes read from the device for the guest.
+        read_bytes: "bytes",
+        /// Bytes written to the device for the guest.
+        write_bytes: "bytes",
+        /// Persistent-grant cache hits.
+        persistent_hits: "count",
+        /// Grant map hypercalls issued.
+        grant_maps: "count",
+        /// Malformed or out-of-range requests rejected.
+        errors: "count",
     }
-
-    /// Folds another instance's counters into this one — used by the
-    /// system layer to keep lifetime stats across backend restarts.
-    pub fn merge(&mut self, other: &BlkbackStats) {
-        self.requests += other.requests;
-        self.device_ops += other.device_ops;
-        self.read_bytes += other.read_bytes;
-        self.write_bytes += other.write_bytes;
-        self.persistent_hits += other.persistent_hits;
-        self.grant_maps += other.grant_maps;
-        self.errors += other.errors;
-        self.copy.merge(&other.copy);
-    }
-
-    /// Appends the request counters and copy accounting to a snapshot.
-    pub fn append_metrics(&self, snap: &mut kite_trace::MetricsSnapshot) {
-        snap.push_int("requests", "count", self.requests);
-        snap.push_int("device_ops", "count", self.device_ops);
-        snap.push_int("read_bytes", "bytes", self.read_bytes);
-        snap.push_int("write_bytes", "bytes", self.write_bytes);
-        snap.push_int("persistent_hits", "count", self.persistent_hits);
-        snap.push_int("grant_maps", "count", self.grant_maps);
-        snap.push_int("errors", "count", self.errors);
-        self.copy.append_metrics(snap, "copy_");
+    nested {
+        /// Grant-copy hypercall accounting for the segment data paths.
+        copy: CopyStats = "copy_",
     }
 }
 

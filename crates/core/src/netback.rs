@@ -40,7 +40,7 @@ use kite_xen::{
 };
 
 use crate::lifecycle::QueueState;
-use crate::stats::CopyStats;
+use crate::stats::{counters, CopyStats};
 
 /// Result of one pusher (Tx-drain) batch.
 #[derive(Debug, Default)]
@@ -68,92 +68,53 @@ pub struct RxBatch {
     pub more: bool,
 }
 
-/// Statistics of one netback instance (summed across its queues).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NetbackStats {
-    /// Packets guest → world.
-    pub tx_packets: u64,
-    /// Bytes guest → world.
-    pub tx_bytes: u64,
-    /// Packets world → guest.
-    pub rx_packets: u64,
-    /// Bytes world → guest.
-    pub rx_bytes: u64,
-    /// Frames dropped because the guest posted no Rx buffers in time, or
-    /// because the hypervisor copy into the guest buffer failed.
-    pub rx_dropped: u64,
-    /// Malformed Tx requests rejected.
-    pub tx_errors: u64,
-    /// GSO super-frames assembled from Tx descriptor chains.
-    pub gso_tx_frames: u64,
-    /// Wire segments those super-frames resolve to (what the NIC's TSO
-    /// engine actually emits).
-    pub gso_tx_segs: u64,
-    /// World → guest super-frames delivered across multi-slot Rx chains
-    /// (the LRO path).
-    pub lro_rx_frames: u64,
-    /// Chains rejected for a malformed GSO descriptor: zero MSS, zero
-    /// or > 64 KiB total length, or an unknown extra-info type.
-    pub gso_bad_size: u64,
-    /// Chains rejected because the ring ended mid-chain: an extra-info
-    /// or continuation slot was claimed but never published.
-    pub gso_truncated: u64,
-    /// Chains rejected because the claimed segment count, the fragment
-    /// byte sum, or the slot count disagree with the descriptor.
-    pub gso_seg_mismatch: u64,
-    /// Chain flags seen on a ring whose pair never negotiated
-    /// `feature-gso-tcpv4`.
-    pub gso_unnegotiated: u64,
-    /// Grant-copy hypercall accounting for the Tx/Rx drains.
-    pub copy: CopyStats,
+counters! {
+    /// Statistics of one netback instance (summed across its queues).
+    pub struct NetbackStats {
+        /// Packets guest → world.
+        tx_packets: "count",
+        /// Bytes guest → world.
+        tx_bytes: "bytes",
+        /// Packets world → guest.
+        rx_packets: "count",
+        /// Bytes world → guest.
+        rx_bytes: "bytes",
+        /// Frames dropped because the guest posted no Rx buffers in time, or
+        /// because the hypervisor copy into the guest buffer failed.
+        rx_dropped: "count",
+        /// Malformed Tx requests rejected.
+        tx_errors: "count",
+        /// GSO super-frames assembled from Tx descriptor chains.
+        gso_tx_frames: "count",
+        /// Wire segments those super-frames resolve to (what the NIC's TSO
+        /// engine actually emits).
+        gso_tx_segs: "count",
+        /// World → guest super-frames delivered across multi-slot Rx chains
+        /// (the LRO path).
+        lro_rx_frames: "count",
+        /// Chains rejected for a malformed GSO descriptor: zero MSS, zero
+        /// or > 64 KiB total length, or an unknown extra-info type.
+        gso_bad_size: "count",
+        /// Chains rejected because the ring ended mid-chain: an extra-info
+        /// or continuation slot was claimed but never published.
+        gso_truncated: "count",
+        /// Chains rejected because the claimed segment count, the fragment
+        /// byte sum, or the slot count disagree with the descriptor.
+        gso_seg_mismatch: "count",
+        /// Chain flags seen on a ring whose pair never negotiated
+        /// `feature-gso-tcpv4`.
+        gso_unnegotiated: "count",
+    }
+    nested {
+        /// Grant-copy hypercall accounting for the Tx/Rx drains.
+        copy: CopyStats = "copy_",
+    }
 }
 
 impl NetbackStats {
-    /// Mean payload bytes moved per grant-copy hypercall.
-    pub fn bytes_per_hypercall(&self) -> f64 {
-        self.copy.bytes_per_hypercall()
-    }
-
-    /// Folds another instance's counters into this one — used by the
-    /// system layer to keep lifetime stats across backend restarts.
-    pub fn merge(&mut self, other: &NetbackStats) {
-        self.tx_packets += other.tx_packets;
-        self.tx_bytes += other.tx_bytes;
-        self.rx_packets += other.rx_packets;
-        self.rx_bytes += other.rx_bytes;
-        self.rx_dropped += other.rx_dropped;
-        self.tx_errors += other.tx_errors;
-        self.gso_tx_frames += other.gso_tx_frames;
-        self.gso_tx_segs += other.gso_tx_segs;
-        self.lro_rx_frames += other.lro_rx_frames;
-        self.gso_bad_size += other.gso_bad_size;
-        self.gso_truncated += other.gso_truncated;
-        self.gso_seg_mismatch += other.gso_seg_mismatch;
-        self.gso_unnegotiated += other.gso_unnegotiated;
-        self.copy.merge(&other.copy);
-    }
-
     /// Malformed-chain rejections, all causes.
     pub fn gso_errors(&self) -> u64 {
         self.gso_bad_size + self.gso_truncated + self.gso_seg_mismatch + self.gso_unnegotiated
-    }
-
-    /// Appends the Tx/Rx counters and copy accounting to a snapshot.
-    pub fn append_metrics(&self, snap: &mut kite_trace::MetricsSnapshot) {
-        snap.push_int("tx_packets", "count", self.tx_packets);
-        snap.push_int("tx_bytes", "bytes", self.tx_bytes);
-        snap.push_int("rx_packets", "count", self.rx_packets);
-        snap.push_int("rx_bytes", "bytes", self.rx_bytes);
-        snap.push_int("rx_dropped", "count", self.rx_dropped);
-        snap.push_int("tx_errors", "count", self.tx_errors);
-        snap.push_int("gso_tx_frames", "count", self.gso_tx_frames);
-        snap.push_int("gso_tx_segs", "count", self.gso_tx_segs);
-        snap.push_int("lro_rx_frames", "count", self.lro_rx_frames);
-        snap.push_int("gso_bad_size", "count", self.gso_bad_size);
-        snap.push_int("gso_truncated", "count", self.gso_truncated);
-        snap.push_int("gso_seg_mismatch", "count", self.gso_seg_mismatch);
-        snap.push_int("gso_unnegotiated", "count", self.gso_unnegotiated);
-        self.copy.append_metrics(snap, "copy_");
     }
 }
 
@@ -833,8 +794,10 @@ impl NetbackInstance {
             });
         }
         posted.clear();
+        rxchains.clear();
         ops.clear();
         self.scratch_rx = posted;
+        self.scratch_rxchain = rxchains;
         self.scratch_ops = ops;
         Ok(batch)
     }

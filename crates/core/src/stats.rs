@@ -1,35 +1,93 @@
-//! Shared driver statistics types.
+//! Shared driver statistics types, and the one list each is built from.
+//!
+//! A stats struct states every counter once — field, unit, doc — inside
+//! `counters!`; the struct itself, `merge` (stats continuity across a
+//! backend teardown/reconnect) and `export` (one snapshot row per
+//! counter, named after the field) are generated from that list, so a
+//! new counter is one line that the snapshot, the sampler and `kitetop`
+//! all see.
 //!
 //! Netback and blkback both move payloads with batched `GNTTABOP_copy`
 //! and account for the hypercalls identically; [`CopyStats`] is that
-//! shared accounting, embedded in each driver's stats struct.
+//! shared accounting, nested in each driver's stats struct.
 
-use kite_sim::BatchHistogram;
-use kite_trace::MetricsSnapshot;
 use kite_xen::{BatchResult, CopyMode};
 
-/// Grant-copy hypercall accounting, shared by netback and blkback.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CopyStats {
-    /// Grant-copy hypercalls issued (one per batch when batched).
-    pub batches: u64,
-    /// Individual copy descriptors carried by those hypercalls.
-    pub ops: u64,
-    /// Hypercalls avoided relative to the one-op-per-call shape.
-    pub hypercalls_saved: u64,
-    /// Bytes moved by grant copies.
-    pub bytes: u64,
-    /// Ops-per-batch distribution.
-    pub batch_hist: BatchHistogram,
+/// Declares a stats struct from one list of counters.
+///
+/// `field: "unit"` entries become `pub u64` fields; an optional
+/// `nested { field: Type = "prefix_" }` block embeds other `counters!`
+/// structs (merged and exported under the prefix), `unlisted { field:
+/// Type }` carries state that merges but has no row, and `derived {
+/// method: "unit" }` appends float rows from `fn method(&self) -> f64`.
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$fmeta:meta])* $field:ident : $unit:literal ),* $(,)?
+        }
+        $( nested { $( $(#[$nmeta:meta])* $nested:ident : $nty:ty = $nprefix:literal ),* $(,)? } )?
+        $( unlisted { $( $(#[$umeta:meta])* $unlisted:ident : $uty:ty ),* $(,)? } )?
+        $( derived { $( $derived:ident : $dunit:literal ),* $(,)? } )?
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, Default)]
+        $vis struct $name {
+            $( $(#[$fmeta])* pub $field: u64, )*
+            $($( $(#[$nmeta])* pub $nested: $nty, )*)?
+            $($( $(#[$umeta])* pub $unlisted: $uty, )*)?
+        }
+
+        impl $name {
+            /// Folds another instance's counters into this one — how the
+            /// system layer keeps lifetime stats across backend restarts.
+            pub fn merge(&mut self, other: &Self) {
+                $( self.$field += other.$field; )*
+                $($( self.$nested.merge(&other.$nested); )*)?
+                $($( self.$unlisted.merge(&other.$unlisted); )*)?
+            }
+
+            /// Appends one row per counter, named `{prefix}{field}`.
+            pub fn export(&self, rows: &mut kite_trace::MetricsSnapshot, prefix: &str) {
+                $( rows.push_int(format!("{prefix}{}", stringify!($field)), $unit, self.$field); )*
+                $($( self.$nested.export(rows, &format!("{prefix}{}", $nprefix)); )*)?
+                $($( rows.push_float(
+                    format!("{prefix}{}", stringify!($derived)),
+                    $dunit,
+                    self.$derived(),
+                ); )*)?
+            }
+        }
+    };
+}
+pub(crate) use counters;
+
+counters! {
+    /// Grant-copy hypercall accounting, shared by netback and blkback.
+    pub struct CopyStats {
+        /// Grant-copy hypercalls issued (one per batch when batched).
+        hypercalls: "count",
+        /// Individual copy descriptors carried by those hypercalls.
+        ops: "count",
+        /// Hypercalls avoided relative to the one-op-per-call shape.
+        hypercalls_saved: "count",
+        /// Bytes moved by grant copies.
+        bytes: "bytes",
+    }
+    unlisted {
+        /// Ops-per-batch distribution.
+        batch_hist: kite_sim::BatchHistogram,
+    }
+    derived { bytes_per_hypercall: "bytes" }
 }
 
 impl CopyStats {
     /// Mean payload bytes moved per grant-copy hypercall.
     pub fn bytes_per_hypercall(&self) -> f64 {
-        if self.batches == 0 {
+        if self.hypercalls == 0 {
             0.0
         } else {
-            self.bytes as f64 / self.batches as f64
+            self.bytes as f64 / self.hypercalls as f64
         }
     }
 
@@ -42,45 +100,17 @@ impl CopyStats {
         self.bytes += result.bytes as u64;
         match mode {
             CopyMode::Batched => {
-                self.batches += 1;
+                self.hypercalls += 1;
                 self.hypercalls_saved += nops as u64 - 1;
                 self.batch_hist.record(nops);
             }
             CopyMode::SingleOp => {
-                self.batches += nops as u64;
+                self.hypercalls += nops as u64;
                 for _ in 0..nops {
                     self.batch_hist.record(1);
                 }
             }
         }
-    }
-
-    /// Folds another instance's counters into this one (stats continuity
-    /// across a backend teardown/reconnect).
-    pub fn merge(&mut self, other: &CopyStats) {
-        self.batches += other.batches;
-        self.ops += other.ops;
-        self.hypercalls_saved += other.hypercalls_saved;
-        self.bytes += other.bytes;
-        self.batch_hist.merge(&other.batch_hist);
-    }
-
-    /// Appends this accounting to a snapshot under `prefix` (e.g.
-    /// `"copy_"` → `copy_hypercalls`, `copy_ops`, ...).
-    pub fn append_metrics(&self, snap: &mut MetricsSnapshot, prefix: &str) {
-        snap.push_int(format!("{prefix}hypercalls"), "count", self.batches);
-        snap.push_int(format!("{prefix}ops"), "count", self.ops);
-        snap.push_int(
-            format!("{prefix}hypercalls_saved"),
-            "count",
-            self.hypercalls_saved,
-        );
-        snap.push_int(format!("{prefix}bytes"), "bytes", self.bytes);
-        snap.push_float(
-            format!("{prefix}bytes_per_hypercall"),
-            "bytes",
-            self.bytes_per_hypercall(),
-        );
     }
 }
 
@@ -102,7 +132,7 @@ mod tests {
         let mut s = CopyStats::default();
         s.record(CopyMode::Batched, 8, &result(8 * 64));
         s.record(CopyMode::Batched, 4, &result(4 * 64));
-        assert_eq!(s.batches, 2);
+        assert_eq!(s.hypercalls, 2);
         assert_eq!(s.ops, 12);
         assert_eq!(s.hypercalls_saved, 10);
         assert_eq!(s.bytes, 12 * 64);
@@ -113,7 +143,7 @@ mod tests {
     fn single_op_counts_one_hypercall_per_op() {
         let mut s = CopyStats::default();
         s.record(CopyMode::SingleOp, 8, &result(8 * 64));
-        assert_eq!(s.batches, 8);
+        assert_eq!(s.hypercalls, 8);
         assert_eq!(s.ops, 8);
         assert_eq!(s.hypercalls_saved, 0);
         assert_eq!(s.bytes_per_hypercall(), 64.0);
@@ -124,7 +154,7 @@ mod tests {
         let mut s = CopyStats::default();
         s.record(CopyMode::Batched, 0, &result(0));
         assert_eq!(
-            (s.batches, s.ops, s.hypercalls_saved, s.bytes),
+            (s.hypercalls, s.ops, s.hypercalls_saved, s.bytes),
             (0, 0, 0, 0)
         );
     }
@@ -143,8 +173,11 @@ mod tests {
         s
     }
 
-    fn fields(s: &CopyStats) -> (u64, u64, u64, u64, BatchHistogram) {
-        (s.batches, s.ops, s.hypercalls_saved, s.bytes, s.batch_hist)
+    fn fields(s: &CopyStats) -> ([u64; 4], kite_sim::BatchHistogram) {
+        (
+            [s.hypercalls, s.ops, s.hypercalls_saved, s.bytes],
+            s.batch_hist,
+        )
     }
 
     #[test]
@@ -176,9 +209,41 @@ mod tests {
         b.record(CopyMode::Batched, 4, &result(256));
         b.record(CopyMode::SingleOp, 2, &result(64));
         a.merge(&b);
-        assert_eq!(a.batches, 4);
+        assert_eq!(a.hypercalls, 4);
         assert_eq!(a.ops, 14);
         assert_eq!(a.bytes, 832);
         assert_eq!(a.hypercalls_saved, 10);
+        assert_eq!(a.batch_hist.batches(), 4);
+    }
+
+    #[test]
+    fn rows_are_named_after_fields_and_merge_adds_each_one() {
+        use kite_trace::{MetricValue, MetricsSnapshot};
+        let rows = |s: &CopyStats| {
+            let mut snap = MetricsSnapshot::new("");
+            s.export(&mut snap, "copy_");
+            snap.metrics
+        };
+        let (a, b) = (sample_a(), sample_b());
+        let mut ab = a;
+        ab.merge(&b);
+        let names: Vec<_> = rows(&ab).into_iter().map(|m| m.name).collect();
+        assert_eq!(
+            names,
+            [
+                "copy_hypercalls",
+                "copy_ops",
+                "copy_hypercalls_saved",
+                "copy_bytes",
+                "copy_bytes_per_hypercall"
+            ]
+        );
+        for ((m, x), y) in rows(&ab).iter().zip(rows(&a)).zip(rows(&b)) {
+            if let (MetricValue::Int(m), MetricValue::Int(x), MetricValue::Int(y)) =
+                (m.value, x.value, y.value)
+            {
+                assert_eq!(m, x + y);
+            }
+        }
     }
 }

@@ -13,10 +13,13 @@
 //!   thread-local branch — no clock read, no allocation — so the hot
 //!   path keeps its zero-alloc contract (`sched_alloc.rs` gate).
 //! * When enabled, call counts and the call tree are exact but span
-//!   durations are *sampled*: only one call in [`SAMPLE_EVERY`] per
-//!   call-tree node reads the clock, and reported times are scaled
-//!   estimates. This bounds enabled-path overhead (the clock is the
-//!   dominant cost) the same way sampling profilers like `perf` do.
+//!   durations are *sampled* by one rule: one root span in
+//!   [`SAMPLE_EVERY`] per root phase reads the clock, with every span
+//!   opened under it, so the timed spans nest coherently; the report
+//!   subtracts the clock-read cost [`enable`] calibrated and scales each
+//!   subtree by its root's ratio. This bounds enabled-path overhead (the
+//!   clock is the dominant cost) the same way sampling profilers like
+//!   `perf` do.
 //! * Everything derived from span timings (self-time tables, collapsed
 //!   stacks, `prof_*` bench rows) is quarantined to outputs marked as
 //!   wall-clock and excluded from determinism diffs.
@@ -48,7 +51,6 @@ mod report;
 
 pub use phase::Phase;
 pub use profiler::{
-    disable, enable, is_enabled, reset, span, ProfGuard, HIST_BUCKETS, LEAF_EVERY, SAMPLE_EVERY,
-    STACK_MAX,
+    disable, enable, is_enabled, reset, span, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
 };
 pub use report::{report, PhaseRow, ProfReport, StackRow};

@@ -3,7 +3,7 @@
 //! Every instrumented code path in the workspace names itself with one
 //! of these variants. Keeping the registry closed (an enum, not interned
 //! strings) is what lets the profiler state be fixed-size and the
-//! disabled path allocation-free: per-phase histograms are a flat
+//! disabled path allocation-free: per-phase histograms are a plain
 //! `[[u64; 64]; Phase::COUNT]` array and a span entry is an array index,
 //! never a hash-map lookup.
 
@@ -112,17 +112,6 @@ impl Phase {
         self as usize
     }
 
-    /// Whether this phase is a *leaf*: instrumented code never opens
-    /// another span while one of these is open. Leaf spans take the
-    /// profiler's flat-counter fast path — skipping the stack push for
-    /// them cannot orphan a child span, because there are none.
-    pub const fn is_leaf(self) -> bool {
-        matches!(
-            self,
-            Phase::SchedPush | Phase::SchedPop | Phase::GrantCopy | Phase::TraceEmit
-        )
-    }
-
     /// Inverse of [`Phase::index`]. Panics on out-of-range input.
     pub fn from_index(i: usize) -> Phase {
         Phase::ALL[i]
@@ -140,19 +129,6 @@ mod tests {
             assert_eq!(p.index(), i);
             assert_eq!(Phase::from_index(i), *p);
         }
-    }
-
-    #[test]
-    fn leaf_phases_never_dispatch() {
-        // Dispatch and drain phases open child spans; they must never
-        // take the leaf fast path.
-        for p in Phase::ALL {
-            if p.name().starts_with("dispatch_") || p.name().ends_with("_drain") {
-                assert!(!p.is_leaf(), "{} cannot be a leaf", p.name());
-            }
-        }
-        assert!(Phase::SchedPush.is_leaf());
-        assert!(Phase::GrantCopy.is_leaf());
     }
 
     #[test]

@@ -13,13 +13,19 @@
 //! disabled-path contract and is enforced by the counting-allocator
 //! gate in `crates/system/tests/sched_alloc.rs`.
 //!
-//! The enabled path keeps overhead low by **sampling durations**: every
-//! span updates the call tree and its node's call count (a few ns), but
-//! the clock — by far the dominant cost, ~40 ns per read on a VM — is
-//! only consulted for one call in [`SAMPLE_EVERY`] per node. Reported
-//! totals are scaled estimates (`sampled_total × calls / sampled`);
-//! call counts are exact. The first call at every node is always timed,
-//! so rare phases are never invisible.
+//! The enabled path has **one sampling rule**: every span walks the
+//! call tree and bumps its node's exact call count (a few ns), and the
+//! clock — by far the dominant cost — is read for one *root* span in
+//! [`SAMPLE_EVERY`] per root phase, together with every span opened
+//! under it. A root span (a dispatch, a `sched_pop`) is therefore either
+//! timed with all its descendants or only counted, so the timed spans
+//! form a coherent set: a timed child always lies inside a timed parent,
+//! and `parent ≥ Σ children` holds on the raw measurements rather than
+//! between two independently scaled estimates. The first call of every
+//! root phase is timed; a rare *nested* phase may never be (`sampled` 0).
+//!
+//! [`enable`] calibrates what one clock read costs; the report subtracts
+//! it from every timed span before scaling (see [`crate::report`]).
 //!
 //! Wall-clock measurements are inherently nondeterministic; they are
 //! for humans (`repro prof`) and for `benchmark/`, never become bench
@@ -38,18 +44,16 @@ pub const STACK_MAX: usize = 64;
 /// zero-length spans).
 pub const HIST_BUCKETS: usize = 64;
 
-/// Duration-sampling stride for non-leaf phases: per call-tree node,
-/// one call in this many is timed with real clock reads (the first call
-/// always is). Counts are exact for every call; durations are scaled
-/// estimates.
-pub const SAMPLE_EVERY: u64 = 64;
+/// Duration-sampling stride: per root phase, one root span in this many
+/// is timed with real clock reads, descendants included (the first
+/// always is). Counts are exact for every span; durations are scaled
+/// estimates. Prime, so the sampled instances cannot alias with the
+/// power-of-two periods (ring slots, queue counts, ping-pong
+/// directions) that pervade the simulated workloads.
+pub const SAMPLE_EVERY: u64 = 61;
 
-/// Sampling stride for [leaf](Phase::is_leaf) phases: one call in this
-/// many does the full tree-enter + clock work; the rest only bump an
-/// exact flat counter. Prime, so the sampled instances cannot alias
-/// with the power-of-two batch sizes (ring slots, queue counts) that
-/// pervade the simulated workloads.
-pub const LEAF_EVERY: u64 = 61;
+/// Back-to-back clock reads [`enable`] takes to calibrate one read.
+const CALIBRATION_READS: usize = 32;
 
 /// Sentinel phase byte for the synthetic root node.
 const ROOT_PHASE: u8 = u8::MAX;
@@ -61,154 +65,165 @@ pub(crate) struct Node {
     pub(crate) calls: u64,
     /// How many of those were clock-timed.
     pub(crate) sampled: u64,
-    /// Wall time accumulated over the `sampled` calls only.
-    pub(crate) total_ns: u64,
-    /// Spans opened and not yet closed (calls counts on exit).
-    open: u64,
+    /// Raw exclusive wall time over the `sampled` calls: each call's
+    /// elapsed time minus the elapsed time of the spans opened directly
+    /// under it. Those are disjoint sub-intervals of the call, so the
+    /// subtraction is exact per call and cannot underflow.
+    pub(crate) self_ns: u64,
+    /// Clock reads whose latency `self_ns` contains: one per sampled
+    /// call (the tail of its start read plus the head of its end read)
+    /// and one per span opened directly under it (the rest of that
+    /// span's two reads).
+    pub(crate) reads: u64,
+    /// Child node per phase; 0 (the synthetic root, never a child)
+    /// means none. Children are created after their parent, so a
+    /// child's index is always greater than its parent's.
+    pub(crate) child: [u32; Phase::COUNT],
+}
+
+impl Node {
+    const fn new(phase: u8) -> Node {
+        Node {
+            phase,
+            calls: 0,
+            sampled: 0,
+            self_ns: 0,
+            reads: 0,
+            child: [0; Phase::COUNT],
+        }
+    }
+
+    /// This node's children, in phase order.
+    pub(crate) fn children(&self) -> impl Iterator<Item = usize> + '_ {
+        self.child.iter().filter(|&&c| c != 0).map(|&c| c as usize)
+    }
 }
 
 /// Accumulated profiler state for one thread: a node arena forming the
 /// call tree, the open-span stack, and per-phase histograms.
 pub(crate) struct ProfilerState {
     pub(crate) nodes: Vec<Node>,
-    pub(crate) children: Vec<Vec<u32>>,
-    stack: [u32; STACK_MAX],
+    stack: [Frame; STACK_MAX],
     depth: usize,
+    /// Whether the open root span — and so every span under it — is
+    /// clock-timed.
+    timing: bool,
     pub(crate) hist: [[u64; HIST_BUCKETS]; Phase::COUNT],
-    /// Exact call counts for leaf phases (their tree nodes only hold
-    /// the sampled subset).
-    pub(crate) flat: [u64; Phase::COUNT],
     pub(crate) truncated: u64,
+    /// Cost of one clock read, calibrated by [`enable`]; survives
+    /// [`reset`].
+    pub(crate) clock_ns: u64,
 }
 
-/// What [`ProfilerState::enter`] decided for a span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Enter {
-    /// Stack full; the span is dropped entirely.
-    Refused,
-    /// Span pushed; this call is not clock-timed.
-    Untimed,
-    /// Span pushed; time it and report via `exit_timed`.
-    Timed,
+/// One open span: its node, and what the timed spans directly under it
+/// have measured so far.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    node: u32,
+    kids: u64,
+    kids_ns: u64,
+}
+
+impl Frame {
+    const fn new(node: u32) -> Frame {
+        Frame {
+            node,
+            kids: 0,
+            kids_ns: 0,
+        }
+    }
 }
 
 impl ProfilerState {
     const fn new() -> Self {
         ProfilerState {
             nodes: Vec::new(),
-            children: Vec::new(),
-            stack: [0; STACK_MAX],
+            stack: [Frame::new(0); STACK_MAX],
             depth: 0,
+            timing: false,
             hist: [[0; HIST_BUCKETS]; Phase::COUNT],
-            flat: [0; Phase::COUNT],
             truncated: 0,
-        }
-    }
-
-    fn ensure_root(&mut self) {
-        if self.nodes.is_empty() {
-            self.nodes.push(Node {
-                phase: ROOT_PHASE,
-                calls: 0,
-                sampled: 0,
-                total_ns: 0,
-                open: 0,
-            });
-            self.children.push(Vec::new());
+            clock_ns: 0,
         }
     }
 
     /// Open a span: find or create the child of the current top-of-stack
-    /// node for `phase`, push it, and decide whether this call is one of
-    /// the clock-timed samples.
-    pub(crate) fn enter(&mut self, phase: Phase) -> Enter {
+    /// node for `phase` and push it. A root span (nothing open) decides
+    /// whether it and everything under it is clock-timed; a nested span
+    /// inherits that decision. Returns whether to time this call, or
+    /// `None` when the stack is full and the span is dropped entirely.
+    #[inline]
+    pub(crate) fn enter(&mut self, phase: Phase) -> Option<bool> {
         if self.depth == STACK_MAX {
             self.truncated += 1;
-            return Enter::Refused;
+            return None;
         }
-        self.ensure_root();
+        if self.nodes.is_empty() {
+            self.nodes.push(Node::new(ROOT_PHASE));
+        }
         let parent = if self.depth == 0 {
             0
         } else {
-            self.stack[self.depth - 1]
+            self.stack[self.depth - 1].node as usize
         };
-        let pb = phase.index() as u8;
-        let found = self.children[parent as usize]
-            .iter()
-            .copied()
-            .find(|&c| self.nodes[c as usize].phase == pb);
-        let node = match found {
-            Some(c) => c,
-            None => {
-                let id = self.nodes.len() as u32;
-                self.nodes.push(Node {
-                    phase: pb,
-                    calls: 0,
-                    sampled: 0,
-                    total_ns: 0,
-                    open: 0,
-                });
-                self.children.push(Vec::new());
-                self.children[parent as usize].push(id);
-                id
-            }
-        };
-        self.stack[self.depth] = node;
+        let mut node = self.nodes[parent].child[phase.index()];
+        if node == 0 {
+            node = self.nodes.len() as u32;
+            self.nodes.push(Node::new(phase.index() as u8));
+            self.nodes[parent].child[phase.index()] = node;
+        }
+        if self.depth == 0 {
+            self.timing = self.nodes[node as usize].calls.is_multiple_of(SAMPLE_EVERY);
+        }
+        self.stack[self.depth] = Frame::new(node);
         self.depth += 1;
-        let n = &mut self.nodes[node as usize];
-        // Leaf phases are pre-sampled by the flat counter in `span`:
-        // every call that reaches the tree is one of the timed ones.
-        let timed = phase.is_leaf() || (n.calls + n.open).is_multiple_of(SAMPLE_EVERY);
-        n.open += 1;
-        if timed {
-            Enter::Timed
-        } else {
-            Enter::Untimed
-        }
+        Some(self.timing)
     }
 
-    /// Close the innermost span without a duration (an untimed call).
-    /// A mismatched phase (e.g. after a `reset` with guards still open)
-    /// is ignored instead of corrupting the tree.
-    pub(crate) fn exit_untimed(&mut self, phase: Phase) {
-        if let Some(node) = self.pop_matching(phase) {
-            let n = &mut self.nodes[node as usize];
-            n.calls += 1;
-            n.open = n.open.saturating_sub(1);
+    /// Close the innermost span, with its elapsed time when it was one
+    /// of the sampled calls. A mismatched phase (e.g. after a `reset`
+    /// with guards still open) is ignored instead of corrupting the
+    /// tree.
+    #[inline]
+    pub(crate) fn exit(&mut self, phase: Phase, elapsed_ns: Option<u64>) {
+        let Some(frame) = self.pop_matching(phase) else {
+            return;
+        };
+        let n = &mut self.nodes[frame.node as usize];
+        n.calls += 1;
+        let Some(elapsed_ns) = elapsed_ns else {
+            return;
+        };
+        n.sampled += 1;
+        n.self_ns += elapsed_ns - frame.kids_ns;
+        n.reads += 1 + frame.kids;
+        if self.depth > 0 {
+            let parent = &mut self.stack[self.depth - 1];
+            parent.kids += 1;
+            parent.kids_ns += elapsed_ns;
         }
+        let net = elapsed_ns.saturating_sub(self.clock_ns);
+        self.hist[phase.index()][bucket_of(net)] += 1;
     }
 
-    /// Close the innermost span, recording `elapsed_ns` from one of the
-    /// sampled calls.
-    pub(crate) fn exit_timed(&mut self, phase: Phase, elapsed_ns: u64) {
-        if let Some(node) = self.pop_matching(phase) {
-            let n = &mut self.nodes[node as usize];
-            n.calls += 1;
-            n.open = n.open.saturating_sub(1);
-            n.sampled += 1;
-            n.total_ns = n.total_ns.saturating_add(elapsed_ns);
-            self.hist[phase.index()][bucket_of(elapsed_ns)] += 1;
-        }
-    }
-
-    fn pop_matching(&mut self, phase: Phase) -> Option<u32> {
+    #[inline]
+    fn pop_matching(&mut self, phase: Phase) -> Option<Frame> {
         if self.depth == 0 {
             return None;
         }
-        let node = self.stack[self.depth - 1];
-        if self.nodes[node as usize].phase != phase.index() as u8 {
+        let frame = self.stack[self.depth - 1];
+        if self.nodes[frame.node as usize].phase != phase.index() as u8 {
             return None;
         }
         self.depth -= 1;
-        Some(node)
+        Some(frame)
     }
 
     pub(crate) fn reset(&mut self) {
         self.nodes.clear();
-        self.children.clear();
         self.depth = 0;
+        self.timing = false;
         self.hist = [[0; HIST_BUCKETS]; Phase::COUNT];
-        self.flat = [0; Phase::COUNT];
         self.truncated = 0;
     }
 }
@@ -246,10 +261,31 @@ thread_local! {
     };
 }
 
-/// Turn profiling on for this thread. Spans opened while disabled stay
-/// inert even if profiling is enabled before they drop.
+/// What one `Instant::now()` costs here: the smallest gap between
+/// back-to-back reads (the minimum rejects preemption and cache misses,
+/// so the report never subtracts more than a read really takes).
+fn calibrate_clock() -> u64 {
+    let mut best = u64::MAX;
+    let mut prev = Instant::now();
+    for _ in 0..CALIBRATION_READS {
+        let now = Instant::now();
+        best = best.min((now - prev).as_nanos() as u64);
+        prev = now;
+    }
+    best
+}
+
+/// Turn profiling on for this thread, calibrating the clock-read cost
+/// the first time. Spans opened while disabled stay inert even if
+/// profiling is enabled before they drop.
 pub fn enable() {
-    TLS.with(|t| t.enabled.set(true));
+    TLS.with(|t| {
+        let mut state = t.state.borrow_mut();
+        if state.clock_ns == 0 {
+            state.clock_ns = calibrate_clock();
+        }
+        t.enabled.set(true);
+    });
 }
 
 /// Turn profiling off for this thread. Accumulated state is kept (use
@@ -274,45 +310,23 @@ pub fn reset() {
 /// span when dropped. When profiling is disabled this is a single
 /// branch: no clock read, no allocation, no state mutation.
 ///
-/// When enabled, non-leaf phases record their call count and tree
-/// position on every span but read the clock only one call in
-/// [`SAMPLE_EVERY`] per node. [Leaf](Phase::is_leaf) phases are hotter
-/// still: most calls just bump an exact flat counter, and one call in
-/// [`LEAF_EVERY`] does the full tree-enter + clock work.
+/// When enabled, every span records its call count and tree position;
+/// the clock is read only under a sampled root span (one in
+/// [`SAMPLE_EVERY`] per root phase).
 #[must_use = "a span records nothing unless the guard is held for its duration"]
+#[inline]
 pub fn span(phase: Phase) -> ProfGuard {
     TLS.with(|t| {
-        if !t.enabled.get() {
-            return ProfGuard {
-                phase,
-                mode: GuardMode::Inert,
-            };
-        }
-        let mut state = t.state.borrow_mut();
-        if phase.is_leaf() {
-            let n = state.flat[phase.index()];
-            state.flat[phase.index()] = n + 1;
-            if !n.is_multiple_of(LEAF_EVERY) {
-                return ProfGuard {
-                    phase,
-                    mode: GuardMode::Inert,
-                };
+        let mode = if !t.enabled.get() {
+            GuardMode::Inert
+        } else {
+            match t.state.borrow_mut().enter(phase) {
+                None => GuardMode::Inert,
+                Some(false) => GuardMode::Untimed,
+                Some(true) => GuardMode::Timed(Instant::now()),
             }
-        }
-        match state.enter(phase) {
-            Enter::Refused => ProfGuard {
-                phase,
-                mode: GuardMode::Inert,
-            },
-            Enter::Untimed => ProfGuard {
-                phase,
-                mode: GuardMode::Untimed,
-            },
-            Enter::Timed => ProfGuard {
-                phase,
-                mode: GuardMode::Timed(Instant::now()),
-            },
-        }
+        };
+        ProfGuard { phase, mode }
     })
 }
 
@@ -343,17 +357,14 @@ pub struct ProfGuard {
 }
 
 impl Drop for ProfGuard {
+    #[inline]
     fn drop(&mut self) {
-        match self.mode {
-            GuardMode::Inert => {}
-            GuardMode::Untimed => {
-                TLS.with(|t| t.state.borrow_mut().exit_untimed(self.phase));
-            }
-            GuardMode::Timed(start) => {
-                let elapsed = start.elapsed().as_nanos() as u64;
-                TLS.with(|t| t.state.borrow_mut().exit_timed(self.phase, elapsed));
-            }
-        }
+        let elapsed_ns = match self.mode {
+            GuardMode::Inert => return,
+            GuardMode::Untimed => None,
+            GuardMode::Timed(start) => Some(start.elapsed().as_nanos() as u64),
+        };
+        TLS.with(|t| t.state.borrow_mut().exit(self.phase, elapsed_ns));
     }
 }
 
@@ -397,71 +408,61 @@ mod tests {
             assert_eq!(drain.calls, 2);
             let copy = &s.nodes[2];
             assert_eq!(copy.phase, Phase::GrantCopy.index() as u8);
-            assert_eq!(s.children[1], vec![2], "grant_copy nests under the drain");
+            assert_eq!(
+                drain.children().collect::<Vec<_>>(),
+                vec![2],
+                "grant_copy nests under the drain"
+            );
             assert_eq!(copy.calls, 1);
-            // First call at a node is always clock-timed.
-            assert!(drain.sampled >= 1);
-            assert!(copy.sampled >= 1);
+            // The first root span is clock-timed, and its child with it.
+            assert_eq!(drain.sampled, 1);
+            assert_eq!(copy.sampled, 1);
         });
         disable();
         reset();
     }
 
     #[test]
-    fn sampling_times_one_call_in_stride() {
+    fn one_root_in_stride_is_timed_with_its_descendants() {
         with_state_mut(|s| {
             s.reset();
-            let mut timed = 0u64;
             for _ in 0..(2 * SAMPLE_EVERY) {
-                match s.enter(Phase::NetbackTxDrain) {
-                    Enter::Timed => {
-                        timed += 1;
-                        s.exit_timed(Phase::NetbackTxDrain, 100);
-                    }
-                    Enter::Untimed => s.exit_untimed(Phase::NetbackTxDrain),
-                    Enter::Refused => panic!("stack cannot be full"),
+                let timed = s
+                    .enter(Phase::NetbackTxDrain)
+                    .expect("stack cannot be full");
+                // Two children per root: they inherit the root's decision
+                // whatever their own call count is.
+                for _ in 0..2 {
+                    assert_eq!(s.enter(Phase::GrantCopy), Some(timed));
+                    s.exit(Phase::GrantCopy, timed.then_some(10));
                 }
+                s.exit(Phase::NetbackTxDrain, timed.then_some(100));
             }
-            let n = &s.nodes[1];
-            assert_eq!(n.calls, 2 * SAMPLE_EVERY);
-            assert_eq!(n.sampled, 2);
-            assert_eq!(timed, 2);
-            assert_eq!(n.total_ns, 200, "only sampled calls accumulate time");
+            let (drain, copy) = (&s.nodes[1], &s.nodes[2]);
+            assert_eq!(drain.calls, 2 * SAMPLE_EVERY, "counts are exact");
+            assert_eq!(copy.calls, 4 * SAMPLE_EVERY);
+            assert_eq!(drain.sampled, 2);
+            assert_eq!(copy.sampled, 4);
+            assert_eq!(drain.self_ns, 160, "only sampled calls accumulate time");
+            assert_eq!(drain.reads, 6, "own read + one per child, twice");
+            assert_eq!(copy.self_ns, 40);
+            assert_eq!(copy.reads, 4);
             s.reset();
         });
-    }
-
-    #[test]
-    fn leaf_fast_path_counts_exactly_and_samples_tree() {
-        enable();
-        reset();
-        let calls = 2 * LEAF_EVERY + 1;
-        for _ in 0..calls {
-            let _g = span(Phase::SchedPush);
-        }
-        with_state(|s| {
-            assert_eq!(s.flat[Phase::SchedPush.index()], calls);
-            // Calls 0, 61, 122 hit the tree; all of them clock-timed.
-            let n = &s.nodes[1];
-            assert_eq!(n.calls, 3);
-            assert_eq!(n.sampled, 3);
-        });
-        disable();
-        reset();
     }
 
     #[test]
     fn synthetic_enter_exit_attributes_exact_times() {
         with_state_mut(|s| {
             s.reset();
-            assert_eq!(s.enter(Phase::SchedPop), Enter::Timed);
-            assert_eq!(s.enter(Phase::TraceEmit), Enter::Timed);
-            s.exit_timed(Phase::TraceEmit, 300);
-            s.exit_timed(Phase::SchedPop, 1000);
+            assert_eq!(s.enter(Phase::SchedPop), Some(true));
+            assert_eq!(s.enter(Phase::TraceEmit), Some(true));
+            s.exit(Phase::TraceEmit, Some(300));
+            s.exit(Phase::SchedPop, Some(1000));
             let pop = &s.nodes[1];
-            assert_eq!(pop.total_ns, 1000);
+            assert_eq!(pop.self_ns, 700, "the child's 300 ns are excluded");
             let emit = &s.nodes[2];
-            assert_eq!(emit.total_ns, 300);
+            assert_eq!(emit.self_ns, 300);
             assert_eq!(s.hist[Phase::SchedPop.index()][bucket_of(1000)], 1);
             s.reset();
         });
@@ -472,12 +473,12 @@ mod tests {
         with_state_mut(|s| {
             s.reset();
             for _ in 0..STACK_MAX {
-                assert_ne!(s.enter(Phase::SchedPush), Enter::Refused);
+                assert!(s.enter(Phase::SchedPush).is_some());
             }
-            assert_eq!(s.enter(Phase::SchedPush), Enter::Refused);
+            assert_eq!(s.enter(Phase::SchedPush), None);
             assert_eq!(s.truncated, 1);
             for _ in 0..STACK_MAX {
-                s.exit_untimed(Phase::SchedPush);
+                s.exit(Phase::SchedPush, None);
             }
             s.reset();
         });
@@ -487,10 +488,10 @@ mod tests {
     fn mismatched_exit_after_reset_is_dropped() {
         with_state_mut(|s| {
             s.reset();
-            assert_eq!(s.enter(Phase::SchedPush), Enter::Timed);
+            assert_eq!(s.enter(Phase::SchedPush), Some(true));
             s.reset();
             // Guard from before the reset drops now: depth is 0.
-            s.exit_timed(Phase::SchedPush, 123);
+            s.exit(Phase::SchedPush, Some(123));
             assert!(s.nodes.is_empty());
         });
     }

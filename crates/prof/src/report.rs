@@ -1,5 +1,13 @@
 //! Report extraction and rendering: per-phase self-time table and
 //! collapsed-stack output for flamegraph tooling.
+//!
+//! Times come from the sampled set only — the root spans the profiler
+//! timed, with everything under them — and are turned into estimates by
+//! one rule: subtract the calibrated clock-read cost from each node's
+//! raw self time, then scale the node by its root's `calls / sampled`.
+//! Inclusive time is *defined* as self plus children, so at every node
+//! inclusive ≥ Σ children, and Σ self over all rows equals Σ inclusive
+//! over the root nodes, exactly.
 
 use crate::phase::Phase;
 use crate::profiler::{self, bucket_upper, HIST_BUCKETS};
@@ -9,16 +17,15 @@ use crate::profiler::{self, bucket_upper, HIST_BUCKETS};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseRow {
     pub phase: Phase,
-    /// Number of completed spans. Exact: non-leaf phases count in the
-    /// call tree, leaf phases in their flat counter.
+    /// Number of completed spans; exact.
     pub calls: u64,
-    /// Inclusive wall time: span entry to exit, children included.
-    /// Durations are sampled one call in [`crate::SAMPLE_EVERY`] per
-    /// call-tree node and scaled back up by the exact call count, so
-    /// this is an estimate (counts are exact, times are sampled).
+    /// How many of them were clock-timed. Root spans decide, so a rare
+    /// nested phase can show `sampled == 0`: never sampled, not free.
+    pub sampled: u64,
+    /// Inclusive wall time (self plus children), estimated from the
+    /// root spans sampled one in [`crate::SAMPLE_EVERY`].
     pub total_ns: u64,
-    /// Exclusive wall time: `total_ns` minus time attributed to child
-    /// spans.
+    /// Exclusive wall time, clock reads subtracted; same estimate.
     pub self_ns: u64,
     /// Median span duration (upper bound of the log2 histogram bucket
     /// the 50th percentile lands in).
@@ -27,15 +34,16 @@ pub struct PhaseRow {
     pub p99_ns: u64,
 }
 
-/// One root-to-leaf path of the call tree with its exclusive time, for
-/// collapsed-stack export.
+/// One root-to-leaf path of the call tree, for collapsed-stack export.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StackRow {
     /// Path from outermost to innermost phase.
     pub path: Vec<Phase>,
-    /// Calls at this tree position (scaled estimate for leaf phases,
-    /// whose per-position counts are sampled).
+    /// Completed spans at this tree position; exact.
     pub calls: u64,
+    /// Inclusive time at this position: `self_ns` plus the `total_ns`
+    /// of the paths one phase longer.
+    pub total_ns: u64,
     pub self_ns: u64,
 }
 
@@ -57,60 +65,40 @@ pub struct ProfReport {
 pub fn report() -> ProfReport {
     profiler::with_state(|s| {
         let n = s.nodes.len();
-        // Leaf phases only reach the tree one call in LEAF_EVERY; the
-        // flat counter holds the exact population to scale back up to.
-        // (max() keeps synthetic state driven directly through
-        // enter/exit — the unit tests — at scale 1.)
-        let mut tree_calls = [0u64; Phase::COUNT];
-        for node in s.nodes.iter().skip(1) {
-            tree_calls[node.phase as usize] += node.calls;
-        }
-        let flat_eff = |p: usize| s.flat[p].max(tree_calls[p]);
-        // Estimated inclusive time and call count per node: sampled
-        // time scaled up by the exact call count (`total × calls /
-        // sampled` for non-leaves, `total × flat / tree_calls` for
-        // leaves).
-        let mut est = vec![0u64; n];
-        let mut est_calls = vec![0u64; n];
-        for (i, node) in s.nodes.iter().enumerate().skip(1) {
-            let p = node.phase as usize;
-            if Phase::from_index(p).is_leaf() {
-                if tree_calls[p] > 0 {
-                    est[i] = (u128::from(node.total_ns) * u128::from(flat_eff(p))
-                        / u128::from(tree_calls[p])) as u64;
-                    est_calls[i] = (u128::from(node.calls) * u128::from(flat_eff(p))
-                        / u128::from(tree_calls[p])) as u64;
-                }
-            } else {
-                est_calls[i] = node.calls;
-                if node.sampled > 0 {
-                    est[i] = (u128::from(node.total_ns) * u128::from(node.calls)
-                        / u128::from(node.sampled)) as u64;
-                }
+        // Each subtree is scaled by its root's sampling ratio. Children
+        // follow their parent in the arena, so one forward pass hands
+        // the ratio down and one backward pass sums inclusive time up.
+        let mut ratio = vec![(0u64, 1u64); n];
+        let mut self_ns = vec![0u64; n];
+        let mut total_ns = vec![0u64; n];
+        for (i, node) in s.nodes.iter().enumerate() {
+            for k in node.children() {
+                ratio[k] = if i == 0 {
+                    (s.nodes[k].calls, s.nodes[k].sampled.max(1))
+                } else {
+                    ratio[i]
+                };
             }
         }
-        // Exclusive time per node: total minus the sum of child totals.
-        // (Clock jitter and sampling scale can make children sum past
-        // the parent; saturate.)
-        let mut self_ns = vec![0u64; n];
-        for (i, _) in s.nodes.iter().enumerate() {
-            let kids: u64 = s.children[i].iter().map(|&c| est[c as usize]).sum();
-            self_ns[i] = est[i].saturating_sub(kids);
+        for (i, node) in s.nodes.iter().enumerate().skip(1).rev() {
+            let (calls, sampled) = ratio[i];
+            // A node cannot owe more clock reads than it measured; capped
+            // per node, so a 0 ns span zeroes only itself.
+            let net = node.self_ns - (s.clock_ns * node.reads).min(node.self_ns);
+            self_ns[i] = (u128::from(net) * u128::from(calls) / u128::from(sampled)) as u64;
+            total_ns[i] = self_ns[i] + node.children().map(|k| total_ns[k]).sum::<u64>();
         }
 
         let mut calls = [0u64; Phase::COUNT];
+        let mut sampled = [0u64; Phase::COUNT];
         let mut total = [0u64; Phase::COUNT];
         let mut slf = [0u64; Phase::COUNT];
         for (i, node) in s.nodes.iter().enumerate().skip(1) {
             let p = node.phase as usize;
             calls[p] += node.calls;
-            total[p] = total[p].saturating_add(est[i]);
-            slf[p] = slf[p].saturating_add(self_ns[i]);
-        }
-        for p in Phase::ALL {
-            if p.is_leaf() {
-                calls[p.index()] = flat_eff(p.index());
-            }
+            sampled[p] += node.sampled;
+            total[p] += total_ns[i];
+            slf[p] += self_ns[i];
         }
 
         let mut rows: Vec<PhaseRow> = Phase::ALL
@@ -121,6 +109,7 @@ pub fn report() -> ProfReport {
                 PhaseRow {
                     phase: p,
                     calls: calls[p.index()],
+                    sampled: sampled[p.index()],
                     total_ns: total[p.index()],
                     self_ns: slf[p.index()],
                     p50_ns: percentile(h, 50),
@@ -137,7 +126,7 @@ pub fn report() -> ProfReport {
         let mut stacks = Vec::new();
         if n > 0 {
             let mut path = Vec::new();
-            collect_stacks(s, 0, &mut path, &self_ns, &est_calls, &mut stacks);
+            collect_stacks(s, 0, &mut path, &self_ns, &total_ns, &mut stacks);
         }
         stacks.sort_by(|a, b| a.path.cmp(&b.path));
 
@@ -151,28 +140,28 @@ pub fn report() -> ProfReport {
 
 fn collect_stacks(
     s: &profiler::ProfilerState,
-    node: u32,
+    node: usize,
     path: &mut Vec<Phase>,
     self_ns: &[u64],
-    est_calls: &[u64],
+    total_ns: &[u64],
     out: &mut Vec<StackRow>,
 ) {
-    let is_root = node == 0 && path.is_empty();
-    if !is_root {
-        let n = &s.nodes[node as usize];
+    let n = &s.nodes[node];
+    if node != 0 {
         path.push(Phase::from_index(n.phase as usize));
         if n.calls > 0 {
             out.push(StackRow {
                 path: path.clone(),
-                calls: est_calls[node as usize],
-                self_ns: self_ns[node as usize],
+                calls: n.calls,
+                total_ns: total_ns[node],
+                self_ns: self_ns[node],
             });
         }
     }
-    for &c in &s.children[node as usize] {
-        collect_stacks(s, c, path, self_ns, est_calls, out);
+    for c in n.children() {
+        collect_stacks(s, c, path, self_ns, total_ns, out);
     }
-    if !is_root {
+    if node != 0 {
         path.pop();
     }
 }
@@ -202,8 +191,8 @@ impl ProfReport {
     pub fn render_table(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "{:<22} {:>10} {:>14} {:>14} {:>6} {:>10} {:>10}\n",
-            "phase", "calls", "total_ns", "self_ns", "self%", "p50_ns", "p99_ns"
+            "{:<22} {:>10} {:>8} {:>14} {:>14} {:>6} {:>10} {:>10}\n",
+            "phase", "calls", "sampled", "total_ns", "self_ns", "self%", "p50_ns", "p99_ns"
         ));
         let grand: u64 = self.rows.iter().map(|r| r.self_ns).sum();
         for r in &self.rows {
@@ -213,9 +202,10 @@ impl ProfReport {
                 100.0 * r.self_ns as f64 / grand as f64
             };
             out.push_str(&format!(
-                "{:<22} {:>10} {:>14} {:>14} {:>6.1} {:>10} {:>10}\n",
+                "{:<22} {:>10} {:>8} {:>14} {:>14} {:>6.1} {:>10} {:>10}\n",
                 r.phase.name(),
                 r.calls,
+                r.sampled,
                 r.total_ns,
                 r.self_ns,
                 pct,
@@ -249,14 +239,14 @@ impl ProfReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiler::{with_state_mut, Enter, ProfilerState};
+    use crate::profiler::{with_state_mut, ProfilerState};
 
     /// Synthetic enter/exit helper: always records the duration, so
     /// `sampled == calls` and report numbers are exact.
     fn timed(s: &mut ProfilerState, phase: Phase, f: impl FnOnce(&mut ProfilerState), ns: u64) {
-        assert_ne!(s.enter(phase), Enter::Refused);
+        assert!(s.enter(phase).is_some());
         f(s);
-        s.exit_timed(phase, ns);
+        s.exit(phase, Some(ns));
     }
 
     fn build_synthetic() {
@@ -295,6 +285,35 @@ mod tests {
         // Rows sort by self time descending.
         assert_eq!(rep.rows[0].phase, Phase::SchedPop);
         with_state_mut(|s| s.reset());
+    }
+
+    #[test]
+    fn clock_reads_are_subtracted_then_the_root_ratio_scales() {
+        build_synthetic();
+        let self_of = |clock_ns: u64, phase: Phase| {
+            with_state_mut(|s| s.clock_ns = clock_ns);
+            let rep = report();
+            rep.rows.iter().find(|r| r.phase == phase).unwrap().self_ns
+        };
+        // pop's 1200 ns hold three reads (its two calls, one child).
+        assert_eq!(self_of(20, Phase::SchedPop), 1200 - 3 * 20);
+        assert_eq!(self_of(20, Phase::TraceEmit), 300 - 20);
+        // A node cheaper than its reads (push, 50 ns) zeroes itself and
+        // does not shrink the correction of any other node.
+        assert_eq!(self_of(80, Phase::SchedPush), 0);
+        assert_eq!(self_of(80, Phase::SchedPop), 1200 - 3 * 80);
+        // One more pop that was only counted: 3 calls over 2 samples,
+        // and the child under it scales by the same ratio.
+        with_state_mut(|s| {
+            s.enter(Phase::SchedPop);
+            s.exit(Phase::SchedPop, None);
+        });
+        assert_eq!(self_of(0, Phase::SchedPop), 1800);
+        assert_eq!(self_of(0, Phase::TraceEmit), 450);
+        with_state_mut(|s| {
+            s.reset();
+            s.clock_ns = 0;
+        });
     }
 
     #[test]

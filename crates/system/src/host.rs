@@ -23,7 +23,9 @@ use kite_linux::{linux_profile, ubuntu_boot};
 use kite_prof::Phase;
 use kite_rumprun::{kite_boot, kite_profile, BootSequence, OsProfile};
 use kite_sim::{Cpu, CpuPool, EventSched, Histogram, Nanos, Pcg, Scheduler, SchedulerKind};
-use kite_trace::{EventKind, MetricsSnapshot, TimeSeriesSampler, DEFAULT_REQ_CAPACITY};
+use kite_trace::{
+    EventKind, MetricValue, MetricsSnapshot, SampleKind, TimeSeriesSampler, DEFAULT_REQ_CAPACITY,
+};
 use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
 use kite_xen::{
     Bdf, CopyMode, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan, Hypervisor,
@@ -98,20 +100,6 @@ pub(crate) enum Event<P> {
     SampleTick,
 }
 
-/// What a datapath contributes to the driver domain's `kitetop` row.
-pub struct DriverTop {
-    /// Lifetime requests (packets or block requests) served.
-    pub requests: u64,
-    /// Lifetime payload bytes moved.
-    pub bytes: u64,
-    /// Frames dropped at the backend's guest-bound queue.
-    pub rx_dropped: u64,
-    /// Segmentation-offload super-frames handled.
-    pub gso_frames: u64,
-    /// Per-queue backlog depths.
-    pub qdepth: Vec<u64>,
-}
-
 /// The part of a driver-domain scenario that depends on the device
 /// class. Every hook is statically dispatched from [`Host`].
 pub trait Datapath: Sized {
@@ -177,18 +165,42 @@ pub trait Datapath: Sized {
     /// everything queued during the outage.
     fn replay(host: &mut Host<Self>, now: Nanos);
 
-    /// Column declarations for the time-series sampler.
-    fn sampler_columns(sampler: TimeSeriesSampler, nqueues: u32) -> TimeSeriesSampler;
+    /// The time-series sampler's columns: CSV header, what it reads, kind.
+    const SAMPLER: &'static [(&'static str, Sampled, SampleKind)];
 
-    /// One sampler row, matching [`Datapath::sampler_columns`];
-    /// `health` is the watchdog verdict as a gauge.
-    fn sample_row(host: &Host<Self>, health: u64) -> Vec<u64>;
+    /// The rows `kitetop` sums into the driver domain's REQ/S, MB/S,
+    /// RX_DROP and GSO_FRM cells, in that order.
+    const TOP: [&'static [&'static str]; 4];
 
-    /// The datapath's share of the driver domain's `kitetop` row.
-    fn driver_top(host: &Host<Self>) -> DriverTop;
+    /// The per-queue row family behind `kitetop`'s RXQ_DEPTH cell.
+    const TOP_QDEPTH: &'static str;
 
-    /// The datapath's measurement taps and lifetime backend stats.
-    fn append_metrics(host: &Host<Self>, snap: &mut MetricsSnapshot);
+    /// Appends every row the datapath exports: measurement taps, live
+    /// gauges and lifetime backend stats. This is the one list — the
+    /// metrics snapshot publishes it, the sampler and `kitetop` pick
+    /// rows from it by name.
+    fn export(host: &Host<Self>, rows: &mut MetricsSnapshot);
+}
+
+/// What a column of [`Datapath::SAMPLER`] reads.
+#[derive(Clone, Copy, Debug)]
+pub enum Sampled {
+    /// The exported row of this name.
+    Row(&'static str),
+    /// A per-queue row family: one column per configured queue,
+    /// `{header}{q}` reading row `{family}{q}`.
+    PerQueue(&'static str),
+    /// The watchdog verdict: the one value the host samples without
+    /// exporting it, because `BENCH_mechanisms.json` pins the rows.
+    Health,
+}
+
+/// The integer row `name`, when the datapath exported one.
+fn int_row(rows: &MetricsSnapshot, name: &str) -> Option<u64> {
+    match rows.get(name)?.value {
+        MetricValue::Int(v) => Some(v),
+        MetricValue::Float(_) => None,
+    }
 }
 
 /// One simulated machine running a driver domain for datapath `D`.
@@ -440,8 +452,8 @@ impl<D: Datapath> Host<D> {
     }
 
     /// Starts the time-series sampler: every `every` of virtual time a
-    /// `SampleTick` snapshots the datapath's counters (as deltas) and
-    /// gauges plus the watchdog health state into a bounded ring of
+    /// `SampleTick` records the rows [`Datapath::SAMPLER`] names
+    /// (counters as deltas, gauges as-is) into a bounded ring of
     /// `capacity` samples (oldest evicted first).
     ///
     /// The tick re-arms only while other events are still pending, so
@@ -449,10 +461,17 @@ impl<D: Datapath> Host<D> {
     /// sampler rides along with the workload instead of keeping the
     /// clock alive on its own.
     fn enable_sampling(&mut self, every: Nanos, capacity: usize) {
-        self.sampler = Some(D::sampler_columns(
-            TimeSeriesSampler::new(every, capacity),
-            self.nqueues,
-        ));
+        let mut sampler = TimeSeriesSampler::new(every, capacity);
+        for &(header, source, kind) in D::SAMPLER {
+            if let Sampled::PerQueue(_) = source {
+                for q in 0..self.nqueues {
+                    sampler = sampler.with_column(&format!("{header}{q}"), kind);
+                }
+            } else {
+                sampler = sampler.with_column(header, kind);
+            }
+        }
+        self.sampler = Some(sampler);
         let now = self.queue.now();
         self.queue.schedule_at(now + every, Event::SampleTick);
     }
@@ -466,12 +485,26 @@ impl<D: Datapath> Host<D> {
         let Some(mut sampler) = self.sampler.take() else {
             return;
         };
+        let rows = self.metrics_snapshot("");
         let health = match self.health() {
             None | Some(HealthState::Healthy) => 0u64,
             Some(HealthState::Suspect { .. }) => 1,
             _ => 2,
         };
-        sampler.record(at, &D::sample_row(self, health));
+        // Per-queue gauges are not exported while the backend is down;
+        // they sample 0 so the width stays fixed.
+        let row = |name: &str| int_row(&rows, name).unwrap_or(0);
+        let mut raw = Vec::new();
+        for &(_, source, _) in D::SAMPLER {
+            match source {
+                Sampled::Row(name) => raw.push(row(name)),
+                Sampled::PerQueue(family) => {
+                    raw.extend((0..self.nqueues).map(|q| row(&format!("{family}{q}"))))
+                }
+                Sampled::Health => raw.push(health),
+            }
+        }
+        sampler.record(at, &raw);
         self.sampler = Some(sampler);
     }
 
@@ -873,11 +906,12 @@ impl<D: Datapath> Host<D> {
         &self.latency_hist
     }
 
-    /// Collects the datapath's measurement taps, lifetime backend stats
-    /// and recovery accounting into one named snapshot.
+    /// Collects every row the datapath exports plus the recovery
+    /// accounting into one named snapshot. The sampler and `kitetop`
+    /// read the same rows by name.
     pub fn metrics_snapshot(&self, scenario: impl Into<String>) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(scenario);
-        D::append_metrics(self, &mut snap);
+        D::export(self, &mut snap);
         self.recovery.append_metrics(&mut snap);
         snap
     }
@@ -912,7 +946,12 @@ impl<D: Datapath> Host<D> {
     pub fn top_snapshot(&self) -> TopSnapshot {
         let at = self.queue.now();
         let secs = at.as_secs_f64();
-        let top = D::driver_top(self);
+        let rows = self.metrics_snapshot("");
+        let cell = |names: &[&str]| names.iter().filter_map(|n| int_row(&rows, n)).sum::<u64>();
+        let [requests, bytes, rx_dropped, gso_frames] = D::TOP.map(cell);
+        let qdepth: Vec<u64> = (0..)
+            .map_while(|q| int_row(&rows, &format!("{}{q}", D::TOP_QDEPTH)))
+            .collect();
         let (ring_consumed, ring_pending) = match self.backend.device() {
             Some(be) => be
                 .queue_progress(&self.hv)
@@ -937,7 +976,7 @@ impl<D: Datapath> Host<D> {
                     _ => ("-".to_string(), None),
                 };
                 let (req_per_sec, mbytes_per_sec) = if is_driver && secs > 0.0 {
-                    (top.requests as f64 / secs, top.bytes as f64 / 1e6 / secs)
+                    (requests as f64 / secs, bytes as f64 / 1e6 / secs)
                 } else {
                     (0.0, 0.0)
                 };
@@ -959,10 +998,10 @@ impl<D: Datapath> Host<D> {
                     evtchns: self.hv.evtchn.open_ports(d.id),
                     req_per_sec,
                     mbytes_per_sec,
-                    rx_dropped: if is_driver { top.rx_dropped } else { 0 },
-                    gso_frames: if is_driver { top.gso_frames } else { 0 },
+                    rx_dropped: if is_driver { rx_dropped } else { 0 },
+                    gso_frames: if is_driver { gso_frames } else { 0 },
                     rx_qdepth: if is_driver {
-                        top.qdepth.clone()
+                        qdepth.clone()
                     } else {
                         Vec::new()
                     },

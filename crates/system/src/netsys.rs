@@ -28,12 +28,14 @@ use kite_net::{
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
 use kite_sim::{Link, Nanos, OnlineStats, Pcg, TxOutcome};
-use kite_trace::{MetricsSnapshot, SampleKind, TimeSeriesSampler};
+use kite_trace::MetricsSnapshot;
+use kite_trace::SampleKind::{self, Counter, Gauge};
 use kite_xen::xenbus::FEATURE_GSO_KEY;
 use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, ReqStage, SlotClass};
 
 use crate::config::{GsoMode, SystemConfig};
-use crate::host::{Datapath, DriverTop, Event, Host};
+use crate::host::Sampled::{self, Health, PerQueue, Row};
+use crate::host::{Datapath, Event, Host};
 
 /// A UDP message delivered to an application handler.
 #[derive(Clone, Debug)]
@@ -382,61 +384,34 @@ impl Datapath for NetPath {
         host.drain_guest_txq(now);
     }
 
-    fn sampler_columns(sampler: TimeSeriesSampler, nqueues: u32) -> TimeSeriesSampler {
-        let mut sampler = sampler
-            .with_column("client_rx_bytes", SampleKind::Counter)
-            .with_column("guest_rx_bytes", SampleKind::Counter)
-            .with_column("drops", SampleKind::Counter)
-            .with_column("tx_packets", SampleKind::Counter)
-            .with_column("rx_dropped", SampleKind::Counter)
-            .with_column("health", SampleKind::Gauge);
-        for q in 0..nqueues {
-            sampler = sampler.with_column(&format!("rx_qdepth_q{q}"), SampleKind::Gauge);
-        }
-        sampler
-    }
+    const SAMPLER: &'static [(&'static str, Sampled, SampleKind)] = &[
+        ("client_rx_bytes", Row("client_rx_bytes"), Counter),
+        ("guest_rx_bytes", Row("guest_rx_bytes"), Counter),
+        ("drops", Row("drops"), Counter),
+        ("tx_packets", Row("tx_packets"), Counter),
+        ("rx_dropped", Row("rx_dropped"), Counter),
+        ("health", Health, Gauge),
+        ("rx_qdepth_q", PerQueue("rx_queue_depth_q"), Gauge),
+    ];
+    const TOP: [&'static [&'static str]; 4] = [
+        &["tx_packets", "rx_packets"],
+        &["tx_bytes", "rx_bytes"],
+        &["rx_dropped"],
+        &["gso_tx_frames", "lro_rx_frames"],
+    ];
+    const TOP_QDEPTH: &'static str = "rx_queue_depth_q";
 
-    fn sample_row(host: &NetSystem, health: u64) -> Vec<u64> {
-        let stats = host.netback_stats();
-        let mut raw = vec![
-            host.dp.metrics.client_rx_bytes,
-            host.dp.metrics.guest_rx_bytes,
-            host.dp.metrics.drops,
-            stats.tx_packets,
-            stats.rx_dropped,
-            health,
-        ];
-        // Depths come back empty while the backend is down; pad so the
-        // sample width stays fixed.
-        let depths = host.rx_queue_depths();
-        for q in 0..host.nqueues {
-            raw.push(depths.get(q as usize).copied().unwrap_or(0) as u64);
-        }
-        raw
-    }
-
-    fn driver_top(host: &NetSystem) -> DriverTop {
-        let stats = host.netback_stats();
-        DriverTop {
-            requests: stats.tx_packets + stats.rx_packets,
-            bytes: stats.tx_bytes + stats.rx_bytes,
-            rx_dropped: stats.rx_dropped,
-            gso_frames: stats.gso_tx_frames + stats.lro_rx_frames,
-            qdepth: host.rx_queue_depths().iter().map(|&d| d as u64).collect(),
-        }
-    }
-
-    fn append_metrics(host: &NetSystem, snap: &mut MetricsSnapshot) {
+    fn export(host: &NetSystem, rows: &mut MetricsSnapshot) {
         let m = &host.dp.metrics;
-        snap.push_int("client_rx_bytes", "bytes", m.client_rx_bytes);
-        snap.push_int("client_rx_msgs", "count", m.client_rx_msgs);
-        snap.push_int("guest_rx_bytes", "bytes", m.guest_rx_bytes);
-        snap.push_int("guest_rx_msgs", "count", m.guest_rx_msgs);
-        snap.push_int("drops", "count", m.drops);
+        rows.push_int("client_rx_bytes", "bytes", m.client_rx_bytes);
+        rows.push_int("client_rx_msgs", "count", m.client_rx_msgs);
+        rows.push_int("guest_rx_bytes", "bytes", m.guest_rx_bytes);
+        rows.push_int("guest_rx_msgs", "count", m.guest_rx_msgs);
+        rows.push_int("drops", "count", m.drops);
         for (q, depth) in host.rx_queue_depths().into_iter().enumerate() {
-            snap.push_int(format!("rx_queue_depth_q{q}"), "count", depth as u64);
+            rows.push_int(format!("rx_queue_depth_q{q}"), "count", depth as u64);
         }
-        host.netback_stats().append_metrics(snap);
+        host.netback_stats().export(rows, "");
     }
 }
 

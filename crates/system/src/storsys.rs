@@ -20,13 +20,15 @@ use kite_frontends::Blkfront;
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
 use kite_sim::{Nanos, OnlineStats, Pcg};
-use kite_trace::{MetricsSnapshot, SampleKind, TimeSeriesSampler};
+use kite_trace::MetricsSnapshot;
+use kite_trace::SampleKind::{self, Counter, Gauge};
 use kite_xen::{
     DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, ReqId, ReqStage, SlotClass, XenError,
 };
 
 use crate::config::SystemConfig;
-use crate::host::{Datapath, DriverTop, Event, Host};
+use crate::host::Sampled::{self, Health, Row};
+use crate::host::{Datapath, Event, Host};
 
 /// A logical I/O a workload submits.
 #[derive(Clone, Debug)]
@@ -293,53 +295,33 @@ impl Datapath for BlkPath {
         host.drain_pendq(now);
     }
 
-    fn sampler_columns(sampler: TimeSeriesSampler, _nrings: u32) -> TimeSeriesSampler {
-        sampler
-            .with_column("ios", SampleKind::Counter)
-            .with_column("read_bytes", SampleKind::Counter)
-            .with_column("write_bytes", SampleKind::Counter)
-            .with_column("requests", SampleKind::Counter)
-            .with_column("in_flight", SampleKind::Gauge)
-            .with_column("pendq", SampleKind::Gauge)
-            .with_column("health", SampleKind::Gauge)
-    }
+    const SAMPLER: &'static [(&'static str, Sampled, SampleKind)] = &[
+        ("ios", Row("ios"), Counter),
+        ("read_bytes", Row("logical_read_bytes"), Counter),
+        ("write_bytes", Row("logical_write_bytes"), Counter),
+        ("requests", Row("requests"), Counter),
+        ("in_flight", Row("in_flight"), Gauge),
+        ("pendq", Row("pendq"), Gauge),
+        ("health", Health, Gauge),
+    ];
+    const TOP: [&'static [&'static str]; 4] =
+        [&["requests"], &["read_bytes", "write_bytes"], &[], &[]];
+    const TOP_QDEPTH: &'static str = "ring_pending_q";
 
-    fn sample_row(host: &StorSystem, health: u64) -> Vec<u64> {
+    fn export(host: &StorSystem, rows: &mut MetricsSnapshot) {
         let dp = &host.dp;
-        vec![
-            dp.metrics.ios,
-            dp.metrics.read_bytes,
-            dp.metrics.write_bytes,
-            host.blkback_stats().requests,
-            dp.req_map.len() as u64,
-            dp.pendq.len() as u64,
-            health,
-        ]
-    }
-
-    fn driver_top(host: &StorSystem) -> DriverTop {
-        let stats = host.blkback_stats();
-        DriverTop {
-            requests: stats.requests,
-            bytes: stats.read_bytes + stats.write_bytes,
-            rx_dropped: 0,
-            gso_frames: 0,
-            qdepth: host.backend.device().map_or_else(Vec::new, |bb| {
-                bb.queue_progress(&host.hv)
-                    .into_iter()
-                    .map(|(_, pending)| pending)
-                    .collect()
-            }),
+        rows.push_int("ios", "count", dp.metrics.ios);
+        rows.push_int("logical_read_bytes", "bytes", dp.metrics.read_bytes);
+        rows.push_int("logical_write_bytes", "bytes", dp.metrics.write_bytes);
+        rows.push_float("mean_latency", "ns", dp.metrics.latency.mean());
+        rows.push_int("in_flight", "count", dp.req_map.len() as u64);
+        rows.push_int("pendq", "count", dp.pendq.len() as u64);
+        if let Some(bb) = host.backend.device() {
+            for (q, (_, pending)) in bb.queue_progress(&host.hv).into_iter().enumerate() {
+                rows.push_int(format!("ring_pending_q{q}"), "count", pending);
+            }
         }
-    }
-
-    fn append_metrics(host: &StorSystem, snap: &mut MetricsSnapshot) {
-        let m = &host.dp.metrics;
-        snap.push_int("ios", "count", m.ios);
-        snap.push_int("logical_read_bytes", "bytes", m.read_bytes);
-        snap.push_int("logical_write_bytes", "bytes", m.write_bytes);
-        snap.push_float("mean_latency", "ns", m.latency.mean());
-        host.blkback_stats().append_metrics(snap);
+        host.blkback_stats().export(rows, "");
     }
 }
 

@@ -6,7 +6,8 @@
 #   build (release)  ->  tests  ->  examples + repro smoke  ->
 #   determinism cmps (traces, bench rows vs the shipped
 #   BENCH_mechanisms.json, repro prof/top/lat)
-#   ->  benchmark/ smoke + sim_digest cmp + allocation pins  ->  doc
+#   ->  benchmark/ smoke + sim_digest cmp + allocation pins + one
+#   traced run  ->  doc
 #   ->  clippy -D warnings  ->  fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
@@ -185,6 +186,16 @@ while read -r w want allocs bytes; do
         END { exit (bad || seen != 2) }' <<< "$out" \
         || { echo "verify: $w: allocation budget check failed" >&2; exit 1; }
 done < scripts/sim_digests.txt
+# The per-layer consumer of kite_prof::report() runs once too: check.sh
+# only compiles it. On the storage workload every request is submitted
+# from inside an interrupt dispatch, so a dispatch_irq self time of 0 is
+# the parent-below-child clamp the one sampling rule removed.
+# (The harness reports dropped spans as a failed check: non-zero exit.)
+out="$(bash benchmark/run.sh --workload stor_mixed --seed 7 --seconds 1 --trace 1)" \
+    || { echo "verify: stor_mixed --trace 1 failed (dropped spans fail its checks)" >&2; exit 1; }
+awk '$1 == "system.dispatch_irq_self_ns_per_op" { seen = 1; if ($2 + 0 == 0) bad = 1 }
+     END { exit (bad || !seen) }' <<< "$out" \
+    || { echo "verify: stor_mixed --trace 1: zero or missing dispatch_irq self time" >&2; exit 1; }
 # (Outside a git checkout, e.g. an exported tree, there is no index to
 # compare with.)
 if git rev-parse --git-dir > /dev/null 2>&1; then

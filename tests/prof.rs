@@ -9,7 +9,7 @@
 
 use kite::prof::{self, Phase};
 use kite::sim::Nanos;
-use kite::system::{addrs, BackendOs, NetSystem, Reply, Side, SystemConfig};
+use kite::system::{addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, SystemConfig};
 
 /// The echo scenario, built and loaded but not yet run: the client
 /// fires `msgs` messages over 64 flows at the guest, which echoes each.
@@ -40,6 +40,12 @@ fn echo_sys(seed: u64, msgs: u64, profiled: bool) -> NetSystem {
     sys
 }
 
+/// Completed spans of `phase`, 0 when it has no row.
+fn calls(report: &prof::ProfReport, phase: Phase) -> u64 {
+    let row = report.rows.iter().find(|r| r.phase == phase);
+    row.map_or(0, |r| r.calls)
+}
+
 fn echo_run(profiled: bool) -> NetSystem {
     let mut sys = echo_sys(42, 256, profiled);
     sys.run_to_quiescence();
@@ -53,13 +59,7 @@ fn profiled_run_covers_the_instrumented_hot_paths() {
     prof::disable();
     prof::reset();
     drop(sys);
-    let calls = |p: Phase| {
-        report
-            .rows
-            .iter()
-            .find(|r| r.phase == p)
-            .map_or(0, |r| r.calls)
-    };
+    let calls = |p: Phase| calls(&report, p);
     // Scheduler, dispatch, netback, grant-copy: each must have fired.
     for p in [
         Phase::SchedPush,
@@ -123,6 +123,97 @@ fn collapsed_stacks_have_flamegraph_shape() {
             .any(|l| l.starts_with("kite;dispatch_irq;netback_tx_drain;grant_copy ")),
         "expected nested path missing:\n{collapsed}"
     );
+}
+
+/// What the one sampling rule makes true by construction, checked on a
+/// real report: times nest (inclusive ≥ Σ children at every call-tree
+/// node, Σ self = Σ root inclusive, exactly) and counts are exact, for
+/// the scheduler and grant-copy spans like for any other.
+fn assert_identities(report: &prof::ProfReport, events: u64) {
+    let calls = |p: Phase| calls(report, p);
+    for node in &report.stacks {
+        let children: u64 = report
+            .stacks
+            .iter()
+            .filter(|s| s.path.len() == node.path.len() + 1 && s.path.starts_with(&node.path))
+            .map(|s| s.total_ns)
+            .sum();
+        assert_eq!(node.total_ns, node.self_ns + children, "{:?}", node.path);
+    }
+    let roots = report.stacks.iter().filter(|s| s.path.len() == 1);
+    assert_eq!(
+        report.rows.iter().map(|r| r.self_ns).sum::<u64>(),
+        roots.map(|s| s.total_ns).sum::<u64>(),
+        "Σ self = Σ root inclusive"
+    );
+    for row in &report.rows {
+        let positions = report
+            .stacks
+            .iter()
+            .filter(|s| s.path.last() == Some(&row.phase));
+        assert_eq!(
+            row.calls,
+            positions.map(|s| s.calls).sum::<u64>(),
+            "{} calls are counted, not estimated",
+            row.phase.name()
+        );
+        assert!(row.total_ns >= row.self_ns);
+    }
+    // Profiling went on after the build, and nothing is cancelled: every
+    // scheduled event is pushed, popped and dispatched under a span, and
+    // `run_to_quiescence` ends on one empty poll.
+    assert_eq!(calls(Phase::SchedPop), events + 1);
+    assert_eq!(calls(Phase::SchedPush), events);
+    let dispatched: u64 = Phase::ALL
+        .iter()
+        .filter(|p| p.name().starts_with("dispatch_"))
+        .map(|&p| calls(p))
+        .sum();
+    assert_eq!(dispatched, events);
+    assert_eq!(report.truncated, 0);
+}
+
+#[test]
+fn report_identities_hold_on_a_four_queue_netback_drain() {
+    let sys = echo_run(true);
+    let report = prof::report();
+    prof::disable();
+    prof::reset();
+    assert_identities(&report, sys.events_processed());
+    // Every drain issues exactly one (possibly empty) grant-copy batch.
+    let calls = |p: Phase| calls(&report, p);
+    assert_eq!(
+        calls(Phase::GrantCopy),
+        calls(Phase::NetbackTxDrain) + calls(Phase::NetbackRxDrain)
+    );
+}
+
+#[test]
+fn report_identities_hold_on_a_four_ring_storage_run() {
+    let mut sys = SystemConfig::new(BackendOs::Kite, 42)
+        .queues(4)
+        .profiling(true)
+        .build_stor();
+    for i in 0..256u64 {
+        let (sector, len) = (64 * i, if i % 2 == 0 { 4096 } else { 64 * 1024 });
+        let kind = if i % 4 < 2 {
+            IoKind::Write {
+                sector,
+                data: vec![i as u8; len],
+            }
+        } else {
+            IoKind::Read { sector, len }
+        };
+        sys.submit_at(Nanos::from_micros(10 + 5 * i), IoOp { tag: i, kind });
+    }
+    sys.run_to_quiescence();
+    let report = prof::report();
+    prof::disable();
+    prof::reset();
+    assert_eq!(sys.metrics.ios, 256);
+    assert_identities(&report, sys.events_processed());
+    assert!(calls(&report, Phase::BlkbackSubmit) > 0);
+    assert!(calls(&report, Phase::BlkbackReap) > 0);
 }
 
 /// The enabled profiler must cost less than 10 % wall time on the echo

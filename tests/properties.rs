@@ -768,14 +768,14 @@ fn netback_batched_matches_single_op() {
         // The meter agrees with the driver's own accounting in both modes.
         assert_eq!(
             batched.hv.meter(batched.dd).count(HypercallKind::GntCopy),
-            sb.copy.batches
+            sb.copy.hypercalls
         );
         assert_eq!(
             single.hv.meter(single.dd).count(HypercallKind::GntCopy),
-            ss.copy.batches
+            ss.copy.hypercalls
         );
         // Batching strictly reduces hypercalls and never raises cost.
-        assert!(sb.copy.batches <= ss.copy.batches);
+        assert!(sb.copy.hypercalls <= ss.copy.hypercalls);
         assert!(
             cost_b <= cost_s,
             "seed {seed}: batched {cost_b:?} vs {cost_s:?}"
@@ -1071,7 +1071,7 @@ fn netback_drain_is_one_hypercall() {
     assert_eq!(rig.hv.trace.query().kind("ring_drain").count(), 2);
 
     let st = rig.nb.stats();
-    assert_eq!(st.copy.batches, 2);
+    assert_eq!(st.copy.hypercalls, 2);
     assert_eq!(st.copy.ops, 40);
     assert_eq!(st.copy.hypercalls_saved, 38);
 }
@@ -1154,7 +1154,7 @@ fn blkback_batched_matches_single_op() {
         );
         assert_eq!(st_b.grant_maps, 0, "copy path never maps data pages");
         assert!(
-            st_b.copy.batches < st_s.copy.batches,
+            st_b.copy.hypercalls < st_s.copy.hypercalls,
             "seed {seed}: batching must save hypercalls"
         );
         assert!(now_b < now_s, "seed {seed}: batched must finish sooner");
@@ -1191,7 +1191,7 @@ fn blkback_request_is_one_copy_batch() {
     sys.run_to_quiescence();
     let st = sys.blkback_stats();
     assert_eq!(st.requests, 8);
-    assert_eq!(st.copy.batches, 8, "one hypercall per direct request");
+    assert_eq!(st.copy.hypercalls, 8, "one hypercall per direct request");
     assert_eq!(st.copy.ops, 32);
     // One 128 KiB write: 32 segments via one indirect descriptor page —
     // one batch for the descriptor, one for the data.
@@ -1208,7 +1208,7 @@ fn blkback_request_is_one_copy_batch() {
     sys.run_to_quiescence();
     let st = sys.blkback_stats();
     assert_eq!(st.requests, 9);
-    assert_eq!(st.copy.batches, 10, "descriptor batch + data batch");
+    assert_eq!(st.copy.hypercalls, 10, "descriptor batch + data batch");
     assert_eq!(st.copy.ops, 32 + 33);
     assert_eq!(st.errors, 0);
 }
