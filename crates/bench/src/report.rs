@@ -13,12 +13,12 @@ use std::io::Write as _;
 use kite_net::ether::ETH_FRAME_MAX;
 use kite_sim::Nanos;
 use kite_system::{
-    addrs, render_top, BackendOs, DetectionMode, IoKind, IoOp, LineRate, MonitorConfig, NetSystem,
-    Side, SystemConfig,
+    addrs, render_top, BackendOs, DetectionMode, Fault, IoKind, IoOp, LineRate, MonitorConfig,
+    NetSystem, Side, SystemConfig,
 };
 use kite_trace::metrics::{render_json, validate_json};
 use kite_trace::MetricsSnapshot;
-use kite_xen::{CopyMode, FaultPlan};
+use kite_xen::CopyMode;
 
 /// Prints snapshots in the shared text rendering.
 pub fn print_snapshots(snaps: &[MetricsSnapshot]) {
@@ -107,7 +107,7 @@ pub fn recovery_cycle(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSyste
             vec![i as u8; 1400],
         );
     }
-    sys.inject_faults(FaultPlan::seeded(seed).with_kill_at(Nanos::from_secs(2)));
+    sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     sys.run_to_quiescence();
     sys
 }
@@ -635,7 +635,7 @@ pub fn kitetop_report() -> String {
             vec![i as u8; 1400],
         );
     }
-    sys.inject_faults(FaultPlan::seeded(11).with_kill_at(Nanos::from_secs(2)));
+    sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     let mut out = String::new();
     // Probes run every 500 ms and declare failure after 3 misses: 3.2 s
     // lands mid-detection, between the second and third missed probe.

@@ -948,11 +948,6 @@ impl BlkbackInstance {
         }
         Ok(out)
     }
-
-    /// Requests currently on the device.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
-    }
 }
 
 /// Everything a blkback needs besides its device pair: the OS profile,
@@ -969,8 +964,6 @@ pub struct BlkbackConfig {
 
 impl crate::lifecycle::BackendDevice for BlkbackInstance {
     type Config = BlkbackConfig;
-    type RunCtx = NvmeController;
-    type RunOutput = BlkBatch;
     const KIND: kite_xen::DeviceKind = kite_xen::DeviceKind::Vbd;
 
     fn connect(hv: &mut Hypervisor, paths: &DevicePaths, cfg: &BlkbackConfig) -> Result<Self> {
@@ -985,31 +978,6 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
 
     fn device_paths(&self) -> DevicePaths {
         DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vbd, self.index)
-    }
-
-    fn run(
-        &mut self,
-        hv: &mut Hypervisor,
-        device: &mut NvmeController,
-        now: Nanos,
-        budget: usize,
-    ) -> Result<BlkBatch> {
-        let mut out = BlkBatch::default();
-        for q in 0..self.rings.len() {
-            let b = self.request_thread_run(hv, device, q, now, budget)?;
-            out.failures.extend(b.failures);
-            out.cq_irqs.extend(b.cq_irqs);
-            out.cost += b.cost;
-            out.more |= b.more;
-        }
-        Ok(out)
-    }
-
-    /// Announces `Closing` so the frontend stops submitting. Mappings
-    /// stay live until `close` so in-flight completions can finish.
-    fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        let state = self.device_paths().backend_state();
-        hv.switch_state(self.back, &state, XenbusState::Closing)
     }
 
     /// Closes every ring's channel, releases every grant mapping (rings,

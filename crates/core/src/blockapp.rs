@@ -3,8 +3,7 @@
 //!
 //! Reads the physical device's geometry from the (NetBSD) driver, publishes
 //! it in xenstore for blkback instances to advertise, and monitors
-//! connected devices — again as part of the single unikernel process,
-//! yielding explicitly.
+//! connected devices — again as part of the single unikernel process.
 
 use kite_xen::{DeviceKind, DevicePaths, DomainId, Hypervisor, Result};
 
@@ -27,7 +26,6 @@ pub struct BlockApp {
     pub sectors: u64,
     /// Sector size.
     pub sector_size: u32,
-    yields: u64,
 }
 
 impl BlockApp {
@@ -49,7 +47,6 @@ impl BlockApp {
             domain,
             sectors,
             sector_size: 512,
-            yields: 0,
         })
     }
 
@@ -88,16 +85,6 @@ impl BlockApp {
             }
         }
         out
-    }
-
-    /// Main-loop yield (cooperative scheduling).
-    pub fn yield_cpu(&mut self) {
-        self.yields += 1;
-    }
-
-    /// Yield count.
-    pub fn yields(&self) -> u64 {
-        self.yields
     }
 }
 

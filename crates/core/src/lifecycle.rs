@@ -5,9 +5,9 @@
 //! scenarios, the tests) re-implemented the same state walk by hand. This
 //! module gives every backend driver one shape:
 //!
-//! * [`BackendDevice`] — the hooks a driver implements: `connect`, `run`,
-//!   `suspend`, `close`, and the per-queue surface (ports, wedging,
-//!   progress) the hosting system drives;
+//! * [`BackendDevice`] — the hooks a driver implements: `connect`,
+//!   `close`, and the per-queue surface (ports, wedging, progress) the
+//!   hosting system drives;
 //! * `QueueState` — the per-queue state every backend keeps besides its
 //!   rings: event channel, wedge flag, bounce-page pool;
 //! * [`DeviceLifecycle`] — the state driver that owns one device slot and
@@ -45,18 +45,12 @@ fn trace_transition(
     });
 }
 
-/// The lifecycle hooks every backend driver implements.
-///
-/// `run` is the driver's thread body — netback's pusher/soft_start pass,
-/// blkback's request thread — parameterized by the external resource it
-/// drives (`RunCtx`: nothing for netback, the NVMe device for blkback).
+/// The lifecycle hooks every backend driver implements. The drivers'
+/// thread bodies (netback's `pusher_run`/`soft_start_run`, blkback's
+/// `request_thread_run`) are inherent methods the host calls per queue.
 pub trait BackendDevice: Sized {
     /// Everything `connect` needs besides the device pair.
     type Config: Clone;
-    /// External resource the run hook drives.
-    type RunCtx;
-    /// What one run quantum produces for the system layer to schedule.
-    type RunOutput;
     /// The xenstore device kind this driver serves.
     const KIND: DeviceKind;
 
@@ -66,18 +60,6 @@ pub trait BackendDevice: Sized {
 
     /// The device pair this instance serves.
     fn device_paths(&self) -> DevicePaths;
-
-    /// One bounded work quantum of the driver's thread.
-    fn run(
-        &mut self,
-        hv: &mut Hypervisor,
-        ctx: &mut Self::RunCtx,
-        now: Nanos,
-        budget: usize,
-    ) -> Result<Self::RunOutput>;
-
-    /// Quiesces the device and announces `Closing`; resources stay held.
-    fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()>;
 
     /// Full teardown: releases every resource, walks the backend state to
     /// `Closed`.
@@ -215,18 +197,6 @@ impl<D: BackendDevice> DeviceLifecycle<D> {
         self.device = Some(d);
         trace_transition(hv, D::KIND, &self.paths, "connect");
         Ok(self.device.as_mut().expect("just set"))
-    }
-
-    /// Quiesces the connected device (`Closing` announced, still held).
-    pub fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        match self.device.as_mut() {
-            Some(d) => {
-                d.suspend(hv)?;
-                trace_transition(hv, D::KIND, &self.paths, "suspend");
-                Ok(())
-            }
-            None => Err(XenError::Inval),
-        }
     }
 
     /// Orderly teardown of the connected device (no-op when empty).
@@ -419,13 +389,8 @@ mod tests {
         // Double connect is rejected.
         assert_eq!(lc.connect(&mut hv).err(), Some(XenError::Inval));
 
-        // Suspend announces Closing; close finishes the walk and frees
-        // everything the backend mapped.
-        lc.suspend(&mut hv).unwrap();
-        assert_eq!(
-            read_state(&mut hv.store, dd, &paths.backend_state()),
-            XenbusState::Closing
-        );
+        // Close walks Closing -> Closed and frees everything the backend
+        // mapped.
         lc.close(&mut hv).unwrap();
         assert!(!lc.is_connected());
         assert_eq!(hv.grants.active_maps(dd), 0);

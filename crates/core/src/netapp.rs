@@ -4,10 +4,10 @@
 //! On launch it creates a bridge, assigns the gateway IP to the physical
 //! interface and adds the IF to the bridge (the paper's ported
 //! `ifconfig(8)` and `brconfig(8)`; here direct calls on [`IfTable`] and
-//! [`Bridge`]), then loops: watch for new VIFs and hotplug them into the
-//! bridge — yielding the CPU explicitly between iterations so netback, the
-//! NIC driver and the network stack make progress on the non-preemptive
-//! scheduler.
+//! [`Bridge`]), then hotplugs each new VIF into the bridge. (The real
+//! application yields the CPU between iterations of that loop; the
+//! non-preemptive scheduler is modelled where interrupts are dispatched,
+//! in `kite_system::Host`.)
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -40,7 +40,6 @@ pub struct NetworkApp {
     /// The SNAT table (used in [`LinkMode::Nat`]).
     pub nat: Nat,
     ports: HashMap<String, BridgePort>,
-    yields: u64,
 }
 
 impl NetworkApp {
@@ -66,7 +65,6 @@ impl NetworkApp {
             mode: LinkMode::Bridge,
             nat: Nat::new(gateway),
             ports,
-            yields: 0,
         }
     }
 
@@ -139,25 +137,6 @@ impl NetworkApp {
     pub fn port_of(&self, ifname: &str) -> Option<BridgePort> {
         self.ports.get(ifname).copied()
     }
-
-    /// The interface name owning a bridge port.
-    pub fn if_of(&self, port: BridgePort) -> Option<&str> {
-        self.ports
-            .iter()
-            .find(|&(_, &p)| p == port)
-            .map(|(n, _)| n.as_str())
-    }
-
-    /// The app's main-loop yield: cooperates with the scheduler. Counted
-    /// so tests can assert the app never monopolizes the CPU.
-    pub fn yield_cpu(&mut self) {
-        self.yields += 1;
-    }
-
-    /// Yield count.
-    pub fn yields(&self) -> u64 {
-        self.yields
-    }
 }
 
 #[cfg(test)]
@@ -189,7 +168,7 @@ mod tests {
         let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
         let vif_port = app.add_vif("vif2.0", MacAddr::local(2));
         assert_eq!(app.bridge.members(), vec!["ixg0", "vif2.0"]);
-        assert_eq!(app.if_of(vif_port), Some("vif2.0"));
+        assert_eq!(app.port_of("vif2.0"), Some(vif_port));
         // Guest talks out through the VIF; bridge learns.
         let guest_mac = MacAddr::local(100);
         let ext_mac = MacAddr::local(200);
@@ -288,14 +267,5 @@ mod tests {
         )
         .encode();
         assert!(app.nat_inbound(&frame, MacAddr::local(100)).is_none());
-    }
-
-    #[test]
-    fn yields_are_counted() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
-        for _ in 0..5 {
-            app.yield_cpu();
-        }
-        assert_eq!(app.yields(), 5);
     }
 }

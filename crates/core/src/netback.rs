@@ -805,8 +805,6 @@ impl NetbackInstance {
 
 impl crate::lifecycle::BackendDevice for NetbackInstance {
     type Config = OsProfile;
-    type RunCtx = ();
-    type RunOutput = (TxBatch, RxBatch);
     const KIND: kite_xen::DeviceKind = kite_xen::DeviceKind::Vif;
 
     fn connect(hv: &mut Hypervisor, paths: &DevicePaths, cfg: &OsProfile) -> Result<Self> {
@@ -815,38 +813,6 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
 
     fn device_paths(&self) -> DevicePaths {
         DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vif, self.index)
-    }
-
-    fn run(
-        &mut self,
-        hv: &mut Hypervisor,
-        _ctx: &mut (),
-        _now: Nanos,
-        budget: usize,
-    ) -> Result<(TxBatch, RxBatch)> {
-        let mut tx = TxBatch::default();
-        let mut rx = RxBatch::default();
-        for q in 0..self.queues.len() {
-            let t = self.pusher_run(hv, q, budget)?;
-            tx.frames.extend(t.frames);
-            tx.cost += t.cost;
-            tx.notify |= t.notify;
-            tx.more |= t.more;
-            let r = self.soft_start_run(hv, q, budget)?;
-            rx.delivered += r.delivered;
-            rx.cost += r.cost;
-            rx.notify |= r.notify;
-            rx.more |= r.more;
-        }
-        Ok((tx, rx))
-    }
-
-    /// Stops accepting new Rx frames and announces `Closing` so the
-    /// frontend can unwind; resources stay mapped until `close`.
-    fn suspend(&mut self, hv: &mut Hypervisor) -> Result<()> {
-        self.rx_queue_cap = 0;
-        let state = self.device_paths().backend_state();
-        hv.switch_state(self.back, &state, XenbusState::Closing)
     }
 
     /// Closes every queue's channel, unmaps its rings, frees the

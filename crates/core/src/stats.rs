@@ -17,8 +17,7 @@ use kite_xen::{BatchResult, CopyMode};
 ///
 /// `field: "unit"` entries become `pub u64` fields; an optional
 /// `nested { field: Type = "prefix_" }` block embeds other `counters!`
-/// structs (merged and exported under the prefix), `unlisted { field:
-/// Type }` carries state that merges but has no row, and `derived {
+/// structs (merged and exported under the prefix), and `derived {
 /// method: "unit" }` appends float rows from `fn method(&self) -> f64`.
 macro_rules! counters {
     (
@@ -27,7 +26,6 @@ macro_rules! counters {
             $( $(#[$fmeta:meta])* $field:ident : $unit:literal ),* $(,)?
         }
         $( nested { $( $(#[$nmeta:meta])* $nested:ident : $nty:ty = $nprefix:literal ),* $(,)? } )?
-        $( unlisted { $( $(#[$umeta:meta])* $unlisted:ident : $uty:ty ),* $(,)? } )?
         $( derived { $( $derived:ident : $dunit:literal ),* $(,)? } )?
     ) => {
         $(#[$meta])*
@@ -35,7 +33,6 @@ macro_rules! counters {
         $vis struct $name {
             $( $(#[$fmeta])* pub $field: u64, )*
             $($( $(#[$nmeta])* pub $nested: $nty, )*)?
-            $($( $(#[$umeta])* pub $unlisted: $uty, )*)?
         }
 
         impl $name {
@@ -44,7 +41,6 @@ macro_rules! counters {
             pub fn merge(&mut self, other: &Self) {
                 $( self.$field += other.$field; )*
                 $($( self.$nested.merge(&other.$nested); )*)?
-                $($( self.$unlisted.merge(&other.$unlisted); )*)?
             }
 
             /// Appends one row per counter, named `{prefix}{field}`.
@@ -74,10 +70,6 @@ counters! {
         /// Bytes moved by grant copies.
         bytes: "bytes",
     }
-    unlisted {
-        /// Ops-per-batch distribution.
-        batch_hist: kite_sim::BatchHistogram,
-    }
     derived { bytes_per_hypercall: "bytes" }
 }
 
@@ -102,14 +94,8 @@ impl CopyStats {
             CopyMode::Batched => {
                 self.hypercalls += 1;
                 self.hypercalls_saved += nops as u64 - 1;
-                self.batch_hist.record(nops);
             }
-            CopyMode::SingleOp => {
-                self.hypercalls += nops as u64;
-                for _ in 0..nops {
-                    self.batch_hist.record(1);
-                }
-            }
+            CopyMode::SingleOp => self.hypercalls += nops as u64,
         }
     }
 }
@@ -173,11 +159,8 @@ mod tests {
         s
     }
 
-    fn fields(s: &CopyStats) -> ([u64; 4], kite_sim::BatchHistogram) {
-        (
-            [s.hypercalls, s.ops, s.hypercalls_saved, s.bytes],
-            s.batch_hist,
-        )
+    fn fields(s: &CopyStats) -> [u64; 4] {
+        [s.hypercalls, s.ops, s.hypercalls_saved, s.bytes]
     }
 
     #[test]
@@ -202,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_histograms() {
+    fn merge_sums_counters() {
         let mut a = CopyStats::default();
         a.record(CopyMode::Batched, 8, &result(512));
         let mut b = CopyStats::default();
@@ -213,7 +196,6 @@ mod tests {
         assert_eq!(a.ops, 14);
         assert_eq!(a.bytes, 832);
         assert_eq!(a.hypercalls_saved, 10);
-        assert_eq!(a.batch_hist.batches(), 4);
     }
 
     #[test]

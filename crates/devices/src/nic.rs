@@ -14,16 +14,14 @@ use crate::Device;
 
 /// Cost envelope of the NIC, consumed by [`Nic::with_profile`].
 ///
-/// Like [`crate::NvmeProfile`], build it with `with_*` methods; the
-/// profile is read once at construction:
+/// Like [`crate::NvmeProfile`], start from [`Default`]; the profile is
+/// read once at construction:
 ///
 /// ```
-/// use kite_devices::{Nic, NicProfile};
+/// use kite_devices::{LineRate, Nic, NicProfile};
 /// use kite_sim::Nanos;
-/// let nic = Nic::with_profile(
-///     NicProfile::default().with_irq_coalesce(Nanos::from_micros(50)),
-/// );
-/// assert_eq!(nic.irq_coalesce, Nanos::from_micros(50));
+/// let nic = Nic::with_profile(NicProfile::default().with_line_rate(LineRate::Gbe25));
+/// assert_eq!(nic.irq_coalesce, Nanos::from_micros(10));
 /// ```
 #[derive(Clone, Debug)]
 pub struct NicProfile {
@@ -64,15 +62,6 @@ impl LineRate {
             LineRate::Gbe100 => 100_000_000_000,
         }
     }
-
-    /// Stable label for scenario names, e.g. `"wire_25g"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            LineRate::Gbe10 => "wire_10g",
-            LineRate::Gbe25 => "wire_25g",
-            LineRate::Gbe100 => "wire_100g",
-        }
-    }
 }
 
 impl Default for NicProfile {
@@ -91,18 +80,6 @@ impl Default for NicProfile {
 }
 
 impl NicProfile {
-    /// Sets the per-frame transmit overhead.
-    pub fn with_per_frame_tx(mut self, cost: Nanos) -> NicProfile {
-        self.per_frame_tx = cost;
-        self
-    }
-
-    /// Sets the per-wire-segment TSO overhead.
-    pub fn with_per_seg_tx(mut self, cost: Nanos) -> NicProfile {
-        self.per_seg_tx = cost;
-        self
-    }
-
     /// Selects a wire speed. Faster parts also moderate interrupts
     /// harder: the ITR window shrinks with the line rate so the IRQ
     /// rate per byte stays in the envelope real drivers target.
@@ -113,24 +90,6 @@ impl NicProfile {
             LineRate::Gbe25 => Nanos::from_micros(10),
             LineRate::Gbe100 => Nanos::from_micros(5),
         };
-        self
-    }
-
-    /// Sets the interrupt moderation window.
-    pub fn with_irq_coalesce(mut self, window: Nanos) -> NicProfile {
-        self.irq_coalesce = window;
-        self
-    }
-
-    /// Sets the receive queue capacity in frames.
-    pub fn with_rx_queue_frames(mut self, frames: usize) -> NicProfile {
-        self.rx_queue_frames = frames;
-        self
-    }
-
-    /// Sets the transmit-side queueing capacity in bytes.
-    pub fn with_tx_queue_bytes(mut self, bytes: u64) -> NicProfile {
-        self.tx_queue_bytes = bytes;
         self
     }
 }
@@ -163,7 +122,6 @@ pub struct Nic {
     irq_pending: bool,
     last_irq: Nanos,
     rx_frames: u64,
-    rx_bytes: u64,
     rx_dropped: u64,
 }
 
@@ -188,7 +146,6 @@ impl Nic {
             irq_pending: false,
             last_irq: Nanos::ZERO,
             rx_frames: 0,
-            rx_bytes: 0,
             rx_dropped: 0,
         }
     }
@@ -213,7 +170,6 @@ impl Nic {
             self.rx_dropped += 1;
             return RxIrq::Dropped;
         }
-        self.rx_bytes += frame.len() as u64;
         self.rx_frames += 1;
         self.rx_queue.push_back(frame);
         if self.irq_pending {
@@ -252,11 +208,6 @@ impl Nic {
     /// Received frame count.
     pub fn rx_frames(&self) -> u64 {
         self.rx_frames
-    }
-
-    /// Received byte count.
-    pub fn rx_bytes(&self) -> u64 {
-        self.rx_bytes
     }
 
     /// Frames dropped by receive-queue overflow.
@@ -309,13 +260,14 @@ mod tests {
         assert_eq!(nic25.irq_coalesce, Nanos::from_micros(10));
         let nic100 = Nic::with_profile(NicProfile::default().with_line_rate(LineRate::Gbe100));
         assert_eq!(nic100.link.rate_bps, LineRate::Gbe100.bps());
-        assert_eq!(LineRate::Gbe25.label(), "wire_25g");
     }
 
     #[test]
     fn per_segment_cost_is_charged_per_tso_segment() {
-        let mut nic =
-            Nic::with_profile(NicProfile::default().with_per_seg_tx(Nanos::from_nanos(40)));
+        let mut nic = Nic::with_profile(NicProfile {
+            per_seg_tx: Nanos::from_nanos(40),
+            ..NicProfile::default()
+        });
         match nic.transmit_segs(Nanos::ZERO, 1538, 4) {
             TxOutcome::Sent { departs, .. } => {
                 assert_eq!(departs.as_nanos(), 250 + 4 * 40 + 1230);
@@ -384,21 +336,6 @@ mod tests {
     fn rearm_with_empty_queue_is_none() {
         let mut nic = Nic::ten_gbe();
         assert_eq!(nic.rearm_irq(Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn profile_builders_configure_the_nic() {
-        let nic = Nic::with_profile(
-            NicProfile::default()
-                .with_per_frame_tx(Nanos::from_nanos(500))
-                .with_irq_coalesce(Nanos::from_micros(5))
-                .with_rx_queue_frames(16)
-                .with_tx_queue_bytes(1024),
-        );
-        assert_eq!(nic.per_frame_tx, Nanos::from_nanos(500));
-        assert_eq!(nic.irq_coalesce, Nanos::from_micros(5));
-        assert_eq!(nic.rx_queue_frames, 16);
-        assert_eq!(nic.link.queue_bytes, 1024);
     }
 
     #[test]

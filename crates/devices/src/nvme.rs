@@ -131,14 +131,16 @@ pub struct MsixVector {
 
 /// Performance envelope of the drive.
 ///
-/// Construct with [`Default`] and refine with the `with_*` builders:
+/// Construct with [`Default`] and refine with struct update syntax or
+/// [`NvmeProfile::with_random_penalty`]:
 ///
 /// ```
 /// use kite_devices::NvmeProfile;
 /// use kite_sim::Nanos;
-/// let p = NvmeProfile::default()
-///     .with_channels(8)
-///     .with_random_penalty(Nanos::from_micros(100));
+/// let p = NvmeProfile {
+///     channels: 8,
+///     ..NvmeProfile::default().with_random_penalty(Nanos::from_micros(100))
+/// };
 /// assert_eq!(p.channels, 8);
 /// ```
 #[derive(Clone, Debug)]
@@ -182,13 +184,6 @@ impl NvmeProfile {
     /// Sets the non-sequential command penalty.
     pub fn with_random_penalty(mut self, penalty: Nanos) -> NvmeProfile {
         self.random_penalty = penalty;
-        self
-    }
-
-    /// Sets the parallel flash channel count.
-    pub fn with_channels(mut self, channels: usize) -> NvmeProfile {
-        assert!(channels >= 1, "a drive needs at least one flash channel");
-        self.channels = channels;
         self
     }
 }
@@ -288,7 +283,7 @@ impl NvmeController {
 
     /// Currently existing I/O queue pairs.
     pub fn io_queue_count(&self) -> usize {
-        self.queues.iter().filter(|q| q.is_some()).count()
+        self.queues.len()
     }
 
     fn slot(qid: QueueId) -> usize {
@@ -303,35 +298,20 @@ impl NvmeController {
     /// Admin command: create an I/O SQ/CQ pair whose completion vector is
     /// steered to `vcpu` in the owning domain's `CpuPool`.
     ///
-    /// Returns the new queue id (lowest free slot, deterministic), or
+    /// Returns the new queue id (ids count up from 1, deterministic), or
     /// `None` if the controller's queue cap is exhausted — callers then
     /// share an existing pair, exactly like Linux blk-mq maps more
     /// hardware contexts than the device has queues.
     pub fn create_io_queues(&mut self, vcpu: usize) -> Option<QueueId> {
-        let slot = match self.queues.iter().position(|q| q.is_none()) {
-            Some(free) => free,
-            None if self.queues.len() < self.max_io_queues => {
-                self.queues.push(None);
-                self.queues.len() - 1
-            }
-            None => return None,
-        };
-        let qid = QueueId(slot as u16 + 1);
-        self.queues[slot] = Some(IoQueue::new(MsixVector {
+        if self.queues.len() >= self.max_io_queues {
+            return None;
+        }
+        let qid = QueueId(self.queues.len() as u16 + 1);
+        self.queues.push(Some(IoQueue::new(MsixVector {
             vector: qid.0,
             vcpu,
-        }));
+        })));
         Some(qid)
-    }
-
-    /// Admin command: delete an I/O queue pair. Outstanding SQ commands
-    /// and unreaped CQ entries are dropped (an NVMe delete aborts them).
-    /// Returns whether the queue existed.
-    pub fn delete_io_queues(&mut self, qid: QueueId) -> bool {
-        let Some(slot) = self.queues.get_mut(Self::slot(qid)) else {
-            return false;
-        };
-        slot.take().is_some()
     }
 
     /// Controller-level reset (what a function-level reset before PCI
@@ -346,11 +326,6 @@ impl NvmeController {
     /// The MSI-X vector of a queue pair, if it exists.
     pub fn vector_of(&self, qid: QueueId) -> Option<MsixVector> {
         Some(self.queue(qid)?.vector)
-    }
-
-    /// Unreaped completion-queue entries on a queue pair.
-    pub fn cq_depth(&self, qid: QueueId) -> usize {
-        self.queue(qid).map_or(0, |q| q.cq.len())
     }
 
     /// Posts a command to a queue's submission queue. The command is not
@@ -687,18 +662,13 @@ mod tests {
     }
 
     #[test]
-    fn queue_ids_are_deterministic_and_reused_lowest_first() {
+    fn queue_ids_are_deterministic() {
         let mut d = NvmeController::new(1);
         let q1 = d.create_io_queues(0).unwrap();
-        let q2 = d.create_io_queues(1).unwrap();
+        let q2 = d.create_io_queues(7).unwrap();
         let q3 = d.create_io_queues(2).unwrap();
         assert_eq!((q1, q2, q3), (QueueId(1), QueueId(2), QueueId(3)));
-        assert!(d.delete_io_queues(q2));
-        assert!(!d.delete_io_queues(q2), "double delete reports absence");
-        // Lowest free slot is reused, with the new vCPU affinity.
-        let q2b = d.create_io_queues(7).unwrap();
-        assert_eq!(q2b, QueueId(2));
-        assert_eq!(d.vector_of(q2b), Some(MsixVector { vector: 2, vcpu: 7 }));
+        assert_eq!(d.vector_of(q2), Some(MsixVector { vector: 2, vcpu: 7 }));
         assert_eq!(d.io_queue_count(), 3);
     }
 
@@ -722,7 +692,6 @@ mod tests {
         d.sq_push(q, NvmeCmd::write(1 << 20, 4096));
         let posted: Vec<CqEntry> = d.ring_doorbell(q, Nanos::ZERO).to_vec();
         assert_eq!(posted.len(), 2);
-        assert_eq!(d.cq_depth(q), 2);
         // Nothing is due before its completion time.
         assert_eq!(d.cq_pop(q, posted[0].completes_at - Nanos(1)), None);
         let first = d.cq_pop(q, Nanos::MAX).unwrap();
@@ -762,7 +731,7 @@ mod tests {
         d.reset();
         assert_eq!(d.io_queue_count(), 0);
         assert_eq!(d.vector_of(q), None);
-        assert_eq!(d.cq_depth(q), 0);
+        assert_eq!(d.cq_pop(q, Nanos::MAX), None);
         // Media contents and lifetime counters survive the reset.
         let mut buf = [0u8; 512];
         d.read_data(0, &mut buf);
@@ -780,7 +749,13 @@ mod tests {
         // afterwards silently desynced the two. The profile is now fixed
         // at construction, so the only way to choose a channel count is
         // `with_profile`, and the vector always matches.
-        let d = NvmeController::with_profile(4, NvmeProfile::default().with_channels(8));
+        let d = NvmeController::with_profile(
+            4,
+            NvmeProfile {
+                channels: 8,
+                ..NvmeProfile::default()
+            },
+        );
         assert_eq!(d.profile().channels, 8);
         let mut done = Nanos::ZERO;
         let mut d = d;

@@ -22,7 +22,6 @@ pub struct Extent {
 pub struct ExtentAllocator {
     /// start -> len of each free run.
     free: BTreeMap<u64, u64>,
-    total: u64,
     free_blocks: u64,
 }
 
@@ -35,24 +34,13 @@ impl ExtentAllocator {
         }
         ExtentAllocator {
             free,
-            total,
             free_blocks: total,
         }
-    }
-
-    /// Total managed blocks.
-    pub fn total_blocks(&self) -> u64 {
-        self.total
     }
 
     /// Currently free blocks.
     pub fn free_blocks(&self) -> u64 {
         self.free_blocks
-    }
-
-    /// Number of free fragments (fragmentation metric).
-    pub fn fragments(&self) -> usize {
-        self.free.len()
     }
 
     /// Allocates `n` blocks, preferring contiguity. Returns the extents,
@@ -172,7 +160,6 @@ mod tests {
         // Free the first and third runs: two fragments of 10.
         a.free_extent(e1[0]);
         a.free_extent(e3[0]);
-        assert_eq!(a.fragments(), 2);
         // Asking for 15 must span both fragments.
         let e = a.alloc(15).unwrap();
         assert_eq!(e.len(), 2);
@@ -188,7 +175,6 @@ mod tests {
         a.free_extent(e2[0]);
         a.free_extent(e1[0]);
         a.free_extent(e3[0]);
-        assert_eq!(a.fragments(), 1);
         let e = a.alloc(30).unwrap();
         assert_eq!(e, vec![Extent { start: 0, len: 30 }]);
     }
@@ -199,7 +185,6 @@ mod tests {
         assert_eq!(a.alloc(0), Some(vec![]));
         a.free_extent(Extent { start: 5, len: 0 });
         assert_eq!(a.free_blocks(), 10);
-        assert_eq!(a.fragments(), 1);
     }
 
     #[test]

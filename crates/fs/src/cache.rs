@@ -16,8 +16,6 @@ pub struct ReadCache {
     // block -> last-use tick.
     resident: HashMap<u64, u64>,
     tick: u64,
-    hits: u64,
-    misses: u64,
 }
 
 impl ReadCache {
@@ -27,21 +25,17 @@ impl ReadCache {
             capacity,
             resident: HashMap::new(),
             tick: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
-    /// Checks residency of a block, updating recency and hit/miss stats.
-    /// Returns `true` on a hit.
+    /// Checks residency of a block, updating recency. Returns `true` on a
+    /// hit.
     pub fn access(&mut self, block: u64) -> bool {
         self.tick += 1;
         if let Some(t) = self.resident.get_mut(&block) {
             *t = self.tick;
-            self.hits += 1;
             true
         } else {
-            self.misses += 1;
             false
         }
     }
@@ -81,16 +75,6 @@ impl ReadCache {
     pub fn is_empty(&self) -> bool {
         self.resident.is_empty()
     }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
 }
 
 #[cfg(test)]
@@ -103,8 +87,6 @@ mod tests {
         assert!(!c.access(1));
         c.insert(1);
         assert!(c.access(1));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]

@@ -162,24 +162,9 @@ impl Fs {
         Ok(())
     }
 
-    /// File count.
-    pub fn file_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Free space in bytes.
-    pub fn free_bytes(&self) -> u64 {
-        self.alloc.free_blocks() * self.block_size as u64
-    }
-
     /// Drops the page cache (the paper's pre-run flush).
     pub fn drop_caches(&mut self) {
         self.cache.drop_all();
-    }
-
-    /// Page-cache hit count (diagnostics).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache.hits()
     }
 
     /// The device blocks backing `[offset, offset+len)` of a file, in file
@@ -415,7 +400,6 @@ mod tests {
         fs.delete("a").unwrap();
         let b = fs.create("b").unwrap();
         fs.write(b, 0, 8 * 4096).unwrap();
-        assert_eq!(fs.free_bytes(), 0);
     }
 
     #[test]

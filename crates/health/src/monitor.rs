@@ -13,7 +13,7 @@
 //!    [`ProgressSample`] of the backend's request-consumer watermark. A
 //!    ring with pending requests whose consumer has not moved for
 //!    `stall_probes` consecutive probes is declared `Failed` too. This
-//!    catches livelocks ([`FaultPlan::hang_at`]) where the domain is
+//!    catches livelocks (`Fault::Hang` in `kite-system`) where the domain is
 //!    happily beating but serving nothing.
 //!
 //! An SLO breach (see [`crate::slo`]) marks the backend `Suspect` without
@@ -28,8 +28,6 @@
 //! recovery tests assert. Every state edge emits a
 //! [`EventKind::HealthTransition`] trace event, so Perfetto exports show
 //! suspicion windows as marks on the watcher's track.
-//!
-//! [`FaultPlan::hang_at`]: kite_xen::FaultPlan
 
 use kite_sim::Nanos;
 use kite_trace::EventKind;
@@ -159,7 +157,6 @@ pub struct HealthMonitor {
     /// across a reconnect).
     last_consumed: Vec<Option<u64>>,
     stalled: Vec<u32>,
-    probes: u64,
 }
 
 impl HealthMonitor {
@@ -176,7 +173,6 @@ impl HealthMonitor {
             beat_seen_at: now,
             last_consumed: Vec::new(),
             stalled: Vec::new(),
-            probes: 0,
         }
     }
 
@@ -193,11 +189,6 @@ impl HealthMonitor {
     /// The monitor's tunables.
     pub fn config(&self) -> &MonitorConfig {
         &self.cfg
-    }
-
-    /// Probes run so far.
-    pub fn probes(&self) -> u64 {
-        self.probes
     }
 
     /// Virtual time since the last observed beat *advance*.
@@ -252,7 +243,6 @@ impl HealthMonitor {
         samples: &[ProgressSample],
         slo_ok: bool,
     ) -> HealthState {
-        self.probes += 1;
         // 1. Heartbeat: alive means the counter advanced since the last
         // probe (or this is the first observation of a value).
         let (read, _cost) = hv.xs_read(self.watcher, &heartbeat::key(self.target));

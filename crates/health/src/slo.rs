@@ -34,13 +34,6 @@ impl Default for SloConfig {
     }
 }
 
-impl SloConfig {
-    /// Whether any quantile check is configured.
-    pub fn armed(&self) -> bool {
-        self.p50.is_some() || self.p95.is_some() || self.p99.is_some()
-    }
-}
-
 /// One evaluation's quantiles and verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SloReport {
@@ -126,7 +119,6 @@ mod tests {
     #[test]
     fn unarmed_config_never_breaches() {
         let cfg = SloConfig::default();
-        assert!(!cfg.armed());
         let r = evaluate(&hist_fast_with_slow_tail(), &cfg);
         assert!(!r.breached);
         assert_eq!(r.samples, 1_000);

@@ -1,22 +1,18 @@
 //! The Linux OS overhead profile for the shared backend mechanism.
 
-use kite_rumprun::{OsProfile, WorkModel};
+use kite_rumprun::OsProfile;
 use kite_sim::Nanos;
 
 /// Linux driver-domain profile: softirq/NAPI dispatch, kthread wakeups
-/// through the scheduler, deeper per-packet (skb, bridge netfilter hooks)
-/// and per-bio block layers, and real user/kernel crossings for the
-/// toolstack daemons.
+/// through the scheduler, and deeper per-packet (skb, bridge netfilter
+/// hooks) and per-bio block layers.
 pub fn linux_profile() -> OsProfile {
     OsProfile {
         name: "Linux",
-        work_model: WorkModel::WorkQueue,
         irq_overhead: Nanos::from_nanos(900),
         wakeup_latency: Nanos::from_micros(3),
         per_packet: Nanos::from_nanos(800),
         per_block_request: Nanos::from_micros(4),
-        context_switch: Nanos::from_nanos(1200),
-        syscall: Nanos::from_nanos(250),
         idle_wake_cap: Nanos::from_micros(295),
         idle_wake_div: 10,
     }
@@ -29,13 +25,8 @@ mod tests {
 
     #[test]
     fn linux_dispatch_slower_than_kite() {
-        assert!(linux_profile().dispatch_latency() > kite_profile().dispatch_latency());
-    }
-
-    #[test]
-    fn linux_has_real_syscall_cost() {
-        assert!(linux_profile().syscall > Nanos::ZERO);
-        assert_eq!(linux_profile().work_model, WorkModel::WorkQueue);
+        let (l, k) = (linux_profile(), kite_profile());
+        assert!(l.irq_overhead + l.wakeup_latency > k.irq_overhead + k.wakeup_latency);
     }
 
     #[test]

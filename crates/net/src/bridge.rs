@@ -42,7 +42,6 @@ pub struct Bridge {
     fdb: HashMap<MacAddr, FdbEntry>,
     /// FDB entry lifetime (NetBSD default: 240 s).
     pub aging: Nanos,
-    frames_forwarded: u64,
 }
 
 impl Bridge {
@@ -54,7 +53,6 @@ impl Bridge {
             next_port: 0,
             fdb: HashMap::new(),
             aging: Nanos::from_secs(240),
-            frames_forwarded: 0,
         }
     }
 
@@ -109,7 +107,6 @@ impl Bridge {
                 if e.port == ingress {
                     Forward::Drop
                 } else {
-                    self.frames_forwarded += 1;
                     Forward::Unicast(e.port)
                 }
             }
@@ -131,11 +128,6 @@ impl Bridge {
             .get(&mac)
             .filter(|e| now.saturating_sub(e.last_seen) < self.aging)
             .map(|e| e.port)
-    }
-
-    /// Unicast-forwarded frame count.
-    pub fn forwarded(&self) -> u64 {
-        self.frames_forwarded
     }
 }
 
@@ -173,7 +165,6 @@ mod tests {
         // Traffic to host 1 from p0 now unicasts to p1.
         assert_eq!(b.input(p0, mac(2), mac(1), Nanos(1)), Forward::Unicast(p1));
         assert_eq!(b.lookup(mac(1), Nanos(1)), Some(p1));
-        assert_eq!(b.forwarded(), 1);
     }
 
     #[test]

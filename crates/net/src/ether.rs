@@ -19,11 +19,6 @@ impl MacAddr {
         MacAddr([0x02, 0x00, b[0], b[1], b[2], b[3]])
     }
 
-    /// True for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == MacAddr::BROADCAST
-    }
-
     /// True for group (multicast/broadcast) addresses.
     pub fn is_multicast(self) -> bool {
         self.0[0] & 1 == 1
@@ -185,7 +180,6 @@ mod tests {
         let m = MacAddr([0x02, 0, 0, 0, 0, 0x2a]);
         assert_eq!(m.to_string(), "02:00:00:00:00:2a");
         assert!(!m.is_multicast());
-        assert!(MacAddr::BROADCAST.is_broadcast());
         assert!(MacAddr::BROADCAST.is_multicast());
     }
 

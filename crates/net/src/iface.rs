@@ -36,8 +36,6 @@ pub struct Interface {
     pub netmask: Option<Ipv4Addr>,
     /// Administrative up/down.
     pub up: bool,
-    /// MTU.
-    pub mtu: usize,
 }
 
 /// The interface table of one network stack instance.
@@ -64,7 +62,6 @@ impl IfTable {
                 addr: None,
                 netmask: None,
                 up: false,
-                mtu: crate::ether::ETH_MTU,
             },
         );
         &self.ifs[&name]
@@ -96,21 +93,6 @@ impl IfTable {
         }
     }
 
-    /// `ifconfig <if> mtu <n>`: raises (jumbo/GSO super-frames) or
-    /// lowers the largest frame the interface accepts. Bounded by the
-    /// minimum IPv4 MTU below and the 64 KiB GSO super-frame above.
-    pub fn set_mtu(&mut self, name: &str, mtu: usize) -> bool {
-        if !(68..=65536).contains(&mtu) {
-            return false;
-        }
-        if let Some(i) = self.ifs.get_mut(name) {
-            i.mtu = mtu;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Looks up an interface.
     pub fn get(&self, name: &str) -> Option<&Interface> {
         self.ifs.get(name)
@@ -119,20 +101,6 @@ impl IfTable {
     /// All interfaces, sorted by name.
     pub fn iter(&self) -> impl Iterator<Item = &Interface> {
         self.ifs.values()
-    }
-
-    /// The interface owning `addr`, if any.
-    pub fn by_addr(&self, addr: Ipv4Addr) -> Option<&Interface> {
-        self.ifs.values().find(|i| i.addr == Some(addr))
-    }
-
-    /// Names matching a kind (e.g. every VIF, for bridge hotplug).
-    pub fn names_of_kind(&self, kind: IfKind) -> Vec<String> {
-        self.ifs
-            .values()
-            .filter(|i| i.kind == kind)
-            .map(|i| i.name.clone())
-            .collect()
     }
 }
 
@@ -154,24 +122,6 @@ mod tests {
         let i = t.get("ixg0").unwrap();
         assert!(i.up);
         assert_eq!(i.addr, Some("192.168.1.50".parse().unwrap()));
-        assert_eq!(
-            t.by_addr("192.168.1.50".parse().unwrap()).unwrap().name,
-            "ixg0"
-        );
-    }
-
-    #[test]
-    fn mtu_knob_accepts_jumbo_and_rejects_nonsense() {
-        let mut t = IfTable::new();
-        t.attach("ixg0", IfKind::Physical, MacAddr::local(1));
-        assert_eq!(t.get("ixg0").unwrap().mtu, crate::ether::ETH_MTU);
-        assert!(t.set_mtu("ixg0", 9000), "jumbo frames");
-        assert_eq!(t.get("ixg0").unwrap().mtu, 9000);
-        assert!(t.set_mtu("ixg0", 65536), "GSO super-frame ceiling");
-        assert!(!t.set_mtu("ixg0", 65537));
-        assert!(!t.set_mtu("ixg0", 0));
-        assert!(!t.set_mtu("nope0", 1500));
-        assert_eq!(t.get("ixg0").unwrap().mtu, 65536, "rejects leave mtu");
     }
 
     #[test]
@@ -184,17 +134,6 @@ mod tests {
             "255.0.0.0".parse().unwrap()
         ));
         assert!(!t.detach("nope0"));
-    }
-
-    #[test]
-    fn kind_filtering_for_hotplug() {
-        let mut t = IfTable::new();
-        t.attach("ixg0", IfKind::Physical, MacAddr::local(1));
-        t.attach("vif2.0", IfKind::Vif, MacAddr::local(2));
-        t.attach("vif3.0", IfKind::Vif, MacAddr::local(3));
-        t.attach("bridge0", IfKind::Bridge, MacAddr::ZERO);
-        assert_eq!(t.names_of_kind(IfKind::Vif), vec!["vif2.0", "vif3.0"]);
-        assert_eq!(t.names_of_kind(IfKind::Physical), vec!["ixg0"]);
     }
 
     #[test]

@@ -27,5 +27,5 @@ pub use image::{
     kite_dhcpd_image, kite_network_image, kite_storage_image, Component, ComponentKind, Image,
     ImageBuilder,
 };
-pub use profile::{kite_profile, OsProfile, WorkModel};
+pub use profile::{kite_profile, OsProfile};
 pub use syscalls::{kite_dhcpd_syscalls, kite_network_syscalls, kite_storage_syscalls, SyscallSet};

@@ -1,32 +1,21 @@
-//! OS overhead profiles: where Kite's performance deltas come from.
+//! OS overhead profiles: the per-OS costs the datapaths charge.
 //!
 //! The backend *mechanism* (rings, grants, event channels) is identical
 //! between a Kite and a Linux driver domain — the paper deliberately mirrors
 //! Linux's design and optimizations. What differs is the OS around it: how
-//! an interrupt becomes a running worker, how many kernel layers a packet
-//! crosses, whether a user/kernel boundary exists. An [`OsProfile`]
-//! quantifies those per-OS costs; the driver code in `kite-core` is written
-//! once and parameterized by it.
+//! an interrupt becomes a running worker and how many kernel layers a packet
+//! or block request crosses. An [`OsProfile`] quantifies those per-OS costs;
+//! the driver code in `kite-core` is written once and parameterized by it.
+//! Every field is charged by a datapath: a cost nothing charges does not
+//! belong here.
 
 use kite_sim::Nanos;
-
-/// How deferred work is dispatched after an interrupt.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum WorkModel {
-    /// Kite: a tiny handler wakes a dedicated cooperative thread.
-    DedicatedThread,
-    /// Linux: IRQ raises softirq/NAPI, work may bounce through a workqueue
-    /// kthread with scheduler involvement.
-    WorkQueue,
-}
 
 /// Per-OS cost parameters for the driver-domain data path.
 #[derive(Clone, Debug)]
 pub struct OsProfile {
     /// Display name.
     pub name: &'static str,
-    /// Dispatch model.
-    pub work_model: WorkModel,
     /// Interrupt handler entry/exit (ack + wake).
     pub irq_overhead: Nanos,
     /// Wake-to-run latency for the deferred worker on an idle vCPU.
@@ -37,11 +26,6 @@ pub struct OsProfile {
     /// Extra per-request OS-layer cost on the block path (bio assembly,
     /// elevator, completion bouncing).
     pub per_block_request: Nanos,
-    /// Cost of one context switch.
-    pub context_switch: Nanos,
-    /// Cost of a user/kernel syscall crossing (zero when syscalls are
-    /// function calls, as in rumprun).
-    pub syscall: Nanos,
     /// Cap on the extra dispatch latency paid when the driver domain has
     /// been idle (wake-from-halt VMEXIT, scheduler warm-up, softirq/
     /// workqueue thread migration). Grows with idle time up to this cap;
@@ -59,25 +43,16 @@ pub struct OsProfile {
 pub fn kite_profile() -> OsProfile {
     OsProfile {
         name: "Kite",
-        work_model: WorkModel::DedicatedThread,
         irq_overhead: Nanos::from_nanos(350),
         wakeup_latency: Nanos::from_nanos(700),
         per_packet: Nanos::from_nanos(550),
         per_block_request: Nanos::from_micros(2),
-        context_switch: Nanos::from_nanos(250),
-        syscall: Nanos::ZERO,
         idle_wake_cap: Nanos::from_micros(90),
         idle_wake_div: 50,
     }
 }
 
 impl OsProfile {
-    /// Cost from "notification arrives" to "worker is processing",
-    /// assuming an idle vCPU.
-    pub fn dispatch_latency(&self) -> Nanos {
-        self.irq_overhead + self.wakeup_latency + self.context_switch
-    }
-
     /// The extra wake latency paid when the domain sat idle for
     /// `idle` before this event: `min(cap, idle / div)`.
     pub fn idle_wake(&self, idle: Nanos) -> Nanos {
@@ -92,8 +67,6 @@ mod tests {
     #[test]
     fn kite_dispatch_is_sub_microsecond_class() {
         let p = kite_profile();
-        assert!(p.dispatch_latency() < Nanos::from_micros(2));
-        assert_eq!(p.syscall, Nanos::ZERO, "rumprun syscalls are calls");
-        assert_eq!(p.work_model, WorkModel::DedicatedThread);
+        assert!(p.irq_overhead + p.wakeup_latency < Nanos::from_micros(2));
     }
 }

@@ -26,7 +26,7 @@ pub mod wheel;
 pub use queue::EventQueue;
 pub use resource::{Cpu, CpuPool, Link, TxOutcome};
 pub use rng::Pcg;
-pub use sched::{EventId, EventSched, Scheduler, SchedulerKind};
-pub use stats::{BatchHistogram, Histogram, OnlineStats};
+pub use sched::{EventSched, Scheduler, SchedulerKind};
+pub use stats::{Histogram, OnlineStats};
 pub use time::Nanos;
 pub use wheel::TimerWheel;

@@ -4,18 +4,13 @@
 //! tiebreak: two events scheduled for the same instant pop in the order they
 //! were pushed. That stability is what makes the whole reproduction
 //! deterministic — `BinaryHeap` alone would break ties arbitrarily.
-//!
-//! Payloads live in a generation-tagged slab ([`sched`](crate::sched)), so
-//! cancellation is O(1) without a tombstone side-table and `len()` counts
-//! live events exactly; the heap holds only `(time, seq, id)` keys and
-//! skips entries whose generation no longer matches.
 
 use std::collections::BinaryHeap;
 
-use crate::sched::{Entry, EventId, Scheduler, Slab};
+use crate::sched::{Entry, Scheduler, Slab};
 use crate::time::Nanos;
 
-/// A stable, cancellable discrete-event queue (binary-heap backend).
+/// A stable discrete-event queue (binary-heap backend).
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry>,
     slab: Slab<E>,
@@ -39,99 +34,36 @@ impl<E> EventQueue<E> {
             now: Nanos::ZERO,
         }
     }
-
-    /// Current virtual time (the timestamp of the last popped event).
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at`.
-    ///
-    /// Times in the past are clamped to `now` — an event can never pop
-    /// before the current instant, which keeps handlers monotone.
-    pub fn schedule_at(&mut self, at: Nanos, payload: E) -> EventId {
-        let at = at.max(self.now);
-        let id = self.slab.insert(payload);
-        self.heap.push(Entry {
-            at,
-            seq: self.seq,
-            id,
-        });
-        self.seq += 1;
-        id
-    }
-
-    /// Schedules `payload` after a relative delay from now.
-    pub fn schedule_in(&mut self, delay: Nanos, payload: E) -> EventId {
-        self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` iff the event had not yet fired. Cancellation frees
-    /// the payload slot immediately; the heap entry stays behind and is
-    /// discarded on pop because its generation no longer matches.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.slab.remove(id).is_some()
-    }
-
-    /// Pops the earliest pending event, advancing virtual time.
-    pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        while let Some(e) = self.heap.pop() {
-            if let Some(payload) = self.slab.remove(e.id) {
-                self.now = e.at;
-                return Some((e.at, payload));
-            }
-        }
-        None
-    }
-
-    /// Exact timestamp of the next pending event, if any.
-    ///
-    /// Stale cancelled entries at the top of the heap are discarded on
-    /// the way, so the returned time is exact, not a lower bound.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        while let Some(e) = self.heap.peek() {
-            if self.slab.contains(e.id) {
-                return Some(e.at);
-            }
-            self.heap.pop();
-        }
-        None
-    }
-
-    /// Number of pending events (exact; cancelled events are not counted).
-    pub fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.slab.len() == 0
-    }
 }
 
 impl<E> Scheduler<E> for EventQueue<E> {
     fn now(&self) -> Nanos {
-        EventQueue::now(self)
+        self.now
     }
-    fn schedule_at(&mut self, at: Nanos, payload: E) -> EventId {
-        EventQueue::schedule_at(self, at, payload)
+
+    /// Times in the past are clamped to `now` — an event can never pop
+    /// before the current instant, which keeps handlers monotone.
+    fn schedule_at(&mut self, at: Nanos, payload: E) {
+        self.heap.push(Entry {
+            at: at.max(self.now),
+            seq: self.seq,
+            slot: self.slab.insert(payload),
+        });
+        self.seq += 1;
     }
-    fn cancel(&mut self, id: EventId) -> bool {
-        EventQueue::cancel(self, id)
-    }
+
     fn pop(&mut self) -> Option<(Nanos, E)> {
-        EventQueue::pop(self)
+        let e = self.heap.pop()?;
+        self.now = e.at;
+        Some((e.at, self.slab.take(e.slot)))
     }
+
     fn peek_time(&mut self) -> Option<Nanos> {
-        EventQueue::peek_time(self)
+        self.heap.peek().map(|e| e.at)
     }
+
     fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        EventQueue::is_empty(self)
+        self.heap.len()
     }
 }
 
@@ -145,10 +77,13 @@ mod tests {
         q.schedule_at(Nanos(30), "c");
         q.schedule_at(Nanos(10), "a");
         q.schedule_at(Nanos(20), "b");
+        assert_eq!(q.peek_time(), Some(Nanos(10)));
+        assert_eq!(q.len(), 3);
         assert_eq!(q.pop(), Some((Nanos(10), "a")));
         assert_eq!(q.pop(), Some((Nanos(20), "b")));
         assert_eq!(q.pop(), Some((Nanos(30), "c")));
         assert_eq!(q.pop(), None);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -180,64 +115,5 @@ mod tests {
         q.pop();
         q.schedule_in(Nanos(5), "y");
         assert_eq!(q.pop(), Some((Nanos(105), "y")));
-    }
-
-    #[test]
-    fn cancel_removes_event() {
-        let mut q = EventQueue::new();
-        let id = q.schedule_at(Nanos(10), "dead");
-        q.schedule_at(Nanos(20), "alive");
-        assert!(q.cancel(id));
-        assert_eq!(q.pop(), Some((Nanos(20), "alive")));
-    }
-
-    #[test]
-    fn cancel_after_pop_is_false() {
-        let mut q = EventQueue::new();
-        let id = q.schedule_at(Nanos(10), "fired");
-        assert_eq!(q.pop(), Some((Nanos(10), "fired")));
-        // Regression (the old tombstone design got this wrong): a cancel
-        // for an already-popped id is a no-op that must not skew the
-        // live-event accounting.
-        assert!(!q.cancel(id));
-        assert!(q.is_empty());
-        assert_eq!(q.len(), 0);
-        q.schedule_at(Nanos(20), "next");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((Nanos(20), "next")));
-    }
-
-    #[test]
-    fn double_cancel_is_false() {
-        let mut q = EventQueue::new();
-        let id = q.schedule_at(Nanos(10), "dead");
-        assert!(q.cancel(id));
-        assert!(!q.cancel(id));
-    }
-
-    #[test]
-    fn len_is_exact_under_cancellation() {
-        let mut q = EventQueue::new();
-        let a = q.schedule_at(Nanos(10), 1);
-        let _b = q.schedule_at(Nanos(20), 2);
-        assert_eq!(q.len(), 2);
-        q.cancel(a);
-        // The stale heap entry is invisible to the accounting.
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        assert_eq!(q.pop(), Some((Nanos(20), 2)));
-        assert!(q.is_empty());
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_time_is_exact_past_cancelled_entries() {
-        let mut q = EventQueue::new();
-        q.schedule_at(Nanos(10), 1);
-        let early = q.schedule_at(Nanos(5), 2);
-        assert_eq!(q.peek_time(), Some(Nanos(5)));
-        q.cancel(early);
-        // Not a lower bound: the cancelled top is skipped.
-        assert_eq!(q.peek_time(), Some(Nanos(10)));
     }
 }

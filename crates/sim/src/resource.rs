@@ -1,10 +1,11 @@
 //! Serializing resource models: links and CPUs.
 //!
 //! Both models answer the same question — "if a unit of work arrives at
-//! virtual time `t`, when does it finish?" — while tracking utilization so
-//! experiments can report CPU% (Figure 10b) and link saturation (Figure 6).
+//! virtual time `t`, when does it finish?" — while tracking what the
+//! experiments report: CPU utilization (Figure 10b) and the frames a
+//! saturated link drops (Figure 6).
 
-use crate::sched::{EventId, Scheduler};
+use crate::sched::Scheduler;
 use crate::time::Nanos;
 
 /// A point-to-point link with a fixed bit rate and propagation latency.
@@ -22,10 +23,7 @@ pub struct Link {
     /// Transmit queue capacity in bytes.
     pub queue_bytes: u64,
     next_free: Nanos,
-    tx_bytes: u64,
-    tx_frames: u64,
     dropped: u64,
-    busy_accum: Nanos,
 }
 
 /// Outcome of a link transmit attempt.
@@ -46,10 +44,7 @@ impl Link {
             latency,
             queue_bytes,
             next_free: Nanos::ZERO,
-            tx_bytes: 0,
-            tx_frames: 0,
             dropped: 0,
-            busy_accum: Nanos::ZERO,
         }
     }
 
@@ -82,10 +77,7 @@ impl Link {
         let start = self.next_free.max(now);
         let ser = self.serialization_delay(bytes);
         let departs = start + ser;
-        self.busy_accum += ser;
         self.next_free = departs;
-        self.tx_bytes += bytes;
-        self.tx_frames += 1;
         TxOutcome::Sent {
             departs,
             arrives: departs + self.latency,
@@ -115,25 +107,6 @@ impl Link {
     /// Frames dropped due to queue overflow.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Frames successfully transmitted.
-    pub fn tx_frames(&self) -> u64 {
-        self.tx_frames
-    }
-
-    /// Bytes successfully transmitted.
-    pub fn tx_bytes(&self) -> u64 {
-        self.tx_bytes
-    }
-
-    /// Fraction of `window` the link spent serializing, in `[0, 1]`.
-    pub fn utilization(&self, window: Nanos) -> f64 {
-        if window == Nanos::ZERO {
-            0.0
-        } else {
-            (self.busy_accum.as_nanos() as f64 / window.as_nanos() as f64).min(1.0)
-        }
     }
 }
 
@@ -167,23 +140,6 @@ impl Cpu {
         self.busy_accum += cost;
         self.slices += 1;
         done
-    }
-
-    /// Runs `cost` of work starting no earlier than `now` and schedules a
-    /// completion event on `sched` at the finish instant.
-    ///
-    /// `done` maps the completion time to the event payload. Returns the
-    /// completion time and the scheduled event's id (for cancellation).
-    pub fn run_then<E, S: Scheduler<E>>(
-        &mut self,
-        sched: &mut S,
-        now: Nanos,
-        cost: Nanos,
-        done: impl FnOnce(Nanos) -> E,
-    ) -> (Nanos, EventId) {
-        let finish = self.run(now, cost);
-        let id = sched.schedule_at(finish, done(finish));
-        (finish, id)
     }
 
     /// The earliest instant at which new work could begin.
@@ -253,21 +209,6 @@ impl CpuPool {
     pub fn run_on(&mut self, idx: usize, now: Nanos, cost: Nanos) -> Nanos {
         let n = self.cpus.len();
         self.cpus[idx % n].run(now, cost)
-    }
-
-    /// Runs `cost` on vCPU `idx % len` starting no earlier than `now`
-    /// and schedules a completion event on `sched`: the pool analogue of
-    /// [`Cpu::run_then`].
-    pub fn run_on_then<E, S: Scheduler<E>>(
-        &mut self,
-        sched: &mut S,
-        idx: usize,
-        now: Nanos,
-        cost: Nanos,
-        done: impl FnOnce(Nanos) -> E,
-    ) -> (Nanos, EventId) {
-        let n = self.cpus.len();
-        self.cpus[idx % n].run_then(sched, now, cost, done)
     }
 
     /// The earliest instant at which new work could begin on vCPU
@@ -370,14 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn link_utilization_bounded() {
-        let mut l = Link::new(1_000_000_000, Nanos::ZERO, u64::MAX);
-        l.transmit(Nanos::ZERO, 125_000); // 1ms of serialization
-        assert!((l.utilization(Nanos::from_millis(2)) - 0.5).abs() < 1e-9);
-        assert!(l.utilization(Nanos::from_micros(500)) <= 1.0);
-    }
-
-    #[test]
     fn cpu_serializes_work() {
         let mut c = Cpu::new();
         let d1 = c.run(Nanos::ZERO, Nanos::from_micros(10));
@@ -428,20 +361,13 @@ mod tests {
     }
 
     #[test]
-    fn run_then_and_transmit_then_schedule_completions() {
-        use crate::sched::{EventSched, Scheduler, SchedulerKind};
+    fn transmit_then_schedules_the_arrival() {
+        use crate::sched::{EventSched, SchedulerKind};
         let mut sched: EventSched<&str> = EventSched::new(SchedulerKind::Wheel);
-        let mut pool = CpuPool::new(2);
-        let (done, _id) =
-            pool.run_on_then(&mut sched, 0, Nanos::ZERO, Nanos::from_micros(10), |_| {
-                "cpu-done"
-            });
-        assert_eq!(done, Nanos::from_micros(10));
         let mut l = Link::new(1_000_000_000, Nanos::from_micros(5), u64::MAX);
         let tx = l.transmit_then(&mut sched, Nanos::ZERO, 125, |_| "frame-arrives");
         assert!(matches!(tx, TxOutcome::Sent { .. }));
         assert_eq!(sched.pop(), Some((Nanos::from_micros(6), "frame-arrives")));
-        assert_eq!(sched.pop(), Some((Nanos::from_micros(10), "cpu-done")));
         assert_eq!(sched.pop(), None);
     }
 

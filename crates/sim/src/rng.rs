@@ -39,11 +39,6 @@ impl Pcg {
         Pcg::new(seed, 0xda3e39cb94b95bdb)
     }
 
-    /// Derives an independent child generator, e.g. one per component.
-    pub fn fork(&mut self, stream: u64) -> Pcg {
-        Pcg::new(self.next_u64(), stream ^ 0x9e3779b97f4a7c15)
-    }
-
     /// Next 32 random bits.
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
@@ -107,14 +102,6 @@ impl Pcg {
     pub fn exp(&mut self, mean: Nanos) -> Nanos {
         let u = 1.0 - self.f64(); // in (0, 1]
         Nanos::from_secs_f64(-mean.as_secs_f64() * u.ln())
-    }
-
-    /// Normally distributed duration (Box–Muller), truncated at zero.
-    pub fn normal(&mut self, mean: Nanos, stddev: Nanos) -> Nanos {
-        let u1 = 1.0 - self.f64();
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (core::f64::consts::TAU * u2).cos();
-        Nanos::from_secs_f64(mean.as_secs_f64() + z * stddev.as_secs_f64())
     }
 
     /// A duration jittered multiplicatively by ±`frac` (uniform).
@@ -196,18 +183,6 @@ mod tests {
         let mean = Nanos::from_micros(100);
         let n = 20_000;
         let total: u64 = (0..n).map(|_| r.exp(mean).as_nanos()).sum();
-        let avg = total as f64 / n as f64;
-        let expect = mean.as_nanos() as f64;
-        assert!((avg - expect).abs() / expect < 0.05, "avg={avg}");
-    }
-
-    #[test]
-    fn normal_mean_roughly_correct() {
-        let mut r = Pcg::seeded(12);
-        let mean = Nanos::from_micros(200);
-        let sd = Nanos::from_micros(20);
-        let n = 20_000;
-        let total: u64 = (0..n).map(|_| r.normal(mean, sd).as_nanos()).sum();
         let avg = total as f64 / n as f64;
         let expect = mean.as_nanos() as f64;
         assert!((avg - expect).abs() / expect < 0.05, "avg={avg}");

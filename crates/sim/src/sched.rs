@@ -2,30 +2,19 @@
 //!
 //! [`EventQueue`] (binary heap) is the oracle:
 //! small, obviously correct, comparison-based. [`TimerWheel`]
-//! (hierarchical timer wheel) is the default hot path: O(1) schedule and
-//! cancel, allocation-free dispatch in steady state. Both pop strictly in
+//! (hierarchical timer wheel) is the default hot path: O(1) schedule,
+//! allocation-free dispatch in steady state. Both pop strictly in
 //! `(time, sequence)` order, so for the same schedule calls they produce
 //! byte-identical runs — `tests/scheduler.rs` holds them to that.
 //!
-//! Event identity is a slab slot plus a generation counter. Cancelling
-//! frees the slot and bumps the generation, so a stale entry still inside
-//! a heap or wheel bucket can never resolve to a recycled id: there is no
-//! tombstone side-table, `len()` is exact, and cancellation is O(1).
+//! A scheduled event cannot be cancelled: nothing simulated cancels a
+//! timer (a handler that no longer wants its event ignores it when it
+//! fires), so every entry a backend holds is live. Payloads sit in a
+//! slot-recycled slab; heaps and buckets move only 24-byte keys.
 
 use crate::queue::EventQueue;
 use crate::time::Nanos;
 use crate::wheel::TimerWheel;
-
-/// Identifies a scheduled event so it can be cancelled.
-///
-/// Packs a slab slot and a generation tag. Ids are only meaningful to the
-/// scheduler that issued them; a recycled slot gets a new generation, so
-/// an id never aliases a later event.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId {
-    pub(crate) slot: u32,
-    pub(crate) gen: u32,
-}
 
 /// A deterministic discrete-event scheduler.
 ///
@@ -36,36 +25,30 @@ pub struct EventId {
 /// * `schedule_at` clamps times in the past to `now()`, so handlers stay
 ///   monotone;
 /// * `pop` advances `now()` to the popped event's timestamp;
-/// * `cancel` returns `true` iff the event was still pending — cancelling
-///   a popped or already-cancelled id is `false`, never a double-free;
-/// * `len`/`is_empty` count live events exactly, cancelled ones excluded.
+/// * `len`/`is_empty` count pending events exactly.
 pub trait Scheduler<E> {
     /// Current virtual time (the timestamp of the last popped event).
     fn now(&self) -> Nanos;
 
     /// Schedules `payload` at absolute time `at` (clamped to `now()`).
-    fn schedule_at(&mut self, at: Nanos, payload: E) -> EventId;
+    fn schedule_at(&mut self, at: Nanos, payload: E);
 
     /// Schedules `payload` after a relative delay from now.
-    fn schedule_in(&mut self, delay: Nanos, payload: E) -> EventId {
+    fn schedule_in(&mut self, delay: Nanos, payload: E) {
         let at = self.now() + delay;
         self.schedule_at(at, payload)
     }
-
-    /// Cancels a pending event. `true` iff it had not yet fired.
-    fn cancel(&mut self, id: EventId) -> bool;
 
     /// Pops the earliest pending event, advancing virtual time.
     fn pop(&mut self) -> Option<(Nanos, E)>;
 
     /// Exact timestamp of the next pending event, if any.
     ///
-    /// Takes `&mut self` so backends can discard stale cancelled entries
-    /// (heap) or cascade wheel levels — the returned time is exact, not a
-    /// lower bound.
+    /// Takes `&mut self` so the wheel can cascade its levels — the
+    /// returned time is exact, not a lower bound.
     fn peek_time(&mut self) -> Option<Nanos>;
 
-    /// Number of pending events (exact; cancelled events are not counted).
+    /// Number of pending events.
     fn len(&self) -> usize;
 
     /// True when no events are pending.
@@ -74,18 +57,11 @@ pub trait Scheduler<E> {
     }
 }
 
-/// Slab of event payloads shared by every backend: slot-recycled storage
-/// with generation tags, so the hot path never touches the allocator and
-/// `cancel` is a bounds check plus a generation compare.
+/// Payload storage shared by both backends: slots are recycled through
+/// a free list, so the hot path never touches the allocator.
 pub(crate) struct Slab<E> {
-    slots: Vec<SlabSlot<E>>,
+    slots: Vec<Option<E>>,
     free: Vec<u32>,
-    live: usize,
-}
-
-struct SlabSlot<E> {
-    gen: u32,
-    payload: Option<E>,
 }
 
 impl<E> Slab<E> {
@@ -93,58 +69,39 @@ impl<E> Slab<E> {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
-            live: 0,
         }
     }
 
-    pub(crate) fn insert(&mut self, payload: E) -> EventId {
-        self.live += 1;
+    pub(crate) fn insert(&mut self, payload: E) -> u32 {
         if let Some(slot) = self.free.pop() {
-            let s = &mut self.slots[slot as usize];
-            s.payload = Some(payload);
-            EventId { slot, gen: s.gen }
+            self.slots[slot as usize] = Some(payload);
+            slot
         } else {
-            let slot = u32::try_from(self.slots.len()).expect("slab capacity");
-            self.slots.push(SlabSlot {
-                gen: 0,
-                payload: Some(payload),
-            });
-            EventId { slot, gen: 0 }
+            self.slots.push(Some(payload));
+            u32::try_from(self.slots.len() - 1).expect("slab capacity")
         }
     }
 
-    /// Frees `id` if it is still live, bumping the slot generation so any
-    /// stale heap/wheel entry for it can never match again.
-    pub(crate) fn remove(&mut self, id: EventId) -> Option<E> {
-        let s = self.slots.get_mut(id.slot as usize)?;
-        if s.gen != id.gen {
-            return None;
-        }
-        let payload = s.payload.take()?;
-        s.gen = s.gen.wrapping_add(1);
-        self.free.push(id.slot);
-        self.live -= 1;
-        Some(payload)
-    }
-
-    pub(crate) fn contains(&self, id: EventId) -> bool {
-        self.slots
-            .get(id.slot as usize)
-            .is_some_and(|s| s.gen == id.gen && s.payload.is_some())
+    /// Takes the payload of a pending entry, freeing its slot.
+    pub(crate) fn take(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .take()
+            .expect("a pending entry owns its slot")
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.live
+        self.slots.len() - self.free.len()
     }
 }
 
-/// A pending-event key: everything a backend needs to order and resolve
-/// an event without touching its payload.
+/// A pending-event key: the `(time, sequence)` a backend orders by and
+/// the slab slot holding the payload.
 #[derive(Clone, Copy)]
 pub(crate) struct Entry {
     pub(crate) at: Nanos,
     pub(crate) seq: u64,
-    pub(crate) id: EventId,
+    pub(crate) slot: u32,
 }
 
 impl PartialEq for Entry {
@@ -222,18 +179,11 @@ impl<E> Scheduler<E> for EventSched<E> {
         }
     }
 
-    fn schedule_at(&mut self, at: Nanos, payload: E) -> EventId {
+    fn schedule_at(&mut self, at: Nanos, payload: E) {
         let _prof = kite_prof::span(kite_prof::Phase::SchedPush);
         match self {
             EventSched::Heap(q) => q.schedule_at(at, payload),
             EventSched::Wheel(w) => w.schedule_at(at, payload),
-        }
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            EventSched::Heap(q) => q.cancel(id),
-            EventSched::Wheel(w) => w.cancel(id),
         }
     }
 
@@ -265,29 +215,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slab_recycles_slots_with_fresh_generations() {
-        let mut slab: Slab<&str> = Slab::new();
-        let a = slab.insert("a");
-        assert_eq!(slab.remove(a), Some("a"));
-        let b = slab.insert("b");
-        // Same slot, new generation: the old id must not alias.
-        assert_eq!(a.slot, b.slot);
-        assert_ne!(a.gen, b.gen);
-        assert!(!slab.contains(a));
-        assert!(slab.contains(b));
-        assert_eq!(slab.remove(a), None);
-        assert_eq!(slab.len(), 1);
-    }
-
-    #[test]
     fn event_sched_dispatches_to_both_backends() {
         for kind in [SchedulerKind::Heap, SchedulerKind::Wheel] {
             let mut s: EventSched<u32> = EventSched::new(kind);
             assert_eq!(s.kind(), kind);
             s.schedule_at(Nanos(20), 2);
             s.schedule_at(Nanos(10), 1);
-            let dead = s.schedule_at(Nanos(15), 99);
-            assert!(s.cancel(dead));
             assert_eq!(s.len(), 2);
             assert_eq!(s.peek_time(), Some(Nanos(10)));
             assert_eq!(s.pop(), Some((Nanos(10), 1)));

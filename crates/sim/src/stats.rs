@@ -225,11 +225,6 @@ impl Histogram {
         out
     }
 
-    /// Median shortcut.
-    pub fn median(&self) -> Nanos {
-        self.quantile(0.5)
-    }
-
     /// 99th percentile shortcut.
     pub fn p99(&self) -> Nanos {
         self.quantile(0.99)
@@ -241,86 +236,6 @@ impl Histogram {
             *a += b;
         }
         self.total += other.total;
-    }
-}
-
-/// Number of [`BatchHistogram`] buckets: 1, 2, 3–4, 5–8, … 65–128, 129+.
-pub const BATCH_BUCKETS: usize = 9;
-
-/// Ops-per-batch histogram with fixed power-of-two buckets.
-///
-/// Sized and `Copy` so per-instance driver stats structs can embed it by
-/// value. Bucket `i` counts batches carrying `2^(i-1) < n <= 2^i` ops
-/// (bucket 0 is exactly one op, the degenerate unbatched case; the last
-/// bucket is open-ended).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchHistogram {
-    buckets: [u64; BATCH_BUCKETS],
-    batches: u64,
-    ops: u64,
-}
-
-impl BatchHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> BatchHistogram {
-        BatchHistogram::default()
-    }
-
-    fn bucket_of(ops: usize) -> usize {
-        let bits = usize::BITS - ops.max(1).next_power_of_two().leading_zeros() - 1;
-        (bits as usize).min(BATCH_BUCKETS - 1)
-    }
-
-    /// Records one batch of `ops` descriptors (zero-op batches are not
-    /// batches — they issue no hypercall — and are ignored).
-    pub fn record(&mut self, ops: usize) {
-        if ops == 0 {
-            return;
-        }
-        self.buckets[Self::bucket_of(ops)] += 1;
-        self.batches += 1;
-        self.ops += ops as u64;
-    }
-
-    /// Number of batches recorded.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Total descriptors across all batches.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Mean descriptors per batch, or 0 if empty.
-    pub fn mean_ops(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.ops as f64 / self.batches as f64
-        }
-    }
-
-    /// Raw bucket counts, for reporting.
-    pub fn bucket_counts(&self) -> [u64; BATCH_BUCKETS] {
-        self.buckets
-    }
-
-    /// Human-readable label of bucket `i`.
-    pub fn bucket_label(i: usize) -> &'static str {
-        const LABELS: [&str; BATCH_BUCKETS] = [
-            "1", "2", "3-4", "5-8", "9-16", "17-32", "33-64", "65-128", "129+",
-        ];
-        LABELS[i]
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &BatchHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.batches += other.batches;
-        self.ops += other.ops;
     }
 }
 
@@ -387,7 +302,7 @@ mod tests {
         for i in 1..=10_000u64 {
             h.record(Nanos(i * 100)); // 100ns .. 1ms uniform
         }
-        let q50 = h.median().as_nanos() as f64;
+        let q50 = h.quantile(0.5).as_nanos() as f64;
         let q99 = h.p99().as_nanos() as f64;
         assert!(q50 <= q99);
         // True median is 500_050ns; log buckets are ~9% wide.
@@ -403,40 +318,6 @@ mod tests {
         b.record(Nanos(200));
         a.merge(&b);
         assert_eq!(a.count(), 2);
-    }
-
-    #[test]
-    fn batch_histogram_buckets_and_mean() {
-        let mut h = BatchHistogram::new();
-        h.record(1);
-        h.record(2);
-        h.record(4);
-        h.record(8);
-        h.record(128);
-        h.record(500);
-        h.record(0); // ignored: no hypercall happened
-        assert_eq!(h.batches(), 6);
-        assert_eq!(h.ops(), 1 + 2 + 4 + 8 + 128 + 500);
-        let counts = h.bucket_counts();
-        assert_eq!(counts[0], 1, "ops=1");
-        assert_eq!(counts[1], 1, "ops=2");
-        assert_eq!(counts[2], 1, "ops=3-4");
-        assert_eq!(counts[3], 1, "ops=5-8");
-        assert_eq!(counts[7], 1, "ops=65-128");
-        assert_eq!(counts[8], 1, "ops=129+");
-        assert!((h.mean_ops() - 643.0 / 6.0).abs() < 1e-9);
-        assert_eq!(BatchHistogram::bucket_label(8), "129+");
-    }
-
-    #[test]
-    fn batch_histogram_merge_adds() {
-        let mut a = BatchHistogram::new();
-        let mut b = BatchHistogram::new();
-        a.record(3);
-        b.record(7);
-        a.merge(&b);
-        assert_eq!(a.batches(), 2);
-        assert_eq!(a.ops(), 10);
     }
 
     fn histogram_of(samples: &[u64]) -> Histogram {
@@ -462,7 +343,7 @@ mod tests {
             );
             prev = q;
         }
-        assert!(h.median() <= h.p99());
+        assert!(h.quantile(0.5) <= h.p99());
     }
 
     #[test]

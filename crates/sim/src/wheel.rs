@@ -4,7 +4,7 @@
 //! one tick being `2^tick_shift` nanoseconds (default 1024 ns), so the
 //! wheel covers `64^6` ticks ≈ 19 hours before far-future events are
 //! parked in the outermost slot and re-sorted as time approaches.
-//! Schedule and cancel are O(1); dispatch amortizes one bucket cascade
+//! Schedule is O(1); dispatch amortizes one bucket cascade
 //! per level rollover and touches the allocator only to grow capacity,
 //! never in steady state.
 //!
@@ -17,7 +17,7 @@
 
 use std::collections::BinaryHeap;
 
-use crate::sched::{Entry, EventId, Scheduler, Slab};
+use crate::sched::{Entry, Scheduler, Slab};
 use crate::time::Nanos;
 
 /// log2 of the slots per level.
@@ -26,10 +26,10 @@ const SLOT_BITS: u32 = 6;
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of levels.
 const LEVELS: usize = 6;
-/// Default tick granularity: `2^10` ns = 1.024 µs per tick. Sub-tick
-/// ordering is exact regardless — same-tick events sort by `(at, seq)`
-/// in the ready heap — the tick only bounds bucket residency.
-const DEFAULT_TICK_SHIFT: u32 = 10;
+/// Tick granularity: `2^10` ns = 1.024 µs per tick. Sub-tick ordering is
+/// exact regardless — same-tick events sort by `(at, seq)` in the ready
+/// heap — the tick only bounds bucket residency.
+const TICK_SHIFT: u32 = 10;
 
 /// A hierarchical-timer-wheel [`Scheduler`] backend.
 pub struct TimerWheel<E> {
@@ -47,7 +47,6 @@ pub struct TimerWheel<E> {
     /// The wheel's current tick; `ready` holds only entries at or before
     /// it, the wheel only entries strictly after it.
     cur_tick: u64,
-    tick_shift: u32,
 }
 
 impl<E> Default for TimerWheel<E> {
@@ -57,17 +56,8 @@ impl<E> Default for TimerWheel<E> {
 }
 
 impl<E> TimerWheel<E> {
-    /// Creates an empty wheel at time zero with the default 1.024 µs tick.
+    /// Creates an empty wheel at time zero.
     pub fn new() -> TimerWheel<E> {
-        TimerWheel::with_tick_shift(DEFAULT_TICK_SHIFT)
-    }
-
-    /// Creates an empty wheel whose tick is `2^tick_shift` nanoseconds.
-    ///
-    /// Smaller ticks cascade more, larger ticks put more events in one
-    /// ready batch; neither affects pop order, which is always exact.
-    pub fn with_tick_shift(tick_shift: u32) -> TimerWheel<E> {
-        assert!(tick_shift < 34, "tick must stay below 2^34 ns");
         TimerWheel {
             buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
@@ -76,88 +66,20 @@ impl<E> TimerWheel<E> {
             seq: 0,
             now: Nanos::ZERO,
             cur_tick: 0,
-            tick_shift,
         }
     }
 
-    /// Current virtual time (the timestamp of the last popped event).
-    pub fn now(&self) -> Nanos {
-        self.now
-    }
-
-    /// Schedules `payload` at absolute time `at` (clamped to `now`).
-    pub fn schedule_at(&mut self, at: Nanos, payload: E) -> EventId {
-        let at = at.max(self.now);
-        let id = self.slab.insert(payload);
-        let entry = Entry {
-            at,
-            seq: self.seq,
-            id,
-        };
-        self.seq += 1;
-        let tick = at.as_nanos() >> self.tick_shift;
+    /// Stages `e` if its tick has been reached, files it in the wheel
+    /// otherwise.
+    fn place(&mut self, e: Entry) {
+        let tick = e.at.as_nanos() >> TICK_SHIFT;
         if tick <= self.cur_tick {
-            self.ready.push(entry);
+            self.ready.push(e);
         } else {
             let (level, slot) = self.position(tick);
-            self.buckets[level * SLOTS + slot].push(entry);
+            self.buckets[level * SLOTS + slot].push(e);
             self.occupied[level] |= 1 << slot;
         }
-        id
-    }
-
-    /// Schedules `payload` after a relative delay from now.
-    pub fn schedule_in(&mut self, delay: Nanos, payload: E) -> EventId {
-        self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Cancels a pending event: a generation compare and a slot free.
-    ///
-    /// The bucket entry stays behind and is skipped when its slot drains —
-    /// its generation no longer matches. Returns `true` iff the event was
-    /// still pending.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        self.slab.remove(id).is_some()
-    }
-
-    /// Pops the earliest pending event, advancing virtual time.
-    pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        loop {
-            while let Some(e) = self.ready.pop() {
-                if let Some(payload) = self.slab.remove(e.id) {
-                    self.now = e.at;
-                    return Some((e.at, payload));
-                }
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-
-    /// Exact timestamp of the next pending event, if any.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        loop {
-            while let Some(e) = self.ready.peek() {
-                if self.slab.contains(e.id) {
-                    return Some(e.at);
-                }
-                self.ready.pop();
-            }
-            if !self.refill() {
-                return None;
-            }
-        }
-    }
-
-    /// Number of pending events (exact; cancelled events are not counted).
-    pub fn len(&self) -> usize {
-        self.slab.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.slab.len() == 0
     }
 
     /// Picks the wheel position for an event in tick `tick > cur_tick`.
@@ -212,17 +134,17 @@ impl<E> TimerWheel<E> {
     }
 
     /// Advances the wheel until `ready` holds the earliest pending
-    /// entries (cascading outer levels as needed). Returns `false` when
-    /// nothing is pending anywhere.
-    fn refill(&mut self) -> bool {
+    /// entries (cascading outer levels as needed); `ready` stays empty
+    /// only when nothing is pending anywhere.
+    fn refill(&mut self) {
         loop {
             let Some((expiry, level, slot)) = self.next_slot() else {
-                return !self.ready.is_empty();
+                return;
             };
             if !self.ready.is_empty() && expiry > self.cur_tick {
                 // Everything still in the wheel is in a strictly later
                 // tick than the entries already staged.
-                return true;
+                return;
             }
             let idx = level * SLOTS + slot;
             let mut bucket = std::mem::take(&mut self.buckets[idx]);
@@ -233,19 +155,12 @@ impl<E> TimerWheel<E> {
                     self.ready.push(e);
                 }
                 self.buckets[idx] = bucket;
-                return true;
+                return;
             }
             // Cascade: redistribute an outer bucket one or more levels
             // down (or straight to `ready` once its tick is reached).
             for e in bucket.drain(..) {
-                let tick = e.at.as_nanos() >> self.tick_shift;
-                if tick <= self.cur_tick {
-                    self.ready.push(e);
-                } else {
-                    let (l, s) = self.position(tick);
-                    self.buckets[l * SLOTS + s].push(e);
-                    self.occupied[l] |= 1 << s;
-                }
+                self.place(e);
             }
             self.buckets[idx] = bucket;
         }
@@ -254,25 +169,37 @@ impl<E> TimerWheel<E> {
 
 impl<E> Scheduler<E> for TimerWheel<E> {
     fn now(&self) -> Nanos {
-        TimerWheel::now(self)
+        self.now
     }
-    fn schedule_at(&mut self, at: Nanos, payload: E) -> EventId {
-        TimerWheel::schedule_at(self, at, payload)
+
+    fn schedule_at(&mut self, at: Nanos, payload: E) {
+        let entry = Entry {
+            at: at.max(self.now),
+            seq: self.seq,
+            slot: self.slab.insert(payload),
+        };
+        self.seq += 1;
+        self.place(entry);
     }
-    fn cancel(&mut self, id: EventId) -> bool {
-        TimerWheel::cancel(self, id)
-    }
+
     fn pop(&mut self) -> Option<(Nanos, E)> {
-        TimerWheel::pop(self)
+        if self.ready.is_empty() {
+            self.refill();
+        }
+        let e = self.ready.pop()?;
+        self.now = e.at;
+        Some((e.at, self.slab.take(e.slot)))
     }
+
     fn peek_time(&mut self) -> Option<Nanos> {
-        TimerWheel::peek_time(self)
+        if self.ready.is_empty() {
+            self.refill();
+        }
+        self.ready.peek().map(|e| e.at)
     }
+
     fn len(&self) -> usize {
-        TimerWheel::len(self)
-    }
-    fn is_empty(&self) -> bool {
-        TimerWheel::is_empty(self)
+        self.slab.len()
     }
 }
 
@@ -296,10 +223,13 @@ mod tests {
         for (i, t) in times.iter().enumerate().rev() {
             w.schedule_at(*t, i);
         }
+        assert_eq!(w.len(), times.len());
         for (i, t) in times.iter().enumerate() {
+            assert_eq!(w.peek_time(), Some(*t), "event {i}");
             assert_eq!(w.pop(), Some((*t, i)), "event {i}");
         }
         assert_eq!(w.pop(), None);
+        assert!(w.is_empty());
     }
 
     #[test]
@@ -335,22 +265,6 @@ mod tests {
         assert_eq!(w.pop(), Some((Nanos(10), "near")));
         assert_eq!(w.pop(), Some((far, "far")));
         assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn cancel_is_exact_and_len_stays_live_count() {
-        let mut w = TimerWheel::new();
-        let a = w.schedule_at(Nanos(10), "a");
-        let b = w.schedule_at(Nanos(200_000), "b");
-        assert_eq!(w.len(), 2);
-        assert!(w.cancel(a));
-        assert!(!w.cancel(a), "double cancel is false");
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.peek_time(), Some(Nanos(200_000)));
-        assert_eq!(w.pop(), Some((Nanos(200_000), "b")));
-        assert!(!w.cancel(b), "cancel after pop is false");
-        assert!(w.is_empty());
-        assert_eq!(w.len(), 0);
     }
 
     #[test]

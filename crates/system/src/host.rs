@@ -75,6 +75,20 @@ impl BackendOs {
     }
 }
 
+/// A fault [`Host::fault_at`] schedules against the driver domain.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Fault {
+    /// The driver domain dies (`xl destroy`).
+    Kill,
+    /// The driver domain livelocks: its data path stops making progress
+    /// while the domain (and its heartbeat task) keeps running.
+    Hang,
+    /// This backend queue's thread wedges while the domain, its
+    /// heartbeat and every other queue stay healthy. Only per-queue
+    /// stall detection catches this partial failure.
+    Wedge(usize),
+}
+
 /// What the host schedules: the datapath's own events plus the
 /// class-independent ones (interrupt delivery, faults, recovery, ticks).
 pub(crate) enum Event<P> {
@@ -82,14 +96,8 @@ pub(crate) enum Event<P> {
     Path(P),
     /// Event-channel notification arrives at a domain.
     Irq { dom: DomainId, port: Port },
-    /// The driver domain dies (fault injection / `xl destroy`).
-    DriverCrash,
-    /// The driver domain livelocks: its data path stops making progress
-    /// while the domain (and its heartbeat task) keeps running.
-    DriverHang,
-    /// One backend queue's thread wedges: the domain and its other
-    /// queues keep working, only this queue stops.
-    QueueWedge(usize),
+    /// An injected fault strikes the driver domain.
+    Fault(Fault),
     /// The replacement driver domain finished booting.
     DriverRestarted,
     /// The driver domain's heartbeat task publishes its next beat.
@@ -235,7 +243,6 @@ pub struct Host<D: Datapath> {
     copy_mode: CopyMode,
     boot: BootSequence,
     events_processed: u64,
-    mode: DetectionMode,
     monitor: Option<HealthMonitor>,
     heartbeat: Option<HeartbeatPublisher>,
     /// The driver domain is livelocked: alive and beating, data path dead.
@@ -314,7 +321,6 @@ impl<D: Datapath> Host<D> {
             copy_mode: cfg.copy_mode,
             boot: os.boot(),
             events_processed: 0,
-            mode: DetectionMode::Oracle,
             monitor: None,
             heartbeat: None,
             hung: false,
@@ -403,37 +409,15 @@ impl<D: Datapath> Host<D> {
         self.queue.now()
     }
 
-    /// Schedules a driver-domain crash at `t` (kill injection).
-    pub fn crash_driver_at(&mut self, t: Nanos) {
+    /// Schedules `fault` to strike the driver domain at `t`.
+    pub fn fault_at(&mut self, t: Nanos, fault: Fault) {
         self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverCrash);
+        self.queue.schedule_at(t, Event::Fault(fault));
     }
 
-    /// Schedules a driver-domain livelock at `t` (hang injection).
-    pub fn hang_driver_at(&mut self, t: Nanos) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::DriverHang);
-    }
-
-    /// Schedules a single-queue wedge at `t`: queue `q`'s backend thread
-    /// stops running while the domain, its heartbeat, and every other
-    /// queue stay healthy. Only per-queue stall detection catches this
-    /// partial failure.
-    pub fn wedge_queue_at(&mut self, t: Nanos, q: usize) {
-        self.pending_faults += 1;
-        self.queue.schedule_at(t, Event::QueueWedge(q));
-    }
-
-    /// Arms a fault plan: per-op fault rates go live on the hypervisor,
-    /// and `kill_at` / `hang_at` times (if set) schedule the
-    /// driver-domain crash or livelock.
-    pub fn inject_faults(&mut self, mut plan: FaultPlan) {
-        if let Some(t) = plan.take_kill() {
-            self.crash_driver_at(t);
-        }
-        if let Some(t) = plan.take_hang() {
-            self.hang_driver_at(t);
-        }
+    /// Arms a fault plan: its per-op fault rates go live on the
+    /// hypervisor.
+    pub fn inject_faults(&mut self, plan: FaultPlan) {
         self.hv.faults = plan;
     }
 
@@ -442,7 +426,6 @@ impl<D: Datapath> Host<D> {
     /// Dom0 starts probing them (plus ring progress and the SLO).
     fn enable_watchdog(&mut self, cfg: MonitorConfig) {
         let now = self.queue.now();
-        self.mode = DetectionMode::Watchdog;
         self.monitor = Some(HealthMonitor::new(DomainId::DOM0, self.driver, cfg, now));
         self.heartbeat = Some(HeartbeatPublisher::new(self.driver));
         self.queue
@@ -513,9 +496,14 @@ impl<D: Datapath> Host<D> {
         self.backend.device().map_or(0, |be| be.queue_count())
     }
 
-    /// The active failure-detection mode.
+    /// The active failure-detection mode: the watchdog when the config
+    /// gave it a monitor, the oracle otherwise.
     pub fn detection_mode(&self) -> DetectionMode {
-        self.mode
+        if self.monitor.is_some() {
+            DetectionMode::Watchdog
+        } else {
+            DetectionMode::Oracle
+        }
     }
 
     /// The health monitor's current verdict, when the watchdog is on.
@@ -649,7 +637,7 @@ impl<D: Datapath> Host<D> {
         self.hv
             .destroy_domain(self.driver)
             .expect("driver was alive");
-        if self.mode == DetectionMode::Oracle {
+        if self.detection_mode() == DetectionMode::Oracle {
             self.detect_failure(now);
         }
     }
@@ -666,7 +654,7 @@ impl<D: Datapath> Host<D> {
         self.hung = true;
         self.recovery.record_hang(now);
         self.milestone(self.driver, "hang");
-        if self.mode == DetectionMode::Oracle {
+        if self.detection_mode() == DetectionMode::Oracle {
             self.detect_failure(now);
         }
     }
@@ -744,15 +732,13 @@ impl<D: Datapath> Host<D> {
         self.recovery.record_reconnect(now);
         self.milestone(driver, "reconnect");
         self.recovering = false;
-        if self.mode == DetectionMode::Watchdog {
+        if let Some(mon) = self.monitor.as_mut() {
             // The replacement domain's heartbeat task beats as soon as it
             // boots, and the monitor re-aims at the new domain id.
             let mut hb = HeartbeatPublisher::new(driver);
             let _ = hb.beat(&mut self.hv);
             self.heartbeat = Some(hb);
-            if let Some(mon) = self.monitor.as_mut() {
-                mon.retarget(&mut self.hv, driver, now);
-            }
+            mon.retarget(&mut self.hv, driver, now);
         }
         D::replay(self, now);
     }
@@ -761,7 +747,7 @@ impl<D: Datapath> Host<D> {
         match ev {
             Event::Path(ev) => D::phase_of(ev),
             Event::Irq { .. } => Phase::DispatchIrq,
-            Event::DriverCrash | Event::DriverHang | Event::QueueWedge(_) => Phase::DispatchFault,
+            Event::Fault(_) => Phase::DispatchFault,
             Event::DriverRestarted => Phase::DispatchRecovery,
             Event::BeatTick | Event::ProbeTick => Phase::DispatchHealthTick,
             Event::SampleTick => Phase::DispatchSample,
@@ -796,17 +782,13 @@ impl<D: Datapath> Host<D> {
                     D::guest_irq(self, now);
                 }
             }
-            Event::DriverCrash => {
+            Event::Fault(fault) => {
                 self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.kill_driver(now);
-            }
-            Event::DriverHang => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.hang_driver(now);
-            }
-            Event::QueueWedge(q) => {
-                self.pending_faults = self.pending_faults.saturating_sub(1);
-                self.wedge_queue(now, q);
+                match fault {
+                    Fault::Kill => self.kill_driver(now),
+                    Fault::Hang => self.hang_driver(now),
+                    Fault::Wedge(q) => self.wedge_queue(now, q),
+                }
             }
             Event::DriverRestarted => self.driver_restarted(now),
             Event::BeatTick => {
@@ -874,7 +856,7 @@ impl<D: Datapath> Host<D> {
     /// [`Host::run_to_quiescence`] terminates once the system settles
     /// into a healthy steady state.
     fn watch_live(&self) -> bool {
-        self.mode == DetectionMode::Watchdog
+        self.detection_mode() == DetectionMode::Watchdog
             && (self.pending_faults > 0
                 || self.hung
                 || self.queue_wedged

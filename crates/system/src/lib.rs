@@ -15,7 +15,7 @@ pub mod netsys;
 pub mod storsys;
 
 pub use config::{GsoMode, SystemConfig};
-pub use host::{BackendOs, Datapath, Host, Sampled};
+pub use host::{BackendOs, Datapath, Fault, Host, Sampled};
 pub use kite_devices::LineRate;
 pub use kite_sim::SchedulerKind;
 

@@ -488,11 +488,6 @@ impl Host<NetPath> {
         self.schedule_at(t, NetEvent::ClientTxFrame(frame.encode()));
     }
 
-    /// The configured segmentation mode.
-    pub fn gso_mode(&self) -> GsoMode {
-        self.dp.gso_mode
-    }
-
     /// The configured wire profile (`None` = the stock 10GbE device).
     pub fn wire(&self) -> Option<LineRate> {
         self.dp.wire
@@ -679,6 +674,7 @@ impl Host<NetPath> {
                     // ICMP and ARP still reach the guest (the gateway
                     // proxies them); unsolicited UDP is dropped.
                     let Some(eth) = EthernetFrame::decode(&frame) else {
+                        self.dp.metrics.drops += 1;
                         return;
                     };
                     let is_udp =
@@ -693,6 +689,7 @@ impl Host<NetPath> {
             return;
         }
         let Some(eth) = EthernetFrame::decode(&frame) else {
+            self.dp.metrics.drops += 1;
             return;
         };
         let decision = self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now);
@@ -812,14 +809,15 @@ impl Host<NetPath> {
     /// One endpoint's host stack: handles a frame delivered to `side`.
     /// ICMP is answered (guest) or matched to its ping (client) in-stack;
     /// UDP payloads go to the side's application handler. The frame is
-    /// parsed in place; a frame that fails any layer's validation counts
-    /// as a drop.
+    /// parsed in place; a frame that fails any layer's validation, or
+    /// carries a protocol the endpoints do not speak, counts as a drop.
     fn stack_rx(&mut self, side: Side, now: Nanos, mut frame: Vec<u8>) {
         let Some(eth) = EthernetFrame::decode(&frame) else {
             self.dp.metrics.drops += 1;
             return;
         };
         if eth.ethertype != EtherType::Ipv4 {
+            self.dp.metrics.drops += 1;
             return;
         }
         let Some(ip) = Ipv4Packet::decode(eth.payload) else {
@@ -894,7 +892,8 @@ impl Host<NetPath> {
                     self.emit_replies(now, side, replies);
                 }
             }
-            _ => {}
+            // The endpoints speak ICMP and UDP only.
+            _ => self.dp.metrics.drops += 1,
         }
     }
 
@@ -1057,6 +1056,15 @@ mod tests {
         .encode();
         let mut bad_icmp = ping.clone();
         *bad_icmp.last_mut().expect("payload") ^= 1; // ICMP checksum fails
+        let (dst, src) = (MacAddr::local(0xaa01), MacAddr::local(0xcc01));
+        let arp = EthernetFrame::new(dst, src, EtherType::Arp, [0u8; 28]).encode();
+        let tcp = EthernetFrame::new(
+            dst,
+            src,
+            EtherType::Ipv4,
+            Ipv4Packet::new(addrs::CLIENT, addrs::GUEST, IpProto::Tcp, [0u8; 20]).encode(),
+        )
+        .encode();
         let malformed = [
             good[..ETH_HEADER_LEN - 1].to_vec(),  // no Ethernet header
             good[..ETH_HEADER_LEN + 10].to_vec(), // cut inside the IPv4 header
@@ -1064,6 +1072,8 @@ mod tests {
             flipped,
             bad_udp,
             bad_icmp,
+            arp, // an ethertype the endpoints do not speak
+            tcp, // valid IPv4, a protocol they do not speak
         ];
         for side in [Side::Guest, Side::Client] {
             for frame in &malformed {
@@ -1087,5 +1097,28 @@ mod tests {
         let m = &sys.dp.metrics;
         assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (1, 1));
         assert_eq!((m.guest_rx_bytes, m.client_rx_bytes), (64, 64));
+    }
+
+    /// A frame too short to carry an Ethernet header (netback accepts
+    /// any non-zero Tx size, so a guest can send one) is a booked drop
+    /// wherever the driver domain's forwarding has to parse it.
+    #[test]
+    fn bridge_forward_books_an_undecodable_frame_as_a_drop() {
+        let runt = vec![0u8; 5];
+        let forward = |sys: &mut NetSystem, ingress: BridgePort| {
+            let before = sys.dp.metrics.drops;
+            let mut to_wire = Vec::new();
+            sys.bridge_forward(Nanos::ZERO, ingress, runt.clone(), &mut to_wire);
+            assert!(to_wire.is_empty(), "nothing reaches the wire");
+            assert_eq!(sys.dp.metrics.drops, before + 1);
+        };
+        let mut bridged = SystemConfig::new(BackendOs::Kite, 1).build_net();
+        let (vif, phys) = (bridged.dp.vif_port, bridged.dp.if_port);
+        forward(&mut bridged, vif);
+        forward(&mut bridged, phys);
+        let mut nat = SystemConfig::new(BackendOs::Kite, 1).build_net();
+        nat.use_nat();
+        let phys = nat.dp.if_port;
+        forward(&mut nat, phys);
     }
 }

@@ -19,8 +19,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use kite_sim::{Nanos, Pcg, SchedulerKind};
-use kite_system::{addrs, BackendOs, NetSystem, Side, SystemConfig};
-use kite_xen::FaultPlan;
+use kite_system::{addrs, BackendOs, Fault, NetSystem, Side, SystemConfig};
 
 /// Per-flow byte streams seen at one endpoint: `(src_port, dst_port)` →
 /// concatenated payload bytes in arrival order. Chunking differs between
@@ -190,7 +189,7 @@ fn offload_renegotiates_across_driver_crash_recovery() {
         );
     }
     let crash_at = Nanos::from_secs(2);
-    sys.inject_faults(FaultPlan::seeded(5).with_kill_at(crash_at));
+    sys.fault_at(crash_at, Fault::Kill);
     sys.run_to_quiescence();
 
     assert!(

@@ -316,11 +316,6 @@ impl<'a> TraceQuery<'a> {
         self.filter(|e| e.dom == dom)
     }
 
-    /// Keeps events with `lo <= at <= hi` (virtual time, inclusive).
-    pub fn between(self, lo: Nanos, hi: Nanos) -> Self {
-        self.filter(|e| lo <= e.at && e.at <= hi)
-    }
-
     /// Keeps events with `lo < seq < hi` (emission order, exclusive):
     /// "strictly between these two events", immune to timestamp ties.
     pub fn seq_between(self, lo: u64, hi: u64) -> Self {
@@ -426,12 +421,6 @@ mod tests {
         assert_eq!(t.query().count(), 3);
         assert_eq!(t.query().kind("notify").count(), 1);
         assert_eq!(t.query().dom(1).count(), 2);
-        assert_eq!(
-            t.query()
-                .between(Nanos::from_micros(2), Nanos::from_micros(5))
-                .count(),
-            2
-        );
         let q = t.query();
         let kill = q.milestone("kill").unwrap();
         let rec = q.milestone("reconnect").unwrap();

@@ -19,8 +19,6 @@ use crate::common::{rr_closed_loop, RrConfig};
 
 /// Thread counts of Figure 10a.
 pub const FIG10_THREADS: [u16; 5] = [5, 10, 20, 40, 60];
-/// Thread counts of Figure 13.
-pub const FIG13_THREADS: [u16; 8] = [1, 5, 10, 20, 40, 60, 80, 100];
 
 /// One network-run measurement (Figure 10).
 #[derive(Clone, Debug)]
@@ -148,14 +146,6 @@ pub fn run_storage(
         tps: txs as f64 / secs,
         read_mbps: sys.metrics.read_bytes as f64 / 1e6 / secs,
     }
-}
-
-/// The Figure 13 sweep for one OS.
-pub fn figure13(os: BackendOs, tx_per_thread: u64, seed: u64) -> Vec<MysqlStorageReport> {
-    FIG13_THREADS
-        .iter()
-        .map(|&t| run_storage(os, t, tx_per_thread, seed))
-        .collect()
 }
 
 #[cfg(test)]

@@ -33,10 +33,9 @@ pub enum DomainKind {
 /// Lifecycle state of a domain.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DomainState {
-    /// Created but not yet finished booting.
-    Booting,
-    /// Running normally.
-    Running,
+    /// Created and not destroyed (boot timing is the system layer's
+    /// `BootSequence`, not a state here).
+    Live,
     /// Shut down or destroyed; its grants and ports are dead.
     Dead,
 }
@@ -99,7 +98,7 @@ impl DomainTable {
             kind,
             mem_mib,
             vcpus,
-            state: DomainState::Booting,
+            state: DomainState::Live,
             pages_allocated: 0,
         });
         id
@@ -124,12 +123,6 @@ impl DomainTable {
     /// Returns true if the domain exists and is not dead.
     pub fn alive(&self, id: DomainId) -> bool {
         self.get(id).is_ok()
-    }
-
-    /// Marks a domain as running (boot complete).
-    pub fn set_running(&mut self, id: DomainId) -> Result<()> {
-        self.get_mut(id)?.state = DomainState::Running;
-        Ok(())
     }
 
     /// Destroys a domain. Its id is never reused.
@@ -193,14 +186,5 @@ mod tests {
         t.create("Domain-0", DomainKind::Dom0, 8192, 4);
         let dd = t.create("dd", DomainKind::Driver, 1024, 1);
         assert_eq!(t.get(dd).unwrap().page_limit(), 1024 * 256);
-    }
-
-    #[test]
-    fn lifecycle_transitions() {
-        let mut t = DomainTable::new();
-        let d0 = t.create("Domain-0", DomainKind::Dom0, 8192, 4);
-        assert_eq!(t.get(d0).unwrap().state, DomainState::Booting);
-        t.set_running(d0).unwrap();
-        assert_eq!(t.get(d0).unwrap().state, DomainState::Running);
     }
 }

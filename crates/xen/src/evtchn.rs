@@ -3,7 +3,7 @@
 //! A backend/frontend pair binds an interdomain channel; `send` on one end
 //! marks the other end pending. Delivery latency (interrupt injection,
 //! vmexit/vmentry) is modeled by the system layer — this module implements
-//! the port state machine and the pending/mask bits exactly.
+//! the port state machine and the pending bit exactly.
 
 use std::collections::HashMap;
 
@@ -28,7 +28,6 @@ enum PortState {
 struct PortInfo {
     state: PortState,
     pending: bool,
-    masked: bool,
 }
 
 /// A notification produced by [`EventChannels::send`], to be delivered by
@@ -80,7 +79,6 @@ impl EventChannels {
         v.push(PortInfo {
             state: PortState::Unbound { remote_allowed },
             pending: false,
-            masked: false,
         });
         Port(v.len() as u32 - 1)
     }
@@ -111,7 +109,6 @@ impl EventChannels {
                     remote_port,
                 },
                 pending: false,
-                masked: false,
             });
             Port(v.len() as u32 - 1)
         };
@@ -126,9 +123,9 @@ impl EventChannels {
     /// `EVTCHNOP_send`: raises the remote end of an interdomain channel.
     ///
     /// Returns a [`Notification`] when the remote end transitioned from
-    /// not-pending to pending and is unmasked — Xen coalesces repeated sends
-    /// into a single pending bit, which is exactly the behaviour ring
-    /// notification suppression depends on.
+    /// not-pending to pending — Xen coalesces repeated sends into a single
+    /// pending bit, which is exactly the behaviour ring notification
+    /// suppression depends on.
     pub fn send(&mut self, sender: DomainId, port: Port) -> Result<Option<Notification>> {
         let (remote, remote_port) = match self.info(sender, port)?.state {
             PortState::Interdomain {
@@ -138,7 +135,7 @@ impl EventChannels {
             _ => return Err(XenError::BadPort),
         };
         let ri = self.info_mut(remote, remote_port)?;
-        let fire = !ri.pending && !ri.masked;
+        let fire = !ri.pending;
         ri.pending = true;
         Ok(if fire {
             Some(Notification {
@@ -171,28 +168,6 @@ impl EventChannels {
         let was = i.pending;
         i.pending = false;
         Ok(was)
-    }
-
-    /// Whether a port is pending.
-    pub fn is_pending(&self, d: DomainId, p: Port) -> Result<bool> {
-        Ok(self.info(d, p)?.pending)
-    }
-
-    /// Masks a port: sends still set pending but produce no notification.
-    pub fn mask(&mut self, d: DomainId, p: Port) -> Result<()> {
-        self.info_mut(d, p)?.masked = true;
-        Ok(())
-    }
-
-    /// Unmasks a port; if it was pending, a notification fires immediately.
-    pub fn unmask(&mut self, d: DomainId, p: Port) -> Result<Option<Notification>> {
-        let i = self.info_mut(d, p)?;
-        i.masked = false;
-        Ok(if i.pending {
-            Some(Notification { domain: d, port: p })
-        } else {
-            None
-        })
     }
 
     /// Number of non-closed ports a domain holds (observability only;
@@ -296,20 +271,9 @@ mod tests {
         assert!(ec.send(A, pa).unwrap().is_some());
         // Second send while pending: no new notification.
         assert!(ec.send(A, pa).unwrap().is_none());
-        assert!(ec.is_pending(B, pb).unwrap());
         // After the handler clears pending, sends notify again.
         assert!(ec.clear_pending(B, pb).unwrap());
         assert!(ec.send(A, pa).unwrap().is_some());
-    }
-
-    #[test]
-    fn masked_port_swallows_notification_until_unmask() {
-        let (mut ec, pa, pb) = connected();
-        ec.mask(B, pb).unwrap();
-        assert!(ec.send(A, pa).unwrap().is_none());
-        assert!(ec.is_pending(B, pb).unwrap());
-        let n = ec.unmask(B, pb).unwrap().unwrap();
-        assert_eq!(n.port, pb);
     }
 
     #[test]
@@ -330,6 +294,6 @@ mod tests {
     #[test]
     fn unknown_port_fails() {
         let ec = EventChannels::new();
-        assert_eq!(ec.is_pending(A, Port(7)), Err(XenError::BadPort));
+        assert_eq!(ec.peer(A, Port(7)), Err(XenError::BadPort));
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! A [`FaultPlan`] is a seeded description of the misbehaviour a scenario
 //! wants to exercise: grant-copy ops that fail mid-batch, event-channel
-//! notifications that are dropped or delayed, xenstore ops that error, and
-//! a domain kill at a chosen virtual time. The plan is installed on the
-//! [`Hypervisor`](crate::Hypervisor) (`hv.faults`) and consulted from the
-//! charged hypercall wrappers, so drivers under test see faults exactly
-//! where real Xen would surface them: in per-op copy statuses, in missing
-//! interrupts, and in hypercall return values.
+//! notifications that are dropped or delayed, and xenstore ops that error.
+//! (Domain death is a scheduler-level event, not a hypercall-level one:
+//! the system layer schedules kills, hangs and wedges itself.) The plan is
+//! installed on the [`Hypervisor`](crate::Hypervisor) (`hv.faults`) and
+//! consulted from the charged hypercall wrappers, so drivers under test see
+//! faults exactly where real Xen would surface them: in per-op copy
+//! statuses, in missing interrupts, and in hypercall return values.
 //!
 //! Determinism: the plan carries its own PCG stream, and the stream is
 //! advanced **only** when the corresponding fault class is armed (a
@@ -35,11 +36,7 @@ pub struct FaultStats {
 /// A seeded, deterministic fault-injection plan.
 ///
 /// Rates are probabilities in `[0, 1]` applied independently per
-/// operation. `kill_at` and `hang_at` are not interpreted by the
-/// hypervisor itself — the system layer polls [`FaultPlan::take_kill`] /
-/// [`FaultPlan::take_hang`] and performs the domain destroy + restart
-/// (or livelock) choreography, since domain death is a scheduler-level
-/// event, not a hypercall-level one.
+/// operation.
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
     rng: Pcg,
@@ -53,12 +50,6 @@ pub struct FaultPlan {
     pub notify_delay: Nanos,
     /// Probability that a charged xenstore op fails with `Again`.
     pub xs_fail_rate: f64,
-    /// Virtual time at which the scenario's driver domain should be killed.
-    pub kill_at: Option<Nanos>,
-    /// Virtual time at which the scenario's driver domain should hang: it
-    /// stops consuming ring requests but tears nothing down (and its
-    /// heartbeat may or may not keep beating — a livelock, not a crash).
-    pub hang_at: Option<Nanos>,
     /// Counters of faults actually injected.
     pub stats: FaultStats,
 }
@@ -85,8 +76,6 @@ impl FaultPlan {
             notify_delay_rate: 0.0,
             notify_delay: Nanos::ZERO,
             xs_fail_rate: 0.0,
-            kill_at: None,
-            hang_at: None,
             stats: FaultStats::default(),
         }
     }
@@ -114,38 +103,6 @@ impl FaultPlan {
     pub fn with_xs_failures(mut self, rate: f64) -> FaultPlan {
         self.xs_fail_rate = rate;
         self
-    }
-
-    /// Schedules a driver-domain kill at virtual time `t`.
-    pub fn with_kill_at(mut self, t: Nanos) -> FaultPlan {
-        self.kill_at = Some(t);
-        self
-    }
-
-    /// Schedules a driver-domain hang (livelock) at virtual time `t`.
-    pub fn with_hang_at(mut self, t: Nanos) -> FaultPlan {
-        self.hang_at = Some(t);
-        self
-    }
-
-    /// True when any fault class is armed.
-    pub fn armed(&self) -> bool {
-        self.copy_fail_rate > 0.0
-            || self.notify_drop_rate > 0.0
-            || self.notify_delay_rate > 0.0
-            || self.xs_fail_rate > 0.0
-            || self.kill_at.is_some()
-            || self.hang_at.is_some()
-    }
-
-    /// Consumes the scheduled kill time, if any.
-    pub fn take_kill(&mut self) -> Option<Nanos> {
-        self.kill_at.take()
-    }
-
-    /// Consumes the scheduled hang time, if any.
-    pub fn take_hang(&mut self) -> Option<Nanos> {
-        self.hang_at.take()
     }
 
     /// Decides whether the next grant-copy op should fail.
@@ -208,7 +165,6 @@ mod tests {
     #[test]
     fn unarmed_plan_is_inert_and_random_free() {
         let mut p = FaultPlan::none();
-        assert!(!p.armed());
         for _ in 0..100 {
             assert!(!p.fail_copy_op());
             assert!(!p.drop_notify());
@@ -250,28 +206,5 @@ mod tests {
         }
         assert!((2_500..3_500).contains(&hits), "hits={hits}");
         assert_eq!(p.stats.xs_faults, hits);
-    }
-
-    #[test]
-    fn kill_time_is_consumed_once() {
-        let mut p = FaultPlan::none().with_kill_at(Nanos::from_millis(5));
-        assert!(p.armed());
-        assert_eq!(p.take_kill(), Some(Nanos::from_millis(5)));
-        assert_eq!(p.take_kill(), None);
-    }
-
-    #[test]
-    fn hang_time_is_consumed_once_and_arms_the_plan() {
-        let mut p = FaultPlan::none().with_hang_at(Nanos::from_millis(9));
-        assert!(p.armed());
-        assert_eq!(p.take_hang(), Some(Nanos::from_millis(9)));
-        assert_eq!(p.take_hang(), None);
-        assert!(!p.armed(), "hang consumed, nothing else armed");
-        // Kill and hang are independent slots.
-        let mut both = FaultPlan::none()
-            .with_kill_at(Nanos::from_millis(1))
-            .with_hang_at(Nanos::from_millis(2));
-        assert_eq!(both.take_hang(), Some(Nanos::from_millis(2)));
-        assert!(both.armed(), "kill still pending");
     }
 }

@@ -7,7 +7,7 @@
 //! * [`mem`] — machine pages with real bytes and ownership;
 //! * [`grant`] — grant tables: share, map, and hypervisor-copy pages across
 //!   domains with real permission checks;
-//! * [`evtchn`] — event channels (virtual interrupts) with pending/mask
+//! * [`evtchn`] — event channels (virtual interrupts) with pending-bit
 //!   coalescing semantics;
 //! * [`xenstore`] — the transactional configuration database with watches;
 //! * [`xenbus`] — the PV device connection state machine and path scheme;

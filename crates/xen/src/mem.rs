@@ -148,11 +148,6 @@ impl MachineMemory {
         d.data[dst_off..dst_off + len].copy_from_slice(&s.data[src_off..src_off + len]);
         Ok(())
     }
-
-    /// Number of live pages (for leak assertions in tests).
-    pub fn live_pages(&self) -> usize {
-        self.frames.iter().filter(|f| f.is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -239,15 +234,5 @@ mod tests {
         let (mut m, mut t, d0, _) = setup();
         let a = m.alloc(&mut t, d0).unwrap();
         assert_eq!(m.copy(a, 0, a, 2, 4), Err(XenError::OutOfBounds));
-    }
-
-    #[test]
-    fn live_pages_counts() {
-        let (mut m, mut t, d0, dd) = setup();
-        let p1 = m.alloc(&mut t, d0).unwrap();
-        let _p2 = m.alloc(&mut t, dd).unwrap();
-        assert_eq!(m.live_pages(), 2);
-        m.free(&mut t, d0, p1).unwrap();
-        assert_eq!(m.live_pages(), 1);
     }
 }

@@ -233,11 +233,6 @@ impl Xenstore {
         self.quota_override.insert(d, quota);
     }
 
-    /// Nodes currently owned by a domain.
-    pub fn owned_nodes(&self, d: DomainId) -> usize {
-        self.owned.get(&d).copied().unwrap_or(0)
-    }
-
     fn charge_node(&mut self, owner: DomainId, new_nodes: usize) -> Result<()> {
         let have = self.owned.get(&owner).copied().unwrap_or(0);
         if have + new_nodes > self.quota_of(owner) {
@@ -545,11 +540,6 @@ impl Xenstore {
         }
         Ok(())
     }
-
-    /// Whether a node exists (no permission check; diagnostics only).
-    pub fn exists(&self, path: &str) -> bool {
-        self.nodes.contains_key(path)
-    }
 }
 
 #[cfg(test)]
@@ -776,7 +766,6 @@ mod tests {
             xs.write(DD, None, &format!("/local/domain/1/n{i}"), "x")
                 .unwrap();
         }
-        assert_eq!(xs.owned_nodes(DD), 5);
         assert_eq!(
             xs.write(DD, None, "/local/domain/1/n5", "x"),
             Err(XenError::Quota)

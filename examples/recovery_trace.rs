@@ -13,9 +13,8 @@
 //! Open the file at <https://ui.perfetto.dev>.
 
 use kite::sim::Nanos;
-use kite::system::{addrs, BackendOs, Side, SystemConfig};
+use kite::system::{addrs, BackendOs, Fault, Side, SystemConfig};
 use kite::trace::DEFAULT_CAPACITY;
-use kite::xen::FaultPlan;
 
 fn main() {
     let out = std::env::args().nth(1).unwrap_or_else(|| {
@@ -39,7 +38,7 @@ fn main() {
             vec![i as u8; 1400],
         );
     }
-    sys.inject_faults(FaultPlan::seeded(11).with_kill_at(Nanos::from_secs(2)));
+    sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     sys.run_to_quiescence();
 
     // The trace must hold the full recovery story, in causal order.

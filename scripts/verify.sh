@@ -1,14 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification gate (see ROADMAP.md). Runs fully offline: the
-# workspace has no registry dependencies, so --offline must always
-# succeed.
+# workspace has no registry dependencies, so --offline always succeeds.
 #
-#   build (release)  ->  tests  ->  examples + repro smoke  ->
-#   determinism cmps (traces, bench rows vs the shipped
-#   BENCH_mechanisms.json, repro prof/top/lat)
-#   ->  benchmark/ smoke + sim_digest cmp + allocation pins + one
-#   traced run  ->  doc
-#   ->  clippy -D warnings  ->  fmt --check
+#   build (release) -> tests -> examples + repro smoke -> determinism
+#   cmps (traces, bench rows vs the shipped BENCH_mechanisms.json, repro
+#   prof/top/lat) -> benchmark/ smoke + sim_digest cmp + allocation pins
+#   + one traced run -> doc -> clippy -D warnings -> fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
 # while `repro --json` builds them (DESIGN.md §18); nothing here
@@ -26,41 +23,43 @@ cargo test --release --offline -q --workspace --lib --bins --tests
 
 echo "==> examples (build + smoke-run)"
 cargo build --release --offline --examples
+bin=./target/release
 for ex in examples/*.rs; do
-    name="$(basename "${ex%.rs}")"
-    "./target/release/examples/${name}" > /dev/null
+    "$bin/examples/$(basename "${ex%.rs}")" > /dev/null
 done
 # The table-style experiments (boot, LoC map, CVEs, gadgets, DHCP DORA,
 # memory): no other step of the gate executes a `repro <id>`.
-./target/release/repro fig4 table1 table3 fig5 dhcp mem > /dev/null
+$bin/repro fig4 table1 table3 fig5 dhcp mem > /dev/null
+
+fail() { echo "verify: $*" >&2; exit 1; }
+
+# same_twice <label> <cmd...>: runs <cmd...> twice, `{}` standing for an
+# output path that differs per run (a command without `{}` is captured
+# from stdout), and fails with "verify: <label>" unless the two outputs
+# are byte-identical. The first output stays in "$same" for more checks.
+tdir="$(mktemp -d)"
+trap 'rm -rf "$tdir"' EXIT
+same_twice() {
+    local label="$1" out; shift
+    same="$tdir/${label// /_}.a"
+    for out in "$same" "${same%a}b"; do
+        if [[ "$*" == *"{}"* ]]; then "${@//\{\}/$out}" > /dev/null; else "$@" > "$out"; fi
+    done
+    cmp "$same" "$out" || fail "$label"
+}
 
 echo "==> tracing: exports validate and are deterministic"
 # Each traced run validates its own Chrome-trace export before writing
 # (chrome::validate: JSON parses, per-track monotonic timestamps, zero
-# dropped events) — a failed validation aborts the example. On top of
-# that, same-seed runs must produce byte-identical trace files.
-tdir="$(mktemp -d)"
-trap 'rm -rf "$tdir"' EXIT
-./target/release/examples/quickstart --trace "$tdir/quickstart.json" > /dev/null
-./target/release/examples/recovery_trace "$tdir/recovery_a.json" > /dev/null
-./target/release/examples/recovery_trace "$tdir/recovery_b.json" > /dev/null
-for f in quickstart.json recovery_a.json; do
-    [ -s "$tdir/$f" ] || { echo "verify: $f missing or empty" >&2; exit 1; }
-done
-cmp "$tdir/recovery_a.json" "$tdir/recovery_b.json" \
-    || { echo "verify: same-seed traces differ" >&2; exit 1; }
-
-echo "==> multi-queue: per-queue tracks, deterministic trace"
-# A 4-queue run must validate its Chrome export (quickstart calls
-# chrome::validate before writing), render one synthetic track per
-# negotiated queue, and be byte-identical across same-seed runs.
-./target/release/examples/quickstart --queues 4 --trace "$tdir/mq_a.json" > /dev/null
-./target/release/examples/quickstart --queues 4 --trace "$tdir/mq_b.json" > /dev/null
-cmp "$tdir/mq_a.json" "$tdir/mq_b.json" \
-    || { echo "verify: same-seed multi-queue traces differ" >&2; exit 1; }
-qtracks="$(grep -c '"name":"netbackend/q' "$tdir/mq_a.json")"
-[ "$qtracks" -eq 4 ] \
-    || { echo "verify: expected 4 per-queue tracks, got $qtracks" >&2; exit 1; }
+# dropped events) — a failed validation aborts the example. A 4-queue
+# run must also render one synthetic track per negotiated queue.
+$bin/examples/quickstart --trace "$tdir/quickstart.json" > /dev/null
+[ -s "$tdir/quickstart.json" ] || fail "quickstart.json missing or empty"
+same_twice "same-seed traces differ" $bin/examples/recovery_trace {}
+[ -s "$same" ] || fail "recovery trace missing or empty"
+same_twice "same-seed multi-queue traces differ" $bin/examples/quickstart --queues 4 --trace {}
+qtracks="$(grep -c '"name":"netbackend/q' "$same")"
+[ "$qtracks" -eq 4 ] || fail "expected 4 per-queue tracks, got $qtracks"
 
 echo "==> repro --json: rows reproduce BENCH_mechanisms.json byte for byte"
 # Every row is virtual-time derived, and the report layer asserts the
@@ -68,81 +67,45 @@ echo "==> repro --json: rows reproduce BENCH_mechanisms.json byte for byte"
 # (a violated one aborts repro). Two runs must agree with each other
 # and with the shipped snapshot; a row that moved on purpose is
 # regenerated with `repro --json BENCH_mechanisms.json` and reviewed.
-./target/release/repro --json "$tdir/bench.json" > /dev/null
-./target/release/repro --json "$tdir/bench2.json" > /dev/null
-cmp "$tdir/bench.json" "$tdir/bench2.json" \
-    || { echo "verify: repro --json output not deterministic" >&2; exit 1; }
-cmp "$tdir/bench.json" BENCH_mechanisms.json \
-    || { echo "verify: repro --json differs from the shipped BENCH_mechanisms.json" >&2; exit 1; }
+same_twice "repro --json output not deterministic" $bin/repro --json {}
+cmp "$same" BENCH_mechanisms.json || fail "repro --json differs from the shipped BENCH_mechanisms.json"
 
-echo "==> GSO run: deterministic Chrome trace"
-# Same-seed multi-queue offload runs must serialize byte-identical
-# traces: descriptor-chain framing, extra-info slots and LRO chains are
-# all on the determinism surface.
-./target/release/examples/quickstart --gso --queues 4 --trace "$tdir/gso_a.json" > /dev/null
-./target/release/examples/quickstart --gso --queues 4 --trace "$tdir/gso_b.json" > /dev/null
-cmp "$tdir/gso_a.json" "$tdir/gso_b.json" \
-    || { echo "verify: same-seed GSO traces differ" >&2; exit 1; }
-
-echo "==> 4-ring storage: deterministic Chrome trace"
-# Same-seed multi-ring storage runs must serialize byte-identical
-# traces — each ring has its own NVMe queue pair and MSI-X vector, so
-# this proves the multi-queue completion path is deterministic too.
-./target/release/examples/storage_domain --rings 4 --trace "$tdir/stor_a.json" > /dev/null
-./target/release/examples/storage_domain --rings 4 --trace "$tdir/stor_b.json" > /dev/null
-cmp "$tdir/stor_a.json" "$tdir/stor_b.json" \
-    || { echo "verify: same-seed 4-ring storage traces differ" >&2; exit 1; }
+echo "==> GSO run, 4-ring storage: deterministic Chrome traces"
+# Descriptor-chain framing, extra-info slots and LRO chains are all on
+# the determinism surface. So is the multi-queue completion path: each
+# storage ring has its own NVMe queue pair and MSI-X vector.
+same_twice "same-seed GSO traces differ" $bin/examples/quickstart --gso --queues 4 --trace {}
+same_twice "same-seed 4-ring storage traces differ" $bin/examples/storage_domain --rings 4 --trace {}
 
 echo "==> repro prof: self-time table, collapsed stacks, sampler exports"
 # Smoke-run the profiler: the table must attribute self time to the
 # instrumented hot paths, and the collapsed stacks must show the
 # signature nesting (grant copies inside a netback drain inside IRQ
 # dispatch) in flamegraph.pl-consumable `path count` shape.
-./target/release/repro prof \
-    --collapsed "$tdir/prof_a.folded" \
-    --series-csv "$tdir/series_a.csv" \
-    --series-json "$tdir/series_a.json" > "$tdir/prof.txt"
-grep -q '^netback_tx_drain ' "$tdir/prof.txt" \
-    || { echo "verify: prof table missing netback_tx_drain row" >&2; exit 1; }
-grep -Eq '^kite;dispatch_irq;netback_tx_drain;grant_copy [0-9]+$' "$tdir/prof_a.folded" \
-    || { echo "verify: collapsed stacks missing nested drain path" >&2; exit 1; }
+$bin/repro prof --collapsed "$tdir/prof.folded" > "$tdir/prof.txt"
+grep -q '^netback_tx_drain ' "$tdir/prof.txt" || fail "prof table missing netback_tx_drain row"
+grep -Eq '^kite;dispatch_irq;netback_tx_drain;grant_copy [0-9]+$' "$tdir/prof.folded" \
+    || fail "collapsed stacks missing nested drain path"
 # The sampler rides the virtual-time scheduler, so its exports are part
-# of the determinism surface even though the profiler's table is not:
-# a second run must reproduce the series byte for byte.
-./target/release/repro prof \
-    --series-csv "$tdir/series_b.csv" \
-    --series-json "$tdir/series_b.json" > /dev/null
-cmp "$tdir/series_a.csv" "$tdir/series_b.csv" \
-    || { echo "verify: sampler CSV not deterministic" >&2; exit 1; }
-cmp "$tdir/series_a.json" "$tdir/series_b.json" \
-    || { echo "verify: sampler JSON not deterministic" >&2; exit 1; }
+# of the determinism surface even though the profiler's table is not.
+same_twice "sampler CSV not deterministic" $bin/repro prof --series-csv {}
+same_twice "sampler JSON not deterministic" $bin/repro prof --series-json {}
 
 echo "==> repro top: kitetop snapshots are byte-identical"
-# The watchdog crash-cycle scenario renders from virtual-time state
-# only; two runs of the same build must print the same bytes.
-./target/release/repro top > "$tdir/top_a.txt"
-./target/release/repro top > "$tdir/top_b.txt"
-[ -s "$tdir/top_a.txt" ] || { echo "verify: repro top printed nothing" >&2; exit 1; }
-cmp "$tdir/top_a.txt" "$tdir/top_b.txt" \
-    || { echo "verify: repro top output not deterministic" >&2; exit 1; }
+# The watchdog crash-cycle scenario renders from virtual-time state only.
+same_twice "repro top output not deterministic" $bin/repro top
+[ -s "$same" ] || fail "repro top printed nothing"
 
 echo "==> repro lat: per-stage waterfalls, flow arrows validated"
 # Both canonical scenarios run with request tracing on; each validates
 # its flow-annotated Chrome export (flow begin/end pairing included)
-# before printing, and every number is virtual-time derived — two runs
-# of the same build must print identical bytes.
-./target/release/repro lat > "$tdir/lat_a.txt"
-./target/release/repro lat > "$tdir/lat_b.txt"
-cmp "$tdir/lat_a.txt" "$tdir/lat_b.txt" \
-    || { echo "verify: repro lat output not deterministic" >&2; exit 1; }
-grep -q '^STAGE ' "$tdir/lat_a.txt" \
-    || { echo "verify: lat report missing the stage table" >&2; exit 1; }
+# before printing, and every number is virtual-time derived.
+same_twice "repro lat output not deterministic" $bin/repro lat
+grep -q '^STAGE ' "$same" || fail "lat report missing the stage table"
 for row in grant_copy nvme_complete END_TO_END; do
-    grep -q "^$row " "$tdir/lat_a.txt" \
-        || { echo "verify: lat report missing $row row" >&2; exit 1; }
+    grep -q "^$row " "$same" || fail "lat report missing $row row"
 done
-[ "$(grep -c '^flow validation: OK' "$tdir/lat_a.txt")" -eq 2 ] \
-    || { echo "verify: expected 2 flow-validated lat scenarios" >&2; exit 1; }
+[ "$(grep -c '^flow validation: OK' "$same")" -eq 2 ] || fail "expected 2 flow-validated lat scenarios"
 
 echo "==> benchmark/: lint gate, then the four workloads end to end"
 # benchmark/ is its own workspace, so nothing above compiles it: a
@@ -171,8 +134,7 @@ bash benchmark/check.sh
 while read -r w want allocs bytes; do
     out="$(bash benchmark/run.sh --workload "$w" --seed 7 --seconds 1)"
     got="$(grep -o 'sim_digest [0-9a-f]*' <<< "$out")"
-    [ "$got" = "sim_digest $want" ] \
-        || { echo "verify: $w: got '$got', scripts/sim_digests.txt has $want" >&2; exit 1; }
+    [ "$got" = "sim_digest $want" ] || fail "$w: got '$got', scripts/sim_digests.txt has $want"
     awk -v w="$w" -v allocs="$allocs" -v bytes="$bytes" '
         function over(name, got, pin) {
             if (got > pin * 1.005) {
@@ -184,7 +146,7 @@ while read -r w want allocs bytes; do
         $1 == "host_allocs_per_op" { over($1, $2, allocs); seen++ }
         $1 == "host_alloc_bytes_per_op" { over($1, $2, bytes); seen++ }
         END { exit (bad || seen != 2) }' <<< "$out" \
-        || { echo "verify: $w: allocation budget check failed" >&2; exit 1; }
+        || fail "$w: allocation budget check failed"
 done < scripts/sim_digests.txt
 # The per-layer consumer of kite_prof::report() runs once too: check.sh
 # only compiles it. On the storage workload every request is submitted
@@ -192,15 +154,13 @@ done < scripts/sim_digests.txt
 # the parent-below-child clamp the one sampling rule removed.
 # (The harness reports dropped spans as a failed check: non-zero exit.)
 out="$(bash benchmark/run.sh --workload stor_mixed --seed 7 --seconds 1 --trace 1)" \
-    || { echo "verify: stor_mixed --trace 1 failed (dropped spans fail its checks)" >&2; exit 1; }
+    || fail "stor_mixed --trace 1 failed (dropped spans fail its checks)"
 awk '$1 == "system.dispatch_irq_self_ns_per_op" { seen = 1; if ($2 + 0 == 0) bad = 1 }
      END { exit (bad || !seen) }' <<< "$out" \
-    || { echo "verify: stor_mixed --trace 1: zero or missing dispatch_irq self time" >&2; exit 1; }
-# (Outside a git checkout, e.g. an exported tree, there is no index to
-# compare with.)
-if git rev-parse --git-dir > /dev/null 2>&1; then
+    || fail "stor_mixed --trace 1: zero or missing dispatch_irq self time"
+if git rev-parse --git-dir > /dev/null 2>&1; then # an exported tree has no index
     git diff --quiet -- benchmark BENCHMARK.json \
-        || { echo "verify: the gate modified benchmark/ or BENCHMARK.json" >&2; exit 1; }
+        || fail "the gate modified benchmark/ or BENCHMARK.json"
 fi
 
 echo "==> cargo doc --offline (rustdoc warnings are errors)"

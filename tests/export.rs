@@ -6,11 +6,10 @@
 
 use kite::sim::Nanos;
 use kite::system::{
-    addrs, BackendOs, BlkPath, Datapath, IoKind, IoOp, NetPath, Sampled, Side, StorSystem,
+    addrs, BackendOs, BlkPath, Datapath, Fault, IoKind, IoOp, NetPath, Sampled, Side, StorSystem,
     SystemConfig,
 };
 use kite::trace::{MetricValue, MetricsSnapshot};
-use kite::xen::FaultPlan;
 
 /// Every row `D`'s sampler columns and `kitetop` cells name, with the
 /// per-queue families expanded for `queues` queues.
@@ -70,7 +69,7 @@ fn counters_survive_a_restart_as_base_plus_live() {
             vec![i as u8; 1400],
         );
     }
-    sys.inject_faults(FaultPlan::seeded(11).with_kill_at(Nanos::from_secs(2)));
+    sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     sys.run_until(Nanos::from_millis(1_999));
     let before = sys.netback_stats();
     assert!(before.tx_packets > 0 && before.copy.ops > 0);
@@ -119,7 +118,7 @@ fn blkback_counters_survive_a_restart() {
         );
     }
     let kill = Nanos::from_millis(1 + 300 * 12 + 1);
-    sys.inject_faults(FaultPlan::seeded(9).with_kill_at(kill));
+    sys.fault_at(kill, Fault::Kill);
     sys.run_until(kill - Nanos::from_micros(1));
     let (before, done_before) = (sys.blkback_stats(), sys.metrics.ios);
     assert!(before.requests >= 12 && before.write_bytes > 0);

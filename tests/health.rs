@@ -16,8 +16,9 @@ use std::rc::Rc;
 
 use kite_health::{render_top, HealthState, MonitorConfig, SloConfig};
 use kite_sim::Nanos;
-use kite_system::{addrs, BackendOs, DetectionMode, IoKind, IoOp, NetSystem, Side, SystemConfig};
-use kite_xen::FaultPlan;
+use kite_system::{
+    addrs, BackendOs, DetectionMode, Fault, IoKind, IoOp, NetSystem, Side, SystemConfig,
+};
 
 const MSGS: u64 = 120;
 
@@ -57,7 +58,7 @@ fn net_watchdog_detects_kill_within_bound() {
     for os in BackendOs::both() {
         let (mut sys, received) = net_watchdog(os, 42);
         let kill = Nanos::from_secs(2);
-        sys.inject_faults(FaultPlan::seeded(7).with_kill_at(kill));
+        sys.fault_at(kill, Fault::Kill);
         sys.run_to_quiescence();
         assert!(sys.backend_alive(), "{}: backend back up", os.name());
         assert_eq!(sys.recovery.crashes, 1, "{}", os.name());
@@ -98,7 +99,7 @@ fn net_watchdog_detects_hang_via_ring_stall() {
     for os in BackendOs::both() {
         let (mut sys, received) = net_watchdog(os, 42);
         let hang = Nanos::from_secs(2);
-        sys.inject_faults(FaultPlan::seeded(7).with_hang_at(hang));
+        sys.fault_at(hang, Fault::Hang);
         sys.run_to_quiescence();
         assert!(sys.backend_alive(), "{}: backend back up", os.name());
         assert_eq!(sys.recovery.hangs, 1, "{}", os.name());
@@ -160,12 +161,7 @@ fn stor_watchdog_detects_kill_and_hang() {
                 );
             }
             let fault = Nanos::from_millis(2_000);
-            let plan = if hang {
-                FaultPlan::seeded(9).with_hang_at(fault)
-            } else {
-                FaultPlan::seeded(9).with_kill_at(fault)
-            };
-            sys.inject_faults(plan);
+            sys.fault_at(fault, if hang { Fault::Hang } else { Fault::Kill });
             sys.run_to_quiescence();
             let label = if hang { "hang" } else { "kill" };
             assert!(sys.backend_alive(), "{}/{label}", os.name());
@@ -229,7 +225,7 @@ fn oracle_detects_instantly_watchdog_never_does() {
                 );
             }
         }
-        sys.inject_faults(FaultPlan::seeded(7).with_kill_at(Nanos::from_secs(2)));
+        sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         sys.run_to_quiescence();
         (
             sys.hv.trace.query().span_between("kill", "detect"),
@@ -256,12 +252,7 @@ fn watchdog_recovery_is_deterministic_same_seed() {
         let run = |seed: u64| {
             let (mut sys, received) = net_watchdog(BackendOs::Kite, seed);
             let fault = Nanos::from_secs(2);
-            let plan = if hang {
-                FaultPlan::seeded(3).with_hang_at(fault)
-            } else {
-                FaultPlan::seeded(3).with_kill_at(fault)
-            };
-            sys.inject_faults(plan);
+            sys.fault_at(fault, if hang { Fault::Hang } else { Fault::Kill });
             sys.run_to_quiescence();
             let got = *received.borrow();
             (
@@ -282,7 +273,7 @@ fn watchdog_recovery_is_deterministic_same_seed() {
 fn kitetop_output_is_byte_identical_same_seed() {
     let run = |seed: u64| {
         let (mut sys, _received) = net_watchdog(BackendOs::Kite, seed);
-        sys.inject_faults(FaultPlan::seeded(11).with_kill_at(Nanos::from_secs(2)));
+        sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         let mut out = String::new();
         for stop in [Nanos::from_secs(1), Nanos::from_millis(3_200)] {
             sys.run_until(stop);
@@ -382,7 +373,7 @@ fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
     )
     .encode();
     let q = flow::steer(&probe_frame, 4) as usize;
-    sys.wedge_queue_at(Nanos::from_secs(2), q);
+    sys.fault_at(Nanos::from_secs(2), Fault::Wedge(q));
     sys.run_to_quiescence();
     assert!(sys.backend_alive(), "backend back up");
     assert_eq!(sys.recovery.reconnects, 1);

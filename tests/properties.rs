@@ -14,7 +14,7 @@ use kite::net::{
     Ipv4Packet, MacAddr, UdpDatagram,
 };
 use kite::rumprun::kite_profile;
-use kite::sim::{Nanos, Pcg};
+use kite::sim::{Nanos, Pcg, Scheduler};
 use kite::system::{BackendOs, IoKind, IoOp, GSO_UDP};
 use kite::xen::netif::{NetifRxRequest, NetifTxRequest, NetifTxResponse};
 use kite::xen::ring::{BackRing, FrontRing, RingEntry};

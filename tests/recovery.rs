@@ -1,7 +1,7 @@
 //! Driver-domain crash/restart recovery, end to end.
 //!
-//! These tests kill the driver domain mid-workload (via a seeded
-//! [`FaultPlan`]), let the toolstack restart it through the OS boot
+//! These tests kill the driver domain mid-workload (via
+//! [`Host::fault_at`]), let the toolstack restart it through the OS boot
 //! model, and assert the frontends reconnect and that no acknowledged
 //! request is lost — the paper's core availability claim (§4.4: a
 //! rumprun driver domain restarts in seconds, transparently to guests).
@@ -12,10 +12,9 @@ use std::rc::Rc;
 
 use kite_sim::Nanos;
 use kite_system::{
-    addrs, BackendOs, BlkPath, Datapath, Host, IoKind, IoOp, MonitorConfig, NetPath, NetSystem,
-    Side, StorSystem, SystemConfig,
+    addrs, BackendOs, BlkPath, Datapath, Fault, Host, IoKind, IoOp, MonitorConfig, NetPath,
+    NetSystem, Side, StorSystem, SystemConfig,
 };
-use kite_xen::FaultPlan;
 
 /// Kill the driver domain mid-UDP-stream. Every frame the guest's send
 /// path accepted (i.e. did not report as dropped) must reach the client
@@ -47,7 +46,7 @@ fn net_driver_crash_mid_udp_stream_recovers_without_acked_loss() {
             );
         }
         let kill = Nanos::from_secs(10);
-        sys.inject_faults(FaultPlan::seeded(7).with_kill_at(kill));
+        sys.fault_at(kill, Fault::Kill);
         // The stream is underway, then the backend dies...
         sys.run_until(kill + Nanos::from_millis(1));
         assert!(
@@ -172,7 +171,7 @@ fn stor_driver_crash_mid_write_stream_loses_no_acked_io() {
         // Kill 1 ms after write #6 submits: its ~2.8 ms device service
         // time guarantees the crash catches it in flight.
         let kill = Nanos::from_millis(1 + 300 * 6 + 1);
-        sys.inject_faults(FaultPlan::seeded(9).with_kill_at(kill));
+        sys.fault_at(kill, Fault::Kill);
         sys.run_to_quiescence();
         assert!(sys.backend_alive(), "{}: backend back up", os.name());
         assert_eq!(sys.recovery.crashes, 1, "{}", os.name());
@@ -248,7 +247,7 @@ fn recovery_is_deterministic_same_seed() {
                 vec![i as u8; 600],
             );
         }
-        sys.inject_faults(FaultPlan::seeded(3).with_kill_at(Nanos::from_secs(5)));
+        sys.fault_at(Nanos::from_secs(5), Fault::Kill);
         sys.run_to_quiescence();
         let got = *received.borrow();
         (
@@ -280,7 +279,7 @@ fn trace_export_is_byte_identical_across_same_seed_runs() {
                 vec![i as u8; 600],
             );
         }
-        sys.inject_faults(FaultPlan::seeded(3).with_kill_at(Nanos::from_secs(2)));
+        sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         sys.run_to_quiescence();
         assert_eq!(sys.hv.trace.dropped(), 0);
         let chrome = sys.hv.export_chrome_trace();
@@ -324,13 +323,8 @@ fn multi_queue_driver_recovers_all_queues_without_acked_loss() {
                 vec![(i / FLOWS) as u8; 1000],
             );
         }
-        let plan = FaultPlan::seeded(7);
-        let at = Nanos::from_secs(2);
-        sys.inject_faults(if hang {
-            plan.with_hang_at(at)
-        } else {
-            plan.with_kill_at(at)
-        });
+        let fault = if hang { Fault::Hang } else { Fault::Kill };
+        sys.fault_at(Nanos::from_secs(2), fault);
         sys.run_to_quiescence();
         assert!(sys.backend_alive(), "hang={hang}: backend back up");
         assert_eq!(sys.recovery.reconnects, 1, "hang={hang}");
@@ -365,30 +359,12 @@ fn multi_queue_driver_recovers_all_queues_without_acked_loss() {
     }
 }
 
-/// A fault [`outage`] injects.
-#[derive(Clone, Copy, Debug)]
-enum Fault {
-    Kill,
-    Hang,
-    Wedge,
-}
-
-impl Fault {
-    /// The trace milestone the fault emits when it fires.
-    fn milestone(self) -> &'static str {
-        match self {
-            Fault::Kill => "kill",
-            Fault::Hang => "hang",
-            Fault::Wedge => "wedge",
-        }
-    }
-
-    fn arm<D: Datapath>(self, sys: &mut Host<D>, at: Nanos) {
-        match self {
-            Fault::Kill => sys.crash_driver_at(at),
-            Fault::Hang => sys.hang_driver_at(at),
-            Fault::Wedge => sys.wedge_queue_at(at, 0),
-        }
+/// The trace milestone `fault` emits when it fires.
+fn fault_milestone(fault: Fault) -> &'static str {
+    match fault {
+        Fault::Kill => "kill",
+        Fault::Hang => "hang",
+        Fault::Wedge(_) => "wedge",
     }
 }
 
@@ -445,7 +421,7 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
         .build();
     load(&mut sys);
     let at = Nanos::from_secs(2);
-    fault.arm(&mut sys, at);
+    sys.fault_at(at, fault);
     sys.run_to_quiescence();
     assert!(sys.backend_alive(), "{label}: backend back up");
     assert_eq!(sys.recovery.reconnects, 1, "{label}");
@@ -457,7 +433,7 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
     assert_eq!(sys.hv.trace.dropped(), 0, "{label}: trace ring overflow");
 
     let order = [
-        fault.milestone(),
+        fault_milestone(fault),
         "detect",
         "reboot",
         "reconnect",
@@ -477,7 +453,11 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
         "{label}: milestones out of order: {order:?} at seqs {seqs:?}"
     );
 
-    assert_eq!(milestone_times(&sys, fault.milestone()), [at], "{label}");
+    assert_eq!(
+        milestone_times(&sys, fault_milestone(fault)),
+        [at],
+        "{label}"
+    );
     let detect = milestone_times(&sys, "detect")[0];
     let reconnect = milestone_times(&sys, "reconnect")[0];
     let lat = sys.recovery.detect_latency();
@@ -494,7 +474,7 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
 /// every fault on both datapaths.
 #[test]
 fn every_fault_recovers_the_same_way_on_both_datapaths() {
-    for fault in [Fault::Kill, Fault::Hang, Fault::Wedge] {
+    for fault in [Fault::Kill, Fault::Hang, Fault::Wedge(0)] {
         for os in BackendOs::both() {
             outage::<NetPath>(fault, os, 1, net_load);
             outage::<BlkPath>(fault, os, 1, stor_load);
@@ -502,7 +482,7 @@ fn every_fault_recovers_the_same_way_on_both_datapaths() {
     }
     // Blkfront round-robins over rings, so a wedged ring 0 of 2 keeps
     // collecting requests it never consumes while ring 1 makes progress.
-    outage::<BlkPath>(Fault::Wedge, BackendOs::Kite, 2, stor_load);
+    outage::<BlkPath>(Fault::Wedge(0), BackendOs::Kite, 2, stor_load);
 }
 
 /// A kill that was already recovered must not leak into a later
@@ -516,8 +496,8 @@ fn wedge_after_recovered_kill_books_only_its_own_downtime() {
         .build_net();
     net_load(&mut sys);
     let (kill, wedge) = (Nanos::from_secs(2), Nanos::from_secs(20));
-    sys.crash_driver_at(kill);
-    sys.wedge_queue_at(wedge, 0);
+    sys.fault_at(kill, Fault::Kill);
+    sys.fault_at(wedge, Fault::Wedge(0));
     sys.run_to_quiescence();
     assert!(sys.backend_alive());
     assert_eq!(sys.recovery.reconnects, 2);
