@@ -462,11 +462,7 @@ pub fn offload_snapshot(name: impl Into<String>, sys: &NetSystem) -> MetricsSnap
     let mut snap = MetricsSnapshot::new(name);
     snap.push_int("queues", "count", sys.queue_count() as u64);
     snap.push_int("gso_negotiated", "bool", u64::from(sys.gso_negotiated()));
-    snap.push_int(
-        "wire_gbps",
-        "gbps",
-        sys.wire().map_or(10, |r| r.bps() / 1_000_000_000),
-    );
+    snap.push_int("wire_gbps", "gbps", sys.wire().bps() / 1_000_000_000);
     snap.push_int("tx_packets", "count", stats.tx_packets);
     snap.push_int("tx_bytes", "bytes", stats.tx_bytes);
     snap.push_int("rx_bytes", "bytes", stats.rx_bytes);

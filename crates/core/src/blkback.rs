@@ -336,7 +336,7 @@ impl BlkbackInstance {
 
     /// The NVMe queue pair ring `q` submits through, once its first
     /// drain has created it.
-    pub fn qid_of(&self, q: usize) -> Option<QueueId> {
+    pub fn nvme_queue_of(&self, q: usize) -> Option<QueueId> {
         self.rings[q].qid
     }
 
@@ -366,16 +366,6 @@ impl BlkbackInstance {
     /// when persistent grants are not negotiated).
     fn use_copy(&self) -> bool {
         self.tuning.grant_copy && !self.tuning.persistent_grants
-    }
-
-    /// The trace label for ring-drain events (`None` keeps single-ring
-    /// exports byte-identical to the legacy layout).
-    fn qid(&self, q: usize) -> Option<u16> {
-        if self.rings.len() > 1 {
-            Some(q as u16)
-        } else {
-            None
-        }
     }
 
     /// Resolves a guest data page through ring `q`'s cache: persistent
@@ -532,7 +522,7 @@ impl BlkbackInstance {
                     r,
                     ReqStage::BackendFetch,
                     self.back.0,
-                    self.qid(q),
+                    Some(q as u16),
                     now + batch.cost,
                 );
                 self.scratch_req.push((id, r));
@@ -613,7 +603,7 @@ impl BlkbackInstance {
                             r,
                             ReqStage::GrantCopy,
                             self.back.0,
-                            self.qid(q),
+                            Some(q as u16),
                             now + batch.cost,
                         );
                     }
@@ -702,10 +692,9 @@ impl BlkbackInstance {
         batch.more = rq.shared.ring.final_check_for_requests(page);
         if consumed > 0 {
             let delivered = runs.len() as u32;
-            let qid = self.qid(q);
             hv.trace.emit_with(self.back.0, || EventKind::RingDrain {
                 queue: "blkback_req",
-                qid,
+                qid: q as u16,
                 consumed,
                 delivered,
                 notify: false,
@@ -721,7 +710,7 @@ impl BlkbackInstance {
         Ok(batch)
     }
 
-    /// Legacy data path: maps each segment's page (or hits ring `q`'s
+    /// Mapped data path: maps each segment's page (or hits ring `q`'s
     /// persistent cache) and memcpys between it and the device.
     #[allow(clippy::too_many_arguments)]
     fn map_request_data(
@@ -930,7 +919,7 @@ impl BlkbackInstance {
         };
         while let Some(entry) = device.cq_pop(qid, now) {
             if let Some(r) = hv.req.take(SlotClass::NvmeCid, entry.cid.0) {
-                let rq = self.qid(q);
+                let rq = Some(q as u16);
                 hv.req
                     .stamp_at(r, ReqStage::NvmeSubmit, self.back.0, rq, entry.submitted_at);
                 hv.req

@@ -269,17 +269,6 @@ impl NetbackInstance {
         self.copy_mode
     }
 
-    /// The trace label for ring-drain events: per-queue tracks only make
-    /// sense in a multi-queue layout, so single-queue instances keep the
-    /// legacy anonymous label (and byte-identical trace exports).
-    fn qid(&self, q: usize) -> Option<u16> {
-        if self.queues.len() > 1 {
-            Some(q as u16)
-        } else {
-            None
-        }
-    }
-
     /// Pops the next published Tx request of queue `q`, if any.
     fn consume_tx(&mut self, hv: &Hypervisor, q: usize) -> Result<Option<NetifTxRequest>> {
         let qu = &mut self.queues[q];
@@ -362,7 +351,7 @@ impl NetbackInstance {
             let key = (q as u64) << 32 | head.id as u64;
             if let Some(r) = hv.req.take(SlotClass::NetTx, key) {
                 hv.req
-                    .stamp(r, ReqStage::BackendFetch, self.back.0, self.qid(q));
+                    .stamp(r, ReqStage::BackendFetch, self.back.0, Some(q as u16));
                 self.scratch_req.push(r);
             }
             let chained = head.flags & (NETTXF_EXTRA_INFO | NETTXF_MORE_DATA) != 0;
@@ -518,10 +507,9 @@ impl NetbackInstance {
         // drain began (within-event time does not advance on its own).
         if !self.scratch_req.is_empty() {
             let done = hv.req.now() + result.cost;
-            let qid = self.qid(q);
             for &r in &self.scratch_req {
                 hv.req
-                    .stamp_at(r, ReqStage::GrantCopy, self.back.0, qid, done);
+                    .stamp_at(r, ReqStage::GrantCopy, self.back.0, Some(q as u16), done);
             }
             self.scratch_req.clear();
         }
@@ -594,10 +582,9 @@ impl NetbackInstance {
                 batch.frames.len() as u32,
                 batch.notify,
             );
-            let qid = self.qid(q);
             hv.trace.emit_with(self.back.0, || EventKind::RingDrain {
                 queue: "netback_tx",
-                qid,
+                qid: q as u16,
                 consumed,
                 delivered,
                 notify,
@@ -784,10 +771,9 @@ impl NetbackInstance {
         if !posted.is_empty() {
             let (consumed, delivered, notify) =
                 (posted.len() as u32, batch.delivered as u32, batch.notify);
-            let qid = self.qid(q);
             hv.trace.emit_with(self.back.0, || EventKind::RingDrain {
                 queue: "netback_rx",
-                qid,
+                qid: q as u16,
                 consumed,
                 delivered,
                 notify,

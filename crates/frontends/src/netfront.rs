@@ -93,7 +93,7 @@ pub struct Netfront {
     pub mac: MacAddr,
     queues: Vec<NfQueue>,
     received: VecDeque<Vec<u8>>,
-    tx_dropped: u64,
+    tx_ring_full: u64,
     gso: bool,
     csum_offload: bool,
 }
@@ -212,7 +212,7 @@ impl Netfront {
             mac,
             queues,
             received: VecDeque::new(),
-            tx_dropped: 0,
+            tx_ring_full: 0,
             gso,
             csum_offload: gso && !veto_csum,
         };
@@ -301,14 +301,13 @@ impl Netfront {
             return Err(XenError::OutOfBounds);
         }
         let q = kite_net::flow::steer(frame, self.queues.len() as u32) as usize;
-        let multi = self.queues.len() > 1;
         let nfrags = frame.len().div_ceil(kite_xen::PAGE_SIZE).max(1);
         let chained = self.gso && nfrags > 1;
         // Data slots plus, for a chain, the extra-info slot.
         let slots = if chained { nfrags + 1 } else { nfrags };
         let qu = &mut self.queues[q];
         if (qu.tx.ring.free_requests() as usize) < slots || qu.tx_pool.free.len() < nfrags {
-            self.tx_dropped += 1;
+            self.tx_ring_full += 1;
             return Err(XenError::RingFull);
         }
         let mss = kite_net::ether::TSO_MSS;
@@ -359,8 +358,8 @@ impl Netfront {
         if let Some(r) = req {
             let key = (q as u64) << 32 | head_id as u64;
             hv.req.map(SlotClass::NetTx, key, r);
-            let qid = multi.then_some(q as u16);
-            hv.req.stamp(r, ReqStage::RingSubmit, self.guest.0, qid);
+            hv.req
+                .stamp(r, ReqStage::RingSubmit, self.guest.0, Some(q as u16));
         }
         // Guest-side cost: buffer copy + ring bookkeeping. With checksum
         // offload the guest skips the software csum pass, halving the
@@ -460,9 +459,11 @@ impl Netfront {
         self.received.pop_front()
     }
 
-    /// Frames dropped at send time for want of ring space.
-    pub fn tx_dropped(&self) -> u64 {
-        self.tx_dropped
+    /// Sends refused for want of ring space. Nothing is lost: the caller
+    /// keeps the frame and retries on Tx completion, so this counts
+    /// back-pressure stalls.
+    pub fn tx_ring_full(&self) -> u64 {
+        self.tx_ring_full
     }
 
     /// Tx frames pushed to the rings but never acknowledged, queue by

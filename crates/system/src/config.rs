@@ -17,25 +17,6 @@ use crate::host::{BackendOs, Datapath, Host};
 use crate::netsys::NetSystem;
 use crate::storsys::StorSystem;
 
-/// How the PV network path handles segmentation (network systems only).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum GsoMode {
-    /// The pre-offload abstraction: the guest stack hands ~4KB chunks
-    /// to the ring and no offload keys are negotiated. The default, and
-    /// byte-identical to every scenario built before the GSO work.
-    #[default]
-    Legacy,
-    /// Offload explicitly off: the guest segments to wire MTU in
-    /// software, so every ring slot is one 1514-byte frame. The honest
-    /// no-GSO baseline the ablation compares against.
-    Off,
-    /// Segmentation offload on: `feature-gso-tcpv4` is advertised and
-    /// negotiated, the guest hands up to 64KB super-frames to a
-    /// descriptor chain, and the NIC segments to wire MTU (TSO) on
-    /// transmit / coalesces on receive (LRO).
-    On,
-}
-
 /// Describes a full-system scenario; build it into a [`NetSystem`] or a
 /// [`StorSystem`].
 ///
@@ -66,8 +47,8 @@ pub struct SystemConfig {
     pub(crate) nvme_max_io_queues: Option<u16>,
     pub(crate) profiling: bool,
     pub(crate) sampling: Option<(Nanos, usize)>,
-    pub(crate) gso_mode: GsoMode,
-    pub(crate) wire: Option<LineRate>,
+    pub(crate) gso: bool,
+    pub(crate) wire: LineRate,
 }
 
 impl SystemConfig {
@@ -90,8 +71,8 @@ impl SystemConfig {
             nvme_max_io_queues: None,
             profiling: false,
             sampling: None,
-            gso_mode: GsoMode::default(),
-            wire: None,
+            gso: true,
+            wire: LineRate::Gbe10,
         }
     }
 
@@ -165,22 +146,23 @@ impl SystemConfig {
         self
     }
 
-    /// Segmentation offload for the network path: `gso(true)` negotiates
-    /// `feature-gso-tcpv4` and moves 64KB super-frames over descriptor
-    /// chains; `gso(false)` is the honest software-segmentation baseline
-    /// (one MTU frame per ring slot). Scenarios that never call this keep
-    /// [`GsoMode::Legacy`] — the pre-offload abstraction, byte-identical
-    /// to historical runs.
+    /// Segmentation offload for the network path. On (the default, and
+    /// what the paper's stock netfront/netback pair negotiates):
+    /// `feature-gso-tcpv4` is advertised, the guest hands up to 64KB
+    /// super-frames to a descriptor chain and the NIC segments to wire
+    /// MTU (TSO) on transmit / coalesces on receive (LRO). Off: the guest
+    /// segments to wire MTU in software, one 1514-byte frame per ring
+    /// slot — the baseline the ablation compares against.
     pub fn gso(mut self, on: bool) -> SystemConfig {
-        self.gso_mode = if on { GsoMode::On } else { GsoMode::Off };
+        self.gso = on;
         self
     }
 
     /// Wire speed for the NIC and the client link (network systems
     /// only): 10/25/100GbE profiles that also scale interrupt moderation.
-    /// Unset keeps the paper's stock 82599 10GbE device model.
+    /// The default is the paper's 82599 at 10GbE.
     pub fn wire_profile(mut self, rate: LineRate) -> SystemConfig {
-        self.wire = Some(rate);
+        self.wire = rate;
         self
     }
 

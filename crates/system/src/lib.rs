@@ -14,7 +14,7 @@ pub mod host;
 pub mod netsys;
 pub mod storsys;
 
-pub use config::{GsoMode, SystemConfig};
+pub use config::SystemConfig;
 pub use host::{BackendOs, Datapath, Fault, Host, Sampled};
 pub use kite_devices::LineRate;
 pub use kite_sim::SchedulerKind;
@@ -23,7 +23,5 @@ pub use kite_health::{
     render_top, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher, MonitorConfig,
     SloConfig, TopRow, TopSnapshot,
 };
-pub use netsys::{
-    addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP, MAX_UDP,
-};
+pub use netsys::{addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP};
 pub use storsys::{BlkPath, IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorSystem};

@@ -33,7 +33,7 @@ use kite_trace::SampleKind::{self, Counter, Gauge};
 use kite_xen::xenbus::FEATURE_GSO_KEY;
 use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, ReqStage, SlotClass};
 
-use crate::config::{GsoMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::host::Sampled::{self, Health, PerQueue, Row};
 use crate::host::{Datapath, Event, Host};
 
@@ -105,20 +105,10 @@ pub enum NetEvent {
 // The scheduler stores events inline; growing them grows every slab slot.
 const _: () = assert!(std::mem::size_of::<Event<NetEvent>>() <= 40);
 
-/// Largest message chunk crossing the PV path at once in
-/// [`GsoMode::Legacy`].
-///
-/// Before segmentation offload was modeled explicitly, every scenario
-/// assumed a multi-KB aggregate unit on the rings; page-sized chunks
-/// stood in for TSO/GSO. Legacy mode keeps that abstraction (and its
-/// exact byte streams) for historical comparability. `GsoMode::Off`
-/// segments honestly to wire MTU; `GsoMode::On` moves real
-/// [`GSO_UDP`]-sized super-frames over descriptor chains.
-pub const MAX_UDP: usize = 4000;
-
 /// Message chunk crossing the PV path per descriptor chain with GSO on:
 /// 42 MSS-sized wire segments, the largest super-frame whose Ethernet
-/// framing stays under the 64KB protocol cap.
+/// framing stays under the 64KB protocol cap. With GSO off the guest
+/// segments to [`TSO_MSS`] in software.
 pub const GSO_UDP: usize = TSO_MSS * 42;
 
 /// Cap on frames queued in the guest stack awaiting Tx ring slots.
@@ -194,11 +184,8 @@ pub mod addrs {
 /// the driver domain's network application, netfront and the guest's
 /// stack.
 pub struct NetPath {
-    gso_mode: GsoMode,
-    wire: Option<LineRate>,
-    /// Largest UDP chunk the guest/client stacks hand to one PV transfer
-    /// (one ring slot, or one descriptor chain with GSO on).
-    max_tx_unit: usize,
+    gso: bool,
+    wire: LineRate,
     nic: Nic,
     phys_mac: MacAddr,
     /// The driver domain's network application (bridge + interfaces).
@@ -207,7 +194,7 @@ pub struct NetPath {
     vif_port: BridgePort,
     if_port: BridgePort,
     netfront: Option<Netfront>,
-    nf_dropped_base: u64,
+    nf_ring_full_base: u64,
     guest_mac: MacAddr,
     client_mac: MacAddr,
     guest_txq: VecDeque<Vec<u8>>,
@@ -275,21 +262,11 @@ impl Datapath for NetPath {
         let netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY, addrs::NETMASK);
         let if_port = netapp.port_of("ixg0").expect("attached at start");
         let mut client_link = Link::ten_gbe();
-        if let Some(rate) = cfg.wire {
-            client_link.rate_bps = rate.bps();
-        }
+        client_link.rate_bps = cfg.wire.bps();
         let dp = NetPath {
-            gso_mode: cfg.gso_mode,
+            gso: cfg.gso,
             wire: cfg.wire,
-            max_tx_unit: match cfg.gso_mode {
-                GsoMode::Legacy => MAX_UDP,
-                GsoMode::Off => TSO_MSS,
-                GsoMode::On => GSO_UDP,
-            },
-            nic: match cfg.wire {
-                None => Nic::ten_gbe(),
-                Some(rate) => Nic::with_profile(NicProfile::default().with_line_rate(rate)),
-            },
+            nic: Nic::with_profile(NicProfile::default().with_line_rate(cfg.wire)),
             phys_mac,
             netapp,
             nb_stats_base: NetbackStats::default(),
@@ -297,7 +274,7 @@ impl Datapath for NetPath {
             vif_port: if_port,
             if_port,
             netfront: None,
-            nf_dropped_base: 0,
+            nf_ring_full_base: 0,
             guest_mac: MacAddr::local(0xaa01),
             client_mac: MacAddr::local(0xcc01),
             guest_txq: VecDeque::new(),
@@ -317,7 +294,7 @@ impl Datapath for NetPath {
     }
 
     fn advertise(&self, hv: &mut Hypervisor, paths: &DevicePaths) {
-        if self.gso_mode == GsoMode::On {
+        if self.gso {
             // The toolstack advertises segmentation offload under the
             // backend path; the frontend echoes it when willing.
             let be = paths.backend();
@@ -373,7 +350,7 @@ impl Datapath for NetPath {
         if let Some(mut nf) = self.netfront.take() {
             let unacked = nf.take_unacked(hv);
             recovery.retried_ops += unacked.len() as u64;
-            self.nf_dropped_base += nf.tx_dropped();
+            self.nf_ring_full_base += nf.tx_ring_full();
             for f in unacked.into_iter().rev() {
                 self.guest_txq.push_front(f);
             }
@@ -443,7 +420,9 @@ impl Host<NetPath> {
         src_port: u16,
         payload: Vec<u8>,
     ) {
-        let unit = self.dp.max_tx_unit;
+        // One PV transfer: a descriptor chain with GSO on, one ring slot
+        // (the guest segments to MTU in software) without.
+        let unit = if self.dp.gso { GSO_UDP } else { TSO_MSS };
         let chunks: Vec<Vec<u8>> = if payload.len() <= unit {
             vec![payload]
         } else {
@@ -488,8 +467,8 @@ impl Host<NetPath> {
         self.schedule_at(t, NetEvent::ClientTxFrame(frame.encode()));
     }
 
-    /// The configured wire profile (`None` = the stock 10GbE device).
-    pub fn wire(&self) -> Option<LineRate> {
+    /// The configured wire profile.
+    pub fn wire(&self) -> LineRate {
         self.dp.wire
     }
 
@@ -516,10 +495,12 @@ impl Host<NetPath> {
         s
     }
 
-    /// Frames the frontend dropped for ring exhaustion, summed across
-    /// device incarnations.
+    /// Times netfront refused a send because the Tx ring was full, summed
+    /// across device incarnations. Despite the name no frame is dropped:
+    /// a refused frame stays at the head of the guest's Tx queue and is
+    /// retried on Tx completion, so this counts back-pressure stalls.
     pub fn guest_tx_dropped(&self) -> u64 {
-        self.dp.nf_dropped_base + self.dp.netfront.as_ref().map_or(0, |nf| nf.tx_dropped())
+        self.dp.nf_ring_full_base + self.dp.netfront.as_ref().map_or(0, |nf| nf.tx_ring_full())
     }
 
     // ---- internals -----------------------------------------------------
@@ -540,28 +521,13 @@ impl Host<NetPath> {
         }
     }
 
-    /// Wire footprint of one frame: byte count to serialize and the
-    /// number of MTU segments it becomes.
-    ///
-    /// `GsoMode::Legacy` keeps the historical abstraction — aggregates
-    /// cross the wire as-is with one framing overhead — so pre-offload
-    /// scenarios stay byte-identical. The explicit modes charge the
-    /// honest TSO cost: a super-frame is segmented to MTU with
-    /// replicated headers and per-segment framing.
-    fn wire_cost(&self, frame_len: usize) -> (u64, u32) {
-        match self.dp.gso_mode {
-            GsoMode::Legacy => (frame_len as u64 + 24, 1),
-            GsoMode::Off | GsoMode::On => tso_wire_cost(frame_len),
-        }
-    }
-
     /// Client machine puts a frame on the wire toward the server NIC.
     /// Super-frames go through the client NIC's TSO engine: the wire
     /// carries MTU segments (with replicated headers and per-segment
     /// framing overhead), so serialization charges the segmented byte
     /// count even though the simulation moves the aggregate.
     fn client_transmit(&mut self, now: Nanos, frame: Vec<u8>) {
-        let (wire_len, _segs) = self.wire_cost(frame.len());
+        let (wire_len, _segs) = tso_wire_cost(frame.len());
         let sent = self
             .dp
             .client_link
@@ -721,7 +687,7 @@ impl Host<NetPath> {
     /// wire as one unit.
     fn nic_transmit(&mut self, t: Nanos, frames: Vec<Vec<u8>>) {
         for frame in frames {
-            let (wire_len, segs) = self.wire_cost(frame.len());
+            let (wire_len, segs) = tso_wire_cost(frame.len());
             match self.dp.nic.transmit_segs(t, wire_len, segs) {
                 TxOutcome::Sent { arrives, .. } => {
                     self.schedule_at(arrives, NetEvent::WireToClient(frame));
@@ -770,14 +736,15 @@ impl Host<NetPath> {
             }
             let t = self.driver_cpus.free_at(q).max(now);
             if self.hv.req.is_enabled() {
-                let qid = (nqueues > 1).then_some(q as u16);
                 for f in &to_wire {
                     if let Some(r) = icmp_echo_seq(f)
                         .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
                     {
                         let dom = self.driver.0;
-                        self.hv.req.stamp_at(r, ReqStage::NicTx, dom, qid, t);
-                        let (_, segs) = self.wire_cost(f.len());
+                        self.hv
+                            .req
+                            .stamp_at(r, ReqStage::NicTx, dom, Some(q as u16), t);
+                        let (_, segs) = tso_wire_cost(f.len());
                         if segs > 1 {
                             self.hv.req.annotate_segs(r, ReqStage::NicTx, segs as u16);
                         }

@@ -468,8 +468,7 @@ impl Host<BlkPath> {
                         // the sample (first-touch keeps one stamp).
                         self.hv.req.map(SlotClass::BlkReq, id, r);
                         let bf = self.dp.blkfront.as_ref().expect("checked");
-                        let qid =
-                            (bf.queue_count() > 1).then(|| bf.ring_of(id).unwrap_or(0) as u16);
+                        let qid = Some(bf.ring_of(id).unwrap_or(0) as u16);
                         let dom = self.guest.0;
                         self.hv.req.stamp_at(r, ReqStage::RingSubmit, dom, qid, now);
                     }
@@ -583,7 +582,7 @@ impl Host<BlkPath> {
                 // vCPU the ring's queue-pair vector was created with (the
                 // ring's own vCPU, unless rings share a pair).
                 let vcpu = bb
-                    .qid_of(ring)
+                    .nvme_queue_of(ring)
                     .and_then(|qid| self.dp.nvme.vector_of(qid))
                     .map_or(ring, |v| v.vcpu);
                 let res = bb

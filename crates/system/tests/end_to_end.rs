@@ -3,8 +3,11 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use kite_net::ether::TSO_MSS;
 use kite_sim::Nanos;
-use kite_system::{addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, StorSystem};
+use kite_system::{
+    addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, StorSystem, SystemConfig, GSO_UDP,
+};
 
 #[test]
 fn udp_request_reply_roundtrip_with_payload_integrity() {
@@ -48,25 +51,32 @@ fn udp_request_reply_roundtrip_with_payload_integrity() {
 
 #[test]
 fn large_message_chunks_and_reassembles() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 7);
-    let bytes_seen = Rc::new(RefCell::new(0usize));
-    let bs = bytes_seen.clone();
-    sys.set_guest_app(Box::new(move |_, msg| {
-        *bs.borrow_mut() += msg.payload.len();
-        Vec::new()
-    }));
-    // 64 KiB message -> 17 GSO-sized chunks.
-    sys.send_udp_at(
-        Nanos::from_millis(1),
-        Side::Client,
-        addrs::GUEST,
-        5001,
-        40000,
-        vec![0xab; 65536],
-    );
-    sys.run_to_quiescence();
-    assert_eq!(*bytes_seen.borrow(), 65536);
-    assert!(sys.metrics.guest_rx_msgs >= 17);
+    // A 64 KiB message crosses in super-frame chunks with GSO
+    // negotiated, in MSS-sized ones when the guest segments in software.
+    for (gso, unit) in [(true, GSO_UDP), (false, TSO_MSS)] {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 7).gso(gso).build_net();
+        let bytes_seen = Rc::new(RefCell::new(0usize));
+        let bs = bytes_seen.clone();
+        sys.set_guest_app(Box::new(move |_, msg| {
+            *bs.borrow_mut() += msg.payload.len();
+            Vec::new()
+        }));
+        sys.send_udp_at(
+            Nanos::from_millis(1),
+            Side::Client,
+            addrs::GUEST,
+            5001,
+            40000,
+            vec![0xab; 65536],
+        );
+        sys.run_to_quiescence();
+        assert_eq!(*bytes_seen.borrow(), 65536, "gso={gso}");
+        assert_eq!(
+            sys.metrics.guest_rx_msgs,
+            65536_usize.div_ceil(unit) as u64,
+            "gso={gso}: one message per {unit}-byte chunk"
+        );
+    }
 }
 
 #[test]

@@ -12,14 +12,16 @@
 //!   and identical final clocks;
 //! * offload negotiation survives driver-domain crash recovery — the
 //!   replacement backend re-advertises, the frontend renegotiates, and
-//!   super-frames flow again after the reboot.
+//!   super-frames flow again after the reboot;
+//! * the default scenario is the paper's machine: negotiated GSO over
+//!   the 82599's 10GbE wire, on both driver-domain OSes.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use kite_sim::{Nanos, Pcg, SchedulerKind};
-use kite_system::{addrs, BackendOs, Fault, NetSystem, Side, SystemConfig};
+use kite_system::{addrs, BackendOs, Fault, LineRate, NetSystem, Side, SystemConfig};
 
 /// Per-flow byte streams seen at one endpoint: `(src_port, dst_port)` →
 /// concatenated payload bytes in arrival order. Chunking differs between
@@ -206,4 +208,15 @@ fn offload_renegotiates_across_driver_crash_recovery() {
         st.gso_tx_frames > 0 && st.gso_errors() == 0,
         "super-frames kept flowing across incarnations: {st:?}"
     );
+}
+
+#[test]
+fn default_scenario_negotiates_gso_over_ten_gbe() {
+    for os in BackendOs::both() {
+        let sys = SystemConfig::new(os, 3).build_net();
+        assert!(sys.gso_negotiated(), "{}: default negotiates", os.name());
+        assert_eq!(sys.wire(), LineRate::Gbe10, "{}", os.name());
+        let off = SystemConfig::new(os, 3).gso(false).build_net();
+        assert!(!off.gso_negotiated(), "{}: gso(false) declines", os.name());
+    }
 }

@@ -88,11 +88,13 @@ fn queue_tid(dom: u16, qid: u16) -> u32 {
 /// callers pass every domain ever created (including dead ones) so a
 /// crashed driver domain's track stays labelled in the viewer.
 ///
-/// Multi-queue ring drains ([`EventKind::RingDrain`] with a queue index)
-/// render on a synthetic per-queue track named `<domain>/q<k>`, one per
-/// `(domain, queue)` pair seen in the trace, so Perfetto shows each
-/// queue's drain cadence as its own row. Single-queue drains (`qid:
-/// None`) stay on the domain track, byte-identical to the legacy layout.
+/// Ring drains ([`EventKind::RingDrain`]) of a domain seen draining more
+/// than queue 0 render on a synthetic per-queue track named
+/// `<domain>/q<k>`, one per `(domain, queue)` pair seen in the trace, so
+/// Perfetto shows each queue's drain cadence as its own row. A domain
+/// whose only seen queue is 0 keeps its drains on the domain track: one
+/// queue has no cadence to compare. This is the only place that decides
+/// it; emitters always pass the queue index.
 pub fn export(tracer: &Tracer, tracks: &[(u16, String)]) -> String {
     export_with_flows(tracer, tracks, None)
 }
@@ -128,8 +130,8 @@ pub fn export_with_flows(
     // block is complete and deterministically ordered.
     let mut queue_tracks: std::collections::BTreeSet<(u16, u16)> = Default::default();
     for e in tracer.events() {
-        if let EventKind::RingDrain { qid: Some(q), .. } = e.kind {
-            queue_tracks.insert((e.dom, q));
+        if let EventKind::RingDrain { qid, .. } = e.kind {
+            queue_tracks.insert((e.dom, qid));
         }
     }
     // Flow points can land on per-queue tracks no drain touched; name
@@ -143,6 +145,18 @@ pub fn export_with_flows(
             }
         }
     }
+    // The label rule: a domain whose only seen queue is 0 is a
+    // single-queue domain and gets no queue tracks.
+    let multi: std::collections::BTreeSet<u16> = queue_tracks
+        .iter()
+        .filter(|&&(_, q)| q != 0)
+        .map(|&(dom, _)| dom)
+        .collect();
+    queue_tracks.retain(|(dom, _)| multi.contains(dom));
+    let track_of = |dom: u16, qid: Option<u16>| match qid {
+        Some(q) if queue_tracks.contains(&(dom, q)) => queue_tid(dom, q),
+        _ => dom.into(),
+    };
     for &(dom, q) in &queue_tracks {
         let base = tracks
             .iter()
@@ -240,25 +254,19 @@ pub fn export_with_flows(
                 consumed,
                 delivered,
                 notify,
-            } => {
-                let tid = match qid {
-                    Some(q) => queue_tid(e.dom, *q),
-                    None => e.dom.into(),
-                };
-                push_event(
-                    &mut out,
-                    &mut first,
-                    queue,
-                    tid,
-                    e.at,
-                    None,
-                    &[
-                        ("consumed", consumed.to_string()),
-                        ("delivered", delivered.to_string()),
-                        ("notify", notify.to_string()),
-                    ],
-                )
-            }
+            } => push_event(
+                &mut out,
+                &mut first,
+                queue,
+                track_of(e.dom, Some(*qid)),
+                e.at,
+                None,
+                &[
+                    ("consumed", consumed.to_string()),
+                    ("delivered", delivered.to_string()),
+                    ("notify", notify.to_string()),
+                ],
+            ),
             EventKind::Milestone { what } => {
                 push_event(&mut out, &mut first, what, e.dom.into(), e.at, None, &[])
             }
@@ -298,10 +306,7 @@ pub fn export_with_flows(
                 } else {
                     "t"
                 };
-                let tid = match s.qid {
-                    Some(q) => queue_tid(s.dom, q),
-                    None => s.dom.into(),
-                };
+                let tid = track_of(s.dom, s.qid);
                 if !first {
                     out.push(',');
                 }
@@ -477,25 +482,28 @@ mod tests {
         for q in 0..2u16 {
             t.emit_with(2, || EventKind::RingDrain {
                 queue: "netback_tx",
-                qid: Some(q),
+                qid: q,
                 consumed: 8,
                 delivered: 8,
                 notify: true,
             });
         }
-        t.emit_with(2, || EventKind::RingDrain {
-            queue: "netback_rx",
-            qid: None,
+        t.emit_with(4, || EventKind::RingDrain {
+            queue: "blkback_req",
+            qid: 0,
             consumed: 1,
             delivered: 1,
             notify: false,
         });
-        let doc = export(&t, &[(2, "netbackend".into())]);
+        let doc = export(&t, &[(2, "netbackend".into()), (4, "blkbackend".into())]);
         assert_eq!(validate(&doc), Ok(3));
-        // Each queue gets a named synthetic track; the qid-less drain
-        // stays on the domain track.
+        // Each queue of the two-queue domain gets a named synthetic
+        // track; the domain that only ever drained queue 0 keeps the
+        // drain on its domain track.
         assert!(doc.contains("netbackend/q0 (dom 2)"), "{doc}");
         assert!(doc.contains("netbackend/q1 (dom 2)"), "{doc}");
+        assert!(!doc.contains("blkbackend/q"), "{doc}");
+        assert!(doc.contains("\"name\":\"blkback_req\",\"cat\":\"kite\",\"pid\":0,\"tid\":4,"));
         let q0 = queue_tid(2, 0);
         let q1 = queue_tid(2, 1);
         assert!(doc.contains(&format!("\"tid\":{q0},")), "{doc}");

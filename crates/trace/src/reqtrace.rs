@@ -126,9 +126,10 @@ pub struct StageStamp {
     pub stage: Stage,
     /// Raw id of the domain the crossing is attributed to.
     pub dom: u16,
-    /// Queue index for multi-queue stages; `None` on single-queue
-    /// paths (mirrors the `RingDrain` convention, so flow events land
-    /// on the same Perfetto track as the drains).
+    /// Queue index the crossing happened on; `None` for a stamp taken
+    /// outside any queue (the client machine, the NIC interrupt, the
+    /// guest's stack). The Chrome exporter places it by the same rule as
+    /// a `RingDrain`, so flow points land on the drains' track.
     pub qid: Option<u16>,
     /// Wire segments the request's frame resolved to at this stage
     /// (TSO fan-out at `NicTx`); zero for stages where segmentation is

@@ -98,10 +98,9 @@ pub enum EventKind {
     RingDrain {
         /// Which queue drained, e.g. `"netback_tx"`.
         queue: &'static str,
-        /// Queue index within a multi-queue backend; `None` for the
-        /// legacy single-queue layout (keeps those exports byte-stable).
-        /// The Chrome exporter gives every `Some` index its own track.
-        qid: Option<u16>,
+        /// Queue index within the backend (0 on a single-queue one). The
+        /// Chrome exporter decides which indices get a track of their own.
+        qid: u16,
         /// Ring slots consumed (occupancy at drain start, up to budget).
         consumed: u32,
         /// Frames delivered / requests submitted out of those slots.

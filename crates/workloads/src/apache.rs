@@ -79,14 +79,43 @@ pub fn figure8a(os: BackendOs, requests: u64, seed: u64) -> Vec<ApacheReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kite_net::ether::{ETH_FRAME_MAX, ETH_WIRE_OVERHEAD, TSO_MSS};
+    use kite_system::LineRate;
+
+    /// Payload MB/s a 10GbE wire carries once every MSS of it is framed
+    /// as an MTU segment: 1250 × 1472 / 1538 ≈ 1196.4.
+    fn wire_goodput_mbps() -> f64 {
+        LineRate::Gbe10.bps() as f64 / 8e6 * TSO_MSS as f64
+            / (ETH_FRAME_MAX + ETH_WIRE_OVERHEAD) as f64
+    }
 
     #[test]
     fn throughput_rises_with_file_size() {
         let reports = figure8a(BackendOs::Kite, 400, 1);
+        // The 1 MiB row sits at the wire's goodput ceiling (≈1196 MB/s)
+        // and the 512 B row is bound by the request rate (≈157 MB/s), so
+        // the ratio the model can show is ≈7.6; 7× leaves room for the
+        // seed's jitter, not for a lost amortization.
         assert!(
-            reports.last().unwrap().throughput_mbps > 8.0 * reports[0].throughput_mbps,
+            reports.last().unwrap().throughput_mbps > 7.0 * reports[0].throughput_mbps,
             "large files amortize per-request costs: {reports:#?}"
         );
+    }
+
+    #[test]
+    fn goodput_never_exceeds_what_the_wire_carries() {
+        for os in BackendOs::both() {
+            let largest = run(os, FIG8A_SIZES[FIG8A_SIZES.len() - 1], 400, 40, 1);
+            assert!(
+                largest.throughput_mbps <= wire_goodput_mbps(),
+                "{}: {:.1} MB/s of payload over a wire that carries {:.1}",
+                os.name(),
+                largest.throughput_mbps,
+                wire_goodput_mbps()
+            );
+            // ...and saturation means reaching it, not merely staying under.
+            assert!(largest.throughput_mbps > 0.99 * wire_goodput_mbps());
+        }
     }
 
     #[test]

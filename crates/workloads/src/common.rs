@@ -251,10 +251,12 @@ pub fn rr_closed_loop(os: kite_system::BackendOs, seed: u64, cfg: RrConfig) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kite_system::MAX_UDP;
 
+    /// Splits like a transport would; the reassembler must not care
+    /// where the cuts fall.
     fn chunk(payload: &[u8]) -> Vec<Vec<u8>> {
-        payload.chunks(MAX_UDP).map(|c| c.to_vec()).collect()
+        const CHUNK: usize = 4000;
+        payload.chunks(CHUNK).map(|c| c.to_vec()).collect()
     }
 
     fn msg(payload: Vec<u8>) -> UdpMsg {

@@ -5,17 +5,17 @@
 //! cargo run --release --example quickstart
 //! cargo run --release --example quickstart -- --trace out.json
 //! cargo run --release --example quickstart -- --queues 4 --trace out.json
-//! cargo run --release --example quickstart -- --gso
+//! cargo run --release --example quickstart -- --bulk
 //! ```
 //!
 //! With `--trace <path>`, the run records every hypercall, notify,
 //! xenbus transition and ring drain, and exports a Chrome-trace JSON
 //! (open it at <https://ui.perfetto.dev>). With `--queues <n>`, the
 //! vif pair negotiates `n` queues on an `n`-vCPU driver domain and the
-//! trace shows one ring-drain track per queue. With `--gso`, the pair
-//! negotiates `feature-gso-tcpv4`, the echo payload grows to a 40KB
-//! super-frame, and the snapshot shows the descriptor chains that
-//! carried it.
+//! trace shows one ring-drain track per queue. The pair negotiates
+//! `feature-gso-tcpv4` either way; with `--bulk` the echo payload grows
+//! to a 40KB super-frame, and the snapshot shows the descriptor chains
+//! that carried it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -39,15 +39,12 @@ fn main() {
                 .expect("--queues takes a number")
         })
         .unwrap_or(1);
-    let gso = args.iter().any(|a| a == "--gso");
+    let bulk = args.iter().any(|a| a == "--bulk");
 
     // One call assembles the paper's Figure 2: Dom0, a Kite driver domain
     // with the NIC passed through, a 22-vCPU guest with netfront, and an
     // external client — with the xenbus handshake already at Connected.
     let mut cfg = SystemConfig::new(BackendOs::Kite, /* seed */ 42).queues(queues);
-    if gso {
-        cfg = cfg.gso(true);
-    }
     if trace_path.is_some() {
         cfg = cfg.tracing(kite::trace::DEFAULT_CAPACITY);
     }
@@ -76,9 +73,9 @@ fn main() {
     // Multi-queue runs use several flows per queue (distinct source
     // ports) so Toeplitz steering lands traffic on every ring.
     let flows: u16 = if queues <= 1 { 1 } else { queues as u16 * 8 };
-    // With offload negotiated, a 40KB payload rides the rings as one
+    // Offload is negotiated, so a 40KB payload rides the rings as one
     // descriptor chain each way instead of ~28 MTU-sized slots.
-    let payload: Vec<u8> = if gso {
+    let payload: Vec<u8> = if bulk {
         (0..40_000u32).map(|i| i as u8).collect()
     } else {
         b"hello through the driver domain".to_vec()
@@ -117,10 +114,10 @@ fn main() {
     );
     print!("{}", snap.render_text());
     assert_eq!(echoed.len(), flows as usize, "every echo must arrive");
-    if gso {
+    if bulk {
         assert!(
             nb.gso_tx_frames > 0 && nb.lro_rx_frames > 0,
-            "offload run must move super-frames both ways"
+            "a bulk payload must cross as super-frames both ways"
         );
     }
 

@@ -28,8 +28,9 @@ for ex in examples/*.rs; do
     "$bin/examples/$(basename "${ex%.rs}")" > /dev/null
 done
 # The table-style experiments (boot, LoC map, CVEs, gadgets, DHCP DORA,
-# memory): no other step of the gate executes a `repro <id>`.
-$bin/repro fig4 table1 table3 fig5 dhcp mem > /dev/null
+# memory) and the network figures that run the default scenario: no
+# other step of the gate executes a `repro <id>`.
+$bin/repro fig4 table1 table3 fig5 dhcp mem fig6 fig7 fig8 fig10 > /dev/null
 
 fail() { echo "verify: $*" >&2; exit 1; }
 
@@ -74,7 +75,7 @@ echo "==> GSO run, 4-ring storage: deterministic Chrome traces"
 # Descriptor-chain framing, extra-info slots and LRO chains are all on
 # the determinism surface. So is the multi-queue completion path: each
 # storage ring has its own NVMe queue pair and MSI-X vector.
-same_twice "same-seed GSO traces differ" $bin/examples/quickstart --gso --queues 4 --trace {}
+same_twice "same-seed GSO traces differ" $bin/examples/quickstart --bulk --queues 4 --trace {}
 same_twice "same-seed 4-ring storage traces differ" $bin/examples/storage_domain --rings 4 --trace {}
 
 echo "==> repro prof: self-time table, collapsed stacks, sampler exports"

@@ -65,11 +65,7 @@ fn net_watchdog_detects_kill_within_bound() {
         assert_eq!(sys.recovery.hangs, 0, "{}", os.name());
         assert_eq!(sys.recovery.reconnects, 1, "{}", os.name());
         let got = *received.borrow();
-        assert!(
-            got >= MSGS - sys.guest_tx_dropped(),
-            "{}: acked frames lost",
-            os.name()
-        );
+        assert!(got >= MSGS, "{}: acked frames lost", os.name());
         let span = sys
             .hv
             .trace
@@ -106,11 +102,7 @@ fn net_watchdog_detects_hang_via_ring_stall() {
         assert_eq!(sys.recovery.crashes, 0, "{}", os.name());
         assert_eq!(sys.recovery.reconnects, 1, "{}", os.name());
         let got = *received.borrow();
-        assert!(
-            got >= MSGS - sys.guest_tx_dropped(),
-            "{}: acked frames lost",
-            os.name()
-        );
+        assert!(got >= MSGS, "{}: acked frames lost", os.name());
         assert!(
             sys.hv.trace.query().milestone("kill").is_none(),
             "{}: a hang is not a kill",
@@ -381,10 +373,7 @@ fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
     assert_eq!(sys.recovery.hangs, 0, "a wedge is not a full livelock");
     assert_eq!(sys.queue_count(), 4, "replacement renegotiated every queue");
     let got = *received.borrow();
-    assert!(
-        got >= MSGS - sys.guest_tx_dropped(),
-        "{got} delivered — acked frames lost"
-    );
+    assert!(got >= MSGS, "{got} delivered — acked frames lost");
     let span = sys
         .hv
         .trace
