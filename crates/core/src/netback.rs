@@ -602,17 +602,24 @@ impl NetbackInstance {
     /// The upper layer received a frame from the VIF (bridge) destined for
     /// this instance's guest: the Rx steering point. The frame's flow
     /// hash picks the queue (RSS), so one flow's frames stay ordered on
-    /// one queue. Returns `false` (and counts a drop) when that queue is
+    /// one queue. Returns the queue whose `soft_start` thread the VIF
+    /// callback wakes, or `None` (and counts a drop) when that queue is
     /// full — backpressure toward the bridge.
-    pub fn enqueue_to_guest(&mut self, frame: Vec<u8>) -> bool {
+    pub fn steer_to_guest(&mut self, frame: Vec<u8>) -> Option<usize> {
         let q = kite_net::flow::steer(&frame, self.queues.len() as u32) as usize;
         let qu = &mut self.queues[q];
         if qu.to_guest.len() >= self.rx_queue_cap {
             self.stats.rx_dropped += 1;
-            return false;
+            return None;
         }
         qu.to_guest.push_back(frame);
-        true
+        Some(q)
+    }
+
+    /// [`steer_to_guest`](Self::steer_to_guest) for callers that drive
+    /// every queue themselves: whether the frame was accepted.
+    pub fn enqueue_to_guest(&mut self, frame: Vec<u8>) -> bool {
+        self.steer_to_guest(frame).is_some()
     }
 
     /// Frames waiting for Rx ring slots, all queues.
@@ -960,6 +967,73 @@ mod tests {
         nf.on_irq(&mut hv).unwrap();
         assert_eq!(nf.recv().unwrap(), frame, "reassembled across 3 buffers");
         assert!(nf.recv().is_none());
+    }
+
+    /// A multi-queue netfront takes one interrupt per queue: queue `q`'s
+    /// handler reaps and re-arms queue `q`'s rings, and the other queues'
+    /// responses wait — unnotified again — for their own interrupts.
+    #[test]
+    fn a_queue_interrupt_reaps_and_rearms_only_its_own_rings() {
+        use std::net::Ipv4Addr;
+        const QUEUES: usize = 4;
+        let (mut hv, paths) = machine();
+        let max = format!("{}/multi-queue-max-queues", paths.backend());
+        hv.store.write(DomainId::DOM0, None, &max, "4").unwrap();
+        let mut nf = Netfront::connect_with_features(
+            &mut hv,
+            &paths,
+            MacAddr::local(1),
+            QUEUES as u32,
+            true,
+            false,
+        )
+        .unwrap();
+        let mut nb = NetbackInstance::connect(&mut hv, &paths, kite_profile()).unwrap();
+        assert_eq!(nf.queue_count(), QUEUES);
+        for q in 0..QUEUES {
+            assert_eq!(nf.queue_of(nf.port_of(q)), Some(q));
+        }
+        assert_eq!(nf.queue_of(Port(9_999)), None, "no queue owns the port");
+
+        // One frame per queue, found by sweeping the source port.
+        let frame = |port: u16| {
+            kite_net::UdpDatagram::new(port, 9999, [port as u8; 64]).encode_frame(
+                MacAddr::local(1),
+                MacAddr::local(2),
+                Ipv4Addr::new(10, 0, 0, 2),
+                Ipv4Addr::new(10, 0, 0, 9),
+            )
+        };
+        let mut on_queue: [Option<u16>; QUEUES] = [None; QUEUES];
+        let mut port = 5_000;
+        while on_queue.iter().any(Option::is_none) {
+            let q = kite_net::flow::steer(&frame(port), QUEUES as u32) as usize;
+            on_queue[q].get_or_insert(port);
+            port += 1;
+        }
+        let mut deliver = |hv: &mut Hypervisor, q: usize| {
+            assert_eq!(nb.steer_to_guest(frame(on_queue[q].unwrap())), Some(q));
+            let batch = nb.soft_start_run(hv, q, 64).unwrap();
+            assert_eq!(batch.delivered, 1);
+            batch.notify
+        };
+        for q in 0..QUEUES {
+            assert!(deliver(&mut hv, q), "queue {q}: first response notifies");
+        }
+
+        nf.on_queue_irq(&mut hv, 2).unwrap();
+        assert_eq!(nf.recv().unwrap(), frame(on_queue[2].unwrap()));
+        assert!(nf.recv().is_none(), "queues 0, 1 and 3 were not reaped");
+        // Queue 2's ring is re-armed; queue 1's still has its interrupt
+        // outstanding, so a further response there rides along with it.
+        assert!(deliver(&mut hv, 2));
+        assert!(!deliver(&mut hv, 1));
+
+        for (q, want) in [(0, 1), (1, 2), (2, 1), (3, 1)] {
+            nf.on_queue_irq(&mut hv, q).unwrap();
+            let got = std::iter::from_fn(|| nf.recv()).count();
+            assert_eq!(got, want, "queue {q}");
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 pub mod nic;
 pub mod nvme;
 
-pub use nic::{LineRate, Nic, NicProfile, RxIrq};
+pub use nic::{LineRate, Nic, NicProfile, RxIrq, RxRing};
 pub use nvme::{
     Cid, CqEntry, MsixVector, NvmeCmd, NvmeController, NvmeOp, NvmeProfile, QueueId, MAX_IO_QUEUES,
     SECTOR_SIZE, SQ_DEPTH,

@@ -5,6 +5,12 @@
 //! and moderates interrupts (ITR-style coalescing), which is why a driver
 //! domain sees *batches* of frames per IRQ at high rates — the behaviour
 //! Kite's `soft_start`/`pusher` threads are built around.
+//!
+//! Receive is RSS: the part has one Rx ring, one ITR timer and one MSI-X
+//! vector *per queue*, and [`kite_net::flow::steer`] — the hash netback
+//! steers with — picks the ring, so with equal queue counts NIC ring `k`
+//! feeds netback queue `k` and a flow stays in FIFO order on one ring.
+//! One ring (the default) is the whole model with `steer` constant 0.
 
 use std::collections::VecDeque;
 
@@ -36,8 +42,10 @@ pub struct NicProfile {
     pub line_rate_bps: u64,
     /// Interrupt moderation window.
     pub irq_coalesce: Nanos,
-    /// Receive queue capacity in frames.
+    /// Receive ring capacity in frames (per ring).
     pub rx_queue_frames: usize,
+    /// Receive rings (RSS queues), each with its own interrupt vector.
+    pub rx_queues: u32,
     /// Transmit-side queueing capacity in bytes (hardware ring + qdisc).
     pub tx_queue_bytes: u64,
 }
@@ -74,6 +82,7 @@ impl Default for NicProfile {
             line_rate_bps: LineRate::Gbe10.bps(),
             irq_coalesce: Nanos::from_micros(20),
             rx_queue_frames: 2048,
+            rx_queues: 1,
             tx_queue_bytes: 64 * 1024 * 1024,
         }
     }
@@ -92,17 +101,67 @@ impl NicProfile {
         };
         self
     }
+
+    /// Selects the number of RSS receive rings (the NIC builds at least
+    /// one): a driver domain asks for one per netback queue.
+    pub fn with_rx_queues(mut self, n: u32) -> NicProfile {
+        self.rx_queues = n;
+        self
+    }
 }
 
 /// Receive-side interrupt decision from [`Nic::rx_enqueue`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RxIrq {
-    /// Deliver an interrupt at the given time.
-    FireAt(Nanos),
-    /// An interrupt is already pending; the frame rides along.
+    /// Deliver receive ring `ring`'s interrupt at `at`.
+    FireAt {
+        /// When the vector fires.
+        at: Nanos,
+        /// The ring the frame steered to.
+        ring: u16,
+    },
+    /// The ring's interrupt is already pending; the frame rides along.
     AlreadyPending,
-    /// Receive queue overflowed; the frame was dropped.
+    /// The ring overflowed; the frame was dropped.
     Dropped,
+}
+
+/// One receive ring's state: its frames and its interrupt moderation.
+#[derive(Clone, Debug, Default)]
+struct RxRingState {
+    frames: VecDeque<Vec<u8>>,
+    irq_pending: bool,
+    last_irq: Nanos,
+}
+
+/// The driver's handle on one receive ring ([`Nic::rx`]).
+pub struct RxRing<'a> {
+    ring: &'a mut RxRingState,
+    irq_coalesce: Nanos,
+}
+
+impl RxRing<'_> {
+    /// The ring's interrupt handler ran at `now`: drains up to `budget`
+    /// queued frames and re-arms the ring's moderation.
+    pub fn drain(self, now: Nanos, budget: usize) -> Vec<Vec<u8>> {
+        self.ring.last_irq = now;
+        self.ring.irq_pending = false;
+        let n = budget.min(self.ring.frames.len());
+        self.ring.frames.drain(..n).collect()
+    }
+
+    /// Marks the ring's interrupt pending without a frame (poll-again
+    /// path).
+    ///
+    /// Returns when it should fire, or `None` if the ring is empty or
+    /// its interrupt is already pending.
+    pub fn rearm_irq(self, now: Nanos) -> Option<Nanos> {
+        if self.ring.frames.is_empty() || self.ring.irq_pending {
+            return None;
+        }
+        self.ring.irq_pending = true;
+        Some((self.ring.last_irq + self.irq_coalesce).max(now))
+    }
 }
 
 /// The NIC model.
@@ -116,11 +175,9 @@ pub struct Nic {
     pub per_seg_tx: Nanos,
     /// Interrupt moderation window (82599 ITR default ≈ 20 µs at 10GbE).
     pub irq_coalesce: Nanos,
-    /// Receive queue capacity in frames.
+    /// Receive ring capacity in frames (per ring).
     pub rx_queue_frames: usize,
-    rx_queue: VecDeque<Vec<u8>>,
-    irq_pending: bool,
-    last_irq: Nanos,
+    rings: Vec<RxRingState>,
     rx_frames: u64,
     rx_dropped: u64,
 }
@@ -142,9 +199,7 @@ impl Nic {
             per_frame_tx: profile.per_frame_tx,
             irq_coalesce: profile.irq_coalesce,
             rx_queue_frames: profile.rx_queue_frames,
-            rx_queue: VecDeque::new(),
-            irq_pending: false,
-            last_irq: Nanos::ZERO,
+            rings: vec![RxRingState::default(); profile.rx_queues.max(1) as usize],
             rx_frames: 0,
             rx_dropped: 0,
         }
@@ -164,45 +219,44 @@ impl Nic {
         self.link.transmit(now + cost, wire_bytes)
     }
 
-    /// A frame arrived from the wire; queues it and decides on an IRQ.
+    /// A frame arrived from the wire: RSS steers it to a receive ring,
+    /// which queues it and decides on that ring's interrupt.
     pub fn rx_enqueue(&mut self, now: Nanos, frame: Vec<u8>) -> RxIrq {
-        if self.rx_queue.len() >= self.rx_queue_frames {
+        let k = kite_net::flow::steer(&frame, self.rings.len() as u32) as usize;
+        let ring = &mut self.rings[k];
+        if ring.frames.len() >= self.rx_queue_frames {
             self.rx_dropped += 1;
             return RxIrq::Dropped;
         }
         self.rx_frames += 1;
-        self.rx_queue.push_back(frame);
-        if self.irq_pending {
+        ring.frames.push_back(frame);
+        if ring.irq_pending {
             return RxIrq::AlreadyPending;
         }
-        self.irq_pending = true;
-        let fire = (self.last_irq + self.irq_coalesce).max(now);
-        RxIrq::FireAt(fire)
-    }
-
-    /// The driver's interrupt handler ran at `now`: drains up to `budget`
-    /// queued frames and re-arms moderation.
-    pub fn drain_rx(&mut self, now: Nanos, budget: usize) -> Vec<Vec<u8>> {
-        self.last_irq = now;
-        self.irq_pending = false;
-        let n = budget.min(self.rx_queue.len());
-        self.rx_queue.drain(..n).collect()
-    }
-
-    /// Frames still queued (driver should poll again before sleeping).
-    pub fn rx_backlog(&self) -> usize {
-        self.rx_queue.len()
-    }
-
-    /// Marks an IRQ as pending without a frame (poll-again path).
-    ///
-    /// Returns when it should fire, or `None` if one is already pending.
-    pub fn rearm_irq(&mut self, now: Nanos) -> Option<Nanos> {
-        if self.rx_queue.is_empty() || self.irq_pending {
-            return None;
+        ring.irq_pending = true;
+        RxIrq::FireAt {
+            at: (ring.last_irq + self.irq_coalesce).max(now),
+            ring: k as u16,
         }
-        self.irq_pending = true;
-        Some((self.last_irq + self.irq_coalesce).max(now))
+    }
+
+    /// Receive ring `k`, as its interrupt handler sees it.
+    pub fn rx(&mut self, k: usize) -> RxRing<'_> {
+        RxRing {
+            ring: &mut self.rings[k],
+            irq_coalesce: self.irq_coalesce,
+        }
+    }
+
+    /// The one-ring NIC's handler: [`RxRing::drain`] on ring 0.
+    pub fn drain_rx(&mut self, now: Nanos, budget: usize) -> Vec<Vec<u8>> {
+        self.rx(0).drain(now, budget)
+    }
+
+    /// Frames still queued on any ring (the driver polls again before
+    /// sleeping).
+    pub fn rx_backlog(&self) -> usize {
+        self.rings.iter().map(|r| r.frames.len()).sum()
     }
 
     /// Received frame count.
@@ -222,18 +276,22 @@ impl Device for Nic {
     }
 
     fn reset(&mut self) {
-        // Frames sitting in the rx queue at reset are lost on the floor —
+        // Frames sitting in any rx ring at reset are lost on the floor —
         // account them as drops so lifetime counters stay honest.
-        self.rx_dropped += self.rx_queue.len() as u64;
-        self.rx_queue.clear();
-        self.irq_pending = false;
-        self.last_irq = Nanos::ZERO;
+        self.rx_dropped += self.rx_backlog() as u64;
+        for ring in &mut self.rings {
+            *ring = RxRingState::default();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn fire(at: Nanos, ring: u16) -> RxIrq {
+        RxIrq::FireAt { at, ring }
+    }
 
     #[test]
     fn transmit_adds_overhead_then_serializes() {
@@ -287,7 +345,7 @@ mod tests {
     fn first_rx_fires_immediately_then_coalesces() {
         let mut nic = Nic::ten_gbe();
         let t0 = Nanos::from_micros(100);
-        assert_eq!(nic.rx_enqueue(t0, vec![0; 100]), RxIrq::FireAt(t0));
+        assert_eq!(nic.rx_enqueue(t0, vec![0; 100]), fire(t0, 0));
         // While pending, more frames ride along.
         assert_eq!(nic.rx_enqueue(t0, vec![0; 100]), RxIrq::AlreadyPending);
         // Handler drains both.
@@ -297,7 +355,7 @@ mod tests {
         let t1 = t0 + Nanos::from_micros(1);
         assert_eq!(
             nic.rx_enqueue(t1, vec![0; 100]),
-            RxIrq::FireAt(t0 + Nanos::from_micros(20))
+            fire(t0 + Nanos::from_micros(20), 0)
         );
     }
 
@@ -307,7 +365,7 @@ mod tests {
         nic.rx_queue_frames = 2;
         assert!(matches!(
             nic.rx_enqueue(Nanos::ZERO, vec![1]),
-            RxIrq::FireAt(_)
+            RxIrq::FireAt { .. }
         ));
         assert_eq!(nic.rx_enqueue(Nanos::ZERO, vec![2]), RxIrq::AlreadyPending);
         assert_eq!(nic.rx_enqueue(Nanos::ZERO, vec![3]), RxIrq::Dropped);
@@ -326,23 +384,26 @@ mod tests {
         assert_eq!(got.len(), 4);
         assert_eq!(nic.rx_backlog(), 6);
         // Re-arm schedules a moderated IRQ for the backlog.
-        let fire = nic.rearm_irq(t0).unwrap();
+        let fire = nic.rx(0).rearm_irq(t0).unwrap();
         assert_eq!(fire, t0 + nic.irq_coalesce);
         // Double re-arm is suppressed.
-        assert_eq!(nic.rearm_irq(t0), None);
+        assert_eq!(nic.rx(0).rearm_irq(t0), None);
     }
 
     #[test]
     fn rearm_with_empty_queue_is_none() {
         let mut nic = Nic::ten_gbe();
-        assert_eq!(nic.rearm_irq(Nanos::ZERO), None);
+        assert_eq!(nic.rx(0).rearm_irq(Nanos::ZERO), None);
     }
 
     #[test]
     fn reset_drops_queued_frames_and_interrupt_state() {
         let mut nic = Nic::ten_gbe();
         let t0 = Nanos::from_micros(100);
-        assert!(matches!(nic.rx_enqueue(t0, vec![0; 64]), RxIrq::FireAt(_)));
+        assert!(matches!(
+            nic.rx_enqueue(t0, vec![0; 64]),
+            RxIrq::FireAt { .. }
+        ));
         assert_eq!(nic.rx_enqueue(t0, vec![0; 64]), RxIrq::AlreadyPending);
         nic.reset();
         assert_eq!(nic.model(), "Intel 82599ES");
@@ -352,6 +413,118 @@ mod tests {
         assert_eq!(nic.rx_dropped(), 2);
         // Interrupt state is clean: the next frame fires immediately.
         let t1 = Nanos::from_micros(101);
-        assert_eq!(nic.rx_enqueue(t1, vec![0; 64]), RxIrq::FireAt(t1));
+        assert_eq!(nic.rx_enqueue(t1, vec![0; 64]), fire(t1, 0));
+    }
+
+    // ---- RSS receive rings ---------------------------------------------
+
+    /// A UDP frame of flow `src_port`, and the ring it steers to of `n`.
+    fn flow_frame(src_port: u16, n: u32) -> (Vec<u8>, u16) {
+        use kite_net::{MacAddr, UdpDatagram};
+        let f = UdpDatagram::new(src_port, 9000, [0x5a; 64]).encode_frame(
+            MacAddr::local(2),
+            MacAddr::local(1),
+            "10.0.0.1".parse().unwrap(),
+            "10.0.0.2".parse().unwrap(),
+        );
+        let ring = kite_net::flow::steer(&f, n) as u16;
+        (f, ring)
+    }
+
+    /// Two flows of a 4-ring NIC that land on different rings.
+    fn two_rings() -> ((Vec<u8>, u16), (Vec<u8>, u16)) {
+        let a = flow_frame(1200, 4);
+        let b = (1201..)
+            .map(|p| flow_frame(p, 4))
+            .find(|(_, ring)| *ring != a.1)
+            .expect("some flow steers elsewhere");
+        (a, b)
+    }
+
+    fn four_rings() -> Nic {
+        Nic::with_profile(NicProfile::default().with_rx_queues(4))
+    }
+
+    #[test]
+    fn a_pending_interrupt_on_one_ring_does_not_suppress_another() {
+        let mut nic = four_rings();
+        let ((fa, ra), (fb, rb)) = two_rings();
+        let t0 = Nanos::from_micros(100);
+        assert_eq!(nic.rx_enqueue(t0, fa.clone()), fire(t0, ra));
+        assert_eq!(nic.rx_enqueue(t0, fa.clone()), RxIrq::AlreadyPending);
+        // Ring B has its own vector: its first frame still fires.
+        assert_eq!(nic.rx_enqueue(t0, fb), fire(t0, rb));
+        // Each handler sees only its own ring's frames, in order.
+        assert_eq!(nic.rx(ra as usize).drain(t0, 64), vec![fa.clone(), fa]);
+        assert_eq!(nic.rx(rb as usize).drain(t0, 64).len(), 1);
+        assert_eq!(nic.rx_backlog(), 0);
+    }
+
+    #[test]
+    fn moderation_windows_are_per_ring() {
+        let mut nic = four_rings();
+        let ((fa, ra), (fb, rb)) = two_rings();
+        let t0 = Nanos::from_micros(100);
+        assert_eq!(nic.rx_enqueue(t0, fa.clone()), fire(t0, ra));
+        nic.rx(ra as usize).drain(t0, 64);
+        // Ring A fired at t0, so its next interrupt is moderated; ring B
+        // has not fired yet and interrupts at once.
+        let t1 = t0 + Nanos::from_micros(1);
+        assert_eq!(
+            nic.rx_enqueue(t1, fa.clone()),
+            fire(t0 + nic.irq_coalesce, ra)
+        );
+        assert_eq!(nic.rx_enqueue(t1, fb.clone()), fire(t1, rb));
+        // Draining B leaves A's pending interrupt and backlog alone.
+        nic.rx(rb as usize).drain(t1, 64);
+        assert_eq!(nic.rx(ra as usize).rearm_irq(t1), None, "A still pending");
+        assert_eq!(nic.rx(rb as usize).rearm_irq(t1), None, "B is empty");
+        assert_eq!(nic.rx_backlog(), 1);
+        // The capacity is per ring too.
+        nic.rx_queue_frames = 1;
+        assert_eq!(nic.rx_enqueue(t1, fb), fire(t1 + nic.irq_coalesce, rb));
+        assert_eq!(nic.rx_enqueue(t1, fa), RxIrq::Dropped);
+        assert_eq!(nic.rx_dropped(), 1);
+    }
+
+    #[test]
+    fn reset_books_every_rings_frames_as_dropped() {
+        let mut nic = four_rings();
+        let ((fa, _), (fb, rb)) = two_rings();
+        let t0 = Nanos::from_micros(100);
+        nic.rx_enqueue(t0, fa.clone());
+        nic.rx_enqueue(t0, fa);
+        nic.rx_enqueue(t0, fb.clone());
+        nic.reset();
+        assert_eq!((nic.rx_backlog(), nic.rx_frames()), (0, 3));
+        assert_eq!(nic.rx_dropped(), 3);
+        // Every ring's interrupt state is clean again.
+        let t1 = Nanos::from_micros(101);
+        assert_eq!(nic.rx_enqueue(t1, fb), fire(t1, rb));
+    }
+
+    /// With one ring the steering is constant and the handle is the whole
+    /// receive side: enqueue, moderated drain, budgeted drain and re-arm
+    /// give what the single-queue model always gave, whatever the flows.
+    #[test]
+    fn one_ring_nic_is_the_single_queue_model() {
+        let mut nic = Nic::ten_gbe();
+        let itr = nic.irq_coalesce;
+        let t0 = Nanos::from_micros(50);
+        let frames: Vec<Vec<u8>> = (0..6).map(|p| flow_frame(1200 + p, 1).0).collect();
+        assert_eq!(nic.rx_enqueue(t0, frames[0].clone()), fire(t0, 0));
+        for f in &frames[1..] {
+            assert_eq!(nic.rx_enqueue(t0, f.clone()), RxIrq::AlreadyPending);
+        }
+        // A budgeted drain keeps arrival order and leaves the rest queued.
+        assert_eq!(nic.drain_rx(t0, 4), frames[..4]);
+        assert_eq!(nic.rx_backlog(), 2);
+        assert_eq!(nic.rx(0).rearm_irq(t0), Some(t0 + itr));
+        assert_eq!(nic.rx(0).rearm_irq(t0), None);
+        let t1 = t0 + itr;
+        assert_eq!(nic.rx(0).drain(t1, usize::MAX), frames[4..]);
+        assert_eq!(nic.rx(0).rearm_irq(t1), None);
+        let t2 = t1 + Nanos::from_micros(1);
+        assert_eq!(nic.rx_enqueue(t2, frames[0].clone()), fire(t1 + itr, 0));
     }
 }

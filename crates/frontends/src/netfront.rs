@@ -81,6 +81,101 @@ struct NfQueue {
     rx_poisoned: bool,
 }
 
+impl NfQueue {
+    /// Reaps this queue's Tx completions (freeing buffers) and Rx
+    /// deliveries (appending whole frames to `received`); returns the
+    /// guest-side cost.
+    fn reap(&mut self, hv: &mut Hypervisor, received: &mut VecDeque<Vec<u8>>) -> Result<Nanos> {
+        let mut cost = Nanos::ZERO;
+        // Tx completions.
+        loop {
+            let rsp = {
+                let page = hv.mem.page(self.tx.page)?;
+                self.tx.ring.consume_response(page)?
+            };
+            let Some(rsp) = rsp else { break };
+            if rsp.status == NETIF_RSP_NULL {
+                // Extra-info slot acknowledgment: its id field held
+                // the descriptor kind, not a pool id — nothing to
+                // release.
+                continue;
+            }
+            self.tx_pool.release_id(rsp.id);
+            self.in_flight_tx.retain(|&(i, _, _)| i != rsp.id);
+            cost += Nanos::from_nanos(80);
+        }
+        {
+            let page = hv.mem.page_mut(self.tx.page)?;
+            self.tx.ring.final_check_for_responses(page);
+        }
+        // Rx deliveries.
+        loop {
+            let rsp = {
+                let page = hv.mem.page(self.rx.page)?;
+                self.rx.ring.consume_response(page)?
+            };
+            let Some(rsp) = rsp else { break };
+            let more = rsp.flags & NETRXF_MORE_DATA != 0;
+            if rsp.status > 0 {
+                let len = rsp.status as usize;
+                let buf = self.rx_pool.pages[rsp.id as usize];
+                let data = &hv.mem.page(buf)?[rsp.offset as usize..rsp.offset as usize + len];
+                self.rx_partial.extend_from_slice(data);
+                // The backend validated the checksum for us when it
+                // set `NETRXF_DATA_VALIDATED`; the guest's software
+                // pass is skipped and the per-byte cost halves.
+                let per_byte = if rsp.flags & NETRXF_DATA_VALIDATED != 0 {
+                    32
+                } else {
+                    16
+                };
+                cost += Nanos::from_nanos(120 + len as u64 / per_byte);
+            } else {
+                // A failed fragment poisons the chain it belongs
+                // to: nothing already accumulated may be delivered.
+                self.rx_poisoned = true;
+            }
+            if !more {
+                if !self.rx_poisoned && !self.rx_partial.is_empty() {
+                    received.push_back(std::mem::take(&mut self.rx_partial));
+                } else {
+                    self.rx_partial.clear();
+                }
+                self.rx_poisoned = false;
+            }
+            self.rx_pool.release_id(rsp.id);
+        }
+        {
+            let page = hv.mem.page_mut(self.rx.page)?;
+            self.rx.ring.final_check_for_responses(page);
+        }
+        Ok(cost)
+    }
+
+    /// Posts every free Rx buffer; true when the backend end should be
+    /// notified.
+    fn post_rx_buffers(&mut self, hv: &mut Hypervisor) -> Result<bool> {
+        let mut posted = false;
+        while !self.rx.ring.full() {
+            let id = match self.rx_pool.alloc_id() {
+                Some(i) => i,
+                None => break,
+            };
+            let gref = self.rx_pool.grefs[id as usize];
+            let page = hv.mem.page_mut(self.rx.page)?;
+            self.rx
+                .ring
+                .push_request(page, &NetifRxRequest { id, gref })?;
+            posted = true;
+        }
+        if !posted {
+            return Ok(false);
+        }
+        let page = hv.mem.page_mut(self.rx.page)?;
+        Ok(self.rx.ring.push_requests(page))
+    }
+}
+
 /// The netfront driver instance.
 pub struct Netfront {
     /// Guest domain.
@@ -250,24 +345,8 @@ impl Netfront {
     pub fn post_rx_buffers(&mut self, hv: &mut Hypervisor) -> Result<Vec<usize>> {
         let mut notify = Vec::new();
         for (q, qu) in self.queues.iter_mut().enumerate() {
-            let mut posted = false;
-            while !qu.rx.ring.full() {
-                let id = match qu.rx_pool.alloc_id() {
-                    Some(i) => i,
-                    None => break,
-                };
-                let gref = qu.rx_pool.grefs[id as usize];
-                let page = hv.mem.page_mut(qu.rx.page)?;
-                qu.rx
-                    .ring
-                    .push_request(page, &NetifRxRequest { id, gref })?;
-                posted = true;
-            }
-            if posted {
-                let page = hv.mem.page_mut(qu.rx.page)?;
-                if qu.rx.ring.push_requests(page) {
-                    notify.push(q);
-                }
+            if qu.post_rx_buffers(hv)? {
+                notify.push(q);
             }
         }
         Ok(notify)
@@ -374,75 +453,15 @@ impl Netfront {
         ))
     }
 
-    /// The guest's interrupt handler: reaps Tx completions (freeing
-    /// buffers) and Rx deliveries (queueing frames for the stack) on
-    /// every queue, then reposts Rx buffers. Returns the cost and the
-    /// queues whose backend must be notified (for reposted buffers).
+    /// The guest's interrupt handler for a device whose queues share
+    /// one vector (and the whole of a one-queue device's): reaps Tx
+    /// completions and Rx deliveries on every queue, then reposts Rx
+    /// buffers. Returns the cost and the queues whose backend must be
+    /// notified (for reposted buffers).
     pub fn on_irq(&mut self, hv: &mut Hypervisor) -> Result<(FrontOp, Vec<usize>)> {
         let mut cost = Nanos::ZERO;
         for qu in &mut self.queues {
-            // Tx completions.
-            loop {
-                let rsp = {
-                    let page = hv.mem.page(qu.tx.page)?;
-                    qu.tx.ring.consume_response(page)?
-                };
-                let Some(rsp) = rsp else { break };
-                if rsp.status == NETIF_RSP_NULL {
-                    // Extra-info slot acknowledgment: its id field held
-                    // the descriptor kind, not a pool id — nothing to
-                    // release.
-                    continue;
-                }
-                qu.tx_pool.release_id(rsp.id);
-                qu.in_flight_tx.retain(|&(i, _, _)| i != rsp.id);
-                cost += Nanos::from_nanos(80);
-            }
-            {
-                let page = hv.mem.page_mut(qu.tx.page)?;
-                qu.tx.ring.final_check_for_responses(page);
-            }
-            // Rx deliveries.
-            loop {
-                let rsp = {
-                    let page = hv.mem.page(qu.rx.page)?;
-                    qu.rx.ring.consume_response(page)?
-                };
-                let Some(rsp) = rsp else { break };
-                let more = rsp.flags & NETRXF_MORE_DATA != 0;
-                if rsp.status > 0 {
-                    let len = rsp.status as usize;
-                    let buf = qu.rx_pool.pages[rsp.id as usize];
-                    let data = &hv.mem.page(buf)?[rsp.offset as usize..rsp.offset as usize + len];
-                    qu.rx_partial.extend_from_slice(data);
-                    // The backend validated the checksum for us when it
-                    // set `NETRXF_DATA_VALIDATED`; the guest's software
-                    // pass is skipped and the per-byte cost halves.
-                    let per_byte = if rsp.flags & NETRXF_DATA_VALIDATED != 0 {
-                        32
-                    } else {
-                        16
-                    };
-                    cost += Nanos::from_nanos(120 + len as u64 / per_byte);
-                } else {
-                    // A failed fragment poisons the chain it belongs
-                    // to: nothing already accumulated may be delivered.
-                    qu.rx_poisoned = true;
-                }
-                if !more {
-                    if !qu.rx_poisoned && !qu.rx_partial.is_empty() {
-                        self.received.push_back(std::mem::take(&mut qu.rx_partial));
-                    } else {
-                        qu.rx_partial.clear();
-                    }
-                    qu.rx_poisoned = false;
-                }
-                qu.rx_pool.release_id(rsp.id);
-            }
-            {
-                let page = hv.mem.page_mut(qu.rx.page)?;
-                qu.rx.ring.final_check_for_responses(page);
-            }
+            cost += qu.reap(hv, &mut self.received)?;
         }
         let notify = self.post_rx_buffers(hv)?;
         Ok((
@@ -452,6 +471,23 @@ impl Netfront {
             },
             notify,
         ))
+    }
+
+    /// Queue `q`'s interrupt handler: a multi-queue netfront binds one
+    /// event channel per queue, and a queue's handler reaps and reposts
+    /// that queue's rings only — the others wait for their own
+    /// interrupts. `FrontOp::notify` asks for a kick on
+    /// [`Netfront::port_of`]`(q)`.
+    pub fn on_queue_irq(&mut self, hv: &mut Hypervisor, q: usize) -> Result<FrontOp> {
+        let qu = &mut self.queues[q];
+        let cost = qu.reap(hv, &mut self.received)?;
+        let notify = qu.post_rx_buffers(hv)?;
+        Ok(FrontOp { notify, cost })
+    }
+
+    /// The queue whose event channel is guest-local `port`.
+    pub fn queue_of(&self, port: Port) -> Option<usize> {
+        self.queues.iter().position(|qu| qu.evtchn == port)
     }
 
     /// Takes the next received frame, if any.

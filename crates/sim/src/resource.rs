@@ -228,6 +228,14 @@ impl CpuPool {
         self.cpus.iter().fold(Nanos::ZERO, |acc, c| acc + c.busy())
     }
 
+    /// Busy time accumulated by each vCPU, unclamped. The mean that
+    /// [`utilization_percent`](Self::utilization_percent) reports hides
+    /// skew (and saturates at 100): this is the row to read when a
+    /// multi-queue number looks capped.
+    pub fn busy_each(&self) -> Vec<Nanos> {
+        self.cpus.iter().map(Cpu::busy).collect()
+    }
+
     /// Total work slices executed across all vCPUs.
     pub fn slices(&self) -> u64 {
         self.cpus.iter().map(Cpu::slices).sum()
@@ -377,5 +385,12 @@ mod tests {
         pool.run_on(0, Nanos::ZERO, Nanos::from_micros(10));
         // vCPU 0 is 100% busy over 10us, vCPU 1 idle: mean is 50%.
         assert!((pool.utilization_percent(Nanos::from_micros(10)) - 50.0).abs() < 1e-9);
+        // The per-vCPU view shows the skew the mean hides, unclamped.
+        pool.run_on(0, Nanos::ZERO, Nanos::from_micros(10));
+        assert_eq!(
+            pool.busy_each(),
+            [Nanos::from_micros(20), Nanos::ZERO],
+            "200% of the window on vCPU 0"
+        );
     }
 }

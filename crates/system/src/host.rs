@@ -154,12 +154,14 @@ pub trait Datapath: Sized {
     /// Handles one of the datapath's events.
     fn handle(host: &mut Host<Self>, now: Nanos, ev: Self::Event);
 
-    /// Runs the backend's threads to exhaustion starting at `now`
-    /// (the driver-side interrupt handler already ran).
-    fn run_backend(host: &mut Host<Self>, now: Nanos);
+    /// Queue `q`'s event channel fired and its handler finished on vCPU
+    /// `q` at `now`: runs the backend threads that interrupt wakes, to
+    /// exhaustion.
+    fn run_backend(host: &mut Host<Self>, now: Nanos, q: usize);
 
-    /// The frontend's interrupt handler in the guest.
-    fn guest_irq(host: &mut Host<Self>, now: Nanos);
+    /// The frontend's interrupt handler in the guest: the event channel
+    /// bound to guest-local `port` fired.
+    fn guest_irq(host: &mut Host<Self>, now: Nanos, port: Port);
 
     /// The backend instance was abandoned (killed, or torn down at
     /// detection): harvest its final stats and whatever died with it.
@@ -201,6 +203,18 @@ pub enum Sampled {
     /// The watchdog verdict: the one value the host samples without
     /// exporting it, because `BENCH_mechanisms.json` pins the rows.
     Health,
+}
+
+/// The positions of `mask`'s set bits, lowest first: the queues a
+/// "who needs a kick" bitmask names.
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let q = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            q
+        })
+    })
 }
 
 /// The integer row `name`, when the datapath exported one.
@@ -768,18 +782,19 @@ impl<D: Datapath> Host<D> {
                     }
                     // The backend's event channel: the handler runs on
                     // the vCPU the owning queue is pinned to, then wakes
-                    // the queue threads.
+                    // that queue's threads. A port no queue owns is as
+                    // stale as one for a dead backend.
                     let be = self.backend.device().expect("checked");
-                    let q = (0..be.queue_count())
-                        .find(|&q| be.port_of(q) == port)
-                        .unwrap_or(0);
+                    let Some(q) = (0..be.queue_count()).find(|&q| be.port_of(q) == port) else {
+                        return;
+                    };
                     let cost = be.irq_handler_cost();
                     let idle = now.saturating_sub(self.driver_cpus.free_at(q));
                     let wake = self.profile.idle_wake(idle);
                     let t = self.driver_cpus.run_on(q, now, wake + cost);
-                    D::run_backend(self, t);
+                    D::run_backend(self, t, q);
                 } else if dom == self.guest {
-                    D::guest_irq(self, now);
+                    D::guest_irq(self, now, port);
                 }
             }
             Event::Fault(fault) => {
@@ -901,6 +916,13 @@ impl<D: Datapath> Host<D> {
     /// Driver-domain mean vCPU utilization over a window.
     pub fn driver_cpu_percent(&self, window: Nanos) -> f64 {
         self.driver_cpus.utilization_percent(window)
+    }
+
+    /// Busy time of each driver-domain vCPU (one per queue), unclamped:
+    /// the skew [`driver_cpu_percent`](Self::driver_cpu_percent)'s mean
+    /// cannot show. Restarts with the driver domain.
+    pub fn driver_cpu_busy_each(&self) -> Vec<Nanos> {
+        self.driver_cpus.busy_each()
     }
 
     /// Guest mean vCPU utilization over a window (sysstat style).

@@ -17,7 +17,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
 
-use kite_core::{BackendDevice, NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
+use kite_core::{NetbackInstance, NetbackStats, NetworkApp, RecoveryStats};
 use kite_devices::{LineRate, Nic, NicProfile, RxIrq};
 use kite_frontends::Netfront;
 use kite_net::ether::{tso_wire_cost, TSO_HEADERS_LEN, TSO_MSS};
@@ -31,11 +31,11 @@ use kite_sim::{Link, Nanos, OnlineStats, Pcg, TxOutcome};
 use kite_trace::MetricsSnapshot;
 use kite_trace::SampleKind::{self, Counter, Gauge};
 use kite_xen::xenbus::FEATURE_GSO_KEY;
-use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, ReqStage, SlotClass};
+use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqStage, SlotClass};
 
 use crate::config::SystemConfig;
 use crate::host::Sampled::{self, Health, PerQueue, Row};
-use crate::host::{Datapath, Event, Host};
+use crate::host::{set_bits, Datapath, Event, Host};
 
 /// A UDP message delivered to an application handler.
 #[derive(Clone, Debug)]
@@ -79,8 +79,8 @@ pub enum Side {
 
 /// The network datapath's scheduled events.
 pub enum NetEvent {
-    /// The server NIC's moderated receive interrupt.
-    NicIrq,
+    /// The moderated interrupt of one of the server NIC's receive rings.
+    NicIrq(u16),
     /// A frame lands on the server NIC from the wire.
     WireToServer(Vec<u8>),
     /// A frame lands on the client machine from the wire.
@@ -198,10 +198,19 @@ pub struct NetPath {
     guest_mac: MacAddr,
     client_mac: MacAddr,
     guest_txq: VecDeque<Vec<u8>>,
+    /// When netfront's interrupt handler last ran in the guest.
+    guest_irq_at: Nanos,
     guest_app: Option<UdpHandler>,
     client_link: Link,
     client_app: Option<UdpHandler>,
     icmp_sent: HashMap<u16, Nanos>,
+    /// Netback queues the VIF callback handed frames to since the last
+    /// NIC interrupt handler collected them (bit `q`).
+    vif_woken: u64,
+    /// Per-wake scratch, cleared not dropped: the frames one pusher run
+    /// produced, and the frames one wake puts on the wire.
+    pusher_out: Vec<Vec<u8>>,
+    to_wire: Vec<Vec<u8>>,
     /// Measurement taps.
     pub metrics: NetMetrics,
 }
@@ -231,7 +240,7 @@ impl Datapath for NetPath {
             NetEvent::WireToServer(_) | NetEvent::WireToClient(_) | NetEvent::ClientTxFrame(_) => {
                 Phase::DispatchWire
             }
-            NetEvent::NicIrq => Phase::DispatchNicIrq,
+            NetEvent::NicIrq(_) => Phase::DispatchNicIrq,
         }
     }
 
@@ -266,7 +275,12 @@ impl Datapath for NetPath {
         let dp = NetPath {
             gso: cfg.gso,
             wire: cfg.wire,
-            nic: Nic::with_profile(NicProfile::default().with_line_rate(cfg.wire)),
+            // One receive ring (and vector) per queue, like the vCPUs.
+            nic: Nic::with_profile(
+                NicProfile::default()
+                    .with_line_rate(cfg.wire)
+                    .with_rx_queues(cfg.queues),
+            ),
             phys_mac,
             netapp,
             nb_stats_base: NetbackStats::default(),
@@ -278,10 +292,14 @@ impl Datapath for NetPath {
             guest_mac: MacAddr::local(0xaa01),
             client_mac: MacAddr::local(0xcc01),
             guest_txq: VecDeque::new(),
+            guest_irq_at: Nanos::ZERO,
             guest_app: None,
             client_link,
             client_app: None,
             icmp_sent: HashMap::new(),
+            vif_woken: 0,
+            pusher_out: Vec::new(),
+            to_wire: Vec::new(),
             metrics: NetMetrics::default(),
         };
         (dp, profile.clone(), profile)
@@ -328,12 +346,12 @@ impl Datapath for NetPath {
         host.handle_net(now, ev);
     }
 
-    fn run_backend(host: &mut NetSystem, now: Nanos) {
-        host.run_netback(now);
+    fn run_backend(host: &mut NetSystem, now: Nanos, q: usize) {
+        host.run_netback(now, q);
     }
 
-    fn guest_irq(host: &mut NetSystem, now: Nanos) {
-        host.netfront_irq(now);
+    fn guest_irq(host: &mut NetSystem, now: Nanos, port: Port) {
+        host.netfront_irq(now, port);
     }
 
     fn backend_lost(&mut self, nb: &NetbackInstance, recovery: &mut RecoveryStats) {
@@ -423,22 +441,19 @@ impl Host<NetPath> {
         // One PV transfer: a descriptor chain with GSO on, one ring slot
         // (the guest segments to MTU in software) without.
         let unit = if self.dp.gso { GSO_UDP } else { TSO_MSS };
-        let chunks: Vec<Vec<u8>> = if payload.len() <= unit {
-            vec![payload]
-        } else {
-            payload.chunks(unit).map(|c| c.to_vec()).collect()
+        let send = |payload| NetEvent::AppSend {
+            side,
+            dst_ip,
+            dst_port,
+            src_port,
+            payload,
         };
-        for chunk in chunks {
-            self.schedule_at(
-                t,
-                NetEvent::AppSend {
-                    side,
-                    dst_ip,
-                    dst_port,
-                    src_port,
-                    payload: chunk,
-                },
-            );
+        if payload.len() <= unit {
+            self.schedule_at(t, send(payload));
+        } else {
+            for chunk in payload.chunks(unit) {
+                self.schedule_at(t, send(chunk.to_vec()));
+            }
         }
     }
 
@@ -558,7 +573,7 @@ impl Host<NetPath> {
         // per-event clock does not: re-aim the tracer so the RingSubmit
         // stamps inside `send` book at the drain time, after RxDeliver.
         self.hv.req.set_now(now);
-        let mut notify: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        let mut notify = 0u64; // bit q: queue q's backend wants a kick
         let mut cost = Nanos::ZERO;
         while let Some(frame) = self.dp.guest_txq.front() {
             let req = if self.hv.req.is_enabled() {
@@ -577,7 +592,7 @@ impl Host<NetPath> {
                 Ok((q, op)) => {
                     self.dp.guest_txq.pop_front();
                     if op.notify {
-                        notify.insert(q);
+                        notify |= 1 << q;
                     }
                     cost += op.cost;
                 }
@@ -587,22 +602,22 @@ impl Host<NetPath> {
         if cost > Nanos::ZERO {
             self.guest_cpu_run(now, cost);
         }
-        for q in notify {
+        for q in set_bits(notify) {
             let port = self.dp.netfront.as_ref().expect("checked").port_of(q);
             self.kick_backend(port, now);
         }
     }
 
-    /// Hands a world->guest frame to netback's Rx queue; during an
-    /// outage (or on queue overflow) the frame is dropped, as real
-    /// traffic is while a driver domain reboots.
+    /// Hands a world->guest frame to netback's Rx queue and notes which
+    /// queue's `soft_start` the VIF callback woke; during an outage (or
+    /// on queue overflow) the frame is dropped, as real traffic is while
+    /// a driver domain reboots.
     fn deliver_to_guest(&mut self, frame: Vec<u8>) {
         match self.backend.device_mut() {
-            Some(nb) => {
-                if !nb.enqueue_to_guest(frame) {
-                    self.dp.metrics.drops += 1;
-                }
-            }
+            Some(nb) => match nb.steer_to_guest(frame) {
+                Some(q) => self.dp.vif_woken |= 1 << q,
+                None => self.dp.metrics.drops += 1,
+            },
             None => {
                 self.dp.metrics.drops += 1;
                 self.recovery.dropped_frames += 1;
@@ -684,9 +699,9 @@ impl Host<NetPath> {
     /// above wire MTU is a super-frame the NIC's TSO engine segments:
     /// serialization charges the full segmented byte count and the
     /// per-segment descriptor cost, but the frame crosses the simulated
-    /// wire as one unit.
-    fn nic_transmit(&mut self, t: Nanos, frames: Vec<Vec<u8>>) {
-        for frame in frames {
+    /// wire as one unit. Empties `frames`.
+    fn nic_transmit(&mut self, t: Nanos, frames: &mut Vec<Vec<u8>>) {
+        for frame in frames.drain(..) {
             let (wire_len, segs) = tso_wire_cost(frame.len());
             match self.dp.nic.transmit_segs(t, wire_len, segs) {
                 TxOutcome::Sent { arrives, .. } => {
@@ -697,78 +712,78 @@ impl Host<NetPath> {
         }
     }
 
-    /// Runs the netback threads (pusher then soft_start) to exhaustion,
-    /// starting at `now`; schedules all effects.
+    /// Queue `q` was woken — by its event channel or by the NIC ring
+    /// that feeds it — at `now`, when its vCPU finished the handler: runs
+    /// the queue's pusher, pushes its output through the bridge and out
+    /// the NIC, then runs its soft_start, each to exhaustion; schedules
+    /// all effects.
     ///
-    /// Each queue's thread pair is pinned to its own driver vCPU, so
-    /// with `n` queues on an n-vCPU driver domain the queues drain
-    /// concurrently: wall-clock elapsed is the slowest queue, not
-    /// the sum of all of them.
-    fn run_netback(&mut self, now: Nanos) {
+    /// The thread pair is pinned to vCPU `q` and a wake-up costs that
+    /// vCPU only: the other queues' threads sleep until their own
+    /// interrupts, so `n` queues on an n-vCPU driver domain drain
+    /// concurrently and no vCPU's clock follows another's.
+    fn run_netback(&mut self, now: Nanos, q: usize) {
         if !self.backend.is_connected() || self.hung {
             return; // driver domain down (or livelocked: threads never run)
         }
-        let nqueues = self.backend.device().expect("checked").queue_count();
-        for q in 0..nqueues {
-            // Pusher: guest -> bridge/world.
-            let mut guest_frames = Vec::new();
-            loop {
-                let nb = self.backend.device_mut().expect("checked");
-                let batch = nb.pusher_run(&mut self.hv, q, 128).expect("pusher");
-                guest_frames.extend(batch.frames);
-                let done = self.driver_cpus.run_on(
-                    q,
-                    now,
-                    batch.cost + self.profile.wakeup_latency.min(Nanos::from_nanos(200)),
-                );
-                if batch.notify {
-                    self.kick_frontend(q, q, done);
-                }
-                if !batch.more {
-                    break;
-                }
+        // Pusher: guest -> bridge/world.
+        let mut guest_frames = std::mem::take(&mut self.dp.pusher_out);
+        loop {
+            let nb = self.backend.device_mut().expect("checked");
+            let batch = nb.pusher_run(&mut self.hv, q, 128).expect("pusher");
+            guest_frames.extend(batch.frames);
+            let done = self.driver_cpus.run_on(
+                q,
+                now,
+                batch.cost + self.profile.wakeup_latency.min(Nanos::from_nanos(200)),
+            );
+            if batch.notify {
+                self.kick_frontend(q, q, done);
             }
-            // Upper layer: push this queue's pusher output through the
-            // bridge, then onto the wire once this queue's vCPU is free.
-            let mut to_wire = Vec::new();
-            for f in guest_frames {
-                self.bridge_forward(now, self.dp.vif_port, f, &mut to_wire);
+            if !batch.more {
+                break;
             }
-            let t = self.driver_cpus.free_at(q).max(now);
-            if self.hv.req.is_enabled() {
-                for f in &to_wire {
-                    if let Some(r) = icmp_echo_seq(f)
-                        .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
-                    {
-                        let dom = self.driver.0;
-                        self.hv
-                            .req
-                            .stamp_at(r, ReqStage::NicTx, dom, Some(q as u16), t);
-                        let (_, segs) = tso_wire_cost(f.len());
-                        if segs > 1 {
-                            self.hv.req.annotate_segs(r, ReqStage::NicTx, segs as u16);
-                        }
+        }
+        // Upper layer: push the pusher output through the bridge, then
+        // onto the wire once this queue's vCPU is free.
+        let mut to_wire = std::mem::take(&mut self.dp.to_wire);
+        for f in guest_frames.drain(..) {
+            self.bridge_forward(now, self.dp.vif_port, f, &mut to_wire);
+        }
+        self.dp.pusher_out = guest_frames;
+        let t = self.driver_cpus.free_at(q).max(now);
+        if self.hv.req.is_enabled() {
+            for f in &to_wire {
+                if let Some(r) = icmp_echo_seq(f)
+                    .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
+                {
+                    let dom = self.driver.0;
+                    self.hv
+                        .req
+                        .stamp_at(r, ReqStage::NicTx, dom, Some(q as u16), t);
+                    let (_, segs) = tso_wire_cost(f.len());
+                    if segs > 1 {
+                        self.hv.req.annotate_segs(r, ReqStage::NicTx, segs as u16);
                     }
                 }
             }
-            self.nic_transmit(t, to_wire);
         }
+        self.nic_transmit(t, &mut to_wire);
+        self.dp.to_wire = to_wire;
 
-        // soft_start: queued world -> guest frames into the Rx rings.
-        for q in 0..nqueues {
-            loop {
-                let nb = self.backend.device_mut().expect("checked");
-                let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
-                let done = self.driver_cpus.run_on(q, now, batch.cost);
-                if batch.notify {
-                    self.kick_frontend(q, q, done);
-                }
-                if batch.delivered == 0 {
-                    break; // either no frames queued or no Rx buffers posted
-                }
-                if !batch.more {
-                    break;
-                }
+        // soft_start: queued world -> guest frames into the Rx ring.
+        loop {
+            let nb = self.backend.device_mut().expect("checked");
+            let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
+            let done = self.driver_cpus.run_on(q, now, batch.cost);
+            if batch.notify {
+                self.kick_frontend(q, q, done);
+            }
+            if batch.delivered == 0 {
+                break; // either no frames queued or no Rx buffers posted
+            }
+            if !batch.more {
+                break;
             }
         }
     }
@@ -900,40 +915,40 @@ impl Host<NetPath> {
             }
             NetEvent::ClientTxFrame(frame) => self.client_transmit(now, frame),
             NetEvent::WireToServer(frame) => match self.dp.nic.rx_enqueue(now, frame) {
-                RxIrq::FireAt(t) => {
-                    self.schedule_at(t, NetEvent::NicIrq);
-                }
+                RxIrq::FireAt { at, ring } => self.schedule_at(at, NetEvent::NicIrq(ring)),
                 RxIrq::AlreadyPending => {}
                 RxIrq::Dropped => self.dp.metrics.drops += 1,
             },
-            NetEvent::NicIrq => {
+            NetEvent::NicIrq(ring) => {
+                let k = ring as usize;
                 if self.hung {
                     // The livelocked driver never services the interrupt;
                     // the NIC's receive ring overflows and the frames are
                     // lost on the floor, exactly like hardware would.
-                    let lost = self.dp.nic.drain_rx(now, usize::MAX).len() as u64;
+                    let lost = self.dp.nic.rx(k).drain(now, usize::MAX).len() as u64;
                     self.dp.metrics.drops += lost;
                     self.recovery.dropped_frames += lost;
-                    if let Some(fire) = self.dp.nic.rearm_irq(now) {
-                        self.schedule_at(fire, NetEvent::NicIrq);
+                    if let Some(fire) = self.dp.nic.rx(k).rearm_irq(now) {
+                        self.schedule_at(fire, NetEvent::NicIrq(ring));
                     }
                     return;
                 }
                 // NIC interrupt in the driver domain: short handler, then
                 // the stack pushes frames through the bridge toward VIFs.
-                // The physical NIC's irq is pinned to vCPU 0.
-                let idle = now.saturating_sub(self.driver_cpus.free_at(0));
+                // Receive ring `k`'s vector is pinned to the vCPU of the
+                // netback queue it feeds.
+                let idle = now.saturating_sub(self.driver_cpus.free_at(k));
                 let wake = self.profile.idle_wake(idle);
                 let handler_done =
                     self.driver_cpus
-                        .run_on(0, now, wake + self.profile.irq_overhead);
-                let frames = self.dp.nic.drain_rx(now, 64);
+                        .run_on(k, now, wake + self.profile.irq_overhead);
+                let frames = self.dp.nic.rx(k).drain(now, 64);
                 let mut per_frame = Nanos::ZERO;
                 for f in &frames {
                     per_frame += self.profile.per_packet + Nanos(f.len() as u64 / 16);
                 }
-                let t = self.driver_cpus.run_on(0, handler_done, per_frame);
-                let mut to_wire = Vec::new();
+                let t = self.driver_cpus.run_on(k, handler_done, per_frame);
+                let mut to_wire = std::mem::take(&mut self.dp.to_wire);
                 for f in frames {
                     if self.hv.req.is_enabled() {
                         if let Some(r) = icmp_echo_seq(&f)
@@ -945,39 +960,55 @@ impl Host<NetPath> {
                     }
                     self.bridge_forward(now, self.dp.if_port, f, &mut to_wire);
                 }
-                self.nic_transmit(t, to_wire);
-                // The VIF callback woke soft_start (and pusher work may be
-                // pending): run the netback threads.
-                self.run_netback(t);
-                if let Some(fire) = self.dp.nic.rearm_irq(now) {
-                    self.schedule_at(fire, NetEvent::NicIrq);
+                self.nic_transmit(t, &mut to_wire);
+                self.dp.to_wire = to_wire;
+                // The VIF callback woke soft_start on the queue each frame
+                // steered to — queue `k`, the NIC and netback sharing one
+                // hash, unless NAT rewrote the flow — and queue `k`'s
+                // pusher may have work pending.
+                for q in set_bits(std::mem::take(&mut self.dp.vif_woken) | 1 << k) {
+                    self.run_netback(t, q);
+                }
+                if let Some(fire) = self.dp.nic.rx(k).rearm_irq(now) {
+                    self.schedule_at(fire, NetEvent::NicIrq(ring));
                 }
             }
             NetEvent::WireToClient(frame) => self.stack_rx(Side::Client, now, frame),
         }
     }
 
-    /// Netfront's interrupt handler in the guest.
-    fn netfront_irq(&mut self, now: Nanos) {
-        if self.dp.netfront.is_none() {
+    /// Netfront's interrupt handler in the guest for the queue whose
+    /// event channel is `port`. Like the backend's, the wake-up is local
+    /// to its queue: the handler reaps that queue's Tx completions and Rx
+    /// deliveries and re-arms that queue's rings; the other queues'
+    /// responses wait for their own interrupts (Linux netfront binds one
+    /// interrupt and one NAPI instance per queue). A handler that swept
+    /// every ring on any queue's interrupt would re-arm all of them at
+    /// once and lock the queues' notification cycles together.
+    fn netfront_irq(&mut self, now: Nanos, port: Port) {
+        let Some(q) = self.dp.netfront.as_ref().and_then(|nf| nf.queue_of(port)) else {
             return; // stale interrupt for a retired device
-        }
+        };
         let earliest = self.guest_last_end;
         let wake = guest_idle_wake(now.saturating_sub(earliest));
         // The guest vCPU wakes from halt first; everything the
-        // interrupt triggers happens after that latency.
-        let t = now + wake;
-        let (op, notifyq) = self
+        // interrupt triggers happens after that latency. The wake
+        // shrinks as the guest gets busier, so a later interrupt could
+        // compute an earlier start: a vCPU that is already waking does
+        // not wake again earlier, and the handler's clock never runs
+        // backwards.
+        let t = (now + wake).max(self.dp.guest_irq_at);
+        self.dp.guest_irq_at = t;
+        let op = self
             .dp
             .netfront
             .as_mut()
             .expect("checked")
-            .on_irq(&mut self.hv)
+            .on_queue_irq(&mut self.hv, q)
             .expect("netfront irq");
-        let mut done = self.guest_cpu_run(now, wake + op.cost + self.profile.irq_overhead);
-        for q in notifyq {
-            let evtchn = self.dp.netfront.as_ref().expect("checked").port_of(q);
-            done = self.kick_backend(evtchn, done);
+        let done = self.guest_cpu_run(now, wake + op.cost + self.profile.irq_overhead);
+        if op.notify {
+            self.kick_backend(port, done);
         }
         while let Some(frame) = self.dp.netfront.as_mut().expect("checked").recv() {
             self.stack_rx(Side::Guest, t, frame);

@@ -1270,52 +1270,71 @@ fn flow_steering_is_seed_stable_and_tuple_pure() {
     }
 }
 
-/// Per-flow ordering survives multi-queue: for every queue count, each
-/// flow's messages arrive at the client in submission order (flows hash
-/// to one queue, and each queue is FIFO), with nothing dropped.
+/// Per-flow ordering survives multi-queue in both directions: for every
+/// queue count, each flow's messages arrive in submission order, with
+/// nothing dropped. Guest→client, a flow hashes to one netfront/netback
+/// queue and each queue is FIFO; client→guest, the NIC sits in front:
+/// the flow hashes to one receive ring, that ring feeds the netback
+/// queue the same hash picks, and ring and queue are both FIFO.
 #[test]
 fn per_flow_order_preserved_across_queue_counts() {
-    use kite::system::addrs;
+    use kite::system::{addrs, Side};
     const FLOWS: u64 = 8;
     const MSGS: u64 = 12;
     for queues in [1u32, 2, 4, 8] {
         let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 42)
             .queues(queues)
             .build_net();
-        let seen: Rc<RefCell<Vec<(u16, u8)>>> = Rc::new(RefCell::new(Vec::new()));
-        let s2 = seen.clone();
+        // What each side received: (the sender's flow port, sequence).
+        let at_client: Rc<RefCell<Vec<(u16, u8)>>> = Rc::new(RefCell::new(Vec::new()));
+        let at_guest: Rc<RefCell<Vec<(u16, u8)>>> = Rc::new(RefCell::new(Vec::new()));
+        let (c2, g2) = (at_client.clone(), at_guest.clone());
         sys.set_client_app(Box::new(move |_, msg| {
-            s2.borrow_mut().push((msg.src_port, msg.payload[0]));
+            c2.borrow_mut().push((msg.src_port, msg.payload[0]));
+            Vec::new()
+        }));
+        sys.set_guest_app(Box::new(move |_, msg| {
+            g2.borrow_mut().push((msg.src_port, msg.payload[0]));
             Vec::new()
         }));
         for i in 0..FLOWS * MSGS {
-            let flow = i % FLOWS;
+            let flow = 3000 + (i % FLOWS) as u16;
             let seq = (i / FLOWS) as u8;
+            let t = Nanos::from_micros(100 + 150 * i);
+            sys.send_udp_at(t, Side::Guest, addrs::CLIENT, 9999, flow, vec![seq; 400]);
+            // The client's copies leave in bursts of a whole round, so
+            // every ring's interrupt finds several flows' frames queued.
+            let burst = Nanos::from_micros(100 + 150 * FLOWS * (i / FLOWS));
             sys.send_udp_at(
-                Nanos::from_micros(100 + 150 * i),
-                kite::system::Side::Guest,
-                addrs::CLIENT,
+                burst,
+                Side::Client,
+                addrs::GUEST,
                 9999,
-                3000 + flow as u16,
+                flow,
                 vec![seq; 400],
             );
         }
         sys.run_to_quiescence();
-        let seen = seen.borrow();
-        assert_eq!(
-            seen.len() as u64,
-            FLOWS * MSGS,
-            "{queues} queues: every message arrives"
-        );
-        for flow in 0..FLOWS {
-            let port = 3000 + flow as u16;
-            let seqs: Vec<u8> = seen
-                .iter()
-                .filter(|(p, _)| *p == port)
-                .map(|&(_, s)| s)
-                .collect();
-            let want: Vec<u8> = (0..MSGS as u8).collect();
-            assert_eq!(seqs, want, "{queues} queues: flow {flow} in order");
+        assert_eq!(sys.metrics.drops, 0, "{queues} queues");
+        for (side, seen) in [("client", at_client.borrow()), ("guest", at_guest.borrow())] {
+            assert_eq!(
+                seen.len() as u64,
+                FLOWS * MSGS,
+                "{queues} queues: every message arrives at the {side}"
+            );
+            for flow in 0..FLOWS {
+                let port = 3000 + flow as u16;
+                let seqs: Vec<u8> = seen
+                    .iter()
+                    .filter(|(p, _)| *p == port)
+                    .map(|&(_, s)| s)
+                    .collect();
+                let want: Vec<u8> = (0..MSGS as u8).collect();
+                assert_eq!(
+                    seqs, want,
+                    "{queues} queues: flow {flow} in order at the {side}"
+                );
+            }
         }
     }
 }
