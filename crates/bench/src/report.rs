@@ -154,15 +154,17 @@ pub fn recovery_snapshots() -> Vec<MetricsSnapshot> {
     cycles.iter().map(recovery_snapshot_of).collect()
 }
 
-/// Virtual elapsed time of the blkback data-path ablation (8 MiB of
-/// 128 KiB sequential writes) for map/unmap vs batched vs single-op
-/// grant copies, with persistent grants off so the data path is hot.
-pub fn ablation_snapshot() -> MetricsSnapshot {
-    use kite_core::BlkbackTuning;
-    fn run(tuning: BlkbackTuning, mode: CopyMode) -> u64 {
+/// The paper's three blkback optimisations (PAPER.md §1 item 2), one
+/// switch at a time on 8 MiB of 128 KiB sequential writes: elapsed
+/// virtual time and the counter the switch exists to move, all-on vs
+/// that switch off. Every switch must move its counter; only persistent
+/// grants must also move elapsed time — batching and indirect segments
+/// do not slow this model when off, and the rows say so.
+pub fn ablation_snapshots() -> [MetricsSnapshot; 3] {
+    use kite_core::{BlkbackStats, BlkbackTuning};
+    fn run(tuning: BlkbackTuning) -> (u64, BlkbackStats) {
         let mut sys = SystemConfig::new(BackendOs::Kite, 1)
             .tuning(tuning)
-            .copy_mode(mode)
             .build_stor();
         const CHUNK: usize = 128 * 1024;
         let mut t = Nanos::from_micros(100);
@@ -180,28 +182,62 @@ pub fn ablation_snapshot() -> MetricsSnapshot {
             t += Nanos::from_micros(40);
         }
         sys.run_to_quiescence();
-        sys.now().as_nanos()
+        (sys.now().as_nanos(), sys.blkback_stats())
     }
-    let no_persistent = BlkbackTuning {
-        persistent_grants: false,
-        persistent_cap: 0,
-        ..BlkbackTuning::default()
-    };
-    let map_ns = run(
-        BlkbackTuning {
-            grant_copy: false,
-            ..no_persistent
-        },
-        CopyMode::Batched,
-    );
-    let batched_ns = run(no_persistent, CopyMode::Batched);
-    let single_ns = run(no_persistent, CopyMode::SingleOp);
-    let mut snap = MetricsSnapshot::new("ablation/blkback_copy_path");
-    snap.push_int("map_unmap", "ns", map_ns);
-    snap.push_int("copy_batched", "ns", batched_ns);
-    snap.push_int("copy_single_op", "ns", single_ns);
-    snap.push_int("batched_saves", "ns", single_ns.saturating_sub(batched_ns));
-    snap
+    type Counter = fn(&BlkbackStats) -> u64;
+    let all_on = BlkbackTuning::default();
+    let (on_ns, on) = run(all_on);
+    // (switch, tuning with it off, its counter, whether off is slower)
+    let switches: [(&str, BlkbackTuning, &str, Counter, bool); 3] = [
+        (
+            "batching",
+            BlkbackTuning {
+                batching: false,
+                ..all_on
+            },
+            "device_ops",
+            |s| s.device_ops,
+            false,
+        ),
+        (
+            "persistent",
+            BlkbackTuning {
+                persistent_grants: false,
+                ..all_on
+            },
+            "grant_maps",
+            |s| s.grant_maps,
+            true,
+        ),
+        (
+            "indirect",
+            BlkbackTuning {
+                indirect_segments: false,
+                ..all_on
+            },
+            "requests",
+            |s| s.requests,
+            false,
+        ),
+    ];
+    switches.map(|(switch, tuning, counter, read, slower)| {
+        let (off_ns, off) = run(tuning);
+        assert!(
+            read(&off) > read(&on),
+            "{switch} off must raise {counter}: {} vs {}",
+            read(&off),
+            read(&on)
+        );
+        if slower {
+            assert!(off_ns > on_ns, "{switch} off must cost elapsed time");
+        }
+        let mut snap = MetricsSnapshot::new(format!("ablation/blkback_{switch}"));
+        snap.push_int("elapsed_on", "ns", on_ns);
+        snap.push_int("elapsed_off", "ns", off_ns);
+        snap.push_int(format!("{counter}_on"), "count", read(&on));
+        snap.push_int(format!("{counter}_off"), "count", read(&off));
+        snap
+    })
 }
 
 /// Runs the netback queue-scaling workload: 64 distinct UDP flows
@@ -611,7 +647,7 @@ pub fn standard_snapshots() -> Vec<MetricsSnapshot> {
     snaps.extend(queue_scaling_snapshots());
     snaps.extend(offload_snapshots());
     snaps.extend(latency_snapshots());
-    snaps.push(ablation_snapshot());
+    snaps.extend(ablation_snapshots());
     snaps
 }
 

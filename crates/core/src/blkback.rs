@@ -28,8 +28,8 @@
 //!
 //! When the frontend negotiated `multi-queue-num-queues = n`, the
 //! instance runs `n` independent rings, each with its own event channel,
-//! request thread, persistent-grant cache and bounce pool (per-ring, as
-//! in Linux `xen-blkback` — caches are never shared across rings, so no
+//! request thread and persistent-grant cache (per-ring, as in Linux
+//! `xen-blkback` — caches are never shared across rings, so no
 //! cross-ring locking). Responses always return on the ring the request
 //! arrived on.
 
@@ -45,8 +45,8 @@ use kite_xen::blkif::{
 };
 use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey};
 use kite_xen::{
-    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, GrantRef, Hypervisor, MapHandle,
-    PageId, Port, ReqId, ReqStage, Result, SlotClass, XenError, XenbusState, PAGE_SIZE,
+    DevicePaths, DomainId, GrantRef, Hypervisor, MapHandle, PageId, Port, ReqId, ReqStage, Result,
+    SlotClass, XenError, XenbusState,
 };
 
 use crate::lifecycle::QueueState;
@@ -66,11 +66,6 @@ pub struct BlkbackTuning {
     pub indirect_segments: bool,
     /// Persistent-grant cache capacity (mappings), per ring.
     pub persistent_cap: usize,
-    /// Move segment payloads with batched `GNTTABOP_copy` instead of
-    /// map/memcpy/unmap. Only effective when `persistent_grants` is off:
-    /// a negotiated persistent mapping is always cheaper than a copy, so
-    /// (as in real blkback) the persistent data path wins when enabled.
-    pub grant_copy: bool,
 }
 
 impl Default for BlkbackTuning {
@@ -80,7 +75,6 @@ impl Default for BlkbackTuning {
             persistent_grants: true,
             indirect_segments: true,
             persistent_cap: 1056,
-            grant_copy: true,
         }
     }
 }
@@ -104,7 +98,9 @@ counters! {
         errors: "count",
     }
     nested {
-        /// Grant-copy hypercall accounting for the segment data paths.
+        /// Always zero: blkback maps, it never grant-copies (DESIGN.md
+        /// §7). Kept because `benchmark/` reads `.copy.{ops,bytes}`
+        /// (ROADMAP item 9's pinned shapes).
         copy: CopyStats = "copy_",
     }
 }
@@ -130,7 +126,7 @@ pub struct BlkBatch {
     /// [`BlkbackInstance::reap_completions`] on the vCPU of the queue
     /// pair's MSI-X vector.
     pub cq_irqs: Vec<(usize, Nanos)>,
-    /// vCPU cost of parsing, mapping and copying.
+    /// vCPU cost of parsing, mapping and memcpy.
     pub cost: Nanos,
     /// More ring requests remain after the budget.
     pub more: bool,
@@ -197,8 +193,8 @@ impl PersistentCache {
 }
 
 /// One ring of a blkback instance: the shared ring mapped from the
-/// frontend, its event channel and bounce pool, and the ring-private
-/// persistent-grant cache its request thread works through.
+/// frontend, its event channel, and the ring-private persistent-grant
+/// cache its request thread works through.
 struct BbRing {
     state: QueueState,
     shared: BackEndpoint<BlkifRequest, BlkifResponse>,
@@ -225,7 +221,6 @@ pub struct BlkbackInstance {
     profile: OsProfile,
     stats: BlkbackStats,
     device_sectors: u64,
-    copy_mode: CopyMode,
     // Drain-path scratch, recycled across calls so a warmed-up request
     // thread performs no bookkeeping allocations.
     scratch_runs: Vec<Run>,
@@ -320,7 +315,6 @@ impl BlkbackInstance {
             profile,
             stats: BlkbackStats::default(),
             device_sectors,
-            copy_mode: CopyMode::Batched,
             scratch_runs: Vec::new(),
             scratch_run_reqs: Vec::new(),
             scratch_flushes: Vec::new(),
@@ -360,12 +354,6 @@ impl BlkbackInstance {
         });
         self.rings[q].qid = Some(qid);
         qid
-    }
-
-    /// Whether the grant-copy data path is active (copies are only used
-    /// when persistent grants are not negotiated).
-    fn use_copy(&self) -> bool {
-        self.tuning.grant_copy && !self.tuning.persistent_grants
     }
 
     /// Resolves a guest data page through ring `q`'s cache: persistent
@@ -425,44 +413,6 @@ impl BlkbackInstance {
                 let n = *nr_segments as usize;
                 if n > MAX_INDIRECT_SEGMENTS {
                     return Err(XenError::Inval);
-                }
-                if self.use_copy() {
-                    // Pull all descriptor pages with one batched copy
-                    // instead of a map/unmap pair per page.
-                    let per_frame = kite_xen::blkif::SEGS_PER_INDIRECT_FRAME;
-                    let frames = n.div_ceil(per_frame).min(indirect_grefs.len());
-                    self.rings[q].state.ensure_bounce(hv, self.back, frames)?;
-                    let ops: Vec<GrantCopyOp> = indirect_grefs[..frames]
-                        .iter()
-                        .enumerate()
-                        .map(|(i, gref)| GrantCopyOp {
-                            src: CopySide::Grant {
-                                granter: self.front,
-                                gref: *gref,
-                                offset: 0,
-                            },
-                            dst: CopySide::Local {
-                                page: self.rings[q].state.bounce[i],
-                                offset: 0,
-                            },
-                            len: PAGE_SIZE,
-                        })
-                        .collect();
-                    let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
-                    self.stats.copy.record(self.copy_mode, ops.len(), &result);
-                    *cost += result.cost;
-                    if !result.all_ok() {
-                        return Err(XenError::BadGrant);
-                    }
-                    let mut segs = Vec::with_capacity(n);
-                    let mut remaining = n;
-                    for i in 0..frames {
-                        let take = remaining.min(per_frame);
-                        let bytes = hv.mem.page(self.rings[q].state.bounce[i])?;
-                        segs.extend(unpack_indirect_segments(bytes, take));
-                        remaining -= take;
-                    }
-                    return Ok(segs);
                 }
                 let mut segs = Vec::with_capacity(n);
                 let mut remaining = n;
@@ -570,24 +520,18 @@ impl BlkbackInstance {
                 });
                 continue;
             }
-            // Move data between guest pages and the (real) device bytes:
-            // one batched grant copy per request's segment list, or the
-            // legacy per-segment map/memcpy/unmap path.
+            // Move data between guest pages and the (real) device bytes.
             let mut unmap = Vec::new();
-            let ok = if self.use_copy() {
-                self.copy_request_data(hv, device, q, &segs, req.sector(), op, &mut batch.cost)?
-            } else {
-                self.map_request_data(
-                    hv,
-                    device,
-                    q,
-                    &segs,
-                    req.sector(),
-                    op,
-                    &mut batch.cost,
-                    &mut unmap,
-                )?
-            };
+            let ok = self.map_request_data(
+                hv,
+                device,
+                q,
+                &segs,
+                req.sector(),
+                op,
+                &mut batch.cost,
+                &mut unmap,
+            )?;
             if !ok {
                 self.fail_request(id, op, q);
                 batch.failures.push(BlkFailure {
@@ -595,19 +539,6 @@ impl BlkbackInstance {
                     respond_at: now + batch.cost,
                 });
                 continue;
-            }
-            if self.use_copy() {
-                if let Some(&(sid, r)) = self.scratch_req.last() {
-                    if sid == id {
-                        hv.req.stamp_at(
-                            r,
-                            ReqStage::GrantCopy,
-                            self.back.0,
-                            Some(q as u16),
-                            now + batch.cost,
-                        );
-                    }
-                }
             }
             self.in_flight.insert(
                 id,
@@ -746,86 +677,6 @@ impl BlkbackInstance {
                 Err(_) => return Ok(false),
             }
             dev_sector += seg.sectors();
-        }
-        Ok(true)
-    }
-
-    /// Grant-copy data path: the whole segment list moves with a single
-    /// batched `GNTTABOP_copy` hypercall, staged through ring `q`'s
-    /// bounce pages. Writes copy guest→bounce then feed the device;
-    /// reads fill the bounce pages from the device then copy
-    /// bounce→guest.
-    #[allow(clippy::too_many_arguments)]
-    fn copy_request_data(
-        &mut self,
-        hv: &mut Hypervisor,
-        device: &mut NvmeController,
-        q: usize,
-        segs: &[BlkifSegment],
-        start_sector: u64,
-        op: u8,
-        cost: &mut Nanos,
-    ) -> Result<bool> {
-        self.rings[q]
-            .state
-            .ensure_bounce(hv, self.back, segs.len())?;
-        let ops: Vec<GrantCopyOp> = segs
-            .iter()
-            .enumerate()
-            .map(|(i, seg)| {
-                let guest = CopySide::Grant {
-                    granter: self.front,
-                    gref: seg.gref,
-                    offset: seg.first_sect as usize * SECTOR_SIZE,
-                };
-                let local = CopySide::Local {
-                    page: self.rings[q].state.bounce[i],
-                    offset: 0,
-                };
-                let (src, dst) = if op == BLKIF_OP_WRITE {
-                    (guest, local)
-                } else {
-                    (local, guest)
-                };
-                GrantCopyOp {
-                    src,
-                    dst,
-                    len: seg.len(),
-                }
-            })
-            .collect();
-        if op == BLKIF_OP_WRITE {
-            let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
-            self.stats.copy.record(self.copy_mode, ops.len(), &result);
-            *cost += result.cost;
-            if !result.all_ok() {
-                return Ok(false);
-            }
-            let mut dev_sector = start_sector;
-            for (i, seg) in segs.iter().enumerate() {
-                let len = seg.len();
-                let bounce = hv.mem.page(self.rings[q].state.bounce[i])?;
-                device.write_data(dev_sector, &bounce[..len]);
-                self.stats.write_bytes += len as u64;
-                dev_sector += seg.sectors();
-            }
-        } else {
-            let mut dev_sector = start_sector;
-            for (i, seg) in segs.iter().enumerate() {
-                let len = seg.len();
-                let bounce = hv.mem.page_mut(self.rings[q].state.bounce[i])?;
-                device.read_data(dev_sector, &mut bounce[..len]);
-                dev_sector += seg.sectors();
-            }
-            let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
-            self.stats.copy.record(self.copy_mode, ops.len(), &result);
-            *cost += result.cost;
-            if !result.all_ok() {
-                return Ok(false);
-            }
-            for seg in segs {
-                self.stats.read_bytes += seg.len() as u64;
-            }
         }
         Ok(true)
     }
@@ -970,8 +821,8 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
     }
 
     /// Closes every ring's channel, releases every grant mapping (rings,
-    /// persistent caches, any in-flight request pages), frees the bounce
-    /// pools, and walks the backend state to `Closed`.
+    /// persistent caches, any in-flight request pages), and walks the
+    /// backend state to `Closed`.
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         let state = self.device_paths().backend_state();
         for (_, fl) in self.in_flight {
@@ -1001,10 +852,6 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
     /// Ack the port and wake the request thread.
     fn irq_handler_cost(&self) -> Nanos {
         self.profile.irq_overhead
-    }
-
-    fn set_copy_mode(&mut self, mode: CopyMode) {
-        self.copy_mode = mode;
     }
 
     fn set_queue_wedged(&mut self, q: usize, wedged: bool) {

@@ -21,8 +21,7 @@ use kite_sim::Nanos;
 use kite_trace::EventKind;
 use kite_xen::xenbus::read_state;
 use kite_xen::{
-    CopyMode, DeviceKind, DevicePaths, DomainId, Hypervisor, PageId, Port, Result, XenError,
-    XenbusState,
+    DeviceKind, DevicePaths, DomainId, Hypervisor, PageId, Port, Result, XenError, XenbusState,
 };
 
 /// Trace identity of a device slot: `<kind>/<frontend-domain>/<index>`.
@@ -74,9 +73,6 @@ pub trait BackendDevice: Sized {
     /// Cost of the event-channel interrupt handler (ack + wake the thread).
     fn irq_handler_cost(&self) -> Nanos;
 
-    /// Switches between batched and single-op grant copies (ablation).
-    fn set_copy_mode(&mut self, mode: CopyMode);
-
     /// Wedges (or unwedges) queue `q`'s thread (fault injection).
     fn set_queue_wedged(&mut self, q: usize, wedged: bool);
 
@@ -95,6 +91,7 @@ pub(crate) struct QueueState {
     pub wedged: bool,
     /// Pages the queue's drains stage grant-copy payloads through, one
     /// per op of a batch, so a whole drain moves in one `GNTTABOP_copy`.
+    /// Netback's; blkback maps and leaves its pool empty.
     pub bounce: Vec<PageId>,
 }
 

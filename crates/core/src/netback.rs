@@ -269,6 +269,12 @@ impl NetbackInstance {
         self.copy_mode
     }
 
+    /// Switches to single-op grant copies: the reference the batched
+    /// drain is property-tested against.
+    pub fn set_copy_mode(&mut self, mode: CopyMode) {
+        self.copy_mode = mode;
+    }
+
     /// Pops the next published Tx request of queue `q`, if any.
     fn consume_tx(&mut self, hv: &Hypervisor, q: usize) -> Result<Option<NetifTxRequest>> {
         let qu = &mut self.queues[q];
@@ -662,12 +668,14 @@ impl NetbackInstance {
                 break;
             };
             // With GSO negotiated a super-frame spans several posted
-            // buffers; without it the legacy single-slot clamp applies.
-            let nfrags = if self.gso {
-                front_len.div_ceil(PAGE_SIZE).max(1)
-            } else {
-                1
-            };
+            // buffers; without it a frame must fit one slot, and a longer
+            // one is dropped whole (Tx twin: `Oversize` in `pusher_run`).
+            if !self.gso && front_len > PAGE_SIZE {
+                self.queues[q].to_guest.pop_front();
+                self.stats.rx_dropped += 1;
+                continue;
+            }
+            let nfrags = front_len.div_ceil(PAGE_SIZE).max(1);
             let avail = {
                 let qu = &self.queues[q];
                 let page = hv.mem.page(qu.rx.page)?;
@@ -680,11 +688,7 @@ impl NetbackInstance {
                 .to_guest
                 .pop_front()
                 .expect("checked non-empty");
-            let total = if self.gso {
-                frame.len()
-            } else {
-                frame.len().min(PAGE_SIZE)
-            };
+            let total = frame.len();
             let op_start = ops.len();
             let mut off = 0usize;
             for f in 0..nfrags {
@@ -833,10 +837,6 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
     /// context — the paper's central latency argument.
     fn irq_handler_cost(&self) -> Nanos {
         self.profile.irq_overhead
-    }
-
-    fn set_copy_mode(&mut self, mode: CopyMode) {
-        self.copy_mode = mode;
     }
 
     fn set_queue_wedged(&mut self, q: usize, wedged: bool) {
@@ -1045,6 +1045,26 @@ mod tests {
             Some(XenError::OutOfBounds)
         );
         assert_eq!(nf.max_tx_frame(), PAGE_SIZE);
+    }
+
+    /// The Rx-side twin: a world → guest frame longer than one slot is
+    /// dropped whole, never truncated and booked as delivered, and it
+    /// consumes no posted Rx buffer.
+    #[test]
+    fn oversized_rx_frames_drop_without_gso() {
+        let (mut hv, _, mut nf, mut nb) = pair(false, false, false);
+        let fits = vec![7u8; PAGE_SIZE];
+        assert!(nb.enqueue_to_guest(vec![0u8; PAGE_SIZE + 1]));
+        assert!(nb.enqueue_to_guest(fits.clone()));
+        let batch = nb.soft_start_run(&mut hv, 0, 64).unwrap();
+        assert_eq!(batch.delivered, 1);
+        let s = nb.stats();
+        assert_eq!((s.rx_packets, s.rx_dropped), (1, 1));
+        assert_eq!(s.rx_bytes, PAGE_SIZE as u64);
+        assert_eq!(s.copy.ops, 1, "the dropped frame took no Rx slot");
+        nf.on_irq(&mut hv).unwrap();
+        assert_eq!(nf.recv().unwrap(), fits);
+        assert!(nf.recv().is_none());
     }
 
     // ---- adversarial chains: a hand-driven frontend ---------------------

@@ -7,9 +7,9 @@
 //! new counter is one line that the snapshot, the sampler and `kitetop`
 //! all see.
 //!
-//! Netback and blkback both move payloads with batched `GNTTABOP_copy`
-//! and account for the hypercalls identically; [`CopyStats`] is that
-//! shared accounting, nested in each driver's stats struct.
+//! Netback moves payloads with batched `GNTTABOP_copy`; [`CopyStats`]
+//! is that accounting, nested in each driver's stats struct (blkback
+//! maps, so its copy counters read zero).
 
 use kite_xen::{BatchResult, CopyMode};
 
@@ -59,7 +59,7 @@ macro_rules! counters {
 pub(crate) use counters;
 
 counters! {
-    /// Grant-copy hypercall accounting, shared by netback and blkback.
+    /// Grant-copy hypercall accounting.
     pub struct CopyStats {
         /// Grant-copy hypercalls issued (one per batch when batched).
         hypercalls: "count",

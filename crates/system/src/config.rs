@@ -1,7 +1,7 @@
 //! One builder for both systems: [`SystemConfig`].
 //!
-//! A single fluent description of a scenario — queue layout, copy mode,
-//! watchdog, SLO, tracing, sampling, scheduler — that either
+//! A single fluent description of a scenario — queue layout, watchdog,
+//! SLO, tracing, sampling, scheduler — that either
 //! [`build_net`](SystemConfig::build_net) or
 //! [`build_stor`](SystemConfig::build_stor) consumes. It is the only way
 //! to configure a system: the host applies every knob once, inside its
@@ -11,7 +11,6 @@ use kite_core::BlkbackTuning;
 use kite_devices::{LineRate, NvmeProfile};
 use kite_health::{MonitorConfig, SloConfig};
 use kite_sim::{Nanos, SchedulerKind};
-use kite_xen::CopyMode;
 
 use crate::host::{BackendOs, Datapath, Host};
 use crate::netsys::NetSystem;
@@ -36,7 +35,6 @@ pub struct SystemConfig {
     pub(crate) os: BackendOs,
     pub(crate) seed: u64,
     pub(crate) queues: u32,
-    pub(crate) copy_mode: CopyMode,
     pub(crate) watchdog: Option<MonitorConfig>,
     pub(crate) slo: Option<SloConfig>,
     pub(crate) tracing: Option<usize>,
@@ -60,7 +58,6 @@ impl SystemConfig {
             os,
             seed,
             queues: 1,
-            copy_mode: CopyMode::default(),
             watchdog: None,
             slo: None,
             tracing: None,
@@ -80,12 +77,6 @@ impl SystemConfig {
     /// `n > 1` negotiates `n` ring pairs on an `n`-vCPU driver domain.
     pub fn queues(mut self, n: u32) -> SystemConfig {
         self.queues = n.max(1);
-        self
-    }
-
-    /// Grant-copy strategy for the backend data path.
-    pub fn copy_mode(mut self, mode: CopyMode) -> SystemConfig {
-        self.copy_mode = mode;
         self
     }
 

@@ -28,8 +28,8 @@ use kite_trace::{
 };
 use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
 use kite_xen::{
-    Bdf, CopyMode, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan, Hypervisor,
-    Notification, PciDevice, Port, XenbusState,
+    Bdf, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan, Hypervisor, Notification,
+    PciDevice, Port, XenbusState,
 };
 
 use crate::config::SystemConfig;
@@ -248,13 +248,11 @@ pub struct Host<D: Datapath> {
     pub(crate) nqueues: u32,
     pub(crate) driver_cpus: CpuPool,
     guest_cpus: Vec<Cpu>,
-    guest_rr: usize,
     pub(crate) guest_last_end: Nanos,
     bdf: Bdf,
     mgr: BackendManager,
     paths: DevicePaths,
     pub(crate) backend: DeviceLifecycle<D::Backend>,
-    copy_mode: CopyMode,
     boot: BootSequence,
     events_processed: u64,
     monitor: Option<HealthMonitor>,
@@ -326,13 +324,11 @@ impl<D: Datapath> Host<D> {
             nqueues,
             driver_cpus: CpuPool::new(nqueues as usize),
             guest_cpus: (0..22).map(|_| Cpu::new()).collect(),
-            guest_rr: 0,
             guest_last_end: Nanos::ZERO,
             bdf,
             mgr: BackendManager::new(driver, D::Backend::KIND),
             paths: paths.clone(),
             backend: DeviceLifecycle::new(paths, backend_cfg),
-            copy_mode: cfg.copy_mode,
             boot: os.boot(),
             events_processed: 0,
             monitor: None,
@@ -407,7 +403,6 @@ impl<D: Datapath> Host<D> {
             .retarget(&mut self.hv, ready[0].clone())
             .expect("slot empty");
         let be = self.backend.connect(&mut self.hv).expect("backend connect");
-        be.set_copy_mode(self.copy_mode);
         self.dp.backend_connected(&mut self.hv, &self.paths, be);
         self.hv
             .switch_state(
@@ -597,18 +592,15 @@ impl<D: Datapath> Host<D> {
         done
     }
 
-    /// Least-loaded dispatch over the DomU's 22 vCPUs.
+    /// Least-loaded dispatch over the DomU's 22 vCPUs (the first of
+    /// equally free vCPUs wins).
     pub(crate) fn guest_cpu_run(&mut self, now: Nanos, cost: Nanos) -> Nanos {
-        let mut best = self.guest_rr % self.guest_cpus.len();
-        let mut best_free = Nanos::MAX;
-        for (i, c) in self.guest_cpus.iter().enumerate() {
-            if c.free_at() < best_free {
-                best_free = c.free_at();
-                best = i;
-            }
-        }
-        self.guest_rr += 1;
-        let done = self.guest_cpus[best].run(now, cost);
+        let cpu = self
+            .guest_cpus
+            .iter_mut()
+            .min_by_key(|c| c.free_at())
+            .expect("the DomU has vCPUs");
+        let done = cpu.run(now, cost);
         self.guest_last_end = self.guest_last_end.max(done);
         done
     }

@@ -107,6 +107,16 @@ pub enum BlkEvent {
 // The scheduler stores events inline; growing them grows every slab slot.
 const _: () = assert!(std::mem::size_of::<Event<BlkEvent>>() <= 40);
 
+/// Storage guest (DomU I/O worker) idle-wake cap: the network guest's
+/// wake-from-halt model with its own, separately calibrated constants.
+const GUEST_WAKE_CAP: Nanos = Nanos(170_000);
+/// Storage guest idle-wake divisor.
+const GUEST_WAKE_DIV: u64 = 10;
+
+fn guest_idle_wake(idle: Nanos) -> Nanos {
+    Nanos(idle.as_nanos() / GUEST_WAKE_DIV).min(GUEST_WAKE_CAP)
+}
+
 #[derive(Debug)]
 enum ChunkKind {
     Read { sector: u64, len: usize },
@@ -460,7 +470,7 @@ impl Host<BlkPath> {
         if self.dp.blkfront.is_none() {
             return;
         }
-        let mut notify: std::collections::BTreeSet<usize> = std::collections::BTreeSet::new();
+        let mut notify = 0u64;
         let mut cost = Nanos::ZERO;
         while let Some(c) = self.dp.pendq.front() {
             let bf = self.dp.blkfront.as_mut().expect("checked");
@@ -490,7 +500,7 @@ impl Host<BlkPath> {
                             .expect("checked")
                             .ring_of(id)
                             .unwrap_or(0);
-                        notify.insert(q);
+                        notify |= 1 << q;
                     }
                     self.dp.req_map.insert(id, c);
                     cost += fo.cost;
@@ -502,7 +512,7 @@ impl Host<BlkPath> {
         if cost > Nanos::ZERO {
             self.guest_cpu_run(now, cost);
         }
-        for q in notify {
+        for q in set_bits(notify) {
             let port = self.dp.blkfront.as_ref().expect("checked").port_of(q);
             self.kick_backend(port, now);
         }
@@ -609,9 +619,8 @@ impl Host<BlkPath> {
             return; // stale interrupt for a retired device
         }
         let earliest = self.guest_last_end;
-        // Guest wake-from-halt before completions are seen
-        // (same model as the network guest; worker latency).
-        let wake = Nanos(now.saturating_sub(earliest).as_nanos() / 10).min(Nanos(170_000));
+        // Guest wake-from-halt before completions are seen.
+        let wake = guest_idle_wake(now.saturating_sub(earliest));
         let now = now + wake;
         let op = self
             .dp

@@ -32,7 +32,7 @@ pub struct ReqId(pub u64);
 /// The network echo path visits `Inject → NicRx → RxDeliver →
 /// RingSubmit → BackendFetch → GrantCopy → NicTx → Complete`; the
 /// storage path visits `Inject → RingSubmit → BackendFetch →
-/// [GrantCopy] → NvmeSubmit → NvmeComplete → IrqDeliver → Complete`.
+/// NvmeSubmit → NvmeComplete → IrqDeliver → Complete`.
 /// Stamping is first-touch: a repeated stage is ignored, so for a
 /// logical I/O split into chunks the first chunk's journey defines the
 /// intermediate stamps.

@@ -121,11 +121,9 @@ fn main() {
         BlkbackTuning {
             batching: false,
             persistent_grants: false,
-            indirect_segments: true,
-            persistent_cap: 0,
             ..BlkbackTuning::default()
         },
-        "batching + persistent grants off (batched grant copies)",
+        "batching + persistent grants off",
         rings,
         None,
     );

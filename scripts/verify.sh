@@ -28,9 +28,11 @@ for ex in examples/*.rs; do
     "$bin/examples/$(basename "${ex%.rs}")" > /dev/null
 done
 # The table-style experiments (boot, LoC map, CVEs, gadgets, DHCP DORA,
-# memory) and the network figures that run the default scenario: no
-# other step of the gate executes a `repro <id>`.
-$bin/repro fig4 table1 table3 fig5 dhcp mem fig6 fig7 fig8 fig10 > /dev/null
+# memory), the network figures that run the default scenario and the
+# sub-second storage figures (fig12 at ~100 s and fig15 at ~8 s stay
+# out): no other step of the gate executes a `repro <id>`.
+$bin/repro fig4 table1 table3 fig5 dhcp mem fig6 fig7 fig8 fig10 \
+    fig11 fig13 fig14 fig16 > /dev/null
 
 fail() { echo "verify: $*" >&2; exit 1; }
 

@@ -11,7 +11,7 @@ use kite::rumprun::kite_profile;
 use kite::sim::Nanos;
 use kite::system::{addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side};
 use kite::xen::xenbus::{read_state, switch_state};
-use kite::xen::{DeviceKind, DevicePaths, DomainKind, Hypervisor, XenbusState};
+use kite::xen::{DeviceKind, DevicePaths, DomainKind, Hypervisor, XenbusState, PAGE_SIZE};
 
 /// The full xenbus handshake, driven only by watches and state writes —
 /// no scenario builder shortcuts.
@@ -130,7 +130,6 @@ fn storage_correct_with_all_optimizations_off() {
         persistent_grants: false,
         indirect_segments: false,
         persistent_cap: 0,
-        grant_copy: false,
     };
     let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 5)
         .tuning(tuning)
@@ -168,6 +167,51 @@ fn storage_correct_with_all_optimizations_off() {
     let st = sys.blkback_stats();
     assert_eq!(st.persistent_hits, 0);
     assert!(st.grant_maps > 0, "every segment mapped fresh: {st:?}");
+}
+
+/// `persistent_grants: false` is the paper's baseline, classic map +
+/// unmap: each request maps its 32 segment pages and its indirect
+/// descriptor page and unmaps them all at completion, nothing is
+/// grant-copied, and the run ends later than with the persistent cache.
+#[test]
+fn persistent_off_maps_and_unmaps_every_segment() {
+    const LEN: usize = 128 * 1024;
+    let run = |persistent_grants: bool| {
+        let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 5)
+            .tuning(BlkbackTuning {
+                persistent_grants,
+                ..BlkbackTuning::default()
+            })
+            .build_stor();
+        let dd = sys.driver_domain();
+        let ring_maps = sys.hv.grants.active_maps(dd);
+        let kinds = [
+            IoKind::Write {
+                sector: 128,
+                data: vec![0x3c; LEN],
+            },
+            IoKind::Read {
+                sector: 128,
+                len: LEN,
+            },
+        ];
+        for (tag, kind) in kinds.into_iter().enumerate() {
+            let tag = tag as u64;
+            sys.submit_at(sys.now() + Nanos::from_millis(1), IoOp { tag, kind });
+            sys.run_to_quiescence();
+        }
+        let data_maps = sys.hv.grants.active_maps(dd) - ring_maps;
+        (sys.blkback_stats(), data_maps, sys.now())
+    };
+    let (off, off_maps, off_end) = run(false);
+    assert_eq!((off.requests, off.errors), (2, 0));
+    assert_eq!(off.grant_maps, 2 * (LEN / PAGE_SIZE + 1) as u64);
+    assert_eq!((off.persistent_hits, off.copy.ops), (0, 0));
+    assert_eq!(off_maps, 0, "every map was unmapped at completion");
+    let (on, on_maps, on_end) = run(true);
+    assert_eq!(on.grant_maps as usize, on_maps, "persistent maps stay");
+    assert!(on.grant_maps < off.grant_maps);
+    assert!(off_end > on_end, "{off_end:?} vs {on_end:?}");
 }
 
 /// The paper's headline security claims, end to end.

@@ -5,8 +5,7 @@
 //! offline build cannot fetch): every test derives its cases from a fixed
 //! seed, so failures replay bit-for-bit.
 
-use kite::core::BlkbackTuning;
-use kite::core::{provision_device, BackendDevice, BackendManager, NetbackInstance};
+use kite::core::{provision_device, BackendManager, NetbackInstance};
 use kite::frontends::Netfront;
 use kite::fs::{ExtentAllocator, Fs};
 use kite::net::{
@@ -15,7 +14,7 @@ use kite::net::{
 };
 use kite::rumprun::kite_profile;
 use kite::sim::{Nanos, Pcg, Scheduler};
-use kite::system::{BackendOs, IoKind, IoOp, GSO_UDP};
+use kite::system::{BackendOs, GSO_UDP};
 use kite::xen::netif::{NetifRxRequest, NetifTxRequest, NetifTxResponse};
 use kite::xen::ring::{BackRing, FrontRing, RingEntry};
 use kite::xen::{
@@ -1074,143 +1073,6 @@ fn netback_drain_is_one_hypercall() {
     assert_eq!(st.copy.hypercalls, 2);
     assert_eq!(st.copy.ops, 40);
     assert_eq!(st.copy.hypercalls_saved, 38);
-}
-
-/// Blkback on the grant-copy data path: batched and single-op modes move
-/// identical bytes with identical request accounting; batching strictly
-/// reduces hypercalls and virtual time on a random mixed workload.
-#[test]
-fn blkback_batched_matches_single_op() {
-    let tuning = BlkbackTuning {
-        persistent_grants: false,
-        persistent_cap: 0,
-        ..BlkbackTuning::default()
-    };
-    let run = |mode: CopyMode, seed: u64| {
-        let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, seed)
-            .tuning(tuning)
-            .copy_mode(mode)
-            .build_stor();
-        let mut rng = Pcg::new(seed, 0xb1);
-        type CompletionLog = Rc<RefCell<Vec<(u64, bool, Option<Vec<u8>>)>>>;
-        let reads: CompletionLog = Rc::new(RefCell::new(Vec::new()));
-        let sink = reads.clone();
-        sys.set_handler(Box::new(move |_, done| {
-            sink.borrow_mut()
-                .push((done.tag, done.ok, done.data.clone()));
-            Vec::new()
-        }));
-        let mut t = Nanos::from_micros(50);
-        let mut extents: Vec<(u64, usize)> = Vec::new();
-        for tag in 0..40u64 {
-            let kind = match rng.index(10) {
-                0 => IoKind::Flush,
-                1..=6 => {
-                    let sectors = rng.range_u64(1, 256);
-                    let sector = rng.range_u64(0, 65_536) * 8;
-                    let data = random_bytes(&mut rng, sectors as usize * 512);
-                    extents.push((sector, data.len()));
-                    IoKind::Write { sector, data }
-                }
-                _ => {
-                    if let Some(&(sector, len)) = extents.last() {
-                        IoKind::Read { sector, len }
-                    } else {
-                        IoKind::Flush
-                    }
-                }
-            };
-            sys.submit_at(t, IoOp { tag, kind });
-            t += Nanos::from_micros(30);
-        }
-        sys.run_to_quiescence();
-        // Completion *order* is timing-dependent (the two cost models
-        // schedule differently); the data and outcomes must not be.
-        let mut log = reads.borrow().clone();
-        log.sort_by_key(|&(tag, _, _)| tag);
-        (log, sys.blkback_stats(), sys.now())
-    };
-    for seed in 0..4u64 {
-        let (log_b, st_b, now_b) = run(CopyMode::Batched, seed);
-        let (log_s, st_s, now_s) = run(CopyMode::SingleOp, seed);
-        assert_eq!(log_b, log_s, "seed {seed}: completions must match");
-        assert_eq!(
-            (
-                st_b.requests,
-                st_b.errors,
-                st_b.read_bytes,
-                st_b.write_bytes
-            ),
-            (
-                st_s.requests,
-                st_s.errors,
-                st_s.read_bytes,
-                st_s.write_bytes
-            )
-        );
-        assert_eq!(
-            (st_b.copy.ops, st_b.copy.bytes),
-            (st_s.copy.ops, st_s.copy.bytes)
-        );
-        assert_eq!(st_b.grant_maps, 0, "copy path never maps data pages");
-        assert!(
-            st_b.copy.hypercalls < st_s.copy.hypercalls,
-            "seed {seed}: batching must save hypercalls"
-        );
-        assert!(now_b < now_s, "seed {seed}: batched must finish sooner");
-    }
-}
-
-/// Blkback issues one grant-copy hypercall per request's segment list
-/// (plus one for the descriptor page of an indirect request).
-#[test]
-fn blkback_request_is_one_copy_batch() {
-    let tuning = BlkbackTuning {
-        persistent_grants: false,
-        persistent_cap: 0,
-        ..BlkbackTuning::default()
-    };
-    let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 3)
-        .tuning(tuning)
-        .build_stor();
-    // 8 direct-sized writes: 16 KiB = 4 segments each, one batch apiece.
-    let mut t = Nanos::from_micros(50);
-    for i in 0..8u64 {
-        sys.submit_at(
-            t,
-            IoOp {
-                tag: i,
-                kind: IoKind::Write {
-                    sector: i * 64,
-                    data: vec![0xab; 16 * 1024],
-                },
-            },
-        );
-        t += Nanos::from_micros(200);
-    }
-    sys.run_to_quiescence();
-    let st = sys.blkback_stats();
-    assert_eq!(st.requests, 8);
-    assert_eq!(st.copy.hypercalls, 8, "one hypercall per direct request");
-    assert_eq!(st.copy.ops, 32);
-    // One 128 KiB write: 32 segments via one indirect descriptor page —
-    // one batch for the descriptor, one for the data.
-    sys.submit_at(
-        sys.now() + Nanos::from_micros(10),
-        IoOp {
-            tag: 100,
-            kind: IoKind::Write {
-                sector: 4096,
-                data: vec![0xcd; 128 * 1024],
-            },
-        },
-    );
-    sys.run_to_quiescence();
-    let st = sys.blkback_stats();
-    assert_eq!(st.requests, 9);
-    assert_eq!(st.copy.hypercalls, 10, "descriptor batch + data batch");
-    assert_eq!(st.copy.ops, 32 + 33);
-    assert_eq!(st.errors, 0);
 }
 
 // ---- multi-queue properties --------------------------------------------

@@ -51,6 +51,12 @@ const OBSERVED: &[(&str, &str)] = &[
         "recovery tests order events between two marks",
     ),
     ("members", "netapp's hotplug tests read bridge membership"),
+    // reference implementations
+    (
+        "set_copy_mode",
+        "netback_batched_matches_single_op runs single-op grant copies \
+         as the reference the batched drain must match",
+    ),
     // toolstack and xenstore surface
     ("forget", "teardown-and-reconnect tests deprovision a pair"),
     ("tx_start", "the xenstore transaction tests drive it"),
