@@ -13,8 +13,8 @@ use std::io::Write as _;
 use kite_net::ether::ETH_FRAME_MAX;
 use kite_sim::Nanos;
 use kite_system::{
-    addrs, render_top, BackendOs, DetectionMode, Fault, IoKind, IoOp, LineRate, MonitorConfig,
-    NetSystem, Side, SystemConfig,
+    render_top, scenario, BackendOs, DetectionMode, Fault, LineRate, MonitorConfig, NetSystem,
+    Side, StorSystem, SystemConfig,
 };
 use kite_trace::metrics::{render_json, validate_json};
 use kite_trace::MetricsSnapshot;
@@ -83,6 +83,11 @@ pub fn grant_copy_snapshot() -> MetricsSnapshot {
     snap
 }
 
+/// The recovery stream: 30 s of guest→client traffic at 4 msg/s.
+fn recovery_stream(sys: &mut NetSystem) {
+    scenario::steady_stream(sys, 120, 1, 1400, Nanos::from_millis(250));
+}
+
 /// One full crash/restart cycle: steady UDP stream, driver domain killed
 /// at 2 s, service restored through the OS boot model. Returns the
 /// system after quiescence (stats, trace and metrics still attached).
@@ -95,18 +100,7 @@ pub fn recovery_cycle(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSyste
         cfg = cfg.watchdog(MonitorConfig::default());
     }
     let mut sys = cfg.build_net();
-    for i in 0..120u64 {
-        // 30 s of traffic at 4 msg/s: spans the kite (~7 s) outage; the
-        // queued tail drains after the Linux (~75 s) reboot too.
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 1400],
-        );
-    }
+    recovery_stream(&mut sys);
     sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     sys.run_to_quiescence();
     sys
@@ -166,21 +160,7 @@ pub fn ablation_snapshots() -> [MetricsSnapshot; 3] {
         let mut sys = SystemConfig::new(BackendOs::Kite, 1)
             .tuning(tuning)
             .build_stor();
-        const CHUNK: usize = 128 * 1024;
-        let mut t = Nanos::from_micros(100);
-        for i in 0..64u64 {
-            sys.submit_at(
-                t,
-                IoOp {
-                    tag: i,
-                    kind: IoKind::Write {
-                        sector: i * (CHUNK / 512) as u64,
-                        data: vec![0x5a; CHUNK],
-                    },
-                },
-            );
-            t += Nanos::from_micros(40);
-        }
+        scenario::sequential_writes(&mut sys, 64, 128 * 1024, Nanos::from_micros(40));
         sys.run_to_quiescence();
         (sys.now().as_nanos(), sys.blkback_stats())
     }
@@ -240,26 +220,14 @@ pub fn ablation_snapshots() -> [MetricsSnapshot; 3] {
     })
 }
 
-/// Runs the netback queue-scaling workload: 64 distinct UDP flows
-/// (Toeplitz-steered across the queues) bursting guest->client through
-/// a driver domain with one vCPU per queue. Returns the finished system.
+/// Runs the netback queue-scaling workload: [`scenario::flow_burst`],
+/// 8 messages on each of 64 flows guest->client, through a driver domain
+/// with one vCPU per queue. Returns the finished system.
 pub fn netback_queue_cycle(queues: u32, seed: u64) -> NetSystem {
     let mut sys = SystemConfig::new(BackendOs::Kite, seed)
         .queues(queues)
         .build_net();
-    for i in 0..512u64 {
-        // 64 flows, distinguished by source port, 8 messages each; the
-        // burst arrives faster than one vCPU drains it, so the elapsed
-        // time exposes the per-queue parallelism.
-        sys.send_udp_at(
-            Nanos::from_micros(10 + 20 * (i / 64)),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1200 + (i % 64) as u16,
-            vec![i as u8; 1400],
-        );
-    }
+    scenario::flow_burst(&mut sys, Side::Guest, 512, 1400, Nanos::from_micros(20));
     sys.run_to_quiescence();
     sys
 }
@@ -308,35 +276,7 @@ pub fn netback_queue_snapshot(queues: u32, seed: u64) -> MetricsSnapshot {
 /// default consumer-drive profile: with a multi-millisecond penalty the
 /// device swamps every CPU effect and one ring looks as good as two.
 pub fn blkback_ring_snapshot(rings: u32, seed: u64) -> MetricsSnapshot {
-    let mut sys = SystemConfig::new(BackendOs::Kite, seed)
-        .queues(rings)
-        .nvme_profile(
-            kite_devices::NvmeProfile::default().with_random_penalty(Nanos::from_micros(2)),
-        )
-        .build_stor();
-    const CHUNK: usize = 8 * 1024;
-    const STREAMS: u64 = 4;
-    const PER_STREAM: u64 = 64;
-    // Streams live 512 MiB apart: far enough that no cursor ever
-    // accidentally continues across streams.
-    const REGION_SECTORS: u64 = 1 << 20;
-    let mut t = Nanos::from_micros(100);
-    for i in 0..(STREAMS * PER_STREAM) {
-        let stream = i % STREAMS;
-        let idx = i / STREAMS;
-        sys.submit_at(
-            t,
-            IoOp {
-                tag: i,
-                kind: IoKind::Write {
-                    sector: stream * REGION_SECTORS + idx * (CHUNK / 512) as u64,
-                    data: vec![0x5a; CHUNK],
-                },
-            },
-        );
-        t += Nanos::from_micros(2);
-    }
-    sys.run_to_quiescence();
+    let sys = ring_streams_run(SystemConfig::new(BackendOs::Kite, seed).queues(rings));
     let elapsed = sys.now();
     let stats = sys.blkback_stats();
     let mut snap = MetricsSnapshot::new(format!("mechanisms/blkback_rings_{rings}"));
@@ -356,6 +296,17 @@ pub fn blkback_ring_snapshot(rings: u32, seed: u64) -> MetricsSnapshot {
         sys.nvme.random_penalties(),
     );
     snap
+}
+
+/// Builds `cfg` as a storage system on the low-penalty flash profile and
+/// runs the four interleaved 64 × 8 KiB write streams, 2 µs apart, to
+/// quiescence.
+fn ring_streams_run(cfg: SystemConfig) -> StorSystem {
+    let flash = kite_devices::NvmeProfile::default().with_random_penalty(Nanos::from_micros(2));
+    let mut sys = cfg.nvme_profile(flash).build_stor();
+    scenario::interleaved_streams(&mut sys, 4, 64, 8 * 1024, Nanos::from_micros(2));
+    sys.run_to_quiescence();
+    sys
 }
 
 /// Everything `repro prof` prints and exports: the per-phase self-time
@@ -386,19 +337,10 @@ pub fn prof_run() -> ProfRun {
         .profiling(true)
         .sampling(Nanos::from_micros(500), 256)
         .build_net();
-    for i in 0..2048u64 {
-        // 64 flows × 32 bursts, one burst every 500 µs: long enough for
-        // the sampler to record a real series while the four queues
-        // stay busy within each burst.
-        sys.send_udp_at(
-            Nanos::from_micros(10 + 500 * (i / 64)),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1200 + (i % 64) as u16,
-            vec![i as u8; 1400],
-        );
-    }
+    // 64 flows × 32 bursts, one burst every 500 µs: long enough for the
+    // sampler to record a real series while the four queues stay busy
+    // within each burst.
+    scenario::flow_burst(&mut sys, Side::Guest, 2048, 1400, Nanos::from_micros(500));
     sys.run_to_quiescence();
     let report = kite_prof::report();
     kite_prof::disable();
@@ -462,29 +404,10 @@ pub fn netback_offload_cycle(
         .gso(gso)
         .wire_profile(wire)
         .build_net();
-    for i in 0..msgs {
-        // 64 flows distinguished by source port, bursting faster than
-        // one vCPU drains.
-        let t = Nanos::from_micros(10 + 20 * (i / 64));
-        let flow = 1200 + (i % 64) as u16;
-        sys.send_udp_at(
-            t,
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            flow,
-            vec![i as u8; msg_len],
-        );
-        if bidir {
-            sys.send_udp_at(
-                t,
-                Side::Client,
-                addrs::GUEST,
-                flow,
-                9999,
-                vec![i as u8; msg_len],
-            );
-        }
+    let gap = Nanos::from_micros(20);
+    scenario::flow_burst(&mut sys, Side::Guest, msgs, msg_len, gap);
+    if bidir {
+        scenario::flow_burst(&mut sys, Side::Client, msgs, msg_len, gap);
     }
     sys.run_to_quiescence();
     sys
@@ -669,16 +592,7 @@ pub fn kitetop_report() -> String {
     for i in 0..16u16 {
         sys.ping_at(Nanos::from_millis(50 * (u64::from(i) + 1)), i);
     }
-    for i in 0..120u64 {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 1400],
-        );
-    }
+    recovery_stream(&mut sys);
     sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     let mut out = String::new();
     // Probes run every 500 ms and declare failure after 3 misses: 3.2 s
@@ -802,35 +716,12 @@ pub fn lat_report() -> String {
     // sequential write streams on a low-penalty flash profile), every
     // 3rd I/O sampled — 3 is coprime to the 4-way ring round-robin, so
     // the samples visit every ring instead of aliasing onto one.
-    let mut stor = SystemConfig::new(BackendOs::Kite, 7)
-        .queues(4)
-        .nvme_profile(
-            kite_devices::NvmeProfile::default().with_random_penalty(Nanos::from_micros(2)),
-        )
-        .tracing(1 << 16)
-        .req_tracing(3)
-        .build_stor();
-    const CHUNK: usize = 8 * 1024;
-    const STREAMS: u64 = 4;
-    const PER_STREAM: u64 = 64;
-    const REGION_SECTORS: u64 = 1 << 20;
-    let mut t = Nanos::from_micros(100);
-    for i in 0..(STREAMS * PER_STREAM) {
-        let stream = i % STREAMS;
-        let idx = i / STREAMS;
-        stor.submit_at(
-            t,
-            IoOp {
-                tag: i,
-                kind: IoKind::Write {
-                    sector: stream * REGION_SECTORS + idx * (CHUNK / 512) as u64,
-                    data: vec![0x5a; CHUNK],
-                },
-            },
-        );
-        t += Nanos::from_micros(2);
-    }
-    stor.run_to_quiescence();
+    let stor = ring_streams_run(
+        SystemConfig::new(BackendOs::Kite, 7)
+            .queues(4)
+            .tracing(1 << 16)
+            .req_tracing(3),
+    );
     out.push_str(&lat_section("storage_rings_4", &stor.hv.req));
     let doc = stor.hv.export_chrome_trace();
     let events = kite_trace::chrome::validate(&doc).expect("storage trace must validate");

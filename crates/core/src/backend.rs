@@ -260,6 +260,24 @@ impl BackendManager {
     }
 }
 
+/// The machine the backends' unit tests share: Dom0, a driver domain and
+/// a guest, with one `kind` device provisioned and the backend manager's
+/// watch events drained.
+#[cfg(test)]
+pub(crate) fn test_machine(kind: DeviceKind) -> (Hypervisor, DevicePaths) {
+    use kite_xen::DomainKind;
+    let mut hv = Hypervisor::new();
+    hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
+    let dd = hv.create_domain("backend", DomainKind::Driver, 1024, 1);
+    let gu = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
+    let paths = DevicePaths::new(gu, dd, kind, 0);
+    provision_device(&mut hv, &paths).unwrap();
+    let mut mgr = BackendManager::new(dd, kind);
+    mgr.start(&mut hv).unwrap();
+    mgr.drain_events(&mut hv).unwrap();
+    (hv, paths)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

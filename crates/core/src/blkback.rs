@@ -491,33 +491,25 @@ impl BlkbackInstance {
                 continue;
             }
             if op != BLKIF_OP_READ && op != BLKIF_OP_WRITE {
-                self.fail_request(id, op, q);
-                batch.failures.push(BlkFailure {
-                    req_id: id,
-                    respond_at: now + batch.cost,
-                });
+                self.reject(&mut batch, now, id, op, q, Vec::new());
                 continue;
             }
             let segs = match self.segments_of(hv, q, &req, &mut batch.cost) {
                 Ok(s) => s,
                 Err(_) => {
-                    self.fail_request(id, op, q);
-                    batch.failures.push(BlkFailure {
-                        req_id: id,
-                        respond_at: now + batch.cost,
-                    });
+                    self.reject(&mut batch, now, id, op, q, Vec::new());
                     continue;
                 }
             };
+            // The start sector is the guest's: a sum that wraps is out of
+            // range, not small.
             let total_sectors: u64 = segs.iter().map(|s| s.sectors()).sum();
-            if segs.iter().any(|s| s.is_empty() || s.last_sect > 7)
-                || req.sector() + total_sectors > self.device_sectors
-            {
-                self.fail_request(id, op, q);
-                batch.failures.push(BlkFailure {
-                    req_id: id,
-                    respond_at: now + batch.cost,
-                });
+            let in_range = req
+                .sector()
+                .checked_add(total_sectors)
+                .is_some_and(|end| end <= self.device_sectors);
+            if segs.iter().any(|s| s.is_empty() || s.last_sect > 7) || !in_range {
+                self.reject(&mut batch, now, id, op, q, Vec::new());
                 continue;
             }
             // Move data between guest pages and the (real) device bytes.
@@ -533,11 +525,8 @@ impl BlkbackInstance {
                 &mut unmap,
             )?;
             if !ok {
-                self.fail_request(id, op, q);
-                batch.failures.push(BlkFailure {
-                    req_id: id,
-                    respond_at: now + batch.cost,
-                });
+                // Whatever did map is unmapped with the error response.
+                self.reject(&mut batch, now, id, op, q, unmap);
                 continue;
             }
             self.in_flight.insert(
@@ -641,8 +630,15 @@ impl BlkbackInstance {
         Ok(batch)
     }
 
-    /// Mapped data path: maps each segment's page (or hits ring `q`'s
-    /// persistent cache) and memcpys between it and the device.
+    /// Mapped data path: resolves every segment's page (a fresh map or a
+    /// hit in ring `q`'s persistent cache), then memcpys between the
+    /// pages and the device. All or nothing: `Ok(false)` at the first
+    /// grant that does not resolve, with no byte moved and the handles
+    /// mapped so far in `unmap` for the caller's reject path.
+    ///
+    /// (An eviction forced while resolving takes the cache's oldest
+    /// entry, which is one of this request's own pages only if
+    /// `persistent_cap` is below one request's 33 pages.)
     #[allow(clippy::too_many_arguments)]
     fn map_request_data(
         &mut self,
@@ -655,40 +651,60 @@ impl BlkbackInstance {
         cost: &mut Nanos,
         unmap: &mut Vec<MapHandle>,
     ) -> Result<bool> {
-        let mut dev_sector = start_sector;
-        for seg in segs {
-            let mut c = Nanos::ZERO;
-            match self.resolve_page(hv, q, seg.gref, &mut c) {
-                Ok((page, h)) => {
-                    *cost += c;
-                    let off = seg.first_sect as usize * SECTOR_SIZE;
-                    let len = seg.len();
-                    if op == BLKIF_OP_WRITE {
-                        device.write_data(dev_sector, &hv.mem.page(page)?[off..off + len]);
-                        self.stats.write_bytes += len as u64;
-                    } else {
-                        device.read_data(dev_sector, &mut hv.mem.page_mut(page)?[off..off + len]);
-                        self.stats.read_bytes += len as u64;
-                    }
-                    if let Some(h) = h {
-                        unmap.push(h);
-                    }
-                }
-                Err(_) => return Ok(false),
-            }
-            dev_sector += seg.sectors();
+        // Staged on the stack: a request never carries more segments
+        // than the indirect cap (a longer list would simply not resolve).
+        let mut pages = [PageId(0); MAX_INDIRECT_SEGMENTS];
+        let mut mapped = 0;
+        for (seg, slot) in segs.iter().zip(&mut pages) {
+            let Ok((page, h)) = self.resolve_page(hv, q, seg.gref, cost) else {
+                break;
+            };
+            *slot = page;
+            mapped += 1;
+            unmap.extend(h);
         }
-        Ok(true)
+        let resolved = mapped == segs.len();
+        if resolved {
+            let mut dev_sector = start_sector;
+            for (seg, &page) in segs.iter().zip(&pages) {
+                let off = seg.first_sect as usize * SECTOR_SIZE;
+                let len = seg.len();
+                if op == BLKIF_OP_WRITE {
+                    device.write_data(dev_sector, &hv.mem.page(page)?[off..off + len]);
+                    self.stats.write_bytes += len as u64;
+                } else {
+                    device.read_data(dev_sector, &mut hv.mem.page_mut(page)?[off..off + len]);
+                    self.stats.read_bytes += len as u64;
+                }
+                dev_sector += seg.sectors();
+            }
+        }
+        Ok(resolved)
     }
 
-    fn fail_request(&mut self, id: u64, op: u8, q: usize) {
+    /// Books a request that failed validation and queues its error
+    /// response, which [`complete`](Self::complete) pushes after
+    /// unmapping `unmap`.
+    fn reject(
+        &mut self,
+        batch: &mut BlkBatch,
+        now: Nanos,
+        id: u64,
+        op: u8,
+        q: usize,
+        unmap: Vec<MapHandle>,
+    ) {
+        batch.failures.push(BlkFailure {
+            req_id: id,
+            respond_at: now + batch.cost,
+        });
         self.stats.errors += 1;
         self.in_flight.insert(
             id,
             InFlight {
                 op,
                 ring: q,
-                unmap: Vec::new(),
+                unmap,
                 status: BLKIF_RSP_ERROR,
             },
         );
@@ -831,7 +847,7 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
             }
         }
         for rq in self.rings {
-            rq.state.release(hv, self.back)?;
+            rq.state.release(hv, self.back);
             for (_, (h, _, _)) in rq.persistent.map {
                 hv.unmap_grant(self.back, h)?;
             }
@@ -860,5 +876,217 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
 
     fn queue_progress(&self, hv: &Hypervisor) -> Vec<(u64, u64)> {
         self.rings.iter().map(|rq| rq.shared.progress(hv)).collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::test_machine;
+    use crate::lifecycle::BackendDevice;
+    use kite_rumprun::kite_profile;
+    use kite_xen::ring::FrontRing;
+    use kite_xen::DeviceKind;
+
+    /// A bare blkif ring published like a blkfront's — hand-built ring
+    /// page, grants and xenstore keys, no `Blkfront` — so tests can
+    /// publish requests no real frontend would.
+    struct RawBlkFront {
+        ring: FrontRing<BlkifRequest, BlkifResponse>,
+        ring_page: PageId,
+        /// Grants of eight data pages, each filled with `0xab`.
+        grefs: Vec<GrantRef>,
+        /// Grant of one page for indirect segment descriptors.
+        indirect: GrantRef,
+        indirect_page: PageId,
+    }
+
+    impl RawBlkFront {
+        fn submit(&mut self, hv: &mut Hypervisor, req: &BlkifRequest) {
+            let page = hv.mem.page_mut(self.ring_page).unwrap();
+            self.ring.push_request(page, req).unwrap();
+            self.ring.push_requests(page);
+        }
+
+        fn responses(&mut self, hv: &Hypervisor) -> Vec<BlkifResponse> {
+            let mut out = Vec::new();
+            let page = hv.mem.page(self.ring_page).unwrap();
+            while let Some(rsp) = self.ring.consume_response(page).unwrap() {
+                out.push(rsp);
+            }
+            out
+        }
+
+        fn write(&self, id: u64, sector_number: u64, segments: Vec<BlkifSegment>) -> BlkifRequest {
+            BlkifRequest::Direct {
+                operation: BLKIF_OP_WRITE,
+                handle: 0,
+                id,
+                sector_number,
+                segments,
+            }
+        }
+
+        fn whole_page(&self, k: usize) -> BlkifSegment {
+            BlkifSegment {
+                gref: self.grefs[k],
+                first_sect: 0,
+                last_sect: 7,
+            }
+        }
+    }
+
+    type RawPair = (Hypervisor, RawBlkFront, BlkbackInstance, NvmeController);
+
+    fn raw_pair(persistent_grants: bool) -> RawPair {
+        let (mut hv, paths) = test_machine(DeviceKind::Vbd);
+        let (gu, dd) = (paths.front, paths.back);
+        let ring_page = hv.alloc_page(gu).unwrap();
+        let ring = FrontRing::init(hv.mem.page_mut(ring_page).unwrap());
+        let ring_ref = hv.grant_access(gu, dd, ring_page, false).unwrap();
+        let (port, _) = hv.evtchn_alloc_unbound(gu, dd);
+        let root = paths.frontend();
+        for (key, val) in [("ring-ref", ring_ref.0), ("event-channel", port.0)] {
+            hv.store
+                .write(gu, None, &format!("{root}/{key}"), &val.to_string())
+                .unwrap();
+        }
+        let mut grefs = Vec::new();
+        for _ in 0..8 {
+            let p = hv.alloc_page(gu).unwrap();
+            hv.mem.page_mut(p).unwrap().fill(0xab);
+            grefs.push(hv.grant_access(gu, dd, p, false).unwrap());
+        }
+        let indirect_page = hv.alloc_page(gu).unwrap();
+        let indirect = hv.grant_access(gu, dd, indirect_page, true).unwrap();
+
+        let nvme = NvmeController::new(16);
+        let tuning = BlkbackTuning {
+            persistent_grants,
+            ..BlkbackTuning::default()
+        };
+        let bb = BlkbackInstance::connect(&mut hv, &paths, kite_profile(), tuning, nvme.sectors)
+            .unwrap();
+        let rf = RawBlkFront {
+            ring,
+            ring_page,
+            grefs,
+            indirect,
+            indirect_page,
+        };
+        (hv, rf, bb, nvme)
+    }
+
+    /// Runs the request thread over one hostile request and delivers its
+    /// error response: the request must be rejected before the device
+    /// sees it, booked once, and answered `BLKIF_RSP_ERROR`.
+    fn assert_rejected(pair: &mut RawPair, req: &BlkifRequest) {
+        let (hv, rf, bb, nvme) = pair;
+        rf.submit(hv, req);
+        let batch = bb.request_thread_run(hv, nvme, 0, Nanos::ZERO, 32).unwrap();
+        assert_eq!(batch.failures.len(), 1, "rejected, not submitted");
+        assert!(batch.cq_irqs.is_empty(), "nothing reached the device");
+        bb.complete(hv, batch.failures[0].req_id).unwrap();
+        let rsps = rf.responses(hv);
+        assert_eq!(rsps.len(), 1);
+        assert_eq!((rsps[0].id, rsps[0].status), (req.id(), BLKIF_RSP_ERROR));
+        let st = bb.stats();
+        assert_eq!((st.requests, st.errors), (1, 1));
+        assert_eq!((st.write_bytes, st.read_bytes, st.device_ops), (0, 0, 0));
+    }
+
+    /// A start sector so large that `sector + len` wraps must be refused
+    /// like any other out-of-range request — in every build profile —
+    /// and must not reach the device's sparse store.
+    #[test]
+    fn sector_range_that_wraps_is_rejected() {
+        let mut pair = raw_pair(true);
+        let start = u64::MAX - 3;
+        let req = pair.1.write(7, start, vec![pair.1.whole_page(0)]);
+        assert_rejected(&mut pair, &req);
+        let (_, _, _, nvme) = &pair;
+        let mut sector = [0xffu8; SECTOR_SIZE];
+        for s in [start, 0] {
+            nvme.read_data(s, &mut sector);
+            assert_eq!(sector, [0u8; SECTOR_SIZE], "sector {s} was written");
+        }
+    }
+
+    /// A write whose third grant does not resolve is rejected whole: no
+    /// byte reaches the device, and the two pages that did map are
+    /// unmapped with the error response (persistent grants off) or stay
+    /// in the ring's cache until `close` (on). Nothing outlives `close`.
+    #[test]
+    fn half_mappable_write_moves_no_byte_and_leaks_no_mapping() {
+        for persistent in [false, true] {
+            let mut pair = raw_pair(persistent);
+            let dd = pair.2.back;
+            let ring_maps = pair.0.grants.active_maps(dd);
+            assert_eq!(ring_maps, 1, "the ring page");
+            let bogus = BlkifSegment {
+                gref: GrantRef(9_999),
+                first_sect: 0,
+                last_sect: 7,
+            };
+            let segs = vec![pair.1.whole_page(0), pair.1.whole_page(1), bogus];
+            let req = pair.1.write(3, 64, segs);
+            assert_rejected(&mut pair, &req);
+            let (mut hv, _, bb, nvme) = pair;
+            let cached = if persistent { 2 } else { 0 };
+            assert_eq!(
+                hv.grants.active_maps(dd),
+                ring_maps + cached,
+                "persistent={persistent}: maps after the error response"
+            );
+            let mut sector = [0xffu8; SECTOR_SIZE];
+            nvme.read_data(64, &mut sector);
+            assert_eq!(sector, [0u8; SECTOR_SIZE], "a rejected write landed");
+            bb.close(&mut hv).unwrap();
+            assert_eq!(hv.grants.active_maps(dd), 0, "persistent={persistent}");
+        }
+    }
+
+    #[test]
+    fn segment_past_the_end_of_its_page_is_rejected() {
+        let mut pair = raw_pair(true);
+        let seg = BlkifSegment {
+            last_sect: 8,
+            ..pair.1.whole_page(0)
+        };
+        let req = pair.1.write(1, 0, vec![seg]);
+        assert_rejected(&mut pair, &req);
+    }
+
+    #[test]
+    fn indirect_request_over_the_segment_cap_is_rejected() {
+        let mut pair = raw_pair(true);
+        let (hv, rf, ..) = &mut pair;
+        let segs: Vec<BlkifSegment> = (0..=MAX_INDIRECT_SEGMENTS)
+            .map(|k| rf.whole_page(k % 8))
+            .collect();
+        kite_xen::blkif::pack_indirect_segments(hv.mem.page_mut(rf.indirect_page).unwrap(), &segs);
+        let req = BlkifRequest::Indirect {
+            indirect_op: BLKIF_OP_WRITE,
+            handle: 0,
+            id: 2,
+            sector_number: 0,
+            nr_segments: segs.len() as u16,
+            indirect_grefs: vec![rf.indirect],
+        };
+        assert_rejected(&mut pair, &req);
+        assert_eq!(pair.2.stats().grant_maps, 0, "refused before any map");
+    }
+
+    #[test]
+    fn unknown_opcode_is_rejected() {
+        let mut pair = raw_pair(true);
+        let req = BlkifRequest::Direct {
+            operation: kite_xen::blkif::BLKIF_OP_DISCARD,
+            handle: 0,
+            id: 5,
+            sector_number: 0,
+            segments: Vec::new(),
+        };
+        assert_rejected(&mut pair, &req);
     }
 }

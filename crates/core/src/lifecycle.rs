@@ -9,7 +9,7 @@
 //!   `close`, and the per-queue surface (ports, wedging, progress) the
 //!   hosting system drives;
 //! * `QueueState` — the per-queue state every backend keeps besides its
-//!   rings: event channel, wedge flag, bounce-page pool;
+//!   rings: event channel and wedge flag;
 //! * [`DeviceLifecycle`] — the state driver that owns one device slot and
 //!   performs the legal transitions (connect when the frontend published,
 //!   orderly close, crash abandonment, connect again after a driver-domain
@@ -21,7 +21,7 @@ use kite_sim::Nanos;
 use kite_trace::EventKind;
 use kite_xen::xenbus::read_state;
 use kite_xen::{
-    DeviceKind, DevicePaths, DomainId, Hypervisor, PageId, Port, Result, XenError, XenbusState,
+    DeviceKind, DevicePaths, DomainId, Hypervisor, Port, Result, XenError, XenbusState,
 };
 
 /// Trace identity of a device slot: `<kind>/<frontend-domain>/<index>`.
@@ -89,10 +89,6 @@ pub(crate) struct QueueState {
     /// kthread) while the rest of the domain — heartbeats included —
     /// carries on. What per-queue stall detection must catch.
     pub wedged: bool,
-    /// Pages the queue's drains stage grant-copy payloads through, one
-    /// per op of a batch, so a whole drain moves in one `GNTTABOP_copy`.
-    /// Netback's; blkback maps and leaves its pool empty.
-    pub bounce: Vec<PageId>,
 }
 
 impl QueueState {
@@ -100,26 +96,13 @@ impl QueueState {
         QueueState {
             evtchn,
             wedged: false,
-            bounce: Vec::new(),
         }
     }
 
-    /// Grows the bounce pool to at least `n` pages.
-    pub fn ensure_bounce(&mut self, hv: &mut Hypervisor, back: DomainId, n: usize) -> Result<()> {
-        while self.bounce.len() < n {
-            self.bounce.push(hv.alloc_page(back)?);
-        }
-        Ok(())
-    }
-
-    /// Closes the event channel and frees the bounce pool.
-    pub fn release(self, hv: &mut Hypervisor, back: DomainId) -> Result<()> {
+    /// Closes the event channel.
+    pub fn release(self, hv: &mut Hypervisor, back: DomainId) {
         // The port may already be closed from the guest's end.
         let _ = hv.evtchn.close(back, self.evtchn);
-        for page in self.bounce {
-            hv.free_page(back, page)?;
-        }
-        Ok(())
     }
 }
 

@@ -33,10 +33,10 @@ use kite_xen::netif::{
     NETRXF_DATA_VALIDATED, NETRXF_MORE_DATA, NETTXF_EXTRA_INFO, NETTXF_MORE_DATA,
     XEN_NETIF_EXTRA_TYPE_GSO,
 };
-use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey, FEATURE_GSO_KEY, FEATURE_NO_CSUM_KEY};
+use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey, FEATURE_GSO_KEY};
 use kite_xen::{
-    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, Hypervisor, Port, ReqId, ReqStage,
-    Result, SlotClass, XenbusState, PAGE_SIZE,
+    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, Hypervisor, PageId, Port, ReqId,
+    ReqStage, Result, SlotClass, XenbusState, PAGE_SIZE,
 };
 
 use crate::lifecycle::QueueState;
@@ -126,6 +126,19 @@ struct NbQueue {
     tx: BackEndpoint<NetifTxRequest, NetifTxResponse>,
     rx: BackEndpoint<NetifRxRequest, NetifRxResponse>,
     to_guest: VecDeque<Vec<u8>>,
+    /// Pages the queue's drains stage grant-copy payloads through, one
+    /// per op of a batch, so a whole drain moves in one `GNTTABOP_copy`.
+    bounce: Vec<PageId>,
+}
+
+impl NbQueue {
+    /// The bounce page of a drain's op `i`; the pool grows on first use.
+    fn bounce_page(&mut self, hv: &mut Hypervisor, back: DomainId, i: usize) -> Result<PageId> {
+        while self.bounce.len() <= i {
+            self.bounce.push(hv.alloc_page(back)?);
+        }
+        Ok(self.bounce[i])
+    }
 }
 
 /// What became of one consumed Tx ring slot (drives its response).
@@ -173,7 +186,6 @@ pub struct NetbackInstance {
     pub rx_queue_cap: usize,
     profile: OsProfile,
     gso: bool,
-    csum_offload: bool,
     stats: NetbackStats,
     // Drain-path scratch, recycled across calls so a warmed-up drain
     // performs no bookkeeping allocations (frame payloads still
@@ -199,9 +211,8 @@ impl NetbackInstance {
         let be = paths.backend();
         // Offload negotiation: chains are legal only when the toolstack
         // advertised GSO under the backend path AND the frontend echoed
-        // it. Checksum offload rides along unless the frontend vetoed
-        // it with `feature-no-csum-offload` — either side staying
-        // silent is a graceful fallback, never an error.
+        // it; checksum offload rides along. Either side staying silent
+        // is a graceful fallback, never an error.
         let key_is_1 = |hv: &mut Hypervisor, path: &str| {
             hv.store
                 .read(back, None, path)
@@ -210,7 +221,6 @@ impl NetbackInstance {
         };
         let gso = key_is_1(hv, &format!("{be}/{FEATURE_GSO_KEY}"))
             && key_is_1(hv, &format!("{fe}/{FEATURE_GSO_KEY}"));
-        let csum_offload = gso && !key_is_1(hv, &format!("{fe}/{FEATURE_NO_CSUM_KEY}"));
         let queues = attach_back(hv, paths, |hv, at| {
             let mut queues = Vec::with_capacity(at.queues() as usize);
             for k in 0..at.queues() {
@@ -221,6 +231,7 @@ impl NetbackInstance {
                     tx,
                     rx,
                     to_guest: VecDeque::new(),
+                    bounce: Vec::new(),
                 });
             }
             hv.store
@@ -238,7 +249,6 @@ impl NetbackInstance {
             rx_queue_cap: 512,
             profile,
             gso,
-            csum_offload,
             stats: NetbackStats::default(),
             scratch_tx: Vec::new(),
             scratch_chains: Vec::new(),
@@ -252,11 +262,6 @@ impl NetbackInstance {
     /// Whether the pair negotiated GSO descriptor chains.
     pub fn gso(&self) -> bool {
         self.gso
-    }
-
-    /// Whether the pair negotiated checksum offload.
-    pub fn csum_offload(&self) -> bool {
-        self.csum_offload
     }
 
     /// Instance statistics.
@@ -300,10 +305,7 @@ impl NetbackInstance {
         if size == 0 || offset >= PAGE_SIZE || size > PAGE_SIZE - offset {
             return Ok(false);
         }
-        self.queues[q]
-            .state
-            .ensure_bounce(hv, self.back, ops.len() + 1)?;
-        let dst = self.queues[q].state.bounce[ops.len()];
+        let dst = self.queues[q].bounce_page(hv, self.back, ops.len())?;
         ops.push(GrantCopyOp {
             src: CopySide::Grant {
                 granter: self.front,
@@ -537,7 +539,7 @@ impl NetbackInstance {
             let status = match disp {
                 TxDisp::Single(i) if result.statuses[i].is_okay() => {
                     let size = ops[i].len;
-                    let frame = hv.mem.page(self.queues[q].state.bounce[i])?[..size].to_vec();
+                    let frame = hv.mem.page(self.queues[q].bounce[i])?[..size].to_vec();
                     self.stats.tx_packets += 1;
                     self.stats.tx_bytes += size as u64;
                     batch.frames.push(frame);
@@ -555,7 +557,7 @@ impl NetbackInstance {
                         let mut frame = Vec::with_capacity(c.total);
                         for (op, &bounce) in ops[c.op_start..c.op_end]
                             .iter()
-                            .zip(&self.queues[q].state.bounce[c.op_start..c.op_end])
+                            .zip(&self.queues[q].bounce[c.op_start..c.op_end])
                         {
                             frame.extend_from_slice(&hv.mem.page(bounce)?[..op.len]);
                         }
@@ -701,10 +703,7 @@ impl NetbackInstance {
                     }
                 };
                 let len = (total - off).min(PAGE_SIZE);
-                self.queues[q]
-                    .state
-                    .ensure_bounce(hv, self.back, ops.len() + 1)?;
-                let src = self.queues[q].state.bounce[ops.len()];
+                let src = self.queues[q].bounce_page(hv, self.back, ops.len())?;
                 hv.mem.page_mut(src)?[..len].copy_from_slice(&frame[off..off + len]);
                 ops.push(GrantCopyOp {
                     src: CopySide::Local {
@@ -722,7 +721,7 @@ impl NetbackInstance {
                 if f + 1 < nfrags {
                     flags |= NETRXF_MORE_DATA;
                 }
-                if self.csum_offload {
+                if self.gso {
                     flags |= NETRXF_DATA_VALIDATED;
                 }
                 posted.push((req.id, len, flags));
@@ -817,7 +816,10 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         let state = self.device_paths().backend_state();
         for qu in self.queues {
-            qu.state.release(hv, self.back)?;
+            qu.state.release(hv, self.back);
+            for page in qu.bounce {
+                hv.free_page(self.back, page)?;
+            }
             qu.tx.detach(hv, self.back)?;
             qu.rx.detach(hv, self.back)?;
         }
@@ -862,29 +864,16 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{provision_device, BackendManager};
+    use crate::backend::test_machine;
     use crate::lifecycle::BackendDevice;
     use kite_frontends::Netfront;
     use kite_net::MacAddr;
     use kite_rumprun::kite_profile;
     use kite_xen::ring::FrontRing;
-    use kite_xen::{DeviceKind, DomainKind, GrantRef, PageId, XenError};
+    use kite_xen::{DeviceKind, GrantRef, XenError};
 
     fn machine() -> (Hypervisor, DevicePaths) {
-        machine_for(DeviceKind::Vif)
-    }
-
-    fn machine_for(kind: DeviceKind) -> (Hypervisor, DevicePaths) {
-        let mut hv = Hypervisor::new();
-        hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
-        let dd = hv.create_domain("backend", DomainKind::Driver, 1024, 1);
-        let gu = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
-        let paths = DevicePaths::new(gu, dd, kind, 0);
-        provision_device(&mut hv, &paths).unwrap();
-        let mut mgr = BackendManager::new(dd, kind);
-        mgr.start(&mut hv).unwrap();
-        mgr.drain_events(&mut hv).unwrap();
-        (hv, paths)
+        test_machine(DeviceKind::Vif)
     }
 
     fn advertise_gso(hv: &mut Hypervisor, paths: &DevicePaths) {
@@ -898,48 +887,31 @@ mod tests {
             .unwrap();
     }
 
-    /// Full pair with a real netfront and explicit feature choices.
-    fn pair(
-        be_gso: bool,
-        fe_gso: bool,
-        veto_csum: bool,
-    ) -> (Hypervisor, DevicePaths, Netfront, NetbackInstance) {
+    /// Full pair with a real netfront, the backend advertising GSO or not.
+    fn pair(be_gso: bool) -> (Hypervisor, DevicePaths, Netfront, NetbackInstance) {
         let (mut hv, paths) = machine();
         if be_gso {
             advertise_gso(&mut hv, &paths);
         }
-        let nf = Netfront::connect_with_features(
-            &mut hv,
-            &paths,
-            MacAddr::local(1),
-            1,
-            fe_gso,
-            veto_csum,
-        )
-        .unwrap();
+        let nf = Netfront::connect(&mut hv, &paths, MacAddr::local(1)).unwrap();
         let nb = NetbackInstance::connect(&mut hv, &paths, kite_profile()).unwrap();
         (hv, paths, nf, nb)
     }
 
     #[test]
     fn offload_negotiation_requires_both_sides() {
-        let (_, _, nf, nb) = pair(true, false, false);
-        assert!(!nb.gso(), "frontend declined");
-        assert!(!nf.gso());
-        let (_, _, nf, nb) = pair(false, true, false);
+        let (_, _, _, nb) = raw_pair(false);
+        assert!(!nb.gso(), "frontend never echoed the key");
+        let (_, _, nf, nb) = pair(false);
         assert!(!nb.gso(), "backend never advertised");
         assert!(!nf.gso());
-        let (_, _, nf, nb) = pair(true, true, false);
-        assert!(nb.gso() && nb.csum_offload());
-        assert!(nf.gso());
-        let (_, _, _, nb) = pair(true, true, true);
-        assert!(nb.gso(), "csum veto leaves GSO up");
-        assert!(!nb.csum_offload());
+        let (_, _, nf, nb) = pair(true);
+        assert!(nb.gso() && nf.gso());
     }
 
     #[test]
     fn tx_chain_reassembles_a_super_frame() {
-        let (mut hv, _, mut nf, mut nb) = pair(true, true, false);
+        let (mut hv, _, mut nf, mut nb) = pair(true);
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i * 7) as u8).collect();
         let (q, _) = nf.send(&mut hv, &payload, None).unwrap();
         let batch = nb.pusher_run(&mut hv, q, 128).unwrap();
@@ -957,7 +929,7 @@ mod tests {
 
     #[test]
     fn rx_chain_spans_posted_buffers() {
-        let (mut hv, _, mut nf, mut nb) = pair(true, true, false);
+        let (mut hv, _, mut nf, mut nb) = pair(true);
         let frame: Vec<u8> = (0..9_500u32).map(|i| (i ^ 0x5a) as u8).collect();
         assert!(nb.enqueue_to_guest(frame.clone()));
         let batch = nb.soft_start_run(&mut hv, 0, 64).unwrap();
@@ -979,15 +951,9 @@ mod tests {
         let (mut hv, paths) = machine();
         let max = format!("{}/multi-queue-max-queues", paths.backend());
         hv.store.write(DomainId::DOM0, None, &max, "4").unwrap();
-        let mut nf = Netfront::connect_with_features(
-            &mut hv,
-            &paths,
-            MacAddr::local(1),
-            QUEUES as u32,
-            true,
-            false,
-        )
-        .unwrap();
+        let mut nf =
+            Netfront::connect_with_queues(&mut hv, &paths, MacAddr::local(1), QUEUES as u32)
+                .unwrap();
         let mut nb = NetbackInstance::connect(&mut hv, &paths, kite_profile()).unwrap();
         assert_eq!(nf.queue_count(), QUEUES);
         for q in 0..QUEUES {
@@ -1038,7 +1004,7 @@ mod tests {
 
     #[test]
     fn oversized_sends_fail_without_gso() {
-        let (mut hv, _, mut nf, _) = pair(false, false, false);
+        let (mut hv, _, mut nf, _) = pair(false);
         let big = vec![0u8; PAGE_SIZE + 1];
         assert_eq!(
             nf.send(&mut hv, &big, None).err(),
@@ -1052,7 +1018,7 @@ mod tests {
     /// consumes no posted Rx buffer.
     #[test]
     fn oversized_rx_frames_drop_without_gso() {
-        let (mut hv, _, mut nf, mut nb) = pair(false, false, false);
+        let (mut hv, _, mut nf, mut nb) = pair(false);
         let fits = vec![7u8; PAGE_SIZE];
         assert!(nb.enqueue_to_guest(vec![0u8; PAGE_SIZE + 1]));
         assert!(nb.enqueue_to_guest(fits.clone()));
@@ -1099,11 +1065,13 @@ mod tests {
         }
     }
 
-    fn raw_pair(gso: bool) -> (Hypervisor, DevicePaths, RawFront, NetbackInstance) {
+    /// The backend always advertises GSO; `fe_gso` is whether the
+    /// hand-built frontend echoes the key.
+    fn raw_pair(fe_gso: bool) -> (Hypervisor, DevicePaths, RawFront, NetbackInstance) {
         let (mut hv, paths) = machine();
         let (gu, dd) = (paths.front, paths.back);
-        if gso {
-            advertise_gso(&mut hv, &paths);
+        advertise_gso(&mut hv, &paths);
+        if fe_gso {
             hv.store
                 .write(
                     gu,
@@ -1318,7 +1286,7 @@ mod tests {
         connect_front: fn(&mut Hypervisor, &DevicePaths, u32),
         &(front_queues, key, value, want): &Case,
     ) {
-        let (mut hv, paths) = machine_for(D::KIND);
+        let (mut hv, paths) = test_machine(D::KIND);
         let what = format!("{:?} {key} = {value:?}", D::KIND);
         let max = format!("{}/multi-queue-max-queues", paths.backend());
         hv.store.write(DomainId::DOM0, None, &max, "4").unwrap();
@@ -1356,7 +1324,7 @@ mod tests {
     }
 
     fn netfront(hv: &mut Hypervisor, paths: &DevicePaths, queues: u32) {
-        Netfront::connect_with_features(hv, paths, MacAddr::local(1), queues, true, false).unwrap();
+        Netfront::connect_with_queues(hv, paths, MacAddr::local(1), queues).unwrap();
     }
 
     fn blkfront(hv: &mut Hypervisor, paths: &DevicePaths, queues: u32) {

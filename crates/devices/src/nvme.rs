@@ -478,7 +478,9 @@ impl NvmeController {
     /// validates requests before they reach the device.
     pub fn write_data(&mut self, sector: u64, data: &[u8]) {
         assert!(
-            sector + (data.len().div_ceil(SECTOR_SIZE)) as u64 <= self.sectors,
+            sector
+                .checked_add(data.len().div_ceil(SECTOR_SIZE) as u64)
+                .is_some_and(|end| end <= self.sectors),
             "write beyond device capacity"
         );
         let mut off = 0usize;

@@ -26,7 +26,6 @@ use kite_xen::netif::{
 };
 use kite_xen::xenbus::{
     negotiate_front, publish_queue, switch_state, FrontEndpoint, RingKey, FEATURE_GSO_KEY,
-    FEATURE_NO_CSUM_KEY,
 };
 use kite_xen::{
     DevicePaths, DomainId, GrantRef, Hypervisor, PageId, Port, ReqId, ReqStage, Result, SlotClass,
@@ -190,7 +189,6 @@ pub struct Netfront {
     received: VecDeque<Vec<u8>>,
     tx_ring_full: u64,
     gso: bool,
-    csum_offload: bool,
 }
 
 fn make_pool(
@@ -239,38 +237,29 @@ impl Netfront {
     /// flips the state to `Initialised`. Also pre-posts the entire Rx
     /// buffer pool.
     pub fn connect(hv: &mut Hypervisor, paths: &DevicePaths, mac: MacAddr) -> Result<Netfront> {
-        Netfront::connect_with_features(hv, paths, mac, 1, true, false)
+        Netfront::connect_with_queues(hv, paths, mac, 1)
     }
 
-    /// [`Netfront::connect`] with multi-queue negotiation and explicit
-    /// offload choices.
+    /// [`Netfront::connect`] with multi-queue negotiation.
     ///
     /// The frontend offers up to `max_queues`, clamps against the
     /// backend's advertisement ([`negotiate_front`]) and builds one ring
     /// set per negotiated queue; a result of 1 (either side offering 1)
     /// keeps the flat single-ring layout.
-    ///
-    /// `want_gso` declines segmentation offload even when the backend
-    /// advertises `feature-gso-tcpv4` (the frontend simply never echoes
-    /// the key — graceful fallback, not an error). `veto_csum` writes
-    /// `feature-no-csum-offload`, keeping full-cost checksumming on the
-    /// guest even when GSO chains are negotiated.
-    pub fn connect_with_features(
+    pub fn connect_with_queues(
         hv: &mut Hypervisor,
         paths: &DevicePaths,
         mac: MacAddr,
         max_queues: u32,
-        want_gso: bool,
-        veto_csum: bool,
     ) -> Result<Netfront> {
         let guest = paths.front;
         let fe = paths.frontend();
         let nqueues = negotiate_front(hv, paths, max_queues)?;
-        // Offload negotiation: echo the backend's GSO advertisement only
-        // if this frontend wants it. A backend that never advertised the
-        // key (or a frontend that declines) leaves both sides in the
-        // legacy single-slot protocol — no keys, no behavior change.
-        let back_gso = hv
+        // Offload negotiation: echo the backend's GSO advertisement. A
+        // backend that never advertised the key leaves both sides in the
+        // single-slot protocol — no keys, no behavior change. Checksum
+        // offload rides along with GSO.
+        let gso = hv
             .store
             .read(
                 guest,
@@ -279,14 +268,9 @@ impl Netfront {
             )
             .map(|v| v == "1")
             .unwrap_or(false);
-        let gso = want_gso && back_gso;
         if gso {
             hv.store
                 .write(guest, None, &format!("{fe}/{FEATURE_GSO_KEY}"), "1")?;
-            if veto_csum {
-                hv.store
-                    .write(guest, None, &format!("{fe}/{FEATURE_NO_CSUM_KEY}"), "1")?;
-            }
         }
         let mut queues = Vec::with_capacity(nqueues as usize);
         for k in 0..nqueues {
@@ -309,7 +293,6 @@ impl Netfront {
             received: VecDeque::new(),
             tx_ring_full: 0,
             gso,
-            csum_offload: gso && !veto_csum,
         };
         nf.post_rx_buffers(hv)?;
         Ok(nf)
@@ -443,7 +426,7 @@ impl Netfront {
         // Guest-side cost: buffer copy + ring bookkeeping. With checksum
         // offload the guest skips the software csum pass, halving the
         // per-byte term.
-        let per_byte = if self.csum_offload { 32 } else { 16 };
+        let per_byte = if self.gso { 32 } else { 16 };
         Ok((
             q,
             FrontOp {

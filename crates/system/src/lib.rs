@@ -12,6 +12,7 @@
 pub mod config;
 pub mod host;
 pub mod netsys;
+pub mod scenario;
 pub mod storsys;
 
 pub use config::SystemConfig;

@@ -328,8 +328,8 @@ impl Datapath for NetPath {
     }
 
     fn connect_frontend(&mut self, hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32) {
-        let nf = Netfront::connect_with_features(hv, paths, self.guest_mac, nqueues, true, false)
-            .expect("netfront");
+        let nf =
+            Netfront::connect_with_queues(hv, paths, self.guest_mac, nqueues).expect("netfront");
         self.netfront = Some(nf);
     }
 

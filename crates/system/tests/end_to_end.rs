@@ -6,7 +6,8 @@ use std::rc::Rc;
 use kite_net::ether::TSO_MSS;
 use kite_sim::Nanos;
 use kite_system::{
-    addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, StorSystem, SystemConfig, GSO_UDP,
+    addrs, scenario, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, StorSystem, SystemConfig,
+    GSO_UDP,
 };
 
 #[test]
@@ -14,15 +15,7 @@ fn udp_request_reply_roundtrip_with_payload_integrity() {
     for os in BackendOs::both() {
         let mut sys = NetSystem::new(os, 42);
         // Guest echo server on port 7.
-        sys.set_guest_app(Box::new(|_, msg| {
-            vec![Reply {
-                dst_ip: msg.src_ip,
-                dst_port: msg.src_port,
-                src_port: msg.dst_port,
-                payload: msg.payload.clone(),
-                cost: Nanos::from_micros(1),
-            }]
-        }));
+        sys.set_guest_app(scenario::echo_server(Nanos::from_micros(1)));
         let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
         let got2 = got.clone();
         sys.set_client_app(Box::new(move |_, msg| {
@@ -299,15 +292,7 @@ fn nat_mode_carries_guest_initiated_flows() {
     let mut sys = NetSystem::new(BackendOs::Kite, 77);
     sys.use_nat();
     // Client echoes whatever arrives (it sees the gateway as the source).
-    sys.set_client_app(Box::new(|_, msg| {
-        vec![Reply {
-            dst_ip: msg.src_ip,
-            dst_port: msg.src_port,
-            src_port: msg.dst_port,
-            payload: msg.payload.clone(),
-            cost: Nanos::from_micros(1),
-        }]
-    }));
+    sys.set_client_app(scenario::echo_server(Nanos::from_micros(1)));
     let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
     let g2 = got.clone();
     let src_seen: Rc<RefCell<Option<std::net::Ipv4Addr>>> = Rc::new(RefCell::new(None));
@@ -494,15 +479,7 @@ fn eight_queue_bidir_guest_clock_is_monotone_and_flows_stay_ordered() {
 fn nat_replies_reach_the_guest_across_queues() {
     let mut sys = SystemConfig::new(BackendOs::Kite, 77).queues(8).build_net();
     sys.use_nat();
-    sys.set_client_app(Box::new(|_, msg| {
-        vec![Reply {
-            dst_ip: msg.src_ip,
-            dst_port: msg.src_port,
-            src_port: msg.dst_port,
-            payload: msg.payload.clone(),
-            cost: Nanos::from_micros(1),
-        }]
-    }));
+    sys.set_client_app(scenario::echo_server(Nanos::from_micros(1)));
     let got = Rc::new(RefCell::new(0u64));
     let g2 = got.clone();
     sys.set_guest_app(Box::new(move |_, _| {

@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use kite_sim::{Nanos, Pcg, SchedulerKind};
-use kite_system::{addrs, BackendOs, Fault, LineRate, NetSystem, Side, SystemConfig};
+use kite_system::{addrs, scenario, BackendOs, Fault, LineRate, NetSystem, Side, SystemConfig};
 
 /// Per-flow byte streams seen at one endpoint: `(src_port, dst_port)` →
 /// concatenated payload bytes in arrival order. Chunking differs between
@@ -180,16 +180,7 @@ fn offload_renegotiates_across_driver_crash_recovery() {
     }));
     // 20 s of super-frame traffic spanning a kill at t=2s: the tail
     // must flow through the *replacement* backend.
-    for i in 0..80u64 {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 30_000],
-        );
-    }
+    scenario::steady_stream(&mut sys, 80, 1, 30_000, Nanos::from_millis(250));
     let crash_at = Nanos::from_secs(2);
     sys.fault_at(crash_at, Fault::Kill);
     sys.run_to_quiescence();

@@ -15,7 +15,7 @@
 //!   request id).
 
 use kite_sim::{Nanos, SchedulerKind};
-use kite_system::{BackendOs, IoKind, IoOp, NetSystem, StorSystem, SystemConfig};
+use kite_system::{scenario, BackendOs, NetSystem, StorSystem, SystemConfig};
 use kite_trace::{chrome, ReqTracer, Stage};
 
 /// Renders the tracer state as a deterministic text digest: header
@@ -91,21 +91,7 @@ fn storage_run(kind: SchedulerKind) -> StorSystem {
         .tracing(1 << 16)
         .req_tracing(3)
         .build_stor();
-    const CHUNK: usize = 8 * 1024;
-    let mut t = Nanos::from_micros(100);
-    for i in 0..128u64 {
-        sys.submit_at(
-            t,
-            IoOp {
-                tag: i,
-                kind: IoKind::Write {
-                    sector: (i % 4) * (1 << 20) + (i / 4) * (CHUNK / 512) as u64,
-                    data: vec![0x5a; CHUNK],
-                },
-            },
-        );
-        t += Nanos::from_micros(2);
-    }
+    scenario::interleaved_streams(&mut sys, 4, 32, 8 * 1024, Nanos::from_micros(2));
     sys.run_to_quiescence();
     sys
 }

@@ -34,7 +34,7 @@ use kite_frontends::Netfront;
 use kite_net::MacAddr;
 use kite_rumprun::kite_profile;
 use kite_sim::{EventSched, Nanos, Scheduler, SchedulerKind};
-use kite_system::{addrs, BackendOs, IoKind, IoOp, Side, SystemConfig};
+use kite_system::{addrs, scenario, BackendOs, IoKind, IoOp, Side, SystemConfig};
 use kite_xen::{
     DeviceKind, DevicePaths, DomainKind, Hypervisor, ReqId, ReqStage, ReqTracer, SlotClass,
 };
@@ -127,17 +127,7 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     // identically (frame payloads per window are fine; drift is not).
     let mut sys = SystemConfig::new(BackendOs::Kite, 42).queues(4).build_net();
     let window = |sys: &mut kite_system::NetSystem| {
-        let start = sys.now();
-        for i in 0..256u64 {
-            sys.send_udp_at(
-                start + Nanos::from_micros(10 + 20 * (i / 64)),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1200 + (i % 64) as u16,
-                vec![i as u8; 1400],
-            );
-        }
+        scenario::flow_burst(sys, Side::Guest, 256, 1400, Nanos::from_micros(20));
         let before = allocs();
         sys.run_to_quiescence();
         allocs() - before
@@ -201,19 +191,9 @@ fn drain_paths_do_not_allocate_in_steady_state() {
         .build_net();
     assert!(sys.gso_negotiated());
     let window = |sys: &mut kite_system::NetSystem| {
-        let start = sys.now();
-        for i in 0..64u64 {
-            // ~30KB messages: every send crosses the ring as a chained
-            // super-frame (extra-info slot + multiple frags).
-            sys.send_udp_at(
-                start + Nanos::from_micros(10 + 20 * (i / 16)),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1200 + (i % 64) as u16,
-                vec![i as u8; 30_000],
-            );
-        }
+        // ~30KB messages: every send crosses the ring as a chained
+        // super-frame (extra-info slot + multiple frags).
+        scenario::flow_burst(sys, Side::Guest, 64, 30_000, Nanos::from_micros(20));
         let before = allocs();
         sys.run_to_quiescence();
         allocs() - before

@@ -1,12 +1,15 @@
 //! Shared plumbing for the macro workloads: a tiny length-prefixed message
 //! protocol so multi-chunk requests/responses are reassembled exactly once
-//! on each side, plus closed-loop bookkeeping helpers.
+//! on each side, plus the two closed-loop harnesses — [`rr_closed_loop`]
+//! over the network scenario, [`stor_closed_loop`] over the storage one —
+//! and the storage benchmarks' shared prepare phase.
 
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
+use kite_fs::{Fs, Ino};
 use kite_sim::Nanos;
-use kite_system::UdpMsg;
+use kite_system::{BackendOs, IoKind, IoOp, StorSystem, UdpMsg};
 
 /// Header magic for logical messages.
 const MAGIC: u16 = 0x4b4d; // "KM"
@@ -246,6 +249,85 @@ pub fn rr_closed_loop(os: kite_system::BackendOs, seed: u64, cfg: RrConfig) -> R
         req_bytes: sys.metrics.guest_rx_bytes,
         guest_cpu: sys.guest_cpu_percent(end),
     }
+}
+
+/// The storage twin of [`rr_closed_loop`]: `workers` threads over `sys`,
+/// each keeping one logical operation outstanding. `next(worker)` yields
+/// the device I/Os of the worker's next operation, every one tagged with
+/// the worker's index; worker `i` is asked first at `start + i` µs, then
+/// again whenever the last I/O of its operation completes, and an empty
+/// answer retires it. Runs to quiescence.
+pub fn stor_closed_loop(
+    sys: &mut StorSystem,
+    start: Nanos,
+    workers: u16,
+    mut next: impl FnMut(u64) -> Vec<IoOp> + 'static,
+) {
+    let mut outstanding = vec![0usize; usize::from(workers)];
+    for (w, left) in (0u64..).zip(&mut outstanding) {
+        let ops = next(w);
+        *left = ops.len();
+        for op in ops {
+            sys.submit_at(start + Nanos::from_micros(w), op);
+        }
+    }
+    sys.set_handler(Box::new(move |_, done| {
+        assert!(done.ok, "closed-loop I/O failed");
+        let left = &mut outstanding[done.tag as usize];
+        *left -= 1;
+        if *left > 0 {
+            return Vec::new();
+        }
+        let ops = next(done.tag);
+        *left = ops.len();
+        ops
+    }));
+    sys.run_to_quiescence();
+}
+
+/// A storage benchmark's data set: the system it was written through,
+/// the filesystem that laid it out, and the files by name.
+pub struct FileSet {
+    /// The storage system, quiescent after the last prepare write.
+    pub sys: StorSystem,
+    /// The extent filesystem over the device, caches dropped.
+    pub fs: Fs,
+    /// Every file created, in creation order.
+    pub files: Vec<(String, Ino)>,
+}
+
+/// The prepare phase of sysbench fileio and Filebench: creates `nfiles`
+/// files (`size()` bytes each, drawn in creation order) on a 4 GiB
+/// filesystem with a 64 MiB page cache — the data set deliberately
+/// exceeds the cache, as in the paper — writes them through the PV path
+/// one device I/O every `pace`, then drops the caches.
+pub fn prepare_files(
+    os: BackendOs,
+    seed: u64,
+    nfiles: usize,
+    pace: Nanos,
+    mut size: impl FnMut() -> usize,
+) -> FileSet {
+    let mut sys = StorSystem::new(os, seed);
+    let mut fs = Fs::format(1 << 20, 16_384);
+    let mut files = Vec::with_capacity(nfiles);
+    let mut t = Nanos::from_micros(100);
+    for i in 0..nfiles {
+        let name = format!("f{i:06}");
+        let ino = fs.create(&name).expect("fresh name");
+        for io in fs.write(ino, 0, size()).expect("device has room") {
+            let kind = IoKind::Write {
+                sector: io.sector,
+                data: vec![0x5a; io.bytes],
+            };
+            sys.submit_at(t, IoOp { tag: 0, kind });
+            t += pace;
+        }
+        files.push((name, ino));
+    }
+    sys.run_to_quiescence();
+    fs.drop_caches();
+    FileSet { sys, fs, files }
 }
 
 #[cfg(test)]

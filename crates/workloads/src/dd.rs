@@ -5,11 +5,10 @@
 //! readahead giving it a little pipelining). The paper moves 10 GB per
 //! run; we move a scaled amount at the same stationary rate.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use kite_sim::{Nanos, Pcg};
 use kite_system::{BackendOs, IoKind, IoOp, StorSystem};
+
+use crate::common::stor_closed_loop;
 
 /// One dd measurement.
 #[derive(Clone, Debug)]
@@ -24,60 +23,29 @@ pub struct DdReport {
 
 /// Block size dd issues (256 KiB, the artifact's effective request size).
 pub const DD_BS: usize = 256 * 1024;
-/// dd is synchronous: one block outstanding.
-const DEPTH: u64 = 1;
 
-/// Runs dd in one direction, transferring `total_bytes`.
+/// Runs dd in one direction, transferring `total_bytes`. dd is
+/// synchronous: one worker, one block outstanding.
 pub fn run(os: BackendOs, read: bool, total_bytes: u64, seed: u64) -> DdReport {
     let mut sys = StorSystem::new(os, seed);
     let total_ops = total_bytes / DD_BS as u64;
-    let next = Rc::new(RefCell::new(DEPTH));
     let mut rng = Pcg::seeded(seed);
-    let mk = move |i: u64, rng: &mut Pcg| -> IoOp {
-        let sector = i * (DD_BS / 512) as u64;
-        IoOp {
-            tag: i,
-            kind: if read {
-                IoKind::Read { sector, len: DD_BS }
-            } else {
-                let mut data = vec![0u8; DD_BS];
-                rng.fill_bytes(&mut data[..64]); // head entropy; rest zeros
-                IoKind::Write { sector, data }
-            },
-        }
-    };
-    let n2 = next.clone();
-    let rng2 = Rc::new(RefCell::new(Pcg::seeded(seed ^ 1)));
-    sys.set_handler(Box::new(move |_, done| {
-        assert!(done.ok, "dd I/O failed");
-        let mut n = n2.borrow_mut();
-        if *n >= total_ops {
+    let mut i = 0;
+    stor_closed_loop(&mut sys, Nanos::from_micros(10), 1, move |worker| {
+        if i >= total_ops {
             return Vec::new();
         }
-        let op = mk(*n, &mut rng2.borrow_mut());
-        *n += 1;
-        vec![op]
-    }));
-    for i in 0..DEPTH.min(total_ops) {
-        let op = {
-            let sector = i * (DD_BS / 512) as u64;
-            if read {
-                IoOp {
-                    tag: i,
-                    kind: IoKind::Read { sector, len: DD_BS },
-                }
-            } else {
-                let mut data = vec![0u8; DD_BS];
-                rng.fill_bytes(&mut data[..64]);
-                IoOp {
-                    tag: i,
-                    kind: IoKind::Write { sector, data },
-                }
-            }
+        let sector = i * (DD_BS / 512) as u64;
+        i += 1;
+        let kind = if read {
+            IoKind::Read { sector, len: DD_BS }
+        } else {
+            let mut data = vec![0u8; DD_BS];
+            rng.fill_bytes(&mut data[..64]); // head entropy; rest zeros
+            IoKind::Write { sector, data }
         };
-        sys.submit_at(Nanos::from_micros(10 + i), op);
-    }
-    sys.run_to_quiescence();
+        vec![IoOp { tag: worker, kind }]
+    });
     let secs = sys.now().as_secs_f64();
     let bytes = if read {
         sys.metrics.read_bytes

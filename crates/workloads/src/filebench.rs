@@ -12,12 +12,13 @@
 //! File counts and dataset sizes are scaled (EXPERIMENTS.md); op mixes,
 //! thread counts and I/O sizes are the paper's.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
-use kite_fs::Fs;
 use kite_sim::{Nanos, Pcg};
-use kite_system::{BackendOs, IoKind, IoOp, StorSystem};
+use kite_system::{BackendOs, IoKind, IoOp};
+
+use crate::common::{prepare_files, stor_closed_loop, FileSet};
 
 /// The I/O size sweep of Figure 14.
 pub const FIG14_IOSIZES: [usize; 10] = [
@@ -51,44 +52,6 @@ pub struct FilebenchReport {
     pub latency_ms: f64,
 }
 
-struct Bench {
-    sys: StorSystem,
-    fs: Rc<RefCell<Fs>>,
-    files: Vec<(String, kite_fs::Ino)>,
-}
-
-fn prepare(os: BackendOs, nfiles: usize, mean_bytes: usize, seed: u64) -> Bench {
-    let mut sys = StorSystem::new(os, seed);
-    let fs = Rc::new(RefCell::new(Fs::format(1 << 20, 16_384))); // 4 GiB, 64 MiB cache
-    let mut files = Vec::new();
-    let mut rng = Pcg::seeded(seed ^ 0xf11eb);
-    let mut t = Nanos::from_micros(100);
-    for i in 0..nfiles {
-        let name = format!("f{i:06}");
-        let ino = fs.borrow_mut().create(&name).unwrap();
-        // File sizes vary ±50% around the mean (gamma-ish via two uniforms).
-        let size = mean_bytes / 2 + rng.index(mean_bytes);
-        let ios = fs.borrow_mut().write(ino, 0, size).unwrap();
-        for io in ios {
-            sys.submit_at(
-                t,
-                IoOp {
-                    tag: 0,
-                    kind: IoKind::Write {
-                        sector: io.sector,
-                        data: vec![0x42; io.bytes],
-                    },
-                },
-            );
-            t += Nanos::from_micros(25);
-        }
-        files.push((name, ino));
-    }
-    sys.run_to_quiescence();
-    fs.borrow_mut().drop_caches();
-    Bench { sys, fs, files }
-}
-
 /// Per-op work selection for a personality.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Personality {
@@ -110,23 +73,28 @@ fn run_personality(
         Personality::Webserver => (1000, 64 * 1024, "webserver"),
         Personality::Mongo => (64, 8 * 1024 * 1024, "mongodb"),
     };
-    let mut b = prepare(os, nfiles, mean_size, seed);
-    let t_start = b.sys.now() + Nanos::from_millis(1);
+    // File sizes vary ±50% around the mean (gamma-ish via two uniforms).
+    let mut size_rng = Pcg::seeded(seed ^ 0xf11eb);
+    let FileSet {
+        mut sys,
+        mut fs,
+        mut files,
+    } = prepare_files(os, seed, nfiles, Nanos::from_micros(25), || {
+        mean_size / 2 + size_rng.index(mean_size)
+    });
+    let t_start = sys.now() + Nanos::from_millis(1);
 
-    let ops_done = Rc::new(RefCell::new(0u64));
-    let app_bytes = Rc::new(RefCell::new(0u64));
-    let rng = Rc::new(RefCell::new(Pcg::seeded(seed ^ 0xbe11c)));
-    let fs = b.fs.clone();
-    let files = Rc::new(RefCell::new(b.files.clone()));
-    let next_name = Rc::new(RefCell::new(nfiles));
+    let ops_done = Rc::new(Cell::new(0u64));
+    let app_bytes = Rc::new(Cell::new(0u64));
+    let mut rng = Pcg::seeded(seed ^ 0xbe11c);
+    let mut next_name = nfiles;
 
     // One filebench "operation" = a short sequence of fs calls ending in
     // device I/O. Returns the device ops (may be empty on full cache hit).
-    let fls = files.clone();
-    let nn = next_name.clone();
     let ab = app_bytes.clone();
-    let mk = move |tag: u64, rng: &mut Pcg, fs: &mut Fs| -> Vec<IoOp> {
-        let to_ops = |ios: Vec<kite_fs::DevIo>, write: bool, tag: u64| -> Vec<IoOp> {
+    let mut mk = move |tag: u64| -> Vec<IoOp> {
+        let app = |n: usize| ab.set(ab.get() + n as u64);
+        let to_ops = |ios: Vec<kite_fs::DevIo>, write: bool| -> Vec<IoOp> {
             ios.into_iter()
                 .map(|io| IoOp {
                     tag,
@@ -144,7 +112,6 @@ fn run_personality(
                 })
                 .collect()
         };
-        let mut files = fls.borrow_mut();
         match personality {
             Personality::Fileserver => {
                 // Weighted mix: whole-file read, write(iosize), append 1KB,
@@ -155,8 +122,8 @@ fn run_personality(
                         let size = fs.size(ino).unwrap_or(0) as usize;
                         let n = size.min(io_size).max(4096);
                         let plan = fs.read(ino, 0, n).unwrap_or_default();
-                        *ab.borrow_mut() += n as u64;
-                        to_ops(plan.device_ios, false, tag)
+                        app(n);
+                        to_ops(plan.device_ios, false)
                     }
                     4..=6 => {
                         let (_, ino) = files[rng.index(files.len())];
@@ -165,14 +132,14 @@ fn run_personality(
                         let size = fs.size(ino).unwrap_or(4096) as usize;
                         let n = io_size.min(2 * size.max(4096));
                         let ios = fs.write(ino, 0, n).unwrap_or_default();
-                        *ab.borrow_mut() += n as u64;
-                        to_ops(ios, true, tag)
+                        app(n);
+                        to_ops(ios, true)
                     }
                     7 => {
                         let (_, ino) = files[rng.index(files.len())];
                         let ios = fs.append(ino, 1024).unwrap_or_default();
-                        *ab.borrow_mut() += 1024;
-                        to_ops(ios, true, tag)
+                        app(1024);
+                        to_ops(ios, true)
                     }
                     8 => {
                         // stat: metadata only.
@@ -185,15 +152,14 @@ fn run_personality(
                         let idx = rng.index(files.len());
                         let (name, _) = files[idx].clone();
                         let _ = fs.delete(&name);
-                        let mut nn = nn.borrow_mut();
-                        let new_name = format!("f{:06}", *nn);
-                        *nn += 1;
+                        let new_name = format!("f{next_name:06}");
+                        next_name += 1;
                         let ino = fs.create(&new_name).unwrap();
                         let n = io_size.min(mean_size);
                         let ios = fs.write(ino, 0, n).unwrap_or_default();
                         files[idx] = (new_name, ino);
-                        *ab.borrow_mut() += n as u64;
-                        to_ops(ios, true, tag)
+                        app(n);
+                        to_ops(ios, true)
                     }
                 }
             }
@@ -202,14 +168,14 @@ fn run_personality(
                 if rng.index(10) == 0 {
                     let (_, ino) = files[0];
                     let ios = fs.append(ino, 16 * 1024).unwrap_or_default();
-                    *ab.borrow_mut() += 16 * 1024;
-                    to_ops(ios, true, tag)
+                    app(16 * 1024);
+                    to_ops(ios, true)
                 } else {
                     let (_, ino) = files[rng.index(files.len())];
                     let size = fs.size(ino).unwrap_or(4096) as usize;
                     let plan = fs.read(ino, 0, size).unwrap_or_default();
-                    *ab.borrow_mut() += size as u64;
-                    to_ops(plan.device_ios, false, tag)
+                    app(size);
+                    to_ops(plan.device_ios, false)
                 }
             }
             Personality::Mongo => {
@@ -217,8 +183,8 @@ fn run_personality(
                 let (_, ino) = files[rng.index(files.len())];
                 if rng.index(5) == 0 {
                     let ios = fs.append(ino, io_size).unwrap_or_default();
-                    *ab.borrow_mut() += io_size as u64;
-                    to_ops(ios, true, tag)
+                    app(io_size);
+                    to_ops(ios, true)
                 } else {
                     let size = fs.size(ino).unwrap_or(0) as usize;
                     let n = io_size.min(size.max(4096));
@@ -229,72 +195,44 @@ fn run_personality(
                         rng.range_u64(0, max_off as u64 / 512) * 512
                     };
                     let plan = fs.read(ino, off, n).unwrap_or_default();
-                    *ab.borrow_mut() += n as u64;
-                    to_ops(plan.device_ios, false, tag)
+                    app(n);
+                    to_ops(plan.device_ios, false)
                 }
             }
         }
     };
 
-    struct Worker {
-        outstanding: usize,
-    }
-    let workers: Rc<RefCell<Vec<Worker>>> = Rc::new(RefCell::new(
-        (0..threads).map(|_| Worker { outstanding: 0 }).collect(),
-    ));
-    let (od, rg, wk, fs2) = (ops_done.clone(), rng.clone(), workers.clone(), fs.clone());
-    let mk2 = mk.clone();
-    b.sys.set_handler(Box::new(move |_, done| {
-        let mut ws = wk.borrow_mut();
-        let w = &mut ws[done.tag as usize];
-        w.outstanding = w.outstanding.saturating_sub(1);
-        if w.outstanding > 0 {
-            return Vec::new();
-        }
-        let mut n = od.borrow_mut();
-        *n += 1;
-        if *n >= total_ops {
-            return Vec::new();
-        }
-        let mut fs = fs2.borrow_mut();
-        let mut rng = rg.borrow_mut();
+    // The harness asks every worker once before any I/O completes; those
+    // first operations follow no finished one and are not counted. An op
+    // that needs no device I/O (stat, full cache hit) is done on the spot.
+    let done = ops_done.clone();
+    let mut unstarted = threads;
+    stor_closed_loop(&mut sys, t_start, threads, move |tag| {
+        let first = unstarted > 0;
+        unstarted -= u16::from(first);
         loop {
-            let ios = mk2(done.tag, &mut rng, &mut fs);
-            if ios.is_empty() {
-                *n += 1;
-                if *n >= total_ops {
+            if !first {
+                done.set(done.get() + 1);
+                if done.get() >= total_ops {
                     return Vec::new();
                 }
-                continue;
             }
-            w.outstanding = ios.len();
-            return ios;
-        }
-    }));
-    for i in 0..threads {
-        let ios = loop {
-            let ios = mk(u64::from(i), &mut rng.borrow_mut(), &mut fs.borrow_mut());
+            let ios = mk(tag);
             if !ios.is_empty() {
-                break ios;
+                return ios;
             }
-        };
-        workers.borrow_mut()[i as usize].outstanding = ios.len();
-        for op in ios {
-            b.sys
-                .submit_at(t_start + Nanos::from_micros(u64::from(i)), op);
         }
-    }
-    b.sys.run_to_quiescence();
-    let elapsed = (b.sys.now() - t_start).as_secs_f64();
-    let done = (*ops_done.borrow()).max(1);
-    let bytes = *app_bytes.borrow();
+    });
+    let elapsed = (sys.now() - t_start).as_secs_f64();
+    let done = ops_done.get().max(1);
+    let bytes = app_bytes.get();
     FilebenchReport {
         os,
         personality: name,
         io_size,
         mbps: bytes as f64 / 1e6 / elapsed,
         us_per_op: elapsed * 1e6 / done as f64,
-        latency_ms: b.sys.metrics.latency.mean() / 1e6,
+        latency_ms: sys.metrics.latency.mean() / 1e6,
     }
 }
 

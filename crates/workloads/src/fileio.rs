@@ -6,12 +6,13 @@
 //! geometry: 192 files) and run each point to a fixed op count; the page
 //! cache is dropped before each run as the paper does.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
-use kite_fs::Fs;
 use kite_sim::{Nanos, Pcg};
-use kite_system::{BackendOs, IoKind, IoOp, StorSystem};
+use kite_system::{BackendOs, IoKind, IoOp};
+
+use crate::common::{prepare_files, stor_closed_loop, FileSet};
 
 /// Thread counts of Figure 12a.
 pub const FIG12A_THREADS: [u16; 8] = [1, 5, 10, 20, 40, 60, 80, 100];
@@ -42,161 +43,75 @@ pub struct FileioReport {
     pub latency_ms: f64,
 }
 
-struct Prepared {
-    sys: StorSystem,
-    fs: Rc<RefCell<Fs>>,
-    files: Vec<kite_fs::Ino>,
-    file_bytes: usize,
-}
-
-/// Creates the file set (sysbench `prepare` phase): `files` files of
-/// `file_bytes`, written through the PV path, then caches dropped.
-fn prepare(os: BackendOs, files: usize, file_bytes: usize, seed: u64) -> Prepared {
-    let mut sys = StorSystem::new(os, seed);
-    // FS over the device: 4 GiB of blocks, 64 MiB page cache (dataset
-    // deliberately exceeds cache, as in the paper).
-    let fs = Rc::new(RefCell::new(Fs::format(1 << 20, 16_384)));
-    let mut inos = Vec::new();
-    let mut t = Nanos::from_micros(100);
-    for i in 0..files {
-        let ino = fs.borrow_mut().create(&format!("test_{i}")).unwrap();
-        let ios = fs.borrow_mut().write(ino, 0, file_bytes).unwrap();
-        for io in ios {
-            sys.submit_at(
-                t,
-                IoOp {
-                    tag: 0,
-                    kind: IoKind::Write {
-                        sector: io.sector,
-                        data: vec![0x5a; io.bytes],
-                    },
-                },
-            );
-            t += Nanos::from_micros(30);
-        }
-        inos.push(ino);
-    }
-    sys.run_to_quiescence();
-    fs.borrow_mut().drop_caches();
-    Prepared {
-        sys,
-        fs,
-        files: inos,
-        file_bytes,
-    }
-}
-
 /// Runs the random 3:2 read:write phase.
 pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64) -> FileioReport {
     // Scaled file set: 192 files; sized so the set comfortably exceeds the
     // cache and fits the device at the largest block size.
     let file_bytes = block.clamp(1024 * 1024, 8 * 1024 * 1024);
-    let mut p = prepare(os, 192, file_bytes, seed);
-    let t_start = p.sys.now() + Nanos::from_millis(1);
+    let FileSet {
+        mut sys,
+        mut fs,
+        files,
+    } = prepare_files(os, seed, 192, Nanos::from_micros(30), || file_bytes);
+    let t_start = sys.now() + Nanos::from_millis(1);
 
-    let ops_done = Rc::new(RefCell::new(0u64));
-    let rng = Rc::new(RefCell::new(Pcg::seeded(seed ^ 0xf11e)));
-    let fs = p.fs.clone();
-    let files = p.files.clone();
-    let fb = p.file_bytes;
-    let block_c = block.min(fb);
-    let mk = move |tag: u64, rng: &mut Pcg, fs: &mut Fs| -> Vec<IoOp> {
-        let ino = files[rng.index(files.len())];
-        let max_off = (fb - block_c) / 512 * 512;
-        let offset = if max_off == 0 {
-            0
-        } else {
-            rng.range_u64(0, max_off as u64 / 512) * 512
-        };
-        let is_read = rng.range_u64(0, 5) < 3; // 3:2 read:write
-        if is_read {
-            let plan = fs.read(ino, offset, block_c).unwrap();
-            plan.device_ios
-                .iter()
-                .map(|io| IoOp {
-                    tag,
-                    kind: IoKind::Read {
-                        sector: io.sector,
-                        len: io.bytes,
-                    },
-                })
-                .collect()
-        } else {
-            let ios = fs.write(ino, offset, block_c).unwrap();
-            ios.iter()
-                .map(|io| IoOp {
-                    tag,
-                    kind: IoKind::Write {
-                        sector: io.sector,
-                        data: vec![0x77; io.bytes],
-                    },
-                })
-                .collect()
-        }
-    };
-    // Each worker keeps one logical op (possibly several device I/Os; we
-    // chain on the *last* completing tag) outstanding.
-    struct Worker {
-        outstanding: usize,
-    }
-    let workers: Rc<RefCell<Vec<Worker>>> = Rc::new(RefCell::new(
-        (0..threads).map(|_| Worker { outstanding: 0 }).collect(),
-    ));
-    let (od, rg, wk, fs2) = (ops_done.clone(), rng.clone(), workers.clone(), fs.clone());
-    let mk2 = mk.clone();
-    p.sys.set_handler(Box::new(move |_, done| {
-        let mut ws = wk.borrow_mut();
-        let w = &mut ws[done.tag as usize];
-        w.outstanding -= 1;
-        if w.outstanding > 0 {
-            return Vec::new();
-        }
-        let mut n = od.borrow_mut();
-        if *n >= total_ops {
-            return Vec::new();
-        }
-        *n += 1;
-        // Cache hits may yield zero device I/Os; loop until real I/O.
-        let mut fs = fs2.borrow_mut();
-        let mut rng = rg.borrow_mut();
+    let ops_done = Rc::new(Cell::new(0u64));
+    let done = ops_done.clone();
+    let mut rng = Pcg::seeded(seed ^ 0xf11e);
+    let block_c = block.min(file_bytes);
+    let max_off = (file_bytes - block_c) / 512 * 512;
+    // The harness asks every worker once before any I/O completes; those
+    // first operations follow no finished one and are not counted.
+    let mut unstarted = threads;
+    // One logical op: possibly several device I/Os, or none on a full
+    // cache hit — then the op is done on the spot and the worker moves on.
+    stor_closed_loop(&mut sys, t_start, threads, move |tag| {
+        let first = unstarted > 0;
+        unstarted -= u16::from(first);
         loop {
-            let ios = mk2(done.tag, &mut rng, &mut fs);
-            if ios.is_empty() {
-                if *n >= total_ops {
+            if !first {
+                if done.get() >= total_ops {
                     return Vec::new();
                 }
-                *n += 1;
+                done.set(done.get() + 1);
+            }
+            let (_, ino) = files[rng.index(files.len())];
+            let offset = if max_off == 0 {
+                0
+            } else {
+                rng.range_u64(0, max_off as u64 / 512) * 512
+            };
+            let is_read = rng.range_u64(0, 5) < 3; // 3:2 read:write
+            let ios = if is_read {
+                fs.read(ino, offset, block_c).unwrap().device_ios
+            } else {
+                fs.write(ino, offset, block_c).unwrap()
+            };
+            if ios.is_empty() {
                 continue;
             }
-            w.outstanding = ios.len();
-            return ios;
+            let to_op = |io: &kite_fs::DevIo| {
+                let (sector, bytes) = (io.sector, io.bytes);
+                let kind = if is_read {
+                    IoKind::Read { sector, len: bytes }
+                } else {
+                    let data = vec![0x77; bytes];
+                    IoKind::Write { sector, data }
+                };
+                IoOp { tag, kind }
+            };
+            return ios.iter().map(to_op).collect();
         }
-    }));
-    // Kick off each worker.
-    for i in 0..threads {
-        let ios = loop {
-            let ios = mk(u64::from(i), &mut rng.borrow_mut(), &mut fs.borrow_mut());
-            if !ios.is_empty() {
-                break ios;
-            }
-        };
-        workers.borrow_mut()[i as usize].outstanding = ios.len();
-        for op in ios {
-            p.sys
-                .submit_at(t_start + Nanos::from_micros(u64::from(i)), op);
-        }
-    }
-    p.sys.run_to_quiescence();
-    let elapsed = (p.sys.now() - t_start).as_secs_f64();
-    let done = *ops_done.borrow();
+    });
+    let elapsed = (sys.now() - t_start).as_secs_f64();
     FileioReport {
         os,
         threads,
         block,
         // `block_c` is what each op actually transferred (blocks larger
         // than the scaled files are clamped, as sysbench clamps at EOF).
-        mbps: done as f64 * block_c as f64 / 1e6 / elapsed,
-        latency_ms: p.sys.metrics.latency.mean() / 1e6,
+        mbps: ops_done.get() as f64 * block_c as f64 / 1e6 / elapsed,
+        latency_ms: sys.metrics.latency.mean() / 1e6,
     }
 }
 

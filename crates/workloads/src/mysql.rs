@@ -9,13 +9,13 @@
 //! transaction issues random tablespace reads through blkfront, and the
 //! curves for Kite and Linux are identical.
 
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
 
 use kite_sim::{Nanos, Pcg};
 use kite_system::{BackendOs, IoKind, IoOp, StorSystem};
 
-use crate::common::{rr_closed_loop, RrConfig};
+use crate::common::{rr_closed_loop, stor_closed_loop, RrConfig};
 
 /// Thread counts of Figure 10a.
 pub const FIG10_THREADS: [u16; 5] = [5, 10, 20, 40, 60];
@@ -100,46 +100,32 @@ pub fn run_storage(
         tx_done: u64,
         reads_left: u64,
     }
-    let workers: Rc<RefCell<Vec<Worker>>> = Rc::new(RefCell::new(
-        (0..threads)
-            .map(|_| Worker {
-                tx_done: 0,
-                reads_left: READS_PER_TX,
-            })
-            .collect(),
-    ));
-    let rng = Rc::new(RefCell::new(Pcg::seeded(seed ^ 0x5eed)));
-    let tx_count = Rc::new(RefCell::new(0u64));
-    let (wk, rg, tc) = (workers.clone(), rng.clone(), tx_count.clone());
-    let next_read = move |worker_idx: u64, rng: &mut Pcg| -> IoOp {
-        let sector = (rng.range_u64(0, dataset_sectors - (PAGE / 512) as u64) / 32) * 32;
-        IoOp {
-            tag: worker_idx,
-            kind: IoKind::Read { sector, len: PAGE },
-        }
-    };
-    let nr = next_read;
-    sys.set_handler(Box::new(move |_, done| {
-        let mut ws = wk.borrow_mut();
-        let w = &mut ws[done.tag as usize];
-        w.reads_left -= 1;
+    let mut workers: Vec<Worker> = (0..threads)
+        .map(|_| Worker {
+            tx_done: 0,
+            reads_left: READS_PER_TX,
+        })
+        .collect();
+    let mut rng = Pcg::seeded(seed ^ 0x5eed);
+    let tx_count = Rc::new(Cell::new(0u64));
+    let txs = tx_count.clone();
+    stor_closed_loop(&mut sys, Nanos::from_micros(100), threads, move |tag| {
+        let w = &mut workers[tag as usize];
         if w.reads_left == 0 {
             w.tx_done += 1;
-            *tc.borrow_mut() += 1;
+            txs.set(txs.get() + 1);
             if w.tx_done >= transactions_per_thread {
                 return Vec::new();
             }
             w.reads_left = READS_PER_TX;
         }
-        vec![nr(done.tag, &mut rg.borrow_mut())]
-    }));
-    for i in 0..threads {
-        let op = next_read(u64::from(i), &mut rng.borrow_mut());
-        sys.submit_at(Nanos::from_micros(100 + u64::from(i)), op);
-    }
-    sys.run_to_quiescence();
+        w.reads_left -= 1;
+        let sector = (rng.range_u64(0, dataset_sectors - (PAGE / 512) as u64) / 32) * 32;
+        let kind = IoKind::Read { sector, len: PAGE };
+        vec![IoOp { tag, kind }]
+    });
     let secs = sys.now().as_secs_f64();
-    let txs = *tx_count.borrow();
+    let txs = tx_count.get();
     MysqlStorageReport {
         os,
         threads,

@@ -141,11 +141,6 @@ const DEFAULT_MAX_QUEUES: u32 = 8;
 /// single-slot frames.
 pub const FEATURE_GSO_KEY: &str = "feature-gso-tcpv4";
 
-/// Checksum-offload veto key (`feature-no-csum-offload`). Offload is
-/// implied by a GSO-capable pair; a frontend that insists on software
-/// checksums writes `1` under its own path to decline.
-pub const FEATURE_NO_CSUM_KEY: &str = "feature-no-csum-offload";
-
 /// Path helpers for one frontend/backend device pair.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DevicePaths {

@@ -21,7 +21,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use kite::sim::Nanos;
-use kite::system::{addrs, BackendOs, Reply, Side, SystemConfig};
+use kite::system::{addrs, scenario, BackendOs, Side, SystemConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,15 +51,7 @@ fn main() {
     let mut sys = cfg.build_net();
 
     // The guest runs a tiny echo server.
-    sys.set_guest_app(Box::new(|_, msg| {
-        vec![Reply {
-            dst_ip: msg.src_ip,
-            dst_port: msg.src_port,
-            src_port: msg.dst_port,
-            payload: msg.payload.clone(),
-            cost: Nanos::from_micros(5),
-        }]
-    }));
+    sys.set_guest_app(scenario::echo_server(Nanos::from_micros(5)));
 
     // The client prints what comes back.
     let echoed = Rc::new(RefCell::new(Vec::new()));

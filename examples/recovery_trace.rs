@@ -13,7 +13,7 @@
 //! Open the file at <https://ui.perfetto.dev>.
 
 use kite::sim::Nanos;
-use kite::system::{addrs, BackendOs, Fault, Side, SystemConfig};
+use kite::system::{scenario, BackendOs, Fault, SystemConfig};
 use kite::trace::DEFAULT_CAPACITY;
 
 fn main() {
@@ -28,16 +28,7 @@ fn main() {
         .tracing(DEFAULT_CAPACITY)
         .build_net();
     // 30 s of guest→client traffic at 4 msg/s, driver killed at 2 s.
-    for i in 0..120u64 {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 1400],
-        );
-    }
+    scenario::steady_stream(&mut sys, 120, 1, 1400, Nanos::from_millis(250));
     sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     sys.run_to_quiescence();
 

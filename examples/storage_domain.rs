@@ -18,7 +18,7 @@ use std::rc::Rc;
 
 use kite::core::BlkbackTuning;
 use kite::sim::Nanos;
-use kite::system::{BackendOs, IoKind, IoOp, SystemConfig};
+use kite::system::{scenario, BackendOs, IoKind, IoOp, SystemConfig};
 
 fn sequential_write_read(tuning: BlkbackTuning, label: &str, rings: u32, trace: Option<&str>) {
     let mut cfg = SystemConfig::new(BackendOs::Kite, 7)
@@ -28,24 +28,11 @@ fn sequential_write_read(tuning: BlkbackTuning, label: &str, rings: u32, trace: 
         cfg = cfg.tracing(1 << 18);
     }
     let mut sys = cfg.build_stor();
-    // 16 MiB of patterned data in 128 KiB logical writes.
+    // 16 MiB in 128 KiB logical writes.
     const CHUNK: usize = 128 * 1024;
     const TOTAL: usize = 16 * 1024 * 1024;
-    let mut t = Nanos::from_micros(100);
-    for i in 0..(TOTAL / CHUNK) {
-        let data: Vec<u8> = (0..CHUNK).map(|b| ((b + i) % 251) as u8).collect();
-        sys.submit_at(
-            t,
-            IoOp {
-                tag: i as u64,
-                kind: IoKind::Write {
-                    sector: (i * CHUNK / 512) as u64,
-                    data,
-                },
-            },
-        );
-        t += Nanos::from_micros(50);
-    }
+    let n = (TOTAL / CHUNK) as u64;
+    scenario::sequential_writes(&mut sys, n, CHUNK, Nanos::from_micros(50));
     sys.run_to_quiescence();
     let write_done = sys.now();
 
@@ -54,24 +41,19 @@ fn sequential_write_read(tuning: BlkbackTuning, label: &str, rings: u32, trace: 
     let f2 = failures.clone();
     sys.set_handler(Box::new(move |_, done| {
         let data = done.data.as_ref().expect("read data");
-        let i = done.tag as usize;
-        let ok = data
-            .iter()
-            .enumerate()
-            .all(|(b, &v)| v == ((b + i) % 251) as u8);
-        if !ok {
+        if data.len() != CHUNK || data.iter().any(|&v| v != scenario::FILL) {
             *f2.borrow_mut() += 1;
         }
         Vec::new()
     }));
     let mut t = write_done + Nanos::from_millis(1);
-    for i in 0..(TOTAL / CHUNK) {
+    for i in 0..n {
         sys.submit_at(
             t,
             IoOp {
-                tag: i as u64,
+                tag: i,
                 kind: IoKind::Read {
-                    sector: (i * CHUNK / 512) as u64,
+                    sector: i * (CHUNK / 512) as u64,
                     len: CHUNK,
                 },
             },

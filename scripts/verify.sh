@@ -2,7 +2,7 @@
 # Tier-1 verification gate (see ROADMAP.md). Runs fully offline: the
 # workspace has no registry dependencies, so --offline always succeeds.
 #
-#   build (release) -> tests -> examples + repro smoke -> determinism
+#   build (release) -> tests + doctests -> examples + repro smoke -> determinism
 #   cmps (traces, bench rows vs the shipped BENCH_mechanisms.json, repro
 #   prof/top/lat) -> benchmark/ smoke + sim_digest cmp + allocation pins
 #   + one traced run -> doc -> clippy -D warnings -> fmt --check
@@ -20,6 +20,9 @@ echo "==> cargo test --release --offline (libs, bins, tests)"
 # Release profile: reuses the build step's artifacts, and the
 # simulation-heavy workload tests are ~10x faster than under dev.
 cargo test --release --offline -q --workspace --lib --bins --tests
+# The examples in the API docs compile and run too (kite-devices,
+# kite-prof, kite-system's SystemConfig and scenario module).
+cargo test --release --offline -q --workspace --doc
 
 echo "==> examples (build + smoke-run)"
 cargo build --release --offline --examples

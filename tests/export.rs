@@ -6,7 +6,7 @@
 
 use kite::sim::Nanos;
 use kite::system::{
-    addrs, BackendOs, BlkPath, Datapath, Fault, IoKind, IoOp, NetPath, Sampled, Side, StorSystem,
+    scenario, BackendOs, BlkPath, Datapath, Fault, IoKind, IoOp, NetPath, Sampled, StorSystem,
     SystemConfig,
 };
 use kite::trace::{MetricValue, MetricsSnapshot};
@@ -59,16 +59,7 @@ fn every_sampled_and_kitetop_row_is_a_snapshot_row() {
 #[test]
 fn counters_survive_a_restart_as_base_plus_live() {
     let mut sys = SystemConfig::new(BackendOs::Kite, 11).build_net();
-    for i in 0..120u64 {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 1400],
-        );
-    }
+    scenario::steady_stream(&mut sys, 120, 1, 1400, Nanos::from_millis(250));
     sys.fault_at(Nanos::from_secs(2), Fault::Kill);
     sys.run_until(Nanos::from_millis(1_999));
     let before = sys.netback_stats();

@@ -17,7 +17,7 @@ use std::rc::Rc;
 use kite_health::{render_top, HealthState, MonitorConfig, SloConfig};
 use kite_sim::Nanos;
 use kite_system::{
-    addrs, BackendOs, DetectionMode, Fault, IoKind, IoOp, NetSystem, Side, SystemConfig,
+    addrs, scenario, BackendOs, DetectionMode, Fault, IoKind, IoOp, NetSystem, Side, SystemConfig,
 };
 
 const MSGS: u64 = 120;
@@ -36,16 +36,7 @@ fn net_watchdog(os: BackendOs, seed: u64) -> (NetSystem, Rc<RefCell<u64>>) {
         *r2.borrow_mut() += 1;
         Vec::new()
     }));
-    for i in 0..MSGS {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 1400],
-        );
-    }
+    scenario::steady_stream(&mut sys, MSGS, 1, 1400, Nanos::from_millis(250));
     (sys, received)
 }
 
@@ -290,16 +281,7 @@ fn oracle_detects_instantly_watchdog_never_does() {
             sys = SystemConfig::new(BackendOs::Kite, 42)
                 .tracing(1 << 16)
                 .build_net();
-            for i in 0..MSGS {
-                sys.send_udp_at(
-                    Nanos::from_millis(1 + 250 * i),
-                    Side::Guest,
-                    addrs::CLIENT,
-                    9999,
-                    1234,
-                    vec![i as u8; 1400],
-                );
-            }
+            scenario::steady_stream(&mut sys, MSGS, 1, 1400, Nanos::from_millis(250));
         }
         sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         sys.run_to_quiescence();
@@ -421,20 +403,11 @@ fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
         *r2.borrow_mut() += 1;
         Vec::new()
     }));
-    const FLOWS: u64 = 8;
-    for i in 0..MSGS {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            3000 + (i % FLOWS) as u16,
-            vec![i as u8; 1400],
-        );
-    }
+    // Eight flows, so every queue keeps consuming but the wedged one.
+    scenario::steady_stream(&mut sys, MSGS, 8, 1400, Nanos::from_millis(250));
     // Wedge exactly the queue flow 0 steers to, so the frozen ring is
     // guaranteed to keep receiving (and never consuming) requests.
-    let udp = UdpDatagram::new(3000, 9999, vec![0u8; 8]);
+    let udp = UdpDatagram::new(1234, 9999, vec![0u8; 8]);
     let ip = Ipv4Packet::new(
         addrs::GUEST,
         addrs::CLIENT,

@@ -9,7 +9,7 @@
 
 use kite::prof::{self, Phase};
 use kite::sim::Nanos;
-use kite::system::{addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, SystemConfig};
+use kite::system::{scenario, BackendOs, IoKind, IoOp, NetSystem, Side, SystemConfig};
 
 /// The echo scenario, built and loaded but not yet run: the client
 /// fires `msgs` messages over 64 flows at the guest, which echoes each.
@@ -18,25 +18,8 @@ fn echo_sys(seed: u64, msgs: u64, profiled: bool) -> NetSystem {
         .queues(4)
         .profiling(profiled)
         .build_net();
-    sys.set_guest_app(Box::new(|_, msg| {
-        vec![Reply {
-            dst_ip: msg.src_ip,
-            dst_port: msg.src_port,
-            src_port: msg.dst_port,
-            payload: msg.payload.clone(),
-            cost: Nanos::from_micros(1),
-        }]
-    }));
-    for i in 0..msgs {
-        sys.send_udp_at(
-            Nanos::from_micros(10 + 20 * (i / 64)),
-            Side::Client,
-            addrs::GUEST,
-            7777,
-            1200 + (i % 64) as u16,
-            vec![i as u8; 1400],
-        );
-    }
+    sys.set_guest_app(scenario::echo_server(Nanos::from_micros(1)));
+    scenario::flow_burst(&mut sys, Side::Client, msgs, 1400, Nanos::from_micros(20));
     sys
 }
 

@@ -12,8 +12,8 @@ use std::rc::Rc;
 
 use kite_sim::Nanos;
 use kite_system::{
-    addrs, BackendOs, BlkPath, Datapath, Fault, Host, IoKind, IoOp, MonitorConfig, NetPath,
-    NetSystem, Side, StorSystem, SystemConfig,
+    scenario, BackendOs, BlkPath, Datapath, Fault, Host, IoKind, IoOp, MonitorConfig, NetPath,
+    NetSystem, StorSystem, SystemConfig,
 };
 
 /// Kill the driver domain mid-UDP-stream. Every frame the guest's send
@@ -33,18 +33,9 @@ fn net_driver_crash_mid_udp_stream_recovers_without_acked_loss() {
             Vec::new()
         }));
         const MSGS: u64 = 200;
-        for i in 0..MSGS {
-            // 100 s of steady traffic: spans the outage even for the
-            // Linux driver domain's ~75 s boot.
-            sys.send_udp_at(
-                Nanos::from_millis(1 + 500 * i),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1234,
-                vec![i as u8; 1400],
-            );
-        }
+        // 100 s of steady traffic: spans the outage even for the Linux
+        // driver domain's ~75 s boot.
+        scenario::steady_stream(&mut sys, MSGS, 1, 1400, Nanos::from_millis(500));
         let kill = Nanos::from_secs(10);
         sys.fault_at(kill, Fault::Kill);
         // The stream is underway, then the backend dies...
@@ -237,16 +228,7 @@ fn recovery_is_deterministic_same_seed() {
             *r2.borrow_mut() += 1;
             Vec::new()
         }));
-        for i in 0..100u64 {
-            sys.send_udp_at(
-                Nanos::from_millis(1 + 200 * i),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1234,
-                vec![i as u8; 600],
-            );
-        }
+        scenario::steady_stream(&mut sys, 100, 1, 600, Nanos::from_millis(200));
         sys.fault_at(Nanos::from_secs(5), Fault::Kill);
         sys.run_to_quiescence();
         let got = *received.borrow();
@@ -269,16 +251,7 @@ fn trace_export_is_byte_identical_across_same_seed_runs() {
         let mut sys = SystemConfig::new(BackendOs::Kite, seed)
             .tracing(1 << 16)
             .build_net();
-        for i in 0..50u64 {
-            sys.send_udp_at(
-                Nanos::from_millis(1 + 200 * i),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1234,
-                vec![i as u8; 600],
-            );
-        }
+        scenario::steady_stream(&mut sys, 50, 1, 600, Nanos::from_millis(200));
         sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         sys.run_to_quiescence();
         assert_eq!(sys.hv.trace.dropped(), 0);
@@ -310,19 +283,12 @@ fn multi_queue_driver_recovers_all_queues_without_acked_loss() {
             s2.borrow_mut().push((msg.src_port, msg.payload[0]));
             Vec::new()
         }));
-        const FLOWS: u64 = 8;
+        const FLOWS: u16 = 8;
         const MSGS: u64 = 96;
-        for i in 0..MSGS {
-            // ~24 s of traffic over 8 flows: spans the kite (~7 s) outage.
-            sys.send_udp_at(
-                Nanos::from_millis(1 + 250 * i),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                3000 + (i % FLOWS) as u16,
-                vec![(i / FLOWS) as u8; 1000],
-            );
-        }
+        // ~24 s of traffic over 8 flows: spans the kite (~7 s) outage.
+        // Message `i` carries `i` and rides flow `i % 8`, so what a flow
+        // carries only rises.
+        scenario::steady_stream(&mut sys, MSGS, FLOWS, 1000, Nanos::from_millis(250));
         let fault = if hang { Fault::Hang } else { Fault::Kill };
         sys.fault_at(Nanos::from_secs(2), fault);
         sys.run_to_quiescence();
@@ -342,7 +308,7 @@ fn multi_queue_driver_recovers_all_queues_without_acked_loss() {
         );
         // Replay may duplicate but never reorders within a flow.
         for flow in 0..FLOWS {
-            let port = 3000 + flow as u16;
+            let port = 1234 + flow;
             let seqs: Vec<u8> = seen
                 .iter()
                 .filter(|(p, _)| *p == port)
@@ -380,16 +346,7 @@ fn milestone_times<D: Datapath>(sys: &Host<D>, what: &str) -> Vec<Nanos> {
 /// 40 s of guest→client UDP at 4 msg/s: the Tx ring always has pending
 /// requests between two probes, which the stall detector needs.
 fn net_load(sys: &mut NetSystem) {
-    for i in 0..160u64 {
-        sys.send_udp_at(
-            Nanos::from_millis(1 + 250 * i),
-            Side::Guest,
-            addrs::CLIENT,
-            9999,
-            1234,
-            vec![i as u8; 1400],
-        );
-    }
+    scenario::steady_stream(sys, 160, 1, 1400, Nanos::from_millis(250));
 }
 
 /// 39 s of 16 KiB writes, one every 300 ms.

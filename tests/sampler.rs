@@ -7,7 +7,7 @@
 //! (`kite-prof`) stays quarantined from these exports.
 
 use kite::sim::{Nanos, SchedulerKind};
-use kite::system::{addrs, BackendOs, IoKind, IoOp, Reply, Side, SystemConfig};
+use kite::system::{addrs, scenario, BackendOs, IoKind, IoOp, Side, SystemConfig};
 
 /// Echo traffic with sampling enabled; returns the sampler's CSV and
 /// JSON exports.
@@ -17,25 +17,8 @@ fn sampled_echo(kind: SchedulerKind, capacity: usize) -> (String, String) {
         .queues(4)
         .sampling(Nanos::from_micros(200), capacity)
         .build_net();
-    sys.set_guest_app(Box::new(|_, msg| {
-        vec![Reply {
-            dst_ip: msg.src_ip,
-            dst_port: msg.src_port,
-            src_port: msg.dst_port,
-            payload: msg.payload.clone(),
-            cost: Nanos::from_micros(1),
-        }]
-    }));
-    for i in 0..512u64 {
-        sys.send_udp_at(
-            Nanos::from_micros(10 + 20 * (i / 64)),
-            Side::Client,
-            addrs::GUEST,
-            7777,
-            1200 + (i % 64) as u16,
-            vec![i as u8; 1400],
-        );
-    }
+    sys.set_guest_app(scenario::echo_server(Nanos::from_micros(1)));
+    scenario::flow_burst(&mut sys, Side::Client, 512, 1400, Nanos::from_micros(20));
     sys.run_to_quiescence();
     let sampler = sys.sampler().expect("sampling was enabled");
     (sampler.to_csv(), sampler.to_json())

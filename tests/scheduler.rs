@@ -6,7 +6,7 @@
 //! only admissible with this proof.
 
 use kite::sim::{EventQueue, Nanos, Pcg, Scheduler, SchedulerKind, TimerWheel};
-use kite::system::{addrs, BackendOs, Fault, MonitorConfig, Reply, Side, SystemConfig};
+use kite::system::{addrs, scenario, BackendOs, Fault, MonitorConfig, Side, SystemConfig};
 
 /// Full observable state of a finished net run: virtual end time, event
 /// count, the Chrome trace bytes and the rendered metrics JSON.
@@ -32,15 +32,7 @@ fn echo_run_is_byte_identical_across_backends() {
             .tracing(1 << 16)
             .build_net();
         assert_eq!(sys.scheduler_kind(), kind);
-        sys.set_guest_app(Box::new(|_, msg| {
-            vec![Reply {
-                dst_ip: msg.src_ip,
-                dst_port: msg.src_port,
-                src_port: msg.dst_port,
-                payload: msg.payload.clone(),
-                cost: Nanos::from_micros(5),
-            }]
-        }));
+        sys.set_guest_app(scenario::echo_server(Nanos::from_micros(5)));
         for f in 0..16u16 {
             sys.send_udp_at(
                 Nanos::from_millis(1 + u64::from(f)),
@@ -71,16 +63,7 @@ fn four_queue_drain_is_byte_identical_across_backends() {
             .scheduler(kind)
             .tracing(1 << 16)
             .build_net();
-        for i in 0..512u64 {
-            sys.send_udp_at(
-                Nanos::from_micros(10 + 20 * (i / 64)),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1200 + (i % 64) as u16,
-                vec![i as u8; 1400],
-            );
-        }
+        scenario::flow_burst(&mut sys, Side::Guest, 512, 1400, Nanos::from_micros(20));
         sys.run_to_quiescence();
         digest_of(&sys, "sched_equiv/drain4q")
     };
@@ -102,16 +85,7 @@ fn kill_recovery_run_is_byte_identical_across_backends() {
             .tracing(1 << 18)
             .watchdog(MonitorConfig::default())
             .build_net();
-        for i in 0..120u64 {
-            sys.send_udp_at(
-                Nanos::from_millis(1 + 250 * i),
-                Side::Guest,
-                addrs::CLIENT,
-                9999,
-                1234,
-                vec![i as u8; 1400],
-            );
-        }
+        scenario::steady_stream(&mut sys, 120, 1, 1400, Nanos::from_millis(250));
         sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         sys.run_to_quiescence();
         digest_of(&sys, "sched_equiv/recovery")
