@@ -8,7 +8,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use kite_xen::xenbus::{read_state, switch_state};
+use kite_xen::xenbus::read_state;
 use kite_xen::{
     DeviceKind, DevicePaths, DomainId, Hypervisor, Perm, Result, WatchEvent, XenError, XenbusState,
 };
@@ -17,7 +17,7 @@ use kite_xen::{
 /// Dom0 does: creates both directories, grants each side access to the
 /// other's area, and sets both states to `Initialising`.
 ///
-/// The state writes go through [`switch_state`], so re-provisioning a
+/// The state writes go through [`Hypervisor::switch_state`], so re-provisioning a
 /// device whose previous incarnation is still mid-handshake is rejected;
 /// a torn-down (`Closed`) or cleared (`Unknown`) pair re-enters
 /// `Initialising` legally.
@@ -27,18 +27,8 @@ pub fn provision_device(hv: &mut Hypervisor, paths: &DevicePaths) -> Result<()> 
     let be = paths.backend();
     hv.store.write(d0, None, &format!("{fe}/backend"), &be)?;
     hv.store.write(d0, None, &format!("{be}/frontend"), &fe)?;
-    switch_state(
-        &mut hv.store,
-        d0,
-        &paths.frontend_state(),
-        XenbusState::Initialising,
-    )?;
-    switch_state(
-        &mut hv.store,
-        d0,
-        &paths.backend_state(),
-        XenbusState::Initialising,
-    )?;
+    hv.switch_state(d0, &paths.frontend_state(), XenbusState::Initialising)?;
+    hv.switch_state(d0, &paths.backend_state(), XenbusState::Initialising)?;
     // The frontend's area is writable by the guest, readable by the driver
     // domain — and vice versa.
     hv.store.set_perm(d0, &fe, paths.front, Perm::ReadWrite)?;
@@ -150,12 +140,7 @@ impl BackendManager {
         }
         if bstate == XenbusState::Initialising {
             // Announce ourselves; frontend proceeds on seeing this.
-            switch_state(
-                &mut hv.store,
-                self.domain,
-                &paths.backend_state(),
-                XenbusState::InitWait,
-            )?;
+            hv.switch_state(self.domain, &paths.backend_state(), XenbusState::InitWait)?;
         }
         let key = (paths.front, paths.index);
         if !self.known.contains(&key) && !self.front_watches.values().any(|&k| k == key) {
@@ -281,6 +266,7 @@ pub(crate) fn test_machine(kind: DeviceKind) -> (Hypervisor, DevicePaths) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kite_xen::xenbus::switch_state;
     use kite_xen::DomainKind;
 
     fn machine() -> (Hypervisor, DomainId, DomainId) {

@@ -17,9 +17,7 @@ use kite_xen::blkif::{
     BLKIF_MAX_SEGMENTS_PER_REQUEST, BLKIF_OP_FLUSH_DISKCACHE, BLKIF_OP_READ, BLKIF_OP_WRITE,
     BLKIF_RSP_OKAY, SECTOR_SIZE,
 };
-use kite_xen::xenbus::{
-    negotiate_front, publish_queue, read_key, switch_state, FrontEndpoint, RingKey,
-};
+use kite_xen::xenbus::{negotiate_front, publish_queue, read_key, FrontEndpoint, RingKey};
 use kite_xen::{
     DevicePaths, DomainId, GrantRef, Hypervisor, PageId, Port, Result, XenError, XenbusState,
 };
@@ -133,12 +131,7 @@ impl Blkfront {
             .write(guest, None, &format!("{fe}/protocol"), "x86_64-abi")?;
         hv.store
             .write(guest, None, &format!("{fe}/feature-persistent"), "1")?;
-        switch_state(
-            &mut hv.store,
-            guest,
-            &paths.frontend_state(),
-            XenbusState::Initialised,
-        )?;
+        hv.switch_state(guest, &paths.frontend_state(), XenbusState::Initialised)?;
         Ok(Blkfront {
             guest,
             backend,

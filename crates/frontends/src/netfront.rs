@@ -24,9 +24,7 @@ use kite_xen::netif::{
     NETIF_MAX_GSO_FRAME, NETIF_RSP_NULL, NETRXF_DATA_VALIDATED, NETRXF_MORE_DATA,
     NETTXF_EXTRA_INFO, NETTXF_MORE_DATA, XEN_NETIF_EXTRA_TYPE_GSO,
 };
-use kite_xen::xenbus::{
-    negotiate_front, publish_queue, switch_state, FrontEndpoint, RingKey, FEATURE_GSO_KEY,
-};
+use kite_xen::xenbus::{negotiate_front, publish_queue, FrontEndpoint, RingKey, FEATURE_GSO_KEY};
 use kite_xen::{
     DevicePaths, DomainId, GrantRef, Hypervisor, PageId, Port, ReqId, ReqStage, Result, SlotClass,
     XenError, XenbusState,
@@ -278,12 +276,7 @@ impl Netfront {
         }
         hv.store
             .write(guest, None, &format!("{fe}/mac"), &mac.to_string())?;
-        switch_state(
-            &mut hv.store,
-            guest,
-            &paths.frontend_state(),
-            XenbusState::Initialised,
-        )?;
+        hv.switch_state(guest, &paths.frontend_state(), XenbusState::Initialised)?;
         let mut nf = Netfront {
             guest,
             backend: paths.back,

@@ -117,6 +117,10 @@ pub trait Datapath: Sized {
     type Event;
     /// The Kite driver domain's name (the Linux one is `ubuntu-dd`).
     const KITE_DOMAIN: &'static str;
+    /// The DomU's wake-from-halt latency `(cap, div)`: an interrupt that
+    /// finds the guest idle for `idle` pays `min(cap, idle / div)`
+    /// (calibrated per device class, EXPERIMENTS.md).
+    const GUEST_WAKE: (Nanos, u64);
 
     /// Profiling phase for one of the datapath's events.
     fn phase_of(ev: &Self::Event) -> Phase;
@@ -225,6 +229,14 @@ fn int_row(rows: &MetricsSnapshot, name: &str) -> Option<u64> {
     }
 }
 
+/// The DomU behind the frontend: its 22 vCPUs, when the last of them
+/// goes idle, and when its interrupt handler last started.
+struct Guest {
+    cpus: Vec<Cpu>,
+    last_end: Nanos,
+    irq_at: Nanos,
+}
+
 /// One simulated machine running a driver domain for datapath `D`.
 ///
 /// Dereferences to the datapath, so its public taps read as fields of
@@ -247,8 +259,7 @@ pub struct Host<D: Datapath> {
     /// frontend asks for at every (re)connect.
     pub(crate) nqueues: u32,
     pub(crate) driver_cpus: CpuPool,
-    guest_cpus: Vec<Cpu>,
-    pub(crate) guest_last_end: Nanos,
+    domu: Guest,
     bdf: Bdf,
     mgr: BackendManager,
     paths: DevicePaths,
@@ -323,8 +334,11 @@ impl<D: Datapath> Host<D> {
             guest,
             nqueues,
             driver_cpus: CpuPool::new(nqueues as usize),
-            guest_cpus: (0..22).map(|_| Cpu::new()).collect(),
-            guest_last_end: Nanos::ZERO,
+            domu: Guest {
+                cpus: (0..22).map(|_| Cpu::new()).collect(),
+                last_end: Nanos::ZERO,
+                irq_at: Nanos::ZERO,
+            },
             bdf,
             mgr: BackendManager::new(driver, D::Backend::KIND),
             paths: paths.clone(),
@@ -342,11 +356,12 @@ impl<D: Datapath> Host<D> {
             sampler: None,
             last_breach: None,
         };
-        host.plug_device();
-
+        // Before the first handshake, so the trace shows it.
         if let Some(cap) = cfg.tracing {
             host.hv.trace.enable(cap);
         }
+        host.plug_device();
+
         if let Some(n) = cfg.req_tracing {
             host.hv.req.enable(n, DEFAULT_REQ_CAPACITY);
         }
@@ -592,16 +607,42 @@ impl<D: Datapath> Host<D> {
         done
     }
 
-    /// Least-loaded dispatch over the DomU's 22 vCPUs (the first of
-    /// equally free vCPUs wins).
+    /// Driver vCPU `vcpu` takes an interrupt at `now`: it wakes from
+    /// however long it was idle, runs the handler, and returns when done.
+    pub(crate) fn driver_irq(&mut self, vcpu: usize, now: Nanos, handler_cost: Nanos) -> Nanos {
+        let idle = now.saturating_sub(self.driver_cpus.free_at(vcpu));
+        let wake = self.profile.idle_wake(idle);
+        self.driver_cpus.run_on(vcpu, now, wake + handler_cost)
+    }
+
+    /// The frontend's event channel fires in the DomU at `now`: the
+    /// wake-from-halt latency `wake` and the handler's start `at`. A
+    /// handler reaps its rings at the event, books `wake` plus its own
+    /// cost from `now`, and delivers and resubmits at `at`. The wake
+    /// shrinks as the guest gets busier, so a later interrupt could
+    /// compute an earlier start: a vCPU already waking does not wake
+    /// again earlier, and the handler's clock never runs backwards.
+    pub(crate) fn guest_irq(&mut self, now: Nanos) -> (Nanos, Nanos) {
+        let (cap, div) = D::GUEST_WAKE;
+        let idle = now.saturating_sub(self.domu.last_end);
+        let wake = Nanos(idle.as_nanos() / div).min(cap);
+        let at = (now + wake).max(self.domu.irq_at);
+        debug_assert!(at >= self.domu.irq_at, "guest handler clock ran backwards");
+        self.domu.irq_at = at;
+        (wake, at)
+    }
+
+    /// Least-loaded dispatch over the DomU's vCPUs (the first of equally
+    /// free vCPUs wins).
     pub(crate) fn guest_cpu_run(&mut self, now: Nanos, cost: Nanos) -> Nanos {
         let cpu = self
-            .guest_cpus
+            .domu
+            .cpus
             .iter_mut()
             .min_by_key(|c| c.free_at())
             .expect("the DomU has vCPUs");
         let done = cpu.run(now, cost);
-        self.guest_last_end = self.guest_last_end.max(done);
+        self.domu.last_end = self.domu.last_end.max(done);
         done
     }
 
@@ -781,9 +822,7 @@ impl<D: Datapath> Host<D> {
                         return;
                     };
                     let cost = be.irq_handler_cost();
-                    let idle = now.saturating_sub(self.driver_cpus.free_at(q));
-                    let wake = self.profile.idle_wake(idle);
-                    let t = self.driver_cpus.run_on(q, now, wake + cost);
+                    let t = self.driver_irq(q, now, cost);
                     D::run_backend(self, t, q);
                 } else if dom == self.guest {
                     D::guest_irq(self, now, port);
@@ -920,11 +959,12 @@ impl<D: Datapath> Host<D> {
     /// Guest mean vCPU utilization over a window (sysstat style).
     pub fn guest_cpu_percent(&self, window: Nanos) -> f64 {
         let sum: f64 = self
-            .guest_cpus
+            .domu
+            .cpus
             .iter()
             .map(|c| c.utilization_percent(window))
             .sum();
-        sum / self.guest_cpus.len() as f64
+        sum / self.domu.cpus.len() as f64
     }
 
     /// The driver domain id.

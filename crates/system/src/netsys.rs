@@ -119,16 +119,6 @@ pub const GSO_UDP: usize = TSO_MSS * 42;
 /// earlier, at the NIC queue and the netback Rx queue.
 const GUEST_TXQ_CAP: usize = 1 << 20;
 
-/// Guest (Ubuntu DomU) idle-wake cap: HVM halt exit + Linux scheduler
-/// (identical in every scenario; calibrated against Figure 7's ping).
-const GUEST_WAKE_CAP: Nanos = Nanos(190_000);
-/// Guest idle-wake divisor.
-const GUEST_WAKE_DIV: u64 = 24;
-
-fn guest_idle_wake(idle: Nanos) -> Nanos {
-    Nanos(idle.as_nanos() / GUEST_WAKE_DIV).min(GUEST_WAKE_CAP)
-}
-
 /// The ICMP echo sequence number carried by a raw frame, when it is one.
 /// Request tracing keys ping requests on this: the request and its reply
 /// share the sequence, so one `SlotClass::NetIcmp` entry follows the
@@ -198,8 +188,6 @@ pub struct NetPath {
     guest_mac: MacAddr,
     client_mac: MacAddr,
     guest_txq: VecDeque<Vec<u8>>,
-    /// When netfront's interrupt handler last ran in the guest.
-    guest_irq_at: Nanos,
     guest_app: Option<UdpHandler>,
     client_link: Link,
     client_app: Option<UdpHandler>,
@@ -233,6 +221,9 @@ impl Datapath for NetPath {
     type Backend = NetbackInstance;
     type Event = NetEvent;
     const KITE_DOMAIN: &'static str = "netbackend";
+    /// HVM halt exit + Linux scheduler in the Ubuntu DomU (identical in
+    /// every scenario; calibrated against Figure 7's ping).
+    const GUEST_WAKE: (Nanos, u64) = (Nanos(190_000), 24);
 
     fn phase_of(ev: &NetEvent) -> Phase {
         match ev {
@@ -292,7 +283,6 @@ impl Datapath for NetPath {
             guest_mac: MacAddr::local(0xaa01),
             client_mac: MacAddr::local(0xcc01),
             guest_txq: VecDeque::new(),
-            guest_irq_at: Nanos::ZERO,
             guest_app: None,
             client_link,
             client_app: None,
@@ -937,11 +927,7 @@ impl Host<NetPath> {
                 // the stack pushes frames through the bridge toward VIFs.
                 // Receive ring `k`'s vector is pinned to the vCPU of the
                 // netback queue it feeds.
-                let idle = now.saturating_sub(self.driver_cpus.free_at(k));
-                let wake = self.profile.idle_wake(idle);
-                let handler_done =
-                    self.driver_cpus
-                        .run_on(k, now, wake + self.profile.irq_overhead);
+                let handler_done = self.driver_irq(k, now, self.profile.irq_overhead);
                 let frames = self.dp.nic.rx(k).drain(now, 64);
                 let mut per_frame = Nanos::ZERO;
                 for f in &frames {
@@ -989,16 +975,7 @@ impl Host<NetPath> {
         let Some(q) = self.dp.netfront.as_ref().and_then(|nf| nf.queue_of(port)) else {
             return; // stale interrupt for a retired device
         };
-        let earliest = self.guest_last_end;
-        let wake = guest_idle_wake(now.saturating_sub(earliest));
-        // The guest vCPU wakes from halt first; everything the
-        // interrupt triggers happens after that latency. The wake
-        // shrinks as the guest gets busier, so a later interrupt could
-        // compute an earlier start: a vCPU that is already waking does
-        // not wake again earlier, and the handler's clock never runs
-        // backwards.
-        let t = (now + wake).max(self.dp.guest_irq_at);
-        self.dp.guest_irq_at = t;
+        let (wake, t) = self.guest_irq(now);
         let op = self
             .dp
             .netfront

@@ -107,28 +107,11 @@ pub enum BlkEvent {
 // The scheduler stores events inline; growing them grows every slab slot.
 const _: () = assert!(std::mem::size_of::<Event<BlkEvent>>() <= 40);
 
-/// Storage guest (DomU I/O worker) idle-wake cap: the network guest's
-/// wake-from-halt model with its own, separately calibrated constants.
-const GUEST_WAKE_CAP: Nanos = Nanos(170_000);
-/// Storage guest idle-wake divisor.
-const GUEST_WAKE_DIV: u64 = 10;
-
-fn guest_idle_wake(idle: Nanos) -> Nanos {
-    Nanos(idle.as_nanos() / GUEST_WAKE_DIV).min(GUEST_WAKE_CAP)
-}
-
-#[derive(Debug)]
-enum ChunkKind {
-    Read { sector: u64, len: usize },
-    Write { sector: u64, data: Vec<u8> },
-    Flush,
-}
-
 #[derive(Debug)]
 struct Chunk {
     tag: u64,
     order: usize,
-    kind: ChunkKind,
+    kind: IoKind,
 }
 
 struct TagState {
@@ -184,6 +167,9 @@ impl Datapath for BlkPath {
     type Backend = BlkbackInstance;
     type Event = BlkEvent;
     const KITE_DOMAIN: &'static str = "blkbackend";
+    /// The DomU's I/O worker: the network guest's wake-from-halt model
+    /// with its own, separately calibrated constants.
+    const GUEST_WAKE: (Nanos, u64) = (Nanos(170_000), 10);
 
     fn phase_of(ev: &BlkEvent) -> Phase {
         match ev {
@@ -386,7 +372,7 @@ impl Host<BlkPath> {
                     out.push(Chunk {
                         tag: op.tag,
                         order,
-                        kind: ChunkKind::Read {
+                        kind: IoKind::Read {
                             sector: sector + (off / 512) as u64,
                             len: n,
                         },
@@ -404,7 +390,7 @@ impl Host<BlkPath> {
                     return vec![Chunk {
                         tag: op.tag,
                         order: 0,
-                        kind: ChunkKind::Write { sector, data },
+                        kind: IoKind::Write { sector, data },
                     }];
                 }
                 let mut out = Vec::new();
@@ -415,7 +401,7 @@ impl Host<BlkPath> {
                     out.push(Chunk {
                         tag: op.tag,
                         order,
-                        kind: ChunkKind::Write {
+                        kind: IoKind::Write {
                             sector: sector + (off / 512) as u64,
                             data: data[off..off + n].to_vec(),
                         },
@@ -425,10 +411,10 @@ impl Host<BlkPath> {
                 }
                 out
             }
-            IoKind::Flush => vec![Chunk {
+            kind @ IoKind::Flush => vec![Chunk {
                 tag: op.tag,
                 order: 0,
-                kind: ChunkKind::Flush,
+                kind,
             }],
         }
     }
@@ -475,9 +461,9 @@ impl Host<BlkPath> {
         while let Some(c) = self.dp.pendq.front() {
             let bf = self.dp.blkfront.as_mut().expect("checked");
             let res = match &c.kind {
-                ChunkKind::Read { sector, len } => bf.submit_read(&mut self.hv, *sector, *len),
-                ChunkKind::Write { sector, data } => bf.submit_write(&mut self.hv, *sector, data),
-                ChunkKind::Flush => bf.submit_flush(&mut self.hv),
+                IoKind::Read { sector, len } => bf.submit_read(&mut self.hv, *sector, *len),
+                IoKind::Write { sector, data } => bf.submit_write(&mut self.hv, *sector, data),
+                IoKind::Flush => bf.submit_flush(&mut self.hv),
             };
             match res {
                 Ok((id, fo)) => {
@@ -618,24 +604,11 @@ impl Host<BlkPath> {
         if self.dp.blkfront.is_none() {
             return; // stale interrupt for a retired device
         }
-        let earliest = self.guest_last_end;
-        // Guest wake-from-halt before completions are seen.
-        let wake = guest_idle_wake(now.saturating_sub(earliest));
-        let now = now + wake;
-        let op = self
-            .dp
-            .blkfront
-            .as_mut()
-            .expect("checked")
-            .on_irq(&mut self.hv)
-            .expect("blkfront irq");
+        let (wake, t) = self.guest_irq(now);
+        let bf = self.dp.blkfront.as_mut().expect("checked");
+        let op = bf.on_irq(&mut self.hv).expect("blkfront irq");
+        let completions = bf.take_completions();
         self.guest_cpu_run(now, wake + op.cost);
-        let completions = self
-            .dp
-            .blkfront
-            .as_mut()
-            .expect("checked")
-            .take_completions();
         let mut finished: Vec<IoDone> = Vec::new();
         for c in completions {
             let Some(chunk) = self.dp.req_map.remove(&c.id) else {
@@ -648,9 +621,7 @@ impl Host<BlkPath> {
             if let Some(r) = ts.req {
                 // Guest sees the completion after wake-from-halt.
                 let dom = self.guest.0;
-                self.hv
-                    .req
-                    .stamp_at(r, ReqStage::IrqDeliver, dom, None, now);
+                self.hv.req.stamp_at(r, ReqStage::IrqDeliver, dom, None, t);
             }
             ts.ok &= c.ok;
             if let Some(d) = c.data {
@@ -676,13 +647,13 @@ impl Host<BlkPath> {
                     buf
                 });
                 if let Some(r) = ts.req {
-                    self.hv.req.finish_at(r, self.guest.0, now);
+                    self.hv.req.finish_at(r, self.guest.0, t);
                 }
-                let lat = now - ts.submitted;
+                let lat = t - ts.submitted;
                 self.dp.metrics.ios += 1;
                 self.dp.metrics.latency.push_nanos(lat);
                 self.latency_hist.record(lat);
-                self.mark_first_byte(now);
+                self.mark_first_byte(t);
                 if let Some(d) = &data {
                     self.dp.metrics.read_bytes += d.len() as u64;
                 }
@@ -695,12 +666,12 @@ impl Host<BlkPath> {
             }
         }
         // Ring slots freed: drain parked ops first.
-        self.drain_pendq(now);
+        self.drain_pendq(t);
         if let Some(mut h) = self.dp.handler.take() {
             for d in &finished {
-                let next = h(now, d);
+                let next = h(t, d);
                 for op in next {
-                    self.try_submit(now, op);
+                    self.try_submit(t, op);
                 }
             }
             self.dp.handler = Some(h);

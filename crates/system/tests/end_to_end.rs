@@ -472,6 +472,79 @@ fn eight_queue_bidir_guest_clock_is_monotone_and_flows_stay_ordered() {
     assert_eq!(sys.metrics.drops, 0);
 }
 
+/// The storage twin of the test above: blkfront's completions, and the
+/// follow-ups a closed loop submits from them, are stamped on one guest
+/// clock that never steps backwards. The three open scenarios are the
+/// 4-ring `blkback_rings_4` burst, the one-ring ablation burst and a
+/// heavier 4-ring burst (2, 1 and 512 handler runs earlier than their
+/// predecessor before `Host` owned the guest's handler clock).
+#[test]
+fn blkfront_guest_clock_is_monotone_open_and_closed_loop() {
+    /// Runs `sys` to quiescence under a handler that answers each
+    /// completion with `next(tag)`; returns how many completions arrived
+    /// and how many of them ran before their predecessor.
+    fn run(mut sys: StorSystem, mut next: impl FnMut(u64) -> Vec<IoOp> + 'static) -> (u64, u64) {
+        let seen = Rc::new(RefCell::new((Nanos::ZERO, 0u64, 0u64)));
+        let probe = Rc::clone(&seen);
+        sys.set_handler(Box::new(move |now, done| {
+            assert!(done.ok);
+            assert!(done.submitted <= now, "completed before it was submitted");
+            let (last, count, backwards) = &mut *probe.borrow_mut();
+            *count += 1;
+            *backwards += u64::from(now < *last);
+            *last = now;
+            next(done.tag)
+        }));
+        sys.run_to_quiescence();
+        assert_eq!(sys.outstanding(), 0);
+        let (_, count, backwards) = *seen.borrow();
+        (count, backwards)
+    }
+    let rings = |n| SystemConfig::new(BackendOs::Kite, 7).queues(n).build_stor();
+    let us = Nanos::from_micros;
+    for (name, nrings, streams, per_stream, chunk, gap) in [
+        ("4 rings, 4 x 64 x 8 KiB", 4, 4, 64, 8 << 10, us(2)),
+        ("1 ring, 64 x 128 KiB", 1, 1, 64, 128 << 10, us(40)),
+        ("4 rings, 8 x 256 x 64 KiB", 4, 8, 256, 64 << 10, us(5)),
+    ] {
+        let mut sys = rings(nrings);
+        scenario::interleaved_streams(&mut sys, streams, per_stream, chunk, gap);
+        let (count, backwards) = run(sys, |_| Vec::new());
+        assert_eq!(count, streams * per_stream, "{name}");
+        assert_eq!(backwards, 0, "{name}: handler clock stepped backwards");
+    }
+
+    // Closed loop: 32 workers over 4 rings, each submitting its next
+    // write (128 KiB and 4 KiB alternating, its own region) from the
+    // completion of the last.
+    const WORKERS: u64 = 32;
+    const OPS: u64 = 64;
+    let write = |worker: u64, i: u64| {
+        let big = (worker + i).is_multiple_of(2);
+        let data = vec![scenario::FILL; if big { 128 << 10 } else { 4 << 10 }];
+        let sector = (worker << 20) + i * 256;
+        IoOp {
+            tag: worker,
+            kind: IoKind::Write { sector, data },
+        }
+    };
+    let mut sys = rings(4);
+    for w in 0..WORKERS {
+        sys.submit_at(us(100 + w), write(w, 0));
+    }
+    let mut issued = [1u64; WORKERS as usize];
+    let (count, backwards) = run(sys, move |w| {
+        let i = &mut issued[w as usize];
+        if *i == OPS {
+            return Vec::new();
+        }
+        *i += 1;
+        vec![write(w, *i - 1)]
+    });
+    assert_eq!(count, WORKERS * OPS);
+    assert_eq!(backwards, 0, "closed loop: handler clock stepped backwards");
+}
+
 /// NAT rewrites a reply's destination, so the netback queue it steers
 /// to is not the one its NIC ring feeds: the VIF callback still wakes the
 /// queue the frame landed on, and nothing is stranded.

@@ -2,10 +2,11 @@
 # Tier-1 verification gate (see ROADMAP.md). Runs fully offline: the
 # workspace has no registry dependencies, so --offline always succeeds.
 #
-#   build (release) -> tests + doctests -> examples + repro smoke -> determinism
-#   cmps (traces, bench rows vs the shipped BENCH_mechanisms.json, repro
-#   prof/top/lat) -> benchmark/ smoke + sim_digest cmp + allocation pins
-#   + one traced run -> doc -> clippy -D warnings -> fmt --check
+#   build (release) -> tests + doctests -> examples + repro figures vs the
+#   shipped scripts/repro_figures.txt -> determinism cmps (traces, bench
+#   rows vs the shipped BENCH_mechanisms.json, repro prof/top/lat) ->
+#   benchmark/ smoke + sim_digest cmp + allocation pins + one traced run
+#   -> doc -> clippy -D warnings -> fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
 # while `repro --json` builds them (DESIGN.md §18); nothing here
@@ -30,14 +31,18 @@ bin=./target/release
 for ex in examples/*.rs; do
     "$bin/examples/$(basename "${ex%.rs}")" > /dev/null
 done
+fail() { echo "verify: $*" >&2; exit 1; }
+
 # The table-style experiments (boot, LoC map, CVEs, gadgets, DHCP DORA,
 # memory), the network figures that run the default scenario and the
 # sub-second storage figures (fig12 at ~100 s and fig15 at ~8 s stay
-# out): no other step of the gate executes a `repro <id>`.
+# out): no other step of the gate executes a `repro <id>`. Every cell is
+# virtual-time derived, so the output is pinned like the bench rows: a
+# figure that moved on purpose is regenerated with this command into
+# scripts/repro_figures.txt and the diff reviewed.
 $bin/repro fig4 table1 table3 fig5 dhcp mem fig6 fig7 fig8 fig10 \
-    fig11 fig13 fig14 fig16 > /dev/null
-
-fail() { echo "verify: $*" >&2; exit 1; }
+    fig11 fig13 fig14 fig16 | cmp - scripts/repro_figures.txt \
+    || fail "repro figures differ from the shipped scripts/repro_figures.txt"
 
 # same_twice <label> <cmd...>: runs <cmd...> twice, `{}` standing for an
 # output path that differs per run (a command without `{}` is captured
