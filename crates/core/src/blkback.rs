@@ -40,8 +40,9 @@ use kite_rumprun::OsProfile;
 use kite_sim::Nanos;
 use kite_trace::EventKind;
 use kite_xen::blkif::{
-    unpack_indirect_segments, BlkifRequest, BlkifResponse, BlkifSegment, BLKIF_OP_FLUSH_DISKCACHE,
-    BLKIF_OP_READ, BLKIF_OP_WRITE, BLKIF_RSP_ERROR, BLKIF_RSP_OKAY, SECTOR_SIZE,
+    unpack_indirect_segments, BlkifRequest, BlkifResponse, BlkifSegment,
+    BLKIF_MAX_SEGMENTS_PER_REQUEST, BLKIF_OP_FLUSH_DISKCACHE, BLKIF_OP_READ, BLKIF_OP_WRITE,
+    BLKIF_RSP_ERROR, BLKIF_RSP_OKAY, SECTOR_SIZE,
 };
 use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey};
 use kite_xen::{
@@ -54,6 +55,8 @@ use crate::stats::{counters, CopyStats};
 
 /// The indirect-segment cap Kite advertises (Linux-compatible, §3.3).
 pub const MAX_INDIRECT_SEGMENTS: usize = 32;
+// `segments_of` reads a capped list out of one descriptor page.
+const _: () = assert!(MAX_INDIRECT_SEGMENTS <= kite_xen::blkif::SEGS_PER_INDIRECT_FRAME);
 
 /// Optimization switches (all on by default; benches ablate them).
 #[derive(Clone, Copy, Debug)]
@@ -391,17 +394,26 @@ impl BlkbackInstance {
         }
     }
 
-    /// Extracts the effective segment list of a request, mapping indirect
-    /// descriptor pages as needed.
-    fn segments_of(
+    /// Lends the effective segment list of a request: a direct request's
+    /// own inline segments, or an indirect one's unpacked into `buf`
+    /// (mapping its descriptor pages as needed).
+    fn segments_of<'a>(
         &mut self,
         hv: &mut Hypervisor,
         q: usize,
-        req: &BlkifRequest,
+        req: &'a BlkifRequest,
         cost: &mut Nanos,
-    ) -> Result<Vec<BlkifSegment>> {
+        buf: &'a mut [BlkifSegment; MAX_INDIRECT_SEGMENTS],
+    ) -> Result<&'a [BlkifSegment]> {
         match req {
-            BlkifRequest::Direct { segments, .. } => Ok(segments.clone()),
+            BlkifRequest::Direct {
+                nr_segments,
+                segments,
+                ..
+            } => {
+                let n = (*nr_segments as usize).min(BLKIF_MAX_SEGMENTS_PER_REQUEST);
+                Ok(&segments[..n])
+            }
             BlkifRequest::Indirect {
                 nr_segments,
                 indirect_grefs,
@@ -414,17 +426,12 @@ impl BlkbackInstance {
                 if n > MAX_INDIRECT_SEGMENTS {
                     return Err(XenError::Inval);
                 }
-                let mut segs = Vec::with_capacity(n);
-                let mut remaining = n;
-                for gref in indirect_grefs {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let (page, unmap) = self.resolve_page(hv, q, *gref, cost)?;
-                    let take = remaining.min(kite_xen::blkif::SEGS_PER_INDIRECT_FRAME);
-                    let bytes = hv.mem.page(page)?;
-                    segs.extend(unpack_indirect_segments(bytes, take));
-                    remaining -= take;
+                // One descriptor page holds 512 segments, so the capped
+                // list always sits in the request's first page.
+                let segs = &mut buf[..n];
+                if n > 0 {
+                    let (page, unmap) = self.resolve_page(hv, q, indirect_grefs[0], cost)?;
+                    unpack_indirect_segments(hv.mem.page(page)?, segs);
                     if let Some(h) = unmap {
                         *cost += hv.unmap_grant(self.back, h)?;
                     }
@@ -494,7 +501,8 @@ impl BlkbackInstance {
                 self.reject(&mut batch, now, id, op, q, Vec::new());
                 continue;
             }
-            let segs = match self.segments_of(hv, q, &req, &mut batch.cost) {
+            let mut seg_buf = [BlkifSegment::ZERO; MAX_INDIRECT_SEGMENTS];
+            let segs = match self.segments_of(hv, q, &req, &mut batch.cost, &mut seg_buf) {
                 Ok(s) => s,
                 Err(_) => {
                     self.reject(&mut batch, now, id, op, q, Vec::new());
@@ -518,7 +526,7 @@ impl BlkbackInstance {
                 hv,
                 device,
                 q,
-                &segs,
+                segs,
                 req.sector(),
                 op,
                 &mut batch.cost,
@@ -918,13 +926,7 @@ mod tests {
         }
 
         fn write(&self, id: u64, sector_number: u64, segments: Vec<BlkifSegment>) -> BlkifRequest {
-            BlkifRequest::Direct {
-                operation: BLKIF_OP_WRITE,
-                handle: 0,
-                id,
-                sector_number,
-                segments,
-            }
+            BlkifRequest::direct(BLKIF_OP_WRITE, 0, id, sector_number, &segments)
         }
 
         fn whole_page(&self, k: usize) -> BlkifSegment {
@@ -1065,14 +1067,8 @@ mod tests {
             .map(|k| rf.whole_page(k % 8))
             .collect();
         kite_xen::blkif::pack_indirect_segments(hv.mem.page_mut(rf.indirect_page).unwrap(), &segs);
-        let req = BlkifRequest::Indirect {
-            indirect_op: BLKIF_OP_WRITE,
-            handle: 0,
-            id: 2,
-            sector_number: 0,
-            nr_segments: segs.len() as u16,
-            indirect_grefs: vec![rf.indirect],
-        };
+        let req =
+            BlkifRequest::indirect(BLKIF_OP_WRITE, 0, 2, 0, segs.len() as u16, &[rf.indirect]);
         assert_rejected(&mut pair, &req);
         assert_eq!(pair.2.stats().grant_maps, 0, "refused before any map");
     }
@@ -1080,13 +1076,7 @@ mod tests {
     #[test]
     fn unknown_opcode_is_rejected() {
         let mut pair = raw_pair(true);
-        let req = BlkifRequest::Direct {
-            operation: kite_xen::blkif::BLKIF_OP_DISCARD,
-            handle: 0,
-            id: 5,
-            sector_number: 0,
-            segments: Vec::new(),
-        };
+        let req = BlkifRequest::direct(kite_xen::blkif::BLKIF_OP_DISCARD, 0, 5, 0, &[]);
         assert_rejected(&mut pair, &req);
     }
 }

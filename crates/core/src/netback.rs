@@ -45,7 +45,8 @@ use crate::stats::{counters, CopyStats};
 /// Result of one pusher (Tx-drain) batch.
 #[derive(Debug, Default)]
 pub struct TxBatch {
-    /// Frames copied out of the guest, ready for the VIF/bridge.
+    /// Frames copied out of the guest, ready for the VIF/bridge (after
+    /// whatever the list passed to `pusher_run_into` already held).
     pub frames: Vec<Vec<u8>>,
     /// vCPU cost of the batch (copies, ring work, per-packet OS cost).
     pub cost: Nanos,
@@ -323,8 +324,14 @@ impl NetbackInstance {
 
     /// The **pusher** thread body for queue `q`: drains up to `budget`
     /// Tx ring slots and hypervisor-copies every payload out of the
-    /// guest with **one** batched `GNTTABOP_copy` for the whole drain,
-    /// directly into the queue's frame buffers.
+    /// guest with **one** batched `GNTTABOP_copy` for the whole drain.
+    /// A payload makes the two hops DESIGN.md §19 lists: the hypercall
+    /// lands it in the queue's bounce pages, one page per op, and the
+    /// response walk then assembles each frame (a single slot, or a
+    /// whole chain) out of those pages into the buffer it hands the
+    /// bridge. The frames are appended to `frames`, which comes back as
+    /// [`TxBatch::frames`] — a caller that recycles the list pays for
+    /// the frames, not for the list.
     ///
     /// With GSO negotiated, a slot flagged `NETTXF_EXTRA_INFO` /
     /// `NETTXF_MORE_DATA` heads a descriptor chain: the extra-info slot
@@ -339,9 +346,19 @@ impl NetbackInstance {
     /// The drain is three phases: walk the ring building the op list
     /// (validating each request), issue the batch, then push responses in
     /// ring order from the per-op statuses.
-    pub fn pusher_run(&mut self, hv: &mut Hypervisor, q: usize, budget: usize) -> Result<TxBatch> {
+    pub fn pusher_run_into(
+        &mut self,
+        hv: &mut Hypervisor,
+        q: usize,
+        budget: usize,
+        frames: Vec<Vec<u8>>,
+    ) -> Result<TxBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::NetbackTxDrain);
-        let mut batch = TxBatch::default();
+        let already = frames.len();
+        let mut batch = TxBatch {
+            frames,
+            ..TxBatch::default()
+        };
         if self.queues[q].state.wedged {
             return Ok(batch);
         }
@@ -509,7 +526,7 @@ impl NetbackInstance {
 
         // One hypercall for the whole drain (or per-op in legacy mode).
         let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
-        self.stats.copy.record(self.copy_mode, ops.len(), &result);
+        self.stats.copy.record(self.copy_mode, &result);
         batch.cost += result.cost;
         // Grant-copy stage: the batch completes one copy-cost after the
         // drain began (within-event time does not advance on its own).
@@ -526,9 +543,7 @@ impl NetbackInstance {
             if !c.valid {
                 continue;
             }
-            c.ok = result.statuses[c.op_start..c.op_end]
-                .iter()
-                .all(|s| s.is_okay());
+            c.ok = result.range_ok(c.op_start, c.op_end);
             if !c.ok {
                 self.stats.tx_errors += 1;
             }
@@ -537,7 +552,7 @@ impl NetbackInstance {
         let mut emitted = 0usize; // chains whose super-frame was pushed
         for &(id, disp) in &pending {
             let status = match disp {
-                TxDisp::Single(i) if result.statuses[i].is_okay() => {
+                TxDisp::Single(i) if result.range_ok(i, i + 1) => {
                     let size = ops[i].len;
                     let frame = hv.mem.page(self.queues[q].bounce[i])?[..size].to_vec();
                     self.stats.tx_packets += 1;
@@ -587,7 +602,7 @@ impl NetbackInstance {
         if !pending.is_empty() {
             let (consumed, delivered, notify) = (
                 pending.len() as u32,
-                batch.frames.len() as u32,
+                (batch.frames.len() - already) as u32,
                 batch.notify,
             );
             hv.trace.emit_with(self.back.0, || EventKind::RingDrain {
@@ -605,6 +620,11 @@ impl NetbackInstance {
         self.scratch_chains = chains;
         self.scratch_ops = ops;
         Ok(batch)
+    }
+
+    /// [`pusher_run_into`](Self::pusher_run_into) a fresh list.
+    pub fn pusher_run(&mut self, hv: &mut Hypervisor, q: usize, budget: usize) -> Result<TxBatch> {
+        self.pusher_run_into(hv, q, budget, Vec::new())
     }
 
     /// The upper layer received a frame from the VIF (bridge) destined for
@@ -734,17 +754,14 @@ impl NetbackInstance {
         }
 
         let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
-        self.stats.copy.record(self.copy_mode, ops.len(), &result);
+        self.stats.copy.record(self.copy_mode, &result);
         batch.cost += result.cost;
 
         // A frame delivers only if every fragment copied; a failed
         // fragment drops the whole frame (the frontend discards the
         // poisoned chain when it sees the error response).
         for &(op_start, op_end, total) in &rxchains {
-            let ok = result.statuses[op_start..op_end]
-                .iter()
-                .all(|s| s.is_okay());
-            if ok {
+            if result.range_ok(op_start, op_end) {
                 self.stats.rx_packets += 1;
                 self.stats.rx_bytes += total as u64;
                 if op_end - op_start > 1 {
@@ -757,7 +774,7 @@ impl NetbackInstance {
         }
 
         for (i, &(id, len, flags)) in posted.iter().enumerate() {
-            let status = if result.statuses[i].is_okay() {
+            let status = if result.range_ok(i, i + 1) {
                 len as i16
             } else {
                 NETIF_RSP_ERROR

@@ -84,7 +84,8 @@ impl CopyStats {
     }
 
     /// Accounts one drain's copy issue under `mode`.
-    pub fn record(&mut self, mode: CopyMode, nops: usize, result: &BatchResult) {
+    pub fn record(&mut self, mode: CopyMode, result: &BatchResult) {
+        let nops = result.ops;
         if nops == 0 {
             return;
         }
@@ -103,21 +104,20 @@ impl CopyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kite_sim::Nanos;
 
-    fn result(bytes: usize) -> BatchResult {
+    fn result(ops: usize, bytes: usize) -> BatchResult {
         BatchResult {
-            statuses: Vec::new(),
+            ops,
             bytes,
-            cost: Nanos::ZERO,
+            ..BatchResult::default()
         }
     }
 
     #[test]
     fn batched_counts_one_hypercall_per_drain() {
         let mut s = CopyStats::default();
-        s.record(CopyMode::Batched, 8, &result(8 * 64));
-        s.record(CopyMode::Batched, 4, &result(4 * 64));
+        s.record(CopyMode::Batched, &result(8, 8 * 64));
+        s.record(CopyMode::Batched, &result(4, 4 * 64));
         assert_eq!(s.hypercalls, 2);
         assert_eq!(s.ops, 12);
         assert_eq!(s.hypercalls_saved, 10);
@@ -128,7 +128,7 @@ mod tests {
     #[test]
     fn single_op_counts_one_hypercall_per_op() {
         let mut s = CopyStats::default();
-        s.record(CopyMode::SingleOp, 8, &result(8 * 64));
+        s.record(CopyMode::SingleOp, &result(8, 8 * 64));
         assert_eq!(s.hypercalls, 8);
         assert_eq!(s.ops, 8);
         assert_eq!(s.hypercalls_saved, 0);
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn empty_drain_records_nothing() {
         let mut s = CopyStats::default();
-        s.record(CopyMode::Batched, 0, &result(0));
+        s.record(CopyMode::Batched, &result(0, 0));
         assert_eq!(
             (s.hypercalls, s.ops, s.hypercalls_saved, s.bytes),
             (0, 0, 0, 0)
@@ -147,15 +147,15 @@ mod tests {
 
     fn sample_a() -> CopyStats {
         let mut s = CopyStats::default();
-        s.record(CopyMode::Batched, 8, &result(512));
-        s.record(CopyMode::SingleOp, 3, &result(96));
+        s.record(CopyMode::Batched, &result(8, 512));
+        s.record(CopyMode::SingleOp, &result(3, 96));
         s
     }
 
     fn sample_b() -> CopyStats {
         let mut s = CopyStats::default();
-        s.record(CopyMode::Batched, 4, &result(256));
-        s.record(CopyMode::Batched, 16, &result(2048));
+        s.record(CopyMode::Batched, &result(4, 256));
+        s.record(CopyMode::Batched, &result(16, 2048));
         s
     }
 
@@ -187,10 +187,10 @@ mod tests {
     #[test]
     fn merge_sums_counters() {
         let mut a = CopyStats::default();
-        a.record(CopyMode::Batched, 8, &result(512));
+        a.record(CopyMode::Batched, &result(8, 512));
         let mut b = CopyStats::default();
-        b.record(CopyMode::Batched, 4, &result(256));
-        b.record(CopyMode::SingleOp, 2, &result(64));
+        b.record(CopyMode::Batched, &result(4, 256));
+        b.record(CopyMode::SingleOp, &result(2, 64));
         a.merge(&b);
         assert_eq!(a.hypercalls, 4);
         assert_eq!(a.ops, 14);

@@ -141,13 +141,21 @@ pub struct RxRing<'a> {
 }
 
 impl RxRing<'_> {
-    /// The ring's interrupt handler ran at `now`: drains up to `budget`
-    /// queued frames and re-arms the ring's moderation.
-    pub fn drain(self, now: Nanos, budget: usize) -> Vec<Vec<u8>> {
+    /// The ring's interrupt handler ran at `now`: moves up to `budget`
+    /// queued frames onto the end of `out` and re-arms the ring's
+    /// moderation.
+    pub fn drain_into(self, now: Nanos, budget: usize, out: &mut Vec<Vec<u8>>) {
         self.ring.last_irq = now;
         self.ring.irq_pending = false;
         let n = budget.min(self.ring.frames.len());
-        self.ring.frames.drain(..n).collect()
+        out.extend(self.ring.frames.drain(..n));
+    }
+
+    /// [`drain_into`](Self::drain_into) a fresh list.
+    pub fn drain(self, now: Nanos, budget: usize) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        self.drain_into(now, budget, &mut out);
+        out
     }
 
     /// Marks the ring's interrupt pending without a frame (poll-again

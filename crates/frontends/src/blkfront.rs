@@ -73,6 +73,11 @@ pub struct Blkfront {
     next_id: u64,
     pending: HashMap<u64, Pending>,
     completions: Vec<BlkCompletion>,
+    // Submit-path scratch, recycled so a warmed-up submit allocates
+    // nothing: the request's segment list, and the page lists completed
+    // requests hand back for the next `Pending` to take.
+    scratch_segs: Vec<BlkifSegment>,
+    spare_page_lists: Vec<Vec<usize>>,
 }
 
 /// Buffer pool size in pages: enough for a full ring of indirect requests.
@@ -148,6 +153,8 @@ impl Blkfront {
             next_id: 1,
             pending: HashMap::new(),
             completions: Vec::new(),
+            scratch_segs: Vec::new(),
+            spare_page_lists: Vec::new(),
         })
     }
 
@@ -198,30 +205,36 @@ impl Blkfront {
         Err(XenError::RingFull)
     }
 
+    /// Takes `n` buffer pages off the pool, listed in a recycled list.
     fn alloc_pages(&mut self, n: usize) -> Option<Vec<usize>> {
-        if self.pool_free.len() < n {
-            return None;
-        }
-        Some(
-            (0..n)
-                .map(|_| self.pool_free.pop().expect("len checked"))
-                .collect(),
-        )
+        let keep = self.pool_free.len().checked_sub(n)?;
+        let mut idxs = self.spare_page_lists.pop().unwrap_or_default();
+        idxs.extend(self.pool_free.drain(keep..).rev());
+        Some(idxs)
     }
 
-    fn build_segments(&self, idxs: &[usize], len: usize) -> Vec<BlkifSegment> {
-        let mut segs = Vec::with_capacity(idxs.len());
+    /// Returns a request's buffer pages to the pool and its list to the
+    /// spares.
+    fn free_pages(&mut self, mut idxs: Vec<usize>) {
+        self.pool_free.extend_from_slice(&idxs);
+        idxs.clear();
+        self.spare_page_lists.push(idxs);
+    }
+
+    /// Fills `scratch_segs` with the segments covering `len` bytes over
+    /// the pages `idxs`.
+    fn build_segments(&mut self, idxs: &[usize], len: usize) {
+        self.scratch_segs.clear();
         let mut remaining = len.div_ceil(SECTOR_SIZE);
         for &i in idxs {
             let sectors = remaining.min(8);
-            segs.push(BlkifSegment {
+            self.scratch_segs.push(BlkifSegment {
                 gref: self.pool_grefs[i],
                 first_sect: 0,
                 last_sect: (sectors - 1) as u8,
             });
             remaining -= sectors;
         }
-        segs
     }
 
     /// Submits a read of `len` bytes at `sector`. Returns the request id.
@@ -253,13 +266,8 @@ impl Blkfront {
         let q = self.pick_ring()?;
         let id = self.next_id;
         self.next_id += 1;
-        let req = BlkifRequest::Direct {
-            operation: BLKIF_OP_FLUSH_DISKCACHE,
-            handle: 0,
-            id,
-            sector_number: 0,
-            segments: Vec::new(),
-        };
+        let req = BlkifRequest::direct(BLKIF_OP_FLUSH_DISKCACHE, 0, id, 0, &[]);
+        let pages = self.spare_page_lists.pop().unwrap_or_default();
         let rq = &mut self.rings[q];
         let page = hv.mem.page_mut(rq.shared.page)?;
         rq.shared.ring.push_request(page, &req)?;
@@ -269,7 +277,7 @@ impl Blkfront {
             Pending {
                 op: BLKIF_OP_FLUSH_DISKCACHE,
                 ring: q,
-                pages: Vec::new(),
+                pages,
                 len: 0,
                 indirect_idx: None,
             },
@@ -307,43 +315,27 @@ impl Blkfront {
             }
             cost += Nanos::from_nanos(len as u64 / 16); // guest memcpy
         }
-        let segs = self.build_segments(&idxs, len);
+        self.build_segments(&idxs, len);
+        let nsegs = self.scratch_segs.len();
         let id = self.next_id;
         self.next_id += 1;
         let mut indirect_idx = None;
-        let req = if segs.len() <= BLKIF_MAX_SEGMENTS_PER_REQUEST {
-            BlkifRequest::Direct {
-                operation: op,
-                handle: 0,
-                id,
-                sector_number: sector,
-                segments: segs,
-            }
+        let req = if nsegs <= BLKIF_MAX_SEGMENTS_PER_REQUEST {
+            BlkifRequest::direct(op, 0, id, sector, &self.scratch_segs)
         } else {
-            let rollback = |me: &mut Self, idxs: Vec<usize>| {
-                for i in idxs {
-                    me.pool_free.push(i);
-                }
-            };
-            if self.max_indirect == 0 || segs.len() > self.max_indirect {
-                rollback(self, idxs);
+            if self.max_indirect == 0 || nsegs > self.max_indirect {
+                self.free_pages(idxs);
                 return Err(XenError::Inval);
             }
             let Some(ind) = self.indirect_free.pop() else {
-                rollback(self, idxs);
+                self.free_pages(idxs);
                 return Err(XenError::RingFull);
             };
             indirect_idx = Some(ind);
             let page = hv.mem.page_mut(self.indirect_pages[ind])?;
-            pack_indirect_segments(page, &segs);
-            BlkifRequest::Indirect {
-                indirect_op: op,
-                handle: 0,
-                id,
-                sector_number: sector,
-                nr_segments: segs.len() as u16,
-                indirect_grefs: vec![self.indirect_grefs[ind]],
-            }
+            pack_indirect_segments(page, &self.scratch_segs);
+            let grefs = [self.indirect_grefs[ind]];
+            BlkifRequest::indirect(op, 0, id, sector, nsegs as u16, &grefs)
         };
         let rq = &mut self.rings[q];
         let page = hv.mem.page_mut(rq.shared.page)?;
@@ -391,8 +383,7 @@ impl Blkfront {
                 if let Some(ind) = p.indirect_idx {
                     self.indirect_free.push(ind);
                 }
-                // Return buffer pages to the pool.
-                self.pool_free.extend_from_slice(&p.pages);
+                self.free_pages(p.pages);
                 self.completions.push(BlkCompletion {
                     id: rsp.id,
                     op: p.op,

@@ -195,8 +195,10 @@ pub struct NetPath {
     /// Netback queues the VIF callback handed frames to since the last
     /// NIC interrupt handler collected them (bit `q`).
     vif_woken: u64,
-    /// Per-wake scratch, cleared not dropped: the frames one pusher run
-    /// produced, and the frames one wake puts on the wire.
+    /// Per-wake scratch, cleared not dropped: the frames one NIC
+    /// interrupt drained, the frames one pusher run produced, and the
+    /// frames one wake puts on the wire.
+    nic_in: Vec<Vec<u8>>,
     pusher_out: Vec<Vec<u8>>,
     to_wire: Vec<Vec<u8>>,
     /// Measurement taps.
@@ -288,6 +290,7 @@ impl Datapath for NetPath {
             client_app: None,
             icmp_sent: HashMap::new(),
             vif_woken: 0,
+            nic_in: Vec::new(),
             pusher_out: Vec::new(),
             to_wire: Vec::new(),
             metrics: NetMetrics::default(),
@@ -720,8 +723,10 @@ impl Host<NetPath> {
         let mut guest_frames = std::mem::take(&mut self.dp.pusher_out);
         loop {
             let nb = self.backend.device_mut().expect("checked");
-            let batch = nb.pusher_run(&mut self.hv, q, 128).expect("pusher");
-            guest_frames.extend(batch.frames);
+            let batch = nb
+                .pusher_run_into(&mut self.hv, q, 128, guest_frames)
+                .expect("pusher");
+            guest_frames = batch.frames;
             let done = self.driver_cpus.run_on(
                 q,
                 now,
@@ -928,14 +933,15 @@ impl Host<NetPath> {
                 // Receive ring `k`'s vector is pinned to the vCPU of the
                 // netback queue it feeds.
                 let handler_done = self.driver_irq(k, now, self.profile.irq_overhead);
-                let frames = self.dp.nic.rx(k).drain(now, 64);
+                let mut frames = std::mem::take(&mut self.dp.nic_in);
+                self.dp.nic.rx(k).drain_into(now, 64, &mut frames);
                 let mut per_frame = Nanos::ZERO;
                 for f in &frames {
                     per_frame += self.profile.per_packet + Nanos(f.len() as u64 / 16);
                 }
                 let t = self.driver_cpus.run_on(k, handler_done, per_frame);
                 let mut to_wire = std::mem::take(&mut self.dp.to_wire);
-                for f in frames {
+                for f in frames.drain(..) {
                     if self.hv.req.is_enabled() {
                         if let Some(r) = icmp_echo_seq(&f)
                             .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
@@ -946,6 +952,7 @@ impl Host<NetPath> {
                     }
                     self.bridge_forward(now, self.dp.if_port, f, &mut to_wire);
                 }
+                self.dp.nic_in = frames;
                 self.nic_transmit(t, &mut to_wire);
                 self.dp.to_wire = to_wire;
                 // The VIF callback woke soft_start on the queue each frame

@@ -154,6 +154,9 @@ pub struct BlkPath {
     req_map: HashMap<u64, Chunk>,
     tags: HashMap<u64, TagState>,
     pendq: VecDeque<Chunk>,
+    /// Per-interrupt scratch, cleared not dropped: the logical I/Os one
+    /// blkfront interrupt finished.
+    finished: Vec<IoDone>,
     handler: Option<IoHandler>,
     /// Measurement taps.
     pub metrics: StorMetrics,
@@ -224,6 +227,7 @@ impl Datapath for BlkPath {
             req_map: HashMap::new(),
             tags: HashMap::new(),
             pendq: VecDeque::new(),
+            finished: Vec::new(),
             handler: None,
             metrics: StorMetrics::default(),
         };
@@ -358,65 +362,47 @@ impl Host<BlkPath> {
 
     // ---- internals -----------------------------------------------------
 
-    /// Splits a logical op into ring-sized chunks.
-    fn chunks_of(&self, op: IoOp) -> Vec<Chunk> {
+    /// Splits a logical op into ring-sized chunks, parked on the end of
+    /// `pendq`; returns how many.
+    fn park_chunks(&mut self, op: IoOp) -> usize {
         let max = self.dp.max_req_bytes;
+        let tag = op.tag;
+        let parked = self.dp.pendq.len();
+        let mut park = |kind| {
+            let order = self.dp.pendq.len() - parked;
+            self.dp.pendq.push_back(Chunk { tag, order, kind });
+        };
         match op.kind {
             IoKind::Read { sector, len } => {
                 let len = len.div_ceil(512) * 512;
-                let mut out = Vec::new();
                 let mut off = 0usize;
-                let mut order = 0usize;
                 while off < len {
                     let n = (len - off).min(max);
-                    out.push(Chunk {
-                        tag: op.tag,
-                        order,
-                        kind: IoKind::Read {
-                            sector: sector + (off / 512) as u64,
-                            len: n,
-                        },
+                    park(IoKind::Read {
+                        sector: sector + (off / 512) as u64,
+                        len: n,
                     });
                     off += n;
-                    order += 1;
                 }
-                out
             }
             IoKind::Write { sector, mut data } => {
                 let padded = data.len().div_ceil(512) * 512;
                 data.resize(padded, 0);
                 if (1..=max).contains(&padded) {
                     // Fits one ring request: the buffer moves into it.
-                    return vec![Chunk {
-                        tag: op.tag,
-                        order: 0,
-                        kind: IoKind::Write { sector, data },
-                    }];
+                    park(IoKind::Write { sector, data });
+                } else {
+                    for (k, part) in data.chunks(max).enumerate() {
+                        park(IoKind::Write {
+                            sector: sector + (k * max / 512) as u64,
+                            data: part.to_vec(),
+                        });
+                    }
                 }
-                let mut out = Vec::new();
-                let mut off = 0usize;
-                let mut order = 0usize;
-                while off < data.len() {
-                    let n = (data.len() - off).min(max);
-                    out.push(Chunk {
-                        tag: op.tag,
-                        order,
-                        kind: IoKind::Write {
-                            sector: sector + (off / 512) as u64,
-                            data: data[off..off + n].to_vec(),
-                        },
-                    });
-                    off += n;
-                    order += 1;
-                }
-                out
             }
-            kind @ IoKind::Flush => vec![Chunk {
-                tag: op.tag,
-                order: 0,
-                kind,
-            }],
+            IoKind::Flush => park(IoKind::Flush),
         }
+        self.dp.pendq.len() - parked
     }
 
     /// Registers a logical op (creating its completion state) and queues
@@ -427,7 +413,7 @@ impl Host<BlkPath> {
             self.dp.metrics.write_bytes += data.len() as u64;
         }
         let tag = op.tag;
-        let chunks = self.chunks_of(op);
+        let remaining = self.park_chunks(op);
         // Injection point for request tracing: the sampler decides here
         // whether this logical I/O is followed stage by stage. The guest
         // application issues it, so the Inject stamp books to the guest.
@@ -436,7 +422,7 @@ impl Host<BlkPath> {
         self.dp.tags.insert(
             tag,
             TagState {
-                remaining: chunks.len(),
+                remaining,
                 ok: true,
                 chunks: Vec::new(),
                 want_data,
@@ -444,9 +430,6 @@ impl Host<BlkPath> {
                 req,
             },
         );
-        for c in chunks {
-            self.dp.pendq.push_back(c);
-        }
         self.drain_pendq(now);
     }
 
@@ -609,7 +592,7 @@ impl Host<BlkPath> {
         let op = bf.on_irq(&mut self.hv).expect("blkfront irq");
         let completions = bf.take_completions();
         self.guest_cpu_run(now, wake + op.cost);
-        let mut finished: Vec<IoDone> = Vec::new();
+        let mut finished = std::mem::take(&mut self.dp.finished);
         for c in completions {
             let Some(chunk) = self.dp.req_map.remove(&c.id) else {
                 continue;
@@ -676,5 +659,7 @@ impl Host<BlkPath> {
             }
             self.dp.handler = Some(h);
         }
+        finished.clear();
+        self.dp.finished = finished;
     }
 }

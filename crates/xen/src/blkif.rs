@@ -58,6 +58,14 @@ impl BlkifSegment {
     /// Serialized size of one segment descriptor.
     pub const SIZE: usize = 8;
 
+    /// The all-zero descriptor: what array entries past a request's
+    /// segment count hold.
+    pub const ZERO: BlkifSegment = BlkifSegment {
+        gref: GrantRef(0),
+        first_sect: 0,
+        last_sect: 0,
+    };
+
     /// Number of sectors this segment covers.
     pub fn sectors(&self) -> u64 {
         (self.last_sect as u64 + 1).saturating_sub(self.first_sect as u64)
@@ -93,6 +101,10 @@ impl BlkifSegment {
 }
 
 /// A block request: direct (inline segments) or indirect (segment pages).
+///
+/// Both variants are the fixed-size structs `blkif.h` declares — arrays
+/// and a count, no heap — so a request decodes out of its ring slot and
+/// encodes into it without allocating. Entries past the count are zero.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BlkifRequest {
     /// Direct request with up to 11 inline segments.
@@ -105,8 +117,12 @@ pub enum BlkifRequest {
         id: u64,
         /// Starting absolute 512-byte sector on the device.
         sector_number: u64,
+        /// How many of `segments` carry data. Decoding clamps the
+        /// guest's count to the array; a reader of a locally built
+        /// request clamps again.
+        nr_segments: u8,
         /// Data segments.
-        segments: Vec<BlkifSegment>,
+        segments: [BlkifSegment; BLKIF_MAX_SEGMENTS_PER_REQUEST],
     },
     /// Indirect request: segments live in separately granted pages.
     Indirect {
@@ -120,12 +136,61 @@ pub enum BlkifRequest {
         sector_number: u64,
         /// Total number of segments across the indirect pages.
         nr_segments: u16,
-        /// Grants for up to 8 pages of packed segment descriptors.
-        indirect_grefs: Vec<GrantRef>,
+        /// Grants for up to 8 pages of packed segment descriptors; the
+        /// first `nr_segments.div_ceil(512)` are meaningful.
+        indirect_grefs: [GrantRef; BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST],
     },
 }
 
 impl BlkifRequest {
+    /// A direct request carrying `segs` inline.
+    ///
+    /// # Panics
+    /// If `segs` is longer than [`BLKIF_MAX_SEGMENTS_PER_REQUEST`].
+    pub fn direct(
+        operation: u8,
+        handle: u16,
+        id: u64,
+        sector_number: u64,
+        segs: &[BlkifSegment],
+    ) -> Self {
+        let mut segments = [BlkifSegment::ZERO; BLKIF_MAX_SEGMENTS_PER_REQUEST];
+        segments[..segs.len()].copy_from_slice(segs);
+        BlkifRequest::Direct {
+            operation,
+            handle,
+            id,
+            sector_number,
+            nr_segments: segs.len() as u8,
+            segments,
+        }
+    }
+
+    /// An indirect request for `nr_segments` segments packed into the
+    /// descriptor pages granted by `grefs`.
+    ///
+    /// # Panics
+    /// If `grefs` is longer than [`BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST`].
+    pub fn indirect(
+        indirect_op: u8,
+        handle: u16,
+        id: u64,
+        sector_number: u64,
+        nr_segments: u16,
+        grefs: &[GrantRef],
+    ) -> Self {
+        let mut indirect_grefs = [GrantRef(0); BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST];
+        indirect_grefs[..grefs.len()].copy_from_slice(grefs);
+        BlkifRequest::Indirect {
+            indirect_op,
+            handle,
+            id,
+            sector_number,
+            nr_segments,
+            indirect_grefs,
+        }
+    }
+
     /// The frontend-chosen request id.
     pub fn id(&self) -> u64 {
         match self {
@@ -162,18 +227,15 @@ impl RingEntry for BlkifRequest {
                 handle,
                 id,
                 sector_number,
+                nr_segments,
                 segments,
             } => {
                 buf[0] = *operation;
-                buf[1] = segments.len() as u8;
+                buf[1] = *nr_segments;
                 buf[2..4].copy_from_slice(&handle.to_le_bytes());
                 buf[8..16].copy_from_slice(&id.to_le_bytes());
                 buf[16..24].copy_from_slice(&sector_number.to_le_bytes());
-                for (i, seg) in segments
-                    .iter()
-                    .enumerate()
-                    .take(BLKIF_MAX_SEGMENTS_PER_REQUEST)
-                {
+                for (i, seg) in segments.iter().enumerate() {
                     seg.write_to(&mut buf[24 + i * 8..32 + i * 8]);
                 }
             }
@@ -191,11 +253,7 @@ impl RingEntry for BlkifRequest {
                 buf[4..6].copy_from_slice(&handle.to_le_bytes());
                 buf[8..16].copy_from_slice(&id.to_le_bytes());
                 buf[16..24].copy_from_slice(&sector_number.to_le_bytes());
-                for (i, g) in indirect_grefs
-                    .iter()
-                    .enumerate()
-                    .take(BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST)
-                {
+                for (i, g) in indirect_grefs.iter().enumerate() {
                     buf[24 + i * 4..28 + i * 4].copy_from_slice(&g.0.to_le_bytes());
                 }
             }
@@ -211,13 +269,12 @@ impl RingEntry for BlkifRequest {
             let id = u64::from_le_bytes(buf[8..16].try_into().unwrap());
             let sector_number = u64::from_le_bytes(buf[16..24].try_into().unwrap());
             let pages = (nr_segments as usize).div_ceil(SEGS_PER_INDIRECT_FRAME);
-            let indirect_grefs = (0..pages.min(BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST))
-                .map(|i| {
-                    GrantRef(u32::from_le_bytes(
-                        buf[24 + i * 4..28 + i * 4].try_into().unwrap(),
-                    ))
-                })
-                .collect();
+            let mut indirect_grefs = [GrantRef(0); BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST];
+            for (i, g) in indirect_grefs.iter_mut().enumerate().take(pages) {
+                *g = GrantRef(u32::from_le_bytes(
+                    buf[24 + i * 4..28 + i * 4].try_into().unwrap(),
+                ));
+            }
             BlkifRequest::Indirect {
                 indirect_op,
                 handle,
@@ -231,14 +288,16 @@ impl RingEntry for BlkifRequest {
             let handle = u16::from_le_bytes(buf[2..4].try_into().unwrap());
             let id = u64::from_le_bytes(buf[8..16].try_into().unwrap());
             let sector_number = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-            let segments = (0..nr)
-                .map(|i| BlkifSegment::read_from(&buf[24 + i * 8..32 + i * 8]))
-                .collect();
+            let mut segments = [BlkifSegment::ZERO; BLKIF_MAX_SEGMENTS_PER_REQUEST];
+            for (i, seg) in segments.iter_mut().enumerate().take(nr) {
+                *seg = BlkifSegment::read_from(&buf[24 + i * 8..32 + i * 8]);
+            }
             BlkifRequest::Direct {
                 operation,
                 handle,
                 id,
                 sector_number,
+                nr_segments: nr as u8,
                 segments,
             }
         }
@@ -283,11 +342,13 @@ pub fn pack_indirect_segments(page: &mut [u8], segs: &[BlkifSegment]) {
     }
 }
 
-/// Unpacks `n` segment descriptors from an indirect page's bytes.
-pub fn unpack_indirect_segments(page: &[u8], n: usize) -> Vec<BlkifSegment> {
-    (0..n.min(SEGS_PER_INDIRECT_FRAME))
-        .map(|i| BlkifSegment::read_from(&page[i * 8..i * 8 + 8]))
-        .collect()
+/// Unpacks an indirect page's first `out.len()` segment descriptors
+/// into `out` (at most [`SEGS_PER_INDIRECT_FRAME`]; the rest of a longer
+/// `out` is left alone).
+pub fn unpack_indirect_segments(page: &[u8], out: &mut [BlkifSegment]) {
+    for (i, s) in out.iter_mut().enumerate().take(SEGS_PER_INDIRECT_FRAME) {
+        *s = BlkifSegment::read_from(&page[i * 8..i * 8 + 8]);
+    }
 }
 
 #[cfg(test)]
@@ -301,19 +362,15 @@ mod tests {
 
     #[test]
     fn direct_request_roundtrip() {
-        let r = BlkifRequest::Direct {
-            operation: BLKIF_OP_WRITE,
-            handle: 51712, // xvda
-            id: 0xfeed,
-            sector_number: 123456,
-            segments: (0..11)
-                .map(|i| BlkifSegment {
-                    gref: GrantRef(100 + i),
-                    first_sect: 0,
-                    last_sect: 7,
-                })
-                .collect(),
-        };
+        let segs: Vec<BlkifSegment> = (0..11)
+            .map(|i| BlkifSegment {
+                gref: GrantRef(100 + i),
+                first_sect: 0,
+                last_sect: 7,
+            })
+            .collect();
+        // handle 51712 = xvda
+        let r = BlkifRequest::direct(BLKIF_OP_WRITE, 51712, 0xfeed, 123456, &segs);
         let mut buf = [0u8; BlkifRequest::SIZE];
         r.write_to(&mut buf);
         assert_eq!(BlkifRequest::read_from(&buf), r);
@@ -321,17 +378,54 @@ mod tests {
 
     #[test]
     fn indirect_request_roundtrip() {
-        let r = BlkifRequest::Indirect {
-            indirect_op: BLKIF_OP_READ,
-            handle: 51712,
-            id: 7,
-            sector_number: 999,
-            nr_segments: 32,
-            indirect_grefs: vec![GrantRef(1)],
-        };
+        let r = BlkifRequest::indirect(BLKIF_OP_READ, 51712, 7, 999, 32, &[GrantRef(1)]);
         let mut buf = [0u8; BlkifRequest::SIZE];
         r.write_to(&mut buf);
         assert_eq!(BlkifRequest::read_from(&buf), r);
+    }
+
+    #[test]
+    fn every_entry_defines_every_slot_byte() {
+        use crate::ring::assert_defines_every_byte;
+        let seg = BlkifSegment {
+            gref: GrantRef(9),
+            first_sect: 1,
+            last_sect: 6,
+        };
+        for n in [0, 1, BLKIF_MAX_SEGMENTS_PER_REQUEST] {
+            let r = BlkifRequest::direct(BLKIF_OP_READ, 1, 2, 3, &vec![seg; n]);
+            assert_defines_every_byte(&r);
+        }
+        for n in [0, 1, BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST] {
+            let nr = (n * SEGS_PER_INDIRECT_FRAME) as u16;
+            let r = BlkifRequest::indirect(BLKIF_OP_WRITE, 1, 2, 3, nr, &vec![GrantRef(5); n]);
+            assert_defines_every_byte(&r);
+        }
+        assert_defines_every_byte(&BlkifResponse {
+            id: 4,
+            operation: BLKIF_OP_READ,
+            status: BLKIF_RSP_OKAY,
+        });
+    }
+
+    /// The guest writes the slot, so the counts in it are the guest's:
+    /// decoding clamps both to what the slot can hold.
+    #[test]
+    fn decoding_clamps_guest_written_counts() {
+        let mut buf = [0u8; BlkifRequest::SIZE];
+        BlkifRequest::direct(BLKIF_OP_READ, 0, 1, 0, &[]).write_to(&mut buf);
+        buf[1] = 200;
+        let BlkifRequest::Direct { nr_segments, .. } = BlkifRequest::read_from(&buf) else {
+            panic!("decoded as indirect");
+        };
+        assert_eq!(nr_segments as usize, BLKIF_MAX_SEGMENTS_PER_REQUEST);
+        BlkifRequest::indirect(BLKIF_OP_READ, 0, 1, 0, u16::MAX, &[GrantRef(1); 8])
+            .write_to(&mut buf);
+        let decoded = BlkifRequest::read_from(&buf);
+        assert_eq!(
+            decoded,
+            BlkifRequest::indirect(BLKIF_OP_READ, 0, 1, 0, u16::MAX, &[GrantRef(1); 8])
+        );
     }
 
     #[test]
@@ -383,7 +477,9 @@ mod tests {
             .collect();
         let mut page = vec![0u8; 4096];
         pack_indirect_segments(&mut page, &segs);
-        assert_eq!(unpack_indirect_segments(&page, 512), segs);
+        let mut back = vec![BlkifSegment::ZERO; 512];
+        unpack_indirect_segments(&page, &mut back);
+        assert_eq!(back, segs);
     }
 
     #[test]

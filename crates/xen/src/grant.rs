@@ -117,25 +117,6 @@ pub struct GrantCopyOp {
     pub len: usize,
 }
 
-/// Per-op completion status of a batched copy (Xen's `GNTST_*` field).
-///
-/// A batch is processed op by op; a failing op never aborts the batch,
-/// it just reports its error here while later ops still execute.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CopyStatus {
-    /// The op copied all its bytes.
-    Okay,
-    /// The op failed the stated permission/bounds check; no bytes moved.
-    Error(XenError),
-}
-
-impl CopyStatus {
-    /// True for [`CopyStatus::Okay`].
-    pub fn is_okay(self) -> bool {
-        matches!(self, CopyStatus::Okay)
-    }
-}
-
 /// How a driver issues its grant copies (migration switch for benches and
 /// equivalence tests; production paths use [`CopyMode::Batched`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -306,46 +287,12 @@ impl GrantTables {
         dst: CopySide,
         len: usize,
     ) -> Result<()> {
-        match self.copy_op(mem, caller, &GrantCopyOp { src, dst, len }) {
-            CopyStatus::Okay => Ok(()),
-            CopyStatus::Error(e) => Err(e),
+        if len > PAGE_SIZE {
+            return Err(XenError::OutOfBounds);
         }
-    }
-
-    /// Executes one descriptor of a batch, reporting a status instead of
-    /// aborting (Xen fills the op's `status` field the same way).
-    fn copy_op(&self, mem: &mut MachineMemory, caller: DomainId, op: &GrantCopyOp) -> CopyStatus {
-        if op.len > PAGE_SIZE {
-            return CopyStatus::Error(XenError::OutOfBounds);
-        }
-        let (sp, so) = match self.resolve(mem, caller, op.src, false) {
-            Ok(r) => r,
-            Err(e) => return CopyStatus::Error(e),
-        };
-        let (dp, dof) = match self.resolve(mem, caller, op.dst, true) {
-            Ok(r) => r,
-            Err(e) => return CopyStatus::Error(e),
-        };
-        match mem.copy(sp, so, dp, dof, op.len) {
-            Ok(()) => CopyStatus::Okay,
-            Err(e) => CopyStatus::Error(e),
-        }
-    }
-
-    /// Batched hypervisor copy: executes every descriptor of one
-    /// `GNTTABOP_copy` hypercall, returning one status per op.
-    ///
-    /// Ops are independent: a failed op reports its error and the batch
-    /// continues, exactly like real Xen's per-op `status` field. Charging
-    /// (one hypercall for the whole array) is the hypervisor wrapper's
-    /// job — see `Hypervisor::grant_copy_batch`.
-    pub fn copy_batch(
-        &self,
-        mem: &mut MachineMemory,
-        caller: DomainId,
-        ops: &[GrantCopyOp],
-    ) -> Vec<CopyStatus> {
-        ops.iter().map(|op| self.copy_op(mem, caller, op)).collect()
+        let (sp, so) = self.resolve(mem, caller, src, false)?;
+        let (dp, dof) = self.resolve(mem, caller, dst, true)?;
+        mem.copy(sp, so, dp, dof, len)
     }
 
     /// Number of active mappings held by `mapper` (leak checks in tests).

@@ -12,10 +12,10 @@ use kite_sim::Nanos;
 use kite_trace::{EventKind, NotifyOutcome, ReqTracer, Tracer};
 
 use crate::domain::{DomainId, DomainKind, DomainTable};
-use crate::error::Result;
+use crate::error::{Result, XenError};
 use crate::evtchn::{EventChannels, Notification, Port};
 use crate::fault::FaultPlan;
-use crate::grant::{CopyStatus, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
+use crate::grant::{GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
 use crate::hypercall::{CostModel, HypercallKind, HypercallMeter};
 use crate::mem::{MachineMemory, PageId};
 use crate::pci::PciBus;
@@ -24,8 +24,12 @@ use crate::xenstore::Xenstore;
 /// Outcome of one batched `GNTTABOP_copy` hypercall.
 #[derive(Clone, Debug, Default)]
 pub struct BatchResult {
-    /// Per-op status, in op order (empty batches issue no hypercall).
-    pub statuses: Vec<CopyStatus>,
+    /// Ops the batch carried (empty batches issue no hypercall).
+    pub ops: usize,
+    /// The ops that failed, as `(op index, error)` in op order. Only
+    /// failures are stored, so an all-okay batch — every batch of a
+    /// healthy run — holds no heap.
+    pub failed: Vec<(usize, XenError)>,
     /// Bytes actually moved by the ops that succeeded.
     pub bytes: usize,
     /// Modeled cost of the hypercall, charged to the caller.
@@ -35,12 +39,17 @@ pub struct BatchResult {
 impl BatchResult {
     /// Number of ops that completed successfully.
     pub fn ok_ops(&self) -> usize {
-        self.statuses.iter().filter(|s| s.is_okay()).count()
+        self.ops - self.failed.len()
     }
 
     /// True when every op in the batch succeeded.
     pub fn all_ok(&self) -> bool {
-        self.statuses.iter().all(|s| s.is_okay())
+        self.failed.is_empty()
+    }
+
+    /// True when every op in `[start, end)` succeeded.
+    pub fn range_ok(&self, start: usize, end: usize) -> bool {
+        !self.failed.iter().any(|&(k, _)| (start..end).contains(&k))
     }
 }
 
@@ -216,31 +225,33 @@ impl Hypervisor {
         if ops.is_empty() {
             return BatchResult::default();
         }
-        let mut statuses = self.grants.copy_batch(&mut self.mem, caller, ops);
-        if self.faults.copy_fail_rate > 0.0 {
-            // Injected per-op failures surface exactly like real ones: in
-            // the status array, with the batch continuing past them. The
-            // bytes may already have moved; drivers must treat errored ops
-            // as not transferred, which is what the status contract says.
-            for s in statuses.iter_mut() {
-                if s.is_okay() && self.faults.fail_copy_op() {
-                    *s = CopyStatus::Error(crate::XenError::BadGrant);
-                }
+        // Ops are independent: a failed op reports its error and the
+        // batch continues, exactly like real Xen's per-op `status` field.
+        let mut failed = Vec::new();
+        let mut bytes = 0;
+        for (i, op) in ops.iter().enumerate() {
+            let done = self
+                .grants
+                .copy(&mut self.mem, caller, op.src, op.dst, op.len);
+            match done {
+                // Injected per-op failures surface exactly like real
+                // ones: in the status, with the batch continuing past
+                // them. The bytes have already moved; drivers must treat
+                // errored ops as not transferred, which is what the
+                // status contract says.
+                Ok(()) if self.faults.fail_copy_op() => failed.push((i, XenError::BadGrant)),
+                Ok(()) => bytes += op.len,
+                Err(e) => failed.push((i, e)),
             }
         }
-        let bytes = ops
-            .iter()
-            .zip(&statuses)
-            .filter(|(_, s)| s.is_okay())
-            .map(|(op, _)| op.len)
-            .sum();
         let cost = self.costs.gnt_copy_batch(ops.len(), bytes);
         self.meters
             .entry(caller)
             .or_default()
             .charge_costed(HypercallKind::GntCopy, cost);
         let result = BatchResult {
-            statuses,
+            ops: ops.len(),
+            failed,
             bytes,
             cost,
         };
@@ -272,7 +283,9 @@ impl Hypervisor {
                 let mut out = BatchResult::default();
                 for op in ops {
                     let b = self.grant_copy_batch(caller, core::slice::from_ref(op));
-                    out.statuses.extend(b.statuses);
+                    out.failed
+                        .extend(b.failed.iter().map(|&(_, e)| (out.ops, e)));
+                    out.ops += 1;
                     out.bytes += b.bytes;
                     out.cost += b.cost;
                 }
@@ -479,7 +492,7 @@ mod tests {
                 len: 4,
             }],
         );
-        assert_eq!(batch.statuses, [CopyStatus::Okay]);
+        assert!(batch.all_ok() && batch.ops == 1);
         assert!(batch.cost > Nanos::ZERO);
         assert_eq!(&hv.mem.page(dpage).unwrap()[0..4], b"ping");
         assert_eq!(hv.meter(dd).count(HypercallKind::GntCopy), 1);
@@ -568,11 +581,8 @@ mod tests {
             },
         ];
         let batch = hv.grant_copy_batch(dd, &ops);
-        assert_eq!(
-            batch.statuses[0],
-            CopyStatus::Error(crate::XenError::ReadOnlyGrant)
-        );
-        assert_eq!(batch.statuses[1], CopyStatus::Okay);
+        assert_eq!(batch.failed, [(0, XenError::ReadOnlyGrant)]);
+        assert!(!batch.range_ok(0, 2) && batch.range_ok(1, 2));
         assert_eq!(batch.ok_ops(), 1);
         assert_eq!(batch.bytes, 2);
         assert_eq!(&hv.mem.page(dst).unwrap()[..2], b"ok");
@@ -585,7 +595,7 @@ mod tests {
         hv.create_domain("Domain-0", DomainKind::Dom0, 1024, 4);
         let dd = hv.create_domain("dd", DomainKind::Driver, 256, 1);
         let batch = hv.grant_copy_batch(dd, &[]);
-        assert!(batch.statuses.is_empty());
+        assert_eq!((batch.ops, batch.failed.len()), (0, 0));
         assert_eq!(batch.cost, Nanos::ZERO);
         assert_eq!(hv.meter(dd).total_count(), 0);
     }
@@ -649,7 +659,7 @@ mod tests {
             })
             .collect();
         let batch = hv.grant_copy_batch(dd, &ops);
-        let failed = batch.statuses.iter().filter(|s| !s.is_okay()).count();
+        let failed = batch.failed.len();
         assert!(failed > 10, "half the ops should fault: {failed}");
         assert!(batch.ok_ops() > 10, "batch continues past faults");
         assert_eq!(batch.bytes, batch.ok_ops() * 8, "faulted ops move nothing");

@@ -40,9 +40,7 @@ pub use domain::{Domain, DomainId, DomainKind, DomainState, DomainTable};
 pub use error::{Result, XenError};
 pub use evtchn::{EventChannels, Notification, Port};
 pub use fault::{FaultPlan, FaultStats};
-pub use grant::{
-    CopyMode, CopySide, CopyStatus, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping,
-};
+pub use grant::{CopyMode, CopySide, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
 pub use hypercall::{CostModel, HypercallKind, HypercallMeter};
 pub use hypervisor::{BatchResult, Hypervisor};
 pub use kite_trace::reqtrace::{ReqId, ReqTracer, SlotClass, Stage as ReqStage};

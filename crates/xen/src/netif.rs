@@ -275,6 +275,40 @@ mod tests {
     }
 
     #[test]
+    fn every_entry_defines_every_slot_byte() {
+        use crate::ring::assert_defines_every_byte;
+        let req = NetifTxRequest {
+            gref: GrantRef(7),
+            offset: 0,
+            flags: NETTXF_EXTRA_INFO,
+            id: 3,
+            size: 60,
+        };
+        assert_defines_every_byte(&req);
+        let extra = NetifExtraInfo {
+            kind: XEN_NETIF_EXTRA_TYPE_GSO,
+            gso_size: 1448,
+            gso_segs: 2,
+            total_len: 2000,
+        };
+        assert_defines_every_byte(&extra.to_tx_slot());
+        assert_defines_every_byte(&NetifTxResponse {
+            id: 3,
+            status: NETIF_RSP_OKAY,
+        });
+        assert_defines_every_byte(&NetifRxRequest {
+            id: 0,
+            gref: GrantRef(0),
+        });
+        assert_defines_every_byte(&NetifRxResponse {
+            id: 1,
+            offset: 0,
+            flags: NETRXF_MORE_DATA,
+            status: 0,
+        });
+    }
+
+    #[test]
     fn chain_bounds_cover_a_64k_super_frame() {
         assert_eq!(NETIF_MAX_GSO_FRAME, 65536);
         // 16 full pages of data plus one slot of slack; with the

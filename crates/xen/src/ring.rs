@@ -35,6 +35,11 @@ pub trait RingEntry: Clone {
     /// Serialized size in bytes.
     const SIZE: usize;
     /// Writes the entry into `buf` (`buf.len() == Self::SIZE`).
+    ///
+    /// Must define **every** byte of `buf`, padding included: the rings
+    /// encode straight into the shared slot, which still holds whatever
+    /// the previous request or response left there, and a byte this
+    /// leaves alone is a stale byte the peer domain can read.
     fn write_to(&self, buf: &mut [u8]);
     /// Reads an entry back from `buf`.
     fn read_from(buf: &[u8]) -> Self;
@@ -174,14 +179,12 @@ impl<Req: RingEntry, Rsp: RingEntry> FrontRing<Req, Rsp> {
         if self.full() {
             return Err(XenError::RingFull);
         }
-        let mut buf = vec![0u8; Req::SIZE];
-        req.write_to(&mut buf);
         let r = slot_range(
             self.req_prod_pvt,
             self.size,
             slot_bytes(Req::SIZE, Rsp::SIZE),
         );
-        page[r.start..r.start + Req::SIZE].copy_from_slice(&buf);
+        req.write_to(&mut page[r.start..r.start + Req::SIZE]);
         self.req_prod_pvt = self.req_prod_pvt.wrapping_add(1);
         Ok(())
     }
@@ -300,14 +303,12 @@ impl<Req: RingEntry, Rsp: RingEntry> BackRing<Req, Rsp> {
         if self.free_responses() == 0 {
             return Err(XenError::RingFull);
         }
-        let mut buf = vec![0u8; Rsp::SIZE];
-        rsp.write_to(&mut buf);
         let r = slot_range(
             self.rsp_prod_pvt,
             self.size,
             slot_bytes(Req::SIZE, Rsp::SIZE),
         );
-        page[r.start..r.start + Rsp::SIZE].copy_from_slice(&buf);
+        rsp.write_to(&mut page[r.start..r.start + Rsp::SIZE]);
         self.rsp_prod_pvt = self.rsp_prod_pvt.wrapping_add(1);
         Ok(())
     }
@@ -331,6 +332,16 @@ impl<Req: RingEntry, Rsp: RingEntry> BackRing<Req, Rsp> {
     }
 }
 
+/// Asserts `write_to`'s contract: encoding over a poisoned slot leaves
+/// the same bytes as encoding over a zeroed one.
+#[cfg(test)]
+pub(crate) fn assert_defines_every_byte<E: RingEntry>(e: &E) {
+    let (mut zeroed, mut poisoned) = (vec![0u8; E::SIZE], vec![0xffu8; E::SIZE]);
+    e.write_to(&mut zeroed);
+    e.write_to(&mut poisoned);
+    assert_eq!(zeroed, poisoned, "write_to left a slot byte undefined");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -349,8 +360,44 @@ mod tests {
         }
     }
 
+    /// A 4-byte entry: half of the 8-byte union slot it shares with `E`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Half(u32);
+
+    impl RingEntry for Half {
+        const SIZE: usize = 4;
+        fn write_to(&self, buf: &mut [u8]) {
+            buf.copy_from_slice(&self.0.to_le_bytes());
+        }
+        fn read_from(buf: &[u8]) -> Self {
+            Half(u32::from_le_bytes(buf[..4].try_into().unwrap()))
+        }
+    }
+
     fn page() -> Vec<u8> {
         vec![0u8; PAGE_SIZE]
+    }
+
+    /// A push writes its entry's `SIZE` bytes and nothing else: the rest
+    /// of a larger union slot keeps what the last occupant left, as it
+    /// always has.
+    #[test]
+    fn push_leaves_the_union_slot_past_size_alone() {
+        let mut p = vec![0xa5u8; PAGE_SIZE];
+        let mut f: FrontRing<Half, E> = FrontRing::init(&mut p);
+        let mut b: BackRing<Half, E> = BackRing::attach();
+        let slot0 = RING_HEADER_SIZE..RING_HEADER_SIZE + 8;
+        f.push_request(&mut p, &Half(0x0403_0201)).unwrap();
+        assert_eq!(p[slot0.clone()], [1, 2, 3, 4, 0xa5, 0xa5, 0xa5, 0xa5]);
+        assert_eq!(p[slot0.end], 0xa5, "next slot untouched");
+        f.push_requests(&mut p);
+        b.consume_request(&p).unwrap();
+        b.push_response(&mut p, &E(u64::MAX)).unwrap();
+        assert_eq!(p[slot0.clone()], [0xff; 8]);
+        // Slot 0 again, one lap later: the request overwrites only its half.
+        let mut f: FrontRing<Half, E> = FrontRing::default();
+        f.push_request(&mut p, &Half(0)).unwrap();
+        assert_eq!(p[slot0], [0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff]);
     }
 
     #[test]

@@ -133,7 +133,9 @@ echo "==> benchmark/: lint gate, then the four workloads end to end"
 # `host_allocs_per_op` and `host_alloc_bytes_per_op` the counted
 # repetition prints at seed 7. Both are exact per seed and build, so a
 # run more than 0.5 % above its pin (BENCHMARK.json's bound) is a copy
-# that crept back in; a change that lowers them re-pins deliberately.
+# that crept back in; a change that lowers them re-pins deliberately,
+# and a run more than 5 % below its pin fails until it does — a stale
+# pin is headroom a regression can hide in.
 #
 # benchmark/Cargo.lock records the workspace's crate set and every
 # inter-crate edge and may not be edited, so a workspace change that
@@ -147,15 +149,19 @@ while read -r w want allocs bytes; do
     got="$(grep -o 'sim_digest [0-9a-f]*' <<< "$out")"
     [ "$got" = "sim_digest $want" ] || fail "$w: got '$got', scripts/sim_digests.txt has $want"
     awk -v w="$w" -v allocs="$allocs" -v bytes="$bytes" '
-        function over(name, got, pin) {
+        function pinned(name, got, pin) {
             if (got > pin * 1.005) {
                 printf "verify: %s: %s %s exceeds the pinned %s by more than 0.5 %%\n", \
                     w, name, got, pin > "/dev/stderr"
                 bad = 1
+            } else if (got < pin * 0.95) {
+                printf "verify: %s: %s %s is more than 5 %% below the pinned %s: re-pin scripts/sim_digests.txt deliberately\n", \
+                    w, name, got, pin > "/dev/stderr"
+                bad = 1
             }
         }
-        $1 == "host_allocs_per_op" { over($1, $2, allocs); seen++ }
-        $1 == "host_alloc_bytes_per_op" { over($1, $2, bytes); seen++ }
+        $1 == "host_allocs_per_op" { pinned($1, $2, allocs); seen++ }
+        $1 == "host_alloc_bytes_per_op" { pinned($1, $2, bytes); seen++ }
         END { exit (bad || seen != 2) }' <<< "$out" \
         || fail "$w: allocation budget check failed"
 done < scripts/sim_digests.txt
