@@ -53,7 +53,7 @@ fn main() {
     }
     let exps = all_experiments();
     if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: repro [--all | --list | --json <path> | top | lat | <id>...]");
+        eprintln!("usage: repro [--all | --list | --json <path> | top | prof | lat | <id>...]");
         eprintln!("experiments:");
         for e in &exps {
             eprintln!("  {:8} {}", e.id, e.title);

@@ -13,11 +13,12 @@ use std::io::Write as _;
 use kite_net::ether::ETH_FRAME_MAX;
 use kite_sim::Nanos;
 use kite_system::{
-    render_top, scenario, BackendOs, DetectionMode, Fault, LineRate, MonitorConfig, NetSystem,
-    Side, StorSystem, SystemConfig,
+    render_top, scenario, BackendOs, DetectionMode, Fault, HealthState, LineRate, MonitorConfig,
+    NetSystem, Side, StorSystem, SystemConfig,
 };
 use kite_trace::metrics::{render_json, validate_json};
-use kite_trace::MetricsSnapshot;
+use kite_trace::SampleKind::{Counter, Gauge};
+use kite_trace::{MetricsSnapshot, TimeSeriesSampler};
 use kite_xen::CopyMode;
 
 /// Prints snapshots in the shared text rendering.
@@ -311,7 +312,7 @@ fn ring_streams_run(cfg: SystemConfig) -> StorSystem {
 
 /// Everything `repro prof` prints and exports: the per-phase self-time
 /// table and collapsed stacks from a profiled 4-queue netback drain,
-/// plus the deterministic time series the run's sampler recorded.
+/// plus the deterministic time series sampled from the same run.
 pub struct ProfRun {
     /// Top-down per-phase self-time table (wall clock; nondeterministic).
     pub table: String,
@@ -326,31 +327,65 @@ pub struct ProfRun {
 
 /// Runs the profiled 4-queue netback drain: the
 /// [`netback_queue_cycle`] workload stretched over ~16 virtual ms with
-/// the profiler and the 500 µs sampler enabled. The spans cover
-/// scheduler push/pop, per-kind event dispatch, netback drains,
+/// the profiler on, sampled every 500 µs of virtual time. The spans
+/// cover scheduler push/pop, per-kind event dispatch, netback drains,
 /// grant-copy batches and trace emission, so the collapsed output shows
 /// the full dispatch → drain → copy nesting.
 pub fn prof_run() -> ProfRun {
+    const QUEUES: u32 = 4;
     kite_prof::reset();
     let mut sys = SystemConfig::new(BackendOs::Kite, 7)
-        .queues(4)
+        .queues(QUEUES)
         .profiling(true)
-        .sampling(Nanos::from_micros(500), 256)
         .build_net();
-    // 64 flows × 32 bursts, one burst every 500 µs: long enough for the
-    // sampler to record a real series while the four queues stay busy
-    // within each burst.
-    scenario::flow_burst(&mut sys, Side::Guest, 2048, 1400, Nanos::from_micros(500));
-    sys.run_to_quiescence();
+    // 64 flows × 32 bursts, one burst every 500 µs: long enough to
+    // sample a real series while the four queues stay busy within each
+    // burst.
+    let every = Nanos::from_micros(500);
+    scenario::flow_burst(&mut sys, Side::Guest, 2048, 1400, every);
+    let mut series = TimeSeriesSampler::new(every, 256);
+    for (name, kind) in [
+        ("client_rx_bytes", Counter),
+        ("guest_rx_bytes", Counter),
+        ("drops", Counter),
+        ("tx_packets", Counter),
+        ("rx_dropped", Counter),
+        ("health", Gauge),
+    ] {
+        series = series.with_column(name, kind);
+    }
+    for q in 0..QUEUES {
+        series = series.with_column(&format!("rx_qdepth_q{q}"), Gauge);
+    }
+    sys.run_every(every, |sys, t| {
+        let (m, nb) = (&sys.metrics, sys.netback_stats());
+        let health = match sys.health() {
+            None | Some(HealthState::Healthy) => 0,
+            Some(HealthState::Suspect { .. }) => 1,
+            Some(_) => 2,
+        };
+        let mut raw = vec![
+            m.client_rx_bytes,
+            m.guest_rx_bytes,
+            m.drops,
+            nb.tx_packets,
+            nb.rx_dropped,
+            health,
+        ];
+        // A backend that is down has no queues: they read 0, so the
+        // width stays fixed.
+        let depths = sys.rx_queue_depths();
+        raw.extend((0..QUEUES as usize).map(|q| depths.get(q).map_or(0, |&d| d as u64)));
+        series.record(t, &raw);
+    });
     let report = kite_prof::report();
     kite_prof::disable();
     kite_prof::reset();
-    let sampler = sys.sampler().expect("sampling was enabled");
     ProfRun {
         table: report.render_table(),
         collapsed: report.render_collapsed(),
-        series_csv: sampler.to_csv(),
-        series_json: sampler.to_json(),
+        series_csv: series.to_csv(),
+        series_json: series.to_json(),
     }
 }
 

@@ -4,8 +4,7 @@
 //! `counters!`; the struct itself, `merge` (stats continuity across a
 //! backend teardown/reconnect) and `export` (one snapshot row per
 //! counter, named after the field) are generated from that list, so a
-//! new counter is one line that the snapshot, the sampler and `kitetop`
-//! all see.
+//! new counter is one line, and the metrics snapshot publishes it.
 //!
 //! Netback moves payloads with batched `GNTTABOP_copy`; [`CopyStats`]
 //! is that accounting, nested in each driver's stats struct (blkback

@@ -39,8 +39,6 @@ pub enum Phase {
     DispatchRecovery,
     /// Dispatch of health machinery ticks (heartbeat, probe).
     DispatchHealthTick,
-    /// Dispatch of time-series sampler ticks.
-    DispatchSample,
     /// Netback TX drain (`pusher_run`): guest ring -> wire.
     NetbackTxDrain,
     /// Netback RX drain (`soft_start_run`): wire -> guest ring.
@@ -58,7 +56,7 @@ pub enum Phase {
 impl Phase {
     /// Number of phases in the registry (array dimension for per-phase
     /// state).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 17;
 
     /// All phases, in declaration order.
     pub const ALL: [Phase; Phase::COUNT] = [
@@ -73,7 +71,6 @@ impl Phase {
         Phase::DispatchFault,
         Phase::DispatchRecovery,
         Phase::DispatchHealthTick,
-        Phase::DispatchSample,
         Phase::NetbackTxDrain,
         Phase::NetbackRxDrain,
         Phase::BlkbackSubmit,
@@ -97,7 +94,6 @@ impl Phase {
             Phase::DispatchFault => "dispatch_fault",
             Phase::DispatchRecovery => "dispatch_recovery",
             Phase::DispatchHealthTick => "dispatch_health_tick",
-            Phase::DispatchSample => "dispatch_sample",
             Phase::NetbackTxDrain => "netback_tx_drain",
             Phase::NetbackRxDrain => "netback_rx_drain",
             Phase::BlkbackSubmit => "blkback_submit",

@@ -1,7 +1,7 @@
 //! One builder for both systems: [`SystemConfig`].
 //!
 //! A single fluent description of a scenario — queue layout, watchdog,
-//! SLO, tracing, sampling, scheduler — that either
+//! SLO, tracing, scheduler — that either
 //! [`build_net`](SystemConfig::build_net) or
 //! [`build_stor`](SystemConfig::build_stor) consumes. It is the only way
 //! to configure a system: the host applies every knob once, inside its
@@ -10,7 +10,7 @@
 use kite_core::BlkbackTuning;
 use kite_devices::{LineRate, NvmeProfile};
 use kite_health::{MonitorConfig, SloConfig};
-use kite_sim::{Nanos, SchedulerKind};
+use kite_sim::SchedulerKind;
 
 use crate::host::{BackendOs, Datapath, Host};
 use crate::netsys::NetSystem;
@@ -44,7 +44,6 @@ pub struct SystemConfig {
     pub(crate) nvme_profile: Option<NvmeProfile>,
     pub(crate) nvme_max_io_queues: Option<u16>,
     pub(crate) profiling: bool,
-    pub(crate) sampling: Option<(Nanos, usize)>,
     pub(crate) gso: bool,
     pub(crate) wire: LineRate,
 }
@@ -67,7 +66,6 @@ impl SystemConfig {
             nvme_profile: None,
             nvme_max_io_queues: None,
             profiling: false,
-            sampling: None,
             gso: true,
             wire: LineRate::Gbe10,
         }
@@ -164,14 +162,6 @@ impl SystemConfig {
     /// anything diffed byte-for-byte (see DESIGN.md §14).
     pub fn profiling(mut self, on: bool) -> SystemConfig {
         self.profiling = on;
-        self
-    }
-
-    /// Enables the virtual-time metrics sampler: one snapshot every
-    /// `every`, at most `capacity` samples retained (oldest evicted).
-    /// Read the series back with `sys.sampler()`.
-    pub fn sampling(mut self, every: Nanos, capacity: usize) -> SystemConfig {
-        self.sampling = Some((every, capacity));
         self
     }
 

@@ -4,8 +4,8 @@
 //! [`Host`] owns the simulated machine (hypervisor, event scheduler,
 //! domains and their vCPUs), the backend's lifecycle slot, the policy
 //! for how a driver domain is faulted, detected, rebooted and
-//! reconnected, and every instrument (watchdog, SLO, sampler, tracers,
-//! `kitetop` and metrics snapshots). A [`Datapath`] supplies only what
+//! reconnected, and every instrument (watchdog, SLO, tracers, `kitetop`
+//! and metrics snapshots). A [`Datapath`] supplies only what
 //! differs between a network and a storage driver domain: its device,
 //! its frontend, its event variants, and what to salvage and replay
 //! across an outage. [`NetSystem`](crate::NetSystem) and
@@ -23,9 +23,7 @@ use kite_linux::{linux_profile, ubuntu_boot};
 use kite_prof::Phase;
 use kite_rumprun::{kite_boot, kite_profile, BootSequence, OsProfile};
 use kite_sim::{Cpu, CpuPool, EventSched, Histogram, Nanos, Pcg, Scheduler, SchedulerKind};
-use kite_trace::{
-    EventKind, MetricValue, MetricsSnapshot, SampleKind, TimeSeriesSampler, DEFAULT_REQ_CAPACITY,
-};
+use kite_trace::{EventKind, MetricsSnapshot, DEFAULT_REQ_CAPACITY};
 use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
 use kite_xen::{
     Bdf, DevicePaths, DomainId, DomainKind, DomainState, FaultPlan, Hypervisor, Notification,
@@ -104,8 +102,6 @@ pub(crate) enum Event<P> {
     BeatTick,
     /// Dom0's health monitor runs its next probe.
     ProbeTick,
-    /// The time-series sampler takes its next snapshot.
-    SampleTick,
 }
 
 /// The part of a driver-domain scenario that depends on the device
@@ -179,34 +175,16 @@ pub trait Datapath: Sized {
     /// everything queued during the outage.
     fn replay(host: &mut Host<Self>, now: Nanos);
 
-    /// The time-series sampler's columns: CSV header, what it reads, kind.
-    const SAMPLER: &'static [(&'static str, Sampled, SampleKind)];
-
-    /// The rows `kitetop` sums into the driver domain's REQ/S, MB/S,
-    /// RX_DROP and GSO_FRM cells, in that order.
-    const TOP: [&'static [&'static str]; 4];
-
-    /// The per-queue row family behind `kitetop`'s RXQ_DEPTH cell.
-    const TOP_QDEPTH: &'static str;
+    /// `kitetop`'s driver-domain cells, read off the backend's lifetime
+    /// stats: requests and payload bytes served (the REQ/S and MB/S
+    /// numerators), RX_DROP and GSO_FRM, in that order; then RXQ_DEPTH,
+    /// one depth per queue of the live backend.
+    fn top_cells(host: &Host<Self>) -> ([u64; 4], Vec<u64>);
 
     /// Appends every row the datapath exports: measurement taps, live
-    /// gauges and lifetime backend stats. This is the one list — the
-    /// metrics snapshot publishes it, the sampler and `kitetop` pick
-    /// rows from it by name.
+    /// gauges and lifetime backend stats. This is the one published list
+    /// — the metrics snapshot and `BENCH_mechanisms.json`.
     fn export(host: &Host<Self>, rows: &mut MetricsSnapshot);
-}
-
-/// What a column of [`Datapath::SAMPLER`] reads.
-#[derive(Clone, Copy, Debug)]
-pub enum Sampled {
-    /// The exported row of this name.
-    Row(&'static str),
-    /// A per-queue row family: one column per configured queue,
-    /// `{header}{q}` reading row `{family}{q}`.
-    PerQueue(&'static str),
-    /// The watchdog verdict: the one value the host samples without
-    /// exporting it, because `BENCH_mechanisms.json` pins the rows.
-    Health,
 }
 
 /// The positions of `mask`'s set bits, lowest first: the queues a
@@ -219,14 +197,6 @@ pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
             q
         })
     })
-}
-
-/// The integer row `name`, when the datapath exported one.
-fn int_row(rows: &MetricsSnapshot, name: &str) -> Option<u64> {
-    match rows.get(name)?.value {
-        MetricValue::Int(v) => Some(v),
-        MetricValue::Float(_) => None,
-    }
 }
 
 /// The DomU behind the frontend: its 22 vCPUs, when the last of them
@@ -278,7 +248,6 @@ pub struct Host<D: Datapath> {
     pending_faults: u32,
     slo_cfg: SloConfig,
     pub(crate) latency_hist: Histogram,
-    sampler: Option<TimeSeriesSampler>,
     /// Stage attribution of the most recent SLO p99 breach the watchdog
     /// observed (request tracing on), for `kitetop`/health reporting.
     last_breach: Option<BreachAttribution>,
@@ -353,7 +322,6 @@ impl<D: Datapath> Host<D> {
             pending_faults: 0,
             slo_cfg: cfg.slo.unwrap_or_default(),
             latency_hist: Histogram::default(),
-            sampler: None,
             last_breach: None,
         };
         // Before the first handshake, so the trace shows it.
@@ -370,9 +338,6 @@ impl<D: Datapath> Host<D> {
         }
         if cfg.profiling {
             kite_prof::enable();
-        }
-        if let Some((every, capacity)) = cfg.sampling {
-            host.enable_sampling(every, capacity);
         }
         host
     }
@@ -458,63 +423,6 @@ impl<D: Datapath> Host<D> {
             .schedule_at(now + cfg.probe_interval, Event::ProbeTick);
     }
 
-    /// Starts the time-series sampler: every `every` of virtual time a
-    /// `SampleTick` records the rows [`Datapath::SAMPLER`] names
-    /// (counters as deltas, gauges as-is) into a bounded ring of
-    /// `capacity` samples (oldest evicted first).
-    ///
-    /// The tick re-arms only while other events are still pending, so
-    /// [`run_to_quiescence`](Self::run_to_quiescence) terminates: the
-    /// sampler rides along with the workload instead of keeping the
-    /// clock alive on its own.
-    fn enable_sampling(&mut self, every: Nanos, capacity: usize) {
-        let mut sampler = TimeSeriesSampler::new(every, capacity);
-        for &(header, source, kind) in D::SAMPLER {
-            if let Sampled::PerQueue(_) = source {
-                for q in 0..self.nqueues {
-                    sampler = sampler.with_column(&format!("{header}{q}"), kind);
-                }
-            } else {
-                sampler = sampler.with_column(header, kind);
-            }
-        }
-        self.sampler = Some(sampler);
-        let now = self.queue.now();
-        self.queue.schedule_at(now + every, Event::SampleTick);
-    }
-
-    /// The time series recorded when the config enabled sampling.
-    pub fn sampler(&self) -> Option<&TimeSeriesSampler> {
-        self.sampler.as_ref()
-    }
-
-    fn sample_now(&mut self, at: Nanos) {
-        let Some(mut sampler) = self.sampler.take() else {
-            return;
-        };
-        let rows = self.metrics_snapshot("");
-        let health = match self.health() {
-            None | Some(HealthState::Healthy) => 0u64,
-            Some(HealthState::Suspect { .. }) => 1,
-            _ => 2,
-        };
-        // Per-queue gauges are not exported while the backend is down;
-        // they sample 0 so the width stays fixed.
-        let row = |name: &str| int_row(&rows, name).unwrap_or(0);
-        let mut raw = Vec::new();
-        for &(_, source, _) in D::SAMPLER {
-            match source {
-                Sampled::Row(name) => raw.push(row(name)),
-                Sampled::PerQueue(family) => {
-                    raw.extend((0..self.nqueues).map(|q| row(&format!("{family}{q}"))))
-                }
-                Sampled::Health => raw.push(health),
-            }
-        }
-        sampler.record(at, &raw);
-        self.sampler = Some(sampler);
-    }
-
     /// Queues on the currently connected backend (0 when down).
     pub fn queue_count(&self) -> usize {
         self.backend.device().map_or(0, |be| be.queue_count())
@@ -557,6 +465,22 @@ impl<D: Datapath> Host<D> {
         while let Some((now, ev)) = self.queue.pop() {
             self.events_processed += 1;
             self.handle(now, ev);
+        }
+    }
+
+    /// Runs to quiescence, handing `view` the system at every `every` of
+    /// virtual time from now, once every event up to that instant has
+    /// run. The last call is at the first such instant after which no
+    /// event remains, so a time series ends with the workload.
+    pub fn run_every(&mut self, every: Nanos, mut view: impl FnMut(&Self, Nanos)) {
+        let mut t = self.now();
+        loop {
+            t += every;
+            self.run_until(t);
+            view(self, t);
+            if self.queue.is_empty() {
+                return;
+            }
         }
     }
 
@@ -797,7 +721,6 @@ impl<D: Datapath> Host<D> {
             Event::Fault(_) => Phase::DispatchFault,
             Event::DriverRestarted => Phase::DispatchRecovery,
             Event::BeatTick | Event::ProbeTick => Phase::DispatchHealthTick,
-            Event::SampleTick => Phase::DispatchSample,
         }
     }
 
@@ -881,16 +804,6 @@ impl<D: Datapath> Host<D> {
                     self.queue.schedule_at(now + interval, Event::ProbeTick);
                 }
             }
-            Event::SampleTick => {
-                self.sample_now(now);
-                // Re-arm only while the workload is still producing
-                // events, so quiescence is reachable.
-                if let Some(every) = self.sampler.as_ref().map(|s| s.interval()) {
-                    if !self.queue.is_empty() {
-                        self.queue.schedule_at(now + every, Event::SampleTick);
-                    }
-                }
-            }
         }
     }
 
@@ -935,8 +848,7 @@ impl<D: Datapath> Host<D> {
     }
 
     /// Collects every row the datapath exports plus the recovery
-    /// accounting into one named snapshot. The sampler and `kitetop`
-    /// read the same rows by name.
+    /// accounting into one named snapshot.
     pub fn metrics_snapshot(&self, scenario: impl Into<String>) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::new(scenario);
         D::export(self, &mut snap);
@@ -982,12 +894,7 @@ impl<D: Datapath> Host<D> {
     pub fn top_snapshot(&self) -> TopSnapshot {
         let at = self.queue.now();
         let secs = at.as_secs_f64();
-        let rows = self.metrics_snapshot("");
-        let cell = |names: &[&str]| names.iter().filter_map(|n| int_row(&rows, n)).sum::<u64>();
-        let [requests, bytes, rx_dropped, gso_frames] = D::TOP.map(cell);
-        let qdepth: Vec<u64> = (0..)
-            .map_while(|q| int_row(&rows, &format!("{}{q}", D::TOP_QDEPTH)))
-            .collect();
+        let ([requests, bytes, rx_dropped, gso_frames], qdepth) = D::top_cells(self);
         let (ring_consumed, ring_pending) = match self.backend.device() {
             Some(be) => be
                 .queue_progress(&self.hv)

@@ -16,7 +16,7 @@ pub mod scenario;
 pub mod storsys;
 
 pub use config::SystemConfig;
-pub use host::{BackendOs, Datapath, Fault, Host, Sampled};
+pub use host::{BackendOs, Datapath, Fault, Host};
 pub use kite_devices::LineRate;
 pub use kite_sim::SchedulerKind;
 

@@ -29,12 +29,10 @@ use kite_prof::Phase;
 use kite_rumprun::OsProfile;
 use kite_sim::{Link, Nanos, OnlineStats, Pcg, TxOutcome};
 use kite_trace::MetricsSnapshot;
-use kite_trace::SampleKind::{self, Counter, Gauge};
 use kite_xen::xenbus::FEATURE_GSO_KEY;
 use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqStage, SlotClass};
 
 use crate::config::SystemConfig;
-use crate::host::Sampled::{self, Health, PerQueue, Row};
 use crate::host::{set_bits, Datapath, Event, Host};
 
 /// A UDP message delivered to an application handler.
@@ -372,22 +370,19 @@ impl Datapath for NetPath {
         host.drain_guest_txq(now);
     }
 
-    const SAMPLER: &'static [(&'static str, Sampled, SampleKind)] = &[
-        ("client_rx_bytes", Row("client_rx_bytes"), Counter),
-        ("guest_rx_bytes", Row("guest_rx_bytes"), Counter),
-        ("drops", Row("drops"), Counter),
-        ("tx_packets", Row("tx_packets"), Counter),
-        ("rx_dropped", Row("rx_dropped"), Counter),
-        ("health", Health, Gauge),
-        ("rx_qdepth_q", PerQueue("rx_queue_depth_q"), Gauge),
-    ];
-    const TOP: [&'static [&'static str]; 4] = [
-        &["tx_packets", "rx_packets"],
-        &["tx_bytes", "rx_bytes"],
-        &["rx_dropped"],
-        &["gso_tx_frames", "lro_rx_frames"],
-    ];
-    const TOP_QDEPTH: &'static str = "rx_queue_depth_q";
+    /// Both directions count; RXQ_DEPTH is each queue's world→guest
+    /// backlog.
+    fn top_cells(host: &NetSystem) -> ([u64; 4], Vec<u64>) {
+        let s = host.netback_stats();
+        let cells = [
+            s.tx_packets + s.rx_packets,
+            s.tx_bytes + s.rx_bytes,
+            s.rx_dropped,
+            s.gso_tx_frames + s.lro_rx_frames,
+        ];
+        let depths = host.rx_queue_depths().into_iter().map(|d| d as u64);
+        (cells, depths.collect())
+    }
 
     fn export(host: &NetSystem, rows: &mut MetricsSnapshot) {
         let m = &host.dp.metrics;

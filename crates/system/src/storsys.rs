@@ -21,14 +21,12 @@ use kite_prof::Phase;
 use kite_rumprun::OsProfile;
 use kite_sim::{Nanos, OnlineStats, Pcg};
 use kite_trace::MetricsSnapshot;
-use kite_trace::SampleKind::{self, Counter, Gauge};
 use kite_xen::{
     DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqId, ReqStage, SlotClass,
     XenError,
 };
 
 use crate::config::SystemConfig;
-use crate::host::Sampled::{self, Health, Row};
 use crate::host::{set_bits, Datapath, Event, Host};
 
 /// A logical I/O a workload submits.
@@ -305,18 +303,16 @@ impl Datapath for BlkPath {
         host.drain_pendq(now);
     }
 
-    const SAMPLER: &'static [(&'static str, Sampled, SampleKind)] = &[
-        ("ios", Row("ios"), Counter),
-        ("read_bytes", Row("logical_read_bytes"), Counter),
-        ("write_bytes", Row("logical_write_bytes"), Counter),
-        ("requests", Row("requests"), Counter),
-        ("in_flight", Row("in_flight"), Gauge),
-        ("pendq", Row("pendq"), Gauge),
-        ("health", Health, Gauge),
-    ];
-    const TOP: [&'static [&'static str]; 4] =
-        [&["requests"], &["read_bytes", "write_bytes"], &[], &[]];
-    const TOP_QDEPTH: &'static str = "ring_pending_q";
+    /// Blkback has no Rx queue or offload: RX_DROP and GSO_FRM read 0,
+    /// and RXQ_DEPTH is each ring's unconsumed requests.
+    fn top_cells(host: &StorSystem) -> ([u64; 4], Vec<u64>) {
+        let s = host.blkback_stats();
+        let pending = host.backend.device().map_or_else(Vec::new, |bb| {
+            let rings = bb.queue_progress(&host.hv).into_iter();
+            rings.map(|(_, pending)| pending).collect()
+        });
+        ([s.requests, s.read_bytes + s.write_bytes, 0, 0], pending)
+    }
 
     fn export(host: &StorSystem, rows: &mut MetricsSnapshot) {
         let dp = &host.dp;

@@ -413,7 +413,7 @@ impl ReqTracer {
         self.inner.as_ref().map_or(0, |i| i.dropped)
     }
 
-    /// Sampled requests still in flight.
+    /// Requests sampled and still in flight.
     pub fn live_len(&self) -> usize {
         self.inner.as_ref().map_or(0, |i| i.live.len())
     }
@@ -467,7 +467,7 @@ mod tests {
     }
 
     #[test]
-    fn sampling_is_one_in_n_starting_with_the_first() {
+    fn admit_samples_one_in_n_starting_with_the_first() {
         let mut t = ReqTracer::enabled(4, 16);
         let minted: Vec<Option<ReqId>> = (0..9).map(|_| t.admit(3)).collect();
         let ids: Vec<u64> = minted.iter().flatten().map(|r| r.0).collect();

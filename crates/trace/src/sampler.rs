@@ -16,6 +16,8 @@
 use kite_sim::Nanos;
 use std::collections::VecDeque;
 
+use crate::metrics::json_escape;
+
 /// How a column's raw input turns into the recorded value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleKind {
@@ -176,7 +178,7 @@ impl TimeSeriesSampler {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\"{}\"", c.name));
+            out.push_str(&format!("\"{}\"", json_escape(&c.name)));
         }
         out.push_str("],\"samples\":[");
         for (i, s) in self.ring.iter().enumerate() {
@@ -254,6 +256,16 @@ mod tests {
         let parsed = crate::json::parse(&s.to_json()).expect("sampler JSON must parse");
         assert!(parsed.get("samples").is_some());
         assert!(parsed.get("columns").is_some());
+    }
+
+    #[test]
+    fn json_escapes_column_names() {
+        let name = "a\"b\\c";
+        let s =
+            TimeSeriesSampler::new(Nanos::from_millis(1), 1).with_column(name, SampleKind::Gauge);
+        let parsed = crate::json::parse(&s.to_json()).expect("sampler JSON must parse");
+        let columns = parsed.get("columns").and_then(|c| c.as_array());
+        assert_eq!(columns.and_then(|c| c[0].as_str()), Some(name));
     }
 
     #[test]

@@ -349,6 +349,56 @@ fn kitetop_output_is_byte_identical_same_seed() {
     assert!(a.contains("suspect("), "mid-detection renders suspect(k)");
 }
 
+/// `kitetop` on the storage path: the driver row's rates are blkback's
+/// lifetime requests and bytes over elapsed virtual time, the net-only
+/// cells read 0, and RXQ_DEPTH lists each ring's unconsumed requests —
+/// mid-run and after the rings drain.
+#[test]
+fn kitetop_driver_row_reads_blkback_stats_on_four_rings() {
+    const RINGS: usize = 4;
+    let mut sys = SystemConfig::new(BackendOs::Kite, 7)
+        .queues(RINGS as u32)
+        .build_stor();
+    scenario::interleaved_streams(&mut sys, 4, 64, 8 * 1024, Nanos::from_micros(2));
+    for i in 0..16u64 {
+        let kind = IoKind::Read {
+            sector: i * 16,
+            len: 8 * 1024,
+        };
+        sys.submit_at(
+            Nanos::from_millis(2) + Nanos::from_micros(5 * i),
+            IoOp {
+                tag: 1000 + i,
+                kind,
+            },
+        );
+    }
+    for (stop, drained) in [(Some(Nanos::from_micros(400)), false), (None, true)] {
+        match stop {
+            Some(t) => sys.run_until(t),
+            None => sys.run_to_quiescence(),
+        }
+        let top = sys.top_snapshot();
+        let secs = top.at.as_secs_f64();
+        let row = top
+            .rows
+            .iter()
+            .find(|r| r.kind == "driver")
+            .expect("a driver row");
+        let bb = sys.blkback_stats();
+        assert!(bb.requests > 0, "at {secs}s: blkback has served requests");
+        assert_eq!((row.req_per_sec * secs).round() as u64, bb.requests);
+        let bytes = (row.mbytes_per_sec * secs * 1e6).round() as u64;
+        assert_eq!(bytes, bb.read_bytes + bb.write_bytes);
+        assert!(bb.read_bytes > 0 || !drained, "the reads are counted too");
+        assert_eq!((row.rx_dropped, row.gso_frames), (0, 0));
+        assert_eq!(row.rx_qdepth.len(), RINGS, "one depth per ring");
+        if drained {
+            assert_eq!(row.rx_qdepth, [0; RINGS], "every ring drained");
+        }
+    }
+}
+
 /// A breached latency SLO marks the backend suspect — observability
 /// without triggering recovery (the backend is slow, not dead).
 #[test]

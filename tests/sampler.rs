@@ -1,27 +1,95 @@
-//! Time-series sampler invariants at the system level.
+//! Time-series sampling at the system level.
 //!
-//! The sampler is driven by *virtual* time — `SampleTick` events on the
-//! ordinary scheduler — so its exports are part of the determinism
-//! surface: same seed, same bytes, regardless of the scheduler backend
-//! or how the host happens to schedule the run. Wall-clock profiling
+//! A series is read from outside the event loop: `Host::run_every` runs
+//! the workload to quiescence and hands the system over at fixed
+//! *virtual* instants, and the caller picks the columns off typed stats.
+//! The exports are therefore part of the determinism surface: same seed,
+//! same bytes, regardless of the scheduler backend. Wall-clock profiling
 //! (`kite-prof`) stays quarantined from these exports.
 
 use kite::sim::{Nanos, SchedulerKind};
-use kite::system::{addrs, scenario, BackendOs, IoKind, IoOp, Side, SystemConfig};
+use kite::system::{
+    addrs, scenario, BackendOs, HealthState, IoKind, IoOp, NetSystem, Side, StorSystem,
+    SystemConfig,
+};
+use kite::trace::SampleKind::{Counter, Gauge};
+use kite::trace::{MetricValue, TimeSeriesSampler};
 
-/// Echo traffic with sampling enabled; returns the sampler's CSV and
-/// JSON exports.
+/// Runs a network system to quiescence, sampling every `every`: bytes
+/// delivered at both ends, path drops, and each queue's Rx backlog.
+fn net_series(sys: &mut NetSystem, every: Nanos, capacity: usize) -> TimeSeriesSampler {
+    let mut series = TimeSeriesSampler::new(every, capacity)
+        .with_column("client_rx_bytes", Counter)
+        .with_column("guest_rx_bytes", Counter)
+        .with_column("drops", Counter);
+    for q in 0..sys.queue_count() {
+        series = series.with_column(&format!("rx_qdepth_q{q}"), Gauge);
+    }
+    sys.run_every(every, |sys, t| {
+        let m = &sys.metrics;
+        let mut raw = vec![m.client_rx_bytes, m.guest_rx_bytes, m.drops];
+        raw.extend(sys.rx_queue_depths().into_iter().map(|d| d as u64));
+        series.record(t, &raw);
+    });
+    series
+}
+
+/// Runs a storage system to quiescence, sampling every `every`: logical
+/// I/Os and bytes, blkback requests, the chunks in flight and parked,
+/// and the watchdog verdict (0 healthy or unwatched, 1 suspect, 2
+/// failed).
+fn stor_series(sys: &mut StorSystem, every: Nanos, capacity: usize) -> TimeSeriesSampler {
+    let mut series = TimeSeriesSampler::new(every, capacity);
+    for (name, kind) in [
+        ("ios", Counter),
+        ("read_bytes", Counter),
+        ("write_bytes", Counter),
+        ("requests", Counter),
+        ("in_flight", Gauge),
+        ("pendq", Gauge),
+        ("health", Gauge),
+    ] {
+        series = series.with_column(name, kind);
+    }
+    sys.run_every(every, |sys, t| {
+        // The two queue lengths are private to the datapath; the
+        // snapshot publishes them.
+        let rows = sys.metrics_snapshot("");
+        let gauge = |name| match rows.get(name).map(|m| m.value) {
+            Some(MetricValue::Int(v)) => v,
+            _ => panic!("no integer `{name}` row"),
+        };
+        let health = match sys.health() {
+            None | Some(HealthState::Healthy) => 0,
+            Some(HealthState::Suspect { .. }) => 1,
+            Some(_) => 2,
+        };
+        let (m, bb) = (&sys.metrics, sys.blkback_stats());
+        let (in_flight, pendq) = (gauge("in_flight"), gauge("pendq"));
+        let raw = [
+            m.ios,
+            m.read_bytes,
+            m.write_bytes,
+            bb.requests,
+            in_flight,
+            pendq,
+            health,
+        ];
+        series.record(t, &raw);
+    });
+    series
+}
+
+/// Echo traffic, sampled; returns the series' CSV and JSON exports.
 fn sampled_echo(kind: SchedulerKind, capacity: usize) -> (String, String) {
     let mut sys = SystemConfig::new(BackendOs::Kite, 42)
         .scheduler(kind)
         .queues(4)
-        .sampling(Nanos::from_micros(200), capacity)
         .build_net();
     sys.set_guest_app(scenario::echo_server(Nanos::from_micros(1)));
     scenario::flow_burst(&mut sys, Side::Client, 512, 1400, Nanos::from_micros(20));
-    sys.run_to_quiescence();
-    let sampler = sys.sampler().expect("sampling was enabled");
-    (sampler.to_csv(), sampler.to_json())
+    let series = net_series(&mut sys, Nanos::from_micros(200), capacity);
+    (series.to_csv(), series.to_json())
 }
 
 #[test]
@@ -45,9 +113,7 @@ fn sampler_exports_are_byte_identical_across_scheduler_backends() {
 
 #[test]
 fn sampler_ring_is_bounded_and_drops_oldest() {
-    let mut sys = SystemConfig::new(BackendOs::Kite, 7)
-        .sampling(Nanos::from_micros(50), 8)
-        .build_net();
+    let mut sys = SystemConfig::new(BackendOs::Kite, 7).build_net();
     // Spread traffic over many sampling intervals so the ring overflows.
     for i in 0..256u64 {
         sys.send_udp_at(
@@ -59,8 +125,7 @@ fn sampler_ring_is_bounded_and_drops_oldest() {
             vec![i as u8; 600],
         );
     }
-    sys.run_to_quiescence();
-    let sampler = sys.sampler().expect("sampling was enabled");
+    let sampler = net_series(&mut sys, Nanos::from_micros(50), 8);
     assert_eq!(sampler.len(), 8, "ring must stay at capacity");
     assert!(sampler.evicted() > 0, "the long run must have overflowed");
     // Oldest retained sample starts where the evicted ones left off.
@@ -77,9 +142,7 @@ fn sampler_ring_is_bounded_and_drops_oldest() {
 
 #[test]
 fn storage_system_sampler_records_io_counters() {
-    let mut sys = SystemConfig::new(BackendOs::Kite, 9)
-        .sampling(Nanos::from_micros(100), 1024)
-        .build_stor();
+    let mut sys = SystemConfig::new(BackendOs::Kite, 9).build_stor();
     for i in 0..64u64 {
         sys.submit_at(
             Nanos::from_micros(10 + 50 * i),
@@ -92,10 +155,8 @@ fn storage_system_sampler_records_io_counters() {
             },
         );
     }
-    sys.run_to_quiescence();
-    let sampler = sys.sampler().expect("sampling was enabled");
-    assert!(sampler.column_names().contains(&"ios"));
-    assert!(sampler.column_names().contains(&"write_bytes"));
+    let every = Nanos::from_micros(100);
+    let sampler = stor_series(&mut sys, every, 1024);
     assert!(!sampler.is_empty());
     // Counter columns record deltas: summing write_bytes over the whole
     // series recovers the total volume written.
@@ -106,4 +167,15 @@ fn storage_system_sampler_records_io_counters() {
         .expect("column exists");
     let total: u64 = sampler.samples().map(|s| s.values[wb]).sum();
     assert_eq!(total, 64 * 4096, "summed deltas must equal bytes written");
+    // One sample per interval, the last at the first multiple of the
+    // interval at or after the final event.
+    let every = every.as_nanos();
+    let times: Vec<u64> = sampler.samples().map(|s| s.at.as_nanos()).collect();
+    let want: Vec<u64> = (1..=times.len() as u64).map(|k| k * every).collect();
+    assert_eq!(times, want);
+    let (last, end) = (want[want.len() - 1], sys.now().as_nanos());
+    assert!(
+        last >= end && last - every < end,
+        "last sample {last} for a run ending at {end}"
+    );
 }
