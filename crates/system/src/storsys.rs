@@ -53,7 +53,8 @@ pub enum IoKind {
 /// A workload I/O with its tag.
 #[derive(Clone, Debug)]
 pub struct IoOp {
-    /// Workload-chosen tag returned at completion.
+    /// The workload's label, returned unchanged in [`IoDone`]. The system
+    /// identifies in-flight I/Os itself, so tags need not be unique.
     pub tag: u64,
     /// The operation.
     pub kind: IoKind,
@@ -105,18 +106,23 @@ pub enum BlkEvent {
 // The scheduler stores events inline; growing them grows every slab slot.
 const _: () = assert!(std::mem::size_of::<Event<BlkEvent>>() <= 40);
 
+/// One ring request's worth of a logical I/O: `offset` bytes into
+/// logical op `op`.
 #[derive(Debug)]
 struct Chunk {
-    tag: u64,
-    order: usize,
+    op: u64,
+    offset: usize,
     kind: IoKind,
 }
 
-struct TagState {
+/// A logical I/O in flight, under the id `try_submit` minted for it.
+struct InFlight {
+    tag: u64,
     remaining: usize,
     ok: bool,
-    chunks: Vec<(usize, Vec<u8>)>, // (order, data) for reads
-    want_data: bool,
+    /// A read's padded length and its bytes, each chunk landing at its
+    /// offset; `None` for writes and flushes.
+    read: Option<(usize, Vec<u8>)>,
     submitted: Nanos,
     /// Request-tracing sample following this logical I/O, when tagged.
     req: Option<ReqId>,
@@ -150,7 +156,9 @@ pub struct BlkPath {
     pub blockapp: BlockApp,
     // req_id -> in-flight chunk (kept whole so a crash can replay it)
     req_map: HashMap<u64, Chunk>,
-    tags: HashMap<u64, TagState>,
+    // minted op id -> logical I/O; ids are never reused
+    ops: HashMap<u64, InFlight>,
+    next_op: u64,
     pendq: VecDeque<Chunk>,
     /// Per-interrupt scratch, cleared not dropped: the logical I/Os one
     /// blkfront interrupt finished.
@@ -223,7 +231,8 @@ impl Datapath for BlkPath {
             max_req_bytes: 0,
             blockapp,
             req_map: HashMap::new(),
-            tags: HashMap::new(),
+            ops: HashMap::new(),
+            next_op: 0,
             pendq: VecDeque::new(),
             finished: Vec::new(),
             handler: None,
@@ -292,7 +301,7 @@ impl Datapath for BlkPath {
         self.nvme.reset();
         self.blkfront = None;
         let mut inflight: Vec<Chunk> = self.req_map.drain().map(|(_, c)| c).collect();
-        inflight.sort_by_key(|c| (c.tag, c.order));
+        inflight.sort_by_key(|c| (c.op, c.offset)); // submission order
         recovery.retried_ops += inflight.len() as u64;
         for c in inflight.into_iter().rev() {
             self.pendq.push_front(c);
@@ -344,7 +353,7 @@ impl Host<BlkPath> {
 
     /// Outstanding logical I/Os.
     pub fn outstanding(&self) -> usize {
-        self.dp.tags.len()
+        self.dp.ops.len()
     }
 
     /// Blkback statistics, summed across backend incarnations.
@@ -358,27 +367,18 @@ impl Host<BlkPath> {
 
     // ---- internals -----------------------------------------------------
 
-    /// Splits a logical op into ring-sized chunks, parked on the end of
-    /// `pendq`; returns how many.
-    fn park_chunks(&mut self, op: IoOp) -> usize {
+    /// Splits logical op `op`'s I/O into ring-sized chunks, parked on
+    /// the end of `pendq`; returns how many.
+    fn park_chunks(&mut self, op: u64, kind: IoKind) -> usize {
         let max = self.dp.max_req_bytes;
-        let tag = op.tag;
         let parked = self.dp.pendq.len();
-        let mut park = |kind| {
-            let order = self.dp.pendq.len() - parked;
-            self.dp.pendq.push_back(Chunk { tag, order, kind });
-        };
-        match op.kind {
+        let mut park = |offset, kind| self.dp.pendq.push_back(Chunk { op, offset, kind });
+        match kind {
             IoKind::Read { sector, len } => {
                 let len = len.div_ceil(512) * 512;
-                let mut off = 0usize;
-                while off < len {
-                    let n = (len - off).min(max);
-                    park(IoKind::Read {
-                        sector: sector + (off / 512) as u64,
-                        len: n,
-                    });
-                    off += n;
+                for off in (0..len).step_by(max) {
+                    let (sector, len) = (sector + (off / 512) as u64, (len - off).min(max));
+                    park(off, IoKind::Read { sector, len });
                 }
             }
             IoKind::Write { sector, mut data } => {
@@ -386,46 +386,47 @@ impl Host<BlkPath> {
                 data.resize(padded, 0);
                 if (1..=max).contains(&padded) {
                     // Fits one ring request: the buffer moves into it.
-                    park(IoKind::Write { sector, data });
+                    park(0, IoKind::Write { sector, data });
                 } else {
-                    for (k, part) in data.chunks(max).enumerate() {
-                        park(IoKind::Write {
-                            sector: sector + (k * max / 512) as u64,
-                            data: part.to_vec(),
-                        });
+                    for (off, part) in (0..).step_by(max).zip(data.chunks(max)) {
+                        let (sector, data) = (sector + (off / 512) as u64, part.to_vec());
+                        park(off, IoKind::Write { sector, data });
                     }
                 }
             }
-            IoKind::Flush => park(IoKind::Flush),
+            IoKind::Flush => park(0, IoKind::Flush),
         }
         self.dp.pendq.len() - parked
     }
 
-    /// Registers a logical op (creating its completion state) and queues
-    /// its chunks; as many as fit go straight into the ring.
+    /// Mints the logical op's id, registers its completion state under
+    /// it and queues its chunks; as many as fit go straight into the ring.
     fn try_submit(&mut self, now: Nanos, op: IoOp) {
-        let want_data = matches!(op.kind, IoKind::Read { .. });
-        if let IoKind::Write { data, .. } = &op.kind {
-            self.dp.metrics.write_bytes += data.len() as u64;
-        }
-        let tag = op.tag;
-        let remaining = self.park_chunks(op);
+        let read = match &op.kind {
+            IoKind::Read { len, .. } => Some((len.div_ceil(512) * 512, Vec::new())),
+            IoKind::Write { data, .. } => {
+                self.dp.metrics.write_bytes += data.len() as u64;
+                None
+            }
+            IoKind::Flush => None,
+        };
+        let id = self.dp.next_op;
+        self.dp.next_op += 1;
+        let remaining = self.park_chunks(id, op.kind);
         // Injection point for request tracing: the sampler decides here
         // whether this logical I/O is followed stage by stage. The guest
         // application issues it, so the Inject stamp books to the guest.
         self.hv.req.set_now(now);
         let req = self.hv.req.admit(self.guest.0);
-        self.dp.tags.insert(
-            tag,
-            TagState {
-                remaining,
-                ok: true,
-                chunks: Vec::new(),
-                want_data,
-                submitted: now,
-                req,
-            },
-        );
+        let state = InFlight {
+            tag: op.tag,
+            remaining,
+            ok: true,
+            read,
+            submitted: now,
+            req,
+        };
+        self.dp.ops.insert(id, state);
         self.drain_pendq(now);
     }
 
@@ -447,7 +448,7 @@ impl Host<BlkPath> {
             match res {
                 Ok((id, fo)) => {
                     let c = self.dp.pendq.pop_front().expect("peeked");
-                    if let Some(r) = self.dp.tags.get(&c.tag).and_then(|ts| ts.req) {
+                    if let Some(r) = self.dp.ops.get(&c.op).and_then(|op| op.req) {
                         // First chunk's ring entry defines the submit leg;
                         // later chunks only map so the backend can find
                         // the sample (first-touch keeps one stamp).
@@ -593,56 +594,48 @@ impl Host<BlkPath> {
             let Some(chunk) = self.dp.req_map.remove(&c.id) else {
                 continue;
             };
-            let (tag, order) = (chunk.tag, chunk.order);
-            let Some(ts) = self.dp.tags.get_mut(&tag) else {
-                continue;
-            };
-            if let Some(r) = ts.req {
+            let op = self
+                .dp
+                .ops
+                .get_mut(&chunk.op)
+                .expect("chunk's op in flight");
+            if let Some(r) = op.req {
                 // Guest sees the completion after wake-from-halt.
                 let dom = self.guest.0;
                 self.hv.req.stamp_at(r, ReqStage::IrqDeliver, dom, None, t);
             }
-            ts.ok &= c.ok;
-            if let Some(d) = c.data {
-                if ts.want_data {
-                    ts.chunks.push((order, d));
+            op.ok &= c.ok;
+            if let (Some((len, buf)), Some(d)) = (&mut op.read, c.data) {
+                if d.len() == *len {
+                    *buf = d; // a single-chunk read hands its buffer over
+                } else {
+                    buf.resize(*len, 0);
+                    buf[chunk.offset..chunk.offset + d.len()].copy_from_slice(&d);
                 }
             }
-            ts.remaining -= 1;
-            if ts.remaining == 0 {
-                let mut ts = self.dp.tags.remove(&tag).expect("present");
-                ts.chunks.sort_by_key(|&(o, _)| o);
-                let data = (ts.want_data && ts.ok).then(|| {
-                    // A single-chunk read hands its buffer over; several
-                    // chunks are joined into one buffer sized up front.
-                    if ts.chunks.len() == 1 {
-                        return ts.chunks.pop().expect("one chunk").1;
-                    }
-                    let total = ts.chunks.iter().map(|(_, d)| d.len()).sum();
-                    let mut buf = Vec::with_capacity(total);
-                    for (_, d) in &ts.chunks {
-                        buf.extend_from_slice(d);
-                    }
-                    buf
-                });
-                if let Some(r) = ts.req {
-                    self.hv.req.finish_at(r, self.guest.0, t);
-                }
-                let lat = t - ts.submitted;
-                self.dp.metrics.ios += 1;
-                self.dp.metrics.latency.push_nanos(lat);
-                self.latency_hist.record(lat);
-                self.mark_first_byte(t);
-                if let Some(d) = &data {
-                    self.dp.metrics.read_bytes += d.len() as u64;
-                }
-                finished.push(IoDone {
-                    tag,
-                    ok: ts.ok,
-                    data,
-                    submitted: ts.submitted,
-                });
+            op.remaining -= 1;
+            if op.remaining > 0 {
+                continue;
             }
+            let op = self.dp.ops.remove(&chunk.op).expect("present");
+            let data = op.read.filter(|_| op.ok).map(|(_, buf)| buf);
+            if let Some(r) = op.req {
+                self.hv.req.finish_at(r, self.guest.0, t);
+            }
+            let lat = t - op.submitted;
+            self.dp.metrics.ios += 1;
+            self.dp.metrics.latency.push_nanos(lat);
+            self.latency_hist.record(lat);
+            self.mark_first_byte(t);
+            if let Some(d) = &data {
+                self.dp.metrics.read_bytes += d.len() as u64;
+            }
+            finished.push(IoDone {
+                tag: op.tag,
+                ok: op.ok,
+                data,
+                submitted: op.submitted,
+            });
         }
         // Ring slots freed: drain parked ops first.
         self.drain_pendq(t);

@@ -134,21 +134,33 @@ fn guest_to_client_direction_works() {
 fn storage_write_then_read_verifies_bytes() {
     for os in BackendOs::both() {
         let mut sys = StorSystem::new(os, 42);
-        let data: Vec<u8> = (0..256 * 1024).map(|i| (i % 241) as u8).collect();
-        sys.submit_at(
-            Nanos::from_millis(1),
-            IoOp {
-                tag: 1,
-                kind: IoKind::Write {
-                    sector: 2048,
-                    data: data.clone(),
-                },
-            },
-        );
+        // 320 KiB written as two 160 KiB halves under one tag, in flight
+        // at once: tags are the workload's labels, so each half completes
+        // on its own.
+        let data: Vec<u8> = (0..320 * 1024).map(|i| (i % 241) as u8).collect();
+        let (first, second) = data.split_at(data.len() / 2);
+        let writes = Rc::new(RefCell::new(0u64));
+        let w = writes.clone();
+        sys.set_handler(Box::new(move |_, done| {
+            assert_eq!((done.tag, done.ok), (1, true));
+            *w.borrow_mut() += 1;
+            Vec::new()
+        }));
+        let second_at = 2048 + (first.len() / 512) as u64;
+        for (sector, half) in [(2048, first), (second_at, second)] {
+            let kind = IoKind::Write {
+                sector,
+                data: half.to_vec(),
+            };
+            sys.submit_at(Nanos::from_millis(1), IoOp { tag: 1, kind });
+        }
         sys.run_to_quiescence();
-        assert_eq!(sys.metrics.ios, 1, "{}: write completed", os.name());
+        assert_eq!(*writes.borrow(), 2, "{}: one IoDone per write", os.name());
+        assert_eq!(sys.outstanding(), 0, "{}", os.name());
+        assert_eq!(sys.metrics.ios, 2, "{}: both writes completed", os.name());
 
-        // Read it back through the whole PV path.
+        // Read it back through the whole PV path: three ring requests
+        // (128 + 128 + 64 KiB) land in one buffer, in order.
         let read_back: Rc<RefCell<Option<Vec<u8>>>> = Rc::new(RefCell::new(None));
         let rb = read_back.clone();
         sys.set_handler(Box::new(move |_, done| {

@@ -4,11 +4,13 @@
 //! over the network scenario, [`stor_closed_loop`] over the storage one —
 //! and the storage benchmarks' shared prepare phase.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::rc::Rc;
 
 use kite_fs::{Fs, Ino};
-use kite_sim::Nanos;
+use kite_sim::{Nanos, OnlineStats};
 use kite_system::{BackendOs, IoKind, IoOp, StorSystem, UdpMsg};
 
 /// Header magic for logical messages.
@@ -146,9 +148,7 @@ pub struct RrResult {
 /// Runs the closed-loop benchmark against one driver-domain OS.
 pub fn rr_closed_loop(os: kite_system::BackendOs, seed: u64, cfg: RrConfig) -> RrResult {
     use kite_system::{addrs, NetSystem, Reply, Side};
-    use std::cell::RefCell;
     use std::collections::VecDeque;
-    use std::rc::Rc;
 
     let mut sys = NetSystem::new(os, seed);
     let server_asm = Rc::new(RefCell::new(Reassembler::new()));
@@ -256,13 +256,19 @@ pub fn rr_closed_loop(os: kite_system::BackendOs, seed: u64, cfg: RrConfig) -> R
 /// the device I/Os of the worker's next operation, every one tagged with
 /// the worker's index; worker `i` is asked first at `start + i` µs, then
 /// again whenever the last I/O of its operation completes, and an empty
-/// answer retires it. Runs to quiescence.
+/// answer retires it. Runs to quiescence and returns the latency of the
+/// device I/Os it issued, and of nothing `sys` ran before.
+///
+/// # Panics
+///
+/// If a worker has not retired at quiescence: it waits on an I/O that
+/// never completed, and the run would otherwise pass for a short one.
 pub fn stor_closed_loop(
     sys: &mut StorSystem,
     start: Nanos,
     workers: u16,
     mut next: impl FnMut(u64) -> Vec<IoOp> + 'static,
-) {
+) -> OnlineStats {
     let mut outstanding = vec![0usize; usize::from(workers)];
     for (w, left) in (0u64..).zip(&mut outstanding) {
         let ops = next(w);
@@ -271,8 +277,12 @@ pub fn stor_closed_loop(
             sys.submit_at(start + Nanos::from_micros(w), op);
         }
     }
-    sys.set_handler(Box::new(move |_, done| {
+    let state = Rc::new(RefCell::new((outstanding, OnlineStats::new())));
+    let handler_state = Rc::clone(&state);
+    sys.set_handler(Box::new(move |now, done| {
         assert!(done.ok, "closed-loop I/O failed");
+        let (outstanding, latency) = &mut *handler_state.borrow_mut();
+        latency.push_nanos(now - done.submitted);
         let left = &mut outstanding[done.tag as usize];
         *left -= 1;
         if *left > 0 {
@@ -283,6 +293,14 @@ pub fn stor_closed_loop(
         ops
     }));
     sys.run_to_quiescence();
+    let (outstanding, latency) = &*state.borrow();
+    for (w, &left) in outstanding.iter().enumerate() {
+        assert_eq!(
+            left, 0,
+            "stor_closed_loop: worker {w} stalled, {left} I/Os outstanding"
+        );
+    }
+    latency.clone()
 }
 
 /// A storage benchmark's data set: the system it was written through,
@@ -348,6 +366,74 @@ mod tests {
             dst_port: 80,
             payload,
         }
+    }
+
+    /// Every operation is two 4 KiB writes under its worker's tag, so two
+    /// device I/Os of one worker are in flight at once: all 40 operations
+    /// run and every worker retires.
+    #[test]
+    fn closed_loop_runs_operations_of_several_device_ios() {
+        const WORKERS: u16 = 4;
+        const OPS: u64 = 10;
+        let mut sys = StorSystem::new(BackendOs::Kite, 5);
+        let mut issued = [0u64; WORKERS as usize];
+        let latency = stor_closed_loop(&mut sys, Nanos::from_micros(10), WORKERS, move |w| {
+            let i = &mut issued[w as usize];
+            if *i == OPS {
+                return Vec::new();
+            }
+            *i += 1;
+            let write = |sector| IoOp {
+                tag: w,
+                kind: IoKind::Write {
+                    sector,
+                    data: vec![0x11; 4096],
+                },
+            };
+            let sector = (w << 20) + *i * 16;
+            vec![write(sector), write(sector + 8)]
+        });
+        let ios = 2 * OPS * u64::from(WORKERS);
+        assert_eq!(sys.metrics.ios, ios, "every device I/O completed");
+        assert_eq!(latency.count(), ios, "and is in the loop's latency");
+        assert_eq!(sys.outstanding(), 0);
+    }
+
+    /// The loop's latency covers its own I/Os only. Prepare writes
+    /// 8 MiB files far faster than the device takes them, so its writes
+    /// queue for tens of milliseconds; one worker's random 4 KiB reads
+    /// still report the 4 KiB random-read band: the device's penalty and
+    /// read latency, plus at most half a millisecond of PV path.
+    #[test]
+    fn closed_loop_latency_leaves_out_the_prepare_phase() {
+        let FileSet { mut sys, .. } =
+            prepare_files(BackendOs::Kite, 3, 16, Nanos::from_micros(1), || 8 << 20);
+        let mut left = 20u64;
+        let start = sys.now() + Nanos::from_millis(1);
+        let latency = stor_closed_loop(&mut sys, start, 1, move |tag| {
+            if left == 0 {
+                return Vec::new();
+            }
+            left -= 1;
+            let sector = 4096 + left * 2048;
+            vec![IoOp {
+                tag,
+                kind: IoKind::Read { sector, len: 4096 },
+            }]
+        });
+        let p = sys.nvme.profile();
+        let floor = (p.random_penalty + p.read_latency).as_nanos() as f64;
+        let band = floor..floor + 500_000.0;
+        assert_eq!(latency.count(), 20);
+        assert!(
+            band.contains(&latency.mean()),
+            "{latency:?} outside {band:?}"
+        );
+        let all = sys.metrics.latency.mean();
+        assert!(
+            all > 2.0 * band.end,
+            "prepare's queued writes dominate the system's mean: {all}"
+        );
     }
 
     #[test]

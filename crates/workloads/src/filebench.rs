@@ -207,7 +207,7 @@ fn run_personality(
     // that needs no device I/O (stat, full cache hit) is done on the spot.
     let done = ops_done.clone();
     let mut unstarted = threads;
-    stor_closed_loop(&mut sys, t_start, threads, move |tag| {
+    let latency = stor_closed_loop(&mut sys, t_start, threads, move |tag| {
         let first = unstarted > 0;
         unstarted -= u16::from(first);
         loop {
@@ -232,7 +232,7 @@ fn run_personality(
         io_size,
         mbps: bytes as f64 / 1e6 / elapsed,
         us_per_op: elapsed * 1e6 / done as f64,
-        latency_ms: sys.metrics.latency.mean() / 1e6,
+        latency_ms: latency.mean() / 1e6,
     }
 }
 

@@ -65,7 +65,7 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
     let mut unstarted = threads;
     // One logical op: possibly several device I/Os, or none on a full
     // cache hit — then the op is done on the spot and the worker moves on.
-    stor_closed_loop(&mut sys, t_start, threads, move |tag| {
+    let latency = stor_closed_loop(&mut sys, t_start, threads, move |tag| {
         let first = unstarted > 0;
         unstarted -= u16::from(first);
         loop {
@@ -111,7 +111,7 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
         // `block_c` is what each op actually transferred (blocks larger
         // than the scaled files are clamped, as sysbench clamps at EOF).
         mbps: ops_done.get() as f64 * block_c as f64 / 1e6 / elapsed,
-        latency_ms: sys.metrics.latency.mean() / 1e6,
+        latency_ms: latency.mean() / 1e6,
     }
 }
 
