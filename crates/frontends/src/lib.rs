@@ -10,4 +10,4 @@ pub mod blkfront;
 pub mod netfront;
 
 pub use blkfront::{BlkCompletion, Blkfront};
-pub use netfront::{FrontOp, Netfront};
+pub use netfront::{FrontOp, Netfront, RspRejects};

@@ -978,6 +978,10 @@ impl Host<NetPath> {
             return; // stale interrupt for a retired device
         };
         let (wake, t) = self.guest_irq(now);
+        // Netfront refuses a bad id or range in a response on its own;
+        // the error left is `RingCorrupt`, a backend moving `rsp_prod`
+        // more than a ring ahead, which still ends the run (ROADMAP
+        // item 3).
         let op = self
             .dp
             .netfront

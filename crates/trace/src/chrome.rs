@@ -267,6 +267,20 @@ pub fn export_with_flows(
                     ("notify", notify.to_string()),
                 ],
             ),
+            EventKind::RingReject {
+                queue,
+                qid,
+                reason,
+                id,
+            } => push_event(
+                &mut out,
+                &mut first,
+                &format!("{queue}:reject"),
+                track_of(e.dom, Some(*qid)),
+                e.at,
+                None,
+                &[("reason", str_arg(reason)), ("id", id.to_string())],
+            ),
             EventKind::Milestone { what } => {
                 push_event(&mut out, &mut first, what, e.dom.into(), e.at, None, &[])
             }

@@ -108,6 +108,19 @@ pub enum EventKind {
         /// Whether the drain ended by notifying the peer.
         notify: bool,
     },
+    /// A ring entry the peer wrote that the reader refused because it
+    /// names a buffer or a byte range the reader never offered. Nothing
+    /// the entry names is touched.
+    RingReject {
+        /// Which ring, e.g. `"netfront_tx"`.
+        queue: &'static str,
+        /// Queue index within the device, as for [`EventKind::RingDrain`].
+        qid: u16,
+        /// The refusal's cause, e.g. `"bad_id"`.
+        reason: &'static str,
+        /// The id the entry carried.
+        id: u32,
+    },
     /// A recovery milestone: `"kill"`, `"detect"`, `"reboot"`,
     /// `"reconnect"`, `"first_byte"` — or any scenario-defined marker.
     Milestone {
@@ -145,6 +158,7 @@ impl EventKind {
             EventKind::XenbusState { .. } => "xenbus_state",
             EventKind::Lifecycle { .. } => "lifecycle",
             EventKind::RingDrain { .. } => "ring_drain",
+            EventKind::RingReject { .. } => "ring_reject",
             EventKind::Milestone { .. } => "milestone",
             EventKind::HealthTransition { .. } => "health",
         }

@@ -44,6 +44,7 @@ pub use grant::{CopyMode, CopySide, GrantCopyOp, GrantRef, GrantTables, MapHandl
 pub use hypercall::{CostModel, HypercallKind, HypercallMeter};
 pub use hypervisor::{BatchResult, Hypervisor};
 pub use kite_trace::reqtrace::{ReqId, ReqTracer, SlotClass, Stage as ReqStage};
+pub use kite_trace::EventKind;
 pub use mem::{MachineMemory, PageId, PAGE_SIZE};
 pub use pci::{Bdf, PciBus, PciClass, PciDevice};
 pub use ring::{BackRing, FrontRing, RingEntry};

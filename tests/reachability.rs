@@ -51,6 +51,11 @@ const OBSERVED: &[(&str, &str)] = &[
         "recovery tests order events between two marks",
     ),
     ("members", "netapp's hotplug tests read bridge membership"),
+    (
+        "rejects",
+        "hostile-backend tests read netfront's refusal counters; no \
+         shipped backend writes a response netfront refuses",
+    ),
     // reference implementations
     (
         "set_copy_mode",
