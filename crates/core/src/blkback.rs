@@ -99,6 +99,9 @@ counters! {
         grant_maps: "count",
         /// Malformed or out-of-range requests rejected.
         errors: "count",
+        /// Rings halted because the frontend moved the request producer
+        /// index more than a ring ahead.
+        ring_corrupt: "count",
     }
     nested {
         /// Always zero: blkback maps, it never grant-copies (DESIGN.md
@@ -454,7 +457,11 @@ impl BlkbackInstance {
     ) -> Result<BlkBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::BlkbackSubmit);
         let mut batch = BlkBatch::default();
-        if self.rings[q].state.wedged {
+        let (rq, halts) = (&mut self.rings[q], &mut self.stats.ring_corrupt);
+        if !rq
+            .state
+            .may_drain(hv, self.back, &rq.shared, "blkback_req", q, halts)?
+        {
             return Ok(batch);
         }
         let mut runs = std::mem::take(&mut self.scratch_runs);
@@ -893,7 +900,7 @@ mod tests {
     use crate::backend::test_machine;
     use crate::lifecycle::BackendDevice;
     use kite_rumprun::kite_profile;
-    use kite_xen::ring::FrontRing;
+    use kite_xen::ring::{sring, FrontRing};
     use kite_xen::DeviceKind;
 
     /// A bare blkif ring published like a blkfront's — hand-built ring
@@ -1071,6 +1078,44 @@ mod tests {
             BlkifRequest::indirect(BLKIF_OP_WRITE, 0, 2, 0, segs.len() as u16, &[rf.indirect]);
         assert_rejected(&mut pair, &req);
         assert_eq!(pair.2.stats().grant_maps, 0, "refused before any map");
+    }
+
+    /// A frontend that moves `req_prod` more than a ring ahead halts the
+    /// ring, as Linux's blkback does: counted and traced once, nothing
+    /// reaches the device, the thread reports no more work, and a
+    /// well-formed request published after the halt is not consumed.
+    #[test]
+    fn a_request_producer_jump_halts_the_ring() {
+        let (mut hv, mut rf, mut bb, mut nvme) = raw_pair(true);
+        hv.trace.enable(64);
+        let first = rf.write(1, 0, vec![rf.whole_page(0)]);
+        rf.submit(&mut hv, &first);
+        sring::set_req_prod(hv.mem.page_mut(rf.ring_page).unwrap(), 100_000);
+        for round in 0..2 {
+            if round == 1 {
+                let second = rf.write(2, 8, vec![rf.whole_page(1)]);
+                rf.submit(&mut hv, &second);
+            }
+            let batch = bb
+                .request_thread_run(&mut hv, &mut nvme, 0, Nanos::ZERO, 32)
+                .unwrap();
+            assert!(batch.failures.is_empty() && batch.cq_irqs.is_empty() && !batch.more);
+        }
+        let st = bb.stats();
+        assert_eq!((st.ring_corrupt, st.requests, st.device_ops), (1, 0, 0));
+        let rejects: Vec<_> = hv
+            .trace
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::RingReject { queue, reason, .. } => Some((queue, reason)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(rejects, [("blkback_req", "ring_corrupt")]);
+        assert!(rf.responses(&hv).is_empty());
+        let mut sector = [0xffu8; SECTOR_SIZE];
+        nvme.read_data(0, &mut sector);
+        assert_eq!(sector, [0u8; SECTOR_SIZE], "a request reached the device");
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //!   `close`, and the per-queue surface (ports, wedging, progress) the
 //!   hosting system drives;
 //! * `QueueState` — the per-queue state every backend keeps besides its
-//!   rings: event channel and wedge flag;
+//!   rings: event channel, wedge flag, and the halt a corrupt request
+//!   producer index triggers;
 //! * [`DeviceLifecycle`] — the state driver that owns one device slot and
 //!   performs the legal transitions (connect when the frontend published,
 //!   orderly close, crash abandonment, connect again after a driver-domain
@@ -19,7 +20,8 @@
 
 use kite_sim::Nanos;
 use kite_trace::EventKind;
-use kite_xen::xenbus::read_state;
+use kite_xen::ring::{sring, RingEntry};
+use kite_xen::xenbus::{read_state, BackEndpoint};
 use kite_xen::{
     DeviceKind, DevicePaths, DomainId, Hypervisor, Port, Result, XenError, XenbusState,
 };
@@ -89,6 +91,10 @@ pub(crate) struct QueueState {
     /// kthread) while the rest of the domain — heartbeats included —
     /// carries on. What per-queue stall detection must catch.
     pub wedged: bool,
+    /// The frontend moved a ring's request producer index more than a
+    /// ring ahead: the queue consumes nothing more for the rest of the
+    /// instance.
+    halted: bool,
 }
 
 impl QueueState {
@@ -96,7 +102,44 @@ impl QueueState {
         QueueState {
             evtchn,
             wedged: false,
+            halted: false,
         }
+    }
+
+    /// Whether the queue's threads may drain `ep` now: not wedged, and
+    /// not halted. A frontend that moved `ep`'s `req_prod` more than a
+    /// ring ahead halts the queue here, before any request is read, the
+    /// way Linux's backends stop a queue ("Impossible number of
+    /// requests" in xen-netback, "Frontend provided bogus ring requests"
+    /// in xen-blkback): counted in `*halts` and traced as a
+    /// `ring_corrupt` [`EventKind::RingReject`] on ring `queue`/`qid`.
+    pub fn may_drain<Req: RingEntry, Rsp: RingEntry>(
+        &mut self,
+        hv: &mut Hypervisor,
+        back: DomainId,
+        ep: &BackEndpoint<Req, Rsp>,
+        queue: &'static str,
+        qid: usize,
+        halts: &mut u64,
+    ) -> Result<bool> {
+        if self.wedged || self.halted {
+            return Ok(false);
+        }
+        let page = hv.mem.page(ep.page)?;
+        if ep.ring.unconsumed_requests(page) > ep.ring.size() {
+            let id = sring::req_prod(page);
+            self.halted = true;
+            *halts += 1;
+            let reason = "ring_corrupt";
+            let qid = qid as u16;
+            hv.trace.emit_with(back.0, || EventKind::RingReject {
+                queue,
+                qid,
+                reason,
+                id,
+            });
+        }
+        Ok(!self.halted)
     }
 
     /// Closes the event channel.

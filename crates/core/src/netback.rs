@@ -105,6 +105,9 @@ counters! {
         /// Chain flags seen on a ring whose pair never negotiated
         /// `feature-gso-tcpv4`.
         gso_unnegotiated: "count",
+        /// Queues halted because the frontend moved a ring's request
+        /// producer index more than a ring ahead.
+        ring_corrupt: "count",
     }
     nested {
         /// Grant-copy hypercall accounting for the Tx/Rx drains.
@@ -359,7 +362,11 @@ impl NetbackInstance {
             frames,
             ..TxBatch::default()
         };
-        if self.queues[q].state.wedged {
+        let (qu, halts) = (&mut self.queues[q], &mut self.stats.ring_corrupt);
+        if !qu
+            .state
+            .may_drain(hv, self.back, &qu.tx, "netback_tx", q, halts)?
+        {
             return Ok(batch);
         }
         // Consumed slots in ring order (each owes one response) and the
@@ -676,8 +683,13 @@ impl NetbackInstance {
     ) -> Result<RxBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::NetbackRxDrain);
         let mut batch = RxBatch::default();
-        if self.queues[q].state.wedged {
-            batch.more = !self.queues[q].to_guest.is_empty();
+        let (qu, halts) = (&mut self.queues[q], &mut self.stats.ring_corrupt);
+        if !qu
+            .state
+            .may_drain(hv, self.back, &qu.rx, "netback_rx", q, halts)?
+        {
+            // A wedged queue's frames wait; a halted one's never go.
+            batch.more = qu.state.wedged && !qu.to_guest.is_empty();
             return Ok(batch);
         }
         // (response id, fragment length, response flags) per op, in
@@ -886,7 +898,7 @@ mod tests {
     use kite_frontends::Netfront;
     use kite_net::MacAddr;
     use kite_rumprun::kite_profile;
-    use kite_xen::ring::FrontRing;
+    use kite_xen::ring::{sring, FrontRing};
     use kite_xen::{DeviceKind, GrantRef, XenError};
 
     fn machine() -> (Hypervisor, DevicePaths) {
@@ -1053,11 +1065,12 @@ mod tests {
     // ---- adversarial chains: a hand-driven frontend ---------------------
 
     /// A bare Tx/Rx ring pair published like a netfront's, but driven by
-    /// hand so tests can publish malformed descriptor chains no real
-    /// frontend would.
+    /// hand so tests can publish malformed descriptor chains, or corrupt
+    /// either ring's producer index, as no real frontend would.
     struct RawFront {
         tx: FrontRing<NetifTxRequest, NetifTxResponse>,
         tx_page: PageId,
+        rx_page: PageId,
         grefs: Vec<GrantRef>,
     }
 
@@ -1101,8 +1114,7 @@ mod tests {
         let tx_page = hv.alloc_page(gu).unwrap();
         let rx_page = hv.alloc_page(gu).unwrap();
         let tx = FrontRing::init(hv.mem.page_mut(tx_page).unwrap());
-        let _rx: FrontRing<NetifRxRequest, NetifRxResponse> =
-            FrontRing::init(hv.mem.page_mut(rx_page).unwrap());
+        sring::init(hv.mem.page_mut(rx_page).unwrap());
         let tx_ref = hv.grant_access(gu, dd, tx_page, false).unwrap();
         let rx_ref = hv.grant_access(gu, dd, rx_page, false).unwrap();
         let (port, _) = hv.evtchn_alloc_unbound(gu, dd);
@@ -1122,7 +1134,13 @@ mod tests {
             grefs.push(hv.grant_access(gu, dd, p, true).unwrap());
         }
         let nb = NetbackInstance::connect(&mut hv, &paths, kite_profile()).unwrap();
-        (hv, paths, RawFront { tx, tx_page, grefs }, nb)
+        let rf = RawFront {
+            tx,
+            tx_page,
+            rx_page,
+            grefs,
+        };
+        (hv, paths, rf, nb)
     }
 
     fn data_slot(rf: &RawFront, id: u16, size: u16, flags: u16) -> NetifTxRequest {
@@ -1251,6 +1269,58 @@ mod tests {
             "every chain slot rejected"
         );
         assert_eq!(rsps[3].status, NETIF_RSP_OKAY);
+    }
+
+    /// A frontend that moves either ring's `req_prod` more than a ring
+    /// ahead halts the queue, as Linux's netback does: counted and traced
+    /// once, both threads report no more work, and the queue consumes
+    /// nothing then or later — a well-formed request published after the
+    /// halt included.
+    #[test]
+    fn a_request_producer_jump_halts_the_queue() {
+        for (ring, rx) in [("netback_tx", false), ("netback_rx", true)] {
+            let (mut hv, _, mut rf, mut nb) = raw_pair(true);
+            hv.trace.enable(64);
+            let page = if rx { rf.rx_page } else { rf.tx_page };
+            sring::set_req_prod(hv.mem.page_mut(page).unwrap(), 100_000);
+            assert!(nb.enqueue_to_guest(vec![7u8; 60]));
+            for round in 0..2 {
+                if round == 1 {
+                    rf.push(&mut hv, &data_slot(&rf, 0, 100, 0));
+                    rf.publish(&mut hv);
+                }
+                let tx = nb.pusher_run(&mut hv, 0, 128).unwrap();
+                assert!(tx.frames.is_empty() && !tx.more && !tx.notify, "{ring}");
+                let to_guest = nb.soft_start_run(&mut hv, 0, 64).unwrap();
+                let got = (to_guest.delivered, to_guest.more, to_guest.notify);
+                assert_eq!(got, (0, false, false), "{ring}");
+            }
+            let s = nb.stats();
+            assert_eq!((s.ring_corrupt, s.tx_packets, s.rx_packets), (1, 0, 0));
+            let rejects: Vec<_> = hv
+                .trace
+                .events()
+                .filter_map(|e| match e.kind {
+                    EventKind::RingReject {
+                        queue,
+                        qid,
+                        reason,
+                        id,
+                    } => Some((queue, qid, reason, id)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(rejects, [(ring, 0, "ring_corrupt", 100_000)]);
+            assert!(
+                rf.responses(&hv).is_empty(),
+                "{ring}: a request was answered"
+            );
+            assert_eq!(
+                nb.queue_progress(&hv)[0].0,
+                0,
+                "{ring}: a request was consumed"
+            );
+        }
     }
 
     #[test]

@@ -26,66 +26,15 @@ use kite_xen::netif::{
 };
 use kite_xen::xenbus::{negotiate_front, publish_queue, FrontEndpoint, RingKey, FEATURE_GSO_KEY};
 use kite_xen::{
-    DevicePaths, DomainId, EventKind, GrantRef, Hypervisor, PageId, Port, ReqId, ReqStage, Result,
-    SlotClass, XenError, XenbusState,
+    DevicePaths, DomainId, Hypervisor, Port, ReqId, ReqStage, Result, SlotClass, XenError,
+    XenbusState,
 };
+
+use crate::pool::GrantPool;
+use crate::{overrun, record_refusal, FrontOp, Refusal, RspRejects};
 
 /// Number of packet buffer pages in each direction's pool, per queue.
 const POOL: usize = 256;
-
-/// Why a backend-written response was refused.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Refusal {
-    /// The id is past the buffer pool.
-    BadId,
-    /// The id names a buffer the backend does not hold: one never
-    /// handed over, or one already returned.
-    UnknownId,
-    /// `offset + status` runs past the buffer's page.
-    BadRange,
-}
-
-impl Refusal {
-    fn name(self) -> &'static str {
-        match self {
-            Refusal::BadId => "bad_id",
-            Refusal::UnknownId => "unknown_id",
-            Refusal::BadRange => "bad_range",
-        }
-    }
-}
-
-struct BufPool {
-    pages: Vec<PageId>,
-    grefs: Vec<GrantRef>,
-    free: Vec<u16>,
-    /// Whether each buffer is with the backend: allocated and not yet
-    /// returned by a response (xen-netfront's `TX_PENDING` link).
-    out: [bool; POOL],
-}
-
-impl BufPool {
-    fn alloc_id(&mut self) -> Option<u16> {
-        let id = self.free.pop()?;
-        self.out[id as usize] = true;
-        Some(id)
-    }
-
-    /// Takes buffer `id` back from the backend in O(1). An id the backend
-    /// does not hold is refused and changes nothing, so no buffer is ever
-    /// on the free list twice.
-    fn release_id(&mut self, id: u16) -> std::result::Result<(), Refusal> {
-        match self.out.get_mut(id as usize) {
-            None => Err(Refusal::BadId),
-            Some(false) => Err(Refusal::UnknownId),
-            Some(out) => {
-                *out = false;
-                self.free.push(id);
-                Ok(())
-            }
-        }
-    }
-}
 
 /// What a Tx buffer carries while it is out: enough to rebuild its frame
 /// for [`Netfront::take_unacked`].
@@ -98,43 +47,6 @@ struct TxSlot {
     first: bool,
 }
 
-/// Backend-written responses netfront refused, by ring and cause. Each
-/// refusal also emits an [`EventKind::RingReject`] trace event; none
-/// changes a buffer pool or reaches the guest's stack.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RspRejects {
-    /// Tx responses naming an id past the buffer pool.
-    pub tx_bad_id: u64,
-    /// Tx responses naming a buffer with no request in flight: one never
-    /// sent, or one already answered.
-    pub tx_unknown_id: u64,
-    /// Rx responses naming an id past the buffer pool.
-    pub rx_bad_id: u64,
-    /// Rx responses naming a buffer that is not posted.
-    pub rx_unknown_id: u64,
-    /// Rx responses whose `offset + status` runs past their page.
-    pub rx_bad_range: u64,
-}
-
-impl RspRejects {
-    fn add(&mut self, other: &RspRejects) {
-        self.tx_bad_id += other.tx_bad_id;
-        self.tx_unknown_id += other.tx_unknown_id;
-        self.rx_bad_id += other.rx_bad_id;
-        self.rx_unknown_id += other.rx_unknown_id;
-        self.rx_bad_range += other.rx_bad_range;
-    }
-}
-
-/// Outcome of a frontend operation that may require notifying the backend.
-#[derive(Debug, Default)]
-pub struct FrontOp {
-    /// The backend must be notified via the event channel.
-    pub notify: bool,
-    /// Guest-side CPU cost of the operation.
-    pub cost: Nanos,
-}
-
 /// One queue's worth of frontend state: a Tx/Rx ring pair, its event
 /// channel, and the buffer pools feeding it.
 struct NfQueue {
@@ -143,10 +55,10 @@ struct NfQueue {
     evtchn: Port,
     tx: FrontEndpoint<NetifTxRequest, NetifTxResponse>,
     rx: FrontEndpoint<NetifRxRequest, NetifRxResponse>,
-    tx_pool: BufPool,
-    rx_pool: BufPool,
+    tx_pool: GrantPool,
+    rx_pool: GrantPool,
     // Per Tx buffer id, what the buffer out with the backend carries
-    // (`tx_pool.out` says which are out). What a crashed backend leaves
+    // (`tx_pool.is_out` says which are out). What a crashed backend leaves
     // unacknowledged; the sequence numbers restore send order and the
     // first-markers let recovery reassemble GSO chains into whole frames.
     tx_sent: [TxSlot; POOL],
@@ -156,30 +68,16 @@ struct NfQueue {
     // error poisons the chain and the whole partial frame is dropped.
     rx_partial: Vec<u8>,
     rx_poisoned: bool,
-    rejects: RspRejects,
+    /// A ring was corrupted: nothing on this queue is reaped, posted or
+    /// sent any more (xen-netfront's `info->broken`).
+    broken: bool,
 }
 
 impl NfQueue {
-    /// Counts and traces a refused response on the Tx (`rx == false`) or
-    /// Rx ring.
-    fn refuse(&mut self, hv: &mut Hypervisor, rx: bool, why: Refusal, id: u16) {
-        let r = &mut self.rejects;
-        let (queue, counter) = match (rx, why) {
-            (false, Refusal::BadId) => ("netfront_tx", &mut r.tx_bad_id),
-            // A Tx response carries no range to refuse.
-            (false, _) => ("netfront_tx", &mut r.tx_unknown_id),
-            (true, Refusal::BadId) => ("netfront_rx", &mut r.rx_bad_id),
-            (true, Refusal::UnknownId) => ("netfront_rx", &mut r.rx_unknown_id),
-            (true, Refusal::BadRange) => ("netfront_rx", &mut r.rx_bad_range),
-        };
-        *counter += 1;
-        let qid = self.qid;
-        hv.trace.emit_with(self.guest.0, || EventKind::RingReject {
-            queue,
-            qid,
-            reason: why.name(),
-            id: id.into(),
-        });
+    /// Books a refused response on the Tx (`rx == false`) or Rx ring.
+    fn refuse(&self, hv: &mut Hypervisor, rj: &mut RspRejects, rx: bool, why: Refusal, id: u64) {
+        let queue = if rx { "netfront_rx" } else { "netfront_tx" };
+        record_refusal(hv, self.guest, rj, queue, self.qid, why, id);
     }
 
     /// Reaps this queue's Tx completions (freeing buffers) and Rx
@@ -188,69 +86,66 @@ impl NfQueue {
     ///
     /// Every field the backend wrote is checked before it is used: a
     /// response naming a buffer the backend does not hold, or Rx bytes
-    /// past their page, is refused. A backend that moves `rsp_prod` more
-    /// than a ring ahead still fails the whole reap with
-    /// [`XenError::RingCorrupt`] (ROADMAP item 3).
-    fn reap(&mut self, hv: &mut Hypervisor, received: &mut VecDeque<Vec<u8>>) -> Result<Nanos> {
+    /// past their page, is refused into `rj`. A backend that moves
+    /// `rsp_prod` past the requests in flight breaks the queue.
+    fn reap(
+        &mut self,
+        hv: &mut Hypervisor,
+        received: &mut VecDeque<Vec<u8>>,
+        rj: &mut RspRejects,
+    ) -> Result<Nanos> {
         let mut cost = Nanos::ZERO;
+        if self.broken {
+            return Ok(cost);
+        }
+        let corrupt = match overrun(hv, &self.tx)? {
+            Some(prod) => Some((false, prod)),
+            None => overrun(hv, &self.rx)?.map(|prod| (true, prod)),
+        };
+        if let Some((rx, prod)) = corrupt {
+            self.broken = true;
+            self.refuse(hv, rj, rx, Refusal::RingCorrupt, prod);
+            return Ok(cost);
+        }
         // Tx completions.
-        loop {
-            let rsp = {
-                let page = hv.mem.page(self.tx.page)?;
-                self.tx.ring.consume_response(page)?
-            };
-            let Some(rsp) = rsp else { break };
+        while let Some(rsp) = self.tx.ring.consume_response(hv.mem.page(self.tx.page)?)? {
             if rsp.status == NETIF_RSP_NULL {
-                // Extra-info slot acknowledgment: its id field held
-                // the descriptor kind, not a pool id — nothing to
-                // release.
+                // Extra-info slot acknowledgment: its id field held the
+                // descriptor kind, not a pool id — nothing to release.
                 continue;
             }
-            match self.tx_pool.release_id(rsp.id) {
+            match self.tx_pool.release(rsp.id) {
                 Ok(()) => cost += Nanos::from_nanos(80),
-                Err(why) => self.refuse(hv, false, why, rsp.id),
+                Err(why) => self.refuse(hv, rj, false, why, rsp.id.into()),
             }
         }
-        {
-            let page = hv.mem.page_mut(self.tx.page)?;
-            self.tx.ring.final_check_for_responses(page);
-        }
+        let page = hv.mem.page_mut(self.tx.page)?;
+        self.tx.ring.final_check_for_responses(page);
         // Rx deliveries.
-        loop {
-            let rsp = {
-                let page = hv.mem.page(self.rx.page)?;
-                self.rx.ring.consume_response(page)?
-            };
-            let Some(rsp) = rsp else { break };
+        while let Some(rsp) = self.rx.ring.consume_response(hv.mem.page(self.rx.page)?)? {
             let more = rsp.flags & NETRXF_MORE_DATA != 0;
             let (off, len) = (rsp.offset as usize, rsp.status.max(0) as usize);
             // A posted buffer comes back whatever its response says.
-            let checked = self.rx_pool.release_id(rsp.id).and_then(|()| {
-                if off + len > kite_xen::PAGE_SIZE {
-                    Err(Refusal::BadRange)
-                } else {
-                    Ok(())
-                }
-            });
+            let checked = match self.rx_pool.release(rsp.id) {
+                Ok(()) if off + len > kite_xen::PAGE_SIZE => Err(Refusal::BadRange),
+                released => released,
+            };
             let deliver = match checked {
                 Ok(()) => len > 0,
                 Err(why) => {
-                    self.refuse(hv, true, why, rsp.id);
+                    self.refuse(hv, rj, true, why, rsp.id.into());
                     false
                 }
             };
             if deliver {
-                let buf = self.rx_pool.pages[rsp.id as usize];
+                let buf = self.rx_pool.page(rsp.id);
                 let data = &hv.mem.page(buf)?[off..off + len];
                 self.rx_partial.extend_from_slice(data);
                 // The backend validated the checksum for us when it
                 // set `NETRXF_DATA_VALIDATED`; the guest's software
                 // pass is skipped and the per-byte cost halves.
-                let per_byte = if rsp.flags & NETRXF_DATA_VALIDATED != 0 {
-                    32
-                } else {
-                    16
-                };
+                let validated = rsp.flags & NETRXF_DATA_VALIDATED != 0;
+                let per_byte = if validated { 32 } else { 16 };
                 cost += Nanos::from_nanos(120 + len as u64 / per_byte);
             } else {
                 // A failed or refused fragment poisons the chain it
@@ -267,10 +162,8 @@ impl NfQueue {
                 self.rx_poisoned = false;
             }
         }
-        {
-            let page = hv.mem.page_mut(self.rx.page)?;
-            self.rx.ring.final_check_for_responses(page);
-        }
+        let page = hv.mem.page_mut(self.rx.page)?;
+        self.rx.ring.final_check_for_responses(page);
         Ok(cost)
     }
 
@@ -278,23 +171,17 @@ impl NfQueue {
     /// notified.
     fn post_rx_buffers(&mut self, hv: &mut Hypervisor) -> Result<bool> {
         let mut posted = false;
-        while !self.rx.ring.full() {
-            let id = match self.rx_pool.alloc_id() {
-                Some(i) => i,
-                None => break,
+        while !self.broken && !self.rx.ring.full() {
+            let Some(id) = self.rx_pool.alloc() else {
+                break;
             };
-            let gref = self.rx_pool.grefs[id as usize];
-            let page = hv.mem.page_mut(self.rx.page)?;
+            let (gref, page) = (self.rx_pool.gref(id), hv.mem.page_mut(self.rx.page)?);
             self.rx
                 .ring
                 .push_request(page, &NetifRxRequest { id, gref })?;
             posted = true;
         }
-        if !posted {
-            return Ok(false);
-        }
-        let page = hv.mem.page_mut(self.rx.page)?;
-        Ok(self.rx.ring.push_requests(page))
+        Ok(posted && self.rx.ring.push_requests(hv.mem.page_mut(self.rx.page)?))
     }
 }
 
@@ -312,27 +199,7 @@ pub struct Netfront {
     received: VecDeque<Vec<u8>>,
     tx_ring_full: u64,
     gso: bool,
-}
-
-fn make_pool(
-    hv: &mut Hypervisor,
-    owner: DomainId,
-    peer: DomainId,
-    readonly: bool,
-) -> Result<BufPool> {
-    let mut pages = Vec::with_capacity(POOL);
-    let mut grefs = Vec::with_capacity(POOL);
-    for _ in 0..POOL {
-        let p = hv.alloc_page(owner)?;
-        pages.push(p);
-        grefs.push(hv.grant_access(owner, peer, p, readonly)?);
-    }
-    Ok(BufPool {
-        pages,
-        grefs,
-        free: (0..POOL as u16).rev().collect(),
-        out: [false; POOL],
-    })
+    rejects: RspRejects,
 }
 
 fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32, k: u32) -> Result<NfQueue> {
@@ -340,8 +207,8 @@ fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32, k: u32) ->
     let rx = FrontEndpoint::alloc(hv, paths, RingKey::Rx)?;
     // Tx payload pages are read-only to the backend; Rx pages must be
     // writable (the backend copies into them).
-    let tx_pool = make_pool(hv, paths.front, paths.back, true)?;
-    let rx_pool = make_pool(hv, paths.front, paths.back, false)?;
+    let tx_pool = GrantPool::new(hv, paths, POOL, true)?;
+    let rx_pool = GrantPool::new(hv, paths, POOL, false)?;
     let evtchn = publish_queue(hv, paths, nqueues, k, &[tx.ring_ref(), rx.ring_ref()])?;
     Ok(NfQueue {
         guest: paths.front,
@@ -355,7 +222,7 @@ fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32, k: u32) ->
         tx_seq: 0,
         rx_partial: Vec::new(),
         rx_poisoned: false,
-        rejects: RspRejects::default(),
+        broken: false,
     })
 }
 
@@ -387,15 +254,8 @@ impl Netfront {
         // backend that never advertised the key leaves both sides in the
         // single-slot protocol — no keys, no behavior change. Checksum
         // offload rides along with GSO.
-        let gso = hv
-            .store
-            .read(
-                guest,
-                None,
-                &format!("{}/{}", paths.backend(), FEATURE_GSO_KEY),
-            )
-            .map(|v| v == "1")
-            .unwrap_or(false);
+        let key = format!("{}/{FEATURE_GSO_KEY}", paths.backend());
+        let gso = hv.store.read(guest, None, &key).is_ok_and(|v| v == "1");
         if gso {
             hv.store
                 .write(guest, None, &format!("{fe}/{FEATURE_GSO_KEY}"), "1")?;
@@ -416,8 +276,11 @@ impl Netfront {
             received: VecDeque::new(),
             tx_ring_full: 0,
             gso,
+            rejects: RspRejects::default(),
         };
-        nf.post_rx_buffers(hv)?;
+        for qu in &mut nf.queues {
+            qu.post_rx_buffers(hv)?;
+        }
         Ok(nf)
     }
 
@@ -446,23 +309,12 @@ impl Netfront {
         self.queues[q].evtchn
     }
 
-    /// Posts every free Rx buffer on every queue. Returns the queues
-    /// whose backend end should be notified.
-    pub fn post_rx_buffers(&mut self, hv: &mut Hypervisor) -> Result<Vec<usize>> {
-        let mut notify = Vec::new();
-        for (q, qu) in self.queues.iter_mut().enumerate() {
-            if qu.post_rx_buffers(hv)? {
-                notify.push(q);
-            }
-        }
-        Ok(notify)
-    }
-
     /// Sends one frame on the queue its flow steers to. Returns the
     /// queue index (whose [`Netfront::port_of`] port the caller notifies
     /// when `FrontOp::notify` is set). Fails with [`XenError::RingFull`]
     /// when the steered queue has no Tx slot or buffer free (UDP
-    /// workloads count that as a drop).
+    /// workloads count that as a drop), and with
+    /// [`XenError::RingCorrupt`] when its backend broke the queue.
     ///
     /// With GSO negotiated a frame larger than one page becomes a
     /// descriptor chain: a head slot flagged `NETTXF_EXTRA_INFO |
@@ -491,7 +343,10 @@ impl Netfront {
         // Data slots plus, for a chain, the extra-info slot.
         let slots = if chained { nfrags + 1 } else { nfrags };
         let qu = &mut self.queues[q];
-        if (qu.tx.ring.free_requests() as usize) < slots || qu.tx_pool.free.len() < nfrags {
+        if qu.broken {
+            return Err(XenError::RingCorrupt);
+        }
+        if (qu.tx.ring.free_requests() as usize) < slots || qu.tx_pool.available() < nfrags {
             self.tx_ring_full += 1;
             return Err(XenError::RingFull);
         }
@@ -499,9 +354,9 @@ impl Netfront {
         let mut head_id = 0u16;
         let mut off = 0usize;
         for f in 0..nfrags {
-            let id = qu.tx_pool.alloc_id().expect("checked pool headroom");
+            let id = qu.tx_pool.alloc().expect("checked pool headroom");
             let len = (frame.len() - off).min(kite_xen::PAGE_SIZE);
-            let buf = qu.tx_pool.pages[id as usize];
+            let buf = qu.tx_pool.page(id);
             hv.mem.page_mut(buf)?[..len].copy_from_slice(&frame[off..off + len]);
             let mut flags = 0u16;
             if chained {
@@ -512,7 +367,7 @@ impl Netfront {
                 }
             }
             let req_tx = NetifTxRequest {
-                gref: qu.tx_pool.grefs[id as usize],
+                gref: qu.tx_pool.gref(id),
                 offset: 0,
                 flags,
                 id,
@@ -555,29 +410,25 @@ impl Netfront {
         // offload the guest skips the software csum pass, halving the
         // per-byte term.
         let per_byte = if self.gso { 32 } else { 16 };
-        Ok((
-            q,
-            FrontOp {
-                notify,
-                cost: Nanos::from_nanos(150 + frame.len() as u64 / per_byte),
-            },
-        ))
+        let cost = Nanos::from_nanos(150 + frame.len() as u64 / per_byte);
+        Ok((q, FrontOp { notify, cost }))
     }
 
     /// The guest's interrupt handler for a device whose queues share
-    /// one vector (and the whole of a one-queue device's): reaps Tx
-    /// completions and Rx deliveries on every queue, then reposts Rx
-    /// buffers. Returns the cost and the queues whose backend must be
-    /// notified (for reposted buffers).
+    /// one vector (and the whole of a one-queue device's): every queue's
+    /// [`Netfront::on_queue_irq`]. Returns the cost and the queues whose
+    /// backend must be notified (for reposted buffers).
     pub fn on_irq(&mut self, hv: &mut Hypervisor) -> Result<(FrontOp, Vec<usize>)> {
-        let mut cost = Nanos::ZERO;
-        for qu in &mut self.queues {
-            cost += qu.reap(hv, &mut self.received)?;
+        let (mut cost, mut notify) = (Nanos::ZERO, Vec::new());
+        for q in 0..self.queues.len() {
+            let op = self.on_queue_irq(hv, q)?;
+            cost += op.cost;
+            notify.extend(op.notify.then_some(q));
         }
-        let notify = self.post_rx_buffers(hv)?;
+        let notify_any = !notify.is_empty();
         Ok((
             FrontOp {
-                notify: !notify.is_empty(),
+                notify: notify_any,
                 cost,
             },
             notify,
@@ -591,7 +442,7 @@ impl Netfront {
     /// [`Netfront::port_of`]`(q)`.
     pub fn on_queue_irq(&mut self, hv: &mut Hypervisor, q: usize) -> Result<FrontOp> {
         let qu = &mut self.queues[q];
-        let cost = qu.reap(hv, &mut self.received)?;
+        let cost = qu.reap(hv, &mut self.received, &mut self.rejects)?;
         let notify = qu.post_rx_buffers(hv)?;
         Ok(FrontOp { notify, cost })
     }
@@ -613,13 +464,9 @@ impl Netfront {
         self.tx_ring_full
     }
 
-    /// Backend-written responses refused so far, summed over queues.
+    /// Backend-written responses refused so far, all queues.
     pub fn rejects(&self) -> RspRejects {
-        let mut sum = RspRejects::default();
-        for qu in &self.queues {
-            sum.add(&qu.rejects);
-        }
-        sum
+        self.rejects
     }
 
     /// Tx frames pushed to the rings but never acknowledged, queue by
@@ -633,7 +480,7 @@ impl Netfront {
         let mut out = Vec::new();
         for qu in &mut self.queues {
             let mut ids: Vec<u16> = (0..POOL as u16)
-                .filter(|&id| qu.tx_pool.out[id as usize])
+                .filter(|&id| qu.tx_pool.is_out(id))
                 .collect();
             ids.sort_unstable_by_key(|&id| qu.tx_sent[id as usize].seq);
             // First-markers delimit GSO chains: a head slot flushes the
@@ -644,13 +491,10 @@ impl Netfront {
                 if first && !partial.is_empty() {
                     out.push(std::mem::take(&mut partial));
                 }
-                let buf = qu.tx_pool.pages[id as usize];
-                if let Ok(page) = hv.mem.page(buf) {
+                if let Ok(page) = hv.mem.page(qu.tx_pool.page(id)) {
                     partial.extend_from_slice(&page[..len as usize]);
                 }
-                qu.tx_pool
-                    .release_id(id)
-                    .expect("the id was out a line ago");
+                qu.tx_pool.release(id).expect("the id was out a line ago");
             }
             if !partial.is_empty() {
                 out.push(partial);
@@ -658,42 +502,30 @@ impl Netfront {
         }
         out
     }
+
+    /// `(Tx, Rx)` buffers out with the backend, queue by queue, after
+    /// checking every pool is sound (each buffer free or out, once).
+    pub fn pools_lent(&self) -> Vec<(usize, usize)> {
+        let lent = |qu: &NfQueue| (qu.tx_pool.assert_sound(), qu.rx_pool.assert_sound());
+        self.queues.iter().map(lent).collect()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{machine, reject_events};
     use kite_xen::netif::{NETIF_RSP_ERROR, NETIF_RSP_OKAY};
+    use kite_xen::ring::sring;
     use kite_xen::xenbus::{attach_back, BackEndpoint};
-    use kite_xen::{DeviceKind, DomainKind, Perm};
+    use kite_xen::DeviceKind;
     use std::time::{Duration, Instant};
 
     /// A netfront connected on a freshly provisioned vif, the driver
     /// domain advertising GSO or not.
     fn connected(gso: bool) -> (Hypervisor, DevicePaths, Netfront) {
-        let mut hv = Hypervisor::new();
-        let d0 = DomainId::DOM0;
-        hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
-        let dd = hv.create_domain("backend", DomainKind::Driver, 1024, 1);
-        let gu = hv.create_domain("guest", DomainKind::Guest, 5120, 22);
-        let paths = DevicePaths::new(gu, dd, DeviceKind::Vif, 0);
-        let (fe, be) = (paths.frontend(), paths.backend());
-        hv.store
-            .write(d0, None, &format!("{fe}/backend"), &be)
-            .unwrap();
-        hv.store
-            .write(d0, None, &format!("{be}/frontend"), &fe)
-            .unwrap();
-        if gso {
-            hv.store
-                .write(d0, None, &format!("{be}/{FEATURE_GSO_KEY}"), "1")
-                .unwrap();
-        }
-        hv.switch_state(d0, &paths.frontend_state(), XenbusState::Initialising)
-            .unwrap();
-        hv.store.set_perm(d0, &fe, gu, Perm::ReadWrite).unwrap();
-        hv.store.set_perm(d0, &fe, dd, Perm::Read).unwrap();
-        hv.store.set_perm(d0, &be, gu, Perm::Read).unwrap();
+        let keys: &[_] = if gso { &[(FEATURE_GSO_KEY, "1")] } else { &[] };
+        let (mut hv, paths) = machine(DeviceKind::Vif, keys);
         let nf = Netfront::connect(&mut hv, &paths, MacAddr::local(1)).unwrap();
         (hv, paths, nf)
     }
@@ -791,31 +623,6 @@ mod tests {
         (0..len).map(|i| (i * 7 + n * 13) as u8).collect()
     }
 
-    /// Every buffer id is either free or out with the backend, once.
-    fn assert_pool_sound(pool: &BufPool) {
-        let mut free = [false; POOL];
-        for &id in &pool.free {
-            assert!(!free[id as usize], "id {id} is on the free list twice");
-            free[id as usize] = true;
-        }
-        for (id, (&free, &out)) in free.iter().zip(&pool.out).enumerate() {
-            assert!(free != out, "id {id}: free {free}, out {out}");
-        }
-    }
-
-    /// `(queue, reason, id)` of each `RingReject` the tracer holds.
-    fn reject_events(hv: &Hypervisor) -> Vec<(&'static str, &'static str, u32)> {
-        hv.trace
-            .events()
-            .filter_map(|e| match e.kind {
-                EventKind::RingReject {
-                    queue, reason, id, ..
-                } => Some((queue, reason, id)),
-                _ => None,
-            })
-            .collect()
-    }
-
     #[test]
     fn hostile_tx_responses_are_refused_and_counted() {
         let (mut hv, paths, mut nf) = connected(false);
@@ -840,20 +647,20 @@ mod tests {
         );
         nf.on_queue_irq(&mut hv, 0).unwrap();
         let want = RspRejects {
-            tx_bad_id: 1,
-            tx_unknown_id: 2,
+            bad_id: 1,
+            unknown_id: 2,
             ..RspRejects::default()
         };
         assert_eq!(nf.rejects(), want);
         assert_eq!(
             reject_events(&hv),
             [
-                ("netfront_tx", "unknown_id", 7),
-                ("netfront_tx", "unknown_id", 0),
-                ("netfront_tx", "bad_id", past.into()),
+                ("netfront_tx", 0, "unknown_id", 7),
+                ("netfront_tx", 0, "unknown_id", 0),
+                ("netfront_tx", 0, "bad_id", past.into()),
             ]
         );
-        assert_pool_sound(&nf.queues[0].tx_pool);
+        nf.queues[0].tx_pool.assert_sound();
 
         // Ids 3, 4 and 5 are still out, so exactly the other 253 buffers
         // take new frames, each on its own page with its own bytes; the
@@ -908,24 +715,24 @@ mod tests {
         nf.on_queue_irq(&mut hv, 0).unwrap();
 
         let want = RspRejects {
-            rx_bad_id: 2,
-            rx_unknown_id: 1,
-            rx_bad_range: 1,
+            bad_id: 2,
+            unknown_id: 1,
+            bad_range: 1,
             ..RspRejects::default()
         };
         assert_eq!(nf.rejects(), want);
         assert_eq!(
             reject_events(&hv),
             [
-                ("netfront_rx", "bad_id", POOL as u32 + 144),
-                ("netfront_rx", "bad_range", posted[0].id.into()),
-                ("netfront_rx", "unknown_id", posted[1].id.into()),
-                ("netfront_rx", "bad_id", 999),
+                ("netfront_rx", 0, "bad_id", POOL as u32 + 144),
+                ("netfront_rx", 0, "bad_range", posted[0].id.into()),
+                ("netfront_rx", 0, "unknown_id", posted[1].id.into()),
+                ("netfront_rx", 0, "bad_id", 999),
             ]
         );
         let got: Vec<Vec<u8>> = std::iter::from_fn(|| nf.recv()).collect();
         assert_eq!(got, [a, b, c]);
-        assert_pool_sound(&nf.queues[0].rx_pool);
+        nf.queues[0].rx_pool.assert_sound();
 
         // The six buffers that came back are posted again, once each, and
         // carry the next delivery intact.
@@ -939,6 +746,44 @@ mod tests {
         be.answer_rx(&mut hv, &[rsp]);
         nf.on_queue_irq(&mut hv, 0).unwrap();
         assert_eq!(nf.recv(), Some(d));
+    }
+
+    /// A backend that moves either ring's `rsp_prod` past the requests in
+    /// flight (here, far past a whole ring) breaks the queue: refused,
+    /// counted and traced once, and from then on nothing on the queue is
+    /// reaped, reposted or sent.
+    #[test]
+    fn a_response_producer_jump_breaks_the_queue() {
+        for (ring, rx) in [("netfront_tx", false), ("netfront_rx", true)] {
+            let (mut hv, paths, mut nf) = connected(false);
+            hv.trace.enable(64);
+            let mut be = RawBack::attach(&mut hv, &paths);
+            nf.send(&mut hv, &payload(0, 100), None).unwrap();
+            let sent = be.tx_requests(&hv);
+            let posted = be.rx_requests(&hv);
+            // A valid answer on each ring, then the jump on one of them.
+            be.answer_tx(&mut hv, &[(sent[0].id, NETIF_RSP_OKAY)]);
+            let delivery = be.fill(&mut hv, &posted[0], &payload(1, 64), 0);
+            be.answer_rx(&mut hv, &[delivery]);
+            let page = if rx { be.rx.page } else { be.tx.page };
+            sring::set_rsp_prod(hv.mem.page_mut(page).unwrap(), 100_000);
+            for _ in 0..2 {
+                let op = nf.on_queue_irq(&mut hv, 0).unwrap();
+                assert_eq!((op.notify, op.cost), (false, Nanos::ZERO), "{ring}");
+            }
+            let want = RspRejects {
+                ring_corrupt: 1,
+                ..RspRejects::default()
+            };
+            assert_eq!(nf.rejects(), want, "{ring}");
+            assert_eq!(reject_events(&hv), [(ring, 0, "ring_corrupt", 100_000)]);
+            assert_eq!(nf.recv(), None, "{ring}: a delivery was reaped");
+            let refused = nf.send(&mut hv, &payload(2, 100), None).err();
+            assert_eq!(refused, Some(XenError::RingCorrupt), "{ring}");
+            assert!(be.tx_requests(&hv).is_empty(), "{ring}: a send went out");
+            // Neither valid answer was taken: both buffers are still out.
+            assert_eq!(nf.pools_lent(), [(1, POOL)], "{ring}");
+        }
     }
 
     /// Salvage order with the backend having answered some frames in
@@ -997,8 +842,7 @@ mod tests {
         ];
         assert_eq!(nf.take_unacked(&hv), want);
         assert!(nf.take_unacked(&hv).is_empty());
-        assert_pool_sound(&nf.queues[0].tx_pool);
-        assert_eq!(nf.queues[0].tx_pool.free.len(), POOL);
+        assert_eq!(nf.pools_lent(), [(0, POOL)]);
     }
 
     /// Per Tx response, `on_queue_irq` with ~240 frames in flight costs

@@ -961,3 +961,19 @@ impl<D: Datapath> Host<D> {
         TopSnapshot { at, rows }
     }
 }
+
+#[cfg(test)]
+impl<D: Datapath> Host<D> {
+    /// Moves the request producer index of the guest's single-queue ring
+    /// `key` (a `*ring-ref` key) more than a ring ahead, as a hostile
+    /// guest could; the backend meets it at its next drain.
+    pub(crate) fn corrupt_req_prod(&mut self, key: &str) {
+        let path = format!("{}/{key}", self.paths.frontend());
+        let gref = self.hv.store.read(DomainId::DOM0, None, &path).unwrap();
+        let gref = kite_xen::GrantRef(gref.parse().unwrap());
+        let (m, _) = self.hv.map_grant(self.driver, self.guest, gref).unwrap();
+        let page = self.hv.mem.page_mut(m.page).unwrap();
+        kite_xen::ring::sring::set_req_prod(page, 100_000);
+        self.hv.unmap_grant(self.driver, m.handle).unwrap();
+    }
+}

@@ -584,7 +584,9 @@ impl Host<NetPath> {
                     }
                     cost += op.cost;
                 }
-                Err(_) => break, // ring full; retried on Tx completion
+                // Ring full, retried on Tx completion; or the queue's
+                // backend broke it, and the frame stays parked.
+                Err(_) => break,
             }
         }
         if cost > Nanos::ZERO {
@@ -978,10 +980,9 @@ impl Host<NetPath> {
             return; // stale interrupt for a retired device
         };
         let (wake, t) = self.guest_irq(now);
-        // Netfront refuses a bad id or range in a response on its own;
-        // the error left is `RingCorrupt`, a backend moving `rsp_prod`
-        // more than a ring ahead, which still ends the run (ROADMAP
-        // item 3).
+        // Netfront refuses whatever a backend should not have written,
+        // a corrupt `rsp_prod` included, so the handler fails only on a
+        // guest page that does not exist.
         let op = self
             .dp
             .netfront
@@ -1101,5 +1102,48 @@ mod tests {
         nat.use_nat();
         let phys = nat.dp.if_port;
         forward(&mut nat, phys);
+    }
+
+    /// A guest that moves a ring's `req_prod` more than a ring ahead halts
+    /// that netback queue, Tx and Rx alike: the run reaches quiescence
+    /// without a panic, the halt counted once, and nothing crosses the
+    /// halted queue again.
+    #[test]
+    fn a_guest_producer_jump_halts_the_queue_and_the_run_quiesces() {
+        let t = Nanos::from_micros(10);
+        for (key, from) in [("tx-ring-ref", Side::Guest), ("rx-ring-ref", Side::Client)] {
+            let mut sys = SystemConfig::new(BackendOs::Kite, 1).build_net();
+            let send = |sys: &mut NetSystem, at| match from {
+                Side::Guest => sys.send_udp_at(at, from, addrs::CLIENT, 9999, 1234, vec![1; 64]),
+                Side::Client => sys.send_udp_at(at, from, addrs::GUEST, 1234, 9999, vec![1; 64]),
+            };
+            send(&mut sys, t);
+            // The guest's send published its request and kicked; the
+            // backend drains after this instant.
+            sys.run_until(t);
+            sys.corrupt_req_prod(key);
+            send(&mut sys, t * 2);
+            sys.run_to_quiescence();
+            assert_eq!(sys.netback_stats().ring_corrupt, 1, "{key}");
+            let m = &sys.dp.metrics;
+            assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (0, 0), "{key}");
+        }
+    }
+
+    /// At quiescence after traffic both ways on four queues, GSO chains
+    /// included, every netfront pool is sound: no Tx buffer is still out,
+    /// and every Rx buffer is posted again (pool and ring both hold 256).
+    #[test]
+    fn four_queue_run_leaves_only_the_posted_rx_buffers_lent() {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 7).queues(4).build_net();
+        let gap = Nanos::from_micros(50);
+        crate::scenario::flow_burst(&mut sys, Side::Guest, 256, 9000, gap);
+        crate::scenario::flow_burst(&mut sys, Side::Client, 256, 1400, gap);
+        sys.run_to_quiescence();
+        let m = &sys.dp.metrics;
+        assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (256, 256));
+        let nf = sys.dp.netfront.as_ref().expect("connected");
+        assert_eq!(nf.pools_lent(), [(0, 256); 4]);
+        assert_eq!(nf.rejects(), kite_frontends::RspRejects::default());
     }
 }

@@ -471,7 +471,10 @@ impl Host<BlkPath> {
                     self.dp.req_map.insert(id, c);
                     cost += fo.cost;
                 }
-                Err(XenError::RingFull) => break,
+                // A full ring frees up on completion; a device its backend
+                // broke never does, and its chunks stay parked as in an
+                // outage.
+                Err(XenError::RingFull | XenError::RingCorrupt) => break,
                 Err(e) => panic!("unexpected submit error: {e}"),
             }
         }
@@ -650,5 +653,63 @@ impl Host<BlkPath> {
         }
         finished.clear();
         self.dp.finished = finished;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::{interleaved_streams, FILL};
+    use crate::BackendOs;
+
+    fn write(tag: u64, sector: u64) -> IoOp {
+        let data = vec![FILL; 4096];
+        IoOp {
+            tag,
+            kind: IoKind::Write { sector, data },
+        }
+    }
+
+    /// A guest that moves its ring's `req_prod` more than a ring ahead
+    /// halts that blkback ring: the run reaches quiescence without a
+    /// panic, the halt counted once, and no request on it is consumed.
+    #[test]
+    fn a_guest_producer_jump_halts_the_ring_and_the_run_quiesces() {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 1).build_stor();
+        let t = Nanos::from_micros(10);
+        sys.submit_at(t, write(0, 0));
+        // The write is published and the backend kicked; it drains after
+        // this instant.
+        sys.run_until(t);
+        sys.corrupt_req_prod("ring-ref");
+        sys.submit_at(t * 2, write(1, 8));
+        sys.run_to_quiescence();
+        let s = sys.blkback_stats();
+        assert_eq!((s.ring_corrupt, s.requests), (1, 0));
+        assert_eq!((sys.metrics.ios, sys.outstanding()), (0, 2));
+    }
+
+    /// At quiescence after 128 KiB writes, their read-back and a flush
+    /// over four rings, both blkfront pools are sound with nothing out.
+    #[test]
+    fn four_ring_run_returns_every_page_to_the_pools() {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 7).queues(4).build_stor();
+        interleaved_streams(&mut sys, 4, 8, 128 * 1024, Nanos::from_micros(2));
+        let later = Nanos::from_millis(100);
+        for i in 0..8 {
+            let kind = IoKind::Read {
+                sector: i * 256,
+                len: 128 * 1024,
+            };
+            sys.submit_at(later + Nanos::from_micros(i), IoOp { tag: i, kind });
+        }
+        let kind = IoKind::Flush;
+        sys.submit_at(later * 2, IoOp { tag: 8, kind });
+        sys.run_to_quiescence();
+        assert_eq!((sys.metrics.ios, sys.outstanding()), (32 + 8 + 1, 0));
+        assert_eq!(sys.metrics.read_bytes, 8 * 128 * 1024);
+        let bf = sys.dp.blkfront.as_ref().expect("connected");
+        assert_eq!(bf.pools_lent(), (0, 0));
+        assert_eq!(bf.rejects(), kite_frontends::RspRejects::default());
     }
 }

@@ -53,8 +53,13 @@ const OBSERVED: &[(&str, &str)] = &[
     ("members", "netapp's hotplug tests read bridge membership"),
     (
         "rejects",
-        "hostile-backend tests read netfront's refusal counters; no \
-         shipped backend writes a response netfront refuses",
+        "hostile-backend tests read netfront's and blkfront's refusal \
+         counters; no shipped backend writes a response either refuses",
+    ),
+    (
+        "pools_lent",
+        "pool-soundness tests audit netfront's and blkfront's grant pools \
+         at quiescence",
     ),
     // reference implementations
     (
