@@ -169,11 +169,6 @@ impl<D: BackendDevice> DeviceLifecycle<D> {
         }
     }
 
-    /// The device pair this slot serves.
-    pub fn paths(&self) -> &DevicePaths {
-        &self.paths
-    }
-
     /// Points the slot at a new device pair — the driver-domain restart
     /// case, where the replacement backend has a fresh domain id. Only
     /// legal while disconnected.
@@ -455,7 +450,7 @@ mod tests {
         // Retarget is now legal.
         let p2 = DevicePaths::new(gu, DomainId(9), DeviceKind::Vif, 0);
         lc.retarget(&mut hv, p2.clone()).unwrap();
-        assert_eq!(lc.paths(), &p2);
+        assert_eq!(lc.paths, p2);
     }
 
     #[test]

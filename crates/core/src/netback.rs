@@ -174,6 +174,9 @@ struct TxChain {
     ok: bool,
 }
 
+/// Per-queue cap for world → guest frames awaiting Rx slots.
+const RX_QUEUE_CAP: usize = 512;
+
 /// One netback instance (one per connected netfront).
 pub struct NetbackInstance {
     /// Driver domain running this backend.
@@ -186,8 +189,6 @@ pub struct NetbackInstance {
     pub vif: String,
     queues: Vec<NbQueue>,
     copy_mode: CopyMode,
-    /// Per-queue cap for world → guest frames awaiting Rx slots.
-    pub rx_queue_cap: usize,
     profile: OsProfile,
     gso: bool,
     stats: NetbackStats,
@@ -250,7 +251,6 @@ impl NetbackInstance {
             vif: format!("vif{}.{}", front.0, paths.index),
             queues,
             copy_mode: CopyMode::Batched,
-            rx_queue_cap: 512,
             profile,
             gso,
             stats: NetbackStats::default(),
@@ -643,7 +643,7 @@ impl NetbackInstance {
     pub fn steer_to_guest(&mut self, frame: Vec<u8>) -> Option<usize> {
         let q = kite_net::flow::steer(&frame, self.queues.len() as u32) as usize;
         let qu = &mut self.queues[q];
-        if qu.to_guest.len() >= self.rx_queue_cap {
+        if qu.to_guest.len() >= RX_QUEUE_CAP {
             self.stats.rx_dropped += 1;
             return None;
         }

@@ -186,7 +186,6 @@ pub struct Nic {
     /// Receive ring capacity in frames (per ring).
     pub rx_queue_frames: usize,
     rings: Vec<RxRingState>,
-    rx_frames: u64,
     rx_dropped: u64,
 }
 
@@ -208,14 +207,8 @@ impl Nic {
             irq_coalesce: profile.irq_coalesce,
             rx_queue_frames: profile.rx_queue_frames,
             rings: vec![RxRingState::default(); profile.rx_queues.max(1) as usize],
-            rx_frames: 0,
             rx_dropped: 0,
         }
-    }
-
-    /// Transmits a frame at `now`; returns wire departure/arrival or drop.
-    pub fn transmit(&mut self, now: Nanos, wire_bytes: u64) -> TxOutcome {
-        self.transmit_segs(now, wire_bytes, 1)
     }
 
     /// Transmits a (possibly TSO-segmented) frame: one per-frame
@@ -236,7 +229,6 @@ impl Nic {
             self.rx_dropped += 1;
             return RxIrq::Dropped;
         }
-        self.rx_frames += 1;
         ring.frames.push_back(frame);
         if ring.irq_pending {
             return RxIrq::AlreadyPending;
@@ -265,11 +257,6 @@ impl Nic {
     /// sleeping).
     pub fn rx_backlog(&self) -> usize {
         self.rings.iter().map(|r| r.frames.len()).sum()
-    }
-
-    /// Received frame count.
-    pub fn rx_frames(&self) -> u64 {
-        self.rx_frames
     }
 
     /// Frames dropped by receive-queue overflow.
@@ -304,7 +291,7 @@ mod tests {
     #[test]
     fn transmit_adds_overhead_then_serializes() {
         let mut nic = Nic::ten_gbe();
-        match nic.transmit(Nanos::ZERO, 1538) {
+        match nic.transmit_segs(Nanos::ZERO, 1538, 1) {
             TxOutcome::Sent { departs, .. } => {
                 // 250ns overhead + 1538B at 10Gbps = 1230.4ns.
                 assert_eq!(departs.as_nanos(), 250 + 1230);
@@ -316,7 +303,7 @@ mod tests {
     #[test]
     fn line_rate_profiles_scale_serialization() {
         let mut nic25 = Nic::with_profile(NicProfile::default().with_line_rate(LineRate::Gbe25));
-        match nic25.transmit(Nanos::ZERO, 1538) {
+        match nic25.transmit_segs(Nanos::ZERO, 1538, 1) {
             TxOutcome::Sent { departs, .. } => {
                 // 250ns overhead + 1538B at 25Gbps = 492.1ns.
                 assert_eq!(departs.as_nanos(), 250 + 492);
@@ -340,10 +327,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        // The default profile charges nothing per segment, so
-        // `transmit` and `transmit_segs` agree.
+        // The default profile charges nothing per segment, so a
+        // 16-segment super-frame departs like one frame of its bytes.
         let mut plain = Nic::ten_gbe();
-        let a = plain.transmit(Nanos::ZERO, 1538);
+        let a = plain.transmit_segs(Nanos::ZERO, 1538, 1);
         let mut plain2 = Nic::ten_gbe();
         let b = plain2.transmit_segs(Nanos::ZERO, 1538, 16);
         assert_eq!(a, b);
@@ -378,7 +365,7 @@ mod tests {
         assert_eq!(nic.rx_enqueue(Nanos::ZERO, vec![2]), RxIrq::AlreadyPending);
         assert_eq!(nic.rx_enqueue(Nanos::ZERO, vec![3]), RxIrq::Dropped);
         assert_eq!(nic.rx_dropped(), 1);
-        assert_eq!(nic.rx_frames(), 2);
+        assert_eq!(nic.rx_backlog(), 2);
     }
 
     #[test]
@@ -416,8 +403,7 @@ mod tests {
         nic.reset();
         assert_eq!(nic.model(), "Intel 82599ES");
         assert_eq!(nic.rx_backlog(), 0);
-        // Lifetime counters survive; the two queued frames count as drops.
-        assert_eq!(nic.rx_frames(), 2);
+        // The two queued frames count as drops.
         assert_eq!(nic.rx_dropped(), 2);
         // Interrupt state is clean: the next frame fires immediately.
         let t1 = Nanos::from_micros(101);
@@ -504,8 +490,7 @@ mod tests {
         nic.rx_enqueue(t0, fa);
         nic.rx_enqueue(t0, fb.clone());
         nic.reset();
-        assert_eq!((nic.rx_backlog(), nic.rx_frames()), (0, 3));
-        assert_eq!(nic.rx_dropped(), 3);
+        assert_eq!((nic.rx_backlog(), nic.rx_dropped()), (0, 3));
         // Every ring's interrupt state is clean again.
         let t1 = Nanos::from_micros(101);
         assert_eq!(nic.rx_enqueue(t1, fb), fire(t1, rb));

@@ -43,16 +43,6 @@ impl HeartbeatPublisher {
         HeartbeatPublisher { dom, beat: 0 }
     }
 
-    /// The publishing domain.
-    pub fn dom(&self) -> DomainId {
-        self.dom
-    }
-
-    /// The last beat value published (0 before the first beat).
-    pub fn last_beat(&self) -> u64 {
-        self.beat
-    }
-
     /// Publishes the next beat, returning its value. Errors (a dead
     /// domain, an injected xenstore fault) leave the counter advanced —
     /// a lost beat is lost, not retried with the same value.
@@ -78,7 +68,8 @@ mod tests {
         hv.create_domain("Domain-0", DomainKind::Dom0, 512, 1);
         let dd = hv.create_domain("dd", DomainKind::Driver, 128, 1);
         let mut p = HeartbeatPublisher::new(dd);
-        assert_eq!(p.last_beat(), 0);
+        // Nothing is published before the first beat.
+        assert!(hv.xs_read(DomainId::DOM0, &key(dd)).0.is_err());
         assert_eq!(p.beat(&mut hv).unwrap(), 1);
         assert_eq!(p.beat(&mut hv).unwrap(), 2);
         let (v, _) = hv.xs_read(DomainId::DOM0, &key(dd));

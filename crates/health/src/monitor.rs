@@ -208,23 +208,6 @@ impl HealthMonitor {
         self.transition(hv, HealthState::Healthy, "recovered");
     }
 
-    /// Runs one probe at virtual time `now` with a single aggregate ring
-    /// sample (or none). Equivalent to [`HealthMonitor::probe_queues`]
-    /// with a 0- or 1-element sample vector — single-queue backends and
-    /// callers without per-queue visibility use this.
-    pub fn probe(
-        &mut self,
-        hv: &mut Hypervisor,
-        now: Nanos,
-        progress: Option<ProgressSample>,
-        slo_ok: bool,
-    ) -> HealthState {
-        match progress {
-            Some(p) => self.probe_queues(hv, now, &[p], slo_ok),
-            None => self.probe_queues(hv, now, &[], slo_ok),
-        }
-    }
-
     /// Runs one probe at virtual time `now`: reads the heartbeat key as
     /// the watcher, folds in one ring-progress sample *per backend
     /// queue* and the SLO verdict, and returns the new state.
@@ -338,7 +321,7 @@ mod tests {
         let (mut hv, _dd, mut mon, mut hb) = setup();
         for i in 1..=10u64 {
             hb.beat(&mut hv).unwrap();
-            let s = mon.probe(&mut hv, Nanos::from_millis(500 * i), None, true);
+            let s = mon.probe_queues(&mut hv, Nanos::from_millis(500 * i), &[], true);
             assert_eq!(s, HealthState::Healthy);
         }
         assert_eq!(mon.heartbeat_age(Nanos::from_millis(5_000)), Nanos::ZERO);
@@ -349,26 +332,26 @@ mod tests {
         let (mut hv, dd, mut mon, mut hb) = setup();
         hb.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(500), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_millis(500), &[], true),
             HealthState::Healthy
         );
         hv.destroy_domain(dd).unwrap();
         // Beat frozen: presence is not liveness.
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_secs(1), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_secs(1), &[], true),
             HealthState::Suspect { missed: 1 }
         );
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(1_500), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_millis(1_500), &[], true),
             HealthState::Suspect { missed: 2 }
         );
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_secs(2), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_secs(2), &[], true),
             HealthState::Failed
         );
         // The verdict is sticky until retarget.
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(2_500), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_millis(2_500), &[], true),
             HealthState::Failed
         );
         assert!(mon.heartbeat_age(Nanos::from_secs(2)) >= Nanos::from_millis(1_500));
@@ -378,9 +361,9 @@ mod tests {
     fn missing_key_counts_as_missed() {
         let (mut hv, _dd, mut mon, _hb) = setup();
         // No beat ever published: three probes reach Failed.
-        mon.probe(&mut hv, Nanos::from_millis(500), None, true);
-        mon.probe(&mut hv, Nanos::from_secs(1), None, true);
-        let s = mon.probe(&mut hv, Nanos::from_millis(1_500), None, true);
+        mon.probe_queues(&mut hv, Nanos::from_millis(500), &[], true);
+        mon.probe_queues(&mut hv, Nanos::from_secs(1), &[], true);
+        let s = mon.probe_queues(&mut hv, Nanos::from_millis(1_500), &[], true);
         assert_eq!(s, HealthState::Failed);
     }
 
@@ -388,28 +371,28 @@ mod tests {
     fn stall_with_pending_requests_fails_after_n_probes() {
         let (mut hv, _dd, mut mon, mut hb) = setup();
         let sample = |c, p| {
-            Some(ProgressSample {
+            [ProgressSample {
                 consumed: c,
                 pending: p,
-            })
+            }]
         };
         // Beating but frozen consumer with pending work: the livelock.
         hb.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(500), sample(7, 3), true),
+            mon.probe_queues(&mut hv, Nanos::from_millis(500), &sample(7, 3), true),
             HealthState::Healthy,
             "first sample is baseline"
         );
         hb.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_secs(1), sample(7, 4), true),
+            mon.probe_queues(&mut hv, Nanos::from_secs(1), &sample(7, 4), true),
             HealthState::Suspect { missed: 0 }
         );
         hb.beat(&mut hv).unwrap();
-        mon.probe(&mut hv, Nanos::from_millis(1_500), sample(7, 5), true);
+        mon.probe_queues(&mut hv, Nanos::from_millis(1_500), &sample(7, 5), true);
         hb.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_secs(2), sample(7, 6), true),
+            mon.probe_queues(&mut hv, Nanos::from_secs(2), &sample(7, 6), true),
             HealthState::Failed
         );
     }
@@ -470,13 +453,13 @@ mod tests {
         for i in 1..=8u64 {
             hb.beat(&mut hv).unwrap();
             // Consumer frozen but nothing pending: just idle.
-            let s = mon.probe(
+            let s = mon.probe_queues(
                 &mut hv,
                 Nanos::from_millis(500 * i),
-                Some(ProgressSample {
+                &[ProgressSample {
                     consumed: 42,
                     pending: 0,
-                }),
+                }],
                 true,
             );
             assert_eq!(s, HealthState::Healthy);
@@ -490,13 +473,13 @@ mod tests {
         let mut probe = |hv: &mut Hypervisor, hb: &mut HeartbeatPublisher, c, p| {
             t += Nanos::from_millis(500);
             hb.beat(hv).unwrap();
-            mon.probe(
+            mon.probe_queues(
                 hv,
                 t,
-                Some(ProgressSample {
+                &[ProgressSample {
                     consumed: c,
                     pending: p,
-                }),
+                }],
                 true,
             )
         };
@@ -514,17 +497,17 @@ mod tests {
         let (mut hv, _dd, mut mon, mut hb) = setup();
         hb.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(500), None, false),
+            mon.probe_queues(&mut hv, Nanos::from_millis(500), &[], false),
             HealthState::Suspect { missed: 0 }
         );
         for i in 2..=20u64 {
             hb.beat(&mut hv).unwrap();
-            let s = mon.probe(&mut hv, Nanos::from_millis(500 * i), None, false);
+            let s = mon.probe_queues(&mut hv, Nanos::from_millis(500 * i), &[], false);
             assert_eq!(s, HealthState::Suspect { missed: 0 }, "never escalates");
         }
         hb.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(10_500), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_millis(10_500), &[], true),
             HealthState::Healthy
         );
     }
@@ -534,7 +517,7 @@ mod tests {
         let (mut hv, dd, mut mon, _hb) = setup();
         hv.destroy_domain(dd).unwrap();
         for i in 1..=3u64 {
-            mon.probe(&mut hv, Nanos::from_millis(500 * i), None, true);
+            mon.probe_queues(&mut hv, Nanos::from_millis(500 * i), &[], true);
         }
         assert!(mon.state().is_failed());
         let dd2 = hv.create_domain("dd2", DomainKind::Driver, 128, 1);
@@ -544,7 +527,7 @@ mod tests {
         let mut hb2 = HeartbeatPublisher::new(dd2);
         hb2.beat(&mut hv).unwrap();
         assert_eq!(
-            mon.probe(&mut hv, Nanos::from_millis(9_500), None, true),
+            mon.probe_queues(&mut hv, Nanos::from_millis(9_500), &[], true),
             HealthState::Healthy
         );
     }
@@ -554,10 +537,10 @@ mod tests {
         let (mut hv, dd, mut mon, mut hb) = setup();
         hv.trace.enable(1 << 10);
         hb.beat(&mut hv).unwrap();
-        mon.probe(&mut hv, Nanos::from_millis(500), None, true);
+        mon.probe_queues(&mut hv, Nanos::from_millis(500), &[], true);
         hv.destroy_domain(dd).unwrap();
         for i in 2..=5u64 {
-            mon.probe(&mut hv, Nanos::from_millis(500 * i), None, true);
+            mon.probe_queues(&mut hv, Nanos::from_millis(500 * i), &[], true);
         }
         // healthy→suspect(1), suspect(1)→suspect(2), suspect(2)→failed.
         let q = hv.trace.query();

@@ -42,26 +42,6 @@ pub fn ubuntu_image_bytes() -> u64 {
     ubuntu_image_parts().iter().map(|p| p.size_bytes).sum()
 }
 
-/// The userspace environment a Linux driver domain additionally carries —
-/// excluded from Figure 4b but central to the CVE analysis: each of these
-/// is attack surface a Kite VM simply does not have.
-pub fn ubuntu_userspace_components() -> Vec<&'static str> {
-    vec![
-        "systemd",
-        "udevd",
-        "dbus-daemon",
-        "bash",
-        "python3 (xen-utils dependency)",
-        "libxl / xl toolstack",
-        "xl devd (backend daemon)",
-        "network bridge scripts",
-        "openssh-server",
-        "glibc",
-        "apt/dpkg",
-        "cron",
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,13 +65,5 @@ mod tests {
             .find(|p| p.name.contains("vmlinuz"))
             .unwrap();
         assert_eq!(kernel.size_bytes, 50 * MIB, "paper: kernel alone ≈50MB");
-    }
-
-    #[test]
-    fn userspace_includes_the_risky_bits() {
-        let us = ubuntu_userspace_components();
-        assert!(us.iter().any(|c| c.contains("python")));
-        assert!(us.iter().any(|c| c.contains("libxl")));
-        assert!(us.iter().any(|c| c.contains("bash")));
     }
 }

@@ -1,7 +1,7 @@
 //! The Linux OS overhead profile for the shared backend mechanism.
 
 use kite_rumprun::OsProfile;
-use kite_sim::Nanos;
+use kite_sim::{IdleWake, Nanos};
 
 /// Linux driver-domain profile: softirq/NAPI dispatch, kthread wakeups
 /// through the scheduler, and deeper per-packet (skb, bridge netfilter
@@ -13,8 +13,10 @@ pub fn linux_profile() -> OsProfile {
         wakeup_latency: Nanos::from_micros(3),
         per_packet: Nanos::from_nanos(800),
         per_block_request: Nanos::from_micros(4),
-        idle_wake_cap: Nanos::from_micros(295),
-        idle_wake_div: 10,
+        idle_wake: IdleWake {
+            cap: Nanos::from_micros(295),
+            div: 10,
+        },
     }
 }
 

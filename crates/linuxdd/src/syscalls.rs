@@ -14,12 +14,6 @@ pub fn ubuntu_driver_domain_syscalls() -> SyscallSet {
     SyscallSet::from_names(UBUNTU_DD_SYSCALLS)
 }
 
-/// Syscalls that exist in Linux (≈300 on x86-64); the driver domain uses a
-/// subset but the rest remain reachable attack surface unless seccomp'd.
-pub fn linux_total_syscall_count() -> usize {
-    313
-}
-
 const UBUNTU_DD_SYSCALLS: &[&str] = &[
     "clone",
     "fork",
@@ -227,10 +221,5 @@ mod tests {
                 "{essential} is required by Linux boot"
             );
         }
-    }
-
-    #[test]
-    fn linux_total_is_about_300() {
-        assert!(linux_total_syscall_count() >= 300);
     }
 }

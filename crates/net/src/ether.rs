@@ -162,13 +162,6 @@ impl<P: AsRef<[u8]>> EthernetFrame<P> {
         out.extend_from_slice(payload);
         out
     }
-
-    /// Total bytes this frame occupies on the wire, including preamble,
-    /// FCS, inter-frame gap and minimum-frame padding.
-    pub fn wire_len(&self) -> usize {
-        let body = (ETH_HEADER_LEN + self.payload.as_ref().len()).max(60);
-        body + ETH_WIRE_OVERHEAD
-    }
 }
 
 #[cfg(test)]
@@ -241,17 +234,14 @@ mod tests {
     }
 
     #[test]
-    fn wire_len_includes_overhead_and_min_frame() {
-        // Tiny payload pads to 60 + 24 overhead.
-        let f = EthernetFrame::new(MacAddr::ZERO, MacAddr::ZERO, EtherType::Ipv4, vec![0; 10]);
-        assert_eq!(f.wire_len(), 84);
-        // Full MTU: 14 + 1500 + 24.
+    fn an_mtu_frame_costs_1538_wire_bytes() {
+        // Full MTU: 14 + 1500 + 24 of preamble, FCS and inter-frame gap.
         let f = EthernetFrame::new(
             MacAddr::ZERO,
             MacAddr::ZERO,
             EtherType::Ipv4,
             vec![0; ETH_MTU],
         );
-        assert_eq!(f.wire_len(), 1538);
+        assert_eq!(tso_wire_cost(f.encode().len()), (1538, 1));
     }
 }

@@ -51,6 +51,6 @@ mod report;
 
 pub use phase::Phase;
 pub use profiler::{
-    disable, enable, is_enabled, reset, span, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
+    disable, enable, reset, span, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
 };
 pub use report::{report, PhaseRow, ProfReport, StackRow};

@@ -294,11 +294,6 @@ pub fn disable() {
     TLS.with(|t| t.enabled.set(false));
 }
 
-/// Whether profiling is currently enabled on this thread.
-pub fn is_enabled() -> bool {
-    TLS.with(|t| t.enabled.get())
-}
-
 /// Clear all accumulated state (call tree, histograms, truncation
 /// counter) for this thread. Open guards from before the reset are
 /// discarded when they drop.

@@ -9,7 +9,7 @@
 //! Every field is charged by a datapath: a cost nothing charges does not
 //! belong here.
 
-use kite_sim::Nanos;
+use kite_sim::{IdleWake, Nanos};
 
 /// Per-OS cost parameters for the driver-domain data path.
 #[derive(Clone, Debug)]
@@ -26,14 +26,11 @@ pub struct OsProfile {
     /// Extra per-request OS-layer cost on the block path (bio assembly,
     /// elevator, completion bouncing).
     pub per_block_request: Nanos,
-    /// Cap on the extra dispatch latency paid when the driver domain has
-    /// been idle (wake-from-halt VMEXIT, scheduler warm-up, softirq/
-    /// workqueue thread migration). Grows with idle time up to this cap;
-    /// calibrated against the paper's Figure 7 latencies.
-    pub idle_wake_cap: Nanos,
-    /// Divisor converting idle duration into wake latency
-    /// (`wake = min(cap, idle / div)`).
-    pub idle_wake_div: u64,
+    /// The extra dispatch latency paid when a driver vCPU has been idle
+    /// (wake-from-halt VMEXIT, scheduler warm-up, softirq/workqueue
+    /// thread migration). Grows with idle time up to its cap; calibrated
+    /// against the paper's Figure 7 latencies.
+    pub idle_wake: IdleWake,
 }
 
 /// The Kite (rumprun) profile: single address space, cooperative threads,
@@ -47,16 +44,10 @@ pub fn kite_profile() -> OsProfile {
         wakeup_latency: Nanos::from_nanos(700),
         per_packet: Nanos::from_nanos(550),
         per_block_request: Nanos::from_micros(2),
-        idle_wake_cap: Nanos::from_micros(90),
-        idle_wake_div: 50,
-    }
-}
-
-impl OsProfile {
-    /// The extra wake latency paid when the domain sat idle for
-    /// `idle` before this event: `min(cap, idle / div)`.
-    pub fn idle_wake(&self, idle: Nanos) -> Nanos {
-        Nanos(idle.as_nanos() / self.idle_wake_div).min(self.idle_wake_cap)
+        idle_wake: IdleWake {
+            cap: Nanos::from_micros(90),
+            div: 50,
+        },
     }
 }
 

@@ -9,7 +9,7 @@
 //!   default hot path);
 //! * [`rng::Pcg`] — a seeded, replayable random number generator;
 //! * [`stats`] and [`resource`] — measurement taps and serializing
-//!   resource models (links, CPUs).
+//!   resource models (one busy-until-t `Cpu`, the pools and links built on it).
 //!
 //! The design goal is replayability: given the same scenario seed, every
 //! figure in EXPERIMENTS.md regenerates bit-for-bit. Nothing in this crate
@@ -24,7 +24,7 @@ pub mod time;
 pub mod wheel;
 
 pub use queue::EventQueue;
-pub use resource::{Cpu, CpuPool, Link, TxOutcome};
+pub use resource::{Cpu, CpuPool, IdleWake, Link, TxOutcome};
 pub use rng::Pcg;
 pub use sched::{EventSched, Scheduler, SchedulerKind};
 pub use stats::{Histogram, OnlineStats};

@@ -1,19 +1,28 @@
-//! Serializing resource models: links and CPUs.
+//! Serializing resource models: one busy-until-t resource and the
+//! models built on it.
 //!
-//! Both models answer the same question — "if a unit of work arrives at
-//! virtual time `t`, when does it finish?" — while tracking what the
-//! experiments report: CPU utilization (Figure 10b) and the frames a
-//! saturated link drops (Figure 6).
+//! [`Cpu`] is the only resource here that is busy until some instant:
+//! work arriving at virtual time `t` starts when the resource frees and
+//! runs to completion, and the time it ran is booked as busy. A driver
+//! domain's vCPU, a DomU's vCPU, an NVMe flash channel and a wire are all
+//! that one model. [`CpuPool`] is the only dispatch over several of them,
+//! pinned ([`CpuPool::run_on`]) or least-loaded
+//! ([`CpuPool::run_least_loaded`]). [`Link`] serialises frames on an
+//! inner [`Cpu`] and adds what a wire has on top: a bit rate, a
+//! propagation latency and a bounded transmit queue. [`IdleWake`] is the
+//! one wake-from-idle formula the driver and guest vCPUs pay.
 
 use crate::sched::Scheduler;
 use crate::time::Nanos;
 
 /// A point-to-point link with a fixed bit rate and propagation latency.
 ///
-/// Frames serialize one at a time: a frame arriving while a previous frame
+/// Frames serialize one at a time on the wire, a [`Cpu`] whose work is a
+/// frame's serialisation delay: a frame arriving while a previous frame
 /// is still being clocked out queues behind it. The transmit queue has a
-/// finite byte capacity; overflow drops model NIC ring exhaustion (nuttcp's
-/// UDP loss in Figure 6).
+/// finite byte capacity; overflow drops model NIC ring exhaustion
+/// (nuttcp's UDP loss in Figure 6), and the caller counts each
+/// [`TxOutcome::Dropped`].
 #[derive(Clone, Debug)]
 pub struct Link {
     /// Link bit rate in bits per second.
@@ -22,8 +31,7 @@ pub struct Link {
     pub latency: Nanos,
     /// Transmit queue capacity in bytes.
     pub queue_bytes: u64,
-    next_free: Nanos,
-    dropped: u64,
+    wire: Cpu,
 }
 
 /// Outcome of a link transmit attempt.
@@ -43,8 +51,7 @@ impl Link {
             rate_bps,
             latency,
             queue_bytes,
-            next_free: Nanos::ZERO,
-            dropped: 0,
+            wire: Cpu::new(),
         }
     }
 
@@ -64,20 +71,16 @@ impl Link {
     /// clocked onto the wire). The queue drains continuously at the link
     /// rate.
     pub fn backlog_bytes(&self, now: Nanos) -> u64 {
-        let pending_ns = self.next_free.saturating_sub(now).as_nanos() as u128;
+        let pending_ns = self.wire.free_at().saturating_sub(now).as_nanos() as u128;
         (pending_ns * self.rate_bps as u128 / 8_000_000_000u128) as u64
     }
 
     /// Attempts to transmit a frame of `bytes` at time `now`.
     pub fn transmit(&mut self, now: Nanos, bytes: u64) -> TxOutcome {
         if self.backlog_bytes(now) + bytes > self.queue_bytes {
-            self.dropped += 1;
             return TxOutcome::Dropped;
         }
-        let start = self.next_free.max(now);
-        let ser = self.serialization_delay(bytes);
-        let departs = start + ser;
-        self.next_free = departs;
+        let departs = self.wire.run(now, self.serialization_delay(bytes));
         TxOutcome::Sent {
             departs,
             arrives: departs + self.latency,
@@ -103,14 +106,10 @@ impl Link {
         }
         outcome
     }
-
-    /// Frames dropped due to queue overflow.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
 }
 
-/// A serially executing CPU with utilization accounting.
+/// A serially executing resource with utilization accounting: the one
+/// model of "busy until t".
 ///
 /// Work submitted while the CPU is busy queues behind the current work —
 /// this is how the single-vCPU driver domains of the paper are modeled, and
@@ -120,7 +119,6 @@ impl Link {
 pub struct Cpu {
     next_free: Nanos,
     busy_accum: Nanos,
-    slices: u64,
 }
 
 impl Cpu {
@@ -138,7 +136,6 @@ impl Cpu {
         let done = start + cost;
         self.next_free = done;
         self.busy_accum += cost;
-        self.slices += 1;
         done
     }
 
@@ -147,19 +144,9 @@ impl Cpu {
         self.next_free
     }
 
-    /// True if the CPU has no queued work at `now`.
-    pub fn idle_at(&self, now: Nanos) -> bool {
-        self.next_free <= now
-    }
-
     /// Total busy time accumulated.
     pub fn busy(&self) -> Nanos {
         self.busy_accum
-    }
-
-    /// Number of work slices executed.
-    pub fn slices(&self) -> u64 {
-        self.slices
     }
 
     /// Utilization over a window, in percent (sysstat-style).
@@ -172,13 +159,16 @@ impl Cpu {
     }
 }
 
-/// A pool of `M` serially executing vCPUs.
+/// A pool of `M` serially executing [`Cpu`]s.
 ///
-/// Models a multi-vCPU driver domain: work pinned to vCPU `k` queues
-/// behind earlier work on the same vCPU but runs concurrently (in
-/// virtual time) with work on the other vCPUs. A pool of one behaves
-/// exactly like a single [`Cpu`] — the legacy single-vCPU model is the
-/// `M = 1` special case, not a separate code path.
+/// Models a multi-vCPU domain or a multi-channel device: work on member
+/// `k` queues behind earlier work on the same member but runs
+/// concurrently (in virtual time) with work on the others. There are two
+/// dispatches. [`run_on`](Self::run_on) pins work to a member, so one
+/// backend queue stays serialized on its vCPU.
+/// [`run_least_loaded`](Self::run_least_loaded) gives it to the member
+/// that frees first, the first of equally free ones. A pool of one
+/// behaves exactly like a single [`Cpu`] under both.
 #[derive(Clone, Debug)]
 pub struct CpuPool {
     cpus: Vec<Cpu>,
@@ -211,6 +201,18 @@ impl CpuPool {
         self.cpus[idx % n].run(now, cost)
     }
 
+    /// Runs `cost` of work on the vCPU that frees first (the first of
+    /// equally free ones) starting no earlier than `now`; returns the
+    /// completion time.
+    pub fn run_least_loaded(&mut self, now: Nanos, cost: Nanos) -> Nanos {
+        let cpu = self
+            .cpus
+            .iter_mut()
+            .min_by_key(|c| c.free_at())
+            .expect("a pool holds at least one vCPU");
+        cpu.run(now, cost)
+    }
+
     /// The earliest instant at which new work could begin on vCPU
     /// `idx % len`.
     pub fn free_at(&self, idx: usize) -> Nanos {
@@ -218,14 +220,14 @@ impl CpuPool {
         self.cpus[idx % n].free_at()
     }
 
-    /// True if every vCPU has drained its queued work at `now`.
-    pub fn idle_at(&self, now: Nanos) -> bool {
-        self.cpus.iter().all(|c| c.idle_at(now))
-    }
-
-    /// Total busy time accumulated across all vCPUs.
-    pub fn busy(&self) -> Nanos {
-        self.cpus.iter().fold(Nanos::ZERO, |acc, c| acc + c.busy())
+    /// When the last of the vCPUs goes idle: the latest
+    /// [`free_at`](Self::free_at).
+    pub fn drained_at(&self) -> Nanos {
+        self.cpus
+            .iter()
+            .map(Cpu::free_at)
+            .max()
+            .unwrap_or(Nanos::ZERO)
     }
 
     /// Busy time accumulated by each vCPU, unclamped. The mean that
@@ -234,11 +236,6 @@ impl CpuPool {
     /// multi-queue number looks capped.
     pub fn busy_each(&self) -> Vec<Nanos> {
         self.cpus.iter().map(Cpu::busy).collect()
-    }
-
-    /// Total work slices executed across all vCPUs.
-    pub fn slices(&self) -> u64 {
-        self.cpus.iter().map(Cpu::slices).sum()
     }
 
     /// Mean per-vCPU utilization over a window, in percent: the pool
@@ -250,6 +247,24 @@ impl CpuPool {
             .map(|c| c.utilization_percent(window))
             .sum::<f64>()
             / self.cpus.len() as f64
+    }
+}
+
+/// Wake-from-idle latency: an interrupt that finds its target idle for
+/// `idle` pays `min(cap, idle / div)` before the handler runs, so a
+/// longer sleep costs more up to a cap (halt exit, scheduler warm-up).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IdleWake {
+    /// The most a wake can cost.
+    pub cap: Nanos,
+    /// Idle time per nanosecond of wake latency.
+    pub div: u64,
+}
+
+impl IdleWake {
+    /// The wake latency after `idle` of idle time.
+    pub fn after(&self, idle: Nanos) -> Nanos {
+        Nanos(idle.as_nanos() / self.div).min(self.cap)
     }
 }
 
@@ -297,7 +312,8 @@ mod tests {
             TxOutcome::Sent { .. }
         ));
         assert_eq!(l.transmit(Nanos::ZERO, 80), TxOutcome::Dropped);
-        assert_eq!(l.dropped(), 1);
+        // A dropped frame never occupies the wire.
+        assert_eq!(l.wire.busy(), l.serialization_delay(80));
     }
 
     #[test]
@@ -315,7 +331,21 @@ mod tests {
             l.transmit(Nanos::from_millis(40), 60),
             TxOutcome::Sent { .. }
         ));
-        assert_eq!(l.dropped(), 0);
+    }
+
+    #[test]
+    fn link_wire_is_busy_for_the_serialisation_delays_it_sent() {
+        let mut l = Link::new(1_000_000_000, Nanos::from_micros(5), u64::MAX);
+        let frames = [(0, 125), (0, 1500), (40, 64), (400, 9000)];
+        let mut sent = Nanos::ZERO;
+        for (at, bytes) in frames {
+            let tx = l.transmit(Nanos::from_micros(at), bytes);
+            assert!(matches!(tx, TxOutcome::Sent { .. }));
+            sent += l.serialization_delay(bytes);
+        }
+        // Idle gaps between frames are not busy time.
+        assert_eq!(l.wire.busy(), sent);
+        assert!(l.wire.free_at() > sent);
     }
 
     #[test]
@@ -325,8 +355,7 @@ mod tests {
         let d2 = c.run(Nanos::ZERO, Nanos::from_micros(5));
         assert_eq!(d1, Nanos::from_micros(10));
         assert_eq!(d2, Nanos::from_micros(15));
-        assert!(!c.idle_at(Nanos::from_micros(14)));
-        assert!(c.idle_at(Nanos::from_micros(15)));
+        assert_eq!(c.free_at(), Nanos::from_micros(15));
     }
 
     #[test]
@@ -336,21 +365,29 @@ mod tests {
         c.run(Nanos::from_micros(90), Nanos::from_micros(10));
         assert_eq!(c.busy(), Nanos::from_micros(20));
         assert!((c.utilization_percent(Nanos::from_micros(100)) - 20.0).abs() < 1e-9);
-        assert_eq!(c.slices(), 2);
     }
 
     #[test]
     fn pool_of_one_matches_single_cpu() {
-        let mut pool = CpuPool::new(1);
+        let mut pinned = CpuPool::new(1);
+        let mut least = CpuPool::new(1);
         let mut cpu = Cpu::new();
         for i in 0..8u64 {
             let now = Nanos::from_micros(3 * i);
             let cost = Nanos::from_micros(5);
-            // Any pin index lands on the only vCPU.
-            assert_eq!(pool.run_on(i as usize, now, cost), cpu.run(now, cost));
+            let done = cpu.run(now, cost);
+            // Any pin index lands on the only vCPU, and so does the
+            // least-loaded pick.
+            assert_eq!(pinned.run_on(i as usize, now, cost), done);
+            assert_eq!(least.run_least_loaded(now, cost), done);
         }
-        assert_eq!(pool.busy(), cpu.busy());
-        assert_eq!(pool.slices(), cpu.slices());
+        for pool in [&pinned, &least] {
+            assert_eq!(pool.busy_each(), [cpu.busy()]);
+            assert_eq!(
+                (pool.free_at(5), pool.drained_at()),
+                (cpu.free_at(), cpu.free_at())
+            );
+        }
     }
 
     #[test]
@@ -363,9 +400,38 @@ mod tests {
         }
         // Same-pin work still serializes.
         assert_eq!(pool.run_on(0, Nanos::ZERO, cost), Nanos::from_micros(20));
-        assert!(!pool.idle_at(Nanos::from_micros(19)));
-        assert!(pool.idle_at(Nanos::from_micros(20)));
-        assert_eq!(pool.busy(), Nanos::from_micros(50));
+        assert_eq!(pool.drained_at(), Nanos::from_micros(20));
+        let busy: Vec<u64> = pool.busy_each().iter().map(|b| b.as_nanos()).collect();
+        assert_eq!(busy, [20_000, 10_000, 10_000, 10_000]);
+    }
+
+    #[test]
+    fn least_loaded_picks_the_first_of_equally_free_vcpus() {
+        let mut pool = CpuPool::new(3);
+        let us = Nanos::from_micros;
+        // All idle: the first vCPU takes the work, then the next free.
+        assert_eq!(pool.run_least_loaded(Nanos::ZERO, us(30)), us(30));
+        assert_eq!(pool.run_least_loaded(Nanos::ZERO, us(10)), us(10));
+        assert_eq!(pool.busy_each(), [us(30), us(10), Nanos::ZERO]);
+        // vCPU 2 is idle, so it is strictly the least loaded.
+        assert_eq!(pool.run_least_loaded(Nanos::ZERO, us(10)), us(10));
+        // vCPUs 1 and 2 tie at 10us: the first of them, vCPU 1, wins.
+        assert_eq!(pool.run_least_loaded(Nanos::ZERO, us(5)), us(15));
+        assert_eq!(pool.busy_each(), [us(30), us(15), us(10)]);
+        // Work arriving after every vCPU frees starts at once.
+        assert_eq!(pool.run_least_loaded(us(100), us(1)), us(101));
+        assert_eq!(pool.busy_each(), [us(30), us(15), us(11)]);
+    }
+
+    #[test]
+    fn drained_at_is_the_latest_free_at() {
+        let mut pool = CpuPool::new(4);
+        assert_eq!(pool.drained_at(), Nanos::ZERO);
+        for (q, done) in [(2, 7), (0, 3), (3, 5)] {
+            pool.run_on(q, Nanos::ZERO, Nanos::from_micros(done));
+        }
+        let latest = (0..4).map(|q| pool.free_at(q)).max().unwrap();
+        assert_eq!((pool.drained_at(), latest), (Nanos::from_micros(7), latest));
     }
 
     #[test]
@@ -392,5 +458,16 @@ mod tests {
             [Nanos::from_micros(20), Nanos::ZERO],
             "200% of the window on vCPU 0"
         );
+    }
+
+    #[test]
+    fn idle_wake_grows_with_idle_time_up_to_its_cap() {
+        let wake = IdleWake {
+            cap: Nanos::from_micros(90),
+            div: 50,
+        };
+        assert_eq!(wake.after(Nanos::ZERO), Nanos::ZERO);
+        assert_eq!(wake.after(Nanos::from_micros(100)), Nanos::from_micros(2));
+        assert_eq!(wake.after(Nanos::from_secs(1)), wake.cap);
     }
 }

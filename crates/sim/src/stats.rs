@@ -225,11 +225,6 @@ impl Histogram {
         out
     }
 
-    /// 99th percentile shortcut.
-    pub fn p99(&self) -> Nanos {
-        self.quantile(0.99)
-    }
-
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -303,7 +298,7 @@ mod tests {
             h.record(Nanos(i * 100)); // 100ns .. 1ms uniform
         }
         let q50 = h.quantile(0.5).as_nanos() as f64;
-        let q99 = h.p99().as_nanos() as f64;
+        let q99 = h.quantile(0.99).as_nanos() as f64;
         assert!(q50 <= q99);
         // True median is 500_050ns; log buckets are ~9% wide.
         assert!((q50 - 500_000.0).abs() / 500_000.0 < 0.15, "q50={q50}");
@@ -343,7 +338,7 @@ mod tests {
             );
             prev = q;
         }
-        assert!(h.quantile(0.5) <= h.p99());
+        assert!(h.quantile(0.5) <= h.quantile(0.99));
     }
 
     #[test]

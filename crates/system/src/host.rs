@@ -22,7 +22,7 @@ use kite_health::{
 use kite_linux::{linux_profile, ubuntu_boot};
 use kite_prof::Phase;
 use kite_rumprun::{kite_boot, kite_profile, BootSequence, OsProfile};
-use kite_sim::{Cpu, CpuPool, EventSched, Histogram, Nanos, Pcg, Scheduler, SchedulerKind};
+use kite_sim::{CpuPool, EventSched, Histogram, IdleWake, Nanos, Pcg, Scheduler, SchedulerKind};
 use kite_trace::{EventKind, MetricsSnapshot, DEFAULT_REQ_CAPACITY};
 use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
 use kite_xen::{
@@ -113,10 +113,10 @@ pub trait Datapath: Sized {
     type Event;
     /// The Kite driver domain's name (the Linux one is `ubuntu-dd`).
     const KITE_DOMAIN: &'static str;
-    /// The DomU's wake-from-halt latency `(cap, div)`: an interrupt that
-    /// finds the guest idle for `idle` pays `min(cap, idle / div)`
-    /// (calibrated per device class, EXPERIMENTS.md).
-    const GUEST_WAKE: (Nanos, u64);
+    /// The DomU's wake-from-halt latency: an interrupt that finds every
+    /// guest vCPU idle pays it (calibrated per device class,
+    /// EXPERIMENTS.md).
+    const GUEST_WAKE: IdleWake;
 
     /// Profiling phase for one of the datapath's events.
     fn phase_of(ev: &Self::Event) -> Phase;
@@ -199,14 +199,6 @@ pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The DomU behind the frontend: its 22 vCPUs, when the last of them
-/// goes idle, and when its interrupt handler last started.
-struct Guest {
-    cpus: Vec<Cpu>,
-    last_end: Nanos,
-    irq_at: Nanos,
-}
-
 /// One simulated machine running a driver domain for datapath `D`.
 ///
 /// Dereferences to the datapath, so its public taps read as fields of
@@ -229,7 +221,10 @@ pub struct Host<D: Datapath> {
     /// frontend asks for at every (re)connect.
     pub(crate) nqueues: u32,
     pub(crate) driver_cpus: CpuPool,
-    domu: Guest,
+    /// The DomU behind the frontend: its 22 vCPUs.
+    guest_cpus: CpuPool,
+    /// When the DomU's interrupt handler last started.
+    guest_irq_at: Nanos,
     bdf: Bdf,
     mgr: BackendManager,
     paths: DevicePaths,
@@ -303,11 +298,8 @@ impl<D: Datapath> Host<D> {
             guest,
             nqueues,
             driver_cpus: CpuPool::new(nqueues as usize),
-            domu: Guest {
-                cpus: (0..22).map(|_| Cpu::new()).collect(),
-                last_end: Nanos::ZERO,
-                irq_at: Nanos::ZERO,
-            },
+            guest_cpus: CpuPool::new(22),
+            guest_irq_at: Nanos::ZERO,
             bdf,
             mgr: BackendManager::new(driver, D::Backend::KIND),
             paths: paths.clone(),
@@ -535,7 +527,7 @@ impl<D: Datapath> Host<D> {
     /// however long it was idle, runs the handler, and returns when done.
     pub(crate) fn driver_irq(&mut self, vcpu: usize, now: Nanos, handler_cost: Nanos) -> Nanos {
         let idle = now.saturating_sub(self.driver_cpus.free_at(vcpu));
-        let wake = self.profile.idle_wake(idle);
+        let wake = self.profile.idle_wake.after(idle);
         self.driver_cpus.run_on(vcpu, now, wake + handler_cost)
     }
 
@@ -547,27 +539,17 @@ impl<D: Datapath> Host<D> {
     /// compute an earlier start: a vCPU already waking does not wake
     /// again earlier, and the handler's clock never runs backwards.
     pub(crate) fn guest_irq(&mut self, now: Nanos) -> (Nanos, Nanos) {
-        let (cap, div) = D::GUEST_WAKE;
-        let idle = now.saturating_sub(self.domu.last_end);
-        let wake = Nanos(idle.as_nanos() / div).min(cap);
-        let at = (now + wake).max(self.domu.irq_at);
-        debug_assert!(at >= self.domu.irq_at, "guest handler clock ran backwards");
-        self.domu.irq_at = at;
+        let idle = now.saturating_sub(self.guest_cpus.drained_at());
+        let wake = D::GUEST_WAKE.after(idle);
+        let at = (now + wake).max(self.guest_irq_at);
+        self.guest_irq_at = at;
         (wake, at)
     }
 
     /// Least-loaded dispatch over the DomU's vCPUs (the first of equally
     /// free vCPUs wins).
     pub(crate) fn guest_cpu_run(&mut self, now: Nanos, cost: Nanos) -> Nanos {
-        let cpu = self
-            .domu
-            .cpus
-            .iter_mut()
-            .min_by_key(|c| c.free_at())
-            .expect("the DomU has vCPUs");
-        let done = cpu.run(now, cost);
-        self.domu.last_end = self.domu.last_end.max(done);
-        done
+        self.guest_cpus.run_least_loaded(now, cost)
     }
 
     /// Books the first end-to-end payload after an outage, with its
@@ -870,13 +852,7 @@ impl<D: Datapath> Host<D> {
 
     /// Guest mean vCPU utilization over a window (sysstat style).
     pub fn guest_cpu_percent(&self, window: Nanos) -> f64 {
-        let sum: f64 = self
-            .domu
-            .cpus
-            .iter()
-            .map(|c| c.utilization_percent(window))
-            .sum();
-        sum / self.domu.cpus.len() as f64
+        self.guest_cpus.utilization_percent(window)
     }
 
     /// The driver domain id.

@@ -27,7 +27,7 @@ use kite_net::{
 };
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
-use kite_sim::{Link, Nanos, OnlineStats, Pcg, TxOutcome};
+use kite_sim::{IdleWake, Link, Nanos, OnlineStats, Pcg, TxOutcome};
 use kite_trace::MetricsSnapshot;
 use kite_xen::xenbus::FEATURE_GSO_KEY;
 use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqStage, SlotClass};
@@ -223,7 +223,10 @@ impl Datapath for NetPath {
     const KITE_DOMAIN: &'static str = "netbackend";
     /// HVM halt exit + Linux scheduler in the Ubuntu DomU (identical in
     /// every scenario; calibrated against Figure 7's ping).
-    const GUEST_WAKE: (Nanos, u64) = (Nanos(190_000), 24);
+    const GUEST_WAKE: IdleWake = IdleWake {
+        cap: Nanos(190_000),
+        div: 24,
+    };
 
     fn phase_of(ev: &NetEvent) -> Phase {
         match ev {
@@ -256,7 +259,7 @@ impl Datapath for NetPath {
         let mut jrng = Pcg::new(cfg.seed, 0x6a69747465725f31);
         profile.per_packet = jrng.jitter(profile.per_packet, 0.004);
         profile.wakeup_latency = jrng.jitter(profile.wakeup_latency, 0.004);
-        profile.idle_wake_cap = jrng.jitter(profile.idle_wake_cap, 0.004);
+        profile.idle_wake.cap = jrng.jitter(profile.idle_wake.cap, 0.004);
 
         let phys_mac = MacAddr::local(0xee01);
         let netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY, addrs::NETMASK);

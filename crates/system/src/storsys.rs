@@ -19,7 +19,7 @@ use kite_devices::{Device, NvmeController};
 use kite_frontends::Blkfront;
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
-use kite_sim::{Nanos, OnlineStats, Pcg};
+use kite_sim::{IdleWake, Nanos, OnlineStats, Pcg};
 use kite_trace::MetricsSnapshot;
 use kite_xen::{
     DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqId, ReqStage, SlotClass,
@@ -178,7 +178,10 @@ impl Datapath for BlkPath {
     const KITE_DOMAIN: &'static str = "blkbackend";
     /// The DomU's I/O worker: the network guest's wake-from-halt model
     /// with its own, separately calibrated constants.
-    const GUEST_WAKE: (Nanos, u64) = (Nanos(170_000), 10);
+    const GUEST_WAKE: IdleWake = IdleWake {
+        cap: Nanos(170_000),
+        div: 10,
+    };
 
     fn phase_of(ev: &BlkEvent) -> Phase {
         match ev {
@@ -206,7 +209,7 @@ impl Datapath for BlkPath {
         // interrupt wakeups with the stock profile.
         let mut jrng = Pcg::new(cfg.seed, 0x6a69747465725f32);
         profile.per_block_request = jrng.jitter(profile.per_block_request, 0.004);
-        profile.idle_wake_cap = jrng.jitter(profile.idle_wake_cap, 0.004);
+        profile.idle_wake.cap = jrng.jitter(profile.idle_wake.cap, 0.004);
 
         // Scaled capacity: the data plane is sparse-real; 16 GiB of
         // addressable space is ample for the scaled workloads.

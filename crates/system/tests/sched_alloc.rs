@@ -382,7 +382,7 @@ fn drain_paths_do_not_allocate_in_steady_state() {
         rt.map(SlotClass::NetTx, i, ReqId(i));
         assert!(rt.lookup(SlotClass::NetTx, i).is_none());
         assert!(rt.take(SlotClass::BlkReq, i).is_none());
-        rt.finish(ReqId(i), 0);
+        rt.finish_at(ReqId(i), 0, Nanos(i));
         assert_eq!(rt.completed_len(), 0);
     }
     assert_eq!(

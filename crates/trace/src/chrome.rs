@@ -8,7 +8,7 @@
 //! virtual-time microseconds with nanosecond precision, printed as
 //! fixed-point decimals so output is byte-stable across runs.
 //!
-//! When a [`ReqTracer`] is supplied ([`export_with_flows`]), every
+//! When a [`ReqTracer`] is supplied to [`export`], every
 //! completed sampled request additionally draws a Perfetto *flow* — a
 //! begin/step/end chain of `"s"`/`"t"`/`"f"` events keyed by the
 //! request id — whose points land on the domain (or per-queue) track
@@ -95,23 +95,15 @@ fn queue_tid(dom: u16, qid: u16) -> u32 {
 /// whose only seen queue is 0 keeps its drains on the domain track: one
 /// queue has no cadence to compare. This is the only place that decides
 /// it; emitters always pass the queue index.
-pub fn export(tracer: &Tracer, tracks: &[(u16, String)]) -> String {
-    export_with_flows(tracer, tracks, None)
-}
-
-/// [`export`], plus one Perfetto flow per completed sampled request.
 ///
-/// Each [`ReqRecord`](crate::reqtrace::ReqRecord) with at least two
+/// With `req`, one Perfetto flow per completed sampled request follows:
+/// each [`ReqRecord`](crate::reqtrace::ReqRecord) with at least two
 /// stamps renders as a `"s"` event at its first stamp, `"t"` steps at
 /// the intermediate stamps and a `"f"` (binding `"bp":"e"`) at the
 /// last, all sharing the request id as the flow `"id"` and named
 /// `"req"` — Perfetto draws the arrow across the tracks the stamps
-/// land on. Passing `None` reproduces [`export`] byte-for-byte.
-pub fn export_with_flows(
-    tracer: &Tracer,
-    tracks: &[(u16, String)],
-    req: Option<&ReqTracer>,
-) -> String {
+/// land on. A tracer with no completed request adds nothing.
+pub fn export(tracer: &Tracer, tracks: &[(u16, String)], req: Option<&ReqTracer>) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
     for &(tid, ref name) in tracks {
@@ -347,7 +339,7 @@ pub fn export_with_flows(
 }
 
 /// Validates a Chrome-trace document produced by [`export`] or
-/// [`export_with_flows`]: it must parse as JSON, every event needs
+/// [`export`]: it must parse as JSON, every event needs
 /// `pid`/`tid`/`ph` (and `ts` unless metadata), timestamps must be
 /// monotonic non-decreasing per track, and `droppedEvents` must be
 /// zero. Flow events (`"s"`/`"t"`/`"f"`) are exempt from the per-track
@@ -474,7 +466,7 @@ mod tests {
     #[test]
     fn export_validates_and_counts_events() {
         let t = sample_tracer();
-        let doc = export(&t, &tracks());
+        let doc = export(&t, &tracks(), None);
         assert_eq!(validate(&doc), Ok(4));
         // Virtual microsecond fixed-point: 3 µs → "3.000".
         assert!(doc.contains("\"ts\":3.000"), "{doc}");
@@ -484,8 +476,8 @@ mod tests {
 
     #[test]
     fn export_is_byte_identical_for_identical_traces() {
-        let a = export(&sample_tracer(), &tracks());
-        let b = export(&sample_tracer(), &tracks());
+        let a = export(&sample_tracer(), &tracks(), None);
+        let b = export(&sample_tracer(), &tracks(), None);
         assert_eq!(a, b);
     }
 
@@ -509,7 +501,11 @@ mod tests {
             delivered: 1,
             notify: false,
         });
-        let doc = export(&t, &[(2, "netbackend".into()), (4, "blkbackend".into())]);
+        let doc = export(
+            &t,
+            &[(2, "netbackend".into()), (4, "blkbackend".into())],
+            None,
+        );
         assert_eq!(validate(&doc), Ok(3));
         // Each queue of the two-queue domain gets a named synthetic
         // track; the domain that only ever drained queue 0 keeps the
@@ -532,13 +528,13 @@ mod tests {
         t.emit_with(1, || EventKind::Milestone { what: "late" });
         t.set_now(Nanos::from_micros(1));
         t.emit_with(1, || EventKind::Milestone { what: "early" });
-        let doc = export(&t, &[]);
+        let doc = export(&t, &[], None);
         assert!(validate(&doc).unwrap_err().contains("not monotonic"));
 
         let mut t = Tracer::enabled(1);
         t.emit_with(0, || EventKind::Milestone { what: "a" });
         t.emit_with(0, || EventKind::Milestone { what: "b" });
-        let doc = export(&t, &[]);
+        let doc = export(&t, &[], None);
         assert!(validate(&doc).unwrap_err().contains("dropped"));
     }
 
@@ -551,8 +547,7 @@ mod tests {
         rt.stamp(req, Stage::RingSubmit, 3, None);
         rt.set_now(Nanos::from_micros(6));
         rt.stamp(req, Stage::BackendFetch, 2, Some(1));
-        rt.set_now(Nanos::from_micros(9));
-        rt.finish(req, 0);
+        rt.finish_at(req, 0, Nanos::from_micros(9));
         rt
     }
 
@@ -560,7 +555,7 @@ mod tests {
     fn flow_export_validates_and_pairs() {
         let t = sample_tracer();
         let rt = sample_reqtracer();
-        let doc = export_with_flows(&t, &tracks(), Some(&rt));
+        let doc = export(&t, &tracks(), Some(&rt));
         // 4 tracer events + 4 flow points (s, 2×t, f).
         assert_eq!(validate(&doc), Ok(8));
         assert!(doc.contains("\"ph\":\"s\""), "{doc}");
@@ -574,19 +569,19 @@ mod tests {
     }
 
     #[test]
-    fn flow_export_without_requests_matches_legacy_export() {
+    fn export_without_completed_requests_draws_no_flows() {
         let t = sample_tracer();
-        let legacy = export(&t, &tracks());
-        assert_eq!(legacy, export_with_flows(&t, &tracks(), None));
+        let plain = export(&t, &tracks(), None);
+        assert!(!plain.contains("\"ph\":\"s\""), "{plain}");
         // An enabled tracer with no completed requests adds nothing.
         let rt = ReqTracer::enabled(1, 16);
-        assert_eq!(legacy, export_with_flows(&t, &tracks(), Some(&rt)));
+        assert_eq!(plain, export(&t, &tracks(), Some(&rt)));
     }
 
     #[test]
     fn flow_export_is_byte_identical_for_identical_inputs() {
-        let a = export_with_flows(&sample_tracer(), &tracks(), Some(&sample_reqtracer()));
-        let b = export_with_flows(&sample_tracer(), &tracks(), Some(&sample_reqtracer()));
+        let a = export(&sample_tracer(), &tracks(), Some(&sample_reqtracer()));
+        let b = export(&sample_tracer(), &tracks(), Some(&sample_reqtracer()));
         assert_eq!(a, b);
     }
 

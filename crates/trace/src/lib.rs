@@ -1,6 +1,6 @@
 //! **kite-trace** — deterministic observability for the simulated stack.
 //!
-//! Three pieces, layered:
+//! Five pieces, layered:
 //!
 //! * [`tracer`] — a bounded ring of typed [`TraceEvent`]s stamped with
 //!   virtual time, plus the [`TraceQuery`] assertion API. Disabled by

@@ -4,7 +4,7 @@
 //! (1-in-N counting, no RNG, no wall clock) and collects a
 //! [`StageStamp`] at every stage boundary the request crosses —
 //! frontend ring submit, backend fetch, grant copy, NVMe SQ/CQ, IRQ
-//! delivery — until [`finish`](ReqTracer::finish) closes the record.
+//! delivery — until [`finish_at`](ReqTracer::finish_at) closes the record.
 //! Closed records land in a bounded drop-oldest store (completion
 //! order, so exports are deterministic) and feed per-stage, per-domain
 //! and end-to-end [`Histogram`]s.
@@ -352,15 +352,9 @@ impl ReqTracer {
             .and_then(|i| i.slots.remove(&(class, key)).map(ReqId))
     }
 
-    /// Closes `req` at the current clock: stamps [`Stage::Complete`],
-    /// sorts the trail, feeds the histograms and moves the record to
-    /// the bounded completed store.
-    pub fn finish(&mut self, req: ReqId, dom: u16) {
-        let at = self.now();
-        self.finish_at(req, dom, at);
-    }
-
-    /// Closes `req` at an explicit completion time.
+    /// Closes `req` at `at`: stamps [`Stage::Complete`], sorts the
+    /// trail, feeds the histograms and moves the record to the bounded
+    /// completed store.
     pub fn finish_at(&mut self, req: ReqId, dom: u16, at: Nanos) {
         let Some(inner) = &mut self.inner else {
             return;
@@ -459,7 +453,7 @@ mod tests {
         t.map(SlotClass::NetTx, 7, ReqId(0));
         assert!(t.lookup(SlotClass::NetTx, 7).is_none());
         assert!(t.take(SlotClass::NetTx, 7).is_none());
-        t.finish(ReqId(0), 0);
+        t.finish_at(ReqId(0), 0, t.now());
         assert!(!t.is_enabled());
         assert_eq!(t.seen(), 0);
         assert_eq!(t.completed_len(), 0);
@@ -490,7 +484,7 @@ mod tests {
         // A stamp recovered after the fact sorts into place.
         t.stamp_at(req, Stage::GrantCopy, 2, Some(1), Nanos::from_micros(22));
         t.set_now(Nanos::from_micros(30));
-        t.finish(req, 0);
+        t.finish_at(req, 0, t.now());
         let rec = t.completed().next().expect("one record");
         assert_eq!(rec.e2e(), Nanos::from_micros(20));
         let stages: Vec<Stage> = rec.stamps.iter().map(|s| s.stage).collect();
@@ -526,7 +520,7 @@ mod tests {
         t.annotate_segs(req, Stage::NicTx, 42);
         t.annotate_segs(req, Stage::GrantCopy, 7); // never stamped: no-op
         t.annotate_segs(ReqId(99), Stage::NicTx, 3); // unknown: no-op
-        t.finish(req, 0);
+        t.finish_at(req, 0, t.now());
         let rec = t.completed().next().expect("one record");
         assert_eq!(rec.stamp_of(Stage::NicTx).unwrap().segs, 42);
         assert_eq!(rec.stamp_of(Stage::Inject).unwrap().segs, 0);
@@ -554,7 +548,7 @@ mod tests {
         for i in 0..4u64 {
             t.set_now(Nanos::from_micros(i));
             let req = t.admit(0).expect("sampled");
-            t.finish(req, 0);
+            t.finish_at(req, 0, t.now());
         }
         assert_eq!(t.completed_len(), 2);
         assert_eq!(t.dropped(), 2);
@@ -574,9 +568,9 @@ mod tests {
     }
 
     #[test]
-    fn finish_of_unknown_request_is_ignored() {
+    fn finishing_an_unknown_request_is_ignored() {
         let mut t = ReqTracer::enabled(1, 4);
-        t.finish(ReqId(99), 0);
+        t.finish_at(ReqId(99), 0, t.now());
         assert_eq!(t.completed_len(), 0);
         assert_eq!(t.e2e_hist().unwrap().count(), 0);
     }

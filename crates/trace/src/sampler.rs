@@ -83,11 +83,6 @@ impl TimeSeriesSampler {
         self
     }
 
-    /// The sampling interval this series was configured with.
-    pub fn interval(&self) -> Nanos {
-        self.interval
-    }
-
     /// Column names, in declaration order.
     pub fn column_names(&self) -> Vec<&str> {
         self.columns.iter().map(|c| c.name.as_str()).collect()

@@ -307,7 +307,7 @@ impl Tracer {
 /// A filtered view over a tracer's events, for test assertions.
 ///
 /// Filters consume and return the query, so assertions chain:
-/// `t.query().dom(2).kind("gnttab_copy").count()`.
+/// `t.query().filter(|e| e.dom == 2).kind("gnttab_copy").count()`.
 pub struct TraceQuery<'a> {
     events: Vec<&'a TraceEvent>,
 }
@@ -322,11 +322,6 @@ impl<'a> TraceQuery<'a> {
     /// Keeps events whose [`EventKind::name`] equals `name`.
     pub fn kind(self, name: &str) -> Self {
         self.filter(|e| e.kind.name() == name)
-    }
-
-    /// Keeps events attributed to domain `dom`.
-    pub fn dom(self, dom: u16) -> Self {
-        self.filter(|e| e.dom == dom)
     }
 
     /// Keeps events with `lo < seq < hi` (emission order, exclusive):
@@ -433,7 +428,7 @@ mod tests {
         t.emit_with(1, || milestone("reconnect"));
         assert_eq!(t.query().count(), 3);
         assert_eq!(t.query().kind("notify").count(), 1);
-        assert_eq!(t.query().dom(1).count(), 2);
+        assert_eq!(t.query().filter(|e| e.dom == 1).count(), 2);
         let q = t.query();
         let kill = q.milestone("kill").unwrap();
         let rec = q.milestone("reconnect").unwrap();

@@ -178,11 +178,6 @@ impl Hypervisor {
             .grant_access(&self.mem, granter, peer, page, readonly)
     }
 
-    /// Revokes a grant.
-    pub fn end_access(&mut self, granter: DomainId, gref: GrantRef) -> Result<()> {
-        self.grants.end_access(granter, gref)
-    }
-
     /// Charged `GNTTABOP_map_grant_ref`.
     pub fn map_grant(
         &mut self,
@@ -457,7 +452,7 @@ impl Hypervisor {
             .map(|d| (d.id.0, d.name.clone()))
             .collect();
         let req = self.req.is_enabled().then_some(&self.req);
-        kite_trace::chrome::export_with_flows(&self.trace, &tracks, req)
+        kite_trace::chrome::export(&self.trace, &tracks, req)
     }
 }
 

@@ -92,15 +92,15 @@ same_twice "same-seed 4-ring storage traces differ" $bin/examples/storage_domain
 
 # The three views below are pinned as well as run twice: the first
 # output of `repro top`, `repro lat` and `repro prof --series-csv`, in
-# that order, must equal scripts/repro_views.txt. A view that moved on
-# purpose is regenerated by concatenating the three into that file and
-# reviewing the diff, like scripts/repro_figures.txt.
+# that order, must equal scripts/repro_views.txt, so every line of them
+# is checked byte for byte there and nothing here greps for one. A view
+# that moved on purpose is regenerated by concatenating the three into
+# that file and reviewing the diff, like scripts/repro_figures.txt.
 views="$tdir/views.txt"
 
 echo "==> repro top: kitetop snapshots are byte-identical"
 # The watchdog crash-cycle scenario renders from virtual-time state only.
 same_twice "repro top output not deterministic" $bin/repro top
-[ -s "$same" ] || fail "repro top printed nothing"
 cat "$same" > "$views"
 
 echo "==> repro lat: per-stage waterfalls, flow arrows validated"
@@ -108,11 +108,6 @@ echo "==> repro lat: per-stage waterfalls, flow arrows validated"
 # its flow-annotated Chrome export (flow begin/end pairing included)
 # before printing, and every number is virtual-time derived.
 same_twice "repro lat output not deterministic" $bin/repro lat
-grep -q '^STAGE ' "$same" || fail "lat report missing the stage table"
-for row in grant_copy nvme_complete END_TO_END; do
-    grep -q "^$row " "$same" || fail "lat report missing $row row"
-done
-[ "$(grep -c '^flow validation: OK' "$same")" -eq 2 ] || fail "expected 2 flow-validated lat scenarios"
 cat "$same" >> "$views"
 
 echo "==> repro prof: self-time table, collapsed stacks, sampler exports"

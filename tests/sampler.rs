@@ -13,7 +13,7 @@ use kite::system::{
     SystemConfig,
 };
 use kite::trace::SampleKind::{Counter, Gauge};
-use kite::trace::{MetricValue, TimeSeriesSampler};
+use kite::trace::TimeSeriesSampler;
 
 /// Runs a network system to quiescence, sampling every `every`: bytes
 /// delivered at both ends, path drops, and each queue's Rx backlog.
@@ -35,9 +35,8 @@ fn net_series(sys: &mut NetSystem, every: Nanos, capacity: usize) -> TimeSeriesS
 }
 
 /// Runs a storage system to quiescence, sampling every `every`: logical
-/// I/Os and bytes, blkback requests, the chunks in flight and parked,
-/// and the watchdog verdict (0 healthy or unwatched, 1 suspect, 2
-/// failed).
+/// I/Os and bytes, blkback requests and the watchdog verdict (0 healthy
+/// or unwatched, 1 suspect, 2 failed).
 fn stor_series(sys: &mut StorSystem, every: Nanos, capacity: usize) -> TimeSeriesSampler {
     let mut series = TimeSeriesSampler::new(every, capacity);
     for (name, kind) in [
@@ -45,36 +44,18 @@ fn stor_series(sys: &mut StorSystem, every: Nanos, capacity: usize) -> TimeSerie
         ("read_bytes", Counter),
         ("write_bytes", Counter),
         ("requests", Counter),
-        ("in_flight", Gauge),
-        ("pendq", Gauge),
         ("health", Gauge),
     ] {
         series = series.with_column(name, kind);
     }
     sys.run_every(every, |sys, t| {
-        // The two queue lengths are private to the datapath; the
-        // snapshot publishes them.
-        let rows = sys.metrics_snapshot("");
-        let gauge = |name| match rows.get(name).map(|m| m.value) {
-            Some(MetricValue::Int(v)) => v,
-            _ => panic!("no integer `{name}` row"),
-        };
         let health = match sys.health() {
             None | Some(HealthState::Healthy) => 0,
             Some(HealthState::Suspect { .. }) => 1,
             Some(_) => 2,
         };
         let (m, bb) = (&sys.metrics, sys.blkback_stats());
-        let (in_flight, pendq) = (gauge("in_flight"), gauge("pendq"));
-        let raw = [
-            m.ios,
-            m.read_bytes,
-            m.write_bytes,
-            bb.requests,
-            in_flight,
-            pendq,
-            health,
-        ];
+        let raw = [m.ios, m.read_bytes, m.write_bytes, bb.requests, health];
         series.record(t, &raw);
     });
     series
