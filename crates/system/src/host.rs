@@ -199,6 +199,12 @@ pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// One `Cpu` per vCPU the domain table gives `dom`.
+fn vcpus_of(hv: &Hypervisor, dom: DomainId) -> CpuPool {
+    let d = hv.domains.get(dom).expect("a domain the host just created");
+    CpuPool::new(d.vcpus as usize)
+}
+
 /// One simulated machine running a driver domain for datapath `D`.
 ///
 /// Dereferences to the datapath, so its public taps read as fields of
@@ -220,8 +226,9 @@ pub struct Host<D: Datapath> {
     /// Configured queue count: what the toolstack advertises and the
     /// frontend asks for at every (re)connect.
     pub(crate) nqueues: u32,
+    /// The driver domain's vCPUs, one per queue (`create_driver`).
     pub(crate) driver_cpus: CpuPool,
-    /// The DomU behind the frontend: its 22 vCPUs.
+    /// The DomU behind the frontend: the vCPUs `create_domain` gave it.
     guest_cpus: CpuPool,
     /// When the DomU's interrupt handler last started.
     guest_irq_at: Nanos,
@@ -284,6 +291,7 @@ impl<D: Datapath> Host<D> {
 
         let (dp, backend_cfg, profile) = D::build(cfg, &mut hv, driver);
         let paths = DevicePaths::new(guest, driver, D::Backend::KIND, 0);
+        let (driver_cpus, guest_cpus) = (vcpus_of(&hv, driver), vcpus_of(&hv, guest));
         // `mgr` and `paths` are re-created by `plug_device` for whichever
         // driver domain is current; the slot keeps its config for life.
         let mut host = Host {
@@ -297,8 +305,8 @@ impl<D: Datapath> Host<D> {
             driver,
             guest,
             nqueues,
-            driver_cpus: CpuPool::new(nqueues as usize),
-            guest_cpus: CpuPool::new(22),
+            driver_cpus,
+            guest_cpus,
             guest_irq_at: Nanos::ZERO,
             bdf,
             mgr: BackendManager::new(driver, D::Backend::KIND),
@@ -675,7 +683,7 @@ impl<D: Datapath> Host<D> {
         let driver = Self::create_driver(&mut self.hv, self.os, nqueues);
         self.driver = driver;
         self.milestone(driver, "reboot");
-        self.driver_cpus = CpuPool::new(nqueues as usize);
+        self.driver_cpus = vcpus_of(&self.hv, driver);
         self.hv
             .pci
             .assign(self.bdf, driver)

@@ -19,6 +19,17 @@ impl DomainId {
     }
 }
 
+/// `d`'s entry in a per-domain table indexed by `DomainId.0`, growing the
+/// table to reach it. Ids are dense and never reused, so the table is as
+/// long as the number of domains that ever used it.
+pub(crate) fn slot_mut<T: Default>(table: &mut Vec<T>, d: DomainId) -> &mut T {
+    let idx = d.0 as usize;
+    if idx >= table.len() {
+        table.resize_with(idx + 1, T::default);
+    }
+    &mut table[idx]
+}
+
 /// The role a domain plays in the scenario.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DomainKind {

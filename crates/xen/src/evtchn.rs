@@ -5,9 +5,7 @@
 //! vmexit/vmentry) is modeled by the system layer — this module implements
 //! the port state machine and the pending bit exactly.
 
-use std::collections::HashMap;
-
-use crate::domain::DomainId;
+use crate::domain::{slot_mut, DomainId};
 use crate::error::{Result, XenError};
 
 /// An event-channel port number, local to a domain.
@@ -43,7 +41,9 @@ pub struct Notification {
 /// All event channels in the machine.
 #[derive(Default)]
 pub struct EventChannels {
-    ports: HashMap<DomainId, Vec<PortInfo>>,
+    /// Each domain's ports, indexed by `DomainId.0` (ids are dense and
+    /// never reused). Only port allocation extends it.
+    ports: Vec<Vec<PortInfo>>,
 }
 
 impl EventChannels {
@@ -52,13 +52,19 @@ impl EventChannels {
         EventChannels::default()
     }
 
-    fn dom(&mut self, d: DomainId) -> &mut Vec<PortInfo> {
-        self.ports.entry(d).or_default()
+    /// Allocates `d`'s next port in `state`.
+    fn push(&mut self, d: DomainId, state: PortState) -> Port {
+        let v = slot_mut(&mut self.ports, d);
+        v.push(PortInfo {
+            state,
+            pending: false,
+        });
+        Port(v.len() as u32 - 1)
     }
 
     fn info(&self, d: DomainId, p: Port) -> Result<&PortInfo> {
         self.ports
-            .get(&d)
+            .get(d.0 as usize)
             .and_then(|v| v.get(p.0 as usize))
             .filter(|i| i.state != PortState::Closed)
             .ok_or(XenError::BadPort)
@@ -66,7 +72,7 @@ impl EventChannels {
 
     fn info_mut(&mut self, d: DomainId, p: Port) -> Result<&mut PortInfo> {
         self.ports
-            .get_mut(&d)
+            .get_mut(d.0 as usize)
             .and_then(|v| v.get_mut(p.0 as usize))
             .filter(|i| i.state != PortState::Closed)
             .ok_or(XenError::BadPort)
@@ -75,12 +81,7 @@ impl EventChannels {
     /// `EVTCHNOP_alloc_unbound`: `owner` allocates a port that only
     /// `remote_allowed` may later bind to.
     pub fn alloc_unbound(&mut self, owner: DomainId, remote_allowed: DomainId) -> Port {
-        let v = self.dom(owner);
-        v.push(PortInfo {
-            state: PortState::Unbound { remote_allowed },
-            pending: false,
-        });
-        Port(v.len() as u32 - 1)
+        self.push(owner, PortState::Unbound { remote_allowed })
     }
 
     /// `EVTCHNOP_bind_interdomain`: `binder` connects to `(remote,
@@ -101,17 +102,13 @@ impl EventChannels {
                 _ => return Err(XenError::PortInUse),
             }
         }
-        let local = {
-            let v = self.dom(binder);
-            v.push(PortInfo {
-                state: PortState::Interdomain {
-                    remote,
-                    remote_port,
-                },
-                pending: false,
-            });
-            Port(v.len() as u32 - 1)
-        };
+        let local = self.push(
+            binder,
+            PortState::Interdomain {
+                remote,
+                remote_port,
+            },
+        );
         let ri = self.info_mut(remote, remote_port)?;
         ri.state = PortState::Interdomain {
             remote: binder,
@@ -173,7 +170,7 @@ impl EventChannels {
     /// Number of non-closed ports a domain holds (observability only;
     /// this is the `kitetop` event-channel column).
     pub fn open_ports(&self, d: DomainId) -> usize {
-        self.ports.get(&d).map_or(0, |v| {
+        self.ports.get(d.0 as usize).map_or(0, |v| {
             v.iter().filter(|i| i.state != PortState::Closed).count()
         })
     }
@@ -183,7 +180,7 @@ impl EventChannels {
     pub fn close_domain(&mut self, dead: DomainId) {
         let live: Vec<Port> = self
             .ports
-            .get(&dead)
+            .get(dead.0 as usize)
             .map(|v| {
                 v.iter()
                     .enumerate()
@@ -295,5 +292,20 @@ mod tests {
     fn unknown_port_fails() {
         let ec = EventChannels::new();
         assert_eq!(ec.peer(A, Port(7)), Err(XenError::BadPort));
+    }
+
+    #[test]
+    fn unknown_domain_fails_and_grows_no_table() {
+        let (mut ec, pa, _) = connected();
+        let domains = ec.ports.len();
+        let ghost = DomainId(u16::MAX);
+        assert_eq!(ec.send(ghost, pa), Err(XenError::BadPort));
+        assert_eq!(ec.peer(ghost, pa), Err(XenError::BadPort));
+        assert_eq!(ec.clear_pending(ghost, pa), Err(XenError::BadPort));
+        assert_eq!(ec.close(ghost, pa), Err(XenError::BadPort));
+        assert_eq!(ec.bind_interdomain(A, ghost, pa), Err(XenError::BadPort));
+        ec.close_domain(ghost);
+        assert_eq!(ec.open_ports(ghost), 0);
+        assert_eq!(ec.ports.len(), domains);
     }
 }

@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use crate::domain::DomainId;
+use crate::domain::{slot_mut, DomainId};
 use crate::error::{Result, XenError};
 use crate::mem::{MachineMemory, PageId, PAGE_SIZE};
 
@@ -131,7 +131,10 @@ pub enum CopyMode {
 /// All grant tables in the machine plus the active-mapping registry.
 #[derive(Default)]
 pub struct GrantTables {
-    tables: HashMap<DomainId, GrantTable>,
+    /// Indexed by `DomainId.0`: domain ids are dense and never reused, so
+    /// a domain's table is a slot, as in Xen's `struct domain`. Only a
+    /// granter's own [`GrantTables::grant_access`] extends it.
+    tables: Vec<GrantTable>,
     maps: HashMap<MapHandle, MapRecord>,
     next_handle: u64,
 }
@@ -140,6 +143,14 @@ impl GrantTables {
     /// Creates an empty set of tables.
     pub fn new() -> GrantTables {
         GrantTables::default()
+    }
+
+    fn table(&self, d: DomainId) -> Result<&GrantTable> {
+        self.tables.get(d.0 as usize).ok_or(XenError::BadGrant)
+    }
+
+    fn table_mut(&mut self, d: DomainId) -> Result<&mut GrantTable> {
+        self.tables.get_mut(d.0 as usize).ok_or(XenError::BadGrant)
     }
 
     /// `granter` grants `peer` access to `page`.
@@ -156,7 +167,7 @@ impl GrantTables {
         if mem.owner(page)? != granter {
             return Err(XenError::Perm);
         }
-        Ok(self.tables.entry(granter).or_default().insert(GrantEntry {
+        Ok(slot_mut(&mut self.tables, granter).insert(GrantEntry {
             peer,
             page,
             readonly,
@@ -169,7 +180,7 @@ impl GrantTables {
     /// Fails with [`XenError::GrantInUse`] while the peer still has it
     /// mapped (mirroring `gnttab_end_foreign_access_ref` returning busy).
     pub fn end_access(&mut self, granter: DomainId, gref: GrantRef) -> Result<()> {
-        let table = self.tables.get_mut(&granter).ok_or(XenError::BadGrant)?;
+        let table = self.table_mut(granter)?;
         if table.get(gref)?.map_count > 0 {
             return Err(XenError::GrantInUse);
         }
@@ -178,12 +189,12 @@ impl GrantTables {
 
     /// `mapper` maps a grant issued by `granter`.
     pub fn map(&mut self, mapper: DomainId, granter: DomainId, gref: GrantRef) -> Result<Mapping> {
-        let table = self.tables.get_mut(&granter).ok_or(XenError::BadGrant)?;
-        let entry = table.get_mut(gref)?;
+        let entry = self.table_mut(granter)?.get_mut(gref)?;
         if entry.peer != mapper {
             return Err(XenError::BadGrant);
         }
         entry.map_count += 1;
+        let (page, readonly) = (entry.page, entry.readonly);
         let handle = MapHandle(self.next_handle);
         self.next_handle += 1;
         self.maps.insert(
@@ -196,9 +207,19 @@ impl GrantTables {
         );
         Ok(Mapping {
             handle,
-            page: entry.page,
-            readonly: entry.readonly,
+            page,
+            readonly,
         })
+    }
+
+    /// Drops the busy count a torn-down mapping held on its grant.
+    fn release(&mut self, rec: &MapRecord) {
+        if let Ok(entry) = self
+            .table_mut(rec.granter)
+            .and_then(|t| t.get_mut(rec.gref))
+        {
+            entry.map_count = entry.map_count.saturating_sub(1);
+        }
     }
 
     /// Reclaims everything a dead domain holds: drops all mappings it
@@ -216,13 +237,11 @@ impl GrantTables {
         let n = handles.len();
         for h in handles {
             let rec = self.maps.remove(&h).expect("collected above");
-            if let Some(table) = self.tables.get_mut(&rec.granter) {
-                if let Ok(entry) = table.get_mut(rec.gref) {
-                    entry.map_count = entry.map_count.saturating_sub(1);
-                }
-            }
+            self.release(&rec);
         }
-        self.tables.remove(&dead);
+        if let Ok(table) = self.table_mut(dead) {
+            *table = GrantTable::default();
+        }
         n
     }
 
@@ -233,11 +252,7 @@ impl GrantTables {
             return Err(XenError::Perm);
         }
         let rec = self.maps.remove(&handle).expect("checked above");
-        if let Some(table) = self.tables.get_mut(&rec.granter) {
-            if let Ok(entry) = table.get_mut(rec.gref) {
-                entry.map_count = entry.map_count.saturating_sub(1);
-            }
-        }
+        self.release(&rec);
         Ok(())
     }
 
@@ -261,8 +276,7 @@ impl GrantTables {
                 gref,
                 offset,
             } => {
-                let table = self.tables.get(&granter).ok_or(XenError::BadGrant)?;
-                let entry = table.get(gref)?;
+                let entry = self.table(granter)?.get(gref)?;
                 if entry.peer != caller {
                     return Err(XenError::BadGrant);
                 }
@@ -302,10 +316,8 @@ impl GrantTables {
 
     /// Number of live grant entries issued by `granter`.
     pub fn live_grants(&self, granter: DomainId) -> usize {
-        self.tables
-            .get(&granter)
-            .map(|t| t.entries.iter().filter(|e| e.is_some()).count())
-            .unwrap_or(0)
+        self.table(granter)
+            .map_or(0, |t| t.entries.iter().filter(|e| e.is_some()).count())
     }
 }
 
@@ -454,6 +466,43 @@ mod tests {
             4,
         );
         assert_eq!(err, Err(XenError::ReadOnlyGrant));
+        assert_eq!(f.mem.backed_pages(), 0, "a refused copy backs nothing");
+    }
+
+    #[test]
+    fn unknown_granter_fails_and_grows_no_table() {
+        let mut f = fix();
+        let page = f.mem.alloc(&mut f.doms, f.guest).unwrap();
+        let dpage = f.mem.alloc(&mut f.doms, f.driver).unwrap();
+        let gref =
+            f.gt.grant_access(&f.mem, f.guest, f.driver, page, false)
+                .unwrap();
+        let tables = f.gt.tables.len();
+        let ghost = DomainId(u16::MAX);
+        assert_eq!(
+            f.gt.map(f.driver, ghost, gref).err(),
+            Some(XenError::BadGrant)
+        );
+        assert_eq!(f.gt.end_access(ghost, gref), Err(XenError::BadGrant));
+        let copy = f.gt.copy(
+            &mut f.mem,
+            f.driver,
+            CopySide::Grant {
+                granter: ghost,
+                gref,
+                offset: 0,
+            },
+            CopySide::Local {
+                page: dpage,
+                offset: 0,
+            },
+            4,
+        );
+        assert_eq!(copy, Err(XenError::BadGrant));
+        assert_eq!(f.gt.live_grants(ghost), 0);
+        assert_eq!(f.gt.reclaim_domain(ghost), 0);
+        assert_eq!(f.gt.tables.len(), tables);
+        assert_eq!(f.mem.backed_pages(), 0);
     }
 
     #[test]

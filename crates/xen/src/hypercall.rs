@@ -158,15 +158,9 @@ impl HypercallMeter {
         HypercallMeter::default()
     }
 
-    /// Charges one hypercall; returns its cost for CPU accounting.
-    pub fn charge(&mut self, model: &CostModel, kind: HypercallKind, bytes: usize) -> Nanos {
-        let c = model.cost(kind, bytes);
-        self.charge_costed(kind, c);
-        c
-    }
-
-    /// Charges one hypercall whose cost was computed externally (batched
-    /// ops whose cost depends on the descriptor count, not just bytes).
+    /// Charges one hypercall of `kind` that cost `cost` (the
+    /// [`CostModel`]'s price, or a batch's, which depends on the
+    /// descriptor count, not just bytes).
     pub fn charge_costed(&mut self, kind: HypercallKind, cost: Nanos) {
         self.counts[kind.index()] += 1;
         self.time[kind.index()] += cost;
@@ -218,9 +212,13 @@ mod tests {
     fn meter_accumulates() {
         let m = CostModel::default();
         let mut meter = HypercallMeter::new();
-        let c1 = meter.charge(&m, HypercallKind::EvtchnSend, 0);
-        let c2 = meter.charge(&m, HypercallKind::EvtchnSend, 0);
-        meter.charge(&m, HypercallKind::GntCopy, 4096);
+        let (c1, c2) = (
+            m.cost(HypercallKind::EvtchnSend, 0),
+            m.cost(HypercallKind::EvtchnSend, 0),
+        );
+        meter.charge_costed(HypercallKind::EvtchnSend, c1);
+        meter.charge_costed(HypercallKind::EvtchnSend, c2);
+        meter.charge_costed(HypercallKind::GntCopy, m.cost(HypercallKind::GntCopy, 4096));
         assert_eq!(meter.count(HypercallKind::EvtchnSend), 2);
         assert_eq!(meter.count(HypercallKind::GntCopy), 1);
         assert_eq!(meter.total_count(), 3);

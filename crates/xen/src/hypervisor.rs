@@ -6,8 +6,6 @@
 //! its cost* to the calling domain's meter. Raw subsystem access stays
 //! public for setup code and tests.
 
-use std::collections::HashMap;
-
 use kite_sim::Nanos;
 use kite_trace::{EventKind, NotifyOutcome, ReqTracer, Tracer};
 
@@ -77,7 +75,9 @@ pub struct Hypervisor {
     /// Per-request stage recorder (disabled by default; same one-branch
     /// zero-allocation contract as `trace`).
     pub req: ReqTracer,
-    meters: HashMap<DomainId, HypercallMeter>,
+    /// One meter per domain `create_domain` made, indexed by `DomainId.0`
+    /// (ids are dense and never reused; a dead domain keeps its meter).
+    meters: Vec<HypercallMeter>,
 }
 
 impl Default for Hypervisor {
@@ -100,7 +100,7 @@ impl Hypervisor {
             faults: FaultPlan::none(),
             trace: Tracer::disabled(),
             req: ReqTracer::disabled(),
-            meters: HashMap::new(),
+            meters: Vec::new(),
         }
     }
 
@@ -114,6 +114,7 @@ impl Hypervisor {
     ) -> DomainId {
         let name = name.into();
         let id = self.domains.create(name.clone(), kind, mem_mib, vcpus);
+        self.meters.push(HypercallMeter::new());
         // xenstored provisions the domain's home directory at creation and
         // delegates it to the domain.
         let home = format!("/local/domain/{}", id.0);
@@ -143,17 +144,24 @@ impl Hypervisor {
         Ok(())
     }
 
-    /// The hypercall meter of a domain.
+    /// The hypercall meter of a domain (a zeroed one for an unknown id).
     pub fn meter(&self, dom: DomainId) -> HypercallMeter {
-        self.meters.get(&dom).cloned().unwrap_or_default()
+        self.meters.get(dom.0 as usize).cloned().unwrap_or_default()
+    }
+
+    /// Bills `cost` for one hypercall of `kind` to `dom`'s meter. Every
+    /// caller is a domain `create_domain` made; an unknown id bills none.
+    fn bill(&mut self, dom: DomainId, kind: HypercallKind, cost: Nanos) {
+        if let Some(m) = self.meters.get_mut(dom.0 as usize) {
+            m.charge_costed(kind, cost);
+        }
     }
 
     /// Charges a hypercall to `dom` and returns its modeled cost.
     pub fn charge(&mut self, dom: DomainId, kind: HypercallKind, bytes: usize) -> Nanos {
-        self.meters
-            .entry(dom)
-            .or_default()
-            .charge(&self.costs, kind, bytes)
+        let c = self.costs.cost(kind, bytes);
+        self.bill(dom, kind, c);
+        c
     }
 
     /// Allocates a page for `dom` (no hypercall charge; guest-local).
@@ -240,10 +248,7 @@ impl Hypervisor {
             }
         }
         let cost = self.costs.gnt_copy_batch(ops.len(), bytes);
-        self.meters
-            .entry(caller)
-            .or_default()
-            .charge_costed(HypercallKind::GntCopy, cost);
+        self.bill(caller, HypercallKind::GntCopy, cost);
         let result = BatchResult {
             ops: ops.len(),
             failed,
@@ -784,6 +789,22 @@ mod tests {
         // Every emission got a distinct, increasing seq.
         let seqs: Vec<u64> = hv.trace.events().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn unknown_domain_reads_a_zero_meter_and_grows_nothing() {
+        let mut hv = Hypervisor::new();
+        hv.create_domain("Domain-0", DomainKind::Dom0, 1024, 4);
+        let ghost = DomainId(u16::MAX);
+        assert_eq!(hv.meter(ghost).total_count(), 0);
+        assert!(hv.charge(ghost, HypercallKind::Sched, 0) > Nanos::ZERO);
+        assert_eq!(hv.meter(ghost).total_count(), 0, "bills no meter");
+        assert_eq!(hv.evtchn_send(ghost, Port(0)), Err(XenError::BadPort));
+        assert_eq!(
+            hv.map_grant(DomainId::DOM0, ghost, GrantRef(0)).err(),
+            Some(XenError::BadGrant)
+        );
+        assert_eq!(hv.meters.len(), 1);
     }
 
     #[test]

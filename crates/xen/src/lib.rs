@@ -4,7 +4,8 @@
 //! Xen mechanisms that Kite's driver domains are built on:
 //!
 //! * [`domain`] — domain identities and lifecycle;
-//! * [`mem`] — machine pages with real bytes and ownership;
+//! * [`mem`] — machine pages with real bytes and ownership, each backed on
+//!   its first write;
 //! * [`grant`] — grant tables: share, map, and hypervisor-copy pages across
 //!   domains with real permission checks;
 //! * [`evtchn`] — event channels (virtual interrupts) with pending-bit

@@ -4,6 +4,16 @@
 //! 4 KiB pages owned by domains, so grant-table bugs (out-of-bounds copies,
 //! writes through read-only grants, use-after-revoke) are actual detectable
 //! failures rather than modeling hand-waves.
+//!
+//! A page is *reserved* at [`MachineMemory::alloc`] — owner, quota and a
+//! [`PageId`] that is never reused are all settled there — but *backed*
+//! by a 4 KiB buffer only on its first write ([`MachineMemory::page_mut`],
+//! or as the destination of [`MachineMemory::copy`]). Until then every
+//! read sees one shared page of zeros, which is exactly what a freshly
+//! allocated page holds, so laziness changes no byte anyone can observe:
+//! it only stops a build from zero-filling pool pages a run never
+//! touches. All checks (ownership, bounds, freed pages) are made on the
+//! reservation and fail the same whether or not the page is backed.
 
 use crate::domain::{DomainId, DomainTable};
 use crate::error::{Result, XenError};
@@ -11,14 +21,37 @@ use crate::error::{Result, XenError};
 /// Size of one machine page in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
+/// What every page nothing has written yet reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 /// A machine frame number — a global handle to one page.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PageId(pub u64);
 
-struct Frame {
-    owner: DomainId,
-    data: Box<[u8; PAGE_SIZE]>,
+/// A page's bytes: `None` until the first write.
+struct Backing(Option<Box<[u8; PAGE_SIZE]>>);
+
+impl Backing {
+    fn bytes(&self) -> &[u8; PAGE_SIZE] {
+        self.0.as_deref().unwrap_or(&ZERO_PAGE)
+    }
+
+    fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        self.0.get_or_insert_with(|| Box::new([0; PAGE_SIZE]))
+    }
 }
+
+/// One machine frame. A freed frame stays `Free`, so its id is never
+/// handed out again.
+enum Frame {
+    Free,
+    Live(DomainId, Backing),
+}
+
+// The table keeps a slot for every page ever allocated. The tag fits
+// beside the owner, so a slot is 16 bytes; an `Option` around an owner
+// and an `Option<Box>` would take 24.
+const _: () = assert!(std::mem::size_of::<Frame>() == 16);
 
 /// All machine memory, indexed by [`PageId`].
 ///
@@ -26,7 +59,7 @@ struct Frame {
 /// into a deterministic [`XenError::BadPage`] instead of silent corruption.
 #[derive(Default)]
 pub struct MachineMemory {
-    frames: Vec<Option<Frame>>,
+    frames: Vec<Frame>,
 }
 
 impl MachineMemory {
@@ -35,7 +68,8 @@ impl MachineMemory {
         MachineMemory::default()
     }
 
-    /// Allocates a zeroed page for `owner`, honoring its reservation.
+    /// Allocates a zeroed page for `owner`, honoring its reservation. The
+    /// page is backed on its first write.
     pub fn alloc(&mut self, domains: &mut DomainTable, owner: DomainId) -> Result<PageId> {
         let dom = domains.get_mut(owner)?;
         if dom.pages_allocated >= dom.page_limit() {
@@ -43,10 +77,7 @@ impl MachineMemory {
         }
         dom.pages_allocated += 1;
         let id = PageId(self.frames.len() as u64);
-        self.frames.push(Some(Frame {
-            owner,
-            data: Box::new([0u8; PAGE_SIZE]),
-        }));
+        self.frames.push(Frame::Live(owner, Backing(None)));
         Ok(id)
     }
 
@@ -57,48 +88,50 @@ impl MachineMemory {
             .get_mut(page.0 as usize)
             .ok_or(XenError::BadPage)?;
         match slot {
-            Some(f) if f.owner == owner => {
-                *slot = None;
+            Frame::Live(o, _) if *o == owner => {
+                *slot = Frame::Free;
                 if let Ok(d) = domains.get_mut(owner) {
                     d.pages_allocated = d.pages_allocated.saturating_sub(1);
                 }
                 Ok(())
             }
-            Some(_) => Err(XenError::Perm),
-            None => Err(XenError::BadPage),
+            Frame::Live(..) => Err(XenError::Perm),
+            Frame::Free => Err(XenError::BadPage),
         }
     }
 
     /// The owner of a page.
     pub fn owner(&self, page: PageId) -> Result<DomainId> {
-        self.frame(page).map(|f| f.owner)
+        self.frame(page).map(|(owner, _)| owner)
     }
 
-    fn frame(&self, page: PageId) -> Result<&Frame> {
-        self.frames
-            .get(page.0 as usize)
-            .and_then(|f| f.as_ref())
-            .ok_or(XenError::BadPage)
+    fn frame(&self, page: PageId) -> Result<(DomainId, &Backing)> {
+        match self.frames.get(page.0 as usize) {
+            Some(Frame::Live(owner, data)) => Ok((*owner, data)),
+            _ => Err(XenError::BadPage),
+        }
     }
 
-    fn frame_mut(&mut self, page: PageId) -> Result<&mut Frame> {
-        self.frames
-            .get_mut(page.0 as usize)
-            .and_then(|f| f.as_mut())
-            .ok_or(XenError::BadPage)
+    fn backing_mut(&mut self, page: PageId) -> Result<&mut Backing> {
+        match self.frames.get_mut(page.0 as usize) {
+            Some(Frame::Live(_, data)) => Ok(data),
+            _ => Err(XenError::BadPage),
+        }
     }
 
-    /// Read-only view of a page's bytes.
+    /// Read-only view of a page's bytes. Backs nothing: an unwritten page
+    /// reads as zeros.
     pub fn page(&self, page: PageId) -> Result<&[u8; PAGE_SIZE]> {
-        self.frame(page).map(|f| &*f.data)
+        self.frame(page).map(|(_, data)| data.bytes())
     }
 
-    /// Mutable view of a page's bytes.
+    /// Mutable view of a page's bytes, backing the page if nothing has
+    /// written it yet.
     ///
     /// This is the *hypervisor's* view: grant permission checks are done by
     /// the grant table before handing callers a page id to use here.
     pub fn page_mut(&mut self, page: PageId) -> Result<&mut [u8; PAGE_SIZE]> {
-        self.frame_mut(page).map(|f| &mut *f.data)
+        self.backing_mut(page).map(Backing::bytes_mut)
     }
 
     /// Copies `len` bytes from one page to another, slice to slice: no
@@ -108,7 +141,8 @@ impl MachineMemory {
     /// [`XenError::OutOfBounds`]; a freed or never-allocated page on
     /// either side is [`XenError::BadPage`]. `src` and `dst` may be the
     /// same page as long as the two ranges do not overlap (an overlapping
-    /// copy is also `OutOfBounds`).
+    /// copy is also `OutOfBounds`). A copy that succeeds backs `dst`; a
+    /// failed one backs nothing.
     pub fn copy(
         &mut self,
         src: PageId,
@@ -125,12 +159,12 @@ impl MachineMemory {
             if overlap && len > 0 {
                 return Err(XenError::OutOfBounds);
             }
-            let f = self.frame_mut(src)?;
+            let data = self.backing_mut(src)?.bytes_mut();
             let (a, b) = if src_off < dst_off {
-                let (l, r) = f.data.split_at_mut(dst_off);
+                let (l, r) = data.split_at_mut(dst_off);
                 (&l[src_off..src_off + len], &mut r[..len])
             } else {
-                let (l, r) = f.data.split_at_mut(src_off);
+                let (l, r) = data.split_at_mut(src_off);
                 (&r[..len], &mut l[dst_off..dst_off + len])
             };
             b.copy_from_slice(a);
@@ -138,14 +172,14 @@ impl MachineMemory {
         }
         // Distinct pages: borrow both frames at once so the bytes move
         // slice to slice. The indices differ, so the lookup only fails for
-        // a page past the end of the table; a freed one is a `None` slot.
-        let Ok([Some(s), Some(d)]) = self
+        // a page past the end of the table.
+        let Ok([Frame::Live(_, s), Frame::Live(_, d)]) = self
             .frames
             .get_disjoint_mut([src.0 as usize, dst.0 as usize])
         else {
             return Err(XenError::BadPage);
         };
-        d.data[dst_off..dst_off + len].copy_from_slice(&s.data[src_off..src_off + len]);
+        d.bytes_mut()[dst_off..dst_off + len].copy_from_slice(&s.bytes()[src_off..src_off + len]);
         Ok(())
     }
 }
@@ -234,5 +268,88 @@ mod tests {
         let (mut m, mut t, d0, _) = setup();
         let a = m.alloc(&mut t, d0).unwrap();
         assert_eq!(m.copy(a, 0, a, 2, 4), Err(XenError::OutOfBounds));
+    }
+
+    impl MachineMemory {
+        /// Pages that have a buffer behind them.
+        pub(crate) fn backed_pages(&self) -> usize {
+            self.frames
+                .iter()
+                .filter(|f| matches!(f, Frame::Live(_, Backing(Some(_)))))
+                .count()
+        }
+    }
+
+    #[test]
+    fn unwritten_page_reads_zeros_and_backs_nothing() {
+        let (mut m, mut t, d0, _) = setup();
+        let p = m.alloc(&mut t, d0).unwrap();
+        assert!(m.page(p).unwrap().iter().all(|&b| b == 0));
+        assert_eq!(m.backed_pages(), 0);
+    }
+
+    #[test]
+    fn first_page_mut_backs_exactly_one_page() {
+        let (mut m, mut t, d0, _) = setup();
+        let (a, b) = (m.alloc(&mut t, d0).unwrap(), m.alloc(&mut t, d0).unwrap());
+        m.page_mut(a).unwrap()[7] = 1;
+        assert_eq!(m.backed_pages(), 1);
+        m.page_mut(a).unwrap()[8] = 2;
+        assert_eq!(m.backed_pages(), 1, "a backed page stays the one buffer");
+        assert_eq!(&m.page(a).unwrap()[7..9], &[1, 2]);
+        assert!(m.page(b).unwrap().iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn copy_from_unbacked_source_writes_zeros() {
+        let (mut m, mut t, d0, _) = setup();
+        let (src, dst) = (m.alloc(&mut t, d0).unwrap(), m.alloc(&mut t, d0).unwrap());
+        m.page_mut(dst).unwrap().fill(0xff);
+        m.copy(src, 0, dst, 16, 32).unwrap();
+        let page = m.page(dst).unwrap();
+        assert!(page[16..48].iter().all(|&b| b == 0));
+        assert!(page[..16].iter().chain(&page[48..]).all(|&b| b == 0xff));
+        assert_eq!(m.backed_pages(), 1, "the source stays unbacked");
+    }
+
+    #[test]
+    fn copy_into_unbacked_destination_backs_it() {
+        let (mut m, mut t, d0, dd) = setup();
+        let (src, dst) = (m.alloc(&mut t, d0).unwrap(), m.alloc(&mut t, dd).unwrap());
+        m.page_mut(src).unwrap()[..4].copy_from_slice(b"kite");
+        m.copy(src, 0, dst, 100, 4).unwrap();
+        assert_eq!(m.backed_pages(), 2);
+        assert_eq!(&m.page(dst).unwrap()[100..104], b"kite");
+    }
+
+    #[test]
+    fn failed_copy_backs_nothing() {
+        let (mut m, mut t, d0, dd) = setup();
+        let (a, b) = (m.alloc(&mut t, d0).unwrap(), m.alloc(&mut t, dd).unwrap());
+        assert_eq!(m.copy(a, 4000, b, 0, 200), Err(XenError::OutOfBounds));
+        assert_eq!(m.copy(a, 0, a, 2, 4), Err(XenError::OutOfBounds));
+        assert_eq!(m.copy(PageId(99), 0, b, 0, 4), Err(XenError::BadPage));
+        m.free(&mut t, d0, a).unwrap();
+        assert_eq!(m.copy(a, 0, b, 0, 4), Err(XenError::BadPage));
+        assert_eq!(m.backed_pages(), 0);
+    }
+
+    #[test]
+    fn free_of_unbacked_page_returns_quota() {
+        let (mut m, mut t, _, dd) = setup();
+        let p = m.alloc(&mut t, dd).unwrap();
+        m.free(&mut t, dd, p).unwrap();
+        assert_eq!(t.get(dd).unwrap().pages_allocated, 0);
+        assert_eq!(m.page(p).err(), Some(XenError::BadPage));
+        assert_eq!(m.page_mut(p).err(), Some(XenError::BadPage));
+        assert_eq!(m.backed_pages(), 0, "use after free backs nothing");
+    }
+
+    #[test]
+    fn same_page_copy_on_unbacked_page() {
+        let (mut m, mut t, d0, _) = setup();
+        let a = m.alloc(&mut t, d0).unwrap();
+        m.copy(a, 0, a, 100, 8).unwrap();
+        assert!(m.page(a).unwrap().iter().all(|&b| b == 0));
     }
 }
