@@ -202,6 +202,16 @@ pub struct Netfront {
     rejects: RspRejects,
 }
 
+/// Copies bytes `at..at + dst.len()` of the frame `header` ++ `payload`
+/// into `dst`.
+fn copy_span(dst: &mut [u8], at: usize, header: &[u8], payload: &[u8]) {
+    let from_header = header.get(at..).unwrap_or_default();
+    let h = from_header.len().min(dst.len());
+    dst[..h].copy_from_slice(&from_header[..h]);
+    let (p, rest) = (at.saturating_sub(header.len()), dst.len() - h);
+    dst[h..].copy_from_slice(&payload[p..p + rest]);
+}
+
 fn make_queue(hv: &mut Hypervisor, paths: &DevicePaths, nqueues: u32, k: u32) -> Result<NfQueue> {
     let tx = FrontEndpoint::alloc(hv, paths, RingKey::Tx)?;
     let rx = FrontEndpoint::alloc(hv, paths, RingKey::Rx)?;
@@ -312,8 +322,8 @@ impl Netfront {
     /// Sends one frame on the queue its flow steers to. Returns the
     /// queue index (whose [`Netfront::port_of`] port the caller notifies
     /// when `FrontOp::notify` is set). Fails with [`XenError::RingFull`]
-    /// when the steered queue has no Tx slot or buffer free (UDP
-    /// workloads count that as a drop), and with
+    /// when the steered queue has no Tx slot or buffer free (the caller
+    /// keeps the frame and retries on a Tx completion), and with
     /// [`XenError::RingCorrupt`] when its backend broke the queue.
     ///
     /// With GSO negotiated a frame larger than one page becomes a
@@ -334,11 +344,28 @@ impl Netfront {
         frame: &[u8],
         req: Option<ReqId>,
     ) -> Result<(usize, FrontOp)> {
-        if frame.len() > self.max_tx_frame() {
+        self.send_parts(hv, frame, &[], req)
+    }
+
+    /// [`Netfront::send`] of the frame `header` followed by `payload`,
+    /// laid into the Tx pages straight from the two buffers, so a stack
+    /// that writes a datagram's headers apart from its payload never joins
+    /// them first. Steering reads `header` only: it holds every field the
+    /// flow hash reads (a whole Ethernet + IPv4 + UDP header, or the whole
+    /// frame).
+    pub fn send_parts(
+        &mut self,
+        hv: &mut Hypervisor,
+        header: &[u8],
+        payload: &[u8],
+        req: Option<ReqId>,
+    ) -> Result<(usize, FrontOp)> {
+        let len = header.len() + payload.len();
+        if len > self.max_tx_frame() {
             return Err(XenError::OutOfBounds);
         }
-        let q = kite_net::flow::steer(frame, self.queues.len() as u32) as usize;
-        let nfrags = frame.len().div_ceil(kite_xen::PAGE_SIZE).max(1);
+        let q = kite_net::flow::steer(header, self.queues.len() as u32) as usize;
+        let nfrags = len.div_ceil(kite_xen::PAGE_SIZE).max(1);
         let chained = self.gso && nfrags > 1;
         // Data slots plus, for a chain, the extra-info slot.
         let slots = if chained { nfrags + 1 } else { nfrags };
@@ -355,9 +382,9 @@ impl Netfront {
         let mut off = 0usize;
         for f in 0..nfrags {
             let id = qu.tx_pool.alloc().expect("checked pool headroom");
-            let len = (frame.len() - off).min(kite_xen::PAGE_SIZE);
+            let n = (len - off).min(kite_xen::PAGE_SIZE);
             let buf = qu.tx_pool.page(id);
-            hv.mem.page_mut(buf)?[..len].copy_from_slice(&frame[off..off + len]);
+            copy_span(&mut hv.mem.page_mut(buf)?[..n], off, header, payload);
             let mut flags = 0u16;
             if chained {
                 if f == 0 {
@@ -371,13 +398,13 @@ impl Netfront {
                 offset: 0,
                 flags,
                 id,
-                size: len as u16,
+                size: n as u16,
             };
             let page = hv.mem.page_mut(qu.tx.page)?;
             qu.tx.ring.push_request(page, &req_tx)?;
             qu.tx_sent[id as usize] = TxSlot {
                 seq: qu.tx_seq,
-                len: len as u16,
+                len: n as u16,
                 first: f == 0,
             };
             qu.tx_seq += 1;
@@ -389,14 +416,14 @@ impl Netfront {
                     let extra = NetifExtraInfo {
                         kind: XEN_NETIF_EXTRA_TYPE_GSO,
                         gso_size: mss as u16,
-                        gso_segs: frame.len().div_ceil(mss) as u16,
-                        total_len: frame.len() as u32,
+                        gso_segs: len.div_ceil(mss) as u16,
+                        total_len: len as u32,
                     };
                     let page = hv.mem.page_mut(qu.tx.page)?;
                     qu.tx.ring.push_request(page, &extra.to_tx_slot())?;
                 }
             }
-            off += len;
+            off += n;
         }
         let page = hv.mem.page_mut(qu.tx.page)?;
         let notify = qu.tx.ring.push_requests(page);
@@ -410,7 +437,7 @@ impl Netfront {
         // offload the guest skips the software csum pass, halving the
         // per-byte term.
         let per_byte = if self.gso { 32 } else { 16 };
-        let cost = Nanos::from_nanos(150 + frame.len() as u64 / per_byte);
+        let cost = Nanos::from_nanos(150 + len as u64 / per_byte);
         Ok((q, FrontOp { notify, cost }))
     }
 

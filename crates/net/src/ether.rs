@@ -106,11 +106,13 @@ pub fn tso_wire_cost(frame_len: usize) -> (u64, u32) {
     (bytes as u64, segs as u32)
 }
 
-/// Appends the 14-byte Ethernet II header to `out`.
-pub fn write_header(out: &mut Vec<u8>, dst: MacAddr, src: MacAddr, ethertype: EtherType) {
-    out.extend_from_slice(&dst.0);
-    out.extend_from_slice(&src.0);
-    out.extend_from_slice(&ethertype.value().to_be_bytes());
+/// The 14-byte Ethernet II header.
+pub fn header(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> [u8; ETH_HEADER_LEN] {
+    let mut h = [0u8; ETH_HEADER_LEN];
+    h[0..6].copy_from_slice(&dst.0);
+    h[6..12].copy_from_slice(&src.0);
+    h[12..14].copy_from_slice(&ethertype.value().to_be_bytes());
+    h
 }
 
 /// An Ethernet frame over its payload bytes `P`: an owned `Vec<u8>` when
@@ -158,7 +160,7 @@ impl<P: AsRef<[u8]>> EthernetFrame<P> {
     pub fn encode(&self) -> Vec<u8> {
         let payload = self.payload.as_ref();
         let mut out = Vec::with_capacity(ETH_HEADER_LEN + payload.len());
-        write_header(&mut out, self.dst, self.src, self.ethertype);
+        out.extend_from_slice(&header(self.dst, self.src, self.ethertype));
         out.extend_from_slice(payload);
         out
     }

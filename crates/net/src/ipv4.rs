@@ -44,17 +44,16 @@ pub const IPV4_HEADER_LEN: usize = 20;
 /// The TTL [`Ipv4Packet::new`] stamps.
 pub const DEFAULT_TTL: u8 = 64;
 
-/// Appends the 20-byte option-less header, with a correct checksum, of a
-/// packet carrying `payload_len` bytes.
-pub fn write_header(
-    out: &mut Vec<u8>,
+/// The 20-byte option-less header, with a correct checksum, of a packet
+/// carrying `payload_len` bytes.
+pub fn header(
     src: Ipv4Addr,
     dst: Ipv4Addr,
     proto: IpProto,
     ttl: u8,
     ident: u16,
     payload_len: usize,
-) {
+) -> [u8; IPV4_HEADER_LEN] {
     let total = IPV4_HEADER_LEN + payload_len;
     let mut h = [0u8; IPV4_HEADER_LEN];
     h[0] = 0x45; // version 4, IHL 5
@@ -67,7 +66,7 @@ pub fn write_header(
     h[16..20].copy_from_slice(&dst.octets());
     let c = checksum::checksum(&h);
     h[10..12].copy_from_slice(&c.to_be_bytes());
-    out.extend_from_slice(&h);
+    h
 }
 
 /// An IPv4 packet over its payload bytes `P`: an owned `Vec<u8>` when
@@ -132,15 +131,14 @@ impl<P: AsRef<[u8]>> Ipv4Packet<P> {
     pub fn encode(&self) -> Vec<u8> {
         let payload = self.payload.as_ref();
         let mut out = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
-        write_header(
-            &mut out,
+        out.extend_from_slice(&header(
             self.src,
             self.dst,
             self.proto,
             self.ttl,
             self.ident,
             payload.len(),
-        );
+        ));
         out.extend_from_slice(payload);
         out
     }

@@ -10,7 +10,9 @@
 //!   checksums ([`checksum`]); the Ethernet/IPv4/ICMP/UDP types are generic
 //!   over their payload bytes — owned when built for sending, a validated
 //!   borrowed view of the wire buffer when parsed — and
-//!   [`UdpDatagram::encode_frame`] builds all three layers in one buffer;
+//!   [`UdpDatagram::encode_frame`] builds all three layers in one buffer,
+//!   [`UdpDatagram::frame_header`] the same headers for a payload that
+//!   stays where it is;
 //! * [`flow`] — deterministic Toeplitz/RSS flow hashing for multi-queue
 //!   steering;
 //! * [`bridge`] — the learning bridge Kite's network application manages;

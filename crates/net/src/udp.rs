@@ -3,36 +3,11 @@
 use std::net::Ipv4Addr;
 
 use crate::checksum;
-use crate::ether::{self, EtherType, MacAddr, ETH_HEADER_LEN};
+use crate::ether::{self, EtherType, MacAddr, ETH_HEADER_LEN, TSO_HEADERS_LEN};
 use crate::ipv4::{self, IpProto, DEFAULT_TTL, IPV4_HEADER_LEN};
 
 /// Length of the UDP header.
 pub const UDP_HEADER_LEN: usize = 8;
-
-/// Appends a UDP header and `payload` to `out`, then patches in the
-/// checksum over the IPv4 pseudo-header and the datagram just written.
-fn write_datagram(
-    out: &mut Vec<u8>,
-    src_port: u16,
-    dst_port: u16,
-    payload: &[u8],
-    src: Ipv4Addr,
-    dst: Ipv4Addr,
-) {
-    let start = out.len();
-    let len = (UDP_HEADER_LEN + payload.len()) as u16;
-    out.extend_from_slice(&src_port.to_be_bytes());
-    out.extend_from_slice(&dst_port.to_be_bytes());
-    out.extend_from_slice(&len.to_be_bytes());
-    out.extend_from_slice(&[0, 0]);
-    out.extend_from_slice(payload);
-    let acc = checksum::pseudo_header_sum(src, dst, 17, len);
-    let mut c = checksum::finish(checksum::sum(&out[start..], acc));
-    if c == 0 {
-        c = 0xffff; // RFC 768: transmitted-zero means "no checksum"
-    }
-    out[start + 6..start + 8].copy_from_slice(&c.to_be_bytes());
-}
 
 /// A UDP datagram over its payload bytes `P`: an owned `Vec<u8>` when
 /// built for sending, a `&[u8]` into the wire buffer when parsed.
@@ -88,12 +63,55 @@ impl<P: AsRef<[u8]>> UdpDatagram<P> {
         }
     }
 
+    /// The UDP header, its checksum taken over the IPv4 pseudo-header,
+    /// the header and the payload where it lies.
+    fn udp_header(&self, src: Ipv4Addr, dst: Ipv4Addr) -> [u8; UDP_HEADER_LEN] {
+        let payload = self.payload.as_ref();
+        let len = (UDP_HEADER_LEN + payload.len()) as u16;
+        let mut h = [0u8; UDP_HEADER_LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..6].copy_from_slice(&len.to_be_bytes());
+        // The header is an even number of bytes, so summing it and the
+        // payload apart is summing the datagram as one buffer.
+        let acc = checksum::pseudo_header_sum(src, dst, 17, len);
+        let mut c = checksum::finish(checksum::sum(payload, checksum::sum(&h, acc)));
+        if c == 0 {
+            c = 0xffff; // RFC 768: transmitted-zero means "no checksum"
+        }
+        h[6..8].copy_from_slice(&c.to_be_bytes());
+        h
+    }
+
     /// Serializes with a checksum over the IPv4 pseudo-header.
     pub fn encode(&self, src: Ipv4Addr, dst: Ipv4Addr) -> Vec<u8> {
         let payload = self.payload.as_ref();
         let mut out = Vec::with_capacity(UDP_HEADER_LEN + payload.len());
-        write_datagram(&mut out, self.src_port, self.dst_port, payload, src, dst);
+        out.extend_from_slice(&self.udp_header(src, dst));
+        out.extend_from_slice(payload);
         out
+    }
+
+    /// The Ethernet + IPv4 + UDP header that precedes this datagram's
+    /// payload in its frame, checksums included. The payload is read, not
+    /// copied: a sender lays the header and the payload down wherever the
+    /// frame is to live, and [`UdpDatagram::encode_frame`] is this header
+    /// followed by the payload.
+    pub fn frame_header(
+        &self,
+        eth_dst: MacAddr,
+        eth_src: MacAddr,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> [u8; TSO_HEADERS_LEN] {
+        const UDP_AT: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN;
+        let udp_len = UDP_HEADER_LEN + self.payload.as_ref().len();
+        let ip = ipv4::header(src, dst, IpProto::Udp, DEFAULT_TTL, 0, udp_len);
+        let mut h = [0u8; TSO_HEADERS_LEN];
+        h[..ETH_HEADER_LEN].copy_from_slice(&ether::header(eth_dst, eth_src, EtherType::Ipv4));
+        h[ETH_HEADER_LEN..UDP_AT].copy_from_slice(&ip);
+        h[UDP_AT..].copy_from_slice(&self.udp_header(src, dst));
+        h
     }
 
     /// The whole Ethernet + IPv4 + UDP frame carrying this datagram,
@@ -107,11 +125,9 @@ impl<P: AsRef<[u8]>> UdpDatagram<P> {
         dst: Ipv4Addr,
     ) -> Vec<u8> {
         let payload = self.payload.as_ref();
-        let udp_len = UDP_HEADER_LEN + payload.len();
-        let mut out = Vec::with_capacity(ETH_HEADER_LEN + IPV4_HEADER_LEN + udp_len);
-        ether::write_header(&mut out, eth_dst, eth_src, EtherType::Ipv4);
-        ipv4::write_header(&mut out, src, dst, IpProto::Udp, DEFAULT_TTL, 0, udp_len);
-        write_datagram(&mut out, self.src_port, self.dst_port, payload, src, dst);
+        let mut out = Vec::with_capacity(TSO_HEADERS_LEN + payload.len());
+        out.extend_from_slice(&self.frame_header(eth_dst, eth_src, src, dst));
+        out.extend_from_slice(payload);
         out
     }
 }

@@ -117,6 +117,16 @@ pub const GSO_UDP: usize = TSO_MSS * 42;
 /// earlier, at the NIC queue and the netback Rx queue.
 const GUEST_TXQ_CAP: usize = 1 << 20;
 
+/// A frame the guest stack holds until netfront takes it.
+enum GuestTx {
+    /// A UDP datagram: its Ethernet + IPv4 + UDP header and the
+    /// application's payload, moved in and never joined into one buffer.
+    Udp([u8; TSO_HEADERS_LEN], Vec<u8>),
+    /// A whole frame: an ICMP reply, or a frame replayed after a crash.
+    /// Only these can be ping traffic that request tracing follows.
+    Frame(Vec<u8>),
+}
+
 /// The ICMP echo sequence number carried by a raw frame, when it is one.
 /// Request tracing keys ping requests on this: the request and its reply
 /// share the sequence, so one `SlotClass::NetIcmp` entry follows the
@@ -185,7 +195,7 @@ pub struct NetPath {
     nf_ring_full_base: u64,
     guest_mac: MacAddr,
     client_mac: MacAddr,
-    guest_txq: VecDeque<Vec<u8>>,
+    guest_txq: VecDeque<GuestTx>,
     guest_app: Option<UdpHandler>,
     client_link: Link,
     client_app: Option<UdpHandler>,
@@ -364,7 +374,7 @@ impl Datapath for NetPath {
             recovery.retried_ops += unacked.len() as u64;
             self.nf_ring_full_base += nf.tx_ring_full();
             for f in unacked.into_iter().rev() {
-                self.guest_txq.push_front(f);
+                self.guest_txq.push_front(GuestTx::Frame(f));
             }
         }
     }
@@ -547,12 +557,12 @@ impl Host<NetPath> {
 
     /// Queues a frame in the guest stack and pushes as much as fits into
     /// the Tx ring, notifying the backend when the protocol asks.
-    fn guest_send_frame(&mut self, now: Nanos, frame: Vec<u8>) {
+    fn guest_send(&mut self, now: Nanos, tx: GuestTx) {
         if self.dp.guest_txq.len() >= GUEST_TXQ_CAP {
             self.dp.metrics.drops += 1;
             return;
         }
-        self.dp.guest_txq.push_back(frame);
+        self.dp.guest_txq.push_back(tx);
         self.drain_guest_txq(now);
     }
 
@@ -566,19 +576,20 @@ impl Host<NetPath> {
         self.hv.req.set_now(now);
         let mut notify = 0u64; // bit q: queue q's backend wants a kick
         let mut cost = Nanos::ZERO;
-        while let Some(frame) = self.dp.guest_txq.front() {
-            let req = if self.hv.req.is_enabled() {
-                icmp_echo_seq(frame)
-                    .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
-            } else {
-                None
+        while let Some(tx) = self.dp.guest_txq.front() {
+            let nf = self.dp.netfront.as_mut().expect("checked");
+            let res = match tx {
+                GuestTx::Udp(header, payload) => nf.send_parts(&mut self.hv, header, payload, None),
+                GuestTx::Frame(frame) => {
+                    let req = if self.hv.req.is_enabled() {
+                        icmp_echo_seq(frame)
+                            .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
+                    } else {
+                        None
+                    };
+                    nf.send(&mut self.hv, frame, req)
+                }
             };
-            let res = self
-                .dp
-                .netfront
-                .as_mut()
-                .expect("checked")
-                .send(&mut self.hv, frame, req);
             match res {
                 Ok((q, op)) => {
                     self.dp.guest_txq.pop_front();
@@ -821,7 +832,7 @@ impl Host<NetPath> {
                         );
                         // ICMP handled in-stack: tiny cost.
                         self.guest_cpu_run(now, Nanos::from_nanos(500));
-                        self.guest_send_frame(now, rframe.encode());
+                        self.guest_send(now, GuestTx::Frame(rframe.encode()));
                     }
                 }
                 (Side::Client, Some(IcmpMessage::EchoReply { seq, .. })) => {
@@ -897,15 +908,19 @@ impl Host<NetPath> {
                     Side::Client => (addrs::CLIENT, self.dp.client_mac),
                     Side::Guest => (addrs::GUEST, self.dp.guest_mac),
                 };
-                let frame = UdpDatagram::new(src_port, dst_port, payload).encode_frame(
-                    self.mac_of(dst_ip),
-                    src_mac,
-                    src_ip,
-                    dst_ip,
-                );
+                let datagram = UdpDatagram::new(src_port, dst_port, payload);
+                let dst_mac = self.mac_of(dst_ip);
                 match side {
-                    Side::Client => self.client_transmit(now, frame),
-                    Side::Guest => self.guest_send_frame(now, frame),
+                    Side::Client => {
+                        let frame = datagram.encode_frame(dst_mac, src_mac, src_ip, dst_ip);
+                        self.client_transmit(now, frame);
+                    }
+                    // The guest's frame is built once, in netfront's Tx
+                    // pages: the queue holds its header and the payload.
+                    Side::Guest => {
+                        let header = datagram.frame_header(dst_mac, src_mac, src_ip, dst_ip);
+                        self.guest_send(now, GuestTx::Udp(header, datagram.payload));
+                    }
                 }
             }
             NetEvent::ClientTxFrame(frame) => self.client_transmit(now, frame),

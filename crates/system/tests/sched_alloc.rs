@@ -22,9 +22,9 @@
 //! 5. The copy budget (DESIGN.md §19): a payload is copied once per
 //!    hop the model charges for and moved or borrowed everywhere else.
 //!    Counting allocations of 32 KiB and up, a 48 KiB GSO message
-//!    guest→client costs the system exactly two (frame build, netback
-//!    chain assembly), and a 128 KiB block write or read at most one
-//!    beyond the caller's own buffer.
+//!    guest→client costs the system exactly one (netback chain
+//!    assembly), and a 128 KiB block write or read at most one beyond
+//!    the caller's own buffer.
 //! 6. The ring path (DESIGN.md §19's per-site table), driver by driver
 //!    with no `Host` around them and every count exact: a slot is
 //!    encoded where it lives, per-drain lists are recycled scratch, so
@@ -409,12 +409,12 @@ fn drain_paths_do_not_allocate_in_steady_state() {
 
     // Phase 5: the copy budget. Net: after a warm-up message, one
     // 48 KiB message from the guest application to the client
-    // application. The payload buffer is the caller's; inside the
-    // system it is copied into the frame (one buffer, headers included)
-    // and netback assembles the granted chain into the frame it hands
-    // the bridge. Every later hop — bridge, NIC, wire, the client stack
-    // — moves that buffer, and the client application receives it with
-    // the headers cut off.
+    // application. The payload buffer is the caller's; the guest stack
+    // keeps it beside the frame's 42 header bytes, netfront lays both
+    // into its granted Tx pages, and netback assembles the granted chain
+    // into the frame it hands the bridge. Every later hop — bridge, NIC,
+    // wire, the client stack — moves that buffer, and the client
+    // application receives it with the headers cut off.
     const MSG: usize = 48 * 1024;
     let mut sys = SystemConfig::new(BackendOs::Kite, 44).gso(true).build_net();
     assert!(sys.gso_negotiated());
@@ -435,11 +435,11 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     let (large, bytes) = send(&mut sys);
     assert_eq!(sys.metrics.client_rx_msgs, delivered + 1, "delivered");
     assert_eq!(
-        large, 2,
-        "a 48 KiB guest->client message is copied at frame build and netback assembly only"
+        large, 1,
+        "a 48 KiB guest->client message is copied into a buffer at netback assembly only"
     );
     assert!(
-        bytes < 2 * (MSG as u64 + 42) + 16 * 1024,
+        bytes < (MSG as u64 + 42) + 16 * 1024,
         "48 KiB message allocated {bytes} bytes in the system"
     );
 

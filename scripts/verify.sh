@@ -34,16 +34,15 @@ for ex in examples/*.rs; do
 done
 fail() { echo "verify: $*" >&2; exit 1; }
 
-# The table-style experiments (CVEs per year, boot, LoC map, CVEs,
-# gadgets, RSDs, DHCP DORA, memory), the network figures that run the
-# default scenario and the storage figures — fig15, the one that drives
-# blkfront hardest, takes ~10 s; only fig12, at ~65 s, stays out. No other
-# step of the gate executes a `repro <id>`. Every cell is virtual-time
-# derived, so the output is pinned like the bench rows: a figure that
-# moved on purpose is regenerated with this command into
-# scripts/repro_figures.txt and the diff reviewed.
-$bin/repro fig1a fig4 table1 table3 fig5 dhcp mem fig6 fig7 fig8 fig9 \
-    fig10 table4 fig11 fig13 fig14 fig15 fig16 | cmp - scripts/repro_figures.txt \
+# Every experiment `repro` has: the table-style ones (CVEs per year, boot,
+# LoC map, CVEs, gadgets, RSDs, DHCP DORA, memory), the network figures
+# that run the default scenario and the storage figures — fig12, which
+# writes 192 files through the full PV path per point, takes ~10 s and
+# fig15 ~2 s. No other step of the gate executes a `repro <id>`. Every
+# cell is virtual-time derived, so the output is pinned like the bench
+# rows: a figure that moved on purpose is regenerated with this command
+# into scripts/repro_figures.txt and the diff reviewed.
+$bin/repro --all | cmp - scripts/repro_figures.txt \
     || fail "repro figures differ from the shipped scripts/repro_figures.txt"
 
 # same_twice <label> <cmd...>: runs <cmd...> twice, `{}` standing for an

@@ -17,6 +17,7 @@ use kite::sim::{Nanos, Pcg, Scheduler};
 use kite::system::{BackendOs, GSO_UDP};
 use kite::xen::netif::{NetifRxRequest, NetifTxRequest, NetifTxResponse};
 use kite::xen::ring::{BackRing, FrontRing, RingEntry};
+use kite::xen::xenbus::{FEATURE_GSO_KEY, MQ_MAX_QUEUES_KEY};
 use kite::xen::{
     CopyMode, DeviceKind, DevicePaths, DomainId, DomainKind, GrantRef, HypercallKind, Hypervisor,
     PageId, XenError, XenbusState, PAGE_SIZE,
@@ -614,7 +615,9 @@ struct NetRig {
     nb: NetbackInstance,
 }
 
-fn net_rig(mode: CopyMode) -> NetRig {
+/// A pair whose frontend asks for `queues` queues, the backend having
+/// advertised `backend_keys` (e.g. GSO, a queue count) before it connects.
+fn net_rig_with(queues: u32, backend_keys: &[(&str, u32)]) -> NetRig {
     let mut hv = Hypervisor::new();
     hv.create_domain("Domain-0", DomainKind::Dom0, 8192, 4);
     let dd = hv.create_domain("netbackend", DomainKind::Driver, 1024, 1);
@@ -623,13 +626,74 @@ fn net_rig(mode: CopyMode) -> NetRig {
     mgr.start(&mut hv).unwrap();
     let paths = DevicePaths::new(gu, dd, DeviceKind::Vif, 0);
     provision_device(&mut hv, &paths).unwrap();
+    for (key, value) in backend_keys {
+        let key = format!("{}/{key}", paths.backend());
+        hv.store
+            .write(DomainId::DOM0, None, &key, &value.to_string())
+            .unwrap();
+    }
     mgr.scan(&mut hv).unwrap();
-    let nf = Netfront::connect(&mut hv, &paths, MacAddr::local(1)).unwrap();
+    let nf = Netfront::connect_with_queues(&mut hv, &paths, MacAddr::local(1), queues).unwrap();
     let ready = mgr.scan(&mut hv).unwrap();
     assert_eq!(ready.len(), 1);
-    let mut nb = NetbackInstance::connect(&mut hv, &ready[0], kite_profile()).unwrap();
-    nb.set_copy_mode(mode);
+    let nb = NetbackInstance::connect(&mut hv, &ready[0], kite_profile()).unwrap();
     NetRig { hv, dd, nf, nb }
+}
+
+fn net_rig(mode: CopyMode) -> NetRig {
+    let mut rig = net_rig_with(1, &[]);
+    rig.nb.set_copy_mode(mode);
+    rig
+}
+
+/// A datagram's frame header plus its payload is `encode_frame` byte for
+/// byte, and netfront sends the frame given as those two parts exactly as
+/// it sends the contiguous frame: on the same queue, and with the same
+/// bytes in its Tx pages, which netback gathers back into the frame. The
+/// payload lengths sit on the page edges a split frame crosses: a frame of
+/// exactly one page (4 054 + 42), one byte more, a payload of one page,
+/// and two GSO chains.
+#[test]
+fn a_frame_sent_as_header_and_payload_matches_the_contiguous_frame() {
+    const QUEUES: u32 = 4;
+    let mut rng = Pcg::seeded(0x5e9d);
+    let (dmac, smac) = (MacAddr::local(0xcc01), MacAddr::local(0xaa01));
+    let src: Ipv4Addr = "192.168.1.100".parse().unwrap();
+    let dst: Ipv4Addr = "192.168.1.10".parse().unwrap();
+    let rig = || net_rig_with(QUEUES, &[(FEATURE_GSO_KEY, 1), (MQ_MAX_QUEUES_KEY, QUEUES)]);
+    let (mut whole, mut split) = (rig(), rig());
+    assert!(whole.nf.gso() && whole.nb.gso(), "offload negotiated");
+    assert_eq!(whole.nf.queue_count(), QUEUES as usize);
+    let mut queues_seen = [false; QUEUES as usize];
+    let lens = [0, 1, 4_054, 4_055, PAGE_SIZE, 48 * 1024, GSO_UDP];
+    for (i, len) in lens.into_iter().enumerate() {
+        let payload = random_bytes(&mut rng, len);
+        let datagram = UdpDatagram::new(5_000 + i as u16, 9999, &payload[..]);
+        let header = datagram.frame_header(dmac, smac, src, dst);
+        let frame = datagram.encode_frame(dmac, smac, src, dst);
+        assert_eq!(
+            [&header[..], &payload].concat(),
+            frame,
+            "{len}-byte payload"
+        );
+
+        let (q, op) = whole.nf.send(&mut whole.hv, &frame, None).unwrap();
+        let got = split.nf.send_parts(&mut split.hv, &header, &payload, None);
+        let (split_q, split_op) = got.unwrap();
+        assert_eq!(split_q, q, "{len}-byte payload steered elsewhere");
+        assert_eq!((split_op.notify, split_op.cost), (op.notify, op.cost));
+        queues_seen[q] = true;
+        for rig in [&mut whole, &mut split] {
+            let batch = rig.nb.pusher_run(&mut rig.hv, q, 64).unwrap();
+            let want = std::slice::from_ref(&frame);
+            assert_eq!(batch.frames, want, "{len}-byte payload");
+            rig.nf.on_irq(&mut rig.hv).unwrap();
+        }
+    }
+    assert!(
+        queues_seen.iter().filter(|&&s| s).count() > 1,
+        "the flows all steered to one queue"
+    );
 }
 
 #[derive(Clone, Debug)]
