@@ -1,7 +1,7 @@
 //! The experiment registry: one entry per paper table/figure.
 
 use kite_security as sec;
-use kite_sim::{Nanos, OnlineStats};
+use kite_sim::OnlineStats;
 use kite_system::BackendOs;
 use kite_workloads as wl;
 
@@ -522,31 +522,18 @@ fn dhcp() {
 
 fn mem() {
     // The paper assigns Kite domains 1 GB vs Linux's 2 GB "since rumprun's
-    // footprint is smaller"; actual working sets are far smaller still.
-    // Run a short network workload and report reservation + pages touched.
-    println!(
-        "{:<8} {:>14} {:>12} {:>18}",
-        "os", "reservation", "image", "data-plane pages"
-    );
+    // footprint is smaller". Netback moves payloads between the guest's
+    // granted pages and frames it owns, so the driver domain allocates no
+    // machine page for its data plane: reservation and image are the
+    // footprint.
+    println!("{:<8} {:>14} {:>12}", "os", "reservation", "image");
     for os in BackendOs::both() {
-        let params = wl::nuttcp::NuttcpParams {
-            duration: Nanos::from_millis(20),
-            ..Default::default()
-        };
-        let _ = params;
-        let mut sys = kite_system::NetSystem::new(os, 42);
-        sys.send_udp_at(
-            Nanos::from_millis(1),
-            kite_system::Side::Client,
-            kite_system::addrs::GUEST,
-            7,
-            4000,
-            vec![0; 8192],
-        );
-        sys.run_to_quiescence();
-        let dd = sys.driver_domain();
-        let dom = sys.hv.domains.get(dd).expect("driver domain");
-        let pages = dom.pages_allocated;
+        let sys = kite_system::NetSystem::new(os, 42);
+        let dom = sys
+            .hv
+            .domains
+            .get(sys.driver_domain())
+            .expect("driver domain");
         let image_mib = match os {
             BackendOs::Kite => {
                 kite_rumprun::kite_network_image().total_bytes as f64 / (1024.0 * 1024.0)
@@ -554,14 +541,13 @@ fn mem() {
             BackendOs::Linux => kite_linux::ubuntu_image_bytes() as f64 / (1024.0 * 1024.0),
         };
         println!(
-            "{:<8} {:>11} MiB {:>8.1} MiB {:>18}",
+            "{:<8} {:>11} MiB {:>8.1} MiB",
             os.name(),
             dom.mem_mib,
-            image_mib,
-            pages
+            image_mib
         );
     }
-    println!("(paper: 1 GB vs 2 GB reservations; unikernel working set is KB-scale)");
+    println!("(paper: 1 GB vs 2 GB reservations)");
 }
 
 fn human(bytes: usize) -> String {

@@ -17,10 +17,14 @@
 //!   fraction of a hypercall per packet;
 //! * **multi-queue** — when the frontend negotiated
 //!   `multi-queue-num-queues = n`, the instance runs `n` independent
-//!   queues, each with its own ring pair, event channel, bounce pool and
+//!   queues, each with its own ring pair, event channel and
 //!   pusher/soft_start pair (one per-queue thread set, Linux
 //!   `xen-netback` style). Incoming bridge frames steer to a queue by
-//!   flow hash ([`kite_net::flow`]), preserving per-flow ordering.
+//!   flow hash ([`kite_net::flow`]), preserving per-flow ordering;
+//! * **one copy per byte** — the grant copy's local side is the frame
+//!   itself ([`CopySide::Buffer`]): a Tx fragment lands in the frame the
+//!   bridge receives, an Rx fragment is read out of the queued frame, and
+//!   the instance owns no machine page.
 
 use std::collections::VecDeque;
 
@@ -35,8 +39,8 @@ use kite_xen::netif::{
 };
 use kite_xen::xenbus::{attach_back, BackEndpoint, RingKey, FEATURE_GSO_KEY};
 use kite_xen::{
-    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, Hypervisor, PageId, Port, ReqId,
-    ReqStage, Result, SlotClass, XenbusState, PAGE_SIZE,
+    CopyMode, CopySide, DevicePaths, DomainId, GrantCopyOp, Hypervisor, Port, ReqId, ReqStage,
+    Result, SlotClass, XenbusState, PAGE_SIZE,
 };
 
 use crate::lifecycle::QueueState;
@@ -123,33 +127,21 @@ impl NetbackStats {
 }
 
 /// One queue of a netback instance: a Tx/Rx ring pair mapped from the
-/// frontend, its event channel and bounce pool, and the world → guest
-/// frame queue awaiting Rx slots.
+/// frontend, its event channel, and the world → guest frame queue
+/// awaiting Rx slots.
 struct NbQueue {
     state: QueueState,
     tx: BackEndpoint<NetifTxRequest, NetifTxResponse>,
     rx: BackEndpoint<NetifRxRequest, NetifRxResponse>,
     to_guest: VecDeque<Vec<u8>>,
-    /// Pages the queue's drains stage grant-copy payloads through, one
-    /// per op of a batch, so a whole drain moves in one `GNTTABOP_copy`.
-    bounce: Vec<PageId>,
-}
-
-impl NbQueue {
-    /// The bounce page of a drain's op `i`; the pool grows on first use.
-    fn bounce_page(&mut self, hv: &mut Hypervisor, back: DomainId, i: usize) -> Result<PageId> {
-        while self.bounce.len() <= i {
-            self.bounce.push(hv.alloc_page(back)?);
-        }
-        Ok(self.bounce[i])
-    }
 }
 
 /// What became of one consumed Tx ring slot (drives its response).
 #[derive(Clone, Copy, Debug)]
 enum TxDisp {
-    /// A single-slot frame: the op at this index carries its payload.
-    Single(usize),
+    /// A single-slot frame: op `op` copies its payload into the drain's
+    /// frame `frame`.
+    Single { op: usize, frame: usize },
     /// A fragment of the descriptor chain at this chain index.
     Frag(usize),
     /// Rejected by validation; answered `NETIF_RSP_ERROR`.
@@ -164,6 +156,8 @@ struct TxChain {
     /// Ops `[op_start, op_end)` hold the chain's fragments in order.
     op_start: usize,
     op_end: usize,
+    /// The drain's frame the fragments land in (valid chains only).
+    frame: usize,
     /// Super-frame length claimed by the descriptor.
     total: usize,
     /// Wire segments the NIC's TSO engine will cut it into.
@@ -194,12 +188,15 @@ pub struct NetbackInstance {
     stats: NetbackStats,
     // Drain-path scratch, recycled across calls so a warmed-up drain
     // performs no bookkeeping allocations (frame payloads still
-    // allocate — they leave the instance).
+    // allocate — they leave the instance). `scratch_frames` holds a
+    // drain's frames while its copy batch runs: the Tx frames being
+    // filled, or the Rx frames being read.
     scratch_tx: Vec<(u16, TxDisp)>,
     scratch_chains: Vec<TxChain>,
     scratch_rx: Vec<(u16, usize, u16)>,
     scratch_rxchain: Vec<(usize, usize, usize)>,
     scratch_ops: Vec<GrantCopyOp>,
+    scratch_frames: Vec<Vec<u8>>,
     scratch_req: Vec<ReqId>,
 }
 
@@ -236,7 +233,6 @@ impl NetbackInstance {
                     tx,
                     rx,
                     to_guest: VecDeque::new(),
-                    bounce: Vec::new(),
                 });
             }
             hv.store
@@ -259,6 +255,7 @@ impl NetbackInstance {
             scratch_rx: Vec::new(),
             scratch_rxchain: Vec::new(),
             scratch_ops: Vec::new(),
+            scratch_frames: Vec::new(),
             scratch_req: Vec::new(),
         })
     }
@@ -291,48 +288,47 @@ impl NetbackInstance {
         qu.tx.ring.consume_request(page)
     }
 
-    /// Validates one data slot and, if sound, appends its grant-copy op
-    /// (staged through the next bounce page). Returns whether the slot
-    /// was accepted.
+    /// Validates one data slot and, if sound, appends its grant-copy op,
+    /// which lands the slot's bytes at offset `at` of the drain's frame
+    /// `frame`. Returns whether the slot was accepted.
     fn push_tx_op(
-        &mut self,
-        hv: &mut Hypervisor,
-        q: usize,
+        &self,
         req: &NetifTxRequest,
+        frame: usize,
+        at: usize,
         ops: &mut Vec<GrantCopyOp>,
-    ) -> Result<bool> {
+    ) -> bool {
         let size = req.size as usize;
         let offset = req.offset as usize;
         // Validate offset before any subtraction: a malicious frontend
         // may send offset > PAGE_SIZE, which would underflow
         // `PAGE_SIZE - offset`.
         if size == 0 || offset >= PAGE_SIZE || size > PAGE_SIZE - offset {
-            return Ok(false);
+            return false;
         }
-        let dst = self.queues[q].bounce_page(hv, self.back, ops.len())?;
         ops.push(GrantCopyOp {
             src: CopySide::Grant {
                 granter: self.front,
                 gref: req.gref,
                 offset,
             },
-            dst: CopySide::Local {
-                page: dst,
-                offset: 0,
+            dst: CopySide::Buffer {
+                buf: frame,
+                offset: at,
             },
             len: size,
         });
-        Ok(true)
+        true
     }
 
     /// The **pusher** thread body for queue `q`: drains up to `budget`
     /// Tx ring slots and hypervisor-copies every payload out of the
     /// guest with **one** batched `GNTTABOP_copy` for the whole drain.
-    /// A payload makes the two hops DESIGN.md §19 lists: the hypercall
-    /// lands it in the queue's bounce pages, one page per op, and the
-    /// response walk then assembles each frame (a single slot, or a
-    /// whole chain) out of those pages into the buffer it hands the
-    /// bridge. The frames are appended to `frames`, which comes back as
+    /// A payload makes one hop (DESIGN.md §19): each frame (a single
+    /// slot, or a whole chain) is allocated once, at its validated
+    /// length, and the hypercall appends every fragment to it in place.
+    /// A frame any of whose fragments failed is dropped whole. The
+    /// frames are appended to `frames`, which comes back as
     /// [`TxBatch::frames`] — a caller that recycles the list pays for
     /// the frames, not for the list.
     ///
@@ -374,6 +370,7 @@ impl NetbackInstance {
         let mut pending = std::mem::take(&mut self.scratch_tx);
         let mut chains = std::mem::take(&mut self.scratch_chains);
         let mut ops = std::mem::take(&mut self.scratch_ops);
+        let mut frames = std::mem::take(&mut self.scratch_frames);
         'drain: while pending.len() < budget {
             let head = match self.consume_tx(hv, q)? {
                 Some(r) => r,
@@ -390,8 +387,11 @@ impl NetbackInstance {
             if !chained {
                 // Single-slot frame: the legacy path, byte-identical to
                 // the pre-GSO drain.
-                if self.push_tx_op(hv, q, &head, &mut ops)? {
-                    pending.push((head.id, TxDisp::Single(ops.len() - 1)));
+                let frame = frames.len();
+                if self.push_tx_op(&head, frame, 0, &mut ops) {
+                    frames.push(Vec::with_capacity(head.size as usize));
+                    let op = ops.len() - 1;
+                    pending.push((head.id, TxDisp::Single { op, frame }));
                 } else {
                     self.stats.tx_errors += 1;
                     pending.push((head.id, TxDisp::Reject));
@@ -428,6 +428,7 @@ impl NetbackInstance {
             // slot, then continuation fragments.
             let chain_idx = chains.len();
             let op_start = ops.len();
+            let frame = frames.len();
             let mut valid = true;
             pending.push((head.id, TxDisp::Frag(chain_idx)));
             let mut extra = None;
@@ -454,7 +455,7 @@ impl NetbackInstance {
             loop {
                 nfrags += 1;
                 if nfrags <= NETIF_MAX_TX_CHAIN && valid {
-                    if self.push_tx_op(hv, q, &cur, &mut ops)? {
+                    if self.push_tx_op(&cur, frame, total, &mut ops) {
                         total += cur.size as usize;
                     } else {
                         valid = false;
@@ -515,7 +516,9 @@ impl NetbackInstance {
                 // truncated chains were already counted above).
                 self.stats.tx_errors += 1;
             }
-            if !valid {
+            if valid {
+                frames.push(Vec::with_capacity(total));
+            } else {
                 // Drop the chain's staged copies: rejected descriptors
                 // must not cost the backend grant-copy work.
                 ops.truncate(op_start);
@@ -523,6 +526,7 @@ impl NetbackInstance {
             chains.push(TxChain {
                 op_start,
                 op_end: ops.len(),
+                frame,
                 total,
                 segs,
                 valid,
@@ -532,7 +536,7 @@ impl NetbackInstance {
         }
 
         // One hypercall for the whole drain (or per-op in legacy mode).
-        let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
+        let result = hv.grant_copy_with(self.back, &ops, &mut frames, self.copy_mode);
         self.stats.copy.record(self.copy_mode, &result);
         batch.cost += result.cost;
         // Grant-copy stage: the batch completes one copy-cost after the
@@ -559,35 +563,26 @@ impl NetbackInstance {
         let mut emitted = 0usize; // chains whose super-frame was pushed
         for &(id, disp) in &pending {
             let status = match disp {
-                TxDisp::Single(i) if result.range_ok(i, i + 1) => {
-                    let size = ops[i].len;
-                    let frame = hv.mem.page(self.queues[q].bounce[i])?[..size].to_vec();
+                TxDisp::Single { op, frame } if result.range_ok(op, op + 1) => {
                     self.stats.tx_packets += 1;
-                    self.stats.tx_bytes += size as u64;
-                    batch.frames.push(frame);
+                    self.stats.tx_bytes += ops[op].len as u64;
+                    batch.frames.push(std::mem::take(&mut frames[frame]));
                     NETIF_RSP_OKAY
                 }
-                TxDisp::Single(_) => {
+                TxDisp::Single { .. } => {
                     self.stats.tx_errors += 1;
                     NETIF_RSP_ERROR
                 }
                 TxDisp::Frag(ci) if chains[ci].ok => {
-                    // The chain's head slot assembles the super-frame;
+                    // The chain's head slot hands its super-frame on;
                     // later fragments just acknowledge.
                     if ci >= emitted {
                         let c = chains[ci];
-                        let mut frame = Vec::with_capacity(c.total);
-                        for (op, &bounce) in ops[c.op_start..c.op_end]
-                            .iter()
-                            .zip(&self.queues[q].bounce[c.op_start..c.op_end])
-                        {
-                            frame.extend_from_slice(&hv.mem.page(bounce)?[..op.len]);
-                        }
                         self.stats.tx_packets += 1;
                         self.stats.tx_bytes += c.total as u64;
                         self.stats.gso_tx_frames += 1;
                         self.stats.gso_tx_segs += c.segs as u64;
-                        batch.frames.push(frame);
+                        batch.frames.push(std::mem::take(&mut frames[c.frame]));
                         emitted = ci + 1;
                     }
                     NETIF_RSP_OKAY
@@ -623,9 +618,12 @@ impl NetbackInstance {
         pending.clear();
         chains.clear();
         ops.clear();
+        // What is left are the frames of failed copies, dropped whole.
+        frames.clear();
         self.scratch_tx = pending;
         self.scratch_chains = chains;
         self.scratch_ops = ops;
+        self.scratch_frames = frames;
         Ok(batch)
     }
 
@@ -668,9 +666,10 @@ impl NetbackInstance {
     }
 
     /// The **soft_start** thread body for queue `q`: pairs the queue's
-    /// waiting frames with posted Rx requests, staging each frame in its
-    /// own buffer page and hypervisor-copying the whole fill into guest
-    /// buffers with one batched `GNTTABOP_copy`.
+    /// waiting frames with posted Rx requests and hypervisor-copies the
+    /// whole fill into guest buffers with one batched `GNTTABOP_copy`,
+    /// each op reading its fragment straight out of the frame, which the
+    /// drain holds until the batch returns.
     ///
     /// A frame whose copy fails (bad or revoked Rx grant) is dropped
     /// explicitly: counted in `rx_dropped` and answered with an error
@@ -697,6 +696,7 @@ impl NetbackInstance {
         let mut posted = std::mem::take(&mut self.scratch_rx);
         let mut rxchains = std::mem::take(&mut self.scratch_rxchain);
         let mut ops = std::mem::take(&mut self.scratch_ops);
+        let mut held = std::mem::take(&mut self.scratch_frames);
         for _ in 0..budget {
             let Some(front_len) = self.queues[q].to_guest.front().map(Vec::len) else {
                 break;
@@ -723,6 +723,8 @@ impl NetbackInstance {
                 .pop_front()
                 .expect("checked non-empty");
             let total = frame.len();
+            let buf = held.len();
+            held.push(frame);
             let op_start = ops.len();
             let mut off = 0usize;
             for f in 0..nfrags {
@@ -735,13 +737,8 @@ impl NetbackInstance {
                     }
                 };
                 let len = (total - off).min(PAGE_SIZE);
-                let src = self.queues[q].bounce_page(hv, self.back, ops.len())?;
-                hv.mem.page_mut(src)?[..len].copy_from_slice(&frame[off..off + len]);
                 ops.push(GrantCopyOp {
-                    src: CopySide::Local {
-                        page: src,
-                        offset: 0,
-                    },
+                    src: CopySide::Buffer { buf, offset: off },
                     dst: CopySide::Grant {
                         granter: self.front,
                         gref: req.gref,
@@ -765,9 +762,10 @@ impl NetbackInstance {
             batch.cost += self.profile.per_packet;
         }
 
-        let result = hv.grant_copy_ops(self.back, &ops, self.copy_mode);
+        let result = hv.grant_copy_with(self.back, &ops, &mut held, self.copy_mode);
         self.stats.copy.record(self.copy_mode, &result);
         batch.cost += result.cost;
+        held.clear();
 
         // A frame delivers only if every fragment copied; a failed
         // fragment drops the whole frame (the frontend discards the
@@ -824,6 +822,7 @@ impl NetbackInstance {
         self.scratch_rx = posted;
         self.scratch_rxchain = rxchains;
         self.scratch_ops = ops;
+        self.scratch_frames = held;
         Ok(batch)
     }
 }
@@ -840,15 +839,12 @@ impl crate::lifecycle::BackendDevice for NetbackInstance {
         DevicePaths::new(self.front, self.back, kite_xen::DeviceKind::Vif, self.index)
     }
 
-    /// Closes every queue's channel, unmaps its rings, frees the
-    /// frame-buffer pools, marks the backend `Closed`.
+    /// Closes every queue's channel, unmaps its rings, marks the backend
+    /// `Closed`.
     fn close(self, hv: &mut Hypervisor) -> Result<()> {
         let state = self.device_paths().backend_state();
         for qu in self.queues {
             qu.state.release(hv, self.back);
-            for page in qu.bounce {
-                hv.free_page(self.back, page)?;
-            }
             qu.tx.detach(hv, self.back)?;
             qu.rx.detach(hv, self.back)?;
         }
@@ -899,7 +895,7 @@ mod tests {
     use kite_net::MacAddr;
     use kite_rumprun::kite_profile;
     use kite_xen::ring::{sring, FrontRing};
-    use kite_xen::{DeviceKind, GrantRef, XenError};
+    use kite_xen::{DeviceKind, GrantRef, PageId, XenError};
 
     fn machine() -> (Hypervisor, DevicePaths) {
         test_machine(DeviceKind::Vif)
@@ -1069,8 +1065,11 @@ mod tests {
     /// either ring's producer index, as no real frontend would.
     struct RawFront {
         tx: FrontRing<NetifTxRequest, NetifTxResponse>,
+        rx: FrontRing<NetifRxRequest, NetifRxResponse>,
         tx_page: PageId,
         rx_page: PageId,
+        /// Eight guest pages granted read-only, as Tx buffers are; page
+        /// `i` holds the byte `i + 1` throughout.
         grefs: Vec<GrantRef>,
     }
 
@@ -1089,6 +1088,26 @@ mod tests {
             let mut out = Vec::new();
             let page = hv.mem.page(self.tx_page).unwrap();
             while let Some(rsp) = self.tx.consume_response(page).unwrap() {
+                out.push(rsp);
+            }
+            out
+        }
+
+        /// Posts one Rx buffer per `(id, gref)` and publishes them.
+        fn post_rx(&mut self, hv: &mut Hypervisor, bufs: &[(u16, GrantRef)]) {
+            let page = hv.mem.page_mut(self.rx_page).unwrap();
+            for &(id, gref) in bufs {
+                self.rx
+                    .push_request(page, &NetifRxRequest { id, gref })
+                    .unwrap();
+            }
+            self.rx.push_requests(page);
+        }
+
+        fn rx_responses(&mut self, hv: &Hypervisor) -> Vec<NetifRxResponse> {
+            let mut out = Vec::new();
+            let page = hv.mem.page(self.rx_page).unwrap();
+            while let Some(rsp) = self.rx.consume_response(page).unwrap() {
                 out.push(rsp);
             }
             out
@@ -1114,7 +1133,7 @@ mod tests {
         let tx_page = hv.alloc_page(gu).unwrap();
         let rx_page = hv.alloc_page(gu).unwrap();
         let tx = FrontRing::init(hv.mem.page_mut(tx_page).unwrap());
-        sring::init(hv.mem.page_mut(rx_page).unwrap());
+        let rx = FrontRing::init(hv.mem.page_mut(rx_page).unwrap());
         let tx_ref = hv.grant_access(gu, dd, tx_page, false).unwrap();
         let rx_ref = hv.grant_access(gu, dd, rx_page, false).unwrap();
         let (port, _) = hv.evtchn_alloc_unbound(gu, dd);
@@ -1129,13 +1148,15 @@ mod tests {
                 .unwrap();
         }
         let mut grefs = Vec::new();
-        for _ in 0..8 {
+        for i in 0..8u8 {
             let p = hv.alloc_page(gu).unwrap();
+            hv.mem.page_mut(p).unwrap().fill(i + 1);
             grefs.push(hv.grant_access(gu, dd, p, true).unwrap());
         }
         let nb = NetbackInstance::connect(&mut hv, &paths, kite_profile()).unwrap();
         let rf = RawFront {
             tx,
+            rx,
             tx_page,
             rx_page,
             grefs,
@@ -1320,6 +1341,104 @@ mod tests {
                 0,
                 "{ring}: a request was consumed"
             );
+        }
+    }
+
+    /// A chain one of whose fragment grants the guest revoked emits no
+    /// frame, not a short one; its neighbours still flow whole, and every
+    /// slot is answered. The same under both copy modes.
+    #[test]
+    fn a_chain_with_a_revoked_fragment_grant_emits_no_frame() {
+        for mode in [CopyMode::Batched, CopyMode::SingleOp] {
+            let (mut hv, paths, mut rf, mut nb) = raw_pair(true);
+            nb.set_copy_mode(mode);
+            rf.push(&mut hv, &data_slot(&rf, 3, 60, 0));
+            rf.push(
+                &mut hv,
+                &data_slot(&rf, 0, 4000, NETTXF_EXTRA_INFO | NETTXF_MORE_DATA),
+            );
+            let extra = NetifExtraInfo {
+                kind: XEN_NETIF_EXTRA_TYPE_GSO,
+                gso_size: 1000,
+                gso_segs: 9,
+                total_len: 9000,
+            };
+            rf.push(&mut hv, &extra.to_tx_slot());
+            rf.push(&mut hv, &data_slot(&rf, 1, 4000, NETTXF_MORE_DATA));
+            rf.push(&mut hv, &data_slot(&rf, 2, 1000, 0));
+            rf.push(&mut hv, &data_slot(&rf, 4, 70, 0));
+            rf.publish(&mut hv);
+            hv.grants.end_access(paths.front, rf.grefs[1]).unwrap();
+            let batch = nb.pusher_run(&mut hv, 0, 128).unwrap();
+            assert_eq!(batch.frames, [vec![4u8; 60], vec![5u8; 70]], "{mode:?}");
+            let s = nb.stats();
+            assert_eq!((s.tx_packets, s.gso_tx_frames, s.tx_errors), (2, 0, 1));
+            // Only the revoked op fails: the fragment after it still lands
+            // at its offset, so the batch moves and costs what it would
+            // have into pages.
+            assert_eq!(s.copy.bytes, 60 + 4000 + 1000 + 70, "{mode:?}");
+            let statuses: Vec<(u16, i16)> =
+                rf.responses(&hv).iter().map(|r| (r.id, r.status)).collect();
+            let (ok, err, null) = (NETIF_RSP_OKAY, NETIF_RSP_ERROR, NETIF_RSP_NULL);
+            let extra_id = XEN_NETIF_EXTRA_TYPE_GSO as u16;
+            assert_eq!(
+                statuses,
+                [
+                    (3, ok),
+                    (0, err),
+                    (extra_id, null),
+                    (1, err),
+                    (2, err),
+                    (4, ok)
+                ],
+                "{mode:?}"
+            );
+        }
+    }
+
+    /// A guest that posts a read-only page as an Rx buffer loses the whole
+    /// frame that chain carried, never part of it, and gets every posted
+    /// buffer back. The same under both copy modes.
+    #[test]
+    fn a_read_only_rx_buffer_drops_the_whole_frame_and_returns_every_buffer() {
+        for mode in [CopyMode::Batched, CopyMode::SingleOp] {
+            let (mut hv, paths, mut rf, mut nb) = raw_pair(true);
+            nb.set_copy_mode(mode);
+            let (gu, dd) = (paths.front, paths.back);
+            let mut buffer = |readonly| {
+                let page = hv.alloc_page(gu).unwrap();
+                (page, hv.grant_access(gu, dd, page, readonly).unwrap())
+            };
+            let bufs = [buffer(false), buffer(true), buffer(false), buffer(false)];
+            let posted: Vec<(u16, GrantRef)> = (10..).zip(bufs.iter().map(|b| b.1)).collect();
+            rf.post_rx(&mut hv, &posted);
+            let frame: Vec<u8> = (0..9_000u32).map(|i| i as u8 | 1).collect();
+            assert!(nb.enqueue_to_guest(frame));
+            assert!(nb.enqueue_to_guest(vec![9u8; 100]));
+            let batch = nb.soft_start_run(&mut hv, 0, 64).unwrap();
+            assert_eq!(batch.delivered, 1, "{mode:?}");
+            let s = nb.stats();
+            assert_eq!((s.rx_packets, s.rx_dropped, s.rx_bytes), (1, 1, 100));
+            let rsps: Vec<(u16, i16, u16)> = rf
+                .rx_responses(&hv)
+                .iter()
+                .map(|r| (r.id, r.status, r.flags & NETRXF_MORE_DATA))
+                .collect();
+            let more = NETRXF_MORE_DATA;
+            assert_eq!(
+                rsps,
+                [
+                    (10, 4096, more),
+                    (11, NETIF_RSP_ERROR, more),
+                    (12, 808, 0),
+                    (13, 100, 0)
+                ],
+                "{mode:?}"
+            );
+            let guest_bytes =
+                |(page, _): (PageId, GrantRef)| hv.mem.page(page).unwrap()[..100].to_vec();
+            assert_eq!(guest_bytes(bufs[1]), [0u8; 100], "read-only page untouched");
+            assert_eq!(guest_bytes(bufs[3]), [9u8; 100]);
         }
     }
 

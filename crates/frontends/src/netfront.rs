@@ -140,6 +140,13 @@ impl NfQueue {
             if deliver {
                 let buf = self.rx_pool.page(rsp.id);
                 let data = &hv.mem.page(buf)?[off..off + len];
+                if more && self.rx_partial.is_empty() {
+                    // A chain's first slot sizes the whole frame, once,
+                    // from the length its IPv4 header claims: bytes the
+                    // backend wrote, so the hint is capped.
+                    let hint = kite_net::ether::frame_len_hint(data).unwrap_or(0);
+                    self.rx_partial.reserve(hint.min(NETIF_MAX_GSO_FRAME));
+                }
                 self.rx_partial.extend_from_slice(data);
                 // The backend validated the checksum for us when it
                 // set `NETRXF_DATA_VALIDATED`; the guest's software

@@ -106,6 +106,16 @@ pub fn tso_wire_cost(frame_len: usize) -> (u64, u32) {
     (bytes as u64, segs as u32)
 }
 
+/// The length of the frame whose first bytes are `head`, as its IPv4
+/// header's total-length field claims it: a size hint, read unchecked
+/// (the frame is validated when it is parsed). `None` when `head` is not
+/// the start of an IPv4 frame.
+pub fn frame_len_hint(head: &[u8]) -> Option<usize> {
+    let ip = head.get(ETH_HEADER_LEN..ETH_HEADER_LEN + 4)?;
+    let ipv4 = head[12..14] == EtherType::Ipv4.value().to_be_bytes() && ip[0] >> 4 == 4;
+    ipv4.then(|| ETH_HEADER_LEN + u16::from_be_bytes([ip[2], ip[3]]) as usize)
+}
+
 /// The 14-byte Ethernet II header.
 pub fn header(dst: MacAddr, src: MacAddr, ethertype: EtherType) -> [u8; ETH_HEADER_LEN] {
     let mut h = [0u8; ETH_HEADER_LEN];
@@ -169,6 +179,20 @@ impl<P: AsRef<[u8]>> EthernetFrame<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn frame_len_hint_reads_the_ipv4_total_length() {
+        let (a, b) = (MacAddr::local(1), MacAddr::local(2));
+        let (ip_a, ip_b) = ([10, 0, 0, 1].into(), [10, 0, 0, 2].into());
+        for len in [0, 1, 1472, 9_000] {
+            let frame =
+                crate::UdpDatagram::new(1, 2, vec![7u8; len]).encode_frame(b, a, ip_a, ip_b);
+            assert_eq!(frame_len_hint(&frame[..42]), Some(frame.len()));
+        }
+        let arp = EthernetFrame::new(b, a, EtherType::Arp, [0u8; 28]).encode();
+        assert_eq!(frame_len_hint(&arp), None);
+        assert_eq!(frame_len_hint(&[0u8; 17]), None, "too short to say");
+    }
 
     #[test]
     fn mac_display_and_flags() {

@@ -24,5 +24,7 @@ pub use kite_health::{
     render_top, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher, MonitorConfig,
     SloConfig, TopRow, TopSnapshot,
 };
-pub use netsys::{addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, GSO_UDP};
+pub use netsys::{
+    addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, UdpPayload, GSO_UDP,
+};
 pub use storsys::{BlkPath, IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorSystem};

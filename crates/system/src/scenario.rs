@@ -41,7 +41,7 @@ pub fn echo_server(cost: Nanos) -> UdpHandler {
             dst_ip: msg.src_ip,
             dst_port: msg.src_port,
             src_port: msg.dst_port,
-            payload: msg.payload.clone(),
+            payload: msg.payload.to_vec(),
             cost,
         }]
     })

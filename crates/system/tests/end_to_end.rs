@@ -19,7 +19,7 @@ fn udp_request_reply_roundtrip_with_payload_integrity() {
         let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
         let got2 = got.clone();
         sys.set_client_app(Box::new(move |_, msg| {
-            got2.borrow_mut().push(msg.payload.clone());
+            got2.borrow_mut().push(msg.payload.to_vec());
             Vec::new()
         }));
         let payload: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
@@ -309,7 +309,7 @@ fn nat_mode_carries_guest_initiated_flows() {
     let g2 = got.clone();
     let src_seen: Rc<RefCell<Option<std::net::Ipv4Addr>>> = Rc::new(RefCell::new(None));
     sys.set_guest_app(Box::new(move |_, msg| {
-        g2.borrow_mut().push(msg.payload.clone());
+        g2.borrow_mut().push(msg.payload.to_vec());
         Vec::new()
     }));
     // Record what source the client sees by wrapping its handler… instead,

@@ -22,13 +22,14 @@
 //! 5. The copy budget (DESIGN.md §19): a payload is copied once per
 //!    hop the model charges for and moved or borrowed everywhere else.
 //!    Counting allocations of 32 KiB and up, a 48 KiB GSO message
-//!    guest→client costs the system exactly one (netback chain
-//!    assembly), and a 128 KiB block write or read at most one beyond
-//!    the caller's own buffer.
+//!    guest→client costs the system exactly one (the frame netback
+//!    grant-copies the chain into), and a 128 KiB block write or read at
+//!    most one beyond the caller's own buffer.
 //! 6. The ring path (DESIGN.md §19's per-site table), driver by driver
 //!    with no `Host` around them and every count exact: a slot is
 //!    encoded where it lives, per-drain lists are recycled scratch, so
-//!    what is left is the payload hop and two pinned result shapes.
+//!    what is left is the payload hop and two pinned result shapes. An
+//!    Rx chain of any length costs the guest one allocation.
 //! 7. A build backs only the machine pages it writes: an 8-queue
 //!    network system allocates its 16 ring pages' bytes and nothing for
 //!    the 4 096 pool pages it grants.
@@ -184,6 +185,44 @@ fn ring_path_allocates_only_payload_hops() {
         (0, 3),
         "(allocations by three sends, by the drain that emitted their three frames)"
     );
+
+    // (b') World -> guest, an LRO chain: netback reads each fragment
+    // straight out of the frame, and netfront sizes the frame it gathers
+    // the chain into from the chain's first slot, so however many slots
+    // the chain spans the guest allocates once for it.
+    let (mut hv, mut nf, mut nb) = net_pair(true);
+    for len in [9_000, 20_000, 60_000] {
+        let frame = kite_net::UdpDatagram::new(1200, 9999, vec![0x44u8; len]).encode_frame(
+            MacAddr::local(0xaa01),
+            MacAddr::local(0xcc01),
+            addrs::CLIENT,
+            addrs::GUEST,
+        );
+        let slots = frame.len().div_ceil(PAGE_SIZE);
+        let mut rx_round = || {
+            assert!(nb.enqueue_to_guest(frame.clone()));
+            let before = allocs();
+            assert_eq!(nb.soft_start_run(&mut hv, 0, 64).expect("rx").delivered, 1);
+            let filled = allocs() - before;
+            let before = allocs();
+            nf.on_irq(&mut hv).expect("guest irq");
+            let got = nf.recv().expect("delivered");
+            let gathered = allocs() - before;
+            assert_eq!(got, frame);
+            (filled, gathered)
+        };
+        // Warm-up: the guest's received-frame queue and netback's scratch
+        // grow on first use, and each posted buffer is backed on its first
+        // write, so cycle through every posted buffer once.
+        for _ in 0..NET_RX_RING_SIZE as usize / slots + 1 {
+            rx_round();
+        }
+        assert_eq!(
+            rx_round(),
+            (0, 1),
+            "allocations by the Rx fill and the guest's gather of a {slots}-slot chain"
+        );
+    }
 
     // (c) A batched grant copy of okay ops reports by value.
     let (mut hv, dd, _) = machine();
@@ -411,10 +450,10 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     // 48 KiB message from the guest application to the client
     // application. The payload buffer is the caller's; the guest stack
     // keeps it beside the frame's 42 header bytes, netfront lays both
-    // into its granted Tx pages, and netback assembles the granted chain
-    // into the frame it hands the bridge. Every later hop — bridge, NIC,
+    // into its granted Tx pages, and netback's grant copy lands the chain
+    // in the frame it hands the bridge. Every later hop — bridge, NIC,
     // wire, the client stack — moves that buffer, and the client
-    // application receives it with the headers cut off.
+    // application is lent the payload inside it.
     const MSG: usize = 48 * 1024;
     let mut sys = SystemConfig::new(BackendOs::Kite, 44).gso(true).build_net();
     assert!(sys.gso_negotiated());
@@ -436,7 +475,7 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     assert_eq!(sys.metrics.client_rx_msgs, delivered + 1, "delivered");
     assert_eq!(
         large, 1,
-        "a 48 KiB guest->client message is copied into a buffer at netback assembly only"
+        "a 48 KiB guest->client message is copied into a buffer by netback's grant copy only"
     );
     assert!(
         bytes < (MSG as u64 + 42) + 16 * 1024,

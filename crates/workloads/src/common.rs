@@ -77,7 +77,7 @@ impl Reassembler {
             got: 0,
             started: now,
         });
-        let mut data = msg.payload.as_slice();
+        let mut data: &[u8] = &msg.payload;
         if p.got == 0 {
             // Expect a header.
             if data.len() < MSG_HEADER || u16::from_be_bytes([data[0], data[1]]) != MAGIC {
@@ -364,7 +364,7 @@ mod tests {
             src_ip: "10.0.0.1".parse().unwrap(),
             src_port: 1000,
             dst_port: 80,
-            payload,
+            payload: payload.into(),
         }
     }
 

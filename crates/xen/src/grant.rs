@@ -104,6 +104,35 @@ pub enum CopySide {
         gref: GrantRef,
         offset: usize,
     },
+    /// The caller's own buffer number `buf` of the list the copy is given
+    /// ([`Hypervisor::grant_copy_with`](crate::Hypervisor::grant_copy_with)),
+    /// at `offset`: a driver's frame itself, so the bytes need no page of
+    /// the driver's to stage through. As a source the range must lie inside
+    /// the buffer's length. As a destination it must lie inside the
+    /// buffer's capacity, the memory the caller already holds, so a copy
+    /// never reallocates it: bytes inside the length are overwritten and
+    /// the rest appended, and a frame allocated with room for a whole chain
+    /// fills fragment by fragment and is never zero-filled. Anything past
+    /// that is [`XenError::OutOfBounds`].
+    Buffer { buf: usize, offset: usize },
+}
+
+/// Writes `bytes` into `buf` at `at`, inside its capacity: what lies
+/// inside its length is overwritten and the rest appended. A gap between
+/// the length and `at`, left by an earlier op that failed, is zero-filled,
+/// so each op lands at its offset whatever became of the others, as in a
+/// page.
+fn write_into(buf: &mut Vec<u8>, at: usize, bytes: &[u8]) -> Result<()> {
+    at.checked_add(bytes.len())
+        .filter(|&end| end <= buf.capacity())
+        .ok_or(XenError::OutOfBounds)?;
+    if at > buf.len() {
+        buf.resize(at, 0);
+    }
+    let (over, tail) = bytes.split_at((buf.len() - at).min(bytes.len()));
+    buf[at..at + over.len()].copy_from_slice(over);
+    buf.extend_from_slice(tail);
+    Ok(())
 }
 
 /// One copy descriptor in a batched `GNTTABOP_copy` (`gnttab_copy_t`).
@@ -256,20 +285,22 @@ impl GrantTables {
         Ok(())
     }
 
-    /// Resolves one side of a grant copy into `(page, offset, readonly)`.
+    /// Checks the caller's right to one side of a grant copy: a grant
+    /// resolves to the [`CopySide::Local`] page it names, a local page and
+    /// a buffer of the caller's own stay as they are.
     fn resolve(
         &self,
         mem: &MachineMemory,
         caller: DomainId,
         side: CopySide,
         writing: bool,
-    ) -> Result<(PageId, usize)> {
+    ) -> Result<CopySide> {
         match side {
-            CopySide::Local { page, offset } => {
+            CopySide::Local { page, .. } => {
                 if mem.owner(page)? != caller {
                     return Err(XenError::Perm);
                 }
-                Ok((page, offset))
+                Ok(side)
             }
             CopySide::Grant {
                 granter,
@@ -283,30 +314,61 @@ impl GrantTables {
                 if writing && entry.readonly {
                     return Err(XenError::ReadOnlyGrant);
                 }
-                Ok((entry.page, offset))
+                Ok(CopySide::Local {
+                    page: entry.page,
+                    offset,
+                })
             }
+            CopySide::Buffer { .. } => Ok(side),
         }
     }
 
-    /// Hypervisor copy (`GNTTABOP_copy`): moves `len` bytes from `src` to
-    /// `dst` on behalf of `caller`.
+    /// Hypervisor copy (`GNTTABOP_copy`): moves `op.len` bytes from
+    /// `op.src` to `op.dst` on behalf of `caller`.
     ///
-    /// Each side is either a local page or a grant issued to the caller.
-    /// Offsets+len must stay within a single page, as in Xen.
+    /// Each side is a local page, a grant issued to the caller, or one of
+    /// the caller's `bufs` ([`CopySide::Buffer`]); at most one side may be
+    /// a buffer. Offsets+len must stay within a single page, as in Xen. A
+    /// failed copy moves nothing.
     pub fn copy(
         &self,
         mem: &mut MachineMemory,
         caller: DomainId,
-        src: CopySide,
-        dst: CopySide,
-        len: usize,
+        op: &GrantCopyOp,
+        bufs: &mut [Vec<u8>],
     ) -> Result<()> {
+        let len = op.len;
         if len > PAGE_SIZE {
             return Err(XenError::OutOfBounds);
         }
-        let (sp, so) = self.resolve(mem, caller, src, false)?;
-        let (dp, dof) = self.resolve(mem, caller, dst, true)?;
-        mem.copy(sp, so, dp, dof, len)
+        let src = self.resolve(mem, caller, op.src, false)?;
+        let dst = self.resolve(mem, caller, op.dst, true)?;
+        match (src, dst) {
+            (
+                CopySide::Local {
+                    page: sp,
+                    offset: so,
+                },
+                CopySide::Local {
+                    page: dp,
+                    offset: dof,
+                },
+            ) => mem.copy(sp, so, dp, dof, len),
+            (CopySide::Local { page, offset }, CopySide::Buffer { buf, offset: at }) => {
+                let bytes = mem.read(page, offset, len)?;
+                let buf = bufs.get_mut(buf).ok_or(XenError::OutOfBounds)?;
+                write_into(buf, at, bytes)
+            }
+            (CopySide::Buffer { buf, offset: at }, CopySide::Local { page, offset }) => {
+                let bytes = bufs
+                    .get(buf)
+                    .and_then(|b| b.get(at..at.checked_add(len)?))
+                    .ok_or(XenError::OutOfBounds)?;
+                mem.write(page, offset, bytes)
+            }
+            // Two of the caller's own buffers: not a hypervisor copy.
+            _ => Err(XenError::Inval),
+        }
     }
 
     /// Number of active mappings held by `mapper` (leak checks in tests).
@@ -345,6 +407,14 @@ mod tests {
             gt: GrantTables::new(),
             guest,
             driver,
+        }
+    }
+
+    impl Fix {
+        /// One copy on the driver's behalf, with no buffers of its own.
+        fn copy(&mut self, src: CopySide, dst: CopySide, len: usize) -> Result<()> {
+            let op = GrantCopyOp { src, dst, len };
+            self.gt.copy(&mut self.mem, self.driver, &op, &mut [])
         }
     }
 
@@ -425,9 +495,7 @@ mod tests {
         let gref =
             f.gt.grant_access(&f.mem, f.guest, f.driver, gpage, true)
                 .unwrap();
-        f.gt.copy(
-            &mut f.mem,
-            f.driver,
+        f.copy(
             CopySide::Grant {
                 granter: f.guest,
                 gref,
@@ -451,9 +519,7 @@ mod tests {
         let gref =
             f.gt.grant_access(&f.mem, f.guest, f.driver, gpage, true)
                 .unwrap();
-        let err = f.gt.copy(
-            &mut f.mem,
-            f.driver,
+        let err = f.copy(
             CopySide::Local {
                 page: dpage,
                 offset: 0,
@@ -484,9 +550,7 @@ mod tests {
             Some(XenError::BadGrant)
         );
         assert_eq!(f.gt.end_access(ghost, gref), Err(XenError::BadGrant));
-        let copy = f.gt.copy(
-            &mut f.mem,
-            f.driver,
+        let copy = f.copy(
             CopySide::Grant {
                 granter: ghost,
                 gref,
@@ -511,9 +575,7 @@ mod tests {
         let gpage = f.mem.alloc(&mut f.doms, f.guest).unwrap();
         let dpage = f.mem.alloc(&mut f.doms, f.driver).unwrap();
         // Driver tries to use the guest's page as its "local" side.
-        let err = f.gt.copy(
-            &mut f.mem,
-            f.driver,
+        let err = f.copy(
             CopySide::Local {
                 page: gpage,
                 offset: 0,
@@ -532,9 +594,7 @@ mod tests {
         let mut f = fix();
         let a = f.mem.alloc(&mut f.doms, f.driver).unwrap();
         let b = f.mem.alloc(&mut f.doms, f.driver).unwrap();
-        let err = f.gt.copy(
-            &mut f.mem,
-            f.driver,
+        let err = f.copy(
             CopySide::Local { page: a, offset: 0 },
             CopySide::Local { page: b, offset: 0 },
             PAGE_SIZE + 1,

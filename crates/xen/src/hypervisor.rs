@@ -13,7 +13,7 @@ use crate::domain::{DomainId, DomainKind, DomainTable};
 use crate::error::{Result, XenError};
 use crate::evtchn::{EventChannels, Notification, Port};
 use crate::fault::FaultPlan;
-use crate::grant::{GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
+use crate::grant::{CopyMode, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
 use crate::hypercall::{CostModel, HypercallKind, HypercallMeter};
 use crate::mem::{MachineMemory, PageId};
 use crate::pci::PciBus;
@@ -169,11 +169,6 @@ impl Hypervisor {
         self.mem.alloc(&mut self.domains, dom)
     }
 
-    /// Frees a page.
-    pub fn free_page(&mut self, dom: DomainId, page: PageId) -> Result<()> {
-        self.mem.free(&mut self.domains, dom, page)
-    }
-
     /// Grants `peer` access to `page` (table write, no hypercall).
     pub fn grant_access(
         &mut self,
@@ -215,83 +210,98 @@ impl Hypervisor {
         Ok(c)
     }
 
-    /// Charged batched `GNTTABOP_copy`: one hypercall executes the whole
-    /// op array, with per-op statuses.
+    /// Charged `GNTTABOP_copy` of an op array with per-op statuses, the
+    /// ops' [`CopySide::Buffer`](crate::grant::CopySide::Buffer) sides
+    /// naming the caller's own `bufs` by index.
     ///
-    /// The caller is billed one hypercall base cost per **batch** plus a
+    /// Under [`CopyMode::Batched`] one hypercall executes the whole array:
+    /// the caller is billed one hypercall base cost per **batch** plus a
     /// fixed descriptor cost per op and a per-byte copy cost — the shape
-    /// drivers amortize per-packet hypervisor work against. Failed ops
-    /// report in their status and do not abort the batch; the hypercall
-    /// is charged regardless (the domain still crossed into the
-    /// hypervisor). An empty op array issues no hypercall and is free.
-    pub fn grant_copy_batch(&mut self, caller: DomainId, ops: &[GrantCopyOp]) -> BatchResult {
+    /// drivers amortize per-packet hypervisor work against. Under
+    /// [`CopyMode::SingleOp`] each op is its own hypercall, billed and
+    /// traced alone. The two modes move the same bytes and produce the
+    /// same statuses; only the hypercall count and modeled cost differ,
+    /// which is what the drivers' ablation benches and equivalence tests
+    /// measure. Failed ops report in their status and do not abort the
+    /// batch; a hypercall is charged regardless (the domain still crossed
+    /// into the hypervisor). An empty op array issues no hypercall and is
+    /// free.
+    pub fn grant_copy_with(
+        &mut self,
+        caller: DomainId,
+        ops: &[GrantCopyOp],
+        bufs: &mut [Vec<u8>],
+        mode: CopyMode,
+    ) -> BatchResult {
+        let _prof = kite_prof::span(kite_prof::Phase::GrantCopy);
+        let mut out = BatchResult {
+            ops: ops.len(),
+            ..BatchResult::default()
+        };
         if ops.is_empty() {
-            return BatchResult::default();
+            return out;
         }
         // Ops are independent: a failed op reports its error and the
         // batch continues, exactly like real Xen's per-op `status` field.
-        let mut failed = Vec::new();
-        let mut bytes = 0;
         for (i, op) in ops.iter().enumerate() {
-            let done = self
-                .grants
-                .copy(&mut self.mem, caller, op.src, op.dst, op.len);
-            match done {
+            let ok = match self.grants.copy(&mut self.mem, caller, op, bufs) {
                 // Injected per-op failures surface exactly like real
                 // ones: in the status, with the batch continuing past
                 // them. The bytes have already moved; drivers must treat
                 // errored ops as not transferred, which is what the
                 // status contract says.
-                Ok(()) if self.faults.fail_copy_op() => failed.push((i, XenError::BadGrant)),
-                Ok(()) => bytes += op.len,
-                Err(e) => failed.push((i, e)),
+                Ok(()) if self.faults.fail_copy_op() => {
+                    out.failed.push((i, XenError::BadGrant));
+                    false
+                }
+                Ok(()) => true,
+                Err(e) => {
+                    out.failed.push((i, e));
+                    false
+                }
+            };
+            let bytes = if ok { op.len } else { 0 };
+            out.bytes += bytes;
+            if mode == CopyMode::SingleOp {
+                out.cost += self.bill_gnt_copy(caller, 1, usize::from(ok), bytes);
             }
         }
-        let cost = self.costs.gnt_copy_batch(ops.len(), bytes);
-        self.bill(caller, HypercallKind::GntCopy, cost);
-        let result = BatchResult {
-            ops: ops.len(),
-            failed,
-            bytes,
-            cost,
-        };
-        self.trace
-            .emit_with(caller.0, || EventKind::GrantCopyBatch {
-                ops: ops.len() as u32,
-                ok_ops: result.ok_ops() as u32,
-                bytes: result.bytes as u64,
-                cost,
-            });
-        result
+        if mode == CopyMode::Batched {
+            out.cost = self.bill_gnt_copy(caller, ops.len(), out.ok_ops(), out.bytes);
+        }
+        out
     }
 
-    /// Issues `ops` under the given [`CopyMode`](crate::grant::CopyMode): one batched hypercall,
-    /// or the legacy one-hypercall-per-op shape. The two modes move the
-    /// same bytes and produce the same statuses; only the hypercall count
-    /// and modeled cost differ — which is what the drivers' ablation
-    /// benches and equivalence tests measure.
+    /// [`grant_copy_with`](Self::grant_copy_with) for ops whose sides are
+    /// all pages: local ones and grants.
     pub fn grant_copy_ops(
         &mut self,
         caller: DomainId,
         ops: &[GrantCopyOp],
-        mode: crate::grant::CopyMode,
+        mode: CopyMode,
     ) -> BatchResult {
-        let _prof = kite_prof::span(kite_prof::Phase::GrantCopy);
-        match mode {
-            crate::grant::CopyMode::Batched => self.grant_copy_batch(caller, ops),
-            crate::grant::CopyMode::SingleOp => {
-                let mut out = BatchResult::default();
-                for op in ops {
-                    let b = self.grant_copy_batch(caller, core::slice::from_ref(op));
-                    out.failed
-                        .extend(b.failed.iter().map(|&(_, e)| (out.ops, e)));
-                    out.ops += 1;
-                    out.bytes += b.bytes;
-                    out.cost += b.cost;
-                }
-                out
-            }
-        }
+        self.grant_copy_with(caller, ops, &mut [], mode)
+    }
+
+    /// Bills and traces one `GNTTABOP_copy` hypercall that carried `ops`
+    /// descriptors, `ok_ops` of them successful, moving `bytes`.
+    fn bill_gnt_copy(
+        &mut self,
+        caller: DomainId,
+        ops: usize,
+        ok_ops: usize,
+        bytes: usize,
+    ) -> Nanos {
+        let cost = self.costs.gnt_copy_batch(ops, bytes);
+        self.bill(caller, HypercallKind::GntCopy, cost);
+        self.trace
+            .emit_with(caller.0, || EventKind::GrantCopyBatch {
+                ops: ops as u32,
+                ok_ops: ok_ops as u32,
+                bytes: bytes as u64,
+                cost,
+            });
+        cost
     }
 
     /// Charged `EVTCHNOP_send`.
@@ -465,6 +475,227 @@ impl Hypervisor {
 mod tests {
     use super::*;
     use crate::grant::CopySide;
+
+    impl Hypervisor {
+        /// One batched hypercall over page-to-page ops.
+        fn grant_copy_batch(&mut self, caller: DomainId, ops: &[GrantCopyOp]) -> BatchResult {
+            self.grant_copy_ops(caller, ops, CopyMode::Batched)
+        }
+    }
+
+    /// Dom0, a driver domain and a guest.
+    fn machine() -> (Hypervisor, DomainId, DomainId) {
+        let mut hv = Hypervisor::new();
+        hv.create_domain("Domain-0", DomainKind::Dom0, 1024, 4);
+        let dd = hv.create_domain("dd", DomainKind::Driver, 256, 1);
+        let gu = hv.create_domain("guest", DomainKind::Guest, 256, 2);
+        (hv, dd, gu)
+    }
+
+    /// A guest page holding `fill`, granted to the driver.
+    fn granted(
+        hv: &mut Hypervisor,
+        (dd, gu): (DomainId, DomainId),
+        fill: &[u8],
+        readonly: bool,
+    ) -> (PageId, GrantRef) {
+        let page = hv.alloc_page(gu).unwrap();
+        hv.mem.page_mut(page).unwrap()[..fill.len()].copy_from_slice(fill);
+        (page, hv.grant_access(gu, dd, page, readonly).unwrap())
+    }
+
+    fn op(src: CopySide, dst: CopySide, len: usize) -> GrantCopyOp {
+        GrantCopyOp { src, dst, len }
+    }
+
+    fn buf(buf: usize, offset: usize) -> CopySide {
+        CopySide::Buffer { buf, offset }
+    }
+
+    #[test]
+    fn buffer_ops_append_write_inside_and_feed_a_grant() {
+        let (mut hv, dd, gu) = machine();
+        let (_, src) = granted(&mut hv, (dd, gu), b"abcdefgh", true);
+        let (dst_page, dst) = granted(&mut hv, (dd, gu), b"", false);
+        let g = |gref, offset| CopySide::Grant {
+            granter: gu,
+            gref,
+            offset,
+        };
+        let mut xyz = Vec::with_capacity(5);
+        xyz.extend_from_slice(b"xyz");
+        let mut bufs = vec![Vec::with_capacity(8), xyz, Vec::with_capacity(5)];
+        let ops = [
+            op(g(src, 0), buf(0, 0), 4), // append to an empty buffer
+            op(g(src, 4), buf(0, 4), 4), // append at its end
+            op(g(src, 0), buf(1, 1), 4), // two bytes inside, two appended
+            op(g(src, 6), buf(1, 0), 2), // inside only
+            op(buf(1, 1), g(dst, 10), 3),
+            op(g(src, 0), buf(2, 3), 2), // past the length: a zeroed gap
+        ];
+        let r = hv.grant_copy_with(dd, &ops, &mut bufs, CopyMode::Batched);
+        assert!(r.all_ok(), "{:?}", r.failed);
+        assert_eq!((r.ops, r.bytes), (6, 19));
+        assert_eq!(bufs[0], b"abcdefgh");
+        assert_eq!(bufs[1], b"ghbcd");
+        assert_eq!(bufs[2], b"\0\0\0ab");
+        let caps: Vec<usize> = bufs.iter().map(Vec::capacity).collect();
+        assert_eq!(caps, [8, 5, 5], "filled in place, never regrown");
+        assert_eq!(&hv.mem.page(dst_page).unwrap()[9..14], b"\0hbc\0");
+        assert_eq!(hv.meter(dd).count(HypercallKind::GntCopy), 1);
+    }
+
+    #[test]
+    fn buffer_ranges_past_the_end_are_out_of_bounds_and_move_nothing() {
+        let (mut hv, dd, gu) = machine();
+        let (_, src) = granted(&mut hv, (dd, gu), b"abcdefgh", true);
+        let (_, dst) = granted(&mut hv, (dd, gu), b"", false);
+        let g = |gref| CopySide::Grant {
+            granter: gu,
+            gref,
+            offset: 0,
+        };
+        let before = hv.mem.backed_pages();
+        let mut bufs = vec![b"abc".to_vec()];
+        assert_eq!(bufs[0].capacity(), 3);
+        let ops = [
+            op(g(src), buf(0, 2), 2), // writes past the capacity
+            op(buf(0, 2), g(dst), 2), // reads past the length
+            op(g(src), buf(1, 0), 1), // no such buffer
+            op(buf(0, 0), buf(0, 1), 1),
+        ];
+        let r = hv.grant_copy_with(dd, &ops, &mut bufs, CopyMode::Batched);
+        use XenError::{Inval, OutOfBounds};
+        assert_eq!(
+            r.failed,
+            [
+                (0, OutOfBounds),
+                (1, OutOfBounds),
+                (2, OutOfBounds),
+                (3, Inval)
+            ]
+        );
+        assert_eq!(r.bytes, 0);
+        assert_eq!(bufs, [b"abc"]);
+        assert_eq!(hv.mem.backed_pages(), before, "no guest page written");
+    }
+
+    #[test]
+    fn refused_grants_move_nothing_to_or_from_a_buffer() {
+        let (mut hv, dd, gu) = machine();
+        let (ro_page, ro) = granted(&mut hv, (dd, gu), b"guest", true);
+        let (_, revoked) = granted(&mut hv, (dd, gu), b"gone", false);
+        hv.grants.end_access(gu, revoked).unwrap();
+        let g = |gref| CopySide::Grant {
+            granter: gu,
+            gref,
+            offset: 0,
+        };
+        let mut bufs = vec![b"drv".to_vec()];
+        let ops = [op(buf(0, 0), g(ro), 3), op(g(revoked), buf(0, 3), 4)];
+        let r = hv.grant_copy_with(dd, &ops, &mut bufs, CopyMode::Batched);
+        assert_eq!(
+            r.failed,
+            [(0, XenError::ReadOnlyGrant), (1, XenError::BadGrant)]
+        );
+        assert_eq!(r.bytes, 0);
+        assert_eq!(bufs, [b"drv"]);
+        assert_eq!(&hv.mem.page(ro_page).unwrap()[..5], b"guest");
+    }
+
+    #[test]
+    fn injected_faults_surface_in_buffer_op_statuses() {
+        let (mut hv, dd, gu) = machine();
+        let (_, src) = granted(&mut hv, (dd, gu), b"abcd", true);
+        hv.faults = FaultPlan::seeded(3).with_copy_failures(1.0);
+        let g = CopySide::Grant {
+            granter: gu,
+            gref: src,
+            offset: 0,
+        };
+        let mut bufs = vec![Vec::with_capacity(4)];
+        let ops = [op(g, buf(0, 0), 2), op(g, buf(0, 2), 2)];
+        let r = hv.grant_copy_with(dd, &ops, &mut bufs, CopyMode::Batched);
+        let failed = [(0, XenError::BadGrant), (1, XenError::BadGrant)];
+        assert_eq!((r.failed.as_slice(), r.bytes), (&failed[..], 0));
+        assert_eq!(hv.faults.stats.copy_faults, 2);
+        assert_eq!(hv.meter(dd).count(HypercallKind::GntCopy), 1);
+    }
+
+    /// One mixed buffer batch — appends, an in-place write, a refused
+    /// grant, a zeroed gap, a write past the capacity, a buffer feeding a
+    /// grant — run on a fresh machine.
+    fn mixed_buffer_batch(mode: CopyMode) -> (Hypervisor, BatchResult, Vec<Vec<u8>>, PageId) {
+        let (mut hv, dd, gu) = machine();
+        let fill: Vec<u8> = (0..=255).collect();
+        let (_, src) = granted(&mut hv, (dd, gu), &fill, true);
+        let (_, ro) = granted(&mut hv, (dd, gu), b"", true);
+        let (dst_page, dst) = granted(&mut hv, (dd, gu), b"", false);
+        let g = |gref, offset| CopySide::Grant {
+            granter: gu,
+            gref,
+            offset,
+        };
+        let mut bufs = vec![Vec::with_capacity(320), b"0123456789".to_vec()];
+        let ops = [
+            op(g(src, 0), buf(0, 0), 100),
+            op(g(src, 100), buf(0, 100), 156),
+            op(g(src, 7), buf(1, 3), 4),
+            op(buf(1, 0), g(ro, 0), 4),
+            op(g(src, 5), buf(0, 300), 1),
+            op(g(src, 0), buf(0, 320), 1),
+            op(buf(0, 50), g(dst, 4000), 96),
+        ];
+        let r = hv.grant_copy_with(dd, &ops, &mut bufs, mode);
+        (hv, r, bufs, dst_page)
+    }
+
+    #[test]
+    fn single_op_and_batched_buffer_copies_agree() {
+        let (hv_b, batched, bufs_b, page_b) = mixed_buffer_batch(CopyMode::Batched);
+        let (hv_s, single, bufs_s, page_s) = mixed_buffer_batch(CopyMode::SingleOp);
+        assert_eq!(batched.failed, single.failed);
+        assert_eq!(batched.failed.len(), 2, "{:?}", batched.failed);
+        assert_eq!((batched.ops, batched.bytes), (single.ops, single.bytes));
+        assert_eq!(bufs_b, bufs_s);
+        assert_eq!(bufs_b[0][..256], (0..=255).collect::<Vec<u8>>());
+        assert_eq!(bufs_b[0][256..], [[0; 44].as_slice(), &[5]].concat());
+        assert_eq!(hv_b.mem.page(page_b), hv_s.mem.page(page_s));
+        let dd = DomainId(1);
+        assert_eq!(hv_b.meter(dd).count(HypercallKind::GntCopy), 1);
+        assert_eq!(hv_s.meter(dd).count(HypercallKind::GntCopy), 7);
+        assert!(batched.cost < single.cost);
+    }
+
+    #[test]
+    fn a_buffer_batch_costs_what_the_page_batch_of_its_shape_costs() {
+        let (mut hv, dd, gu) = machine();
+        let (_, src) = granted(&mut hv, (dd, gu), &[7; 64], true);
+        let g = |offset| CopySide::Grant {
+            granter: gu,
+            gref: src,
+            offset,
+        };
+        let lens = [1400usize, 4096, 2048, 1];
+        let to_buffers: Vec<GrantCopyOp> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| op(g(0), buf(i, 0), len))
+            .collect();
+        let to_pages: Vec<GrantCopyOp> = lens
+            .iter()
+            .map(|&len| {
+                let page = hv.alloc_page(dd).unwrap();
+                op(g(0), CopySide::Local { page, offset: 0 }, len)
+            })
+            .collect();
+        let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&len| Vec::with_capacity(len)).collect();
+        let a = hv.grant_copy_with(dd, &to_buffers, &mut bufs, CopyMode::Batched);
+        let b = hv.grant_copy_ops(dd, &to_pages, CopyMode::Batched);
+        assert!(a.all_ok() && b.all_ok());
+        assert_eq!((a.ops, a.bytes, a.cost), (b.ops, b.bytes, b.cost));
+        assert_eq!(a.cost, hv.costs.gnt_copy_batch(4, lens.iter().sum()));
+    }
 
     #[test]
     fn charged_ops_bill_the_caller() {

@@ -28,6 +28,13 @@ static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct PageId(pub u64);
 
+/// The end of the range `off..off + len`, if it stays inside one page.
+fn page_end(off: usize, len: usize) -> Result<usize> {
+    off.checked_add(len)
+        .filter(|&end| end <= PAGE_SIZE)
+        .ok_or(XenError::OutOfBounds)
+}
+
 /// A page's bytes: `None` until the first write.
 struct Backing(Option<Box<[u8; PAGE_SIZE]>>);
 
@@ -132,6 +139,22 @@ impl MachineMemory {
     /// the grant table before handing callers a page id to use here.
     pub fn page_mut(&mut self, page: PageId) -> Result<&mut [u8; PAGE_SIZE]> {
         self.backing_mut(page).map(Backing::bytes_mut)
+    }
+
+    /// Bytes `off..off + len` of a page. Backs nothing; a range past the
+    /// page's end is [`XenError::OutOfBounds`].
+    pub(crate) fn read(&self, page: PageId, off: usize, len: usize) -> Result<&[u8]> {
+        let end = page_end(off, len)?;
+        Ok(&self.page(page)?[off..end])
+    }
+
+    /// Writes `bytes` into a page at `off`, backing it. Checked like
+    /// [`MachineMemory::copy`]: bounds first, then the page, and a failed
+    /// write backs nothing.
+    pub(crate) fn write(&mut self, page: PageId, off: usize, bytes: &[u8]) -> Result<()> {
+        let end = page_end(off, bytes.len())?;
+        self.page_mut(page)?[off..end].copy_from_slice(bytes);
+        Ok(())
     }
 
     /// Copies `len` bytes from one page to another, slice to slice: no

@@ -287,7 +287,7 @@ fn mixed_traffic_keeps_echo_alive() {
                 dst_ip: msg.src_ip,
                 dst_port: msg.src_port,
                 src_port: 7,
-                payload: msg.payload.clone(),
+                payload: msg.payload.to_vec(),
                 cost: Nanos::from_micros(2),
             }]
         } else {

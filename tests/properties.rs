@@ -362,7 +362,7 @@ fn machine_memory_copy_between_distinct_pages() {
     // A freed page, or one never allocated, is BadPage on either side —
     // and the surviving page is left untouched.
     let mid = hv.alloc_page(d0).unwrap();
-    hv.free_page(d0, hi).unwrap();
+    hv.mem.free(&mut hv.domains, d0, hi).unwrap();
     hv.mem.page_mut(lo).unwrap().fill(0x5a);
     let never = PageId(1 << 40);
     for gone in [hi, never] {
@@ -497,23 +497,36 @@ fn grant_copy_exact() {
             *b = (i % 251) as u8;
         }
         let gref = hv.grant_access(gu, dd, sp, true).unwrap();
-        let batch = hv.grant_copy_batch(
+        let src = kite::xen::CopySide::Grant {
+            granter: gu,
+            gref,
+            offset: src_off,
+        };
+        let to = |dst| kite::xen::GrantCopyOp { src, dst, len };
+        let batch = hv.grant_copy_ops(
             dd,
-            &[kite::xen::GrantCopyOp {
-                src: kite::xen::CopySide::Grant {
-                    granter: gu,
-                    gref,
-                    offset: src_off,
-                },
-                dst: kite::xen::CopySide::Local {
-                    page: dp,
-                    offset: dst_off,
-                },
-                len,
-            }],
+            &[to(kite::xen::CopySide::Local {
+                page: dp,
+                offset: dst_off,
+            })],
+            kite::xen::CopyMode::Batched,
         );
         assert!(batch.all_ok() && batch.ops == 1);
+        // The same bytes appended to a buffer of the caller's own.
+        let mut bufs = vec![Vec::with_capacity(dst_off + len)];
+        bufs[0].resize(dst_off, 0);
+        let appended = hv.grant_copy_with(
+            dd,
+            &[to(kite::xen::CopySide::Buffer {
+                buf: 0,
+                offset: dst_off,
+            })],
+            &mut bufs,
+            kite::xen::CopyMode::Batched,
+        );
+        assert!(appended.all_ok() && appended.bytes == len);
         let dst = hv.mem.page(dp).unwrap();
+        assert_eq!(bufs[0][..], dst[..dst_off + len]);
         for i in 0..len {
             assert_eq!(dst[dst_off + i], ((src_off + i) % 251) as u8);
         }

@@ -95,6 +95,11 @@ const OBSERVED: &[(&str, &str)] = &[
         "allocator property tests check blocks are conserved",
     ),
     (
+        "free",
+        "machine-memory tests free a page to check a freed page is never \
+         reused; no shipped path frees one, as no backend owns data pages",
+    ),
+    (
         "profile",
         "nvme tests size their bounds from the envelope a drive was built \
          with",
