@@ -396,13 +396,13 @@ fn fig11() {
 fn fig12() {
     println!("-- Fig 12a: 256KB blocks, thread sweep (MB/s) --");
     print!("{:<8}", "os");
-    for t in [1u16, 5, 20, 60, 100] {
+    for t in wl::fileio::FIG12A_THREADS {
         print!("{t:>8}");
     }
     println!();
     for os in BackendOs::both() {
         print!("{:<8}", os.name());
-        for t in [1u16, 5, 20, 60, 100] {
+        for t in wl::fileio::FIG12A_THREADS {
             let r = wl::fileio::run(os, t, 256 * 1024, 100 + 8 * u64::from(t), 42);
             print!("{:>8.0}", r.mbps);
         }
@@ -410,13 +410,13 @@ fn fig12() {
     }
     println!("-- Fig 12b: 20 threads, block-size sweep (MB/s) --");
     print!("{:<8}", "os");
-    for b in [16 << 10, 256 << 10, 4 << 20, 64 << 20] {
+    for b in wl::fileio::FIG12B_BLOCKS {
         print!("{:>10}", human(b));
     }
     println!();
     for os in BackendOs::both() {
         print!("{:<8}", os.name());
-        for b in [16usize << 10, 256 << 10, 4 << 20, 64 << 20] {
+        for b in wl::fileio::FIG12B_BLOCKS {
             let ops = (64usize << 20) / b.max(1 << 16) + 40;
             let r = wl::fileio::run(os, 20, b, ops as u64, 43);
             print!("{:>10.0}", r.mbps);
@@ -448,13 +448,13 @@ fn fig13() {
 
 fn fig14() {
     print!("{:<8}", "os");
-    for b in [16 << 10, 128 << 10, 1 << 20, 8 << 20] {
+    for b in wl::filebench::FIG14_IOSIZES {
         print!("{:>10}", human(b));
     }
     println!("  (fileserver MB/s)");
     for os in BackendOs::both() {
         print!("{:<8}", os.name());
-        for b in [16usize << 10, 128 << 10, 1 << 20, 8 << 20] {
+        for b in wl::filebench::FIG14_IOSIZES {
             let ops = 400usize / (1 + b / (1 << 20)) + 60;
             let r = wl::filebench::fileserver(os, b, ops as u64, 42);
             print!("{:>10.0}", r.mbps);

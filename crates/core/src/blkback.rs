@@ -1121,7 +1121,34 @@ mod tests {
     #[test]
     fn unknown_opcode_is_rejected() {
         let mut pair = raw_pair(true);
-        let req = BlkifRequest::direct(kite_xen::blkif::BLKIF_OP_DISCARD, 0, 5, 0, &[]);
+        // 5 is `BLKIF_OP_DISCARD`, which this backend does not offer.
+        let req = BlkifRequest::direct(5, 0, 5, 0, &[]);
         assert_rejected(&mut pair, &req);
+    }
+
+    /// A flush moves no data: it reaches the device as one NVMe flush,
+    /// and is answered `BLKIF_RSP_OKAY` with its own operation.
+    #[test]
+    fn a_flush_reaches_the_device_and_is_answered() {
+        let (mut hv, mut rf, mut bb, mut nvme) = raw_pair(true);
+        let req = BlkifRequest::direct(BLKIF_OP_FLUSH_DISKCACHE, 0, 9, 0, &[]);
+        rf.submit(&mut hv, &req);
+        let batch = bb
+            .request_thread_run(&mut hv, &mut nvme, 0, Nanos::ZERO, 32)
+            .unwrap();
+        assert!(batch.failures.is_empty());
+        let &[(q, at)] = &batch.cq_irqs[..] else {
+            panic!("one completion interrupt: {:?}", batch.cq_irqs);
+        };
+        bb.reap_completions(&mut hv, &mut nvme, q, at).unwrap();
+        let rsps = rf.responses(&hv);
+        assert_eq!(
+            rsps.iter()
+                .map(|r| (r.id, r.operation, r.status))
+                .collect::<Vec<_>>(),
+            [(9, BLKIF_OP_FLUSH_DISKCACHE, BLKIF_RSP_OKAY)]
+        );
+        let st = bb.stats();
+        assert_eq!((st.requests, st.errors, st.device_ops), (1, 0, 1));
     }
 }

@@ -16,8 +16,6 @@ use kite_sim::Nanos;
 pub struct Lease {
     /// Leased address.
     pub ip: Ipv4Addr,
-    /// Client hardware address.
-    pub mac: MacAddr,
     /// Expiry instant.
     pub expires: Nanos,
 }
@@ -136,7 +134,6 @@ impl DhcpServer {
             mac,
             Lease {
                 ip,
-                mac,
                 expires: now + self.config.lease_time,
             },
         );
@@ -212,7 +209,6 @@ impl DhcpServer {
                         MacAddr::BROADCAST,
                         Lease {
                             ip,
-                            mac: MacAddr::BROADCAST,
                             expires: now + self.config.lease_time,
                         },
                     );

@@ -29,7 +29,6 @@ pub use blkback::{
     BlkBatch, BlkComplete, BlkFailure, BlkbackConfig, BlkbackInstance, BlkbackStats, BlkbackTuning,
     MAX_INDIRECT_SEGMENTS,
 };
-pub use blockapp::{BlockApp, VbdStatus};
 pub use dhcpd::{DhcpConfig, DhcpServer, DhcpStats, Lease};
 pub use lifecycle::{BackendDevice, DeviceLifecycle, RecoveryStats};
 pub use netapp::NetworkApp;

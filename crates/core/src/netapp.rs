@@ -33,8 +33,6 @@ pub struct NetworkApp {
     pub bridge: Bridge,
     /// The interface table (`ifconfig` view).
     pub ifs: IfTable,
-    /// Physical interface name.
-    pub phys_if: String,
     /// VIF↔NIC linking technique.
     pub mode: LinkMode,
     /// The SNAT table (used in [`LinkMode::Nat`]).
@@ -43,17 +41,13 @@ pub struct NetworkApp {
 }
 
 impl NetworkApp {
-    /// Boots the application: creates `bridge0`, registers and configures
-    /// the physical interface, and attaches it to the bridge.
-    pub fn start(phys_if: &str, phys_mac: MacAddr, gateway: Ipv4Addr, netmask: Ipv4Addr) -> Self {
+    /// Boots the application: creates `bridge0`, registers the physical
+    /// interface, attaches it to the bridge, and NATs behind `gateway`.
+    pub fn start(phys_if: &str, phys_mac: MacAddr, gateway: Ipv4Addr) -> Self {
         let mut ifs = IfTable::new();
         let mut bridge = Bridge::new("bridge0");
         ifs.attach(phys_if, IfKind::Physical, phys_mac);
-        // `ifconfig ixg0 <gateway> netmask <mask> up`
-        ifs.set_addr(phys_if, gateway, netmask);
-        ifs.set_up(phys_if, true);
         ifs.attach("bridge0", IfKind::Bridge, MacAddr::ZERO);
-        ifs.set_up("bridge0", true);
         // `brconfig bridge0 add ixg0 up`
         let port = bridge.add_port(phys_if);
         let mut ports = HashMap::new();
@@ -61,7 +55,6 @@ impl NetworkApp {
         NetworkApp {
             bridge,
             ifs,
-            phys_if: phys_if.to_string(),
             mode: LinkMode::Bridge,
             nat: Nat::new(gateway),
             ports,
@@ -119,7 +112,6 @@ impl NetworkApp {
     /// bridge (`brconfig bridge0 add vifN.M`).
     pub fn add_vif(&mut self, vif: &str, mac: MacAddr) -> BridgePort {
         self.ifs.attach(vif, IfKind::Vif, mac);
-        self.ifs.set_up(vif, true);
         let port = self.bridge.add_port(vif);
         self.ports.insert(vif.to_string(), port);
         port
@@ -149,32 +141,36 @@ mod tests {
         "192.168.1.50".parse().unwrap()
     }
 
-    fn mask() -> Ipv4Addr {
-        "255.255.255.0".parse().unwrap()
-    }
-
     #[test]
-    fn startup_configures_if_and_bridge() {
-        let app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
-        let i = app.ifs.get("ixg0").unwrap();
-        assert!(i.up);
-        assert_eq!(i.addr, Some(gw()));
-        assert_eq!(app.bridge.members(), vec!["ixg0"]);
-        assert!(app.port_of("ixg0").is_some());
+    fn startup_registers_if_and_bridge() {
+        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
+        assert_eq!(app.ifs.get("ixg0").unwrap().kind, IfKind::Physical);
+        assert_eq!(app.ifs.get("bridge0").unwrap().kind, IfKind::Bridge);
+        // `ixg0` is the bridge's only port: its broadcast floods nowhere.
+        let phys = app.port_of("ixg0").unwrap();
+        let flood = app
+            .bridge
+            .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
+        assert_eq!(flood, Forward::Flood(vec![]));
     }
 
     #[test]
     fn vif_hotplug_and_forwarding() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
+        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
         let vif_port = app.add_vif("vif2.0", MacAddr::local(2));
-        assert_eq!(app.bridge.members(), vec!["ixg0", "vif2.0"]);
+        assert_eq!(app.ifs.get("vif2.0").unwrap().kind, IfKind::Vif);
         assert_eq!(app.port_of("vif2.0"), Some(vif_port));
+        // A broadcast from the NIC reaches the new VIF's port.
+        let phys = app.port_of("ixg0").unwrap();
+        let flood = app
+            .bridge
+            .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
+        assert_eq!(flood, Forward::Flood(vec![vif_port]));
         // Guest talks out through the VIF; bridge learns.
         let guest_mac = MacAddr::local(100);
         let ext_mac = MacAddr::local(200);
         app.bridge
             .input(vif_port, guest_mac, MacAddr::BROADCAST, Nanos::ZERO);
-        let phys = app.port_of("ixg0").unwrap();
         assert_eq!(
             app.bridge.input(phys, ext_mac, guest_mac, Nanos(1)),
             Forward::Unicast(vif_port)
@@ -183,17 +179,23 @@ mod tests {
 
     #[test]
     fn vif_unplug_cleans_up() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
+        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
         app.add_vif("vif2.0", MacAddr::local(2));
         app.remove_vif("vif2.0");
-        assert_eq!(app.bridge.members(), vec!["ixg0"]);
         assert!(app.ifs.get("vif2.0").is_none());
         assert!(app.port_of("vif2.0").is_none());
+        // The VIF's port left the bridge: a broadcast from the NIC
+        // floods to no port.
+        let phys = app.port_of("ixg0").unwrap();
+        let flood = app
+            .bridge
+            .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
+        assert_eq!(flood, Forward::Flood(vec![]));
     }
 
     #[test]
     fn nat_rewrites_and_reverses() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
+        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
         app.use_nat();
         assert_eq!(app.mode, LinkMode::Nat);
         let guest_ip: Ipv4Addr = "192.168.1.100".parse().unwrap();
@@ -249,7 +251,7 @@ mod tests {
 
     #[test]
     fn nat_drops_unsolicited_inbound() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw(), mask());
+        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
         app.use_nat();
         let udp = kite_net::UdpDatagram::new(80, 44444, b"scan".to_vec());
         let client_ip: Ipv4Addr = "192.168.1.10".parse().unwrap();

@@ -644,10 +644,10 @@ mod tests {
         assert_eq!(posted.len(), 2);
         // Nothing is due before its completion time.
         assert_eq!(d.cq_pop(q, posted[0].completes_at - Nanos(1)), None);
-        let first = d.cq_pop(q, Nanos::MAX).unwrap();
-        let second = d.cq_pop(q, Nanos::MAX).unwrap();
+        let first = d.cq_pop(q, Nanos(u64::MAX)).unwrap();
+        let second = d.cq_pop(q, Nanos(u64::MAX)).unwrap();
         assert!(first.completes_at <= second.completes_at);
-        assert_eq!(d.cq_pop(q, Nanos::MAX), None);
+        assert_eq!(d.cq_pop(q, Nanos(u64::MAX)), None);
     }
 
     #[test]
@@ -681,7 +681,7 @@ mod tests {
         d.reset();
         assert_eq!(d.io_queue_count(), 0);
         assert_eq!(d.vector_of(q), None);
-        assert_eq!(d.cq_pop(q, Nanos::MAX), None);
+        assert_eq!(d.cq_pop(q, Nanos(u64::MAX)), None);
         // Media contents and lifetime counters survive the reset.
         let mut buf = [0u8; 512];
         d.read_data(0, &mut buf);
@@ -846,7 +846,7 @@ mod tests {
                     let want = model.execute(q, now, cmd);
                     assert_eq!(entry.completes_at, want, "seed {seed}: {cmd:?} at {now:?}");
                 }
-                while d.cq_pop(qids[q], Nanos::MAX).is_some() {}
+                while d.cq_pop(qids[q], Nanos(u64::MAX)).is_some() {}
             }
             // The tiebreak fired: the mix met equally free channels.
             assert!(model.rr > 5, "seed {seed}: {} round-robin picks", model.rr);

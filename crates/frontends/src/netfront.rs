@@ -198,10 +198,6 @@ pub struct Netfront {
     pub guest: DomainId,
     /// Driver domain on the other end.
     pub backend: DomainId,
-    /// Device index.
-    pub index: u32,
-    /// The interface MAC.
-    pub mac: MacAddr,
     queues: Vec<NfQueue>,
     received: VecDeque<Vec<u8>>,
     tx_ring_full: u64,
@@ -287,8 +283,6 @@ impl Netfront {
         let mut nf = Netfront {
             guest,
             backend: paths.back,
-            index: paths.index,
-            mac,
             queues,
             received: VecDeque::new(),
             tx_ring_full: 0,

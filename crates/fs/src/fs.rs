@@ -56,13 +56,11 @@ pub struct DevIo {
     pub bytes: usize,
 }
 
-/// The plan for a read: which bytes came from cache vs the device.
+/// The plan for a read: the device I/Os its cache misses need.
 #[derive(Clone, Debug, Default)]
 pub struct ReadPlan {
     /// Device I/Os for the cache misses (merged into runs).
     pub device_ios: Vec<DevIo>,
-    /// Bytes served from the page cache.
-    pub cached_bytes: usize,
     /// Total bytes read (may be short at EOF).
     pub total_bytes: usize,
 }
@@ -70,8 +68,6 @@ pub struct ReadPlan {
 /// `stat(2)` output.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FileStat {
-    /// Inode.
-    pub ino: Ino,
     /// Size in bytes.
     pub size: u64,
     /// Number of extents (fragmentation indicator).
@@ -143,7 +139,6 @@ impl Fs {
         let ino = self.lookup(name)?;
         let m = &self.files[&ino];
         Ok(FileStat {
-            ino,
             size: m.size,
             extents: m.extents.len(),
         })
@@ -268,18 +263,14 @@ impl Fs {
         let len = len.min((meta.size - offset) as usize);
         let pieces = self.map_range(&meta, offset, len);
         let mut misses = Vec::new();
-        let mut cached = 0usize;
         for &(b, in_b, n) in &pieces {
-            if self.cache.access(b) {
-                cached += n;
-            } else {
+            if !self.cache.access(b) {
                 self.cache.insert(b);
                 misses.push((b, in_b, n));
             }
         }
         Ok(ReadPlan {
             device_ios: self.merge_ios(&misses),
-            cached_bytes: cached,
             total_bytes: len,
         })
     }
@@ -337,12 +328,11 @@ mod tests {
         fs.write(ino, 0, 8192).unwrap();
         // Write-through populated the cache: read is all hits.
         let plan = fs.read(ino, 0, 8192).unwrap();
-        assert_eq!(plan.cached_bytes, 8192);
+        assert_eq!(plan.total_bytes, 8192);
         assert!(plan.device_ios.is_empty());
         // After a cache flush the same read goes to the device.
         fs.drop_caches();
         let plan = fs.read(ino, 0, 8192).unwrap();
-        assert_eq!(plan.cached_bytes, 0);
         assert_eq!(
             plan.device_ios.iter().map(|io| io.bytes).sum::<usize>(),
             8192
@@ -410,6 +400,5 @@ mod tests {
         let st = fs.stat("f").unwrap();
         assert_eq!(st.size, 4096 * 3);
         assert_eq!(st.extents, 1);
-        assert_eq!(st.ino, ino);
     }
 }

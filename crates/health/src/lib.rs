@@ -22,5 +22,5 @@ pub mod top;
 
 pub use heartbeat::HeartbeatPublisher;
 pub use monitor::{DetectionMode, HealthMonitor, HealthState, MonitorConfig, ProgressSample};
-pub use slo::{BreachAttribution, SloConfig, SloReport};
+pub use slo::{BreachAttribution, SloConfig};
 pub use top::{render as render_top, TopRow, TopSnapshot};

@@ -1,8 +1,8 @@
 //! Request-latency SLO checks over the simulation's histograms.
 //!
 //! The system layer keeps a [`Histogram`] of per-request latencies for
-//! each backend; on every probe the monitor asks [`evaluate`] whether the
-//! configured quantile thresholds hold. A breach marks the backend
+//! each backend; on every probe the monitor asks [`breached`] whether the
+//! configured quantile thresholds fail. A breach marks the backend
 //! [`Suspect`](crate::HealthState::Suspect) (never `Failed` — slow is not
 //! dead). All three quantiles come from one bucket walk via
 //! [`Histogram::quantiles`].
@@ -34,37 +34,13 @@ impl Default for SloConfig {
     }
 }
 
-/// One evaluation's quantiles and verdict.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SloReport {
-    /// Median request latency.
-    pub p50: Nanos,
-    /// 95th-percentile request latency.
-    pub p95: Nanos,
-    /// 99th-percentile request latency.
-    pub p99: Nanos,
-    /// Samples behind the quantiles.
-    pub samples: u64,
-    /// True when some configured threshold is exceeded (with at least
-    /// `min_samples` behind it).
-    pub breached: bool,
-}
-
-/// Evaluates `hist` against `cfg` in a single histogram pass.
-pub fn evaluate(hist: &Histogram, cfg: &SloConfig) -> SloReport {
+/// Whether `hist` breaches `cfg`: some configured quantile exceeds its
+/// threshold, with at least `min_samples` behind it. One histogram pass.
+pub fn breached(hist: &Histogram, cfg: &SloConfig) -> bool {
     let qs = hist.quantiles(&[0.5, 0.95, 0.99]);
-    let (p50, p95, p99) = (qs[0], qs[1], qs[2]);
-    let samples = hist.count();
     let over = |limit: Option<Nanos>, got: Nanos| limit.is_some_and(|l| got > l);
-    let breached = samples >= cfg.min_samples
-        && (over(cfg.p50, p50) || over(cfg.p95, p95) || over(cfg.p99, p99));
-    SloReport {
-        p50,
-        p95,
-        p99,
-        samples,
-        breached,
-    }
+    hist.count() >= cfg.min_samples
+        && (over(cfg.p50, qs[0]) || over(cfg.p95, qs[1]) || over(cfg.p99, qs[2]))
 }
 
 /// Which stage a latency breach books to: the one whose own p99 is the
@@ -119,10 +95,7 @@ mod tests {
     #[test]
     fn unarmed_config_never_breaches() {
         let cfg = SloConfig::default();
-        let r = evaluate(&hist_fast_with_slow_tail(), &cfg);
-        assert!(!r.breached);
-        assert_eq!(r.samples, 1_000);
-        assert!(r.p50 <= r.p95 && r.p95 <= r.p99);
+        assert!(!breached(&hist_fast_with_slow_tail(), &cfg));
     }
 
     #[test]
@@ -131,12 +104,12 @@ mod tests {
             p99: Some(Nanos::from_millis(1)),
             ..SloConfig::default()
         };
-        assert!(evaluate(&hist_fast_with_slow_tail(), &cfg).breached);
+        assert!(breached(&hist_fast_with_slow_tail(), &cfg));
         let lax = SloConfig {
             p99: Some(Nanos::from_millis(5)),
             ..SloConfig::default()
         };
-        assert!(!evaluate(&hist_fast_with_slow_tail(), &lax).breached);
+        assert!(!breached(&hist_fast_with_slow_tail(), &lax));
     }
 
     #[test]
@@ -145,7 +118,8 @@ mod tests {
             attribute(&ReqTracer::disabled()).is_none(),
             "tracing off: nothing to attribute"
         );
-        let mut rt = ReqTracer::enabled(1, 16);
+        let mut rt = ReqTracer::default();
+        rt.enable(1, 16);
         assert!(attribute(&rt).is_none(), "no completed request yet");
         // One request whose grant-copy stage dwarfs the rest.
         rt.set_now(Nanos(0));
@@ -173,10 +147,10 @@ mod tests {
             min_samples: 16,
             ..SloConfig::default()
         };
-        assert!(!evaluate(&h, &cfg).breached, "below min_samples");
+        assert!(!breached(&h, &cfg), "below min_samples");
         for _ in 0..10 {
             h.record(Nanos::from_millis(50));
         }
-        assert!(evaluate(&h, &cfg).breached, "now conclusive");
+        assert!(breached(&h, &cfg), "now conclusive");
     }
 }

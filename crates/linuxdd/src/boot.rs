@@ -9,7 +9,6 @@ use kite_sim::Nanos;
 /// exists in a unikernel.
 pub fn ubuntu_boot() -> BootSequence {
     BootSequence {
-        os: "Ubuntu 18.04",
         stages: vec![
             BootStage {
                 name: "HVM firmware + GRUB menu/load",

@@ -75,11 +75,6 @@ impl Bridge {
         self.fdb.retain(|_, e| e.port != port);
     }
 
-    /// Member interface names, in attach order.
-    pub fn members(&self) -> Vec<&str> {
-        self.ports.iter().map(|(_, n)| n.as_str()).collect()
-    }
-
     /// Processes a frame arriving on `ingress`: learns the source and
     /// returns the forwarding decision for the destination.
     pub fn input(
@@ -222,7 +217,7 @@ mod tests {
         b.input(p1, mac(1), MacAddr::BROADCAST, Nanos::ZERO);
         b.remove_port(p1);
         assert_eq!(b.lookup(mac(1), Nanos(1)), None);
-        assert_eq!(b.members(), vec!["ixg0"]);
+        assert_eq!(b.ports, [(p0, "ixg0".to_string())]);
         // Flooding no longer includes the removed port.
         match b.input(p0, mac(2), mac(1), Nanos(2)) {
             Forward::Flood(ports) => assert!(ports.is_empty()),

@@ -19,8 +19,6 @@ pub struct BootStage {
 /// An ordered boot sequence.
 #[derive(Clone, Debug)]
 pub struct BootSequence {
-    /// OS label for reporting.
-    pub os: &'static str,
     /// Stages in order.
     pub stages: Vec<BootStage>,
 }
@@ -46,7 +44,6 @@ impl BootSequence {
 /// dominates; there is no initramfs, no udev, no service manager.
 pub fn kite_boot() -> BootSequence {
     BootSequence {
-        os: "Kite (rumprun)",
         stages: vec![
             BootStage {
                 name: "HVM loader + firmware handoff",

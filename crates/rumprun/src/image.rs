@@ -3,10 +3,8 @@
 //! A Kite VM image is a static link of exactly the components one driver
 //! domain needs — the paper's Figure 4b measures the result at roughly a
 //! tenth of a Linux kernel + modules. The builder below assembles images
-//! from a component catalog, accumulating both bytes and the syscall
-//! surface each component pulls in.
-
-use crate::syscalls::SyscallSet;
+//! from a component catalog, accumulating the bytes each pulls in; the
+//! syscall surface (Figure 4a) is [`crate::syscalls`]'s.
 
 /// What layer of the rumprun stack a component belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -34,39 +32,28 @@ pub struct Component {
     pub kind: ComponentKind,
     /// Contribution to the image in bytes.
     pub size_bytes: u64,
-    /// Syscalls this component requires to be kept.
-    pub syscalls: SyscallSet,
 }
 
 impl Component {
-    /// A component with no syscall requirements.
+    /// A component of `size_bytes`.
     pub fn new(name: &'static str, kind: ComponentKind, size_bytes: u64) -> Component {
         Component {
             name,
             kind,
             size_bytes,
-            syscalls: SyscallSet::default(),
         }
-    }
-
-    /// Attaches syscall requirements.
-    pub fn with_syscalls(mut self, set: SyscallSet) -> Component {
-        self.syscalls = set;
-        self
     }
 }
 
 /// A finished image.
 #[derive(Clone, Debug)]
 pub struct Image {
-    /// Image name (`netbackend`, `blkbackend`, `dhcpd`).
+    /// Image name (`netbackend`, `blkbackend`).
     pub name: String,
     /// Included components.
     pub components: Vec<Component>,
     /// Total size in bytes.
     pub total_bytes: u64,
-    /// Linked-in syscall surface (everything else was discarded).
-    pub syscalls: SyscallSet,
 }
 
 /// Accumulates components into an [`Image`].
@@ -94,15 +81,10 @@ impl ImageBuilder {
     /// Links the image.
     pub fn build(self) -> Image {
         let total_bytes = self.components.iter().map(|c| c.size_bytes).sum();
-        let syscalls = self
-            .components
-            .iter()
-            .fold(SyscallSet::default(), |acc, c| acc.union(&c.syscalls));
         Image {
             name: self.name,
             components: self.components,
             total_bytes,
-            syscalls,
         }
     }
 }
@@ -142,10 +124,11 @@ pub fn kite_network_image() -> Image {
         ComponentKind::Faction,
         1536 * KIB,
     ))
-    .component(
-        Component::new("ixg(4) 82599 driver", ComponentKind::Driver, 6 * MIB)
-            .with_syscalls(crate::syscalls::kite_network_syscalls()),
-    )
+    .component(Component::new(
+        "ixg(4) 82599 driver",
+        ComponentKind::Driver,
+        6 * MIB,
+    ))
     .component(Component::new("bridge(4)", ComponentKind::Driver, MIB))
     .component(Component::new("netback", ComponentKind::Kite, 140 * KIB))
     .component(Component::new(
@@ -169,10 +152,11 @@ pub fn kite_storage_image() -> Image {
         2560 * KIB,
     ))
     .component(Component::new("vfs core", ComponentKind::RumpBase, 2 * MIB))
-    .component(
-        Component::new("nvme(4) driver", ComponentKind::Driver, 5 * MIB)
-            .with_syscalls(crate::syscalls::kite_storage_syscalls()),
-    )
+    .component(Component::new(
+        "nvme(4) driver",
+        ComponentKind::Driver,
+        5 * MIB,
+    ))
     .component(Component::new("blkback", ComponentKind::Kite, 96 * KIB))
     .component(Component::new(
         "block status app",
@@ -185,30 +169,6 @@ pub fn kite_storage_image() -> Image {
         ComponentKind::Driver,
         1536 * KIB,
     ))
-    .build()
-}
-
-/// The unikernelized OpenDHCP daemon-VM image (§5.5; 16 LoC of changes in
-/// the paper — the image is just rumprun + sockets + the server).
-pub fn kite_dhcpd_image() -> Image {
-    let mut b = ImageBuilder::new("dhcpd");
-    for c in base_components() {
-        b = b.component(c);
-    }
-    b.component(Component::new(
-        "net-faction",
-        ComponentKind::Faction,
-        3 * MIB,
-    ))
-    .component(Component::new(
-        "tcpip-stack",
-        ComponentKind::Library,
-        2560 * KIB,
-    ))
-    .component(
-        Component::new("opendhcp server", ComponentKind::Kite, 640 * KIB)
-            .with_syscalls(crate::syscalls::kite_dhcpd_syscalls()),
-    )
     .build()
 }
 
@@ -232,12 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn syscall_surfaces_match_fig4a() {
-        assert_eq!(kite_network_image().syscalls.len(), 14);
-        assert_eq!(kite_storage_image().syscalls.len(), 18);
-    }
-
-    #[test]
     fn network_image_has_no_block_driver() {
         let img = kite_network_image();
         assert!(img.components.iter().all(|c| c.name != "nvme(4) driver"));
@@ -255,18 +209,9 @@ mod tests {
     fn builder_accumulates() {
         let img = ImageBuilder::new("t")
             .component(Component::new("a", ComponentKind::Bmk, 100))
-            .component(
-                Component::new("b", ComponentKind::Kite, 50)
-                    .with_syscalls(SyscallSet::from_names(&["read"])),
-            )
+            .component(Component::new("b", ComponentKind::Kite, 50))
             .build();
         assert_eq!(img.total_bytes, 150);
-        assert_eq!(img.syscalls.len(), 1);
         assert_eq!(img.components.len(), 2);
-    }
-
-    #[test]
-    fn dhcpd_image_smaller_than_driver_domains() {
-        assert!(kite_dhcpd_image().total_bytes < kite_network_image().total_bytes);
     }
 }

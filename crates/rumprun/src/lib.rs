@@ -24,8 +24,7 @@ pub mod syscalls;
 
 pub use boot::{kite_boot, BootSequence, BootStage};
 pub use image::{
-    kite_dhcpd_image, kite_network_image, kite_storage_image, Component, ComponentKind, Image,
-    ImageBuilder,
+    kite_network_image, kite_storage_image, Component, ComponentKind, Image, ImageBuilder,
 };
 pub use profile::{kite_profile, OsProfile};
-pub use syscalls::{kite_dhcpd_syscalls, kite_network_syscalls, kite_storage_syscalls, SyscallSet};
+pub use syscalls::{kite_network_syscalls, kite_storage_syscalls, SyscallSet};

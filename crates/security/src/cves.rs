@@ -12,10 +12,6 @@ use kite_rumprun::SyscallSet;
 pub enum AttackVector {
     /// Via specific syscalls (Table 3).
     Syscalls,
-    /// Via a crafted application run in the domain.
-    CraftedApplication,
-    /// Via an interactive shell in the domain.
-    Shell,
     /// Via the xen-utils/libxl toolstack in the domain.
     Toolstack,
 }
@@ -29,8 +25,6 @@ pub struct Cve {
     pub syscalls: &'static [&'static str],
     /// Vector class.
     pub vector: AttackVector,
-    /// The paper's one-line description.
-    pub description: &'static str,
 }
 
 /// The 11 CVEs of Table 3.
@@ -40,94 +34,75 @@ pub fn table3_cves() -> Vec<Cve> {
             id: "CVE-2021-35039",
             syscalls: &["init_module"],
             vector: AttackVector::Syscalls,
-            description: "loading unsigned kernel modules via init_module",
         },
         Cve {
             id: "CVE-2019-3901",
             syscalls: &["execve"],
             vector: AttackVector::Syscalls,
-            description: "race lets local attackers leak data from setuid programs",
         },
         Cve {
             id: "CVE-2018-18281",
             syscalls: &["ftruncate", "mremap"],
             vector: AttackVector::Syscalls,
-            description: "access to an already freed and reused physical page",
         },
         Cve {
             id: "CVE-2018-1068",
             syscalls: &["setsockopt"],
             vector: AttackVector::Syscalls,
-            description: "privileged arbitrary write to a range of kernel memory",
         },
         Cve {
             id: "CVE-2017-18344",
             syscalls: &["timer_create"],
             vector: AttackVector::Syscalls,
-            description: "userspace can read arbitrary kernel memory",
         },
         Cve {
             id: "CVE-2017-17053",
             syscalls: &["modify_ldt", "clone"],
             vector: AttackVector::Syscalls,
-            description: "use-after-free via a crafted program",
         },
         Cve {
             id: "CVE-2016-6198",
             syscalls: &["rename"],
             vector: AttackVector::Syscalls,
-            description: "local denial of service",
         },
         Cve {
             id: "CVE-2016-6197",
             syscalls: &["rename", "unlink"],
             vector: AttackVector::Syscalls,
-            description: "local denial of service",
         },
         Cve {
             id: "CVE-2014-3180",
             syscalls: &["nanosleep"],
             vector: AttackVector::Syscalls,
-            description: "uninitialized data allows out-of-bounds read",
         },
         Cve {
             id: "CVE-2009-0028",
             syscalls: &["clone"],
             vector: AttackVector::Syscalls,
-            description: "unprivileged child can signal arbitrary parent",
         },
         Cve {
             id: "CVE-2009-0835",
             syscalls: &["chmod", "stat"],
             vector: AttackVector::Syscalls,
-            description: "bypass of access restrictions via crafted syscalls",
         },
     ]
 }
 
-/// Non-syscall CVE classes the paper cites: libxl/xen-utils issues and the
-/// crafted-application/shell populations (172 and 92 reported CVEs).
+/// Non-syscall CVE classes the paper cites: libxl/xen-utils issues.
 pub fn environment_cves() -> Vec<Cve> {
     vec![
         Cve {
             id: "CVE-2016-4963",
             syscalls: &[],
             vector: AttackVector::Toolstack,
-            description: "libxl allows guest administrators to change backend settings",
         },
         Cve {
             id: "CVE-2013-2072",
             syscalls: &[],
             vector: AttackVector::Toolstack,
-            description: "buffer overflow in the Python xl toolstack bindings",
         },
     ]
 }
-
-/// Count of reported Linux CVEs using crafted applications (paper's citation \[19\]).
-pub const CRAFTED_APPLICATION_CVES: u32 = 172;
-/// Count of reported Linux CVEs using shells (paper's citation \[20\]).
-pub const SHELL_CVES: u32 = 92;
 
 /// A domain's exposure characteristics.
 #[derive(Clone, Debug)]
@@ -136,10 +111,6 @@ pub struct DomainSurface {
     pub name: String,
     /// Linked/available syscalls.
     pub syscalls: SyscallSet,
-    /// Can the attacker run arbitrary applications in the domain?
-    pub runs_applications: bool,
-    /// Does the domain have a shell?
-    pub has_shell: bool,
     /// Does the domain carry xen-utils/libxl?
     pub has_toolstack: bool,
 }
@@ -150,8 +121,6 @@ impl DomainSurface {
         DomainSurface {
             name: "Kite network domain".into(),
             syscalls: kite_rumprun::kite_network_syscalls(),
-            runs_applications: false,
-            has_shell: false,
             has_toolstack: false,
         }
     }
@@ -161,8 +130,6 @@ impl DomainSurface {
         DomainSurface {
             name: "Kite storage domain".into(),
             syscalls: kite_rumprun::kite_storage_syscalls(),
-            runs_applications: false,
-            has_shell: false,
             has_toolstack: false,
         }
     }
@@ -172,8 +139,6 @@ impl DomainSurface {
         DomainSurface {
             name: "Ubuntu driver domain".into(),
             syscalls: kite_linux::ubuntu_driver_domain_syscalls(),
-            runs_applications: true,
-            has_shell: true,
             has_toolstack: true,
         }
     }
@@ -182,8 +147,6 @@ impl DomainSurface {
     pub fn mitigates(&self, cve: &Cve) -> bool {
         match cve.vector {
             AttackVector::Syscalls => !cve.syscalls.iter().any(|s| self.syscalls.contains(s)),
-            AttackVector::CraftedApplication => !self.runs_applications,
-            AttackVector::Shell => !self.has_shell,
             AttackVector::Toolstack => !self.has_toolstack,
         }
     }
@@ -252,27 +215,6 @@ mod tests {
             assert!(!ub.mitigates(&cve), "{} hits Ubuntu", cve.id);
             assert!(kite.mitigates(&cve), "{} blocked on Kite", cve.id);
         }
-    }
-
-    #[test]
-    fn crafted_app_and_shell_classes() {
-        let kite = DomainSurface::kite_network();
-        let crafted = Cve {
-            id: "class-crafted",
-            syscalls: &[],
-            vector: AttackVector::CraftedApplication,
-            description: "",
-        };
-        let shell = Cve {
-            id: "class-shell",
-            syscalls: &[],
-            vector: AttackVector::Shell,
-            description: "",
-        };
-        assert!(kite.mitigates(&crafted));
-        assert!(kite.mitigates(&shell));
-        assert!(!DomainSurface::ubuntu().mitigates(&crafted));
-        const { assert!(CRAFTED_APPLICATION_CVES == 172 && SHELL_CVES == 92) }
     }
 
     #[test]

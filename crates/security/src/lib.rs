@@ -13,7 +13,6 @@ pub mod surface;
 
 pub use cves::{
     driver_cves_by_year, environment_cves, table3_cves, AttackVector, Cve, DomainSurface,
-    CRAFTED_APPLICATION_CVES, SHELL_CVES,
 };
 pub use gadgets::{analyze, figure5_profiles, Category, GadgetCounts, InsnMix, OsImageProfile};
 pub use surface::{surface_report, SurfaceRow};

@@ -777,9 +777,8 @@ impl<D: Datapath> Host<D> {
                             .collect()
                     })
                     .unwrap_or_default();
-                let slo_report = slo::evaluate(&self.latency_hist, &self.slo_cfg);
-                let slo_ok = !slo_report.breached;
-                if slo_report.breached {
+                let slo_ok = !slo::breached(&self.latency_hist, &self.slo_cfg);
+                if !slo_ok {
                     // Name the stage dominating the tail while it breaches
                     // (needs request tracing; None otherwise).
                     self.last_breach = slo::attribute(&self.hv.req);

@@ -32,7 +32,7 @@ use kite_rumprun::OsProfile;
 use kite_sim::{IdleWake, Link, Nanos, OnlineStats, Pcg, TxOutcome};
 use kite_trace::MetricsSnapshot;
 use kite_xen::xenbus::FEATURE_GSO_KEY;
-use kite_xen::{DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqStage, SlotClass};
+use kite_xen::{DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass};
 
 use crate::config::SystemConfig;
 use crate::host::{set_bits, Datapath, Event, Host};
@@ -170,8 +170,8 @@ enum GuestTx {
 /// Request tracing keys ping requests on this: the request and its reply
 /// share the sequence, so one `SlotClass::NetIcmp` entry follows the
 /// whole round trip. Parses in place (borrowed views, no allocation),
-/// but verifies two checksums, so callers still skip it while tracing is
-/// disabled.
+/// but verifies two checksums, so `traced_ping` skips it while tracing
+/// is disabled.
 fn icmp_echo_seq(frame: &[u8]) -> Option<u16> {
     let eth = EthernetFrame::decode(frame)?;
     if eth.ethertype != EtherType::Ipv4 {
@@ -213,8 +213,6 @@ pub mod addrs {
     pub const GUEST: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 100);
     /// The external client/load generator.
     pub const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 168, 1, 10);
-    /// Netmask.
-    pub const NETMASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 }
 
 /// Network-datapath state: the client machine and its link, the NIC and
@@ -290,7 +288,6 @@ impl Datapath for NetPath {
     fn pci_device() -> PciDevice {
         PciDevice {
             bdf: "03:00.0".parse().expect("static BDF"),
-            class: PciClass::Network,
             name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
         }
     }
@@ -311,7 +308,7 @@ impl Datapath for NetPath {
         profile.idle_wake.cap = jrng.jitter(profile.idle_wake.cap, 0.004);
 
         let phys_mac = MacAddr::local(0xee01);
-        let netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY, addrs::NETMASK);
+        let netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY);
         let if_port = netapp.port_of("ixg0").expect("attached at start");
         let mut client_link = Link::ten_gbe();
         client_link.rate_bps = cfg.wire.bps();
@@ -350,7 +347,7 @@ impl Datapath for NetPath {
 
     fn driver_booted(&mut self, _hv: &mut Hypervisor, _driver: DomainId) {
         // The bridge and its learned table died with the old domain.
-        self.netapp = NetworkApp::start("ixg0", self.phys_mac, addrs::GATEWAY, addrs::NETMASK);
+        self.netapp = NetworkApp::start("ixg0", self.phys_mac, addrs::GATEWAY);
         self.if_port = self.netapp.port_of("ixg0").expect("attached at start");
     }
 
@@ -560,6 +557,16 @@ impl Host<NetPath> {
 
     // ---- internals -----------------------------------------------------
 
+    /// The traced request `frame` belongs to: an ICMP echo whose round
+    /// trip request tracing follows. Parses nothing while tracing is off.
+    fn traced_ping(&self, frame: &[u8]) -> Option<ReqId> {
+        if !self.hv.req.is_enabled() {
+            return None;
+        }
+        let seq = icmp_echo_seq(frame)?;
+        self.hv.req.lookup(SlotClass::NetIcmp, seq as u64)
+    }
+
     fn mac_of(&self, ip: Ipv4Addr) -> MacAddr {
         if ip == addrs::GUEST {
             self.dp.guest_mac
@@ -616,18 +623,14 @@ impl Host<NetPath> {
         let mut notify = 0u64; // bit q: queue q's backend wants a kick
         let mut cost = Nanos::ZERO;
         while let Some(tx) = self.dp.guest_txq.front() {
+            let req = match tx {
+                GuestTx::Udp(..) => None,
+                GuestTx::Frame(frame) => self.traced_ping(frame),
+            };
             let nf = self.dp.netfront.as_mut().expect("checked");
             let res = match tx {
                 GuestTx::Udp(header, payload) => nf.send_parts(&mut self.hv, header, payload, None),
-                GuestTx::Frame(frame) => {
-                    let req = if self.hv.req.is_enabled() {
-                        icmp_echo_seq(frame)
-                            .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
-                    } else {
-                        None
-                    };
-                    nf.send(&mut self.hv, frame, req)
-                }
+                GuestTx::Frame(frame) => nf.send(&mut self.hv, frame, req),
             };
             match res {
                 Ok((q, op)) => {
@@ -797,19 +800,15 @@ impl Host<NetPath> {
         }
         self.dp.pusher_out = guest_frames;
         let t = self.driver_cpus.free_at(q).max(now);
-        if self.hv.req.is_enabled() {
-            for f in &to_wire {
-                if let Some(r) = icmp_echo_seq(f)
-                    .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
-                {
-                    let dom = self.driver.0;
-                    self.hv
-                        .req
-                        .stamp_at(r, ReqStage::NicTx, dom, Some(q as u16), t);
-                    let (_, segs) = tso_wire_cost(f.len());
-                    if segs > 1 {
-                        self.hv.req.annotate_segs(r, ReqStage::NicTx, segs as u16);
-                    }
+        for f in &to_wire {
+            if let Some(r) = self.traced_ping(f) {
+                let dom = self.driver.0;
+                self.hv
+                    .req
+                    .stamp_at(r, ReqStage::NicTx, dom, Some(q as u16), t);
+                let (_, segs) = tso_wire_cost(f.len());
+                if segs > 1 {
+                    self.hv.req.annotate_segs(r, ReqStage::NicTx, segs as u16);
                 }
             }
         }
@@ -998,13 +997,9 @@ impl Host<NetPath> {
                 let t = self.driver_cpus.run_on(k, handler_done, per_frame);
                 let mut to_wire = std::mem::take(&mut self.dp.to_wire);
                 for f in frames.drain(..) {
-                    if self.hv.req.is_enabled() {
-                        if let Some(r) = icmp_echo_seq(&f)
-                            .and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
-                        {
-                            let dom = self.driver.0;
-                            self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
-                        }
+                    if let Some(r) = self.traced_ping(&f) {
+                        let dom = self.driver.0;
+                        self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
                     }
                     self.bridge_forward(now, self.dp.if_port, f, &mut to_wire);
                 }

@@ -12,7 +12,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use kite_core::{
-    BackendDevice, BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats, BlockApp,
+    blockapp, BackendDevice, BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats,
     RecoveryStats,
 };
 use kite_devices::{Device, NvmeController};
@@ -22,8 +22,7 @@ use kite_rumprun::OsProfile;
 use kite_sim::{IdleWake, Nanos, OnlineStats, Pcg};
 use kite_trace::MetricsSnapshot;
 use kite_xen::{
-    DevicePaths, DomainId, Hypervisor, PciClass, PciDevice, Port, ReqId, ReqStage, SlotClass,
-    XenError,
+    DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass, XenError,
 };
 
 use crate::config::SystemConfig;
@@ -152,8 +151,6 @@ pub struct BlkPath {
     // Negotiated per-request ceiling, kept so logical ops submitted
     // during an outage still chunk correctly.
     max_req_bytes: usize,
-    /// The storage domain's status application.
-    pub blockapp: BlockApp,
     // req_id -> in-flight chunk (kept whole so a crash can replay it)
     req_map: HashMap<u64, Chunk>,
     // minted op id -> logical I/O; ids are never reused
@@ -193,7 +190,6 @@ impl Datapath for BlkPath {
     fn pci_device() -> PciDevice {
         PciDevice {
             bdf: "04:00.0".parse().expect("static BDF"),
-            class: PciClass::Nvme,
             name: "Samsung 970 EVO Plus 500GB".into(),
         }
     }
@@ -220,7 +216,7 @@ impl Datapath for BlkPath {
         if let Some(max) = cfg.nvme_max_io_queues {
             nvme = nvme.with_max_io_queues(max as usize);
         }
-        let blockapp = BlockApp::start(hv, driver, nvme.sectors).expect("blockapp");
+        blockapp::start(hv, driver, nvme.sectors).expect("blockapp");
         let bb_cfg = BlkbackConfig {
             profile,
             tuning: cfg.tuning,
@@ -232,7 +228,6 @@ impl Datapath for BlkPath {
             bb_stats_base: BlkbackStats::default(),
             blkfront: None,
             max_req_bytes: 0,
-            blockapp,
             req_map: HashMap::new(),
             ops: HashMap::new(),
             next_op: 0,
@@ -245,7 +240,7 @@ impl Datapath for BlkPath {
     }
 
     fn driver_booted(&mut self, hv: &mut Hypervisor, driver: DomainId) {
-        self.blockapp = BlockApp::start(hv, driver, self.nvme.sectors).expect("blockapp");
+        blockapp::start(hv, driver, self.nvme.sectors).expect("blockapp");
     }
 
     fn connect_frontend(&mut self, hv: &mut Hypervisor, paths: &DevicePaths, nrings: u32) {

@@ -540,7 +540,8 @@ mod tests {
 
     fn sample_reqtracer() -> ReqTracer {
         use crate::reqtrace::Stage;
-        let mut rt = ReqTracer::enabled(1, 16);
+        let mut rt = ReqTracer::default();
+        rt.enable(1, 16);
         rt.set_now(Nanos::from_micros(1));
         let req = rt.admit(0).expect("sampled");
         rt.set_now(Nanos::from_micros(4));
@@ -574,7 +575,8 @@ mod tests {
         let plain = export(&t, &tracks(), None);
         assert!(!plain.contains("\"ph\":\"s\""), "{plain}");
         // An enabled tracer with no completed requests adds nothing.
-        let rt = ReqTracer::enabled(1, 16);
+        let mut rt = ReqTracer::default();
+        rt.enable(1, 16);
         assert_eq!(plain, export(&t, &tracks(), Some(&rt)));
     }
 

@@ -193,16 +193,9 @@ impl ReqTracer {
         ReqTracer { inner: None }
     }
 
-    /// A tracer sampling one request in `sample_every`, keeping up to
-    /// `capacity` completed records (oldest dropped first).
-    pub fn enabled(sample_every: u64, capacity: usize) -> ReqTracer {
-        let mut t = ReqTracer::disabled();
-        t.enable(sample_every, capacity);
-        t
-    }
-
-    /// Switches sampling on (idempotent: an enabled tracer keeps its
-    /// records, rate and capacity).
+    /// Switches sampling on — one request in `sample_every`, keeping up
+    /// to `capacity` completed records (oldest dropped first). Idempotent:
+    /// an enabled tracer keeps its records, rate and capacity.
     pub fn enable(&mut self, sample_every: u64, capacity: usize) {
         if self.inner.is_none() {
             self.inner = Some(Box::new(Inner {
@@ -462,7 +455,8 @@ mod tests {
 
     #[test]
     fn admit_samples_one_in_n_starting_with_the_first() {
-        let mut t = ReqTracer::enabled(4, 16);
+        let mut t = ReqTracer::default();
+        t.enable(4, 16);
         let minted: Vec<Option<ReqId>> = (0..9).map(|_| t.admit(3)).collect();
         let ids: Vec<u64> = minted.iter().flatten().map(|r| r.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
@@ -473,7 +467,8 @@ mod tests {
 
     #[test]
     fn stamps_are_first_touch_and_telescope_to_e2e() {
-        let mut t = ReqTracer::enabled(1, 16);
+        let mut t = ReqTracer::default();
+        t.enable(1, 16);
         t.set_now(Nanos::from_micros(10));
         let req = t.admit(0).expect("sampled");
         t.set_now(Nanos::from_micros(14));
@@ -514,7 +509,8 @@ mod tests {
 
     #[test]
     fn segs_annotation_lands_on_the_named_stage_only() {
-        let mut t = ReqTracer::enabled(1, 16);
+        let mut t = ReqTracer::default();
+        t.enable(1, 16);
         let req = t.admit(0).expect("sampled");
         t.stamp(req, Stage::NicTx, 2, Some(0));
         t.annotate_segs(req, Stage::NicTx, 42);
@@ -532,7 +528,8 @@ mod tests {
 
     #[test]
     fn slot_map_round_trips_and_take_consumes() {
-        let mut t = ReqTracer::enabled(1, 16);
+        let mut t = ReqTracer::default();
+        t.enable(1, 16);
         let req = t.admit(0).expect("sampled");
         t.map(SlotClass::NvmeCid, 42, req);
         assert_eq!(t.lookup(SlotClass::NvmeCid, 42), Some(req));
@@ -544,7 +541,8 @@ mod tests {
 
     #[test]
     fn completed_store_drops_oldest_and_counts() {
-        let mut t = ReqTracer::enabled(1, 2);
+        let mut t = ReqTracer::default();
+        t.enable(1, 2);
         for i in 0..4u64 {
             t.set_now(Nanos::from_micros(i));
             let req = t.admit(0).expect("sampled");
@@ -560,7 +558,8 @@ mod tests {
 
     #[test]
     fn enable_is_idempotent() {
-        let mut t = ReqTracer::enabled(2, 8);
+        let mut t = ReqTracer::default();
+        t.enable(2, 8);
         assert!(t.admit(0).is_some());
         t.enable(100, 1);
         assert!(t.admit(0).is_none(), "original rate of 2 still in force");
@@ -569,7 +568,8 @@ mod tests {
 
     #[test]
     fn finishing_an_unknown_request_is_ignored() {
-        let mut t = ReqTracer::enabled(1, 4);
+        let mut t = ReqTracer::default();
+        t.enable(1, 4);
         t.finish_at(ReqId(99), 0, t.now());
         assert_eq!(t.completed_len(), 0);
         assert_eq!(t.e2e_hist().unwrap().count(), 0);

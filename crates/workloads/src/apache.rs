@@ -17,10 +17,6 @@ pub const FIG8A_SIZES: [usize; 6] = [512, 4096, 32768, 131072, 524288, 1048576];
 /// One Apache measurement.
 #[derive(Clone, Debug)]
 pub struct ApacheReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
-    /// File size served.
-    pub file_bytes: usize,
     /// Server-side throughput in MB/s (ab's "Transfer rate").
     pub throughput_mbps: f64,
     /// Total transfer time in seconds.
@@ -59,8 +55,6 @@ pub fn run(
     );
     let secs = r.duration.as_secs_f64();
     ApacheReport {
-        os,
-        file_bytes,
         throughput_mbps: r.resp_bytes as f64 / 1e6 / secs,
         time_secs: secs,
         requests_per_sec: r.ops as f64 / secs,

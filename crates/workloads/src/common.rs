@@ -139,8 +139,6 @@ pub struct RrResult {
     pub duration: kite_sim::Nanos,
     /// Response payload bytes received by the client.
     pub resp_bytes: u64,
-    /// Request payload bytes received by the server.
-    pub req_bytes: u64,
     /// Guest mean CPU utilization over the run (sysstat style).
     pub guest_cpu: f64,
 }
@@ -246,7 +244,6 @@ pub fn rr_closed_loop(os: kite_system::BackendOs, seed: u64, cfg: RrConfig) -> R
         latency: lat,
         duration: end,
         resp_bytes: resp,
-        req_bytes: sys.metrics.guest_rx_bytes,
         guest_cpu: sys.guest_cpu_percent(end),
     }
 }

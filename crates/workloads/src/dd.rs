@@ -13,8 +13,6 @@ use crate::common::stor_closed_loop;
 /// One dd measurement.
 #[derive(Clone, Debug)]
 pub struct DdReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
     /// True for the read run.
     pub read: bool,
     /// Throughput in MB/s.
@@ -53,7 +51,6 @@ pub fn run(os: BackendOs, read: bool, total_bytes: u64, seed: u64) -> DdReport {
         sys.metrics.write_bytes
     };
     DdReport {
-        os,
         read,
         mbps: bytes as f64 / 1e6 / secs,
     }

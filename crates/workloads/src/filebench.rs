@@ -20,29 +20,12 @@ use kite_system::{BackendOs, IoKind, IoOp};
 
 use crate::common::{prepare_files, stor_closed_loop, FileSet};
 
-/// The I/O size sweep of Figure 14.
-pub const FIG14_IOSIZES: [usize; 10] = [
-    16 * 1024,
-    32 * 1024,
-    64 * 1024,
-    128 * 1024,
-    256 * 1024,
-    512 * 1024,
-    1024 * 1024,
-    2 * 1024 * 1024,
-    4 * 1024 * 1024,
-    8 * 1024 * 1024,
-];
+/// The I/O sizes Figure 14 runs.
+pub const FIG14_IOSIZES: [usize; 4] = [16 << 10, 128 << 10, 1 << 20, 8 << 20];
 
 /// One Filebench measurement.
 #[derive(Clone, Debug)]
 pub struct FilebenchReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
-    /// Personality name.
-    pub personality: &'static str,
-    /// I/O size used.
-    pub io_size: usize,
     /// Application-level throughput in MB/s.
     pub mbps: f64,
     /// Mean CPU time per op in µs (the figures' "CPU(us/op)" panel —
@@ -68,10 +51,10 @@ fn run_personality(
     total_ops: u64,
     seed: u64,
 ) -> FilebenchReport {
-    let (nfiles, mean_size, name) = match personality {
-        Personality::Fileserver => (500, 128 * 1024, "fileserver"),
-        Personality::Webserver => (1000, 64 * 1024, "webserver"),
-        Personality::Mongo => (64, 8 * 1024 * 1024, "mongodb"),
+    let (nfiles, mean_size) = match personality {
+        Personality::Fileserver => (500, 128 * 1024),
+        Personality::Webserver => (1000, 64 * 1024),
+        Personality::Mongo => (64, 8 * 1024 * 1024),
     };
     // File sizes vary ±50% around the mean (gamma-ish via two uniforms).
     let mut size_rng = Pcg::seeded(seed ^ 0xf11eb);
@@ -227,9 +210,6 @@ fn run_personality(
     let done = ops_done.get().max(1);
     let bytes = app_bytes.get();
     FilebenchReport {
-        os,
-        personality: name,
-        io_size,
         mbps: bytes as f64 / 1e6 / elapsed,
         us_per_op: elapsed * 1e6 / done as f64,
         latency_ms: latency.mean() / 1e6,

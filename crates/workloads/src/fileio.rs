@@ -14,33 +14,16 @@ use kite_system::{BackendOs, IoKind, IoOp};
 
 use crate::common::{prepare_files, stor_closed_loop, FileSet};
 
-/// Thread counts of Figure 12a.
-pub const FIG12A_THREADS: [u16; 8] = [1, 5, 10, 20, 40, 60, 80, 100];
-/// Block sizes of Figure 12b.
-pub const FIG12B_BLOCKS: [usize; 8] = [
-    16 * 1024,
-    64 * 1024,
-    256 * 1024,
-    1024 * 1024,
-    4 * 1024 * 1024,
-    16 * 1024 * 1024,
-    64 * 1024 * 1024,
-    128 * 1024 * 1024,
-];
+/// The thread counts Figure 12a runs (256 KiB blocks).
+pub const FIG12A_THREADS: [u16; 5] = [1, 5, 20, 60, 100];
+/// The block sizes Figure 12b runs (20 threads).
+pub const FIG12B_BLOCKS: [usize; 4] = [16 << 10, 256 << 10, 4 << 20, 64 << 20];
 
 /// One sysbench file I/O measurement.
 #[derive(Clone, Debug)]
 pub struct FileioReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
-    /// Worker threads.
-    pub threads: u16,
-    /// Block size in bytes.
-    pub block: usize,
     /// Combined read+write throughput in MB/s.
     pub mbps: f64,
-    /// Mean per-op latency in ms.
-    pub latency_ms: f64,
 }
 
 /// Runs the random 3:2 read:write phase.
@@ -65,7 +48,7 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
     let mut unstarted = threads;
     // One logical op: possibly several device I/Os, or none on a full
     // cache hit — then the op is done on the spot and the worker moves on.
-    let latency = stor_closed_loop(&mut sys, t_start, threads, move |tag| {
+    stor_closed_loop(&mut sys, t_start, threads, move |tag| {
         let first = unstarted > 0;
         unstarted -= u16::from(first);
         loop {
@@ -105,13 +88,9 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
     });
     let elapsed = (sys.now() - t_start).as_secs_f64();
     FileioReport {
-        os,
-        threads,
-        block,
         // `block_c` is what each op actually transferred (blocks larger
         // than the scaled files are clamped, as sysbench clamps at EOF).
         mbps: ops_done.get() as f64 * block_c as f64 / 1e6 / elapsed,
-        latency_ms: latency.mean() / 1e6,
     }
 }
 

@@ -10,8 +10,6 @@ use kite_system::{addrs, BackendOs, NetSystem, Reply, Side};
 /// One latency figure row: mean plus tail per workload, in ms.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
     /// ping RTTs (100 echoes at 1 s intervals).
     pub ping: WorkloadLatency,
     /// Netperf-style RR latency (1000 req/s).
@@ -225,7 +223,6 @@ pub fn memtier(
 /// Produces the full Figure 7 row for one OS.
 pub fn figure7(os: BackendOs, seed: u64) -> LatencyReport {
     LatencyReport {
-        os,
         ping: ping(os, 100, seed).summary_ms(),
         netperf: netperf_rr(os, 2000, 1000, seed + 1).summary_ms(),
         memtier: memtier(os, 4, 2000, 8192, seed + 2).summary_ms(),

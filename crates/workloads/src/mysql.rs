@@ -23,8 +23,6 @@ pub const FIG10_THREADS: [u16; 5] = [5, 10, 20, 40, 60];
 /// One network-run measurement (Figure 10).
 #[derive(Clone, Debug)]
 pub struct MysqlNetReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
     /// SysBench threads.
     pub threads: u16,
     /// Transactions per second.
@@ -52,7 +50,6 @@ pub fn run_net(os: BackendOs, threads: u16, transactions: u64, seed: u64) -> Mys
         },
     );
     MysqlNetReport {
-        os,
         threads,
         tps: r.ops as f64 / r.duration.as_secs_f64(),
         guest_cpu: r.guest_cpu,
@@ -70,8 +67,6 @@ pub fn figure10(os: BackendOs, transactions: u64, seed: u64) -> Vec<MysqlNetRepo
 /// One storage-run measurement (Figure 13).
 #[derive(Clone, Debug)]
 pub struct MysqlStorageReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
     /// SysBench threads.
     pub threads: u16,
     /// Transactions per second.
@@ -127,7 +122,6 @@ pub fn run_storage(
     let secs = sys.now().as_secs_f64();
     let txs = tx_count.get();
     MysqlStorageReport {
-        os,
         threads,
         tps: txs as f64 / secs,
         read_mbps: sys.metrics.read_bytes as f64 / 1e6 / secs,

@@ -33,8 +33,6 @@ impl Default for NuttcpParams {
 /// nuttcp results.
 #[derive(Clone, Debug)]
 pub struct NuttcpReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
     /// Achieved goodput in Gbps.
     pub goodput_gbps: f64,
     /// Datagram loss fraction (0..1).
@@ -67,7 +65,6 @@ pub fn run(os: BackendOs, params: &NuttcpParams, seed: u64) -> NuttcpReport {
     let received = sys.metrics.guest_rx_bytes;
     let elapsed = end.as_secs_f64().max(params.duration.as_secs_f64());
     NuttcpReport {
-        os,
         goodput_gbps: received as f64 * 8.0 / elapsed / 1e9,
         loss: 1.0 - received as f64 / sent_bytes as f64,
         driver_cpu: sys.driver_cpu_percent(end),

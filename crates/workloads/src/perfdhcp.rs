@@ -49,8 +49,6 @@ impl DaemonOs {
 /// perfdhcp results.
 #[derive(Clone, Debug)]
 pub struct DhcpReport {
-    /// Daemon VM OS.
-    pub daemon: DaemonOs,
     /// Mean Discover→Offer delay in ms.
     pub discover_offer_ms: f64,
     /// Mean Request→Ack delay in ms.
@@ -141,7 +139,6 @@ pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> Dhc
     let d_o_ms = d_o.borrow().mean() / 1e6;
     let r_a_ms = r_a.borrow().mean() / 1e6;
     DhcpReport {
-        daemon,
         discover_offer_ms: d_o_ms,
         request_ack_ms: r_a_ms,
         sessions: sessions_done,

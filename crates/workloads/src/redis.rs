@@ -16,8 +16,6 @@ pub const FIG9_THREADS: [u16; 4] = [5, 10, 15, 20];
 /// One Redis measurement.
 #[derive(Clone, Debug)]
 pub struct RedisReport {
-    /// Driver-domain OS.
-    pub os: BackendOs,
     /// Benchmark threads.
     pub threads: u16,
     /// SET operations per second.
@@ -53,7 +51,6 @@ fn run_op(os: BackendOs, threads: u16, is_set: bool, ops: u64, seed: u64) -> f64
 /// Runs SET and GET sweeps for one OS and thread count.
 pub fn run(os: BackendOs, threads: u16, ops: u64, seed: u64) -> RedisReport {
     RedisReport {
-        os,
         threads,
         set_ops_per_sec: run_op(os, threads, true, ops, seed),
         get_ops_per_sec: run_op(os, threads, false, ops, seed + 1),

@@ -10,18 +10,14 @@
 //! Request slots are 112 bytes, giving the canonical 32-slot blkif ring.
 
 use crate::grant::GrantRef;
-use crate::ring::{ring_size, RingEntry};
+use crate::ring::RingEntry;
 
 /// Read sectors.
 pub const BLKIF_OP_READ: u8 = 0;
 /// Write sectors.
 pub const BLKIF_OP_WRITE: u8 = 1;
-/// Write barrier (legacy).
-pub const BLKIF_OP_WRITE_BARRIER: u8 = 2;
 /// Flush the disk cache.
 pub const BLKIF_OP_FLUSH_DISKCACHE: u8 = 3;
-/// Discard (TRIM) sectors.
-pub const BLKIF_OP_DISCARD: u8 = 5;
 /// Indirect descriptor request.
 pub const BLKIF_OP_INDIRECT: u8 = 6;
 
@@ -36,8 +32,6 @@ pub const SEGS_PER_INDIRECT_FRAME: usize = 512;
 pub const BLKIF_RSP_OKAY: i16 = 0;
 /// Response status: error.
 pub const BLKIF_RSP_ERROR: i16 = -1;
-/// Response status: operation not supported.
-pub const BLKIF_RSP_EOPNOTSUPP: i16 = -2;
 
 /// Sector size assumed by the protocol (512 bytes).
 pub const SECTOR_SIZE: usize = 512;
@@ -332,9 +326,6 @@ impl RingEntry for BlkifResponse {
     }
 }
 
-/// Slot count of the blkif ring (matches Xen's 32).
-pub const BLK_RING_SIZE: u32 = ring_size(BlkifRequest::SIZE, BlkifResponse::SIZE);
-
 /// Packs segment descriptors into an indirect page's bytes.
 pub fn pack_indirect_segments(page: &mut [u8], segs: &[BlkifSegment]) {
     for (i, s) in segs.iter().enumerate().take(SEGS_PER_INDIRECT_FRAME) {
@@ -357,7 +348,8 @@ mod tests {
 
     #[test]
     fn ring_size_matches_xen() {
-        assert_eq!(BLK_RING_SIZE, 32);
+        use crate::ring::ring_size;
+        assert_eq!(ring_size(BlkifRequest::SIZE, BlkifResponse::SIZE), 32);
     }
 
     #[test]

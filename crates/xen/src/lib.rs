@@ -47,7 +47,7 @@ pub use hypervisor::{BatchResult, Hypervisor};
 pub use kite_trace::reqtrace::{ReqId, ReqTracer, SlotClass, Stage as ReqStage};
 pub use kite_trace::EventKind;
 pub use mem::{MachineMemory, PageId, PAGE_SIZE};
-pub use pci::{Bdf, PciBus, PciClass, PciDevice};
+pub use pci::{Bdf, PciBus, PciDevice};
 pub use ring::{BackRing, FrontRing, RingEntry};
 pub use xenbus::{DeviceKind, DevicePaths, XenbusState};
 pub use xenstore::{Perm, TxId, WatchEvent, WatchId, Xenstore};

@@ -12,7 +12,7 @@
 //! read sees one shared page of zeros, which is exactly what a freshly
 //! allocated page holds, so laziness changes no byte anyone can observe:
 //! it only stops a build from zero-filling pool pages a run never
-//! touches. All checks (ownership, bounds, freed pages) are made on the
+//! touches. All checks (ownership, bounds, unknown pages) are made on the
 //! reservation and fail the same whether or not the page is backed.
 
 use crate::domain::{DomainId, DomainTable};
@@ -48,22 +48,14 @@ impl Backing {
     }
 }
 
-/// One machine frame. A freed frame stays `Free`, so its id is never
-/// handed out again.
-enum Frame {
-    Free,
-    Live(DomainId, Backing),
-}
+/// One machine frame: its owner and its bytes.
+struct Frame(DomainId, Backing);
 
-// The table keeps a slot for every page ever allocated. The tag fits
-// beside the owner, so a slot is 16 bytes; an `Option` around an owner
-// and an `Option<Box>` would take 24.
+// The table keeps a slot for every page ever allocated: 16 bytes each.
 const _: () = assert!(std::mem::size_of::<Frame>() == 16);
 
-/// All machine memory, indexed by [`PageId`].
-///
-/// Pages are never physically reused after free, which turns use-after-free
-/// into a deterministic [`XenError::BadPage`] instead of silent corruption.
+/// All machine memory, indexed by [`PageId`]. A page id past the table is
+/// [`XenError::BadPage`].
 #[derive(Default)]
 pub struct MachineMemory {
     frames: Vec<Frame>,
@@ -84,27 +76,8 @@ impl MachineMemory {
         }
         dom.pages_allocated += 1;
         let id = PageId(self.frames.len() as u64);
-        self.frames.push(Frame::Live(owner, Backing(None)));
+        self.frames.push(Frame(owner, Backing(None)));
         Ok(id)
-    }
-
-    /// Frees a page. Only the owner may free.
-    pub fn free(&mut self, domains: &mut DomainTable, owner: DomainId, page: PageId) -> Result<()> {
-        let slot = self
-            .frames
-            .get_mut(page.0 as usize)
-            .ok_or(XenError::BadPage)?;
-        match slot {
-            Frame::Live(o, _) if *o == owner => {
-                *slot = Frame::Free;
-                if let Ok(d) = domains.get_mut(owner) {
-                    d.pages_allocated = d.pages_allocated.saturating_sub(1);
-                }
-                Ok(())
-            }
-            Frame::Live(..) => Err(XenError::Perm),
-            Frame::Free => Err(XenError::BadPage),
-        }
     }
 
     /// The owner of a page.
@@ -114,15 +87,15 @@ impl MachineMemory {
 
     fn frame(&self, page: PageId) -> Result<(DomainId, &Backing)> {
         match self.frames.get(page.0 as usize) {
-            Some(Frame::Live(owner, data)) => Ok((*owner, data)),
-            _ => Err(XenError::BadPage),
+            Some(Frame(owner, data)) => Ok((*owner, data)),
+            None => Err(XenError::BadPage),
         }
     }
 
     fn backing_mut(&mut self, page: PageId) -> Result<&mut Backing> {
         match self.frames.get_mut(page.0 as usize) {
-            Some(Frame::Live(_, data)) => Ok(data),
-            _ => Err(XenError::BadPage),
+            Some(Frame(_, data)) => Ok(data),
+            None => Err(XenError::BadPage),
         }
     }
 
@@ -161,8 +134,8 @@ impl MachineMemory {
     /// intermediate buffer on either path.
     ///
     /// A range reaching past the end of either page is
-    /// [`XenError::OutOfBounds`]; a freed or never-allocated page on
-    /// either side is [`XenError::BadPage`]. `src` and `dst` may be the
+    /// [`XenError::OutOfBounds`]; a never-allocated page on either side
+    /// is [`XenError::BadPage`]. `src` and `dst` may be the
     /// same page as long as the two ranges do not overlap (an overlapping
     /// copy is also `OutOfBounds`). A copy that succeeds backs `dst`; a
     /// failed one backs nothing.
@@ -196,7 +169,7 @@ impl MachineMemory {
         // Distinct pages: borrow both frames at once so the bytes move
         // slice to slice. The indices differ, so the lookup only fails for
         // a page past the end of the table.
-        let Ok([Frame::Live(_, s), Frame::Live(_, d)]) = self
+        let Ok([Frame(_, s), Frame(_, d)]) = self
             .frames
             .get_disjoint_mut([src.0 as usize, dst.0 as usize])
         else {
@@ -234,23 +207,6 @@ mod tests {
             m.alloc(&mut t, dd).unwrap();
         }
         assert_eq!(m.alloc(&mut t, dd), Err(XenError::OutOfMemory));
-    }
-
-    #[test]
-    fn free_returns_quota_and_forbids_reuse() {
-        let (mut m, mut t, _, dd) = setup();
-        let p = m.alloc(&mut t, dd).unwrap();
-        m.free(&mut t, dd, p).unwrap();
-        assert_eq!(m.page(p).err(), Some(XenError::BadPage));
-        assert_eq!(m.free(&mut t, dd, p), Err(XenError::BadPage));
-        assert_eq!(t.get(dd).unwrap().pages_allocated, 0);
-    }
-
-    #[test]
-    fn only_owner_frees() {
-        let (mut m, mut t, d0, dd) = setup();
-        let p = m.alloc(&mut t, dd).unwrap();
-        assert_eq!(m.free(&mut t, d0, p), Err(XenError::Perm));
     }
 
     #[test]
@@ -298,7 +254,7 @@ mod tests {
         pub(crate) fn backed_pages(&self) -> usize {
             self.frames
                 .iter()
-                .filter(|f| matches!(f, Frame::Live(_, Backing(Some(_)))))
+                .filter(|f| matches!(f, Frame(_, Backing(Some(_)))))
                 .count()
         }
     }
@@ -352,20 +308,8 @@ mod tests {
         assert_eq!(m.copy(a, 4000, b, 0, 200), Err(XenError::OutOfBounds));
         assert_eq!(m.copy(a, 0, a, 2, 4), Err(XenError::OutOfBounds));
         assert_eq!(m.copy(PageId(99), 0, b, 0, 4), Err(XenError::BadPage));
-        m.free(&mut t, d0, a).unwrap();
-        assert_eq!(m.copy(a, 0, b, 0, 4), Err(XenError::BadPage));
+        assert_eq!(m.copy(a, 0, PageId(99), 0, 4), Err(XenError::BadPage));
         assert_eq!(m.backed_pages(), 0);
-    }
-
-    #[test]
-    fn free_of_unbacked_page_returns_quota() {
-        let (mut m, mut t, _, dd) = setup();
-        let p = m.alloc(&mut t, dd).unwrap();
-        m.free(&mut t, dd, p).unwrap();
-        assert_eq!(t.get(dd).unwrap().pages_allocated, 0);
-        assert_eq!(m.page(p).err(), Some(XenError::BadPage));
-        assert_eq!(m.page_mut(p).err(), Some(XenError::BadPage));
-        assert_eq!(m.backed_pages(), 0, "use after free backs nothing");
     }
 
     #[test]

@@ -9,10 +9,6 @@
 use crate::grant::GrantRef;
 use crate::ring::{ring_size, RingEntry};
 
-/// Tx flag: checksum not yet computed (`NETTXF_csum_blank`).
-pub const NETTXF_CSUM_BLANK: u16 = 1;
-/// Tx flag: packet data already validated (`NETTXF_data_validated`).
-pub const NETTXF_DATA_VALIDATED: u16 = 2;
 /// Tx flag: more fragments follow (`NETTXF_more_data`).
 pub const NETTXF_MORE_DATA: u16 = 4;
 /// Tx flag: an extra-info slot follows (`NETTXF_extra_info`).
@@ -20,19 +16,13 @@ pub const NETTXF_EXTRA_INFO: u16 = 8;
 
 /// Rx flag: packet data already validated (`NETRXF_data_validated`).
 pub const NETRXF_DATA_VALIDATED: u16 = 1;
-/// Rx flag: checksum not yet computed (`NETRXF_csum_blank`).
-pub const NETRXF_CSUM_BLANK: u16 = 2;
 /// Rx flag: more fragments of this packet follow (`NETRXF_more_data`).
 pub const NETRXF_MORE_DATA: u16 = 4;
-/// Rx flag: an extra-info slot follows (`NETRXF_extra_info`).
-pub const NETRXF_EXTRA_INFO: u16 = 8;
 
 /// Response status: success.
 pub const NETIF_RSP_OKAY: i16 = 0;
 /// Response status: generic error.
 pub const NETIF_RSP_ERROR: i16 = -1;
-/// Response status: packet dropped.
-pub const NETIF_RSP_DROPPED: i16 = -2;
 /// Response status for a slot that carried a [`NetifExtraInfo`] rather
 /// than packet data (`NETIF_RSP_NULL`). The ring protocol produces
 /// exactly one response per consumed request slot, so extra-info slots
@@ -216,9 +206,6 @@ impl RingEntry for NetifRxResponse {
     }
 }
 
-/// Slot count of the Tx ring (matches Xen's `NET_TX_RING_SIZE` = 256).
-pub const NET_TX_RING_SIZE: u32 = ring_size(NetifTxRequest::SIZE, NetifTxResponse::SIZE);
-
 /// Slot count of the Rx ring (matches Xen's `NET_RX_RING_SIZE` = 256).
 pub const NET_RX_RING_SIZE: u32 = ring_size(NetifRxRequest::SIZE, NetifRxResponse::SIZE);
 
@@ -228,7 +215,7 @@ mod tests {
 
     #[test]
     fn ring_sizes_match_xen() {
-        assert_eq!(NET_TX_RING_SIZE, 256);
+        assert_eq!(ring_size(NetifTxRequest::SIZE, NetifTxResponse::SIZE), 256);
         assert_eq!(NET_RX_RING_SIZE, 256);
     }
 
@@ -237,7 +224,7 @@ mod tests {
         let r = NetifTxRequest {
             gref: GrantRef(0xabcd1234),
             offset: 64,
-            flags: NETTXF_MORE_DATA | NETTXF_CSUM_BLANK,
+            flags: NETTXF_MORE_DATA | NETTXF_EXTRA_INFO,
             id: 17,
             size: 1514,
         };
@@ -250,7 +237,7 @@ mod tests {
     fn tx_response_roundtrip_negative_status() {
         let r = NetifTxResponse {
             id: 9,
-            status: NETIF_RSP_DROPPED,
+            status: NETIF_RSP_ERROR,
         };
         let mut buf = [0u8; NetifTxResponse::SIZE];
         r.write_to(&mut buf);
@@ -314,7 +301,8 @@ mod tests {
         // 16 full pages of data plus one slot of slack; with the
         // extra-info slot a maximal chain still fits a 256-slot ring.
         assert_eq!(NETIF_MAX_TX_CHAIN, 17);
-        assert!(NETIF_MAX_TX_CHAIN + 1 < NET_TX_RING_SIZE as usize);
+        let tx_ring = ring_size(NetifTxRequest::SIZE, NetifTxResponse::SIZE);
+        assert!(NETIF_MAX_TX_CHAIN + 1 < tx_ring as usize);
     }
 
     #[test]

@@ -42,22 +42,11 @@ impl FromStr for Bdf {
     }
 }
 
-/// The class of physical device behind a BDF.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PciClass {
-    /// A network interface controller.
-    Network,
-    /// An NVMe storage controller.
-    Nvme,
-}
-
 /// A physical PCI device present in the machine.
 #[derive(Clone, Debug)]
 pub struct PciDevice {
     /// Its address.
     pub bdf: Bdf,
-    /// Device class.
-    pub class: PciClass,
     /// Marketing name (`lspci` style).
     pub name: String,
 }
@@ -144,7 +133,6 @@ mod tests {
     fn nic() -> PciDevice {
         PciDevice {
             bdf: "03:00.0".parse().unwrap(),
-            class: PciClass::Network,
             name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
         }
     }
@@ -188,7 +176,7 @@ mod tests {
         bus.assign(bdf, DomainId(1)).unwrap();
         let devs = bus.devices_of(DomainId(1));
         assert_eq!(devs.len(), 1);
-        assert_eq!(devs[0].class, PciClass::Network);
+        assert_eq!(devs[0].bdf, bdf);
         assert!(bus.devices_of(DomainId(2)).is_empty());
     }
 
