@@ -11,7 +11,8 @@
 //!   state; they only observe.
 //! * When profiling is disabled (the default), [`span`] is a single
 //!   thread-local branch — no clock read, no allocation — so the hot
-//!   path keeps its zero-alloc contract (`sched_alloc.rs` gate).
+//!   path keeps its zero-alloc contract (`sched_alloc.rs` gate);
+//!   [`span_of`] does not even compute its phase.
 //! * When enabled, call counts and the call tree are exact but span
 //!   durations are *sampled* by one rule: one root span in
 //!   [`SAMPLE_EVERY`] per root phase reads the clock, with every span
@@ -51,6 +52,6 @@ mod report;
 
 pub use phase::Phase;
 pub use profiler::{
-    disable, enable, reset, span, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
+    disable, enable, reset, span, span_of, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
 };
 pub use report::{report, PhaseRow, ProfReport, StackRow};

@@ -9,9 +9,14 @@
 //!
 //! The disabled path is **branch-only and zero-alloc**: [`span`] reads
 //! one thread-local flag and returns an inert guard without touching
-//! the clock, the tree, or the allocator. This mirrors the tracer's
-//! disabled-path contract and is enforced by the counting-allocator
-//! gate in `crates/system/tests/sched_alloc.rs`.
+//! the clock, the tree, or the allocator. The flag is a `Cell<bool>`
+//! of its own, apart from the state: a thread-local without a
+//! destructor is a plain load, while every access to the state (which
+//! owns a `Vec`, so it has one) first checks that its destructor is
+//! registered. [`span_of`] also defers naming the phase until the flag
+//! says it is needed. This mirrors the tracer's disabled-path contract
+//! and is enforced by the counting-allocator gate in
+//! `crates/system/tests/sched_alloc.rs`.
 //!
 //! The enabled path has **one sampling rule**: every span walks the
 //! call tree and bumps its node's exact call count (a few ns), and the
@@ -152,7 +157,11 @@ impl ProfilerState {
     /// whether it and everything under it is clock-timed; a nested span
     /// inherits that decision. Returns whether to time this call, or
     /// `None` when the stack is full and the span is dropped entirely.
-    #[inline]
+    ///
+    /// Out of line, like [`exit`](Self::exit): a caller's closure over
+    /// the state is then small enough for the thread-local access around
+    /// it to inline, instead of a call to it through a function pointer.
+    #[inline(never)]
     pub(crate) fn enter(&mut self, phase: Phase) -> Option<bool> {
         if self.depth == STACK_MAX {
             self.truncated += 1;
@@ -168,9 +177,7 @@ impl ProfilerState {
         };
         let mut node = self.nodes[parent].child[phase.index()];
         if node == 0 {
-            node = self.nodes.len() as u32;
-            self.nodes.push(Node::new(phase.index() as u8));
-            self.nodes[parent].child[phase.index()] = node;
+            node = self.add_child(parent, phase);
         }
         if self.depth == 0 {
             self.timing = self.nodes[node as usize].calls.is_multiple_of(SAMPLE_EVERY);
@@ -184,16 +191,32 @@ impl ProfilerState {
     /// of the sampled calls. A mismatched phase (e.g. after a `reset`
     /// with guards still open) is ignored instead of corrupting the
     /// tree.
-    #[inline]
+    #[inline(never)]
     pub(crate) fn exit(&mut self, phase: Phase, elapsed_ns: Option<u64>) {
         let Some(frame) = self.pop_matching(phase) else {
             return;
         };
+        self.nodes[frame.node as usize].calls += 1;
+        if let Some(elapsed_ns) = elapsed_ns {
+            self.record(frame, phase, elapsed_ns);
+        }
+    }
+
+    /// The first span of `phase` under `parent`: a new tree node.
+    #[cold]
+    fn add_child(&mut self, parent: usize, phase: Phase) -> u32 {
+        let node = self.nodes.len() as u32;
+        self.nodes.push(Node::new(phase.index() as u8));
+        self.nodes[parent].child[phase.index()] = node;
+        node
+    }
+
+    /// Books a sampled span's time: its node's exclusive time and clock
+    /// reads, its parent frame's children, the phase histogram. Out of
+    /// line, so the untimed exit — 60 spans in 61 — stays small.
+    #[inline(never)]
+    fn record(&mut self, frame: Frame, phase: Phase, elapsed_ns: u64) {
         let n = &mut self.nodes[frame.node as usize];
-        n.calls += 1;
-        let Some(elapsed_ns) = elapsed_ns else {
-            return;
-        };
         n.sampled += 1;
         n.self_ns += elapsed_ns - frame.kids_ns;
         n.reads += 1 + frame.kids;
@@ -247,18 +270,11 @@ pub(crate) fn bucket_upper(b: usize) -> u64 {
     }
 }
 
-struct ProfTls {
-    enabled: Cell<bool>,
-    state: RefCell<ProfilerState>,
-}
-
 thread_local! {
-    static TLS: ProfTls = const {
-        ProfTls {
-            enabled: Cell::new(false),
-            state: RefCell::new(ProfilerState::new()),
-        }
-    };
+    /// Whether profiling is on for this thread: the only thing a
+    /// disabled span reads.
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+    static STATE: RefCell<ProfilerState> = const { RefCell::new(ProfilerState::new()) };
 }
 
 /// What one `Instant::now()` costs here: the smallest gap between
@@ -279,26 +295,25 @@ fn calibrate_clock() -> u64 {
 /// the first time. Spans opened while disabled stay inert even if
 /// profiling is enabled before they drop.
 pub fn enable() {
-    TLS.with(|t| {
-        let mut state = t.state.borrow_mut();
+    STATE.with_borrow_mut(|state| {
         if state.clock_ns == 0 {
             state.clock_ns = calibrate_clock();
         }
-        t.enabled.set(true);
     });
+    ENABLED.set(true);
 }
 
 /// Turn profiling off for this thread. Accumulated state is kept (use
 /// [`reset`] to clear it).
 pub fn disable() {
-    TLS.with(|t| t.enabled.set(false));
+    ENABLED.set(false);
 }
 
 /// Clear all accumulated state (call tree, histograms, truncation
 /// counter) for this thread. Open guards from before the reset are
 /// discarded when they drop.
 pub fn reset() {
-    TLS.with(|t| t.state.borrow_mut().reset());
+    STATE.with_borrow_mut(ProfilerState::reset);
 }
 
 /// Open a profiling span for `phase`. The returned guard records the
@@ -311,55 +326,62 @@ pub fn reset() {
 #[must_use = "a span records nothing unless the guard is held for its duration"]
 #[inline]
 pub fn span(phase: Phase) -> ProfGuard {
-    TLS.with(|t| {
-        let mode = if !t.enabled.get() {
-            GuardMode::Inert
-        } else {
-            match t.state.borrow_mut().enter(phase) {
-                None => GuardMode::Inert,
-                Some(false) => GuardMode::Untimed,
-                Some(true) => GuardMode::Timed(Instant::now()),
-            }
-        };
-        ProfGuard { phase, mode }
-    })
+    span_of(|| phase)
+}
+
+/// [`span`] for a phase that costs something to name: `phase` runs only
+/// when profiling is enabled, so a disabled span pays the flag read and
+/// nothing else. An enabled `span_of(|| p)` records exactly what
+/// `span(p)` does.
+#[must_use = "a span records nothing unless the guard is held for its duration"]
+#[inline]
+pub fn span_of(phase: impl FnOnce() -> Phase) -> ProfGuard {
+    if ENABLED.get() {
+        open(phase())
+    } else {
+        ProfGuard { open: None }
+    }
+}
+
+/// The enabled half of [`span_of`].
+#[inline]
+fn open(phase: Phase) -> ProfGuard {
+    let open = match STATE.with_borrow_mut(|s| s.enter(phase)) {
+        None => None,
+        Some(false) => Some((phase, None)),
+        Some(true) => Some((phase, Some(Instant::now()))),
+    };
+    ProfGuard { open }
 }
 
 /// Run `f` against this thread's profiler state (used by the report
 /// builder; kept crate-private so the arena layout stays an
 /// implementation detail).
 pub(crate) fn with_state<R>(f: impl FnOnce(&ProfilerState) -> R) -> R {
-    TLS.with(|t| f(&t.state.borrow()))
+    STATE.with_borrow(f)
 }
 
 #[cfg(test)]
 pub(crate) fn with_state_mut<R>(f: impl FnOnce(&mut ProfilerState) -> R) -> R {
-    TLS.with(|t| f(&mut t.state.borrow_mut()))
-}
-
-#[derive(Debug)]
-enum GuardMode {
-    Inert,
-    Untimed,
-    Timed(Instant),
+    STATE.with_borrow_mut(f)
 }
 
 /// RAII guard for an open profiling span. See [`span`].
 #[derive(Debug)]
 pub struct ProfGuard {
-    phase: Phase,
-    mode: GuardMode,
+    /// The span's phase and, when it is clock-timed, its start; `None`
+    /// for an inert guard (profiling disabled, or the stack was full).
+    open: Option<(Phase, Option<Instant>)>,
 }
 
 impl Drop for ProfGuard {
     #[inline]
     fn drop(&mut self) {
-        let elapsed_ns = match self.mode {
-            GuardMode::Inert => return,
-            GuardMode::Untimed => None,
-            GuardMode::Timed(start) => Some(start.elapsed().as_nanos() as u64),
+        let Some((phase, start)) = self.open else {
+            return;
         };
-        TLS.with(|t| t.state.borrow_mut().exit(self.phase, elapsed_ns));
+        let elapsed_ns = start.map(|t| t.elapsed().as_nanos() as u64);
+        STATE.with_borrow_mut(|s| s.exit(phase, elapsed_ns));
     }
 }
 

@@ -52,14 +52,13 @@ impl<E> Scheduler<E> for EventQueue<E> {
         self.seq += 1;
     }
 
-    fn pop(&mut self) -> Option<(Nanos, E)> {
+    fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
+        if self.heap.peek()?.at > deadline {
+            return None;
+        }
         let e = self.heap.pop()?;
         self.now = e.at;
         Some((e.at, self.slab.take(e.slot)))
-    }
-
-    fn peek_time(&mut self) -> Option<Nanos> {
-        self.heap.peek().map(|e| e.at)
     }
 
     fn len(&self) -> usize {
@@ -77,9 +76,10 @@ mod tests {
         q.schedule_at(Nanos(30), "c");
         q.schedule_at(Nanos(10), "a");
         q.schedule_at(Nanos(20), "b");
-        assert_eq!(q.peek_time(), Some(Nanos(10)));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((Nanos(10), "a")));
+        assert_eq!(q.pop_until(Nanos(9)), None, "nothing due yet");
+        assert_eq!(q.now(), Nanos::ZERO);
+        assert_eq!(q.pop_until(Nanos(10)), Some((Nanos(10), "a")));
         assert_eq!(q.pop(), Some((Nanos(20), "b")));
         assert_eq!(q.pop(), Some((Nanos(30), "c")));
         assert_eq!(q.pop(), None);

@@ -169,9 +169,13 @@ impl Cpu {
 /// [`run_least_loaded`](Self::run_least_loaded) gives it to the member
 /// that frees first, the first of equally free ones. A pool of one
 /// behaves exactly like a single [`Cpu`] under both.
+///
+/// A member's [`free_at`](Self::free_at) only grows, so the pool's
+/// [`drained_at`](Self::drained_at) is a running maximum, not a scan.
 #[derive(Clone, Debug)]
 pub struct CpuPool {
     cpus: Vec<Cpu>,
+    drained: Nanos,
 }
 
 impl CpuPool {
@@ -179,6 +183,7 @@ impl CpuPool {
     pub fn new(n: usize) -> CpuPool {
         CpuPool {
             cpus: vec![Cpu::new(); n.max(1)],
+            drained: Nanos::ZERO,
         }
     }
 
@@ -198,7 +203,9 @@ impl CpuPool {
     /// while unrelated queues proceed on other vCPUs.
     pub fn run_on(&mut self, idx: usize, now: Nanos, cost: Nanos) -> Nanos {
         let n = self.cpus.len();
-        self.cpus[idx % n].run(now, cost)
+        let done = self.cpus[idx % n].run(now, cost);
+        self.drained = self.drained.max(done);
+        done
     }
 
     /// Runs `cost` of work on the vCPU that frees first (the first of
@@ -210,7 +217,9 @@ impl CpuPool {
             .iter_mut()
             .min_by_key(|c| c.free_at())
             .expect("a pool holds at least one vCPU");
-        cpu.run(now, cost)
+        let done = cpu.run(now, cost);
+        self.drained = self.drained.max(done);
+        done
     }
 
     /// The earliest instant at which new work could begin on vCPU
@@ -223,11 +232,7 @@ impl CpuPool {
     /// When the last of the vCPUs goes idle: the latest
     /// [`free_at`](Self::free_at).
     pub fn drained_at(&self) -> Nanos {
-        self.cpus
-            .iter()
-            .map(Cpu::free_at)
-            .max()
-            .unwrap_or(Nanos::ZERO)
+        self.drained
     }
 
     /// Busy time accumulated by each vCPU, unclamped. The mean that

@@ -24,7 +24,8 @@ use crate::wheel::TimerWheel;
 ///   timestamps, which is what makes whole-system runs replayable;
 /// * `schedule_at` clamps times in the past to `now()`, so handlers stay
 ///   monotone;
-/// * `pop` advances `now()` to the popped event's timestamp;
+/// * `pop_until` advances `now()` to the popped event's timestamp and
+///   pops nothing due after its deadline;
 /// * `len`/`is_empty` count pending events exactly.
 pub trait Scheduler<E> {
     /// Current virtual time (the timestamp of the last popped event).
@@ -39,14 +40,19 @@ pub trait Scheduler<E> {
         self.schedule_at(at, payload)
     }
 
-    /// Pops the earliest pending event, advancing virtual time.
-    fn pop(&mut self) -> Option<(Nanos, E)>;
-
-    /// Exact timestamp of the next pending event, if any.
+    /// Pops the earliest pending event if it is due at or before
+    /// `deadline`, advancing virtual time; `None` when nothing is. One
+    /// call per event: an event loop needs no separate peek.
     ///
-    /// Takes `&mut self` so the wheel can cascade its levels — the
-    /// returned time is exact, not a lower bound.
-    fn peek_time(&mut self) -> Option<Nanos>;
+    /// Takes `&mut self` even when it pops nothing so the wheel can
+    /// cascade its levels — the deadline is compared with the exact
+    /// earliest time, not a lower bound.
+    fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)>;
+
+    /// Pops the earliest pending event, advancing virtual time.
+    fn pop(&mut self) -> Option<(Nanos, E)> {
+        self.pop_until(Nanos::MAX)
+    }
 
     /// Number of pending events.
     fn len(&self) -> usize;
@@ -187,18 +193,11 @@ impl<E> Scheduler<E> for EventSched<E> {
         }
     }
 
-    fn pop(&mut self) -> Option<(Nanos, E)> {
+    fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
         let _prof = kite_prof::span(kite_prof::Phase::SchedPop);
         match self {
-            EventSched::Heap(q) => q.pop(),
-            EventSched::Wheel(w) => w.pop(),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<Nanos> {
-        match self {
-            EventSched::Heap(q) => q.peek_time(),
-            EventSched::Wheel(w) => w.peek_time(),
+            EventSched::Heap(q) => q.pop_until(deadline),
+            EventSched::Wheel(w) => w.pop_until(deadline),
         }
     }
 
@@ -222,8 +221,8 @@ mod tests {
             s.schedule_at(Nanos(20), 2);
             s.schedule_at(Nanos(10), 1);
             assert_eq!(s.len(), 2);
-            assert_eq!(s.peek_time(), Some(Nanos(10)));
-            assert_eq!(s.pop(), Some((Nanos(10), 1)));
+            assert_eq!(s.pop_until(Nanos(9)), None);
+            assert_eq!(s.pop_until(Nanos(10)), Some((Nanos(10), 1)));
             assert_eq!(s.pop(), Some((Nanos(20), 2)));
             assert_eq!(s.pop(), None);
             assert!(s.is_empty());

@@ -21,6 +21,8 @@ pub struct Nanos(pub u64);
 impl Nanos {
     /// The zero instant (scenario start).
     pub const ZERO: Nanos = Nanos(0);
+    /// The last instant: a deadline no event lies beyond.
+    pub const MAX: Nanos = Nanos(u64::MAX);
 
     /// Constructs a duration of `n` nanoseconds.
     pub const fn from_nanos(n: u64) -> Nanos {

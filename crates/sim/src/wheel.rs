@@ -182,20 +182,16 @@ impl<E> Scheduler<E> for TimerWheel<E> {
         self.place(entry);
     }
 
-    fn pop(&mut self) -> Option<(Nanos, E)> {
+    fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
         if self.ready.is_empty() {
             self.refill();
+        }
+        if self.ready.peek()?.at > deadline {
+            return None;
         }
         let e = self.ready.pop()?;
         self.now = e.at;
         Some((e.at, self.slab.take(e.slot)))
-    }
-
-    fn peek_time(&mut self) -> Option<Nanos> {
-        if self.ready.is_empty() {
-            self.refill();
-        }
-        self.ready.peek().map(|e| e.at)
     }
 
     fn len(&self) -> usize {
@@ -225,8 +221,10 @@ mod tests {
         }
         assert_eq!(w.len(), times.len());
         for (i, t) in times.iter().enumerate() {
-            assert_eq!(w.peek_time(), Some(*t), "event {i}");
-            assert_eq!(w.pop(), Some((*t, i)), "event {i}");
+            // The deadline test is exact at every level: one nanosecond
+            // early pops nothing, the event's own time pops it.
+            assert_eq!(w.pop_until(Nanos(t.as_nanos() - 1)), None, "event {i}");
+            assert_eq!(w.pop_until(*t), Some((*t, i)), "event {i}");
         }
         assert_eq!(w.pop(), None);
         assert!(w.is_empty());

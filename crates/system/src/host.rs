@@ -450,11 +450,7 @@ impl<D: Datapath> Host<D> {
 
     /// Runs the event loop until `deadline`.
     pub fn run_until(&mut self, deadline: Nanos) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (now, ev) = self.queue.pop().expect("peeked");
+        while let Some((now, ev)) = self.queue.pop_until(deadline) {
             self.events_processed += 1;
             self.handle(now, ev);
         }
@@ -462,10 +458,7 @@ impl<D: Datapath> Host<D> {
 
     /// Runs until no events remain.
     pub fn run_to_quiescence(&mut self) {
-        while let Some((now, ev)) = self.queue.pop() {
-            self.events_processed += 1;
-            self.handle(now, ev);
-        }
+        self.run_until(Nanos::MAX);
     }
 
     /// Runs to quiescence, handing `view` the system at every `every` of
@@ -715,7 +708,7 @@ impl<D: Datapath> Host<D> {
     }
 
     fn handle(&mut self, now: Nanos, ev: Event<D::Event>) {
-        let _prof = kite_prof::span(Self::phase_of(&ev));
+        let _prof = kite_prof::span_of(|| Self::phase_of(&ev));
         self.hv.trace.set_now(now);
         self.hv.req.set_now(now);
         match ev {

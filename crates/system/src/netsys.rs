@@ -1158,6 +1158,66 @@ mod tests {
         forward(&mut nat, phys);
     }
 
+    /// A guest that sends from 10 000 spoofed source MACs fills the
+    /// bridge's table once and loses nothing: on four queues every frame
+    /// still reaches the client, unicast while the client's address is
+    /// learned or flooded to the IF port, and both stations learned
+    /// before the flood stay reachable.
+    #[test]
+    fn a_guest_mac_flood_is_bounded_and_every_frame_is_still_forwarded() {
+        use kite_net::bridge::BRIDGE_RTABLE_MAX;
+        const FLOOD: u32 = 10_000;
+        let mut sys = SystemConfig::new(BackendOs::Kite, 7).queues(4).build_net();
+        let us = Nanos::from_micros;
+        sys.send_udp_at(us(10), Side::Client, addrs::GUEST, 1234, 9999, vec![1; 64]);
+        sys.send_udp_at(us(20), Side::Guest, addrs::CLIENT, 9999, 1234, vec![1; 64]);
+        sys.run_until(us(100));
+        let (guest_mac, client_mac) = (sys.dp.guest_mac, sys.dp.client_mac);
+        let spoofed = |i: u32| MacAddr::local(0x0100_0000 + i);
+        // 100 frames every 100 µs, each from a new source MAC and over
+        // 64 source ports, so all four queues carry the flood.
+        let mut t = us(100);
+        for i in 0..FLOOD {
+            let udp = UdpDatagram::new(2000 + (i % 64) as u16, 1234, vec![2; 64]);
+            let frame = udp.encode_frame(client_mac, spoofed(i), addrs::GUEST, addrs::CLIENT);
+            sys.guest_send(t, GuestTx::Frame(frame));
+            if i % 100 == 99 {
+                t += us(100);
+                sys.run_until(t);
+            }
+        }
+        sys.run_until(t + us(1_000));
+        let bridge = &sys.dp.netapp.bridge;
+        let now = sys.now();
+        let learned = (0..FLOOD)
+            .filter(|&i| bridge.lookup(spoofed(i), now).is_some())
+            .count();
+        assert!(
+            learned <= BRIDGE_RTABLE_MAX,
+            "{learned} spoofed MACs learned"
+        );
+        assert_eq!(bridge.lookup(guest_mac, now), Some(sys.dp.vif_port));
+        assert_eq!(bridge.lookup(client_mac, now), Some(sys.dp.if_port));
+        let m = &sys.dp.metrics;
+        assert_eq!(
+            m.client_rx_msgs,
+            1 + u64::from(FLOOD),
+            "every frame forwarded"
+        );
+        assert_eq!(m.drops, 0);
+        // The client still reaches the guest by unicast.
+        sys.send_udp_at(
+            t + us(2_000),
+            Side::Client,
+            addrs::GUEST,
+            1234,
+            9999,
+            vec![3; 64],
+        );
+        sys.run_to_quiescence();
+        assert_eq!(sys.dp.metrics.guest_rx_msgs, 2);
+    }
+
     /// A guest that moves a ring's `req_prod` more than a ring ahead halts
     /// that netback queue, Tx and Rx alike: the run reaches quiescence
     /// without a panic, the halt counted once, and nothing crosses the

@@ -108,6 +108,68 @@ fn collapsed_stacks_have_flamegraph_shape() {
     );
 }
 
+/// `span_of` is `span` with the phase named lazily: while profiling is
+/// off its closure never runs, and while it is on, the same nesting
+/// opened through either builds the same call tree with the same exact
+/// counts (the timings are wall clock and are not compared).
+#[test]
+fn span_of_names_its_phase_only_when_enabled_and_builds_spans_tree() {
+    prof::disable();
+    let runs = std::cell::Cell::new(0);
+    let named = |p: Phase| {
+        runs.set(runs.get() + 1);
+        p
+    };
+    {
+        let _outer = prof::span_of(|| named(Phase::DispatchIrq));
+        let _inner = prof::span_of(|| named(Phase::NetbackTxDrain));
+    }
+    assert_eq!(runs.get(), 0, "a disabled span_of ran its closure");
+    // The same shape twice: a dispatch with a drain and two grant copies
+    // nested in it, then a bare scheduler pop, repeated over a
+    // sampling stride so timed and untimed roots both occur.
+    let tree = |lazy: bool| {
+        prof::enable();
+        prof::reset();
+        let open = |p: Phase| {
+            if lazy {
+                prof::span_of(|| p)
+            } else {
+                prof::span(p)
+            }
+        };
+        for _ in 0..2 * prof::SAMPLE_EVERY {
+            {
+                let _irq = open(Phase::DispatchIrq);
+                let _drain = open(Phase::NetbackTxDrain);
+                for _ in 0..2 {
+                    let _copy = open(Phase::GrantCopy);
+                }
+            }
+            let _pop = open(Phase::SchedPop);
+        }
+        let report = prof::report();
+        prof::disable();
+        prof::reset();
+        // Rows are ordered by self time, which differs run to run.
+        let mut rows: Vec<_> = report
+            .rows
+            .iter()
+            .map(|r| (r.phase, r.calls, r.sampled))
+            .collect();
+        let stacks: Vec<_> = report
+            .stacks
+            .iter()
+            .map(|s| (s.path.clone(), s.calls))
+            .collect();
+        rows.sort();
+        (rows, stacks)
+    };
+    let (eager, lazy) = (tree(false), tree(true));
+    assert_eq!(eager, lazy);
+    assert_eq!(eager.1.len(), 4, "irq, irq;drain, irq;drain;copy, pop");
+}
+
 /// What the one sampling rule makes true by construction, checked on a
 /// real report: times nest (inclusive ≥ Σ children at every call-tree
 /// node, Σ self = Σ root inclusive, exactly) and counts are exact, for

@@ -13,7 +13,7 @@ use kite::net::{
     Ipv4Packet, MacAddr, UdpDatagram,
 };
 use kite::rumprun::kite_profile;
-use kite::sim::{Nanos, Pcg, Scheduler};
+use kite::sim::{CpuPool, Nanos, Pcg, Scheduler};
 use kite::system::{BackendOs, GSO_UDP};
 use kite::xen::netif::{NetifRxRequest, NetifTxRequest, NetifTxResponse};
 use kite::xen::ring::{BackRing, FrontRing, RingEntry};
@@ -612,6 +612,44 @@ fn event_queue_time_monotone() {
             popped += 1;
         }
         assert_eq!(popped, times.len());
+    }
+}
+
+/// `CpuPool` is the linear-scan model it stands for: the pool picks the
+/// member `min_by_key(free_at)` picks (the lowest index among equally
+/// free ones) and its running-maximum `drained_at` is the largest
+/// `free_at`.
+/// Pool sizes 1..=33 cover powers of two and the sizes between; costs
+/// and arrival steps are multiples of 10 ns, so `free_at` ties are the
+/// common case, not the rare one.
+#[test]
+fn cpu_pool_dispatch_matches_the_linear_scan() {
+    let mut rng = Pcg::seeded(0xc9u64);
+    for n in 1..=33usize {
+        for _ in 0..4 {
+            let mut pool = CpuPool::new(n);
+            let (mut free, mut busy) = (vec![Nanos::ZERO; n], vec![Nanos::ZERO; n]);
+            let mut now = Nanos::ZERO;
+            for op in 0..600 {
+                now += Nanos(10 * rng.index(3) as u64);
+                let cost = Nanos(10 * (1 + rng.index(4) as u64));
+                let (k, got) = if rng.index(4) == 0 {
+                    let idx = rng.index(2 * n);
+                    (idx % n, pool.run_on(idx, now, cost))
+                } else {
+                    let k = (0..n).min_by_key(|&k| free[k]).expect("n >= 1");
+                    (k, pool.run_least_loaded(now, cost))
+                };
+                free[k] = free[k].max(now) + cost;
+                busy[k] += cost;
+                assert_eq!(got, free[k], "n {n} op {op}: completion time");
+                assert_eq!(pool.busy_each(), busy, "n {n} op {op}: member {k} picked");
+                let free_at: Vec<Nanos> = (0..n).map(|k| pool.free_at(k)).collect();
+                assert_eq!(free_at, free, "n {n} op {op}");
+                let latest = free.iter().copied().max().expect("n >= 1");
+                assert_eq!(pool.drained_at(), latest, "n {n} op {op}: drained_at");
+            }
+        }
     }
 }
 

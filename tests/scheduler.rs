@@ -97,15 +97,23 @@ fn kill_recovery_run_is_byte_identical_across_backends() {
     );
 }
 
-/// Property test: a random schedule/peek/pop workload pops the exact
-/// same (time, payload) sequence from both backends, and their `len()`
-/// and `peek_time()` agree throughout.
+/// Property test: a random schedule/pop/pop-until workload pops the
+/// exact same (time, payload) sequence from both backends, and each
+/// `pop_until(deadline)` returns what peeking at the earliest pending
+/// event and popping it when due would: a sorted reference set holds
+/// the pending events, so both backends are checked against a
+/// separate peek + pop, and their `len()` agrees with it throughout.
 #[test]
 fn random_ops_pop_identically_on_both_backends() {
+    use std::collections::BTreeSet;
     let mut rng = Pcg::seeded(0x5eed);
     for case in 0..50 {
         let mut heap: EventQueue<u64> = EventQueue::new();
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        // Payloads grow in schedule order, so `(time, payload)` sorts
+        // pending events the way `(time, schedule order)` does.
+        let mut pending: BTreeSet<(Nanos, u64)> = BTreeSet::new();
+        let mut now = Nanos::ZERO;
         let nops = 200 + rng.index(800);
         for i in 0..nops {
             match rng.index(3) {
@@ -115,16 +123,38 @@ fn random_ops_pop_identically_on_both_backends() {
                     let payload = (case * 10_000 + i) as u64;
                     heap.schedule_in(delay, payload);
                     wheel.schedule_in(delay, payload);
+                    pending.insert((now + delay, payload));
                 }
-                1 => assert_eq!(heap.peek_time(), wheel.peek_time(), "exact peek agrees"),
-                _ => assert_eq!(heap.pop(), wheel.pop(), "pop sequences diverged"),
+                1 => {
+                    // Deadlines from `now` to past most pending events,
+                    // and sometimes exactly on the earliest one.
+                    let deadline = match pending.first() {
+                        Some(&(at, _)) if rng.index(4) == 0 => at,
+                        _ => now + Nanos::from_nanos(rng.range_u64(0, 40_000_000)),
+                    };
+                    let want = match pending.first() {
+                        Some(&(at, _)) if at <= deadline => pending.pop_first(),
+                        _ => None,
+                    };
+                    assert_eq!(heap.pop_until(deadline), want, "heap pop_until");
+                    assert_eq!(wheel.pop_until(deadline), want, "wheel pop_until");
+                    now = want.map_or(now, |(at, _)| at);
+                }
+                _ => {
+                    let want = pending.pop_first();
+                    assert_eq!(heap.pop(), want, "heap pop");
+                    assert_eq!(wheel.pop(), want, "wheel pop");
+                    now = want.map_or(now, |(at, _)| at);
+                }
             }
-            assert_eq!(heap.len(), wheel.len(), "exact len agrees");
+            assert_eq!((heap.len(), wheel.len()), (pending.len(), pending.len()));
+            assert_eq!((heap.now(), wheel.now()), (now, now));
         }
         // Drain both to the end: the tails must agree too.
         loop {
             let (h, w) = (heap.pop(), wheel.pop());
             assert_eq!(h, w, "tail pop sequences diverged");
+            assert_eq!(h, pending.pop_first(), "tail differs from the reference");
             if h.is_none() {
                 break;
             }
