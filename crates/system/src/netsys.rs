@@ -132,7 +132,8 @@ pub enum NetEvent {
         dst_port: u16,
         /// Source port.
         src_port: u16,
-        /// One PV-transfer-sized chunk of the message.
+        /// The whole message, cut into PV transfers in order when the
+        /// event runs.
         payload: Vec<u8>,
     },
     /// The client transmits a pre-built frame (ping).
@@ -464,8 +465,9 @@ impl Host<NetPath> {
         self.dp.client_app = Some(h);
     }
 
-    /// Schedules a UDP send at `t`; payloads above one PV transfer unit
-    /// are chunked.
+    /// Schedules a UDP send at `t`, as one event per message: payloads
+    /// above one PV transfer unit are chunked when it runs, so their
+    /// order is the message's and not the scheduler's tiebreak.
     pub fn send_udp_at(
         &mut self,
         t: Nanos,
@@ -475,23 +477,14 @@ impl Host<NetPath> {
         src_port: u16,
         payload: Vec<u8>,
     ) {
-        // One PV transfer: a descriptor chain with GSO on, one ring slot
-        // (the guest segments to MTU in software) without.
-        let unit = if self.dp.gso { GSO_UDP } else { TSO_MSS };
-        let send = |payload| NetEvent::AppSend {
+        let send = NetEvent::AppSend {
             side,
             dst_ip,
             dst_port,
             src_port,
             payload,
         };
-        if payload.len() <= unit {
-            self.schedule_at(t, send(payload));
-        } else {
-            for chunk in payload.chunks(unit) {
-                self.schedule_at(t, send(chunk.to_vec()));
-            }
-        }
+        self.schedule_at(t, send);
     }
 
     /// Schedules an ICMP echo request from the client at `t` (ping).
@@ -935,6 +928,33 @@ impl Host<NetPath> {
         }
     }
 
+    /// Puts one datagram from `side` on its way at `now`.
+    fn send_datagram(
+        &mut self,
+        now: Nanos,
+        side: Side,
+        dst_ip: Ipv4Addr,
+        datagram: UdpDatagram<Vec<u8>>,
+    ) {
+        let (src_ip, src_mac) = match side {
+            Side::Client => (addrs::CLIENT, self.dp.client_mac),
+            Side::Guest => (addrs::GUEST, self.dp.guest_mac),
+        };
+        let dst_mac = self.mac_of(dst_ip);
+        match side {
+            Side::Client => {
+                let frame = datagram.encode_frame(dst_mac, src_mac, src_ip, dst_ip);
+                self.client_transmit(now, frame);
+            }
+            // The guest's frame is built once, in netfront's Tx pages:
+            // the queue holds its header and the payload.
+            Side::Guest => {
+                let header = datagram.frame_header(dst_mac, src_mac, src_ip, dst_ip);
+                self.guest_send(now, GuestTx::Udp(header, datagram.payload));
+            }
+        }
+    }
+
     fn handle_net(&mut self, now: Nanos, ev: NetEvent) {
         match ev {
             NetEvent::AppSend {
@@ -944,22 +964,17 @@ impl Host<NetPath> {
                 src_port,
                 payload,
             } => {
-                let (src_ip, src_mac) = match side {
-                    Side::Client => (addrs::CLIENT, self.dp.client_mac),
-                    Side::Guest => (addrs::GUEST, self.dp.guest_mac),
-                };
-                let datagram = UdpDatagram::new(src_port, dst_port, payload);
-                let dst_mac = self.mac_of(dst_ip);
-                match side {
-                    Side::Client => {
-                        let frame = datagram.encode_frame(dst_mac, src_mac, src_ip, dst_ip);
-                        self.client_transmit(now, frame);
-                    }
-                    // The guest's frame is built once, in netfront's Tx
-                    // pages: the queue holds its header and the payload.
-                    Side::Guest => {
-                        let header = datagram.frame_header(dst_mac, src_mac, src_ip, dst_ip);
-                        self.guest_send(now, GuestTx::Udp(header, datagram.payload));
+                // One PV transfer: a descriptor chain with GSO on, one
+                // ring slot (the guest segments to MTU in software)
+                // without.
+                let unit = if self.dp.gso { GSO_UDP } else { TSO_MSS };
+                if payload.len() <= unit {
+                    let datagram = UdpDatagram::new(src_port, dst_port, payload);
+                    self.send_datagram(now, side, dst_ip, datagram);
+                } else {
+                    for chunk in payload.chunks(unit) {
+                        let datagram = UdpDatagram::new(src_port, dst_port, chunk.to_vec());
+                        self.send_datagram(now, side, dst_ip, datagram);
                     }
                 }
             }

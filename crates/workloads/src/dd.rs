@@ -29,9 +29,9 @@ pub fn run(os: BackendOs, read: bool, total_bytes: u64, seed: u64) -> DdReport {
     let total_ops = total_bytes / DD_BS as u64;
     let mut rng = Pcg::seeded(seed);
     let mut i = 0;
-    stor_closed_loop(&mut sys, Nanos::from_micros(10), 1, move |worker| {
+    let r = stor_closed_loop(&mut sys, Nanos::from_micros(10), 1, move |worker, _| {
         if i >= total_ops {
-            return Vec::new();
+            return None;
         }
         let sector = i * (DD_BS / 512) as u64;
         i += 1;
@@ -42,17 +42,11 @@ pub fn run(os: BackendOs, read: bool, total_bytes: u64, seed: u64) -> DdReport {
             rng.fill_bytes(&mut data[..64]); // head entropy; rest zeros
             IoKind::Write { sector, data }
         };
-        vec![IoOp { tag: worker, kind }]
+        Some((DD_BS as u64, vec![IoOp { tag: worker, kind }]))
     });
-    let secs = sys.now().as_secs_f64();
-    let bytes = if read {
-        sys.metrics.read_bytes
-    } else {
-        sys.metrics.write_bytes
-    };
     DdReport {
         read,
-        mbps: bytes as f64 / 1e6 / secs,
+        mbps: r.bytes as f64 / 1e6 / sys.now().as_secs_f64(),
     }
 }
 

@@ -12,9 +12,6 @@
 //! File counts and dataset sizes are scaled (EXPERIMENTS.md); op mixes,
 //! thread counts and I/O sizes are the paper's.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use kite_sim::{Nanos, Pcg};
 use kite_system::{BackendOs, IoKind, IoOp};
 
@@ -67,16 +64,13 @@ fn run_personality(
     });
     let t_start = sys.now() + Nanos::from_millis(1);
 
-    let ops_done = Rc::new(Cell::new(0u64));
-    let app_bytes = Rc::new(Cell::new(0u64));
     let mut rng = Pcg::seeded(seed ^ 0xbe11c);
     let mut next_name = nfiles;
 
     // One filebench "operation" = a short sequence of fs calls ending in
-    // device I/O. Returns the device ops (may be empty on full cache hit).
-    let ab = app_bytes.clone();
-    let mut mk = move |tag: u64| -> Vec<IoOp> {
-        let app = |n: usize| ab.set(ab.get() + n as u64);
+    // device I/O: the bytes it moves for the application, and its device
+    // ops (none on a full cache hit or a stat).
+    let mut mk = move |tag: u64| -> (u64, Vec<IoOp>) {
         let to_ops = |ios: Vec<kite_fs::DevIo>, write: bool| -> Vec<IoOp> {
             ios.into_iter()
                 .map(|io| IoOp {
@@ -105,8 +99,7 @@ fn run_personality(
                         let size = fs.size(ino).unwrap_or(0) as usize;
                         let n = size.min(io_size).max(4096);
                         let plan = fs.read(ino, 0, n).unwrap_or_default();
-                        app(n);
-                        to_ops(plan.device_ios, false)
+                        (n as u64, to_ops(plan.device_ios, false))
                     }
                     4..=6 => {
                         let (_, ino) = files[rng.index(files.len())];
@@ -115,20 +108,18 @@ fn run_personality(
                         let size = fs.size(ino).unwrap_or(4096) as usize;
                         let n = io_size.min(2 * size.max(4096));
                         let ios = fs.write(ino, 0, n).unwrap_or_default();
-                        app(n);
-                        to_ops(ios, true)
+                        (n as u64, to_ops(ios, true))
                     }
                     7 => {
                         let (_, ino) = files[rng.index(files.len())];
                         let ios = fs.append(ino, 1024).unwrap_or_default();
-                        app(1024);
-                        to_ops(ios, true)
+                        (1024, to_ops(ios, true))
                     }
                     8 => {
                         // stat: metadata only.
                         let (name, _) = files[rng.index(files.len())].clone();
                         let _ = fs.stat(&name);
-                        Vec::new()
+                        (0, Vec::new())
                     }
                     _ => {
                         // delete + create fresh (fragmentation churn).
@@ -141,8 +132,7 @@ fn run_personality(
                         let n = io_size.min(mean_size);
                         let ios = fs.write(ino, 0, n).unwrap_or_default();
                         files[idx] = (new_name, ino);
-                        app(n);
-                        to_ops(ios, true)
+                        (n as u64, to_ops(ios, true))
                     }
                 }
             }
@@ -151,14 +141,12 @@ fn run_personality(
                 if rng.index(10) == 0 {
                     let (_, ino) = files[0];
                     let ios = fs.append(ino, 16 * 1024).unwrap_or_default();
-                    app(16 * 1024);
-                    to_ops(ios, true)
+                    (16 * 1024, to_ops(ios, true))
                 } else {
                     let (_, ino) = files[rng.index(files.len())];
                     let size = fs.size(ino).unwrap_or(4096) as usize;
                     let plan = fs.read(ino, 0, size).unwrap_or_default();
-                    app(size);
-                    to_ops(plan.device_ios, false)
+                    (size as u64, to_ops(plan.device_ios, false))
                 }
             }
             Personality::Mongo => {
@@ -166,8 +154,7 @@ fn run_personality(
                 let (_, ino) = files[rng.index(files.len())];
                 if rng.index(5) == 0 {
                     let ios = fs.append(ino, io_size).unwrap_or_default();
-                    app(io_size);
-                    to_ops(ios, true)
+                    (io_size as u64, to_ops(ios, true))
                 } else {
                     let size = fs.size(ino).unwrap_or(0) as usize;
                     let n = io_size.min(size.max(4096));
@@ -178,41 +165,22 @@ fn run_personality(
                         rng.range_u64(0, max_off as u64 / 512) * 512
                     };
                     let plan = fs.read(ino, off, n).unwrap_or_default();
-                    app(n);
-                    to_ops(plan.device_ios, false)
+                    (n as u64, to_ops(plan.device_ios, false))
                 }
             }
         }
     };
 
-    // The harness asks every worker once before any I/O completes; those
-    // first operations follow no finished one and are not counted. An op
-    // that needs no device I/O (stat, full cache hit) is done on the spot.
-    let done = ops_done.clone();
-    let mut unstarted = threads;
-    let latency = stor_closed_loop(&mut sys, t_start, threads, move |tag| {
-        let first = unstarted > 0;
-        unstarted -= u16::from(first);
-        loop {
-            if !first {
-                done.set(done.get() + 1);
-                if done.get() >= total_ops {
-                    return Vec::new();
-                }
-            }
-            let ios = mk(tag);
-            if !ios.is_empty() {
-                return ios;
-            }
-        }
+    // Workers stop once `total_ops` operations have completed; the ones
+    // still in flight then finish and count too.
+    let r = stor_closed_loop(&mut sys, t_start, threads, move |tag, done| {
+        (done < total_ops).then(|| mk(tag))
     });
     let elapsed = (sys.now() - t_start).as_secs_f64();
-    let done = ops_done.get().max(1);
-    let bytes = app_bytes.get();
     FilebenchReport {
-        mbps: bytes as f64 / 1e6 / elapsed,
-        us_per_op: elapsed * 1e6 / done as f64,
-        latency_ms: latency.mean() / 1e6,
+        mbps: r.bytes as f64 / 1e6 / elapsed,
+        us_per_op: elapsed * 1e6 / r.ops.max(1) as f64,
+        latency_ms: r.latency.mean() / 1e6,
     }
 }
 

@@ -6,9 +6,6 @@
 //! geometry: 192 files) and run each point to a fixed op count; the page
 //! cache is dropped before each run as the paper does.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use kite_sim::{Nanos, Pcg};
 use kite_system::{BackendOs, IoKind, IoOp};
 
@@ -24,6 +21,8 @@ pub const FIG12B_BLOCKS: [usize; 4] = [16 << 10, 256 << 10, 4 << 20, 64 << 20];
 pub struct FileioReport {
     /// Combined read+write throughput in MB/s.
     pub mbps: f64,
+    /// Operations completed: every one the run issued and timed.
+    pub ops: u64,
 }
 
 /// Runs the random 3:2 read:write phase.
@@ -38,59 +37,47 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
     } = prepare_files(os, seed, 192, Nanos::from_micros(30), || file_bytes);
     let t_start = sys.now() + Nanos::from_millis(1);
 
-    let ops_done = Rc::new(Cell::new(0u64));
-    let done = ops_done.clone();
     let mut rng = Pcg::seeded(seed ^ 0xf11e);
     let block_c = block.min(file_bytes);
     let max_off = (file_bytes - block_c) / 512 * 512;
-    // The harness asks every worker once before any I/O completes; those
-    // first operations follow no finished one and are not counted.
-    let mut unstarted = threads;
+    let mut issued = 0;
     // One logical op: possibly several device I/Os, or none on a full
     // cache hit — then the op is done on the spot and the worker moves on.
-    stor_closed_loop(&mut sys, t_start, threads, move |tag| {
-        let first = unstarted > 0;
-        unstarted -= u16::from(first);
-        loop {
-            if !first {
-                if done.get() >= total_ops {
-                    return Vec::new();
-                }
-                done.set(done.get() + 1);
-            }
-            let (_, ino) = files[rng.index(files.len())];
-            let offset = if max_off == 0 {
-                0
-            } else {
-                rng.range_u64(0, max_off as u64 / 512) * 512
-            };
-            let is_read = rng.range_u64(0, 5) < 3; // 3:2 read:write
-            let ios = if is_read {
-                fs.read(ino, offset, block_c).unwrap().device_ios
-            } else {
-                fs.write(ino, offset, block_c).unwrap()
-            };
-            if ios.is_empty() {
-                continue;
-            }
-            let to_op = |io: &kite_fs::DevIo| {
-                let (sector, bytes) = (io.sector, io.bytes);
-                let kind = if is_read {
-                    IoKind::Read { sector, len: bytes }
-                } else {
-                    let data = vec![0x77; bytes];
-                    IoKind::Write { sector, data }
-                };
-                IoOp { tag, kind }
-            };
-            return ios.iter().map(to_op).collect();
+    let r = stor_closed_loop(&mut sys, t_start, threads, move |tag, _| {
+        if issued == total_ops {
+            return None;
         }
+        issued += 1;
+        let (_, ino) = files[rng.index(files.len())];
+        let offset = if max_off == 0 {
+            0
+        } else {
+            rng.range_u64(0, max_off as u64 / 512) * 512
+        };
+        let is_read = rng.range_u64(0, 5) < 3; // 3:2 read:write
+        let ios = if is_read {
+            fs.read(ino, offset, block_c).unwrap().device_ios
+        } else {
+            fs.write(ino, offset, block_c).unwrap()
+        };
+        let to_op = |io: &kite_fs::DevIo| {
+            let (sector, bytes) = (io.sector, io.bytes);
+            let kind = if is_read {
+                IoKind::Read { sector, len: bytes }
+            } else {
+                let data = vec![0x77; bytes];
+                IoKind::Write { sector, data }
+            };
+            IoOp { tag, kind }
+        };
+        // `block_c` is what each op actually transfers (blocks larger
+        // than the scaled files are clamped, as sysbench clamps at EOF).
+        Some((block_c as u64, ios.iter().map(to_op).collect()))
     });
     let elapsed = (sys.now() - t_start).as_secs_f64();
     FileioReport {
-        // `block_c` is what each op actually transferred (blocks larger
-        // than the scaled files are clamped, as sysbench clamps at EOF).
-        mbps: ops_done.get() as f64 * block_c as f64 / 1e6 / elapsed,
+        mbps: r.bytes as f64 / 1e6 / elapsed,
+        ops: r.ops,
     }
 }
 
@@ -116,6 +103,15 @@ mod tests {
             large.mbps > 3.0 * small.mbps,
             "Fig 12b shape: {small:?} vs {large:?}"
         );
+    }
+
+    /// The throughput's operation count is every operation the run
+    /// timed: the first operation of each of the 20 workers included,
+    /// and those the page cache served without device I/O.
+    #[test]
+    fn counts_every_operation_it_times() {
+        let r = run(BackendOs::Kite, 20, 256 * 1024, 100, 1);
+        assert_eq!(r.ops, 100);
     }
 
     #[test]

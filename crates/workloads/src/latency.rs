@@ -7,6 +7,8 @@ use std::rc::Rc;
 use kite_sim::{Histogram, Nanos, OnlineStats};
 use kite_system::{addrs, BackendOs, NetSystem, Reply, Side};
 
+use crate::common::{rr_closed_loop, RrConfig};
+
 /// One latency figure row: mean plus tail per workload, in ms.
 #[derive(Clone, Copy, Debug)]
 pub struct LatencyReport {
@@ -104,12 +106,14 @@ pub fn netperf_rr(os: BackendOs, n: u64, rate_per_sec: u64, seed: u64) -> Latenc
             cost: Nanos::from_micros(3),
         }]
     }));
-    let rtts = Rc::new(RefCell::new(LatencyStats::new()));
-    let sent: Rc<RefCell<HashMap<u16, Nanos>>> = Rc::new(RefCell::new(HashMap::new()));
-    let (r2, s2) = (rtts.clone(), sent.clone());
+    // The round trips so far, and the send time of each one in flight
+    // by its client port.
+    let state = Rc::new(RefCell::new((LatencyStats::new(), HashMap::new())));
+    let client = Rc::clone(&state);
     sys.set_client_app(Box::new(move |now, msg| {
-        if let Some(t0) = s2.borrow_mut().remove(&msg.dst_port) {
-            r2.borrow_mut().push_nanos(now - t0);
+        let (rtts, sent) = &mut *client.borrow_mut();
+        if let Some(t0) = sent.remove(&msg.dst_port) {
+            rtts.push_nanos(now - t0);
         }
         Vec::new()
     }));
@@ -117,12 +121,12 @@ pub fn netperf_rr(os: BackendOs, n: u64, rate_per_sec: u64, seed: u64) -> Latenc
     for i in 0..n {
         let t = gap * (i + 1);
         let port = 10_000 + (i % 50_000) as u16;
-        sent.borrow_mut().insert(port, t);
+        state.borrow_mut().1.insert(port, t);
         sys.send_udp_at(t, Side::Client, addrs::GUEST, 12865, port, vec![0]);
     }
     sys.run_to_quiescence();
-    let out = rtts.borrow().clone();
-    out
+    let rtts = std::mem::take(&mut state.borrow_mut().0);
+    rtts
 }
 
 /// memtier against a memcached model: closed loop with `connections`
@@ -134,90 +138,30 @@ pub fn memtier(
     value_bytes: usize,
     seed: u64,
 ) -> LatencyStats {
-    use crate::common::{encode_msg, Reassembler};
-
     const KIND_GET: u16 = 1;
     const KIND_SET: u16 = 2;
-
-    let mut sys = NetSystem::new(os, seed);
-    // Guest memcached: replies once per fully received logical request.
-    let vb = value_bytes;
-    let server_asm = Rc::new(RefCell::new(Reassembler::new()));
-    let sa = server_asm.clone();
-    sys.set_guest_app(Box::new(move |now, msg| {
-        let Some(req) = sa.borrow_mut().push(now, msg) else {
-            return Vec::new();
-        };
-        let body = if req.kind == KIND_GET { vb } else { 6 };
-        vec![Reply {
-            dst_ip: req.src_ip,
-            dst_port: req.src_port,
-            src_port: req.dst_port,
-            payload: encode_msg(req.kind, body),
+    rr_closed_loop(
+        os,
+        seed,
+        RrConfig {
+            workers: connections,
+            ops_per_worker: ops / u64::from(connections),
+            pipeline: 1,
+            request: Box::new(move |i| {
+                if i.is_multiple_of(11) {
+                    (KIND_SET, value_bytes)
+                } else {
+                    (KIND_GET, 16)
+                }
+            }),
+            response: Box::new(move |kind| if kind == KIND_GET { value_bytes } else { 6 }),
             // Memcached op cost: hash + slab + event-loop and socket
             // syscalls per op (calibrated to Fig 7's memtier ≈0.15 ms).
-            cost: Nanos::from_micros(105),
-        }]
-    }));
-
-    struct Conn {
-        t0: Nanos,
-        ops_done: u64,
-    }
-    let rtts = Rc::new(RefCell::new(LatencyStats::new()));
-    let conns: Rc<RefCell<HashMap<u16, Conn>>> = Rc::new(RefCell::new(HashMap::new()));
-    let per_conn_ops = ops / u64::from(connections);
-    let client_asm = Rc::new(RefCell::new(Reassembler::new()));
-    let (r2, c2, ca) = (rtts.clone(), conns.clone(), client_asm.clone());
-    let vb2 = value_bytes;
-    let request = move |c: &mut Conn, now: Nanos, port: u16| -> Vec<Reply> {
-        if c.ops_done >= per_conn_ops {
-            return Vec::new();
-        }
-        let is_set = c.ops_done.is_multiple_of(11);
-        c.t0 = now;
-        let (kind, body) = if is_set {
-            (KIND_SET, vb2)
-        } else {
-            (KIND_GET, 16)
-        };
-        vec![Reply {
-            dst_ip: addrs::GUEST,
-            dst_port: 11211,
-            src_port: port,
-            payload: encode_msg(kind, body),
-            cost: Nanos::from_micros(2),
-        }]
-    };
-    let rq = request;
-    sys.set_client_app(Box::new(move |now, msg| {
-        let Some(_rsp) = ca.borrow_mut().push(now, msg) else {
-            return Vec::new();
-        };
-        let mut conns = c2.borrow_mut();
-        let Some(c) = conns.get_mut(&msg.dst_port) else {
-            return Vec::new();
-        };
-        r2.borrow_mut().push_nanos(now - c.t0);
-        c.ops_done += 1;
-        rq(c, now, msg.dst_port)
-    }));
-    // Kick off each connection.
-    for i in 0..connections {
-        let port = 20_000 + i;
-        let mut c = Conn {
-            t0: Nanos::ZERO,
-            ops_done: 0,
-        };
-        let t = Nanos::from_micros(50 + u64::from(i));
-        for r in request(&mut c, t, port) {
-            sys.send_udp_at(t, Side::Client, r.dst_ip, r.dst_port, r.src_port, r.payload);
-        }
-        conns.borrow_mut().insert(port, c);
-    }
-    sys.run_to_quiescence();
-    let out = rtts.borrow().clone();
-    out
+            server_cost: Nanos::from_micros(105),
+            port: 11211,
+        },
+    )
+    .latency
 }
 
 /// Produces the full Figure 7 row for one OS.

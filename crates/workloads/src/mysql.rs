@@ -9,9 +9,6 @@
 //! transaction issues random tablespace reads through blkfront, and the
 //! curves for Kite and Linux are identical.
 
-use std::cell::Cell;
-use std::rc::Rc;
-
 use kite_sim::{Nanos, Pcg};
 use kite_system::{BackendOs, IoKind, IoOp, StorSystem};
 
@@ -91,40 +88,24 @@ pub fn run_storage(
     let dataset_sectors: u64 = 1024 * 1024 * 1024 / 512; // 1 GiB tablespace
 
     let mut sys = StorSystem::new(os, seed);
-    struct Worker {
-        tx_done: u64,
-        reads_left: u64,
-    }
-    let mut workers: Vec<Worker> = (0..threads)
-        .map(|_| Worker {
-            tx_done: 0,
-            reads_left: READS_PER_TX,
-        })
-        .collect();
+    // One operation is one read; a worker's transactions run back to back.
+    let mut reads = vec![0u64; usize::from(threads)];
     let mut rng = Pcg::seeded(seed ^ 0x5eed);
-    let tx_count = Rc::new(Cell::new(0u64));
-    let txs = tx_count.clone();
-    stor_closed_loop(&mut sys, Nanos::from_micros(100), threads, move |tag| {
-        let w = &mut workers[tag as usize];
-        if w.reads_left == 0 {
-            w.tx_done += 1;
-            txs.set(txs.get() + 1);
-            if w.tx_done >= transactions_per_thread {
-                return Vec::new();
-            }
-            w.reads_left = READS_PER_TX;
+    let r = stor_closed_loop(&mut sys, Nanos::from_micros(100), threads, move |tag, _| {
+        let issued = &mut reads[tag as usize];
+        if *issued == transactions_per_thread * READS_PER_TX {
+            return None;
         }
-        w.reads_left -= 1;
+        *issued += 1;
         let sector = (rng.range_u64(0, dataset_sectors - (PAGE / 512) as u64) / 32) * 32;
         let kind = IoKind::Read { sector, len: PAGE };
-        vec![IoOp { tag, kind }]
+        Some((PAGE as u64, vec![IoOp { tag, kind }]))
     });
     let secs = sys.now().as_secs_f64();
-    let txs = tx_count.get();
     MysqlStorageReport {
         threads,
-        tps: txs as f64 / secs,
-        read_mbps: sys.metrics.read_bytes as f64 / 1e6 / secs,
+        tps: (r.ops / READS_PER_TX) as f64 / secs,
+        read_mbps: r.bytes as f64 / 1e6 / secs,
     }
 }
 

@@ -60,18 +60,17 @@ pub struct DhcpReport {
 /// Runs perfdhcp: `sessions` full DORA exchanges at `rate_per_sec`.
 pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> DhcpReport {
     let mut sys = NetSystem::new(BackendOs::Kite, seed);
-    let server = Rc::new(RefCell::new(DhcpServer::new(DhcpConfig {
+    let mut server = DhcpServer::new(DhcpConfig {
         range_len: sessions + 10,
         ..DhcpConfig::default()
-    })));
+    });
     let cost = daemon.per_msg_cost();
-    let srv = server.clone();
     // The daemon VM: decode real DHCP wire bytes, serve, encode.
     sys.set_guest_app(Box::new(move |now, msg| {
         let Some(req) = DhcpMessage::decode(&msg.payload) else {
             return Vec::new();
         };
-        let Some(rsp) = srv.borrow_mut().handle(&req, now) else {
+        let Some(rsp) = server.handle(&req, now) else {
             return Vec::new();
         };
         vec![Reply {
@@ -83,26 +82,30 @@ pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> Dhc
         }]
     }));
 
-    let d_o = Rc::new(RefCell::new(OnlineStats::new()));
-    let r_a = Rc::new(RefCell::new(OnlineStats::new()));
-    let sent: Rc<RefCell<HashMap<u32, Nanos>>> = Rc::new(RefCell::new(HashMap::new()));
-    let done = Rc::new(RefCell::new(0u64));
-    let (do2, ra2, s2, dn2) = (d_o.clone(), r_a.clone(), sent.clone(), done.clone());
+    // Discover→Offer and Request→Ack delays (an Ack completes a
+    // session), and the send time of each exchange in flight by xid.
+    let state = Rc::new(RefCell::new((
+        OnlineStats::new(),
+        OnlineStats::new(),
+        HashMap::new(),
+    )));
+    let client = Rc::clone(&state);
     // perfdhcp: on Offer, send Request; on Ack, session complete.
     sys.set_client_app(Box::new(move |now, msg| {
         let Some(rsp) = DhcpMessage::decode(&msg.payload) else {
             return Vec::new();
         };
-        let Some(t0) = s2.borrow_mut().remove(&rsp.xid) else {
+        let (d_o, r_a, sent) = &mut *client.borrow_mut();
+        let Some(t0) = sent.remove(&rsp.xid) else {
             return Vec::new();
         };
         match rsp.msg_type {
             DhcpMessageType::Offer => {
-                do2.borrow_mut().push_nanos(now - t0);
+                d_o.push_nanos(now - t0);
                 let mut req = DhcpMessage::client(DhcpMessageType::Request, rsp.xid, rsp.chaddr);
                 req.requested_ip = Some(rsp.yiaddr);
                 req.server_id = rsp.server_id;
-                s2.borrow_mut().insert(rsp.xid, now);
+                sent.insert(rsp.xid, now);
                 vec![Reply {
                     dst_ip: addrs::GUEST,
                     dst_port: kite_net::dhcp::DHCP_SERVER_PORT,
@@ -112,8 +115,7 @@ pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> Dhc
                 }]
             }
             DhcpMessageType::Ack => {
-                ra2.borrow_mut().push_nanos(now - t0);
-                *dn2.borrow_mut() += 1;
+                r_a.push_nanos(now - t0);
                 Vec::new()
             }
             _ => Vec::new(),
@@ -124,7 +126,7 @@ pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> Dhc
         let t = gap * (u64::from(i) + 1);
         let xid = 0x1000 + i;
         let disc = DhcpMessage::client(DhcpMessageType::Discover, xid, MacAddr::local(i));
-        sent.borrow_mut().insert(xid, t);
+        state.borrow_mut().2.insert(xid, t);
         sys.send_udp_at(
             t,
             Side::Client,
@@ -135,13 +137,11 @@ pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> Dhc
         );
     }
     sys.run_to_quiescence();
-    let sessions_done = *done.borrow();
-    let d_o_ms = d_o.borrow().mean() / 1e6;
-    let r_a_ms = r_a.borrow().mean() / 1e6;
+    let (d_o, r_a, _) = &*state.borrow();
     DhcpReport {
-        discover_offer_ms: d_o_ms,
-        request_ack_ms: r_a_ms,
-        sessions: sessions_done,
+        discover_offer_ms: d_o.mean() / 1e6,
+        request_ack_ms: r_a.mean() / 1e6,
+        sessions: r_a.count(),
     }
 }
 

@@ -262,19 +262,20 @@ fn report_identities_hold_on_a_four_ring_storage_run() {
 }
 
 /// The enabled profiler must cost less than 10 % wall time on the echo
-/// event loop — the sampled-duration design keeps it around 2–5 %.
-/// Back-to-back disabled/enabled pairs, *median* paired overhead:
-/// scheduling noise on a shared VM comes in multi-millisecond bursts
-/// that can swallow several iterations, and the median discards those
-/// outlier pairs without the systematic low bias a min would have.
+/// event loop; on a shared 2-vCPU VM it reads 8–10 %, so the budget is
+/// tight and the estimate has to be robust. Scheduling noise on a shared VM only ever adds time, in
+/// multi-millisecond bursts that can swallow a whole cycle and leave a
+/// single pair's ratio anywhere between −50 % and +100 %. So each side's
+/// cost is its *minimum* over the cycles, the run least disturbed, and
+/// the two sides take turns running first, so neither always runs in
+/// the other's wake (allocator and cache state, frequency ramps).
 /// Wall clock, so release only (`benchmark/` reports the number itself
 /// as `prof.enabled_overhead_pct`).
 #[test]
 #[cfg_attr(debug_assertions, ignore)]
 fn enabled_profiler_overhead_under_budget() {
-    // 4096 messages: one cycle (~15 ms) spans several OS scheduler
-    // quanta, so per-cycle noise averages out instead of landing
-    // entirely on one side of a pair. Construction is not timed.
+    // 4096 messages: one cycle (5–15 ms) spans several OS scheduler
+    // quanta. Construction is not timed.
     let cycle_ns = |profiled: bool| {
         let mut sys = echo_sys(7, 4096, profiled);
         let start = std::time::Instant::now();
@@ -287,16 +288,21 @@ fn enabled_profiler_overhead_under_budget() {
     for warmup in [false, true] {
         cycle_ns(warmup);
     }
-    let mut overhead: Vec<f64> = (0..15)
-        .map(|_| {
-            let (d, e) = (cycle_ns(false), cycle_ns(true));
-            100.0 * (e - d) / d
-        })
-        .collect();
-    overhead.sort_by(f64::total_cmp);
-    let median = overhead[overhead.len() / 2];
+    let (mut disabled, mut enabled) = (f64::INFINITY, f64::INFINITY);
+    for cycle in 0..30 {
+        for profiled in [cycle % 2 == 0, cycle % 2 == 1] {
+            let side = if profiled {
+                &mut enabled
+            } else {
+                &mut disabled
+            };
+            *side = side.min(cycle_ns(profiled));
+        }
+    }
+    let overhead = 100.0 * (enabled - disabled) / disabled;
     assert!(
-        median < 10.0,
-        "profiler overhead {median:.1}% breaches the 10% budget (pairs: {overhead:.1?})"
+        overhead < 10.0,
+        "profiler overhead {overhead:.1}% breaches the 10% budget \
+         (fastest cycles: disabled {disabled:.0} ns, enabled {enabled:.0} ns)"
     );
 }

@@ -119,6 +119,11 @@ const OBSERVED: &[(&str, &str)] = &[
          reset discarded; the NIC tests read it",
     ),
     (
+        "RrResult::unanswered",
+        "the network closed loop's loss, each request behind a counted \
+         drop; fig9's test pins it, ROADMAP item 13 makes it zero",
+    ),
+    (
         "Host::last_breach",
         "the SLO breach attribution ROADMAP item 7's `repro explain` walks",
     ),
