@@ -345,40 +345,25 @@ fn table4() {
         }
         s.rsd_percent()
     };
-    for (name, os) in [("Apache", BackendOs::Linux), ("Apache", BackendOs::Kite)] {
-        let v = rsd(&|seed| wl::apache::run(os, 65536, 400, 40, seed).throughput_mbps);
-        if os == BackendOs::Linux {
-            print!("{:<10} {:>12.4}", name, v);
-        } else {
-            println!(" {:>12.4}", v);
-        }
-    }
-    for (name, os) in [("Redis", BackendOs::Linux), ("Redis", BackendOs::Kite)] {
-        let v = rsd(&|seed| wl::redis::run(os, 10, 3000, seed).get_ops_per_sec);
-        if os == BackendOs::Linux {
-            print!("{:<10} {:>12.4}", name, v);
-        } else {
-            println!(" {:>12.4}", v);
-        }
-    }
-    for (name, os) in [("Memtier", BackendOs::Linux), ("Memtier", BackendOs::Kite)] {
-        let v = rsd(&|seed| wl::latency::memtier(os, 4, 600, 8192, seed).mean());
-        if os == BackendOs::Linux {
-            print!("{:<10} {:>12.4}", name, v);
-        } else {
-            println!(" {:>12.4}", v);
-        }
-    }
-    for (name, os) in [
-        ("Sysbench", BackendOs::Linux),
-        ("Sysbench", BackendOs::Kite),
-    ] {
-        let v = rsd(&|seed| wl::mysql::run_net(os, 20, 600, seed).tps);
-        if os == BackendOs::Linux {
-            print!("{:<10} {:>12.4}", name, v);
-        } else {
-            println!(" {:>12.4}", v);
-        }
+    // One run's headline number, for an OS and a seed.
+    type Run = fn(BackendOs, u64) -> f64;
+    let benches: [(&str, Run); 4] = [
+        ("Apache", |os, seed| {
+            wl::apache::run(os, 65536, 400, 40, seed).throughput_mbps
+        }),
+        ("Redis", |os, seed| {
+            wl::redis::run(os, 10, 3000, seed).get_ops_per_sec
+        }),
+        ("Memtier", |os, seed| {
+            wl::latency::memtier(os, 4, 600, 8192, seed).mean()
+        }),
+        ("Sysbench", |os, seed| {
+            wl::mysql::run_net(os, 20, 600, seed).tps
+        }),
+    ];
+    for (name, run) in benches {
+        let [linux, kite] = BackendOs::both().map(|os| rsd(&|seed| run(os, seed)));
+        println!("{:<10} {:>12.4} {:>12.4}", name, linux, kite);
     }
     println!("(paper: all ≤1.5%; determinism here makes seed-variance the analog)");
 }

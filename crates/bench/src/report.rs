@@ -13,8 +13,8 @@ use std::io::Write as _;
 use kite_net::ether::ETH_FRAME_MAX;
 use kite_sim::Nanos;
 use kite_system::{
-    render_top, scenario, BackendOs, DetectionMode, Fault, HealthState, LineRate, MonitorConfig,
-    NetSystem, Side, StorSystem, SystemConfig,
+    render_top, scenario, BackendOs, DetectionMode, Fault, HealthState, LineRate, NetSystem, Side,
+    StorSystem, SystemConfig,
 };
 use kite_trace::metrics::{render_json, validate_json};
 use kite_trace::SampleKind::{Counter, Gauge};
@@ -98,7 +98,7 @@ fn recovery_stream(sys: &mut NetSystem) {
 pub fn recovery_cycle(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSystem {
     let mut cfg = SystemConfig::new(os, seed);
     if mode == DetectionMode::Watchdog {
-        cfg = cfg.watchdog(MonitorConfig::default());
+        cfg = cfg.watchdog();
     }
     let mut sys = cfg.build_net();
     recovery_stream(&mut sys);
@@ -621,7 +621,7 @@ pub fn kitetop_report() -> String {
     // Trace every echo so the P99_US column has per-domain data by the
     // first snapshot; the pings all complete before the 2 s kill.
     let mut sys = SystemConfig::new(BackendOs::Kite, 11)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         .req_tracing(1)
         .build_net();
     for i in 0..16u16 {

@@ -67,8 +67,6 @@ pub struct BlkbackTuning {
     pub persistent_grants: bool,
     /// Accept indirect-segment requests.
     pub indirect_segments: bool,
-    /// Persistent-grant cache capacity (mappings), per ring.
-    pub persistent_cap: usize,
 }
 
 impl Default for BlkbackTuning {
@@ -77,7 +75,6 @@ impl Default for BlkbackTuning {
             batching: true,
             persistent_grants: true,
             indirect_segments: true,
-            persistent_cap: 1056,
         }
     }
 }
@@ -160,21 +157,18 @@ struct InFlight {
     status: i16,
 }
 
+/// Persistent-grant cache capacity (mappings), per ring: Linux
+/// blkback's default `max_persistent_grants`, 32 requests of 32 indirect
+/// segments plus their descriptor page.
+const PERSISTENT_CAP: usize = 1056;
+
+#[derive(Default)]
 struct PersistentCache {
     map: HashMap<GrantRef, (MapHandle, PageId, u64)>,
-    cap: usize,
     tick: u64,
 }
 
 impl PersistentCache {
-    fn new(cap: usize) -> Self {
-        PersistentCache {
-            map: HashMap::new(),
-            cap,
-            tick: 0,
-        }
-    }
-
     fn get(&mut self, gref: GrantRef) -> Option<PageId> {
         self.tick += 1;
         let tick = self.tick;
@@ -188,7 +182,7 @@ impl PersistentCache {
     fn insert(&mut self, gref: GrantRef, handle: MapHandle, page: PageId) -> Option<MapHandle> {
         self.tick += 1;
         let mut evicted = None;
-        if self.map.len() >= self.cap {
+        if self.map.len() >= PERSISTENT_CAP {
             if let Some((&old, _)) = self.map.iter().min_by_key(|&(_, &(_, _, t))| t) {
                 evicted = self.map.remove(&old).map(|(h, _, _)| h);
             }
@@ -303,7 +297,7 @@ impl BlkbackInstance {
                 rings.push(BbRing {
                     state: QueueState::new(at.event_channel(hv, k)?),
                     shared,
-                    persistent: PersistentCache::new(tuning.persistent_cap),
+                    persistent: PersistentCache::default(),
                     qid: None,
                 });
             }
@@ -650,10 +644,6 @@ impl BlkbackInstance {
     /// pages and the device. All or nothing: `Ok(false)` at the first
     /// grant that does not resolve, with no byte moved and the handles
     /// mapped so far in `unmap` for the caller's reject path.
-    ///
-    /// (An eviction forced while resolving takes the cache's oldest
-    /// entry, which is one of this request's own pages only if
-    /// `persistent_cap` is below one request's 33 pages.)
     #[allow(clippy::too_many_arguments)]
     fn map_request_data(
         &mut self,

@@ -283,8 +283,7 @@ impl RecoveryStats {
     }
 
     /// Fault-to-detection latency of the most recent outage: zero for
-    /// the oracle, up to `probe_interval × (miss_threshold + 1)` for the
-    /// watchdog.
+    /// the oracle, up to `kite_health::DETECT_BOUND` for the watchdog.
     pub fn detect_latency(&self) -> Option<Nanos> {
         Some(self.detect_at? - self.last_crash_at?)
     }

@@ -54,6 +54,9 @@ pub struct TxBatch {
     pub frames: Vec<Vec<u8>>,
     /// vCPU cost of the batch (copies, ring work, per-packet OS cost).
     pub cost: Nanos,
+    /// Frames taken off the ring and not passed on: rejected as
+    /// malformed, or lost to a failed grant copy.
+    pub dropped: usize,
     /// The frontend must be notified (responses pushed past its event).
     pub notify: bool,
     /// More requests remain (thread should re-queue instead of sleeping).
@@ -67,6 +70,9 @@ pub struct RxBatch {
     pub delivered: usize,
     /// vCPU cost of the batch.
     pub cost: Nanos,
+    /// Frames taken off the queue and not delivered: too long for one
+    /// slot without GSO, or lost to a failed grant copy.
+    pub dropped: usize,
     /// The frontend must be notified.
     pub notify: bool,
     /// Frames still queued (no Rx requests available or budget hit).
@@ -371,11 +377,14 @@ impl NetbackInstance {
         let mut chains = std::mem::take(&mut self.scratch_chains);
         let mut ops = std::mem::take(&mut self.scratch_ops);
         let mut frames = std::mem::take(&mut self.scratch_frames);
+        // Each head slot starts one frame, passed on or dropped.
+        let mut heads = 0;
         'drain: while pending.len() < budget {
             let head = match self.consume_tx(hv, q)? {
                 Some(r) => r,
                 None => break,
             };
+            heads += 1;
             // A traced request rides its (head) ring slot into the drain.
             let key = (q as u64) << 32 | head.id as u64;
             if let Some(r) = hv.req.take(SlotClass::NetTx, key) {
@@ -601,12 +610,11 @@ impl NetbackInstance {
         let page = hv.mem.page_mut(qu.tx.page)?;
         batch.notify = qu.tx.ring.push_responses(page);
         batch.more = qu.tx.ring.final_check_for_requests(page);
+        let delivered = batch.frames.len() - already;
+        batch.dropped = heads - delivered;
         if !pending.is_empty() {
-            let (consumed, delivered, notify) = (
-                pending.len() as u32,
-                (batch.frames.len() - already) as u32,
-                batch.notify,
-            );
+            let (consumed, delivered, notify) =
+                (pending.len() as u32, delivered as u32, batch.notify);
             hv.trace.emit_with(self.back.0, || EventKind::RingDrain {
                 queue: "netback_tx",
                 qid: q as u16,
@@ -707,6 +715,7 @@ impl NetbackInstance {
             if !self.gso && front_len > PAGE_SIZE {
                 self.queues[q].to_guest.pop_front();
                 self.stats.rx_dropped += 1;
+                batch.dropped += 1;
                 continue;
             }
             let nfrags = front_len.div_ceil(PAGE_SIZE).max(1);
@@ -780,6 +789,7 @@ impl NetbackInstance {
                 batch.delivered += 1;
             } else {
                 self.stats.rx_dropped += 1;
+                batch.dropped += 1;
             }
         }
 

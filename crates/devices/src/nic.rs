@@ -26,8 +26,10 @@ use crate::Device;
 /// ```
 /// use kite_devices::{LineRate, Nic, NicProfile};
 /// use kite_sim::Nanos;
-/// let nic = Nic::with_profile(NicProfile::default().with_line_rate(LineRate::Gbe25));
-/// assert_eq!(nic.irq_coalesce, Nanos::from_micros(10));
+/// let profile = NicProfile::default().with_line_rate(LineRate::Gbe25);
+/// assert_eq!(profile.irq_coalesce, Nanos::from_micros(10));
+/// let nic = Nic::with_profile(profile);
+/// assert_eq!(nic.link.rate_bps, LineRate::Gbe25.bps());
 /// ```
 #[derive(Clone, Debug)]
 pub struct NicProfile {
@@ -177,14 +179,7 @@ impl RxRing<'_> {
 pub struct Nic {
     /// Wire-facing transmit side.
     pub link: Link,
-    /// Per-frame driver overhead (descriptor write, doorbell, DMA setup).
-    pub per_frame_tx: Nanos,
-    /// Extra per-wire-segment overhead when TSO cuts a super-frame.
-    pub per_seg_tx: Nanos,
-    /// Interrupt moderation window (82599 ITR default ≈ 20 µs at 10GbE).
-    pub irq_coalesce: Nanos,
-    /// Receive ring capacity in frames (per ring).
-    pub rx_queue_frames: usize,
+    profile: NicProfile,
     rings: Vec<RxRingState>,
     rx_dropped: u64,
 }
@@ -202,11 +197,8 @@ impl Nic {
         link.queue_bytes = profile.tx_queue_bytes;
         Nic {
             link,
-            per_seg_tx: profile.per_seg_tx,
-            per_frame_tx: profile.per_frame_tx,
-            irq_coalesce: profile.irq_coalesce,
-            rx_queue_frames: profile.rx_queue_frames,
             rings: vec![RxRingState::default(); profile.rx_queues.max(1) as usize],
+            profile,
             rx_dropped: 0,
         }
     }
@@ -216,7 +208,7 @@ impl Nic {
     /// segment the super-frame resolves to. `wire_bytes` already
     /// includes the replicated headers and per-segment overhead.
     pub fn transmit_segs(&mut self, now: Nanos, wire_bytes: u64, segs: u32) -> TxOutcome {
-        let cost = self.per_frame_tx + self.per_seg_tx * segs as u64;
+        let cost = self.profile.per_frame_tx + self.profile.per_seg_tx * segs as u64;
         self.link.transmit(now + cost, wire_bytes)
     }
 
@@ -225,7 +217,7 @@ impl Nic {
     pub fn rx_enqueue(&mut self, now: Nanos, frame: Vec<u8>) -> RxIrq {
         let k = kite_net::flow::steer(&frame, self.rings.len() as u32) as usize;
         let ring = &mut self.rings[k];
-        if ring.frames.len() >= self.rx_queue_frames {
+        if ring.frames.len() >= self.profile.rx_queue_frames {
             self.rx_dropped += 1;
             return RxIrq::Dropped;
         }
@@ -235,7 +227,7 @@ impl Nic {
         }
         ring.irq_pending = true;
         RxIrq::FireAt {
-            at: (ring.last_irq + self.irq_coalesce).max(now),
+            at: (ring.last_irq + self.profile.irq_coalesce).max(now),
             ring: k as u16,
         }
     }
@@ -244,7 +236,7 @@ impl Nic {
     pub fn rx(&mut self, k: usize) -> RxRing<'_> {
         RxRing {
             ring: &mut self.rings[k],
-            irq_coalesce: self.irq_coalesce,
+            irq_coalesce: self.profile.irq_coalesce,
         }
     }
 
@@ -310,7 +302,7 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(nic25.irq_coalesce, Nanos::from_micros(10));
+        assert_eq!(nic25.profile.irq_coalesce, Nanos::from_micros(10));
         let nic100 = Nic::with_profile(NicProfile::default().with_line_rate(LineRate::Gbe100));
         assert_eq!(nic100.link.rate_bps, LineRate::Gbe100.bps());
     }
@@ -357,7 +349,7 @@ mod tests {
     #[test]
     fn queue_overflow_drops() {
         let mut nic = Nic::ten_gbe();
-        nic.rx_queue_frames = 2;
+        nic.profile.rx_queue_frames = 2;
         assert!(matches!(
             nic.rx_enqueue(Nanos::ZERO, vec![1]),
             RxIrq::FireAt { .. }
@@ -380,7 +372,7 @@ mod tests {
         assert_eq!(nic.rx_backlog(), 6);
         // Re-arm schedules a moderated IRQ for the backlog.
         let fire = nic.rx(0).rearm_irq(t0).unwrap();
-        assert_eq!(fire, t0 + nic.irq_coalesce);
+        assert_eq!(fire, t0 + nic.profile.irq_coalesce);
         // Double re-arm is suppressed.
         assert_eq!(nic.rx(0).rearm_irq(t0), None);
     }
@@ -466,7 +458,7 @@ mod tests {
         let t1 = t0 + Nanos::from_micros(1);
         assert_eq!(
             nic.rx_enqueue(t1, fa.clone()),
-            fire(t0 + nic.irq_coalesce, ra)
+            fire(t0 + nic.profile.irq_coalesce, ra)
         );
         assert_eq!(nic.rx_enqueue(t1, fb.clone()), fire(t1, rb));
         // Draining B leaves A's pending interrupt and backlog alone.
@@ -475,8 +467,11 @@ mod tests {
         assert_eq!(nic.rx(rb as usize).rearm_irq(t1), None, "B is empty");
         assert_eq!(nic.rx_backlog(), 1);
         // The capacity is per ring too.
-        nic.rx_queue_frames = 1;
-        assert_eq!(nic.rx_enqueue(t1, fb), fire(t1 + nic.irq_coalesce, rb));
+        nic.profile.rx_queue_frames = 1;
+        assert_eq!(
+            nic.rx_enqueue(t1, fb),
+            fire(t1 + nic.profile.irq_coalesce, rb)
+        );
         assert_eq!(nic.rx_enqueue(t1, fa), RxIrq::Dropped);
         assert_eq!(nic.rx_dropped(), 1);
     }
@@ -502,7 +497,7 @@ mod tests {
     #[test]
     fn one_ring_nic_is_the_single_queue_model() {
         let mut nic = Nic::ten_gbe();
-        let itr = nic.irq_coalesce;
+        let itr = nic.profile.irq_coalesce;
         let t0 = Nanos::from_micros(50);
         let frames: Vec<Vec<u8>> = (0..6).map(|p| flow_frame(1200 + p, 1).0).collect();
         assert_eq!(nic.rx_enqueue(t0, frames[0].clone()), fire(t0, 0));

@@ -21,6 +21,9 @@ pub mod slo;
 pub mod top;
 
 pub use heartbeat::HeartbeatPublisher;
-pub use monitor::{DetectionMode, HealthMonitor, HealthState, MonitorConfig, ProgressSample};
+pub use monitor::{
+    DetectionMode, HealthMonitor, HealthState, ProgressSample, DETECT_BOUND, HEARTBEAT_INTERVAL,
+    PROBE_INTERVAL,
+};
 pub use slo::{BreachAttribution, SloConfig};
 pub use top::{render as render_top, TopRow, TopSnapshot};

@@ -7,12 +7,12 @@
 //!    [`heartbeat`] key and counts a miss when the value
 //!    did not increase since the previous probe (presence is not enough:
 //!    xenstored keeps a dead domain's last beat). Consecutive misses walk
-//!    `Healthy → Suspect(missed=k)`; at `miss_threshold` misses the
+//!    `Healthy → Suspect(missed=k)`; at [`MISS_THRESHOLD`] misses the
 //!    verdict is `Failed`. This catches crashes, which stop the beat loop.
 //! 2. **Ring progress** — the system layer hands each probe a
 //!    [`ProgressSample`] of the backend's request-consumer watermark. A
 //!    ring with pending requests whose consumer has not moved for
-//!    `stall_probes` consecutive probes is declared `Failed` too. This
+//!    [`STALL_PROBES`] consecutive probes is declared `Failed` too. This
 //!    catches livelocks (`Fault::Hang` in `kite-system`) where the domain is
 //!    happily beating but serving nothing.
 //!
@@ -20,14 +20,13 @@
 //! escalating to `Failed` — slow is suspicious, only dead/stuck warrants
 //! a restart.
 //!
-//! Detection latency is bounded: a probe fires at most `probe_interval`
-//! after the failure, and at most `miss_threshold` further probes (one of
-//! which may still observe a pre-failure beat or watermark advance) are
-//! needed for the verdict, so
-//! `detect ≤ probe_interval × (miss_threshold + 1)` — the bound the
-//! recovery tests assert. Every state edge emits a
-//! [`EventKind::HealthTransition`] trace event, so Perfetto exports show
-//! suspicion windows as marks on the watcher's track.
+//! Detection latency is bounded: a probe fires at most [`PROBE_INTERVAL`]
+//! after the failure, and at most [`MISS_THRESHOLD`] further probes (one
+//! of which may still observe a pre-failure beat or watermark advance)
+//! are needed for the verdict, so detection takes at most
+//! [`DETECT_BOUND`] — the bound the recovery tests assert. Every state
+//! edge emits a [`EventKind::HealthTransition`] trace event, so Perfetto
+//! exports show suspicion windows as marks on Dom0's track.
 
 use kite_sim::Nanos;
 use kite_trace::EventKind;
@@ -57,42 +56,23 @@ impl DetectionMode {
     }
 }
 
-/// Tunables of one monitor instance.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MonitorConfig {
-    /// Virtual time between Dom0 probes.
-    pub probe_interval: Nanos,
-    /// Virtual time between the target's heartbeat publications. Must be
-    /// shorter than `probe_interval` so a healthy target advances its
-    /// beat between any two probes.
-    pub heartbeat_interval: Nanos,
-    /// Consecutive missed probes before the verdict is `Failed`.
-    pub miss_threshold: u32,
-    /// Consecutive no-progress probes (with requests pending) before the
-    /// verdict is `Failed`.
-    pub stall_probes: u32,
-}
+/// Virtual time between Dom0 probes.
+pub const PROBE_INTERVAL: Nanos = Nanos::from_millis(500);
 
-impl Default for MonitorConfig {
-    fn default() -> MonitorConfig {
-        let probe_interval = Nanos::from_millis(500);
-        MonitorConfig {
-            probe_interval,
-            // Two beats per probe window: one missed write (e.g. an
-            // injected xenstore fault) does not fake a dead domain.
-            heartbeat_interval: Nanos(probe_interval.0 / 2),
-            miss_threshold: 3,
-            stall_probes: 3,
-        }
-    }
-}
+/// Virtual time between the target's heartbeat publications: two beats
+/// per probe window, so one missed write (e.g. an injected xenstore
+/// fault) does not fake a dead domain.
+pub const HEARTBEAT_INTERVAL: Nanos = Nanos(PROBE_INTERVAL.0 / 2);
 
-impl MonitorConfig {
-    /// Worst-case detection latency: `probe_interval × (miss_threshold + 1)`.
-    pub fn detect_bound(&self) -> Nanos {
-        self.probe_interval * (self.miss_threshold as u64 + 1)
-    }
-}
+/// Consecutive missed probes before the verdict is `Failed`.
+pub const MISS_THRESHOLD: u32 = 3;
+
+/// Consecutive no-progress probes (with requests pending) before the
+/// verdict is `Failed`.
+pub const STALL_PROBES: u32 = 3;
+
+/// Worst-case detection latency: `PROBE_INTERVAL × (MISS_THRESHOLD + 1)`.
+pub const DETECT_BOUND: Nanos = Nanos(PROBE_INTERVAL.0 * (MISS_THRESHOLD as u64 + 1));
 
 /// The per-backend verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -144,8 +124,6 @@ pub struct ProgressSample {
 /// Watches one backend domain; see the module docs for the protocol.
 #[derive(Clone, Debug)]
 pub struct HealthMonitor {
-    cfg: MonitorConfig,
-    watcher: DomainId,
     target: DomainId,
     state: HealthState,
     missed: u32,
@@ -160,12 +138,10 @@ pub struct HealthMonitor {
 }
 
 impl HealthMonitor {
-    /// A monitor run by `watcher` (Dom0) over `target`, created at
-    /// virtual time `now` in the `Healthy` state.
-    pub fn new(watcher: DomainId, target: DomainId, cfg: MonitorConfig, now: Nanos) -> Self {
+    /// A monitor run by Dom0 over `target`, created at virtual time
+    /// `now` in the `Healthy` state.
+    pub fn new(target: DomainId, now: Nanos) -> Self {
         HealthMonitor {
-            cfg,
-            watcher,
             target,
             state: HealthState::Healthy,
             missed: 0,
@@ -186,11 +162,6 @@ impl HealthMonitor {
         self.state
     }
 
-    /// The monitor's tunables.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.cfg
-    }
-
     /// Virtual time since the last observed beat *advance*.
     pub fn heartbeat_age(&self, now: Nanos) -> Nanos {
         now.saturating_sub(self.beat_seen_at)
@@ -209,12 +180,12 @@ impl HealthMonitor {
     }
 
     /// Runs one probe at virtual time `now`: reads the heartbeat key as
-    /// the watcher, folds in one ring-progress sample *per backend
-    /// queue* and the SLO verdict, and returns the new state.
+    /// Dom0, folds in one ring-progress sample *per backend queue* and the
+    /// SLO verdict, and returns the new state.
     ///
     /// Stall detection is per queue: each queue's consumer watermark is
     /// compared against the previous probe's, and **any** queue frozen
-    /// with pending work for `stall_probes` consecutive probes fails the
+    /// with pending work for [`STALL_PROBES`] consecutive probes fails the
     /// whole backend. An aggregate sample cannot do this — seven healthy
     /// queues' progress would mask the eighth's wedge indefinitely.
     /// An empty `samples` skips the stall check for this probe (counters
@@ -228,7 +199,7 @@ impl HealthMonitor {
     ) -> HealthState {
         // 1. Heartbeat: alive means the counter advanced since the last
         // probe (or this is the first observation of a value).
-        let (read, _cost) = hv.xs_read(self.watcher, &heartbeat::key(self.target));
+        let (read, _cost) = hv.xs_read(DomainId::DOM0, &heartbeat::key(self.target));
         let beat_ok = match read.ok().and_then(|v| v.parse::<u64>().ok()) {
             Some(b) => {
                 let advanced = self.last_beat.is_none_or(|prev| b > prev);
@@ -264,9 +235,9 @@ impl HealthMonitor {
         }
         let worst_stall = self.stalled.iter().copied().max().unwrap_or(0);
         // 3. Verdict, hardest evidence first.
-        let (next, cause) = if self.missed >= self.cfg.miss_threshold {
+        let (next, cause) = if self.missed >= MISS_THRESHOLD {
             (HealthState::Failed, "heartbeat")
-        } else if worst_stall >= self.cfg.stall_probes {
+        } else if worst_stall >= STALL_PROBES {
             (HealthState::Failed, "stall")
         } else if self.missed > 0 {
             (
@@ -292,7 +263,7 @@ impl HealthMonitor {
         }
         let (watched, missed) = (self.target.0, self.missed);
         hv.trace
-            .emit_with(self.watcher.0, || EventKind::HealthTransition {
+            .emit_with(DomainId::DOM0.0, || EventKind::HealthTransition {
                 watched,
                 state: next.name(),
                 cause,
@@ -310,9 +281,9 @@ mod tests {
 
     fn setup() -> (Hypervisor, DomainId, HealthMonitor, HeartbeatPublisher) {
         let mut hv = Hypervisor::new();
-        let d0 = hv.create_domain("Domain-0", DomainKind::Dom0, 512, 1);
+        hv.create_domain("Domain-0", DomainKind::Dom0, 512, 1);
         let dd = hv.create_domain("dd", DomainKind::Driver, 128, 1);
-        let mon = HealthMonitor::new(d0, dd, MonitorConfig::default(), Nanos::ZERO);
+        let mon = HealthMonitor::new(dd, Nanos::ZERO);
         (hv, dd, mon, HeartbeatPublisher::new(dd))
     }
 
@@ -557,7 +528,6 @@ mod tests {
 
     #[test]
     fn detect_bound_is_probe_times_threshold_plus_one() {
-        let cfg = MonitorConfig::default();
-        assert_eq!(cfg.detect_bound(), Nanos::from_secs(2));
+        assert_eq!(DETECT_BOUND, Nanos::from_secs(2));
     }
 }

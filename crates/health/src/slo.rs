@@ -1,22 +1,17 @@
 //! Request-latency SLO checks over the simulation's histograms.
 //!
 //! The system layer keeps a [`Histogram`] of per-request latencies for
-//! each backend; on every probe the monitor asks [`breached`] whether the
-//! configured quantile thresholds fail. A breach marks the backend
+//! each backend; on every probe the monitor asks [`breached`] whether its
+//! p99 exceeds the configured threshold. A breach marks the backend
 //! [`Suspect`](crate::HealthState::Suspect) (never `Failed` — slow is not
-//! dead). All three quantiles come from one bucket walk via
-//! [`Histogram::quantiles`].
+//! dead).
 
 use kite_sim::{Histogram, Nanos};
 use kite_trace::{ReqTracer, Stage};
 
-/// Latency thresholds; `None` disables that quantile's check.
+/// The latency threshold; `None` disables the check.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SloConfig {
-    /// Median must stay at or under this.
-    pub p50: Option<Nanos>,
-    /// 95th percentile must stay at or under this.
-    pub p95: Option<Nanos>,
     /// 99th percentile must stay at or under this.
     pub p99: Option<Nanos>,
     /// Quantiles of fewer samples than this are noise, not a breach.
@@ -26,21 +21,17 @@ pub struct SloConfig {
 impl Default for SloConfig {
     fn default() -> SloConfig {
         SloConfig {
-            p50: None,
-            p95: None,
             p99: None,
             min_samples: 16,
         }
     }
 }
 
-/// Whether `hist` breaches `cfg`: some configured quantile exceeds its
-/// threshold, with at least `min_samples` behind it. One histogram pass.
+/// Whether `hist` breaches `cfg`: its p99 exceeds an armed threshold,
+/// with at least `min_samples` behind it. An unarmed SLO reads nothing.
 pub fn breached(hist: &Histogram, cfg: &SloConfig) -> bool {
-    let qs = hist.quantiles(&[0.5, 0.95, 0.99]);
-    let over = |limit: Option<Nanos>, got: Nanos| limit.is_some_and(|l| got > l);
-    hist.count() >= cfg.min_samples
-        && (over(cfg.p50, qs[0]) || over(cfg.p95, qs[1]) || over(cfg.p99, qs[2]))
+    cfg.p99
+        .is_some_and(|limit| hist.count() >= cfg.min_samples && hist.quantile(0.99) > limit)
 }
 
 /// Which stage a latency breach books to: the one whose own p99 is the
@@ -143,9 +134,8 @@ mod tests {
             h.record(Nanos::from_millis(50));
         }
         let cfg = SloConfig {
-            p50: Some(Nanos(1)),
+            p99: Some(Nanos(1)),
             min_samples: 16,
-            ..SloConfig::default()
         };
         assert!(!breached(&h, &cfg), "below min_samples");
         for _ in 0..10 {

@@ -34,6 +34,9 @@ pub enum Forward {
 /// `BRIDGE_RTABLE_MAX` (`brconfig maxaddr`).
 pub const BRIDGE_RTABLE_MAX: usize = 100;
 
+/// Forwarding-database entry lifetime (NetBSD default: 240 s).
+pub const BRIDGE_AGING: Nanos = Nanos::from_secs(240);
+
 #[derive(Clone, Debug)]
 struct FdbEntry {
     port: BridgePort,
@@ -48,8 +51,6 @@ pub struct Bridge {
     next_port: u32,
     /// Learned addresses, at most [`BRIDGE_RTABLE_MAX`].
     fdb: Vec<(MacAddr, FdbEntry)>,
-    /// FDB entry lifetime (NetBSD default: 240 s).
-    pub aging: Nanos,
 }
 
 impl Bridge {
@@ -60,7 +61,6 @@ impl Bridge {
             ports: Vec::new(),
             next_port: 0,
             fdb: Vec::new(),
-            aging: Nanos::from_secs(240),
         }
     }
 
@@ -108,7 +108,7 @@ impl Bridge {
     /// Learns (or migrates) `mac` on `port`, as `bridge_rtupdate` does:
     /// a known address is refreshed in place; a new one is added while
     /// the table has room. A full table first drops the entries older
-    /// than [`aging`](Self::aging) — what `bridge(4)`'s periodic ager
+    /// than [`BRIDGE_AGING`] — what `bridge(4)`'s periodic ager
     /// would already have removed — and if it is still full the address
     /// is not learned (`ENOSPC`): frames to it flood.
     fn learn(&mut self, port: BridgePort, mac: MacAddr, now: Nanos) {
@@ -121,9 +121,8 @@ impl Bridge {
             return;
         }
         if self.fdb.len() >= BRIDGE_RTABLE_MAX {
-            let aging = self.aging;
             self.fdb
-                .retain(|(_, e)| now.saturating_sub(e.last_seen) < aging);
+                .retain(|(_, e)| now.saturating_sub(e.last_seen) < BRIDGE_AGING);
         }
         if self.fdb.len() < BRIDGE_RTABLE_MAX {
             self.fdb.push((mac, entry));
@@ -143,7 +142,7 @@ impl Bridge {
         self.fdb
             .iter()
             .find(|(m, _)| *m == mac)
-            .filter(|(_, e)| now.saturating_sub(e.last_seen) < self.aging)
+            .filter(|(_, e)| now.saturating_sub(e.last_seen) < BRIDGE_AGING)
             .map(|(_, e)| e.port)
     }
 }
@@ -273,9 +272,9 @@ mod tests {
             b.input(p0, station, mac(9_999), t),
             Forward::Flood(vec![p1])
         );
-        // Once the flood's entries are older than `aging`, a new source
+        // Once the flood's entries are older than `BRIDGE_AGING`, a new source
         // is learned again; the two refreshed at `t` stay.
-        let later = Nanos(200) + b.aging;
+        let later = Nanos(200) + BRIDGE_AGING;
         b.input(p1, mac(20_000), MacAddr::BROADCAST, later);
         assert_eq!(b.lookup(mac(20_000), later), Some(p1));
         assert_eq!(b.lookup(station, later), Some(p0));

@@ -27,52 +27,28 @@ pub const RSS_KEY: [u8; 40] = [
 /// input bit needs the 32 key bits that follow it.
 const TOEPLITZ_MAX_INPUT: usize = RSS_KEY.len() - 4;
 
-/// [`RSS_KEY`]'s Toeplitz hash precomputed per input byte position:
-/// `TOEPLITZ[i][b]` is the hash contribution of byte value `b` at
-/// position `i`, so hashing XORs one entry per byte instead of one key
-/// window per set bit.
-static TOEPLITZ: [[u32; 256]; TOEPLITZ_MAX_INPUT] = toeplitz_tables(&RSS_KEY);
-
-/// Builds [`TOEPLITZ`] at compile time.
-const fn toeplitz_tables(key: &[u8; 40]) -> [[u32; 256]; TOEPLITZ_MAX_INPUT] {
-    let mut table = [[0u32; 256]; TOEPLITZ_MAX_INPUT];
-    let mut i = 0;
-    while i < TOEPLITZ_MAX_INPUT {
-        // The 40 key bits from bit 8i on: the window of input bit
-        // 8i + j is the 32 of them starting j bits in.
-        let mut bits = 0u64;
-        let mut k = 0;
-        while k < 5 {
-            bits = (bits << 8) | key[i + k] as u64;
-            k += 1;
-        }
-        let mut b = 0;
-        while b < 256 {
-            let mut hash = 0u32;
-            let mut j = 0;
-            while j < 8 {
-                if (b >> (7 - j)) & 1 == 1 {
-                    hash ^= (bits >> (8 - j)) as u32;
-                }
-                j += 1;
-            }
-            table[i][b] = hash;
-            b += 1;
-        }
-        i += 1;
-    }
-    table
-}
-
 /// The Toeplitz hash of `data` under [`RSS_KEY`]: for every set bit of
 /// the input (most-significant first), the 32-bit window of the key
 /// starting at that bit position is XORed into the result. `data` may
 /// be at most 36 bytes.
 fn toeplitz(data: &[u8]) -> u32 {
     debug_assert!(data.len() <= TOEPLITZ_MAX_INPUT, "key too short for input");
-    data.iter()
-        .zip(&TOEPLITZ)
-        .fold(0, |hash, (&b, row)| hash ^ row[b as usize])
+    // 64-bit shift register: the top 32 bits are the current key window.
+    let (head, tail) = RSS_KEY.split_at(8);
+    let mut reg = u64::from_be_bytes(head.try_into().expect("8 bytes"));
+    let mut hash = 0u32;
+    for (i, &b) in data.iter().enumerate() {
+        for bit in (0..8).rev() {
+            if (b >> bit) & 1 == 1 {
+                hash ^= (reg >> 32) as u32;
+            }
+            reg <<= 1;
+        }
+        // The byte's 8 shifts cleared the low 8 bits; refill them with
+        // the next key byte so the window keeps sliding.
+        reg |= u64::from(tail.get(i).copied().unwrap_or(0));
+    }
+    hash
 }
 
 /// The flow hash of a raw Ethernet frame.
@@ -122,32 +98,6 @@ mod tests {
     use crate::udp::UdpDatagram;
     use std::net::Ipv4Addr;
 
-    use kite_sim::Pcg;
-
-    /// The hash as its definition reads: for each set input bit, XOR in
-    /// the 32-bit key window starting there. The tables must agree.
-    fn toeplitz_bitwise(key: &[u8], data: &[u8]) -> u32 {
-        // 64-bit shift register: the top 32 bits are the current key window.
-        let mut reg = u64::from_be_bytes(key[..8].try_into().expect("key >= 8 bytes"));
-        let mut next_key_byte = 8;
-        let mut hash = 0u32;
-        for &b in data {
-            for bit in (0..8).rev() {
-                if (b >> bit) & 1 == 1 {
-                    hash ^= (reg >> 32) as u32;
-                }
-                reg <<= 1;
-            }
-            // The byte's 8 shifts cleared the low 8 bits; refill them with
-            // the next key byte so the window keeps sliding.
-            if next_key_byte < key.len() {
-                reg |= key[next_key_byte] as u64;
-                next_key_byte += 1;
-            }
-        }
-        hash
-    }
-
     /// The published Microsoft RSS verification suite (IPv4): source,
     /// destination, then the hash of the address pair and of the
     /// 4-tuple.
@@ -196,30 +146,6 @@ mod tests {
             input[10..].copy_from_slice(&dst.port().to_be_bytes());
             for (data, want) in [(&input[..8], ip_hash), (&input[..], tuple_hash)] {
                 assert_eq!(toeplitz(data), want, "{data:?}");
-                assert_eq!(toeplitz_bitwise(&RSS_KEY, data), want, "{data:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn toeplitz_tables_match_the_bitwise_hash_at_every_length() {
-        let mut rng = Pcg::seeded(0x7e0b);
-        let mut data = [0u8; TOEPLITZ_MAX_INPUT];
-        for len in 0..=TOEPLITZ_MAX_INPUT {
-            for _ in 0..64 {
-                for b in &mut data[..len] {
-                    *b = rng.index(256) as u8;
-                }
-                let data = &data[..len];
-                assert_eq!(toeplitz(data), toeplitz_bitwise(&RSS_KEY, data), "{data:?}");
-            }
-        }
-        // Every byte value at every position, alone.
-        for i in 0..TOEPLITZ_MAX_INPUT {
-            for b in 0..=255u8 {
-                let mut one = [0u8; TOEPLITZ_MAX_INPUT];
-                one[i] = b;
-                assert_eq!(toeplitz(&one), toeplitz_bitwise(&RSS_KEY, &one));
             }
         }
     }

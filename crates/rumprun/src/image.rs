@@ -2,7 +2,7 @@
 //!
 //! A Kite VM image is a static link of exactly the components one driver
 //! domain needs — the paper's Figure 4b measures the result at roughly a
-//! tenth of a Linux kernel + modules. The builder below assembles images
+//! tenth of a Linux kernel + modules. The images below are assembled
 //! from a component catalog, accumulating the bytes each pulls in; the
 //! syscall surface (Figure 4a) is [`crate::syscalls`]'s.
 
@@ -56,34 +56,13 @@ pub struct Image {
     pub total_bytes: u64,
 }
 
-/// Accumulates components into an [`Image`].
-#[derive(Default)]
-pub struct ImageBuilder {
-    name: String,
-    components: Vec<Component>,
-}
-
-impl ImageBuilder {
-    /// Starts an image.
-    pub fn new(name: impl Into<String>) -> ImageBuilder {
-        ImageBuilder {
-            name: name.into(),
-            components: Vec::new(),
-        }
-    }
-
-    /// Adds a component.
-    pub fn component(mut self, c: Component) -> ImageBuilder {
-        self.components.push(c);
-        self
-    }
-
-    /// Links the image.
-    pub fn build(self) -> Image {
-        let total_bytes = self.components.iter().map(|c| c.size_bytes).sum();
+impl Image {
+    /// Links `components` into an image named `name`.
+    pub fn new(name: impl Into<String>, components: Vec<Component>) -> Image {
+        let total_bytes = components.iter().map(|c| c.size_bytes).sum();
         Image {
-            name: self.name,
-            components: self.components,
+            name: name.into(),
+            components,
             total_bytes,
         }
     }
@@ -105,71 +84,37 @@ fn base_components() -> Vec<Component> {
 
 /// The Kite **network** driver-domain image (≈21 MiB, per Figure 4b).
 pub fn kite_network_image() -> Image {
-    let mut b = ImageBuilder::new("netbackend");
-    for c in base_components() {
-        b = b.component(c);
-    }
-    b.component(Component::new(
-        "net-faction",
-        ComponentKind::Faction,
-        3 * MIB,
-    ))
-    .component(Component::new(
-        "tcpip-stack",
-        ComponentKind::Library,
-        2560 * KIB,
-    ))
-    .component(Component::new(
-        "bpf+if-framework",
-        ComponentKind::Faction,
-        1536 * KIB,
-    ))
-    .component(Component::new(
-        "ixg(4) 82599 driver",
-        ComponentKind::Driver,
-        6 * MIB,
-    ))
-    .component(Component::new("bridge(4)", ComponentKind::Driver, MIB))
-    .component(Component::new("netback", ComponentKind::Kite, 140 * KIB))
-    .component(Component::new(
-        "bridging app + ifconfig/brconfig",
-        ComponentKind::Kite,
-        512 * KIB,
-    ))
-    .component(Component::new("pci+intr glue", ComponentKind::Driver, MIB))
-    .build()
+    let mut components = base_components();
+    components.extend([
+        Component::new("net-faction", ComponentKind::Faction, 3 * MIB),
+        Component::new("tcpip-stack", ComponentKind::Library, 2560 * KIB),
+        Component::new("bpf+if-framework", ComponentKind::Faction, 1536 * KIB),
+        Component::new("ixg(4) 82599 driver", ComponentKind::Driver, 6 * MIB),
+        Component::new("bridge(4)", ComponentKind::Driver, MIB),
+        Component::new("netback", ComponentKind::Kite, 140 * KIB),
+        Component::new(
+            "bridging app + ifconfig/brconfig",
+            ComponentKind::Kite,
+            512 * KIB,
+        ),
+        Component::new("pci+intr glue", ComponentKind::Driver, MIB),
+    ]);
+    Image::new("netbackend", components)
 }
 
 /// The Kite **storage** driver-domain image (≈20 MiB).
 pub fn kite_storage_image() -> Image {
-    let mut b = ImageBuilder::new("blkbackend");
-    for c in base_components() {
-        b = b.component(c);
-    }
-    b.component(Component::new(
-        "block-faction (vnode)",
-        ComponentKind::Faction,
-        2560 * KIB,
-    ))
-    .component(Component::new("vfs core", ComponentKind::RumpBase, 2 * MIB))
-    .component(Component::new(
-        "nvme(4) driver",
-        ComponentKind::Driver,
-        5 * MIB,
-    ))
-    .component(Component::new("blkback", ComponentKind::Kite, 96 * KIB))
-    .component(Component::new(
-        "block status app",
-        ComponentKind::Kite,
-        384 * KIB,
-    ))
-    .component(Component::new("pci+intr glue", ComponentKind::Driver, MIB))
-    .component(Component::new(
-        "scsipi compat",
-        ComponentKind::Driver,
-        1536 * KIB,
-    ))
-    .build()
+    let mut components = base_components();
+    components.extend([
+        Component::new("block-faction (vnode)", ComponentKind::Faction, 2560 * KIB),
+        Component::new("vfs core", ComponentKind::RumpBase, 2 * MIB),
+        Component::new("nvme(4) driver", ComponentKind::Driver, 5 * MIB),
+        Component::new("blkback", ComponentKind::Kite, 96 * KIB),
+        Component::new("block status app", ComponentKind::Kite, 384 * KIB),
+        Component::new("pci+intr glue", ComponentKind::Driver, MIB),
+        Component::new("scsipi compat", ComponentKind::Driver, 1536 * KIB),
+    ]);
+    Image::new("blkbackend", components)
 }
 
 #[cfg(test)]
@@ -206,11 +151,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_accumulates() {
-        let img = ImageBuilder::new("t")
-            .component(Component::new("a", ComponentKind::Bmk, 100))
-            .component(Component::new("b", ComponentKind::Kite, 50))
-            .build();
+    fn image_sums_its_components() {
+        let img = Image::new(
+            "t",
+            vec![
+                Component::new("a", ComponentKind::Bmk, 100),
+                Component::new("b", ComponentKind::Kite, 50),
+            ],
+        );
         assert_eq!(img.total_bytes, 150);
         assert_eq!(img.components.len(), 2);
     }

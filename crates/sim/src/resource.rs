@@ -12,7 +12,6 @@
 //! propagation latency and a bounded transmit queue. [`IdleWake`] is the
 //! one wake-from-idle formula the driver and guest vCPUs pay.
 
-use crate::sched::Scheduler;
 use crate::time::Nanos;
 
 /// A point-to-point link with a fixed bit rate and propagation latency.
@@ -85,26 +84,6 @@ impl Link {
             departs,
             arrives: departs + self.latency,
         }
-    }
-
-    /// Attempts to transmit a frame of `bytes` at time `now`, scheduling
-    /// an arrival event on `sched` if the frame is accepted.
-    ///
-    /// `arrival` maps the arrival instant to the event payload; it runs
-    /// only on success, so a dropped frame costs no payload construction.
-    /// The returned outcome lets the caller account drops.
-    pub fn transmit_then<E, S: Scheduler<E>>(
-        &mut self,
-        sched: &mut S,
-        now: Nanos,
-        bytes: u64,
-        arrival: impl FnOnce(Nanos) -> E,
-    ) -> TxOutcome {
-        let outcome = self.transmit(now, bytes);
-        if let TxOutcome::Sent { arrives, .. } = outcome {
-            sched.schedule_at(arrives, arrival(arrives));
-        }
-        outcome
     }
 }
 
@@ -437,17 +416,6 @@ mod tests {
         }
         let latest = (0..4).map(|q| pool.free_at(q)).max().unwrap();
         assert_eq!((pool.drained_at(), latest), (Nanos::from_micros(7), latest));
-    }
-
-    #[test]
-    fn transmit_then_schedules_the_arrival() {
-        use crate::sched::{EventSched, SchedulerKind};
-        let mut sched: EventSched<&str> = EventSched::new(SchedulerKind::Wheel);
-        let mut l = Link::new(1_000_000_000, Nanos::from_micros(5), u64::MAX);
-        let tx = l.transmit_then(&mut sched, Nanos::ZERO, 125, |_| "frame-arrives");
-        assert!(matches!(tx, TxOutcome::Sent { .. }));
-        assert_eq!(sched.pop(), Some((Nanos::from_micros(6), "frame-arrives")));
-        assert_eq!(sched.pop(), None);
     }
 
     #[test]

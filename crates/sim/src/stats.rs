@@ -195,8 +195,7 @@ impl Histogram {
     /// [`Histogram::quantile`] would return for that `q`. `qs` need not be
     /// sorted — the walk carries every outstanding target simultaneously,
     /// so the cost is a single pass over the buckets regardless of how
-    /// many quantiles are requested (this is what the SLO tracker calls
-    /// once per probe for p50/p95/p99).
+    /// many quantiles are requested.
     pub fn quantiles(&self, qs: &[f64]) -> Vec<Nanos> {
         let mut out = vec![Nanos(Self::bucket_upper(HIST_BUCKETS - 1)); qs.len()];
         if self.total == 0 {

@@ -9,7 +9,7 @@
 
 use kite_core::BlkbackTuning;
 use kite_devices::{LineRate, NvmeProfile};
-use kite_health::{MonitorConfig, SloConfig};
+use kite_health::SloConfig;
 use kite_sim::SchedulerKind;
 
 use crate::host::{BackendOs, Datapath, Host};
@@ -35,7 +35,7 @@ pub struct SystemConfig {
     pub(crate) os: BackendOs,
     pub(crate) seed: u64,
     pub(crate) queues: u32,
-    pub(crate) watchdog: Option<MonitorConfig>,
+    pub(crate) watchdog: bool,
     pub(crate) slo: Option<SloConfig>,
     pub(crate) tracing: Option<usize>,
     pub(crate) req_tracing: Option<u64>,
@@ -57,7 +57,7 @@ impl SystemConfig {
             os,
             seed,
             queues: 1,
-            watchdog: None,
+            watchdog: false,
             slo: None,
             tracing: None,
             req_tracing: None,
@@ -80,8 +80,8 @@ impl SystemConfig {
 
     /// Enables the active watchdog (heartbeats + Dom0 probes) from time
     /// zero instead of the failure oracle.
-    pub fn watchdog(mut self, cfg: MonitorConfig) -> SystemConfig {
-        self.watchdog = Some(cfg);
+    pub fn watchdog(mut self) -> SystemConfig {
+        self.watchdog = true;
         self
     }
 

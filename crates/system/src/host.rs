@@ -17,7 +17,7 @@ use std::ops::Deref;
 use kite_core::{provision_device, BackendDevice, BackendManager, DeviceLifecycle, RecoveryStats};
 use kite_health::{
     slo, BreachAttribution, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher,
-    MonitorConfig, ProgressSample, SloConfig, TopRow, TopSnapshot,
+    ProgressSample, SloConfig, TopRow, TopSnapshot, HEARTBEAT_INTERVAL, PROBE_INTERVAL,
 };
 use kite_linux::{linux_profile, ubuntu_boot};
 use kite_prof::Phase;
@@ -333,8 +333,8 @@ impl<D: Datapath> Host<D> {
         if let Some(n) = cfg.req_tracing {
             host.hv.req.enable(n, DEFAULT_REQ_CAPACITY);
         }
-        if let Some(mon) = cfg.watchdog {
-            host.enable_watchdog(mon);
+        if cfg.watchdog {
+            host.enable_watchdog();
         }
         if cfg.profiling {
             kite_prof::enable();
@@ -413,14 +413,14 @@ impl<D: Datapath> Host<D> {
     /// Switches failure detection from the oracle to the active
     /// watchdog: the driver domain starts publishing heartbeats and
     /// Dom0 starts probing them (plus ring progress and the SLO).
-    fn enable_watchdog(&mut self, cfg: MonitorConfig) {
+    fn enable_watchdog(&mut self) {
         let now = self.queue.now();
-        self.monitor = Some(HealthMonitor::new(DomainId::DOM0, self.driver, cfg, now));
+        self.monitor = Some(HealthMonitor::new(self.driver, now));
         self.heartbeat = Some(HeartbeatPublisher::new(self.driver));
         self.queue
-            .schedule_at(now + cfg.heartbeat_interval, Event::BeatTick);
+            .schedule_at(now + HEARTBEAT_INTERVAL, Event::BeatTick);
         self.queue
-            .schedule_at(now + cfg.probe_interval, Event::ProbeTick);
+            .schedule_at(now + PROBE_INTERVAL, Event::ProbeTick);
     }
 
     /// Queues on the currently connected backend (0 when down).
@@ -750,10 +750,8 @@ impl<D: Datapath> Host<D> {
                     let _ = hb.beat(&mut self.hv);
                 }
                 if self.watch_live() {
-                    if let Some(mon) = self.monitor.as_ref() {
-                        self.queue
-                            .schedule_at(now + mon.config().heartbeat_interval, Event::BeatTick);
-                    }
+                    self.queue
+                        .schedule_at(now + HEARTBEAT_INTERVAL, Event::BeatTick);
                 }
             }
             Event::ProbeTick => {
@@ -777,13 +775,13 @@ impl<D: Datapath> Host<D> {
                     self.last_breach = slo::attribute(&self.hv.req);
                 }
                 let verdict = mon.probe_queues(&mut self.hv, now, &samples, slo_ok);
-                let interval = mon.config().probe_interval;
                 self.monitor = Some(mon);
                 if verdict.is_failed() {
                     self.detect_failure(now);
                 }
                 if self.watch_live() {
-                    self.queue.schedule_at(now + interval, Event::ProbeTick);
+                    self.queue
+                        .schedule_at(now + PROBE_INTERVAL, Event::ProbeTick);
                 }
             }
         }

@@ -21,8 +21,8 @@ pub use kite_devices::LineRate;
 pub use kite_sim::SchedulerKind;
 
 pub use kite_health::{
-    render_top, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher, MonitorConfig,
-    SloConfig, TopRow, TopSnapshot,
+    render_top, DetectionMode, HealthMonitor, HealthState, HeartbeatPublisher, SloConfig, TopRow,
+    TopSnapshot,
 };
 pub use netsys::{
     addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, UdpPayload, GSO_UDP,

@@ -583,14 +583,11 @@ impl Host<NetPath> {
     /// count even though the simulation moves the aggregate.
     fn client_transmit(&mut self, now: Nanos, frame: Vec<u8>) {
         let (wire_len, _segs) = tso_wire_cost(frame.len());
-        let sent = self
-            .dp
-            .client_link
-            .transmit_then(&mut self.queue, now, wire_len, |_| {
-                Event::Path(NetEvent::WireToServer(frame))
-            });
-        if sent == TxOutcome::Dropped {
-            self.dp.metrics.drops += 1;
+        match self.dp.client_link.transmit(now, wire_len) {
+            TxOutcome::Sent { arrives, .. } => {
+                self.schedule_at(arrives, NetEvent::WireToServer(frame));
+            }
+            TxOutcome::Dropped => self.dp.metrics.drops += 1,
         }
     }
 
@@ -773,6 +770,7 @@ impl Host<NetPath> {
                 .pusher_run_into(&mut self.hv, q, 128, guest_frames)
                 .expect("pusher");
             guest_frames = batch.frames;
+            self.dp.metrics.drops += batch.dropped as u64;
             let done = self.driver_cpus.run_on(
                 q,
                 now,
@@ -812,6 +810,7 @@ impl Host<NetPath> {
         loop {
             let nb = self.backend.device_mut().expect("checked");
             let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
+            self.dp.metrics.drops += batch.dropped as u64;
             let done = self.driver_cpus.run_on(q, now, batch.cost);
             if batch.notify {
                 self.kick_frontend(q, q, done);
@@ -1076,6 +1075,7 @@ mod tests {
     use super::*;
     use crate::BackendOs;
     use kite_net::ether::ETH_HEADER_LEN;
+    use kite_xen::FaultPlan;
 
     /// Every frame an endpoint's stack rejects is a booked drop, whichever
     /// layer rejected it, so "sent = delivered + drops" holds for any
@@ -1148,6 +1148,54 @@ mod tests {
         let m = &sys.dp.metrics;
         assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (1, 1));
         assert_eq!((m.guest_rx_bytes, m.client_rx_bytes), (64, 64));
+    }
+
+    /// 200 datagrams of 512 B sent 20 µs apart from `side` while one
+    /// grant copy in five fails: (delivered, `drops`, netback stats).
+    fn send_through_failing_copies(side: Side) -> (u64, u64, NetbackStats) {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 3).build_net();
+        sys.inject_faults(FaultPlan::seeded(9).with_copy_failures(0.2));
+        let dst = match side {
+            Side::Client => addrs::GUEST,
+            Side::Guest => addrs::CLIENT,
+        };
+        for i in 1..=200 {
+            sys.send_udp_at(
+                Nanos::from_micros(20 * i),
+                side,
+                dst,
+                9999,
+                1234,
+                vec![5; 512],
+            );
+        }
+        sys.run_to_quiescence();
+        let m = &sys.dp.metrics;
+        let delivered = match side {
+            Side::Client => m.guest_rx_msgs,
+            Side::Guest => m.client_rx_msgs,
+        };
+        (delivered, m.drops, sys.netback_stats())
+    }
+
+    /// A frame soft_start loses to a failed copy into the guest's buffer
+    /// is a booked drop: sent = delivered + drops.
+    #[test]
+    fn soft_start_copy_failures_are_booked_drops() {
+        let (delivered, drops, nb) = send_through_failing_copies(Side::Client);
+        assert!(nb.rx_dropped > 0, "the fault plan hit soft_start");
+        assert_eq!(drops, nb.rx_dropped);
+        assert_eq!(delivered + drops, 200);
+    }
+
+    /// A frame the pusher loses to a failed copy out of the guest's
+    /// buffer is a booked drop: sent = delivered + drops.
+    #[test]
+    fn pusher_copy_failures_are_booked_drops() {
+        let (delivered, drops, nb) = send_through_failing_copies(Side::Guest);
+        assert!(nb.tx_errors > 0, "the fault plan hit the pusher");
+        assert_eq!(drops, nb.tx_errors);
+        assert_eq!(delivered + drops, 200);
     }
 
     /// A frame too short to carry an Ethernet header (netback accepts

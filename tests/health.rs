@@ -14,7 +14,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use kite_health::{render_top, HealthState, MonitorConfig, SloConfig};
+use kite_health::{render_top, HealthState, SloConfig, DETECT_BOUND};
 use kite_sim::Nanos;
 use kite_system::{
     addrs, scenario, BackendOs, DetectionMode, Fault, IoKind, IoOp, NetSystem, Side, SystemConfig,
@@ -28,7 +28,7 @@ const MSGS: u64 = 120;
 fn net_watchdog(os: BackendOs, seed: u64) -> (NetSystem, Rc<RefCell<u64>>) {
     let mut sys = SystemConfig::new(os, seed)
         .tracing(1 << 16)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         .build_net();
     let received: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     let r2 = received.clone();
@@ -43,7 +43,7 @@ fn net_watchdog(os: BackendOs, seed: u64) -> (NetSystem, Rc<RefCell<u64>>) {
 /// The paper-facing guarantee: with no oracle, a killed driver domain is
 /// still detected (via missed heartbeats), recovered, and no
 /// acknowledged frame is lost — and the detection latency is positive
-/// yet bounded by `probe_interval × (miss_threshold + 1)`.
+/// yet bounded by `DETECT_BOUND`.
 #[test]
 fn net_watchdog_detects_kill_within_bound() {
     for os in BackendOs::both() {
@@ -65,7 +65,7 @@ fn net_watchdog_detects_kill_within_bound() {
             .expect("kill and detect milestones present");
         assert!(span > Nanos::ZERO, "{}: detection takes time", os.name());
         assert!(
-            span <= MonitorConfig::default().detect_bound(),
+            span <= DETECT_BOUND,
             "{}: detection latency {span:?} exceeds the probe-schedule bound",
             os.name()
         );
@@ -107,7 +107,7 @@ fn net_watchdog_detects_hang_via_ring_stall() {
             .expect("hang and detect milestones present");
         assert!(span > Nanos::ZERO, "{}", os.name());
         assert!(
-            span <= MonitorConfig::default().detect_bound(),
+            span <= DETECT_BOUND,
             "{}: stall detection latency {span:?} out of bound",
             os.name()
         );
@@ -124,7 +124,7 @@ fn hung_four_queue_driver_books_every_rings_frames_as_dropped() {
     let mut sys = SystemConfig::new(BackendOs::Kite, 42)
         .queues(QUEUES)
         .tracing(1 << 16)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         .build_net();
     // One client→guest flow per NIC ring (the hash covers addresses and
     // ports only, so any MAC pair stands in).
@@ -208,7 +208,7 @@ fn stor_watchdog_detects_kill_and_hang() {
         for hang in [false, true] {
             let mut sys = SystemConfig::new(os, 42)
                 .tracing(1 << 16)
-                .watchdog(MonitorConfig::default())
+                .watchdog()
                 .build_stor();
             const WRITES: u64 = 50;
             sys.set_handler(Box::new(|_, done| {
@@ -254,7 +254,7 @@ fn stor_watchdog_detects_kill_and_hang() {
                 .expect("fault and detect milestones present");
             assert!(span > Nanos::ZERO, "{}/{label}", os.name());
             assert!(
-                span <= MonitorConfig::default().detect_bound(),
+                span <= DETECT_BOUND,
                 "{}/{label}: detection latency {span:?} out of bound",
                 os.name()
             );
@@ -405,12 +405,11 @@ fn kitetop_driver_row_reads_blkback_stats_on_four_rings() {
 fn slo_breach_marks_backend_suspect() {
     let mut sys = SystemConfig::new(BackendOs::Kite, 42)
         .tracing(1 << 16)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         // Any measured RTT busts a 1 ns p99 budget.
         .slo(SloConfig {
             p99: Some(Nanos(1)),
             min_samples: 1,
-            ..SloConfig::default()
         })
         .build_net();
     for i in 0..8u64 {
@@ -445,7 +444,7 @@ fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
     let mut sys = SystemConfig::new(BackendOs::Kite, 42)
         .queues(4)
         .tracing(1 << 16)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         .build_net();
     let received: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     let r2 = received.clone();
@@ -489,7 +488,7 @@ fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
         .expect("wedge and detect milestones present");
     assert!(span > Nanos::ZERO, "detection takes time");
     assert!(
-        span <= MonitorConfig::default().detect_bound(),
+        span <= DETECT_BOUND,
         "stall detection latency {span:?} out of bound"
     );
 }

@@ -129,7 +129,6 @@ fn storage_correct_with_all_optimizations_off() {
         batching: false,
         persistent_grants: false,
         indirect_segments: false,
-        persistent_cap: 0,
     };
     let mut sys = kite::system::SystemConfig::new(BackendOs::Kite, 5)
         .tuning(tuning)

@@ -72,7 +72,7 @@ const OBSERVED: &[(&str, &str)] = &[
     ("FaultPlan::with_xs_failures", "arms xenstore op failures"),
     // observation points
     (
-        "MonitorConfig::detect_bound",
+        "monitor::DETECT_BOUND",
         "the bound watchdog tests hold detection to",
     ),
     (

@@ -10,10 +10,11 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use kite_health::DETECT_BOUND;
 use kite_sim::Nanos;
 use kite_system::{
-    scenario, BackendOs, BlkPath, Datapath, Fault, Host, IoKind, IoOp, MonitorConfig, NetPath,
-    NetSystem, StorSystem, SystemConfig,
+    scenario, BackendOs, BlkPath, Datapath, Fault, Host, IoKind, IoOp, NetPath, NetSystem,
+    StorSystem, SystemConfig,
 };
 
 /// Kill the driver domain mid-UDP-stream. Every frame the guest's send
@@ -374,7 +375,7 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
     let mut sys: Host<D> = SystemConfig::new(os, 42)
         .queues(queues)
         .tracing(1 << 16)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         .build();
     load(&mut sys);
     let at = Nanos::from_secs(2);
@@ -421,7 +422,7 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
     assert_eq!(lat, Some(detect - at), "{label}: stats and trace agree");
     assert!(lat.unwrap() > Nanos::ZERO, "{label}: detection takes time");
     assert!(
-        lat.unwrap() <= MonitorConfig::default().detect_bound(),
+        lat.unwrap() <= DETECT_BOUND,
         "{label}: detection latency {lat:?} exceeds the probe-schedule bound"
     );
     assert_eq!(sys.recovery.downtime, reconnect - at, "{label}: downtime");
@@ -449,7 +450,7 @@ fn every_fault_recovers_the_same_way_on_both_datapaths() {
 fn wedge_after_recovered_kill_books_only_its_own_downtime() {
     let mut sys = SystemConfig::new(BackendOs::Kite, 42)
         .tracing(1 << 16)
-        .watchdog(MonitorConfig::default())
+        .watchdog()
         .build_net();
     net_load(&mut sys);
     let (kill, wedge) = (Nanos::from_secs(2), Nanos::from_secs(20));

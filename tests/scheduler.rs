@@ -6,7 +6,7 @@
 //! only admissible with this proof.
 
 use kite::sim::{EventQueue, Nanos, Pcg, Scheduler, SchedulerKind, TimerWheel};
-use kite::system::{addrs, scenario, BackendOs, Fault, MonitorConfig, Side, SystemConfig};
+use kite::system::{addrs, scenario, BackendOs, Fault, Side, SystemConfig};
 
 /// Full observable state of a finished net run: virtual end time, event
 /// count, the Chrome trace bytes and the rendered metrics JSON.
@@ -83,7 +83,7 @@ fn kill_recovery_run_is_byte_identical_across_backends() {
         let mut sys = SystemConfig::new(BackendOs::Kite, 11)
             .scheduler(kind)
             .tracing(1 << 18)
-            .watchdog(MonitorConfig::default())
+            .watchdog()
             .build_net();
         scenario::steady_stream(&mut sys, 120, 1, 1400, Nanos::from_millis(250));
         sys.fault_at(Nanos::from_secs(2), Fault::Kill);
