@@ -11,8 +11,8 @@
 //! ```
 //!
 //! `repro prof` options: `--collapsed <path>` writes the collapsed
-//! stacks for flamegraph tooling, `--series-csv <path>` /
-//! `--series-json <path>` write the sampler time series.
+//! stacks for flamegraph tooling, `--series-csv <path>` writes the
+//! sampler time series.
 //!
 //! Each experiment prints the paper's reported values alongside this
 //! reproduction's measurements. EXPERIMENTS.md is this program's output
@@ -82,7 +82,7 @@ fn main() {
     }
 }
 
-/// `repro prof [--collapsed <path>] [--series-csv <path>] [--series-json <path>]`
+/// `repro prof [--collapsed <path>] [--series-csv <path>]`
 ///
 /// Prints the per-phase self-time table and the collapsed stacks from
 /// the profiled 4-queue netback drain; the optional paths export the
@@ -103,7 +103,6 @@ fn run_prof(args: &[String]) {
     for (flag, content) in [
         ("--collapsed", &run.collapsed),
         ("--series-csv", &run.series_csv),
-        ("--series-json", &run.series_json),
     ] {
         if let Some(path) = path_after(flag) {
             if let Err(e) = std::fs::write(path, content) {

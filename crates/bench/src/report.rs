@@ -16,7 +16,7 @@ use kite_system::{
     render_top, scenario, BackendOs, DetectionMode, Fault, HealthState, LineRate, NetSystem, Side,
     StorSystem, SystemConfig,
 };
-use kite_trace::metrics::{render_json, validate_json};
+use kite_trace::metrics::{render_json, validate_json, MetricValue};
 use kite_trace::SampleKind::{Counter, Gauge};
 use kite_trace::{MetricsSnapshot, TimeSeriesSampler};
 use kite_xen::CopyMode;
@@ -321,8 +321,6 @@ pub struct ProfRun {
     pub collapsed: String,
     /// Sampler time series as CSV (virtual time; deterministic).
     pub series_csv: String,
-    /// Sampler time series as JSON (virtual time; deterministic).
-    pub series_json: String,
 }
 
 /// Runs the profiled 4-queue netback drain: the
@@ -330,7 +328,9 @@ pub struct ProfRun {
 /// the profiler on, sampled every 500 µs of virtual time. The spans
 /// cover scheduler push/pop, per-kind event dispatch, netback drains,
 /// grant-copy batches and trace emission, so the collapsed output shows
-/// the full dispatch → drain → copy nesting.
+/// the full dispatch → drain → copy nesting. Asserts that the table
+/// attributes self time to the Tx drain and that the stacks show that
+/// nesting.
 pub fn prof_run() -> ProfRun {
     const QUEUES: u32 = 4;
     kite_prof::reset();
@@ -343,7 +343,7 @@ pub fn prof_run() -> ProfRun {
     // burst.
     let every = Nanos::from_micros(500);
     scenario::flow_burst(&mut sys, Side::Guest, 2048, 1400, every);
-    let mut series = TimeSeriesSampler::new(every, 256);
+    let mut series = TimeSeriesSampler::new();
     for (name, kind) in [
         ("client_rx_bytes", Counter),
         ("guest_rx_bytes", Counter),
@@ -381,11 +381,22 @@ pub fn prof_run() -> ProfRun {
     let report = kite_prof::report();
     kite_prof::disable();
     kite_prof::reset();
+    let (table, collapsed) = (report.render_table(), report.render_collapsed());
+    assert!(
+        table.lines().any(|l| l.starts_with("netback_tx_drain ")),
+        "prof table missing netback_tx_drain row:\n{table}"
+    );
+    let nested = "kite;dispatch_irq;netback_tx_drain;grant_copy ";
+    assert!(
+        collapsed.lines().any(|l| l
+            .strip_prefix(nested)
+            .is_some_and(|n| n.parse::<u64>().is_ok())),
+        "collapsed stacks missing the nested drain path:\n{collapsed}"
+    );
     ProfRun {
-        table: report.render_table(),
-        collapsed: report.render_collapsed(),
+        table,
+        collapsed,
         series_csv: series.to_csv(),
-        series_json: series.to_json(),
     }
 }
 
@@ -397,17 +408,16 @@ pub fn queue_scaling_snapshots() -> Vec<MetricsSnapshot> {
         .iter()
         .map(|&q| netback_queue_snapshot(q, 7))
         .collect();
-    let tput = tput_of;
     assert!(
-        tput(&snaps[2]) > tput(&snaps[0]),
+        tput_of(&snaps[2]) > tput_of(&snaps[0]),
         "4 queues must out-drain 1 queue"
     );
     let base = snaps.len();
     snaps.extend([1u32, 2, 4].iter().map(|&r| blkback_ring_snapshot(r, 7)));
     let (r1, r2, r4) = (
-        tput(&snaps[base]),
-        tput(&snaps[base + 1]),
-        tput(&snaps[base + 2]),
+        tput_of(&snaps[base]),
+        tput_of(&snaps[base + 1]),
+        tput_of(&snaps[base + 2]),
     );
     assert!(
         r4 > r2 && r2 > r1,
@@ -474,14 +484,11 @@ pub fn offload_snapshot(name: impl Into<String>, sys: &NetSystem) -> MetricsSnap
 }
 
 fn tput_of(s: &MetricsSnapshot) -> f64 {
-    s.metrics
-        .iter()
-        .find(|m| m.name == "throughput_mbps")
-        .map(|m| match m.value {
-            kite_trace::metrics::MetricValue::Int(v) => v as f64,
-            kite_trace::metrics::MetricValue::Float(v) => v,
-        })
-        .unwrap_or(0.0)
+    match s.get("throughput_mbps").map(|m| m.value) {
+        Some(MetricValue::Int(v)) => v as f64,
+        Some(MetricValue::Float(v)) => v,
+        None => 0.0,
+    }
 }
 
 /// The segmentation-offload and wire-profile ablation rows

@@ -20,58 +20,21 @@ pub struct Lease {
     pub expires: Nanos,
 }
 
-/// Server configuration.
-#[derive(Clone, Debug)]
-pub struct DhcpConfig {
-    /// Server's own address (option 54).
-    pub server_ip: Ipv4Addr,
-    /// First address of the pool.
-    pub range_start: Ipv4Addr,
-    /// Pool size.
-    pub range_len: u32,
-    /// Lease duration.
-    pub lease_time: Nanos,
-    /// Subnet mask handed out.
-    pub subnet_mask: Ipv4Addr,
-    /// Router handed out.
-    pub router: Ipv4Addr,
-}
-
-impl Default for DhcpConfig {
-    fn default() -> DhcpConfig {
-        DhcpConfig {
-            server_ip: Ipv4Addr::new(10, 0, 0, 1),
-            range_start: Ipv4Addr::new(10, 0, 0, 100),
-            range_len: 150,
-            lease_time: Nanos::from_secs(3600),
-            subnet_mask: Ipv4Addr::new(255, 255, 255, 0),
-            router: Ipv4Addr::new(10, 0, 0, 1),
-        }
-    }
-}
-
-/// Server statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct DhcpStats {
-    /// DISCOVERs seen.
-    pub discovers: u64,
-    /// OFFERs sent.
-    pub offers: u64,
-    /// ACKs sent.
-    pub acks: u64,
-    /// NAKs sent.
-    pub naks: u64,
-    /// RELEASEs processed.
-    pub releases: u64,
-}
+/// Server's own address (option 54), also the router it hands out.
+const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
+/// First address of the pool.
+const RANGE_START: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 100);
+/// Lease duration.
+const LEASE_TIME: Nanos = Nanos::from_secs(3600);
+/// Subnet mask handed out.
+const SUBNET_MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
 
 /// The DHCP server.
 pub struct DhcpServer {
-    /// Configuration.
-    pub config: DhcpConfig,
+    /// Pool size.
+    range_len: u32,
     leases: HashMap<MacAddr, Lease>,
     by_ip: HashMap<Ipv4Addr, MacAddr>,
-    stats: DhcpStats,
 }
 
 fn ip_add(base: Ipv4Addr, off: u32) -> Ipv4Addr {
@@ -79,19 +42,13 @@ fn ip_add(base: Ipv4Addr, off: u32) -> Ipv4Addr {
 }
 
 impl DhcpServer {
-    /// Creates a server with the given configuration.
-    pub fn new(config: DhcpConfig) -> DhcpServer {
+    /// Creates a server whose pool holds `range_len` addresses.
+    pub fn new(range_len: u32) -> DhcpServer {
         DhcpServer {
-            config,
+            range_len,
             leases: HashMap::new(),
             by_ip: HashMap::new(),
-            stats: DhcpStats::default(),
         }
-    }
-
-    /// Server statistics.
-    pub fn stats(&self) -> DhcpStats {
-        self.stats
     }
 
     /// An address is available to `for_mac` when it is unleased, expired,
@@ -103,8 +60,8 @@ impl DhcpServer {
         for_mac: MacAddr,
     ) -> Option<Ipv4Addr> {
         let in_pool = |ip: Ipv4Addr| {
-            let off = u32::from(ip).wrapping_sub(u32::from(self.config.range_start));
-            off < self.config.range_len
+            let off = u32::from(ip).wrapping_sub(u32::from(RANGE_START));
+            off < self.range_len
         };
         let free = |ip: Ipv4Addr| match self.by_ip.get(&ip) {
             None => true,
@@ -120,8 +77,8 @@ impl DhcpServer {
                 return Some(p);
             }
         }
-        (0..self.config.range_len)
-            .map(|i| ip_add(self.config.range_start, i))
+        (0..self.range_len)
+            .map(|i| ip_add(RANGE_START, i))
             .find(|&ip| free(ip))
     }
 
@@ -134,17 +91,17 @@ impl DhcpServer {
             mac,
             Lease {
                 ip,
-                expires: now + self.config.lease_time,
+                expires: now + LEASE_TIME,
             },
         );
     }
 
     fn reply_base(&self, req: &DhcpMessage, ty: DhcpMessageType) -> DhcpMessage {
         let mut m = DhcpMessage::client(ty, req.xid, req.chaddr);
-        m.server_id = Some(self.config.server_ip);
-        m.subnet_mask = Some(self.config.subnet_mask);
-        m.router = Some(self.config.router);
-        m.lease_secs = Some((self.config.lease_time.as_secs_f64()) as u32);
+        m.server_id = Some(SERVER_IP);
+        m.subnet_mask = Some(SUBNET_MASK);
+        m.router = Some(SERVER_IP);
+        m.lease_secs = Some(LEASE_TIME.as_secs_f64() as u32);
         m
     }
 
@@ -152,7 +109,6 @@ impl DhcpServer {
     pub fn handle(&mut self, msg: &DhcpMessage, now: Nanos) -> Option<DhcpMessage> {
         match msg.msg_type {
             DhcpMessageType::Discover => {
-                self.stats.discovers += 1;
                 // Re-offer an existing binding when we have one.
                 let existing = self
                     .leases
@@ -160,7 +116,6 @@ impl DhcpServer {
                     .map(|l| l.ip)
                     .or(msg.requested_ip);
                 let ip = self.find_free_ip(now, existing, msg.chaddr)?;
-                self.stats.offers += 1;
                 let mut rep = self.reply_base(msg, DhcpMessageType::Offer);
                 rep.yiaddr = ip;
                 Some(rep)
@@ -172,7 +127,6 @@ impl DhcpServer {
                     Some(msg.ciaddr)
                 });
                 let Some(want) = want else {
-                    self.stats.naks += 1;
                     return Some(self.reply_base(msg, DhcpMessageType::Nak));
                 };
                 // Grant if it's our binding or the address is free.
@@ -184,17 +138,14 @@ impl DhcpServer {
                 let available = self.find_free_ip(now, Some(want), msg.chaddr) == Some(want);
                 if ours || available {
                     self.lease(msg.chaddr, want, now);
-                    self.stats.acks += 1;
                     let mut rep = self.reply_base(msg, DhcpMessageType::Ack);
                     rep.yiaddr = want;
                     Some(rep)
                 } else {
-                    self.stats.naks += 1;
                     Some(self.reply_base(msg, DhcpMessageType::Nak))
                 }
             }
             DhcpMessageType::Release => {
-                self.stats.releases += 1;
                 if let Some(l) = self.leases.remove(&msg.chaddr) {
                     self.by_ip.remove(&l.ip);
                 }
@@ -209,7 +160,7 @@ impl DhcpServer {
                         MacAddr::BROADCAST,
                         Lease {
                             ip,
-                            expires: now + self.config.lease_time,
+                            expires: now + LEASE_TIME,
                         },
                     );
                 }
@@ -225,7 +176,7 @@ mod tests {
     use super::*;
 
     fn server() -> DhcpServer {
-        DhcpServer::new(DhcpConfig::default())
+        DhcpServer::new(150)
     }
 
     fn discover(mac: u32, xid: u32) -> DhcpMessage {
@@ -247,7 +198,6 @@ mod tests {
         let ack = s.handle(&req, now).unwrap();
         assert_eq!(ack.msg_type, DhcpMessageType::Ack);
         assert_eq!(ack.yiaddr, ip);
-        assert_eq!(s.stats().acks, 1);
     }
 
     #[test]
@@ -327,11 +277,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion_stops_offers() {
-        let cfg = DhcpConfig {
-            range_len: 2,
-            ..DhcpConfig::default()
-        };
-        let mut s = DhcpServer::new(cfg);
+        let mut s = DhcpServer::new(2);
         let now = Nanos::ZERO;
         for i in 0..2 {
             let o = s.handle(&discover(i, i), now).unwrap();
@@ -356,9 +302,9 @@ mod tests {
     fn replies_carry_network_options() {
         let mut s = server();
         let o = s.handle(&discover(1, 1), Nanos::ZERO).unwrap();
-        assert_eq!(o.server_id, Some(s.config.server_ip));
-        assert_eq!(o.subnet_mask, Some(s.config.subnet_mask));
-        assert_eq!(o.router, Some(s.config.router));
+        assert_eq!(o.server_id, Some(SERVER_IP));
+        assert_eq!(o.subnet_mask, Some(SUBNET_MASK));
+        assert_eq!(o.router, Some(SERVER_IP));
         assert_eq!(o.lease_secs, Some(3600));
     }
 }

@@ -29,7 +29,7 @@ pub use blkback::{
     BlkBatch, BlkComplete, BlkFailure, BlkbackConfig, BlkbackInstance, BlkbackStats, BlkbackTuning,
     MAX_INDIRECT_SEGMENTS,
 };
-pub use dhcpd::{DhcpConfig, DhcpServer, DhcpStats, Lease};
+pub use dhcpd::{DhcpServer, Lease};
 pub use lifecycle::{BackendDevice, DeviceLifecycle, RecoveryStats};
 pub use netapp::NetworkApp;
 pub use netback::{NetbackInstance, NetbackStats, RxBatch, TxBatch};

@@ -78,16 +78,6 @@ impl ReadCache {
         self.resident.clear();
         self.by_use.clear();
     }
-
-    /// Resident block count.
-    pub fn len(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.resident.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +110,7 @@ mod tests {
         for b in 0..10 {
             c.insert(b);
         }
-        assert_eq!(c.len(), 3);
+        assert_eq!(c.resident.len(), 3);
     }
 
     #[test]
@@ -129,7 +119,7 @@ mod tests {
         c.insert(1);
         c.insert(2);
         c.drop_all();
-        assert!(c.is_empty());
+        assert!(c.resident.is_empty());
         assert!(!c.access(1));
     }
 
@@ -223,7 +213,7 @@ mod tests {
                         reference.resident.clear();
                     }
                 }
-                assert_eq!(cache.len(), reference.resident.len());
+                assert_eq!(cache.resident.len(), reference.resident.len());
             }
             assert!(capacity == 0 || evictions > 0, "seed {seed} never evicted");
         }

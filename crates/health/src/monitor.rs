@@ -46,16 +46,6 @@ pub enum DetectionMode {
     Watchdog,
 }
 
-impl DetectionMode {
-    /// Stable lower-case label for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            DetectionMode::Oracle => "oracle",
-            DetectionMode::Watchdog => "watchdog",
-        }
-    }
-}
-
 /// Virtual time between Dom0 probes.
 pub const PROBE_INTERVAL: Nanos = Nanos::from_millis(500);
 

@@ -66,11 +66,6 @@ impl IfTable {
     pub fn get(&self, name: &str) -> Option<&Interface> {
         self.ifs.get(name)
     }
-
-    /// All interfaces, sorted by name.
-    pub fn iter(&self) -> impl Iterator<Item = &Interface> {
-        self.ifs.values()
-    }
 }
 
 #[cfg(test)]

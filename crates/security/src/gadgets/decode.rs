@@ -37,44 +37,6 @@ pub enum Category {
     Ret,
 }
 
-impl Category {
-    /// All categories in the figures' display order.
-    pub fn all() -> [Category; 12] {
-        [
-            Category::DataMove,
-            Category::Arithmetic,
-            Category::Logic,
-            Category::ControlFlow,
-            Category::ShiftAndRotate,
-            Category::SettingFlags,
-            Category::String,
-            Category::Floating,
-            Category::Misc,
-            Category::Mmx,
-            Category::Nop,
-            Category::Ret,
-        ]
-    }
-
-    /// Display name matching the paper's legend.
-    pub fn name(self) -> &'static str {
-        match self {
-            Category::DataMove => "DataMove",
-            Category::Arithmetic => "Arithmetic",
-            Category::Logic => "Logic",
-            Category::ControlFlow => "ControlFlow",
-            Category::ShiftAndRotate => "ShiftAndRotate",
-            Category::SettingFlags => "SettingFlags",
-            Category::String => "String",
-            Category::Floating => "Floating",
-            Category::Misc => "Misc",
-            Category::Mmx => "MMX",
-            Category::Nop => "Nop",
-            Category::Ret => "Ret",
-        }
-    }
-}
-
 /// A decoded instruction: its length and category.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Insn {

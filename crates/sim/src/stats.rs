@@ -13,20 +13,12 @@ pub struct OnlineStats {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl OnlineStats {
     /// Creates an empty accumulator.
     pub fn new() -> OnlineStats {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
+        OnlineStats::default()
     }
 
     /// Records one sample.
@@ -35,8 +27,6 @@ impl OnlineStats {
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
     }
 
     /// Records a duration sample in nanoseconds.
@@ -79,44 +69,6 @@ impl OnlineStats {
         } else {
             100.0 * self.stddev() / self.mean().abs()
         }
-    }
-
-    /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = (self.n + other.n) as f64;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -223,14 +175,6 @@ impl Histogram {
         }
         out
     }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.total += other.total;
-    }
 }
 
 #[cfg(test)]
@@ -248,8 +192,6 @@ mod tests {
         assert!((s.mean() - 5.0).abs() < 1e-12);
         // Sample variance of this classic dataset is 32/7.
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
     }
 
     #[test]
@@ -266,28 +208,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let mut all = OnlineStats::new();
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for i in 0..100 {
-            let x = (i * i % 37) as f64;
-            all.push(x);
-            if i % 2 == 0 {
-                a.push(x)
-            } else {
-                b.push(x)
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-9);
     }
 
     #[test]
@@ -302,16 +222,6 @@ mod tests {
         // True median is 500_050ns; log buckets are ~9% wide.
         assert!((q50 - 500_000.0).abs() / 500_000.0 < 0.15, "q50={q50}");
         assert!((q99 - 990_000.0).abs() / 990_000.0 < 0.15, "q99={q99}");
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        a.record(Nanos(100));
-        b.record(Nanos(200));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
     }
 
     fn histogram_of(samples: &[u64]) -> Histogram {
@@ -390,26 +300,5 @@ mod tests {
         // Empty histograms return all zeros, like quantile().
         let empty = Histogram::new();
         assert_eq!(empty.quantiles(&qs), vec![Nanos::ZERO; qs.len()]);
-    }
-
-    #[test]
-    fn histogram_merge_is_associative() {
-        let a = histogram_of(&[1, 10, 100, 1_000]);
-        let b = histogram_of(&[5, 50, 500_000]);
-        let c = histogram_of(&[2, 7_777, 123_456_789]);
-        // (a ⊕ b) ⊕ c
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        assert_eq!(left.count(), right.count());
-        for i in 0..=100 {
-            let q = i as f64 / 100.0;
-            assert_eq!(left.quantile(q), right.quantile(q), "diverged at q={q}");
-        }
     }
 }

@@ -85,24 +85,6 @@ impl Nanos {
         self.0.checked_add(rhs.0).map(Nanos)
     }
 
-    /// The later of two instants.
-    pub fn max(self, other: Nanos) -> Nanos {
-        if self >= other {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: Nanos) -> Nanos {
-        if self <= other {
-            self
-        } else {
-            other
-        }
-    }
-
     /// Scales a duration by a dimensionless factor, rounding to nearest.
     ///
     /// Negative factors clamp to zero.

@@ -715,6 +715,16 @@ impl Host<NetPath> {
             Forward::Flood(ps) => ps.as_slice(),
             Forward::Drop => &[],
         };
+        if ports.is_empty() {
+            // No port takes the frame: a `Drop` decision, or a flood
+            // with no other port, as while the backend is down and its
+            // VIF unplugged.
+            self.dp.metrics.drops += 1;
+            if !self.backend.is_connected() {
+                self.recovery.dropped_frames += 1;
+            }
+            return;
+        }
         let mut egress = |p: BridgePort, f: Vec<u8>| {
             if p == self.dp.if_port {
                 to_wire.push(f);
@@ -797,10 +807,6 @@ impl Host<NetPath> {
                 self.hv
                     .req
                     .stamp_at(r, ReqStage::NicTx, dom, Some(q as u16), t);
-                let (_, segs) = tso_wire_cost(f.len());
-                if segs > 1 {
-                    self.hv.req.annotate_segs(r, ReqStage::NicTx, segs as u16);
-                }
             }
         }
         self.nic_transmit(t, &mut to_wire);

@@ -131,10 +131,6 @@ pub struct StageStamp {
     /// guest's stack). The Chrome exporter places it by the same rule as
     /// a `RingDrain`, so flow points land on the drains' track.
     pub qid: Option<u16>,
-    /// Wire segments the request's frame resolved to at this stage
-    /// (TSO fan-out at `NicTx`); zero for stages where segmentation is
-    /// meaningless or frames that fit one segment.
-    pub segs: u16,
     /// Virtual time of the crossing.
     pub at: Nanos,
 }
@@ -257,7 +253,6 @@ impl ReqTracer {
                     stage: Stage::Inject,
                     dom,
                     qid: None,
-                    segs: 0,
                     at,
                 }],
             },
@@ -302,25 +297,8 @@ impl ReqTracer {
             stage,
             dom,
             qid,
-            segs: 0,
             at,
         });
-    }
-
-    /// Annotates the stamp `req` already carries for `stage` with the
-    /// wire-segment count its frame resolved to (TSO fan-out). A
-    /// no-op when disabled, when the request is not live, or when the
-    /// stage was never stamped.
-    pub fn annotate_segs(&mut self, req: ReqId, stage: Stage, segs: u16) {
-        let Some(inner) = &mut self.inner else {
-            return;
-        };
-        let Some(rec) = inner.live.get_mut(&req.0) else {
-            return;
-        };
-        if let Some(s) = rec.stamps.iter_mut().find(|s| s.stage == stage) {
-            s.segs = segs;
-        }
     }
 
     /// Associates an opaque layer-local key with `req` so a later layer
@@ -360,7 +338,6 @@ impl ReqTracer {
                 stage: Stage::Complete,
                 dom,
                 qid: None,
-                segs: 0,
                 at,
             });
         }
@@ -505,25 +482,6 @@ mod tests {
         assert_eq!(t.e2e_hist().unwrap().count(), 1);
         assert!(t.dom_hist(2).is_some());
         assert!(t.dom_hist(7).is_none());
-    }
-
-    #[test]
-    fn segs_annotation_lands_on_the_named_stage_only() {
-        let mut t = ReqTracer::default();
-        t.enable(1, 16);
-        let req = t.admit(0).expect("sampled");
-        t.stamp(req, Stage::NicTx, 2, Some(0));
-        t.annotate_segs(req, Stage::NicTx, 42);
-        t.annotate_segs(req, Stage::GrantCopy, 7); // never stamped: no-op
-        t.annotate_segs(ReqId(99), Stage::NicTx, 3); // unknown: no-op
-        t.finish_at(req, 0, t.now());
-        let rec = t.completed().next().expect("one record");
-        assert_eq!(rec.stamp_of(Stage::NicTx).unwrap().segs, 42);
-        assert_eq!(rec.stamp_of(Stage::Inject).unwrap().segs, 0);
-        assert!(rec.stamp_of(Stage::GrantCopy).is_none());
-
-        let mut off = ReqTracer::disabled();
-        off.annotate_segs(ReqId(0), Stage::NicTx, 1); // disabled: one branch
     }
 
     #[test]

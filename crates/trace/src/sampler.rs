@@ -1,22 +1,17 @@
 //! Virtual-time-driven metrics time-series sampler.
 //!
-//! A [`TimeSeriesSampler`] snapshots a fixed set of columns every N
-//! virtual nanoseconds into a bounded ring. Counter columns record the
-//! delta since the previous sample (per-interval rates); gauge columns
-//! record the raw value. Because samples are stamped with virtual time
-//! and fed from virtual-time counters only, two same-seed runs export
-//! byte-identical CSV/JSON — the determinism quarantine of DESIGN.md
-//! §14 applies to the wall-clock profiler, not to this sampler.
+//! A [`TimeSeriesSampler`] snapshots a fixed set of columns at the
+//! virtual instants its caller picks. Counter columns record the delta
+//! since the previous sample (per-interval rates); gauge columns record
+//! the raw value. Because samples are stamped with virtual time and fed
+//! from virtual-time counters only, two same-seed runs export
+//! byte-identical CSV — the determinism quarantine of DESIGN.md §14
+//! applies to the wall-clock profiler, not to this sampler.
 //!
-//! The ring is bounded: once `capacity` samples are held, recording a
-//! new one evicts the oldest (drop-oldest) and bumps [`TimeSeriesSampler::evicted`]
-//! (`TimeSeriesSampler::evicted`), so week-long fleet runs cannot grow
-//! memory without bound.
+//! The series is unbounded: every run that samples is a bounded
+//! scenario (the shipped one holds 32 rows), so it keeps every row.
 
 use kite_sim::Nanos;
-use std::collections::VecDeque;
-
-use crate::metrics::json_escape;
 
 /// How a column's raw input turns into the recorded value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,28 +38,17 @@ pub struct Sample {
     pub values: Vec<u64>,
 }
 
-/// Bounded, deterministic metrics time series. See the module docs.
-#[derive(Debug, Clone)]
+/// Deterministic metrics time series. See the module docs.
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeriesSampler {
-    interval: Nanos,
-    capacity: usize,
     columns: Vec<Column>,
-    ring: VecDeque<Sample>,
-    evicted: u64,
+    rows: Vec<Sample>,
 }
 
 impl TimeSeriesSampler {
-    /// A sampler that expects a sample every `interval` of virtual time
-    /// and keeps at most `capacity` samples (oldest evicted first).
-    /// `capacity` is clamped to at least 1.
-    pub fn new(interval: Nanos, capacity: usize) -> Self {
-        TimeSeriesSampler {
-            interval,
-            capacity: capacity.max(1),
-            columns: Vec::new(),
-            ring: VecDeque::new(),
-            evicted: 0,
-        }
+    /// A sampler with no columns and no samples.
+    pub fn new() -> Self {
+        TimeSeriesSampler::default()
     }
 
     /// Append a column. Builder-style; call once per column before the
@@ -72,7 +56,7 @@ impl TimeSeriesSampler {
     #[must_use]
     pub fn with_column(mut self, name: &str, kind: SampleKind) -> Self {
         assert!(
-            self.ring.is_empty(),
+            self.rows.is_empty(),
             "columns must be declared before the first sample"
         );
         self.columns.push(Column {
@@ -109,33 +93,12 @@ impl TimeSeriesSampler {
                 SampleKind::Gauge => v,
             })
             .collect();
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.evicted += 1;
-        }
-        self.ring.push_back(Sample { at, values });
+        self.rows.push(Sample { at, values });
     }
 
-    /// Number of samples currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when no samples have been recorded (or all were evicted and
-    /// none re-recorded — impossible with drop-oldest, kept for API
-    /// completeness).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Samples evicted from the ring so far.
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
-    /// Iterate over held samples, oldest first.
+    /// Iterate over the recorded samples, oldest first.
     pub fn samples(&self) -> impl Iterator<Item = &Sample> {
-        self.ring.iter()
+        self.rows.iter()
     }
 
     /// Render the series as CSV: a `t_ns` column plus one column per
@@ -148,7 +111,7 @@ impl TimeSeriesSampler {
             out.push_str(&c.name);
         }
         out.push('\n');
-        for s in &self.ring {
+        for s in &self.rows {
             out.push_str(&s.at.as_nanos().to_string());
             for v in &s.values {
                 out.push(',');
@@ -158,40 +121,6 @@ impl TimeSeriesSampler {
         }
         out
     }
-
-    /// Render the series as JSON:
-    /// `{"interval_ns":..,"evicted":..,"columns":[..],"samples":[{"t_ns":..,"v":[..]},..]}`.
-    /// Deterministic for the same recorded samples.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"interval_ns\":{},\"evicted\":{},\"columns\":[",
-            self.interval.as_nanos(),
-            self.evicted
-        ));
-        for (i, c) in self.columns.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\"", json_escape(&c.name)));
-        }
-        out.push_str("],\"samples\":[");
-        for (i, s) in self.ring.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{{\"t_ns\":{},\"v\":[", s.at.as_nanos()));
-            for (j, v) in s.values.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&v.to_string());
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -199,7 +128,7 @@ mod tests {
     use super::*;
 
     fn mk() -> TimeSeriesSampler {
-        TimeSeriesSampler::new(Nanos::from_millis(1), 4)
+        TimeSeriesSampler::new()
             .with_column("bytes", SampleKind::Counter)
             .with_column("depth", SampleKind::Gauge)
     }
@@ -215,21 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn ring_is_bounded_drop_oldest() {
-        let mut s = mk();
-        for i in 1..=10u64 {
-            s.record(Nanos::from_millis(i), &[i * 10, i]);
-        }
-        assert_eq!(s.len(), 4);
-        assert_eq!(s.evicted(), 6);
-        let first = s.samples().next().unwrap();
-        assert_eq!(first.at, Nanos::from_millis(7));
-        // Counter deltas survive eviction: prev tracks the raw value.
-        assert_eq!(first.values, vec![10, 7]);
-    }
-
-    #[test]
-    fn csv_and_json_are_stable() {
+    fn csv_is_stable() {
         let mut s = mk();
         s.record(Nanos::from_millis(1), &[100, 7]);
         s.record(Nanos::from_millis(2), &[250, 3]);
@@ -237,30 +152,6 @@ mod tests {
             s.to_csv(),
             "t_ns,bytes,depth\n1000000,100,7\n2000000,150,3\n"
         );
-        assert_eq!(
-            s.to_json(),
-            "{\"interval_ns\":1000000,\"evicted\":0,\"columns\":[\"bytes\",\"depth\"],\
-             \"samples\":[{\"t_ns\":1000000,\"v\":[100,7]},{\"t_ns\":2000000,\"v\":[150,3]}]}"
-        );
-    }
-
-    #[test]
-    fn json_parses_with_the_local_parser() {
-        let mut s = mk();
-        s.record(Nanos::from_millis(1), &[1, 2]);
-        let parsed = crate::json::parse(&s.to_json()).expect("sampler JSON must parse");
-        assert!(parsed.get("samples").is_some());
-        assert!(parsed.get("columns").is_some());
-    }
-
-    #[test]
-    fn json_escapes_column_names() {
-        let name = "a\"b\\c";
-        let s =
-            TimeSeriesSampler::new(Nanos::from_millis(1), 1).with_column(name, SampleKind::Gauge);
-        let parsed = crate::json::parse(&s.to_json()).expect("sampler JSON must parse");
-        let columns = parsed.get("columns").and_then(|c| c.as_array());
-        assert_eq!(columns.and_then(|c| c[0].as_str()), Some(name));
     }
 
     #[test]

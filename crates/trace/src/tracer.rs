@@ -239,11 +239,6 @@ impl Tracer {
         }
     }
 
-    /// The current virtual timestamp ([`Nanos::ZERO`] when disabled).
-    pub fn now(&self) -> Nanos {
-        self.inner.as_ref().map_or(Nanos::ZERO, |i| i.now)
-    }
-
     /// Records the event built by `f`, attributed to domain `dom`.
     ///
     /// `f` runs only when the tracer is enabled, so event construction
@@ -287,13 +282,6 @@ impl Tracer {
     /// Iterates the held events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
         self.inner.iter().flat_map(|i| i.ring.iter())
-    }
-
-    /// Discards all held events (capacity and clock are kept).
-    pub fn clear(&mut self) {
-        if let Some(inner) = &mut self.inner {
-            inner.ring.clear();
-        }
     }
 
     /// A query over every held event.
@@ -385,7 +373,6 @@ mod tests {
         assert!(!t.is_enabled());
         assert_eq!(t.len(), 0);
         assert_eq!(t.dropped(), 0);
-        assert_eq!(t.now(), Nanos::ZERO);
     }
 
     #[test]

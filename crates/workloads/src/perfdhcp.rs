@@ -10,7 +10,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use kite_core::{DhcpConfig, DhcpServer};
+use kite_core::DhcpServer;
 use kite_net::{DhcpMessage, DhcpMessageType, MacAddr};
 use kite_sim::{Nanos, OnlineStats};
 use kite_system::{addrs, BackendOs, NetSystem, Reply, Side};
@@ -60,10 +60,7 @@ pub struct DhcpReport {
 /// Runs perfdhcp: `sessions` full DORA exchanges at `rate_per_sec`.
 pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> DhcpReport {
     let mut sys = NetSystem::new(BackendOs::Kite, seed);
-    let mut server = DhcpServer::new(DhcpConfig {
-        range_len: sessions + 10,
-        ..DhcpConfig::default()
-    });
+    let mut server = DhcpServer::new(sessions + 10);
     let cost = daemon.per_msg_cost();
     // The daemon VM: decode real DHCP wire bytes, serve, encode.
     sys.set_guest_app(Box::new(move |now, msg| {

@@ -20,19 +20,6 @@ use kite_sim::{Nanos, Pcg};
 
 use crate::error::XenError;
 
-/// Running counters of injected faults, for assertions and reports.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Grant-copy ops forced to fail.
-    pub copy_faults: u64,
-    /// Event-channel notifications swallowed.
-    pub notifies_dropped: u64,
-    /// Event-channel notifications delivered late.
-    pub notifies_delayed: u64,
-    /// Xenstore ops forced to fail.
-    pub xs_faults: u64,
-}
-
 /// A seeded, deterministic fault-injection plan.
 ///
 /// Rates are probabilities in `[0, 1]` applied independently per
@@ -50,8 +37,6 @@ pub struct FaultPlan {
     pub notify_delay: Nanos,
     /// Probability that a charged xenstore op fails with `Again`.
     pub xs_fail_rate: f64,
-    /// Counters of faults actually injected.
-    pub stats: FaultStats,
 }
 
 impl Default for FaultPlan {
@@ -76,7 +61,6 @@ impl FaultPlan {
             notify_delay_rate: 0.0,
             notify_delay: Nanos::ZERO,
             xs_fail_rate: 0.0,
-            stats: FaultStats::default(),
         }
     }
 
@@ -110,11 +94,7 @@ impl FaultPlan {
         if self.copy_fail_rate <= 0.0 {
             return false;
         }
-        let hit = self.rng.chance(self.copy_fail_rate);
-        if hit {
-            self.stats.copy_faults += 1;
-        }
-        hit
+        self.rng.chance(self.copy_fail_rate)
     }
 
     /// Decides whether the next notification is dropped.
@@ -122,11 +102,7 @@ impl FaultPlan {
         if self.notify_drop_rate <= 0.0 {
             return false;
         }
-        let hit = self.rng.chance(self.notify_drop_rate);
-        if hit {
-            self.stats.notifies_dropped += 1;
-        }
-        hit
+        self.rng.chance(self.notify_drop_rate)
     }
 
     /// Extra delivery latency for the next notification (usually zero).
@@ -135,7 +111,6 @@ impl FaultPlan {
             return Nanos::ZERO;
         }
         if self.rng.chance(self.notify_delay_rate) {
-            self.stats.notifies_delayed += 1;
             self.notify_delay
         } else {
             Nanos::ZERO
@@ -148,7 +123,6 @@ impl FaultPlan {
             return None;
         }
         if self.rng.chance(self.xs_fail_rate) {
-            self.stats.xs_faults += 1;
             // EAGAIN: the transient, retry-me shape real xenstored clients
             // must already handle.
             Some(XenError::Again)
@@ -189,10 +163,10 @@ mod tests {
             for _ in 0..256 {
                 pattern.push((p.fail_copy_op(), p.drop_notify()));
             }
-            (pattern, p.stats)
+            pattern
         };
         assert_eq!(run(7), run(7));
-        assert_ne!(run(7).0, run(8).0);
+        assert_ne!(run(7), run(8));
     }
 
     #[test]
@@ -205,6 +179,5 @@ mod tests {
             }
         }
         assert!((2_500..3_500).contains(&hits), "hits={hits}");
-        assert_eq!(p.stats.xs_faults, hits);
     }
 }

@@ -24,12 +24,10 @@ pub enum HypercallKind {
     GntCopy,
     /// Xenstore operation (read/write/watch round trip to xenstored).
     XsOp,
-    /// `SCHEDOP_yield` and timer plumbing.
-    Sched,
 }
 
 /// Number of hypercall kinds (for meter arrays).
-pub const HYPERCALL_KINDS: usize = 7;
+pub const HYPERCALL_KINDS: usize = 6;
 
 impl HypercallKind {
     fn index(self) -> usize {
@@ -40,21 +38,7 @@ impl HypercallKind {
             HypercallKind::GntUnmap => 3,
             HypercallKind::GntCopy => 4,
             HypercallKind::XsOp => 5,
-            HypercallKind::Sched => 6,
         }
-    }
-
-    /// All kinds, for reporting.
-    pub fn all() -> [HypercallKind; HYPERCALL_KINDS] {
-        [
-            HypercallKind::EvtchnSend,
-            HypercallKind::EvtchnOp,
-            HypercallKind::GntMap,
-            HypercallKind::GntUnmap,
-            HypercallKind::GntCopy,
-            HypercallKind::XsOp,
-            HypercallKind::Sched,
-        ]
     }
 
     /// Human-readable name.
@@ -66,7 +50,6 @@ impl HypercallKind {
             HypercallKind::GntUnmap => "gnttab_unmap",
             HypercallKind::GntCopy => "gnttab_copy",
             HypercallKind::XsOp => "xenstore_op",
-            HypercallKind::Sched => "sched_op",
         }
     }
 }
@@ -139,7 +122,6 @@ impl CostModel {
                 self.gnt_copy_extra + Nanos(bytes as u64 * self.copy_per_byte_ps / 1000)
             }
             HypercallKind::XsOp => self.xs_op,
-            HypercallKind::Sched => Nanos::ZERO,
         };
         self.hypercall_base + extra
     }
@@ -224,12 +206,5 @@ mod tests {
         assert_eq!(meter.total_count(), 3);
         assert_eq!(meter.time(HypercallKind::EvtchnSend), c1 + c2);
         assert!(meter.total_time() > c1 + c2);
-    }
-
-    #[test]
-    fn all_kinds_have_names() {
-        for k in HypercallKind::all() {
-            assert!(!k.name().is_empty());
-        }
     }
 }

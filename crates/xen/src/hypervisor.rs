@@ -618,7 +618,6 @@ mod tests {
         let r = hv.grant_copy_with(dd, &ops, &mut bufs, CopyMode::Batched);
         let failed = [(0, XenError::BadGrant), (1, XenError::BadGrant)];
         assert_eq!((r.failed.as_slice(), r.bytes), (&failed[..], 0));
-        assert_eq!(hv.faults.stats.copy_faults, 2);
         assert_eq!(hv.meter(dd).count(HypercallKind::GntCopy), 1);
     }
 
@@ -894,7 +893,6 @@ mod tests {
         assert!(failed > 10, "half the ops should fault: {failed}");
         assert!(batch.ok_ops() > 10, "batch continues past faults");
         assert_eq!(batch.bytes, batch.ok_ops() * 8, "faulted ops move nothing");
-        assert_eq!(hv.faults.stats.copy_faults, failed as u64);
         // Still one hypercall, still charged.
         assert_eq!(hv.meter(dd).count(HypercallKind::GntCopy), 1);
     }
@@ -910,7 +908,6 @@ mod tests {
         hv.faults = FaultPlan::seeded(1).with_notify_drops(1.0);
         let (n, _) = hv.evtchn_send(dd, p_dd).unwrap();
         assert!(n.is_none(), "notification swallowed");
-        assert_eq!(hv.faults.stats.notifies_dropped, 1);
         // The pending bit was cleared with the lost edge, so a later kick
         // (faults disarmed) raises a fresh notification.
         hv.faults = FaultPlan::none();
@@ -931,9 +928,7 @@ mod tests {
         assert_eq!(r, Err(crate::XenError::Again));
         let (r, _) = hv.xs_read(d0, "/k");
         assert_eq!(r, Err(crate::XenError::Again));
-        assert_eq!(hv.faults.stats.xs_faults, 2);
         assert_eq!(hv.irq_delay(), base + Nanos::from_micros(50));
-        assert_eq!(hv.faults.stats.notifies_delayed, 1);
     }
 
     #[test]
@@ -1028,7 +1023,7 @@ mod tests {
         hv.create_domain("Domain-0", DomainKind::Dom0, 1024, 4);
         let ghost = DomainId(u16::MAX);
         assert_eq!(hv.meter(ghost).total_count(), 0);
-        assert!(hv.charge(ghost, HypercallKind::Sched, 0) > Nanos::ZERO);
+        assert!(hv.charge(ghost, HypercallKind::EvtchnOp, 0) > Nanos::ZERO);
         assert_eq!(hv.meter(ghost).total_count(), 0, "bills no meter");
         assert_eq!(hv.evtchn_send(ghost, Port(0)), Err(XenError::BadPort));
         assert_eq!(

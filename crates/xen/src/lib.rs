@@ -40,7 +40,7 @@ pub mod xenstore;
 pub use domain::{Domain, DomainId, DomainKind, DomainState, DomainTable};
 pub use error::{Result, XenError};
 pub use evtchn::{EventChannels, Notification, Port};
-pub use fault::{FaultPlan, FaultStats};
+pub use fault::FaultPlan;
 pub use grant::{CopyMode, CopySide, GrantCopyOp, GrantRef, GrantTables, MapHandle, Mapping};
 pub use hypercall::{CostModel, HypercallKind, HypercallMeter};
 pub use hypervisor::{BatchResult, Hypervisor};

@@ -109,18 +109,15 @@ echo "==> repro lat: per-stage waterfalls, flow arrows validated"
 same_twice "repro lat output not deterministic" $bin/repro lat
 cat "$same" >> "$views"
 
-echo "==> repro prof: self-time table, collapsed stacks, sampler exports"
-# Smoke-run the profiler: the table must attribute self time to the
-# instrumented hot paths, and the collapsed stacks must show the
-# signature nesting (grant copies inside a netback drain inside IRQ
-# dispatch) in flamegraph.pl-consumable `path count` shape.
-$bin/repro prof --collapsed "$tdir/prof.folded" > "$tdir/prof.txt"
-grep -q '^netback_tx_drain ' "$tdir/prof.txt" || fail "prof table missing netback_tx_drain row"
-grep -Eq '^kite;dispatch_irq;netback_tx_drain;grant_copy [0-9]+$' "$tdir/prof.folded" \
-    || fail "collapsed stacks missing nested drain path"
-# The sampler reads virtual-time state only, so its exports are part
-# of the determinism surface even though the profiler's table is not.
-same_twice "sampler JSON not deterministic" $bin/repro prof --series-json {}
+echo "==> repro prof: self-time table, collapsed stacks, sampler CSV"
+# Smoke-run the profiler. report::prof_run asserts while it builds that
+# the table attributes self time to the Tx drain and that the collapsed
+# stacks show the signature nesting (grant copies inside a netback drain
+# inside IRQ dispatch), so a violated one aborts repro here.
+$bin/repro prof --collapsed "$tdir/prof.folded" > /dev/null
+[ -s "$tdir/prof.folded" ] || fail "collapsed stacks missing or empty"
+# The sampler reads virtual-time state only, so its CSV is part of the
+# determinism surface even though the profiler's table is not.
 same_twice "sampler CSV not deterministic" $bin/repro prof --series-csv {}
 cat "$same" >> "$views"
 cmp "$views" scripts/repro_views.txt \

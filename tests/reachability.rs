@@ -10,8 +10,10 @@
 //! - a `pub fn` (`pub const fn` and `pub unsafe fn` too) needs a call:
 //!   `.name(`, a bare `name(`, or a path ending in `::name`;
 //! - a `pub` field needs a read: `.name` that is not a method call or
-//!   the left side of a plain `=`, or the field named in a struct
-//!   pattern (`S { name, .. }`, `let S { name: x } = s`);
+//!   the left side of an assignment, plain (`=`) or compound (`+=`,
+//!   `|=`, `<<=` …: a counter only ever bumped is never read), or the
+//!   field named in a struct pattern (`S { name, .. }`, `let S { name:
+//!   x } = s`);
 //! - an enum variant needs a construction: `Enum::Name` or `Self::Name`
 //!   (or a bare `Name` a `use` imports) outside every pattern — a match
 //!   arm, a `let` pattern or a `matches!` pattern builds nothing, and
@@ -41,6 +43,15 @@
 //! nothing, and a same-named wrapper's call counts only for the fn it
 //! wraps. Common names (`new`, `len`) still always resolve, so the gate
 //! can miss an unreachable item but does not flag a reachable one.
+//!
+//! That is its blind spot: a method named like a std one (`len`,
+//! `is_empty`, `clear`, `iter`, `min`, `name`, `all`) is served by any
+//! `.len(` on a `Vec` or `.min(` on a `u64` in its crate, so it can have
+//! no caller at all and still pass. The compile probe covers it: rename
+//! one such `pub fn` at a time and run `cargo check --workspace --lib
+//! --bins --examples` and `cargo check --manifest-path
+//! benchmark/Cargo.toml`; a fn whose rename still builds has no shipped
+//! caller and is deleted, or kept for a reason DESIGN.md §7 records.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -130,10 +141,6 @@ const OBSERVED: &[(&str, &str)] = &[
     (
         "TraceQuery::kind",
         "trace-query assertions filter events by kind",
-    ),
-    (
-        "TimeSeriesSampler::evicted",
-        "sampler tests check the ring is bounded and drops oldest",
     ),
     (
         "TimeSeriesSampler::samples",
@@ -435,6 +442,16 @@ fn assign(b: &[u8], i: usize) -> bool {
     b[i] == b'='
         && !matches!(b.get(i + 1), Some(b'=' | b'>'))
         && (i == 0 || !b"=!<>+-*/%&|^".contains(&b[i - 1]))
+}
+
+/// A compound assignment (`+=`, `|=`, `<<=` …) at the start of `b`.
+fn compound(b: &[u8]) -> bool {
+    let op = match b {
+        [b'<', b'<', ..] | [b'>', b'>', ..] => 2,
+        [c, ..] if b"+-*/%&|^".contains(c) => 1,
+        _ => return false,
+    };
+    b.get(op) == Some(&b'=') && b.get(op + 1) != Some(&b'=')
 }
 
 /// Whether the keyword at `at` starts an item (`impl` as a block, not in
@@ -1020,7 +1037,7 @@ fn field_reads(srcs: &[Src], decls: &[Decl], name: &str) -> Vec<Vec<usize>> {
                 continue;
             }
             let b = after.trim_start().as_bytes();
-            if after.starts_with(['(', ':']) || (!b.is_empty() && assign(b, 0)) {
+            if after.starts_with(['(', ':']) || (!b.is_empty() && assign(b, 0)) || compound(b) {
                 continue;
             }
             let own = receiver_type(srcs, file, at - 1).map(Owner::Inherent);
@@ -1608,6 +1625,23 @@ fn a_field_only_written_in_a_literal_is_unread() {
     ]);
     // The shorthand `echo` and `r.echo = 2` both write it.
     assert_eq!(unused(&srcs, Kind::Field, &[]), ["Report::echo"]);
+}
+
+#[test]
+fn a_field_only_bumped_by_a_compound_assignment_is_unread() {
+    let srcs = corpus_of(&[
+        (
+            "stats",
+            "pub struct Stats { pub hits: u64, pub mask: u64, pub seen: u64 }",
+        ),
+        (
+            "run",
+            "fn run(s: &mut Stats) -> bool {\n s.hits += 1;\n s.mask |= 4;\n s.seen <<= 1;\n \
+             s.seen <= s.mask\n}",
+        ),
+    ]);
+    // `+=` counts nothing read; `s.mask` and `s.seen` are compared.
+    assert_eq!(unused(&srcs, Kind::Field, &[]), ["Stats::hits"]);
 }
 
 #[test]
