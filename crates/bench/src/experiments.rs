@@ -166,9 +166,7 @@ fn table1() {
     println!("Netback                     2791   kite-core::netback");
     println!("HVM extension               1100   kite-xen::xenstore/xenbus + kite-core::backend");
     println!("Configuration                450   kite-core::{{netapp, blockapp}}");
-    println!(
-        "Utilities                    222   kite-net::{{iface, bridge}} as called by kite-core::netapp"
-    );
+    println!("Utilities                    222   kite-net::bridge as called by kite-core::netapp");
     println!("Daemon VM                     16   kite-core::dhcpd (full server here)");
 }
 
@@ -490,10 +488,7 @@ fn dhcp() {
         "{:<8} {:>18} {:>16}",
         "daemon", "discover→offer ms", "request→ack ms"
     );
-    for d in [
-        wl::perfdhcp::DaemonOs::Rumprun,
-        wl::perfdhcp::DaemonOs::Linux,
-    ] {
+    for d in [BackendOs::Kite, BackendOs::Linux] {
         let r = wl::perfdhcp::run(d, 400, 400, 42);
         println!(
             "{:<8} {:>18.2} {:>16.2}",
@@ -519,12 +514,11 @@ fn mem() {
             .domains
             .get(sys.driver_domain())
             .expect("driver domain");
-        let image_mib = match os {
-            BackendOs::Kite => {
-                kite_rumprun::kite_network_image().total_bytes as f64 / (1024.0 * 1024.0)
-            }
-            BackendOs::Linux => kite_linux::ubuntu_image_bytes() as f64 / (1024.0 * 1024.0),
+        let image = match os {
+            BackendOs::Kite => kite_rumprun::kite_network_image(),
+            BackendOs::Linux => kite_linux::ubuntu_image(),
         };
+        let image_mib = image.total_bytes as f64 / (1024.0 * 1024.0);
         println!(
             "{:<8} {:>11} MiB {:>8.1} MiB",
             os.name(),

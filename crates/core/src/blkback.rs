@@ -162,32 +162,43 @@ struct InFlight {
 /// segments plus their descriptor page.
 const PERSISTENT_CAP: usize = 1056;
 
+/// A cached mapping: its handle, its page, whether it is read-only, and
+/// the tick it was last used at.
+type CachedMap = (MapHandle, PageId, bool, u64);
+
 #[derive(Default)]
 struct PersistentCache {
-    map: HashMap<GrantRef, (MapHandle, PageId, u64)>,
+    map: HashMap<GrantRef, CachedMap>,
     tick: u64,
 }
 
 impl PersistentCache {
-    fn get(&mut self, gref: GrantRef) -> Option<PageId> {
+    /// The cached page of `gref`, and whether it is mapped read-only.
+    fn get(&mut self, gref: GrantRef) -> Option<(PageId, bool)> {
         self.tick += 1;
         let tick = self.tick;
         self.map.get_mut(&gref).map(|e| {
-            e.2 = tick;
-            e.1
+            e.3 = tick;
+            (e.1, e.2)
         })
     }
 
     /// Inserts; returns an evicted mapping handle the caller must unmap.
-    fn insert(&mut self, gref: GrantRef, handle: MapHandle, page: PageId) -> Option<MapHandle> {
+    fn insert(
+        &mut self,
+        gref: GrantRef,
+        handle: MapHandle,
+        page: PageId,
+        readonly: bool,
+    ) -> Option<MapHandle> {
         self.tick += 1;
         let mut evicted = None;
         if self.map.len() >= PERSISTENT_CAP {
-            if let Some((&old, _)) = self.map.iter().min_by_key(|&(_, &(_, _, t))| t) {
-                evicted = self.map.remove(&old).map(|(h, _, _)| h);
+            if let Some((&old, _)) = self.map.iter().min_by_key(|&(_, e)| e.3) {
+                evicted = self.map.remove(&old).map(|e| e.0);
             }
         }
-        self.map.insert(gref, (handle, page, self.tick));
+        self.map.insert(gref, (handle, page, readonly, self.tick));
         evicted
     }
 }
@@ -356,8 +367,9 @@ impl BlkbackInstance {
         qid
     }
 
-    /// Resolves a guest data page through ring `q`'s cache: persistent
-    /// hit or a fresh map.
+    /// Resolves a guest page through ring `q`'s cache: persistent hit or
+    /// a fresh map, `readonly` or writable. A cached read-only mapping
+    /// asked for writable access is refused like a failed map.
     ///
     /// Returns the page plus the handle to unmap at completion when the
     /// mapping is *not* persistent.
@@ -366,22 +378,26 @@ impl BlkbackInstance {
         hv: &mut Hypervisor,
         q: usize,
         gref: GrantRef,
+        readonly: bool,
         cost: &mut Nanos,
     ) -> Result<(PageId, Option<MapHandle>)> {
         if self.tuning.persistent_grants {
-            if let Some(page) = self.rings[q].persistent.get(gref) {
+            if let Some((page, cached_readonly)) = self.rings[q].persistent.get(gref) {
+                if cached_readonly && !readonly {
+                    return Err(XenError::ReadOnlyGrant);
+                }
                 self.stats.persistent_hits += 1;
                 return Ok((page, None));
             }
         }
-        let (mapping, c) = hv.map_grant(self.back, self.front, gref)?;
+        let (mapping, c) = hv.map_grant(self.back, self.front, gref, readonly)?;
         self.stats.grant_maps += 1;
         *cost += c;
         if self.tuning.persistent_grants {
             if let Some(evicted) =
                 self.rings[q]
                     .persistent
-                    .insert(gref, mapping.handle, mapping.page)
+                    .insert(gref, mapping.handle, mapping.page, readonly)
             {
                 *cost += hv.unmap_grant(self.back, evicted)?;
             }
@@ -424,10 +440,11 @@ impl BlkbackInstance {
                     return Err(XenError::Inval);
                 }
                 // One descriptor page holds 512 segments, so the capped
-                // list always sits in the request's first page.
+                // list always sits in the request's first page, which the
+                // backend only reads.
                 let segs = &mut buf[..n];
                 if n > 0 {
-                    let (page, unmap) = self.resolve_page(hv, q, indirect_grefs[0], cost)?;
+                    let (page, unmap) = self.resolve_page(hv, q, indirect_grefs[0], true, cost)?;
                     unpack_indirect_segments(hv.mem.page(page)?, segs);
                     if let Some(h) = unmap {
                         *cost += hv.unmap_grant(self.back, h)?;
@@ -656,12 +673,16 @@ impl BlkbackInstance {
         cost: &mut Nanos,
         unmap: &mut Vec<MapHandle>,
     ) -> Result<bool> {
+        // The device reads a write's pages and writes a read's. A
+        // persistent mapping outlives its request, so data grants are
+        // cached writable, as Linux's blkback maps them.
+        let readonly = op == BLKIF_OP_WRITE && !self.tuning.persistent_grants;
         // Staged on the stack: a request never carries more segments
         // than the indirect cap (a longer list would simply not resolve).
         let mut pages = [PageId(0); MAX_INDIRECT_SEGMENTS];
         let mut mapped = 0;
         for (seg, slot) in segs.iter().zip(&mut pages) {
-            let Ok((page, h)) = self.resolve_page(hv, q, seg.gref, cost) else {
+            let Ok((page, h)) = self.resolve_page(hv, q, seg.gref, readonly, cost) else {
                 break;
             };
             *slot = page;
@@ -853,7 +874,7 @@ impl crate::lifecycle::BackendDevice for BlkbackInstance {
         }
         for rq in self.rings {
             rq.state.release(hv, self.back);
-            for (_, (h, _, _)) in rq.persistent.map {
+            for (_, (h, ..)) in rq.persistent.map {
                 hv.unmap_grant(self.back, h)?;
             }
             rq.shared.detach(hv, self.back)?;
@@ -1040,6 +1061,38 @@ mod tests {
             let mut sector = [0xffu8; SECTOR_SIZE];
             nvme.read_data(64, &mut sector);
             assert_eq!(sector, [0u8; SECTOR_SIZE], "a rejected write landed");
+            bb.close(&mut hv).unwrap();
+            assert_eq!(hv.grants.active_maps(dd), 0, "persistent={persistent}");
+        }
+    }
+
+    /// A read whose data page the frontend granted read-only is refused
+    /// like a request whose grant does not resolve: mapping it writable
+    /// fails, so the device's bytes never land in a page the guest did
+    /// not let the backend write. No map or port outlives the error.
+    #[test]
+    fn read_into_a_read_only_grant_is_refused() {
+        for persistent in [false, true] {
+            let mut pair = raw_pair(persistent);
+            let (hv, _, bb, nvme) = &mut pair;
+            let (gu, dd) = (bb.front, bb.back);
+            nvme.write_data(0, &[0x5a; 4096]);
+            let page = hv.alloc_page(gu).unwrap();
+            hv.mem.page_mut(page).unwrap().fill(0xab);
+            let gref = hv.grant_access(gu, dd, page, true).unwrap();
+            let ports = hv.evtchn.open_ports(dd);
+            let seg = BlkifSegment {
+                gref,
+                first_sect: 0,
+                last_sect: 7,
+            };
+            let req = BlkifRequest::direct(BLKIF_OP_READ, 0, 4, 0, &[seg]);
+            assert_rejected(&mut pair, &req);
+            let (mut hv, _, bb, _) = pair;
+            let bytes = hv.mem.page(page).unwrap();
+            assert!(bytes.iter().all(|&b| b == 0xab), "persistent={persistent}");
+            assert_eq!(hv.grants.active_maps(dd), 1, "the ring page");
+            assert_eq!(hv.evtchn.open_ports(dd), ports);
             bb.close(&mut hv).unwrap();
             assert_eq!(hv.grants.active_maps(dd), 0, "persistent={persistent}");
         }

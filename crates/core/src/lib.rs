@@ -7,7 +7,7 @@
 //! | Blkback (1904 LoC) | [`blkback`] — batching, persistent grants, indirect segments |
 //! | Netback (2791 LoC) | [`netback`] — Tx/Rx rings, hypervisor copy, pusher/soft_start threads |
 //! | HVM extension (xenbus/xenstore use) | [`backend`] — watch-driven backend invocation |
-//! | Configuration apps (450 LoC) | [`netapp`] (drives `kite_net`'s `IfTable` and `Bridge` directly), [`blockapp`] |
+//! | Configuration apps (450 LoC) | [`netapp`] (drives `kite_net`'s `Bridge` directly), [`blockapp`] |
 //! | Daemon VM (OpenDHCP) | [`dhcpd`] |
 //!
 //! The drivers are written once and parameterized by an

@@ -178,6 +178,11 @@ impl<D: BackendDevice> DeviceLifecycle<D> {
         Ok(())
     }
 
+    /// The device pair the slot serves (or last served).
+    pub fn paths(&self) -> &DevicePaths {
+        &self.paths
+    }
+
     /// The connected device, if any.
     pub fn device(&self) -> Option<&D> {
         self.device.as_ref()

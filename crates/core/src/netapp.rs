@@ -3,18 +3,17 @@
 //!
 //! On launch it creates a bridge, assigns the gateway IP to the physical
 //! interface and adds the IF to the bridge (the paper's ported
-//! `ifconfig(8)` and `brconfig(8)`; here direct calls on [`IfTable`] and
-//! [`Bridge`]), then hotplugs each new VIF into the bridge. (The real
+//! `ifconfig(8)` and `brconfig(8)`; here direct calls on [`Bridge`]),
+//! then hotplugs each new VIF into the bridge. (The real
 //! application yields the CPU between iterations of that loop; the
 //! non-preemptive scheduler is modelled where interrupts are dispatched,
 //! in `kite_system::Host`.)
 
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 use kite_net::{
-    Bridge, BridgePort, Endpoint, EtherType, EthernetFrame, IfKind, IfTable, IpProto, Ipv4Packet,
-    MacAddr, Nat, UdpDatagram,
+    Bridge, BridgePort, Endpoint, EtherType, EthernetFrame, IpProto, Ipv4Packet, MacAddr, Nat,
+    UdpDatagram,
 };
 
 /// How the network application links VIFs to the physical NIC (§3.1
@@ -31,33 +30,26 @@ pub enum LinkMode {
 pub struct NetworkApp {
     /// The bridge connecting the IF and all VIFs.
     pub bridge: Bridge,
-    /// The interface table (`ifconfig` view).
-    pub ifs: IfTable,
+    /// The physical IF's bridge port.
+    pub if_port: BridgePort,
     /// VIF↔NIC linking technique.
     pub mode: LinkMode,
     /// The SNAT table (used in [`LinkMode::Nat`]).
     pub nat: Nat,
-    ports: HashMap<String, BridgePort>,
 }
 
 impl NetworkApp {
-    /// Boots the application: creates `bridge0`, registers the physical
-    /// interface, attaches it to the bridge, and NATs behind `gateway`.
-    pub fn start(phys_if: &str, phys_mac: MacAddr, gateway: Ipv4Addr) -> Self {
-        let mut ifs = IfTable::new();
+    /// Boots the application: creates `bridge0`, attaches the physical
+    /// interface `phys_if` to it, and NATs behind `gateway`.
+    pub fn start(phys_if: &str, gateway: Ipv4Addr) -> Self {
         let mut bridge = Bridge::new("bridge0");
-        ifs.attach(phys_if, IfKind::Physical, phys_mac);
-        ifs.attach("bridge0", IfKind::Bridge, MacAddr::ZERO);
         // `brconfig bridge0 add ixg0 up`
-        let port = bridge.add_port(phys_if);
-        let mut ports = HashMap::new();
-        ports.insert(phys_if.to_string(), port);
+        let if_port = bridge.add_port(phys_if);
         NetworkApp {
             bridge,
-            ifs,
+            if_port,
             mode: LinkMode::Bridge,
             nat: Nat::new(gateway),
-            ports,
         }
     }
 
@@ -108,26 +100,15 @@ impl NetworkApp {
         Some(new_udp.encode_frame(guest_mac, eth.src, ip.src, inside.ip))
     }
 
-    /// Hotplug: a new netback VIF appeared — register it and add it to the
-    /// bridge (`brconfig bridge0 add vifN.M`).
-    pub fn add_vif(&mut self, vif: &str, mac: MacAddr) -> BridgePort {
-        self.ifs.attach(vif, IfKind::Vif, mac);
-        let port = self.bridge.add_port(vif);
-        self.ports.insert(vif.to_string(), port);
-        port
+    /// Hotplug: a new netback VIF appeared — add it to the bridge
+    /// (`brconfig bridge0 add vifN.M`).
+    pub fn add_vif(&mut self, vif: &str) -> BridgePort {
+        self.bridge.add_port(vif)
     }
 
-    /// Hot-unplug: the frontend disconnected.
-    pub fn remove_vif(&mut self, vif: &str) {
-        if let Some(port) = self.ports.remove(vif) {
-            self.bridge.remove_port(port);
-        }
-        self.ifs.detach(vif);
-    }
-
-    /// The bridge port of an interface.
-    pub fn port_of(&self, ifname: &str) -> Option<BridgePort> {
-        self.ports.get(ifname).copied()
+    /// Hot-unplug: the frontend behind the VIF on `port` disconnected.
+    pub fn remove_vif(&mut self, port: BridgePort) {
+        self.bridge.remove_port(port);
     }
 }
 
@@ -142,12 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn startup_registers_if_and_bridge() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
-        assert_eq!(app.ifs.get("ixg0").unwrap().kind, IfKind::Physical);
-        assert_eq!(app.ifs.get("bridge0").unwrap().kind, IfKind::Bridge);
+    fn startup_attaches_the_if_to_the_bridge() {
+        let mut app = NetworkApp::start("ixg0", gw());
         // `ixg0` is the bridge's only port: its broadcast floods nowhere.
-        let phys = app.port_of("ixg0").unwrap();
+        let phys = app.if_port;
         let flood = app
             .bridge
             .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
@@ -156,12 +135,10 @@ mod tests {
 
     #[test]
     fn vif_hotplug_and_forwarding() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
-        let vif_port = app.add_vif("vif2.0", MacAddr::local(2));
-        assert_eq!(app.ifs.get("vif2.0").unwrap().kind, IfKind::Vif);
-        assert_eq!(app.port_of("vif2.0"), Some(vif_port));
+        let mut app = NetworkApp::start("ixg0", gw());
+        let vif_port = app.add_vif("vif2.0");
         // A broadcast from the NIC reaches the new VIF's port.
-        let phys = app.port_of("ixg0").unwrap();
+        let phys = app.if_port;
         let flood = app
             .bridge
             .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
@@ -179,14 +156,12 @@ mod tests {
 
     #[test]
     fn vif_unplug_cleans_up() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
-        app.add_vif("vif2.0", MacAddr::local(2));
-        app.remove_vif("vif2.0");
-        assert!(app.ifs.get("vif2.0").is_none());
-        assert!(app.port_of("vif2.0").is_none());
+        let mut app = NetworkApp::start("ixg0", gw());
+        let vif_port = app.add_vif("vif2.0");
+        app.remove_vif(vif_port);
         // The VIF's port left the bridge: a broadcast from the NIC
         // floods to no port.
-        let phys = app.port_of("ixg0").unwrap();
+        let phys = app.if_port;
         let flood = app
             .bridge
             .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
@@ -195,7 +170,7 @@ mod tests {
 
     #[test]
     fn nat_rewrites_and_reverses() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
+        let mut app = NetworkApp::start("ixg0", gw());
         app.use_nat();
         assert_eq!(app.mode, LinkMode::Nat);
         let guest_ip: Ipv4Addr = "192.168.1.100".parse().unwrap();
@@ -251,7 +226,7 @@ mod tests {
 
     #[test]
     fn nat_drops_unsolicited_inbound() {
-        let mut app = NetworkApp::start("ixg0", MacAddr::local(1), gw());
+        let mut app = NetworkApp::start("ixg0", gw());
         app.use_nat();
         let udp = kite_net::UdpDatagram::new(80, 44444, b"scan".to_vec());
         let client_ip: Ipv4Addr = "192.168.1.10".parse().unwrap();

@@ -990,7 +990,7 @@ mod tests {
             Netfront::connect_with_queues(&mut hv, &paths, MacAddr::local(1), QUEUES as u32)
                 .unwrap();
         let mut nb = NetbackInstance::connect(&mut hv, &paths, kite_profile()).unwrap();
-        assert_eq!(nf.queue_count(), QUEUES);
+        assert_eq!(nb.queue_count(), QUEUES);
         for q in 0..QUEUES {
             assert_eq!(nf.queue_of(nf.port_of(q)), Some(q));
         }
@@ -1603,6 +1603,59 @@ mod tests {
         for c in NUM_QUEUES_CASES.iter().chain(&ring_cases) {
             run_case::<crate::blkback::BlkbackInstance>(&blk_cfg(), blkfront, c);
         }
+    }
+
+    /// A frontend that grants queue 2's `key` ring page read-only. The
+    /// backend writes its responses into every ring it attaches, so it
+    /// maps them writable and `connect` fails with `ReadOnlyGrant`; the
+    /// undo leaves the driver domain holding no map and no port it did
+    /// not hold before, though queues 0 and 1 had attached.
+    fn read_only_ring_is_refused<D: BackendDevice>(
+        cfg: &D::Config,
+        connect_front: fn(&mut Hypervisor, &DevicePaths, u32),
+        key: &str,
+    ) {
+        let (mut hv, paths) = test_machine(D::KIND);
+        let max = format!("{}/multi-queue-max-queues", paths.backend());
+        hv.store.write(DomainId::DOM0, None, &max, "4").unwrap();
+        connect_front(&mut hv, &paths, 4);
+        let page = hv.alloc_page(paths.front).unwrap();
+        let gref = hv
+            .grant_access(paths.front, paths.back, page, true)
+            .unwrap();
+        let path = format!("{}/{key}", paths.frontend());
+        hv.store
+            .write(paths.front, None, &path, &gref.0.to_string())
+            .unwrap();
+        let held = |hv: &Hypervisor| {
+            (
+                hv.grants.active_maps(paths.back),
+                hv.evtchn.open_ports(paths.back),
+            )
+        };
+        let before = held(&hv);
+        assert_eq!(before.0, 0);
+        let got = D::connect(&mut hv, &paths, cfg).err();
+        assert_eq!(got, Some(XenError::ReadOnlyGrant), "{key}");
+        assert_eq!(held(&hv), before, "{key}: driver domain leaked");
+    }
+
+    #[test]
+    fn netback_refuses_a_read_only_ring_page() {
+        read_only_ring_is_refused::<NetbackInstance>(
+            &kite_profile(),
+            netfront,
+            "queue-2/tx-ring-ref",
+        );
+    }
+
+    #[test]
+    fn blkback_refuses_a_read_only_ring_page() {
+        read_only_ring_is_refused::<crate::blkback::BlkbackInstance>(
+            &blk_cfg(),
+            blkfront,
+            "queue-2/ring-ref",
+        );
     }
 
     // Partial-connect regressions: each used to return `Err` with the

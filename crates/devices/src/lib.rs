@@ -8,8 +8,7 @@
 //! latency) while carrying *real data* — frames are real bytes, and the
 //! SSD stores written sectors sparsely for read-back verification.
 //!
-//! Both models share the small [`Device`] surface, and both are
-//! configured by immutable cost profiles ([`NvmeProfile`], [`NicProfile`])
+//! Both models are configured by immutable cost profiles ([`NvmeProfile`], [`NicProfile`])
 //! built with `with_*` methods — the profile is consumed at construction,
 //! so runtime state derived from it can never silently desynchronize.
 
@@ -21,15 +20,3 @@ pub use nvme::{
     Cid, CqEntry, MsixVector, NvmeCmd, NvmeController, NvmeOp, NvmeProfile, QueueId, MAX_IO_QUEUES,
     SECTOR_SIZE, SQ_DEPTH,
 };
-
-/// The minimal surface every passthrough device model shares.
-pub trait Device {
-    /// The hardware model being simulated (as a PCI ID database would
-    /// print it).
-    fn model(&self) -> &'static str;
-
-    /// Function-level reset, as dom0 performs before re-assigning the
-    /// device to a replacement driver domain: queue and interrupt state
-    /// is dropped; durable contents and lifetime counters survive.
-    fn reset(&mut self);
-}

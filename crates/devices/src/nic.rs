@@ -16,8 +16,6 @@ use std::collections::VecDeque;
 
 use kite_sim::{Link, Nanos, TxOutcome};
 
-use crate::Device;
-
 /// Cost envelope of the NIC, consumed by [`Nic::with_profile`].
 ///
 /// Like [`crate::NvmeProfile`], start from [`Default`]; the profile is
@@ -245,30 +243,9 @@ impl Nic {
         self.rx(0).drain(now, budget)
     }
 
-    /// Frames still queued on any ring (the driver polls again before
-    /// sleeping).
-    pub fn rx_backlog(&self) -> usize {
-        self.rings.iter().map(|r| r.frames.len()).sum()
-    }
-
     /// Frames dropped by receive-queue overflow.
     pub fn rx_dropped(&self) -> u64 {
         self.rx_dropped
-    }
-}
-
-impl Device for Nic {
-    fn model(&self) -> &'static str {
-        "Intel 82599ES"
-    }
-
-    fn reset(&mut self) {
-        // Frames sitting in any rx ring at reset are lost on the floor —
-        // account them as drops so lifetime counters stay honest.
-        self.rx_dropped += self.rx_backlog() as u64;
-        for ring in &mut self.rings {
-            *ring = RxRingState::default();
-        }
     }
 }
 
@@ -357,7 +334,7 @@ mod tests {
         assert_eq!(nic.rx_enqueue(Nanos::ZERO, vec![2]), RxIrq::AlreadyPending);
         assert_eq!(nic.rx_enqueue(Nanos::ZERO, vec![3]), RxIrq::Dropped);
         assert_eq!(nic.rx_dropped(), 1);
-        assert_eq!(nic.rx_backlog(), 2);
+        assert_eq!(nic.drain_rx(Nanos::ZERO, 64), [vec![1], vec![2]]);
     }
 
     #[test]
@@ -369,37 +346,18 @@ mod tests {
         }
         let got = nic.drain_rx(t0, 4);
         assert_eq!(got.len(), 4);
-        assert_eq!(nic.rx_backlog(), 6);
         // Re-arm schedules a moderated IRQ for the backlog.
         let fire = nic.rx(0).rearm_irq(t0).unwrap();
         assert_eq!(fire, t0 + nic.profile.irq_coalesce);
         // Double re-arm is suppressed.
         assert_eq!(nic.rx(0).rearm_irq(t0), None);
+        assert_eq!(nic.drain_rx(fire, 64).len(), 6, "the backlog");
     }
 
     #[test]
     fn rearm_with_empty_queue_is_none() {
         let mut nic = Nic::ten_gbe();
         assert_eq!(nic.rx(0).rearm_irq(Nanos::ZERO), None);
-    }
-
-    #[test]
-    fn reset_drops_queued_frames_and_interrupt_state() {
-        let mut nic = Nic::ten_gbe();
-        let t0 = Nanos::from_micros(100);
-        assert!(matches!(
-            nic.rx_enqueue(t0, vec![0; 64]),
-            RxIrq::FireAt { .. }
-        ));
-        assert_eq!(nic.rx_enqueue(t0, vec![0; 64]), RxIrq::AlreadyPending);
-        nic.reset();
-        assert_eq!(nic.model(), "Intel 82599ES");
-        assert_eq!(nic.rx_backlog(), 0);
-        // The two queued frames count as drops.
-        assert_eq!(nic.rx_dropped(), 2);
-        // Interrupt state is clean: the next frame fires immediately.
-        let t1 = Nanos::from_micros(101);
-        assert_eq!(nic.rx_enqueue(t1, vec![0; 64]), fire(t1, 0));
     }
 
     // ---- RSS receive rings ---------------------------------------------
@@ -443,7 +401,7 @@ mod tests {
         // Each handler sees only its own ring's frames, in order.
         assert_eq!(nic.rx(ra as usize).drain(t0, 64), vec![fa.clone(), fa]);
         assert_eq!(nic.rx(rb as usize).drain(t0, 64).len(), 1);
-        assert_eq!(nic.rx_backlog(), 0);
+        assert!((0..4).all(|r| nic.rx(r).drain(t0, 64).is_empty()));
     }
 
     #[test]
@@ -465,8 +423,7 @@ mod tests {
         nic.rx(rb as usize).drain(t1, 64);
         assert_eq!(nic.rx(ra as usize).rearm_irq(t1), None, "A still pending");
         assert_eq!(nic.rx(rb as usize).rearm_irq(t1), None, "B is empty");
-        assert_eq!(nic.rx_backlog(), 1);
-        // The capacity is per ring too.
+        // The capacity is per ring too: A's one queued frame fills it.
         nic.profile.rx_queue_frames = 1;
         assert_eq!(
             nic.rx_enqueue(t1, fb),
@@ -474,21 +431,6 @@ mod tests {
         );
         assert_eq!(nic.rx_enqueue(t1, fa), RxIrq::Dropped);
         assert_eq!(nic.rx_dropped(), 1);
-    }
-
-    #[test]
-    fn reset_books_every_rings_frames_as_dropped() {
-        let mut nic = four_rings();
-        let ((fa, _), (fb, rb)) = two_rings();
-        let t0 = Nanos::from_micros(100);
-        nic.rx_enqueue(t0, fa.clone());
-        nic.rx_enqueue(t0, fa);
-        nic.rx_enqueue(t0, fb.clone());
-        nic.reset();
-        assert_eq!((nic.rx_backlog(), nic.rx_dropped()), (0, 3));
-        // Every ring's interrupt state is clean again.
-        let t1 = Nanos::from_micros(101);
-        assert_eq!(nic.rx_enqueue(t1, fb), fire(t1, rb));
     }
 
     /// With one ring the steering is constant and the handle is the whole
@@ -506,7 +448,6 @@ mod tests {
         }
         // A budgeted drain keeps arrival order and leaves the rest queued.
         assert_eq!(nic.drain_rx(t0, 4), frames[..4]);
-        assert_eq!(nic.rx_backlog(), 2);
         assert_eq!(nic.rx(0).rearm_irq(t0), Some(t0 + itr));
         assert_eq!(nic.rx(0).rearm_irq(t0), None);
         let t1 = t0 + itr;

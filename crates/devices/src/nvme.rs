@@ -30,8 +30,6 @@ use std::collections::{HashMap, VecDeque};
 
 use kite_sim::{CpuPool, Nanos};
 
-use crate::Device;
-
 /// Sector size in bytes.
 pub const SECTOR_SIZE: usize = 512;
 const BLOCK_SECTORS: u64 = 8; // 4 KiB blocks
@@ -309,7 +307,7 @@ impl NvmeController {
     /// re-assignment does): every I/O queue pair disappears along with
     /// its cursors and unreaped completions. Media state — stored bytes,
     /// channel busy times, lifetime counters — survives.
-    pub fn reset_io_queues(&mut self) {
+    pub fn reset(&mut self) {
         self.queues.clear();
         self.posted.clear();
     }
@@ -496,16 +494,6 @@ impl NvmeController {
     }
 }
 
-impl Device for NvmeController {
-    fn model(&self) -> &'static str {
-        "Samsung 970 EVO Plus"
-    }
-
-    fn reset(&mut self) {
-        self.reset_io_queues();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,7 +675,6 @@ mod tests {
         d.read_data(0, &mut buf);
         assert!(buf.iter().all(|&b| b == 0x5a));
         assert_eq!(d.writes(), writes_before);
-        assert_eq!(d.model(), "Samsung 970 EVO Plus");
         // Queue ids restart from 1, deterministically.
         assert_eq!(d.create_io_queues(0), Some(QueueId(1)));
     }

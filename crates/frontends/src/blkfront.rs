@@ -29,8 +29,6 @@ use crate::{overrun, record_refusal, FrontOp, Refusal, RspRejects};
 pub struct BlkCompletion {
     /// Request id.
     pub id: u64,
-    /// The operation that completed.
-    pub op: u8,
     /// True on success.
     pub ok: bool,
     /// Read data (present for successful reads).
@@ -69,8 +67,6 @@ struct BfRing {
 pub struct Blkfront {
     /// Guest domain.
     pub guest: DomainId,
-    /// Driver domain.
-    pub backend: DomainId,
     /// Device capacity in sectors (read from the backend's advertisement).
     pub sectors: u64,
     /// Indirect segments per request, as advertised up to 32.
@@ -111,7 +107,7 @@ impl Blkfront {
         paths: &DevicePaths,
         max_queues: u32,
     ) -> Result<Blkfront> {
-        let (guest, backend) = (paths.front, paths.back);
+        let guest = paths.front;
         let fe = paths.frontend();
         let nrings = negotiate_front(hv, paths, max_queues)?;
         let mut rings = Vec::with_capacity(nrings as usize);
@@ -129,7 +125,6 @@ impl Blkfront {
         hv.switch_state(guest, &paths.frontend_state(), XenbusState::Initialised)?;
         Ok(Blkfront {
             guest,
-            backend,
             sectors: 0,
             max_indirect: 0,
             rings,
@@ -142,11 +137,6 @@ impl Blkfront {
             rejects: RspRejects::default(),
             broken: false,
         })
-    }
-
-    /// Number of negotiated rings.
-    pub fn queue_count(&self) -> usize {
-        self.rings.len()
     }
 
     /// Ring `q`'s guest-local event-channel port.
@@ -352,8 +342,8 @@ impl Blkfront {
                 for &i in p.pages() {
                     self.data.release(i).expect("lent with the request");
                 }
-                let (id, op) = (rsp.id, p.op);
-                self.completions.push(BlkCompletion { id, op, ok, data });
+                let id = rsp.id;
+                self.completions.push(BlkCompletion { id, ok, data });
                 cost += Nanos::from_nanos(200);
             }
             let rq = &mut self.rings[q].shared;
@@ -442,14 +432,15 @@ mod tests {
         }
 
         /// Runs `f` over the bytes `off..off + len` of the guest page
-        /// `gref` names, through a grant map.
+        /// `gref` names, through a grant map (`readonly` or writable).
         fn with_page(
             &self,
             hv: &mut Hypervisor,
+            readonly: bool,
             (gref, off, len): (GrantRef, usize, usize),
             f: impl FnOnce(&mut [u8]),
         ) {
-            let (m, _) = hv.map_grant(self.back, self.front, gref).unwrap();
+            let (m, _) = hv.map_grant(self.back, self.front, gref, readonly).unwrap();
             f(&mut hv.mem.page_mut(m.page).unwrap()[off..off + len]);
             hv.unmap_grant(self.back, m.handle).unwrap();
         }
@@ -471,7 +462,7 @@ mod tests {
                 } => {
                     let segs = &mut buf[..*nr_segments as usize];
                     let descriptors = (indirect_grefs[0], 0, PAGE_SIZE);
-                    self.with_page(hv, descriptors, |p| unpack_indirect_segments(p, segs));
+                    self.with_page(hv, true, descriptors, |p| unpack_indirect_segments(p, segs));
                     segs
                 }
             };
@@ -480,7 +471,7 @@ mod tests {
             for seg in segs {
                 let (off, len) = (seg.first_sect as usize * SECTOR_SIZE, seg.len());
                 let mut disk = std::mem::take(&mut self.disk);
-                self.with_page(hv, (seg.gref, off, len), |page| {
+                self.with_page(hv, write, (seg.gref, off, len), |page| {
                     let disk = &mut disk[at..at + len];
                     if write {
                         disk.copy_from_slice(page);

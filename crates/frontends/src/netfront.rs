@@ -196,8 +196,6 @@ impl NfQueue {
 pub struct Netfront {
     /// Guest domain.
     pub guest: DomainId,
-    /// Driver domain on the other end.
-    pub backend: DomainId,
     queues: Vec<NfQueue>,
     received: VecDeque<Vec<u8>>,
     tx_ring_full: u64,
@@ -282,7 +280,6 @@ impl Netfront {
         hv.switch_state(guest, &paths.frontend_state(), XenbusState::Initialised)?;
         let mut nf = Netfront {
             guest,
-            backend: paths.back,
             queues,
             received: VecDeque::new(),
             tx_ring_full: 0,
@@ -293,11 +290,6 @@ impl Netfront {
             qu.post_rx_buffers(hv)?;
         }
         Ok(nf)
-    }
-
-    /// Number of negotiated queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
     }
 
     /// Whether GSO descriptor chains were negotiated with the backend.
@@ -614,7 +606,7 @@ mod tests {
 
         /// The bytes a Tx request names, read through a grant map.
         fn tx_bytes(&self, hv: &mut Hypervisor, req: &NetifTxRequest) -> Vec<u8> {
-            let (m, _) = hv.map_grant(self.back, self.front, req.gref).unwrap();
+            let (m, _) = hv.map_grant(self.back, self.front, req.gref, true).unwrap();
             let off = req.offset as usize;
             let bytes = hv.mem.page(m.page).unwrap()[off..off + req.size as usize].to_vec();
             hv.unmap_grant(self.back, m.handle).unwrap();
@@ -630,7 +622,9 @@ mod tests {
             data: &[u8],
             flags: u16,
         ) -> NetifRxResponse {
-            let (m, _) = hv.map_grant(self.back, self.front, req.gref).unwrap();
+            let (m, _) = hv
+                .map_grant(self.back, self.front, req.gref, false)
+                .unwrap();
             hv.mem.page_mut(m.page).unwrap()[..data.len()].copy_from_slice(data);
             hv.unmap_grant(self.back, m.handle).unwrap();
             rx_rsp(req.id, data.len() as i16, flags)

@@ -61,8 +61,6 @@ pub struct DevIo {
 pub struct ReadPlan {
     /// Device I/Os for the cache misses (merged into runs).
     pub device_ios: Vec<DevIo>,
-    /// Total bytes read (may be short at EOF).
-    pub total_bytes: usize,
 }
 
 /// `stat(2)` output.
@@ -249,8 +247,8 @@ impl Fs {
 
     /// Plans a read of `len` bytes at `offset`, consulting the page cache.
     ///
-    /// Short reads at EOF return `total_bytes < len`; reads entirely past
-    /// EOF fail.
+    /// A read running past EOF stops there; a read starting past EOF
+    /// fails.
     pub fn read(&mut self, ino: Ino, offset: u64, len: usize) -> Result<ReadPlan, FsError> {
         let meta = self.files.get(&ino).ok_or(FsError::NotFound)?.clone();
         if offset >= meta.size {
@@ -271,7 +269,6 @@ impl Fs {
         }
         Ok(ReadPlan {
             device_ios: self.merge_ios(&misses),
-            total_bytes: len,
         })
     }
 
@@ -328,7 +325,6 @@ mod tests {
         fs.write(ino, 0, 8192).unwrap();
         // Write-through populated the cache: read is all hits.
         let plan = fs.read(ino, 0, 8192).unwrap();
-        assert_eq!(plan.total_bytes, 8192);
         assert!(plan.device_ios.is_empty());
         // After a cache flush the same read goes to the device.
         fs.drop_caches();
@@ -344,10 +340,9 @@ mod tests {
         let mut fs = small_fs();
         let ino = fs.create("f").unwrap();
         fs.write(ino, 0, 100).unwrap();
-        let plan = fs.read(ino, 50, 1000).unwrap();
-        assert_eq!(plan.total_bytes, 50);
+        assert!(fs.read(ino, 50, 1000).is_ok(), "cut short at EOF");
         assert_eq!(fs.read(ino, 100, 10).err(), Some(FsError::BeyondEof));
-        assert_eq!(fs.read(ino, 100, 0).unwrap().total_bytes, 0);
+        assert!(fs.read(ino, 100, 0).is_ok());
     }
 
     #[test]

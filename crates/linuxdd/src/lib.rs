@@ -13,6 +13,6 @@ pub mod profile;
 pub mod syscalls;
 
 pub use boot::ubuntu_boot;
-pub use image::{ubuntu_image_bytes, ubuntu_image_parts, LinuxImagePart};
+pub use image::ubuntu_image;
 pub use profile::linux_profile;
 pub use syscalls::ubuntu_driver_domain_syscalls;

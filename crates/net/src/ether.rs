@@ -9,8 +9,6 @@ pub struct MacAddr(pub [u8; 6]);
 impl MacAddr {
     /// The broadcast address `ff:ff:ff:ff:ff:ff`.
     pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-    /// The all-zero address (unset).
-    pub const ZERO: MacAddr = MacAddr([0; 6]);
 
     /// Locally administered unicast address derived from a small id —
     /// handy for deterministic scenario construction.
@@ -263,8 +261,8 @@ mod tests {
     fn an_mtu_frame_costs_1538_wire_bytes() {
         // Full MTU: 14 + 1500 + 24 of preamble, FCS and inter-frame gap.
         let f = EthernetFrame::new(
-            MacAddr::ZERO,
-            MacAddr::ZERO,
+            MacAddr::local(2),
+            MacAddr::local(1),
             EtherType::Ipv4,
             vec![0; ETH_MTU],
         );

@@ -17,8 +17,7 @@
 //!   steering;
 //! * [`bridge`] — the learning bridge Kite's network application manages;
 //! * [`nat`] — source NAT, the alternative VIF-to-NIC linking technique;
-//! * [`dhcp`] — RFC 2131 wire format for the daemon-VM experiment;
-//! * [`iface`] — the interface table the network application configures.
+//! * [`dhcp`] — RFC 2131 wire format for the daemon-VM experiment.
 
 pub mod bridge;
 pub mod checksum;
@@ -26,7 +25,6 @@ pub mod dhcp;
 pub mod ether;
 pub mod flow;
 pub mod icmp;
-pub mod iface;
 pub mod ipv4;
 pub mod nat;
 pub mod udp;
@@ -36,7 +34,6 @@ pub use dhcp::{DhcpMessage, DhcpMessageType};
 pub use ether::{EtherType, EthernetFrame, MacAddr, ETH_MTU};
 pub use flow::{flow_hash, steer, RSS_KEY};
 pub use icmp::IcmpMessage;
-pub use iface::{IfKind, IfTable, Interface};
 pub use ipv4::{IpProto, Ipv4Packet};
 pub use nat::{Endpoint, Nat};
 pub use udp::UdpDatagram;

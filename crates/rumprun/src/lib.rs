@@ -23,6 +23,6 @@ pub mod profile;
 pub mod syscalls;
 
 pub use boot::{kite_boot, BootSequence, BootStage};
-pub use image::{kite_network_image, kite_storage_image, Component, ComponentKind, Image};
+pub use image::{kite_network_image, kite_storage_image, Image};
 pub use profile::{kite_profile, OsProfile};
 pub use syscalls::{kite_network_syscalls, kite_storage_syscalls, SyscallSet};

@@ -107,8 +107,6 @@ pub fn environment_cves() -> Vec<Cve> {
 /// A domain's exposure characteristics.
 #[derive(Clone, Debug)]
 pub struct DomainSurface {
-    /// Display name.
-    pub name: String,
     /// Linked/available syscalls.
     pub syscalls: SyscallSet,
     /// Does the domain carry xen-utils/libxl?
@@ -119,7 +117,6 @@ impl DomainSurface {
     /// The Kite network driver domain.
     pub fn kite_network() -> DomainSurface {
         DomainSurface {
-            name: "Kite network domain".into(),
             syscalls: kite_rumprun::kite_network_syscalls(),
             has_toolstack: false,
         }
@@ -128,7 +125,6 @@ impl DomainSurface {
     /// The Kite storage driver domain.
     pub fn kite_storage() -> DomainSurface {
         DomainSurface {
-            name: "Kite storage domain".into(),
             syscalls: kite_rumprun::kite_storage_syscalls(),
             has_toolstack: false,
         }
@@ -137,7 +133,6 @@ impl DomainSurface {
     /// The Ubuntu driver domain baseline.
     pub fn ubuntu() -> DomainSurface {
         DomainSurface {
-            name: "Ubuntu driver domain".into(),
             syscalls: kite_linux::ubuntu_driver_domain_syscalls(),
             has_toolstack: true,
         }

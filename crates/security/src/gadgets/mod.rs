@@ -63,7 +63,7 @@ pub fn figure5_profiles() -> Vec<OsImageProfile> {
         },
         OsImageProfile {
             name: "Ubuntu",
-            text_bytes: kite_linux::ubuntu_image_bytes() + 63 * 1024 * 1024,
+            text_bytes: kite_linux::ubuntu_image().total_bytes + 63 * 1024 * 1024,
             mix: InsnMix::kernel_default(),
         },
     ]

@@ -38,7 +38,7 @@ pub fn surface_report() -> Vec<SurfaceRow> {
         SurfaceRow {
             name: "Ubuntu".into(),
             syscalls: kite_linux::ubuntu_driver_domain_syscalls().len(),
-            image_bytes: kite_linux::ubuntu_image_bytes(),
+            image_bytes: kite_linux::ubuntu_image().total_bytes,
             boot_secs: kite_linux::ubuntu_boot().total().as_secs_f64(),
             cves_mitigated: DomainSurface::ubuntu().mitigated(&cves).len(),
         },

@@ -80,11 +80,6 @@ impl Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
 
-    /// Checked addition, `None` on overflow.
-    pub fn checked_add(self, rhs: Nanos) -> Option<Nanos> {
-        self.0.checked_add(rhs.0).map(Nanos)
-    }
-
     /// Scales a duration by a dimensionless factor, rounding to nearest.
     ///
     /// Negative factors clamp to zero.

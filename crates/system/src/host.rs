@@ -233,10 +233,7 @@ pub struct Host<D: Datapath> {
     /// When the DomU's interrupt handler last started.
     guest_irq_at: Nanos,
     bdf: Bdf,
-    mgr: BackendManager,
-    paths: DevicePaths,
     pub(crate) backend: DeviceLifecycle<D::Backend>,
-    boot: BootSequence,
     events_processed: u64,
     monitor: Option<HealthMonitor>,
     heartbeat: Option<HeartbeatPublisher>,
@@ -292,8 +289,8 @@ impl<D: Datapath> Host<D> {
         let (dp, backend_cfg, profile) = D::build(cfg, &mut hv, driver);
         let paths = DevicePaths::new(guest, driver, D::Backend::KIND, 0);
         let (driver_cpus, guest_cpus) = (vcpus_of(&hv, driver), vcpus_of(&hv, guest));
-        // `mgr` and `paths` are re-created by `plug_device` for whichever
-        // driver domain is current; the slot keeps its config for life.
+        // `plug_device` re-aims the slot at whichever driver domain is
+        // current; the slot keeps its config for life.
         let mut host = Host {
             hv,
             os,
@@ -309,10 +306,7 @@ impl<D: Datapath> Host<D> {
             guest_cpus,
             guest_irq_at: Nanos::ZERO,
             bdf,
-            mgr: BackendManager::new(driver, D::Backend::KIND),
-            paths: paths.clone(),
             backend: DeviceLifecycle::new(paths, backend_cfg),
-            boot: os.boot(),
             events_processed: 0,
             monitor: None,
             heartbeat: None,
@@ -356,14 +350,14 @@ impl<D: Datapath> Host<D> {
     fn plug_device(&mut self) {
         let nqueues = self.nqueues;
         let kind = D::Backend::KIND;
-        self.mgr = BackendManager::new(self.driver, kind);
-        self.mgr.start(&mut self.hv).expect("watch");
-        self.paths = DevicePaths::new(self.guest, self.driver, kind, 0);
-        provision_device(&mut self.hv, &self.paths).expect("provision");
+        let mut mgr = BackendManager::new(self.driver, kind);
+        mgr.start(&mut self.hv).expect("watch");
+        let paths = DevicePaths::new(self.guest, self.driver, kind, 0);
+        provision_device(&mut self.hv, &paths).expect("provision");
         if nqueues > 1 {
             // The toolstack advertises how many queues this backend
             // accepts; the frontend reads it and negotiates.
-            let be = self.paths.backend();
+            let be = paths.backend();
             self.hv
                 .store
                 .write(
@@ -374,22 +368,18 @@ impl<D: Datapath> Host<D> {
                 )
                 .expect("advertise queues");
         }
-        self.dp.advertise(&mut self.hv, &self.paths);
-        self.mgr.drain_events(&mut self.hv).expect("scan");
-        self.dp.connect_frontend(&mut self.hv, &self.paths, nqueues);
-        let ready = self.mgr.drain_events(&mut self.hv).expect("events");
+        self.dp.advertise(&mut self.hv, &paths);
+        mgr.drain_events(&mut self.hv).expect("scan");
+        self.dp.connect_frontend(&mut self.hv, &paths, nqueues);
+        let ready = mgr.drain_events(&mut self.hv).expect("events");
         assert_eq!(ready.len(), 1, "frontend discovered via watch event");
         self.backend
             .retarget(&mut self.hv, ready[0].clone())
             .expect("slot empty");
         let be = self.backend.connect(&mut self.hv).expect("backend connect");
-        self.dp.backend_connected(&mut self.hv, &self.paths, be);
+        self.dp.backend_connected(&mut self.hv, &paths, be);
         self.hv
-            .switch_state(
-                self.guest,
-                &self.paths.frontend_state(),
-                XenbusState::Connected,
-            )
+            .switch_state(self.guest, &paths.frontend_state(), XenbusState::Connected)
             .expect("frontend connect");
     }
 
@@ -649,7 +639,7 @@ impl<D: Datapath> Host<D> {
         self.hung = false;
         self.queue_wedged = false;
         let d0 = DomainId::DOM0;
-        let bs = self.paths.backend_state();
+        let bs = self.backend.paths().backend_state();
         let _ = self.hv.switch_state(d0, &bs, XenbusState::Closing);
         let _ = self.hv.switch_state(d0, &bs, XenbusState::Closed);
         self.recovery.record_detect(now);
@@ -658,10 +648,10 @@ impl<D: Datapath> Host<D> {
         // `Closed` is what lets the toolstack re-provision the pair back
         // to `Initialising`.
         self.dp.salvage(&self.hv, &mut self.recovery);
-        let fs = self.paths.frontend_state();
+        let fs = self.backend.paths().frontend_state();
         let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closing);
         let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closed);
-        let boot = self.boot.sample(&mut self.rng);
+        let boot = self.os.boot().sample(&mut self.rng);
         self.queue.schedule_at(now + boot, Event::DriverRestarted);
     }
 
@@ -942,10 +932,13 @@ impl<D: Datapath> Host<D> {
     /// `key` (a `*ring-ref` key) more than a ring ahead, as a hostile
     /// guest could; the backend meets it at its next drain.
     pub(crate) fn corrupt_req_prod(&mut self, key: &str) {
-        let path = format!("{}/{key}", self.paths.frontend());
+        let path = format!("{}/{key}", self.backend.paths().frontend());
         let gref = self.hv.store.read(DomainId::DOM0, None, &path).unwrap();
         let gref = kite_xen::GrantRef(gref.parse().unwrap());
-        let (m, _) = self.hv.map_grant(self.driver, self.guest, gref).unwrap();
+        let (m, _) = self
+            .hv
+            .map_grant(self.driver, self.guest, gref, false)
+            .unwrap();
         let page = self.hv.mem.page_mut(m.page).unwrap();
         kite_xen::ring::sring::set_req_prod(page, 100_000);
         self.hv.unmap_grant(self.driver, m.handle).unwrap();

@@ -224,11 +224,10 @@ pub struct NetPath {
     wire: LineRate,
     nic: Nic,
     phys_mac: MacAddr,
-    /// The driver domain's network application (bridge + interfaces).
+    /// The driver domain's network application (bridge, IF port, NAT).
     pub netapp: NetworkApp,
     nb_stats_base: NetbackStats,
     vif_port: BridgePort,
-    if_port: BridgePort,
     netfront: Option<Netfront>,
     nf_ring_full_base: u64,
     guest_mac: MacAddr,
@@ -308,9 +307,7 @@ impl Datapath for NetPath {
         profile.wakeup_latency = jrng.jitter(profile.wakeup_latency, 0.004);
         profile.idle_wake.cap = jrng.jitter(profile.idle_wake.cap, 0.004);
 
-        let phys_mac = MacAddr::local(0xee01);
-        let netapp = NetworkApp::start("ixg0", phys_mac, addrs::GATEWAY);
-        let if_port = netapp.port_of("ixg0").expect("attached at start");
+        let netapp = NetworkApp::start("ixg0", addrs::GATEWAY);
         let mut client_link = Link::ten_gbe();
         client_link.rate_bps = cfg.wire.bps();
         let dp = NetPath {
@@ -322,12 +319,11 @@ impl Datapath for NetPath {
                     .with_line_rate(cfg.wire)
                     .with_rx_queues(cfg.queues),
             ),
-            phys_mac,
-            netapp,
+            phys_mac: MacAddr::local(0xee01),
             nb_stats_base: NetbackStats::default(),
             // Re-aimed when the backend connects and the VIF is added.
-            vif_port: if_port,
-            if_port,
+            vif_port: netapp.if_port,
+            netapp,
             netfront: None,
             nf_ring_full_base: 0,
             guest_mac: MacAddr::local(0xaa01),
@@ -348,8 +344,7 @@ impl Datapath for NetPath {
 
     fn driver_booted(&mut self, _hv: &mut Hypervisor, _driver: DomainId) {
         // The bridge and its learned table died with the old domain.
-        self.netapp = NetworkApp::start("ixg0", self.phys_mac, addrs::GATEWAY);
-        self.if_port = self.netapp.port_of("ixg0").expect("attached at start");
+        self.netapp = NetworkApp::start("ixg0", addrs::GATEWAY);
     }
 
     fn advertise(&self, hv: &mut Hypervisor, paths: &DevicePaths) {
@@ -380,7 +375,7 @@ impl Datapath for NetPath {
         _paths: &DevicePaths,
         nb: &NetbackInstance,
     ) {
-        self.vif_port = self.netapp.add_vif(&nb.vif, self.guest_mac);
+        self.vif_port = self.netapp.add_vif(&nb.vif);
     }
 
     fn handle(host: &mut NetSystem, now: Nanos, ev: NetEvent) {
@@ -400,7 +395,7 @@ impl Datapath for NetPath {
         recovery.dropped_frames += nb.rx_backlog() as u64;
         self.metrics.drops += nb.rx_backlog() as u64;
         self.nb_stats_base.merge(&nb.stats());
-        self.netapp.remove_vif(&nb.vif);
+        self.netapp.remove_vif(self.vif_port);
     }
 
     fn salvage(&mut self, hv: &Hypervisor, recovery: &mut RecoveryStats) {
@@ -567,12 +562,7 @@ impl Host<NetPath> {
             self.dp.client_mac
         } else {
             // Gateway / unknown: the physical IF answers.
-            self.dp
-                .netapp
-                .ifs
-                .get("ixg0")
-                .map(|i| i.mac)
-                .unwrap_or(MacAddr::BROADCAST)
+            self.dp.phys_mac
         }
     }
 
@@ -726,7 +716,7 @@ impl Host<NetPath> {
             return;
         }
         let mut egress = |p: BridgePort, f: Vec<u8>| {
-            if p == self.dp.if_port {
+            if p == self.dp.netapp.if_port {
                 to_wire.push(f);
             } else if p == self.dp.vif_port {
                 self.deliver_to_guest(f);
@@ -1021,7 +1011,7 @@ impl Host<NetPath> {
                         let dom = self.driver.0;
                         self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
                     }
-                    self.bridge_forward(now, self.dp.if_port, f, &mut to_wire);
+                    self.bridge_forward(now, self.dp.netapp.if_port, f, &mut to_wire);
                 }
                 self.dp.nic_in = frames;
                 self.nic_transmit(t, &mut to_wire);
@@ -1218,12 +1208,12 @@ mod tests {
             assert_eq!(sys.dp.metrics.drops, before + 1);
         };
         let mut bridged = SystemConfig::new(BackendOs::Kite, 1).build_net();
-        let (vif, phys) = (bridged.dp.vif_port, bridged.dp.if_port);
+        let (vif, phys) = (bridged.dp.vif_port, bridged.dp.netapp.if_port);
         forward(&mut bridged, vif);
         forward(&mut bridged, phys);
         let mut nat = SystemConfig::new(BackendOs::Kite, 1).build_net();
         nat.use_nat();
-        let phys = nat.dp.if_port;
+        let phys = nat.dp.netapp.if_port;
         forward(&mut nat, phys);
     }
 
@@ -1266,7 +1256,7 @@ mod tests {
             "{learned} spoofed MACs learned"
         );
         assert_eq!(bridge.lookup(guest_mac, now), Some(sys.dp.vif_port));
-        assert_eq!(bridge.lookup(client_mac, now), Some(sys.dp.if_port));
+        assert_eq!(bridge.lookup(client_mac, now), Some(sys.dp.netapp.if_port));
         let m = &sys.dp.metrics;
         assert_eq!(
             m.client_rx_msgs,

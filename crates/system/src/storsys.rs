@@ -15,7 +15,7 @@ use kite_core::{
     blockapp, BackendDevice, BlkComplete, BlkbackConfig, BlkbackInstance, BlkbackStats,
     RecoveryStats,
 };
-use kite_devices::{Device, NvmeController};
+use kite_devices::NvmeController;
 use kite_frontends::Blkfront;
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
@@ -76,9 +76,10 @@ pub struct IoDone {
 /// (the closed-loop worker pattern).
 pub type IoHandler = Box<dyn FnMut(Nanos, &IoDone) -> Vec<IoOp>>;
 
-/// The storage datapath's scheduled events. `epoch` guards against
+/// The storage datapath's scheduled events. `driver` guards against
 /// completions of a crashed backend incarnation hitting a replacement
-/// that happens to reuse the same request id.
+/// that happens to reuse the same request id: Xen never reuses a
+/// [`DomainId`], so the driver domain's id names the incarnation.
 pub enum BlkEvent {
     /// Error response for a request that failed validation and never
     /// reached the device.
@@ -87,16 +88,16 @@ pub enum BlkEvent {
         req_id: u64,
         /// The ring the request arrived on.
         ring: usize,
-        /// Backend incarnation that scheduled the response.
-        epoch: u64,
+        /// Driver domain whose backend scheduled the response.
+        driver: DomainId,
     },
     /// NVMe completion interrupt: a CQ entry on `ring`'s queue pair came
     /// due; the reap runs on the vCPU its MSI-X vector is steered to.
     NvmeCq {
         /// The ring whose queue pair completed.
         ring: usize,
-        /// Backend incarnation that submitted the command.
-        epoch: u64,
+        /// Driver domain whose backend submitted the command.
+        driver: DomainId,
     },
     /// A workload submits a logical I/O.
     Submit(IoOp),
@@ -145,7 +146,6 @@ pub struct StorMetrics {
 pub struct BlkPath {
     /// The NVMe device (sparse real contents).
     pub nvme: NvmeController,
-    bb_epoch: u64,
     bb_stats_base: BlkbackStats,
     blkfront: Option<Blkfront>,
     // Negotiated per-request ceiling, kept so logical ops submitted
@@ -224,7 +224,6 @@ impl Datapath for BlkPath {
         };
         let dp = BlkPath {
             nvme,
-            bb_epoch: 0,
             bb_stats_base: BlkbackStats::default(),
             blkfront: None,
             max_req_bytes: 0,
@@ -281,9 +280,6 @@ impl Datapath for BlkPath {
     }
 
     fn backend_lost(&mut self, bb: &BlkbackInstance, _recovery: &mut RecoveryStats) {
-        // Retire the incarnation so stale completions can't touch the
-        // successor.
-        self.bb_epoch += 1;
         self.bb_stats_base.merge(&bb.stats());
     }
 
@@ -505,7 +501,7 @@ impl Host<BlkPath> {
                         BlkEvent::BlkError {
                             req_id: f.req_id,
                             ring: q,
-                            epoch: self.dp.bb_epoch,
+                            driver: self.driver,
                         },
                     );
                 }
@@ -514,7 +510,7 @@ impl Host<BlkPath> {
                         fire_at,
                         BlkEvent::NvmeCq {
                             ring,
-                            epoch: self.dp.bb_epoch,
+                            driver: self.driver,
                         },
                     );
                 }
@@ -540,9 +536,9 @@ impl Host<BlkPath> {
             BlkEvent::BlkError {
                 req_id,
                 ring,
-                epoch,
+                driver,
             } => {
-                if epoch != self.dp.bb_epoch || self.hung {
+                if driver != self.driver || self.hung {
                     // Response of a crashed backend incarnation, or a
                     // livelocked completion callback that never runs.
                     return;
@@ -553,8 +549,8 @@ impl Host<BlkPath> {
                 let res = bb.complete(&mut self.hv, req_id).expect("complete");
                 self.finish_blk_completion(now, ring, res);
             }
-            BlkEvent::NvmeCq { ring, epoch } => {
-                if epoch != self.dp.bb_epoch || self.hung {
+            BlkEvent::NvmeCq { ring, driver } => {
+                if driver != self.driver || self.hung {
                     // A CQ entry of a crashed/reset controller incarnation,
                     // or a livelocked interrupt handler that never runs.
                     return;

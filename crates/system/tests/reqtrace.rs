@@ -26,11 +26,10 @@ fn digest(req: &ReqTracer) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "seen={} sampled={} completed={} dropped={} live={}",
+        "seen={} sampled={} completed={} live={}",
         req.seen(),
         req.sampled(),
         req.completed_len(),
-        req.dropped(),
         req.live_len(),
     );
     for &stage in &Stage::ALL {

@@ -165,7 +165,6 @@ struct Inner {
     tick: u64,
     next_id: u64,
     capacity: usize,
-    dropped: u64,
     live: HashMap<u64, ReqRecord>,
     slots: HashMap<(SlotClass, u64), u64>,
     completed: VecDeque<ReqRecord>,
@@ -200,7 +199,6 @@ impl ReqTracer {
                 tick: 0,
                 next_id: 0,
                 capacity: capacity.max(1),
-                dropped: 0,
                 live: HashMap::new(),
                 slots: HashMap::new(),
                 completed: VecDeque::new(),
@@ -357,7 +355,6 @@ impl ReqTracer {
         inner.e2e_hist.record(rec.e2e());
         if inner.completed.len() == inner.capacity {
             inner.completed.pop_front();
-            inner.dropped += 1;
         }
         inner.completed.push_back(rec);
     }
@@ -370,11 +367,6 @@ impl ReqTracer {
     /// Requests sampled (ids minted).
     pub fn sampled(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.next_id)
-    }
-
-    /// Completed records dropped from the front of the store.
-    pub fn dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.dropped)
     }
 
     /// Requests sampled and still in flight.
@@ -507,7 +499,6 @@ mod tests {
             t.finish_at(req, 0, t.now());
         }
         assert_eq!(t.completed_len(), 2);
-        assert_eq!(t.dropped(), 2);
         // Oldest survivor is the third request.
         assert_eq!(t.completed().next().unwrap().id, 2);
         // Histograms still count every finished request.

@@ -13,8 +13,6 @@ use crate::common::stor_closed_loop;
 /// One dd measurement.
 #[derive(Clone, Debug)]
 pub struct DdReport {
-    /// True for the read run.
-    pub read: bool,
     /// Throughput in MB/s.
     pub mbps: f64,
 }
@@ -45,7 +43,6 @@ pub fn run(os: BackendOs, read: bool, total_bytes: u64, seed: u64) -> DdReport {
         Some((DD_BS as u64, vec![IoOp { tag: worker, kind }]))
     });
     DdReport {
-        read,
         mbps: r.bytes as f64 / 1e6 / sys.now().as_secs_f64(),
     }
 }

@@ -15,34 +15,17 @@ use kite_net::{DhcpMessage, DhcpMessageType, MacAddr};
 use kite_sim::{Nanos, OnlineStats};
 use kite_system::{addrs, BackendOs, NetSystem, Reply, Side};
 
-/// Which OS the daemon VM itself runs (the driver domain is Kite in both
-/// cases; §5.5 compares the *daemon VM* OS).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DaemonOs {
-    /// Rumprun unikernel (16-line OpenDHCP port).
-    Rumprun,
-    /// Linux VM running the same server.
-    Linux,
-}
-
-impl DaemonOs {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DaemonOs::Rumprun => "rumprun",
-            DaemonOs::Linux => "Linux",
-        }
-    }
-
-    /// Per-message server-side processing cost. The dominant share is
-    /// OpenDHCP's lease bookkeeping and lease-file/logging writes, which
-    /// both daemon VMs perform identically; Linux adds socket syscalls and
-    /// scheduler hops. Calibrated to §5.5's ≈0.78/0.70 ms delays.
-    fn per_msg_cost(self) -> Nanos {
-        match self {
-            DaemonOs::Rumprun => Nanos::from_micros(590),
-            DaemonOs::Linux => Nanos::from_micros(640),
-        }
+/// Per-message server-side processing cost of the daemon VM running
+/// `daemon` (the driver domain is Kite in both cases; §5.5 compares the
+/// *daemon VM* OS: the rumprun unikernel's 16-line OpenDHCP port, or a
+/// Linux VM running the same server). The dominant share is OpenDHCP's
+/// lease bookkeeping and lease-file/logging writes, which both daemon VMs
+/// perform identically; Linux adds socket syscalls and scheduler hops.
+/// Calibrated to §5.5's ≈0.78/0.70 ms delays.
+fn per_msg_cost(daemon: BackendOs) -> Nanos {
+    match daemon {
+        BackendOs::Kite => Nanos::from_micros(590),
+        BackendOs::Linux => Nanos::from_micros(640),
     }
 }
 
@@ -57,11 +40,12 @@ pub struct DhcpReport {
     pub sessions: u64,
 }
 
-/// Runs perfdhcp: `sessions` full DORA exchanges at `rate_per_sec`.
-pub fn run(daemon: DaemonOs, sessions: u32, rate_per_sec: u64, seed: u64) -> DhcpReport {
+/// Runs perfdhcp against a daemon VM running `daemon`: `sessions` full
+/// DORA exchanges at `rate_per_sec`.
+pub fn run(daemon: BackendOs, sessions: u32, rate_per_sec: u64, seed: u64) -> DhcpReport {
     let mut sys = NetSystem::new(BackendOs::Kite, seed);
     let mut server = DhcpServer::new(sessions + 10);
-    let cost = daemon.per_msg_cost();
+    let cost = per_msg_cost(daemon);
     // The daemon VM: decode real DHCP wire bytes, serve, encode.
     sys.set_guest_app(Box::new(move |now, msg| {
         let Some(req) = DhcpMessage::decode(&msg.payload) else {
@@ -148,7 +132,7 @@ mod tests {
 
     #[test]
     fn dora_latencies_match_section_5_5() {
-        let r = run(DaemonOs::Rumprun, 200, 400, 1);
+        let r = run(BackendOs::Kite, 200, 400, 1);
         assert_eq!(r.sessions, 200, "all sessions complete");
         // Paper: ~0.78 ms Discover-Offer, ~0.70 ms Request-Ack.
         assert!(
@@ -167,8 +151,8 @@ mod tests {
 
     #[test]
     fn rumprun_and_linux_daemons_similar() {
-        let ru = run(DaemonOs::Rumprun, 150, 400, 2);
-        let li = run(DaemonOs::Linux, 150, 400, 2);
+        let ru = run(BackendOs::Kite, 150, 400, 2);
+        let li = run(BackendOs::Linux, 150, 400, 2);
         let ratio = ru.discover_offer_ms / li.discover_offer_ms;
         assert!((0.75..1.05).contains(&ratio), "{ru:?} vs {li:?}");
     }
@@ -177,7 +161,7 @@ mod tests {
     fn addresses_unique_across_sessions() {
         // Indirectly verified by all sessions completing with a pool
         // exactly matching the session count.
-        let r = run(DaemonOs::Rumprun, 50, 400, 3);
+        let r = run(BackendOs::Kite, 50, 400, 3);
         assert_eq!(r.sessions, 50);
     }
 }

@@ -49,9 +49,6 @@ pub struct BlkifSegment {
 }
 
 impl BlkifSegment {
-    /// Serialized size of one segment descriptor.
-    pub const SIZE: usize = 8;
-
     /// The all-zero descriptor: what array entries past a request's
     /// segment count hold.
     pub const ZERO: BlkifSegment = BlkifSegment {

@@ -7,8 +7,9 @@
 //! the hypervisor has all machine memory mapped).
 //!
 //! Permission checks are real: mapping a grant issued to a different domain,
-//! writing through a read-only grant, or using a revoked grant all fail
-//! deterministically, which the security tests rely on.
+//! mapping a read-only grant writable or copying into one, or using a
+//! revoked grant all fail deterministically, which the security tests rely
+//! on.
 
 use std::collections::HashMap;
 
@@ -82,8 +83,6 @@ pub struct Mapping {
     pub handle: MapHandle,
     /// The machine page now accessible to the mapper.
     pub page: PageId,
-    /// Whether the mapping is read-only.
-    pub readonly: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -216,14 +215,25 @@ impl GrantTables {
         table.remove(gref).map(|_| ())
     }
 
-    /// `mapper` maps a grant issued by `granter`.
-    pub fn map(&mut self, mapper: DomainId, granter: DomainId, gref: GrantRef) -> Result<Mapping> {
+    /// `mapper` maps a grant issued by `granter`, read-only or writable
+    /// (`GNTMAP_readonly`): a writable map of a read-only grant fails with
+    /// [`XenError::ReadOnlyGrant`].
+    pub fn map(
+        &mut self,
+        mapper: DomainId,
+        granter: DomainId,
+        gref: GrantRef,
+        readonly: bool,
+    ) -> Result<Mapping> {
         let entry = self.table_mut(granter)?.get_mut(gref)?;
         if entry.peer != mapper {
             return Err(XenError::BadGrant);
         }
+        if entry.readonly && !readonly {
+            return Err(XenError::ReadOnlyGrant);
+        }
         entry.map_count += 1;
-        let (page, readonly) = (entry.page, entry.readonly);
+        let page = entry.page;
         let handle = MapHandle(self.next_handle);
         self.next_handle += 1;
         self.maps.insert(
@@ -234,11 +244,7 @@ impl GrantTables {
                 gref,
             },
         );
-        Ok(Mapping {
-            handle,
-            page,
-            readonly,
-        })
+        Ok(Mapping { handle, page })
     }
 
     /// Drops the busy count a torn-down mapping held on its grant.
@@ -426,13 +432,32 @@ mod tests {
         let gref =
             f.gt.grant_access(&f.mem, f.guest, f.driver, page, false)
                 .unwrap();
-        let m = f.gt.map(f.driver, f.guest, gref).unwrap();
+        let m = f.gt.map(f.driver, f.guest, gref, false).unwrap();
         assert_eq!(m.page, page);
         assert_eq!(&f.mem.page(m.page).unwrap()[0..4], b"data");
         f.gt.unmap(f.driver, m.handle).unwrap();
         f.gt.end_access(f.guest, gref).unwrap();
         assert_eq!(f.gt.live_grants(f.guest), 0);
         assert_eq!(f.gt.active_maps(f.driver), 0);
+    }
+
+    #[test]
+    fn writable_map_of_a_readonly_grant_fails() {
+        let mut f = fix();
+        let page = f.mem.alloc(&mut f.doms, f.guest).unwrap();
+        let gref =
+            f.gt.grant_access(&f.mem, f.guest, f.driver, page, true)
+                .unwrap();
+        assert_eq!(
+            f.gt.map(f.driver, f.guest, gref, false).err(),
+            Some(XenError::ReadOnlyGrant)
+        );
+        assert_eq!(f.gt.active_maps(f.driver), 0);
+        // A read-only map of it succeeds.
+        let m = f.gt.map(f.driver, f.guest, gref, true).unwrap();
+        assert_eq!(m.page, page);
+        f.gt.unmap(f.driver, m.handle).unwrap();
+        f.gt.end_access(f.guest, gref).unwrap();
     }
 
     #[test]
@@ -454,7 +479,7 @@ mod tests {
                 .unwrap();
         // Dom0 was not the grant peer.
         assert_eq!(
-            f.gt.map(DomainId::DOM0, f.guest, gref).err(),
+            f.gt.map(DomainId::DOM0, f.guest, gref, false).err(),
             Some(XenError::BadGrant)
         );
     }
@@ -466,7 +491,7 @@ mod tests {
         let gref =
             f.gt.grant_access(&f.mem, f.guest, f.driver, page, false)
                 .unwrap();
-        let m = f.gt.map(f.driver, f.guest, gref).unwrap();
+        let m = f.gt.map(f.driver, f.guest, gref, false).unwrap();
         assert_eq!(f.gt.end_access(f.guest, gref), Err(XenError::GrantInUse));
         f.gt.unmap(f.driver, m.handle).unwrap();
         f.gt.end_access(f.guest, gref).unwrap();
@@ -481,7 +506,7 @@ mod tests {
                 .unwrap();
         f.gt.end_access(f.guest, gref).unwrap();
         assert_eq!(
-            f.gt.map(f.driver, f.guest, gref).err(),
+            f.gt.map(f.driver, f.guest, gref, false).err(),
             Some(XenError::BadGrant)
         );
     }
@@ -546,7 +571,7 @@ mod tests {
         let tables = f.gt.tables.len();
         let ghost = DomainId(u16::MAX);
         assert_eq!(
-            f.gt.map(f.driver, ghost, gref).err(),
+            f.gt.map(f.driver, ghost, gref, false).err(),
             Some(XenError::BadGrant)
         );
         assert_eq!(f.gt.end_access(ghost, gref), Err(XenError::BadGrant));
@@ -623,7 +648,7 @@ mod tests {
         let gref =
             f.gt.grant_access(&f.mem, f.guest, f.driver, page, false)
                 .unwrap();
-        let m = f.gt.map(f.driver, f.guest, gref).unwrap();
+        let m = f.gt.map(f.driver, f.guest, gref, false).unwrap();
         assert_eq!(f.gt.unmap(f.guest, m.handle), Err(XenError::Perm));
     }
 }

@@ -181,14 +181,16 @@ impl Hypervisor {
             .grant_access(&self.mem, granter, peer, page, readonly)
     }
 
-    /// Charged `GNTTABOP_map_grant_ref`.
+    /// Charged `GNTTABOP_map_grant_ref`, read-only or writable
+    /// ([`GrantTables::map`](crate::grant::GrantTables::map)).
     pub fn map_grant(
         &mut self,
         mapper: DomainId,
         granter: DomainId,
         gref: GrantRef,
+        readonly: bool,
     ) -> Result<(Mapping, Nanos)> {
-        let m = self.grants.map(mapper, granter, gref)?;
+        let m = self.grants.map(mapper, granter, gref, readonly)?;
         let c = self.charge(mapper, HypercallKind::GntMap, 0);
         self.trace.emit_with(mapper.0, || EventKind::Hypercall {
             op: HypercallKind::GntMap.name(),
@@ -1027,7 +1029,7 @@ mod tests {
         assert_eq!(hv.meter(ghost).total_count(), 0, "bills no meter");
         assert_eq!(hv.evtchn_send(ghost, Port(0)), Err(XenError::BadPort));
         assert_eq!(
-            hv.map_grant(DomainId::DOM0, ghost, GrantRef(0)).err(),
+            hv.map_grant(DomainId::DOM0, ghost, GrantRef(0), true).err(),
             Some(XenError::BadGrant)
         );
         assert_eq!(hv.meters.len(), 1);

@@ -106,16 +106,6 @@ impl PciBus {
         }
     }
 
-    /// The domain a device is assigned to, if any.
-    pub fn owner(&self, bdf: Bdf) -> Option<DomainId> {
-        self.assigned.get(&bdf).copied()
-    }
-
-    /// Device info lookup.
-    pub fn device(&self, bdf: Bdf) -> Option<&PciDevice> {
-        self.devices.get(&bdf)
-    }
-
     /// Devices assigned to `dom`.
     pub fn devices_of(&self, dom: DomainId) -> Vec<&PciDevice> {
         self.assigned
@@ -157,13 +147,13 @@ mod tests {
         assert_eq!(bus.assign(bdf, DomainId(1)), Err(XenError::PciUnavailable));
         bus.make_assignable(bdf).unwrap();
         bus.assign(bdf, DomainId(1)).unwrap();
-        assert_eq!(bus.owner(bdf), Some(DomainId(1)));
+        assert_eq!(bus.devices_of(DomainId(1)).len(), 1);
         // Double assignment rejected.
         assert_eq!(bus.assign(bdf, DomainId(2)), Err(XenError::PciUnavailable));
         // Only the owner detaches.
         assert_eq!(bus.detach(bdf, DomainId(2)), Err(XenError::Perm));
         bus.detach(bdf, DomainId(1)).unwrap();
-        assert_eq!(bus.owner(bdf), None);
+        assert!(bus.devices_of(DomainId(1)).is_empty());
     }
 
     #[test]

@@ -406,8 +406,8 @@ impl BackAttach {
         self.nqueues
     }
 
-    /// Reads queue `k`'s `*ring-ref`, maps the granted page and attaches
-    /// a consumer to it.
+    /// Reads queue `k`'s `*ring-ref`, maps the granted page writable (the
+    /// backend writes its responses there) and attaches a consumer to it.
     pub fn ring<Req: RingEntry, Rsp: RingEntry>(
         &mut self,
         hv: &mut Hypervisor,
@@ -416,7 +416,7 @@ impl BackAttach {
     ) -> Result<BackEndpoint<Req, Rsp>> {
         let path = queue_key(&self.fe, self.nqueues, k, key.as_str());
         let gref = GrantRef(read_key(hv, self.back, &path)?);
-        let (mapping, _) = hv.map_grant(self.back, self.front, gref)?;
+        let (mapping, _) = hv.map_grant(self.back, self.front, gref, false)?;
         self.log.push(Attached::Map(mapping.handle));
         Ok(BackEndpoint {
             ring: BackRing::attach(),

@@ -114,6 +114,20 @@ fn main() {
     if let Some(path) = trace_path {
         let doc = sys.hv.export_chrome_trace();
         let events = kite::trace::chrome::validate(&doc).expect("trace must validate");
+        // One `<domain>/q<k>` track per negotiated queue; a single-queue
+        // driver domain stays on its own track.
+        let dd = sys.driver_domain();
+        let name = &sys.hv.domains.get(dd).expect("driver domain").name;
+        let n = sys.queue_count();
+        let tracks: Vec<String> = (0..n)
+            .filter(|_| n > 1)
+            .map(|k| format!("\"name\":\"{name}/q{k} (dom {})\"", dd.0))
+            .collect();
+        let named = doc.matches(&format!("\"name\":\"{name}/q")).count();
+        assert_eq!(named, tracks.len(), "one track per negotiated queue");
+        for t in &tracks {
+            assert_eq!(doc.matches(t.as_str()).count(), 1, "{t}");
+        }
         std::fs::write(&path, &doc).expect("write trace");
         println!("wrote Chrome trace to {path} ({events} events)");
     }

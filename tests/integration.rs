@@ -226,7 +226,7 @@ fn headline_claims_hold() {
             >= 10 * kite::rumprun::kite_network_syscalls().len()
     );
     // ~10x smaller image.
-    let ratio = kite::linux::ubuntu_image_bytes() as f64
+    let ratio = kite::linux::ubuntu_image().total_bytes as f64
         / kite::rumprun::kite_network_image().total_bytes as f64;
     assert!(ratio >= 8.0);
     // All Table 3 CVEs mitigated.

@@ -5,7 +5,7 @@
 //! offline build cannot fetch): every test derives its cases from a fixed
 //! seed, so failures replay bit-for-bit.
 
-use kite::core::{provision_device, BackendManager, NetbackInstance};
+use kite::core::{provision_device, BackendDevice, BackendManager, NetbackInstance};
 use kite::frontends::Netfront;
 use kite::fs::{ExtentAllocator, Fs};
 use kite::net::{
@@ -711,7 +711,7 @@ fn a_frame_sent_as_header_and_payload_matches_the_contiguous_frame() {
     let rig = || net_rig_with(QUEUES, &[(FEATURE_GSO_KEY, 1), (MQ_MAX_QUEUES_KEY, QUEUES)]);
     let (mut whole, mut split) = (rig(), rig());
     assert!(whole.nf.gso() && whole.nb.gso(), "offload negotiated");
-    assert_eq!(whole.nf.queue_count(), QUEUES as usize);
+    assert_eq!(whole.nb.queue_count(), QUEUES as usize);
     let mut queues_seen = [false; QUEUES as usize];
     let lens = [0, 1, 4_054, 4_055, PAGE_SIZE, 48 * 1024, GSO_UDP];
     for (i, len) in lens.into_iter().enumerate() {

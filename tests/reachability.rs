@@ -46,12 +46,20 @@
 //!
 //! That is its blind spot: a method named like a std one (`len`,
 //! `is_empty`, `clear`, `iter`, `min`, `name`, `all`) is served by any
-//! `.len(` on a `Vec` or `.min(` on a `u64` in its crate, so it can have
-//! no caller at all and still pass. The compile probe covers it: rename
-//! one such `pub fn` at a time and run `cargo check --workspace --lib
-//! --bins --examples` and `cargo check --manifest-path
-//! benchmark/Cargo.toml`; a fn whose rename still builds has no shipped
-//! caller and is deleted, or kept for a reason DESIGN.md §7 records.
+//! `.len(` on a `Vec` or `.min(` on a `u64` in its crate, and a `.name`
+//! read on a receiver of unstated type counts for every field of that
+//! name, so an item can have no reader at all and still pass. The
+//! compiler probe covers it, on a scratch copy of the tracked files:
+//! make every `pub` field, `pub fn` and `pub const` declared before a
+//! file's first `#[cfg(test)]` under `crates/*/src` `pub(crate)`; run
+//! `cargo check --offline --keep-going --message-format=json --workspace
+//! --lib --bins --examples` and the same against `benchmark/Cargo.toml`;
+//! restore `pub` on every item an error names or points at, and repeat
+//! until both build. rustc's `never read` / `never used` warnings then
+//! list what no shipped code uses: each is deleted, listed in
+//! [`OBSERVED`], or kept for a reason DESIGN.md §7 records. The probe
+//! cannot judge a field another crate constructs (the literal's error
+//! restores it), so its list is a lower bound.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -126,8 +134,8 @@ const OBSERVED: &[(&str, &str)] = &[
     ),
     (
         "Nic::rx_dropped",
-        "the only record of a frame the NIC's receive ring overflowed or a \
-         reset discarded; the NIC tests read it",
+        "the only record of a frame the NIC's receive ring overflowed; the \
+         NIC tests read it",
     ),
     (
         "RrResult::unanswered",
@@ -210,9 +218,9 @@ const OBSERVED: &[(&str, &str)] = &[
     ),
     // fields, variants and consts
     (
-        "Image::components",
-        "the image tests check which components each driver domain links \
-         (no NVMe driver in the network image); the size model sums them",
+        "Image::parts",
+        "the image tests check which parts each driver domain links (no \
+         NVMe driver in the network image); callers read the total",
     ),
     (
         "StackRow::total_ns",
