@@ -75,7 +75,7 @@ impl BackendManager {
         let _ = hv.store.write(DomainId::DOM0, None, &root, "");
         hv.store
             .set_perm(DomainId::DOM0, &root, self.domain, Perm::ReadWrite)?;
-        let w = hv.store.watch(self.domain, &root, "backend-root")?;
+        let w = hv.store.watch(self.domain, &root)?;
         self.watch = Some(w);
         Ok(())
     }
@@ -148,9 +148,7 @@ impl BackendManager {
             // `Closing`) writes reach this handler directly. The
             // registration fire re-examines the device, which also covers
             // a frontend that published before the watch was armed.
-            let w = hv
-                .store
-                .watch(self.domain, &paths.frontend_state(), "frontend-state")?;
+            let w = hv.store.watch(self.domain, &paths.frontend_state())?;
             self.front_watches.insert(w, key);
         }
         if self.known.contains(&key) {
@@ -476,11 +474,10 @@ mod tests {
         assert_eq!(mgr.drain_events(&mut hv).unwrap(), vec![p2]);
 
         // A foreign watcher's event is ignored.
-        let foreign = hv.store.watch(gu, "/local", "other").unwrap();
+        let foreign = hv.store.watch(gu, "/local").unwrap();
         let ev = WatchEvent {
             domain: gu,
             watch: foreign,
-            token: "other".into(),
             path: p1.backend_state(),
         };
         assert!(mgr.process_event(&mut hv, &ev).unwrap().is_empty());

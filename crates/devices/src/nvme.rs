@@ -117,13 +117,11 @@ pub struct CqEntry {
     pub submitted_at: Nanos,
 }
 
-/// An MSI-X-style completion vector: interrupt number plus the vCPU the
-/// interrupt is steered to (affinity set at queue creation, the way
-/// `irq_set_affinity` pins NVMe completion vectors per-core).
+/// An MSI-X-style completion vector, numbered by its queue's id: the
+/// vCPU the interrupt is steered to (affinity set at queue creation, the
+/// way `irq_set_affinity` pins NVMe completion vectors per-core).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MsixVector {
-    /// Vector number (equals the queue id).
-    pub vector: u16,
     /// Target vCPU in the owning domain's `CpuPool`.
     pub vcpu: usize,
 }
@@ -296,10 +294,7 @@ impl NvmeController {
             return None;
         }
         let qid = QueueId(self.queues.len() as u16 + 1);
-        self.queues.push(Some(IoQueue::new(MsixVector {
-            vector: qid.0,
-            vcpu,
-        })));
+        self.queues.push(Some(IoQueue::new(MsixVector { vcpu })));
         Some(qid)
     }
 
@@ -606,7 +601,7 @@ mod tests {
         let q2 = d.create_io_queues(7).unwrap();
         let q3 = d.create_io_queues(2).unwrap();
         assert_eq!((q1, q2, q3), (QueueId(1), QueueId(2), QueueId(3)));
-        assert_eq!(d.vector_of(q2), Some(MsixVector { vector: 2, vcpu: 7 }));
+        assert_eq!(d.vector_of(q2), Some(MsixVector { vcpu: 7 }));
         assert_eq!(d.io_queue_count(), 3);
     }
 

@@ -8,7 +8,6 @@ use kite_sim::{IdleWake, Nanos};
 /// hooks) and per-bio block layers.
 pub fn linux_profile() -> OsProfile {
     OsProfile {
-        name: "Linux",
         irq_overhead: Nanos::from_nanos(900),
         wakeup_latency: Nanos::from_micros(3),
         per_packet: Nanos::from_nanos(800),

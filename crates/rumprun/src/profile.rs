@@ -14,8 +14,6 @@ use kite_sim::{IdleWake, Nanos};
 /// Per-OS cost parameters for the driver-domain data path.
 #[derive(Clone, Debug)]
 pub struct OsProfile {
-    /// Display name.
-    pub name: &'static str,
     /// Interrupt handler entry/exit (ack + wake).
     pub irq_overhead: Nanos,
     /// Wake-to-run latency for the deferred worker on an idle vCPU.
@@ -39,7 +37,6 @@ pub struct OsProfile {
 /// scheduler; Linux's are much larger (softirq + kthread scheduling).
 pub fn kite_profile() -> OsProfile {
     OsProfile {
-        name: "Kite",
         irq_overhead: Nanos::from_nanos(350),
         wakeup_latency: Nanos::from_nanos(700),
         per_packet: Nanos::from_nanos(550),

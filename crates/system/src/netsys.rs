@@ -286,9 +286,9 @@ impl Datapath for NetPath {
     }
 
     fn pci_device() -> PciDevice {
+        // Intel 82599ES 10-Gigabit SFI/SFP+
         PciDevice {
             bdf: "03:00.0".parse().expect("static BDF"),
-            name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
         }
     }
 

@@ -188,9 +188,9 @@ impl Datapath for BlkPath {
     }
 
     fn pci_device() -> PciDevice {
+        // Samsung 970 EVO Plus 500GB
         PciDevice {
             bdf: "04:00.0".parse().expect("static BDF"),
-            name: "Samsung 970 EVO Plus 500GB".into(),
         }
     }
 

@@ -60,8 +60,6 @@ pub struct LogicalMsg {
     pub id: u32,
     /// Body length in bytes.
     pub body_len: usize,
-    /// Arrival time of the first chunk.
-    pub started: Nanos,
 }
 
 #[derive(Debug)]
@@ -70,7 +68,6 @@ struct Partial {
     id: u32,
     body_len: usize,
     got: usize,
-    started: Nanos,
 }
 
 /// Per-flow reassembly of logical messages from UDP chunks.
@@ -92,7 +89,7 @@ impl Reassembler {
     /// sender cuts each message in one event, and the simulated path is
     /// FIFO); a header starts a new message. What a lost chunk leaves
     /// behind is discarded and counted in [`Reassembler::discarded`].
-    pub fn push(&mut self, now: Nanos, msg: &UdpMsg) -> Option<LogicalMsg> {
+    pub fn push(&mut self, msg: &UdpMsg) -> Option<LogicalMsg> {
         let key = (msg.src_ip, msg.src_port, msg.dst_port);
         let data: &[u8] = &msg.payload;
         let word = |i: usize| u32::from_be_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
@@ -105,7 +102,6 @@ impl Reassembler {
                 id: word(MSG_HEADER),
                 body_len: word(4) as usize,
                 got: data.len() - MSG_HEADER,
-                started: now,
             }
         } else if let Some(mut p) = open {
             p.got += data.len();
@@ -126,7 +122,6 @@ impl Reassembler {
             kind: p.kind,
             id: p.id,
             body_len: p.body_len,
-            started: p.started,
         })
     }
 
@@ -235,9 +230,9 @@ pub fn rr_closed_loop(os: BackendOs, seed: u64, cfg: RrConfig) -> RrResult {
         server: Reassembler::new(),
     }));
     let server = Rc::clone(&state);
-    sys.set_guest_app(Box::new(move |now, msg| {
+    sys.set_guest_app(Box::new(move |_, msg| {
         let st = &mut *server.borrow_mut();
-        let Some(req) = st.server.push(now, msg) else {
+        let Some(req) = st.server.push(msg) else {
             return Vec::new();
         };
         vec![Reply {
@@ -251,7 +246,7 @@ pub fn rr_closed_loop(os: BackendOs, seed: u64, cfg: RrConfig) -> RrResult {
     let client = Rc::clone(&state);
     sys.set_client_app(Box::new(move |now, msg| {
         let st = &mut *client.borrow_mut();
-        let Some(rsp) = st.client.push(now, msg) else {
+        let Some(rsp) = st.client.push(msg) else {
             return Vec::new();
         };
         let Some((w, t0)) = st.sent.remove(&rsp.id) else {
@@ -585,13 +580,13 @@ mod tests {
             let (mut server, mut client) = (Reassembler::new(), Reassembler::new());
             let mut req = None;
             for c in chunk(&encode_msg(2, id, 9000)) {
-                req = req.or(server.push(Nanos(1), &msg(c)));
+                req = req.or(server.push(&msg(c)));
             }
             let req = req.expect("request reassembled");
             assert_eq!((req.kind, req.id, req.body_len), (2, id, 9000));
             let mut rsp = None;
             for c in chunk(&encode_msg(req.kind, req.id, 12_000)) {
-                rsp = rsp.or(client.push(Nanos(2), &msg(c)));
+                rsp = rsp.or(client.push(&msg(c)));
             }
             assert_eq!(rsp.expect("response reassembled").id, id);
             assert_eq!((server.discarded(), client.discarded()), (0, 0));
@@ -602,11 +597,10 @@ mod tests {
     fn single_chunk_message() {
         let mut r = Reassembler::new();
         let m = encode_msg(7, 3, 100);
-        let out = r.push(Nanos(5), &msg(m)).unwrap();
+        let out = r.push(&msg(m)).unwrap();
         assert_eq!(out.kind, 7);
         assert_eq!(out.id, 3);
         assert_eq!(out.body_len, 100);
-        assert_eq!(out.started, Nanos(5));
     }
 
     #[test]
@@ -616,14 +610,13 @@ mod tests {
         let chunks = chunk(&m);
         assert!(chunks.len() > 2);
         let mut results = Vec::new();
-        for (i, c) in chunks.iter().enumerate() {
-            if let Some(l) = r.push(Nanos(i as u64), &msg(c.clone())) {
+        for c in &chunks {
+            if let Some(l) = r.push(&msg(c.clone())) {
                 results.push(l);
             }
         }
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].body_len, 10_000);
-        assert_eq!(results[0].started, Nanos(0), "stamped at first chunk");
     }
 
     #[test]
@@ -633,7 +626,7 @@ mod tests {
             let m = encode_msg(k, u32::from(k), 6000);
             let mut seen = 0;
             for c in chunk(&m) {
-                if let Some(l) = r.push(Nanos(1), &msg(c)) {
+                if let Some(l) = r.push(&msg(c)) {
                     assert_eq!((l.kind, l.id), (k, u32::from(k)));
                     seen += 1;
                 }
@@ -647,9 +640,9 @@ mod tests {
     #[test]
     fn garbage_header_dropped() {
         let mut r = Reassembler::new();
-        assert!(r.push(Nanos(0), &msg(vec![0; 20])).is_none());
+        assert!(r.push(&msg(vec![0; 20])).is_none());
         let m = encode_msg(1, 0, 10);
-        assert!(r.push(Nanos(1), &msg(m)).is_some());
+        assert!(r.push(&msg(m)).is_some());
         assert_eq!(r.discarded(), 1);
     }
 
@@ -661,8 +654,8 @@ mod tests {
     fn header_while_partial_cuts_the_old_message() {
         let mut r = Reassembler::new();
         let lost_tail = chunk(&encode_msg(1, 10, 9000));
-        assert!(r.push(Nanos(0), &msg(lost_tail[0].clone())).is_none());
-        let next = r.push(Nanos(1), &msg(encode_msg(2, 11, 100)));
+        assert!(r.push(&msg(lost_tail[0].clone())).is_none());
+        let next = r.push(&msg(encode_msg(2, 11, 100)));
         let next = next.expect("the new message stands alone");
         assert_eq!((next.kind, next.id, next.body_len), (2, 11, 100));
         assert_eq!(r.discarded(), 1);
@@ -677,14 +670,14 @@ mod tests {
         m1.src_port = 1;
         let mut m2 = msg(chunks[0].clone());
         m2.src_port = 2;
-        assert!(r.push(Nanos(0), &m1).is_none());
-        assert!(r.push(Nanos(0), &m2).is_none());
+        assert!(r.push(&m1).is_none());
+        assert!(r.push(&m2).is_none());
         let mut t1 = msg(chunks[1].clone());
         t1.src_port = 1;
         // 4000-8+4000 < 9000: still incomplete.
-        assert!(r.push(Nanos(1), &t1).is_none());
+        assert!(r.push(&t1).is_none());
         let mut t1b = msg(chunks[2].clone());
         t1b.src_port = 1;
-        assert!(r.push(Nanos(2), &t1b).is_some());
+        assert!(r.push(&t1b).is_some());
     }
 }

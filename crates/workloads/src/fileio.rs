@@ -21,8 +21,6 @@ pub const FIG12B_BLOCKS: [usize; 4] = [16 << 10, 256 << 10, 4 << 20, 64 << 20];
 pub struct FileioReport {
     /// Combined read+write throughput in MB/s.
     pub mbps: f64,
-    /// Operations completed: every one the run issued and timed.
-    pub ops: u64,
 }
 
 /// Runs the random 3:2 read:write phase.
@@ -77,7 +75,6 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
     let elapsed = (sys.now() - t_start).as_secs_f64();
     FileioReport {
         mbps: r.bytes as f64 / 1e6 / elapsed,
-        ops: r.ops,
     }
 }
 
@@ -103,15 +100,6 @@ mod tests {
             large.mbps > 3.0 * small.mbps,
             "Fig 12b shape: {small:?} vs {large:?}"
         );
-    }
-
-    /// The throughput's operation count is every operation the run
-    /// timed: the first operation of each of the 20 workers included,
-    /// and those the page cache served without device I/O.
-    #[test]
-    fn counts_every_operation_it_times() {
-        let r = run(BackendOs::Kite, 20, 256 * 1024, 100, 1);
-        assert_eq!(r.ops, 100);
     }
 
     #[test]

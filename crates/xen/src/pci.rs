@@ -47,8 +47,6 @@ impl FromStr for Bdf {
 pub struct PciDevice {
     /// Its address.
     pub bdf: Bdf,
-    /// Marketing name (`lspci` style).
-    pub name: String,
 }
 
 /// PCI passthrough state for the whole machine.
@@ -121,9 +119,9 @@ mod tests {
     use super::*;
 
     fn nic() -> PciDevice {
+        // Intel 82599ES 10-Gigabit SFI/SFP+
         PciDevice {
             bdf: "03:00.0".parse().unwrap(),
-            name: "Intel 82599ES 10-Gigabit SFI/SFP+".into(),
         }
     }
 

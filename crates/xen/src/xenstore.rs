@@ -45,8 +45,6 @@ pub struct WatchEvent {
     pub domain: DomainId,
     /// The id of the watch that fired.
     pub watch: WatchId,
-    /// The token supplied at registration.
-    pub token: String,
     /// The path that changed (or the watch path itself on registration).
     pub path: String,
 }
@@ -63,7 +61,6 @@ struct Node {
 struct Watch {
     domain: DomainId,
     path: String,
-    token: String,
 }
 
 #[derive(Debug)]
@@ -209,7 +206,6 @@ impl Xenstore {
                 self.pending.push(WatchEvent {
                     domain: w.domain,
                     watch: id,
-                    token: w.token.clone(),
                     path: changed.to_string(),
                 });
             }
@@ -451,22 +447,15 @@ impl Xenstore {
     }
 
     /// Registers a watch on `path`; fires once immediately.
-    pub fn watch(
-        &mut self,
-        domain: DomainId,
-        path: &str,
-        token: impl Into<String>,
-    ) -> Result<WatchId> {
+    pub fn watch(&mut self, domain: DomainId, path: &str) -> Result<WatchId> {
         validate(path)?;
         let id = WatchId(self.next_watch);
         self.next_watch += 1;
-        let token = token.into();
         self.watches.insert(
             id,
             Watch {
                 domain,
                 path: path.to_string(),
-                token: token.clone(),
             },
         );
         // Xen semantics: a watch fires once upon registration so the
@@ -474,7 +463,6 @@ impl Xenstore {
         self.pending.push(WatchEvent {
             domain,
             watch: id,
-            token,
             path: path.to_string(),
         });
         Ok(id)
@@ -636,7 +624,7 @@ mod tests {
     fn watch_fires_on_registration_and_subtree_changes() {
         let mut xs = Xenstore::new();
         xs.write(D0, None, "/backend/vif", "").unwrap();
-        let w = xs.watch(DD, "/backend/vif", "tok").unwrap();
+        let w = xs.watch(DD, "/backend/vif").unwrap();
         let evs = xs.take_events();
         assert_eq!(evs.len(), 1, "registration fire");
         assert_eq!(evs[0].path, "/backend/vif");
@@ -657,7 +645,7 @@ mod tests {
     fn watch_fires_on_rm() {
         let mut xs = Xenstore::new();
         xs.write(D0, None, "/backend/vbd/1/0/state", "4").unwrap();
-        xs.watch(DD, "/backend/vbd", "t").unwrap();
+        xs.watch(DD, "/backend/vbd").unwrap();
         xs.take_events();
         xs.rm(D0, None, "/backend/vbd/1").unwrap();
         let evs = xs.take_events();
@@ -667,7 +655,7 @@ mod tests {
     #[test]
     fn unwatch_stops_events() {
         let mut xs = Xenstore::new();
-        let w = xs.watch(DD, "/x", "t").unwrap();
+        let w = xs.watch(DD, "/x").unwrap();
         xs.take_events();
         xs.unwatch(w).unwrap();
         xs.write(D0, None, "/x/y", "1").unwrap();

@@ -7,7 +7,8 @@
 #   rows vs the shipped BENCH_mechanisms.json, repro top/lat/prof vs the
 #   shipped scripts/repro_views.txt) ->
 #   benchmark/ smoke + sim_digest cmp + allocation pins + one traced run
-#   -> doc -> clippy -D warnings -> fmt --check
+#   -> reachability (fixture, then workspace) -> doc -> clippy -D warnings
+#   -> fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
 # while `repro --json` builds them (DESIGN.md §18); nothing here
@@ -183,6 +184,25 @@ if git rev-parse --git-dir > /dev/null 2>&1; then # an exported tree has no inde
     git diff --quiet -- benchmark BENCHMARK.json \
         || fail "the gate modified benchmark/ or BENCHMARK.json"
 fi
+
+echo "==> reachability: every pub item is used by shipped code or observed"
+# src/bin/reachability.rs copies the tree to target/reachability/, makes
+# every pub item of crates/*/src pub(crate) there, restores whatever the
+# workspace's and benchmark/'s `cargo check` fail on, and reports rustc's
+# dead-code warnings (DESIGN.md §6); it prints its rounds and wall time.
+# The scratch copy and its target dirs stay, so a warm run reuses them.
+# The fixture's report is pinned first, so a rule that stops firing fails
+# here; then every finding in this workspace must be in
+# scripts/observed.txt, and every entry there must still be a finding.
+status=0
+$bin/reachability tests/fixtures/reach tests/fixtures/reach/observed.txt > "$tdir/reach.txt" || status=$?
+[ "$status" = 1 ] || fail "reachability on the fixture exited $status, not 1"
+cmp "$tdir/reach.txt" tests/fixtures/reach/expected.txt \
+    || fail "reachability's fixture report differs from tests/fixtures/reach/expected.txt"
+$bin/reachability . scripts/observed.txt > "$tdir/reach.txt" || {
+    grep -v '^observed' "$tdir/reach.txt" >&2
+    fail "reachability: delete what no shipped code uses, or list it in scripts/observed.txt with a reason"
+}
 
 echo "==> cargo doc --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
