@@ -129,17 +129,16 @@ fn fig1a() {
 
 fn fig5() {
     println!(
-        "scanning synthetic images (scale 1/{})...",
-        sec::gadgets::SCAN_SCALE
+        "scanning {} B of real x86-64 .text once, scaled to each OS's text size...",
+        sec::gadgets::FIXTURE.len()
     );
     println!(
         "{:<10} {:>12} {:>10} {:>10} {:>10} {:>10}",
         "os", "total", "datamove", "arith", "ctrlflow", "ret"
     );
-    let mut totals = Vec::new();
-    for p in sec::figure5_profiles() {
-        let c = sec::analyze(&p, 42);
-        totals.push((p.name, c.total()));
+    let profiles = sec::figure5_profiles();
+    let counts = sec::analyze(&profiles);
+    for (p, c) in profiles.iter().zip(&counts) {
         println!(
             "{:<10} {:>12} {:>10} {:>10} {:>10} {:>10}",
             p.name,
@@ -150,11 +149,11 @@ fn fig5() {
             c.get(sec::Category::Ret),
         );
     }
-    let kite = totals[0].1 as f64;
+    let kite = counts[0].total() as f64;
     println!(
         "ratios vs Kite: default {:.1}x (paper ≈4x), Ubuntu {:.1}x (paper ≈11x)",
-        totals[1].1 as f64 / kite,
-        totals[5].1 as f64 / kite
+        counts[1].total() as f64 / kite,
+        counts[5].total() as f64 / kite
     );
 }
 

@@ -30,10 +30,12 @@ impl GadgetCounts {
         self.counts.values().sum()
     }
 
-    /// Scales all counts (for size-scaled synthetic images).
-    pub fn scaled(&self, factor: u64) -> GadgetCounts {
+    /// Scales counts found in `from_bytes` of text to `to_bytes`,
+    /// rounding each category once.
+    pub fn scaled(&self, to_bytes: u64, from_bytes: u64) -> GadgetCounts {
+        let scale = |n: u64| (n * to_bytes + from_bytes / 2) / from_bytes;
         GadgetCounts {
-            counts: self.counts.iter().map(|(&c, &n)| (c, n * factor)).collect(),
+            counts: self.counts.iter().map(|(&c, &n)| (c, scale(n))).collect(),
         }
     }
 
@@ -93,8 +95,7 @@ pub fn scan(text: &[u8]) -> GadgetCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gadgets::imagegen::{generate_text, InsnMix};
-    use kite_sim::Pcg;
+    use crate::gadgets::FIXTURE;
 
     #[test]
     fn finds_handcrafted_gadget() {
@@ -135,26 +136,32 @@ mod tests {
     }
 
     #[test]
-    fn counts_scale_roughly_linearly_with_size() {
-        let mix = InsnMix::kernel_default();
-        let small = scan(&generate_text(40_000, &mix, &mut Pcg::seeded(3)));
-        let large = scan(&generate_text(160_000, &mix, &mut Pcg::seeded(4)));
-        let ratio = large.total() as f64 / small.total() as f64;
+    fn counts_are_linear_in_text() {
+        // Counts add over disjoint text, so scaling a sample by size is
+        // exact up to the sample's density: the halves differ in density,
+        // but the first half plus the rest is the whole.
+        let (first, rest) = FIXTURE.split_at(FIXTURE.len() / 2);
+        let whole = scan(FIXTURE).total();
+        let parts = scan(first).total() + scan(rest).total();
+        // Only gadgets straddling the cut are lost: at most 20 + 19 + … + 1
+        // start/ret pairs, plus one `ret imm16` whose immediate is cut.
+        let straddling = (MAX_GADGET_BYTES * (MAX_GADGET_BYTES + 1) / 2 + 1) as u64;
         assert!(
-            (3.0..5.0).contains(&ratio),
-            "expected ~4x, got {ratio:.2} ({} vs {})",
-            large.total(),
-            small.total()
+            (parts..=parts + straddling).contains(&whole),
+            "{whole} vs {parts}"
         );
+        assert!(whole > 1000, "{whole}");
     }
 
     #[test]
-    fn datamove_dominates_compiler_mix() {
-        let mix = InsnMix::kernel_default();
-        let counts = scan(&generate_text(120_000, &mix, &mut Pcg::seeded(5)));
+    fn datamove_dominates_compiled_code() {
+        let counts = scan(FIXTURE);
         let dm = counts.get(Category::DataMove);
         for c in [
+            Category::Arithmetic,
             Category::Logic,
+            Category::ControlFlow,
+            Category::SettingFlags,
             Category::String,
             Category::Mmx,
             Category::Floating,
@@ -165,11 +172,14 @@ mod tests {
     }
 
     #[test]
-    fn scaled_multiplies() {
-        let mix = InsnMix::rumprun();
-        let counts = scan(&generate_text(20_000, &mix, &mut Pcg::seeded(6)));
-        let scaled = counts.scaled(16);
+    fn scaled_rounds_each_category_once() {
+        let counts = scan(FIXTURE);
+        let len = FIXTURE.len() as u64;
+        let scaled = counts.scaled(16 * len, len);
         assert_eq!(scaled.total(), counts.total() * 16);
         assert_eq!(scaled.get(Category::Ret), counts.get(Category::Ret) * 16);
+        let third = counts.scaled(len, 3 * len);
+        let rets = counts.get(Category::Ret);
+        assert_eq!(third.get(Category::Ret), (rets + 1) / 3);
     }
 }

@@ -1,10 +1,11 @@
 //! A minimal recursive-descent JSON parser.
 //!
-//! The workspace is offline (no serde); this parser exists solely so the
-//! exporters can validate their own output — Chrome traces and results
-//! files — in tests and in `scripts/verify.sh` without external tools.
-//! It accepts standard JSON; it is a validator, not a general decoder,
-//! so numbers are held as `f64` and objects as ordered pairs.
+//! The workspace is offline (no serde). The exporters validate their own
+//! output with it — Chrome traces and results files — in tests and in
+//! `scripts/verify.sh`, and the reachability gate (`src/bin/
+//! reachability.rs`) reads cargo's `--message-format=json` diagnostics
+//! with it. It accepts standard JSON, every escape included; numbers are
+//! held as `f64` and objects as ordered pairs.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -48,6 +48,8 @@ use std::path::{Component, Path, PathBuf};
 use std::process::{Command, ExitCode};
 use std::{fs, time::Instant};
 
+use kite::trace::json::{self, JsonValue};
+
 /// A file under the tree and a 1-based line.
 type Loc = (String, usize);
 /// A file, line and column rustc points at.
@@ -258,14 +260,19 @@ impl Probe {
         files.sort();
         for path in files {
             let file = probe.rel(&path.to_string_lossy(), "");
+            let manifest = file.ends_with("/Cargo.toml");
+            let source = file.contains("/src/") && file.ends_with(".rs");
+            if !(manifest || source) {
+                continue; // data files, such as binary fixtures, stay as copied
+            }
             let text = fs::read_to_string(&path).map_err(|e| format!("{file}: {e}"))?;
-            if file.ends_with("/Cargo.toml") {
+            if manifest {
                 let name = text
                     .lines()
                     .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'));
                 let dir = file.trim_end_matches("/Cargo.toml").to_string();
                 probe.packages.extend(name.map(|n| (dir, n.to_string())));
-            } else if file.contains("/src/") && file.ends_with(".rs") {
+            } else {
                 let lines: Vec<String> = text.split('\n').map(String::from).collect();
                 probe.original.insert(file.clone(), lines.clone());
                 probe.demote(&file, &lines);
@@ -780,24 +787,25 @@ impl Probe {
         let mut finished = false;
         for msg in String::from_utf8_lossy(&out.stdout)
             .lines()
-            .filter_map(|l| parse(l.as_bytes(), &mut 0))
+            .filter_map(|l| json::parse(l).ok())
         {
-            finished |= msg.get("reason").str() == "build-finished";
-            if msg.get("reason").str() != "compiler-message" {
+            finished |= text(&msg, "reason") == "build-finished";
+            if text(&msg, "reason") != "compiler-message" {
                 continue;
             }
-            let m = msg.get("message");
-            let primary = m
-                .get("spans")
-                .items()
-                .filter(|s| *s.get("is_primary") == Json::Bool(true));
+            let Some(m) = msg.get("message") else {
+                continue;
+            };
+            let primary = items(m, "spans")
+                .iter()
+                .filter(|s| s.get("is_primary") == Some(&JsonValue::Bool(true)));
             let mut d = Diag {
-                error: m.get("level").str() == "error",
-                code: m.get("code").get("code").str().to_string(),
-                message: m.get("message").str().to_string(),
+                error: text(m, "level") == "error",
+                code: m.get("code").map_or("", |c| text(c, "code")).to_string(),
+                message: text(m, "message").to_string(),
                 spans: Vec::new(),
                 primary: primary.map(|s| self.span(s, base)).collect(),
-                rendered: m.get("rendered").str().to_string(),
+                rendered: text(m, "rendered").to_string(),
             };
             self.spans(m, base, &mut d.spans);
             diags.push(d);
@@ -809,25 +817,26 @@ impl Probe {
         Ok(diags)
     }
 
-    fn spans(&self, m: &Json, base: &str, out: &mut Vec<Span>) {
-        let mut stack: Vec<&Json> = m.get("spans").items().collect();
+    fn spans(&self, m: &JsonValue, base: &str, out: &mut Vec<Span>) {
+        let mut stack: Vec<&JsonValue> = items(m, "spans").iter().collect();
         while let Some(s) = stack.pop() {
             out.push(self.span(s, base));
-            let e = s.get("expansion");
-            stack.extend(
-                [e.get("span"), e.get("def_site_span")]
+            if let Some(e) = s.get("expansion") {
+                let sites = ["span", "def_site_span"]
                     .into_iter()
-                    .filter(|j| **j != Json::Null),
-            );
+                    .filter_map(|k| e.get(k));
+                stack.extend(sites.filter(|j| **j != JsonValue::Null));
+            }
         }
-        for c in m.get("children").items() {
+        for c in items(m, "children") {
             self.spans(c, base, out);
         }
     }
 
-    fn span(&self, s: &Json, base: &str) -> Span {
-        let file = self.rel(s.get("file_name").str(), base);
-        (file, s.get("line_start").num(), s.get("column_start").num())
+    fn span(&self, s: &JsonValue, base: &str) -> Span {
+        let num = |key| s.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as usize;
+        let file = self.rel(text(s, "file_name"), base);
+        (file, num("line_start"), num("column_start"))
     }
 
     /// `file` (relative to `base`, or absolute) relative to the tree.
@@ -1010,125 +1019,12 @@ fn backticked(message: &str) -> Vec<String> {
         .collect()
 }
 
-/// Just enough JSON for cargo's messages: an array is a list whose keys
-/// are empty.
-#[derive(PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    List(Vec<(String, Json)>),
+/// The string under `key` of a cargo message, or `""`.
+fn text<'a>(v: &'a JsonValue, key: &str) -> &'a str {
+    v.get(key).and_then(JsonValue::as_str).unwrap_or("")
 }
 
-impl Json {
-    fn get(&self, key: &str) -> &Json {
-        let entries = if let Json::List(kv) = self {
-            &kv[..]
-        } else {
-            &[]
-        };
-        entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(&Json::Null, |(_, v)| v)
-    }
-
-    fn items(&self) -> impl Iterator<Item = &Json> {
-        let entries = if let Json::List(kv) = self {
-            &kv[..]
-        } else {
-            &[]
-        };
-        entries.iter().map(|(_, v)| v)
-    }
-
-    fn str(&self) -> &str {
-        if let Json::Str(s) = self {
-            s
-        } else {
-            ""
-        }
-    }
-
-    fn num(&self) -> usize {
-        if let Json::Num(n) = self {
-            *n as usize
-        } else {
-            0
-        }
-    }
-}
-
-/// The JSON value at `b[*i..]`, moving `i` past it.
-fn parse(b: &[u8], i: &mut usize) -> Option<Json> {
-    while b.get(*i)?.is_ascii_whitespace() {
-        *i += 1;
-    }
-    let open = b[*i];
-    if open == b'"' {
-        return string(b, i).map(Json::Str);
-    }
-    if open == b'[' || open == b'{' {
-        *i += 1;
-        let mut items = Vec::new();
-        loop {
-            while b.get(*i)?.is_ascii_whitespace() || b[*i] == b',' {
-                *i += 1;
-            }
-            // `]` and `}` are two bytes after `[` and `{`.
-            if b[*i] == open + 2 {
-                *i += 1;
-                return Some(Json::List(items));
-            }
-            let mut key = String::new();
-            if open == b'{' {
-                key = string(b, i)?;
-                *i += b[*i..].iter().position(|&c| c == b':')? + 1;
-            }
-            items.push((key, parse(b, i)?));
-        }
-    }
-    let len = b[*i..]
-        .iter()
-        .take_while(|c| c.is_ascii_alphanumeric() || b"+-.".contains(c))
-        .count();
-    let word = std::str::from_utf8(&b[*i..*i + len]).ok()?;
-    *i += len;
-    Some(match word {
-        "null" => Json::Null,
-        "true" => Json::Bool(true),
-        "false" => Json::Bool(false),
-        n => Json::Num(n.parse().ok()?),
-    })
-}
-
-/// The JSON string at `b[*i..]` (at its opening quote), moving `i` past it.
-fn string(b: &[u8], i: &mut usize) -> Option<String> {
-    let mut out = Vec::new();
-    *i += 1;
-    loop {
-        let c = *b.get(*i)?;
-        *i += 1;
-        match c {
-            b'"' => return String::from_utf8(out).ok(),
-            b'\\' => {
-                let e = *b.get(*i)?;
-                *i += 1;
-                let c = match e {
-                    b'n' => '\n',
-                    b't' => '\t',
-                    b'r' => '\r',
-                    b'u' => {
-                        let hex = std::str::from_utf8(b.get(*i..*i + 4)?).ok()?;
-                        *i += 4;
-                        char::from_u32(u32::from_str_radix(hex, 16).ok()?).unwrap_or('\u{fffd}')
-                    }
-                    e => char::from(e),
-                };
-                out.extend(c.to_string().bytes());
-            }
-            c => out.push(c),
-        }
-    }
+/// The array under `key` of a cargo message, or none.
+fn items<'a>(v: &'a JsonValue, key: &str) -> &'a [JsonValue] {
+    v.get(key).and_then(JsonValue::as_array).unwrap_or(&[])
 }
