@@ -127,7 +127,8 @@ pub struct BlkBatch {
     /// Completion interrupts to schedule: `(ring, fire_at)` per CQ entry
     /// the doorbell posted. The system layer delivers each by calling
     /// [`BlkbackInstance::reap_completions`] on the vCPU of the queue
-    /// pair's MSI-X vector.
+    /// pair's MSI-X vector. Appended after whatever the list passed to
+    /// `request_thread_run_into` already held.
     pub cq_irqs: Vec<(usize, Nanos)>,
     /// vCPU cost of parsing, mapping and memcpy.
     pub cost: Nanos,
@@ -457,17 +458,23 @@ impl BlkbackInstance {
 
     /// The request thread body for ring `q`: drains up to `budget` ring
     /// requests, validates them, moves data and submits device
-    /// operations.
-    pub fn request_thread_run(
+    /// operations. The batch's completion interrupts are appended to
+    /// `cq_irqs`, which comes back as [`BlkBatch::cq_irqs`] — a caller
+    /// that recycles the list pays for no list.
+    pub fn request_thread_run_into(
         &mut self,
         hv: &mut Hypervisor,
         device: &mut NvmeController,
         q: usize,
         now: Nanos,
         budget: usize,
+        cq_irqs: Vec<(usize, Nanos)>,
     ) -> Result<BlkBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::BlkbackSubmit);
-        let mut batch = BlkBatch::default();
+        let mut batch = BlkBatch {
+            cq_irqs,
+            ..BlkBatch::default()
+        };
         let (rq, halts) = (&mut self.rings[q], &mut self.stats.ring_corrupt);
         if !rq
             .state
@@ -654,6 +661,19 @@ impl BlkbackInstance {
         self.scratch_run_reqs = run_reqs;
         self.scratch_flushes = flushes;
         Ok(batch)
+    }
+
+    /// [`request_thread_run_into`](Self::request_thread_run_into) a fresh
+    /// list.
+    pub fn request_thread_run(
+        &mut self,
+        hv: &mut Hypervisor,
+        device: &mut NvmeController,
+        q: usize,
+        now: Nanos,
+        budget: usize,
+    ) -> Result<BlkBatch> {
+        self.request_thread_run_into(hv, device, q, now, budget, Vec::new())
     }
 
     /// Mapped data path: resolves every segment's page (a fresh map or a

@@ -682,11 +682,15 @@ impl NetbackInstance {
     /// A frame whose copy fails (bad or revoked Rx grant) is dropped
     /// explicitly: counted in `rx_dropped` and answered with an error
     /// response so the frontend reclaims the buffer.
-    pub fn soft_start_run(
+    ///
+    /// Once the batch returns, every frame it read is passed to `spent`:
+    /// the caller hands it back to whoever allocates such frames.
+    pub fn soft_start_run_into(
         &mut self,
         hv: &mut Hypervisor,
         q: usize,
         budget: usize,
+        spent: impl FnMut(Vec<u8>),
     ) -> Result<RxBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::NetbackRxDrain);
         let mut batch = RxBatch::default();
@@ -774,7 +778,7 @@ impl NetbackInstance {
         let result = hv.grant_copy_with(self.back, &ops, &mut held, self.copy_mode);
         self.stats.copy.record(self.copy_mode, &result);
         batch.cost += result.cost;
-        held.clear();
+        held.drain(..).for_each(spent);
 
         // A frame delivers only if every fragment copied; a failed
         // fragment drops the whole frame (the frontend discards the
@@ -834,6 +838,17 @@ impl NetbackInstance {
         self.scratch_ops = ops;
         self.scratch_frames = held;
         Ok(batch)
+    }
+
+    /// [`soft_start_run_into`](Self::soft_start_run_into), dropping the
+    /// spent frames.
+    pub fn soft_start_run(
+        &mut self,
+        hv: &mut Hypervisor,
+        q: usize,
+        budget: usize,
+    ) -> Result<RxBatch> {
+        self.soft_start_run_into(hv, q, budget, drop)
     }
 }
 

@@ -26,6 +26,7 @@
 //! read-back verification in tests uses *real bytes* without reserving
 //! 500 GB of RAM. Unwritten regions read as zeros, like a fresh drive.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 use kite_sim::{CpuPool, Nanos};
@@ -441,11 +442,20 @@ impl NvmeController {
             let block = sec / BLOCK_SECTORS;
             let in_block = ((sec % BLOCK_SECTORS) as usize) * SECTOR_SIZE;
             let n = (BLOCK_SIZE - in_block).min(data.len() - off);
-            let buf = self
-                .blocks
-                .entry(block)
-                .or_insert_with(|| vec![0u8; BLOCK_SIZE].into_boxed_slice());
-            buf[in_block..in_block + n].copy_from_slice(&data[off..off + n]);
+            let part = &data[off..off + n];
+            match self.blocks.entry(block) {
+                Entry::Occupied(mut e) => e.get_mut()[in_block..in_block + n].copy_from_slice(part),
+                // A first write that covers the block is the block.
+                Entry::Vacant(e) if n == BLOCK_SIZE => {
+                    e.insert(part.into());
+                }
+                // Only part of it: the rest of the block reads zero.
+                Entry::Vacant(e) => {
+                    let mut buf = vec![0u8; BLOCK_SIZE].into_boxed_slice();
+                    buf[in_block..in_block + n].copy_from_slice(part);
+                    e.insert(buf);
+                }
+            }
             off += n;
             sec = block * BLOCK_SECTORS + ((in_block + n) / SECTOR_SIZE) as u64;
         }
@@ -517,6 +527,20 @@ mod tests {
         let mut buf = vec![0xffu8; 1024];
         d.read_data(1000, &mut buf);
         assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    /// A first write covering a whole block, and one covering part of
+    /// a block after it, read back exactly: the partial one's unwritten
+    /// sectors read zero.
+    #[test]
+    fn whole_and_partial_first_writes_read_back() {
+        let mut d = NvmeController::new(1);
+        let data: Vec<u8> = (0..4096 + 1024).map(|i| (i % 253) as u8 + 1).collect();
+        d.write_data(8, &data);
+        let mut back = vec![0xffu8; 8192];
+        d.read_data(8, &mut back);
+        assert_eq!(back[..data.len()], data[..]);
+        assert!(back[data.len()..].iter().all(|&b| b == 0));
     }
 
     #[test]

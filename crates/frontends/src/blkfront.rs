@@ -12,7 +12,7 @@
 
 use std::collections::HashMap;
 
-use kite_sim::Nanos;
+use kite_sim::{Nanos, Spares};
 use kite_xen::blkif::{
     pack_indirect_segments, BlkifRequest, BlkifResponse, BlkifSegment,
     BLKIF_MAX_SEGMENTS_PER_REQUEST, BLKIF_OP_FLUSH_DISKCACHE, BLKIF_OP_READ, BLKIF_OP_WRITE,
@@ -79,6 +79,8 @@ pub struct Blkfront {
     next_id: u64,
     pending: HashMap<u64, Pending>,
     completions: Vec<BlkCompletion>,
+    /// Read buffers handed back by their last reader ([`Blkfront::recycle`]).
+    spares: Spares,
     rejects: RspRejects,
     /// A ring was corrupted: nothing is reaped or submitted any more
     /// (Linux's `BLKIF_STATE_ERROR`).
@@ -134,6 +136,7 @@ impl Blkfront {
             next_id: 1,
             pending: HashMap::new(),
             completions: Vec::new(),
+            spares: Spares::default(),
             rejects: RspRejects::default(),
             broken: false,
         })
@@ -326,7 +329,7 @@ impl Blkfront {
                 let p = self.pending.remove(&rsp.id).expect("checked in flight");
                 let ok = rsp.status == BLKIF_RSP_OKAY;
                 let data = if ok && p.op == BLKIF_OP_READ {
-                    let mut buf = Vec::with_capacity(p.len);
+                    let mut buf = self.spares.take(p.len);
                     for &i in p.pages() {
                         let n = (p.len - buf.len()).min(PAGE_SIZE);
                         buf.extend_from_slice(&hv.mem.page(self.data.page(i))?[..n]);
@@ -353,9 +356,27 @@ impl Blkfront {
         Ok(FrontOp { notify, cost })
     }
 
+    /// Moves all completions reaped so far onto the end of `out`; the
+    /// frontend's own list keeps its capacity for the next interrupt.
+    pub fn take_completions_into(&mut self, out: &mut Vec<BlkCompletion>) {
+        out.append(&mut self.completions);
+    }
+
     /// Takes all completions reaped so far.
     pub fn take_completions(&mut self) -> Vec<BlkCompletion> {
         std::mem::take(&mut self.completions)
+    }
+
+    /// An empty buffer for at least `len` bytes of read data, from the
+    /// buffers handed back through [`recycle`](Self::recycle).
+    pub fn read_buffer(&mut self, len: usize) -> Vec<u8> {
+        self.spares.take(len)
+    }
+
+    /// Hands back a read buffer whose last reader is done with it; a
+    /// later read gathers into it.
+    pub fn recycle(&mut self, buf: Vec<u8>) {
+        self.spares.put(buf);
     }
 
     /// Backend-written responses refused so far.

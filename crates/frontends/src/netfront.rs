@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 
 use kite_net::MacAddr;
-use kite_sim::Nanos;
+use kite_sim::{Nanos, Spares};
 use kite_xen::netif::{
     NetifExtraInfo, NetifRxRequest, NetifRxResponse, NetifTxRequest, NetifTxResponse,
     NETIF_MAX_GSO_FRAME, NETIF_RSP_NULL, NETRXF_DATA_VALIDATED, NETRXF_MORE_DATA,
@@ -81,8 +81,9 @@ impl NfQueue {
     }
 
     /// Reaps this queue's Tx completions (freeing buffers) and Rx
-    /// deliveries (appending whole frames to `received`); returns the
-    /// guest-side cost.
+    /// deliveries (gathering each whole frame into a buffer from
+    /// `spares` and appending it to `received`); returns the guest-side
+    /// cost.
     ///
     /// Every field the backend wrote is checked before it is used: a
     /// response naming a buffer the backend does not hold, or Rx bytes
@@ -92,6 +93,7 @@ impl NfQueue {
         &mut self,
         hv: &mut Hypervisor,
         received: &mut VecDeque<Vec<u8>>,
+        spares: &mut Spares,
         rj: &mut RspRejects,
     ) -> Result<Nanos> {
         let mut cost = Nanos::ZERO;
@@ -140,12 +142,21 @@ impl NfQueue {
             if deliver {
                 let buf = self.rx_pool.page(rsp.id);
                 let data = &hv.mem.page(buf)?[off..off + len];
-                if more && self.rx_partial.is_empty() {
-                    // A chain's first slot sizes the whole frame, once,
-                    // from the length its IPv4 header claims: bytes the
-                    // backend wrote, so the hint is capped.
-                    let hint = kite_net::ether::frame_len_hint(data).unwrap_or(0);
-                    self.rx_partial.reserve(hint.min(NETIF_MAX_GSO_FRAME));
+                if self.rx_partial.is_empty() {
+                    // A frame's first slot sizes it, once: a single slot
+                    // by its own length, a chain by the length its IPv4
+                    // header claims (bytes the backend wrote, so the
+                    // hint is capped).
+                    let n = if more {
+                        let hint = kite_net::ether::frame_len_hint(data).unwrap_or(0);
+                        hint.min(NETIF_MAX_GSO_FRAME)
+                    } else {
+                        len
+                    };
+                    if self.rx_partial.capacity() < n {
+                        let buf = spares.take(n);
+                        spares.put(std::mem::replace(&mut self.rx_partial, buf));
+                    }
                 }
                 self.rx_partial.extend_from_slice(data);
                 // The backend validated the checksum for us when it
@@ -198,6 +209,9 @@ pub struct Netfront {
     pub guest: DomainId,
     queues: Vec<NfQueue>,
     received: VecDeque<Vec<u8>>,
+    /// Received frames handed back by their last reader
+    /// ([`Netfront::recycle`]).
+    spares: Spares,
     tx_ring_full: u64,
     gso: bool,
     rejects: RspRejects,
@@ -282,6 +296,7 @@ impl Netfront {
             guest,
             queues,
             received: VecDeque::new(),
+            spares: Spares::default(),
             tx_ring_full: 0,
             gso,
             rejects: RspRejects::default(),
@@ -462,7 +477,7 @@ impl Netfront {
     /// [`Netfront::port_of`]`(q)`.
     pub fn on_queue_irq(&mut self, hv: &mut Hypervisor, q: usize) -> Result<FrontOp> {
         let qu = &mut self.queues[q];
-        let cost = qu.reap(hv, &mut self.received, &mut self.rejects)?;
+        let cost = qu.reap(hv, &mut self.received, &mut self.spares, &mut self.rejects)?;
         let notify = qu.post_rx_buffers(hv)?;
         Ok(FrontOp { notify, cost })
     }
@@ -475,6 +490,12 @@ impl Netfront {
     /// Takes the next received frame, if any.
     pub fn recv(&mut self) -> Option<Vec<u8>> {
         self.received.pop_front()
+    }
+
+    /// Hands back a received frame whose last reader is done with it; a
+    /// later frame is gathered into it.
+    pub fn recycle(&mut self, frame: Vec<u8>) {
+        self.spares.put(frame);
     }
 
     /// Sends refused for want of ring space. Nothing is lost: the caller

@@ -1,6 +1,6 @@
 //! Discrete-event simulation substrate for the Kite reproduction.
 //!
-//! Every other crate in the workspace builds on the four primitives here:
+//! Every other crate in the workspace builds on the primitives here:
 //!
 //! * [`time::Nanos`] — virtual time;
 //! * [`sched::Scheduler`] — the scheduling API, with two deterministic
@@ -9,7 +9,9 @@
 //!   default hot path);
 //! * [`rng::Pcg`] — a seeded, replayable random number generator;
 //! * [`stats`] and [`resource`] — measurement taps and serializing
-//!   resource models (one busy-until-t `Cpu`, the pools and links built on it).
+//!   resource models (one busy-until-t `Cpu`, the pools and links built on it);
+//! * [`spares::Spares`] — emptied payload buffers kept for reuse by the
+//!   component that allocates them.
 //!
 //! The design goal is replayability: given the same scenario seed, every
 //! figure in EXPERIMENTS.md regenerates bit-for-bit. Nothing in this crate
@@ -19,6 +21,7 @@ pub mod queue;
 pub mod resource;
 pub mod rng;
 pub mod sched;
+pub mod spares;
 pub mod stats;
 pub mod time;
 pub mod wheel;
@@ -27,6 +30,7 @@ pub use queue::EventQueue;
 pub use resource::{Cpu, CpuPool, IdleWake, Link, TxOutcome};
 pub use rng::Pcg;
 pub use sched::{EventSched, Scheduler, SchedulerKind};
+pub use spares::Spares;
 pub use stats::{Histogram, OnlineStats};
 pub use time::Nanos;
 pub use wheel::TimerWheel;

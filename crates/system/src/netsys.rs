@@ -29,7 +29,7 @@ use kite_net::{
 };
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
-use kite_sim::{IdleWake, Link, Nanos, OnlineStats, Pcg, TxOutcome};
+use kite_sim::{IdleWake, Link, Nanos, OnlineStats, Pcg, Spares, TxOutcome};
 use kite_trace::MetricsSnapshot;
 use kite_xen::xenbus::FEATURE_GSO_KEY;
 use kite_xen::{DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass};
@@ -236,6 +236,9 @@ pub struct NetPath {
     guest_app: Option<UdpHandler>,
     client_link: Link,
     client_app: Option<UdpHandler>,
+    /// Frames netback's soft_start finished copying into the guest: the
+    /// client's datagrams are built into them.
+    client_frames: Spares,
     icmp_sent: HashMap<u16, Nanos>,
     /// Netback queues the VIF callback handed frames to since the last
     /// NIC interrupt handler collected them (bit `q`).
@@ -332,6 +335,7 @@ impl Datapath for NetPath {
             guest_app: None,
             client_link,
             client_app: None,
+            client_frames: Spares::default(),
             icmp_sent: HashMap::new(),
             vif_woken: 0,
             nic_in: Vec::new(),
@@ -802,10 +806,14 @@ impl Host<NetPath> {
         self.nic_transmit(t, &mut to_wire);
         self.dp.to_wire = to_wire;
 
-        // soft_start: queued world -> guest frames into the Rx ring.
+        // soft_start: queued world -> guest frames into the Rx ring; the
+        // frames it has copied go back to the client.
         loop {
             let nb = self.backend.device_mut().expect("checked");
-            let batch = nb.soft_start_run(&mut self.hv, q, 128).expect("soft_start");
+            let spent = |f| self.dp.client_frames.put(f);
+            let batch = nb
+                .soft_start_run_into(&mut self.hv, q, 128, spent)
+                .expect("soft_start");
             self.dp.metrics.drops += batch.dropped as u64;
             let done = self.driver_cpus.run_on(q, now, batch.cost);
             if batch.notify {
@@ -907,6 +915,11 @@ impl Host<NetPath> {
                     *self.dp.app(side) = Some(app);
                     self.emit_replies(now, side, replies);
                 }
+                // The handler only saw `&UdpMsg`: the guest's frame goes
+                // back to netfront, which gathers a later frame into it.
+                if let (Side::Guest, Some(nf)) = (side, self.dp.netfront.as_mut()) {
+                    nf.recycle(msg.payload.frame);
+                }
             }
             // The endpoints speak ICMP and UDP only.
             _ => self.dp.metrics.drops += 1,
@@ -937,8 +950,16 @@ impl Host<NetPath> {
         };
         let dst_mac = self.mac_of(dst_ip);
         match side {
+            // What `encode_frame` builds, in a frame the client sent
+            // earlier.
             Side::Client => {
-                let frame = datagram.encode_frame(dst_mac, src_mac, src_ip, dst_ip);
+                let header = datagram.frame_header(dst_mac, src_mac, src_ip, dst_ip);
+                let mut frame = self
+                    .dp
+                    .client_frames
+                    .take(header.len() + datagram.payload.len());
+                frame.extend_from_slice(&header);
+                frame.extend_from_slice(&datagram.payload);
                 self.client_transmit(now, frame);
             }
             // The guest's frame is built once, in netfront's Tx pages:
@@ -1301,6 +1322,46 @@ mod tests {
             let m = &sys.dp.metrics;
             assert_eq!((m.guest_rx_msgs, m.client_rx_msgs), (0, 0), "{key}");
         }
+    }
+
+    /// A recycled frame never shows the bytes it held before (the SoK's
+    /// shared-state leak, PAPERS.md). The client's and netfront's spares
+    /// are seeded with `0xA5`-filled buffers; two datagrams from the
+    /// client, each shorter than the last, reach the guest as exactly the
+    /// frames `encode_frame` builds, gathered into netfront's seeded
+    /// buffer and built into the client's, which netback hands back.
+    #[test]
+    fn a_recycled_frame_shows_none_of_its_previous_bytes() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut sys = SystemConfig::new(BackendOs::Kite, 5).build_net();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let log = seen.clone();
+        sys.set_guest_app(Box::new(move |_, msg| {
+            let frame = &msg.payload.frame;
+            log.borrow_mut().push((frame.as_ptr(), frame.clone()));
+            Vec::new()
+        }));
+        let (client, guest) = (vec![0xa5u8; 1024], vec![0xa5u8; 1024]);
+        let (client_at, guest_at) = (client.as_ptr(), guest.as_ptr());
+        sys.dp.client_frames.put(client);
+        sys.dp.netfront.as_mut().expect("connected").recycle(guest);
+        let (guest_mac, client_mac) = (sys.dp.guest_mac, sys.dp.client_mac);
+        for len in [600, 520] {
+            let payload = vec![len as u8; len];
+            let udp = UdpDatagram::new(1234, 9999, &payload);
+            let want = udp.encode_frame(guest_mac, client_mac, addrs::CLIENT, addrs::GUEST);
+            let at = sys.now() + Nanos::from_micros(10);
+            sys.send_udp_at(at, Side::Client, addrs::GUEST, 9999, 1234, payload);
+            sys.run_to_quiescence();
+            assert_eq!(
+                seen.borrow_mut().pop(),
+                Some((guest_at, want)),
+                "{len} bytes"
+            );
+        }
+        let back = sys.dp.client_frames.take(TSO_HEADERS_LEN + 520);
+        assert_eq!(back.as_ptr(), client_at, "the client's frame came back");
     }
 
     /// Netback moves every payload between the guest's granted pages and

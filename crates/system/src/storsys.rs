@@ -16,7 +16,7 @@ use kite_core::{
     RecoveryStats,
 };
 use kite_devices::NvmeController;
-use kite_frontends::Blkfront;
+use kite_frontends::{BlkCompletion, Blkfront};
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
 use kite_sim::{IdleWake, Nanos, OnlineStats, Pcg};
@@ -157,8 +157,12 @@ pub struct BlkPath {
     ops: HashMap<u64, InFlight>,
     next_op: u64,
     pendq: VecDeque<Chunk>,
-    /// Per-interrupt scratch, cleared not dropped: the logical I/Os one
-    /// blkfront interrupt finished.
+    /// Per-drain and per-interrupt scratch, cleared not dropped: the
+    /// completion interrupts one request-thread run posted, the
+    /// completions one blkfront interrupt reaped, and the logical I/Os
+    /// they finished.
+    cq_irqs: Vec<(usize, Nanos)>,
+    completions: Vec<BlkCompletion>,
     finished: Vec<IoDone>,
     handler: Option<IoHandler>,
     /// Measurement taps.
@@ -231,6 +235,8 @@ impl Datapath for BlkPath {
             ops: HashMap::new(),
             next_op: 0,
             pendq: VecDeque::new(),
+            cq_irqs: Vec::new(),
+            completions: Vec::new(),
             finished: Vec::new(),
             handler: None,
             metrics: StorMetrics::default(),
@@ -488,11 +494,13 @@ impl Host<BlkPath> {
         // Each ring's request thread is pinned to its own driver vCPU, so
         // the rings drain concurrently.
         let nrings = self.backend.device().expect("checked").queue_count();
+        let mut cq_irqs = std::mem::take(&mut self.dp.cq_irqs);
         for q in 0..nrings {
             loop {
                 let bb = self.backend.device_mut().expect("checked");
+                let nvme = &mut self.dp.nvme;
                 let batch = bb
-                    .request_thread_run(&mut self.hv, &mut self.dp.nvme, q, now, 32)
+                    .request_thread_run_into(&mut self.hv, nvme, q, now, 32, cq_irqs)
                     .expect("request thread");
                 self.driver_cpus.run_on(q, now, batch.cost);
                 for f in batch.failures {
@@ -505,7 +513,8 @@ impl Host<BlkPath> {
                         },
                     );
                 }
-                for (ring, fire_at) in batch.cq_irqs {
+                cq_irqs = batch.cq_irqs;
+                for (ring, fire_at) in cq_irqs.drain(..) {
                     self.schedule_at(
                         fire_at,
                         BlkEvent::NvmeCq {
@@ -519,6 +528,7 @@ impl Host<BlkPath> {
                 }
             }
         }
+        self.dp.cq_irqs = cq_irqs;
     }
 
     /// Charges a completion callback's cost to `vcpu` and sends the
@@ -584,10 +594,11 @@ impl Host<BlkPath> {
         let (wake, t) = self.guest_irq(now);
         let bf = self.dp.blkfront.as_mut().expect("checked");
         let op = bf.on_irq(&mut self.hv).expect("blkfront irq");
-        let completions = bf.take_completions();
+        let mut completions = std::mem::take(&mut self.dp.completions);
+        bf.take_completions_into(&mut completions);
         self.guest_cpu_run(now, wake + op.cost);
         let mut finished = std::mem::take(&mut self.dp.finished);
-        for c in completions {
+        for c in completions.drain(..) {
             let Some(chunk) = self.dp.req_map.remove(&c.id) else {
                 continue;
             };
@@ -606,8 +617,15 @@ impl Host<BlkPath> {
                 if d.len() == *len {
                     *buf = d; // a single-chunk read hands its buffer over
                 } else {
-                    buf.resize(*len, 0);
+                    // Each chunk lands at its offset in one buffer, and
+                    // its own buffer goes back to blkfront.
+                    let bf = self.dp.blkfront.as_mut().expect("checked");
+                    if buf.is_empty() {
+                        *buf = bf.read_buffer(*len);
+                        buf.resize(*len, 0);
+                    }
                     buf[chunk.offset..chunk.offset + d.len()].copy_from_slice(&d);
+                    bf.recycle(d);
                 }
             }
             op.remaining -= 1;
@@ -634,18 +652,22 @@ impl Host<BlkPath> {
                 submitted: op.submitted,
             });
         }
+        self.dp.completions = completions;
         // Ring slots freed: drain parked ops first.
         self.drain_pendq(t);
-        if let Some(mut h) = self.dp.handler.take() {
-            for d in &finished {
-                let next = h(t, d);
-                for op in next {
-                    self.try_submit(t, op);
-                }
+        let mut handler = self.dp.handler.take();
+        for d in finished.drain(..) {
+            let next = handler.as_mut().map_or_else(Vec::new, |h| h(t, &d));
+            // The handler only saw `&IoDone`: the read buffer's last
+            // reader is done, and the next read gathers into it.
+            if let (Some(data), Some(bf)) = (d.data, self.dp.blkfront.as_mut()) {
+                bf.recycle(data);
             }
-            self.dp.handler = Some(h);
+            for op in next {
+                self.try_submit(t, op);
+            }
         }
-        finished.clear();
+        self.dp.handler = handler;
         self.dp.finished = finished;
     }
 }
@@ -681,6 +703,48 @@ mod tests {
         let s = sys.blkback_stats();
         assert_eq!((s.ring_corrupt, s.requests), (1, 0));
         assert_eq!((sys.metrics.ios, sys.outstanding()), (0, 2));
+    }
+
+    /// A recycled read buffer never shows the bytes it held before (the
+    /// SoK's shared-state leak, PAPERS.md). Blkfront's spares are seeded
+    /// with `0xA5`-filled buffers; reads of sectors nothing has written
+    /// return zeros, whole or in two chunks, and so does a shorter read
+    /// into the buffer a read of written data just handed back.
+    #[test]
+    fn a_recycled_read_buffer_shows_none_of_its_previous_bytes() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut sys = SystemConfig::new(BackendOs::Kite, 7).build_stor();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let log = seen.clone();
+        sys.set_handler(Box::new(move |_, done| {
+            if let Some(data) = &done.data {
+                log.borrow_mut().push((data.as_ptr(), data.clone()));
+            }
+            Vec::new()
+        }));
+        let io = |sys: &mut StorSystem, kind| {
+            let at = sys.now() + Nanos::from_micros(10);
+            sys.submit_at(at, IoOp { tag: 0, kind });
+            sys.run_to_quiescence();
+            seen.borrow_mut().pop()
+        };
+        let read = |sector, len| IoKind::Read { sector, len };
+        let seeded = vec![0xa5u8; 6 * 1024];
+        let at = seeded.as_ptr();
+        sys.dp.blkfront.as_mut().expect("connected").recycle(seeded);
+        assert_eq!(io(&mut sys, read(0, 4096)), Some((at, vec![0; 4096])));
+        let data = vec![0x77u8; 4096];
+        io(&mut sys, IoKind::Write { sector: 8, data });
+        let (_, back) = io(&mut sys, read(8, 4096)).expect("read back");
+        assert_eq!(back, [0x77; 4096]);
+        assert_eq!(io(&mut sys, read(16, 3072)), Some((at, vec![0; 3072])));
+        // Two ring requests, 128 + 64 KiB, each gathered into a spare and
+        // copied to its offset in a third.
+        let seeded = vec![0xa5u8; 200 * 1024];
+        sys.dp.blkfront.as_mut().expect("connected").recycle(seeded);
+        let (_, back) = io(&mut sys, read(1 << 16, 192 * 1024)).expect("read");
+        assert_eq!(back, vec![0; 192 * 1024]);
     }
 
     /// At quiescence after 128 KiB writes, their read-back and a flush
