@@ -671,7 +671,7 @@ fn lat_section(name: &str, req: &kite_trace::ReqTracer) -> String {
         "== lat: {name} — {} sampled of {} injected, {} completed ==",
         req.sampled(),
         req.seen(),
-        req.completed_len(),
+        req.completed().count(),
     );
     let _ = writeln!(
         out,

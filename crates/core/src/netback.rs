@@ -388,8 +388,9 @@ impl NetbackInstance {
             // A traced request rides its (head) ring slot into the drain.
             let key = (q as u64) << 32 | head.id as u64;
             if let Some(r) = hv.req.take(SlotClass::NetTx, key) {
+                let at = hv.req.now();
                 hv.req
-                    .stamp(r, ReqStage::BackendFetch, self.back.0, Some(q as u16));
+                    .stamp_at(r, ReqStage::BackendFetch, self.back.0, Some(q as u16), at);
                 self.scratch_req.push(r);
             }
             let chained = head.flags & (NETTXF_EXTRA_INFO | NETTXF_MORE_DATA) != 0;

@@ -438,8 +438,9 @@ impl Netfront {
         if let Some(r) = req {
             let key = (q as u64) << 32 | head_id as u64;
             hv.req.map(SlotClass::NetTx, key, r);
+            let at = hv.req.now();
             hv.req
-                .stamp(r, ReqStage::RingSubmit, self.guest.0, Some(q as u16));
+                .stamp_at(r, ReqStage::RingSubmit, self.guest.0, Some(q as u16), at);
         }
         // Guest-side cost: buffer copy + ring bookkeeping. With checksum
         // offload the guest skips the software csum pass, halving the

@@ -504,16 +504,15 @@ mod tests {
             mon.probe_queues(&mut hv, Nanos::from_millis(500 * i), &[], true);
         }
         // healthy→suspect(1), suspect(1)→suspect(2), suspect(2)→failed.
-        let q = hv.trace.query();
-        assert_eq!(q.kind("health").count(), 3);
-        let last = hv
+        let states: Vec<&str> = hv
             .trace
-            .query()
-            .kind("health")
-            .last()
-            .cloned()
-            .map(|e| e.kind.name());
-        assert_eq!(last, Some("health"));
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::HealthTransition { state, .. } => Some(state),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(states, ["suspect", "suspect", "failed"]);
     }
 
     #[test]

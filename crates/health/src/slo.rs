@@ -115,12 +115,9 @@ mod tests {
         // One request whose grant-copy stage dwarfs the rest.
         rt.set_now(Nanos(0));
         let r = rt.admit(0).expect("sampled");
-        rt.set_now(Nanos(1_000));
-        rt.stamp(r, Stage::RingSubmit, 3, None);
-        rt.set_now(Nanos(2_000));
-        rt.stamp(r, Stage::BackendFetch, 2, None);
-        rt.set_now(Nanos(90_000));
-        rt.stamp(r, Stage::GrantCopy, 2, None);
+        rt.stamp_at(r, Stage::RingSubmit, 3, None, Nanos(1_000));
+        rt.stamp_at(r, Stage::BackendFetch, 2, None, Nanos(2_000));
+        rt.stamp_at(r, Stage::GrantCopy, 2, None, Nanos(90_000));
         rt.finish_at(r, 0, Nanos(91_000));
         let b = attribute(&rt).expect("one completed request");
         assert_eq!(b.stage, "grant_copy");

@@ -1030,7 +1030,7 @@ impl Host<NetPath> {
                 for f in frames.drain(..) {
                     if let Some(r) = self.traced_ping(&f) {
                         let dom = self.driver.0;
-                        self.hv.req.stamp(r, ReqStage::NicRx, dom, None);
+                        self.hv.req.stamp_at(r, ReqStage::NicRx, dom, None, now);
                     }
                     self.bridge_forward(now, self.dp.netapp.if_port, f, &mut to_wire);
                 }

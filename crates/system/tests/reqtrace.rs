@@ -29,7 +29,7 @@ fn digest(req: &ReqTracer) -> String {
         "seen={} sampled={} completed={} live={}",
         req.seen(),
         req.sampled(),
-        req.completed_len(),
+        req.completed().count(),
         req.live_len(),
     );
     for &stage in &Stage::ALL {
@@ -98,7 +98,7 @@ fn storage_run(kind: SchedulerKind) -> StorSystem {
 /// Every completed record's stage durations must sum exactly to its
 /// end-to-end latency, and the stamps must already be time-sorted.
 fn assert_telescoping(req: &ReqTracer) {
-    assert!(req.completed_len() > 0, "scenario completed no samples");
+    assert!(req.completed().count() > 0, "scenario completed no samples");
     for rec in req.completed() {
         assert!(rec.stamps.len() >= 2, "req {}: too few stamps", rec.id);
         let mut sum = Nanos::ZERO;
@@ -128,7 +128,7 @@ fn echo_stages_telescope_and_follow_the_path() {
     let req = &sys.hv.req;
     assert_eq!(req.seen(), 64);
     assert_eq!(req.sampled(), 32);
-    assert_eq!(req.completed_len(), 32);
+    assert_eq!(req.completed().count(), 32);
     assert_telescoping(req);
     // The echo path visits the documented stage sequence.
     for rec in req.completed() {
@@ -167,7 +167,7 @@ fn storage_stages_telescope_and_ride_the_rings() {
     let req = &sys.hv.req;
     assert_eq!(req.seen(), 128);
     assert_eq!(req.sampled(), 43);
-    assert_eq!(req.completed_len(), 43);
+    assert_eq!(req.completed().count(), 43);
     assert_telescoping(req);
     for rec in req.completed() {
         for want in [
@@ -178,7 +178,7 @@ fn storage_stages_telescope_and_ride_the_rings() {
             Stage::IrqDeliver,
         ] {
             assert!(
-                rec.stamp_of(want).is_some(),
+                rec.stamps.iter().any(|s| s.stage == want),
                 "req {} missed {}",
                 rec.id,
                 want.name()
@@ -188,7 +188,8 @@ fn storage_stages_telescope_and_ride_the_rings() {
     // With four rings, the sampled population spreads across queues.
     let queues: std::collections::BTreeSet<u16> = req
         .completed()
-        .filter_map(|r| r.stamp_of(Stage::BackendFetch).and_then(|s| s.qid))
+        .filter_map(|r| r.stamps.iter().find(|s| s.stage == Stage::BackendFetch))
+        .filter_map(|s| s.qid)
         .collect();
     assert_eq!(queues.len(), 4, "samples must land on all 4 rings");
 }
@@ -242,7 +243,7 @@ fn untraced_runs_mint_nothing_and_export_without_flows() {
     }
     sys.run_to_quiescence();
     assert!(!sys.hv.req.is_enabled());
-    assert_eq!(sys.hv.req.completed_len(), 0);
+    assert_eq!(sys.hv.req.completed().count(), 0);
     let doc = sys.hv.export_chrome_trace();
     chrome::validate(&doc).expect("export must validate");
     assert!(!doc.contains("\"ph\":\"s\""), "no flows without tracing");

@@ -644,13 +644,13 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     for i in 0..10_000u64 {
         rt.set_now(Nanos(i));
         assert!(rt.admit(0).is_none());
-        rt.stamp(ReqId(i), ReqStage::RingSubmit, 1, None);
+        rt.stamp_at(ReqId(i), ReqStage::RingSubmit, 1, None, Nanos(i));
         rt.stamp_at(ReqId(i), ReqStage::GrantCopy, 1, Some(0), Nanos(i));
         rt.map(SlotClass::NetTx, i, ReqId(i));
         assert!(rt.lookup(SlotClass::NetTx, i).is_none());
         assert!(rt.take(SlotClass::BlkReq, i).is_none());
         rt.finish_at(ReqId(i), 0, Nanos(i));
-        assert_eq!(rt.completed_len(), 0);
+        assert_eq!(rt.completed().count(), 0);
     }
     assert_eq!(
         allocs() - before,

@@ -338,8 +338,8 @@ pub fn export(tracer: &Tracer, tracks: &[(u16, String)], req: Option<&ReqTracer>
     out
 }
 
-/// Validates a Chrome-trace document produced by [`export`] or
-/// [`export`]: it must parse as JSON, every event needs
+/// Validates a Chrome-trace document produced by [`export`]: it must
+/// parse as JSON, every event needs
 /// `pid`/`tid`/`ph` (and `ts` unless metadata), timestamps must be
 /// monotonic non-decreasing per track, and `droppedEvents` must be
 /// zero. Flow events (`"s"`/`"t"`/`"f"`) are exempt from the per-track
@@ -521,6 +521,117 @@ mod tests {
         assert_ne!(q0, q1);
     }
 
+    /// The exporter is the one place that names events: one event of
+    /// every [`EventKind`] variant renders under its name, on its
+    /// domain's track (a ring event of a multi-queue domain on its
+    /// queue's), with its payload as args.
+    #[test]
+    fn every_event_kind_renders_its_name_track_and_args() {
+        let mut t = Tracer::enabled(64);
+        t.set_now(Nanos::from_micros(1));
+        t.emit_with(0, || EventKind::Hypercall {
+            op: "gnttab_map",
+            bytes: 4096,
+            cost: Nanos::from_nanos(1_250),
+        });
+        t.emit_with(2, || EventKind::GrantCopyBatch {
+            ops: 2,
+            ok_ops: 1,
+            bytes: 1514,
+            cost: Nanos::from_nanos(900),
+        });
+        t.emit_with(2, || EventKind::Notify {
+            to_dom: 3,
+            port: 5,
+            outcome: NotifyOutcome::Coalesced,
+            cost: Nanos::from_nanos(700),
+        });
+        t.emit_with(3, || EventKind::NotifyDelayed {
+            extra: Nanos::from_nanos(2_000),
+        });
+        t.emit_with(0, || EventKind::XenbusState {
+            path: "/local/domain/3/device/vif/0/state".into(),
+            state: "connected",
+        });
+        t.emit_with(2, || EventKind::Lifecycle {
+            device: "vif/3/0".into(),
+            transition: "retarget",
+        });
+        t.emit_with(2, || EventKind::RingDrain {
+            queue: "netback_tx",
+            qid: 1,
+            consumed: 4,
+            delivered: 3,
+            notify: true,
+        });
+        t.emit_with(2, || EventKind::RingReject {
+            queue: "netback_tx",
+            qid: 1,
+            reason: "bad_id",
+            id: 9,
+        });
+        t.emit_with(0, || EventKind::Milestone { what: "detect" });
+        t.emit_with(0, || EventKind::HealthTransition {
+            watched: 2,
+            state: "suspect",
+            cause: "stall",
+            missed: 1,
+        });
+        let doc = export(&t, &tracks(), None);
+        assert_eq!(validate(&doc), Ok(10));
+        let q1 = queue_tid(2, 1);
+        let head = |name: &str, tid: u32| {
+            format!("{{\"name\":\"{name}\",\"cat\":\"kite\",\"pid\":0,\"tid\":{tid},\"ts\":1.000")
+        };
+        let instant = ",\"ph\":\"i\",\"s\":\"t\"";
+        let want = [
+            format!(
+                "{},\"ph\":\"X\",\"dur\":1.250,\"args\":{{\"bytes\":4096}}}}",
+                head("gnttab_map", 0)
+            ),
+            format!(
+                "{},\"ph\":\"X\",\"dur\":0.900,\"args\":{{\"ops\":2,\"ok_ops\":1,\"bytes\":1514}}}}",
+                head("gnttab_copy", 2)
+            ),
+            format!(
+                "{},\"ph\":\"X\",\"dur\":0.700,\"args\":{{\"to_dom\":3,\"port\":5,\"outcome\":\"coalesced\"}}}}",
+                head("notify", 2)
+            ),
+            format!(
+                "{}{instant},\"args\":{{\"extra_ns\":2000}}}}",
+                head("notify_delayed", 3)
+            ),
+            format!(
+                "{}{instant},\"args\":{{\"path\":\"/local/domain/3/device/vif/0/state\"}}}}",
+                head("xenbus:connected", 0)
+            ),
+            format!(
+                "{}{instant},\"args\":{{\"device\":\"vif/3/0\"}}}}",
+                head("lifecycle:retarget", 2)
+            ),
+            format!(
+                "{}{instant},\"args\":{{\"consumed\":4,\"delivered\":3,\"notify\":true}}}}",
+                head("netback_tx", q1)
+            ),
+            format!(
+                "{}{instant},\"args\":{{\"reason\":\"bad_id\",\"id\":9}}}}",
+                head("netback_tx:reject", q1)
+            ),
+            format!("{}{instant},\"args\":{{}}}}", head("detect", 0)),
+            format!(
+                "{}{instant},\"args\":{{\"watched\":2,\"cause\":\"stall\",\"missed\":1}}}}",
+                head("health:suspect", 0)
+            ),
+        ];
+        let got: Vec<&str> = doc
+            .lines()
+            .map(|l| l.trim().trim_end_matches(','))
+            .filter(|l| l.starts_with("{\"name\"") && !l.contains("\"ph\":\"M\""))
+            .collect();
+        assert_eq!(got, want, "{doc}");
+        assert!(doc.contains("netbackend/q1 (dom 2)"), "{doc}");
+    }
+
     #[test]
     fn validate_flags_non_monotonic_tracks_and_drops() {
         let mut t = Tracer::enabled(64);
@@ -544,10 +655,8 @@ mod tests {
         rt.enable(1, 16);
         rt.set_now(Nanos::from_micros(1));
         let req = rt.admit(0).expect("sampled");
-        rt.set_now(Nanos::from_micros(4));
-        rt.stamp(req, Stage::RingSubmit, 3, None);
-        rt.set_now(Nanos::from_micros(6));
-        rt.stamp(req, Stage::BackendFetch, 2, Some(1));
+        rt.stamp_at(req, Stage::RingSubmit, 3, None, Nanos::from_micros(4));
+        rt.stamp_at(req, Stage::BackendFetch, 2, Some(1), Nanos::from_micros(6));
         rt.finish_at(req, 0, Nanos::from_micros(9));
         rt
     }

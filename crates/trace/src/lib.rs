@@ -3,9 +3,9 @@
 //! Five pieces, layered:
 //!
 //! * [`tracer`] — a bounded ring of typed [`TraceEvent`]s stamped with
-//!   virtual time, plus the [`TraceQuery`] assertion API. Disabled by
-//!   default; the disabled emit path is a single branch and runs no
-//!   allocation.
+//!   virtual time, read with [`Tracer::events`] and matched by variant.
+//!   Disabled by default; the disabled emit path is a single branch and
+//!   runs no allocation.
 //! * [`reqtrace`] — [`ReqTracer`], per-request stage stamps: a
 //!   deterministic 1-in-N sample of requests carries a [`ReqId`]
 //!   through ring slots and device queues, producing latency
@@ -13,7 +13,7 @@
 //! * [`metrics`] — [`MetricsSnapshot`], the one rendering (text + JSON)
 //!   every bench and example reports through.
 //! * [`sampler`] — [`TimeSeriesSampler`], a bounded virtual-time metrics
-//!   time series (counter deltas + gauges) with deterministic CSV/JSON
+//!   time series (counter deltas + gauges) with deterministic CSV
 //!   export.
 //! * [`chrome`] — a Chrome-trace/Perfetto JSON exporter (one track per
 //!   domain, virtual-time microseconds) and its validator, backed by the
@@ -36,5 +36,5 @@ pub use metrics::{Metric, MetricValue, MetricsSnapshot};
 pub use reqtrace::{
     ReqId, ReqRecord, ReqTracer, SlotClass, Stage, StageStamp, DEFAULT_REQ_CAPACITY,
 };
-pub use sampler::{Sample, SampleKind, TimeSeriesSampler};
-pub use tracer::{EventKind, NotifyOutcome, TraceEvent, TraceQuery, Tracer, DEFAULT_CAPACITY};
+pub use sampler::{SampleKind, TimeSeriesSampler};
+pub use tracer::{EventKind, NotifyOutcome, TraceEvent, Tracer, DEFAULT_CAPACITY};

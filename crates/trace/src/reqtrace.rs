@@ -152,11 +152,6 @@ impl ReqRecord {
             _ => Nanos::ZERO,
         }
     }
-
-    /// The stamp for `stage`, if the request crossed it.
-    pub fn stamp_of(&self, stage: Stage) -> Option<&StageStamp> {
-        self.stamps.iter().find(|s| s.stage == stage)
-    }
 }
 
 struct Inner {
@@ -214,8 +209,10 @@ impl ReqTracer {
         self.inner.is_some()
     }
 
-    /// Advances the clock used to stamp subsequent crossings. Called
-    /// once per simulation event, like [`Tracer::set_now`].
+    /// Advances the clock [`admit`](Self::admit) stamps injections at
+    /// and [`now`](Self::now) reads. Called once per simulation event,
+    /// like [`Tracer::set_now`], and re-aimed where a caller's time is
+    /// not the event's.
     ///
     /// [`Tracer::set_now`]: crate::Tracer::set_now
     pub fn set_now(&mut self, now: Nanos) {
@@ -258,34 +255,12 @@ impl ReqTracer {
         Some(ReqId(id))
     }
 
-    /// Records `req` crossing `stage` at the current clock.
-    /// First-touch: a stage the request already carries is ignored.
-    pub fn stamp(&mut self, req: ReqId, stage: Stage, dom: u16, qid: Option<u16>) {
-        let Some(inner) = &mut self.inner else {
-            return;
-        };
-        let at = inner.now;
-        Self::stamp_inner(inner, req, stage, dom, qid, at);
-    }
-
-    /// Records a crossing at an explicit time (for stamps reconstructed
-    /// after the fact, e.g. an NVMe submit time recovered at reap).
+    /// Records `req` crossing `stage` at `at`. First-touch: a stage the
+    /// request already carries is ignored. A stamp may be taken after
+    /// the fact (an NVMe submit time recovered at reap); the trail is
+    /// sorted by time when the request finishes.
     pub fn stamp_at(&mut self, req: ReqId, stage: Stage, dom: u16, qid: Option<u16>, at: Nanos) {
-        let Some(inner) = &mut self.inner else {
-            return;
-        };
-        Self::stamp_inner(inner, req, stage, dom, qid, at);
-    }
-
-    fn stamp_inner(
-        inner: &mut Inner,
-        req: ReqId,
-        stage: Stage,
-        dom: u16,
-        qid: Option<u16>,
-        at: Nanos,
-    ) {
-        let Some(rec) = inner.live.get_mut(&req.0) else {
+        let Some(rec) = self.inner.as_mut().and_then(|i| i.live.get_mut(&req.0)) else {
             return;
         };
         if rec.stamps.iter().any(|s| s.stage == stage) {
@@ -339,9 +314,9 @@ impl ReqTracer {
                 at,
             });
         }
-        // Stable by-time sort: stamps recovered after the fact (explicit
-        // `stamp_at`) slot into their true position; ties keep emission
-        // order.
+        // Stable by-time sort: stamps taken after the fact (an NVMe
+        // submit time recovered at reap) slot into their true position;
+        // ties keep emission order.
         rec.stamps.sort_by_key(|s| s.at);
         for i in 1..rec.stamps.len() {
             let d = rec.stamps[i].at.saturating_sub(rec.stamps[i - 1].at);
@@ -379,11 +354,6 @@ impl ReqTracer {
         self.inner.iter().flat_map(|i| i.completed.iter())
     }
 
-    /// Number of completed records held.
-    pub fn completed_len(&self) -> usize {
-        self.inner.as_ref().map_or(0, |i| i.completed.len())
-    }
-
     /// The latency histogram of `stage` (time from the preceding stamp),
     /// when enabled.
     pub fn stage_hist(&self, stage: Stage) -> Option<&Histogram> {
@@ -411,14 +381,14 @@ mod tests {
         let mut t = ReqTracer::disabled();
         t.set_now(Nanos::from_secs(1));
         assert!(t.admit(0).is_none());
-        t.stamp(ReqId(0), Stage::RingSubmit, 1, None);
+        t.stamp_at(ReqId(0), Stage::RingSubmit, 1, None, t.now());
         t.map(SlotClass::NetTx, 7, ReqId(0));
         assert!(t.lookup(SlotClass::NetTx, 7).is_none());
         assert!(t.take(SlotClass::NetTx, 7).is_none());
         t.finish_at(ReqId(0), 0, t.now());
         assert!(!t.is_enabled());
         assert_eq!(t.seen(), 0);
-        assert_eq!(t.completed_len(), 0);
+        assert_eq!(t.completed().count(), 0);
         assert_eq!(t.now(), Nanos::ZERO);
     }
 
@@ -440,13 +410,12 @@ mod tests {
         t.enable(1, 16);
         t.set_now(Nanos::from_micros(10));
         let req = t.admit(0).expect("sampled");
-        t.set_now(Nanos::from_micros(14));
-        t.stamp(req, Stage::RingSubmit, 3, None);
-        t.stamp(req, Stage::RingSubmit, 9, None); // ignored: first touch
-        t.set_now(Nanos::from_micros(20));
-        t.stamp(req, Stage::BackendFetch, 2, Some(1));
-        // A stamp recovered after the fact sorts into place.
+        t.stamp_at(req, Stage::RingSubmit, 3, None, Nanos::from_micros(14));
+        // Ignored: first touch.
+        t.stamp_at(req, Stage::RingSubmit, 9, None, Nanos::from_micros(15));
+        // Stamps taken out of time order sort into place.
         t.stamp_at(req, Stage::GrantCopy, 2, Some(1), Nanos::from_micros(22));
+        t.stamp_at(req, Stage::BackendFetch, 2, Some(1), Nanos::from_micros(20));
         t.set_now(Nanos::from_micros(30));
         t.finish_at(req, 0, t.now());
         let rec = t.completed().next().expect("one record");
@@ -462,7 +431,8 @@ mod tests {
                 Stage::Complete
             ]
         );
-        assert_eq!(rec.stamp_of(Stage::RingSubmit).unwrap().dom, 3);
+        let submit = rec.stamps.iter().find(|s| s.stage == Stage::RingSubmit);
+        assert_eq!(submit.unwrap().dom, 3);
         // Stage durations sum exactly to the end-to-end latency.
         let sum: u64 = rec
             .stamps
@@ -498,7 +468,7 @@ mod tests {
             let req = t.admit(0).expect("sampled");
             t.finish_at(req, 0, t.now());
         }
-        assert_eq!(t.completed_len(), 2);
+        assert_eq!(t.completed().count(), 2);
         // Oldest survivor is the third request.
         assert_eq!(t.completed().next().unwrap().id, 2);
         // Histograms still count every finished request.
@@ -520,7 +490,7 @@ mod tests {
         let mut t = ReqTracer::default();
         t.enable(1, 4);
         t.finish_at(ReqId(99), 0, t.now());
-        assert_eq!(t.completed_len(), 0);
+        assert_eq!(t.completed().count(), 0);
         assert_eq!(t.e2e_hist().unwrap().count(), 0);
     }
 }

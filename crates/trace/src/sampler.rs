@@ -32,10 +32,10 @@ struct Column {
 }
 
 /// One recorded sample row: virtual timestamp plus one value per column.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Sample {
-    pub at: Nanos,
-    pub values: Vec<u64>,
+#[derive(Debug, Clone)]
+struct Sample {
+    at: Nanos,
+    values: Vec<u64>,
 }
 
 /// Deterministic metrics time series. See the module docs.
@@ -67,11 +67,6 @@ impl TimeSeriesSampler {
         self
     }
 
-    /// Column names, in declaration order.
-    pub fn column_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|c| c.name.as_str()).collect()
-    }
-
     /// Record one sample at virtual time `at`. `raw` must supply one
     /// value per declared column, in declaration order.
     pub fn record(&mut self, at: Nanos, raw: &[u64]) {
@@ -94,11 +89,6 @@ impl TimeSeriesSampler {
             })
             .collect();
         self.rows.push(Sample { at, values });
-    }
-
-    /// Iterate over the recorded samples, oldest first.
-    pub fn samples(&self) -> impl Iterator<Item = &Sample> {
-        self.rows.iter()
     }
 
     /// Render the series as CSV: a `t_ns` column plus one column per
@@ -138,16 +128,7 @@ mod tests {
         let mut s = mk();
         s.record(Nanos::from_millis(1), &[100, 7]);
         s.record(Nanos::from_millis(2), &[250, 3]);
-        let rows: Vec<_> = s.samples().collect();
-        assert_eq!(rows[0].values, vec![100, 7]);
-        assert_eq!(rows[1].values, vec![150, 3]);
-    }
-
-    #[test]
-    fn csv_is_stable() {
-        let mut s = mk();
-        s.record(Nanos::from_millis(1), &[100, 7]);
-        s.record(Nanos::from_millis(2), &[250, 3]);
+        // The counter's second row is 250 - 100; the gauge's is raw.
         assert_eq!(
             s.to_csv(),
             "t_ns,bytes,depth\n1000000,100,7\n2000000,150,3\n"

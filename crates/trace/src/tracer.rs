@@ -1,4 +1,4 @@
-//! The bounded, virtual-time event recorder and its query API.
+//! The bounded, virtual-time event recorder.
 //!
 //! A [`Tracer`] is disabled by default: the emit path is then a single
 //! branch on an `Option` discriminant and never runs the caller's
@@ -23,7 +23,7 @@ pub enum NotifyOutcome {
 }
 
 impl NotifyOutcome {
-    /// Stable lower-case label, used in renderings and queries.
+    /// Stable lower-case label, used in renderings.
     pub fn name(self) -> &'static str {
         match self {
             NotifyOutcome::Delivered => "delivered",
@@ -90,8 +90,7 @@ pub enum EventKind {
     Lifecycle {
         /// Device identity, `<kind>/<frontend-domain>/<index>`.
         device: String,
-        /// `"connect"`, `"suspend"`, `"close"`, `"abandon"`, `"retarget"`,
-        /// or `"reconnect"`.
+        /// `"retarget"`, `"connect"`, `"close"` or `"abandon"`.
         transition: &'static str,
     },
     /// One non-empty backend ring drain.
@@ -145,24 +144,6 @@ pub enum EventKind {
         /// Consecutive missed probes at the time of the transition.
         missed: u32,
     },
-}
-
-impl EventKind {
-    /// Stable event-type name used by [`TraceQuery::kind`] and renderers.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::Hypercall { op, .. } => op,
-            EventKind::GrantCopyBatch { .. } => "gnttab_copy",
-            EventKind::Notify { .. } => "notify",
-            EventKind::NotifyDelayed { .. } => "notify_delayed",
-            EventKind::XenbusState { .. } => "xenbus_state",
-            EventKind::Lifecycle { .. } => "lifecycle",
-            EventKind::RingDrain { .. } => "ring_drain",
-            EventKind::RingReject { .. } => "ring_reject",
-            EventKind::Milestone { .. } => "milestone",
-            EventKind::HealthTransition { .. } => "health",
-        }
-    }
 }
 
 /// One recorded event: a sequence number (total order of emission), a
@@ -284,73 +265,17 @@ impl Tracer {
         self.inner.iter().flat_map(|i| i.ring.iter())
     }
 
-    /// A query over every held event.
-    pub fn query(&self) -> TraceQuery<'_> {
-        TraceQuery {
-            events: self.events().collect(),
-        }
-    }
-}
-
-/// A filtered view over a tracer's events, for test assertions.
-///
-/// Filters consume and return the query, so assertions chain:
-/// `t.query().filter(|e| e.dom == 2).kind("gnttab_copy").count()`.
-pub struct TraceQuery<'a> {
-    events: Vec<&'a TraceEvent>,
-}
-
-impl<'a> TraceQuery<'a> {
-    /// Keeps events matching `pred`.
-    pub fn filter(mut self, pred: impl Fn(&TraceEvent) -> bool) -> Self {
-        self.events.retain(|e| pred(e));
-        self
-    }
-
-    /// Keeps events whose [`EventKind::name`] equals `name`.
-    pub fn kind(self, name: &str) -> Self {
-        self.filter(|e| e.kind.name() == name)
-    }
-
-    /// Keeps events with `lo < seq < hi` (emission order, exclusive):
-    /// "strictly between these two events", immune to timestamp ties.
-    pub fn seq_between(self, lo: u64, hi: u64) -> Self {
-        self.filter(|e| lo < e.seq && e.seq < hi)
-    }
-
-    /// Number of events in the view.
-    pub fn count(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Oldest event in the view.
-    pub fn first(&self) -> Option<&'a TraceEvent> {
-        self.events.first().copied()
-    }
-
-    /// Newest event in the view.
-    pub fn last(&self) -> Option<&'a TraceEvent> {
-        self.events.last().copied()
-    }
-
-    /// Iterates the view, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &'a TraceEvent> + '_ {
-        self.events.iter().copied()
-    }
-
     /// The first [`EventKind::Milestone`] named `what`, if any.
-    pub fn milestone(&self, what: &str) -> Option<&'a TraceEvent> {
-        self.events
-            .iter()
-            .copied()
+    pub fn milestone(&self, what: &str) -> Option<&TraceEvent> {
+        self.events()
             .find(|e| matches!(e.kind, EventKind::Milestone { what: w } if w == what))
     }
 
     /// Virtual-time span from the first milestone `from` to the first
-    /// milestone `to` at-or-after it.
+    /// milestone `to` emitted after it.
     pub fn span_between(&self, from: &str, to: &str) -> Option<Nanos> {
         let a = self.milestone(from)?;
-        let b = self.events.iter().copied().find(|e| {
+        let b = self.events().find(|e| {
             e.seq > a.seq && matches!(e.kind, EventKind::Milestone { what: w } if w == to)
         })?;
         Some(b.at.saturating_sub(a.at))
@@ -386,7 +311,7 @@ mod tests {
         assert_eq!(t.dropped(), 2);
         // Oldest survivor is the third emission (seq 2).
         assert_eq!(t.events().next().unwrap().seq, 2);
-        assert_eq!(t.query().last().unwrap().at, Nanos::from_nanos(4));
+        assert_eq!(t.events().last().unwrap().at, Nanos::from_nanos(4));
     }
 
     #[test]
@@ -400,7 +325,7 @@ mod tests {
     }
 
     #[test]
-    fn query_filters_compose() {
+    fn milestones_bound_an_emission_window() {
         let mut t = Tracer::enabled(16);
         t.set_now(Nanos::from_micros(1));
         t.emit_with(1, || milestone("kill"));
@@ -413,23 +338,23 @@ mod tests {
         });
         t.set_now(Nanos::from_micros(5));
         t.emit_with(1, || milestone("reconnect"));
-        assert_eq!(t.query().count(), 3);
-        assert_eq!(t.query().kind("notify").count(), 1);
-        assert_eq!(t.query().filter(|e| e.dom == 1).count(), 2);
-        let q = t.query();
-        let kill = q.milestone("kill").unwrap();
-        let rec = q.milestone("reconnect").unwrap();
+        assert_eq!(t.events().count(), 3);
+        assert_eq!(t.events().filter(|e| e.dom == 1).count(), 2);
+        let kill = t.milestone("kill").unwrap().seq;
+        let rec = t.milestone("reconnect").unwrap().seq;
         assert_eq!(
-            q.span_between("kill", "reconnect"),
+            t.span_between("kill", "reconnect"),
             Some(Nanos::from_micros(4))
         );
-        assert_eq!(
-            t.query()
-                .seq_between(kill.seq, rec.seq)
-                .kind("notify")
-                .count(),
-            1
-        );
+        let between: Vec<u16> = t
+            .events()
+            .filter(|e| kill < e.seq && e.seq < rec)
+            .filter_map(|e| match e.kind {
+                EventKind::Notify { to_dom, .. } => Some(to_dom),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(between, [1]);
     }
 
     #[test]
@@ -439,20 +364,19 @@ mod tests {
         t.emit_with(0, || milestone("kill"));
         t.set_now(Nanos::from_micros(3));
         t.emit_with(0, || milestone("detect"));
-        let q = t.query();
         // Missing start milestone.
-        assert_eq!(q.span_between("nonesuch", "detect"), None);
+        assert_eq!(t.span_between("nonesuch", "detect"), None);
         // Missing end milestone.
-        assert_eq!(q.span_between("kill", "nonesuch"), None);
+        assert_eq!(t.span_between("kill", "nonesuch"), None);
         // End emitted before start: span_between only looks forward in
         // emission order, so the reversed query finds nothing.
-        assert_eq!(q.span_between("detect", "kill"), None);
+        assert_eq!(t.span_between("detect", "kill"), None);
         // Empty tracer: no milestones at all.
         let empty = Tracer::enabled(4);
-        assert_eq!(empty.query().span_between("kill", "detect"), None);
+        assert_eq!(empty.span_between("kill", "detect"), None);
         // Sanity: the forward query still works.
         assert_eq!(
-            q.span_between("kill", "detect"),
+            t.span_between("kill", "detect"),
             Some(Nanos::from_micros(2))
         );
     }

@@ -955,36 +955,29 @@ mod tests {
         hv.evtchn_send(dd, p_dd).unwrap(); // delivered
         hv.evtchn_send(dd, p_dd).unwrap(); // pending bit set: coalesced
 
-        assert_eq!(hv.trace.query().kind("gnttab_copy").count(), 1);
-        let copy = hv
+        let copies: Vec<_> = hv
             .trace
-            .query()
-            .kind("gnttab_copy")
-            .first()
-            .unwrap()
-            .clone();
-        assert_eq!(copy.at, Nanos::from_micros(7));
-        assert_eq!(copy.dom, dd.0);
-        match copy.kind {
-            EventKind::GrantCopyBatch {
-                ops: n,
-                ok_ops,
-                bytes,
-                cost,
-            } => {
-                assert_eq!((n, ok_ops, bytes), (1, 1, 64));
-                assert_eq!(cost, batch.cost);
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::GrantCopyBatch {
+                    ops,
+                    ok_ops,
+                    bytes,
+                    cost,
+                } => Some((e.at, e.dom, (ops, ok_ops, bytes), cost)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            copies,
+            [(Nanos::from_micros(7), dd.0, (1, 1, 64), batch.cost)]
+        );
         let outcomes: Vec<NotifyOutcome> = hv
             .trace
-            .query()
-            .kind("notify")
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::Notify { outcome, .. } => outcome,
-                _ => unreachable!(),
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::Notify { outcome, .. } => Some(outcome),
+                _ => None,
             })
             .collect();
         assert_eq!(
@@ -1000,20 +993,15 @@ mod tests {
             crate::xenbus::XenbusState::Initialising,
         )
         .unwrap();
-        let ev = hv
+        let last_state = hv
             .trace
-            .query()
-            .kind("xenbus_state")
-            .last()
-            .unwrap()
-            .clone();
-        match &ev.kind {
-            EventKind::XenbusState { path, state } => {
-                assert_eq!(path, state_path);
-                assert_eq!(*state, "initialising");
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
+            .events()
+            .filter_map(|e| match &e.kind {
+                EventKind::XenbusState { path, state } => Some((path.as_str(), *state)),
+                _ => None,
+            })
+            .last();
+        assert_eq!(last_state, Some((state_path, "initialising")));
         // Every emission got a distinct, increasing seq.
         let seqs: Vec<u64> = hv.trace.events().map(|e| e.seq).collect();
         assert!(seqs.windows(2).all(|w| w[0] < w[1]));

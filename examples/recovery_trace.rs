@@ -36,7 +36,6 @@ fn main() {
     let seq_of = |what: &str| {
         sys.hv
             .trace
-            .query()
             .milestone(what)
             .unwrap_or_else(|| panic!("milestone {what:?} missing"))
             .seq
@@ -56,7 +55,6 @@ fn main() {
     let outage = sys
         .hv
         .trace
-        .query()
         .span_between("kill", "first_byte")
         .expect("span");
 

@@ -2,19 +2,23 @@
 # Tier-1 verification gate (see ROADMAP.md). Runs fully offline: the
 # workspace has no registry dependencies, so --offline always succeeds.
 #
-#   build (release) -> tests + doctests -> examples + repro figures vs the
-#   shipped scripts/repro_figures.txt -> determinism cmps (traces, bench
-#   rows vs the shipped BENCH_mechanisms.json, repro top/lat/prof vs the
-#   shipped scripts/repro_views.txt) ->
+#   fmt --check -> build (release) -> tests + doctests -> examples +
+#   repro figures vs the shipped scripts/repro_figures.txt ->
+#   determinism cmps (traces, bench rows vs the shipped
+#   BENCH_mechanisms.json, repro top/lat/prof vs the shipped
+#   scripts/repro_views.txt) ->
 #   benchmark/ smoke + sim_digest cmp + allocation pins + one traced run
 #   -> reachability (fixture, then workspace) -> doc -> clippy -D warnings
-#   -> fmt --check
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
 # while `repro --json` builds them (DESIGN.md §18); nothing here
 # re-derives them. Any failure fails the gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting takes seconds and needs no build, so it fails first.
+echo "==> cargo fmt --check"
+cargo fmt --all -- --check
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline --workspace
@@ -217,8 +221,5 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
-
-echo "==> cargo fmt --check"
-cargo fmt --all -- --check
 
 echo "verify: OK"

@@ -19,6 +19,7 @@ use kite_sim::Nanos;
 use kite_system::{
     addrs, scenario, BackendOs, DetectionMode, Fault, IoKind, IoOp, NetSystem, Side, SystemConfig,
 };
+use kite_trace::EventKind;
 
 const MSGS: u64 = 120;
 
@@ -60,7 +61,6 @@ fn net_watchdog_detects_kill_within_bound() {
         let span = sys
             .hv
             .trace
-            .query()
             .span_between("kill", "detect")
             .expect("kill and detect milestones present");
         assert!(span > Nanos::ZERO, "{}: detection takes time", os.name());
@@ -95,14 +95,18 @@ fn net_watchdog_detects_hang_via_ring_stall() {
         let got = *received.borrow();
         assert!(got >= MSGS, "{}: acked frames lost", os.name());
         assert!(
-            sys.hv.trace.query().milestone("kill").is_none(),
+            sys.hv.trace.milestone("hang").is_some(),
+            "{}: the hang is traced",
+            os.name()
+        );
+        assert!(
+            sys.hv.trace.milestone("kill").is_none(),
             "{}: a hang is not a kill",
             os.name()
         );
         let span = sys
             .hv
             .trace
-            .query()
             .span_between("hang", "detect")
             .expect("hang and detect milestones present");
         assert!(span > Nanos::ZERO, "{}", os.name());
@@ -176,7 +180,6 @@ fn hung_four_queue_driver_books_every_rings_frames_as_dropped() {
     let detect = sys
         .hv
         .trace
-        .query()
         .span_between("hang", "detect")
         .expect("hang and detect milestones present");
     // Each ring received one frame per 100 ms while its handler was
@@ -253,7 +256,6 @@ fn stor_watchdog_detects_kill_and_hang() {
             let span = sys
                 .hv
                 .trace
-                .query()
                 .span_between(label, "detect")
                 .expect("fault and detect milestones present");
             assert!(span > Nanos::ZERO, "{}/{label}", os.name());
@@ -290,7 +292,7 @@ fn oracle_detects_instantly_watchdog_never_does() {
         sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         sys.run_to_quiescence();
         (
-            sys.hv.trace.query().span_between("kill", "detect"),
+            sys.hv.trace.span_between("kill", "detect"),
             sys.recovery.detect_latency(),
         )
     };
@@ -431,7 +433,13 @@ fn slo_breach_marks_backend_suspect() {
         "an SLO breach alone must not trigger recovery"
     );
     assert!(
-        sys.hv.trace.query().kind("health").count() >= 1,
+        sys.hv.trace.events().any(|e| matches!(
+            e.kind,
+            EventKind::HealthTransition {
+                state: "suspect",
+                ..
+            }
+        )),
         "the suspect transition is traced"
     );
 }
@@ -487,7 +495,6 @@ fn net_watchdog_detects_single_wedged_queue_via_ring_stall() {
     let span = sys
         .hv
         .trace
-        .query()
         .span_between("wedge", "detect")
         .expect("wedge and detect milestones present");
     assert!(span > Nanos::ZERO, "detection takes time");

@@ -16,6 +16,7 @@ use kite_system::{
     addrs, scenario, BackendOs, BlkPath, Datapath, Fault, Host, IoKind, IoOp, NetPath, NetSystem,
     Side, StorSystem, SystemConfig,
 };
+use kite_trace::EventKind;
 
 /// Kill the driver domain mid-UDP-stream. Every frame the guest's send
 /// path accepted (i.e. did not report as dropped) must reach the client
@@ -77,7 +78,6 @@ fn net_driver_crash_mid_udp_stream_recovers_without_acked_loss() {
         let seq_of = |what: &str| {
             sys.hv
                 .trace
-                .query()
                 .milestone(what)
                 .unwrap_or_else(|| panic!("{}: milestone {what:?} missing", os.name()))
                 .seq
@@ -99,21 +99,28 @@ fn net_driver_crash_mid_udp_stream_recovers_without_acked_loss() {
             "{}: first byte before reconnect",
             os.name()
         );
-        assert_eq!(
+        let notifies = |lo: u64, hi: u64| {
             sys.hv
                 .trace
-                .query()
-                .seq_between(m_kill, m_reconnect)
-                .kind("notify")
-                .count(),
+                .events()
+                .filter(|e| lo < e.seq && e.seq < hi)
+                .filter(|e| matches!(e.kind, EventKind::Notify { .. }))
+                .count()
+        };
+        assert_eq!(
+            notifies(m_kill, m_reconnect),
             0,
             "{}: notifies during the outage",
+            os.name()
+        );
+        assert!(
+            notifies(m_reconnect, u64::MAX) > 0,
+            "{}: no notifies after the reconnect",
             os.name()
         );
         let span = sys
             .hv
             .trace
-            .query()
             .span_between("kill", "first_byte")
             .expect("span");
         assert_eq!(
@@ -337,11 +344,12 @@ fn fault_milestone(fault: Fault) -> &'static str {
 
 /// Virtual times of every `what` milestone, oldest first.
 fn milestone_times<D: Datapath>(sys: &Host<D>, what: &str) -> Vec<Nanos> {
-    let q =
-        sys.hv.trace.query().filter(
-            |e| matches!(e.kind, kite_trace::EventKind::Milestone { what: w } if w == what),
-        );
-    q.iter().map(|e| e.at).collect()
+    sys.hv
+        .trace
+        .events()
+        .filter(|e| matches!(e.kind, EventKind::Milestone { what: w } if w == what))
+        .map(|e| e.at)
+        .collect()
 }
 
 /// 40 s of guest→client UDP at 4 msg/s: the Tx ring always has pending
@@ -400,8 +408,9 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
     let seqs: Vec<u64> = order
         .iter()
         .map(|what| {
-            let q = sys.hv.trace.query();
-            q.milestone(what)
+            sys.hv
+                .trace
+                .milestone(what)
                 .unwrap_or_else(|| panic!("{label}: milestone {what:?} missing"))
                 .seq
         })

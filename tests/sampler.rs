@@ -101,20 +101,29 @@ fn storage_system_sampler_records_io_counters() {
     }
     let every = Nanos::from_micros(100);
     let sampler = stor_series(&mut sys, every);
-    assert!(sampler.samples().next().is_some());
+    let csv = sampler.to_csv();
+    let mut lines = csv.lines();
+    let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+    let rows: Vec<Vec<u64>> = lines
+        .map(|l| {
+            l.split(',')
+                .map(|v| v.parse().expect("integer cell"))
+                .collect()
+        })
+        .collect();
+    assert!(!rows.is_empty());
     // Counter columns record deltas: summing write_bytes over the whole
     // series recovers the total volume written.
-    let wb = sampler
-        .column_names()
+    let wb = header
         .iter()
         .position(|c| *c == "write_bytes")
         .expect("column exists");
-    let total: u64 = sampler.samples().map(|s| s.values[wb]).sum();
+    let total: u64 = rows.iter().map(|r| r[wb]).sum();
     assert_eq!(total, 64 * 4096, "summed deltas must equal bytes written");
     // One sample per interval, the last at the first multiple of the
     // interval at or after the final event.
     let every = every.as_nanos();
-    let times: Vec<u64> = sampler.samples().map(|s| s.at.as_nanos()).collect();
+    let times: Vec<u64> = rows.iter().map(|r| r[0]).collect();
     let want: Vec<u64> = (1..=times.len() as u64).map(|k| k * every).collect();
     assert_eq!(times, want);
     let (last, end) = (want[want.len() - 1], sys.now().as_nanos());
