@@ -330,7 +330,9 @@ fn fig10() {
 }
 
 fn table4() {
-    // RSDs from repeated runs with different seeds.
+    // RSDs over five runs, seeds 0–4. The model is deterministic and
+    // these four load generators draw no random numbers, so the runs
+    // agree and every RSD is 0: Table 4 is not reproduced here.
     println!(
         "{:<10} {:>12} {:>12}",
         "benchmark", "Linux RSD %", "Kite RSD %"
@@ -362,7 +364,7 @@ fn table4() {
         let [linux, kite] = BackendOs::both().map(|os| rsd(&|seed| run(os, seed)));
         println!("{:<10} {:>12.4} {:>12.4}", name, linux, kite);
     }
-    println!("(paper: all ≤1.5%; determinism here makes seed-variance the analog)");
+    println!("(paper: all ≤1.5%; not reproduced: the model is deterministic and these loads draw no random numbers)");
 }
 
 fn fig11() {

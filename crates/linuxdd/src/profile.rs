@@ -9,7 +9,6 @@ use kite_sim::{IdleWake, Nanos};
 pub fn linux_profile() -> OsProfile {
     OsProfile {
         irq_overhead: Nanos::from_nanos(900),
-        wakeup_latency: Nanos::from_micros(3),
         per_packet: Nanos::from_nanos(800),
         per_block_request: Nanos::from_micros(4),
         idle_wake: IdleWake {
@@ -27,7 +26,17 @@ mod tests {
     #[test]
     fn linux_dispatch_slower_than_kite() {
         let (l, k) = (linux_profile(), kite_profile());
-        assert!(l.irq_overhead + l.wakeup_latency > k.irq_overhead + k.wakeup_latency);
+        assert!(l.irq_overhead > k.irq_overhead);
+        // Softirq + kthread scheduling: after any idle time Linux wakes
+        // no faster than Kite, and a long sleep costs it strictly more.
+        for idle_us in [1, 10, 100, 1_000, 10_000, 1_000_000] {
+            let idle = Nanos::from_micros(idle_us);
+            assert!(
+                l.idle_wake.after(idle) >= k.idle_wake.after(idle),
+                "idle {idle_us} us"
+            );
+        }
+        assert!(l.idle_wake.cap > k.idle_wake.cap);
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //!
 //! A boot is a list of stages with durations; the totals are what the
 //! paper's experiment E1 measures by hand ("until you see 'Network domain
-//! is ready'"). Durations carry small multiplicative jitter so repeated
-//! boots report realistic spreads.
+//! is ready'"). Every boot, the first and each restart after a crash,
+//! takes exactly the nominal total: the model has no source of boot-time
+//! variance, so it invents none.
 
-use kite_sim::{Nanos, Pcg};
+use kite_sim::Nanos;
 
 /// One boot stage.
 #[derive(Clone, Debug)]
@@ -27,14 +28,6 @@ impl BootSequence {
     /// Nominal total boot time.
     pub fn total(&self) -> Nanos {
         self.stages.iter().map(|s| s.duration).sum()
-    }
-
-    /// A sampled boot time with ±3% per-stage jitter.
-    pub fn sample(&self, rng: &mut Pcg) -> Nanos {
-        self.stages
-            .iter()
-            .map(|s| rng.jitter(s.duration, 0.03))
-            .sum()
     }
 }
 
@@ -81,17 +74,6 @@ mod tests {
     fn kite_boots_in_about_seven_seconds() {
         let t = kite_boot().total().as_secs_f64();
         assert!((6.5..7.5).contains(&t), "kite boot = {t:.2}s");
-    }
-
-    #[test]
-    fn sampled_boot_close_to_nominal() {
-        let seq = kite_boot();
-        let mut rng = Pcg::seeded(1);
-        for _ in 0..20 {
-            let s = seq.sample(&mut rng).as_secs_f64();
-            let n = seq.total().as_secs_f64();
-            assert!((s - n).abs() / n < 0.05);
-        }
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! or block request crosses. An [`OsProfile`] quantifies those per-OS costs;
 //! the driver code in `kite-core` is written once and parameterized by it.
 //! Every field is charged by a datapath: a cost nothing charges does not
-//! belong here.
+//! belong here. The datapaths charge these nominal values in every run;
+//! nothing perturbs them, so the profile alone fixes an OS's costs.
 
 use kite_sim::{IdleWake, Nanos};
 
@@ -16,8 +17,6 @@ use kite_sim::{IdleWake, Nanos};
 pub struct OsProfile {
     /// Interrupt handler entry/exit (ack + wake).
     pub irq_overhead: Nanos,
-    /// Wake-to-run latency for the deferred worker on an idle vCPU.
-    pub wakeup_latency: Nanos,
     /// Extra per-packet OS-layer cost on the network path (skb/mbuf
     /// handling, bridge hooks, queue disciplines).
     pub per_packet: Nanos,
@@ -38,7 +37,6 @@ pub struct OsProfile {
 pub fn kite_profile() -> OsProfile {
     OsProfile {
         irq_overhead: Nanos::from_nanos(350),
-        wakeup_latency: Nanos::from_nanos(700),
         per_packet: Nanos::from_nanos(550),
         per_block_request: Nanos::from_micros(2),
         idle_wake: IdleWake {
@@ -54,7 +52,10 @@ mod tests {
 
     #[test]
     fn kite_dispatch_is_sub_microsecond_class() {
+        // A busy vCPU pays the handler alone; an idle one adds a wake that
+        // stays in HVM halt-exit territory however long it slept.
         let p = kite_profile();
-        assert!(p.irq_overhead + p.wakeup_latency < Nanos::from_micros(2));
+        assert!(p.irq_overhead < Nanos::from_micros(1));
+        assert!(p.idle_wake.after(Nanos::from_secs(1)) <= Nanos::from_micros(100));
     }
 }

@@ -7,7 +7,8 @@
 //!   (stable-FIFO) backends: [`queue::EventQueue`] (binary heap, the
 //!   oracle) and [`wheel::TimerWheel`] (hierarchical timer wheel, the
 //!   default hot path);
-//! * [`rng::Pcg`] — a seeded, replayable random number generator;
+//! * [`rng::Pcg`] — a seeded, replayable random number generator for the
+//!   load generators and fault plans (the simulated system draws none);
 //! * [`stats`] and [`resource`] — measurement taps and serializing
 //!   resource models (one busy-until-t `Cpu`, the pools and links built on it);
 //! * [`spares::Spares`] — emptied payload buffers kept for reuse by the

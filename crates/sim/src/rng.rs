@@ -3,8 +3,8 @@
 //! The whole reproduction must be replayable: the same seed must produce the
 //! same figures bit-for-bit. We therefore use a self-contained PCG-XSH-RR
 //! 64/32 generator (O'Neill, 2014) rather than a thread-local OS-seeded RNG.
-//! The statistical quality is far beyond what the cost models need, and the
-//! implementation is small enough to audit.
+//! The statistical quality is far beyond what the load generators and fault
+//! plans need, and the implementation is small enough to audit.
 
 use crate::time::Nanos;
 
@@ -104,15 +104,6 @@ impl Pcg {
         Nanos::from_secs_f64(-mean.as_secs_f64() * u.ln())
     }
 
-    /// A duration jittered multiplicatively by ±`frac` (uniform).
-    ///
-    /// `jitter(d, 0.05)` returns a value in `[0.95 d, 1.05 d]`, the model we
-    /// use for run-to-run noise when reporting relative standard deviations.
-    pub fn jitter(&mut self, base: Nanos, frac: f64) -> Nanos {
-        let f = 1.0 + (self.f64() * 2.0 - 1.0) * frac;
-        base.scale(f)
-    }
-
     /// Fills a byte slice with random data (payload generation).
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(4);
@@ -186,16 +177,6 @@ mod tests {
         let avg = total as f64 / n as f64;
         let expect = mean.as_nanos() as f64;
         assert!((avg - expect).abs() / expect < 0.05, "avg={avg}");
-    }
-
-    #[test]
-    fn jitter_bounded() {
-        let mut r = Pcg::seeded(13);
-        let base = Nanos::from_micros(100);
-        for _ in 0..1_000 {
-            let j = r.jitter(base, 0.1).as_nanos();
-            assert!((90_000..=110_000).contains(&j), "j={j}");
-        }
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl Nanos {
     pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
         Nanos(self.0.saturating_sub(rhs.0))
     }
-
-    /// Scales a duration by a dimensionless factor, rounding to nearest.
-    ///
-    /// Negative factors clamp to zero.
-    pub fn scale(self, factor: f64) -> Nanos {
-        if factor <= 0.0 {
-            return Nanos::ZERO;
-        }
-        Nanos((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl Add for Nanos {
@@ -188,13 +178,6 @@ mod tests {
     fn addition_saturates_at_max() {
         let max = Nanos(u64::MAX);
         assert_eq!(max + Nanos::from_secs(1), max);
-    }
-
-    #[test]
-    fn scale_rounds_to_nearest() {
-        assert_eq!(Nanos(10).scale(0.25), Nanos(3)); // 2.5 rounds away from zero
-        assert_eq!(Nanos(100).scale(1.5), Nanos(150));
-        assert_eq!(Nanos(100).scale(-1.0), Nanos::ZERO);
     }
 
     #[test]

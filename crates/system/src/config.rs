@@ -33,7 +33,6 @@ use crate::storsys::StorSystem;
 #[derive(Clone, Debug)]
 pub struct SystemConfig {
     pub(crate) os: BackendOs,
-    pub(crate) seed: u64,
     pub(crate) queues: u32,
     pub(crate) watchdog: bool,
     pub(crate) slo: Option<SloConfig>,
@@ -49,13 +48,15 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Starts a config with the two parameters every scenario needs: the
-    /// driver-domain OS and the determinism seed. Everything else
+    /// Starts a config for a driver domain running `os`. Everything else
     /// defaults to the paper's canonical single-queue setup.
-    pub fn new(os: BackendOs, seed: u64) -> SystemConfig {
+    ///
+    /// The second parameter is ignored: the system draws no random
+    /// numbers (only load generators and a `FaultPlan` do, each from its
+    /// own seed), so a build is a function of the config alone.
+    pub fn new(os: BackendOs, _seed: u64) -> SystemConfig {
         SystemConfig {
             os,
-            seed,
             queues: 1,
             watchdog: false,
             slo: None,

@@ -22,7 +22,7 @@ use kite_health::{
 use kite_linux::{linux_profile, ubuntu_boot};
 use kite_prof::Phase;
 use kite_rumprun::{kite_boot, kite_profile, BootSequence, OsProfile};
-use kite_sim::{CpuPool, EventSched, Histogram, IdleWake, Nanos, Pcg, Scheduler, SchedulerKind};
+use kite_sim::{CpuPool, EventSched, Histogram, IdleWake, Nanos, Scheduler, SchedulerKind};
 use kite_trace::{EventKind, MetricsSnapshot, DEFAULT_REQ_CAPACITY};
 use kite_xen::xenbus::MQ_MAX_QUEUES_KEY;
 use kite_xen::{
@@ -124,14 +124,13 @@ pub trait Datapath: Sized {
     /// The physical device passed through to the driver domain.
     fn pci_device() -> PciDevice;
 
-    /// Builds the datapath state for a freshly created driver domain,
-    /// the backend's connect configuration, and the OS profile the host
-    /// charges driver-vCPU wakeups with.
+    /// Builds the datapath state for a freshly created driver domain and
+    /// the backend's connect configuration.
     fn build(
         cfg: &SystemConfig,
         hv: &mut Hypervisor,
         driver: DomainId,
-    ) -> (Self, <Self::Backend as BackendDevice>::Config, OsProfile);
+    ) -> (Self, <Self::Backend as BackendDevice>::Config);
 
     /// A replacement driver domain booted: restart its application.
     fn driver_booted(&mut self, hv: &mut Hypervisor, driver: DomainId);
@@ -216,8 +215,6 @@ pub struct Host<D: Datapath> {
     pub os: BackendOs,
     /// Crash/restart recovery accounting.
     pub recovery: RecoveryStats,
-    /// Deterministic RNG stream (boot-time jitter).
-    pub rng: Pcg,
     pub(crate) dp: D,
     pub(crate) queue: EventSched<Event<D::Event>>,
     pub(crate) profile: OsProfile,
@@ -263,7 +260,7 @@ impl<D: Datapath> Deref for Host<D> {
 impl<D: Datapath> Host<D> {
     /// Builds the scenario with the paper's domain layout and the
     /// canonical single-queue setup. Shorthand for building
-    /// `SystemConfig::new(os, seed)`.
+    /// `SystemConfig::new(os, seed)`, which ignores `seed`.
     pub fn new(os: BackendOs, seed: u64) -> Host<D> {
         Host::from_config(&SystemConfig::new(os, seed))
     }
@@ -286,7 +283,7 @@ impl<D: Datapath> Host<D> {
         hv.pci.make_assignable(bdf).expect("fresh device");
         hv.pci.assign(bdf, driver).expect("assignable");
 
-        let (dp, backend_cfg, profile) = D::build(cfg, &mut hv, driver);
+        let (dp, backend_cfg) = D::build(cfg, &mut hv, driver);
         let paths = DevicePaths::new(guest, driver, D::Backend::KIND, 0);
         let (driver_cpus, guest_cpus) = (vcpus_of(&hv, driver), vcpus_of(&hv, guest));
         // `plug_device` re-aims the slot at whichever driver domain is
@@ -295,10 +292,9 @@ impl<D: Datapath> Host<D> {
             hv,
             os,
             recovery: RecoveryStats::default(),
-            rng: Pcg::seeded(cfg.seed),
             dp,
             queue: EventSched::new(cfg.scheduler),
-            profile,
+            profile: os.profile(),
             driver,
             guest,
             nqueues,
@@ -651,7 +647,7 @@ impl<D: Datapath> Host<D> {
         let fs = self.backend.paths().frontend_state();
         let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closing);
         let _ = self.hv.switch_state(self.guest, &fs, XenbusState::Closed);
-        let boot = self.os.boot().sample(&mut self.rng);
+        let boot = self.os.boot().total();
         self.queue.schedule_at(now + boot, Event::DriverRestarted);
     }
 

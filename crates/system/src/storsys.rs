@@ -18,8 +18,7 @@ use kite_core::{
 use kite_devices::NvmeController;
 use kite_frontends::{BlkCompletion, Blkfront};
 use kite_prof::Phase;
-use kite_rumprun::OsProfile;
-use kite_sim::{IdleWake, Nanos, OnlineStats, Pcg};
+use kite_sim::{IdleWake, Nanos, OnlineStats};
 use kite_trace::MetricsSnapshot;
 use kite_xen::{
     DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass, XenError,
@@ -202,15 +201,7 @@ impl Datapath for BlkPath {
         cfg: &SystemConfig,
         hv: &mut Hypervisor,
         driver: DomainId,
-    ) -> (BlkPath, BlkbackConfig, OsProfile) {
-        let mut profile = cfg.os.profile();
-        // Seed-derived run-to-run noise (see `NetPath::build`). The
-        // jittered copy parameterizes blkback only; the host charges
-        // interrupt wakeups with the stock profile.
-        let mut jrng = Pcg::new(cfg.seed, 0x6a69747465725f32);
-        profile.per_block_request = jrng.jitter(profile.per_block_request, 0.004);
-        profile.idle_wake.cap = jrng.jitter(profile.idle_wake.cap, 0.004);
-
+    ) -> (BlkPath, BlkbackConfig) {
         // Scaled capacity: the data plane is sparse-real; 16 GiB of
         // addressable space is ample for the scaled workloads.
         let mut nvme = match &cfg.nvme_profile {
@@ -222,7 +213,7 @@ impl Datapath for BlkPath {
         }
         blockapp::start(hv, driver, nvme.sectors).expect("blockapp");
         let bb_cfg = BlkbackConfig {
-            profile,
+            profile: cfg.os.profile(),
             tuning: cfg.tuning,
             device_sectors: nvme.sectors,
         };
@@ -241,7 +232,7 @@ impl Datapath for BlkPath {
             handler: None,
             metrics: StorMetrics::default(),
         };
-        (dp, bb_cfg, cfg.os.profile())
+        (dp, bb_cfg)
     }
 
     fn driver_booted(&mut self, hv: &mut Hypervisor, driver: DomainId) {

@@ -546,10 +546,14 @@ fn drain_paths_do_not_allocate_in_steady_state() {
         allocs() - before
     };
     let w: Vec<u64> = (0..8).map(|_| window(&mut sys)).collect();
-    // Windows can't be byte-equal: the system's cost-jitter Pcg state
-    // carries across windows, so wheel-bucket phase wobbles a handful
-    // of allocations either way. What must hold is flatness — any
-    // per-window bookkeeping leak would grow the later windows.
+    // Windows can't be byte-equal: each one runs later in virtual time,
+    // so its events land in timer-wheel buckets that earlier windows
+    // never filled as deep, and each such bucket grows its capacity once
+    // (`TimerWheel::place`). Traced by backtrace, every difference
+    // between these windows is such a growth; the per-frame sites
+    // (netback's Tx frame, the bridge's flood list) are equal. What must
+    // hold is flatness — any per-window bookkeeping leak would grow the
+    // later windows.
     let (lo, hi) = (
         *w[2..].iter().min().expect("nonempty"),
         *w[2..].iter().max().expect("nonempty"),
@@ -609,12 +613,15 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     };
     let w: Vec<u64> = (0..8).map(|_| window(&mut sys)).collect();
     assert!(sys.netback_stats().gso_tx_frames > 0, "chains exercised");
-    // Three warm-up windows here: the third still makes ~16 first-touch
-    // allocations, and at three allocations a message (192 a window) the
-    // 2 % band is three allocations wide.
+    // Four warm-up windows here. The third still makes ~14 first-touch
+    // allocations and the fourth two or three: timer-wheel buckets
+    // growing (`TimerWheel::place`, traced by backtrace), not a leak —
+    // from the fifth window on, forty windows in a row stay at 128–129.
+    // At two allocations a message (128 a window) the 2 % band is two
+    // allocations wide.
     let (lo, hi) = (
-        *w[3..].iter().min().expect("nonempty"),
-        *w[3..].iter().max().expect("nonempty"),
+        *w[4..].iter().min().expect("nonempty"),
+        *w[4..].iter().max().expect("nonempty"),
     );
     assert!(
         hi - lo <= lo / 50,

@@ -88,8 +88,8 @@ mod tests {
         let reports = figure8a(BackendOs::Kite, 400, 1);
         // The 1 MiB row sits at the wire's goodput ceiling (≈1196 MB/s)
         // and the 512 B row is bound by the request rate (≈157 MB/s), so
-        // the ratio the model can show is ≈7.6; 7× leaves room for the
-        // seed's jitter, not for a lost amortization.
+        // the ratio the model can show is ≈7.6; 7× leaves room for a
+        // retuned cost constant, not for a lost amortization.
         assert!(
             reports.last().unwrap().throughput_mbps > 7.0 * reports[0].throughput_mbps,
             "large files amortize per-request costs: {reports:#?}"

@@ -16,14 +16,29 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# step <title>: prints the wall time of the step that just ended as
+# `<== <its title>: <seconds> s`, then starts <title> (an empty title
+# only ends the last step). The log then reads as the gate's time
+# budget, step by step.
+step_title="" step_t0=0
+step() {
+    local now=${EPOCHREALTIME//[^0-9]/}
+    if [ -n "$step_title" ]; then
+        local ms=$(((now - step_t0) / 1000))
+        printf '<== %s: %d.%03d s\n' "$step_title" $((ms / 1000)) $((ms % 1000))
+    fi
+    step_title="$1" step_t0=$now
+    [ -z "$1" ] || echo "==> $1"
+}
+
 # Formatting takes seconds and needs no build, so it fails first.
-echo "==> cargo fmt --check"
+step "cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo build --release --offline"
+step "cargo build --release --offline"
 cargo build --release --offline --workspace
 
-echo "==> cargo test --release --offline (libs, bins, tests)"
+step "cargo test --release --offline (libs, bins, tests)"
 # Release profile: reuses the build step's artifacts, and the
 # simulation-heavy workload tests are ~10x faster than under dev.
 cargo test --release --offline -q --workspace --lib --bins --tests
@@ -31,7 +46,7 @@ cargo test --release --offline -q --workspace --lib --bins --tests
 # kite-prof, kite-system's SystemConfig and scenario module).
 cargo test --release --offline -q --workspace --doc
 
-echo "==> examples (build + smoke-run)"
+step "examples (build + smoke-run)"
 cargo build --release --offline --examples
 bin=./target/release
 for ex in examples/*.rs; do
@@ -65,7 +80,7 @@ same_twice() {
     cmp "$same" "$out" || fail "$label"
 }
 
-echo "==> tracing: exports validate and are deterministic"
+step "tracing: exports validate and are deterministic"
 # Each traced run validates its own Chrome-trace export before writing
 # (chrome::validate: JSON parses, per-track monotonic timestamps, zero
 # dropped events) — a failed validation aborts the example, and so
@@ -77,7 +92,7 @@ same_twice "same-seed traces differ" $bin/examples/recovery_trace {}
 [ -s "$same" ] || fail "recovery trace missing or empty"
 same_twice "same-seed multi-queue traces differ" $bin/examples/quickstart --queues 4 --trace {}
 
-echo "==> repro --json: rows reproduce BENCH_mechanisms.json byte for byte"
+step "repro --json: rows reproduce BENCH_mechanisms.json byte for byte"
 # Every row is virtual-time derived, and the report layer asserts the
 # staircases, recovery and grant-copy relations while building them
 # (a violated one aborts repro). Two runs must agree with each other
@@ -86,7 +101,7 @@ echo "==> repro --json: rows reproduce BENCH_mechanisms.json byte for byte"
 same_twice "repro --json output not deterministic" $bin/repro --json {}
 cmp "$same" BENCH_mechanisms.json || fail "repro --json differs from the shipped BENCH_mechanisms.json"
 
-echo "==> GSO run, 4-ring storage: deterministic Chrome traces"
+step "GSO run, 4-ring storage: deterministic Chrome traces"
 # Descriptor-chain framing, extra-info slots and LRO chains are all on
 # the determinism surface. So is the multi-queue completion path: each
 # storage ring has its own NVMe queue pair and MSI-X vector.
@@ -101,19 +116,19 @@ same_twice "same-seed 4-ring storage traces differ" $bin/examples/storage_domain
 # that file and reviewing the diff, like scripts/repro_figures.txt.
 views="$tdir/views.txt"
 
-echo "==> repro top: kitetop snapshots are byte-identical"
+step "repro top: kitetop snapshots are byte-identical"
 # The watchdog crash-cycle scenario renders from virtual-time state only.
 same_twice "repro top output not deterministic" $bin/repro top
 cat "$same" > "$views"
 
-echo "==> repro lat: per-stage waterfalls, flow arrows validated"
+step "repro lat: per-stage waterfalls, flow arrows validated"
 # Both canonical scenarios run with request tracing on; each validates
 # its flow-annotated Chrome export (flow begin/end pairing included)
 # before printing, and every number is virtual-time derived.
 same_twice "repro lat output not deterministic" $bin/repro lat
 cat "$same" >> "$views"
 
-echo "==> repro prof: self-time table, collapsed stacks, sampler CSV"
+step "repro prof: self-time table, collapsed stacks, sampler CSV"
 # Smoke-run the profiler. report::prof_run asserts while it builds that
 # the table attributes self time to the Tx drain and that the collapsed
 # stacks show the signature nesting (grant copies inside a netback drain
@@ -127,7 +142,7 @@ cat "$same" >> "$views"
 cmp "$views" scripts/repro_views.txt \
     || fail "repro top/lat/prof --series-csv differ from the shipped scripts/repro_views.txt"
 
-echo "==> benchmark/: lint gate, then the four workloads end to end"
+step "benchmark/: lint gate, then the four workloads end to end"
 # benchmark/ is its own workspace, so nothing above compiles it: a
 # public-API slip in kite_system would otherwise only surface when the
 # pipeline rejects the PR. Each run's own payload/order/conservation/
@@ -197,7 +212,7 @@ if git rev-parse --git-dir > /dev/null 2>&1; then # an exported tree has no inde
         || fail "the gate modified benchmark/ or BENCHMARK.json"
 fi
 
-echo "==> reachability: every pub item is used by shipped code or observed"
+step "reachability: every pub item is used by shipped code or observed"
 # src/bin/reachability.rs copies the tree to target/reachability/, makes
 # every pub item of crates/*/src pub(crate) there, restores whatever the
 # workspace's and benchmark/'s `cargo check` fail on, and reports rustc's
@@ -216,10 +231,11 @@ $bin/reachability . scripts/observed.txt > "$tdir/reach.txt" || {
     fail "reachability: delete what no shipped code uses, or list it in scripts/observed.txt with a reason"
 }
 
-echo "==> cargo doc --offline (rustdoc warnings are errors)"
+step "cargo doc --offline (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline --quiet
 
-echo "==> cargo clippy --offline -- -D warnings"
+step "cargo clippy --offline -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+step ""
 echo "verify: OK"

@@ -224,6 +224,28 @@ fn stor_driver_crash_mid_write_stream_loses_no_acked_io() {
     }
 }
 
+/// A restart takes exactly the nominal boot (Fig 4c: 6.95 s for Kite,
+/// 75 s for Ubuntu): the boot model has no variance of its own, so under
+/// the failure oracle, which detects at once, the outage is the boot.
+/// (`outage` checks the watchdog's: the boot plus the detection time.)
+#[test]
+fn a_restart_takes_exactly_the_nominal_boot() {
+    let nominal = [
+        (BackendOs::Kite, Nanos::from_millis(6_950)),
+        (BackendOs::Linux, Nanos::from_secs(75)),
+    ];
+    for (os, boot) in nominal {
+        assert_eq!(os.boot().total(), boot, "{}: nominal boot", os.name());
+        let mut sys = NetSystem::new(os, 42);
+        net_load(&mut sys);
+        sys.fault_at(Nanos::from_secs(2), Fault::Kill);
+        sys.run_to_quiescence();
+        assert_eq!(sys.recovery.reconnects, 1, "{}", os.name());
+        assert_eq!(sys.recovery.detect_latency(), Some(Nanos::ZERO));
+        assert_eq!(sys.recovery.downtime, boot, "{}", os.name());
+    }
+}
+
 /// The crash/restart trajectory is part of the deterministic simulation:
 /// the same seed replays the same recovery, byte for byte.
 #[test]
@@ -435,6 +457,11 @@ fn outage<D: Datapath>(fault: Fault, os: BackendOs, queues: u32, load: fn(&mut H
         "{label}: detection latency {lat:?} exceeds the probe-schedule bound"
     );
     assert_eq!(sys.recovery.downtime, reconnect - at, "{label}: downtime");
+    assert_eq!(
+        sys.recovery.downtime,
+        lat.unwrap() + os.boot().total(),
+        "{label}: the outage is detection plus the nominal boot"
+    );
 }
 
 /// The recovery policy lives in the host, so the same contract holds for
