@@ -227,7 +227,7 @@ fn fig6() {
         "os", "goodput Gbps", "loss %", "driver CPU %"
     );
     for os in BackendOs::both() {
-        let r = wl::nuttcp::run(os, &wl::nuttcp::NuttcpParams::default(), 42);
+        let r = wl::nuttcp::run(os, &wl::nuttcp::NuttcpParams::default(), 0);
         println!(
             "{:<8} {:>14.2} {:>10.2} {:>12.1}",
             os.name(),
@@ -245,7 +245,7 @@ fn fig7() {
         "os", "ping ms", "ping p99", "netperf ms", "netperf p99", "memtier ms"
     );
     for os in BackendOs::both() {
-        let r = wl::latency::figure7(os, 42);
+        let r = wl::latency::figure7(os);
         println!(
             "{:<8} {:>10.2} {:>10.2} {:>12.2} {:>12.2} {:>12.2}",
             os.name(),
@@ -268,7 +268,7 @@ fn fig8() {
     println!();
     for os in BackendOs::both() {
         print!("{:<8}", os.name());
-        for r in wl::apache::figure8a(os, 1200, 42) {
+        for r in wl::apache::figure8a(os, 1200) {
             print!("{:>10.0}", r.throughput_mbps);
         }
         println!();
@@ -279,7 +279,7 @@ fn fig8() {
         "os", "MB/s", "time s", "req/s", "lat ms"
     );
     for os in BackendOs::both() {
-        let r = wl::apache::run(os, 524_288, 2000, 40, 43);
+        let r = wl::apache::run(os, 524_288, 2000, 40);
         println!(
             "{:<8} {:>12.1} {:>10.3} {:>12.0} {:>10.2}",
             os.name(),
@@ -297,7 +297,7 @@ fn fig9() {
         "os", "threads", "SET ops/s", "GET ops/s"
     );
     for os in BackendOs::both() {
-        for r in wl::redis::figure9(os, 8000, 42) {
+        for r in wl::redis::figure9(os, 8000) {
             println!(
                 "{:<8} {:>8} {:>14.0} {:>14.0}",
                 os.name(),
@@ -316,7 +316,7 @@ fn fig10() {
         "os", "threads", "tps", "DomU CPU %"
     );
     for os in BackendOs::both() {
-        for r in wl::mysql::figure10(os, 2000, 42) {
+        for r in wl::mysql::figure10(os, 2000) {
             println!(
                 "{:<8} {:>8} {:>10.0} {:>14.1}",
                 os.name(),
@@ -330,38 +330,35 @@ fn fig10() {
 }
 
 fn table4() {
-    // RSDs over five runs, seeds 0–4. The model is deterministic and
-    // these four load generators draw no random numbers, so the runs
-    // agree and every RSD is 0: Table 4 is not reproduced here.
+    // RSDs over five runs of each cell. A build is a function of its
+    // config and these four load generators draw no random numbers, so
+    // the five runs are one input repeated, they agree and every RSD is
+    // 0: Table 4 is not reproduced here.
     println!(
         "{:<10} {:>12} {:>12}",
         "benchmark", "Linux RSD %", "Kite RSD %"
     );
-    let rsd = |f: &dyn Fn(u64) -> f64| -> f64 {
+    let rsd = |f: &dyn Fn() -> f64| -> f64 {
         let mut s = OnlineStats::new();
-        for seed in 0..5 {
-            s.push(f(seed));
+        for _ in 0..5 {
+            s.push(f());
         }
         s.rsd_percent()
     };
-    // One run's headline number, for an OS and a seed.
-    type Run = fn(BackendOs, u64) -> f64;
+    // One run's headline number, for an OS.
+    type Run = fn(BackendOs) -> f64;
     let benches: [(&str, Run); 4] = [
-        ("Apache", |os, seed| {
-            wl::apache::run(os, 65536, 400, 40, seed).throughput_mbps
+        ("Apache", |os| {
+            wl::apache::run(os, 65536, 400, 40).throughput_mbps
         }),
-        ("Redis", |os, seed| {
-            wl::redis::run(os, 10, 3000, seed).get_ops_per_sec
+        ("Redis", |os| wl::redis::run(os, 10, 3000).get_ops_per_sec),
+        ("Memtier", |os| {
+            wl::latency::memtier(os, 4, 600, 8192).mean()
         }),
-        ("Memtier", |os, seed| {
-            wl::latency::memtier(os, 4, 600, 8192, seed).mean()
-        }),
-        ("Sysbench", |os, seed| {
-            wl::mysql::run_net(os, 20, 600, seed).tps
-        }),
+        ("Sysbench", |os| wl::mysql::run_net(os, 20, 600).tps),
     ];
     for (name, run) in benches {
-        let [linux, kite] = BackendOs::both().map(|os| rsd(&|seed| run(os, seed)));
+        let [linux, kite] = BackendOs::both().map(|os| rsd(&|| run(os)));
         println!("{:<10} {:>12.4} {:>12.4}", name, linux, kite);
     }
     println!("(paper: all ≤1.5%; not reproduced: the model is deterministic and these loads draw no random numbers)");
@@ -490,7 +487,7 @@ fn dhcp() {
         "daemon", "discover→offer ms", "request→ack ms"
     );
     for d in [BackendOs::Kite, BackendOs::Linux] {
-        let r = wl::perfdhcp::run(d, 400, 400, 42);
+        let r = wl::perfdhcp::run(d, 400, 400);
         println!(
             "{:<8} {:>18.2} {:>16.2}",
             d.name(),
@@ -509,7 +506,7 @@ fn mem() {
     // footprint.
     println!("{:<8} {:>14} {:>12}", "os", "reservation", "image");
     for os in BackendOs::both() {
-        let sys = kite_system::NetSystem::new(os, 42);
+        let sys = kite_system::NetSystem::new(os);
         let dom = sys
             .hv
             .domains

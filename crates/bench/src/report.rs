@@ -95,8 +95,8 @@ fn recovery_stream(sys: &mut NetSystem) {
 /// Watchdog runs detect the kill through the heartbeat monitor, so their
 /// `detect_latency` row reports a real (positive) detection cost; oracle
 /// runs report zero by construction.
-pub fn recovery_cycle(os: BackendOs, seed: u64, mode: DetectionMode) -> NetSystem {
-    let mut cfg = SystemConfig::new(os, seed);
+pub fn recovery_cycle(os: BackendOs, mode: DetectionMode) -> NetSystem {
+    let mut cfg = SystemConfig::new(os, 0);
     if mode == DetectionMode::Watchdog {
         cfg = cfg.watchdog();
     }
@@ -135,7 +135,7 @@ pub fn recovery_snapshots() -> Vec<MetricsSnapshot> {
         (BackendOs::Kite, Watchdog),
         (BackendOs::Linux, Watchdog),
     ]
-    .map(|(os, mode)| recovery_cycle(os, 11, mode));
+    .map(|(os, mode)| recovery_cycle(os, mode));
     let [back_kite, back_linux, ..] = cycles
         .each_ref()
         .map(|sys| sys.recovery.crash_to_first_byte().expect("service resumed"));
@@ -158,7 +158,7 @@ pub fn recovery_snapshots() -> Vec<MetricsSnapshot> {
 pub fn ablation_snapshots() -> [MetricsSnapshot; 3] {
     use kite_core::{BlkbackStats, BlkbackTuning};
     fn run(tuning: BlkbackTuning) -> (u64, BlkbackStats) {
-        let mut sys = SystemConfig::new(BackendOs::Kite, 1)
+        let mut sys = SystemConfig::new(BackendOs::Kite, 0)
             .tuning(tuning)
             .build_stor();
         scenario::sequential_writes(&mut sys, 64, 128 * 1024, Nanos::from_micros(40));
@@ -224,8 +224,8 @@ pub fn ablation_snapshots() -> [MetricsSnapshot; 3] {
 /// Runs the netback queue-scaling workload: [`scenario::flow_burst`],
 /// 8 messages on each of 64 flows guest->client, through a driver domain
 /// with one vCPU per queue. Returns the finished system.
-pub fn netback_queue_cycle(queues: u32, seed: u64) -> NetSystem {
-    let mut sys = SystemConfig::new(BackendOs::Kite, seed)
+pub fn netback_queue_cycle(queues: u32) -> NetSystem {
+    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
         .queues(queues)
         .build_net();
     scenario::flow_burst(&mut sys, Side::Guest, 512, 1400, Nanos::from_micros(20));
@@ -235,8 +235,8 @@ pub fn netback_queue_cycle(queues: u32, seed: u64) -> NetSystem {
 
 /// One `mechanisms/netback_queues_<n>` ablation row: virtual elapsed
 /// time and throughput of [`netback_queue_cycle`].
-pub fn netback_queue_snapshot(queues: u32, seed: u64) -> MetricsSnapshot {
-    let sys = netback_queue_cycle(queues, seed);
+pub fn netback_queue_snapshot(queues: u32) -> MetricsSnapshot {
+    let sys = netback_queue_cycle(queues);
     let elapsed = sys.now();
     let stats = sys.netback_stats();
     let mut snap = MetricsSnapshot::new(format!("mechanisms/netback_queues_{queues}"));
@@ -276,8 +276,8 @@ pub fn netback_queue_snapshot(queues: u32, seed: u64) -> MetricsSnapshot {
 /// random penalty, via [`SystemConfig::nvme_profile`]) rather than the
 /// default consumer-drive profile: with a multi-millisecond penalty the
 /// device swamps every CPU effect and one ring looks as good as two.
-pub fn blkback_ring_snapshot(rings: u32, seed: u64) -> MetricsSnapshot {
-    let sys = ring_streams_run(SystemConfig::new(BackendOs::Kite, seed).queues(rings));
+pub fn blkback_ring_snapshot(rings: u32) -> MetricsSnapshot {
+    let sys = ring_streams_run(SystemConfig::new(BackendOs::Kite, 0).queues(rings));
     let elapsed = sys.now();
     let stats = sys.blkback_stats();
     let mut snap = MetricsSnapshot::new(format!("mechanisms/blkback_rings_{rings}"));
@@ -334,7 +334,7 @@ pub struct ProfRun {
 pub fn prof_run() -> ProfRun {
     const QUEUES: u32 = 4;
     kite_prof::reset();
-    let mut sys = SystemConfig::new(BackendOs::Kite, 7)
+    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
         .queues(QUEUES)
         .profiling(true)
         .build_net();
@@ -406,14 +406,14 @@ pub fn prof_run() -> ProfRun {
 pub fn queue_scaling_snapshots() -> Vec<MetricsSnapshot> {
     let mut snaps: Vec<MetricsSnapshot> = [1u32, 2, 4, 8]
         .iter()
-        .map(|&q| netback_queue_snapshot(q, 7))
+        .map(|&q| netback_queue_snapshot(q))
         .collect();
     assert!(
         tput_of(&snaps[2]) > tput_of(&snaps[0]),
         "4 queues must out-drain 1 queue"
     );
     let base = snaps.len();
-    snaps.extend([1u32, 2, 4].iter().map(|&r| blkback_ring_snapshot(r, 7)));
+    snaps.extend([1u32, 2, 4].iter().map(|&r| blkback_ring_snapshot(r)));
     let (r1, r2, r4) = (
         tput_of(&snaps[base]),
         tput_of(&snaps[base + 1]),
@@ -442,9 +442,8 @@ pub fn netback_offload_cycle(
     msg_len: usize,
     msgs: u64,
     bidir: bool,
-    seed: u64,
 ) -> NetSystem {
-    let mut sys = SystemConfig::new(BackendOs::Kite, seed)
+    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
         .queues(queues)
         .gso(gso)
         .wire_profile(wire)
@@ -505,11 +504,11 @@ pub fn offload_snapshots() -> Vec<MetricsSnapshot> {
     // super-frame-sized messages so the off-run pays per-MTU-frame cost.
     let off = offload_snapshot(
         "mechanisms/netback_gso_off",
-        &netback_offload_cycle(false, LineRate::Gbe100, 1, 48 * 1024, 256, false, 7),
+        &netback_offload_cycle(false, LineRate::Gbe100, 1, 48 * 1024, 256, false),
     );
     let on = offload_snapshot(
         "mechanisms/netback_gso_on",
-        &netback_offload_cycle(true, LineRate::Gbe100, 1, 48 * 1024, 256, false, 7),
+        &netback_offload_cycle(true, LineRate::Gbe100, 1, 48 * 1024, 256, false),
     );
     assert!(
         tput_of(&on) >= 2.0 * tput_of(&off),
@@ -529,7 +528,7 @@ pub fn offload_snapshots() -> Vec<MetricsSnapshot> {
     .map(|(rate, label)| {
         offload_snapshot(
             format!("mechanisms/netback_wire_{label}"),
-            &netback_offload_cycle(true, rate, 8, 48 * 1024, 256, false, 7),
+            &netback_offload_cycle(true, rate, 8, 48 * 1024, 256, false),
         )
     });
     let [w10, w25, w100] = wire.each_ref().map(tput_of);
@@ -548,7 +547,7 @@ pub fn offload_snapshots() -> Vec<MetricsSnapshot> {
     // read 1.72x / 2.48x the mean here) caps a multi-queue number long
     // before the mean utilisation shows it.
     let [q4, q8] = [4u32, 8].map(|queues| {
-        let sys = netback_offload_cycle(false, LineRate::Gbe25, queues, 1400, 512, true, 7);
+        let sys = netback_offload_cycle(false, LineRate::Gbe25, queues, 1400, 512, true);
         let mut snap =
             offload_snapshot(format!("mechanisms/netback_wire_25g_queues_{queues}"), &sys);
         let busy = sys.driver_cpu_busy_each();
@@ -586,7 +585,7 @@ pub fn latency_snapshots() -> Vec<MetricsSnapshot> {
     [BackendOs::Kite, BackendOs::Linux]
         .iter()
         .map(|&os| {
-            let r = kite_workloads::latency::figure7(os, 11);
+            let r = kite_workloads::latency::figure7(os);
             let mut snap =
                 MetricsSnapshot::new(format!("latency/figure7_{}", os.name().to_lowercase()));
             for (wl, w) in [
@@ -627,7 +626,7 @@ pub fn standard_snapshots() -> Vec<MetricsSnapshot> {
 pub fn kitetop_report() -> String {
     // Trace every echo so the P99_US column has per-domain data by the
     // first snapshot; the pings all complete before the 2 s kill.
-    let mut sys = SystemConfig::new(BackendOs::Kite, 11)
+    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
         .watchdog()
         .req_tracing(1)
         .build_net();
@@ -741,7 +740,7 @@ pub fn lat_report() -> String {
     let mut out = String::new();
 
     // Network echo: every 4th of 256 pings carries a ReqId.
-    let mut net = SystemConfig::new(BackendOs::Kite, 11)
+    let mut net = SystemConfig::new(BackendOs::Kite, 0)
         .tracing(1 << 16)
         .req_tracing(4)
         .build_net();
@@ -759,7 +758,7 @@ pub fn lat_report() -> String {
     // 3rd I/O sampled — 3 is coprime to the 4-way ring round-robin, so
     // the samples visit every ring instead of aliasing onto one.
     let stor = ring_streams_run(
-        SystemConfig::new(BackendOs::Kite, 7)
+        SystemConfig::new(BackendOs::Kite, 0)
             .queues(4)
             .tracing(1 << 16)
             .req_tracing(3),

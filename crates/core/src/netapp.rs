@@ -130,7 +130,9 @@ mod tests {
         let flood = app
             .bridge
             .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
-        assert_eq!(flood, Forward::Flood(vec![]));
+        assert_eq!(flood, Forward::Flood);
+        assert_eq!(app.bridge.port_at(0), Some(phys));
+        assert_eq!(app.bridge.port_at(1), None);
     }
 
     #[test]
@@ -142,7 +144,10 @@ mod tests {
         let flood = app
             .bridge
             .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
-        assert_eq!(flood, Forward::Flood(vec![vif_port]));
+        assert_eq!(flood, Forward::Flood);
+        assert_eq!(app.bridge.port_at(0), Some(phys));
+        assert_eq!(app.bridge.port_at(1), Some(vif_port));
+        assert_eq!(app.bridge.port_at(2), None);
         // Guest talks out through the VIF; bridge learns.
         let guest_mac = MacAddr::local(100);
         let ext_mac = MacAddr::local(200);
@@ -165,7 +170,9 @@ mod tests {
         let flood = app
             .bridge
             .input(phys, MacAddr::local(9), MacAddr::BROADCAST, Nanos(1));
-        assert_eq!(flood, Forward::Flood(vec![]));
+        assert_eq!(flood, Forward::Flood);
+        assert_eq!(app.bridge.port_at(0), Some(phys));
+        assert_eq!(app.bridge.port_at(1), None);
     }
 
     #[test]

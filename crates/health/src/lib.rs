@@ -12,7 +12,7 @@
 //! The monitor is deliberately mechanism-only: it observes and renders a
 //! verdict; the system layer (kite-system) owns scheduling the probes and
 //! acting on `Failed` by starting recovery. Everything is virtual-time
-//! deterministic — same seed, same probes, same verdicts, byte-identical
+//! deterministic — same config, same probes, same verdicts, byte-identical
 //! `kitetop` output.
 
 pub mod heartbeat;

@@ -5,7 +5,7 @@
 //! event-channel footprint, and request/throughput rates. The system
 //! layer assembles rows (it knows the backends); [`render`] turns them
 //! into a fixed-width text table. Rendering is pure and the inputs are
-//! virtual-time only, so the same seed produces byte-identical output —
+//! virtual-time only, so the same config produces byte-identical output —
 //! `scripts/verify.sh` diffs two `repro top` runs to prove it.
 
 use kite_sim::Nanos;

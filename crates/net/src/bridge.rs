@@ -20,12 +20,12 @@ use crate::ether::MacAddr;
 pub struct BridgePort(pub u32);
 
 /// Where the bridge decided a frame should go.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Forward {
     /// Send out exactly one port.
     Unicast(BridgePort),
-    /// Flood out all listed ports (unknown destination or broadcast).
-    Flood(Vec<BridgePort>),
+    /// Flood out every port but the ingress, in [`Bridge::port_at`] order.
+    Flood,
     /// Drop (destination learned on the ingress port itself).
     Drop,
 }
@@ -96,12 +96,12 @@ impl Bridge {
             self.learn(ingress, src, now);
         }
         if dst.is_multicast() {
-            return Forward::Flood(self.flood_ports(ingress));
+            return Forward::Flood;
         }
         match self.lookup(dst, now) {
             Some(port) if port == ingress => Forward::Drop,
             Some(port) => Forward::Unicast(port),
-            None => Forward::Flood(self.flood_ports(ingress)),
+            None => Forward::Flood,
         }
     }
 
@@ -129,12 +129,9 @@ impl Bridge {
         }
     }
 
-    fn flood_ports(&self, ingress: BridgePort) -> Vec<BridgePort> {
-        self.ports
-            .iter()
-            .map(|&(p, _)| p)
-            .filter(|&p| p != ingress)
-            .collect()
+    /// The `i`-th attached port, in attach order; `None` past the last.
+    pub fn port_at(&self, i: usize) -> Option<BridgePort> {
+        self.ports.get(i).map(|&(p, _)| p)
     }
 
     /// Where a MAC is currently learned, if fresh.
@@ -155,20 +152,22 @@ mod tests {
         MacAddr::local(i)
     }
 
+    /// The ports a [`Forward::Flood`] of a frame from `ingress` reaches.
+    fn flooded(b: &Bridge, ingress: BridgePort) -> Vec<BridgePort> {
+        (0..)
+            .map_while(|i| b.port_at(i))
+            .filter(|&p| p != ingress)
+            .collect()
+    }
+
     #[test]
     fn unknown_destination_floods_except_ingress() {
         let mut b = Bridge::new("bridge0");
         let p0 = b.add_port("ixg0");
         let p1 = b.add_port("vif0");
         let p2 = b.add_port("vif1");
-        match b.input(p1, mac(1), mac(99), Nanos::ZERO) {
-            Forward::Flood(ports) => {
-                assert!(ports.contains(&p0));
-                assert!(ports.contains(&p2));
-                assert!(!ports.contains(&p1));
-            }
-            other => panic!("expected flood, got {other:?}"),
-        }
+        assert_eq!(b.input(p1, mac(1), mac(99), Nanos::ZERO), Forward::Flood);
+        assert_eq!(flooded(&b, p1), [p0, p2]);
     }
 
     #[test]
@@ -198,10 +197,9 @@ mod tests {
         let mut b = Bridge::new("bridge0");
         let p0 = b.add_port("ixg0");
         let p1 = b.add_port("vif0");
-        match b.input(p0, mac(1), MacAddr::BROADCAST, Nanos::ZERO) {
-            Forward::Flood(ports) => assert_eq!(ports, vec![p1]),
-            other => panic!("{other:?}"),
-        }
+        let to = b.input(p0, mac(1), MacAddr::BROADCAST, Nanos::ZERO);
+        assert_eq!(to, Forward::Flood);
+        assert_eq!(flooded(&b, p0), [p1]);
     }
 
     #[test]
@@ -212,10 +210,7 @@ mod tests {
         b.input(p1, mac(1), MacAddr::BROADCAST, Nanos::ZERO);
         let stale = Nanos::from_secs(241);
         assert_eq!(b.lookup(mac(1), stale), None);
-        match b.input(p0, mac(2), mac(1), stale) {
-            Forward::Flood(_) => {}
-            other => panic!("expected flood after aging, got {other:?}"),
-        }
+        assert_eq!(b.input(p0, mac(2), mac(1), stale), Forward::Flood);
     }
 
     #[test]
@@ -240,10 +235,8 @@ mod tests {
         assert_eq!(b.lookup(mac(1), Nanos(1)), None);
         assert_eq!(b.ports, [(p0, "ixg0".to_string())]);
         // Flooding no longer includes the removed port.
-        match b.input(p0, mac(2), mac(1), Nanos(2)) {
-            Forward::Flood(ports) => assert!(ports.is_empty()),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(b.input(p0, mac(2), mac(1), Nanos(2)), Forward::Flood);
+        assert_eq!(flooded(&b, p0), []);
     }
 
     #[test]
@@ -268,10 +261,8 @@ mod tests {
         // floods.
         assert_eq!(b.input(p1, mac(3), station, t), Forward::Unicast(p0));
         assert_eq!(b.lookup(mac(9_999), t), None);
-        assert_eq!(
-            b.input(p0, station, mac(9_999), t),
-            Forward::Flood(vec![p1])
-        );
+        assert_eq!(b.input(p0, station, mac(9_999), t), Forward::Flood);
+        assert_eq!(flooded(&b, p0), [p1]);
         // Once the flood's entries are older than `BRIDGE_AGING`, a new source
         // is learned again; the two refreshed at `t` stay.
         let later = Nanos(200) + BRIDGE_AGING;

@@ -2,7 +2,7 @@
 //! workspace.
 //!
 //! The simulator's foundational invariant is virtual-time determinism:
-//! same seed, same bytes. Wall-clock profiling is the opposite — every
+//! same config, same bytes. Wall-clock profiling is the opposite — every
 //! run measures differently — so this crate keeps the two worlds
 //! strictly separated:
 //!

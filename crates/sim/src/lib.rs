@@ -14,8 +14,8 @@
 //! * [`spares::Spares`] — emptied payload buffers kept for reuse by the
 //!   component that allocates them.
 //!
-//! The design goal is replayability: given the same scenario seed, every
-//! figure in EXPERIMENTS.md regenerates bit-for-bit. Nothing in this crate
+//! The design goal is replayability: given the same configs and load
+//! seeds, every figure in EXPERIMENTS.md regenerates bit-for-bit. Nothing in this crate
 //! reads wall-clock time or OS entropy.
 
 pub mod queue;

@@ -1,7 +1,7 @@
 //! Deterministic pseudo-random number generation for the simulation.
 //!
-//! The whole reproduction must be replayable: the same seed must produce the
-//! same figures bit-for-bit. We therefore use a self-contained PCG-XSH-RR
+//! The whole reproduction must be replayable: the same inputs must produce
+//! the same figures bit-for-bit. We therefore use a self-contained PCG-XSH-RR
 //! 64/32 generator (O'Neill, 2014) rather than a thread-local OS-seeded RNG.
 //! The statistical quality is far beyond what the load generators and fault
 //! plans need, and the implementation is small enough to audit.
@@ -21,8 +21,8 @@ impl Pcg {
     /// Creates a generator from a seed and a stream id.
     ///
     /// Different stream ids yield statistically independent sequences even
-    /// for the same seed, which lets each subsystem own a private stream
-    /// while the scenario carries a single user-visible seed.
+    /// for the same seed, which lets each load generator or fault plan own
+    /// a private stream derived from one seed.
     pub fn new(seed: u64, stream: u64) -> Pcg {
         let mut rng = Pcg {
             state: 0,

@@ -4,9 +4,9 @@
 //! one tick being `2^tick_shift` nanoseconds (default 1024 ns), so the
 //! wheel covers `64^6` ticks ≈ 19 hours before far-future events are
 //! parked in the outermost slot and re-sorted as time approaches.
-//! Schedule is O(1); dispatch amortizes one bucket cascade
-//! per level rollover and touches the allocator only to grow capacity,
-//! never in steady state.
+//! Schedule is O(1); dispatch amortizes one bucket cascade per level
+//! rollover. A bucket is a chain through the payload slab's slots, so
+//! the allocator is touched only to grow capacity, never in steady state.
 //!
 //! Determinism: events whose tick has been reached sit in a small `ready`
 //! heap ordered by `(time, sequence)` — the same total order the binary
@@ -33,9 +33,13 @@ const TICK_SHIFT: u32 = 10;
 
 /// A hierarchical-timer-wheel [`Scheduler`] backend.
 pub struct TimerWheel<E> {
-    /// `LEVELS * SLOTS` buckets, level-major. Bucket vectors are drained
-    /// in place and put back so their capacity is reused forever.
-    buckets: Vec<Vec<Entry>>,
+    /// `LEVELS * SLOTS` buckets, level-major: the slab slot of each
+    /// bucket's first entry, chained through `links`. A bucket owns no
+    /// storage, so filing an entry never allocates.
+    heads: Vec<Option<u32>>,
+    /// Per slab slot: the entry filed there and the slot of the next
+    /// entry in its bucket. Grows only with the slab.
+    links: Vec<(Entry, Option<u32>)>,
     /// One occupancy bitmap per level: bit `s` set iff bucket `s` holds
     /// entries. Finding the next expiring slot is a rotate + ctz.
     occupied: [u64; LEVELS],
@@ -59,7 +63,8 @@ impl<E> TimerWheel<E> {
     /// Creates an empty wheel at time zero.
     pub fn new() -> TimerWheel<E> {
         TimerWheel {
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: vec![None; LEVELS * SLOTS],
+            links: Vec::new(),
             occupied: [0; LEVELS],
             ready: BinaryHeap::new(),
             slab: Slab::new(),
@@ -77,7 +82,13 @@ impl<E> TimerWheel<E> {
             self.ready.push(e);
         } else {
             let (level, slot) = self.position(tick);
-            self.buckets[level * SLOTS + slot].push(e);
+            let head = &mut self.heads[level * SLOTS + slot];
+            let link = (e, head.replace(e.slot));
+            let i = e.slot as usize;
+            if i >= self.links.len() {
+                self.links.resize(i + 1, link);
+            }
+            self.links[i] = link;
             self.occupied[level] |= 1 << slot;
         }
     }
@@ -146,23 +157,20 @@ impl<E> TimerWheel<E> {
                 // tick than the entries already staged.
                 return;
             }
-            let idx = level * SLOTS + slot;
-            let mut bucket = std::mem::take(&mut self.buckets[idx]);
+            let mut next = self.heads[level * SLOTS + slot].take();
             self.occupied[level] &= !(1u64 << slot);
             self.cur_tick = self.cur_tick.max(expiry);
-            if level == 0 {
-                for e in bucket.drain(..) {
-                    self.ready.push(e);
-                }
-                self.buckets[idx] = bucket;
-                return;
-            }
-            // Cascade: redistribute an outer bucket one or more levels
-            // down (or straight to `ready` once its tick is reached).
-            for e in bucket.drain(..) {
+            // A level-0 bucket's tick has been reached, so `place` stages
+            // it; an outer one cascades one or more levels down (or
+            // straight to `ready` once its tick is reached).
+            while let Some(i) = next {
+                let (e, after) = self.links[i as usize];
+                next = after;
                 self.place(e);
             }
-            self.buckets[idx] = bucket;
+            if level == 0 {
+                return;
+            }
         }
     }
 }

@@ -51,9 +51,9 @@ impl SystemConfig {
     /// Starts a config for a driver domain running `os`. Everything else
     /// defaults to the paper's canonical single-queue setup.
     ///
-    /// The second parameter is ignored: the system draws no random
-    /// numbers (only load generators and a `FaultPlan` do, each from its
-    /// own seed), so a build is a function of the config alone.
+    /// The second parameter is ignored (kept for the `benchmark/` harness,
+    /// ROADMAP item 9): the system draws no random numbers, only load
+    /// generators and a `FaultPlan` do, so a build is its config alone.
     pub fn new(os: BackendOs, _seed: u64) -> SystemConfig {
         SystemConfig {
             os,

@@ -258,11 +258,10 @@ impl<D: Datapath> Deref for Host<D> {
 }
 
 impl<D: Datapath> Host<D> {
-    /// Builds the scenario with the paper's domain layout and the
-    /// canonical single-queue setup. Shorthand for building
-    /// `SystemConfig::new(os, seed)`, which ignores `seed`.
-    pub fn new(os: BackendOs, seed: u64) -> Host<D> {
-        Host::from_config(&SystemConfig::new(os, seed))
+    /// Builds the paper's canonical single-queue scenario: a
+    /// [`SystemConfig`] with no knob turned.
+    pub fn new(os: BackendOs) -> Host<D> {
+        Host::from_config(&SystemConfig::new(os, 0))
     }
 
     /// Builds the scenario from a [`SystemConfig`]: the driver domain

@@ -694,13 +694,25 @@ impl Host<NetPath> {
             self.dp.metrics.drops += 1;
             return;
         };
-        let decision = self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now);
-        let ports = match &decision {
-            Forward::Unicast(p) => std::slice::from_ref(p),
-            Forward::Flood(ps) => ps.as_slice(),
-            Forward::Drop => &[],
+        // The port still owed the frame. Only a flood copies: the last
+        // port but the ingress, in the bridge's order, takes the frame.
+        let owed = match self.dp.netapp.bridge.input(ingress, eth.src, eth.dst, now) {
+            Forward::Unicast(p) => Some(p),
+            Forward::Flood => {
+                let (mut owed, mut i) = (None, 0);
+                while let Some(p) = self.dp.netapp.bridge.port_at(i) {
+                    i += 1;
+                    if p != ingress {
+                        if let Some(prev) = owed.replace(p) {
+                            self.egress(prev, frame.clone(), to_wire);
+                        }
+                    }
+                }
+                owed
+            }
+            Forward::Drop => None,
         };
-        if ports.is_empty() {
+        let Some(last) = owed else {
             // No port takes the frame: a `Drop` decision, or a flood
             // with no other port, as while the backend is down and its
             // VIF unplugged.
@@ -709,20 +721,17 @@ impl Host<NetPath> {
                 self.recovery.dropped_frames += 1;
             }
             return;
-        }
-        let mut egress = |p: BridgePort, f: Vec<u8>| {
-            if p == self.dp.netapp.if_port {
-                to_wire.push(f);
-            } else if p == self.dp.vif_port {
-                self.deliver_to_guest(f);
-            }
         };
-        // Only a flood copies: the last (or only) port takes the frame.
-        if let Some((&last, rest)) = ports.split_last() {
-            for &p in rest {
-                egress(p, frame.clone());
-            }
-            egress(last, frame);
+        self.egress(last, frame, to_wire);
+    }
+
+    /// Sends `frame` out bridge port `p`: the NIC's onto `to_wire`, the
+    /// VIF's to the guest.
+    fn egress(&mut self, p: BridgePort, frame: Vec<u8>, to_wire: &mut Vec<Vec<u8>>) {
+        if p == self.dp.netapp.if_port {
+            to_wire.push(frame);
+        } else if p == self.dp.vif_port {
+            self.deliver_to_guest(frame);
         }
     }
 

@@ -13,7 +13,7 @@ use kite_system::{
 #[test]
 fn udp_request_reply_roundtrip_with_payload_integrity() {
     for os in BackendOs::both() {
-        let mut sys = NetSystem::new(os, 42);
+        let mut sys = NetSystem::new(os);
         // Guest echo server on port 7.
         sys.set_guest_app(scenario::echo_server(Nanos::from_micros(1)));
         let got: Rc<RefCell<Vec<Vec<u8>>>> = Rc::new(RefCell::new(Vec::new()));
@@ -76,7 +76,7 @@ fn large_message_chunks_and_reassembles() {
 fn ping_rtt_sub_millisecond_and_kite_faster() {
     let mut rtts = Vec::new();
     for os in BackendOs::both() {
-        let mut sys = NetSystem::new(os, 11);
+        let mut sys = NetSystem::new(os);
         for i in 0..20 {
             sys.ping_at(Nanos::from_millis(10 * i as u64), i);
         }
@@ -108,7 +108,7 @@ fn ping_rtt_sub_millisecond_and_kite_faster() {
 
 #[test]
 fn guest_to_client_direction_works() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 3);
+    let mut sys = NetSystem::new(BackendOs::Kite);
     let got = Rc::new(RefCell::new(0u64));
     let g = got.clone();
     sys.set_client_app(Box::new(move |_, msg| {
@@ -133,7 +133,7 @@ fn guest_to_client_direction_works() {
 #[test]
 fn storage_write_then_read_verifies_bytes() {
     for os in BackendOs::both() {
-        let mut sys = StorSystem::new(os, 42);
+        let mut sys = StorSystem::new(os);
         // 320 KiB written as two 160 KiB halves under one tag, in flight
         // at once: tags are the workload's labels, so each half completes
         // on its own.
@@ -192,7 +192,7 @@ fn storage_write_then_read_verifies_bytes() {
 
 #[test]
 fn storage_flush_and_closed_loop_worker() {
-    let mut sys = StorSystem::new(BackendOs::Kite, 9);
+    let mut sys = StorSystem::new(BackendOs::Kite);
     // A closed-loop worker: write 64 KiB, then flush, then stop. Tags:
     // 1 = write, 2 = flush.
     sys.set_handler(Box::new(move |_, done| {
@@ -223,7 +223,7 @@ fn storage_flush_and_closed_loop_worker() {
 
 #[test]
 fn storage_uses_indirect_segments_for_large_io() {
-    let mut sys = StorSystem::new(BackendOs::Kite, 5);
+    let mut sys = StorSystem::new(BackendOs::Kite);
     // One 128 KiB request = 32 segments: must go indirect (> 11 segs).
     sys.submit_at(
         Nanos::from_millis(1),
@@ -243,7 +243,7 @@ fn storage_uses_indirect_segments_for_large_io() {
 
 #[test]
 fn persistent_grants_reduce_maps_on_repeat_io() {
-    let mut sys = StorSystem::new(BackendOs::Kite, 6);
+    let mut sys = StorSystem::new(BackendOs::Kite);
     for i in 0..20 {
         sys.submit_at(
             Nanos::from_millis(1 + i),
@@ -268,8 +268,8 @@ fn persistent_grants_reduce_maps_on_repeat_io() {
 
 #[test]
 fn deterministic_replay_same_seed() {
-    let run = |seed: u64| {
-        let mut sys = NetSystem::new(BackendOs::Kite, seed);
+    let run = || {
+        let mut sys = NetSystem::new(BackendOs::Kite);
         sys.set_guest_app(Box::new(|_, msg| {
             vec![Reply {
                 dst_ip: msg.src_ip,
@@ -296,12 +296,12 @@ fn deterministic_replay_same_seed() {
             sys.events_processed(),
         )
     };
-    assert_eq!(run(1234), run(1234), "same seed, same trajectory");
+    assert_eq!(run(), run(), "same build, same trajectory");
 }
 
 #[test]
 fn nat_mode_carries_guest_initiated_flows() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 77);
+    let mut sys = NetSystem::new(BackendOs::Kite);
     sys.use_nat();
     // Client echoes whatever arrives (it sees the gateway as the source).
     sys.set_client_app(scenario::echo_server(Nanos::from_micros(1)));
@@ -332,7 +332,7 @@ fn nat_mode_carries_guest_initiated_flows() {
 
 #[test]
 fn nat_mode_drops_unsolicited_inbound_udp() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 78);
+    let mut sys = NetSystem::new(BackendOs::Kite);
     sys.use_nat();
     let seen = Rc::new(RefCell::new(0u64));
     let s2 = seen.clone();

@@ -124,7 +124,7 @@ fn closed_loop_elapsed(seed: u64) -> Nanos {
         think: Pcg,
         ready: [Nanos; FLOWS],
     }
-    let mut sys = SystemConfig::new(BackendOs::Kite, seed)
+    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
         .queues(QUEUES)
         .gso(false)
         .wire_profile(LineRate::Gbe25)

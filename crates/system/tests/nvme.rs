@@ -1,6 +1,6 @@
 //! NVMe queue-pair API: determinism and cursor isolation.
 //!
-//! 1. A same-seed 4-ring storage run is byte-identical — trace document
+//! 1. A 4-ring storage run is byte-identical — trace document
 //!    and metrics — across the heap and wheel scheduler backends.
 //! 2. Per-queue sequential cursors are isolated: a strictly sequential
 //!    stream on one queue never pays the random penalty because another

@@ -8,7 +8,7 @@
 //!
 //! * per-request stage durations telescope to the end-to-end latency
 //!   exactly (no gaps, no double counting), with stamps in path order;
-//! * same-seed runs are byte-identical, including across scheduler
+//! * reruns are byte-identical, including across scheduler
 //!   backends (heap vs timer wheel) and in the flow-annotated Chrome
 //!   exports;
 //! * the flow arrows validate (one begin, one end, monotonic steps per
@@ -200,13 +200,13 @@ fn digests_are_identical_across_runs_and_schedulers() {
     let wheel = digest(&echo_run(SchedulerKind::Wheel).hv.req);
     assert_eq!(heap, wheel, "echo: heap and wheel must agree byte for byte");
     let again = digest(&echo_run(SchedulerKind::Wheel).hv.req);
-    assert_eq!(wheel, again, "echo: same seed must reproduce");
+    assert_eq!(wheel, again, "echo: a rerun must reproduce");
 
     let heap = digest(&storage_run(SchedulerKind::Heap).hv.req);
     let wheel = digest(&storage_run(SchedulerKind::Wheel).hv.req);
     assert_eq!(heap, wheel, "storage: heap and wheel must agree");
     let again = digest(&storage_run(SchedulerKind::Wheel).hv.req);
-    assert_eq!(wheel, again, "storage: same seed must reproduce");
+    assert_eq!(wheel, again, "storage: a rerun must reproduce");
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //!
 //! Determinism rules: events are stamped with virtual time only (no wall
 //! clock), sequence ids start at zero per tracer, and all renderings use
-//! fixed-point formatting — two runs with the same seed produce
+//! fixed-point formatting — two runs of the same build produce
 //! byte-identical trace and metrics output.
 
 pub mod chrome;

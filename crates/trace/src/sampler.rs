@@ -4,7 +4,7 @@
 //! virtual instants its caller picks. Counter columns record the delta
 //! since the previous sample (per-interval rates); gauge columns record
 //! the raw value. Because samples are stamped with virtual time and fed
-//! from virtual-time counters only, two same-seed runs export
+//! from virtual-time counters only, two runs of one build export
 //! byte-identical CSV — the determinism quarantine of DESIGN.md §14
 //! applies to the wall-clock profiler, not to this sampler.
 //!

@@ -31,16 +31,9 @@ pub struct ApacheReport {
 ///
 /// `requests` is the scaled-down count (the paper uses 100 000; the
 /// stationary rates are unchanged — see EXPERIMENTS.md).
-pub fn run(
-    os: BackendOs,
-    file_bytes: usize,
-    requests: u64,
-    concurrency: u16,
-    seed: u64,
-) -> ApacheReport {
+pub fn run(os: BackendOs, file_bytes: usize, requests: u64, concurrency: u16) -> ApacheReport {
     let r = rr_closed_loop(
         os,
-        seed,
         RrConfig {
             workers: concurrency,
             ops_per_worker: requests / u64::from(concurrency),
@@ -63,10 +56,10 @@ pub fn run(
 }
 
 /// The Figure 8a sweep for one OS.
-pub fn figure8a(os: BackendOs, requests: u64, seed: u64) -> Vec<ApacheReport> {
+pub fn figure8a(os: BackendOs, requests: u64) -> Vec<ApacheReport> {
     FIG8A_SIZES
         .iter()
-        .map(|&sz| run(os, sz, requests, 40, seed))
+        .map(|&sz| run(os, sz, requests, 40))
         .collect()
 }
 
@@ -85,7 +78,7 @@ mod tests {
 
     #[test]
     fn throughput_rises_with_file_size() {
-        let reports = figure8a(BackendOs::Kite, 400, 1);
+        let reports = figure8a(BackendOs::Kite, 400);
         // The 1 MiB row sits at the wire's goodput ceiling (≈1196 MB/s)
         // and the 512 B row is bound by the request rate (≈157 MB/s), so
         // the ratio the model can show is ≈7.6; 7× leaves room for a
@@ -99,7 +92,7 @@ mod tests {
     #[test]
     fn goodput_never_exceeds_what_the_wire_carries() {
         for os in BackendOs::both() {
-            let largest = run(os, FIG8A_SIZES[FIG8A_SIZES.len() - 1], 400, 40, 1);
+            let largest = run(os, FIG8A_SIZES[FIG8A_SIZES.len() - 1], 400, 40);
             assert!(
                 largest.throughput_mbps <= wire_goodput_mbps(),
                 "{}: {:.1} MB/s of payload over a wire that carries {:.1}",
@@ -114,8 +107,8 @@ mod tests {
 
     #[test]
     fn parity_with_kite_marginally_faster_at_512k() {
-        let kite = run(BackendOs::Kite, 524288, 400, 40, 2);
-        let linux = run(BackendOs::Linux, 524288, 400, 40, 2);
+        let kite = run(BackendOs::Kite, 524288, 400, 40);
+        let linux = run(BackendOs::Linux, 524288, 400, 40);
         assert!(
             kite.throughput_mbps >= linux.throughput_mbps * 0.98,
             "Fig 8b: Kite marginally faster: {:.1} vs {:.1} MB/s",
@@ -128,7 +121,7 @@ mod tests {
 
     #[test]
     fn all_requests_complete() {
-        let r = run(BackendOs::Kite, 4096, 400, 40, 3);
+        let r = run(BackendOs::Kite, 4096, 400, 40);
         let total = r.requests_per_sec * r.time_secs;
         assert!((395.0..=401.0).contains(&total), "ops={total}");
     }

@@ -216,8 +216,8 @@ impl RrLoop {
 ///
 /// If more requests are unanswered at quiescence than frames were
 /// dropped: a request went missing that no counted drop explains.
-pub fn rr_closed_loop(os: BackendOs, seed: u64, cfg: RrConfig) -> RrResult {
-    let mut sys = NetSystem::new(os, seed);
+pub fn rr_closed_loop(os: BackendOs, cfg: RrConfig) -> RrResult {
+    let mut sys = NetSystem::new(os);
     let (workers, pipeline) = (cfg.workers, cfg.pipeline);
     let state = Rc::new(RefCell::new(RrLoop {
         cfg,
@@ -395,12 +395,11 @@ pub struct FileSet {
 /// one device I/O every `pace`, then drops the caches.
 pub fn prepare_files(
     os: BackendOs,
-    seed: u64,
     nfiles: usize,
     pace: Nanos,
     mut size: impl FnMut() -> usize,
 ) -> FileSet {
-    let mut sys = StorSystem::new(os, seed);
+    let mut sys = StorSystem::new(os);
     let mut fs = Fs::format(1 << 20, 16_384);
     let mut files = Vec::with_capacity(nfiles);
     let mut t = Nanos::from_micros(100);
@@ -449,7 +448,7 @@ mod tests {
     fn closed_loop_runs_operations_of_several_device_ios() {
         const WORKERS: u16 = 4;
         const OPS: u64 = 10;
-        let mut sys = StorSystem::new(BackendOs::Kite, 5);
+        let mut sys = StorSystem::new(BackendOs::Kite);
         let mut issued = [0u64; WORKERS as usize];
         let r = stor_closed_loop(&mut sys, Nanos::from_micros(10), WORKERS, move |w, _| {
             let i = &mut issued[w as usize];
@@ -483,7 +482,7 @@ mod tests {
     fn closed_loop_counts_operations_that_need_no_device_io() {
         const WORKERS: u16 = 3;
         const BUDGET: u64 = 30;
-        let mut sys = StorSystem::new(BackendOs::Kite, 6);
+        let mut sys = StorSystem::new(BackendOs::Kite);
         let (mut issued, mut with_io) = (0u64, 0u64);
         let r = stor_closed_loop(&mut sys, Nanos::from_micros(10), WORKERS, move |w, done| {
             assert!(done <= issued, "{done} completed of {issued} issued");
@@ -519,7 +518,7 @@ mod tests {
     #[test]
     fn closed_loop_latency_leaves_out_the_prepare_phase() {
         let FileSet { mut sys, .. } =
-            prepare_files(BackendOs::Kite, 3, 16, Nanos::from_micros(1), || 8 << 20);
+            prepare_files(BackendOs::Kite, 16, Nanos::from_micros(1), || 8 << 20);
         let mut left = 20u64;
         let start = sys.now() + Nanos::from_millis(1);
         let r = stor_closed_loop(&mut sys, start, 1, move |tag, _| {
@@ -554,7 +553,6 @@ mod tests {
     fn rr_closed_loop_answers_every_request_of_a_lossless_run() {
         let r = rr_closed_loop(
             BackendOs::Kite,
-            9,
             RrConfig {
                 workers: 3,
                 ops_per_worker: 7,

@@ -23,7 +23,7 @@ pub const DD_BS: usize = 256 * 1024;
 /// Runs dd in one direction, transferring `total_bytes`. dd is
 /// synchronous: one worker, one block outstanding.
 pub fn run(os: BackendOs, read: bool, total_bytes: u64, seed: u64) -> DdReport {
-    let mut sys = StorSystem::new(os, seed);
+    let mut sys = StorSystem::new(os);
     let total_ops = total_bytes / DD_BS as u64;
     let mut rng = Pcg::seeded(seed);
     let mut i = 0;

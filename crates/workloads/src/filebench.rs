@@ -59,7 +59,7 @@ fn run_personality(
         mut sys,
         mut fs,
         mut files,
-    } = prepare_files(os, seed, nfiles, Nanos::from_micros(25), || {
+    } = prepare_files(os, nfiles, Nanos::from_micros(25), || {
         mean_size / 2 + size_rng.index(mean_size)
     });
     let t_start = sys.now() + Nanos::from_millis(1);

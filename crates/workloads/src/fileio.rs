@@ -32,7 +32,7 @@ pub fn run(os: BackendOs, threads: u16, block: usize, total_ops: u64, seed: u64)
         mut sys,
         mut fs,
         files,
-    } = prepare_files(os, seed, 192, Nanos::from_micros(30), || file_bytes);
+    } = prepare_files(os, 192, Nanos::from_micros(30), || file_bytes);
     let t_start = sys.now() + Nanos::from_millis(1);
 
     let mut rng = Pcg::seeded(seed ^ 0xf11e);

@@ -79,9 +79,10 @@ impl LatencyStats {
     }
 }
 
-/// ping: `count` echoes at 1 s intervals.
-pub fn ping(os: BackendOs, count: u16, seed: u64) -> LatencyStats {
-    let mut sys = NetSystem::new(os, seed);
+/// ping: `count` echoes at 1 s intervals. The third parameter is
+/// ignored (kept for `benchmark/`, ROADMAP item 9).
+pub fn ping(os: BackendOs, count: u16, _seed: u64) -> LatencyStats {
+    let mut sys = NetSystem::new(os);
     for i in 0..count {
         sys.ping_at(Nanos::from_secs(1) * (u64::from(i) + 1), i);
     }
@@ -94,9 +95,10 @@ pub fn ping(os: BackendOs, count: u16, seed: u64) -> LatencyStats {
     }
 }
 
-/// Netperf UDP_RR: `n` transactions at `rate_per_sec`.
-pub fn netperf_rr(os: BackendOs, n: u64, rate_per_sec: u64, seed: u64) -> LatencyStats {
-    let mut sys = NetSystem::new(os, seed);
+/// Netperf UDP_RR: `n` transactions at `rate_per_sec`. The fourth
+/// parameter is ignored (kept for `benchmark/`, ROADMAP item 9).
+pub fn netperf_rr(os: BackendOs, n: u64, rate_per_sec: u64, _seed: u64) -> LatencyStats {
+    let mut sys = NetSystem::new(os);
     sys.set_guest_app(Box::new(|_, msg| {
         vec![Reply {
             dst_ip: msg.src_ip,
@@ -131,18 +133,11 @@ pub fn netperf_rr(os: BackendOs, n: u64, rate_per_sec: u64, seed: u64) -> Latenc
 
 /// memtier against a memcached model: closed loop with `connections`
 /// concurrent connections, SET:GET 1:10, `value_bytes` values, `ops` total.
-pub fn memtier(
-    os: BackendOs,
-    connections: u16,
-    ops: u64,
-    value_bytes: usize,
-    seed: u64,
-) -> LatencyStats {
+pub fn memtier(os: BackendOs, connections: u16, ops: u64, value_bytes: usize) -> LatencyStats {
     const KIND_GET: u16 = 1;
     const KIND_SET: u16 = 2;
     rr_closed_loop(
         os,
-        seed,
         RrConfig {
             workers: connections,
             ops_per_worker: ops / u64::from(connections),
@@ -165,11 +160,11 @@ pub fn memtier(
 }
 
 /// Produces the full Figure 7 row for one OS.
-pub fn figure7(os: BackendOs, seed: u64) -> LatencyReport {
+pub fn figure7(os: BackendOs) -> LatencyReport {
     LatencyReport {
-        ping: ping(os, 100, seed).summary_ms(),
-        netperf: netperf_rr(os, 2000, 1000, seed + 1).summary_ms(),
-        memtier: memtier(os, 4, 2000, 8192, seed + 2).summary_ms(),
+        ping: ping(os, 100, 0).summary_ms(),
+        netperf: netperf_rr(os, 2000, 1000, 0).summary_ms(),
+        memtier: memtier(os, 4, 2000, 8192).summary_ms(),
     }
 }
 
@@ -179,8 +174,8 @@ mod tests {
 
     #[test]
     fn figure7_shape_kite_at_or_below_linux() {
-        let kite = figure7(BackendOs::Kite, 10);
-        let linux = figure7(BackendOs::Linux, 10);
+        let kite = figure7(BackendOs::Kite);
+        let linux = figure7(BackendOs::Linux);
         assert!(
             kite.ping.mean_ms < linux.ping.mean_ms,
             "{kite:?} vs {linux:?}"
@@ -227,7 +222,7 @@ mod tests {
 
     #[test]
     fn memtier_runs_to_completion() {
-        let s = memtier(BackendOs::Kite, 4, 440, 8192, 4);
+        let s = memtier(BackendOs::Kite, 4, 440, 8192);
         assert_eq!(s.count(), 440);
         assert!(s.mean() > 0.0);
     }

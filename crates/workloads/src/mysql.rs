@@ -29,10 +29,9 @@ pub struct MysqlNetReport {
 }
 
 /// Runs the read-only network-bound benchmark (Figure 10).
-pub fn run_net(os: BackendOs, threads: u16, transactions: u64, seed: u64) -> MysqlNetReport {
+pub fn run_net(os: BackendOs, threads: u16, transactions: u64) -> MysqlNetReport {
     let r = rr_closed_loop(
         os,
-        seed,
         RrConfig {
             workers: threads,
             ops_per_worker: transactions / u64::from(threads),
@@ -54,10 +53,10 @@ pub fn run_net(os: BackendOs, threads: u16, transactions: u64, seed: u64) -> Mys
 }
 
 /// The Figure 10 sweep for one OS.
-pub fn figure10(os: BackendOs, transactions: u64, seed: u64) -> Vec<MysqlNetReport> {
+pub fn figure10(os: BackendOs, transactions: u64) -> Vec<MysqlNetReport> {
     FIG10_THREADS
         .iter()
-        .map(|&t| run_net(os, t, transactions, seed))
+        .map(|&t| run_net(os, t, transactions))
         .collect()
 }
 
@@ -87,7 +86,7 @@ pub fn run_storage(
     const READS_PER_TX: u64 = 8;
     let dataset_sectors: u64 = 1024 * 1024 * 1024 / 512; // 1 GiB tablespace
 
-    let mut sys = StorSystem::new(os, seed);
+    let mut sys = StorSystem::new(os);
     // One operation is one read; a worker's transactions run back to back.
     let mut reads = vec![0u64; usize::from(threads)];
     let mut rng = Pcg::seeded(seed ^ 0x5eed);
@@ -115,7 +114,7 @@ mod tests {
 
     #[test]
     fn net_throughput_climbs_then_saturates() {
-        let series = figure10(BackendOs::Kite, 1200, 1);
+        let series = figure10(BackendOs::Kite, 1200);
         assert!(
             series[4].tps > 2.5 * series[0].tps,
             "throughput climbs with threads: {series:#?}"
@@ -129,8 +128,8 @@ mod tests {
 
     #[test]
     fn net_kite_and_linux_alike() {
-        let k = run_net(BackendOs::Kite, 20, 800, 2);
-        let l = run_net(BackendOs::Linux, 20, 800, 2);
+        let k = run_net(BackendOs::Kite, 20, 800);
+        let l = run_net(BackendOs::Linux, 20, 800);
         let ratio = k.tps / l.tps;
         assert!(
             (0.9..1.15).contains(&ratio),

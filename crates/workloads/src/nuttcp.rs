@@ -41,9 +41,10 @@ pub struct NuttcpReport {
     pub driver_cpu: f64,
 }
 
-/// Runs the benchmark against one driver-domain OS.
-pub fn run(os: BackendOs, params: &NuttcpParams, seed: u64) -> NuttcpReport {
-    let mut sys = NetSystem::new(os, seed);
+/// Runs the benchmark against one driver-domain OS. The third parameter
+/// is ignored (kept for `benchmark/`, ROADMAP item 9).
+pub fn run(os: BackendOs, params: &NuttcpParams, _seed: u64) -> NuttcpReport {
+    let mut sys = NetSystem::new(os);
     // Open-loop sender: `buffer_bytes` datagrams at even spacing.
     let interval = Nanos(params.buffer_bytes as u64 * 8 * 1_000_000_000 / params.offered_bps);
     let mut t = Nanos::from_micros(100);

@@ -42,8 +42,8 @@ pub struct DhcpReport {
 
 /// Runs perfdhcp against a daemon VM running `daemon`: `sessions` full
 /// DORA exchanges at `rate_per_sec`.
-pub fn run(daemon: BackendOs, sessions: u32, rate_per_sec: u64, seed: u64) -> DhcpReport {
-    let mut sys = NetSystem::new(BackendOs::Kite, seed);
+pub fn run(daemon: BackendOs, sessions: u32, rate_per_sec: u64) -> DhcpReport {
+    let mut sys = NetSystem::new(BackendOs::Kite);
     let mut server = DhcpServer::new(sessions + 10);
     let cost = per_msg_cost(daemon);
     // The daemon VM: decode real DHCP wire bytes, serve, encode.
@@ -132,7 +132,7 @@ mod tests {
 
     #[test]
     fn dora_latencies_match_section_5_5() {
-        let r = run(BackendOs::Kite, 200, 400, 1);
+        let r = run(BackendOs::Kite, 200, 400);
         assert_eq!(r.sessions, 200, "all sessions complete");
         // Paper: ~0.78 ms Discover-Offer, ~0.70 ms Request-Ack.
         assert!(
@@ -151,8 +151,8 @@ mod tests {
 
     #[test]
     fn rumprun_and_linux_daemons_similar() {
-        let ru = run(BackendOs::Kite, 150, 400, 2);
-        let li = run(BackendOs::Linux, 150, 400, 2);
+        let ru = run(BackendOs::Kite, 150, 400);
+        let li = run(BackendOs::Linux, 150, 400);
         let ratio = ru.discover_offer_ms / li.discover_offer_ms;
         assert!((0.75..1.05).contains(&ratio), "{ru:?} vs {li:?}");
     }
@@ -161,7 +161,7 @@ mod tests {
     fn addresses_unique_across_sessions() {
         // Indirectly verified by all sessions completing with a pool
         // exactly matching the session count.
-        let r = run(BackendOs::Kite, 50, 400, 3);
+        let r = run(BackendOs::Kite, 50, 400);
         assert_eq!(r.sessions, 50);
     }
 }

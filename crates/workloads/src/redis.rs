@@ -24,7 +24,7 @@ pub struct RedisReport {
     pub get_ops_per_sec: f64,
 }
 
-fn run_op(os: BackendOs, threads: u16, is_set: bool, ops: u64, seed: u64) -> RrResult {
+fn run_op(os: BackendOs, threads: u16, is_set: bool, ops: u64) -> RrResult {
     // Pipeline depth scaled from the paper's 1000 (stationary throughput
     // is insensitive to depth once the path is saturated).
     let pipeline = 64;
@@ -33,7 +33,6 @@ fn run_op(os: BackendOs, threads: u16, is_set: bool, ops: u64, seed: u64) -> RrR
     let (req, rsp) = if is_set { (1024, 8) } else { (24, 1024) };
     rr_closed_loop(
         os,
-        seed,
         RrConfig {
             workers: threads,
             ops_per_worker: ops / u64::from(threads),
@@ -53,20 +52,17 @@ fn ops_per_sec(r: RrResult) -> f64 {
 }
 
 /// Runs SET and GET sweeps for one OS and thread count.
-pub fn run(os: BackendOs, threads: u16, ops: u64, seed: u64) -> RedisReport {
+pub fn run(os: BackendOs, threads: u16, ops: u64) -> RedisReport {
     RedisReport {
         threads,
-        set_ops_per_sec: ops_per_sec(run_op(os, threads, true, ops, seed)),
-        get_ops_per_sec: ops_per_sec(run_op(os, threads, false, ops, seed + 1)),
+        set_ops_per_sec: ops_per_sec(run_op(os, threads, true, ops)),
+        get_ops_per_sec: ops_per_sec(run_op(os, threads, false, ops)),
     }
 }
 
 /// The full Figure 9 series for one OS.
-pub fn figure9(os: BackendOs, ops: u64, seed: u64) -> Vec<RedisReport> {
-    FIG9_THREADS
-        .iter()
-        .map(|&t| run(os, t, ops, seed))
-        .collect()
+pub fn figure9(os: BackendOs, ops: u64) -> Vec<RedisReport> {
+    FIG9_THREADS.iter().map(|&t| run(os, t, ops)).collect()
 }
 
 #[cfg(test)]
@@ -75,8 +71,8 @@ mod tests {
 
     #[test]
     fn throughput_flat_across_threads_and_par() {
-        let kite = figure9(BackendOs::Kite, 6000, 1);
-        let linux = figure9(BackendOs::Linux, 6000, 1);
+        let kite = figure9(BackendOs::Kite, 6000);
+        let linux = figure9(BackendOs::Linux, 6000);
         for (k, l) in kite.iter().zip(&linux) {
             // Fig 9: similar performance, log-scale flat.
             let ratio = k.get_ops_per_sec / l.get_ops_per_sec;
@@ -100,7 +96,7 @@ mod tests {
     #[test]
     fn fig9_set_accounts_for_every_request() {
         for os in BackendOs::both() {
-            let r = run_op(os, 10, true, 8000, 42);
+            let r = run_op(os, 10, true, 8000);
             assert_eq!(r.unanswered, 132, "{}", os.name());
             assert_eq!(r.ops + r.unanswered, 8000, "{}", os.name());
         }

@@ -44,7 +44,7 @@ fn main() {
     // One call assembles the paper's Figure 2: Dom0, a Kite driver domain
     // with the NIC passed through, a 22-vCPU guest with netfront, and an
     // external client — with the xenbus handshake already at Connected.
-    let mut cfg = SystemConfig::new(BackendOs::Kite, /* seed */ 42).queues(queues);
+    let mut cfg = SystemConfig::new(BackendOs::Kite, 42).queues(queues);
     if trace_path.is_some() {
         cfg = cfg.tracing(kite::trace::DEFAULT_CAPACITY);
     }

@@ -88,9 +88,9 @@ step "tracing: exports validate and are deterministic"
 # queue.
 $bin/examples/quickstart --trace "$tdir/quickstart.json" > /dev/null
 [ -s "$tdir/quickstart.json" ] || fail "quickstart.json missing or empty"
-same_twice "same-seed traces differ" $bin/examples/recovery_trace {}
+same_twice "traces of two runs differ" $bin/examples/recovery_trace {}
 [ -s "$same" ] || fail "recovery trace missing or empty"
-same_twice "same-seed multi-queue traces differ" $bin/examples/quickstart --queues 4 --trace {}
+same_twice "multi-queue traces of two runs differ" $bin/examples/quickstart --queues 4 --trace {}
 
 step "repro --json: rows reproduce BENCH_mechanisms.json byte for byte"
 # Every row is virtual-time derived, and the report layer asserts the
@@ -105,8 +105,8 @@ step "GSO run, 4-ring storage: deterministic Chrome traces"
 # Descriptor-chain framing, extra-info slots and LRO chains are all on
 # the determinism surface. So is the multi-queue completion path: each
 # storage ring has its own NVMe queue pair and MSI-X vector.
-same_twice "same-seed GSO traces differ" $bin/examples/quickstart --bulk --queues 4 --trace {}
-same_twice "same-seed 4-ring storage traces differ" $bin/examples/storage_domain --rings 4 --trace {}
+same_twice "GSO traces of two runs differ" $bin/examples/quickstart --bulk --queues 4 --trace {}
+same_twice "4-ring storage traces of two runs differ" $bin/examples/storage_domain --rings 4 --trace {}
 
 # The three views below are pinned as well as run twice: the first
 # output of `repro top`, `repro lat` and `repro prof --series-csv`, in
@@ -160,9 +160,10 @@ step "benchmark/: lint gate, then the four workloads end to end"
 # that crept back in; a change that lowers them re-pins deliberately,
 # and a run more than 5 % below its pin fails until it does — a stale
 # pin is headroom a regression can hide in. The counts do not depend on
-# the seed (`stor_mixed` reads 6.5160, 6.5156 and 6.5154 allocations per
-# op at seeds 7, 21 and 99), so each workload also runs at seed 21 and
-# is held to the same seed-7 pins: a counted gain must show at both.
+# the seed (`stor_mixed` reads 4.4956, 4.4952 and 4.4948 allocations per
+# op at seeds 7, 21 and 99, against its pin of 4.5304), so each workload
+# also runs at seed 21 and is held to the same seed-7 pins: a counted
+# gain must show at both.
 # The digests are seed-7 only.
 #
 # benchmark/Cargo.lock records the workspace's crate set and every

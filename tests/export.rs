@@ -50,7 +50,7 @@ fn counters_survive_a_restart_as_base_plus_live() {
 /// in the totals afterwards, next to what its replacement served.
 #[test]
 fn blkback_counters_survive_a_restart() {
-    let mut sys = StorSystem::new(BackendOs::Kite, 42);
+    let mut sys = StorSystem::new(BackendOs::Kite);
     const WRITES: u64 = 20;
     for i in 0..WRITES {
         sys.submit_at(

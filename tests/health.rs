@@ -7,9 +7,9 @@
 //! kills (heartbeats stop) and hangs (heartbeats continue but rings
 //! stall) on both the net and the block path, with a detection latency
 //! that is strictly positive, bounded by the probe schedule, and
-//! deterministic per seed. The `kitetop` renderer rides the same
-//! virtual-time guarantees, so its output must be byte-identical across
-//! same-seed runs.
+//! deterministic: a build is a function of its config. The `kitetop`
+//! renderer rides the same virtual-time guarantees, so its output must
+//! be byte-identical across two runs of one build.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -26,8 +26,8 @@ const MSGS: u64 = 120;
 /// A watchdog-mode net system with 30 s of steady guest→client UDP
 /// traffic at 4 msg/s — fast enough that the tx ring always has pending
 /// requests between two 500 ms probes, which the stall detector needs.
-fn net_watchdog(os: BackendOs, seed: u64) -> (NetSystem, Rc<RefCell<u64>>) {
-    let mut sys = SystemConfig::new(os, seed)
+fn net_watchdog(os: BackendOs) -> (NetSystem, Rc<RefCell<u64>>) {
+    let mut sys = SystemConfig::new(os, 0)
         .tracing(1 << 16)
         .watchdog()
         .build_net();
@@ -48,7 +48,7 @@ fn net_watchdog(os: BackendOs, seed: u64) -> (NetSystem, Rc<RefCell<u64>>) {
 #[test]
 fn net_watchdog_detects_kill_within_bound() {
     for os in BackendOs::both() {
-        let (mut sys, received) = net_watchdog(os, 42);
+        let (mut sys, received) = net_watchdog(os);
         let kill = Nanos::from_secs(2);
         sys.fault_at(kill, Fault::Kill);
         sys.run_to_quiescence();
@@ -84,7 +84,7 @@ fn net_watchdog_detects_kill_within_bound() {
 #[test]
 fn net_watchdog_detects_hang_via_ring_stall() {
     for os in BackendOs::both() {
-        let (mut sys, received) = net_watchdog(os, 42);
+        let (mut sys, received) = net_watchdog(os);
         let hang = Nanos::from_secs(2);
         sys.fault_at(hang, Fault::Hang);
         sys.run_to_quiescence();
@@ -280,7 +280,7 @@ fn stor_watchdog_detects_kill_and_hang() {
 #[test]
 fn oracle_detects_instantly_watchdog_never_does() {
     let run = |mode: DetectionMode| {
-        let (mut sys, _received) = net_watchdog(BackendOs::Kite, 42);
+        let (mut sys, _received) = net_watchdog(BackendOs::Kite);
         if mode == DetectionMode::Oracle {
             // `net_watchdog` enabled the watchdog; build the oracle run
             // from scratch instead so both modes share the workload.
@@ -308,13 +308,13 @@ fn oracle_detects_instantly_watchdog_never_does() {
 }
 
 /// Watchdog-driven recovery is part of the deterministic simulation:
-/// same seed, same probes, same detection instant, same trajectory —
+/// same build, same probes, same detection instant, same trajectory —
 /// for kills and for hangs.
 #[test]
 fn watchdog_recovery_is_deterministic_same_seed() {
     for hang in [false, true] {
-        let run = |seed: u64| {
-            let (mut sys, received) = net_watchdog(BackendOs::Kite, seed);
+        let run = || {
+            let (mut sys, received) = net_watchdog(BackendOs::Kite);
             let fault = Nanos::from_secs(2);
             sys.fault_at(fault, if hang { Fault::Hang } else { Fault::Kill });
             sys.run_to_quiescence();
@@ -327,16 +327,16 @@ fn watchdog_recovery_is_deterministic_same_seed() {
                 got,
             )
         };
-        assert_eq!(run(555), run(555), "hang={hang}: same seed, same detection");
+        assert_eq!(run(), run(), "hang={hang}: same build, same detection");
     }
 }
 
-/// `kitetop` renders from virtual-time state only: two same-seed runs
+/// `kitetop` renders from virtual-time state only: two runs of one build
 /// snapshotted at the same virtual instants produce byte-identical text.
 #[test]
 fn kitetop_output_is_byte_identical_same_seed() {
-    let run = |seed: u64| {
-        let (mut sys, _received) = net_watchdog(BackendOs::Kite, seed);
+    let run = || {
+        let (mut sys, _received) = net_watchdog(BackendOs::Kite);
         sys.fault_at(Nanos::from_secs(2), Fault::Kill);
         let mut out = String::new();
         for stop in [Nanos::from_secs(1), Nanos::from_millis(3_200)] {
@@ -347,8 +347,8 @@ fn kitetop_output_is_byte_identical_same_seed() {
         out.push_str(&render_top(&sys.top_snapshot()));
         out
     };
-    let a = run(909);
-    let b = run(909);
+    let a = run();
+    let b = run();
     assert_eq!(a, b, "kitetop output must be byte-identical");
     // The three snapshots walk the health state machine.
     assert!(a.contains("healthy"), "steady state renders healthy");

@@ -98,7 +98,7 @@ fn backend_teardown_and_reconnect() {
 /// corruption: netback reports Tx errors and the system stays live.
 #[test]
 fn grant_revocation_is_survivable() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 99);
+    let mut sys = NetSystem::new(BackendOs::Kite);
     let got = Rc::new(RefCell::new(0u64));
     let g = got.clone();
     sys.set_client_app(Box::new(move |_, _| {
@@ -264,7 +264,7 @@ fn two_frontends_one_driver_domain() {
     assert_ne!(backends[0].vif, backends[1].vif);
 }
 
-/// Determinism across the whole stack: same seed, same figures.
+/// Determinism across the whole stack: same inputs, same figures.
 #[test]
 fn figures_are_deterministic() {
     let a = kite::workloads::latency::ping(BackendOs::Kite, 10, 7).mean();
@@ -279,7 +279,7 @@ fn figures_are_deterministic() {
 /// concurrent flood (mixed latency + throughput traffic).
 #[test]
 fn mixed_traffic_keeps_echo_alive() {
-    let mut sys = NetSystem::new(BackendOs::Kite, 31);
+    let mut sys = NetSystem::new(BackendOs::Kite);
     sys.set_guest_app(Box::new(|_, msg| {
         if msg.dst_port == 7 {
             vec![Reply {

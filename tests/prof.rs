@@ -3,7 +3,7 @@
 //! `kite-prof` measures wall-clock time, which is nondeterministic by
 //! nature — so the one property the rest of the repo depends on is that
 //! profiling *observes without perturbing*: a profiled run and an
-//! unprofiled run of the same seed must produce byte-identical
+//! unprofiled run of the same scenario must produce byte-identical
 //! virtual-time results. On top of that, the instrumentation has to
 //! actually cover the hot paths the report claims to explain.
 
@@ -13,8 +13,8 @@ use kite::system::{scenario, BackendOs, IoKind, IoOp, NetSystem, Side, SystemCon
 
 /// The echo scenario, built and loaded but not yet run: the client
 /// fires `msgs` messages over 64 flows at the guest, which echoes each.
-fn echo_sys(seed: u64, msgs: u64, profiled: bool) -> NetSystem {
-    let mut sys = SystemConfig::new(BackendOs::Kite, seed)
+fn echo_sys(msgs: u64, profiled: bool) -> NetSystem {
+    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
         .queues(4)
         .profiling(profiled)
         .build_net();
@@ -30,7 +30,7 @@ fn calls(report: &prof::ProfReport, phase: Phase) -> u64 {
 }
 
 fn echo_run(profiled: bool) -> NetSystem {
-    let mut sys = echo_sys(42, 256, profiled);
+    let mut sys = echo_sys(256, profiled);
     sys.run_to_quiescence();
     sys
 }
@@ -277,7 +277,7 @@ fn enabled_profiler_overhead_under_budget() {
     // 4096 messages: one cycle (5–15 ms) spans several OS scheduler
     // quanta. Construction is not timed.
     let cycle_ns = |profiled: bool| {
-        let mut sys = echo_sys(7, 4096, profiled);
+        let mut sys = echo_sys(4096, profiled);
         let start = std::time::Instant::now();
         sys.run_to_quiescence();
         let wall = start.elapsed();

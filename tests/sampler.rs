@@ -3,8 +3,8 @@
 //! A series is read from outside the event loop: `Host::run_every` runs
 //! the workload to quiescence and hands the system over at fixed
 //! *virtual* instants, and the caller picks the columns off typed stats.
-//! The exports are therefore part of the determinism surface: same seed,
-//! same bytes, regardless of the scheduler backend. Wall-clock profiling
+//! The exports are therefore part of the determinism surface: same
+//! config, same bytes, regardless of the scheduler backend. Wall-clock profiling
 //! (`kite-prof`) stays quarantined from these exports.
 
 use kite::sim::{Nanos, SchedulerKind};
@@ -80,7 +80,7 @@ fn sampler_exports_are_byte_identical_across_scheduler_backends() {
         heap_csv, wheel_csv,
         "sampler CSV must not depend on the backend"
     );
-    // And same-seed reruns reproduce the bytes exactly.
+    // And reruns reproduce the bytes exactly.
     assert_eq!(heap_csv, sampled_echo(SchedulerKind::Heap));
 }
 

@@ -1,5 +1,5 @@
 //! Scheduler-backend equivalence: the timer wheel must be **byte
-//! identical** to the binary-heap oracle — same seed, same backend API,
+//! identical** to the binary-heap oracle — same config, same backend API,
 //! same Chrome trace export and same rendered metrics, across
 //! representative full-system runs. Determinism is the repo's
 //! foundational invariant, so swapping the hot-path data structure is
@@ -196,7 +196,7 @@ fn wheel_outruns_heap_on_fleet_churn() {
             }
             checksum
         };
-        // Warmup lets slab, bucket and heap capacities reach steady
+        // Warmup lets slab, link and heap capacities reach steady
         // state so the timed window measures scheduling, not growth.
         churn(&mut sched, WARMUP);
         let start = std::time::Instant::now();
