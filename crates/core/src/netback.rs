@@ -29,7 +29,7 @@
 use std::collections::VecDeque;
 
 use kite_rumprun::OsProfile;
-use kite_sim::Nanos;
+use kite_sim::{Nanos, Spares};
 use kite_trace::EventKind;
 use kite_xen::netif::{
     NetifExtraInfo, NetifRxRequest, NetifRxResponse, NetifTxRequest, NetifTxResponse,
@@ -192,11 +192,15 @@ pub struct NetbackInstance {
     profile: OsProfile,
     gso: bool,
     stats: NetbackStats,
+    /// Single-slot Tx frames the client's stack is done with
+    /// ([`recycle`](Self::recycle)): the pusher copies later single-slot
+    /// frames into them.
+    tx_frames: Spares,
     // Drain-path scratch, recycled across calls so a warmed-up drain
-    // performs no bookkeeping allocations (frame payloads still
-    // allocate — they leave the instance). `scratch_frames` holds a
-    // drain's frames while its copy batch runs: the Tx frames being
-    // filled, or the Rx frames being read.
+    // performs no bookkeeping allocations (a chain's frame still
+    // allocates). `scratch_frames` holds a drain's frames while its copy
+    // batch runs: the Tx frames being filled, or the Rx frames being
+    // read.
     scratch_tx: Vec<(u16, TxDisp)>,
     scratch_chains: Vec<TxChain>,
     scratch_rx: Vec<(u16, usize, u16)>,
@@ -256,6 +260,7 @@ impl NetbackInstance {
             profile,
             gso,
             stats: NetbackStats::default(),
+            tx_frames: Spares::default(),
             scratch_tx: Vec::new(),
             scratch_chains: Vec::new(),
             scratch_rx: Vec::new(),
@@ -296,12 +301,14 @@ impl NetbackInstance {
 
     /// Validates one data slot and, if sound, appends its grant-copy op,
     /// which lands the slot's bytes at offset `at` of the drain's frame
-    /// `frame`. Returns whether the slot was accepted.
+    /// `frame`, no byte at or past `limit`. Returns whether the slot was
+    /// accepted.
     fn push_tx_op(
         &self,
         req: &NetifTxRequest,
         frame: usize,
         at: usize,
+        limit: usize,
         ops: &mut Vec<GrantCopyOp>,
     ) -> bool {
         let size = req.size as usize;
@@ -321,6 +328,7 @@ impl NetbackInstance {
             dst: CopySide::Buffer {
                 buf: frame,
                 offset: at,
+                limit,
             },
             len: size,
         });
@@ -330,9 +338,11 @@ impl NetbackInstance {
     /// The **pusher** thread body for queue `q`: drains up to `budget`
     /// Tx ring slots and hypervisor-copies every payload out of the
     /// guest with **one** batched `GNTTABOP_copy` for the whole drain.
-    /// A payload makes one hop (DESIGN.md §19): each frame (a single
-    /// slot, or a whole chain) is allocated once, at its validated
-    /// length, and the hypercall appends every fragment to it in place.
+    /// A payload makes one hop (DESIGN.md §19): the hypercall appends
+    /// every fragment to its frame in place, each op bounded by the
+    /// frame's validated length. A single slot's frame is a buffer handed
+    /// back through [`recycle`](Self::recycle), or a new one; a chain's
+    /// is allocated at its validated length.
     /// A frame any of whose fragments failed is dropped whole. The
     /// frames are appended to `frames`, which comes back as
     /// [`TxBatch::frames`] — a caller that recycles the list pays for
@@ -397,9 +407,9 @@ impl NetbackInstance {
             if !chained {
                 // Single-slot frame: the legacy path, byte-identical to
                 // the pre-GSO drain.
-                let frame = frames.len();
-                if self.push_tx_op(&head, frame, 0, &mut ops) {
-                    frames.push(Vec::with_capacity(head.size as usize));
+                let (frame, size) = (frames.len(), head.size as usize);
+                if self.push_tx_op(&head, frame, 0, size, &mut ops) {
+                    frames.push(self.tx_frames.take(size));
                     let op = ops.len() - 1;
                     pending.push((head.id, TxDisp::Single { op, frame }));
                 } else {
@@ -459,13 +469,17 @@ impl NetbackInstance {
                     }
                 }
             }
+            // The descriptor's claimed length bounds every fragment's
+            // copy; a chain that carries any other length is rejected
+            // below, its copies dropped.
+            let limit = extra.map_or(0, |e| e.total_len as usize);
             let mut total = 0usize;
             let mut nfrags = 0usize;
             let mut cur = head;
             loop {
                 nfrags += 1;
                 if nfrags <= NETIF_MAX_TX_CHAIN && valid {
-                    if self.push_tx_op(&cur, frame, total, &mut ops) {
+                    if self.push_tx_op(&cur, frame, total, limit, &mut ops) {
                         total += cur.size as usize;
                     } else {
                         valid = false;
@@ -636,6 +650,12 @@ impl NetbackInstance {
         Ok(batch)
     }
 
+    /// Hands back a single-slot Tx frame once its last reader is done
+    /// with it: a later single-slot frame is copied into it.
+    pub fn recycle(&mut self, frame: Vec<u8>) {
+        self.tx_frames.put(frame);
+    }
+
     /// [`pusher_run_into`](Self::pusher_run_into) a fresh list.
     pub fn pusher_run(&mut self, hv: &mut Hypervisor, q: usize, budget: usize) -> Result<TxBatch> {
         self.pusher_run_into(hv, q, budget, Vec::new())
@@ -752,7 +772,11 @@ impl NetbackInstance {
                 };
                 let len = (total - off).min(PAGE_SIZE);
                 ops.push(GrantCopyOp {
-                    src: CopySide::Buffer { buf, offset: off },
+                    src: CopySide::Buffer {
+                        buf,
+                        offset: off,
+                        limit: total,
+                    },
                     dst: CopySide::Grant {
                         granter: self.front,
                         gref: req.gref,

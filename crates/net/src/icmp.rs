@@ -1,6 +1,18 @@
 //! ICMP echo (ping) encoding.
 
+use std::net::Ipv4Addr;
+
 use crate::checksum;
+use crate::ether::{self, EtherType, MacAddr, ETH_HEADER_LEN};
+use crate::ipv4::{self, IpProto, DEFAULT_TTL, IPV4_HEADER_LEN};
+
+/// Length of an echo message's header: type, code, checksum,
+/// identifier and sequence.
+const ICMP_HEADER_LEN: usize = 8;
+
+/// Length of the Ethernet + IPv4 + ICMP header in front of an echo's
+/// payload: as long as the Ethernet + IPv4 + UDP one.
+const ECHO_HEADERS_LEN: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN + ICMP_HEADER_LEN;
 
 /// ICMP message subset used by the latency experiments, over its
 /// payload bytes `P`: an owned `Vec<u8>` when built for sending, a
@@ -55,57 +67,68 @@ impl<'a> IcmpMessage<&'a [u8]> {
 }
 
 impl<P: AsRef<[u8]>> IcmpMessage<P> {
-    /// The reply matching this request.
-    ///
-    /// Returns `None` for non-request messages.
-    pub fn reply(&self) -> Option<IcmpMessage<P>>
-    where
-        P: Clone,
-    {
+    /// The message's type, identifier, sequence and payload.
+    fn fields(&self) -> (u8, u16, u16, &[u8]) {
         match self {
             IcmpMessage::EchoRequest {
                 ident,
                 seq,
                 payload,
-            } => Some(IcmpMessage::EchoReply {
-                ident: *ident,
-                seq: *seq,
-                payload: payload.clone(),
-            }),
-            IcmpMessage::EchoReply { .. } => None,
-        }
-    }
-
-    /// Serializes with checksum.
-    pub fn encode(&self) -> Vec<u8> {
-        let (ty, ident, seq, payload) = match self {
-            IcmpMessage::EchoRequest {
-                ident,
-                seq,
-                payload,
-            } => (8u8, *ident, *seq, payload.as_ref()),
+            } => (8, *ident, *seq, payload.as_ref()),
             IcmpMessage::EchoReply {
                 ident,
                 seq,
                 payload,
-            } => (0u8, *ident, *seq, payload.as_ref()),
-        };
-        let mut out = Vec::with_capacity(8 + payload.len());
-        out.push(ty);
-        out.push(0); // code
-        out.extend_from_slice(&[0, 0]); // checksum placeholder
-        out.extend_from_slice(&ident.to_be_bytes());
-        out.extend_from_slice(&seq.to_be_bytes());
-        out.extend_from_slice(payload);
-        let c = checksum::checksum(&out);
-        out[2..4].copy_from_slice(&c.to_be_bytes());
-        out
+            } => (0, *ident, *seq, payload.as_ref()),
+        }
+    }
+
+    /// The ICMP header, its checksum summed over the header and the
+    /// payload where it lies.
+    fn icmp_header(&self) -> [u8; ICMP_HEADER_LEN] {
+        let (ty, ident, seq, payload) = self.fields();
+        let mut h = [0u8; ICMP_HEADER_LEN];
+        h[0] = ty; // code 0, checksum 0 until summed
+        h[4..6].copy_from_slice(&ident.to_be_bytes());
+        h[6..8].copy_from_slice(&seq.to_be_bytes());
+        // The header is an even number of bytes, so summing it and the
+        // payload apart is summing the message as one buffer.
+        let c = checksum::finish(checksum::sum(payload, checksum::sum(&h, 0)));
+        h[2..4].copy_from_slice(&c.to_be_bytes());
+        h
+    }
+
+    /// The Ethernet + IPv4 + ICMP header that precedes this message's
+    /// payload in its frame, checksums included: what
+    /// [`UdpDatagram::frame_header`](crate::UdpDatagram::frame_header) is
+    /// for a datagram. The payload is read, not copied; the frame is this
+    /// header followed by the payload.
+    pub fn frame_header(
+        &self,
+        eth_dst: MacAddr,
+        eth_src: MacAddr,
+        src: Ipv4Addr,
+        dst: Ipv4Addr,
+    ) -> [u8; ECHO_HEADERS_LEN] {
+        const ICMP_AT: usize = ETH_HEADER_LEN + IPV4_HEADER_LEN;
+        let icmp_len = ICMP_HEADER_LEN + self.fields().3.len();
+        let ip = ipv4::header(src, dst, IpProto::Icmp, DEFAULT_TTL, 0, icmp_len);
+        let mut h = [0u8; ECHO_HEADERS_LEN];
+        h[..ETH_HEADER_LEN].copy_from_slice(&ether::header(eth_dst, eth_src, EtherType::Ipv4));
+        h[ETH_HEADER_LEN..ICMP_AT].copy_from_slice(&ip);
+        h[ICMP_AT..].copy_from_slice(&self.icmp_header());
+        h
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ICMP message alone: its header, then its payload.
+    fn encode<P: AsRef<[u8]>>(m: &IcmpMessage<P>) -> Vec<u8> {
+        [&m.icmp_header()[..], m.fields().3].concat()
+    }
 
     #[test]
     fn echo_roundtrip() {
@@ -114,11 +137,14 @@ mod tests {
             seq: 7,
             payload: &[0xab; 56][..],
         };
-        let bytes = req.encode();
-        assert_eq!(IcmpMessage::decode(&bytes), Some(req.clone()));
-        let rep = req.reply().unwrap();
-        assert_eq!(IcmpMessage::decode(&rep.encode()), Some(rep.clone()));
-        assert!(rep.reply().is_none());
+        let bytes = encode(&req);
+        assert_eq!(IcmpMessage::decode(&bytes), Some(req));
+        let rep = IcmpMessage::EchoReply {
+            ident: 0x1234,
+            seq: 7,
+            payload: &[0xab; 56][..],
+        };
+        assert_eq!(IcmpMessage::decode(&encode(&rep)), Some(rep));
     }
 
     #[test]
@@ -128,7 +154,7 @@ mod tests {
             seq: 1,
             payload: vec![1, 2, 3],
         };
-        let mut bytes = req.encode();
+        let mut bytes = encode(&req);
         bytes[9] ^= 0x80;
         assert_eq!(IcmpMessage::decode(&bytes), None);
     }

@@ -12,7 +12,7 @@
 //!   borrowed view of the wire buffer when parsed — and
 //!   [`UdpDatagram::encode_frame`] builds all three layers in one buffer,
 //!   [`UdpDatagram::frame_header`] the same headers for a payload that
-//!   stays where it is;
+//!   stays where it is, and [`IcmpMessage::frame_header`] an echo's;
 //! * [`flow`] — deterministic Toeplitz/RSS flow hashing for multi-queue
 //!   steering;
 //! * [`bridge`] — the learning bridge Kite's network application manages;

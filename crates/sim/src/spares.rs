@@ -4,7 +4,9 @@
 //! component that allocates that kind of buffer, and that component's
 //! next operation reuses it instead of calling the allocator
 //! (DESIGN.md §19, "Payload buffers go back to the site that allocates
-//! them").
+//! them"). Four components keep a list: blkfront for read buffers,
+//! netfront for received frames, the network client for the frames it
+//! sends, and netback for its single-slot Tx frames.
 
 use std::collections::VecDeque;
 

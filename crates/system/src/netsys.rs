@@ -32,7 +32,9 @@ use kite_rumprun::OsProfile;
 use kite_sim::{IdleWake, Link, Nanos, OnlineStats, Spares, TxOutcome};
 use kite_trace::MetricsSnapshot;
 use kite_xen::xenbus::FEATURE_GSO_KEY;
-use kite_xen::{DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass};
+use kite_xen::{
+    DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass, PAGE_SIZE,
+};
 
 use crate::config::SystemConfig;
 use crate::host::{set_bits, Datapath, Event, Host};
@@ -164,11 +166,12 @@ const GUEST_TXQ_CAP: usize = 1 << 20;
 
 /// A frame the guest stack holds until netfront takes it.
 enum GuestTx {
-    /// A UDP datagram: its Ethernet + IPv4 + UDP header and the
-    /// application's payload, moved in and never joined into one buffer.
-    Udp([u8; TSO_HEADERS_LEN], Vec<u8>),
-    /// A whole frame: an ICMP reply, or a frame replayed after a crash.
-    /// Only these can be ping traffic that request tracing follows.
+    /// A UDP datagram or an ICMP echo reply: its 42 header bytes
+    /// (Ethernet + IPv4, then UDP or ICMP) and its payload, never joined
+    /// into one buffer. An echo reply carries its sequence number, by
+    /// which request tracing follows a ping.
+    Parts([u8; TSO_HEADERS_LEN], Vec<u8>, Option<u16>),
+    /// A whole frame, replayed after a crash.
     Frame(Vec<u8>),
 }
 
@@ -477,20 +480,20 @@ impl Host<NetPath> {
         self.schedule_at(t, send);
     }
 
-    /// Schedules an ICMP echo request from the client at `t` (ping).
+    /// Schedules an ICMP echo request from the client at `t` (ping),
+    /// laid into a frame the client sent earlier.
     pub fn ping_at(&mut self, t: Nanos, seq: u16) {
+        const PAYLOAD: [u8; 56] = [0x2a; 56];
         let req = IcmpMessage::EchoRequest {
             ident: 0x4b49,
             seq,
-            payload: vec![0x2a; 56],
+            payload: &PAYLOAD[..],
         };
-        let ip = Ipv4Packet::new(addrs::CLIENT, addrs::GUEST, IpProto::Icmp, req.encode());
-        let frame = EthernetFrame::new(
-            self.dp.guest_mac,
-            self.dp.client_mac,
-            EtherType::Ipv4,
-            ip.encode(),
-        );
+        let (guest_mac, client_mac) = (self.dp.guest_mac, self.dp.client_mac);
+        let header = req.frame_header(guest_mac, client_mac, addrs::CLIENT, addrs::GUEST);
+        let mut frame = self.dp.client_frames.take(header.len() + PAYLOAD.len());
+        frame.extend_from_slice(&header);
+        frame.extend_from_slice(&PAYLOAD);
         self.dp.icmp_sent.insert(seq, t);
         // Injection point for request tracing: the sampler decides here
         // whether this ping's round trip is followed stage by stage. The
@@ -499,7 +502,7 @@ impl Host<NetPath> {
         if let Some(r) = self.hv.req.admit(0) {
             self.hv.req.map(SlotClass::NetIcmp, seq as u64, r);
         }
-        self.schedule_at(t, NetEvent::ClientTxFrame(frame.encode()));
+        self.schedule_at(t, NetEvent::ClientTxFrame(frame));
     }
 
     /// The configured wire profile.
@@ -599,12 +602,16 @@ impl Host<NetPath> {
         let mut cost = Nanos::ZERO;
         while let Some(tx) = self.dp.guest_txq.front() {
             let req = match tx {
-                GuestTx::Udp(..) => None,
+                GuestTx::Parts(.., ping) => {
+                    ping.and_then(|seq| self.hv.req.lookup(SlotClass::NetIcmp, seq as u64))
+                }
                 GuestTx::Frame(frame) => self.traced_ping(frame),
             };
             let nf = self.dp.netfront.as_mut().expect("checked");
             let res = match tx {
-                GuestTx::Udp(header, payload) => nf.send_parts(&mut self.hv, header, payload, None),
+                GuestTx::Parts(header, payload, _) => {
+                    nf.send_parts(&mut self.hv, header, payload, req)
+                }
                 GuestTx::Frame(frame) => nf.send(&mut self.hv, frame, req),
             };
             match res {
@@ -829,6 +836,8 @@ impl Host<NetPath> {
     /// UDP payloads go to the side's application handler. The frame is
     /// parsed in place; a frame that fails any layer's validation, or
     /// carries a protocol the endpoints do not speak, counts as a drop.
+    /// A frame the stack took goes back to the site that allocates its
+    /// kind once the stack and the handler are done with it.
     fn stack_rx(&mut self, side: Side, now: Nanos, frame: Vec<u8>) {
         let Some(eth) = EthernetFrame::decode(&frame) else {
             self.dp.metrics.drops += 1;
@@ -843,41 +852,50 @@ impl Host<NetPath> {
             return;
         };
         match ip.proto {
-            IpProto::Icmp => match (side, IcmpMessage::decode(ip.payload)) {
-                (Side::Guest, Some(msg)) => {
-                    if let IcmpMessage::EchoRequest { seq, .. } = msg {
+            IpProto::Icmp => {
+                let Some(msg) = IcmpMessage::decode(ip.payload) else {
+                    self.dp.metrics.drops += 1;
+                    return;
+                };
+                match (side, msg) {
+                    (
+                        Side::Guest,
+                        IcmpMessage::EchoRequest {
+                            ident,
+                            seq,
+                            payload,
+                        },
+                    ) => {
                         if let Some(r) = self.hv.req.lookup(SlotClass::NetIcmp, seq as u64) {
                             let dom = self.guest.0;
                             self.hv.req.stamp_at(r, ReqStage::RxDeliver, dom, None, now);
                         }
-                    }
-                    if let Some(reply) = msg.reply() {
-                        let rip =
-                            Ipv4Packet::new(addrs::GUEST, ip.src, IpProto::Icmp, reply.encode());
-                        let rframe = EthernetFrame::new(
-                            eth.src,
-                            self.dp.guest_mac,
-                            EtherType::Ipv4,
-                            rip.encode(),
-                        );
+                        let reply = IcmpMessage::EchoReply {
+                            ident,
+                            seq,
+                            payload,
+                        };
+                        let header =
+                            reply.frame_header(eth.src, self.dp.guest_mac, addrs::GUEST, ip.src);
+                        let tx = GuestTx::Parts(header, payload.to_vec(), Some(seq));
                         // ICMP handled in-stack: tiny cost.
                         self.guest_cpu_run(now, Nanos::from_nanos(500));
-                        self.guest_send(now, GuestTx::Frame(rframe.encode()));
+                        self.guest_send(now, tx);
                     }
+                    (Side::Client, IcmpMessage::EchoReply { seq, .. }) => {
+                        if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
+                            self.dp.metrics.ping_rtts.push_nanos(now - t0);
+                            self.latency_hist.record(now - t0);
+                        }
+                        if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
+                            self.hv.req.finish_at(r, 0, now);
+                        }
+                    }
+                    // A valid message this side does not act on.
+                    _ => {}
                 }
-                (Side::Client, Some(IcmpMessage::EchoReply { seq, .. })) => {
-                    if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
-                        self.dp.metrics.ping_rtts.push_nanos(now - t0);
-                        self.latency_hist.record(now - t0);
-                    }
-                    if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
-                        self.hv.req.finish_at(r, 0, now);
-                    }
-                }
-                (_, None) => self.dp.metrics.drops += 1,
-                // A valid message this side does not act on.
-                (Side::Client, Some(_)) => {}
-            },
+                self.stack_done(side, frame);
+            }
             IpProto::Udp => {
                 let Some(udp) = UdpDatagram::decode(ip.payload, ip.src, ip.dst) else {
                     self.dp.metrics.drops += 1;
@@ -911,14 +929,33 @@ impl Host<NetPath> {
                     *self.dp.app(side) = Some(app);
                     self.emit_replies(now, side, replies);
                 }
-                // The handler only saw `&UdpMsg`: the guest's frame goes
-                // back to netfront, which gathers a later frame into it.
-                if let (Side::Guest, Some(nf)) = (side, self.dp.netfront.as_mut()) {
-                    nf.recycle(msg.payload.frame);
-                }
+                // The handler only saw `&UdpMsg`.
+                self.stack_done(side, msg.payload.frame);
             }
             // The endpoints speak ICMP and UDP only.
             _ => self.dp.metrics.drops += 1,
+        }
+    }
+
+    /// Hands back a frame `side`'s stack is done with. The guest's goes to
+    /// netfront, which gathers a later frame into it. The client's goes to
+    /// netback when it fits one page, which makes it a single-slot Tx
+    /// frame: a later one is copied into it. A chain's frame is left to
+    /// the allocator (DESIGN.md §19), and with no device connected so is
+    /// every frame.
+    fn stack_done(&mut self, side: Side, frame: Vec<u8>) {
+        match side {
+            Side::Guest => {
+                if let Some(nf) = self.dp.netfront.as_mut() {
+                    nf.recycle(frame);
+                }
+            }
+            Side::Client if frame.len() <= PAGE_SIZE => {
+                if let Some(nb) = self.backend.device_mut() {
+                    nb.recycle(frame);
+                }
+            }
+            Side::Client => {}
         }
     }
 
@@ -962,7 +999,7 @@ impl Host<NetPath> {
             // the queue holds its header and the payload.
             Side::Guest => {
                 let header = datagram.frame_header(dst_mac, src_mac, src_ip, dst_ip);
-                self.guest_send(now, GuestTx::Udp(header, datagram.payload));
+                self.guest_send(now, GuestTx::Parts(header, datagram.payload, None));
             }
         }
     }
@@ -1111,16 +1148,11 @@ mod tests {
             seq: 1,
             payload: [7u8; 64],
         };
-        let ping = EthernetFrame::new(
-            MacAddr::local(0xaa01),
-            MacAddr::local(0xcc01),
-            EtherType::Ipv4,
-            Ipv4Packet::new(addrs::CLIENT, addrs::GUEST, IpProto::Icmp, echo.encode()).encode(),
-        )
-        .encode();
+        let (dst, src) = (MacAddr::local(0xaa01), MacAddr::local(0xcc01));
+        let header = echo.frame_header(dst, src, addrs::CLIENT, addrs::GUEST);
+        let ping = [&header[..], &[7u8; 64]].concat();
         let mut bad_icmp = ping.clone();
         *bad_icmp.last_mut().expect("payload") ^= 1; // ICMP checksum fails
-        let (dst, src) = (MacAddr::local(0xaa01), MacAddr::local(0xcc01));
         let arp = EthernetFrame::new(dst, src, EtherType::Arp, [0u8; 28]).encode();
         let tcp = EthernetFrame::new(
             dst,
@@ -1358,6 +1390,48 @@ mod tests {
         }
         let back = sys.dp.client_frames.take(TSO_HEADERS_LEN + 520);
         assert_eq!(back.as_ptr(), client_at, "the client's frame came back");
+    }
+
+    /// Netback copies a single-slot Tx frame into a buffer the client's
+    /// stack handed back, which holds what it carried before. Seeded with
+    /// `0xA5`-filled buffers twice each frame's length, netback builds
+    /// each guest→client datagram, at lengths up to one page, in the
+    /// buffer seeded for it, and the client receives exactly the frame
+    /// `encode_frame` builds: none of the buffer's bytes, and none past
+    /// the frame's validated length.
+    #[test]
+    fn netbacks_recycled_tx_frames_show_none_of_their_previous_bytes() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let mut sys = SystemConfig::new(BackendOs::Kite, 5).build_net();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let log = seen.clone();
+        sys.set_client_app(Box::new(move |_, msg| {
+            let frame = &msg.payload.frame;
+            log.borrow_mut().push((frame.as_ptr(), frame.clone()));
+            Vec::new()
+        }));
+        let (guest_mac, client_mac) = (sys.dp.guest_mac, sys.dp.client_mac);
+        // Longest first: each frame goes back to netback once the client's
+        // handler returns, and is then too large for the next.
+        for len in [PAGE_SIZE, 1442, 601, 43, 42] {
+            let payload = vec![len as u8; len - TSO_HEADERS_LEN];
+            let udp = UdpDatagram::new(1234, 9999, &payload);
+            let want = udp.encode_frame(client_mac, guest_mac, addrs::GUEST, addrs::CLIENT);
+            assert_eq!(want.len(), len);
+            let seeded = vec![0xa5u8; 2 * len];
+            let seeded_at = seeded.as_ptr();
+            sys.backend.device_mut().expect("connected").recycle(seeded);
+            let at = sys.now() + Nanos::from_micros(10);
+            sys.send_udp_at(at, Side::Guest, addrs::CLIENT, 9999, 1234, payload);
+            sys.run_to_quiescence();
+            assert_eq!(
+                seen.borrow_mut().pop(),
+                Some((seeded_at, want)),
+                "a {len}-byte frame"
+            );
+        }
+        assert_eq!(sys.netback_stats().gso_tx_frames, 0, "single slots only");
     }
 
     /// Netback moves every payload between the guest's granted pages and

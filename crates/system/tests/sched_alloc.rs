@@ -6,11 +6,10 @@
 //!    through the slab, the wheel's buckets are chains through it, the heap stays
 //!    within its high-water capacity.
 //! 2. A full 4-queue netback drain allocates identically across
-//!    identical traffic windows: per-frame payload allocations are
-//!    allowed (the data leaves the system), but nothing accumulates
-//!    per drain — no bookkeeping growth, no leak-shaped drift. A
-//!    warmed-up Rx drain allocates nothing, however many frames it
-//!    delivers.
+//!    identical traffic windows: frames the spare lists cannot hold
+//!    are allowed, but nothing accumulates per drain — no bookkeeping
+//!    growth, no leak-shaped drift. A warmed-up Rx drain allocates
+//!    nothing, however many frames it delivers.
 //! 3. Disabled profiler spans are strictly zero-alloc: `kite_prof`
 //!    instrumentation sits on the scheduler and backend hot paths, so
 //!    its off-by-default cost contract (one branch, no clock, no
@@ -32,17 +31,18 @@
 //!    encoded where it lives, per-drain lists are recycled scratch. The
 //!    pinned call shapes `benchmark/` uses still allocate their result
 //!    lists and payload buffers; the recycled forms the system drives
-//!    allocate nothing but netback's Tx frame. An Rx chain of any
+//!    allocate nothing but a Tx chain's frame. An Rx chain of any
 //!    length costs the guest one allocation, or none once its frames
 //!    are handed back.
 //! 7. A build backs only the machine pages it writes: an 8-queue
 //!    network system allocates its 16 ring pages' bytes and nothing for
 //!    the 4 096 pool pages it grants.
 //! 8. The whole event loop, through `Host::run_until`: once warm, a
-//!    storage closed loop and a network echo allocate an exact count
-//!    per operation, each site named — the handlers' returned `Vec`s
-//!    and payloads, netback's Tx frame, and the NVMe blocks a first
-//!    write creates.
+//!    storage closed loop and a network echo, on one queue or eight,
+//!    allocate an exact count per operation, each site named — the
+//!    handlers' returned `Vec`s and payloads, and the NVMe blocks a
+//!    first write creates. The simulator itself allocates nothing per
+//!    echo.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -169,8 +169,9 @@ fn ring_path_allocates_only_payload_hops() {
     // (a) + (b) Guest -> world. A send copies the frame into granted
     // pool pages and encodes its ring slots in place: nothing. The
     // pusher then allocates the frame it hands the bridge — one `Vec`
-    // a frame, whether a single slot or a 13-slot chain — and nothing
-    // else: its frame list is the caller's.
+    // a frame, whether a single slot or a 13-slot chain, while nothing
+    // hands its frames back — and nothing else: its frame list is the
+    // caller's.
     let (mut hv, mut nf, mut nb) = net_pair(true);
     let (small, chain) = (vec![0x11u8; 1400], vec![0x22u8; 48 * 1024]);
     let mut sink: Vec<Vec<u8>> = Vec::new();
@@ -197,6 +198,33 @@ fn ring_path_allocates_only_payload_hops() {
         tx_round(),
         (0, 3),
         "(allocations by three sends, by the drain that emitted their three frames)"
+    );
+    // The recycled form the system drives: the single-slot frames go
+    // back to netback, which copies the next ones into them; the chain's
+    // frame is a new one.
+    let mut recycled_round = || {
+        nf.send(&mut hv, &small, None).expect("tx ring has room");
+        nf.send(&mut hv, &chain, None).expect("tx ring has room");
+        nf.send(&mut hv, &small, None).expect("tx ring has room");
+        let before = allocs();
+        let mut batch = nb
+            .pusher_run_into(&mut hv, 0, 128, std::mem::take(&mut sink))
+            .expect("pusher");
+        let pushed = allocs() - before;
+        assert_eq!(batch.frames[0], small);
+        for frame in [0, 2] {
+            nb.recycle(std::mem::take(&mut batch.frames[frame]));
+        }
+        sink = batch.frames;
+        sink.clear();
+        nf.on_irq(&mut hv).expect("guest irq");
+        pushed
+    };
+    recycled_round();
+    assert_eq!(
+        recycled_round(),
+        1,
+        "allocations by the drain, its single slots recycled"
     );
 
     // (b') World -> guest, an LRO chain: netback reads each fragment
@@ -383,8 +411,7 @@ fn ring_path_allocates_only_payload_hops() {
 
 /// Phase 8: the whole event loop, driven through `Host::run_until`.
 /// Once warm, a closed loop allocates only at the sites named below:
-/// the workload's own `Vec`s, netback's Tx frame and the NVMe blocks a
-/// first write creates.
+/// the workload's own `Vec`s and the NVMe blocks a first write creates.
 fn event_loop_allocates_only_named_sites() {
     let us = Nanos::from_micros;
     // Storage: a depth-1 loop of `n` I/Os, `kind(i)` for I/O `i` from
@@ -471,8 +498,9 @@ fn event_loop_allocates_only_named_sites() {
         assert_eq!(made, want, "allocations by {N} I/Os of {what} each");
     }
 
-    // Network: a depth-1 echo of `n` 128-byte requests, the client's
-    // handler sending each next one.
+    // Network: depth-1 echoes of 128-byte requests, one in flight on
+    // each of `flows` flows (client ports 1200, 1201, ...), `n` in all,
+    // the client's handler sending each next one.
     let echo = |_: Nanos, msg: &UdpMsg| Reply {
         dst_ip: msg.src_ip,
         dst_port: msg.src_port,
@@ -480,8 +508,8 @@ fn event_loop_allocates_only_named_sites() {
         payload: msg.payload.to_vec(),
         cost: Nanos::ZERO,
     };
-    let echo_loop = |sys: &mut NetSystem, n: u64| {
-        let mut left = n - 1;
+    let echo_loop = |sys: &mut NetSystem, flows: u16, n: u64| {
+        let mut left = n - flows as u64;
         sys.set_client_app(Box::new(move |t, msg| {
             if left == 0 {
                 return Vec::new();
@@ -490,7 +518,9 @@ fn event_loop_allocates_only_named_sites() {
             vec![echo(t, msg)]
         }));
         let at = sys.now() + us(10);
-        sys.send_udp_at(at, Side::Client, addrs::GUEST, 7, 1200, vec![0x5a; 128]);
+        for f in 0..flows {
+            sys.send_udp_at(at, Side::Client, addrs::GUEST, 7, 1200 + f, vec![0x5a; 128]);
+        }
         let msgs = sys.metrics.client_rx_msgs;
         let before = allocs();
         sys.run_until(at + Nanos::from_millis(n));
@@ -498,20 +528,62 @@ fn event_loop_allocates_only_named_sites() {
         assert_eq!(sys.metrics.client_rx_msgs - msgs, n, "every echo answered");
         made
     };
+    // Per echo: the guest handler's `Vec<Reply>` and reply payload. Per
+    // echo but each flow's first: the client handler's `Vec<Reply>` and
+    // payload. Nothing else: the client's frame, the guest's gathered
+    // frame and the frame netback's grant copy fills are all recycled.
+    let handlers_only = |flows: u16, n: u64| 2 * n + 2 * (n - flows as u64);
     let mut sys = SystemConfig::new(BackendOs::Kite, 48).build_net();
     sys.set_guest_app(Box::new(move |t, msg| vec![echo(t, msg)]));
     // Warm-up: a machine page is backed on its first write, and the Rx
     // ring hands its posted buffers round in order, so echo once per
     // posted buffer before counting.
-    echo_loop(&mut sys, NET_RX_RING_SIZE as u64);
-    // Per echo: the guest handler's `Vec<Reply>` and reply payload, and
-    // the frame netback's grant copy fills. Per echo after the first:
-    // the client handler's `Vec<Reply>` and payload. The client's frame
-    // and the guest's gathered frame are recycled.
+    echo_loop(&mut sys, 1, NET_RX_RING_SIZE as u64);
     assert_eq!(
-        echo_loop(&mut sys, N),
-        3 * N + 2 * (N - 1),
+        echo_loop(&mut sys, 1, N),
+        handlers_only(1, N),
         "allocations by {N} echoes"
+    );
+    // A ping's round trip, request laid into a frame the client sent
+    // earlier and reply written as header and payload, allocates once:
+    // the guest stack's copy of the echoed payload.
+    let ping_loop = |sys: &mut NetSystem, n: u16| {
+        let rtts = sys.metrics.ping_rtts.count();
+        let mut made = 0;
+        for seq in 0..n {
+            let at = sys.now() + us(10);
+            let before = allocs();
+            sys.ping_at(at, seq);
+            sys.run_until(at + Nanos::from_millis(1));
+            made += allocs() - before;
+        }
+        assert_eq!(
+            sys.metrics.ping_rtts.count() - rtts,
+            n as u64,
+            "every ping answered"
+        );
+        made
+    };
+    ping_loop(&mut sys, NET_RX_RING_SIZE as u16);
+    assert_eq!(ping_loop(&mut sys, N as u16), N, "allocations by {N} pings");
+    // The same on eight queues, the flows Toeplitz-steered over them as
+    // `bidir_mtu`'s are: one list of spare Tx frames serves them all.
+    const FLOWS: u16 = 16;
+    let mut sys = SystemConfig::new(BackendOs::Kite, 49).queues(8).build_net();
+    sys.set_guest_app(Box::new(move |t, msg| vec![echo(t, msg)]));
+    // Warm-up: every queue's posted buffers, however unevenly the flows
+    // hash, several times over.
+    echo_loop(&mut sys, FLOWS, 8 * FLOWS as u64 * NET_RX_RING_SIZE as u64);
+    let busy = sys.driver_cpu_busy_each();
+    assert!(
+        busy.iter().all(|&b| b > Nanos::ZERO),
+        "every queue's vCPU carried flows: {busy:?}"
+    );
+    assert_eq!(
+        echo_loop(&mut sys, FLOWS, 8 * N),
+        handlers_only(FLOWS, 8 * N),
+        "allocations by {} echoes on {FLOWS} flows over 8 queues",
+        8 * N
     );
 }
 
@@ -547,11 +619,13 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     let w: Vec<u64> = (0..8).map(|_| window(&mut sys)).collect();
     // Each window runs later in virtual time, so its events land in
     // other timer-wheel slots; the wheel's buckets own no storage, so
-    // that costs nothing. Traced by backtrace, a warm window makes one
-    // allocation per frame, netback's Tx frame: 256 in every window from
-    // the second on (a flood walks the bridge's ports in place). What
-    // must hold is flatness — any per-window bookkeeping leak would grow
-    // the later windows.
+    // that costs nothing. Traced by backtrace, a warm window makes 44
+    // allocations, every one netback's `Spares::take` of a single-slot
+    // Tx frame: the four 64-frame bursts outrun the 10GbE wire, and at
+    // their peak 44 more frames are in flight than the 181 of 1 442 B
+    // that the client hands back and netback's list keeps (256 KiB).
+    // What must hold is flatness — any per-window bookkeeping leak would
+    // grow the later windows.
     let (lo, hi) = (
         *w[2..].iter().min().expect("nonempty"),
         *w[2..].iter().max().expect("nonempty"),

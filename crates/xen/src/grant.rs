@@ -106,24 +106,32 @@ pub enum CopySide {
     /// The caller's own buffer number `buf` of the list the copy is given
     /// ([`Hypervisor::grant_copy_with`](crate::Hypervisor::grant_copy_with)),
     /// at `offset`: a driver's frame itself, so the bytes need no page of
-    /// the driver's to stage through. As a source the range must lie inside
-    /// the buffer's length. As a destination it must lie inside the
-    /// buffer's capacity, the memory the caller already holds, so a copy
-    /// never reallocates it: bytes inside the length are overwritten and
-    /// the rest appended, and a frame allocated with room for a whole chain
-    /// fills fragment by fragment and is never zero-filled. Anything past
-    /// that is [`XenError::OutOfBounds`].
-    Buffer { buf: usize, offset: usize },
+    /// the driver's to stage through. `limit` is the length the caller
+    /// validated for that frame, and no op reads or writes at or past it,
+    /// however large the buffer is: a frame built in a reused buffer is
+    /// bounded exactly as one allocated at its length. As a source the
+    /// range must also lie inside the buffer's length. As a destination it
+    /// must also lie inside the buffer's capacity, the memory the caller
+    /// already holds, so a copy never reallocates it: bytes inside the
+    /// length are overwritten and the rest appended, and a frame allocated
+    /// with room for a whole chain fills fragment by fragment and is never
+    /// zero-filled. Anything past either bound is
+    /// [`XenError::OutOfBounds`].
+    Buffer {
+        buf: usize,
+        offset: usize,
+        limit: usize,
+    },
 }
 
-/// Writes `bytes` into `buf` at `at`, inside its capacity: what lies
-/// inside its length is overwritten and the rest appended. A gap between
-/// the length and `at`, left by an earlier op that failed, is zero-filled,
-/// so each op lands at its offset whatever became of the others, as in a
-/// page.
-fn write_into(buf: &mut Vec<u8>, at: usize, bytes: &[u8]) -> Result<()> {
+/// Writes `bytes` into `buf` at `at`, inside `limit` and its capacity:
+/// what lies inside its length is overwritten and the rest appended. A
+/// gap between the length and `at`, left by an earlier op that failed, is
+/// zero-filled, so each op lands at its offset whatever became of the
+/// others, as in a page.
+fn write_into(buf: &mut Vec<u8>, at: usize, limit: usize, bytes: &[u8]) -> Result<()> {
     at.checked_add(bytes.len())
-        .filter(|&end| end <= buf.capacity())
+        .filter(|&end| end <= limit.min(buf.capacity()))
         .ok_or(XenError::OutOfBounds)?;
     if at > buf.len() {
         buf.resize(at, 0);
@@ -360,15 +368,29 @@ impl GrantTables {
                     offset: dof,
                 },
             ) => mem.copy(sp, so, dp, dof, len),
-            (CopySide::Local { page, offset }, CopySide::Buffer { buf, offset: at }) => {
+            (
+                CopySide::Local { page, offset },
+                CopySide::Buffer {
+                    buf,
+                    offset: at,
+                    limit,
+                },
+            ) => {
                 let bytes = mem.read(page, offset, len)?;
                 let buf = bufs.get_mut(buf).ok_or(XenError::OutOfBounds)?;
-                write_into(buf, at, bytes)
+                write_into(buf, at, limit, bytes)
             }
-            (CopySide::Buffer { buf, offset: at }, CopySide::Local { page, offset }) => {
+            (
+                CopySide::Buffer {
+                    buf,
+                    offset: at,
+                    limit,
+                },
+                CopySide::Local { page, offset },
+            ) => {
                 let bytes = bufs
                     .get(buf)
-                    .and_then(|b| b.get(at..at.checked_add(len)?))
+                    .and_then(|b| b.get(at..at.checked_add(len).filter(|&end| end <= limit)?))
                     .ok_or(XenError::OutOfBounds)?;
                 mem.write(page, offset, bytes)
             }
@@ -625,6 +647,59 @@ mod tests {
             PAGE_SIZE + 1,
         );
         assert_eq!(err, Err(XenError::OutOfBounds));
+    }
+
+    /// A frame built in a reused buffer is bounded by the length the
+    /// caller validated, not by the buffer: with a spare of twice the
+    /// slot's size, an op past the slot is refused and moves nothing.
+    #[test]
+    fn an_op_past_a_buffers_limit_is_out_of_bounds_whatever_its_capacity() {
+        const SLOT: usize = 6;
+        let mut f = fix();
+        let (guest, driver) = (f.guest, f.driver);
+        let page = f.mem.alloc(&mut f.doms, guest).unwrap();
+        f.mem.page_mut(page).unwrap()[..8].copy_from_slice(b"abcdefgh");
+        let dst_page = f.mem.alloc(&mut f.doms, driver).unwrap();
+        let gref =
+            f.gt.grant_access(&f.mem, guest, driver, page, true)
+                .unwrap();
+        let grant = |offset| CopySide::Grant {
+            granter: guest,
+            gref,
+            offset,
+        };
+        let frame = |offset| CopySide::Buffer {
+            buf: 0,
+            offset,
+            limit: SLOT,
+        };
+        let mut bufs = vec![Vec::with_capacity(2 * SLOT)];
+        let mut copy = |src, dst, len| {
+            let op = GrantCopyOp { src, dst, len };
+            f.gt.copy(&mut f.mem, driver, &op, &mut bufs)
+        };
+        assert_eq!(
+            copy(grant(0), frame(0), SLOT + 1),
+            Err(XenError::OutOfBounds)
+        );
+        assert_eq!(
+            copy(grant(0), frame(SLOT - 2), 4),
+            Err(XenError::OutOfBounds)
+        );
+        assert_eq!(copy(grant(0), frame(0), SLOT), Ok(()));
+        let local = CopySide::Local {
+            page: dst_page,
+            offset: 0,
+        };
+        let short = CopySide::Buffer {
+            buf: 0,
+            offset: 2,
+            limit: 4,
+        };
+        assert_eq!(copy(short, local, 3), Err(XenError::OutOfBounds));
+        assert_eq!(bufs, [b"abcdef"], "only the op inside the limit landed");
+        assert_eq!(bufs[0].capacity(), 2 * SLOT);
+        assert!(f.mem.page(dst_page).unwrap().iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -510,8 +510,13 @@ mod tests {
         GrantCopyOp { src, dst, len }
     }
 
+    /// Buffer `buf` at `offset`, bounded by the buffer alone.
     fn buf(buf: usize, offset: usize) -> CopySide {
-        CopySide::Buffer { buf, offset }
+        CopySide::Buffer {
+            buf,
+            offset,
+            limit: usize::MAX,
+        }
     }
 
     #[test]
