@@ -52,6 +52,6 @@ mod report;
 
 pub use phase::Phase;
 pub use profiler::{
-    disable, enable, reset, span, span_of, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
+    disable, enable, leaf, reset, span, span_of, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
 };
 pub use report::{report, PhaseRow, ProfReport, StackRow};

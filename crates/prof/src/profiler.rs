@@ -57,6 +57,10 @@ pub const HIST_BUCKETS: usize = 64;
 /// directions) that pervade the simulated workloads.
 pub const SAMPLE_EVERY: u64 = 61;
 
+/// How many of its largest sampled self times each call-tree node
+/// keeps, so the report can trim outliers (see [`crate::report`]).
+pub(crate) const TOP_KEPT: usize = 8;
+
 /// Back-to-back clock reads [`enable`] takes to calibrate one read.
 const CALIBRATION_READS: usize = 32;
 
@@ -80,6 +84,10 @@ pub(crate) struct Node {
     /// and one per span opened directly under it (the rest of that
     /// span's two reads).
     pub(crate) reads: u64,
+    /// The largest raw exclusive times of single sampled calls,
+    /// ascending (0 until that many calls were sampled): one preempted
+    /// or cold call lands here, where the report can trim it.
+    pub(crate) top: [u64; TOP_KEPT],
     /// Child node per phase; 0 (the synthetic root, never a child)
     /// means none. Children are created after their parent, so a
     /// child's index is always greater than its parent's.
@@ -94,6 +102,7 @@ impl Node {
             sampled: 0,
             self_ns: 0,
             reads: 0,
+            top: [0; TOP_KEPT],
             child: [0; Phase::COUNT],
         }
     }
@@ -163,6 +172,25 @@ impl ProfilerState {
     /// it to inline, instead of a call to it through a function pointer.
     #[inline(never)]
     pub(crate) fn enter(&mut self, phase: Phase) -> Option<bool> {
+        self.push(phase)
+    }
+
+    /// [`enter`](Self::enter) for a span that opens no span under it: a
+    /// call that is not timed is closed again at once and counted, so
+    /// its guard has nothing left to do. A timed one stays open like any
+    /// span, for [`exit`](Self::exit) to close.
+    #[inline(never)]
+    pub(crate) fn enter_leaf(&mut self, phase: Phase) -> Option<bool> {
+        let timed = self.push(phase)?;
+        if !timed {
+            self.depth -= 1;
+            self.nodes[self.stack[self.depth].node as usize].calls += 1;
+        }
+        Some(timed)
+    }
+
+    #[inline(always)]
+    fn push(&mut self, phase: Phase) -> Option<bool> {
         if self.depth == STACK_MAX {
             self.truncated += 1;
             return None;
@@ -217,9 +245,16 @@ impl ProfilerState {
     #[inline(never)]
     fn record(&mut self, frame: Frame, phase: Phase, elapsed_ns: u64) {
         let n = &mut self.nodes[frame.node as usize];
+        let own = elapsed_ns - frame.kids_ns;
         n.sampled += 1;
-        n.self_ns += elapsed_ns - frame.kids_ns;
+        n.self_ns += own;
         n.reads += 1 + frame.kids;
+        if own > n.top[0] {
+            // Drop the smallest kept time and insert `own` in order.
+            let at = n.top.partition_point(|&t| t < own);
+            n.top.copy_within(1..at, 0);
+            n.top[at - 1] = own;
+        }
         if self.depth > 0 {
             let parent = &mut self.stack[self.depth - 1];
             parent.kids += 1;
@@ -341,6 +376,25 @@ pub fn span_of(phase: impl FnOnce() -> Phase) -> ProfGuard {
     } else {
         ProfGuard { open: None }
     }
+}
+
+/// [`span`] for a phase that opens no span while its guard is held (a
+/// scheduler push or pop). It records exactly what `span(phase)` does,
+/// but a call that is not timed — 60 roots in 61 — is counted when it
+/// opens, in one access to the profiler's state instead of two, and its
+/// guard is inert. A span opened under a leaf would be booked to the
+/// leaf's parent.
+#[must_use = "a span records nothing unless the guard is held for its duration"]
+#[inline]
+pub fn leaf(phase: Phase) -> ProfGuard {
+    if !ENABLED.get() {
+        return ProfGuard { open: None };
+    }
+    let open = match STATE.with_borrow_mut(|s| s.enter_leaf(phase)) {
+        Some(true) => Some((phase, Some(Instant::now()))),
+        _ => None,
+    };
+    ProfGuard { open }
 }
 
 /// The enabled half of [`span_of`].
@@ -466,6 +520,41 @@ mod tests {
             assert_eq!(copy.reads, 4);
             s.reset();
         });
+    }
+
+    #[test]
+    fn a_leaf_records_what_a_span_records() {
+        // The same calls through `span` and through `leaf`, as roots and
+        // nested under a root: the two trees must come out identical but
+        // for the times, which are wall clock.
+        let tree = |leaf_span: fn(Phase) -> ProfGuard| {
+            enable();
+            reset();
+            for _ in 0..(2 * SAMPLE_EVERY + 5) {
+                {
+                    let _pop = leaf_span(Phase::SchedPop);
+                }
+                let _dispatch = span(Phase::DispatchIrq);
+                for _ in 0..3 {
+                    let _push = leaf_span(Phase::SchedPush);
+                }
+            }
+            let nodes = with_state(|s| {
+                s.nodes
+                    .iter()
+                    .map(|n| (n.phase, n.calls, n.sampled, n.reads, n.child))
+                    .collect::<Vec<_>>()
+            });
+            disable();
+            reset();
+            nodes
+        };
+        let leaf_tree = tree(leaf);
+        assert_eq!(leaf_tree, tree(span));
+        // Root, sched_pop, dispatch_irq, sched_push under it.
+        assert_eq!(leaf_tree.len(), 4);
+        assert_eq!(leaf_tree[3].1, 3 * (2 * SAMPLE_EVERY + 5));
+        assert_eq!(leaf_tree[3].2, 3 * 3, "timed with each timed dispatch");
     }
 
     #[test]

@@ -3,14 +3,22 @@
 //!
 //! Times come from the sampled set only — the root spans the profiler
 //! timed, with everything under them — and are turned into estimates by
-//! one rule: subtract the calibrated clock-read cost from each node's
-//! raw self time, then scale the node by its root's `calls / sampled`.
+//! one rule: trim each node's few largest sampled calls, subtract the
+//! calibrated clock-read cost from the rest of its raw self time, then
+//! scale the node by its root's `calls / sampled`. The trim is what keeps
+//! one preempted or cold timed call from being booked
+//! [`crate::SAMPLE_EVERY`] times over.
 //! Inclusive time is *defined* as self plus children, so at every node
 //! inclusive ≥ Σ children, and Σ self over all rows equals Σ inclusive
 //! over the root nodes, exactly.
 
 use crate::phase::Phase;
-use crate::profiler::{self, bucket_upper, HIST_BUCKETS};
+use crate::profiler::{self, bucket_upper, Node, HIST_BUCKETS, TOP_KEPT};
+
+/// A node trims one sampled call per this many, up to [`TOP_KEPT`]:
+/// enough to drop a handful of outliers from a long run, too few to
+/// bias a node whose time is legitimately spread over a wide range.
+const TRIM_EVERY: u64 = 256;
 
 /// Aggregated statistics for one phase across every position it appears
 /// in the call tree.
@@ -82,10 +90,7 @@ pub fn report() -> ProfReport {
         }
         for (i, node) in s.nodes.iter().enumerate().skip(1).rev() {
             let (calls, sampled) = ratio[i];
-            // A node cannot owe more clock reads than it measured; capped
-            // per node, so a 0 ns span zeroes only itself.
-            let net = node.self_ns - (s.clock_ns * node.reads).min(node.self_ns);
-            self_ns[i] = (u128::from(net) * u128::from(calls) / u128::from(sampled)) as u64;
+            self_ns[i] = estimate(node, s.clock_ns, calls, sampled);
             total_ns[i] = self_ns[i] + node.children().map(|k| total_ns[k]).sum::<u64>();
         }
 
@@ -136,6 +141,24 @@ pub fn report() -> ProfReport {
             truncated: s.truncated,
         }
     })
+}
+
+/// A node's exclusive time over all `root_calls` calls of its root. The
+/// node's largest `sampled / TRIM_EVERY` sampled calls (at most
+/// [`TOP_KEPT`]) are trimmed and stand in at the mean of the rest, the
+/// rest's clock reads are subtracted, and the sum is scaled by the
+/// root's `root_calls / root_sampled`.
+fn estimate(node: &Node, clock_ns: u64, root_calls: u64, root_sampled: u64) -> u64 {
+    let trim = (node.sampled / TRIM_EVERY).min(TOP_KEPT as u64);
+    let kept = node.sampled - trim;
+    let raw = node.self_ns - node.top[TOP_KEPT - trim as usize..].iter().sum::<u64>();
+    // The trimmed calls take their share of the clock reads with them. A
+    // node cannot owe more reads than it measured; capped per node, so a
+    // 0 ns span zeroes only itself.
+    let reads = node.reads * kept / node.sampled.max(1);
+    let net = raw - (clock_ns * reads).min(raw);
+    (u128::from(net) * u128::from(node.sampled) * u128::from(root_calls)
+        / (u128::from(kept.max(1)) * u128::from(root_sampled))) as u64
 }
 
 fn collect_stacks(
@@ -240,6 +263,7 @@ impl ProfReport {
 mod tests {
     use super::*;
     use crate::profiler::{with_state_mut, ProfilerState};
+    use crate::SAMPLE_EVERY;
 
     /// Synthetic enter/exit helper: always records the duration, so
     /// `sampled == calls` and report numbers are exact.
@@ -314,6 +338,33 @@ mod tests {
             s.reset();
             s.clock_ns = 0;
         });
+    }
+
+    #[test]
+    fn one_outlier_call_is_trimmed_not_scaled() {
+        with_state_mut(|s| {
+            s.reset();
+            s.clock_ns = 0;
+            // 512 sampled pops of 100 ns each, one preempted for 1 ms:
+            // with the usual sampling stride the report scales by 61.
+            for i in 0..512 {
+                timed(
+                    s,
+                    Phase::SchedPop,
+                    |_| {},
+                    if i == 300 { 1_000_000 } else { 100 },
+                );
+            }
+            s.nodes[1].calls *= SAMPLE_EVERY;
+        });
+        let pop = report().rows[0].clone();
+        assert_eq!(pop.phase, Phase::SchedPop);
+        assert_eq!(pop.sampled, 512);
+        // 512 / 256 = 2 calls trimmed: the outlier and one ordinary call,
+        // both standing in at the mean of the other 510.
+        assert_eq!(pop.self_ns, 512 * SAMPLE_EVERY * 100);
+        // Untrimmed, the outlier alone would have added 61 ms.
+        with_state_mut(|s| s.reset());
     }
 
     #[test]

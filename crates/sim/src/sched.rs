@@ -10,7 +10,8 @@
 //! A scheduled event cannot be cancelled: nothing simulated cancels a
 //! timer (a handler that no longer wants its event ignores it when it
 //! fires), so every entry a backend holds is live. Payloads sit in a
-//! slot-recycled slab; heaps and buckets move only 24-byte keys.
+//! slot-recycled slab; the heap and the wheel's ready run move only
+//! 24-byte keys.
 
 use crate::queue::EventQueue;
 use crate::time::Nanos;
@@ -63,27 +64,34 @@ pub trait Scheduler<E> {
     }
 }
 
-/// Payload storage shared by both backends: slots are recycled through
-/// a free list, so the hot path never touches the allocator.
-pub(crate) struct Slab<E> {
-    slots: Vec<Option<E>>,
+/// Event storage shared by both backends: one slot per pending event,
+/// holding its payload and what the backend keeps beside it (`M`:
+/// nothing for the heap, the key and bucket link for the wheel). Slots
+/// are recycled through a free list, so the hot path never touches the
+/// allocator.
+pub(crate) struct Slab<E, M = ()> {
+    slots: Vec<(Option<E>, M)>,
     free: Vec<u32>,
 }
 
-impl<E> Slab<E> {
-    pub(crate) fn new() -> Slab<E> {
+impl<E, M> Slab<E, M> {
+    pub(crate) fn new() -> Slab<E, M> {
         Slab {
             slots: Vec::new(),
             free: Vec::new(),
         }
     }
 
-    pub(crate) fn insert(&mut self, payload: E) -> u32 {
+    /// Inlined, like the wheel's `schedule_at`, so the payload and the
+    /// wheel's key are stored into the slot straight from registers and
+    /// the caller's frame, not copied through one more stack frame.
+    #[inline]
+    pub(crate) fn insert_with(&mut self, payload: E, meta: M) -> u32 {
         if let Some(slot) = self.free.pop() {
-            self.slots[slot as usize] = Some(payload);
+            self.slots[slot as usize] = (Some(payload), meta);
             slot
         } else {
-            self.slots.push(Some(payload));
+            self.slots.push((Some(payload), meta));
             u32::try_from(self.slots.len() - 1).expect("slab capacity")
         }
     }
@@ -92,12 +100,28 @@ impl<E> Slab<E> {
     pub(crate) fn take(&mut self, slot: u32) -> E {
         self.free.push(slot);
         self.slots[slot as usize]
+            .0
             .take()
             .expect("a pending entry owns its slot")
     }
 
+    /// What the backend keeps beside a slot's payload.
+    pub(crate) fn meta(&self, slot: u32) -> &M {
+        &self.slots[slot as usize].1
+    }
+
+    pub(crate) fn meta_mut(&mut self, slot: u32) -> &mut M {
+        &mut self.slots[slot as usize].1
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.slots.len() - self.free.len()
+    }
+}
+
+impl<E> Slab<E> {
+    pub(crate) fn insert(&mut self, payload: E) -> u32 {
+        self.insert_with(payload, ())
     }
 }
 
@@ -108,6 +132,14 @@ pub(crate) struct Entry {
     pub(crate) at: Nanos,
     pub(crate) seq: u64,
     pub(crate) slot: u32,
+}
+
+impl Entry {
+    /// The pop order, earliest first (`Ord` is its reverse, for
+    /// `BinaryHeap`).
+    pub(crate) fn key(&self) -> (Nanos, u64) {
+        (self.at, self.seq)
+    }
 }
 
 impl PartialEq for Entry {
@@ -186,7 +218,7 @@ impl<E> Scheduler<E> for EventSched<E> {
     }
 
     fn schedule_at(&mut self, at: Nanos, payload: E) {
-        let _prof = kite_prof::span(kite_prof::Phase::SchedPush);
+        let _prof = kite_prof::leaf(kite_prof::Phase::SchedPush);
         match self {
             EventSched::Heap(q) => q.schedule_at(at, payload),
             EventSched::Wheel(w) => w.schedule_at(at, payload),
@@ -194,7 +226,7 @@ impl<E> Scheduler<E> for EventSched<E> {
     }
 
     fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
-        let _prof = kite_prof::span(kite_prof::Phase::SchedPop);
+        let _prof = kite_prof::leaf(kite_prof::Phase::SchedPop);
         match self {
             EventSched::Heap(q) => q.pop_until(deadline),
             EventSched::Wheel(w) => w.pop_until(deadline),

@@ -5,17 +5,22 @@
 //! wheel covers `64^6` ticks ≈ 19 hours before far-future events are
 //! parked in the outermost slot and re-sorted as time approaches.
 //! Schedule is O(1); dispatch amortizes one bucket cascade per level
-//! rollover. A bucket is a chain through the payload slab's slots, so
-//! the allocator is touched only to grow capacity, never in steady state.
+//! rollover. Each pending event owns one slab slot holding its payload,
+//! its `(at, seq)` key and the next slot of its bucket, so a bucket is a
+//! chain through the slab and the allocator is touched only to grow
+//! capacity, never in steady state.
 //!
-//! Determinism: events whose tick has been reached sit in a small `ready`
-//! heap ordered by `(time, sequence)` — the same total order the binary
-//! heap backend uses. Because every event still inside the wheel is in a
-//! strictly later tick than everything in `ready`, popping `ready` yields
-//! the global `(time, sequence)` minimum: the wheel replays byte-for-byte
-//! identical to [`EventQueue`](crate::queue::EventQueue).
+//! Determinism: events whose tick has been reached sit in `ready`, a run
+//! of `(at, seq, slot)` keys kept in `(time, sequence)` order — the same
+//! total order the binary heap backend uses. A drained level-0 bucket
+//! (one tick) is appended and sorted once; an event that lands in a tick
+//! already reached is inserted at its place, which for a same-instant
+//! schedule is an append. Because every event still inside the wheel is
+//! in a strictly later tick than everything in `ready`, the front of
+//! `ready` is the global `(time, sequence)` minimum: the wheel replays
+//! byte-for-byte identical to [`EventQueue`](crate::queue::EventQueue).
 
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::sched::{Entry, Scheduler, Slab};
 use crate::time::Nanos;
@@ -27,25 +32,33 @@ const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of levels.
 const LEVELS: usize = 6;
 /// Tick granularity: `2^10` ns = 1.024 µs per tick. Sub-tick ordering is
-/// exact regardless — same-tick events sort by `(at, seq)` in the ready
-/// heap — the tick only bounds bucket residency.
+/// exact regardless — same-tick events sort by `(at, seq)` in `ready` —
+/// the tick only bounds bucket residency.
 const TICK_SHIFT: u32 = 10;
+
+/// What an event's slab slot holds beside its payload: its key, and
+/// while it is filed in the wheel the slot of the next entry in its
+/// bucket.
+#[derive(Clone, Copy)]
+struct Filed {
+    at: Nanos,
+    seq: u64,
+    next: Option<u32>,
+}
 
 /// A hierarchical-timer-wheel [`Scheduler`] backend.
 pub struct TimerWheel<E> {
     /// `LEVELS * SLOTS` buckets, level-major: the slab slot of each
-    /// bucket's first entry, chained through `links`. A bucket owns no
-    /// storage, so filing an entry never allocates.
+    /// bucket's first entry, chained through the slots' `next`. A bucket
+    /// owns no storage, so filing an entry never allocates.
     heads: Vec<Option<u32>>,
-    /// Per slab slot: the entry filed there and the slot of the next
-    /// entry in its bucket. Grows only with the slab.
-    links: Vec<(Entry, Option<u32>)>,
     /// One occupancy bitmap per level: bit `s` set iff bucket `s` holds
     /// entries. Finding the next expiring slot is a rotate + ctz.
     occupied: [u64; LEVELS],
-    /// Entries whose tick has been reached, ordered by `(at, seq)`.
-    ready: BinaryHeap<Entry>,
-    slab: Slab<E>,
+    /// Entries whose tick has been reached, in pop order: ascending
+    /// `(at, seq)`, earliest at the front.
+    ready: VecDeque<Entry>,
+    slab: Slab<E, Filed>,
     seq: u64,
     now: Nanos,
     /// The wheel's current tick; `ready` holds only entries at or before
@@ -64,9 +77,8 @@ impl<E> TimerWheel<E> {
     pub fn new() -> TimerWheel<E> {
         TimerWheel {
             heads: vec![None; LEVELS * SLOTS],
-            links: Vec::new(),
             occupied: [0; LEVELS],
-            ready: BinaryHeap::new(),
+            ready: VecDeque::new(),
             slab: Slab::new(),
             seq: 0,
             now: Nanos::ZERO,
@@ -79,18 +91,33 @@ impl<E> TimerWheel<E> {
     fn place(&mut self, e: Entry) {
         let tick = e.at.as_nanos() >> TICK_SHIFT;
         if tick <= self.cur_tick {
-            self.ready.push(e);
+            self.stage(e);
         } else {
             let (level, slot) = self.position(tick);
             let head = &mut self.heads[level * SLOTS + slot];
-            let link = (e, head.replace(e.slot));
-            let i = e.slot as usize;
-            if i >= self.links.len() {
-                self.links.resize(i + 1, link);
-            }
-            self.links[i] = link;
+            self.slab.meta_mut(e.slot).next = head.replace(e.slot);
             self.occupied[level] |= 1 << slot;
         }
+    }
+
+    /// Inserts `e` into `ready` at its place in pop order. A key past the
+    /// last one — a same-instant schedule, the newest sequence at the
+    /// latest instant — is an append.
+    fn stage(&mut self, e: Entry) {
+        let key = e.key();
+        if self.ready.back().is_none_or(|last| last.key() < key) {
+            self.ready.push_back(e);
+        } else {
+            let at = self.ready.partition_point(|r| r.key() < key);
+            self.ready.insert(at, e);
+        }
+    }
+
+    /// The staged entry for the event in slab slot `slot`, and the next
+    /// slot of the bucket it was filed in.
+    fn unfile(&self, slot: u32) -> (Entry, Option<u32>) {
+        let Filed { at, seq, next } = *self.slab.meta(slot);
+        (Entry { at, seq, slot }, next)
     }
 
     /// Picks the wheel position for an event in tick `tick > cur_tick`.
@@ -160,16 +187,26 @@ impl<E> TimerWheel<E> {
             let mut next = self.heads[level * SLOTS + slot].take();
             self.occupied[level] &= !(1u64 << slot);
             self.cur_tick = self.cur_tick.max(expiry);
-            // A level-0 bucket's tick has been reached, so `place` stages
-            // it; an outer one cascades one or more levels down (or
-            // straight to `ready` once its tick is reached).
+            if level == 0 {
+                // The bucket is one tick, now reached, and anything a
+                // cascade staged before it is in the same tick: append
+                // the chain (newest first) and sort the run once.
+                while let Some(i) = next {
+                    let (e, after) = self.unfile(i);
+                    next = after;
+                    self.ready.push_back(e);
+                }
+                self.ready
+                    .make_contiguous()
+                    .sort_unstable_by_key(Entry::key);
+                return;
+            }
+            // An outer bucket cascades one or more levels down, or
+            // straight to `ready` once its tick is reached.
             while let Some(i) = next {
-                let (e, after) = self.links[i as usize];
+                let (e, after) = self.unfile(i);
                 next = after;
                 self.place(e);
-            }
-            if level == 0 {
-                return;
             }
         }
     }
@@ -180,24 +217,30 @@ impl<E> Scheduler<E> for TimerWheel<E> {
         self.now
     }
 
+    #[inline]
     fn schedule_at(&mut self, at: Nanos, payload: E) {
-        let entry = Entry {
-            at: at.max(self.now),
-            seq: self.seq,
-            slot: self.slab.insert(payload),
-        };
+        let (at, seq) = (at.max(self.now), self.seq);
         self.seq += 1;
-        self.place(entry);
+        let slot = self.slab.insert_with(
+            payload,
+            Filed {
+                at,
+                seq,
+                next: None,
+            },
+        );
+        self.place(Entry { at, seq, slot });
     }
 
     fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
         if self.ready.is_empty() {
             self.refill();
         }
-        if self.ready.peek()?.at > deadline {
+        let e = *self.ready.front()?;
+        if e.at > deadline {
             return None;
         }
-        let e = self.ready.pop()?;
+        self.ready.pop_front();
         self.now = e.at;
         Some((e.at, self.slab.take(e.slot)))
     }

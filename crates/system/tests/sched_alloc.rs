@@ -1,10 +1,11 @@
 //! Allocation-free drain guarantees, measured with a counting global
 //! allocator (one test so no other test thread pollutes the counter):
 //!
-//! 1. A warmed-up scheduler churn loop — pop, re-arm, cancel — performs
+//! 1. A warmed-up scheduler churn loop — pop, re-arm — performs
 //!    **zero** allocations on both backends: event slots recycle
-//!    through the slab, the wheel's buckets are chains through it, the heap stays
-//!    within its high-water capacity.
+//!    through the slab (the wheel's slots also hold each event's key and
+//!    bucket link, so a bucket is a chain through it), and the heap and
+//!    the wheel's ready run stay within their high-water capacities.
 //! 2. A full 4-queue netback drain allocates identically across
 //!    identical traffic windows: frames the spare lists cannot hold
 //!    are allowed, but nothing accumulates per drain — no bookkeeping

@@ -103,33 +103,62 @@ fn kill_recovery_run_is_byte_identical_across_backends() {
 /// event and popping it when due would: a sorted reference set holds
 /// the pending events, so both backends are checked against a
 /// separate peek + pop, and their `len()` agrees with it throughout.
+///
+/// Half the cases draw wide delays (1 ns – 40 ms), where events rarely
+/// share an instant or a 1 024 ns wheel tick. The other half are
+/// tie-heavy: delays sit on and around tick and level-0 boundaries,
+/// bursts of up to 2 000 events share one instant (at `now`, inside
+/// the tick being drained, or ahead of it), and deadlines fall inside a
+/// tick, so the wheel's same-tick order is what decides every pop.
 #[test]
 fn random_ops_pop_identically_on_both_backends() {
     use std::collections::BTreeSet;
+    /// Zero, one tick's edges, and one level-0 span's edges.
+    const TIE_DELAYS: [u64; 7] = [0, 1, 1_023, 1_024, 1_025, 65_535, 65_536];
     let mut rng = Pcg::seeded(0x5eed);
-    for case in 0..50 {
+    for case in 0..100u64 {
+        let ties = case % 2 == 1;
         let mut heap: EventQueue<u64> = EventQueue::new();
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
         // Payloads grow in schedule order, so `(time, payload)` sorts
         // pending events the way `(time, schedule order)` does.
         let mut pending: BTreeSet<(Nanos, u64)> = BTreeSet::new();
+        let mut next_payload = case << 32;
         let mut now = Nanos::ZERO;
+        let delay = |rng: &mut Pcg| {
+            Nanos::from_nanos(if ties {
+                TIE_DELAYS[rng.index(TIE_DELAYS.len())]
+            } else {
+                // Sub-tick to multi-level distances.
+                rng.range_u64(1, 40_000_000)
+            })
+        };
         let nops = 200 + rng.index(800);
-        for i in 0..nops {
-            match rng.index(3) {
+        for _ in 0..nops {
+            // One op in 32 of a tie-heavy case is a burst.
+            let op = if ties && rng.index(32) == 0 {
+                3
+            } else {
+                rng.index(3)
+            };
+            match op {
                 0 => {
-                    // Delays span sub-tick to multi-level distances.
-                    let delay = Nanos::from_nanos(rng.range_u64(1, 40_000_000));
-                    let payload = (case * 10_000 + i) as u64;
-                    heap.schedule_in(delay, payload);
-                    wheel.schedule_in(delay, payload);
-                    pending.insert((now + delay, payload));
+                    let delay = delay(&mut rng);
+                    heap.schedule_in(delay, next_payload);
+                    wheel.schedule_in(delay, next_payload);
+                    pending.insert((now + delay, next_payload));
+                    next_payload += 1;
                 }
                 1 => {
                     // Deadlines from `now` to past most pending events,
-                    // and sometimes exactly on the earliest one.
+                    // sometimes exactly on the earliest one and, in the
+                    // tie-heavy cases, anywhere in its tick.
                     let deadline = match pending.first() {
                         Some(&(at, _)) if rng.index(4) == 0 => at,
+                        Some(&(at, _)) if ties => {
+                            let tick = Nanos::from_nanos(at.as_nanos() & !1_023);
+                            (tick + Nanos::from_nanos(rng.range_u64(0, 1_023))).max(now)
+                        }
                         _ => now + Nanos::from_nanos(rng.range_u64(0, 40_000_000)),
                     };
                     let want = match pending.first() {
@@ -140,11 +169,22 @@ fn random_ops_pop_identically_on_both_backends() {
                     assert_eq!(wheel.pop_until(deadline), want, "wheel pop_until");
                     now = want.map_or(now, |(at, _)| at);
                 }
-                _ => {
+                2 => {
                     let want = pending.pop_first();
                     assert_eq!(heap.pop(), want, "heap pop");
                     assert_eq!(wheel.pop(), want, "wheel pop");
                     now = want.map_or(now, |(at, _)| at);
+                }
+                _ => {
+                    // A burst at one instant; a zero delay puts it inside
+                    // the tick being drained, behind what is already due.
+                    let at = now + delay(&mut rng);
+                    for _ in 0..1 + rng.index(2_000) {
+                        heap.schedule_at(at, next_payload);
+                        wheel.schedule_at(at, next_payload);
+                        pending.insert((at, next_payload));
+                        next_payload += 1;
+                    }
                 }
             }
             assert_eq!((heap.len(), wheel.len()), (pending.len(), pending.len()));
@@ -196,8 +236,9 @@ fn wheel_outruns_heap_on_fleet_churn() {
             }
             checksum
         };
-        // Warmup lets slab, link and heap capacities reach steady
-        // state so the timed window measures scheduling, not growth.
+        // Warmup lets the slab, heap and ready-run capacities reach
+        // steady state so the timed window measures scheduling, not
+        // growth.
         churn(&mut sched, WARMUP);
         let start = std::time::Instant::now();
         let checksum = churn(&mut sched, POPS);
