@@ -596,8 +596,15 @@ impl BlkbackInstance {
         // Post merged runs to this ring's NVMe queue pair, then ring the
         // doorbell once for the whole batch. The doorbell returns the CQ
         // entries it posted; the system layer turns them into completion
-        // interrupts on the queue's MSI-X vCPU (submit-then-reap).
+        // interrupts on the queue's MSI-X vCPU (submit-then-reap). A
+        // traced request's command enters the queue at the doorbell.
         let submit_at = now + batch.cost;
+        let (back, ring) = (self.back.0, Some(q as u16));
+        let traced = |hv: &mut Hypervisor, cid: u64, tr| {
+            hv.req.map(SlotClass::NvmeCid, cid, tr);
+            hv.req
+                .stamp_at(tr, ReqStage::NvmeSubmit, back, ring, submit_at);
+        };
         if !runs.is_empty() || !flushes.is_empty() {
             let qid = self.ensure_queue(device, q);
             for (k, r) in runs.iter().enumerate() {
@@ -619,7 +626,7 @@ impl BlkbackInstance {
                 let merged = &run_reqs[r.reqs_start..reqs_end];
                 if let Some(&(_, tr)) = self.scratch_req.iter().find(|(id, _)| merged.contains(id))
                 {
-                    hv.req.map(SlotClass::NvmeCid, cid.0, tr);
+                    traced(hv, cid.0, tr);
                 }
                 let mut ids = self.spare_cid_reqs.pop().unwrap_or_default();
                 ids.extend_from_slice(merged);
@@ -629,7 +636,7 @@ impl BlkbackInstance {
                 let cid = device.sq_push(qid, NvmeCmd::flush());
                 self.stats.device_ops += 1;
                 if let Some(&(_, tr)) = self.scratch_req.iter().find(|(fid, _)| *fid == id) {
-                    hv.req.map(SlotClass::NvmeCid, cid.0, tr);
+                    traced(hv, cid.0, tr);
                 }
                 let mut ids = self.spare_cid_reqs.pop().unwrap_or_default();
                 ids.push(id);
@@ -832,11 +839,8 @@ impl BlkbackInstance {
         };
         while let Some(entry) = device.cq_pop(qid, now) {
             if let Some(r) = hv.req.take(SlotClass::NvmeCid, entry.cid.0) {
-                let rq = Some(q as u16);
                 hv.req
-                    .stamp_at(r, ReqStage::NvmeSubmit, self.back.0, rq, entry.submitted_at);
-                hv.req
-                    .stamp_at(r, ReqStage::NvmeComplete, self.back.0, rq, now);
+                    .stamp_at(r, ReqStage::NvmeComplete, self.back.0, Some(q as u16), now);
             }
             let mut ids = self.cids.remove(&entry.cid.0).ok_or(XenError::Inval)?;
             for &id in &ids {

@@ -361,11 +361,17 @@ impl NetbackInstance {
     /// The drain is three phases: walk the ring building the op list
     /// (validating each request), issue the batch, then push responses in
     /// ring order from the per-op statuses.
+    ///
+    /// The drain runs from `start`, its vCPU's time: a traced request's
+    /// backend-fetch and grant-copy stamps are `start` plus the cost the
+    /// drain has accrued when it fetches the slot and when the copy
+    /// returns.
     pub fn pusher_run_into(
         &mut self,
         hv: &mut Hypervisor,
         q: usize,
         budget: usize,
+        start: Nanos,
         frames: Vec<Vec<u8>>,
     ) -> Result<TxBatch> {
         let _prof = kite_prof::span(kite_prof::Phase::NetbackTxDrain);
@@ -398,7 +404,7 @@ impl NetbackInstance {
             // A traced request rides its (head) ring slot into the drain.
             let key = (q as u64) << 32 | head.id as u64;
             if let Some(r) = hv.req.take(SlotClass::NetTx, key) {
-                let at = hv.req.now();
+                let at = start + batch.cost;
                 hv.req
                     .stamp_at(r, ReqStage::BackendFetch, self.back.0, Some(q as u16), at);
                 self.scratch_req.push(r);
@@ -563,10 +569,8 @@ impl NetbackInstance {
         let result = hv.grant_copy_with(self.back, &ops, &mut frames, self.copy_mode);
         self.stats.copy.record(self.copy_mode, &result);
         batch.cost += result.cost;
-        // Grant-copy stage: the batch completes one copy-cost after the
-        // drain began (within-event time does not advance on its own).
         if !self.scratch_req.is_empty() {
-            let done = hv.req.now() + result.cost;
+            let done = start + batch.cost;
             for &r in &self.scratch_req {
                 hv.req
                     .stamp_at(r, ReqStage::GrantCopy, self.back.0, Some(q as u16), done);
@@ -656,9 +660,12 @@ impl NetbackInstance {
         self.tx_frames.put(frame);
     }
 
-    /// [`pusher_run_into`](Self::pusher_run_into) a fresh list.
+    /// [`pusher_run_into`](Self::pusher_run_into) a fresh list from time
+    /// zero. Request tracing must be off: without the drain's time there
+    /// is nothing to stamp a traced request with.
     pub fn pusher_run(&mut self, hv: &mut Hypervisor, q: usize, budget: usize) -> Result<TxBatch> {
-        self.pusher_run_into(hv, q, budget, Vec::new())
+        assert!(!hv.req.is_enabled(), "pusher_run stamps no request");
+        self.pusher_run_into(hv, q, budget, Nanos::ZERO, Vec::new())
     }
 
     /// The upper layer received a frame from the VIF (bridge) destined for

@@ -112,10 +112,6 @@ pub struct CqEntry {
     pub cid: Cid,
     /// Virtual time at which the device posts the completion.
     pub completes_at: Nanos,
-    /// Virtual time at which the doorbell ring submitted the command —
-    /// kept on the entry so a reaper can reconstruct device residency
-    /// (request tracing rides the `cid` from SQ to CQ).
-    pub submitted_at: Nanos,
 }
 
 /// An MSI-X-style completion vector, numbered by its queue's id: the
@@ -348,11 +344,7 @@ impl NvmeController {
             .expect("ring_doorbell: no such I/O queue");
         while let Some((cid, cmd)) = q.sq.pop_front() {
             let completes_at = self.execute(&mut q, now, cmd);
-            let entry = CqEntry {
-                cid,
-                completes_at,
-                submitted_at: now,
-            };
+            let entry = CqEntry { cid, completes_at };
             let at = q.cq.partition_point(|e| e.completes_at <= completes_at);
             q.cq.insert(at, entry);
             self.posted.push(entry);

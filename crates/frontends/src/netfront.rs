@@ -26,8 +26,7 @@ use kite_xen::netif::{
 };
 use kite_xen::xenbus::{negotiate_front, publish_queue, FrontEndpoint, RingKey, FEATURE_GSO_KEY};
 use kite_xen::{
-    DevicePaths, DomainId, Hypervisor, Port, ReqId, ReqStage, Result, SlotClass, XenError,
-    XenbusState,
+    DevicePaths, DomainId, Hypervisor, Port, ReqId, Result, SlotClass, XenError, XenbusState,
 };
 
 use crate::pool::GrantPool;
@@ -205,8 +204,6 @@ impl NfQueue {
 
 /// The netfront driver instance.
 pub struct Netfront {
-    /// Guest domain.
-    pub guest: DomainId,
     queues: Vec<NfQueue>,
     received: VecDeque<Vec<u8>>,
     /// Received frames handed back by their last reader
@@ -293,7 +290,6 @@ impl Netfront {
             .write(guest, None, &format!("{fe}/mac"), &mac.to_string())?;
         hv.switch_state(guest, &paths.frontend_state(), XenbusState::Initialised)?;
         let mut nf = Netfront {
-            guest,
             queues,
             received: VecDeque::new(),
             spares: Spares::default(),
@@ -342,10 +338,8 @@ impl Netfront {
     /// nothing is pushed and the whole frame drops.
     ///
     /// A traced request (`req`) is mapped to the Tx ring slot it lands
-    /// in and stamped [`ReqStage::RingSubmit`], so the backend's drain
-    /// can pick the id back up from the slot.
-    ///
-    /// [`ReqStage::RingSubmit`]: kite_xen::ReqStage::RingSubmit
+    /// in, so the backend's drain can pick the id back up from the slot;
+    /// the caller stamps the submit at its own time.
     pub fn send(
         &mut self,
         hv: &mut Hypervisor,
@@ -438,9 +432,6 @@ impl Netfront {
         if let Some(r) = req {
             let key = (q as u64) << 32 | head_id as u64;
             hv.req.map(SlotClass::NetTx, key, r);
-            let at = hv.req.now();
-            hv.req
-                .stamp_at(r, ReqStage::RingSubmit, self.guest.0, Some(q as u16), at);
         }
         // Guest-side cost: buffer copy + ring bookkeeping. With checksum
         // offload the guest skips the software csum pass, halving the

@@ -113,8 +113,7 @@ mod tests {
         rt.enable(1, 16);
         assert!(attribute(&rt).is_none(), "no completed request yet");
         // One request whose grant-copy stage dwarfs the rest.
-        rt.set_now(Nanos(0));
-        let r = rt.admit(0).expect("sampled");
+        let r = rt.admit(0, Nanos(0)).expect("sampled");
         rt.stamp_at(r, Stage::RingSubmit, 3, None, Nanos(1_000));
         rt.stamp_at(r, Stage::BackendFetch, 2, None, Nanos(2_000));
         rt.stamp_at(r, Stage::GrantCopy, 2, None, Nanos(90_000));

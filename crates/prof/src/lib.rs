@@ -17,7 +17,7 @@
 //!   durations are *sampled* by one rule: one root span in
 //!   [`SAMPLE_EVERY`] per root phase reads the clock, with every span
 //!   opened under it, so the timed spans nest coherently; the report
-//!   subtracts the clock-read cost [`enable`] calibrated and scales each
+//!   subtracts the span cost [`enable`] calibrated and scales each
 //!   subtree by its root's ratio. This bounds enabled-path overhead (the
 //!   clock is the dominant cost) the same way sampling profilers like
 //!   `perf` do.

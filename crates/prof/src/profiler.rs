@@ -29,8 +29,9 @@
 //! between two independently scaled estimates. The first call of every
 //! root phase is timed; a rare *nested* phase may never be (`sampled` 0).
 //!
-//! [`enable`] calibrates what one clock read costs; the report subtracts
-//! it from every timed span before scaling (see [`crate::report`]).
+//! [`enable`] calibrates what a timed span costs the timed span around
+//! it; the report subtracts that from every timed span before scaling
+//! (see [`crate::report`]).
 //!
 //! Wall-clock measurements are inherently nondeterministic; they are
 //! for humans (`repro prof`) and for `benchmark/`, never become bench
@@ -61,8 +62,8 @@ pub const SAMPLE_EVERY: u64 = 61;
 /// keeps, so the report can trim outliers (see [`crate::report`]).
 pub(crate) const TOP_KEPT: usize = 8;
 
-/// Back-to-back clock reads [`enable`] takes to calibrate one read.
-const CALIBRATION_READS: usize = 32;
+/// Timed span pairs [`enable`] measures to calibrate a span's cost.
+const CALIBRATION_PAIRS: usize = 63;
 
 /// Sentinel phase byte for the synthetic root node.
 const ROOT_PHASE: u8 = u8::MAX;
@@ -124,8 +125,8 @@ pub(crate) struct ProfilerState {
     timing: bool,
     pub(crate) hist: [[u64; HIST_BUCKETS]; Phase::COUNT],
     pub(crate) truncated: u64,
-    /// Cost of one clock read, calibrated by [`enable`]; survives
-    /// [`reset`].
+    /// What the report subtracts per clock read a timed span owes,
+    /// calibrated by [`enable`]; survives [`reset`].
     pub(crate) clock_ns: u64,
 }
 
@@ -312,29 +313,40 @@ thread_local! {
     static STATE: RefCell<ProfilerState> = const { RefCell::new(ProfilerState::new()) };
 }
 
-/// What one `Instant::now()` costs here: the smallest gap between
-/// back-to-back reads (the minimum rejects preemption and cache misses,
-/// so the report never subtracts more than a read really takes).
-fn calibrate_clock() -> u64 {
-    let mut best = u64::MAX;
-    let mut prev = Instant::now();
-    for _ in 0..CALIBRATION_READS {
-        let now = Instant::now();
-        best = best.min((now - prev).as_nanos() as u64);
-        prev = now;
+/// What a timed span costs per clock read it owes: the median self time
+/// of a timed empty span around one timed empty span, which owes two
+/// (its own and its child's). Measured on the span path itself, against
+/// a fresh state, so it counts the bookkeeping of opening and closing
+/// the child as well as the reads; the median rejects preemption.
+fn calibrate_span() -> u64 {
+    let saved = STATE.replace(ProfilerState::new());
+    let enabled = ENABLED.replace(true);
+    let mut pairs = [0; CALIBRATION_PAIRS];
+    for pair in &mut pairs {
+        {
+            let _parent = span(Phase::SchedPop);
+            let _child = span(Phase::SchedPush);
+        }
+        *pair = STATE.with_borrow_mut(|s| {
+            // A root that has never been called is timed: so is the next.
+            s.nodes[1].calls = 0;
+            std::mem::take(&mut s.nodes[1].self_ns)
+        });
     }
-    best
+    ENABLED.set(enabled);
+    STATE.set(saved);
+    pairs.sort_unstable();
+    pairs[CALIBRATION_PAIRS / 2] / 2
 }
 
-/// Turn profiling on for this thread, calibrating the clock-read cost
-/// the first time. Spans opened while disabled stay inert even if
+/// Turn profiling on for this thread, calibrating what a timed span
+/// costs the first time. Spans opened while disabled stay inert even if
 /// profiling is enabled before they drop.
 pub fn enable() {
-    STATE.with_borrow_mut(|state| {
-        if state.clock_ns == 0 {
-            state.clock_ns = calibrate_clock();
-        }
-    });
+    if STATE.with_borrow(|s| s.clock_ns) == 0 {
+        let clock_ns = calibrate_span();
+        STATE.with_borrow_mut(|s| s.clock_ns = clock_ns);
+    }
     ENABLED.set(true);
 }
 

@@ -695,7 +695,6 @@ impl<D: Datapath> Host<D> {
     fn handle(&mut self, now: Nanos, ev: Event<D::Event>) {
         let _prof = kite_prof::span_of(|| Self::phase_of(&ev));
         self.hv.trace.set_now(now);
-        self.hv.req.set_now(now);
         match ev {
             Event::Path(ev) => D::handle(self, now, ev),
             Event::Irq { dom, port } => {

@@ -498,8 +498,7 @@ impl Host<NetPath> {
         // Injection point for request tracing: the sampler decides here
         // whether this ping's round trip is followed stage by stage. The
         // client machine is outside any domain; its stamps book to dom 0.
-        self.hv.req.set_now(t);
-        if let Some(r) = self.hv.req.admit(0) {
+        if let Some(r) = self.hv.req.admit(0, t) {
             self.hv.req.map(SlotClass::NetIcmp, seq as u64, r);
         }
         self.schedule_at(t, NetEvent::ClientTxFrame(frame));
@@ -594,10 +593,6 @@ impl Host<NetPath> {
         if self.dp.netfront.is_none() {
             return; // backend down: frames wait for the replacement device
         }
-        // `now` includes the guest's idle-wake latency, which the
-        // per-event clock does not: re-aim the tracer so the RingSubmit
-        // stamps inside `send` book at the drain time, after RxDeliver.
-        self.hv.req.set_now(now);
         let mut notify = 0u64; // bit q: queue q's backend wants a kick
         let mut cost = Nanos::ZERO;
         while let Some(tx) = self.dp.guest_txq.front() {
@@ -617,6 +612,10 @@ impl Host<NetPath> {
             match res {
                 Ok((q, op)) => {
                     self.dp.guest_txq.pop_front();
+                    if let Some(r) = req {
+                        let (dom, qid) = (self.guest.0, Some(q as u16));
+                        self.hv.req.stamp_at(r, ReqStage::RingSubmit, dom, qid, now);
+                    }
                     if op.notify {
                         notify |= 1 << q;
                     }
@@ -776,9 +775,10 @@ impl Host<NetPath> {
         // Pusher: guest -> bridge/world.
         let mut guest_frames = std::mem::take(&mut self.dp.pusher_out);
         loop {
+            let start = self.driver_cpus.free_at(q).max(now);
             let nb = self.backend.device_mut().expect("checked");
             let batch = nb
-                .pusher_run_into(&mut self.hv, q, 128, guest_frames)
+                .pusher_run_into(&mut self.hv, q, 128, start, guest_frames)
                 .expect("pusher");
             guest_frames = batch.frames;
             self.dp.metrics.drops += batch.dropped as u64;

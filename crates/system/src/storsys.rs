@@ -407,8 +407,7 @@ impl Host<BlkPath> {
         // Injection point for request tracing: the sampler decides here
         // whether this logical I/O is followed stage by stage. The guest
         // application issues it, so the Inject stamp books to the guest.
-        self.hv.req.set_now(now);
-        let req = self.hv.req.admit(self.guest.0);
+        let req = self.hv.req.admit(self.guest.0, now);
         let state = InFlight {
             tag: op.tag,
             remaining,
@@ -439,25 +438,19 @@ impl Host<BlkPath> {
             match res {
                 Ok((id, fo)) => {
                     let c = self.dp.pendq.pop_front().expect("peeked");
-                    if let Some(r) = self.dp.ops.get(&c.op).and_then(|op| op.req) {
-                        // First chunk's ring entry defines the submit leg;
-                        // later chunks only map so the backend can find
-                        // the sample (first-touch keeps one stamp).
+                    let bf = self.dp.blkfront.as_ref().expect("checked");
+                    let ring = || bf.ring_of(id).unwrap_or(0);
+                    // A traced I/O is followed through its first ring
+                    // request only.
+                    let op = self.dp.ops.get(&c.op);
+                    if let Some(r) = op.and_then(|op| op.req).filter(|_| c.offset == 0) {
                         self.hv.req.map(SlotClass::BlkReq, id, r);
-                        let bf = self.dp.blkfront.as_ref().expect("checked");
-                        let qid = Some(bf.ring_of(id).unwrap_or(0) as u16);
                         let dom = self.guest.0;
+                        let qid = Some(ring() as u16);
                         self.hv.req.stamp_at(r, ReqStage::RingSubmit, dom, qid, now);
                     }
                     if fo.notify {
-                        let q = self
-                            .dp
-                            .blkfront
-                            .as_ref()
-                            .expect("checked")
-                            .ring_of(id)
-                            .unwrap_or(0);
-                        notify |= 1 << q;
+                        notify |= 1 << ring();
                     }
                     self.dp.req_map.insert(id, c);
                     cost += fo.cost;
@@ -598,7 +591,7 @@ impl Host<BlkPath> {
                 .ops
                 .get_mut(&chunk.op)
                 .expect("chunk's op in flight");
-            if let Some(r) = op.req {
+            if let Some(r) = op.req.filter(|_| chunk.offset == 0) {
                 // Guest sees the completion after wake-from-halt.
                 let dom = self.guest.0;
                 self.hv.req.stamp_at(r, ReqStage::IrqDeliver, dom, None, t);

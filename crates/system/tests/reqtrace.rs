@@ -7,16 +7,22 @@
 //! storage path — and assert the tracer's contract from the outside:
 //!
 //! * per-request stage durations telescope to the end-to-end latency
-//!   exactly (no gaps, no double counting), with stamps in path order;
+//!   exactly (no gaps, no double counting), with stamps arriving in
+//!   time order, on the echo path at 1 and 4 queues and the 4-ring
+//!   storage path (split I/Os included), under both schedulers;
+//! * a stamp is the time of the work it names: netback fetches a slot
+//!   after its queue's interrupt handler, not when the interrupt lands;
 //! * reruns are byte-identical, including across scheduler
 //!   backends (heap vs timer wheel) and in the flow-annotated Chrome
 //!   exports;
 //! * the flow arrows validate (one begin, one end, monotonic steps per
 //!   request id).
 
+use std::collections::BTreeSet;
+
 use kite_sim::{Nanos, SchedulerKind};
 use kite_system::{scenario, BackendOs, NetSystem, StorSystem, SystemConfig};
-use kite_trace::{chrome, ReqTracer, Stage};
+use kite_trace::{chrome, EventKind, ReqTracer, Stage};
 
 /// Renders the tracer state as a deterministic text digest: header
 /// counters, per-stage histogram counts and p50/p99 (exact bucket
@@ -66,9 +72,11 @@ fn digest(req: &ReqTracer) -> String {
     out
 }
 
-/// The echo scenario: 64 pings, every other one sampled.
-fn echo_run(kind: SchedulerKind) -> NetSystem {
+/// The echo scenario on `queues` queues: 64 pings, every other one
+/// sampled.
+fn echo_run(kind: SchedulerKind, queues: u32) -> NetSystem {
     let mut sys = SystemConfig::new(BackendOs::Kite, 11)
+        .queues(queues)
         .scheduler(kind)
         .tracing(1 << 16)
         .req_tracing(2)
@@ -81,22 +89,24 @@ fn echo_run(kind: SchedulerKind) -> NetSystem {
 }
 
 /// The 4-ring storage scenario: four interleaved sequential write
-/// streams, every third I/O sampled (3 is coprime to the 4-way ring
-/// round-robin, so the samples visit every ring).
-fn storage_run(kind: SchedulerKind) -> StorSystem {
+/// streams of `per_stream` `chunk`-byte I/Os, every third one sampled (3
+/// is coprime to the 4-way ring round-robin, so the samples visit every
+/// ring).
+fn storage_run(kind: SchedulerKind, per_stream: u64, chunk: usize) -> StorSystem {
     let mut sys = SystemConfig::new(BackendOs::Kite, 7)
         .queues(4)
         .scheduler(kind)
         .tracing(1 << 16)
         .req_tracing(3)
         .build_stor();
-    scenario::interleaved_streams(&mut sys, 4, 32, 8 * 1024, Nanos::from_micros(2));
+    scenario::interleaved_streams(&mut sys, 4, per_stream, chunk, Nanos::from_micros(2));
     sys.run_to_quiescence();
     sys
 }
 
 /// Every completed record's stage durations must sum exactly to its
-/// end-to-end latency, and the stamps must already be time-sorted.
+/// end-to-end latency, and its stamps must arrive in time order: the
+/// tracer records them as they come and sorts nothing.
 fn assert_telescoping(req: &ReqTracer) {
     assert!(req.completed().count() > 0, "scenario completed no samples");
     for rec in req.completed() {
@@ -122,91 +132,164 @@ fn assert_telescoping(req: &ReqTracer) {
     }
 }
 
+const SCHEDULERS: [SchedulerKind; 2] = [SchedulerKind::Wheel, SchedulerKind::Heap];
+
+/// The storage runs' `(per_stream, chunk)`: 8 KiB writes, one ring
+/// request each, and 384 KiB writes, each split into three 128 KiB ring
+/// requests on three of the four rings. A split I/O is followed through
+/// its first ring request only.
+const STORAGE_INPUTS: [(u64, usize); 2] = [(32, 8 * 1024), (8, 384 * 1024)];
+
+/// The storage stages a record carries between its ends, in order.
+const STORAGE_STAGES: [Stage; 5] = [
+    Stage::RingSubmit,
+    Stage::BackendFetch,
+    Stage::NvmeSubmit,
+    Stage::NvmeComplete,
+    Stage::IrqDeliver,
+];
+
 #[test]
 fn echo_stages_telescope_and_follow_the_path() {
-    let sys = echo_run(SchedulerKind::Wheel);
-    let req = &sys.hv.req;
-    assert_eq!(req.seen(), 64);
-    assert_eq!(req.sampled(), 32);
-    assert_eq!(req.completed().count(), 32);
-    assert_telescoping(req);
-    // The echo path visits the documented stage sequence.
-    for rec in req.completed() {
-        let stages: Vec<Stage> = rec.stamps.iter().map(|s| s.stage).collect();
-        assert_eq!(
-            stages,
-            vec![
-                Stage::Inject,
-                Stage::NicRx,
-                Stage::RxDeliver,
-                Stage::RingSubmit,
-                Stage::BackendFetch,
-                Stage::GrantCopy,
-                Stage::NicTx,
-                Stage::Complete,
-            ],
-            "req {}",
-            rec.id
+    for (kind, queues) in SCHEDULERS.into_iter().flat_map(|k| [(k, 1), (k, 4)]) {
+        let sys = echo_run(kind, queues);
+        let req = &sys.hv.req;
+        assert_eq!(req.seen(), 64);
+        assert_eq!(req.sampled(), 32);
+        assert_eq!(req.completed().count(), 32);
+        assert_telescoping(req);
+        // The echo path visits the documented stage sequence.
+        for rec in req.completed() {
+            let stages: Vec<Stage> = rec.stamps.iter().map(|s| s.stage).collect();
+            assert_eq!(
+                stages,
+                vec![
+                    Stage::Inject,
+                    Stage::NicRx,
+                    Stage::RxDeliver,
+                    Stage::RingSubmit,
+                    Stage::BackendFetch,
+                    Stage::GrantCopy,
+                    Stage::NicTx,
+                    Stage::Complete,
+                ],
+                "{kind:?} {queues}q req {}",
+                rec.id
+            );
+        }
+        // The e2e histogram agrees with the client's RTT stats: tracing
+        // measures the same round trip the workload sees.
+        let h = req.e2e_hist().expect("enabled");
+        assert_eq!(h.count(), 32);
+        let p50 = h.quantile(0.5).as_nanos() as f64;
+        let mean = sys.metrics.ping_rtts.mean();
+        assert!(
+            (p50 - mean).abs() / mean < 0.1,
+            "traced e2e p50 {p50} vs client RTT mean {mean}"
         );
     }
-    // The e2e histogram agrees with the client's RTT stats: tracing
-    // measures the same round trip the workload sees.
-    let h = req.e2e_hist().expect("enabled");
-    assert_eq!(h.count(), 32);
-    let p50 = h.quantile(0.5).as_nanos() as f64;
-    let mean = sys.metrics.ping_rtts.mean();
-    assert!(
-        (p50 - mean).abs() / mean < 0.1,
-        "traced e2e p50 {p50} vs client RTT mean {mean}"
-    );
+}
+
+/// Netback stamps a slot's fetch at its drain's time, which starts when
+/// the queue's interrupt handler has run: never before the interrupt's
+/// arrival plus the handler's cost. The event tracer books the drain's
+/// `RingDrain` at the interrupt's arrival.
+#[test]
+fn echo_backend_fetch_follows_the_interrupt_handler() {
+    let handler = BackendOs::Kite.profile().irq_overhead;
+    for queues in [1, 4] {
+        let sys = echo_run(SchedulerKind::Wheel, queues);
+        let irqs: Vec<(Nanos, u16)> = sys
+            .hv
+            .trace
+            .events()
+            .filter_map(|e| match e.kind {
+                EventKind::RingDrain {
+                    queue: "netback_tx",
+                    qid,
+                    ..
+                } => Some((e.at, qid)),
+                _ => None,
+            })
+            .collect();
+        for rec in sys.hv.req.completed() {
+            let fetch = rec.stamps.iter().find(|s| s.stage == Stage::BackendFetch);
+            let fetch = fetch.expect("echo fetches its reply");
+            let qid = fetch.qid.expect("a fetch names its queue");
+            let irq = irqs
+                .iter()
+                .filter(|&&(at, q)| q == qid && at <= fetch.at)
+                .map(|&(at, _)| at)
+                .max()
+                .expect("a drain fetched the slot");
+            assert!(
+                fetch.at >= irq + handler,
+                "{queues}q req {}: fetched at {:?}, interrupt at {irq:?} and a {handler:?} handler",
+                rec.id,
+                fetch.at
+            );
+        }
+    }
 }
 
 #[test]
 fn storage_stages_telescope_and_ride_the_rings() {
-    let sys = storage_run(SchedulerKind::Wheel);
-    let req = &sys.hv.req;
-    assert_eq!(req.seen(), 128);
-    assert_eq!(req.sampled(), 43);
-    assert_eq!(req.completed().count(), 43);
-    assert_telescoping(req);
-    for rec in req.completed() {
-        for want in [
-            Stage::RingSubmit,
-            Stage::BackendFetch,
-            Stage::NvmeSubmit,
-            Stage::NvmeComplete,
-            Stage::IrqDeliver,
-        ] {
-            assert!(
-                rec.stamps.iter().any(|s| s.stage == want),
-                "req {} missed {}",
-                rec.id,
-                want.name()
-            );
+    for (kind, (per_stream, chunk)) in SCHEDULERS
+        .into_iter()
+        .flat_map(|k| STORAGE_INPUTS.map(|input| (k, input)))
+    {
+        let sys = storage_run(kind, per_stream, chunk);
+        let ios = 4 * per_stream;
+        assert_eq!(sys.metrics.ios, ios);
+        let ring_reqs = sys.blkback_stats().requests;
+        assert!(
+            ring_reqs >= ios * chunk.div_ceil(128 * 1024) as u64,
+            "{kind:?} {chunk} B: only {ring_reqs} ring requests"
+        );
+        let req = &sys.hv.req;
+        assert_eq!(req.seen(), ios);
+        assert_eq!(req.sampled(), ios.div_ceil(3));
+        assert_eq!(req.completed().count() as u64, ios.div_ceil(3));
+        assert_telescoping(req);
+        // One stamp per storage stage, in path order, and every stamp
+        // that names a ring names the first request's: a split I/O's
+        // siblings stamp nothing.
+        let mut want = vec![Stage::Inject];
+        want.extend(STORAGE_STAGES);
+        want.push(Stage::Complete);
+        for rec in req.completed() {
+            let stages: Vec<Stage> = rec.stamps.iter().map(|s| s.stage).collect();
+            assert_eq!(stages, want, "{kind:?} {chunk} B req {}", rec.id);
+            let rings: BTreeSet<u16> = rec.stamps.iter().filter_map(|s| s.qid).collect();
+            assert_eq!(rings.len(), 1, "{kind:?} {chunk} B req {}", rec.id);
         }
+        // With four rings, the sampled population spreads across queues.
+        let queues: BTreeSet<u16> = req
+            .completed()
+            .filter_map(|r| r.stamps.iter().find(|s| s.stage == Stage::BackendFetch))
+            .filter_map(|s| s.qid)
+            .collect();
+        assert_eq!(queues.len(), 4, "samples must land on all 4 rings");
     }
-    // With four rings, the sampled population spreads across queues.
-    let queues: std::collections::BTreeSet<u16> = req
-        .completed()
-        .filter_map(|r| r.stamps.iter().find(|s| s.stage == Stage::BackendFetch))
-        .filter_map(|s| s.qid)
-        .collect();
-    assert_eq!(queues.len(), 4, "samples must land on all 4 rings");
 }
 
 #[test]
 fn digests_are_identical_across_runs_and_schedulers() {
-    let heap = digest(&echo_run(SchedulerKind::Heap).hv.req);
-    let wheel = digest(&echo_run(SchedulerKind::Wheel).hv.req);
-    assert_eq!(heap, wheel, "echo: heap and wheel must agree byte for byte");
-    let again = digest(&echo_run(SchedulerKind::Wheel).hv.req);
-    assert_eq!(wheel, again, "echo: a rerun must reproduce");
+    for queues in [1, 4] {
+        let heap = digest(&echo_run(SchedulerKind::Heap, queues).hv.req);
+        let wheel = digest(&echo_run(SchedulerKind::Wheel, queues).hv.req);
+        assert_eq!(heap, wheel, "echo: heap and wheel must agree byte for byte");
+        let again = digest(&echo_run(SchedulerKind::Wheel, queues).hv.req);
+        assert_eq!(wheel, again, "echo: a rerun must reproduce");
+    }
 
-    let heap = digest(&storage_run(SchedulerKind::Heap).hv.req);
-    let wheel = digest(&storage_run(SchedulerKind::Wheel).hv.req);
-    assert_eq!(heap, wheel, "storage: heap and wheel must agree");
-    let again = digest(&storage_run(SchedulerKind::Wheel).hv.req);
-    assert_eq!(wheel, again, "storage: a rerun must reproduce");
+    for (per_stream, chunk) in STORAGE_INPUTS {
+        let heap = digest(&storage_run(SchedulerKind::Heap, per_stream, chunk).hv.req);
+        let wheel = digest(&storage_run(SchedulerKind::Wheel, per_stream, chunk).hv.req);
+        assert_eq!(heap, wheel, "storage: heap and wheel must agree");
+        let again = digest(&storage_run(SchedulerKind::Wheel, per_stream, chunk).hv.req);
+        assert_eq!(wheel, again, "storage: a rerun must reproduce");
+    }
 }
 
 #[test]
@@ -214,13 +297,17 @@ fn flow_annotated_exports_validate_and_are_deterministic() {
     for (name, a, b) in [
         (
             "echo",
-            echo_run(SchedulerKind::Heap).hv.export_chrome_trace(),
-            echo_run(SchedulerKind::Wheel).hv.export_chrome_trace(),
+            echo_run(SchedulerKind::Heap, 1).hv.export_chrome_trace(),
+            echo_run(SchedulerKind::Wheel, 1).hv.export_chrome_trace(),
         ),
         (
             "storage",
-            storage_run(SchedulerKind::Heap).hv.export_chrome_trace(),
-            storage_run(SchedulerKind::Wheel).hv.export_chrome_trace(),
+            storage_run(SchedulerKind::Heap, 32, 8 * 1024)
+                .hv
+                .export_chrome_trace(),
+            storage_run(SchedulerKind::Wheel, 32, 8 * 1024)
+                .hv
+                .export_chrome_trace(),
         ),
     ] {
         assert_eq!(a, b, "{name}: flow-annotated exports must be identical");

@@ -184,7 +184,7 @@ fn ring_path_allocates_only_payload_hops() {
         let sent = allocs() - before;
         let before = allocs();
         let batch = nb
-            .pusher_run_into(&mut hv, 0, 128, std::mem::take(&mut sink))
+            .pusher_run_into(&mut hv, 0, 128, Nanos::ZERO, std::mem::take(&mut sink))
             .expect("pusher");
         let pushed = allocs() - before;
         assert_eq!(batch.frames.len(), 3);
@@ -209,7 +209,7 @@ fn ring_path_allocates_only_payload_hops() {
         nf.send(&mut hv, &small, None).expect("tx ring has room");
         let before = allocs();
         let mut batch = nb
-            .pusher_run_into(&mut hv, 0, 128, std::mem::take(&mut sink))
+            .pusher_run_into(&mut hv, 0, 128, Nanos::ZERO, std::mem::take(&mut sink))
             .expect("pusher");
         let pushed = allocs() - before;
         assert_eq!(batch.frames[0], small);
@@ -717,8 +717,7 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     let mut rt = ReqTracer::disabled();
     let before = allocs();
     for i in 0..10_000u64 {
-        rt.set_now(Nanos(i));
-        assert!(rt.admit(0).is_none());
+        assert!(rt.admit(0, Nanos(i)).is_none());
         rt.stamp_at(ReqId(i), ReqStage::RingSubmit, 1, None, Nanos(i));
         rt.stamp_at(ReqId(i), ReqStage::GrantCopy, 1, Some(0), Nanos(i));
         rt.map(SlotClass::NetTx, i, ReqId(i));

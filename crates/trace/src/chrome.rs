@@ -102,7 +102,9 @@ fn queue_tid(dom: u16, qid: u16) -> u32 {
 /// the intermediate stamps and a `"f"` (binding `"bp":"e"`) at the
 /// last, all sharing the request id as the flow `"id"` and named
 /// `"req"` — Perfetto draws the arrow across the tracks the stamps
-/// land on. A tracer with no completed request adds nothing.
+/// land on. A tracer with no completed request adds nothing. Records
+/// the request tracer evicted count in `droppedEvents` with the events
+/// the event tracer dropped.
 pub fn export(tracer: &Tracer, tracks: &[(u16, String)], req: Option<&ReqTracer>) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     let mut first = true;
@@ -333,7 +335,7 @@ pub fn export(tracer: &Tracer, tracks: &[(u16, String)], req: Option<&ReqTracer>
     let _ = write!(
         out,
         "\n],\"displayTimeUnit\":\"ns\",\"droppedEvents\":{}}}\n",
-        tracer.dropped()
+        tracer.dropped() + req.map_or(0, ReqTracer::dropped)
     );
     out
 }
@@ -647,14 +649,23 @@ mod tests {
         t.emit_with(0, || EventKind::Milestone { what: "b" });
         let doc = export(&t, &[], None);
         assert!(validate(&doc).unwrap_err().contains("dropped"));
+
+        // A request record evicted from a full store is a cut flow.
+        let mut rt = ReqTracer::default();
+        rt.enable(1, 1);
+        for i in 0..2 {
+            let req = rt.admit(0, Nanos::from_micros(i)).expect("sampled");
+            rt.finish_at(req, 0, Nanos::from_micros(i + 1));
+        }
+        let doc = export(&Tracer::enabled(8), &[], Some(&rt));
+        assert!(validate(&doc).unwrap_err().contains("dropped"));
     }
 
     fn sample_reqtracer() -> ReqTracer {
         use crate::reqtrace::Stage;
         let mut rt = ReqTracer::default();
         rt.enable(1, 16);
-        rt.set_now(Nanos::from_micros(1));
-        let req = rt.admit(0).expect("sampled");
+        let req = rt.admit(0, Nanos::from_micros(1)).expect("sampled");
         rt.stamp_at(req, Stage::RingSubmit, 3, None, Nanos::from_micros(4));
         rt.stamp_at(req, Stage::BackendFetch, 2, Some(1), Nanos::from_micros(6));
         rt.finish_at(req, 0, Nanos::from_micros(9));

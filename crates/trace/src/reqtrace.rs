@@ -6,8 +6,8 @@
 //! frontend ring submit, backend fetch, grant copy, NVMe SQ/CQ, IRQ
 //! delivery — until [`finish_at`](ReqTracer::finish_at) closes the record.
 //! Closed records land in a bounded drop-oldest store (completion
-//! order, so exports are deterministic) and feed per-stage, per-domain
-//! and end-to-end [`Histogram`]s.
+//! order, so exports are deterministic; every drop counted) and feed
+//! per-stage, per-domain and end-to-end [`Histogram`]s.
 //!
 //! Stage durations telescope: each inter-stamp gap is attributed to the
 //! *later* stamp's stage, so the per-request stage durations always sum
@@ -33,9 +33,11 @@ pub struct ReqId(pub u64);
 /// RingSubmit → BackendFetch → GrantCopy → NicTx → Complete`; the
 /// storage path visits `Inject → RingSubmit → BackendFetch →
 /// NvmeSubmit → NvmeComplete → IrqDeliver → Complete`.
-/// Stamping is first-touch: a repeated stage is ignored, so for a
-/// logical I/O split into chunks the first chunk's journey defines the
-/// intermediate stamps.
+/// Each stamp is taken by the code doing the work, at the time it does
+/// it, so a record's stamps arrive in time order. Stamping is
+/// first-touch: a repeated stage is ignored. A logical I/O split into
+/// several ring requests is followed through its first one (the chunk at
+/// offset 0) only.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// The workload injected the request (client ping sent, logical
@@ -140,7 +142,7 @@ pub struct StageStamp {
 pub struct ReqRecord {
     /// The request's id.
     pub id: u64,
-    /// Stamps; sorted by time once the record is finished.
+    /// Stamps in arrival order, which is time order.
     pub stamps: Vec<StageStamp>,
 }
 
@@ -155,7 +157,6 @@ impl ReqRecord {
 }
 
 struct Inner {
-    now: Nanos,
     sample_every: u64,
     tick: u64,
     next_id: u64,
@@ -163,6 +164,7 @@ struct Inner {
     live: HashMap<u64, ReqRecord>,
     slots: HashMap<(SlotClass, u64), u64>,
     completed: VecDeque<ReqRecord>,
+    dropped: u64,
     stage_hist: Vec<Histogram>,
     dom_hist: BTreeMap<u16, Histogram>,
     e2e_hist: Histogram,
@@ -189,7 +191,6 @@ impl ReqTracer {
     pub fn enable(&mut self, sample_every: u64, capacity: usize) {
         if self.inner.is_none() {
             self.inner = Some(Box::new(Inner {
-                now: Nanos::ZERO,
                 sample_every: sample_every.max(1),
                 tick: 0,
                 next_id: 0,
@@ -197,6 +198,7 @@ impl ReqTracer {
                 live: HashMap::new(),
                 slots: HashMap::new(),
                 completed: VecDeque::new(),
+                dropped: 0,
                 stage_hist: vec![Histogram::new(); Stage::COUNT],
                 dom_hist: BTreeMap::new(),
                 e2e_hist: Histogram::new(),
@@ -209,28 +211,11 @@ impl ReqTracer {
         self.inner.is_some()
     }
 
-    /// Advances the clock [`admit`](Self::admit) stamps injections at
-    /// and [`now`](Self::now) reads. Called once per simulation event,
-    /// like [`Tracer::set_now`], and re-aimed where a caller's time is
-    /// not the event's.
-    ///
-    /// [`Tracer::set_now`]: crate::Tracer::set_now
-    pub fn set_now(&mut self, now: Nanos) {
-        if let Some(inner) = &mut self.inner {
-            inner.now = now;
-        }
-    }
-
-    /// The current virtual timestamp ([`Nanos::ZERO`] when disabled).
-    pub fn now(&self) -> Nanos {
-        self.inner.as_ref().map_or(Nanos::ZERO, |i| i.now)
-    }
-
     /// Counts an injection and mints a [`ReqId`] for every
     /// `sample_every`-th one (the first injection is always sampled, so
     /// short runs still trace). The new record carries its
-    /// [`Stage::Inject`] stamp at the current clock.
-    pub fn admit(&mut self, dom: u16) -> Option<ReqId> {
+    /// [`Stage::Inject`] stamp at `at`.
+    pub fn admit(&mut self, dom: u16, at: Nanos) -> Option<ReqId> {
         let inner = self.inner.as_mut()?;
         let tick = inner.tick;
         inner.tick += 1;
@@ -239,7 +224,6 @@ impl ReqTracer {
         }
         let id = inner.next_id;
         inner.next_id += 1;
-        let at = inner.now;
         inner.live.insert(
             id,
             ReqRecord {
@@ -255,10 +239,9 @@ impl ReqTracer {
         Some(ReqId(id))
     }
 
-    /// Records `req` crossing `stage` at `at`. First-touch: a stage the
-    /// request already carries is ignored. A stamp may be taken after
-    /// the fact (an NVMe submit time recovered at reap); the trail is
-    /// sorted by time when the request finishes.
+    /// Records `req` crossing `stage` at `at`, the time of the work the
+    /// stage names; a request's stamps must arrive in time order.
+    /// First-touch: a stage the request already carries is ignored.
     pub fn stamp_at(&mut self, req: ReqId, stage: Stage, dom: u16, qid: Option<u16>, at: Nanos) {
         let Some(rec) = self.inner.as_mut().and_then(|i| i.live.get_mut(&req.0)) else {
             return;
@@ -296,9 +279,9 @@ impl ReqTracer {
             .and_then(|i| i.slots.remove(&(class, key)).map(ReqId))
     }
 
-    /// Closes `req` at `at`: stamps [`Stage::Complete`], sorts the
-    /// trail, feeds the histograms and moves the record to the bounded
-    /// completed store.
+    /// Closes `req` at `at`: stamps [`Stage::Complete`], feeds the
+    /// histograms and moves the record to the bounded completed store,
+    /// dropping (and counting) the oldest record there at capacity.
     pub fn finish_at(&mut self, req: ReqId, dom: u16, at: Nanos) {
         let Some(inner) = &mut self.inner else {
             return;
@@ -314,10 +297,6 @@ impl ReqTracer {
                 at,
             });
         }
-        // Stable by-time sort: stamps taken after the fact (an NVMe
-        // submit time recovered at reap) slot into their true position;
-        // ties keep emission order.
-        rec.stamps.sort_by_key(|s| s.at);
         for i in 1..rec.stamps.len() {
             let d = rec.stamps[i].at.saturating_sub(rec.stamps[i - 1].at);
             inner.stage_hist[rec.stamps[i].stage.idx()].record(d);
@@ -330,6 +309,7 @@ impl ReqTracer {
         inner.e2e_hist.record(rec.e2e());
         if inner.completed.len() == inner.capacity {
             inner.completed.pop_front();
+            inner.dropped += 1;
         }
         inner.completed.push_back(rec);
     }
@@ -342,6 +322,11 @@ impl ReqTracer {
     /// Requests sampled (ids minted).
     pub fn sampled(&self) -> u64 {
         self.inner.as_ref().map_or(0, |i| i.next_id)
+    }
+
+    /// Completed records dropped from the full store.
+    pub fn dropped(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |i| i.dropped)
     }
 
     /// Requests sampled and still in flight.
@@ -379,24 +364,24 @@ mod tests {
     #[test]
     fn disabled_tracer_is_inert() {
         let mut t = ReqTracer::disabled();
-        t.set_now(Nanos::from_secs(1));
-        assert!(t.admit(0).is_none());
-        t.stamp_at(ReqId(0), Stage::RingSubmit, 1, None, t.now());
+        let at = Nanos::from_secs(1);
+        assert!(t.admit(0, at).is_none());
+        t.stamp_at(ReqId(0), Stage::RingSubmit, 1, None, at);
         t.map(SlotClass::NetTx, 7, ReqId(0));
         assert!(t.lookup(SlotClass::NetTx, 7).is_none());
         assert!(t.take(SlotClass::NetTx, 7).is_none());
-        t.finish_at(ReqId(0), 0, t.now());
+        t.finish_at(ReqId(0), 0, at);
         assert!(!t.is_enabled());
         assert_eq!(t.seen(), 0);
         assert_eq!(t.completed().count(), 0);
-        assert_eq!(t.now(), Nanos::ZERO);
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]
     fn admit_samples_one_in_n_starting_with_the_first() {
         let mut t = ReqTracer::default();
         t.enable(4, 16);
-        let minted: Vec<Option<ReqId>> = (0..9).map(|_| t.admit(3)).collect();
+        let minted: Vec<Option<ReqId>> = (0..9).map(|_| t.admit(3, Nanos::ZERO)).collect();
         let ids: Vec<u64> = minted.iter().flatten().map(|r| r.0).collect();
         assert_eq!(ids, vec![0, 1, 2]);
         assert!(minted[0].is_some() && minted[4].is_some() && minted[8].is_some());
@@ -408,16 +393,13 @@ mod tests {
     fn stamps_are_first_touch_and_telescope_to_e2e() {
         let mut t = ReqTracer::default();
         t.enable(1, 16);
-        t.set_now(Nanos::from_micros(10));
-        let req = t.admit(0).expect("sampled");
+        let req = t.admit(0, Nanos::from_micros(10)).expect("sampled");
         t.stamp_at(req, Stage::RingSubmit, 3, None, Nanos::from_micros(14));
         // Ignored: first touch.
         t.stamp_at(req, Stage::RingSubmit, 9, None, Nanos::from_micros(15));
-        // Stamps taken out of time order sort into place.
-        t.stamp_at(req, Stage::GrantCopy, 2, Some(1), Nanos::from_micros(22));
         t.stamp_at(req, Stage::BackendFetch, 2, Some(1), Nanos::from_micros(20));
-        t.set_now(Nanos::from_micros(30));
-        t.finish_at(req, 0, t.now());
+        t.stamp_at(req, Stage::GrantCopy, 2, Some(1), Nanos::from_micros(22));
+        t.finish_at(req, 0, Nanos::from_micros(30));
         let rec = t.completed().next().expect("one record");
         assert_eq!(rec.e2e(), Nanos::from_micros(20));
         let stages: Vec<Stage> = rec.stamps.iter().map(|s| s.stage).collect();
@@ -450,7 +432,7 @@ mod tests {
     fn slot_map_round_trips_and_take_consumes() {
         let mut t = ReqTracer::default();
         t.enable(1, 16);
-        let req = t.admit(0).expect("sampled");
+        let req = t.admit(0, Nanos::ZERO).expect("sampled");
         t.map(SlotClass::NvmeCid, 42, req);
         assert_eq!(t.lookup(SlotClass::NvmeCid, 42), Some(req));
         // Same key, different class: distinct namespaces.
@@ -464,32 +446,48 @@ mod tests {
         let mut t = ReqTracer::default();
         t.enable(1, 2);
         for i in 0..4u64 {
-            t.set_now(Nanos::from_micros(i));
-            let req = t.admit(0).expect("sampled");
-            t.finish_at(req, 0, t.now());
+            let at = Nanos::from_micros(i);
+            let req = t.admit(0, at).expect("sampled");
+            t.finish_at(req, 0, at);
         }
         assert_eq!(t.completed().count(), 2);
         // Oldest survivor is the third request.
         assert_eq!(t.completed().next().unwrap().id, 2);
+        assert_eq!(t.dropped(), 2);
         // Histograms still count every finished request.
         assert_eq!(t.e2e_hist().unwrap().count(), 4);
+    }
+
+    #[test]
+    fn a_full_store_counts_the_record_it_evicts() {
+        let mut t = ReqTracer::default();
+        t.enable(1, 1);
+        for i in 0..2u64 {
+            let req = t.admit(0, Nanos::from_micros(i)).expect("sampled");
+            t.finish_at(req, 0, Nanos::from_micros(i + 1));
+        }
+        assert_eq!(t.completed().map(|r| r.id).collect::<Vec<_>>(), vec![1]);
+        assert_eq!(t.dropped(), 1);
     }
 
     #[test]
     fn enable_is_idempotent() {
         let mut t = ReqTracer::default();
         t.enable(2, 8);
-        assert!(t.admit(0).is_some());
+        assert!(t.admit(0, Nanos::ZERO).is_some());
         t.enable(100, 1);
-        assert!(t.admit(0).is_none(), "original rate of 2 still in force");
-        assert!(t.admit(0).is_some());
+        assert!(
+            t.admit(0, Nanos::ZERO).is_none(),
+            "original rate of 2 still in force"
+        );
+        assert!(t.admit(0, Nanos::ZERO).is_some());
     }
 
     #[test]
     fn finishing_an_unknown_request_is_ignored() {
         let mut t = ReqTracer::default();
         t.enable(1, 4);
-        t.finish_at(ReqId(99), 0, t.now());
+        t.finish_at(ReqId(99), 0, Nanos::ZERO);
         assert_eq!(t.completed().count(), 0);
         assert_eq!(t.e2e_hist().unwrap().count(), 0);
     }

@@ -7,7 +7,7 @@
 #   determinism cmps (traces, bench rows vs the shipped
 #   BENCH_mechanisms.json, repro top/lat/prof vs the shipped
 #   scripts/repro_views.txt) ->
-#   benchmark/ smoke + sim_digest cmp + allocation pins + one traced run
+#   benchmark/ smoke + sim_digest cmp + allocation pins + two traced runs
 #   -> reachability (fixture, then workspace) -> doc -> clippy -D warnings
 #
 # Invariants over bench rows are asserted once, in kite_bench::report,
@@ -208,6 +208,10 @@ out="$(bash benchmark/run.sh --workload stor_mixed --seed 7 --seconds 1 --trace 
 awk '$1 == "system.dispatch_irq_self_ns_per_op" { seen = 1; if ($2 + 0 == 0) bad = 1 }
      END { exit (bad || !seen) }' <<< "$out" \
     || fail "stor_mixed --trace 1: zero or missing dispatch_irq self time"
+# The network twin: a traced rr_open stamps every request on the net
+# path (ring submit, backend fetch, grant copy) through the harness.
+bash benchmark/run.sh --workload rr_open --seed 7 --seconds 1 --trace 1 > /dev/null \
+    || fail "rr_open --trace 1 failed"
 if git rev-parse --git-dir > /dev/null 2>&1; then # an exported tree has no index
     git diff --quiet -- benchmark BENCHMARK.json \
         || fail "the gate modified benchmark/ or BENCHMARK.json"
