@@ -1,7 +1,6 @@
 //! The experiment registry: one entry per paper table/figure.
 
 use kite_security as sec;
-use kite_sim::OnlineStats;
 use kite_system::BackendOs;
 use kite_workloads as wl;
 
@@ -330,21 +329,15 @@ fn fig10() {
 }
 
 fn table4() {
-    // RSDs over five runs of each cell. A build is a function of its
-    // config and these four load generators draw no random numbers, so
-    // the five runs are one input repeated, they agree and every RSD is
-    // 0: Table 4 is not reproduced here.
+    // The paper's RSDs are over repeated runs of each cell. A build is a
+    // function of its config and these four load generators draw no
+    // random numbers, so a cell's runs are one input repeated: two runs
+    // must agree to the bit, and the RSD that implies is 0. Table 4 is
+    // not reproduced here.
     println!(
         "{:<10} {:>12} {:>12}",
         "benchmark", "Linux RSD %", "Kite RSD %"
     );
-    let rsd = |f: &dyn Fn() -> f64| -> f64 {
-        let mut s = OnlineStats::new();
-        for _ in 0..5 {
-            s.push(f());
-        }
-        s.rsd_percent()
-    };
     // One run's headline number, for an OS.
     type Run = fn(BackendOs) -> f64;
     let benches: [(&str, Run); 4] = [
@@ -358,7 +351,16 @@ fn table4() {
         ("Sysbench", |os| wl::mysql::run_net(os, 20, 600).tps),
     ];
     for (name, run) in benches {
-        let [linux, kite] = BackendOs::both().map(|os| rsd(&|| run(os)));
+        let [linux, kite] = BackendOs::both().map(|os| {
+            let (a, b) = (run(os), run(os));
+            assert_eq!(
+                a.to_bits(),
+                b.to_bits(),
+                "table4: two {name} runs on {} read {a} and {b}",
+                os.name()
+            );
+            0.0
+        });
         println!("{:<10} {:>12.4} {:>12.4}", name, linux, kite);
     }
     println!("(paper: all ≤1.5%; not reproduced: the model is deterministic and these loads draw no random numbers)");

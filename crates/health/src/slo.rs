@@ -1,8 +1,8 @@
 //! Request-latency SLO checks over the simulation's histograms.
 //!
-//! The system layer keeps a [`Histogram`] of per-request latencies for
-//! each backend; on every probe the monitor asks [`breached`] whether its
-//! p99 exceeds the configured threshold. A breach marks the backend
+//! Each datapath keeps one [`Histogram`] of its end-to-end request
+//! latencies; on every probe the monitor asks [`breached`] whether that
+//! record's p99 exceeds the configured threshold. A breach marks the backend
 //! [`Suspect`](crate::HealthState::Suspect) (never `Failed` — slow is not
 //! dead).
 

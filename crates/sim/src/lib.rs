@@ -32,6 +32,6 @@ pub use resource::{Cpu, CpuPool, IdleWake, Link, TxOutcome};
 pub use rng::Pcg;
 pub use sched::{EventSched, Scheduler, SchedulerKind};
 pub use spares::Spares;
-pub use stats::{Histogram, OnlineStats};
+pub use stats::Histogram;
 pub use time::Nanos;
 pub use wheel::TimerWheel;

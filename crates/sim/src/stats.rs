@@ -1,86 +1,23 @@
-//! Online statistics used by every measurement tap in the reproduction.
+//! The latency record every measurement tap in the reproduction keeps.
 //!
-//! The paper reports means, throughputs, latencies, percentile-ish maxima
-//! and relative standard deviations (Table 4). [`OnlineStats`] implements
-//! Welford's numerically stable single-pass algorithm; [`Histogram`] is a
-//! log-bucketed latency histogram good to ~2% relative error.
+//! The paper reports latency as means and tails (Figure 7). A
+//! [`Histogram`] keeps one stream's samples as log-spaced bucket counts
+//! plus their exact sum: the mean is exact, the quantiles are good to
+//! ~9% relative error.
 
 use crate::time::Nanos;
-
-/// Single-pass mean/variance accumulator (Welford's algorithm).
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> OnlineStats {
-        OnlineStats::default()
-    }
-
-    /// Records one sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Records a duration sample in nanoseconds.
-    pub fn push_nanos(&mut self, d: Nanos) {
-        self.push(d.as_nanos() as f64);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance, or 0 with fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Relative standard deviation in percent (the paper's "RSD").
-    pub fn rsd_percent(&self) -> f64 {
-        if self.mean() == 0.0 {
-            0.0
-        } else {
-            100.0 * self.stddev() / self.mean().abs()
-        }
-    }
-}
 
 /// Log-bucketed histogram for latency distributions.
 ///
 /// Buckets are spaced geometrically: each bucket covers a `GROWTH`-factor
 /// range, giving bounded relative error on quantile queries without storing
-/// raw samples.
+/// raw samples. The samples' sum is kept exactly, so the mean carries no
+/// bucket error.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     counts: Vec<u64>,
     total: u64,
+    sum_ns: u64,
 }
 
 const HIST_BUCKETS: usize = 256;
@@ -99,6 +36,7 @@ impl Histogram {
         Histogram {
             counts: vec![0; HIST_BUCKETS],
             total: 0,
+            sum_ns: 0,
         }
     }
 
@@ -118,11 +56,22 @@ impl Histogram {
     pub fn record(&mut self, d: Nanos) {
         self.counts[Self::bucket_of(d.as_nanos())] += 1;
         self.total += 1;
+        self.sum_ns += d.as_nanos();
     }
 
     /// Total number of recorded samples.
     pub fn count(&self) -> u64 {
         self.total
+    }
+
+    /// Mean of the recorded samples in nanoseconds (their exact sum over
+    /// their count), or 0 if empty.
+    pub fn mean(&self) -> f64 {
+        if self.total == 0 {
+            0.0
+        } else {
+            self.sum_ns as f64 / self.total as f64
+        }
     }
 
     /// Approximate quantile `q` in `[0, 1]`, or `Nanos::ZERO` if empty.
@@ -182,32 +131,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_closed_form() {
-        let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &data {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample variance of this classic dataset is 32/7.
-        assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rsd_is_percent_of_mean() {
-        let mut s = OnlineStats::new();
-        s.push(99.0);
-        s.push(101.0);
-        // stddev = sqrt(2), mean = 100 -> RSD = 1.414...%
-        assert!((s.rsd_percent() - 100.0 * (2.0f64).sqrt() / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_stats_are_zero() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.stddev(), 0.0);
+    fn mean_is_the_exact_sum_over_the_count() {
+        let h = histogram_of(&[2, 4, 4, 4, 5, 5, 7, 9]);
+        assert_eq!(h.count(), 8);
+        assert_eq!(h.mean(), 5.0);
+        // Past 2^53 a running f64 sum drops each 1 ns sample; the integer
+        // sum keeps them: (2^53 + 2) / 3, not 2^53 / 3.
+        let big = 1u64 << 53;
+        let h = histogram_of(&[big, 1, 1]);
+        assert_eq!(h.mean(), (big + 2) as f64 / 3.0);
+        assert_ne!(h.mean(), big as f64 / 3.0);
+        assert_eq!(Histogram::new().mean(), 0.0);
     }
 
     #[test]

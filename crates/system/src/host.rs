@@ -150,6 +150,10 @@ pub trait Datapath: Sized {
         backend: &Self::Backend,
     );
 
+    /// The datapath's one record of end-to-end request latencies: what
+    /// its metrics report and the SLO probe judges.
+    fn latency(&self) -> &Histogram;
+
     /// Handles one of the datapath's events.
     fn handle(host: &mut Host<Self>, now: Nanos, ev: Self::Event);
 
@@ -243,7 +247,6 @@ pub struct Host<D: Datapath> {
     /// Injected fault events still scheduled; keeps the watchdog ticking.
     pending_faults: u32,
     slo_cfg: SloConfig,
-    pub(crate) latency_hist: Histogram,
     /// Stage attribution of the most recent SLO p99 breach the watchdog
     /// observed (request tracing on), for `kitetop`/health reporting.
     last_breach: Option<BreachAttribution>,
@@ -310,7 +313,6 @@ impl<D: Datapath> Host<D> {
             recovering: false,
             pending_faults: 0,
             slo_cfg: cfg.slo.unwrap_or_default(),
-            latency_hist: Histogram::default(),
             last_breach: None,
         };
         // Before the first handshake, so the trace shows it.
@@ -752,7 +754,7 @@ impl<D: Datapath> Host<D> {
                             .collect()
                     })
                     .unwrap_or_default();
-                let slo_ok = !slo::breached(&self.latency_hist, &self.slo_cfg);
+                let slo_ok = !slo::breached(self.dp.latency(), &self.slo_cfg);
                 if !slo_ok {
                     // Name the stage dominating the tail while it breaches
                     // (needs request tracing; None otherwise).
@@ -803,12 +805,6 @@ impl<D: Datapath> Host<D> {
     /// when request tracing was on to supply per-stage histograms.
     pub fn last_breach(&self) -> Option<&BreachAttribution> {
         self.last_breach.as_ref()
-    }
-
-    /// The histogram of end-to-end request latencies — the same samples
-    /// the SLO monitor evaluates.
-    pub fn latency_histogram(&self) -> &Histogram {
-        &self.latency_hist
     }
 
     /// Collects every row the datapath exports plus the recovery

@@ -26,5 +26,6 @@ pub use kite_health::{
 };
 pub use netsys::{
     addrs, NetMetrics, NetPath, NetSystem, Reply, Side, UdpHandler, UdpMsg, UdpPayload, GSO_UDP,
+    PUSHER_WAKE,
 };
 pub use storsys::{BlkPath, IoDone, IoHandler, IoKind, IoOp, StorMetrics, StorSystem};

@@ -29,7 +29,7 @@ use kite_net::{
 };
 use kite_prof::Phase;
 use kite_rumprun::OsProfile;
-use kite_sim::{IdleWake, Link, Nanos, OnlineStats, Spares, TxOutcome};
+use kite_sim::{Histogram, IdleWake, Link, Nanos, Spares, TxOutcome};
 use kite_trace::MetricsSnapshot;
 use kite_xen::xenbus::FEATURE_GSO_KEY;
 use kite_xen::{
@@ -153,8 +153,9 @@ pub const GSO_UDP: usize = TSO_MSS * 42;
 
 /// What each pusher batch pays to hand off to the netback thread on its
 /// vCPU, on both OSes: the threads are a cost constant here, not a
-/// modelled run queue (DESIGN.md §2).
-const PUSHER_WAKE: Nanos = Nanos(200);
+/// modelled run queue (DESIGN.md §2). The thread fetches its first slot
+/// once the wake is paid.
+pub const PUSHER_WAKE: Nanos = Nanos(200);
 
 /// Cap on frames queued in the guest stack awaiting Tx ring slots.
 ///
@@ -209,7 +210,7 @@ pub struct NetMetrics {
     /// Datagrams dropped anywhere on the path.
     pub drops: u64,
     /// ICMP echo RTTs observed by the client.
-    pub ping_rtts: OnlineStats,
+    pub ping_rtts: Histogram,
 }
 
 /// Addresses used by the canonical scenario.
@@ -374,6 +375,10 @@ impl Datapath for NetPath {
         nb: &NetbackInstance,
     ) {
         self.vif_port = self.netapp.add_vif(&nb.vif);
+    }
+
+    fn latency(&self) -> &Histogram {
+        &self.metrics.ping_rtts
     }
 
     fn handle(host: &mut NetSystem, now: Nanos, ev: NetEvent) {
@@ -775,14 +780,14 @@ impl Host<NetPath> {
         // Pusher: guest -> bridge/world.
         let mut guest_frames = std::mem::take(&mut self.dp.pusher_out);
         loop {
-            let start = self.driver_cpus.free_at(q).max(now);
+            let start = self.driver_cpus.free_at(q).max(now) + PUSHER_WAKE;
             let nb = self.backend.device_mut().expect("checked");
             let batch = nb
                 .pusher_run_into(&mut self.hv, q, 128, start, guest_frames)
                 .expect("pusher");
             guest_frames = batch.frames;
             self.dp.metrics.drops += batch.dropped as u64;
-            let done = self.driver_cpus.run_on(q, now, batch.cost + PUSHER_WAKE);
+            let done = self.driver_cpus.run_on(q, now, PUSHER_WAKE + batch.cost);
             if batch.notify {
                 self.kick_frontend(q, q, done);
             }
@@ -884,8 +889,7 @@ impl Host<NetPath> {
                     }
                     (Side::Client, IcmpMessage::EchoReply { seq, .. }) => {
                         if let Some(t0) = self.dp.icmp_sent.remove(&seq) {
-                            self.dp.metrics.ping_rtts.push_nanos(now - t0);
-                            self.latency_hist.record(now - t0);
+                            self.dp.metrics.ping_rtts.record(now - t0);
                         }
                         if let Some(r) = self.hv.req.take(SlotClass::NetIcmp, seq as u64) {
                             self.hv.req.finish_at(r, 0, now);
@@ -1123,9 +1127,34 @@ impl Host<NetPath> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BackendOs;
+    use crate::{BackendOs, HealthState, SloConfig};
     use kite_net::ether::ETH_HEADER_LEN;
     use kite_xen::FaultPlan;
+
+    /// The SLO probe judges the datapath's one latency record: samples
+    /// that reach only `metrics.ping_rtts` decide its verdict.
+    #[test]
+    fn slo_probe_judges_the_datapath_record() {
+        let health = |slow: u64| {
+            let mut sys = SystemConfig::new(BackendOs::Kite, 1)
+                .watchdog()
+                .slo(SloConfig {
+                    p99: Some(Nanos::from_millis(1)),
+                    min_samples: 1,
+                })
+                .build_net();
+            for _ in 0..slow {
+                sys.dp.metrics.ping_rtts.record(Nanos::from_secs(1));
+            }
+            sys.ping_at(Nanos::from_millis(1), 0);
+            // Past the first probe (500 ms).
+            sys.run_to_quiescence();
+            assert_eq!(sys.metrics.ping_rtts.count(), slow + 1);
+            sys.health()
+        };
+        assert_eq!(health(0), Some(HealthState::Healthy));
+        assert_eq!(health(2), Some(HealthState::Suspect { missed: 0 }));
+    }
 
     /// Every frame an endpoint's stack rejects is a booked drop, whichever
     /// layer rejected it, so "sent = delivered + drops" holds for any

@@ -18,7 +18,7 @@ use kite_core::{
 use kite_devices::NvmeController;
 use kite_frontends::{BlkCompletion, Blkfront};
 use kite_prof::Phase;
-use kite_sim::{IdleWake, Nanos, OnlineStats};
+use kite_sim::{Histogram, IdleWake, Nanos};
 use kite_trace::MetricsSnapshot;
 use kite_xen::{
     DevicePaths, DomainId, Hypervisor, PciDevice, Port, ReqId, ReqStage, SlotClass, XenError,
@@ -136,8 +136,8 @@ pub struct StorMetrics {
     pub read_bytes: u64,
     /// Bytes written (logical).
     pub write_bytes: u64,
-    /// Latency stats over logical I/Os.
-    pub latency: OnlineStats,
+    /// Latencies of logical I/Os.
+    pub latency: Histogram,
 }
 
 /// Storage-datapath state: the NVMe device and the driver domain's
@@ -253,6 +253,10 @@ impl Datapath for BlkPath {
         let bf = self.blkfront.as_mut().expect("just connected");
         bf.read_features(hv, paths).expect("features");
         self.max_req_bytes = bf.max_request_bytes();
+    }
+
+    fn latency(&self) -> &Histogram {
+        &self.metrics.latency
     }
 
     fn handle(host: &mut StorSystem, now: Nanos, ev: BlkEvent) {
@@ -623,8 +627,7 @@ impl Host<BlkPath> {
             }
             let lat = t - op.submitted;
             self.dp.metrics.ios += 1;
-            self.dp.metrics.latency.push_nanos(lat);
-            self.latency_hist.record(lat);
+            self.dp.metrics.latency.record(lat);
             self.mark_first_byte(t);
             if let Some(d) = &data {
                 self.dp.metrics.read_bytes += d.len() as u64;

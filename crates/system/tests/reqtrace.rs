@@ -11,7 +11,8 @@
 //!   time order, on the echo path at 1 and 4 queues and the 4-ring
 //!   storage path (split I/Os included), under both schedulers;
 //! * a stamp is the time of the work it names: netback fetches a slot
-//!   after its queue's interrupt handler, not when the interrupt lands;
+//!   after its queue's interrupt handler and the pusher's wake, not when
+//!   the interrupt lands;
 //! * reruns are byte-identical, including across scheduler
 //!   backends (heap vs timer wheel) and in the flow-annotated Chrome
 //!   exports;
@@ -21,7 +22,7 @@
 use std::collections::BTreeSet;
 
 use kite_sim::{Nanos, SchedulerKind};
-use kite_system::{scenario, BackendOs, NetSystem, StorSystem, SystemConfig};
+use kite_system::{scenario, BackendOs, NetSystem, StorSystem, SystemConfig, PUSHER_WAKE};
 use kite_trace::{chrome, EventKind, ReqTracer, Stage};
 
 /// Renders the tracer state as a deterministic text digest: header
@@ -191,42 +192,67 @@ fn echo_stages_telescope_and_follow_the_path() {
 }
 
 /// Netback stamps a slot's fetch at its drain's time, which starts when
-/// the queue's interrupt handler has run: never before the interrupt's
-/// arrival plus the handler's cost. The event tracer books the drain's
-/// `RingDrain` at the interrupt's arrival.
+/// the queue's interrupt handler has run and the pusher thread has woken:
+/// never before the interrupt's arrival plus the handler's cost plus
+/// [`PUSHER_WAKE`]. The event tracer books the drain's `RingDrain` at the
+/// interrupt's arrival, then the frontend kick's `Notify`.
+///
+/// The wake is paid before the fetch, not after the copy: an echo's
+/// drain ends when its grant copy returns, so the queue's vCPU is next
+/// free, and the reply leaves for the NIC, one kick after the copy.
 #[test]
 fn echo_backend_fetch_follows_the_interrupt_handler() {
     let handler = BackendOs::Kite.profile().irq_overhead;
     for queues in [1, 4] {
         let sys = echo_run(SchedulerKind::Wheel, queues);
-        let irqs: Vec<(Nanos, u16)> = sys
-            .hv
-            .trace
-            .events()
-            .filter_map(|e| match e.kind {
+        let events: Vec<_> = sys.hv.trace.events().collect();
+        // Every Tx drain: its index in the trace, interrupt arrival,
+        // queue and whether it kicked the frontend.
+        let drains: Vec<(usize, Nanos, u16, bool)> = events
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| match e.kind {
                 EventKind::RingDrain {
                     queue: "netback_tx",
                     qid,
+                    notify,
                     ..
-                } => Some((e.at, qid)),
+                } => Some((i, e.at, qid, notify)),
                 _ => None,
             })
             .collect();
         for rec in sys.hv.req.completed() {
-            let fetch = rec.stamps.iter().find(|s| s.stage == Stage::BackendFetch);
-            let fetch = fetch.expect("echo fetches its reply");
+            let stamp = |stage| rec.stamps.iter().find(|s| s.stage == stage);
+            let fetch = stamp(Stage::BackendFetch).expect("echo fetches its reply");
             let qid = fetch.qid.expect("a fetch names its queue");
-            let irq = irqs
+            // The queue's latest drain at or before the fetch fetched it.
+            let &(i, irq, _, notify) = drains
                 .iter()
-                .filter(|&&(at, q)| q == qid && at <= fetch.at)
-                .map(|&(at, _)| at)
-                .max()
+                .filter(|&&(_, at, q, _)| q == qid && at <= fetch.at)
+                .max_by_key(|&&(i, at, _, _)| (at, i))
                 .expect("a drain fetched the slot");
+            assert!(notify, "{queues}q req {}: the echo's drain kicked", rec.id);
+            let kick = match events.get(i + 1).map(|e| &e.kind) {
+                Some(&EventKind::Notify { cost, .. }) => cost,
+                other => panic!(
+                    "{queues}q req {}: the drain is followed by {other:?}, not its kick",
+                    rec.id
+                ),
+            };
             assert!(
-                fetch.at >= irq + handler,
-                "{queues}q req {}: fetched at {:?}, interrupt at {irq:?} and a {handler:?} handler",
+                fetch.at >= irq + handler + PUSHER_WAKE,
+                "{queues}q req {}: fetched at {:?}, interrupt at {irq:?}, a {handler:?} handler \
+                 and a {PUSHER_WAKE:?} wake",
                 rec.id,
                 fetch.at
+            );
+            let copy = stamp(Stage::GrantCopy).expect("echo copies its reply");
+            let tx = stamp(Stage::NicTx).expect("echo transmits its reply");
+            assert_eq!(
+                tx.at - copy.at,
+                kick,
+                "{queues}q req {}: the drain booked time after its copy returned",
+                rec.id
             );
         }
     }

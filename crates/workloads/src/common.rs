@@ -12,7 +12,7 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use kite_fs::{Fs, Ino};
-use kite_sim::{Nanos, OnlineStats};
+use kite_sim::{Histogram, Nanos};
 use kite_system::{addrs, BackendOs, IoKind, IoOp, NetSystem, Reply, Side, StorSystem, UdpMsg};
 
 use crate::latency::LatencyStats;
@@ -294,7 +294,7 @@ pub fn rr_closed_loop(os: BackendOs, cfg: RrConfig) -> RrResult {
 pub struct StorResult {
     /// Latency of the device I/Os the loop issued, and of nothing `sys`
     /// ran before.
-    pub latency: OnlineStats,
+    pub latency: Histogram,
     /// Operations completed, those that needed no device I/O included.
     pub ops: u64,
     /// Bytes those operations moved for the application.
@@ -360,7 +360,7 @@ pub fn stor_closed_loop(
     sys.set_handler(Box::new(move |now, done| {
         assert!(done.ok, "closed-loop I/O failed");
         let st = &mut *handler.borrow_mut();
-        st.result.latency.push_nanos(now - done.submitted);
+        st.result.latency.record(now - done.submitted);
         let w = done.tag as usize;
         st.waiting[w] -= 1;
         if st.waiting[w] > 0 {
@@ -537,7 +537,8 @@ mod tests {
         assert_eq!(latency.count(), 20);
         assert!(
             band.contains(&latency.mean()),
-            "{latency:?} outside {band:?}"
+            "mean {} ns outside {band:?}",
+            latency.mean()
         );
         let all = sys.metrics.latency.mean();
         assert!(

@@ -4,7 +4,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use kite_sim::{Histogram, Nanos, OnlineStats};
+use kite_sim::{Histogram, Nanos};
 use kite_system::{addrs, BackendOs, NetSystem, Reply, Side};
 
 use crate::common::{rr_closed_loop, RrConfig};
@@ -21,8 +21,9 @@ pub struct LatencyReport {
 }
 
 /// Mean and tail percentiles of one workload's latencies, in
-/// milliseconds. The percentiles come from a log-bucketed
-/// [`Histogram`], so they carry its ~1.4% bucket-width quantization.
+/// milliseconds. The mean is exact; the percentiles come from a
+/// log-bucketed [`Histogram`], so they carry its ~9% bucket-width
+/// quantization.
 #[derive(Clone, Copy, Debug)]
 pub struct WorkloadLatency {
     /// Sample mean.
@@ -35,12 +36,10 @@ pub struct WorkloadLatency {
     pub p999_ms: f64,
 }
 
-/// Latency samples of one workload run: an [`OnlineStats`] for the mean
-/// (what Figure 7 plots) and a [`Histogram`] for the tail, fed from the
-/// same round trips.
+/// Latency samples of one workload run: one [`Histogram`], whose exact
+/// mean is what Figure 7 plots and whose buckets give the tail.
 #[derive(Clone, Debug, Default)]
 pub struct LatencyStats {
-    stats: OnlineStats,
     hist: Histogram,
 }
 
@@ -52,18 +51,17 @@ impl LatencyStats {
 
     /// Records one round-trip sample.
     pub fn push_nanos(&mut self, d: Nanos) {
-        self.stats.push_nanos(d);
         self.hist.record(d);
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.stats.count()
+        self.hist.count()
     }
 
     /// Sample mean in nanoseconds, or 0 if empty.
     pub fn mean(&self) -> f64 {
-        self.stats.mean()
+        self.hist.mean()
     }
 
     /// The mean and p50/p99/p99.9 in milliseconds (one bucket walk).
@@ -87,11 +85,10 @@ pub fn ping(os: BackendOs, count: u16, _seed: u64) -> LatencyStats {
         sys.ping_at(Nanos::from_secs(1) * (u64::from(i) + 1), i);
     }
     sys.run_to_quiescence();
-    // The system records each echo RTT in both shapes already; adopt
-    // them instead of replaying the samples.
+    // The system records each echo RTT already; adopt its record
+    // instead of replaying the samples.
     LatencyStats {
-        stats: sys.metrics.ping_rtts.clone(),
-        hist: sys.latency_histogram().clone(),
+        hist: sys.metrics.ping_rtts.clone(),
     }
 }
 
@@ -234,7 +231,7 @@ mod tests {
         let w = s.summary_ms();
         // The median brackets the mean loosely: the RTT distribution is
         // skewed (a few fast first-wake pings pull the mean down) and
-        // log buckets quantize upward by one bucket (~1.4%), but a p50
+        // log buckets quantize upward by one bucket (~9%), but a p50
         // drawn from different samples than the mean would land far
         // outside a 2x band.
         assert!(

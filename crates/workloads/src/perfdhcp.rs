@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use kite_core::DhcpServer;
 use kite_net::{DhcpMessage, DhcpMessageType, MacAddr};
-use kite_sim::{Nanos, OnlineStats};
+use kite_sim::{Histogram, Nanos};
 use kite_system::{addrs, BackendOs, NetSystem, Reply, Side};
 
 /// Per-message server-side processing cost of the daemon VM running
@@ -66,8 +66,8 @@ pub fn run(daemon: BackendOs, sessions: u32, rate_per_sec: u64) -> DhcpReport {
     // Discover→Offer and Request→Ack delays (an Ack completes a
     // session), and the send time of each exchange in flight by xid.
     let state = Rc::new(RefCell::new((
-        OnlineStats::new(),
-        OnlineStats::new(),
+        Histogram::new(),
+        Histogram::new(),
         HashMap::new(),
     )));
     let client = Rc::clone(&state);
@@ -82,7 +82,7 @@ pub fn run(daemon: BackendOs, sessions: u32, rate_per_sec: u64) -> DhcpReport {
         };
         match rsp.msg_type {
             DhcpMessageType::Offer => {
-                d_o.push_nanos(now - t0);
+                d_o.record(now - t0);
                 let mut req = DhcpMessage::client(DhcpMessageType::Request, rsp.xid, rsp.chaddr);
                 req.requested_ip = Some(rsp.yiaddr);
                 req.server_id = rsp.server_id;
@@ -96,7 +96,7 @@ pub fn run(daemon: BackendOs, sessions: u32, rate_per_sec: u64) -> DhcpReport {
                 }]
             }
             DhcpMessageType::Ack => {
-                r_a.push_nanos(now - t0);
+                r_a.record(now - t0);
                 Vec::new()
             }
             _ => Vec::new(),

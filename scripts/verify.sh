@@ -56,12 +56,13 @@ fail() { echo "verify: $*" >&2; exit 1; }
 
 # Every experiment `repro` has: the table-style ones (CVEs per year, boot,
 # LoC map, CVEs, gadgets, RSDs, DHCP DORA, memory), the network figures
-# that run the default scenario and the storage figures — fig12, which
-# writes 192 files through the full PV path per point, takes ~10 s and
-# fig15 ~2 s. No other step of the gate executes a `repro <id>`. Every
-# cell is virtual-time derived, so the output is pinned like the bench
-# rows: a figure that moved on purpose is regenerated with this command
-# into scripts/repro_figures.txt and the diff reviewed.
+# that run the default scenario and the storage figures. `repro --all`
+# takes ≈9 s of this step: fig12, which writes 192 files through the full
+# PV path per point, ≈6 s and fig15 ≈1.2 s. No other step of the gate
+# executes a `repro <id>`. Every cell is virtual-time derived, so the
+# output is pinned like the bench rows: a figure that moved on purpose is
+# regenerated with this command into scripts/repro_figures.txt and the
+# diff reviewed.
 $bin/repro --all | cmp - scripts/repro_figures.txt \
     || fail "repro figures differ from the shipped scripts/repro_figures.txt"
 
