@@ -19,12 +19,7 @@ impl GrantPool {
     /// Allocates `n` pages in the frontend's domain, granting each to
     /// the backend's as it goes. Ids pop lowest first.
     pub fn new(hv: &mut Hypervisor, paths: &DevicePaths, n: usize, readonly: bool) -> Result<Self> {
-        let mut pages = Vec::with_capacity(n);
-        for _ in 0..n {
-            let page = hv.alloc_page(paths.front)?;
-            let gref = hv.grant_access(paths.front, paths.back, page, readonly)?;
-            pages.push((page, gref));
-        }
+        let pages = hv.alloc_granted(paths.front, paths.back, n, readonly)?;
         let (out, free) = (vec![false; n], (0..n as u16).rev().collect());
         Ok(GrantPool { pages, out, free })
     }

@@ -44,6 +44,10 @@
 //!    handlers' returned `Vec`s and payloads, and the NVMe blocks a
 //!    first write creates. The simulator itself allocates nothing per
 //!    echo.
+//! 9. Standing a system up allocates an exact count: `build_net` on one
+//!    queue and on eight, `build_stor` on four rings. Xenstore walks
+//!    its paths in place and the page and grant tables grow once per
+//!    pool, so what is left is what the build keeps or hands out.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -839,4 +843,35 @@ fn drain_paths_do_not_allocate_in_steady_state() {
     );
 
     event_loop_allocates_only_named_sites();
+    build_allocates_exactly();
+}
+
+/// Phase 9: what a whole build allocates, counted exactly. What is left,
+/// per build: each xenstore node's key and value and each fired watch
+/// event's path (the store keeps or hands them out); the xenbus path
+/// strings `DevicePaths` and `queue_key` format; each grant pool's page
+/// list, flags and free list; the page and grant tables growing once
+/// per pool; the rings' first-touched pages; and the `Host` itself, its
+/// scheduler, CPUs, NIC or NVMe controller and instruments.
+fn build_allocates_exactly() {
+    let count = |build: &dyn Fn()| {
+        let before = allocs();
+        build();
+        allocs() - before
+    };
+    let net = |queues: u32| {
+        count(&|| {
+            drop(
+                SystemConfig::new(BackendOs::Kite, 7)
+                    .queues(queues)
+                    .build_net(),
+            )
+        })
+    };
+    let stor = count(&|| drop(SystemConfig::new(BackendOs::Kite, 7).queues(4).build_stor()));
+    assert_eq!(
+        (net(1), net(8), stor),
+        (222, 480, 311),
+        "allocations building a 1- and an 8-queue network system and a 4-ring storage system"
+    );
 }

@@ -169,7 +169,8 @@ pub enum CopyMode {
 pub struct GrantTables {
     /// Indexed by `DomainId.0`: domain ids are dense and never reused, so
     /// a domain's table is a slot, as in Xen's `struct domain`. Only a
-    /// granter's own [`GrantTables::grant_access`] extends it.
+    /// granter's own [`GrantTables::grant_access`] or
+    /// [`GrantTables::reserve`] extends it.
     tables: Vec<GrantTable>,
     maps: HashMap<MapHandle, MapRecord>,
     next_handle: u64,
@@ -209,6 +210,13 @@ impl GrantTables {
             readonly,
             map_count: 0,
         }))
+    }
+
+    /// Makes room in `granter`'s table for `n` more grants beyond the
+    /// free entries it already has.
+    pub fn reserve(&mut self, granter: DomainId, n: usize) {
+        let table = slot_mut(&mut self.tables, granter);
+        table.entries.reserve(n.saturating_sub(table.free.len()));
     }
 
     /// `granter` revokes a grant it previously issued.

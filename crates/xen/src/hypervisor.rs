@@ -130,13 +130,16 @@ impl Hypervisor {
     /// Destroys a domain the way a crash (or `xl destroy`) does: marks it
     /// dead, reclaims every foreign mapping it held (so peers' grants are
     /// no longer busy), drops its grant table, closes all its event
-    /// channels (killing the peer ends), and force-detaches its PCI
-    /// devices back to the assignable pool. Its xenstore subtree is left
-    /// in place — xenstored outlives domains; the toolstack cleans up.
+    /// channels (killing the peer ends), force-detaches its PCI devices
+    /// back to the assignable pool, and closes its xenstore connection:
+    /// its watches, open transactions and queued watch events go. Its
+    /// xenstore subtree is left in place — xenstored outlives domains;
+    /// the toolstack cleans up.
     pub fn destroy_domain(&mut self, dom: DomainId) -> Result<()> {
         self.domains.destroy(dom)?;
         self.grants.reclaim_domain(dom);
         self.evtchn.close_domain(dom);
+        self.store.release_domain(dom);
         let held: Vec<crate::Bdf> = self.pci.devices_of(dom).iter().map(|d| d.bdf).collect();
         for bdf in held {
             let _ = self.pci.detach(bdf, dom);
@@ -167,6 +170,27 @@ impl Hypervisor {
     /// Allocates a page for `dom` (no hypercall charge; guest-local).
     pub fn alloc_page(&mut self, dom: DomainId) -> Result<PageId> {
         self.mem.alloc(&mut self.domains, dom)
+    }
+
+    /// Allocates `n` pages for `granter` and grants each to `peer`, in
+    /// page order: [`alloc_page`](Self::alloc_page) then
+    /// [`grant_access`](Self::grant_access), page by page. The page table
+    /// and the granter's grant table are grown once for all `n`.
+    pub fn alloc_granted(
+        &mut self,
+        granter: DomainId,
+        peer: DomainId,
+        n: usize,
+        readonly: bool,
+    ) -> Result<Vec<(PageId, GrantRef)>> {
+        self.mem.reserve(n);
+        self.grants.reserve(granter, n);
+        let mut granted = Vec::with_capacity(n);
+        for _ in 0..n {
+            let page = self.alloc_page(granter)?;
+            granted.push((page, self.grant_access(granter, peer, page, readonly)?));
+        }
+        Ok(granted)
     }
 
     /// Grants `peer` access to `page` (table write, no hypercall).
@@ -414,7 +438,7 @@ impl Hypervisor {
         if let Some(e) = self.faults.fail_xs() {
             return (Err(e), c);
         }
-        let r = self.store.read(caller, None, path);
+        let r = self.store.read(caller, None, path).map(str::to_owned);
         (r, c)
     }
 
@@ -517,6 +541,23 @@ mod tests {
             offset,
             limit: usize::MAX,
         }
+    }
+
+    #[test]
+    fn destroying_a_domain_closes_its_xenstore_connection() {
+        let (mut hv, dd, gu) = machine();
+        let home = "/local/domain/2";
+        let w = hv.store.watch(dd, home).unwrap();
+        hv.store.watch(gu, home).unwrap();
+        let tx = hv.store.tx_start(dd);
+        hv.store.write(gu, None, "/local/domain/2/x", "1").unwrap();
+        hv.destroy_domain(dd).unwrap();
+        assert_eq!(hv.store.watch_owners().collect::<Vec<_>>(), [gu]);
+        let events = hv.store.take_events();
+        assert_eq!(events.len(), 2, "the guest's registration and write");
+        assert!(events.iter().all(|e| e.domain == gu), "{events:?}");
+        assert_eq!(hv.store.unwatch(w), Err(XenError::NoEnt));
+        assert_eq!(hv.store.tx_end(dd, tx, true), Err(XenError::BadTransaction));
     }
 
     #[test]

@@ -80,6 +80,11 @@ impl MachineMemory {
         Ok(id)
     }
 
+    /// Makes room in the page table for `pages` more allocations.
+    pub fn reserve(&mut self, pages: usize) {
+        self.frames.reserve(pages);
+    }
+
     /// The owner of a page.
     pub fn owner(&self, page: PageId) -> Result<DomainId> {
         self.frame(page).map(|(owner, _)| owner)

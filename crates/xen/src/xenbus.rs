@@ -56,9 +56,9 @@ impl XenbusState {
         }
     }
 
-    /// The ABI value.
-    pub fn value(self) -> u8 {
-        self as u8
+    /// The ABI value, as xenstore holds it.
+    pub fn value(self) -> &'static str {
+        ["0", "1", "2", "3", "4", "5", "6"][self as usize]
     }
 
     /// Lower-case state name, as used in trace events and renderings.
@@ -167,24 +167,26 @@ impl DevicePaths {
 
     /// The frontend area: `/local/domain/<front>/device/<kind>/<index>`.
     pub fn frontend(&self) -> String {
-        format!(
-            "/local/domain/{}/device/{}/{}",
-            self.front.0,
-            self.kind.as_str(),
-            self.index
-        )
+        self.frontend_and("")
     }
 
     /// The backend area:
     /// `/local/domain/<back>/backend/<kind>/<front>/<index>`.
     pub fn backend(&self) -> String {
-        format!(
-            "/local/domain/{}/backend/{}/{}/{}",
-            self.back.0,
-            self.kind.as_str(),
-            self.front.0,
-            self.index
-        )
+        self.backend_and("")
+    }
+
+    /// The frontend area followed by `suffix`, formatted once.
+    fn frontend_and(&self, suffix: &str) -> String {
+        let (front, kind, index) = (self.front.0, self.kind.as_str(), self.index);
+        format!("/local/domain/{front}/device/{kind}/{index}{suffix}")
+    }
+
+    /// The backend area followed by `suffix`, formatted once.
+    fn backend_and(&self, suffix: &str) -> String {
+        let (back, kind, front, index) =
+            (self.back.0, self.kind.as_str(), self.front.0, self.index);
+        format!("/local/domain/{back}/backend/{kind}/{front}/{index}{suffix}")
     }
 
     /// The backend watch root for discovering new frontends:
@@ -195,12 +197,12 @@ impl DevicePaths {
 
     /// Frontend `state` node path.
     pub fn frontend_state(&self) -> String {
-        format!("{}/state", self.frontend())
+        self.frontend_and("/state")
     }
 
     /// Backend `state` node path.
     pub fn backend_state(&self) -> String {
-        format!("{}/state", self.backend())
+        self.backend_and("/state")
     }
 
     /// Parses a backend-area path back into its device coordinates.
@@ -208,9 +210,13 @@ impl DevicePaths {
     /// Accepts any path at or below a backend device directory; returns
     /// `None` for paths that do not identify a complete device.
     pub fn parse_backend_path(path: &str) -> Option<DevicePaths> {
-        let segs: Vec<&str> = path.strip_prefix('/')?.split('/').collect();
         // local domain <back> backend <kind> <front> <index> ...
-        if segs.len() < 7 || segs[0] != "local" || segs[1] != "domain" || segs[3] != "backend" {
+        let mut segs = [""; 7];
+        let mut split = path.strip_prefix('/')?.split('/');
+        for seg in &mut segs {
+            *seg = split.next()?;
+        }
+        if segs[0] != "local" || segs[1] != "domain" || segs[3] != "backend" {
             return None;
         }
         let back = DomainId(segs[2].parse().ok()?);
@@ -509,7 +515,7 @@ pub fn switch_state(
     if !cur.can_transition_to(next) {
         return Err(XenError::Inval);
     }
-    xs.write(caller, None, state_path, &next.value().to_string())
+    xs.write(caller, None, state_path, next.value())
 }
 
 #[cfg(test)]
@@ -518,8 +524,8 @@ mod tests {
 
     #[test]
     fn state_values_match_abi() {
-        assert_eq!(XenbusState::Initialising.value(), 1);
-        assert_eq!(XenbusState::Connected.value(), 4);
+        assert_eq!(XenbusState::Initialising.value(), "1");
+        assert_eq!(XenbusState::Connected.value(), "4");
         assert_eq!(XenbusState::from_value(6), XenbusState::Closed);
         assert_eq!(XenbusState::from_value(99), XenbusState::Unknown);
     }

@@ -17,12 +17,14 @@
 //! read-write access per peer domain.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
 use crate::domain::DomainId;
 use crate::error::{Result, XenError};
 
-/// A watch registration handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// A watch registration handle. Ids are handed out in registration
+/// order, which is the order watches fire in.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct WatchId(u64);
 
 /// A transaction handle.
@@ -83,7 +85,9 @@ pub struct Xenstore {
     nodes: BTreeMap<String, Node>,
     owned: HashMap<DomainId, usize>,
     quota_override: HashMap<DomainId, usize>,
-    watches: HashMap<WatchId, Watch>,
+    /// Keyed by id, so one change fires its watches in registration
+    /// order.
+    watches: BTreeMap<WatchId, Watch>,
     next_watch: u64,
     txs: HashMap<TxId, Transaction>,
     next_tx: u64,
@@ -125,6 +129,24 @@ fn parent(path: &str) -> Option<&str> {
     }
 }
 
+/// `path` and then each of its ancestors, nearest first, ending at the
+/// root: borrowed prefixes of `path`, so walking them allocates nothing.
+fn ancestry(path: &str) -> impl Iterator<Item = &str> {
+    std::iter::successors(Some(path), |p| parent(p))
+}
+
+/// The keys of `root` and every node underneath it, in key order. The
+/// keys starting with `root` are one contiguous range of the map; a
+/// sibling sharing the name's prefix (`/a/b-c` next to `/a/b`) sorts
+/// inside it, before `/a/b/…`, and is filtered out.
+fn subtree<'a>(nodes: &'a BTreeMap<String, Node>, root: &'a str) -> impl Iterator<Item = &'a str> {
+    nodes
+        .range::<str, _>((Bound::Included(root), Bound::Unbounded))
+        .map(|(k, _)| k.as_str())
+        .take_while(move |k| k.starts_with(root))
+        .filter(move |k| under(root, k))
+}
+
 /// True when `node` is `root` itself or lies underneath it.
 fn under(root: &str, node: &str) -> bool {
     if root == "/" {
@@ -155,21 +177,11 @@ impl Xenstore {
         }
         // Permission is checked on the nearest existing ancestor with an
         // explicit rule, walking upward (xenstored inherits perms downward).
-        let mut p = path.to_string();
-        loop {
-            if let Some(n) = self.nodes.get(&p) {
-                if n.owner == caller {
-                    return true;
-                }
-                if n.perms.iter().any(|&(d, _)| d == caller) {
-                    return true;
-                }
-            }
-            match parent(&p) {
-                Some(pp) => p = pp.to_string(),
-                None => return false,
-            }
-        }
+        ancestry(path).any(|p| {
+            self.nodes
+                .get(p)
+                .is_some_and(|n| n.owner == caller || n.perms.iter().any(|&(d, _)| d == caller))
+        })
     }
 
     fn may_write(&self, caller: DomainId, path: &str) -> bool {
@@ -180,26 +192,18 @@ impl Xenstore {
         // node granting the caller write (by ownership or an explicit
         // read-write rule) authorizes the whole subtree. The root is owned
         // by Dom0, so unprivileged writes outside delegated subtrees fail.
-        let mut p = path.to_string();
-        loop {
-            if let Some(n) = self.nodes.get(&p) {
-                if n.owner == caller {
-                    return true;
-                }
-                if n.perms
-                    .iter()
-                    .any(|&(d, pm)| d == caller && pm == Perm::ReadWrite)
-                {
-                    return true;
-                }
-            }
-            match parent(&p) {
-                Some(pp) => p = pp.to_string(),
-                None => return false,
-            }
-        }
+        ancestry(path).any(|p| {
+            self.nodes.get(p).is_some_and(|n| {
+                n.owner == caller
+                    || n.perms
+                        .iter()
+                        .any(|&(d, pm)| d == caller && pm == Perm::ReadWrite)
+            })
+        })
     }
 
+    /// Queues one event per watch on `changed` or an ancestor of it, in
+    /// registration order.
     fn fire_watches(&mut self, changed: &str) {
         for (&id, w) in &self.watches {
             if under(&w.path, changed) {
@@ -242,59 +246,47 @@ impl Xenstore {
         if !self.may_write(caller, path) {
             return Err(XenError::Perm);
         }
-        // Quota: count the nodes this write would create.
-        let mut creating = usize::from(!self.nodes.contains_key(path));
-        let mut p = path.to_string();
-        while let Some(pp) = parent(&p) {
-            if !self.nodes.contains_key(pp) {
-                creating += 1;
-            }
-            p = pp.to_string();
-        }
+        // Quota: count the nodes this write would create — `path` and its
+        // ancestors up to the nearest one present. Every node's parent
+        // exists, so nothing above that one is missing.
+        let creating = ancestry(path)
+            .take_while(|p| !self.nodes.contains_key(*p))
+            .count();
         if creating > 0 {
             self.charge_node(caller, creating)?;
         }
         self.generation += 1;
         let generation = self.generation;
-        // Create missing ancestors owned by the caller.
-        let mut ancestors = Vec::new();
-        let mut p = path.to_string();
-        while let Some(pp) = parent(&p) {
-            if !self.nodes.contains_key(pp) {
-                ancestors.push(pp.to_string());
-            }
-            p = pp.to_string();
+        if let Some(n) = self.nodes.get_mut(path) {
+            n.value.clear();
+            n.value.push_str(value);
+            n.last_mod = generation;
+            self.fire_watches(path);
+            return Ok(());
         }
-        for a in ancestors.into_iter().rev() {
+        // Create the missing nodes top down, each owned by the caller and
+        // firing as it appears. `path` has one prefix per separator past
+        // the root's, itself included; the missing ones are the last
+        // `creating`.
+        let depth = path.bytes().filter(|&b| b == b'/').count();
+        let ends = (1..path.len()).filter(|&i| path.as_bytes()[i] == b'/');
+        for end in ends.chain([path.len()]).skip(depth - creating) {
+            let node = &path[..end];
             self.nodes.insert(
-                a.clone(),
+                node.to_string(),
                 Node {
-                    value: String::new(),
+                    value: if end == path.len() {
+                        value.to_string()
+                    } else {
+                        String::new()
+                    },
                     owner: caller,
                     perms: Vec::new(),
                     last_mod: generation,
                 },
             );
-            self.fire_watches(&a);
+            self.fire_watches(node);
         }
-        match self.nodes.get_mut(path) {
-            Some(n) => {
-                n.value = value.to_string();
-                n.last_mod = generation;
-            }
-            None => {
-                self.nodes.insert(
-                    path.to_string(),
-                    Node {
-                        value: value.to_string(),
-                        owner: caller,
-                        perms: Vec::new(),
-                        last_mod: generation,
-                    },
-                );
-            }
-        }
-        self.fire_watches(path);
         Ok(())
     }
 
@@ -309,12 +301,7 @@ impl Xenstore {
             return Err(XenError::Perm);
         }
         self.generation += 1;
-        let doomed: Vec<String> = self
-            .nodes
-            .range(path.to_string()..)
-            .take_while(|(k, _)| under(path, k))
-            .map(|(k, _)| k.clone())
-            .collect();
+        let doomed: Vec<String> = subtree(&self.nodes, path).map(str::to_string).collect();
         for k in doomed {
             if let Some(n) = self.nodes.remove(&k) {
                 if let Some(cnt) = self.owned.get_mut(&n.owner) {
@@ -326,41 +313,42 @@ impl Xenstore {
         Ok(())
     }
 
-    /// Reads a node's value.
-    pub fn read(&mut self, caller: DomainId, tx: Option<TxId>, path: &str) -> Result<String> {
+    /// Reads a node's value, borrowed from the store.
+    pub fn read(&mut self, caller: DomainId, tx: Option<TxId>, path: &str) -> Result<&str> {
         validate(path)?;
         if let Some(txid) = tx {
             let t = self.txs.get(&txid).ok_or(XenError::BadTransaction)?;
             if t.caller != caller {
                 return Err(XenError::Perm);
             }
-            // Within-transaction read-your-writes.
-            for (wp, val) in t.writes.iter().rev() {
+            // Within-transaction read-your-writes: the nearest write
+            // covering `path`, in the order the keys sort, decides.
+            let own = t.writes.iter().rev().find_map(|(wp, val)| {
                 if wp == path {
-                    return val.clone().ok_or(XenError::NoEnt);
+                    Some(val.is_some())
+                } else {
+                    (under(wp, path) && val.is_none()).then_some(false)
                 }
-                if under(wp, path) && val.is_none() {
-                    return Err(XenError::NoEnt);
+            });
+            match own {
+                Some(true) => {
+                    let value = self.txs[&txid].writes[path].as_deref();
+                    return Ok(value.expect("a write, not a delete"));
                 }
+                Some(false) => return Err(XenError::NoEnt),
+                None => {}
             }
             if !self.may_read(caller, path) {
                 return Err(XenError::Perm);
             }
-            let v = self
-                .nodes
-                .get(path)
-                .map(|n| n.value.clone())
-                .ok_or(XenError::NoEnt);
             let t = self.txs.get_mut(&txid).expect("checked above");
             t.reads.insert(path.to_string());
-            return v;
-        }
-        if !self.may_read(caller, path) {
+        } else if !self.may_read(caller, path) {
             return Err(XenError::Perm);
         }
         self.nodes
             .get(path)
-            .map(|n| n.value.clone())
+            .map(|n| n.value.as_str())
             .ok_or(XenError::NoEnt)
     }
 
@@ -407,25 +395,14 @@ impl Xenstore {
         if !self.nodes.contains_key(path) {
             return Err(XenError::NoEnt);
         }
-        let prefix = if path == "/" {
-            "/".to_string()
-        } else {
-            format!("{path}/")
-        };
-        let mut children = BTreeSet::new();
-        for (k, _) in self
-            .nodes
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-        {
-            let rest = &k[prefix.len()..];
-            if let Some(first) = rest.split('/').next() {
-                if !first.is_empty() {
-                    children.insert(first.to_string());
-                }
-            }
-        }
-        Ok(children.into_iter().collect())
+        // Every node's parent exists, so each child is a node of its own,
+        // and children's keys sort as their names do.
+        let skip = if path == "/" { 1 } else { path.len() + 1 };
+        Ok(subtree(&self.nodes, path)
+            .filter_map(|k| k.get(skip..))
+            .filter(|name| !name.is_empty() && !name.contains('/'))
+            .map(str::to_string)
+            .collect())
     }
 
     /// Grants `peer` access on `path` (and by inheritance, its subtree).
@@ -471,6 +448,21 @@ impl Xenstore {
     /// Removes a watch.
     pub fn unwatch(&mut self, id: WatchId) -> Result<()> {
         self.watches.remove(&id).map(|_| ()).ok_or(XenError::NoEnt)
+    }
+
+    /// The domain behind each registered watch, in registration order.
+    pub fn watch_owners(&self) -> impl Iterator<Item = DomainId> + '_ {
+        self.watches.values().map(|w| w.domain)
+    }
+
+    /// Frees what a dead domain's connection held, as xenstored does when
+    /// the connection closes: its watches, its open transactions and the
+    /// watch events queued for it. Its nodes stay (the toolstack removes
+    /// them).
+    pub fn release_domain(&mut self, dead: DomainId) {
+        self.watches.retain(|_, w| w.domain != dead);
+        self.txs.retain(|_, t| t.caller != dead);
+        self.pending.retain(|e| e.domain != dead);
     }
 
     /// Drains fired watch events (the system layer routes them).
@@ -691,7 +683,7 @@ mod tests {
         let mut xs = Xenstore::new();
         xs.write(D0, None, "/counter", "1").unwrap();
         let tx = xs.tx_start(D0);
-        let v = xs.read(D0, Some(tx), "/counter").unwrap();
+        let v = xs.read(D0, Some(tx), "/counter").unwrap().to_owned();
         // Concurrent writer bumps the node.
         xs.write(D0, None, "/counter", "5").unwrap();
         xs.write(D0, Some(tx), "/counter", &format!("{}0", v))
@@ -783,5 +775,172 @@ mod tests {
             Err(XenError::BadTransaction)
         );
         assert_eq!(xs.tx_end(D0, TxId(42), true), Err(XenError::BadTransaction));
+    }
+
+    #[test]
+    fn one_change_fires_overlapping_watches_in_registration_order() {
+        let mut xs = Xenstore::new();
+        // Sixteen watches covering one node, registered deepest first and
+        // from three domains: a hashed map would almost surely hand them
+        // out in some other order.
+        let paths = ["/a/b/c", "/a/b", "/a", "/"];
+        let ids: Vec<WatchId> = (0..16)
+            .map(|i| {
+                let domain = [DD, GU, D0][i % 3];
+                xs.watch(domain, paths[i % paths.len()]).unwrap()
+            })
+            .collect();
+        xs.take_events();
+        xs.write(D0, None, "/a/b/c", "1").unwrap();
+        let fired: Vec<WatchId> = xs
+            .take_events()
+            .into_iter()
+            .filter(|e| e.path == "/a/b/c")
+            .map(|e| e.watch)
+            .collect();
+        assert_eq!(fired, ids, "every watch once, in registration order");
+    }
+
+    #[test]
+    fn rm_removes_the_subtree_and_spares_siblings_sharing_its_prefix() {
+        let mut xs = Xenstore::new();
+        // `-` and `.` sort before `/`: `/a/b-c` and `/a/b.d` lie between
+        // `/a/b` and `/a/b/x` in key order.
+        for p in ["/a/b/x", "/a/b-c", "/a/b.d/y", "/a/b/z/w"] {
+            xs.write(D0, None, p, "v").unwrap();
+        }
+        xs.rm(D0, None, "/a/b").unwrap();
+        for gone in ["/a/b", "/a/b/x", "/a/b/z", "/a/b/z/w"] {
+            assert_eq!(xs.read(D0, None, gone), Err(XenError::NoEnt), "{gone}");
+        }
+        assert_eq!(xs.read(D0, None, "/a/b-c"), Ok("v"));
+        assert_eq!(xs.read(D0, None, "/a/b.d/y"), Ok("v"));
+        assert_eq!(xs.directory(D0, "/a").unwrap(), vec!["b-c", "b.d"]);
+    }
+
+    /// The allocating upward walk `may_read` and `may_write` replaced:
+    /// the nearest-first ancestor list built as owned strings.
+    fn naive_may(xs: &Xenstore, caller: DomainId, path: &str, write: bool) -> bool {
+        if caller.is_dom0() {
+            return true;
+        }
+        let mut p = path.to_string();
+        loop {
+            if let Some(n) = xs.nodes.get(&p) {
+                let granted = n
+                    .perms
+                    .iter()
+                    .any(|&(d, pm)| d == caller && (!write || pm == Perm::ReadWrite));
+                if n.owner == caller || granted {
+                    return true;
+                }
+            }
+            match parent(&p) {
+                Some(pp) => p = pp.to_string(),
+                None => return false,
+            }
+        }
+    }
+
+    /// Checks the store's invariants after one operation: every node's
+    /// parent exists, the quota counts equal a recount, and the borrowed
+    /// permission walks agree with the naive one on every node and probe.
+    fn check_invariants(xs: &Xenstore, probes: &[String], step: usize) {
+        let mut recount: HashMap<DomainId, usize> = HashMap::new();
+        for (k, n) in &xs.nodes {
+            if k == "/" {
+                continue;
+            }
+            let up = parent(k).expect("a non-root node has a parent");
+            assert!(xs.nodes.contains_key(up), "step {step}: {k} has no parent");
+            *recount.entry(n.owner).or_default() += 1;
+        }
+        for d in [D0, DD, GU] {
+            let owned = xs.owned.get(&d).copied().unwrap_or(0);
+            let want = recount.get(&d).copied().unwrap_or(0);
+            assert_eq!(owned, want, "step {step}: quota count of {d:?}");
+        }
+        let paths = xs.nodes.keys().chain(probes);
+        for p in paths {
+            for d in [D0, DD, GU] {
+                assert_eq!(
+                    xs.may_read(d, p),
+                    naive_may(xs, d, p, false),
+                    "step {step}: read {p}"
+                );
+                assert_eq!(
+                    xs.may_write(d, p),
+                    naive_may(xs, d, p, true),
+                    "step {step}: write {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_operations_keep_parents_quotas_and_permissions_sound() {
+        // Names whose keys sort around `/`, so subtrees and their
+        // prefix-sharing siblings interleave in the map.
+        const SEGS: [&str; 6] = ["a", "a-b", "a.b", "b", "0", "q"];
+        const ROOTS: [&str; 3] = ["/local/domain/1", "/local/domain/2", "/x"];
+        let doms = [D0, DD, GU];
+        for seed in 1..=8 {
+            let mut rng = kite_sim::Pcg::seeded(seed);
+            let mut xs = Xenstore::new();
+            for (d, home) in [(DD, ROOTS[0]), (GU, ROOTS[1])] {
+                xs.write(D0, None, home, "").unwrap();
+                xs.set_perm(D0, home, d, Perm::ReadWrite).unwrap();
+            }
+            xs.set_quota(GU, 24);
+            let path = |rng: &mut kite_sim::Pcg| {
+                let mut p = ROOTS[rng.index(ROOTS.len())].to_string();
+                for _ in 0..rng.index(4) {
+                    p.push('/');
+                    p.push_str(SEGS[rng.index(SEGS.len())]);
+                }
+                p
+            };
+            let probes: Vec<String> = (0..24).map(|_| path(&mut rng)).collect();
+            let mut open: Vec<(DomainId, TxId)> = Vec::new();
+            for step in 0..400 {
+                let d = doms[rng.index(doms.len())];
+                let p = path(&mut rng);
+                let tx = match open.iter().position(|&(c, _)| c == d) {
+                    Some(i) if rng.chance(0.5) => Some(open[i].1),
+                    _ => None,
+                };
+                // Refusals (permission, quota, a missing node, a stale
+                // transaction) are part of the search: only the
+                // invariants must hold.
+                match rng.index(7) {
+                    0 | 1 => {
+                        let _ = xs.write(d, tx, &p, &step.to_string());
+                    }
+                    2 => {
+                        let _ = xs.rm(d, tx, &p);
+                    }
+                    3 => {
+                        let peer = doms[rng.index(doms.len())];
+                        let perm = if rng.chance(0.5) {
+                            Perm::Read
+                        } else {
+                            Perm::ReadWrite
+                        };
+                        let _ = xs.set_perm(d, &p, peer, perm);
+                    }
+                    4 => {
+                        let _ = xs.read(d, tx, &p);
+                    }
+                    5 if tx.is_none() && open.len() < 3 => open.push((d, xs.tx_start(d))),
+                    _ => {
+                        if let Some(i) = open.iter().position(|&(c, _)| c == d) {
+                            let (c, id) = open.swap_remove(i);
+                            let _ = xs.tx_end(c, id, rng.chance(0.7));
+                        }
+                    }
+                }
+                check_invariants(&xs, &probes, step);
+            }
+        }
     }
 }

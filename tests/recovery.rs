@@ -566,3 +566,35 @@ fn wedge_after_recovered_kill_books_only_its_own_downtime() {
         "each outage ends with its own first byte"
     );
 }
+
+/// Three kills and restarts of one datapath's driver domain, then the
+/// domains behind the store's watches.
+fn watch_owners_after_restarts<D: Datapath>(
+    os: BackendOs,
+) -> (kite_xen::DomainId, Vec<kite_xen::DomainId>) {
+    let mut sys: Host<D> = Host::new(os);
+    for n in 1..=3 {
+        let at = sys.now() + Nanos::from_secs(1);
+        sys.fault_at(at, Fault::Kill);
+        sys.run_to_quiescence();
+        assert_eq!(sys.recovery.reconnects, n, "{}", os.name());
+    }
+    let owners = sys.hv.store.watch_owners().collect();
+    (sys.driver_domain(), owners)
+}
+
+/// A destroyed domain's xenstore connection goes with it, as xenstored
+/// frees a domain's watches with its connection: after three restarts
+/// only the live driver domain watches the store — its backend root and
+/// the frontend's `state` node — on both datapaths and both OSes.
+#[test]
+fn restarts_leave_only_the_live_driver_domains_watches() {
+    for os in [BackendOs::Kite, BackendOs::Linux] {
+        for (live, owners) in [
+            watch_owners_after_restarts::<NetPath>(os),
+            watch_owners_after_restarts::<BlkPath>(os),
+        ] {
+            assert_eq!(owners, [live, live], "{}", os.name());
+        }
+    }
+}
