@@ -2,5 +2,7 @@
 //! figure (see [`experiments`]) and the virtual-time result rows shipped
 //! as `BENCH_mechanisms.json` (see [`report`]).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod report;

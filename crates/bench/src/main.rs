@@ -85,7 +85,7 @@ fn main() {
 /// `repro prof [--collapsed <path>] [--series-csv <path>]`
 ///
 /// Prints the per-phase self-time table and the collapsed stacks from
-/// the profiled 4-queue netback drain; the optional paths export the
+/// the profiled 4-queue netback drains; the optional paths export the
 /// collapsed stacks (for `flamegraph.pl` / `inferno-flamegraph`) and
 /// the sampler's deterministic time series.
 fn run_prof(args: &[String]) {
@@ -95,7 +95,7 @@ fn run_prof(args: &[String]) {
             .and_then(|i| args.get(i + 1))
     };
     let run = report::prof_run();
-    println!("== per-phase self time (wall clock, 4-queue netback drain) ==");
+    println!("== per-phase self time (wall clock, repeated 4-queue netback drain) ==");
     print!("{}", run.table);
     println!();
     println!("== collapsed stacks (self ns; pipe into flamegraph.pl) ==");

@@ -310,6 +310,10 @@ fn ring_streams_run(cfg: SystemConfig) -> StorSystem {
     sys
 }
 
+/// Drains `repro prof` profiles: 0.4–0.6 s of host time, 80–160 timer
+/// samples on a 4 ms kernel tick.
+const PROF_DRAINS: usize = 250;
+
 /// Everything `repro prof` prints and exports: the per-phase self-time
 /// table and collapsed stacks from a profiled 4-queue netback drain,
 /// plus the deterministic time series sampled from the same run.
@@ -328,21 +332,26 @@ pub struct ProfRun {
 /// the profiler on, sampled every 500 µs of virtual time. The spans
 /// cover scheduler push/pop, per-kind event dispatch, netback drains,
 /// grant-copy batches and trace emission, so the collapsed output shows
-/// the full dispatch → drain → copy nesting. Asserts that the table
-/// attributes self time to the Tx drain and that the stacks show that
-/// nesting.
+/// the full dispatch → drain → copy nesting. One drain takes about one
+/// profiler sampling interval of host time, so the profile covers 250
+/// of them; the series is the first one's. Asserts that the table has a
+/// Tx drain row and that the stacks show that nesting.
 pub fn prof_run() -> ProfRun {
     const QUEUES: u32 = 4;
-    kite_prof::reset();
-    let mut sys = SystemConfig::new(BackendOs::Kite, 0)
-        .queues(QUEUES)
-        .profiling(true)
-        .build_net();
     // 64 flows × 32 bursts, one burst every 500 µs: long enough to
     // sample a real series while the four queues stay busy within each
     // burst.
     let every = Nanos::from_micros(500);
-    scenario::flow_burst(&mut sys, Side::Guest, 2048, 1400, every);
+    let drain = || {
+        let mut sys = SystemConfig::new(BackendOs::Kite, 0)
+            .queues(QUEUES)
+            .profiling(true)
+            .build_net();
+        scenario::flow_burst(&mut sys, Side::Guest, 2048, 1400, every);
+        sys
+    };
+    kite_prof::reset();
+    let mut sys = drain();
     let mut series = TimeSeriesSampler::new();
     for (name, kind) in [
         ("client_rx_bytes", Counter),
@@ -378,8 +387,16 @@ pub fn prof_run() -> ProfRun {
         raw.extend((0..QUEUES as usize).map(|q| depths.get(q).map_or(0, |&d| d as u64)));
         series.record(t, &raw);
     });
-    let report = kite_prof::report();
+    // A profiled build switches profiling on as it ends; each system is
+    // dropped with it off, so the profile holds the drains alone.
     kite_prof::disable();
+    drop(sys);
+    for _ in 1..PROF_DRAINS {
+        let mut sys = drain();
+        sys.run_to_quiescence();
+        kite_prof::disable();
+    }
+    let report = kite_prof::report();
     kite_prof::reset();
     let (table, collapsed) = (report.render_table(), report.render_collapsed());
     assert!(

@@ -15,6 +15,8 @@
 //! Kite profile and the Linux baseline profile — mirroring the paper's
 //! statement that Kite mirrors Linux's backend design and optimizations.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod blkback;
 pub mod blockapp;

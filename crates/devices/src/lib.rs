@@ -12,6 +12,8 @@
 //! built with `with_*` methods — the profile is consumed at construction,
 //! so runtime state derived from it can never silently desynchronize.
 
+#![forbid(unsafe_code)]
+
 pub mod nic;
 pub mod nvme;
 

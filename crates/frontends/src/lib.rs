@@ -8,6 +8,8 @@
 //! `GrantPool` type and refuse, count and trace any response field a
 //! backend should not have written.
 
+#![forbid(unsafe_code)]
+
 pub mod blkfront;
 pub mod netfront;
 mod pool;

@@ -8,6 +8,8 @@
 //! cache-filtered reads — emerges from real metadata ([`alloc`]) and a real
 //! LRU page cache ([`cache`]).
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod cache;
 pub mod fs;

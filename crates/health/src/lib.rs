@@ -15,6 +15,8 @@
 //! deterministic — same config, same probes, same verdicts, byte-identical
 //! `kitetop` output.
 
+#![forbid(unsafe_code)]
+
 pub mod heartbeat;
 pub mod monitor;
 pub mod slo;

@@ -7,6 +7,8 @@
 //! parameters that the shared backend mechanism in `kite-core` runs under
 //! when the scenario selects Linux.
 
+#![forbid(unsafe_code)]
+
 pub mod boot;
 pub mod image;
 pub mod profile;

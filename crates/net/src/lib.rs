@@ -19,6 +19,8 @@
 //! * [`nat`] — source NAT, the alternative VIF-to-NIC linking technique;
 //! * [`dhcp`] — RFC 2131 wire format for the daemon-VM experiment.
 
+#![forbid(unsafe_code)]
+
 pub mod bridge;
 pub mod checksum;
 pub mod dhcp;

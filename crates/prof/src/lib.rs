@@ -1,5 +1,5 @@
-//! `kite-prof` — scoped-span wall-clock self-profiling for the Kite
-//! workspace.
+//! `kite-prof` — a sampled phase stack: wall-clock self-profiling for
+//! the Kite workspace.
 //!
 //! The simulator's foundational invariant is virtual-time determinism:
 //! same config, same bytes. Wall-clock profiling is the opposite — every
@@ -10,23 +10,23 @@
 //!   registry of [`Phase`] IDs. Spans never feed back into simulation
 //!   state; they only observe.
 //! * When profiling is disabled (the default), [`span`] is a single
-//!   thread-local branch — no clock read, no allocation — so the hot
-//!   path keeps its zero-alloc contract (`sched_alloc.rs` gate);
-//!   [`span_of`] does not even compute its phase.
-//! * When enabled, call counts and the call tree are exact but span
-//!   durations are *sampled* by one rule: one root span in
-//!   [`SAMPLE_EVERY`] per root phase reads the clock, with every span
-//!   opened under it, so the timed spans nest coherently; the report
-//!   subtracts the span cost [`enable`] calibrated and scales each
-//!   subtree by its root's ratio. This bounds enabled-path overhead (the
-//!   clock is the dominant cost) the same way sampling profilers like
-//!   `perf` do.
-//! * Everything derived from span timings (self-time tables, collapsed
-//!   stacks, `prof_*` bench rows) is quarantined to outputs marked as
-//!   wall-clock and excluded from determinism diffs.
+//!   thread-local branch — no allocation — so the hot path keeps its
+//!   zero-alloc contract (`sched_alloc.rs` gate); [`span_of`] does not
+//!   even compute its phase.
+//! * When enabled, a span pushes its phase on a thread-local call tree
+//!   and counts the call, exactly; it reads no clock. A `SIGPROF` timer
+//!   samples the top of the stack at a fixed interval of CPU time, and
+//!   the report gives each call-tree node its samples' share of the
+//!   thread's profiled wall time. The table prints the samples behind
+//!   every row and the time one sample stands for: its resolution.
+//! * Everything derived from samples (self-time tables, collapsed
+//!   stacks, `benchmark/`'s per-phase rows) is quarantined to outputs
+//!   marked as wall-clock and excluded from determinism diffs.
 //!
 //! The crate sits below `kite-sim` in the dependency graph and has no
-//! dependencies of its own.
+//! dependencies of its own. Its one private module `sigprof` holds the
+//! workspace's only `unsafe` code: the two libc calls that arm the timer
+//! and install the handler (Linux only).
 //!
 //! # Example
 //!
@@ -46,12 +46,14 @@
 //! prof::disable();
 //! ```
 
+#![deny(unsafe_code)]
+
 mod phase;
 mod profiler;
 mod report;
+#[allow(unsafe_code)]
+mod sigprof;
 
 pub use phase::Phase;
-pub use profiler::{
-    disable, enable, leaf, reset, span, span_of, ProfGuard, HIST_BUCKETS, SAMPLE_EVERY, STACK_MAX,
-};
+pub use profiler::{disable, enable, reset, span, span_of, ProfGuard, STACK_MAX};
 pub use report::{report, PhaseRow, ProfReport, StackRow};

@@ -3,8 +3,8 @@
 //! Every instrumented code path in the workspace names itself with one
 //! of these variants. Keeping the registry closed (an enum, not interned
 //! strings) is what lets the profiler state be fixed-size and the
-//! disabled path allocation-free: per-phase histograms are a plain
-//! `[[u64; 64]; Phase::COUNT]` array and a span entry is an array index,
+//! disabled path allocation-free: a call-tree node's children are a
+//! plain `[u16; Phase::COUNT]` array and a span entry is an array index,
 //! never a hash-map lookup.
 
 /// A profiled phase of the simulator or one of the backends.

@@ -17,6 +17,8 @@
 //! `kite_system::Host` charges the handler and the woken thread's work
 //! back to back on the vCPU (`kite_sim::CpuPool`) its queue is pinned to.
 
+#![forbid(unsafe_code)]
+
 pub mod boot;
 pub mod image;
 pub mod profile;

@@ -8,6 +8,8 @@
 //!   methodology;
 //! * [`surface`] — the combined Figure 4 attack-surface report.
 
+#![forbid(unsafe_code)]
+
 pub mod cves;
 pub mod gadgets;
 pub mod surface;

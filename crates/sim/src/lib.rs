@@ -18,6 +18,8 @@
 //! seeds, every figure in EXPERIMENTS.md regenerates bit-for-bit. Nothing in this crate
 //! reads wall-clock time or OS entropy.
 
+#![forbid(unsafe_code)]
+
 pub mod queue;
 pub mod resource;
 pub mod rng;

@@ -218,7 +218,7 @@ impl<E> Scheduler<E> for EventSched<E> {
     }
 
     fn schedule_at(&mut self, at: Nanos, payload: E) {
-        let _prof = kite_prof::leaf(kite_prof::Phase::SchedPush);
+        let _prof = kite_prof::span(kite_prof::Phase::SchedPush);
         match self {
             EventSched::Heap(q) => q.schedule_at(at, payload),
             EventSched::Wheel(w) => w.schedule_at(at, payload),
@@ -226,7 +226,7 @@ impl<E> Scheduler<E> for EventSched<E> {
     }
 
     fn pop_until(&mut self, deadline: Nanos) -> Option<(Nanos, E)> {
-        let _prof = kite_prof::leaf(kite_prof::Phase::SchedPop);
+        let _prof = kite_prof::span(kite_prof::Phase::SchedPop);
         match self {
             EventSched::Heap(q) => q.pop_until(deadline),
             EventSched::Wheel(w) => w.pop_until(deadline),

@@ -9,6 +9,8 @@
 //! either the Kite or the Linux [`BackendOs`] profile, which is how
 //! every Kite-vs-Linux figure is produced.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod host;
 pub mod netsys;

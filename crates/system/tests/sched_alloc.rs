@@ -11,10 +11,12 @@
 //!    are allowed, but nothing accumulates per drain — no bookkeeping
 //!    growth, no leak-shaped drift. A warmed-up Rx drain allocates
 //!    nothing, however many frames it delivers.
-//! 3. Disabled profiler spans are strictly zero-alloc: `kite_prof`
+//! 3. Profiler spans are strictly zero-alloc: `kite_prof`
 //!    instrumentation sits on the scheduler and backend hot paths, so
-//!    its off-by-default cost contract (one branch, no clock, no
-//!    allocation) is part of the same guarantee.
+//!    its off-by-default cost contract (one branch, no allocation) is
+//!    part of the same guarantee. Enabled, once its call tree is built,
+//!    a span allocates nothing and neither does the `SIGPROF` handler
+//!    that samples it.
 //! 4. A disabled request tracer is strictly zero-alloc across its whole
 //!    API: admit/stamp/map/lookup/take/finish ride the ring-submit,
 //!    drain and completion paths, so request tracing off must cost one
@@ -700,8 +702,8 @@ fn drain_paths_do_not_allocate_in_steady_state() {
         "GSO super-frame drain allocations drift between identical windows: {w:?}"
     );
 
-    // Phase 3: disabled profiler spans allocate nothing, for every
-    // phase in the registry.
+    // Phase 3: profiler spans allocate nothing, disabled or enabled, for
+    // every phase in the registry.
     kite_prof::disable();
     let before = allocs();
     for _ in 0..10_000 {
@@ -714,6 +716,28 @@ fn drain_paths_do_not_allocate_in_steady_state() {
         0,
         "disabled kite_prof::span must not allocate"
     );
+    // Enabled, once one pass has built the call tree, spans allocate
+    // nothing either, and neither does the SIGPROF handler: the window
+    // lasts several timer ticks and takes samples.
+    kite_prof::enable();
+    kite_prof::reset();
+    for p in kite_prof::Phase::ALL {
+        let _g = kite_prof::span(p);
+    }
+    let samples = || kite_prof::report().samples;
+    let sampled = samples();
+    let before = allocs();
+    for _ in 0..600_000 {
+        for p in kite_prof::Phase::ALL {
+            let _g = kite_prof::span(p);
+        }
+    }
+    let spent = allocs() - before;
+    let sampled = samples() - sampled;
+    kite_prof::disable();
+    kite_prof::reset();
+    assert_eq!(spent, 0, "enabled kite_prof::span must not allocate");
+    assert!(sampled > 0, "no timer sample landed in the enabled window");
 
     // Phase 4: the whole request-tracing API is zero-alloc while
     // disabled — every call the datapaths make when `req_tracing` is

@@ -24,6 +24,8 @@
 //! fixed-point formatting — two runs of the same build produce
 //! byte-identical trace and metrics output.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod json;
 pub mod metrics;

@@ -16,6 +16,8 @@
 //! returns typed reports; the `repro` binary in `kite-bench` prints them
 //! alongside the paper's numbers.
 
+#![forbid(unsafe_code)]
+
 pub mod apache;
 pub mod common;
 pub mod dd;

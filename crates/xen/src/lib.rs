@@ -22,6 +22,8 @@
 //! Data movement is real (bytes flow between real pages); only *time* is
 //! modeled, via [`hypercall::CostModel`].
 
+#![forbid(unsafe_code)]
+
 pub mod blkif;
 pub mod domain;
 pub mod error;

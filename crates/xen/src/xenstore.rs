@@ -70,8 +70,9 @@ struct Transaction {
     caller: DomainId,
     start_gen: u64,
     reads: BTreeSet<String>,
-    /// `None` marks a (recursive) delete of the subtree rooted at the key.
-    writes: BTreeMap<String, Option<String>>,
+    /// The transaction's writes in program order; `None` marks a
+    /// (recursive) delete of the subtree rooted at the path.
+    writes: Vec<(String, Option<String>)>,
 }
 
 /// Default per-domain owned-node quota (xenstored's `quota-nodes` knob;
@@ -321,22 +322,17 @@ impl Xenstore {
             if t.caller != caller {
                 return Err(XenError::Perm);
             }
-            // Within-transaction read-your-writes: the nearest write
-            // covering `path`, in the order the keys sort, decides.
-            let own = t.writes.iter().rev().find_map(|(wp, val)| {
-                if wp == path {
-                    Some(val.is_some())
-                } else {
-                    (under(wp, path) && val.is_none()).then_some(false)
-                }
-            });
-            match own {
-                Some(true) => {
-                    let value = self.txs[&txid].writes[path].as_deref();
-                    return Ok(value.expect("a write, not a delete"));
-                }
-                Some(false) => return Err(XenError::NoEnt),
-                None => {}
+            // Within-transaction read-your-writes: the latest write of
+            // `path`, or delete covering it, decides.
+            let own = t
+                .writes
+                .iter()
+                .rposition(|(wp, val)| under(wp, path) && (wp == path || val.is_none()));
+            if let Some(i) = own {
+                return self.txs[&txid].writes[i]
+                    .1
+                    .as_deref()
+                    .ok_or(XenError::NoEnt);
             }
             if !self.may_read(caller, path) {
                 return Err(XenError::Perm);
@@ -366,7 +362,7 @@ impl Xenstore {
             if t.caller != caller {
                 return Err(XenError::Perm);
             }
-            t.writes.insert(path.to_string(), Some(value.to_string()));
+            t.writes.push((path.to_string(), Some(value.to_string())));
             return Ok(());
         }
         self.raw_write(caller, path, value)
@@ -380,7 +376,7 @@ impl Xenstore {
             if t.caller != caller {
                 return Err(XenError::Perm);
             }
-            t.writes.insert(path.to_string(), None);
+            t.writes.push((path.to_string(), None));
             return Ok(());
         }
         self.raw_rm(caller, path)
@@ -480,7 +476,7 @@ impl Xenstore {
                 caller,
                 start_gen: self.generation,
                 reads: BTreeSet::new(),
-                writes: BTreeMap::new(),
+                writes: Vec::new(),
             },
         );
         id
@@ -721,6 +717,32 @@ mod tests {
         assert_eq!(xs.read(D0, Some(tx), "/a/b"), Err(XenError::NoEnt));
         xs.tx_end(D0, tx, true).unwrap();
         assert_eq!(xs.read(D0, None, "/a/b"), Err(XenError::NoEnt));
+    }
+
+    #[test]
+    fn tx_replays_a_delete_after_a_write_beneath_it() {
+        let mut xs = Xenstore::new();
+        let tx = xs.tx_start(D0);
+        xs.write(D0, Some(tx), "/a/b", "1").unwrap();
+        xs.rm(D0, Some(tx), "/a").unwrap();
+        assert_eq!(xs.read(D0, Some(tx), "/a/b"), Err(XenError::NoEnt));
+        xs.tx_end(D0, tx, true).unwrap();
+        assert_eq!(xs.read(D0, None, "/a/b"), Err(XenError::NoEnt));
+        assert_eq!(xs.read(D0, None, "/a"), Err(XenError::NoEnt));
+    }
+
+    #[test]
+    fn tx_write_after_delete_does_not_revive_the_subtree() {
+        let mut xs = Xenstore::new();
+        xs.write(D0, None, "/a/b", "1").unwrap();
+        let tx = xs.tx_start(D0);
+        xs.rm(D0, Some(tx), "/a").unwrap();
+        xs.write(D0, Some(tx), "/a", "2").unwrap();
+        assert_eq!(xs.read(D0, Some(tx), "/a/b"), Err(XenError::NoEnt));
+        assert_eq!(xs.read(D0, Some(tx), "/a").unwrap(), "2");
+        xs.tx_end(D0, tx, true).unwrap();
+        assert_eq!(xs.read(D0, None, "/a/b"), Err(XenError::NoEnt));
+        assert_eq!(xs.read(D0, None, "/a").unwrap(), "2");
     }
 
     #[test]

@@ -201,8 +201,9 @@ while read -r w want allocs bytes; do
 done < scripts/sim_digests.txt
 # The per-layer consumer of kite_prof::report() runs once too: check.sh
 # only compiles it. On the storage workload every request is submitted
-# from inside an interrupt dispatch, so a dispatch_irq self time of 0 is
-# the parent-below-child clamp the one sampling rule removed.
+# from inside an interrupt dispatch, which holds over half of the run's
+# host time, so a dispatch_irq self time of 0 means the SIGPROF sampler
+# was not armed or did not book that dispatch.
 # (The harness reports dropped spans as a failed check: non-zero exit.)
 out="$(bash benchmark/run.sh --workload stor_mixed --seed 7 --seconds 1 --trace 1)" \
     || fail "stor_mixed --trace 1 failed (dropped spans fail its checks)"

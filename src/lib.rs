@@ -22,6 +22,8 @@
 //! Start with `examples/quickstart.rs`, then `cargo run --release -p
 //! kite-bench --bin repro -- --all` to regenerate every figure.
 
+#![forbid(unsafe_code)]
+
 pub use kite_core as core;
 pub use kite_devices as devices;
 pub use kite_frontends as frontends;
