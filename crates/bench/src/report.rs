@@ -387,14 +387,11 @@ pub fn prof_run() -> ProfRun {
         raw.extend((0..QUEUES as usize).map(|q| depths.get(q).map_or(0, |&d| d as u64)));
         series.record(t, &raw);
     });
-    // A profiled build switches profiling on as it ends; each system is
-    // dropped with it off, so the profile holds the drains alone.
-    kite_prof::disable();
+    // A profiled build switches profiling on as it ends and off as it
+    // drops, so the profile holds the drains alone.
     drop(sys);
     for _ in 1..PROF_DRAINS {
-        let mut sys = drain();
-        sys.run_to_quiescence();
-        kite_prof::disable();
+        drain().run_to_quiescence();
     }
     let report = kite_prof::report();
     kite_prof::reset();

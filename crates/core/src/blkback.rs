@@ -163,6 +163,12 @@ struct InFlight {
 /// segments plus their descriptor page.
 const PERSISTENT_CAP: usize = 1056;
 
+/// Mappings a full cache purges in one pass, least recently used first:
+/// xen-blkback's `LRU_PERCENT_CLEAN`, 5 % of the cap. A frontend cycling
+/// more grants than the cap so pays one pass over the cache per purge,
+/// not one per new grant.
+const PERSISTENT_PURGE: usize = PERSISTENT_CAP * 5 / 100;
+
 /// A cached mapping: its handle, its page, whether it is read-only, and
 /// the tick it was last used at.
 type CachedMap = (MapHandle, PageId, bool, u64);
@@ -171,6 +177,10 @@ type CachedMap = (MapHandle, PageId, bool, u64);
 struct PersistentCache {
     map: HashMap<GrantRef, CachedMap>,
     tick: u64,
+    // Purge scratch, recycled: every mapping's (last use, grant), then
+    // the handles a purge evicted.
+    by_age: Vec<(u64, GrantRef)>,
+    evicted: Vec<MapHandle>,
 }
 
 impl PersistentCache {
@@ -184,23 +194,32 @@ impl PersistentCache {
         })
     }
 
-    /// Inserts; returns an evicted mapping handle the caller must unmap.
+    /// Inserts, purging the [`PERSISTENT_PURGE`] least recently used
+    /// mappings first if the cache is full; returns the purged mapping
+    /// handles, oldest first, which the caller must unmap.
     fn insert(
         &mut self,
         gref: GrantRef,
         handle: MapHandle,
         page: PageId,
         readonly: bool,
-    ) -> Option<MapHandle> {
+    ) -> &[MapHandle] {
         self.tick += 1;
-        let mut evicted = None;
+        self.evicted.clear();
         if self.map.len() >= PERSISTENT_CAP {
-            if let Some((&old, _)) = self.map.iter().min_by_key(|&(_, e)| e.3) {
-                evicted = self.map.remove(&old).map(|e| e.0);
+            self.by_age.clear();
+            self.by_age
+                .extend(self.map.iter().map(|(&gref, e)| (e.3, gref)));
+            // Ticks are unique, so the oldest are one set in one order.
+            self.by_age.select_nth_unstable(PERSISTENT_PURGE - 1);
+            let oldest = &mut self.by_age[..PERSISTENT_PURGE];
+            oldest.sort_unstable();
+            for (_, old) in oldest {
+                self.evicted.extend(self.map.remove(old).map(|e| e.0));
             }
         }
         self.map.insert(gref, (handle, page, readonly, self.tick));
-        evicted
+        &self.evicted
     }
 }
 
@@ -395,11 +414,8 @@ impl BlkbackInstance {
         self.stats.grant_maps += 1;
         *cost += c;
         if self.tuning.persistent_grants {
-            if let Some(evicted) =
-                self.rings[q]
-                    .persistent
-                    .insert(gref, mapping.handle, mapping.page, readonly)
-            {
+            let cache = &mut self.rings[q].persistent;
+            for &evicted in cache.insert(gref, mapping.handle, mapping.page, readonly) {
                 *cost += hv.unmap_grant(self.back, evicted)?;
             }
             Ok((mapping.page, None))
@@ -1183,6 +1199,91 @@ mod tests {
         let mut sector = [0xffu8; SECTOR_SIZE];
         nvme.read_data(0, &mut sector);
         assert_eq!(sector, [0u8; SECTOR_SIZE], "a request reached the device");
+    }
+
+    /// A frontend that cycles twice as many distinct grants as the
+    /// persistent cache holds through one ring: the cache fills to its
+    /// cap and never past it, purging its least recently used mappings
+    /// in bulk, and each mapping it purges is unmapped on the spot, so
+    /// the ring and the cache are all the driver domain has mapped, and
+    /// after `close` nothing is, and the guest can revoke every grant.
+    /// Every page written through one mapping reads back through the
+    /// next.
+    #[test]
+    fn cycling_more_grants_than_the_cache_holds_unmaps_what_it_purges() {
+        let (mut hv, mut rf, mut bb, mut nvme) = raw_pair(true);
+        let (gu, dd) = (bb.front, bb.back);
+        let fill = |k: usize| (k % 251) as u8 ^ (k / 251) as u8;
+        let grefs: Vec<(PageId, GrantRef)> = (0..2 * PERSISTENT_CAP)
+            .map(|k| {
+                let page = hv.alloc_page(gu).unwrap();
+                hv.mem.page_mut(page).unwrap().fill(fill(k));
+                (page, hv.grant_access(gu, dd, page, false).unwrap())
+            })
+            .collect();
+        // The largest the cache grew, and the smallest it held once full.
+        let (mut largest, mut purged_to) = (0, PERSISTENT_CAP);
+        for op in [BLKIF_OP_WRITE, BLKIF_OP_READ] {
+            if op == BLKIF_OP_READ {
+                for &(page, _) in &grefs {
+                    hv.mem.page_mut(page).unwrap().fill(0);
+                }
+            }
+            for (r, run) in grefs.chunks(BLKIF_MAX_SEGMENTS_PER_REQUEST).enumerate() {
+                let segs: Vec<BlkifSegment> = run
+                    .iter()
+                    .map(|&(_, gref)| BlkifSegment {
+                        gref,
+                        first_sect: 0,
+                        last_sect: 7,
+                    })
+                    .collect();
+                let sector = (r * BLKIF_MAX_SEGMENTS_PER_REQUEST * 8) as u64;
+                let req = BlkifRequest::direct(op, 0, r as u64, sector, &segs);
+                rf.submit(&mut hv, &req);
+                let batch = bb
+                    .request_thread_run(&mut hv, &mut nvme, 0, Nanos::ZERO, 32)
+                    .unwrap();
+                assert!(batch.failures.is_empty());
+                for &(q, at) in &batch.cq_irqs {
+                    bb.reap_completions(&mut hv, &mut nvme, q, at).unwrap();
+                }
+                let rsps = rf.responses(&hv);
+                assert_eq!(
+                    rsps.iter().map(|r| (r.id, r.status)).collect::<Vec<_>>(),
+                    [(r as u64, BLKIF_RSP_OKAY)]
+                );
+                let cached = bb.rings[0].persistent.map.len();
+                assert!(cached <= PERSISTENT_CAP, "{cached} cached");
+                assert_eq!(
+                    hv.grants.active_maps(dd),
+                    1 + cached,
+                    "the ring and the cache"
+                );
+                if largest == PERSISTENT_CAP {
+                    purged_to = purged_to.min(cached);
+                }
+                largest = largest.max(cached);
+            }
+        }
+        assert_eq!(largest, PERSISTENT_CAP);
+        // A purge frees the oldest 5 % at once: some request ends on the
+        // grant that purged them.
+        assert_eq!(purged_to, PERSISTENT_CAP - PERSISTENT_PURGE + 1);
+        let st = bb.stats();
+        assert_eq!(
+            (st.persistent_hits, st.grant_maps),
+            (0, 4 * PERSISTENT_CAP as u64)
+        );
+        for (k, &(page, _)) in grefs.iter().enumerate() {
+            let bytes = hv.mem.page(page).unwrap();
+            assert!(bytes.iter().all(|&b| b == fill(k)), "page {k}");
+        }
+        bb.close(&mut hv).unwrap();
+        assert_eq!(hv.grants.active_maps(dd), 0);
+        for &(_, gref) in &grefs {
+            hv.grants.end_access(gu, gref).unwrap();
+        }
     }
 
     #[test]

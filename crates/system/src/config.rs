@@ -157,8 +157,9 @@ impl SystemConfig {
     }
 
     /// Turns on the wall-clock self-profiler (`kite-prof`) for the
-    /// building thread. Spans opened by the scheduler, dispatch loop and
-    /// backends start recording; `kite_prof::report()` reads the result.
+    /// building thread, until the built system drops. Spans opened by the
+    /// scheduler, dispatch loop and backends start recording;
+    /// `kite_prof::report()` reads the result.
     /// Wall-clock numbers are nondeterministic — keep them out of
     /// anything diffed byte-for-byte (see DESIGN.md §14).
     pub fn profiling(mut self, on: bool) -> SystemConfig {

@@ -208,11 +208,23 @@ fn vcpus_of(hv: &Hypervisor, dom: DomainId) -> CpuPool {
     CpuPool::new(d.vcpus as usize)
 }
 
+/// Held by a profiled [`Host`]: switches the thread's profiler off when
+/// the host drops, so nothing after it is profiled by accident.
+struct ProfilerOn;
+
+impl Drop for ProfilerOn {
+    fn drop(&mut self) {
+        kite_prof::disable();
+    }
+}
+
 /// One simulated machine running a driver domain for datapath `D`.
 ///
 /// Dereferences to the datapath, so its public taps read as fields of
 /// the system (`sys.metrics`, `sys.nvme`, `sys.netapp`).
 pub struct Host<D: Datapath> {
+    /// First, so the profiler is off before the rest of the host drops.
+    _profiling: Option<ProfilerOn>,
     /// The simulated Xen machine.
     pub hv: Hypervisor,
     /// Which OS the driver domain runs.
@@ -291,6 +303,7 @@ impl<D: Datapath> Host<D> {
         // `plug_device` re-aims the slot at whichever driver domain is
         // current; the slot keeps its config for life.
         let mut host = Host {
+            _profiling: None,
             hv,
             os,
             recovery: RecoveryStats::default(),
@@ -329,6 +342,7 @@ impl<D: Datapath> Host<D> {
         }
         if cfg.profiling {
             kite_prof::enable();
+            host._profiling = Some(ProfilerOn);
         }
         host
     }

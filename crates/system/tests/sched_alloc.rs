@@ -43,9 +43,9 @@
 //! 8. The whole event loop, through `Host::run_until`: once warm, a
 //!    storage closed loop and a network echo, on one queue or eight,
 //!    allocate an exact count per operation, each site named — the
-//!    handlers' returned `Vec`s and payloads, and the NVMe blocks a
-//!    first write creates. The simulator itself allocates nothing per
-//!    echo.
+//!    handlers' returned `Vec`s and payloads, and the NVMe media's
+//!    64-block chunks and 512-block index leaves that first writes
+//!    open. The simulator itself allocates nothing per echo.
 //! 9. Standing a system up allocates an exact count: `build_net` on one
 //!    queue and on eight, `build_stor` on four rings. Xenstore walks
 //!    its paths in place and the page and grant tables grow once per
@@ -418,7 +418,8 @@ fn ring_path_allocates_only_payload_hops() {
 
 /// Phase 8: the whole event loop, driven through `Host::run_until`.
 /// Once warm, a closed loop allocates only at the sites named below:
-/// the workload's own `Vec`s and the NVMe blocks a first write creates.
+/// the workload's own `Vec`s and the NVMe media's chunks and index
+/// leaves a first write opens.
 fn event_loop_allocates_only_named_sites() {
     let us = Nanos::from_micros;
     // Storage: a depth-1 loop of `n` I/Os, `kind(i)` for I/O `i` from
@@ -471,17 +472,20 @@ fn event_loop_allocates_only_named_sites() {
         data: vec![0x55; 128 * 1024],
     };
     // Warm-up over every shape. Its first writes (4 096 blocks, past
-    // the sectors the measured ones use) also grow the device's block
-    // map beyond what the measured loops add, so it does not rehash
-    // inside them.
+    // the sectors the measured ones use) also grow the media's chunk
+    // list and top-level index past what the measured loops reach.
     stor_loop(&mut sys, 2 * N, 2 * N, fresh_128k);
     for kind in [read_4k, read_128k, write_4k] {
         stor_loop(&mut sys, 0, N, kind);
     }
     // Each I/O but the last: the handler's `Vec<IoOp>` for the next one
-    // and, for a write, that write's data. Each first write: its NVMe
-    // blocks. The read buffer, the request's ring slots and pages, and
-    // the interrupt and completion lists are all recycled.
+    // and, for a write, that write's data. The first writes append their
+    // blocks to the media's log, one 64-block chunk per 64 blocks
+    // wherever the log stands, and create one index leaf per 512-block
+    // range they are first to reach: 64 blocks make one chunk and one
+    // leaf, 2 048 blocks 32 chunks and four leaves. The read buffer, the
+    // request's ring slots and pages, and the interrupt and completion
+    // lists are all recycled.
     let rows = [
         ("4 KiB read", stor_loop(&mut sys, 0, N, read_4k), N - 1),
         ("128 KiB read", stor_loop(&mut sys, 0, N, read_128k), N - 1),
@@ -493,12 +497,12 @@ fn event_loop_allocates_only_named_sites() {
         (
             "4 KiB first write",
             stor_loop(&mut sys, 0, N, fresh_4k),
-            2 * (N - 1) + N,
+            2 * (N - 1) + 1 + 1,
         ),
         (
             "128 KiB first write",
             stor_loop(&mut sys, 0, N, fresh_128k),
-            2 * (N - 1) + 32 * N,
+            2 * (N - 1) + 32 + 4,
         ),
     ];
     for (what, made, want) in rows {

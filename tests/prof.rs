@@ -60,6 +60,23 @@ fn profiled_run_covers_the_instrumented_hot_paths() {
     assert_eq!(report.truncated, 0, "echo nesting fits the span stack");
 }
 
+/// A profiled build switches the thread's profiler on as it ends, and
+/// the system switches it off as it drops: a span opened afterwards
+/// records nothing.
+#[test]
+fn dropping_a_profiled_system_switches_the_profiler_off() {
+    let irq_span = || {
+        prof::reset();
+        drop(prof::span(Phase::DispatchIrq));
+        calls(&prof::report(), Phase::DispatchIrq)
+    };
+    let sys = echo_sys(16, true);
+    assert_eq!(irq_span(), 1, "the build switched profiling on");
+    drop(sys);
+    assert_eq!(irq_span(), 0, "a dropped system left profiling on");
+    prof::reset();
+}
+
 #[test]
 fn profiling_does_not_perturb_virtual_time() {
     let plain = echo_run(false);
